@@ -148,11 +148,9 @@ fn main() {
                 .testcases()
                 .to_vec()
         };
-        for tc in testcases {
-            if let Err(e) = server.add_testcase(tc) {
-                eprintln!("cannot seed library: {e}");
-                std::process::exit(1);
-            }
+        if let Err(e) = server.add_testcases(testcases) {
+            eprintln!("cannot seed library: {e}");
+            std::process::exit(1);
         }
     }
 

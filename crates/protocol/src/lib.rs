@@ -9,7 +9,7 @@
 //! operator-facing exchange — `STATS` — returns the server's telemetry
 //! registry (per-verb request counts and latency histograms, WAL
 //! timings, connection gauges) as a single line of JSON; `STATS RESET`
-//! additionally zeroes the metrics after snapshotting. See
+//! additionally zeroes the counters and histograms after snapshotting. See
 //! [`wire::ClientMsg::Stats`] and the `uucs-telemetry` crate.
 //!
 //! Two model-service exchanges close the borrowing loop (`uucs-modelsvc`):

@@ -37,8 +37,9 @@
 //! telemetry registry encoded as a single line of JSON (sorted keys,
 //! integer values — see `uucs-telemetry`), covering per-verb request
 //! counts and latency histograms, WAL append/fsync/compaction timings,
-//! and connection gauges. `STATS RESET` zeroes every metric *after*
-//! taking the snapshot, so tests can fence measurement windows. Being a
+//! and connection gauges. `STATS RESET` zeroes every counter and
+//! histogram (gauges are levels and keep their values) *after* taking
+//! the snapshot, so tests can fence measurement windows. Being a
 //! plain header line, the verb rides the existing forward-compatibility
 //! rule: an older server answers `ERROR` and keeps the connection.
 //!
@@ -1287,7 +1288,7 @@ mod tests {
             read_client_msg(&mut cur).unwrap().unwrap(),
             ClientMsg::Sync { have: 1, want: 2, .. }
         ));
-        // Malformed known messages stay InvalidData (framing unsafe).
+        // Malformed known messages stay InvalidData (framing lost).
         let mut cur = Cursor::new(b"SYNC c1 nope 4\n".to_vec());
         assert_eq!(
             read_client_msg(&mut cur).unwrap_err().kind(),

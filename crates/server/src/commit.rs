@@ -1,5 +1,6 @@
 //! Group-commit WAL fsync: one dedicated thread batches pending
-//! appends, fsyncs once per shard, and wakes every waiter.
+//! appends, fsyncs once per shard, and wakes every waiter — blocked
+//! handlers through a condvar, pool workers through their wakers.
 //!
 //! The old engine ran each store WAL at `SyncPolicy::Always` — every
 //! upload paid a full fsync while holding the store's write lock, so
@@ -8,11 +9,19 @@
 //! `SyncPolicy::Never`; a handler appends under the shard lock, records
 //! the WAL's next-LSN as its durability watermark (a [`CommitTicket`]),
 //! releases the lock, and then waits — without any lock held — until
-//! the committer's periodic fsync pass covers that watermark. A pass
+//! the committer's next fsync pass covers that watermark. A pass
 //! syncs each dirty shard exactly once no matter how many appends
 //! landed since the last pass, so the per-request durability cost is
 //! `fsync / batch size`, with the identical guarantee: **no request is
 //! acknowledged before its journal entries are on stable storage**.
+//!
+//! The gather window before a pass sizes itself. The configured
+//! interval is its ceiling; the window actually waited is
+//! `interval × (1 − k/n)`, where the previous pass fsynced `k` slots
+//! covering `n` appends — the share of fsyncs that batching saved last
+//! time (`gather_share`). A lone or depth-1 client has `n = k`, so its
+//! append is synced at once; saturated pipelined ingest has `n ≫ k`, so
+//! the window stays near the interval and amortization is kept.
 //!
 //! `uucs-wal` itself stays dependency- and policy-free: the committer
 //! drives the existing [`uucs_wal::Wal::sync`] (segment rotation and
@@ -24,13 +33,13 @@
 //! handler answers with a protocol error instead of an ack, exactly as
 //! a failed synchronous append did before.
 
+use crate::netpoll::Waker;
 use crate::shard::StoreSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uucs_pagecache::{DiskScheduler, OpKind};
-use uucs_telemetry::{metrics, Counter, Histogram};
+use uucs_telemetry::{metrics, Counter, Gauge, Histogram};
 use uucs_wal::Lsn;
 
 /// Which store family a ticket's append landed in.
@@ -84,7 +93,41 @@ struct CommitState {
     /// Sticky fsync failure, per slot. Once a shard's journal cannot be
     /// synced, nothing on it is ack-able until restart.
     failed: Vec<Option<String>>,
+    /// The commit thread is parked waiting for work, so a new request
+    /// must notify it. While it gathers or syncs, requests only raise
+    /// `pending` — the window is not cut short by its own arrivals.
+    idle: bool,
     stop: bool,
+}
+
+impl CommitState {
+    fn dirty(&self, slot: usize) -> bool {
+        self.failed[slot].is_none() && self.pending[slot] > self.synced[slot]
+    }
+
+    /// Raises a slot's requested watermark, waking the commit thread if
+    /// it is parked.
+    fn request(&mut self, slot: usize, upto: Lsn, wake: &Condvar) {
+        if self.pending[slot] < upto {
+            self.pending[slot] = upto;
+            if self.idle {
+                wake.notify_one();
+            }
+        }
+    }
+}
+
+/// The share of the commit interval worth gathering for, given that the
+/// previous pass fsynced `slots` shards covering `appends` journal
+/// entries: the fraction of per-append fsyncs that batching saved. Zero
+/// when nothing was batched (`appends <= slots`), approaching — never
+/// reaching — one as batches deepen.
+pub(crate) fn gather_share(appends: u64, slots: u64) -> f64 {
+    if slots == 0 || appends <= slots {
+        0.0
+    } else {
+        1.0 - slots as f64 / appends as f64
+    }
 }
 
 /// Telemetry for the commit loop.
@@ -95,6 +138,10 @@ struct CommitMetrics {
     batch: Histogram,
     /// Wall time of one slot fsync, ns.
     ns: Histogram,
+    /// The gather window the next pass will use, µs.
+    gather_us: Gauge,
+    /// Gather windows actually waited, ns (zero-wait passes included).
+    gather_ns: Histogram,
 }
 
 /// The group-commit coordinator: shared state between request handlers
@@ -102,21 +149,24 @@ struct CommitMetrics {
 pub struct GroupCommitter {
     stores: Arc<StoreSet>,
     state: Mutex<CommitState>,
-    /// Wakes the commit thread when new work is pending.
+    /// Wakes the commit thread: new work while it is parked, or stop.
     wake: Condvar,
     /// Wakes waiters when watermarks advance or a slot fails.
     done: Condvar,
-    /// Group window: how long the commit thread gathers appends before
-    /// an fsync pass. Zero = sync as soon as anything is pending.
+    /// Ceiling of the gather window before an fsync pass (see the
+    /// module docs for how the window sizes itself under it). Zero =
+    /// sync as soon as anything is pending.
     interval: Duration,
     counts: [usize; FLAVORS],
-    stopped: AtomicBool,
     metrics: CommitMetrics,
     /// When present, slot fsyncs are submitted to the disk scheduler's
     /// thread pool instead of running serially on the commit thread —
     /// one pass over `k` dirty shards pays `max(fsync)` wall time, not
     /// `sum(fsync)`.
     scheduler: Option<Arc<DiskScheduler>>,
+    /// Pool workers to wake after each fsync pass, so a parked reply is
+    /// serialized the moment its watermark is durable.
+    wakers: Mutex<Vec<Weak<Waker>>>,
 }
 
 impl GroupCommitter {
@@ -148,19 +198,22 @@ impl GroupCommitter {
                 pending: vec![0; slots],
                 synced: vec![0; slots],
                 failed: vec![None; slots],
+                idle: false,
                 stop: false,
             }),
             wake: Condvar::new(),
             done: Condvar::new(),
             interval,
             counts,
-            stopped: AtomicBool::new(false),
             metrics: CommitMetrics {
                 commits: metrics::counter("server.commit.count"),
                 batch: metrics::histogram("server.commit.batch"),
                 ns: metrics::histogram("server.commit.ns"),
+                gather_us: metrics::gauge("server.commit.gather_us"),
+                gather_ns: metrics::histogram("server.commit.gather.ns"),
             },
             scheduler,
+            wakers: Mutex::new(Vec::new()),
         });
         let runner = committer.clone();
         let handle = std::thread::Builder::new()
@@ -197,10 +250,7 @@ impl GroupCommitter {
     pub fn submit(&self, flavor: StoreFlavor, shard: usize, upto: Lsn) -> CommitTicket {
         let slot = self.slot(flavor, shard);
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if st.pending[slot] < upto {
-            st.pending[slot] = upto;
-            self.wake.notify_one();
-        }
+        st.request(slot, upto, &self.wake);
         CommitTicket { flavor, shard, upto }
     }
 
@@ -209,10 +259,7 @@ impl GroupCommitter {
     pub fn wait(&self, ticket: CommitTicket) -> Result<(), String> {
         let slot = self.slot(ticket.flavor, ticket.shard);
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if st.pending[slot] < ticket.upto {
-            st.pending[slot] = ticket.upto;
-            self.wake.notify_one();
-        }
+        st.request(slot, ticket.upto, &self.wake);
         loop {
             if let Some(e) = &st.failed[slot] {
                 return Err(e.clone());
@@ -242,10 +289,7 @@ impl GroupCommitter {
         if st.synced[slot] >= ticket.upto {
             return Some(Ok(()));
         }
-        if st.pending[slot] < ticket.upto {
-            st.pending[slot] = ticket.upto;
-            self.wake.notify_one();
-        }
+        st.request(slot, ticket.upto, &self.wake);
         if st.stop {
             return Some(Err("server stopped before the commit completed".into()));
         }
@@ -255,10 +299,10 @@ impl GroupCommitter {
     /// Asks the commit thread to drain pending work and exit, and fails
     /// any waiter whose watermark can no longer be reached.
     pub fn stop(&self) {
-        if self.stopped.swap(true, Ordering::SeqCst) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if st.stop {
             return;
         }
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.stop = true;
         self.wake.notify_all();
         self.done.notify_all();
@@ -283,58 +327,100 @@ impl GroupCommitter {
     }
 
     /// Publishes one slot's sync outcome: watermark advance (+ metrics)
-    /// or sticky failure, then wakes the waiters.
-    fn finish_slot(&self, slot: usize, since: Lsn, outcome: std::io::Result<Lsn>, elapsed: u64) {
+    /// or sticky failure, then wakes the blocked waiters. Returns the
+    /// appends the fsync covered, `None` if it failed.
+    fn finish_slot(
+        &self,
+        slot: usize,
+        since: Lsn,
+        outcome: std::io::Result<Lsn>,
+        elapsed: u64,
+    ) -> Option<u64> {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        match outcome {
+        let covered = match outcome {
             Ok(watermark) => {
+                let batch = watermark.saturating_sub(since);
                 self.metrics.commits.inc();
-                self.metrics.batch.record(watermark.saturating_sub(since));
+                self.metrics.batch.record(batch);
                 self.metrics.ns.record(elapsed);
                 if st.synced[slot] < watermark {
                     st.synced[slot] = watermark;
                 }
+                Some(batch)
             }
             Err(e) => {
                 st.failed[slot] = Some(format!("journal sync failed: {e}"));
+                None
             }
-        }
+        };
         self.done.notify_all();
+        covered
+    }
+
+    /// Has `waker` written after every fsync pass from now on. Held
+    /// weakly: a front end that shut down simply drops out.
+    pub(crate) fn subscribe(&self, waker: &Arc<Waker>) {
+        self.wakers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Arc::downgrade(waker));
+    }
+
+    /// Wakes every subscribed pool worker (watermarks are already
+    /// published, so the tickets they re-poll see this pass).
+    fn wake_workers(&self) {
+        self.wakers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|w| w.upgrade().map(|w| w.wake()).is_some());
     }
 
     fn run(&self) {
+        // The window the next pass gathers for; sized from the last pass.
+        let mut window = Duration::ZERO;
         loop {
-            // Wait for work (or stop).
-            {
+            // Park until something is dirty (or stop), gather for the
+            // window, then snapshot the dirty slots. Only `stop` notifies
+            // `wake` during the gather, so arrivals do not cut it short.
+            let work: Vec<(usize, Lsn)> = {
                 let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    let dirty = (0..st.pending.len())
-                        .any(|s| st.failed[s].is_none() && st.pending[s] > st.synced[s]);
-                    if dirty {
-                        break;
-                    }
+                while !(0..st.pending.len()).any(|s| st.dirty(s)) {
                     if st.stop {
                         return;
                     }
+                    st.idle = true;
+                    st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+                    st.idle = false;
+                }
+                let gather_from = Instant::now();
+                while !st.stop {
+                    let rest = window.saturating_sub(gather_from.elapsed());
+                    if rest.is_zero() {
+                        break;
+                    }
                     st = self
                         .wake
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
+                        .wait_timeout(st, rest)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
                 }
-                // (lock released here so the window below gathers appends)
-            }
-            // The group window: let more appends pile onto this pass.
-            if !self.interval.is_zero() && !self.stopped.load(Ordering::SeqCst) {
-                std::thread::sleep(self.interval);
-            }
-            // Snapshot the dirty slots, then sync each without the
-            // state lock held (the shard lock is what serializes).
-            let work: Vec<(usize, Lsn)> = {
-                let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+                self.metrics
+                    .gather_ns
+                    .record(gather_from.elapsed().as_nanos() as u64);
                 (0..st.pending.len())
-                    .filter(|&s| st.failed[s].is_none() && st.pending[s] > st.synced[s])
+                    .filter(|&s| st.dirty(s))
                     .map(|s| (s, st.synced[s]))
                     .collect()
+            };
+            // Sync each dirty slot without the state lock held (the
+            // shard lock is what serializes against handlers).
+            let mut appends = 0u64;
+            let mut synced = 0u64;
+            let mut tally = |covered: Option<u64>| {
+                if let Some(batch) = covered {
+                    appends += batch;
+                    synced += 1;
+                }
             };
             if let Some(sched) = &self.scheduler {
                 // Fan the dirty shards out to the I/O pool; each sync
@@ -356,16 +442,19 @@ impl GroupCommitter {
                 for (slot, since, ticket) in tickets {
                     let outcome = ticket.wait();
                     let elapsed = t0.elapsed().as_nanos() as u64;
-                    self.finish_slot(slot, since, outcome, elapsed);
+                    tally(self.finish_slot(slot, since, outcome, elapsed));
                 }
             } else {
                 for (slot, since) in work {
                     let t0 = Instant::now();
                     let outcome = self.sync_slot(slot);
                     let elapsed = t0.elapsed().as_nanos() as u64;
-                    self.finish_slot(slot, since, outcome, elapsed);
+                    tally(self.finish_slot(slot, since, outcome, elapsed));
                 }
             }
+            self.wake_workers();
+            window = self.interval.mul_f64(gather_share(appends, synced));
+            self.metrics.gather_us.set(window.as_micros() as i64);
         }
     }
 }
@@ -399,6 +488,86 @@ mod tests {
         };
         let (set, _) = StoreSet::open(dir, cfg, 2).unwrap();
         Arc::new(set)
+    }
+
+    #[test]
+    fn gather_share_is_the_fraction_of_fsyncs_batching_saved() {
+        // Nothing batched (or nothing synced): no reason to gather.
+        for (appends, slots) in [(0, 0), (5, 0), (0, 3), (1, 1), (8, 8), (3, 8)] {
+            assert_eq!(gather_share(appends, slots), 0.0, "({appends}, {slots})");
+        }
+        assert!((gather_share(7, 1) - 6.0 / 7.0).abs() < 1e-12);
+        assert!((gather_share(16, 8) - 0.5).abs() < 1e-12);
+        // Monotone in the appends covered, and never the whole interval.
+        let mut last = 0.0;
+        for appends in 1..10_000u64 {
+            let share = gather_share(appends, 3);
+            assert!(
+                share >= last && share < 1.0,
+                "share({appends}, 3) = {share}"
+            );
+            last = share;
+        }
+        assert!(gather_share(u64::MAX, 1) <= 1.0);
+    }
+
+    /// The interval is a ceiling, not a period: with nothing to batch,
+    /// an append is synced at once. The 30 s interval makes "waited out
+    /// the window" and "did not" impossible to confuse.
+    #[test]
+    fn lone_append_is_synced_without_waiting_out_the_window() {
+        let dir = TempDir::new("uucs-commit-lone");
+        let stores = durable_set(dir.path());
+        let (committer, handle) = GroupCommitter::start(stores.clone(), Duration::from_secs(30));
+        let shard = stores.results.shard_for("c1");
+        let t0 = Instant::now();
+        for seq in 1..=3 {
+            let mut g = stores.results.write_recovered(shard);
+            g.append_batch("c1", seq, vec![rec("c1")]).unwrap();
+            let upto = g.wal_next_lsn().unwrap();
+            drop(g);
+            committer
+                .wait(committer.submit(StoreFlavor::Results, shard, upto))
+                .unwrap();
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "lone appends waited {:?} under a 30 s ceiling",
+            t0.elapsed()
+        );
+        committer.stop();
+        handle.join().unwrap();
+    }
+
+    /// `stop` interrupts a gather in progress and the pending append is
+    /// still drained — a server shutting down neither hangs for the
+    /// window nor drops the tail.
+    #[test]
+    fn stop_cuts_the_gather_short_and_still_drains() {
+        let dir = TempDir::new("uucs-commit-stop-gather");
+        let stores = durable_set(dir.path());
+        let (committer, handle) = GroupCommitter::start(stores.clone(), Duration::from_secs(30));
+        let shard = stores.results.shard_for("c1");
+        let append = |seqs: std::ops::RangeInclusive<u64>| {
+            let mut g = stores.results.write_recovered(shard);
+            for seq in seqs {
+                g.append_batch("c1", seq, vec![rec("c1")]).unwrap();
+            }
+            let upto = g.wal_next_lsn().unwrap();
+            drop(g);
+            committer.submit(StoreFlavor::Results, shard, upto)
+        };
+        // One pass over a batch of eight: the next window is most of 30 s.
+        committer.wait(append(1..=8)).unwrap();
+        let tail = append(9..=9);
+        let t0 = Instant::now();
+        committer.stop();
+        handle.join().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "stop waited out the window"
+        );
+        committer.wait(tail).unwrap();
     }
 
     #[test]

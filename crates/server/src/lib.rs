@@ -27,10 +27,16 @@
 //! served back through the `MODEL` and `ADVICE` verbs.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+// One `allow`, on `netpoll::poll_ready`: `std` has no readiness API, so
+// `poll(2)` is the crate's single foreign call.
+#![deny(unsafe_code)]
+
+#[cfg(not(unix))]
+compile_error!("uucs-server's TCP front end blocks in poll(2); it needs a unix target");
 
 pub mod commit;
 pub mod models;
+mod netpoll;
 pub mod server;
 pub mod shard;
 pub mod storage;

@@ -31,7 +31,10 @@
 //!   state is preserved exactly.
 //! * `--commit-interval-us N` turns on group commit: appends stop
 //!   fsyncing individually and a dedicated commit thread batches all
-//!   pending appends into one fsync per shard every N microseconds.
+//!   pending appends into one fsync per shard. N is the *maximum*
+//!   gather window: the committer waits only for the share of it that
+//!   batching earned on the previous pass, so a lone upload is synced
+//!   at once and a saturated server gathers for nearly N microseconds.
 //!   Acks still wait for the fsync — same durability, amortized cost.
 //! * `--cache-pages N` puts an ARC page cache (N pages per store
 //!   flavor, `uucs-pagecache`) under every journal: write-through (no
@@ -43,8 +46,8 @@
 //!   defers its fsync to the next commit pass instead of stalling the
 //!   append path. Needs `--commit-interval-us`.
 //! * `--max-conns N`, `--workers N`, `--engine pool|threads` tune the
-//!   TCP front end (worker pool over nonblocking sockets by default;
-//!   `threads` restores one-thread-per-connection).
+//!   TCP front end (worker pool blocked in `poll(2)` over nonblocking
+//!   sockets by default; `threads` restores one-thread-per-connection).
 //!
 //! All engine settings are surfaced in `STATS` as `server.config.*`
 //! gauges.
@@ -115,7 +118,10 @@ fn main() {
             "--commit-interval-us" => {
                 i += 1;
                 commit_interval_us = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("bad --commit-interval-us (want microseconds, 0 disables)");
+                    eprintln!(
+                        "bad --commit-interval-us (want the maximum gather window in \
+                         microseconds, 0 disables)"
+                    );
                     std::process::exit(2);
                 });
             }
@@ -249,11 +255,9 @@ fn main() {
         }
         let server = Arc::new(server);
         if server.testcase_count() == 0 {
-            for tc in seed_library() {
-                if let Err(e) = server.add_testcase(tc) {
-                    eprintln!("cannot seed library: {e}");
-                    std::process::exit(1);
-                }
+            if let Err(e) = server.add_testcases(seed_library()) {
+                eprintln!("cannot seed library: {e}");
+                std::process::exit(1);
             }
         }
         eprintln!(

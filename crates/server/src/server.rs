@@ -307,7 +307,8 @@ impl UucsServer {
     /// Starts the group-commit thread: store WALs should then run at
     /// `SyncPolicy::Never`, and every durable verb's ack waits for the
     /// committer's batched fsync instead of paying its own. `interval`
-    /// is the gathering window per fsync pass.
+    /// is the ceiling of the self-sizing gather window before a pass
+    /// (see [`crate::commit`]).
     pub fn with_group_commit(mut self, interval: Duration) -> Self {
         if self.io_scheduler.is_some() {
             // The committer's regular sync passes drain deferred
@@ -340,7 +341,8 @@ impl UucsServer {
     }
 
     /// The group-commit coordinator, when enabled — the worker-pool
-    /// front end polls it to finish deferred acks without blocking.
+    /// front end subscribes its wakers to it and redeems deferred acks
+    /// through its nonblocking `poll`.
     pub fn group_committer(&self) -> Option<Arc<GroupCommitter>> {
         self.committer.clone()
     }
@@ -381,14 +383,33 @@ impl UucsServer {
     /// WAL-backed store the addition is durable once this returns `Ok`
     /// (under group commit, this waits for the covering fsync).
     pub fn add_testcase(&self, tc: uucs_testcase::Testcase) -> Result<(), StoreError> {
-        let shard = self.stores.testcases.shard_for(tc.id.as_str());
-        let mut guard = self.stores.testcases.write_recovered(shard);
-        guard.add(tc.clone())?;
-        let lsn = guard.wal_next_lsn();
-        drop(guard);
-        self.replicate(&WalEntry::Testcase(tc))
-            .map_err(StoreError::Io)?;
-        if let Some(ticket) = self.ticket(StoreFlavor::Testcases, shard, lsn) {
+        self.add_testcases([tc])
+    }
+
+    /// Adds many testcases — start-up seeding — with one durability
+    /// wait per touched shard instead of one per testcase: everything
+    /// is appended first, then the highest ticket of each shard is
+    /// redeemed. Stops at the first duplicate id or failed append; all
+    /// additions are durable once this returns `Ok`.
+    pub fn add_testcases(
+        &self,
+        testcases: impl IntoIterator<Item = uucs_testcase::Testcase>,
+    ) -> Result<(), StoreError> {
+        // Tickets of one shard only grow, so the last one covers the rest.
+        let mut last: Vec<Option<CommitTicket>> = vec![None; self.stores.testcases.count()];
+        for tc in testcases {
+            let shard = self.stores.testcases.shard_for(tc.id.as_str());
+            let mut guard = self.stores.testcases.write_recovered(shard);
+            guard.add(tc.clone())?;
+            let lsn = guard.wal_next_lsn();
+            drop(guard);
+            self.replicate(&WalEntry::Testcase(tc))
+                .map_err(StoreError::Io)?;
+            if let Some(ticket) = self.ticket(StoreFlavor::Testcases, shard, lsn) {
+                last[shard] = Some(ticket);
+            }
+        }
+        for ticket in last.into_iter().flatten() {
             self.committer
                 .as_ref()
                 .expect("ticket implies committer")
@@ -1031,9 +1052,10 @@ impl UucsServer {
         match reg.register_with_id(id.clone(), snapshot.clone(), token) {
             Ok(()) => {
                 let lsn = reg.wal_next_lsn();
-                let len = reg.len();
+                // Published under the shard lock, so racing
+                // registrations cannot set their lengths out of order.
+                self.shard_gauges.registry[shard].set(reg.len() as i64);
                 drop(reg);
-                self.shard_gauges.registry[shard].set(len as i64);
                 if let Err(e) = self.replicate(&WalEntry::Client {
                     id: id.clone(),
                     token: token.to_string(),
@@ -1080,9 +1102,10 @@ impl UucsServer {
         match results.append_batch(client, seq, records.to_vec()) {
             Ok(status) => {
                 let lsn = results.wal_next_lsn();
-                let len = results.len();
+                // Published under the shard lock, so racing uploads
+                // cannot set their lengths out of order.
+                self.shard_gauges.results[shard].set(results.len() as i64);
                 drop(results);
-                self.shard_gauges.results[shard].set(len as i64);
                 // Fold the batch into the comfort model — only when it
                 // was *applied*: a replayed retransmit must not
                 // double-count its observations. A model journal failure

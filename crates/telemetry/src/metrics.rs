@@ -323,15 +323,15 @@ impl Registry {
             .clone()
     }
 
-    /// Zeroes every metric's value. Registrations (and outstanding
-    /// handles) stay valid — `STATS RESET` must not invalidate the
-    /// handles hot paths are holding.
+    /// Zeroes every counter and histogram. Gauges keep their values:
+    /// a gauge is a level (configuration, live connections, occupancy),
+    /// not an accumulation, and zeroing one would report a wrong level
+    /// — or send it negative when the things it counts later go away.
+    /// Registrations (and outstanding handles) stay valid — `STATS
+    /// RESET` must not invalidate the handles hot paths are holding.
     pub fn reset(&self) {
         for c in read_lock(&self.counters).values() {
             c.0.store(0, Ordering::Relaxed);
-        }
-        for g in read_lock(&self.gauges).values() {
-            g.0.store(0, Ordering::Relaxed);
         }
         for h in read_lock(&self.histograms).values() {
             h.0.zero();
@@ -446,7 +446,7 @@ mod tests {
         assert_eq!(g.get(), 4);
         reg.reset();
         assert_eq!(c.get(), 0, "reset zeroes through outstanding handles");
-        assert_eq!(g.get(), 0);
+        assert_eq!(g.get(), 4, "a gauge is a level: reset leaves it alone");
         drop(guard);
     }
 

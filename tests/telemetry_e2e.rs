@@ -3,8 +3,10 @@
 //! byte-identical traces under the virtual clock.
 //!
 //! The metrics registry and flight recorder are process-global, so the
-//! tests in this file serialize on [`GUARD`] and reset the registry at
-//! entry; assertions stay within one test's critical section.
+//! tests in this file serialize on [`GUARD`] and reset the registry's
+//! counters and histograms at entry (gauges are levels: every test
+//! leaves them where it found them); assertions stay within one test's
+//! critical section.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -196,6 +198,54 @@ fn connection_cap_rejects_politely_and_gauge_drains_to_zero() {
         0,
         "gauge should drain with the tracker"
     );
+    handle.shutdown();
+}
+
+/// `STATS RESET` zeroes accumulations, not levels: configuration gauges
+/// keep their values, and the live-connection gauge still balances when
+/// connections opened before the reset close after it.
+#[test]
+fn stats_reset_keeps_gauges_and_live_connections_never_go_negative() {
+    let _guard = serialize();
+    metrics::gauge("server.config.shards").set(8);
+    let server = Arc::new(UucsServer::new(
+        TestcaseStore::from_testcases(calibration::controlled_testcases(Task::Word))
+            .expect("unique ids"),
+        7,
+    ));
+    let handle = tcp::serve(server, "127.0.0.1:0").expect("bind");
+    let mut held: Vec<TcpTransport> = (0..2)
+        .map(|_| {
+            let mut t = TcpTransport::connect(handle.addr()).expect("connect");
+            let reply = t.exchange(&ClientMsg::Stats { reset: false }).expect("probe");
+            assert!(matches!(reply, ServerMsg::Stats(_)));
+            t
+        })
+        .collect();
+    let live = metrics::gauge("server.connections.live");
+    assert_eq!(live.get(), 2);
+
+    let ServerMsg::Stats(json) = held[0]
+        .exchange(&ClientMsg::Stats { reset: true })
+        .expect("stats reset")
+    else {
+        panic!("expected STATS reply");
+    };
+    assert!(json.contains("\"server.connections.live\":2"), "{json}");
+    assert_eq!(metrics::counter("server.connections.accepted").get(), 0);
+    assert_eq!(metrics::gauge("server.config.shards").get(), 8);
+    assert_eq!(live.get(), 2, "a reset must not forget open connections");
+
+    // Close after the reset: the gauge drains to zero, not to -2.
+    held.clear();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while (handle.live_connections() > 0 || live.get() > 0)
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(handle.live_connections(), 0, "tracker should drain");
+    assert_eq!(live.get(), 0);
     handle.shutdown();
 }
 
