@@ -1,7 +1,7 @@
 //! Server-engine benchmarks: what the sharded group-commit worker-pool
 //! engine buys over the original design.
 //!
-//! Two comparisons, each old-vs-new on identical work:
+//! Two groups:
 //!
 //! * `engine/fsync` — durable upload throughput with per-append fsync
 //!   (`SyncPolicy::Always`, the original `--wal` ack path) versus group
@@ -9,7 +9,9 @@
 //!   appends into one fsync per shard, acks wait on the watermark).
 //!   Same durability guarantee, amortized cost.
 //! * `engine/tcp` — pipelined upload rounds over live TCP connections
-//!   against the thread-per-connection engine versus the worker pool.
+//!   against the worker pool (the row keeps the `worker_pool` name it
+//!   had beside the deleted thread-per-connection engine, so the ledger
+//!   series continues).
 
 use std::hint::black_box;
 use std::io::BufReader;
@@ -22,7 +24,7 @@ use uucs_protocol::wire::{read_server_msg, write_client_msg, Endpoint};
 use uucs_protocol::{
     ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg,
 };
-use uucs_server::tcp::{self, EngineMode, ServeConfig};
+use uucs_server::tcp::{self, ServeConfig};
 use uucs_server::{StoreSet, UucsServer};
 use uucs_wal::{SyncPolicy, WalConfig};
 
@@ -117,80 +119,74 @@ struct BenchConn {
     seq: u64,
 }
 
-/// One pipelined upload round over live TCP: thread-per-connection vs
-/// the worker pool, same in-memory server state behind both.
+/// One pipelined upload round over live TCP against the worker pool,
+/// in-memory server state behind it.
 fn tcp_round(c: &mut Criterion) {
     let conns = if quick_mode() { 8 } else { 48 };
     let mut group = c.benchmark_group("engine/tcp");
     group.sample_size(10);
     group.throughput(Throughput::Elements(conns as u64));
-    for (name, engine) in [
-        ("thread_per_conn", EngineMode::ThreadPerConn),
-        ("worker_pool", EngineMode::WorkerPool),
-    ] {
-        group.bench_function(format!("{conns}_conn_upload_round_{name}"), |b| {
-            let server = Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 9));
-            let handle = tcp::serve_with(
-                server,
-                "127.0.0.1:0",
-                ServeConfig {
-                    engine,
-                    max_connections: conns + 8,
-                    ..ServeConfig::default()
-                },
-            )
-            .expect("serve");
-            let mut fleet: Vec<BenchConn> = (0..conns)
-                .map(|i| {
-                    let stream = TcpStream::connect(handle.addr()).unwrap();
-                    stream.set_nodelay(true).unwrap();
-                    let writer = stream.try_clone().unwrap();
-                    let mut conn = BenchConn {
-                        writer,
-                        reader: BufReader::new(stream),
-                        id: String::new(),
-                        seq: 0,
-                    };
-                    write_client_msg(
-                        &mut conn.writer,
-                        &ClientMsg::register(MachineSnapshot::study_machine(format!("b{i}"))),
-                    )
-                    .unwrap();
-                    match read_server_msg(&mut conn.reader).unwrap() {
-                        ServerMsg::Id { id, .. } => conn.id = id,
-                        other => panic!("{other:?}"),
-                    }
-                    conn
-                })
-                .collect();
-            b.iter(|| {
-                // Write an upload on every connection, then drain every
-                // ack — the whole fleet is in flight at once.
-                for conn in fleet.iter_mut() {
-                    conn.seq += 1;
-                    write_client_msg(
-                        &mut conn.writer,
-                        &ClientMsg::Upload {
-                            client: conn.id.clone(),
-                            seq: conn.seq,
-                            records: vec![record(&conn.id, 0)],
-                        },
-                    )
-                    .unwrap();
+    group.bench_function(format!("{conns}_conn_upload_round_worker_pool"), |b| {
+        let server = Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 9));
+        let handle = tcp::serve_with(
+            server,
+            "127.0.0.1:0",
+            ServeConfig {
+                max_connections: conns + 8,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("serve");
+        let mut fleet: Vec<BenchConn> = (0..conns)
+            .map(|i| {
+                let stream = TcpStream::connect(handle.addr()).unwrap();
+                stream.set_nodelay(true).unwrap();
+                let writer = stream.try_clone().unwrap();
+                let mut conn = BenchConn {
+                    writer,
+                    reader: BufReader::new(stream),
+                    id: String::new(),
+                    seq: 0,
+                };
+                write_client_msg(
+                    &mut conn.writer,
+                    &ClientMsg::register(MachineSnapshot::study_machine(format!("b{i}"))),
+                )
+                .unwrap();
+                match read_server_msg(&mut conn.reader).unwrap() {
+                    ServerMsg::Id { id, .. } => conn.id = id,
+                    other => panic!("{other:?}"),
                 }
-                let mut acked = 0u32;
-                for conn in fleet.iter_mut() {
-                    if matches!(read_server_msg(&mut conn.reader).unwrap(), ServerMsg::Ack(_)) {
-                        acked += 1;
-                    }
+                conn
+            })
+            .collect();
+        b.iter(|| {
+            // Write an upload on every connection, then drain every
+            // ack — the whole fleet is in flight at once.
+            for conn in fleet.iter_mut() {
+                conn.seq += 1;
+                write_client_msg(
+                    &mut conn.writer,
+                    &ClientMsg::Upload {
+                        client: conn.id.clone(),
+                        seq: conn.seq,
+                        records: vec![record(&conn.id, 0)],
+                    },
+                )
+                .unwrap();
+            }
+            let mut acked = 0u32;
+            for conn in fleet.iter_mut() {
+                if matches!(read_server_msg(&mut conn.reader).unwrap(), ServerMsg::Ack(_)) {
+                    acked += 1;
                 }
-                assert_eq!(acked as usize, conns);
-                black_box(acked)
-            });
-            drop(fleet);
-            handle.shutdown();
+            }
+            assert_eq!(acked as usize, conns);
+            black_box(acked)
         });
-    }
+        drop(fleet);
+        handle.shutdown();
+    });
     group.finish();
 }
 

@@ -33,17 +33,14 @@ fn config(sync: SyncPolicy) -> WalConfig {
 
 /// Appends per second under each sync policy. `Always` pays one fsync
 /// per record (what an acknowledged upload costs the `--wal` server);
-/// `EveryN` amortizes it; `Never` is the framing + buffered-write floor.
+/// `Never` is the framing + buffered-write floor (the group committer
+/// supplies the fsync).
 fn append(c: &mut Criterion) {
     let batch: Vec<Vec<u8>> = (0..64).map(payload).collect();
     let mut group = c.benchmark_group("wal/append");
     group.sample_size(10);
     group.throughput(Throughput::Elements(batch.len() as u64));
-    for (name, sync) in [
-        ("always", SyncPolicy::Always),
-        ("every_8", SyncPolicy::EveryN(8)),
-        ("never", SyncPolicy::Never),
-    ] {
+    for (name, sync) in [("always", SyncPolicy::Always), ("never", SyncPolicy::Never)] {
         group.bench_function(format!("64_records_{name}"), |b| {
             let tmp = TempDir::new("uucs-bench-wal-append");
             let (mut wal, _) = Wal::open(StdIo::new(), tmp.path(), config(sync)).unwrap();

@@ -110,9 +110,9 @@ mod tests {
             let open = |mem: &MemIo| {
                 if cached {
                     let io = CachedIo::new(mem.clone(), 256, 128);
-                    Wal::open(io, "/w", cfg(256, SyncPolicy::EveryN(3)))
+                    Wal::open(io, "/w", cfg(256, SyncPolicy::Always))
                 } else {
-                    Wal::open(CachedIo::passthrough(mem.clone()), "/w", cfg(256, SyncPolicy::EveryN(3)))
+                    Wal::open(CachedIo::passthrough(mem.clone()), "/w", cfg(256, SyncPolicy::Always))
                 }
             };
             let (mut wal, _) = open(&mem).unwrap();

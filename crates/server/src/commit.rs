@@ -34,7 +34,7 @@
 //! a failed synchronous append did before.
 
 use crate::netpoll::Waker;
-use crate::shard::StoreSet;
+use crate::shard::{sync_shard, StoreSet};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -308,21 +308,15 @@ impl GroupCommitter {
         self.done.notify_all();
     }
 
-    /// One fsync over a slot's shard. Takes the shard's write lock —
-    /// handlers hold it only for in-memory appends now, so this is the
-    /// only place the disk wait happens.
-    fn sync_slot(&self, slot: usize) -> std::io::Result<Lsn> {
-        let (flavor, shard) = self.flavor_shard(slot);
-        Self::sync_store(&self.stores, flavor, shard)
-    }
-
-    /// The actual per-shard sync, callable from a scheduler thread
-    /// (the shard's write lock is what serializes against handlers).
+    /// One fsync over a shard's journal, callable from a scheduler
+    /// thread. It takes the shard's write lock — handlers hold that only
+    /// for in-memory appends now, so this is the only place the disk
+    /// wait happens.
     fn sync_store(stores: &StoreSet, flavor: StoreFlavor, shard: usize) -> std::io::Result<Lsn> {
         match flavor {
-            StoreFlavor::Testcases => stores.testcases.write_recovered(shard).sync_wal(),
-            StoreFlavor::Results => stores.results.write_recovered(shard).sync_wal(),
-            StoreFlavor::Registry => stores.registry.write_recovered(shard).sync_wal(),
+            StoreFlavor::Testcases => sync_shard(&stores.testcases, shard),
+            StoreFlavor::Results => sync_shard(&stores.results, shard),
+            StoreFlavor::Registry => sync_shard(&stores.registry, shard),
         }
     }
 
@@ -447,7 +441,8 @@ impl GroupCommitter {
             } else {
                 for (slot, since) in work {
                     let t0 = Instant::now();
-                    let outcome = self.sync_slot(slot);
+                    let (flavor, shard) = self.flavor_shard(slot);
+                    let outcome = Self::sync_store(&self.stores, flavor, shard);
                     let elapsed = t0.elapsed().as_nanos() as u64;
                     tally(self.finish_slot(slot, since, outcome, elapsed));
                 }

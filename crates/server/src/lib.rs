@@ -35,6 +35,7 @@
 compile_error!("uucs-server's TCP front end blocks in poll(2); it needs a unix target");
 
 pub mod commit;
+mod journal;
 pub mod models;
 mod netpoll;
 pub mod server;

@@ -3,10 +3,10 @@
 //!
 //! ```text
 //! uucs-server [--addr 127.0.0.1:4004] [--library FILE] [--data DIR]
-//!             [--generate-library N-seed] [--wal] [--sync POLICY]
+//!             [--generate-library N-seed] [--wal]
 //!             [--shards N] [--commit-interval-us N]
 //!             [--cache-pages N] [--io-threads N]
-//!             [--max-conns N] [--workers N] [--engine pool|threads]
+//!             [--max-conns N] [--workers N]
 //! ```
 //!
 //! With `--library`, serves the testcases in the given text file; with
@@ -20,8 +20,10 @@
 //! `wal/registry/`, `wal/models/`): every acknowledged mutation —
 //! including client registrations and per-client upload dedup horizons —
 //! is recovered on restart, and the 30 s tick compacts the journal
-//! instead of rewriting the world. `--sync` picks the fsync policy:
-//! `always` (default), `every=N`, or `never`.
+//! instead of rewriting the world. An ack always means the journal
+//! entry is on stable storage: each append is fsynced before its reply,
+//! or — under `--commit-interval-us` — the reply waits for the group
+//! committer's batched fsync.
 //!
 //! Engine knobs:
 //!
@@ -45,9 +47,8 @@
 //!   commit fans its per-shard fsyncs out to it, and segment rotation
 //!   defers its fsync to the next commit pass instead of stalling the
 //!   append path. Needs `--commit-interval-us`.
-//! * `--max-conns N`, `--workers N`, `--engine pool|threads` tune the
-//!   TCP front end (worker pool blocked in `poll(2)` over nonblocking
-//!   sockets by default; `threads` restores one-thread-per-connection).
+//! * `--max-conns N`, `--workers N` tune the TCP front end (a worker
+//!   pool blocked in `poll(2)` over nonblocking sockets).
 //!
 //! All engine settings are surfaced in `STATS` as `server.config.*`
 //! gauges.
@@ -55,7 +56,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use uucs_server::tcp::{EngineMode, ServeConfig};
+use uucs_server::tcp::ServeConfig;
 use uucs_server::{tcp, StorageProfile, StoreSet, TestcaseStore, UucsServer};
 use uucs_telemetry::metrics;
 use uucs_wal::{SyncPolicy, WalConfig};
@@ -66,7 +67,6 @@ fn main() {
     let mut data = PathBuf::from("uucs-server-data");
     let mut gen_seed: Option<u64> = None;
     let mut wal = false;
-    let mut sync = SyncPolicy::Always;
     let mut shards: usize = 1;
     let mut commit_interval_us: u64 = 0;
     let mut storage = StorageProfile::default();
@@ -93,16 +93,6 @@ fn main() {
             }
             "--wal" => {
                 wal = true;
-            }
-            "--sync" => {
-                i += 1;
-                sync = args
-                    .get(i)
-                    .and_then(|s| SyncPolicy::parse(s))
-                    .unwrap_or_else(|| {
-                        eprintln!("bad --sync (want always, never, or every=N)");
-                        std::process::exit(2);
-                    });
             }
             "--shards" => {
                 i += 1;
@@ -158,17 +148,6 @@ fn main() {
                         std::process::exit(2);
                     });
             }
-            "--engine" => {
-                i += 1;
-                serve_config.engine = match args.get(i).map(String::as_str) {
-                    Some("pool") => EngineMode::WorkerPool,
-                    Some("threads") => EngineMode::ThreadPerConn,
-                    _ => {
-                        eprintln!("bad --engine (want pool or threads)");
-                        std::process::exit(2);
-                    }
-                };
-            }
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -197,10 +176,6 @@ fn main() {
     metrics::gauge("server.config.commit_interval_us").set(commit_interval_us as i64);
     metrics::gauge("server.config.cache_pages").set(storage.cache_pages as i64);
     metrics::gauge("server.config.io_threads").set(storage.io_threads as i64);
-    metrics::gauge("server.config.engine_pool").set(i64::from(matches!(
-        serve_config.engine,
-        EngineMode::WorkerPool
-    )));
 
     let seed_library = || -> Vec<uucs_testcase::Testcase> {
         if let Some(path) = &library {
@@ -223,13 +198,14 @@ fn main() {
     let server = if wal {
         // Under group commit the per-append policy is Never: the commit
         // thread owns durability (one batched fsync per shard, acks wait
-        // on the watermark).
+        // on the watermark). Without it every append pays its own fsync.
+        let sync = if commit_interval_us > 0 {
+            SyncPolicy::Never
+        } else {
+            SyncPolicy::Always
+        };
         let config = WalConfig {
-            sync: if commit_interval_us > 0 {
-                SyncPolicy::Never
-            } else {
-                sync
-            },
+            sync,
             ..WalConfig::default()
         };
         eprintln!("recovering journals under {:?} ({shards} shard(s)) ...", data.join("wal"));

@@ -15,7 +15,9 @@
 //! the model actually advanced, so a fleet of clients polling `MODEL`
 //! between uploads costs one `HashMap` hit each.
 
-use crate::store::{invalid, WalTelemetry};
+use crate::journal::{foreign, Journal, Journaled};
+use crate::storage::plain_io;
+use crate::store::invalid;
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -24,8 +26,7 @@ use std::sync::OnceLock;
 use uucs_modelsvc::{ComfortModel, Observation, QuantileSketch};
 use uucs_protocol::{RunOutcome, RunRecord, WalEntry};
 use uucs_telemetry::{metrics, Counter, Gauge, Histogram};
-use crate::storage::{plain_io, StoreIo};
-use uucs_wal::{Recovery, Wal, WalConfig};
+use uucs_wal::{Recovery, WalConfig};
 
 /// Telemetry handles for the model service, registered once.
 struct ModelMetrics {
@@ -88,88 +89,58 @@ struct CachedMerge {
 
 /// The server's comfort-model state: the cohort model, its optional WAL,
 /// and the per-epoch query cache.
+#[derive(Default)]
 pub struct ModelStore {
     model: ComfortModel,
-    wal: Option<Wal<StoreIo>>,
+    journal: Journal,
     /// Merged-query cache keyed by `(resource name, task)`. Interior
     /// mutability because queries come in through read locks; entries
     /// are invalidated by epoch tag, not eviction.
     cache: Mutex<HashMap<(&'static str, Option<String>), CachedMerge>>,
 }
 
-impl Default for ModelStore {
-    fn default() -> Self {
-        Self::new()
+/// Journal = epoch deltas, snapshot = the full [`ComfortModel::encode`]
+/// text.
+impl Journaled for ModelStore {
+    const FLAVOR: &'static str = "model";
+
+    fn journal(&mut self) -> &mut Journal {
+        &mut self.journal
+    }
+
+    fn restore(&mut self, snapshot: &str) -> io::Result<()> {
+        self.model = ComfortModel::decode(snapshot).map_err(invalid)?;
+        model_metrics().epoch.set(self.model.epoch() as i64);
+        Ok(())
+    }
+
+    fn replay(&mut self, entry: WalEntry) -> io::Result<()> {
+        match entry {
+            WalEntry::Model(delta) => {
+                self.model.apply(&delta).map_err(invalid)?;
+                model_metrics().epoch.set(self.model.epoch() as i64);
+                Ok(())
+            }
+            other => Err(foreign::<Self>(&other)),
+        }
+    }
+
+    fn snapshot(&self) -> String {
+        self.model.encode()
     }
 }
 
 impl ModelStore {
     /// An empty, non-durable model store at epoch 0.
     pub fn new() -> Self {
-        ModelStore {
-            model: ComfortModel::new(),
-            wal: None,
-            cache: Mutex::new(HashMap::new()),
-        }
+        Self::default()
     }
 
     /// Opens (creating if necessary) a WAL-backed model store: replays
     /// the journal under `dir` (snapshot = full model, entries = epoch
     /// deltas) and journals every subsequent update before applying it.
     pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        Self::open_wal_with(plain_io(), dir, config)
-    }
-
-    /// [`ModelStore::open_wal`] over an explicit I/O backend (see
-    /// [`crate::storage::StorageProfile::store_io`]).
-    pub fn open_wal_with(
-        io: StoreIo,
-        dir: &Path,
-        config: WalConfig,
-    ) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(io, dir, config)?;
-        WalTelemetry::install(&mut wal, "model");
-        let mut model = ComfortModel::new();
-        if let Some(snap) = recovery.snapshot.take() {
-            let text = std::str::from_utf8(&snap.state).map_err(invalid)?;
-            model = ComfortModel::decode(text).map_err(invalid)?;
-        }
-        for item in wal.replay() {
-            let (lsn, payload) = item?;
-            match WalEntry::decode(&payload).map_err(invalid)? {
-                WalEntry::Model(delta) => model
-                    .apply(&delta)
-                    .map_err(|e| invalid(format!("record {lsn}: {e}")))?,
-                _ => {
-                    return Err(invalid(format!(
-                        "record {lsn}: foreign entry in a model journal"
-                    )))
-                }
-            }
-        }
-        model_metrics().epoch.set(model.epoch() as i64);
-        Ok((
-            ModelStore {
-                model,
-                wal: Some(wal),
-                cache: Mutex::new(HashMap::new()),
-            },
-            recovery,
-        ))
-    }
-
-    /// True when updates are journaled through a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Defers segment-rotation fsyncs to the next explicit sync pass
-    /// (the group committer's), keeping rotation off the append path.
-    /// No-op in plain mode.
-    pub fn set_deferred_rotation_sync(&mut self, defer: bool) {
-        if let Some(wal) = &mut self.wal {
-            wal.set_deferred_rotation_sync(defer);
-        }
+        Self::open(plain_io(), dir, config)
     }
 
     /// The current model epoch.
@@ -192,9 +163,7 @@ impl ModelStore {
         let timer = m.update_ns.start_timer();
         let count = observations.len() as u64;
         let delta = self.model.next_delta(observations);
-        if let Some(wal) = &mut self.wal {
-            wal.append(&WalEntry::Model(delta.clone()).encode())?;
-        }
+        self.journal.append(|| WalEntry::Model(delta.clone()))?;
         self.model
             .apply(&delta)
             .map_err(|e| invalid(format!("model delta rejected: {e}")))?;
@@ -261,24 +230,6 @@ impl ModelStore {
         self.model.merged(resource, task)
     }
 
-    /// The LSN the next journal append would get (`None` in plain mode)
-    /// — the group-commit durability watermark.
-    pub fn wal_next_lsn(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.next_lsn())
-    }
-
-    /// Forces everything journaled so far to stable storage, returning
-    /// the covered watermark. `Ok(0)` in plain mode.
-    pub fn sync_wal(&mut self) -> io::Result<u64> {
-        match &mut self.wal {
-            Some(wal) => {
-                wal.sync()?;
-                Ok(wal.next_lsn())
-            }
-            None => Ok(0),
-        }
-    }
-
     /// Consumes the store, yielding the model (shard migration).
     pub fn into_model(self) -> ComfortModel {
         self.model
@@ -298,20 +249,6 @@ impl ModelStore {
         self.model = model;
         self.cache.lock().unwrap_or_else(|e| e.into_inner()).clear();
         model_metrics().epoch.set(self.model.epoch() as i64);
-        if self.wal.is_some() {
-            self.compact()?;
-        }
-        Ok(())
-    }
-
-    /// Folds the journal into a full-model checkpoint and deletes the
-    /// segments it covers. Returns `false` (doing nothing) in plain mode.
-    pub fn compact(&mut self) -> io::Result<bool> {
-        let Some(wal) = &mut self.wal else {
-            return Ok(false);
-        };
-        wal.snapshot(self.model.encode().as_bytes())?;
-        wal.compact()?;
-        Ok(true)
+        self.compact().map(|_| ())
     }
 }

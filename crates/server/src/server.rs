@@ -422,20 +422,7 @@ impl UucsServer {
     /// Folds every store's journal into a checkpoint and drops the
     /// covered segments. A no-op (returning `false`) for plain stores.
     pub fn compact(&self) -> std::io::Result<bool> {
-        let mut any = false;
-        for i in 0..self.stores.testcases.count() {
-            any |= self.stores.testcases.write_recovered(i).compact()?;
-        }
-        for i in 0..self.stores.results.count() {
-            any |= self.stores.results.write_recovered(i).compact()?;
-        }
-        for i in 0..self.stores.registry.count() {
-            any |= self.stores.registry.write_recovered(i).compact()?;
-        }
-        for i in 0..self.stores.models.count() {
-            any |= self.stores.models.write_recovered(i).compact()?;
-        }
-        Ok(any)
+        self.stores.compact()
     }
 
     /// Number of testcases in the library.

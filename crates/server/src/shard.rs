@@ -25,6 +25,7 @@
 //! exactly one logical state — the property the reshard recovery test
 //! pins down.
 
+use crate::journal::Journaled;
 use crate::models::ModelStore;
 use crate::storage::{StorageProfile, StoreIo};
 use crate::store::{invalid, RegistryStore, ResultStore, TestcaseStore};
@@ -33,7 +34,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use uucs_modelsvc::{CohortKey, ComfortModel, QuantileSketch};
-use uucs_wal::{Recovery, WalConfig};
+use uucs_wal::{Lsn, Recovery, WalConfig};
 
 /// Stable shard routing: FNV-1a over the key, reduced modulo the shard
 /// count. Must never change — recovery with an unchanged shard count
@@ -125,6 +126,35 @@ impl<T> Sharded<T> {
     }
 }
 
+// The journal operations that span a family, written once for all
+// four. Each takes the shard's write lock and proceeds through
+// poisoning: maintenance must not stop because a handler panicked.
+
+/// Forces one shard's journal to stable storage, returning the covered
+/// watermark.
+pub(crate) fn sync_shard<T: Journaled>(family: &Sharded<T>, shard: usize) -> io::Result<Lsn> {
+    family.write_recovered(shard).journal().sync()
+}
+
+/// Folds every shard's journal into a checkpoint; `false` when the
+/// family is plain.
+fn compact_family<T: Journaled>(family: &Sharded<T>) -> io::Result<bool> {
+    let mut any = false;
+    for i in 0..family.count() {
+        any |= family.write_recovered(i).compact()?;
+    }
+    Ok(any)
+}
+
+fn defer_rotation_sync<T: Journaled>(family: &Sharded<T>, defer: bool) {
+    for i in 0..family.count() {
+        family
+            .write_recovered(i)
+            .journal()
+            .set_deferred_rotation_sync(defer);
+    }
+}
+
 fn shard_dirname(i: usize) -> String {
     format!("shard-{i:03}")
 }
@@ -187,28 +217,24 @@ fn write_ready(layout_dir: &Path, generation: u64) -> io::Result<()> {
     f.sync_all()
 }
 
-/// What a store family must provide to live under [`Sharded`] with a
-/// per-shard WAL: how to open one shard's journal, and how to
-/// repartition recovered state when the shard count changes.
-trait ShardFamily: Sized {
+/// What a journaled store must add to live under [`Sharded`] with a
+/// per-shard WAL: how to repartition recovered state when the shard
+/// count changes.
+trait ShardFamily: Journaled {
     /// The merged logical state of the whole family, hash-partitionable.
     type State;
-    /// Opens (replaying) one shard's WAL directory over the family's
-    /// shared I/O backend (every shard of a flavor shares one page
-    /// cache; a passthrough backend costs nothing).
-    fn open_dir(io: StoreIo, dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)>;
     /// Merges recovered source shards into the family's logical state.
     fn extract(stores: Vec<Self>) -> io::Result<Self::State>;
     /// Loads shard `shard`-of-`n`'s partition of `state` into a fresh
     /// (just-opened, empty) store.
     fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()>;
-    /// Folds the freshly loaded state into a checkpoint.
-    fn checkpoint(&mut self) -> io::Result<()>;
 }
 
-/// Opens a family of `n` WAL shards under `dir`, migrating from a
-/// different committed shard count (or the legacy flat layout) when
-/// needed. See the module docs for the crash-safety protocol.
+/// Opens a family of `n` WAL shards under `dir` over the family's
+/// shared I/O backend (every shard of a flavor shares one page cache; a
+/// passthrough backend costs nothing), migrating from a different
+/// committed shard count (or the legacy flat layout) when needed. See
+/// the module docs for the crash-safety protocol.
 fn open_sharded<F: ShardFamily>(
     dir: &Path,
     cfg: WalConfig,
@@ -226,7 +252,7 @@ fn open_sharded<F: ShardFamily>(
     // Fast path: one shard, nothing ever sharded — the legacy flat WAL,
     // byte-compatible with pre-sharding data directories.
     if n == 1 && current.is_none() {
-        let (store, rec) = F::open_dir(io.clone(), dir, cfg)?;
+        let (store, rec) = F::open(io.clone(), dir, cfg)?;
         return Ok((Sharded::new(vec![store]), vec![rec]));
     }
 
@@ -237,13 +263,13 @@ fn open_sharded<F: ShardFamily>(
             Some(cur) => {
                 let mut sources = Vec::with_capacity(cur.shards);
                 for i in 0..cur.shards {
-                    let (s, _) = F::open_dir(io.clone(), &cur.path.join(shard_dirname(i)), cfg)?;
+                    let (s, _) = F::open(io.clone(), &cur.path.join(shard_dirname(i)), cfg)?;
                     sources.push(s);
                 }
                 Some(F::extract(sources)?)
             }
             None if has_flat_files(dir)? => {
-                let (s, _) = F::open_dir(io.clone(), dir, cfg)?;
+                let (s, _) = F::open(io.clone(), dir, cfg)?;
                 Some(F::extract(vec![s])?)
             }
             None => None,
@@ -253,11 +279,11 @@ fn open_sharded<F: ShardFamily>(
             std::fs::remove_dir_all(&target)?;
         }
         for i in 0..n {
-            let (mut s, _) = F::open_dir(io.clone(), &target.join(shard_dirname(i)), cfg)?;
+            let (mut s, _) = F::open(io.clone(), &target.join(shard_dirname(i)), cfg)?;
             if let Some(state) = &state {
                 s.load_part(state, i, n)?;
             }
-            s.checkpoint()?;
+            s.compact()?;
         }
         // Commit point. Until this marker lands, recovery still sees the
         // source layout; after it, the higher generation wins even if
@@ -284,7 +310,7 @@ fn open_sharded<F: ShardFamily>(
     let mut stores = Vec::with_capacity(n);
     let mut recoveries = Vec::with_capacity(n);
     for i in 0..n {
-        let (s, r) = F::open_dir(io.clone(), &target.join(shard_dirname(i)), cfg)?;
+        let (s, r) = F::open(io.clone(), &target.join(shard_dirname(i)), cfg)?;
         stores.push(s);
         recoveries.push(r);
     }
@@ -293,10 +319,6 @@ fn open_sharded<F: ShardFamily>(
 
 impl ShardFamily for TestcaseStore {
     type State = Vec<uucs_testcase::Testcase>;
-
-    fn open_dir(io: StoreIo, dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        TestcaseStore::open_wal_with(io, dir, cfg)
-    }
 
     fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
         Ok(stores
@@ -313,18 +335,10 @@ impl ShardFamily for TestcaseStore {
         }
         Ok(())
     }
-
-    fn checkpoint(&mut self) -> io::Result<()> {
-        self.compact().map(|_| ())
-    }
 }
 
 impl ShardFamily for ResultStore {
     type State = (Vec<uucs_protocol::RunRecord>, BTreeMap<String, u64>);
-
-    fn open_dir(io: StoreIo, dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        ResultStore::open_wal_with(io, dir, cfg)
-    }
 
     fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
         let mut records = Vec::new();
@@ -359,10 +373,6 @@ impl ShardFamily for ResultStore {
         }
         Ok(())
     }
-
-    fn checkpoint(&mut self) -> io::Result<()> {
-        self.compact().map(|_| ())
-    }
 }
 
 impl ShardFamily for RegistryStore {
@@ -370,10 +380,6 @@ impl ShardFamily for RegistryStore {
         Vec<(String, uucs_protocol::MachineSnapshot)>,
         Vec<(String, String)>,
     );
-
-    fn open_dir(io: StoreIo, dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        RegistryStore::open_wal_with(io, dir, cfg)
-    }
 
     fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
         let mut clients = Vec::new();
@@ -402,10 +408,6 @@ impl ShardFamily for RegistryStore {
         }
         Ok(())
     }
-
-    fn checkpoint(&mut self) -> io::Result<()> {
-        self.compact().map(|_| ())
-    }
 }
 
 /// The routing key of a model cohort.
@@ -415,10 +417,6 @@ pub(crate) fn cohort_key_token(key: &CohortKey) -> String {
 
 impl ShardFamily for ModelStore {
     type State = (u64, BTreeMap<CohortKey, QuantileSketch>);
-
-    fn open_dir(io: StoreIo, dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        ModelStore::open_wal_with(io, dir, cfg)
-    }
 
     fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
         // The global epoch is the *sum* of shard epochs (each shard
@@ -454,10 +452,6 @@ impl ShardFamily for ModelStore {
         // and only the sum is client-visible.
         let e = if shard == 0 { *epoch } else { 0 };
         self.install_model(ComfortModel::from_parts(e, mine))
-    }
-
-    fn checkpoint(&mut self) -> io::Result<()> {
-        self.compact().map(|_| ())
     }
 }
 
@@ -567,26 +561,19 @@ impl StoreSet {
     /// stops fsyncing on the append path (the committer's next pass
     /// drains the deferred syncs before anything is acknowledged).
     pub fn set_deferred_rotation_sync(&self, defer: bool) {
-        for i in 0..self.testcases.count() {
-            self.testcases
-                .write_recovered(i)
-                .set_deferred_rotation_sync(defer);
-        }
-        for i in 0..self.results.count() {
-            self.results
-                .write_recovered(i)
-                .set_deferred_rotation_sync(defer);
-        }
-        for i in 0..self.registry.count() {
-            self.registry
-                .write_recovered(i)
-                .set_deferred_rotation_sync(defer);
-        }
-        for i in 0..self.models.count() {
-            self.models
-                .write_recovered(i)
-                .set_deferred_rotation_sync(defer);
-        }
+        defer_rotation_sync(&self.testcases, defer);
+        defer_rotation_sync(&self.results, defer);
+        defer_rotation_sync(&self.registry, defer);
+        defer_rotation_sync(&self.models, defer);
+    }
+
+    /// Folds every family's journals into checkpoints and drops the
+    /// covered segments; `false` when every store is plain.
+    pub(crate) fn compact(&self) -> io::Result<bool> {
+        Ok(compact_family(&self.testcases)?
+            | compact_family(&self.results)?
+            | compact_family(&self.registry)?
+            | compact_family(&self.models)?)
     }
 }
 

@@ -19,71 +19,15 @@
 //! nothing and point at the damaged line (`line 41: bad outcome ...`),
 //! because a checkpoint file has no append-in-flight excuse.
 
+use crate::journal::{foreign, Journal, Journaled};
+use crate::storage::plain_io;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
 use uucs_protocol::{MachineSnapshot, RunRecord, WalEntry};
-use uucs_telemetry::{metrics, Counter, Histogram};
 use uucs_testcase::{format as tcformat, Testcase};
-use crate::storage::{plain_io, StoreIo};
-use uucs_wal::{Recovery, Wal, WalConfig, WalObserver};
-
-/// The telemetry bridge for one store's WAL: every observer hook lands
-/// in the global registry under `server.wal.<flavor>.*`, so `STATS`
-/// exposes append/fsync/snapshot/compaction timings per store. Handles
-/// are registered once at `open_wal`, keeping the per-I/O cost at a few
-/// atomic ops.
-pub(crate) struct WalTelemetry {
-    append_ns: Histogram,
-    append_bytes: Counter,
-    fsync_ns: Histogram,
-    rotations: Counter,
-    rotation_stall_ns: Histogram,
-    snapshot_ns: Histogram,
-    compact_ns: Histogram,
-    compact_removed: Counter,
-}
-
-impl WalTelemetry {
-    pub(crate) fn install(wal: &mut Wal<StoreIo>, flavor: &str) {
-        wal.set_observer(Box::new(WalTelemetry {
-            append_ns: metrics::histogram(&format!("server.wal.{flavor}.append.ns")),
-            append_bytes: metrics::counter(&format!("server.wal.{flavor}.append.bytes")),
-            fsync_ns: metrics::histogram(&format!("server.wal.{flavor}.fsync.ns")),
-            rotations: metrics::counter(&format!("server.wal.{flavor}.rotations")),
-            rotation_stall_ns: metrics::histogram(&format!(
-                "server.wal.{flavor}.rotation_stall.ns"
-            )),
-            snapshot_ns: metrics::histogram(&format!("server.wal.{flavor}.snapshot.ns")),
-            compact_ns: metrics::histogram(&format!("server.wal.{flavor}.compact.ns")),
-            compact_removed: metrics::counter(&format!("server.wal.{flavor}.compact.removed")),
-        }));
-    }
-}
-
-impl WalObserver for WalTelemetry {
-    fn on_append(&mut self, bytes: usize, dur_ns: u64) {
-        self.append_ns.record(dur_ns);
-        self.append_bytes.add(bytes as u64);
-    }
-    fn on_sync(&mut self, dur_ns: u64) {
-        self.fsync_ns.record(dur_ns);
-    }
-    fn on_rotate(&mut self) {
-        self.rotations.inc();
-    }
-    fn on_rotate_stall(&mut self, dur_ns: u64) {
-        self.rotation_stall_ns.record(dur_ns);
-    }
-    fn on_snapshot(&mut self, _bytes: usize, dur_ns: u64) {
-        self.snapshot_ns.record(dur_ns);
-    }
-    fn on_compact(&mut self, removed: usize, dur_ns: u64) {
-        self.compact_ns.record(dur_ns);
-        self.compact_removed.add(removed as u64);
-    }
-}
+use uucs_wal::{Lsn, Recovery, WalConfig};
 
 /// Why a store rejected a mutation.
 #[derive(Debug)]
@@ -120,7 +64,33 @@ pub(crate) fn invalid(msg: impl fmt::Display) -> io::Error {
 #[derive(Debug, Default)]
 pub struct TestcaseStore {
     testcases: Vec<Testcase>,
-    wal: Option<Wal<StoreIo>>,
+    journal: Journal,
+}
+
+impl Journaled for TestcaseStore {
+    const FLAVOR: &'static str = "testcases";
+
+    fn journal(&mut self) -> &mut Journal {
+        &mut self.journal
+    }
+
+    fn restore(&mut self, snapshot: &str) -> io::Result<()> {
+        for tc in tcformat::parse_many(snapshot).map_err(invalid)? {
+            self.add(tc).map_err(invalid)?;
+        }
+        Ok(())
+    }
+
+    fn replay(&mut self, entry: WalEntry) -> io::Result<()> {
+        match entry {
+            WalEntry::Testcase(tc) => self.add(tc).map_err(invalid),
+            other => Err(foreign::<Self>(&other)),
+        }
+    }
+
+    fn snapshot(&self) -> String {
+        tcformat::emit_many(&self.testcases)
+    }
 }
 
 impl TestcaseStore {
@@ -145,56 +115,7 @@ impl TestcaseStore {
     ///
     /// [`add`]: TestcaseStore::add
     pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        Self::open_wal_with(plain_io(), dir, config)
-    }
-
-    /// [`TestcaseStore::open_wal`] over an explicit I/O backend —
-    /// typically a shared per-flavor page cache
-    /// ([`crate::storage::StorageProfile::store_io`]), so recovery
-    /// replays and compaction scans hit memory on a warm cache.
-    pub fn open_wal_with(
-        io: StoreIo,
-        dir: &Path,
-        config: WalConfig,
-    ) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(io, dir, config)?;
-        WalTelemetry::install(&mut wal, "testcases");
-        let mut store = Self::new();
-        if let Some(snap) = recovery.snapshot.take() {
-            let text = std::str::from_utf8(&snap.state).map_err(invalid)?;
-            for tc in tcformat::parse_many(text).map_err(invalid)? {
-                store.add(tc).map_err(invalid)?;
-            }
-        }
-        for item in wal.replay() {
-            let (lsn, payload) = item?;
-            match WalEntry::decode(&payload).map_err(invalid)? {
-                WalEntry::Testcase(tc) => store.add(tc).map_err(invalid)?,
-                _ => {
-                    return Err(invalid(format!(
-                        "record {lsn}: foreign entry in a testcase journal"
-                    )))
-                }
-            }
-        }
-        store.wal = Some(wal);
-        Ok((store, recovery))
-    }
-
-    /// True when mutations are journaled through a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Defers segment-rotation fsyncs to the next explicit sync pass
-    /// (the group committer's), keeping rotation off the append path.
-    /// Only safe when something calls [`sync_wal`](Self::sync_wal)
-    /// regularly — acks must still wait on that sync. No-op in plain
-    /// mode.
-    pub fn set_deferred_rotation_sync(&mut self, defer: bool) {
-        if let Some(wal) = &mut self.wal {
-            wal.set_deferred_rotation_sync(defer);
-        }
+        Self::open(plain_io(), dir, config)
     }
 
     /// Adds a testcase ("new testcases can be added to the server at any
@@ -204,22 +125,17 @@ impl TestcaseStore {
         if self.get(tc.id.as_str()).is_some() {
             return Err(StoreError::Duplicate(tc.id.as_str().to_string()));
         }
-        if let Some(wal) = &mut self.wal {
-            wal.append(&WalEntry::Testcase(tc.clone()).encode())?;
-        }
+        self.journal.append(|| WalEntry::Testcase(tc.clone()))?;
         self.testcases.push(tc);
         Ok(())
     }
 
-    /// Folds the journal into a checkpoint and deletes the segments it
-    /// covers. Returns `false` (doing nothing) in plain mode.
-    pub fn compact(&mut self) -> io::Result<bool> {
-        let Some(wal) = &mut self.wal else {
-            return Ok(false);
-        };
-        wal.snapshot(tcformat::emit_many(&self.testcases).as_bytes())?;
-        wal.compact()?;
-        Ok(true)
+    /// The LSN the next journal append would get, or `None` in plain
+    /// mode. Captured under the store's write lock right after an
+    /// append, it is the durability watermark a group-commit waiter
+    /// needs: once a sync covers it, the append is on stable storage.
+    pub fn wal_next_lsn(&self) -> Option<Lsn> {
+        self.journal.next_lsn()
     }
 
     /// All testcases in insertion order.
@@ -240,26 +156,6 @@ impl TestcaseStore {
     /// Finds by id.
     pub fn get(&self, id: &str) -> Option<&Testcase> {
         self.testcases.iter().find(|t| t.id.as_str() == id)
-    }
-
-    /// The LSN the next journal append would get, or `None` in plain
-    /// mode. Captured under the store's write lock right after an
-    /// append, it is the durability watermark a group-commit waiter
-    /// needs: once a sync covers it, the append is on stable storage.
-    pub fn wal_next_lsn(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.next_lsn())
-    }
-
-    /// Forces everything journaled so far to stable storage, returning
-    /// the covered watermark (the next LSN). `Ok(0)` in plain mode.
-    pub fn sync_wal(&mut self) -> io::Result<u64> {
-        match &mut self.wal {
-            Some(wal) => {
-                wal.sync()?;
-                Ok(wal.next_lsn())
-            }
-            None => Ok(0),
-        }
     }
 
     /// Consumes the store, yielding its testcases (shard migration).
@@ -316,7 +212,66 @@ pub struct ResultStore {
     records: Vec<RunRecord>,
     /// Per-client highest applied batch sequence number.
     applied: BTreeMap<String, u64>,
-    wal: Option<Wal<StoreIo>>,
+    journal: Journal,
+}
+
+impl Journaled for ResultStore {
+    const FLAVOR: &'static str = "results";
+
+    fn journal(&mut self) -> &mut Journal {
+        &mut self.journal
+    }
+
+    /// Snapshots from before sequence tracking have no `SEQ` lines and
+    /// restore an empty horizon map.
+    fn restore(&mut self, snapshot: &str) -> io::Result<()> {
+        let mut offset = 0usize;
+        for line in snapshot.lines() {
+            let Some(rest) = line.strip_prefix("SEQ ") else {
+                break;
+            };
+            let (client, seq) = rest
+                .rsplit_once(' ')
+                .ok_or_else(|| invalid(format!("bad snapshot seq line {line:?}")))?;
+            let seq: u64 = seq
+                .parse()
+                .map_err(|_| invalid(format!("bad snapshot seq line {line:?}")))?;
+            self.applied.insert(client.to_string(), seq);
+            offset += line.len() + 1;
+        }
+        self.records =
+            RunRecord::parse_many(&snapshot[offset.min(snapshot.len())..]).map_err(invalid)?;
+        Ok(())
+    }
+
+    fn replay(&mut self, entry: WalEntry) -> io::Result<()> {
+        match entry {
+            WalEntry::Result(rec) => self.records.push(rec),
+            WalEntry::Batch {
+                client,
+                seq,
+                records,
+            } => {
+                self.records.extend(records);
+                let horizon = self.applied.entry(client).or_insert(0);
+                *horizon = (*horizon).max(seq);
+            }
+            other => return Err(foreign::<Self>(&other)),
+        }
+        Ok(())
+    }
+
+    /// `SEQ <client> <n>` header lines (the idempotency horizon)
+    /// followed by the record blocks.
+    fn snapshot(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for (client, seq) in &self.applied {
+            writeln!(out, "SEQ {client} {seq}").unwrap();
+        }
+        out.push_str(&RunRecord::emit_many(&self.records));
+        out
+    }
 }
 
 impl ResultStore {
@@ -329,102 +284,7 @@ impl ResultStore {
     /// journal under `dir` and journals every subsequent upload before
     /// applying it.
     pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        Self::open_wal_with(plain_io(), dir, config)
-    }
-
-    /// [`ResultStore::open_wal`] over an explicit I/O backend (see
-    /// [`crate::storage::StorageProfile::store_io`]).
-    pub fn open_wal_with(
-        io: StoreIo,
-        dir: &Path,
-        config: WalConfig,
-    ) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(io, dir, config)?;
-        WalTelemetry::install(&mut wal, "results");
-        let mut records = Vec::new();
-        let mut applied = BTreeMap::new();
-        if let Some(snap) = recovery.snapshot.take() {
-            let text = std::str::from_utf8(&snap.state).map_err(invalid)?;
-            (records, applied) = Self::parse_state(text)?;
-        }
-        for item in wal.replay() {
-            let (lsn, payload) = item?;
-            match WalEntry::decode(&payload).map_err(invalid)? {
-                WalEntry::Result(rec) => records.push(rec),
-                WalEntry::Batch {
-                    client,
-                    seq,
-                    records: batch,
-                } => {
-                    records.extend(batch);
-                    let horizon = applied.entry(client).or_insert(0);
-                    *horizon = (*horizon).max(seq);
-                }
-                WalEntry::Testcase(_) | WalEntry::Client { .. } | WalEntry::Model(_) => {
-                    return Err(invalid(format!(
-                        "record {lsn}: foreign entry in a result journal"
-                    )))
-                }
-            }
-        }
-        Ok((
-            ResultStore {
-                records,
-                applied,
-                wal: Some(wal),
-            },
-            recovery,
-        ))
-    }
-
-    /// The compaction-snapshot text: `SEQ <client> <n>` header lines (the
-    /// idempotency horizon) followed by the record blocks.
-    fn emit_state(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (client, seq) in &self.applied {
-            writeln!(out, "SEQ {client} {seq}").unwrap();
-        }
-        out.push_str(&RunRecord::emit_many(&self.records));
-        out
-    }
-
-    /// Parses [`ResultStore::emit_state`] output. Snapshots from before
-    /// sequence tracking have no `SEQ` lines and parse to an empty map.
-    fn parse_state(text: &str) -> io::Result<(Vec<RunRecord>, BTreeMap<String, u64>)> {
-        let mut applied = BTreeMap::new();
-        let mut offset = 0usize;
-        for line in text.lines() {
-            let Some(rest) = line.strip_prefix("SEQ ") else {
-                break;
-            };
-            let (client, seq) = rest
-                .rsplit_once(' ')
-                .ok_or_else(|| invalid(format!("bad snapshot seq line {line:?}")))?;
-            let seq: u64 = seq
-                .parse()
-                .map_err(|_| invalid(format!("bad snapshot seq line {line:?}")))?;
-            applied.insert(client.to_string(), seq);
-            offset += line.len() + 1;
-        }
-        let records = RunRecord::parse_many(&text[offset.min(text.len())..]).map_err(invalid)?;
-        Ok((records, applied))
-    }
-
-    /// True when mutations are journaled through a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Defers segment-rotation fsyncs to the next explicit sync pass
-    /// (the group committer's), keeping rotation off the append path.
-    /// Only safe when something calls [`sync_wal`](Self::sync_wal)
-    /// regularly — acks must still wait on that sync. No-op in plain
-    /// mode.
-    pub fn set_deferred_rotation_sync(&mut self, defer: bool) {
-        if let Some(wal) = &mut self.wal {
-            wal.set_deferred_rotation_sync(defer);
-        }
+        Self::open(plain_io(), dir, config)
     }
 
     /// Appends uploaded records, returning how many were accepted. In
@@ -433,10 +293,8 @@ impl ResultStore {
     /// On a journal error nothing is applied in memory and the upload
     /// must not be acknowledged.
     pub fn append(&mut self, records: Vec<RunRecord>) -> Result<usize, StoreError> {
-        if let Some(wal) = &mut self.wal {
-            for rec in &records {
-                wal.append(&WalEntry::Result(rec.clone()).encode())?;
-            }
+        for rec in &records {
+            self.journal.append(|| WalEntry::Result(rec.clone()))?;
         }
         let n = records.len();
         self.records.extend(records);
@@ -465,16 +323,11 @@ impl ResultStore {
         if self.applied.get(client).copied().unwrap_or(0) >= seq {
             return Ok(BatchStatus::Replayed(records.len()));
         }
-        if let Some(wal) = &mut self.wal {
-            wal.append(
-                &WalEntry::Batch {
-                    client: client.to_string(),
-                    seq,
-                    records: records.clone(),
-                }
-                .encode(),
-            )?;
-        }
+        self.journal.append(|| WalEntry::Batch {
+            client: client.to_string(),
+            seq,
+            records: records.clone(),
+        })?;
         self.applied.insert(client.to_string(), seq);
         let n = records.len();
         self.records.extend(records);
@@ -493,37 +346,13 @@ impl ResultStore {
     }
 
     /// See [`TestcaseStore::wal_next_lsn`].
-    pub fn wal_next_lsn(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.next_lsn())
-    }
-
-    /// See [`TestcaseStore::sync_wal`].
-    pub fn sync_wal(&mut self) -> io::Result<u64> {
-        match &mut self.wal {
-            Some(wal) => {
-                wal.sync()?;
-                Ok(wal.next_lsn())
-            }
-            None => Ok(0),
-        }
+    pub fn wal_next_lsn(&self) -> Option<Lsn> {
+        self.journal.next_lsn()
     }
 
     /// Consumes the store, yielding records and horizons (migration).
     pub fn into_parts(self) -> (Vec<RunRecord>, BTreeMap<String, u64>) {
         (self.records, self.applied)
-    }
-
-    /// Folds the journal into a checkpoint and deletes the segments it
-    /// covers. Returns `false` (doing nothing) in plain mode.
-    pub fn compact(&mut self) -> io::Result<bool> {
-        if self.wal.is_none() {
-            return Ok(false);
-        }
-        let state = self.emit_state();
-        let wal = self.wal.as_mut().expect("checked above");
-        wal.snapshot(state.as_bytes())?;
-        wal.compact()?;
-        Ok(true)
     }
 
     /// All records in upload order.
@@ -560,8 +389,7 @@ impl ResultStore {
             .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
         Ok(ResultStore {
             records,
-            applied: BTreeMap::new(),
-            wal: None,
+            ..Self::default()
         })
     }
 }
@@ -582,7 +410,70 @@ pub struct RegistryStore {
     /// id back instead of a new row. Rebuilt from the journal and the
     /// snapshot on recovery, so the guarantee survives a server restart.
     tokens: Vec<(String, String)>,
-    wal: Option<Wal<StoreIo>>,
+    journal: Journal,
+}
+
+impl Journaled for RegistryStore {
+    const FLAVOR: &'static str = "registry";
+
+    fn journal(&mut self) -> &mut Journal {
+        &mut self.journal
+    }
+
+    fn restore(&mut self, snapshot: &str) -> io::Result<()> {
+        // (id, pending block text) for the entry being accumulated.
+        let mut current: Option<(String, String)> = None;
+        for line in snapshot.lines() {
+            if let Some(rest) = line.strip_prefix("CLIENT ") {
+                if let Some((id, block)) = current.take() {
+                    let snap = MachineSnapshot::parse(&block).map_err(invalid)?;
+                    self.clients.push((id, snap));
+                }
+                let mut toks = rest.split_whitespace();
+                let id = toks.next().unwrap_or("").to_string();
+                if id.is_empty() {
+                    return Err(invalid("registry snapshot: CLIENT line missing id"));
+                }
+                if let Some(token) = toks.next() {
+                    self.tokens.push((token.to_string(), id.clone()));
+                }
+                current = Some((id, String::new()));
+            } else if let Some((_, block)) = &mut current {
+                block.push_str(line);
+                block.push('\n');
+            } else {
+                return Err(invalid(format!("registry snapshot: stray line {line:?}")));
+            }
+        }
+        if let Some((id, block)) = current.take() {
+            let snap = MachineSnapshot::parse(&block).map_err(invalid)?;
+            self.clients.push((id, snap));
+        }
+        Ok(())
+    }
+
+    fn replay(&mut self, entry: WalEntry) -> io::Result<()> {
+        match entry {
+            WalEntry::Client {
+                id,
+                token,
+                snapshot,
+            } => self.register_with_id(id, snapshot, &token).map_err(invalid),
+            other => Err(foreign::<Self>(&other)),
+        }
+    }
+
+    fn snapshot(&self) -> String {
+        let mut out = String::new();
+        for (id, snap) in &self.clients {
+            match self.tokens.iter().find(|(_, tid)| tid == id) {
+                Some((token, _)) => out.push_str(&format!("CLIENT {id} {token}\n")),
+                None => out.push_str(&format!("CLIENT {id}\n")),
+            }
+            out.push_str(&snap.emit());
+        }
+        out
+    }
 }
 
 impl RegistryStore {
@@ -595,107 +486,7 @@ impl RegistryStore {
     /// journal under `dir` and journals every subsequent registration
     /// before applying it.
     pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        Self::open_wal_with(plain_io(), dir, config)
-    }
-
-    /// [`RegistryStore::open_wal`] over an explicit I/O backend (see
-    /// [`crate::storage::StorageProfile::store_io`]).
-    pub fn open_wal_with(
-        io: StoreIo,
-        dir: &Path,
-        config: WalConfig,
-    ) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(io, dir, config)?;
-        WalTelemetry::install(&mut wal, "registry");
-        let mut store = Self::new();
-        if let Some(snap) = recovery.snapshot.take() {
-            let text = std::str::from_utf8(&snap.state).map_err(invalid)?;
-            (store.clients, store.tokens) = Self::parse_state(text)?;
-        }
-        for item in wal.replay() {
-            let (lsn, payload) = item?;
-            match WalEntry::decode(&payload).map_err(invalid)? {
-                WalEntry::Client {
-                    id,
-                    token,
-                    snapshot,
-                } => {
-                    if !token.is_empty() {
-                        store.tokens.push((token, id.clone()));
-                    }
-                    store.clients.push((id, snapshot));
-                }
-                _ => {
-                    return Err(invalid(format!(
-                        "record {lsn}: foreign entry in a registry journal"
-                    )))
-                }
-            }
-        }
-        store.wal = Some(wal);
-        Ok((store, recovery))
-    }
-
-    fn emit_state(&self) -> String {
-        let mut out = String::new();
-        for (id, snap) in &self.clients {
-            match self.tokens.iter().find(|(_, tid)| tid == id) {
-                Some((token, _)) => out.push_str(&format!("CLIENT {id} {token}\n")),
-                None => out.push_str(&format!("CLIENT {id}\n")),
-            }
-            out.push_str(&snap.emit());
-        }
-        out
-    }
-
-    fn parse_state(text: &str) -> io::Result<RegistryState> {
-        let mut clients = Vec::new();
-        let mut tokens = Vec::new();
-        // (id, pending block text) for the entry being accumulated.
-        let mut current: Option<(String, String)> = None;
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("CLIENT ") {
-                if let Some((id, block)) = current.take() {
-                    let snap = MachineSnapshot::parse(&block).map_err(invalid)?;
-                    clients.push((id, snap));
-                }
-                let mut toks = rest.split_whitespace();
-                let id = toks.next().unwrap_or("").to_string();
-                if id.is_empty() {
-                    return Err(invalid("registry snapshot: CLIENT line missing id"));
-                }
-                if let Some(token) = toks.next() {
-                    tokens.push((token.to_string(), id.clone()));
-                }
-                current = Some((id, String::new()));
-            } else if let Some((_, block)) = &mut current {
-                block.push_str(line);
-                block.push('\n');
-            } else {
-                return Err(invalid(format!("registry snapshot: stray line {line:?}")));
-            }
-        }
-        if let Some((id, block)) = current.take() {
-            let snap = MachineSnapshot::parse(&block).map_err(invalid)?;
-            clients.push((id, snap));
-        }
-        Ok((clients, tokens))
-    }
-
-    /// True when registrations are journaled through a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Defers segment-rotation fsyncs to the next explicit sync pass
-    /// (the group committer's), keeping rotation off the append path.
-    /// Only safe when something calls [`sync_wal`](Self::sync_wal)
-    /// regularly — acks must still wait on that sync. No-op in plain
-    /// mode.
-    pub fn set_deferred_rotation_sync(&mut self, defer: bool) {
-        if let Some(wal) = &mut self.wal {
-            wal.set_deferred_rotation_sync(defer);
-        }
+        Self::open(plain_io(), dir, config)
     }
 
     /// Registers a machine, assigning the next GUID. In durable mode the
@@ -732,16 +523,11 @@ impl RegistryStore {
         snapshot: MachineSnapshot,
         token: &str,
     ) -> Result<(), StoreError> {
-        if let Some(wal) = &mut self.wal {
-            wal.append(
-                &WalEntry::Client {
-                    id: id.clone(),
-                    token: token.to_string(),
-                    snapshot: snapshot.clone(),
-                }
-                .encode(),
-            )?;
-        }
+        self.journal.append(|| WalEntry::Client {
+            id: id.clone(),
+            token: token.to_string(),
+            snapshot: snapshot.clone(),
+        })?;
         self.clients.push((id.clone(), snapshot));
         if !token.is_empty() {
             self.tokens.push((token.to_string(), id));
@@ -771,19 +557,8 @@ impl RegistryStore {
     }
 
     /// See [`TestcaseStore::wal_next_lsn`].
-    pub fn wal_next_lsn(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.next_lsn())
-    }
-
-    /// See [`TestcaseStore::sync_wal`].
-    pub fn sync_wal(&mut self) -> io::Result<u64> {
-        match &mut self.wal {
-            Some(wal) => {
-                wal.sync()?;
-                Ok(wal.next_lsn())
-            }
-            None => Ok(0),
-        }
+    pub fn wal_next_lsn(&self) -> Option<Lsn> {
+        self.journal.next_lsn()
     }
 
     /// Consumes the registry, yielding rows and token pairs (migration).
@@ -813,24 +588,12 @@ impl RegistryStore {
     pub fn is_empty(&self) -> bool {
         self.clients.is_empty()
     }
-
-    /// Folds the journal into a checkpoint and deletes the segments it
-    /// covers. Returns `false` (doing nothing) in plain mode.
-    pub fn compact(&mut self) -> io::Result<bool> {
-        if self.wal.is_none() {
-            return Ok(false);
-        }
-        let state = self.emit_state();
-        let wal = self.wal.as_mut().expect("checked above");
-        wal.snapshot(state.as_bytes())?;
-        wal.compact()?;
-        Ok(true)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::ModelStore;
     use uucs_harness::TempDir;
     use uucs_protocol::{MonitorSummary, RunOutcome};
     use uucs_testcase::{ExerciseSpec, Resource};
@@ -922,51 +685,184 @@ mod tests {
         );
     }
 
-    #[test]
-    fn wal_backed_stores_survive_reopen() {
-        let dir = TempDir::new("uucs-store-wal");
-        let cfg = WalConfig {
-            segment_bytes: 2048,
-            sync: SyncPolicy::Always,
-        };
-        {
-            let (mut tcs, recovery) = TestcaseStore::open_wal(&dir.join("tc"), cfg).unwrap();
-            assert_eq!(recovery.records, 0);
-            tcs.add(tc("a")).unwrap();
-            tcs.add(tc("b")).unwrap();
-            assert!(tcs.is_durable());
-            let (mut res, _) = ResultStore::open_wal(&dir.join("res"), cfg).unwrap();
-            assert_eq!(res.append(vec![rec("u1"), rec("u2")]).unwrap(), 2);
-            // Both stores drop here without any explicit save: the WAL
-            // already has everything.
+    /// What the journal-core table needs from a flavor beyond
+    /// [`Journaled`]: a couple of mutations, distinct per round, and a
+    /// probe of what a *recovered* store must still do with them.
+    trait Fill: Journaled {
+        fn fill(&mut self, round: u64);
+        fn probe(&mut self);
+    }
+
+    impl Fill for TestcaseStore {
+        fn fill(&mut self, round: u64) {
+            self.add(tc(&format!("t{round}-a"))).unwrap();
+            self.add(tc(&format!("t{round}-b"))).unwrap();
         }
-        let (tcs, recovery) = TestcaseStore::open_wal(&dir.join("tc"), cfg).unwrap();
-        assert_eq!(recovery.records, 2);
-        assert_eq!(tcs.len(), 2);
-        assert!(tcs.get("a").is_some() && tcs.get("b").is_some());
-        let (res, _) = ResultStore::open_wal(&dir.join("res"), cfg).unwrap();
-        assert_eq!(res.len(), 2);
-        assert_eq!(res.all()[0], rec("u1"));
+
+        fn probe(&mut self) {
+            assert!(self.get("t0-a").is_some() && self.get("t1-b").is_some());
+            let dup = self.add(tc("t1-a"));
+            assert!(matches!(dup, Err(StoreError::Duplicate(_))));
+        }
+    }
+
+    impl Fill for ResultStore {
+        fn fill(&mut self, round: u64) {
+            self.append_batch("c1", round + 1, vec![rec("u1"), rec("u2")])
+                .unwrap();
+            self.append_batch("c2", 5, vec![rec("u3")]).unwrap();
+            self.append(vec![rec(&format!("legacy-{round}"))]).unwrap();
+        }
+
+        /// The dedup horizon came back with the records: a retransmit
+        /// whose ack was lost is still discarded, the next batch applies.
+        fn probe(&mut self) {
+            assert_eq!((self.applied_seq("c1"), self.applied_seq("c2")), (2, 5));
+            let held = self.len();
+            let retransmit = self.append_batch("c1", 2, vec![rec("u1"), rec("u2")]);
+            assert_eq!(retransmit.unwrap(), BatchStatus::Replayed(2));
+            assert_eq!(self.len(), held);
+            let next = self.append_batch("c1", 3, vec![rec("u4")]);
+            assert_eq!(next.unwrap(), BatchStatus::Applied(1));
+        }
+    }
+
+    impl Fill for RegistryStore {
+        fn fill(&mut self, round: u64) {
+            self.register(MachineSnapshot::study_machine("h"), &format!("tok-{round}"))
+                .unwrap();
+            let legacy = MachineSnapshot::study_machine(format!("legacy-{round}"));
+            self.register(legacy, "").unwrap();
+        }
+
+        /// Token dedup survived, and new ids keep advancing past
+        /// recovered ones: no collision with an id handed out before.
+        fn probe(&mut self) {
+            let held: Vec<String> = self.all().iter().map(|(id, _)| id.clone()).collect();
+            assert_eq!(self.get(&held[3]).unwrap().hostname, "legacy-1");
+            let again = self
+                .register(MachineSnapshot::study_machine("h"), "tok-0")
+                .unwrap();
+            assert_eq!(again, held[0], "token dedup lost in recovery");
+            assert_eq!(self.len(), held.len());
+            let fresh = self
+                .register(MachineSnapshot::study_machine("new"), "")
+                .unwrap();
+            assert!(!held.contains(&fresh), "{fresh} was already handed out");
+        }
+    }
+
+    impl Fill for ModelStore {
+        fn fill(&mut self, round: u64) {
+            self.observe_batch(vec![uucs_modelsvc::Observation {
+                resource: Resource::Cpu,
+                task: "Word".into(),
+                skill: "Typical".into(),
+                level: 1.0 + round as f64,
+                censored: false,
+            }])
+            .unwrap();
+        }
+
+        fn probe(&mut self) {
+            assert_eq!(self.epoch(), 2);
+        }
+    }
+
+    const TABLE_CFG: WalConfig = WalConfig {
+        segment_bytes: 512,
+        sync: SyncPolicy::Always,
+    };
+
+    /// One flavor of the journal-core table, type-erased: the state is
+    /// compared through its own snapshot encoding.
+    struct Row {
+        flavor: &'static str,
+        /// The kind of the first entry this flavor journals.
+        first_entry: &'static str,
+        /// Writes a journal under the directory — fill, optionally
+        /// compact, fill again, drop with no explicit save — and returns
+        /// the state it held.
+        write: fn(&Path, bool) -> String,
+        /// Opens the directory as this flavor and probes what came back.
+        open: fn(&Path) -> io::Result<String>,
+    }
+
+    fn row<S: Fill>(first_entry: &'static str) -> Row {
+        Row {
+            flavor: S::FLAVOR,
+            first_entry,
+            write: |dir, compact| {
+                let (mut store, recovery) = S::open(plain_io(), dir, TABLE_CFG).unwrap();
+                assert_eq!(recovery.records, 0);
+                assert!(store.journal().is_durable());
+                store.fill(0);
+                if compact {
+                    assert!(store.compact().unwrap());
+                }
+                store.fill(1);
+                store.snapshot()
+            },
+            open: |dir| {
+                let (mut store, recovery) = S::open(plain_io(), dir, TABLE_CFG)?;
+                assert!(recovery.snapshot.is_none(), "open folds the snapshot");
+                let state = store.snapshot();
+                store.probe();
+                Ok(state)
+            },
+        }
+    }
+
+    fn table() -> [Row; 4] {
+        [
+            row::<TestcaseStore>("testcase"),
+            row::<ResultStore>("batch"),
+            row::<RegistryStore>("client"),
+            row::<ModelStore>("model"),
+        ]
     }
 
     #[test]
-    fn wal_backed_store_compacts_and_still_recovers() {
-        let dir = TempDir::new("uucs-store-compact");
-        let cfg = WalConfig {
-            segment_bytes: 512,
-            sync: SyncPolicy::Always,
-        };
-        {
-            let (mut res, _) = ResultStore::open_wal(dir.path(), cfg).unwrap();
-            res.append((0..8).map(|i| rec(&format!("u{i}"))).collect())
-                .unwrap();
-            assert!(res.compact().unwrap());
-            res.append(vec![rec("after-snap")]).unwrap();
+    fn every_flavor_reopens_equal_with_and_without_compaction() {
+        for row in table() {
+            for compact in [false, true] {
+                let dir = TempDir::new("uucs-journal-reopen");
+                let written = (row.write)(dir.path(), compact);
+                let reopened = (row.open)(dir.path()).unwrap();
+                assert_eq!(reopened, written, "{} (compact: {compact})", row.flavor);
+            }
         }
-        let (res, recovery) = ResultStore::open_wal(dir.path(), cfg).unwrap();
-        assert!(recovery.snapshot.is_none(), "open_wal folds the snapshot");
-        assert_eq!(res.len(), 9);
-        assert_eq!(res.all()[8], rec("after-snap"));
+    }
+
+    #[test]
+    fn a_journal_of_another_flavor_is_refused_naming_entry_and_lsn() {
+        for writer in table() {
+            let dir = TempDir::new("uucs-journal-foreign");
+            (writer.write)(dir.path(), false);
+            for reader in table().iter().filter(|r| r.flavor != writer.flavor) {
+                let err = (reader.open)(dir.path()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                let want = format!(
+                    "record 0: foreign {} entry in a {} journal",
+                    writer.first_entry, reader.flavor
+                );
+                assert_eq!(err.to_string(), want);
+            }
+        }
+    }
+
+    #[test]
+    fn plain_stores_are_not_durable_and_compact_to_nothing() {
+        fn check<S: Fill>() {
+            let mut store = S::default();
+            store.fill(0);
+            assert!(!store.journal().is_durable(), "{}", S::FLAVOR);
+            assert!(!store.compact().unwrap(), "{}", S::FLAVOR);
+        }
+        check::<TestcaseStore>();
+        check::<ResultStore>();
+        check::<RegistryStore>();
+        check::<ModelStore>();
     }
 
     #[test]
@@ -984,19 +880,6 @@ mod tests {
         let (tcs, recovery) = TestcaseStore::open_wal(dir.path(), cfg).unwrap();
         assert_eq!(recovery.records, 1, "rejected duplicate left no record");
         assert_eq!(tcs.len(), 1);
-    }
-
-    #[test]
-    fn plain_store_compact_is_a_noop() {
-        let mut s = TestcaseStore::new();
-        s.add(tc("a")).unwrap();
-        assert!(!s.compact().unwrap());
-        assert!(!s.is_durable());
-        let mut r = ResultStore::new();
-        assert!(!r.compact().unwrap());
-        let mut g = RegistryStore::new();
-        assert!(!g.compact().unwrap());
-        assert!(!g.is_durable());
     }
 
     #[test]
@@ -1040,75 +923,6 @@ mod tests {
         assert_eq!(r.applied_seq("c1"), 2, "legacy path leaves the horizon alone");
     }
 
-    #[test]
-    fn batch_horizon_survives_reopen_and_compaction() {
-        let dir = TempDir::new("uucs-rstore-seq");
-        let cfg = WalConfig {
-            segment_bytes: 512,
-            sync: SyncPolicy::Always,
-        };
-        {
-            let (mut r, _) = ResultStore::open_wal(dir.path(), cfg).unwrap();
-            r.append_batch("c1", 1, vec![rec("u1"), rec("u2")]).unwrap();
-            r.append_batch("c2", 5, vec![rec("u3")]).unwrap();
-        }
-        // Reopen: the horizon came back with the records, so the same
-        // retransmit is still discarded — retry-after-lost-Ack is safe
-        // across a server restart.
-        {
-            let (mut r, _) = ResultStore::open_wal(dir.path(), cfg).unwrap();
-            assert_eq!(r.len(), 3);
-            assert_eq!(r.applied_seq("c1"), 1);
-            assert_eq!(r.applied_seq("c2"), 5);
-            assert_eq!(
-                r.append_batch("c1", 1, vec![rec("u1"), rec("u2")]).unwrap(),
-                BatchStatus::Replayed(2)
-            );
-            assert_eq!(r.len(), 3);
-            // Compaction folds the horizon into the snapshot.
-            assert!(r.compact().unwrap());
-            r.append_batch("c1", 2, vec![rec("u4")]).unwrap();
-        }
-        let (r, recovery) = ResultStore::open_wal(dir.path(), cfg).unwrap();
-        assert!(recovery.snapshot.is_none(), "open_wal folds the snapshot");
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.applied_seq("c1"), 2);
-        assert_eq!(r.applied_seq("c2"), 5, "horizon survived compaction");
-    }
-
-    #[test]
-    fn registry_store_survives_reopen_and_compaction() {
-        let dir = TempDir::new("uucs-registry");
-        let cfg = WalConfig {
-            segment_bytes: 512,
-            sync: SyncPolicy::Always,
-        };
-        let (a, b) = {
-            let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
-            assert!(g.is_durable());
-            let a = g.register(MachineSnapshot::study_machine("h1"), "").unwrap();
-            let b = g.register(MachineSnapshot::study_machine("h2"), "").unwrap();
-            assert_ne!(a, b);
-            (a, b)
-        };
-        {
-            let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
-            assert_eq!(g.len(), 2);
-            assert_eq!(g.get(&a).unwrap().hostname, "h1");
-            assert_eq!(g.get(&b).unwrap().hostname, "h2");
-            // New ids keep advancing past recovered ones: no collision
-            // with an id handed out before the restart.
-            let c = g.register(MachineSnapshot::study_machine("h3"), "").unwrap();
-            assert!(c != a && c != b);
-            assert!(g.compact().unwrap());
-            g.register(MachineSnapshot::study_machine("h4"), "").unwrap();
-        }
-        let (g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
-        assert_eq!(g.len(), 4);
-        assert_eq!(g.get(&a).unwrap().hostname, "h1");
-        assert_eq!(g.all()[3].1.hostname, "h4");
-    }
-
     /// A registration retried with the same token (lost `ID` reply) must
     /// resolve to the same id — in memory, across a WAL recovery, and
     /// across a compaction that folds the token into the snapshot.
@@ -1134,36 +948,5 @@ mod tests {
         let d = g.register(MachineSnapshot::study_machine("h"), "").unwrap();
         assert_ne!(c, d);
         assert_eq!(g.len(), 4);
-    }
-
-    #[test]
-    fn registration_token_dedup_survives_recovery_and_compaction() {
-        let dir = TempDir::new("uucs-registry-token");
-        let cfg = WalConfig {
-            segment_bytes: 512,
-            sync: SyncPolicy::Always,
-        };
-        let a = {
-            let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
-            g.register(MachineSnapshot::study_machine("h"), "tok-a")
-                .unwrap()
-        };
-        {
-            // Recovery from the journal alone.
-            let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
-            let again = g
-                .register(MachineSnapshot::study_machine("h"), "tok-a")
-                .unwrap();
-            assert_eq!(a, again, "token dedup lost in WAL recovery");
-            assert_eq!(g.len(), 1);
-            // Fold everything into a snapshot; the token must ride along.
-            assert!(g.compact().unwrap());
-        }
-        let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
-        let again = g
-            .register(MachineSnapshot::study_machine("h"), "tok-a")
-            .unwrap();
-        assert_eq!(a, again, "token dedup lost in compaction snapshot");
-        assert_eq!(g.len(), 1);
     }
 }

@@ -1,6 +1,5 @@
 //! The TCP front end: a fixed worker pool blocked in `poll(2)` over
-//! nonblocking sockets (default), or the legacy thread-per-connection
-//! engine.
+//! nonblocking sockets.
 //!
 //! The worker pool decouples the connection count from the thread
 //! count: each worker owns a set of connections and sleeps in `poll(2)`
@@ -43,17 +42,17 @@ use crate::commit::{CommitTicket, GroupCommitter};
 use crate::netpoll::{self, PollFd, WakeReceiver, Waker, POLLDEAD, POLLIN, POLLOUT};
 use crate::server::UucsServer;
 use std::collections::VecDeque;
-use std::io::{BufReader, Cursor, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{Cursor, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use uucs_protocol::wire::{read_client_msg, write_server_msg, Endpoint};
+use uucs_protocol::wire::{read_client_msg, write_server_msg};
 use uucs_protocol::{ClientMsg, ServerMsg, WIRE_VERSION_BINARY};
 use uucs_telemetry::{metrics, Counter, Gauge};
-use uucs_wire::frame::{read_client_frame, try_read_client_frame, write_server_frame};
+use uucs_wire::frame::{try_read_client_frame, write_server_frame};
 use uucs_wire::{FrameRead, MAX_PIPELINE};
 
 /// Wire-protocol telemetry: how many live connections speak each
@@ -107,17 +106,6 @@ impl Drop for WireConnGauge {
     }
 }
 
-/// Which connection engine serves the sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Fixed worker pool over nonblocking sockets (the default): the
-    /// connection ceiling is file descriptors, not threads.
-    WorkerPool,
-    /// One thread per connection — the original engine, kept for
-    /// comparison benchmarks and as a fallback.
-    ThreadPerConn,
-}
-
 /// Tuning knobs for the TCP front end.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
@@ -130,13 +118,11 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// Backoff after a transient `accept(2)` error.
     pub accept_retry: Duration,
-    /// How long [`ServerHandle::shutdown`] waits for connection threads
-    /// to drain before giving up on the stragglers.
+    /// How long [`ServerHandle::shutdown`] waits for the workers to
+    /// drain before giving up on the stragglers.
     pub drain_deadline: Duration,
-    /// The connection engine.
-    pub engine: EngineMode,
-    /// Worker threads for [`EngineMode::WorkerPool`]; `0` sizes from
-    /// the machine's available parallelism.
+    /// Worker threads; `0` sizes from the machine's available
+    /// parallelism.
     pub workers: usize,
 }
 
@@ -150,7 +136,6 @@ impl Default for ServeConfig {
             max_connections: 4096,
             accept_retry: Duration::from_millis(50),
             drain_deadline: Duration::from_secs(5),
-            engine: EngineMode::WorkerPool,
             workers: 0,
         }
     }
@@ -163,46 +148,16 @@ fn default_workers() -> usize {
         .clamp(2, 8)
 }
 
-/// One tracked connection of the thread-per-connection engine: its
-/// thread and a handle to its socket so shutdown can unblock a pending
-/// read.
-struct Conn {
-    thread: JoinHandle<()>,
-    stream: TcpStream,
-}
-
-/// Shared connection bookkeeping between the accept loop and shutdown.
-#[derive(Default)]
-struct Tracker {
-    conns: Mutex<Vec<Conn>>,
-    live: AtomicUsize,
-}
-
-impl Tracker {
-    /// Drops finished threads from the table (joining them is instant).
-    fn reap(&self) {
-        let mut conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut kept = Vec::with_capacity(conns.len());
-        for c in conns.drain(..) {
-            if c.thread.is_finished() {
-                let _ = c.thread.join();
-            } else {
-                kept.push(c);
-            }
-        }
-        *conns = kept;
-    }
-}
-
 /// A running TCP server; dropping it (after [`ServerHandle::shutdown`])
 /// joins the accept loop.
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    tracker: Arc<Tracker>,
+    /// Connections currently owned by a worker (or queued for one).
+    live: Arc<AtomicUsize>,
     workers: Vec<JoinHandle<()>>,
-    /// One per pool worker; shutdown writes each so no worker sleeps
+    /// One per worker; shutdown writes each so no worker sleeps
     /// through the stop flag.
     wakers: Vec<Arc<Waker>>,
     drain_deadline: Duration,
@@ -218,14 +173,13 @@ impl ServerHandle {
 
     /// Number of connections currently being served.
     pub fn live_connections(&self) -> usize {
-        self.tracker.live.load(Ordering::SeqCst)
+        self.live.load(Ordering::SeqCst)
     }
 
     /// Requests shutdown and drains: stops accepting, closes every
-    /// connection, and joins the connection/worker threads within the
-    /// configured deadline. Returns `true` if everything drained,
-    /// `false` if stragglers were left behind (their threads die with
-    /// the process).
+    /// connection, and joins the worker threads within the configured
+    /// deadline. Returns `true` if everything drained, `false` if
+    /// stragglers were left behind (their threads die with the process).
     pub fn shutdown(mut self) -> bool {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the accept loop with a throwaway connection.
@@ -234,37 +188,15 @@ impl ServerHandle {
             let _ = h.join();
         }
         let deadline = Instant::now() + self.drain_deadline;
-        // Thread-per-connection drains by socket shutdown + join.
-        let mut conns = std::mem::take(
-            &mut *self
-                .tracker
-                .conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for c in &conns {
-            let _ = c.stream.shutdown(Shutdown::Both);
-        }
-        let mut drained = true;
-        for c in conns.drain(..) {
-            // `JoinHandle` has no timed join; poll `is_finished` against
-            // the deadline — the socket shutdown above guarantees the
-            // thread is already unblocking.
-            while !c.thread.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            if c.thread.is_finished() {
-                let _ = c.thread.join();
-            } else {
-                drained = false;
-            }
-        }
-        // Pool workers wake, see the stop flag and close their
-        // connections themselves.
+        // Workers wake, see the stop flag and close their connections
+        // themselves.
         for w in &self.wakers {
             w.wake();
         }
+        let mut drained = true;
         for w in std::mem::take(&mut self.workers) {
+            // `JoinHandle` has no timed join; poll `is_finished` against
+            // the deadline.
             while !w.is_finished() && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -283,22 +215,6 @@ impl ServerHandle {
 pub fn serve(server: Arc<UucsServer>, addr: &str) -> std::io::Result<ServerHandle> {
     serve_with(server, addr, ServeConfig::default())
 }
-
-/// [`serve`] with explicit tuning.
-pub fn serve_with(
-    server: Arc<UucsServer>,
-    addr: &str,
-    config: ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    match config.engine {
-        EngineMode::WorkerPool => serve_pool(server, addr, config),
-        EngineMode::ThreadPerConn => serve_threaded(server, addr, config),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Worker-pool engine
-// ---------------------------------------------------------------------
 
 /// Cap on a connection's buffered unparsed input: a peer that streams
 /// this much without ever completing a frame is hostile or broken.
@@ -333,7 +249,8 @@ struct PoolShared {
     stop: Arc<AtomicBool>,
 }
 
-fn serve_pool(
+/// [`serve`] with explicit tuning.
+pub fn serve_with(
     server: Arc<UucsServer>,
     addr: &str,
     config: ServeConfig,
@@ -341,7 +258,7 @@ fn serve_pool(
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let tracker = Arc::new(Tracker::default());
+    let live = Arc::new(AtomicUsize::new(0));
     let nworkers = if config.workers == 0 {
         default_workers()
     } else {
@@ -371,22 +288,20 @@ fn serve_pool(
     for (i, receiver) in receivers.into_iter().enumerate() {
         let shared = shared.clone();
         let server = server.clone();
-        let tracker = tracker.clone();
+        let live = live.clone();
         let live_gauge = live_gauge.clone();
         workers.push(
             std::thread::Builder::new()
                 .name(format!("uucs-worker-{i}"))
-                .spawn(move || {
-                    worker_loop(i, receiver, shared, server, tracker, live_gauge, config)
-                })
+                .spawn(move || worker_loop(i, receiver, shared, server, live, live_gauge, config))
                 .expect("spawn pool worker"),
         );
     }
 
     let stop2 = stop.clone();
     let shared2 = shared.clone();
-    let tracker2 = tracker.clone();
-    let live2 = live_gauge.clone();
+    let live2 = live.clone();
+    let live_gauge2 = live_gauge.clone();
     let accept_thread = std::thread::Builder::new()
         .name("uucs-accept".into())
         .spawn(move || {
@@ -397,7 +312,7 @@ fn serve_pool(
                 }
                 match conn {
                     Ok(stream) => {
-                        if tracker2.live.load(Ordering::SeqCst) >= config.max_connections {
+                        if live2.load(Ordering::SeqCst) >= config.max_connections {
                             // Over the cap: answer and close without
                             // spending a descriptor slot on the peer.
                             rejected.inc();
@@ -408,9 +323,9 @@ fn serve_pool(
                             );
                             continue;
                         }
-                        tracker2.live.fetch_add(1, Ordering::SeqCst);
+                        live2.fetch_add(1, Ordering::SeqCst);
                         accepted.inc();
-                        live2.inc();
+                        live_gauge2.inc();
                         let q = next % shared2.queues.len();
                         next = next.wrapping_add(1);
                         shared2.queues[q]
@@ -432,7 +347,7 @@ fn serve_pool(
         addr: local,
         stop,
         accept_thread: Some(accept_thread),
-        tracker,
+        live,
         workers,
         wakers,
         drain_deadline: config.drain_deadline,
@@ -799,7 +714,7 @@ fn worker_loop(
     wake: WakeReceiver,
     shared: Arc<PoolShared>,
     server: Arc<UucsServer>,
-    tracker: Arc<Tracker>,
+    live: Arc<AtomicUsize>,
     live_gauge: Gauge,
     config: ServeConfig,
 ) {
@@ -812,7 +727,7 @@ fn worker_loop(
     let mut last_scan = Instant::now();
     let close = |_c: PoolConn| {
         // Dropping the stream closes the socket; the peer sees EOF.
-        tracker.live.fetch_sub(1, Ordering::SeqCst);
+        live.fetch_sub(1, Ordering::SeqCst);
         live_gauge.dec();
     };
     loop {
@@ -844,7 +759,7 @@ fn worker_loop(
                         conns.push(conn);
                     }
                     Err(_) => {
-                        tracker.live.fetch_sub(1, Ordering::SeqCst);
+                        live.fetch_sub(1, Ordering::SeqCst);
                         live_gauge.dec();
                     }
                 }
@@ -897,184 +812,6 @@ fn worker_loop(
                     }
                 }
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Thread-per-connection engine (legacy)
-// ---------------------------------------------------------------------
-
-fn serve_threaded(
-    server: Arc<UucsServer>,
-    addr: &str,
-    config: ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let server2 = server.clone();
-    let tracker = Arc::new(Tracker::default());
-    let tracker2 = tracker.clone();
-    // Connection telemetry: the live gauge mirrors `Tracker::live`, the
-    // counters record accept/reject outcomes — all surfaced by `STATS`.
-    let live_gauge = metrics::gauge("server.connections.live");
-    let accepted = metrics::counter("server.connections.accepted");
-    let rejected = metrics::counter("server.connections.rejected");
-    let accept_thread = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if stop2.load(Ordering::SeqCst) {
-                break;
-            }
-            match conn {
-                Ok(stream) => {
-                    tracker2.reap();
-                    if tracker2.live.load(Ordering::SeqCst) >= config.max_connections {
-                        // Over the cap: answer and close without
-                        // spending a thread on the peer.
-                        rejected.inc();
-                        let mut w = stream;
-                        let _ = write_server_msg(
-                            &mut w,
-                            &ServerMsg::Error("server at capacity".into()),
-                        );
-                        continue;
-                    }
-                    let Ok(tracked) = stream.try_clone() else {
-                        continue;
-                    };
-                    let server = server2.clone();
-                    let tracker3 = tracker2.clone();
-                    tracker3.live.fetch_add(1, Ordering::SeqCst);
-                    accepted.inc();
-                    live_gauge.inc();
-                    let t4 = tracker3.clone();
-                    let live2 = live_gauge.clone();
-                    let closer = tracked.try_clone().ok();
-                    let thread = std::thread::spawn(move || {
-                        handle_connection(stream, &*server, config.read_timeout);
-                        // The tracker holds another clone of this socket,
-                        // so dropping ours does not close it — shut it
-                        // down explicitly so the peer sees EOF now.
-                        if let Some(s) = closer {
-                            let _ = s.shutdown(Shutdown::Both);
-                        }
-                        t4.live.fetch_sub(1, Ordering::SeqCst);
-                        live2.dec();
-                    });
-                    tracker2
-                        .conns
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(Conn {
-                            thread,
-                            stream: tracked,
-                        });
-                }
-                // A transient accept failure (EMFILE, ECONNABORTED, a
-                // half-open handshake torn down...) must not kill the
-                // whole server: back off briefly and keep listening.
-                Err(_) => std::thread::sleep(config.accept_retry),
-            }
-        }
-    });
-    Ok(ServerHandle {
-        addr: local,
-        stop,
-        accept_thread: Some(accept_thread),
-        tracker,
-        workers: Vec::new(),
-        wakers: Vec::new(),
-        drain_deadline: config.drain_deadline,
-        server,
-    })
-}
-
-/// Runs the message loop for one connection (thread-per-conn engine).
-fn handle_connection(stream: TcpStream, server: &dyn Endpoint, read_timeout: Option<Duration>) {
-    let _ = stream.set_read_timeout(read_timeout);
-    // Replies are small multi-write frames; don't let Nagle sit on them.
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut gauge = WireConnGauge::text();
-    loop {
-        match read_client_msg(&mut reader) {
-            Ok(Some(ClientMsg::Bye)) | Ok(None) => return,
-            Ok(Some(msg)) => {
-                wire_metrics().v1_verbs.inc();
-                let reply = server.handle(&msg);
-                // Negotiation: flip to binary framing after the text
-                // HELLO reply goes out — same engine-owned rule as the
-                // worker pool.
-                let upgrade = matches!(
-                    (&msg, &reply),
-                    (ClientMsg::Hello { .. }, ServerMsg::Hello { version })
-                        if *version >= WIRE_VERSION_BINARY
-                );
-                if write_server_msg(&mut writer, &reply).is_err() {
-                    return;
-                }
-                if upgrade {
-                    gauge.upgrade();
-                    binary_connection_loop(writer, reader, server);
-                    return;
-                }
-            }
-            // An unknown message tag from a newer client: the read
-            // stopped at a clean line boundary, so report it and keep
-            // serving the connection.
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-                let reply = ServerMsg::Error(format!("unsupported message: {e}"));
-                if write_server_msg(&mut writer, &reply).is_err() {
-                    return;
-                }
-            }
-            // Read deadline expired (either error kind, depending on
-            // platform), torn framing, or a dead peer: close.
-            Err(_) => return,
-        }
-    }
-}
-
-/// The post-negotiation loop of the thread-per-conn engine: blocking
-/// frame reads, one reply frame per request, `ERROR` on unknown
-/// opcodes. No pipelining depth here — requests are handled strictly
-/// one at a time, but replies still echo the request id so a client
-/// that buffered several sends gets each answered.
-fn binary_connection_loop(
-    mut writer: TcpStream,
-    mut reader: BufReader<TcpStream>,
-    server: &dyn Endpoint,
-) {
-    loop {
-        match read_client_frame(&mut reader) {
-            Ok(None) => return,
-            Ok(Some(FrameRead::Msg {
-                msg: ClientMsg::Bye,
-                ..
-            })) => return,
-            Ok(Some(FrameRead::Msg { req_id, msg, .. })) => {
-                wire_metrics().v2_verbs.inc();
-                let reply = server.handle(&msg);
-                if write_server_frame(&mut writer, req_id, &reply).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(FrameRead::Unknown { req_id, opcode, .. })) => {
-                let reply =
-                    ServerMsg::Error(format!("unsupported message: unknown opcode {opcode}"));
-                if write_server_frame(&mut writer, req_id, &reply).is_err() {
-                    return;
-                }
-            }
-            // The blocking reader never reports Incomplete; treat it as
-            // the stream error it would imply.
-            Ok(Some(FrameRead::Incomplete)) | Err(_) => return,
         }
     }
 }
@@ -1159,31 +896,6 @@ mod tests {
 
         write_client_msg(&mut writer, &ClientMsg::Bye).unwrap();
         assert_eq!(handle.server.client_count(), 1);
-        handle.shutdown();
-    }
-
-    /// The same conversation over the legacy engine: flag round-trip
-    /// plus behavioral parity.
-    #[test]
-    fn legacy_thread_per_conn_engine_still_serves() {
-        let config = ServeConfig {
-            engine: EngineMode::ThreadPerConn,
-            ..ServeConfig::default()
-        };
-        assert_eq!(config.engine, EngineMode::ThreadPerConn);
-        let handle = start_with(config);
-        let stream = TcpStream::connect(handle.addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        write_client_msg(
-            &mut writer,
-            &ClientMsg::register(MachineSnapshot::study_machine("legacy")),
-        )
-        .unwrap();
-        assert!(matches!(
-            read_server_msg(&mut reader).unwrap(),
-            ServerMsg::Id { .. }
-        ));
         handle.shutdown();
     }
 
@@ -1375,19 +1087,17 @@ mod tests {
         handle.shutdown();
     }
 
-    /// The production defaults: the worker pool is the engine, and the
-    /// connection budget is sized for fleets (descriptors, not threads).
-    /// Changing either is a protocol-level decision, not a refactoring
-    /// accident.
+    /// The production defaults: the connection budget is sized for
+    /// fleets (descriptors, not threads). Changing it is a
+    /// protocol-level decision, not a refactoring accident.
     #[test]
-    fn default_engine_and_cap_are_fleet_scale() {
+    fn default_cap_is_fleet_scale() {
         let config = ServeConfig::default();
-        assert_eq!(config.engine, EngineMode::WorkerPool);
         assert_eq!(config.max_connections, 4096);
         assert_eq!(config.workers, 0, "0 = size from the machine");
     }
 
-    /// Flag round-trips: explicit engine/cap/worker settings survive
+    /// Flag round-trips: explicit cap/worker settings survive
     /// into the running server's behavior.
     #[test]
     fn config_round_trips_through_serve() {
@@ -1469,8 +1179,8 @@ mod tests {
         ));
         assert_eq!(handle.live_connections(), 1);
         // The connection is idle-open; shutdown must still drain it
-        // within the deadline rather than leak the thread.
-        assert!(handle.shutdown(), "connection thread did not drain");
+        // within the deadline rather than leak the worker.
+        assert!(handle.shutdown(), "workers did not drain");
     }
 
     /// A request split across many tiny writes parses once complete —

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use uucs_protocol::wire::{read_server_msg, write_client_msg};
 use uucs_protocol::{ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg};
 use uucs_cluster::{AckMode, ClusterConfig, ClusterNode, Role};
-use uucs_server::tcp::{self, EngineMode, ServeConfig};
+use uucs_server::tcp::{self, ServeConfig};
 use uucs_server::{StoreSet, UucsServer};
 use uucs_telemetry::metrics;
 use uucs_testcase::{ExerciseSpec, Resource, Testcase};
@@ -64,8 +64,6 @@ pub struct FleetConfig {
     /// Self-hosted server: group-commit interval (zero = per-append
     /// fsync, the pre-group-commit engine).
     pub commit_interval: Duration,
-    /// Self-hosted server: TCP engine.
-    pub engine: EngineMode,
     /// Wire framing each client asks for at dial time. `Text` keeps the
     /// legacy line protocol; `Binary`/`Auto` run the text `HELLO`
     /// negotiation and switch to wire v2 frames when the server agrees.
@@ -87,7 +85,6 @@ impl Default for FleetConfig {
             failover: Vec::new(),
             shards: 8,
             commit_interval: Duration::from_millis(1),
-            engine: EngineMode::WorkerPool,
             wire: WireMode::Text,
             pipeline: 1,
         }
@@ -393,8 +390,8 @@ fn hist_p99_ns(json: &str, name: &str) -> Option<u64> {
 }
 
 /// A self-hosted server for fleet runs without an external `--addr`:
-/// WAL-backed sharded stores in a scratch directory, group commit when
-/// the interval is nonzero, and the requested TCP engine.
+/// WAL-backed sharded stores in a scratch directory and group commit
+/// when the interval is nonzero.
 struct HostedServer {
     handle: Option<tcp::ServerHandle>,
     dir: std::path::PathBuf,
@@ -441,7 +438,6 @@ impl HostedServer {
             server,
             "127.0.0.1:0",
             ServeConfig {
-                engine: config.engine,
                 max_connections: config.clients + 64,
                 ..ServeConfig::default()
             },

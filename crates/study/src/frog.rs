@@ -16,7 +16,7 @@
 //! ramp-minus-step difference skews positive.
 
 use crate::controlled::StudyData;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use uucs_protocol::RunOutcome;
 use uucs_stats::paired_t_test;
 use uucs_testcase::Resource;
@@ -43,8 +43,10 @@ pub struct FrogResult {
 /// Computes the comparison for one cell.
 pub fn frog_cell(data: &StudyData, task: Task, resource: Resource) -> FrogResult {
     let prefix = format!("{}-{}", task.name().to_lowercase(), resource.name());
-    let mut ramp_levels: HashMap<&str, f64> = HashMap::new();
-    let mut step_levels: HashMap<&str, f64> = HashMap::new();
+    // Ordered by user: the pairs below feed float sums, whose rounding
+    // depends on the order, and the report must be byte-stable per seed.
+    let mut ramp_levels: BTreeMap<&str, f64> = BTreeMap::new();
+    let mut step_levels: BTreeMap<&str, f64> = BTreeMap::new();
     for r in &data.records {
         if r.outcome != RunOutcome::Discomfort || !r.testcase.starts_with(&prefix) {
             continue;

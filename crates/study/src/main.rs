@@ -11,7 +11,7 @@
 //! uucs-study fleet [--quick] [--cluster] [--clients N]
 //!                  [--fleet-workers N] [--secs S] [--addr HOST:PORT]
 //!                  [--failover-addr HOST:PORT] [--shards N]
-//!                  [--commit-interval-us N] [--engine pool|threads]
+//!                  [--commit-interval-us N]
 //!                  [--wire text|binary|auto] [--pipeline N]
 //! ```
 //!
@@ -43,7 +43,6 @@ use uucs_testcase::Resource;
 use uucs_workloads::Task;
 
 fn run_fleet(args: &[String]) -> ! {
-    use uucs_server::tcp::EngineMode;
     let mut config = uucs_study::FleetConfig::default();
     let mut cluster = false;
     let mut i = 0;
@@ -99,17 +98,6 @@ fn run_fleet(args: &[String]) -> ! {
                 i += 1;
                 config.commit_interval =
                     std::time::Duration::from_micros(int(args, i, "--commit-interval-us"));
-            }
-            "--engine" => {
-                i += 1;
-                config.engine = match args.get(i).map(String::as_str) {
-                    Some("pool") => EngineMode::WorkerPool,
-                    Some("threads") => EngineMode::ThreadPerConn,
-                    _ => {
-                        eprintln!("bad --engine (want pool or threads)");
-                        std::process::exit(2);
-                    }
-                };
             }
             "--wire" => {
                 i += 1;

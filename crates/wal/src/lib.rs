@@ -10,7 +10,7 @@
 //! records and truncates a torn tail instead of erroring.
 //!
 //! * [`Wal`] — the writer: `append(&[u8]) -> Lsn`, a configurable
-//!   [`SyncPolicy`] (`Always` / `EveryN(n)` / `Never`), segment
+//!   [`SyncPolicy`] (`Always` / `Never`), segment
 //!   rotation at a size threshold, `snapshot()` / `compact()`, and an
 //!   iterator-based `replay()`.
 //! * [`WalReader`] — read-only validation + replay of a directory
@@ -441,7 +441,6 @@ mod tests {
     fn sync_policies_trade_durability_for_speed() {
         for (policy, expect_survivors) in [
             (SyncPolicy::Always, 7u64),
-            (SyncPolicy::EveryN(3), 6), // syncs fired after records 2 and 5
             (SyncPolicy::Never, 0),
         ] {
             let io = MemIo::new();
@@ -483,16 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_policy_parsing() {
-        assert_eq!(SyncPolicy::parse("always"), Some(SyncPolicy::Always));
-        assert_eq!(SyncPolicy::parse("never"), Some(SyncPolicy::Never));
-        assert_eq!(SyncPolicy::parse("every=64"), Some(SyncPolicy::EveryN(64)));
-        assert_eq!(SyncPolicy::parse("every=0"), None);
-        assert_eq!(SyncPolicy::parse("sometimes"), None);
-        assert_eq!(SyncPolicy::EveryN(8).to_string(), "every=8");
-    }
-
-    #[test]
     fn empty_payloads_and_interleaved_snapshot() {
         let io = MemIo::new();
         let (mut wal, _) = Wal::open(io.clone(), "/w", WalConfig::default()).unwrap();
@@ -510,8 +499,7 @@ mod tests {
     fn stdio_end_to_end() {
         let tmp = uucs_harness::TempDir::new("uucs-wal-e2e");
         let dir = tmp.join("wal");
-        let (mut wal, _) =
-            Wal::open(StdIo::new(), &dir, cfg(256, SyncPolicy::EveryN(4))).unwrap();
+        let (mut wal, _) = Wal::open(StdIo::new(), &dir, cfg(256, SyncPolicy::Never)).unwrap();
         for i in 0..50u32 {
             wal.append(&i.to_le_bytes()).unwrap();
         }

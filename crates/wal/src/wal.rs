@@ -5,8 +5,6 @@
 //! * Under [`SyncPolicy::Always`], `append` returns only after the
 //!   record's frame is on stable storage: every acknowledged append
 //!   survives a crash.
-//! * Under [`SyncPolicy::EveryN`], at most `n - 1` acknowledged appends
-//!   (plus the in-flight one) can be lost.
 //! * Under [`SyncPolicy::Never`], the log is only as durable as the
 //!   page cache; rotation and snapshots still sync their own files.
 //!
@@ -109,32 +107,14 @@ impl ObserverSlot {
 pub enum SyncPolicy {
     /// `fsync` after every append; an acknowledged record is durable.
     Always,
-    /// `fsync` after every `n` appends; bounded loss window.
-    EveryN(u32),
     /// Never `fsync` on append; fastest, page-cache durability only.
     Never,
-}
-
-impl SyncPolicy {
-    /// Parses the CLI spelling: `always`, `never`, or `every=N`.
-    pub fn parse(s: &str) -> Option<SyncPolicy> {
-        match s {
-            "always" => Some(SyncPolicy::Always),
-            "never" => Some(SyncPolicy::Never),
-            _ => s
-                .strip_prefix("every=")
-                .and_then(|n| n.parse().ok())
-                .filter(|&n| n > 0)
-                .map(SyncPolicy::EveryN),
-        }
-    }
 }
 
 impl std::fmt::Display for SyncPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SyncPolicy::Always => f.write_str("always"),
-            SyncPolicy::EveryN(n) => write!(f, "every={n}"),
             SyncPolicy::Never => f.write_str("never"),
         }
     }
@@ -501,7 +481,6 @@ pub struct Wal<I: Io> {
     /// `(first_lsn, file name)` of every live segment; the last is active.
     segments: Vec<(Lsn, String)>,
     active_len: u64,
-    appends_since_sync: u32,
     broken: bool,
     observer: ObserverSlot,
     /// When true, [`Wal::rotate`] does not fsync the closing segment
@@ -570,7 +549,6 @@ impl<I: Io> Wal<I> {
                 snapshot_upto,
                 segments,
                 active_len,
-                appends_since_sync: 0,
                 broken: false,
                 observer: ObserverSlot(None),
                 defer_rotation_sync: false,
@@ -670,12 +648,6 @@ impl<I: Io> Wal<I> {
                     obs.on_sync(ObserverSlot::elapsed_ns(t0));
                 }
             }
-            SyncPolicy::EveryN(n) => {
-                self.appends_since_sync += 1;
-                if self.appends_since_sync >= n {
-                    self.sync()?;
-                }
-            }
             SyncPolicy::Never => {}
         }
         Ok(lsn)
@@ -703,7 +675,6 @@ impl<I: Io> Wal<I> {
         if let Some(obs) = self.observer.0.as_mut() {
             obs.on_sync(ObserverSlot::elapsed_ns(t0));
         }
-        self.appends_since_sync = 0;
         Ok(())
     }
 
@@ -738,7 +709,6 @@ impl<I: Io> Wal<I> {
         }
         self.segments.push((self.next_lsn, name));
         self.active_len = SEGMENT_HEADER as u64;
-        self.appends_since_sync = 0;
         if let Some(obs) = self.observer.0.as_mut() {
             obs.on_rotate();
             obs.on_rotate_stall(ObserverSlot::elapsed_ns(t0));

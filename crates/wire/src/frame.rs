@@ -172,28 +172,6 @@ fn read_frame_payload<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     }
 }
 
-/// Reads one client frame from a blocking stream (the thread-per-conn
-/// engine's loop). `Ok(None)` on clean EOF between frames. An unknown
-/// opcode surfaces as [`FrameRead::Unknown`] with `consumed = 0` (the
-/// stream already advanced past the frame).
-pub fn read_client_frame<R: Read>(r: &mut R) -> io::Result<Option<FrameRead>> {
-    let Some(payload) = read_frame_payload(r)? else {
-        return Ok(None);
-    };
-    match codec::decode_client(&payload)? {
-        (req_id, DecodedClient::Msg(msg)) => Ok(Some(FrameRead::Msg {
-            consumed: 0,
-            req_id,
-            msg,
-        })),
-        (req_id, DecodedClient::Unknown(opcode)) => Ok(Some(FrameRead::Unknown {
-            consumed: 0,
-            req_id,
-            opcode,
-        })),
-    }
-}
-
 /// Reads one server reply from a blocking stream. EOF where a reply
 /// was due is `UnexpectedEof` (a connection failure, retryable), like
 /// the text reader's contract.
@@ -323,32 +301,18 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // Blocking reader agrees.
-        let mut cur = Cursor::new(frame);
-        match read_client_frame(&mut cur).unwrap().unwrap() {
-            FrameRead::Unknown { req_id: 77, opcode: 250, .. } => {}
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]
     fn blocking_readers_roundtrip_and_tear_cleanly() {
-        let frame = encode_client_frame(3, &sync_msg()).unwrap();
-        let mut cur = Cursor::new(frame.clone());
-        match read_client_frame(&mut cur).unwrap().unwrap() {
-            FrameRead::Msg { req_id: 3, msg, .. } => assert_eq!(msg, sync_msg()),
-            other => panic!("{other:?}"),
-        }
-        // Clean EOF between frames is None.
-        assert!(read_client_frame(&mut cur).unwrap().is_none());
+        let reply = encode_server_frame(3, &ServerMsg::Ack(2)).unwrap();
         // Every truncation tears (UnexpectedEof), never parses.
-        for cut in 1..frame.len() {
-            let mut cur = Cursor::new(frame[..cut].to_vec());
-            let err = read_client_frame(&mut cur).unwrap_err();
+        for cut in 1..reply.len() {
+            let mut cur = Cursor::new(reply[..cut].to_vec());
+            let err = read_server_frame(&mut cur).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
         }
-        // Server side: reply roundtrip + EOF-awaiting-reply contract.
-        let reply = encode_server_frame(3, &ServerMsg::Ack(2)).unwrap();
+        // Reply roundtrip + EOF-awaiting-reply contract.
         let mut cur = Cursor::new(reply);
         assert_eq!(
             read_server_frame(&mut cur).unwrap(),
@@ -368,7 +332,7 @@ mod tests {
         let err = try_read_client_frame(text).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let mut cur = Cursor::new(text.to_vec());
-        let err = read_client_frame(&mut cur).unwrap_err();
+        let err = read_server_frame(&mut cur).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

@@ -45,8 +45,8 @@ pub mod frame;
 
 pub use conn::{BinaryConn, WireMode};
 pub use frame::{
-    encode_client_frame, encode_server_frame, read_client_frame, read_server_frame,
-    try_read_client_frame, FrameRead, MAX_WIRE_FRAME,
+    encode_client_frame, encode_server_frame, read_server_frame, try_read_client_frame, FrameRead,
+    MAX_WIRE_FRAME,
 };
 
 /// Re-export of the WAL CRC32 (the polynomial every UUCS frame and the

@@ -42,6 +42,22 @@ if [ "$(grep -c "unsafe {" crates/server/src/netpoll.rs)" -ne 1 ]; then
     exit 1
 fi
 
+echo "== flag census (parser arms == usage header, per binary) =="
+# A flag added to or removed from a parser must move in that file's
+# usage block too: the `"--flag" =>` arms and the ```text fence of the
+# `//!` header must name the same set.
+for src in crates/server/src/main.rs crates/cluster/src/bin/clusterd.rs crates/study/src/main.rs; do
+    documented=$(sed -n '/^\/\/! ```text$/,/^\/\/! ```$/p' "$src" \
+        | grep -oE -- '--[a-z][a-z-]*' | sort -u)
+    parsed=$(grep -E '^[[:space:]]*"--[a-z-]+"([[:space:]]*\|[[:space:]]*"--[a-z-]+")*[[:space:]]*=>' "$src" \
+        | grep -oE -- '--[a-z][a-z-]*' | sort -u)
+    if [ -z "$parsed" ] || [ "$documented" != "$parsed" ]; then
+        echo "ci: $src: parsed flags and documented flags differ (< usage header, > parser):" >&2
+        diff <(echo "$documented") <(echo "$parsed") >&2 || true
+        exit 1
+    fi
+done
+
 # Each suite runs once: the named crates below, then the root package
 # (every e2e suite under tests/), then whatever crates are left.
 echo "== wal fault-injection suite (crash points x sync policies) =="
@@ -86,6 +102,10 @@ cargo run -q --release -p uucs-study -- fleet --cluster --quick
 echo "== binary fleet smoke (wire v2, pipelined depth 8) =="
 cargo run -q --release -p uucs-study -- fleet --quick --wire binary --pipeline 8
 
+# One iteration per row, to prove every target still builds and runs;
+# `engine` is the per-append vs group-commit fsync pair plus the single
+# worker-pool TCP round (the thread-per-connection row left with its
+# engine). Timings from this pass are not evidence of anything.
 echo "== bench smoke (UUCS_BENCH_QUICK=1, all twelve targets) =="
 for bench in paper_figures substrate exerciser_accuracy ablations wal chaos telemetry_overhead modelsvc engine cluster wire pagecache; do
     echo "-- $bench --"

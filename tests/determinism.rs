@@ -3,12 +3,16 @@
 
 use uucs::comfort::Fidelity;
 use uucs::study::controlled::{ControlledStudy, StudyConfig};
-use uucs::study::{figures, report};
+use uucs::study::{figures, frog, report};
 
 fn study(seed: u64) -> uucs::study::controlled::StudyData {
+    study_of(seed, 10)
+}
+
+fn study_of(seed: u64, users: usize) -> uucs::study::controlled::StudyData {
     ControlledStudy::new(StudyConfig {
         seed,
-        users: 10,
+        users,
         fidelity: Fidelity::Fast,
     })
     .run()
@@ -20,6 +24,18 @@ fn identical_seeds_identical_reports() {
     let b = study(77);
     assert_eq!(a.records, b.records);
     assert_eq!(report::full_report(&a), report::full_report(&b));
+}
+
+/// The ramp-vs-step table pairs users and sums float differences: the
+/// pairing order must not depend on hasher state, or the last digit of
+/// a mean flips between two runs of one seed. The paper-sized cohort
+/// gives every cell enough pairs for an order change to show.
+#[test]
+fn frog_table_is_byte_identical_per_seed() {
+    let a = study_of(2004, 33);
+    let b = study_of(2004, 33);
+    assert_eq!(frog::frog_all(&a), frog::frog_all(&b));
+    assert_eq!(frog::render_frog(&a), frog::render_frog(&b));
 }
 
 #[test]

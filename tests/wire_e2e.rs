@@ -1,5 +1,5 @@
 //! Wire-v2 end-to-end: the negotiated binary framing against live
-//! servers on both connection engines.
+//! servers.
 //!
 //! * A legacy text client on a v2 server is served **byte-identically**
 //!   — no banner, canonical v1 reply encodings, unknown headers still
@@ -25,26 +25,16 @@ use uucs::protocol::{
     WIRE_VERSION_BINARY, WIRE_VERSION_TEXT,
 };
 use uucs::modelsvc::{QuantileSketch, SketchDelta};
-use uucs::server::tcp::{self, EngineMode, ServeConfig};
+use uucs::server::tcp;
 use uucs::server::{StoreSet, UucsServer};
 use uucs::testcase::Resource;
 use uucs::wire::conn::{negotiate, Negotiated};
 use uucs::wire::frame::{read_server_frame, write_client_frame};
 use uucs::wire::crc32;
 
-const ENGINES: [EngineMode; 2] = [EngineMode::WorkerPool, EngineMode::ThreadPerConn];
-
-fn serve(engine: EngineMode) -> tcp::ServerHandle {
+fn serve() -> tcp::ServerHandle {
     let server = Arc::new(UucsServer::with_store_set(StoreSet::plain(2), 7));
-    tcp::serve_with(
-        server,
-        "127.0.0.1:0",
-        ServeConfig {
-            engine,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind")
+    tcp::serve(server, "127.0.0.1:0").expect("bind")
 }
 
 fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
@@ -84,137 +74,130 @@ fn register_msg(name: &str) -> ClientMsg {
 /// own parse). An unknown header keeps the connection alive.
 #[test]
 fn legacy_text_client_is_served_byte_identically() {
-    for engine in ENGINES {
-        let handle = serve(engine);
-        let (mut writer, mut reader) = connect(handle.addr());
+    let handle = serve();
+    let (mut writer, mut reader) = connect(handle.addr());
 
-        // Silence until the client speaks: no HELLO banner, nothing.
-        reader
-            .get_ref()
-            .set_read_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
-        let mut probe = [0u8; 1];
-        assert!(
-            reader.read(&mut probe).is_err(),
-            "{engine:?}: the server volunteered bytes to a silent legacy client"
-        );
-        reader
-            .get_ref()
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
+    // Silence until the client speaks: no HELLO banner, nothing.
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut probe = [0u8; 1];
+    assert!(
+        reader.read(&mut probe).is_err(),
+        "the server volunteered bytes to a silent legacy client"
+    );
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
 
-        // Each single-line reply, captured raw, must equal the
-        // canonical v1 encoding of what it parses as.
-        fn exchange_raw(
-            writer: &mut TcpStream,
-            reader: &mut BufReader<TcpStream>,
-            msg: &ClientMsg,
-        ) -> ServerMsg {
-            write_client_msg(writer, msg).expect("send");
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("reply line");
-            let parsed =
-                read_server_msg(&mut BufReader::new(line.as_bytes())).expect("parse reply");
-            let mut reencoded = Vec::new();
-            write_server_msg(&mut reencoded, &parsed).unwrap();
-            assert_eq!(
-                reencoded,
-                line.as_bytes(),
-                "reply is not the canonical v1 encoding"
-            );
-            parsed
-        }
-
-        let ServerMsg::Id { id, .. } =
-            exchange_raw(&mut writer, &mut reader, &register_msg("legacy"))
-        else {
-            panic!("registration failed");
-        };
-        let reply = exchange_raw(
-            &mut writer,
-            &mut reader,
-            &ClientMsg::Upload {
-                client: id.clone(),
-                seq: 1,
-                records: vec![record(&id, 1, 0)],
-            },
-        );
-        assert!(matches!(reply, ServerMsg::Ack(_)), "{engine:?}: {reply:?}");
-
-        // A verb from the future: ERROR on a live connection, exactly
-        // the v1 forward-compatibility contract.
-        writer.write_all(b"FUTUREVERB 1 2 3\n").unwrap();
-        writer.flush().unwrap();
+    // Each single-line reply, captured raw, must equal the
+    // canonical v1 encoding of what it parses as.
+    fn exchange_raw(
+        writer: &mut TcpStream,
+        reader: &mut BufReader<TcpStream>,
+        msg: &ClientMsg,
+    ) -> ServerMsg {
+        write_client_msg(writer, msg).expect("send");
         let mut line = String::new();
-        reader.read_line(&mut line).expect("error line");
-        assert!(
-            line.starts_with("ERROR "),
-            "{engine:?}: unknown header got {line:?}"
+        reader.read_line(&mut line).expect("reply line");
+        let parsed =
+            read_server_msg(&mut BufReader::new(line.as_bytes())).expect("parse reply");
+        let mut reencoded = Vec::new();
+        write_server_msg(&mut reencoded, &parsed).unwrap();
+        assert_eq!(
+            reencoded,
+            line.as_bytes(),
+            "reply is not the canonical v1 encoding"
         );
-        let reply = exchange_raw(
-            &mut writer,
-            &mut reader,
-            &ClientMsg::Upload {
-                client: id.clone(),
-                seq: 2,
-                records: vec![record(&id, 2, 0)],
-            },
-        );
-        assert!(
-            matches!(reply, ServerMsg::Ack(_)),
-            "{engine:?}: connection must survive the unknown header"
-        );
-
-        write_client_msg(&mut writer, &ClientMsg::Bye).ok();
-        handle.shutdown();
+        parsed
     }
+
+    let ServerMsg::Id { id, .. } =
+        exchange_raw(&mut writer, &mut reader, &register_msg("legacy"))
+    else {
+        panic!("registration failed");
+    };
+    let reply = exchange_raw(
+        &mut writer,
+        &mut reader,
+        &ClientMsg::Upload {
+            client: id.clone(),
+            seq: 1,
+            records: vec![record(&id, 1, 0)],
+        },
+    );
+    assert!(matches!(reply, ServerMsg::Ack(_)), "{reply:?}");
+
+    // A verb from the future: ERROR on a live connection, exactly
+    // the v1 forward-compatibility contract.
+    writer.write_all(b"FUTUREVERB 1 2 3\n").unwrap();
+    writer.flush().unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error line");
+    assert!(
+        line.starts_with("ERROR "),
+        "unknown header got {line:?}"
+    );
+    let reply = exchange_raw(
+        &mut writer,
+        &mut reader,
+        &ClientMsg::Upload {
+            client: id.clone(),
+            seq: 2,
+            records: vec![record(&id, 2, 0)],
+        },
+    );
+    assert!(
+        matches!(reply, ServerMsg::Ack(_)),
+        "connection must survive the unknown header"
+    );
+
+    write_client_msg(&mut writer, &ClientMsg::Bye).ok();
+    handle.shutdown();
 }
 
-/// The negotiation matrix on both engines: `HELLO 2` upgrades to
+/// The negotiation matrix: `HELLO 2` upgrades to
 /// binary frames, `HELLO 1` stays text, and a from-the-future version
 /// is clamped down to v2.
 #[test]
 fn hello_negotiation_matrix() {
-    for engine in ENGINES {
-        let handle = serve(engine);
+    let handle = serve();
 
-        // Want v2 → get v2; the same connection then speaks frames.
-        let (mut writer, mut reader) = connect(handle.addr());
-        assert_eq!(
-            negotiate(&mut writer, &mut reader, WIRE_VERSION_BINARY).expect("negotiate"),
-            Negotiated::Version(WIRE_VERSION_BINARY),
-            "{engine:?}"
-        );
-        write_client_frame(&mut writer, 1, &register_msg("bin")).expect("frame");
-        let (req, reply) = read_server_frame(&mut reader).expect("framed reply");
-        assert_eq!(req, 1);
-        assert!(matches!(reply, ServerMsg::Id { .. }), "{engine:?}: {reply:?}");
-        write_client_frame(&mut writer, 2, &ClientMsg::Bye).ok();
+    // Want v2 → get v2; the same connection then speaks frames.
+    let (mut writer, mut reader) = connect(handle.addr());
+    assert_eq!(
+        negotiate(&mut writer, &mut reader, WIRE_VERSION_BINARY).expect("negotiate"),
+        Negotiated::Version(WIRE_VERSION_BINARY)
+    );
+    write_client_frame(&mut writer, 1, &register_msg("bin")).expect("frame");
+    let (req, reply) = read_server_frame(&mut reader).expect("framed reply");
+    assert_eq!(req, 1);
+    assert!(matches!(reply, ServerMsg::Id { .. }), "{reply:?}");
+    write_client_frame(&mut writer, 2, &ClientMsg::Bye).ok();
 
-        // Want v1 → stay text; the connection keeps speaking lines.
-        let (mut writer, mut reader) = connect(handle.addr());
-        assert_eq!(
-            negotiate(&mut writer, &mut reader, WIRE_VERSION_TEXT).expect("negotiate"),
-            Negotiated::Version(WIRE_VERSION_TEXT),
-            "{engine:?}"
-        );
-        write_client_msg(&mut writer, &register_msg("txt")).unwrap();
-        assert!(
-            matches!(read_server_msg(&mut reader), Ok(ServerMsg::Id { .. })),
-            "{engine:?}: text must keep working after HELLO 1"
-        );
-        write_client_msg(&mut writer, &ClientMsg::Bye).ok();
+    // Want v1 → stay text; the connection keeps speaking lines.
+    let (mut writer, mut reader) = connect(handle.addr());
+    assert_eq!(
+        negotiate(&mut writer, &mut reader, WIRE_VERSION_TEXT).expect("negotiate"),
+        Negotiated::Version(WIRE_VERSION_TEXT)
+    );
+    write_client_msg(&mut writer, &register_msg("txt")).unwrap();
+    assert!(
+        matches!(read_server_msg(&mut reader), Ok(ServerMsg::Id { .. })),
+        "text must keep working after HELLO 1"
+    );
+    write_client_msg(&mut writer, &ClientMsg::Bye).ok();
 
-        // Want v9 → clamped to v2.
-        let (mut writer, mut reader) = connect(handle.addr());
-        assert_eq!(
-            negotiate(&mut writer, &mut reader, 9).expect("negotiate"),
-            Negotiated::Version(WIRE_VERSION_BINARY),
-            "{engine:?}"
-        );
-        write_client_frame(&mut writer, 1, &ClientMsg::Bye).ok();
-        handle.shutdown();
-    }
+    // Want v9 → clamped to v2.
+    let (mut writer, mut reader) = connect(handle.addr());
+    assert_eq!(
+        negotiate(&mut writer, &mut reader, 9).expect("negotiate"),
+        Negotiated::Version(WIRE_VERSION_BINARY)
+    );
+    write_client_frame(&mut writer, 1, &ClientMsg::Bye).ok();
+    handle.shutdown();
 }
 
 /// Pipelined binary uploads: a burst of frames written back to back
@@ -222,37 +205,35 @@ fn hello_negotiation_matrix() {
 /// its request id.
 #[test]
 fn pipelined_uploads_reply_in_request_order() {
-    for engine in ENGINES {
-        let handle = serve(engine);
-        let (mut writer, mut reader) = connect(handle.addr());
-        negotiate(&mut writer, &mut reader, WIRE_VERSION_BINARY).expect("negotiate");
-        write_client_frame(&mut writer, 1, &register_msg("pipeline")).unwrap();
-        let (_, reply) = read_server_frame(&mut reader).unwrap();
-        let ServerMsg::Id { id, .. } = reply else {
-            panic!("registration failed: {reply:?}");
-        };
+    let handle = serve();
+    let (mut writer, mut reader) = connect(handle.addr());
+    negotiate(&mut writer, &mut reader, WIRE_VERSION_BINARY).expect("negotiate");
+    write_client_frame(&mut writer, 1, &register_msg("pipeline")).unwrap();
+    let (_, reply) = read_server_frame(&mut reader).unwrap();
+    let ServerMsg::Id { id, .. } = reply else {
+        panic!("registration failed: {reply:?}");
+    };
 
-        let depth = 8u32;
-        for k in 0..depth {
-            write_client_frame(
-                &mut writer,
-                2 + k,
-                &ClientMsg::Upload {
-                    client: id.clone(),
-                    seq: (k + 1) as u64,
-                    records: vec![record(&id, (k + 1) as u64, k as u64)],
-                },
-            )
-            .expect("pipelined frame");
-        }
-        for k in 0..depth {
-            let (req, reply) = read_server_frame(&mut reader).expect("pipelined reply");
-            assert_eq!(req, 2 + k, "{engine:?}: replies must come back in order");
-            assert!(matches!(reply, ServerMsg::Ack(_)), "{engine:?}: {reply:?}");
-        }
-        write_client_frame(&mut writer, 99, &ClientMsg::Bye).ok();
-        handle.shutdown();
+    let depth = 8u32;
+    for k in 0..depth {
+        write_client_frame(
+            &mut writer,
+            2 + k,
+            &ClientMsg::Upload {
+                client: id.clone(),
+                seq: (k + 1) as u64,
+                records: vec![record(&id, (k + 1) as u64, k as u64)],
+            },
+        )
+        .expect("pipelined frame");
     }
+    for k in 0..depth {
+        let (req, reply) = read_server_frame(&mut reader).expect("pipelined reply");
+        assert_eq!(req, 2 + k, "replies must come back in order");
+        assert!(matches!(reply, ServerMsg::Ack(_)), "{reply:?}");
+    }
+    write_client_frame(&mut writer, 99, &ClientMsg::Bye).ok();
+    handle.shutdown();
 }
 
 /// Cross-framing abuse is a clean connection drop, never a wedge: a
@@ -261,49 +242,47 @@ fn pipelined_uploads_reply_in_request_order() {
 /// server keeps serving fresh ones.
 #[test]
 fn cross_framing_abuse_drops_the_connection_not_the_server() {
-    for engine in ENGINES {
-        let handle = serve(engine);
+    let handle = serve();
 
-        // Binary frame with no HELLO: the text parser must reject (or
-        // the connection close) — and never reply with a parsed message.
-        let (mut writer, mut reader) = connect(handle.addr());
-        write_client_frame(&mut writer, 1, &register_msg("rude")).unwrap();
-        writer.shutdown(std::net::Shutdown::Write).ok();
-        let mut sink = Vec::new();
-        // Whatever comes back (an ERROR line or nothing), the stream
-        // must end — bounded by the read timeout, not a hang.
-        // A read error (reset mid-read) is a clean drop too.
-        if reader.read_to_end(&mut sink).is_ok() && !sink.is_empty() {
-            let text = String::from_utf8_lossy(&sink);
-            assert!(
-                text.starts_with("ERROR "),
-                "{engine:?}: binary-at-text produced a non-error reply: {text:?}"
-            );
-        }
-
-        // Text at an upgraded binary connection: the frame reader calls
-        // the ASCII length implausible and drops the connection.
-        let (mut writer, mut reader) = connect(handle.addr());
-        negotiate(&mut writer, &mut reader, WIRE_VERSION_BINARY).expect("negotiate");
-        writer.write_all(b"SYNC client-0001 0 4\n").unwrap();
-        writer.flush().unwrap();
-        let mut sink = Vec::new();
-        let _ = reader.read_to_end(&mut sink);
+    // Binary frame with no HELLO: the text parser must reject (or
+    // the connection close) — and never reply with a parsed message.
+    let (mut writer, mut reader) = connect(handle.addr());
+    write_client_frame(&mut writer, 1, &register_msg("rude")).unwrap();
+    writer.shutdown(std::net::Shutdown::Write).ok();
+    let mut sink = Vec::new();
+    // Whatever comes back (an ERROR line or nothing), the stream
+    // must end — bounded by the read timeout, not a hang.
+    // A read error (reset mid-read) is a clean drop too.
+    if reader.read_to_end(&mut sink).is_ok() && !sink.is_empty() {
+        let text = String::from_utf8_lossy(&sink);
         assert!(
-            sink.is_empty(),
-            "{engine:?}: text-at-binary must drop, not answer: {sink:?}"
+            text.starts_with("ERROR "),
+            "binary-at-text produced a non-error reply: {text:?}"
         );
-
-        // The server is still alive for a well-behaved text client.
-        let (mut writer, mut reader) = connect(handle.addr());
-        write_client_msg(&mut writer, &register_msg("polite")).unwrap();
-        assert!(
-            matches!(read_server_msg(&mut reader), Ok(ServerMsg::Id { .. })),
-            "{engine:?}: server must survive cross-framing abuse"
-        );
-        write_client_msg(&mut writer, &ClientMsg::Bye).ok();
-        handle.shutdown();
     }
+
+    // Text at an upgraded binary connection: the frame reader calls
+    // the ASCII length implausible and drops the connection.
+    let (mut writer, mut reader) = connect(handle.addr());
+    negotiate(&mut writer, &mut reader, WIRE_VERSION_BINARY).expect("negotiate");
+    writer.write_all(b"SYNC client-0001 0 4\n").unwrap();
+    writer.flush().unwrap();
+    let mut sink = Vec::new();
+    let _ = reader.read_to_end(&mut sink);
+    assert!(
+        sink.is_empty(),
+        "text-at-binary must drop, not answer: {sink:?}"
+    );
+
+    // The server is still alive for a well-behaved text client.
+    let (mut writer, mut reader) = connect(handle.addr());
+    write_client_msg(&mut writer, &register_msg("polite")).unwrap();
+    assert!(
+        matches!(read_server_msg(&mut reader), Ok(ServerMsg::Id { .. })),
+        "server must survive cross-framing abuse"
+    );
+    write_client_msg(&mut writer, &ClientMsg::Bye).ok();
+    handle.shutdown();
 }
 
 /// `MODELDELTA` at the endpoint: a client holding the epoch-`e0` sketch
