@@ -194,19 +194,24 @@ fn paper_comparison(c: &mut Criterion) {
 fn full_controlled_study(c: &mut Criterion) {
     let mut group = c.benchmark_group("study");
     group.sample_size(10);
-    group.bench_function("controlled_33_users_fast", |b| {
-        b.iter(|| {
-            let data = uucs_study::controlled::ControlledStudy::new(
-                uucs_study::controlled::StudyConfig {
-                    seed: 99,
-                    users: 33,
-                    fidelity: uucs_comfort::Fidelity::Fast,
-                },
-            )
-            .run();
-            black_box(data.records.len())
-        })
-    });
+    for (row, fidelity) in [
+        ("controlled_33_users_fast", uucs_comfort::Fidelity::Fast),
+        ("controlled_33_users_full", uucs_comfort::Fidelity::Full),
+    ] {
+        group.bench_function(row, |b| {
+            b.iter(|| {
+                let data = uucs_study::controlled::ControlledStudy::new(
+                    uucs_study::controlled::StudyConfig {
+                        seed: 99,
+                        users: 33,
+                        fidelity,
+                    },
+                )
+                .run();
+                black_box(data.records.len())
+            })
+        });
+    }
     group.finish();
 }
 

@@ -56,6 +56,17 @@ fn memory_touch(c: &mut Criterion) {
         })
     });
     group.finish();
+    // The miss path: a fresh exerciser pool's first prefix touch counts
+    // and claims every page (the allocation-heavy case before PR 15).
+    c.bench_function("sim/mem/touch_prefix_128k_pages", |b| {
+        let mut rng = Pcg64::new(4);
+        b.iter(|| {
+            let mut mm = uucs_sim::mem::MemoryManager::new(131_072);
+            let r = mm.alloc(0, 131_072, false);
+            let outcome = mm.touch(r, 131_072, TouchPattern::Prefix, 0, &mut rng);
+            black_box(outcome.zero_fills)
+        })
+    });
 }
 
 /// Disk queue behavior under contention.

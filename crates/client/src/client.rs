@@ -4,7 +4,7 @@
 use crate::script::{Command, Script};
 use crate::transport::ClientTransport;
 use std::io;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use uucs_comfort::{execute_run, Fidelity, RunSetup, RunStyle, UserProfile};
 use uucs_protocol::{ClientMsg, MachineSnapshot, RunRecord, ServerMsg};
 use uucs_stats::Pcg64;
@@ -53,7 +53,10 @@ pub struct SyncReport {
 pub struct UucsClient {
     snapshot: MachineSnapshot,
     id: Option<String>,
-    testcases: Vec<Testcase>,
+    /// Shared, copy-on-write: a study installs one library into every
+    /// subject's client without copying it; a sync that downloads into a
+    /// shared set copies it first.
+    testcases: Arc<Vec<Testcase>>,
     pending: Vec<RunRecord>,
     /// The frozen batch: records assigned a sequence number and sent at
     /// least once, but not yet acknowledged. Retries resend exactly this
@@ -104,7 +107,7 @@ impl UucsClient {
         UucsClient {
             snapshot,
             id: None,
-            testcases: Vec::new(),
+            testcases: Arc::default(),
             pending: Vec::new(),
             inflight: None,
             seq: 0,
@@ -158,9 +161,10 @@ impl UucsClient {
     }
 
     /// Injects testcases directly (deterministic mode gets its set from a
-    /// local file rather than a sync).
-    pub fn install_testcases(&mut self, tcs: Vec<Testcase>) {
-        self.testcases = tcs;
+    /// local file rather than a sync). Takes a `Vec<Testcase>`, or an
+    /// `Arc<Vec<Testcase>>` to share one set among many clients.
+    pub fn install_testcases(&mut self, tcs: impl Into<Arc<Vec<Testcase>>>) {
+        self.testcases = tcs.into();
     }
 
     /// Restores persisted state (id, testcases, pending results, batch
@@ -171,7 +175,7 @@ impl UucsClient {
     pub fn restore(&mut self, store: &crate::store::ClientStore) -> io::Result<()> {
         self.reg_token = store.reg_token()?;
         self.id = store.load_id();
-        self.testcases = store.load_testcases()?;
+        self.testcases = Arc::new(store.load_testcases()?);
         self.pending = store.load_pending()?;
         let seq = store.try_load_seq();
         self.seq = seq.unwrap_or(0);
@@ -294,7 +298,9 @@ impl UucsClient {
         })? {
             ServerMsg::Testcases(tcs) => {
                 let n = tcs.len();
-                self.testcases.extend(tcs);
+                if n > 0 {
+                    Arc::make_mut(&mut self.testcases).extend(tcs);
+                }
                 n
             }
             other => return Err(protocol_err(other)),
@@ -416,15 +422,41 @@ impl UucsClient {
         transport: &mut dyn ClientTransport,
         seed: u64,
     ) -> io::Result<usize> {
+        self.run_script(script, user, fidelity, Some(transport), seed)
+    }
+
+    /// The offline part of [`execute_script`](Self::execute_script): the
+    /// script's `RUN` commands, in order and with the seeds
+    /// `execute_script` gives them; `SYNC` is left to the caller. Needs
+    /// no transport, so a study can run its subjects' sessions side by
+    /// side and sync them afterwards in subject order. Returns the
+    /// number of runs executed.
+    pub fn execute_runs(
+        &mut self,
+        script: &Script,
+        user: &UserProfile,
+        fidelity: Fidelity,
+        seed: u64,
+    ) -> io::Result<usize> {
+        self.run_script(script, user, fidelity, None, seed)
+    }
+
+    fn run_script(
+        &mut self,
+        script: &Script,
+        user: &UserProfile,
+        fidelity: Fidelity,
+        mut transport: Option<&mut dyn ClientTransport>,
+        seed: u64,
+    ) -> io::Result<usize> {
         let mut runs = 0usize;
-        for (i, cmd) in script.commands.clone().iter().enumerate() {
+        for (i, cmd) in script.commands.iter().enumerate() {
             match cmd {
                 Command::Run { testcase, task } => {
-                    let tc = self
-                        .testcases
+                    let local = Arc::clone(&self.testcases);
+                    let tc = local
                         .iter()
                         .find(|t| t.id.as_str() == testcase)
-                        .cloned()
                         .ok_or_else(|| {
                             io::Error::new(
                                 io::ErrorKind::NotFound,
@@ -432,15 +464,17 @@ impl UucsClient {
                             )
                         })?;
                     let run_seed = Pcg64::new(seed).split(i as u64).next_u64();
-                    self.perform_run(user, *task, &tc, fidelity, run_seed);
+                    self.perform_run(user, *task, tc, fidelity, run_seed);
                     runs += 1;
                 }
                 Command::Sync => {
                     // A failed sync is not fatal: the records stay
                     // queued (or frozen in flight) and the next SYNC —
                     // or the next session — retries them.
-                    if let Err(e) = self.hot_sync(transport) {
-                        eprintln!("uucs-client: sync failed, results kept locally: {e}");
+                    if let Some(transport) = &mut transport {
+                        if let Err(e) = self.hot_sync(&mut **transport) {
+                            eprintln!("uucs-client: sync failed, results kept locally: {e}");
+                        }
                     }
                 }
                 Command::Wait(_) => {}
@@ -563,6 +597,49 @@ mod tests {
         assert_eq!(runs, 2);
         // The SYNC uploaded both results.
         assert_eq!(srv.result_count(), 2);
+    }
+
+    /// `execute_runs` then one `hot_sync` is `execute_script` over a
+    /// script that ends in `SYNC`: same records, in the same order, from
+    /// the same per-command seeds — and a library installed by `Arc` is
+    /// shared, not copied, until a sync downloads into it.
+    #[test]
+    fn execute_runs_then_sync_equals_execute_script() {
+        let script =
+            Script::parse("RUN word-cpu-ramp Word\nWAIT 2\nRUN word-blank-1 Word\nSYNC\n").unwrap();
+        let library = Arc::new(uucs_comfort::calibration::controlled_testcases(Task::Word));
+        let pop = UserPopulation::generate(1, 10);
+        let user = &pop.users()[0];
+
+        let whole = server(2);
+        let mut t = LocalTransport::new(whole.clone());
+        let mut c = UucsClient::new(MachineSnapshot::study_machine("h"), 6);
+        c.register(&mut t).unwrap();
+        c.install_testcases(Arc::clone(&library));
+        c.execute_script(&script, user, Fidelity::Full, &mut t, 99)
+            .unwrap();
+
+        let split = server(2);
+        let mut t = LocalTransport::new(split.clone());
+        let mut c = UucsClient::new(MachineSnapshot::study_machine("h"), 6);
+        c.register(&mut t).unwrap();
+        c.install_testcases(Arc::clone(&library));
+        assert!(std::ptr::eq(c.testcases(), library.as_slice()));
+        let runs = c.execute_runs(&script, user, Fidelity::Full, 99).unwrap();
+        assert_eq!(runs, 2);
+        assert_eq!(split.result_count(), 0, "execute_runs must not sync");
+        c.hot_sync(&mut t).unwrap();
+        assert_eq!(split.results(), whole.results());
+
+        // A sync that downloads copies the shared set before growing it.
+        let bigger = server(12);
+        let mut t = LocalTransport::new(bigger);
+        let mut d = UucsClient::new(MachineSnapshot::study_machine("h"), 7);
+        d.register(&mut t).unwrap();
+        d.install_testcases(Arc::clone(&library));
+        assert_eq!(d.hot_sync(&mut t).unwrap().downloaded, 4);
+        assert_eq!(d.testcases().len(), 12);
+        assert_eq!(library.len(), 8, "a download must not grow the shared set");
     }
 
     #[test]

@@ -206,8 +206,10 @@ pub fn run_harvest(
         .map(|&w| machine.thread_stats(w).cpu_us)
         .sum::<SimTime>()
         - cpu0;
-    let session_lat: Vec<u64> = machine.thread_stats(fg).latencies[lat0..]
-        .iter()
+    let session_lat: Vec<u64> = machine
+        .thread_stats(fg)
+        .latencies
+        .iter_from(lat0)
         .filter(|s| s.class == class)
         .map(|s| s.latency_us)
         .collect();
@@ -448,8 +450,10 @@ pub fn run_resource_harvest(
         }
         Resource::Network => unreachable!(),
     };
-    let session_lat: Vec<u64> = machine.thread_stats(fg).latencies[lat0..]
-        .iter()
+    let session_lat: Vec<u64> = machine
+        .thread_stats(fg)
+        .latencies
+        .iter_from(lat0)
         .filter(|s| s.class == class)
         .map(|s| s.latency_us)
         .collect();

@@ -27,7 +27,7 @@
 use crate::run::{RunSetup, RunStyle};
 use uucs_exercisers::playback::spawn_exercisers;
 use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
-use uucs_sim::{secs, Machine, SimTime, ThreadId, SEC};
+use uucs_sim::{mean_latency_us, secs, Machine, SimTime, ThreadId, SEC};
 use uucs_stats::Pcg64;
 use uucs_workloads::Task;
 
@@ -216,13 +216,12 @@ pub fn execute_perception_run_configured(
         .iter()
         .map(|f| (f.resource, f.last_values_at(offset, 5)))
         .collect();
-    let lat: Vec<u64> = machine
+    let session = machine
         .thread_stats(fg)
         .latencies
         .iter()
-        .filter(|s| s.class == class && s.at >= start)
-        .map(|s| s.latency_us)
-        .collect();
+        .filter(|s| s.class == class && s.at >= start);
+    let session_mean = mean_latency_us(session);
     RunRecord {
         client: setup.client_id.clone(),
         user: setup.user.id.clone(),
@@ -237,11 +236,7 @@ pub fn execute_perception_run_configured(
             peak_mem_fraction: peak_mem as f64 / machine.config().mem_pages as f64,
             disk_busy: (machine.disk_stats().busy_us - disk0) as f64 / elapsed as f64,
             faults: machine.mem_stats().faults - faults0,
-            mean_latency_us: if lat.is_empty() {
-                None
-            } else {
-                Some(lat.iter().sum::<u64>() as f64 / lat.len() as f64)
-            },
+            mean_latency_us: session_mean,
         },
     }
 }

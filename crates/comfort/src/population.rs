@@ -8,6 +8,8 @@
 use crate::calibration::{self, SKILL_EFFECTS};
 use crate::user::{RatingDim, SelfRatings, SkillLevel, UserProfile};
 use std::collections::HashMap;
+use std::sync::OnceLock;
+use uucs_stats::fit::Lognormal;
 use uucs_stats::Pcg64;
 use uucs_testcase::Resource;
 use uucs_workloads::Task;
@@ -84,7 +86,7 @@ fn multiplier_groups(task: Task, resource: Resource) -> Vec<(f64, f64)> {
 /// through the cell's two published quantile points. Without skill
 /// effects this reduces to the plain calibrated fit. Falls back to the
 /// plain fit if the cell has no usable quantile targets.
-fn mixture_base_fit(c: &calibration::CellStats) -> uucs_stats::fit::Lognormal {
+fn mixture_base_fit(c: &calibration::CellStats) -> Lognormal {
     let plain = calibration::threshold_fit(c);
     let (Some(c05), true) = (c.c_05, c.f_d > 0.051) else {
         return plain;
@@ -125,10 +127,20 @@ fn mixture_base_fit(c: &calibration::CellStats) -> uucs_stats::fit::Lognormal {
         }
     }
     let sigma = 0.5 * (slo + shi);
-    uucs_stats::fit::Lognormal {
+    Lognormal {
         mu: solve_mu(sigma),
         sigma,
     }
+}
+
+/// Per-cell base fits solved against the skill-multiplied mixture, so the
+/// *population* CDF passes through the published points; in
+/// [`calibration::CELLS`] order. They depend on the calibration tables
+/// alone, and the twelve nested bisections cost more than generating the
+/// study's whole population, so they are solved once per process.
+fn base_fits() -> &'static [Lognormal; calibration::CELLS.len()] {
+    static FITS: OnceLock<[Lognormal; calibration::CELLS.len()]> = OnceLock::new();
+    FITS.get_or_init(|| calibration::CELLS.each_ref().map(mixture_base_fit))
 }
 
 /// A deterministic population of synthetic users.
@@ -143,10 +155,7 @@ impl UserPopulation {
     /// user never perturbs the others).
     pub fn generate(n: usize, seed: u64) -> Self {
         let root = Pcg64::new(seed).split_str("population");
-        // Per-cell base fits solved against the skill-multiplied mixture,
-        // so the *population* CDF passes through the published points.
-        let base_fits: Vec<uucs_stats::fit::Lognormal> =
-            calibration::CELLS.iter().map(mixture_base_fit).collect();
+        let base_fits = base_fits();
         let users = (0..n)
             .map(|i| {
                 let mut rng = root.split(i as u64);
@@ -159,7 +168,7 @@ impl UserPopulation {
                     draw_level(&mut rng, dist_for(RatingDim::Quake)),
                 ]);
                 let mut thresholds = HashMap::new();
-                for (c, fit) in calibration::CELLS.iter().zip(&base_fits) {
+                for (c, fit) in calibration::CELLS.iter().zip(base_fits) {
                     let base = fit.sample(&mut rng);
                     let mult = skill_multiplier(&ratings, c.task, c.resource);
                     thresholds.insert((c.task, c.resource), base * mult);
@@ -225,6 +234,33 @@ mod tests {
         let c = UserPopulation::generate(20, 42);
         for (x, y) in a.users().iter().zip(c.users()) {
             assert_eq!(x.thresholds, y.thresholds);
+        }
+    }
+
+    /// The cached base fits are the freshly solved ones to the bit, so a
+    /// population does not depend on which call in the process built it.
+    #[test]
+    fn cached_base_fits_equal_fresh_solves_bit_for_bit() {
+        for (c, cached) in calibration::CELLS.iter().zip(base_fits()) {
+            let fresh = mixture_base_fit(c);
+            assert_eq!(
+                (cached.mu.to_bits(), cached.sigma.to_bits()),
+                (fresh.mu.to_bits(), fresh.sigma.to_bits()),
+                "{}-{}",
+                c.task,
+                c.resource
+            );
+        }
+        let a = UserPopulation::generate(33, 2004);
+        let b = UserPopulation::generate(33, 2004);
+        for (x, y) in a.users().iter().zip(b.users()) {
+            assert_eq!(x.id, y.id);
+            assert_eq!(x.ratings, y.ratings);
+            assert_eq!(x.thresholds, y.thresholds);
+            assert_eq!(
+                (x.noise_propensity, x.ramp_bonus_frac, x.reaction_secs),
+                (y.noise_propensity, y.ramp_bonus_frac, y.reaction_secs)
+            );
         }
     }
 

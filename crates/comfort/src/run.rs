@@ -27,7 +27,7 @@ use crate::calibration;
 use crate::user::UserProfile;
 use uucs_exercisers::playback::spawn_exercisers;
 use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
-use uucs_sim::{secs, Machine, SimTime, SEC};
+use uucs_sim::{mean_latency_us, secs, Machine, SimTime, SEC};
 use uucs_stats::Pcg64;
 use uucs_testcase::{Resource, Testcase};
 use uucs_workloads::{OsBackground, Task};
@@ -224,24 +224,13 @@ fn simulate_monitor(setup: &RunSetup<'_>, offset: f64) -> MonitorSummary {
 
     let elapsed = (m.now() - start).max(1);
     let class = setup.task.latency_class();
-    let fg_stats = m.thread_stats(fg);
-    let lat: Vec<u64> = fg_stats
-        .latencies
-        .iter()
-        .skip(lat0)
-        .filter(|s| s.class == class)
-        .map(|s| s.latency_us)
-        .collect();
+    let session = m.thread_stats(fg).latencies.iter_from(lat0);
     MonitorSummary {
         cpu_util: (m.metrics().cpu_busy_us - cpu0) as f64 / elapsed as f64,
         peak_mem_fraction: peak_mem as f64 / m.config().mem_pages as f64,
         disk_busy: (m.disk_stats().busy_us - disk0) as f64 / elapsed as f64,
         faults: m.mem_stats().faults - faults0,
-        mean_latency_us: if lat.is_empty() {
-            None
-        } else {
-            Some(lat.iter().sum::<u64>() as f64 / lat.len() as f64)
-        },
+        mean_latency_us: mean_latency_us(session.filter(|s| s.class == class)),
     }
 }
 

@@ -12,7 +12,7 @@ use crate::run::RunSetup;
 use std::fmt::Write as _;
 use uucs_exercisers::playback::spawn_exercisers;
 use uucs_protocol::{MonitorSummary, RunRecord};
-use uucs_sim::{secs, Machine, SimTime, SEC};
+use uucs_sim::{mean_latency_us, secs, Machine, SimTime, SEC};
 use uucs_testcase::Resource;
 use uucs_workloads::OsBackground;
 
@@ -162,11 +162,8 @@ pub fn execute_run_traced(setup: &RunSetup<'_>) -> (RunRecord, RunTrace) {
             .map(|f| (f.resource, setup.testcase.contention_at(f.resource, t_off)))
             .collect();
         let lat_all = &m.thread_stats(fg).latencies;
-        let recent: Vec<u64> = lat_all[prev_lat_idx..]
-            .iter()
-            .filter(|s| s.class == class)
-            .map(|s| s.latency_us)
-            .collect();
+        let fg_latency_us =
+            mean_latency_us(lat_all.iter_from(prev_lat_idx).filter(|s| s.class == class));
         prev_lat_idx = lat_all.len();
         trace.samples.push(TraceSample {
             t_secs: t_off,
@@ -175,11 +172,7 @@ pub fn execute_run_traced(setup: &RunSetup<'_>) -> (RunRecord, RunTrace) {
             mem_fraction: m.mem_resident() as f64 / m.config().mem_pages as f64,
             disk_busy: (m.disk_stats().busy_us - prev_disk) as f64 / SEC as f64,
             faults: m.mem_stats().faults - prev_faults,
-            fg_latency_us: if recent.is_empty() {
-                None
-            } else {
-                Some(recent.iter().sum::<u64>() as f64 / recent.len() as f64)
-            },
+            fg_latency_us,
         });
         prev_cpu = m.metrics().cpu_busy_us;
         prev_disk = m.disk_stats().busy_us;

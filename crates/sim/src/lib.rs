@@ -41,7 +41,7 @@ pub mod metrics;
 pub mod workload;
 
 pub use machine::{Machine, MachineConfig, Priority, ThreadId};
-pub use metrics::{LatencySample, MachineMetrics, ThreadStats};
+pub use metrics::{mean_latency_us, LatencyLog, LatencySample, MachineMetrics, ThreadStats};
 pub use workload::{Action, Ctx, RegionId, TouchPattern, Workload};
 
 /// Simulated time in microseconds.

@@ -987,7 +987,7 @@ mod tests {
         );
         m.run_until(SEC);
         assert_eq!(m.thread_stats(t).latency_count("op"), 1);
-        assert_eq!(m.thread_stats(t).latencies[0].latency_us, 5000);
+        assert_eq!(m.thread_stats(t).latencies.get(0).unwrap().latency_us, 5000);
     }
 
     #[test]

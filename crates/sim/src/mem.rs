@@ -55,7 +55,8 @@ struct Region {
     /// on one that was evicted is a swap-in fault).
     ever_resident: Vec<u64>,
     /// Bit per page: referenced since the second-chance clock last swept
-    /// past (only meaningful under [`EvictionPolicy::SecondChance`]).
+    /// past. Only [`EvictionPolicy::SecondChance`] reads it, so under
+    /// region recency it is left empty and marking is a no-op.
     referenced: Vec<u64>,
     resident_count: u32,
     last_touch: SimTime,
@@ -74,6 +75,40 @@ impl Region {
 
     fn clear_bit(v: &mut [u64], i: u32) {
         v[(i / 64) as usize] &= !(1 << (i % 64));
+    }
+
+    /// Marks the pages of bitmap word `word` selected by `mask` referenced.
+    fn mark_referenced(&mut self, word: usize, mask: u64) {
+        if let Some(w) = self.referenced.get_mut(word) {
+            *w |= mask;
+        }
+    }
+
+    fn mark_page_referenced(&mut self, p: u32) {
+        self.mark_referenced((p / 64) as usize, 1 << (p % 64));
+    }
+
+    /// The first set bit at or after `from`, wrapping past the end to the
+    /// bits below `from` — the clock cursor's next resident page, found a
+    /// word at a time (a region's resident pages can be a few among 10^5).
+    /// Bits beyond the region's last page are never set, so the wrap needs
+    /// no page count.
+    ///
+    /// # Panics
+    /// If no bit is set.
+    fn next_resident(resident: &[u64], from: u32) -> u32 {
+        let start = (from / 64) as usize;
+        let rest_of_start = resident[start] & (u64::MAX << (from % 64));
+        if rest_of_start != 0 {
+            return start as u32 * 64 + rest_of_start.trailing_zeros();
+        }
+        // The words after `start`, then the ones before it, then `start`
+        // again for its bits below `from`.
+        (1..=resident.len())
+            .map(|k| (start + k) % resident.len())
+            .find(|&w| resident[w] != 0)
+            .map(|w| w as u32 * 64 + resident[w].trailing_zeros())
+            .expect("eviction cursor over a region with no resident page")
     }
 }
 
@@ -150,7 +185,10 @@ impl MemoryManager {
             file_backed,
             resident: vec![0; words],
             ever_resident: vec![0; words],
-            referenced: vec![0; words],
+            referenced: match self.policy {
+                EvictionPolicy::RegionRecency => Vec::new(),
+                EvictionPolicy::SecondChance => vec![0; words],
+            },
             resident_count: 0,
             last_touch: 0,
             clock_cursor: 0,
@@ -189,6 +227,14 @@ impl MemoryManager {
     /// Claims frames for missing pages (evicting victims if necessary) and
     /// reports how many were hits / zero-fills / disk faults. The caller
     /// (the machine) charges the corresponding CPU and disk costs.
+    ///
+    /// The touch is decided against the residency it finds: every page is
+    /// counted and marked referenced first, and only then are frames
+    /// claimed, in page order. A claim can evict from this very region
+    /// (thrashing), so the claim pass works from a snapshot of what was
+    /// missing — one word of missing bits per bitmap word from the first
+    /// miss on, nothing at all for a fully resident prefix — never from
+    /// the live bitmap and never from a per-page list.
     pub fn touch(
         &mut self,
         id: RegionId,
@@ -197,97 +243,79 @@ impl MemoryManager {
         now: SimTime,
         rng: &mut Pcg64,
     ) -> TouchOutcome {
-        let (hits, zero_fills, faults);
-        {
-            let r = &self.regions[id.0];
-            assert!(!r.freed, "touch on freed region");
-            let count = count.min(r.pages);
-            let mut h = 0;
-            let mut z = 0;
-            let mut f = 0;
-            let mut to_claim: Vec<u32> = Vec::new();
-            let mut ref_words: Vec<(usize, u64)> = Vec::new();
-            let mut ref_pages: Vec<u32> = Vec::new();
-            match pattern {
-                TouchPattern::Prefix => {
-                    // Word-at-a-time scan: the memory exerciser touches
-                    // prefixes of ~10^5 pages at high frequency, so the
-                    // all-resident fast path must not iterate per page.
-                    let mut p = 0u32;
-                    while p < count {
-                        let word = (p / 64) as usize;
-                        let in_word = (count - p).min(64 - p % 64);
-                        let mask = if in_word == 64 {
-                            u64::MAX
+        let r = &mut self.regions[id.0];
+        assert!(!r.freed, "touch on freed region");
+        let count = count.min(r.pages);
+        let (mut hits, mut zero_fills, mut faults) = (0, 0, 0);
+        match pattern {
+            TouchPattern::Prefix => {
+                // Word-at-a-time scan: the memory exerciser touches
+                // prefixes of ~10^5 pages at high frequency, so the
+                // all-resident fast path must not iterate per page.
+                let words = (count as usize).div_ceil(64);
+                // The first word with a miss and the missing bits of the
+                // words from it on, allocated (once, to size) when the
+                // scan meets that miss.
+                let mut snapshot: Option<(usize, Vec<u64>)> = None;
+                for word in 0..words {
+                    let in_word = count - word as u32 * 64;
+                    let mask = if in_word >= 64 {
+                        u64::MAX
+                    } else {
+                        (1u64 << in_word) - 1
+                    };
+                    let res = r.resident[word] & mask;
+                    hits += res.count_ones();
+                    r.mark_referenced(word, mask);
+                    let missing = !res & mask;
+                    if missing != 0 {
+                        // A miss is a disk read if the page has a backing
+                        // copy (file, or swap once evicted), else a zero fill.
+                        let from_disk = if r.file_backed {
+                            missing
                         } else {
-                            ((1u64 << in_word) - 1) << (p % 64)
+                            missing & r.ever_resident[word]
                         };
-                        let res = r.resident[word] & mask;
-                        h += res.count_ones();
-                        ref_words.push((word, mask));
-                        let mut missing = !res & mask;
-                        while missing != 0 {
-                            let bit = missing.trailing_zeros();
-                            let page = word as u32 * 64 + bit;
-                            if r.file_backed || Region::bit(&r.ever_resident, page) {
-                                f += 1;
-                            } else {
-                                z += 1;
-                            }
-                            to_claim.push(page);
-                            missing &= missing - 1;
-                        }
-                        p += in_word;
+                        faults += from_disk.count_ones();
+                        zero_fills += (missing & !from_disk).count_ones();
+                        snapshot.get_or_insert_with(|| (word, Vec::with_capacity(words - word)));
+                    }
+                    if let Some((_, missing_words)) = &mut snapshot {
+                        missing_words.push(missing);
                     }
                 }
-                TouchPattern::RandomSample => {
-                    for _ in 0..count {
-                        let p = rng.below(r.pages as u64) as u32;
-                        ref_pages.push(p);
-                        if Region::bit(&r.resident, p) {
-                            h += 1;
+                let (first, missing_words) = snapshot.unwrap_or_default();
+                for (word, mut missing) in (first..).zip(missing_words) {
+                    while missing != 0 {
+                        self.claim_frame(id, word as u32 * 64 + missing.trailing_zeros(), now);
+                        missing &= missing - 1;
+                    }
+                }
+            }
+            TouchPattern::RandomSample => {
+                let mut to_claim: Vec<u32> = Vec::new();
+                for _ in 0..count {
+                    let p = rng.below(r.pages as u64) as u32;
+                    r.mark_page_referenced(p);
+                    if Region::bit(&r.resident, p) || to_claim.contains(&p) {
+                        // Double-sampled within one touch: the second
+                        // reference is a hit in practice.
+                        hits += 1;
+                    } else {
+                        if r.file_backed || Region::bit(&r.ever_resident, p) {
+                            faults += 1;
                         } else {
-                            if r.file_backed || Region::bit(&r.ever_resident, p) {
-                                f += 1;
-                            } else {
-                                z += 1;
-                            }
-                            if !to_claim.contains(&p) {
-                                to_claim.push(p);
-                            } else {
-                                // Double-sampled within one touch: the
-                                // second reference is a hit in practice.
-                                if r.file_backed || Region::bit(&r.ever_resident, p) {
-                                    f -= 1;
-                                } else {
-                                    z -= 1;
-                                }
-                                h += 1;
-                            }
+                            zero_fills += 1;
                         }
+                        to_claim.push(p);
                     }
                 }
-            }
-            hits = h;
-            zero_fills = z;
-            faults = f;
-            // Mark the touched pages referenced (for the second-chance
-            // clock), then claim frames for the missing ones.
-            {
-                let r = &mut self.regions[id.0];
-                for (word, mask) in ref_words {
-                    r.referenced[word] |= mask;
+                for p in to_claim {
+                    self.claim_frame(id, p, now);
                 }
-                for p in ref_pages {
-                    Region::set_bit(&mut r.referenced, p);
-                }
-            }
-            for p in to_claim {
-                self.claim_frame(id, p, now);
             }
         }
-        let r = &mut self.regions[id.0];
-        r.last_touch = now;
+        self.regions[id.0].last_touch = now;
         self.stats.faults += faults as u64;
         self.stats.zero_fills += zero_fills as u64;
         TouchOutcome {
@@ -306,7 +334,7 @@ impl MemoryManager {
         debug_assert!(!Region::bit(&r.resident, p));
         Region::set_bit(&mut r.resident, p);
         Region::set_bit(&mut r.ever_resident, p);
-        Region::set_bit(&mut r.referenced, p);
+        r.mark_page_referenced(p);
         r.resident_count += 1;
         self.resident_total += 1;
     }
@@ -396,13 +424,7 @@ impl MemoryManager {
             "eviction with no resident pages anywhere"
         );
         // Advance the region's clock cursor to the next resident page.
-        let mut cur = r.clock_cursor;
-        for _ in 0..=r.pages {
-            if Region::bit(&r.resident, cur) {
-                break;
-            }
-            cur = (cur + 1) % r.pages;
-        }
+        let cur = Region::next_resident(&r.resident, r.clock_cursor);
         Region::clear_bit(&mut r.resident, cur);
         r.resident_count -= 1;
         r.clock_cursor = (cur + 1) % r.pages;
@@ -414,9 +436,255 @@ impl MemoryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uucs_harness::prelude::*;
 
     fn rng() -> Pcg64 {
         Pcg64::new(1234)
+    }
+
+    /// The reference model for [`MemoryManager::touch`]: the buffered
+    /// implementation it replaced, which lists every page to claim (and
+    /// every word and page to mark referenced) before acting on any.
+    impl MemoryManager {
+        fn touch_buffered(
+            &mut self,
+            id: RegionId,
+            count: u32,
+            pattern: TouchPattern,
+            now: SimTime,
+            rng: &mut Pcg64,
+        ) -> TouchOutcome {
+            let (hits, zero_fills, faults);
+            {
+                let r = &self.regions[id.0];
+                assert!(!r.freed, "touch on freed region");
+                let count = count.min(r.pages);
+                let mut h = 0;
+                let mut z = 0;
+                let mut f = 0;
+                let mut to_claim: Vec<u32> = Vec::new();
+                let mut ref_words: Vec<(usize, u64)> = Vec::new();
+                let mut ref_pages: Vec<u32> = Vec::new();
+                match pattern {
+                    TouchPattern::Prefix => {
+                        // Word-at-a-time scan: the memory exerciser touches
+                        // prefixes of ~10^5 pages at high frequency, so the
+                        // all-resident fast path must not iterate per page.
+                        let mut p = 0u32;
+                        while p < count {
+                            let word = (p / 64) as usize;
+                            let in_word = (count - p).min(64 - p % 64);
+                            let mask = if in_word == 64 {
+                                u64::MAX
+                            } else {
+                                ((1u64 << in_word) - 1) << (p % 64)
+                            };
+                            let res = r.resident[word] & mask;
+                            h += res.count_ones();
+                            ref_words.push((word, mask));
+                            let mut missing = !res & mask;
+                            while missing != 0 {
+                                let bit = missing.trailing_zeros();
+                                let page = word as u32 * 64 + bit;
+                                if r.file_backed || Region::bit(&r.ever_resident, page) {
+                                    f += 1;
+                                } else {
+                                    z += 1;
+                                }
+                                to_claim.push(page);
+                                missing &= missing - 1;
+                            }
+                            p += in_word;
+                        }
+                    }
+                    TouchPattern::RandomSample => {
+                        for _ in 0..count {
+                            let p = rng.below(r.pages as u64) as u32;
+                            ref_pages.push(p);
+                            if Region::bit(&r.resident, p) {
+                                h += 1;
+                            } else {
+                                if r.file_backed || Region::bit(&r.ever_resident, p) {
+                                    f += 1;
+                                } else {
+                                    z += 1;
+                                }
+                                if !to_claim.contains(&p) {
+                                    to_claim.push(p);
+                                } else {
+                                    // Double-sampled within one touch: the
+                                    // second reference is a hit in practice.
+                                    if r.file_backed || Region::bit(&r.ever_resident, p) {
+                                        f -= 1;
+                                    } else {
+                                        z -= 1;
+                                    }
+                                    h += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+                hits = h;
+                zero_fills = z;
+                faults = f;
+                // Mark the touched pages referenced (for the second-chance
+                // clock), then claim frames for the missing ones.
+                {
+                    let r = &mut self.regions[id.0];
+                    for (word, mask) in ref_words {
+                        r.mark_referenced(word, mask);
+                    }
+                    for p in ref_pages {
+                        r.mark_page_referenced(p);
+                    }
+                }
+                for p in to_claim {
+                    self.claim_frame(id, p, now);
+                }
+            }
+            let r = &mut self.regions[id.0];
+            r.last_touch = now;
+            self.stats.faults += faults as u64;
+            self.stats.zero_fills += zero_fills as u64;
+            TouchOutcome {
+                hits,
+                zero_fills,
+                faults,
+            }
+        }
+    }
+
+    /// The bit-at-a-time cursor walk `Region::next_resident` replaced.
+    fn next_resident_bitwise(resident: &[u64], pages: u32, from: u32) -> u32 {
+        let mut cur = from;
+        for _ in 0..=pages {
+            if Region::bit(resident, cur) {
+                break;
+            }
+            cur = (cur + 1) % pages;
+        }
+        cur
+    }
+
+    fn bitmap(pages: u32, set: &[u32]) -> Vec<u64> {
+        let mut v = vec![0; (pages as usize).div_ceil(64)];
+        for &p in set {
+            Region::set_bit(&mut v, p);
+        }
+        v
+    }
+
+    #[test]
+    fn eviction_cursor_word_walk_equals_bit_walk() {
+        let dense: Vec<u32> = (0..300).collect();
+        let cases: [(u32, &[u32]); 6] = [
+            // Sparse: pages in the first, a middle and the last word.
+            (1000, &[3, 64, 500, 999]),
+            // Dense.
+            (300, &dense),
+            // Wrap-around: the only pages sit below most cursors.
+            (1000, &[0, 1, 70]),
+            // Single resident page, at either end and inside a word.
+            (130, &[129]),
+            (130, &[0]),
+            (64, &[17]),
+        ];
+        for (pages, set) in cases {
+            let resident = bitmap(pages, set);
+            for from in 0..pages {
+                assert_eq!(
+                    Region::next_resident(&resident, from),
+                    next_resident_bitwise(&resident, pages, from),
+                    "pages {pages}, resident {set:?}, cursor {from}"
+                );
+            }
+        }
+    }
+
+    /// Everything a touch can change.
+    fn state(m: &MemoryManager) -> impl PartialEq + std::fmt::Debug {
+        let regions: Vec<_> = m
+            .regions
+            .iter()
+            .map(|r| {
+                (
+                    r.resident.clone(),
+                    r.ever_resident.clone(),
+                    r.referenced.clone(),
+                    (r.resident_count, r.last_touch, r.clock_cursor, r.freed),
+                )
+            })
+            .collect();
+        (m.stats, m.resident_total, m.clock, regions)
+    }
+
+    proptest! {
+        /// `touch` against the buffered reference over random
+        /// alloc/touch/free sequences on a small machine: equal outcome
+        /// and equal state after every step, under both policies. Region
+        /// 0 is larger than memory and is touched whole first, so the
+        /// faulting region is its own victim (thrashing) in every case.
+        #[test]
+        fn touch_equals_buffered_reference(seed in any::<u64>()) {
+            for policy in [EvictionPolicy::RegionRecency, EvictionPolicy::SecondChance] {
+                let mut g = Pcg64::new(seed);
+                let capacity = 20 + g.below(120) as u32;
+                let mut new = MemoryManager::with_policy(capacity, policy);
+                let mut old = MemoryManager::with_policy(capacity, policy);
+                let (mut rng_new, mut rng_old) = (g.split(1), g.split(1));
+                let mut live: Vec<(RegionId, u32)> = Vec::new();
+                for step in 0..120u64 {
+                    let op = if step < 2 { step } else { 1 + g.below(8) };
+                    match op {
+                        // Allocate (the first region overflows memory).
+                        0 | 8 => {
+                            let pages = if step == 0 {
+                                capacity + 1 + g.below(70) as u32
+                            } else {
+                                1 + g.below(200) as u32
+                            };
+                            let file_backed = g.bernoulli(0.5);
+                            let id = new.alloc(step as usize, pages, file_backed);
+                            prop_assert_eq!(id, old.alloc(step as usize, pages, file_backed));
+                            live.push((id, pages));
+                        }
+                        // Free.
+                        7 if live.len() > 1 => {
+                            let (id, _) = live.swap_remove(g.below(live.len() as u64) as usize);
+                            new.free(id);
+                            old.free(id);
+                        }
+                        // Touch (the first one takes all of region 0).
+                        _ => {
+                            let (id, pages) = live[g.below(live.len() as u64) as usize];
+                            let (count, pattern) = if step == 1 {
+                                (pages, TouchPattern::Prefix)
+                            } else if g.bernoulli(0.7) {
+                                (g.below(pages as u64 + 10) as u32, TouchPattern::Prefix)
+                            } else {
+                                (g.below(40) as u32, TouchPattern::RandomSample)
+                            };
+                            let a = new.touch(id, count, pattern, step, &mut rng_new);
+                            let b = old.touch_buffered(id, count, pattern, step, &mut rng_old);
+                            prop_assert!(
+                                a == b,
+                                "step {} {:?} under {:?}: {:?} vs reference {:?}",
+                                step, pattern, policy, a, b
+                            );
+                        }
+                    }
+                    prop_assert_eq!(new.stats(), old.stats());
+                    prop_assert!(
+                        state(&new) == state(&old),
+                        "state diverged at step {} under {:?}:\n{:?}\n{:?}",
+                        step, policy, state(&new), state(&old)
+                    );
+                    prop_assert!(rng_new == rng_old);
+                }
+                prop_assert!(new.stats().evictions > 0, "no eviction ever happened");
+            }
+        }
     }
 
     #[test]

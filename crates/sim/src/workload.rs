@@ -84,7 +84,7 @@ pub struct Ctx<'a> {
     /// Per-thread deterministic RNG.
     pub rng: &'a mut Pcg64,
     pub(crate) mem: &'a mut crate::mem::MemoryManager,
-    pub(crate) latencies: &'a mut Vec<crate::metrics::LatencySample>,
+    pub(crate) latencies: &'a mut crate::metrics::LatencyLog,
     pub(crate) thread: crate::ThreadId,
 }
 

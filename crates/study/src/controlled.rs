@@ -6,13 +6,15 @@
 //! back, and the analysis reading the server's result store — the full
 //! Figure 1 / Figure 2 pipeline.
 
+use crate::parallel;
 use std::sync::Arc;
 use uucs_client::{LocalTransport, Script, UucsClient};
-use uucs_comfort::{calibration, Fidelity, UserPopulation};
+use uucs_comfort::{calibration, Fidelity, UserPopulation, UserProfile};
 use uucs_protocol::{MachineSnapshot, RunRecord};
 use uucs_server::{TestcaseStore, UucsServer};
 use uucs_stats::Pcg64;
 use uucs_telemetry::metrics;
+use uucs_testcase::Testcase;
 use uucs_workloads::Task;
 
 /// Study parameters.
@@ -79,7 +81,7 @@ impl ControlledStudy {
     }
 
     /// The full testcase library: 8 testcases per task (Figure 8).
-    pub fn library() -> Vec<uucs_testcase::Testcase> {
+    pub fn library() -> Vec<Testcase> {
         Task::ALL
             .iter()
             .flat_map(|&t| calibration::controlled_testcases(t))
@@ -88,13 +90,12 @@ impl ControlledStudy {
 
     /// Builds one subject's deterministic command file: for each task, the
     /// task's 8 testcases in random order, with a final sync.
-    fn session_script(rng: &mut Pcg64) -> Script {
+    fn session_script(library: &[Testcase], rng: &mut Pcg64) -> Script {
+        // `library` lists each task's testcases together, in task order.
+        let per_task = library.len() / Task::ALL.len();
         let mut commands = Vec::new();
-        for &task in &Task::ALL {
-            let mut ids: Vec<String> = calibration::controlled_testcases(task)
-                .iter()
-                .map(|tc| tc.id.to_string())
-                .collect();
+        for (&task, testcases) in Task::ALL.iter().zip(library.chunks(per_task)) {
+            let mut ids: Vec<String> = testcases.iter().map(|tc| tc.id.to_string()).collect();
             rng.shuffle(&mut ids);
             for id in ids {
                 commands.push(uucs_client::Command::Run {
@@ -108,37 +109,75 @@ impl ControlledStudy {
     }
 
     /// Runs the study end to end and returns the collected data.
+    ///
+    /// The subjects' sessions run on every available CPU; the data does
+    /// not depend on how many there are (see [`run_on`](Self::run_on)).
     pub fn run(&self) -> StudyData {
+        self.run_on(parallel::available_workers())
+    }
+
+    /// [`run`](Self::run) on a given number of worker threads, in three
+    /// phases. Everything that touches the shared server stays serial
+    /// and in subject order — registration first (client ids are a
+    /// server-side counter), the final hot syncs last (upload order is
+    /// the order of `server.results()`) — and only the runs in between,
+    /// each a pure function of its seed on its own simulated machine,
+    /// are spread over the workers. Ids, seeds, batch sequence numbers
+    /// and record order are therefore the same for any `workers`.
+    pub(crate) fn run_on(&self, workers: usize) -> StudyData {
         let t0 = std::time::Instant::now();
+        let library = Arc::new(Self::library());
         let server = Arc::new(UucsServer::new(
-            TestcaseStore::from_testcases(Self::library()).expect("unique ids"),
+            TestcaseStore::from_testcases(library.to_vec()).expect("unique ids"),
             self.config.seed,
         ));
         let population = UserPopulation::generate(self.config.users, self.config.seed);
         let root = Pcg64::new(self.config.seed).split_str("controlled-study");
+        let mut transport = LocalTransport::new(server.clone());
 
-        for (i, user) in population.users().iter().enumerate() {
-            let mut rng = root.split(i as u64);
-            let mut transport = LocalTransport::new(server.clone());
-            let mut client = UucsClient::new(
-                MachineSnapshot::study_machine(format!("optiplex-{}", i % 2 + 1)),
-                rng.next_u64(),
-            );
-            client
-                .register(&mut transport)
-                .expect("local transport cannot fail");
-            // Deterministic mode: the testcases come from a local file.
-            client.install_testcases(Self::library());
-            let script = Self::session_script(&mut rng);
-            client
-                .execute_script(
-                    &script,
-                    user,
-                    self.config.fidelity,
-                    &mut transport,
+        struct Session<'a> {
+            client: UucsClient,
+            user: &'a UserProfile,
+            script: Script,
+            seed: u64,
+        }
+        let mut sessions: Vec<Session<'_>> = population
+            .users()
+            .iter()
+            .enumerate()
+            .map(|(i, user)| {
+                let mut rng = root.split(i as u64);
+                let mut client = UucsClient::new(
+                    MachineSnapshot::study_machine(format!("optiplex-{}", i % 2 + 1)),
                     rng.next_u64(),
-                )
+                );
+                client
+                    .register(&mut transport)
+                    .expect("local transport cannot fail");
+                // Deterministic mode: the testcases come from a local file.
+                client.install_testcases(Arc::clone(&library));
+                let script = Self::session_script(&library, &mut rng);
+                Session {
+                    client,
+                    user,
+                    script,
+                    seed: rng.next_u64(),
+                }
+            })
+            .collect();
+
+        let fidelity = self.config.fidelity;
+        parallel::ordered_map(workers, sessions.iter_mut(), |s| {
+            s.client
+                .execute_runs(&s.script, s.user, fidelity, s.seed)
                 .expect("scripted session");
+        });
+
+        for mut session in sessions {
+            session
+                .client
+                .hot_sync(&mut transport)
+                .expect("local transport cannot fail");
         }
 
         let records = server.results();
@@ -170,6 +209,54 @@ mod tests {
             fidelity: Fidelity::Fast,
         })
         .run()
+    }
+
+    fn paper_study(fidelity: Fidelity, users: usize) -> ControlledStudy {
+        ControlledStudy::new(StudyConfig {
+            seed: 2004,
+            users,
+            fidelity,
+        })
+    }
+
+    /// CRC32 of the emitted records, the form they are stored in.
+    fn records_crc(data: &StudyData) -> u32 {
+        uucs_wal::crc::crc32(RunRecord::emit_many(&data.records).as_bytes())
+    }
+
+    /// The records do not depend on how many threads ran the sessions:
+    /// one (inline on the caller), fewer than users, more than users.
+    #[test]
+    fn records_are_independent_of_the_worker_count() {
+        for (fidelity, users) in [(Fidelity::Fast, 33), (Fidelity::Full, 6)] {
+            let study = paper_study(fidelity, users);
+            let inline = study.run_on(1);
+            assert_eq!(inline.records.len(), users * 32);
+            for workers in [2, 3, 8] {
+                assert!(
+                    study.run_on(workers).records == inline.records,
+                    "seed 2004, {fidelity:?}, {users} users: {workers} workers differ from 1"
+                );
+            }
+        }
+    }
+
+    /// The paper-sized study's records — client ids and order included —
+    /// are the ones the serial per-user loop produced before the runs
+    /// were spread over threads: these CRCs were captured from that
+    /// implementation (commit 4363281) for seed 2004, 33 users.
+    #[test]
+    fn paper_study_records_are_pinned() {
+        for (fidelity, pinned) in [(Fidelity::Fast, 0x5cff_24d8), (Fidelity::Full, 0x0977_da09)] {
+            let data = paper_study(fidelity, 33).run();
+            assert_eq!(data.records.len(), 1056);
+            assert_eq!(
+                records_crc(&data),
+                pinned,
+                "seed 2004, {fidelity:?}, 33 users, {} workers",
+                parallel::available_workers()
+            );
+        }
     }
 
     #[test]

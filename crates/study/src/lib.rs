@@ -36,6 +36,7 @@ pub mod figures;
 pub mod fleet;
 pub mod frog;
 pub mod internet;
+mod parallel;
 pub mod perception_study;
 pub mod report;
 pub mod skill;

@@ -12,9 +12,10 @@
 //! sensitivity, and — under page-granular eviction — the memory column
 //! ordering.
 
+use crate::parallel;
 use uucs_comfort::metrics::CellMetrics;
 use uucs_comfort::perception::{execute_perception_run_configured, PerceptionProfile};
-use uucs_comfort::{Fidelity, RunSetup, RunStyle, UserPopulation};
+use uucs_comfort::{Fidelity, RunSetup, RunStyle, UserPopulation, UserProfile};
 use uucs_protocol::RunRecord;
 use uucs_sim::mem::EvictionPolicy;
 use uucs_sim::MachineConfig;
@@ -47,14 +48,16 @@ impl Default for PerceptionStudyConfig {
 
 /// Runs the ramp testcases of every cell for every perception-driven
 /// subject (12 cells × users full-fidelity machine runs) and returns the
-/// records.
+/// records, subject by subject. Each subject's runs draw on that
+/// subject's own RNG stream alone, so the subjects are spread over the
+/// available CPUs and the records do not depend on how many there are.
 pub fn run_perception_study(config: &PerceptionStudyConfig) -> Vec<RunRecord> {
     let population = UserPopulation::generate(config.users, config.seed);
     let root = Pcg64::new(config.seed).split_str("perception-study");
-    let mut records = Vec::new();
-    for (i, user) in population.users().iter().enumerate() {
+    let subject_records = |(i, user): (usize, &UserProfile)| {
         let mut rng = root.split(i as u64);
         let profile = PerceptionProfile::sample(&mut rng);
+        let mut records = Vec::new();
         for task in Task::ALL {
             for resource in Resource::STUDIED {
                 let cell = uucs_comfort::calibration::cell(task, resource);
@@ -89,8 +92,16 @@ pub fn run_perception_study(config: &PerceptionStudyConfig) -> Vec<RunRecord> {
                 ));
             }
         }
-    }
-    records
+        records
+    };
+    parallel::ordered_map(
+        parallel::available_workers(),
+        population.users().iter().enumerate(),
+        subject_records,
+    )
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Per-cell metrics from perception-study records.

@@ -82,16 +82,28 @@ echo "== test (every other crate) =="
 cargo test -q --workspace --exclude uucs --exclude uucs-wal --exclude uucs-pagecache \
     --exclude uucs-wire --exclude uucs-modelsvc --exclude uucs-cluster
 
-echo "== benchmark smoke (ack-latency, 2 s, outputs checked) =="
-smoke=$(benchmark/run.sh --workload ack-latency --seed 1 --seconds 2 --trace 0 | tail -n 1)
-echo "$smoke"
-case "$smoke" in
-    *'"correct": true'*) ;;
-    *)
-        echo "ci: benchmark smoke reported incorrect outputs" >&2
-        exit 1
-        ;;
-esac
+# On one CPU the study's parallel phase spawns nothing and runs inline;
+# pin the worker-count test to one core so that path runs on any host.
+if command -v taskset >/dev/null 2>&1; then
+    echo "== study worker-count independence on one CPU (taskset -c 0) =="
+    taskset -c 0 cargo test -q -p uucs-study --lib records_are_independent_of_the_worker_count
+fi
+
+# controlled-study checks every repetition's rendered output against a
+# pinned CRC: it is the byte-identity gate for the parallel study's
+# phase ordering.
+for workload in ack-latency controlled-study; do
+    echo "== benchmark smoke ($workload, 2 s, outputs checked) =="
+    smoke=$(benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    echo "$smoke"
+    case "$smoke" in
+        *'"correct": true'*) ;;
+        *)
+            echo "ci: benchmark smoke ($workload) reported incorrect outputs" >&2
+            exit 1
+            ;;
+    esac
+done
 
 echo "== fleet smoke (200 multiplexed clients vs a live sharded server) =="
 cargo run -q --release -p uucs-study -- fleet --quick

@@ -10,10 +10,14 @@ fn study(seed: u64) -> uucs::study::controlled::StudyData {
 }
 
 fn study_of(seed: u64, users: usize) -> uucs::study::controlled::StudyData {
+    study_at(seed, users, Fidelity::Fast)
+}
+
+fn study_at(seed: u64, users: usize, fidelity: Fidelity) -> uucs::study::controlled::StudyData {
     ControlledStudy::new(StudyConfig {
         seed,
         users,
-        fidelity: Fidelity::Fast,
+        fidelity,
     })
     .run()
 }
@@ -23,6 +27,17 @@ fn identical_seeds_identical_reports() {
     let a = study(77);
     let b = study(77);
     assert_eq!(a.records, b.records);
+    assert_eq!(report::full_report(&a), report::full_report(&b));
+}
+
+/// The same at full fidelity, where every run plays on a simulated
+/// machine and the sessions are spread over the host's CPUs: which
+/// thread ran which subject must not show in the records.
+#[test]
+fn identical_seeds_identical_reports_at_full_fidelity() {
+    let a = study_at(77, 10, Fidelity::Full);
+    let b = study_at(77, 10, Fidelity::Full);
+    assert!(a.records == b.records, "seed 77, 10 users, full fidelity");
     assert_eq!(report::full_report(&a), report::full_report(&b));
 }
 
