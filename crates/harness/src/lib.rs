@@ -17,6 +17,8 @@
 //!   and [`prelude`].
 //! * [`tempdir`] — an RAII [`TempDir`] guard for test scratch space
 //!   (unique per instance, cleaned up on drop).
+//! * [`textfuzz`] — seeded damage to line-oriented text, for tests that
+//!   hold a rewritten parser equal to its reference implementation.
 //!
 //! Both runtimes draw their randomness and statistics conventions from
 //! `uucs-stats`, so every harness run is deterministic and offline.
@@ -24,6 +26,7 @@
 pub mod bench;
 pub mod prop;
 pub mod tempdir;
+pub mod textfuzz;
 
 pub use bench::{BenchResult, Bencher, BenchmarkGroup, Criterion, Throughput};
 pub use std::hint::black_box;

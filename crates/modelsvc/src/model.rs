@@ -15,6 +15,7 @@
 use crate::sketch::QuantileSketch;
 use std::collections::BTreeMap;
 use std::fmt;
+use uucs_testcase::format::trim_line;
 use uucs_testcase::Resource;
 
 /// The cohort skill class used when a record carries none (legacy
@@ -82,6 +83,10 @@ impl Observation {
     }
 }
 
+/// The shortest `OBS` line [`ModelDelta::encode`] can write, newline
+/// included: no text holds more observations than its length allows.
+const MIN_OBS_LINE: usize = "OBS cpu - - exhausted 0\n".len();
+
 /// One epoch's worth of model updates — what the server journals per
 /// accepted upload batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,7 +126,10 @@ impl ModelDelta {
         out
     }
 
-    /// Parses [`ModelDelta::encode`] output.
+    /// Parses [`ModelDelta::encode`] output. One call per model entry of
+    /// a journal replay, so lines are trimmed only when they need it and
+    /// the observations are sized from the header — bounded by what the
+    /// text could hold, since the count is input.
     pub fn decode(text: &str) -> Result<ModelDelta, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty model delta")?;
@@ -137,10 +145,10 @@ impl ModelDelta {
             .next()
             .and_then(|t| t.parse().ok())
             .ok_or("model delta missing count")?;
-        let mut observations = Vec::new();
+        let mut observations = Vec::with_capacity(n.min(text.len() / MIN_OBS_LINE));
         let mut closed = false;
         for line in lines {
-            let line = line.trim();
+            let line = trim_line(line);
             if line.is_empty() {
                 continue;
             }
@@ -417,6 +425,84 @@ mod tests {
         }
     }
 
+    /// `ModelDelta::decode` as it was before it stopped allocating what
+    /// it only inspects, kept verbatim as the reference the new one is
+    /// held equal to — `Ok` values and `Err` strings.
+    fn reference_decode(text: &str) -> Result<ModelDelta, String> {
+        let mut lines = text.lines();
+        let header = lines.next().ok_or("empty model delta")?;
+        let mut toks = header.split_whitespace();
+        if toks.next() != Some("MODELDELTA") {
+            return Err(format!("bad model delta header {header:?}"));
+        }
+        let epoch: u64 = toks
+            .next()
+            .and_then(|t| t.parse().ok())
+            .ok_or("model delta missing epoch")?;
+        let n: usize = toks
+            .next()
+            .and_then(|t| t.parse().ok())
+            .ok_or("model delta missing count")?;
+        let mut observations = Vec::new();
+        let mut closed = false;
+        for line in lines {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            if line == "END" {
+                closed = true;
+                break;
+            }
+            let mut toks = line.split_whitespace();
+            if toks.next() != Some("OBS") {
+                return Err(format!("bad model delta line {line:?}"));
+            }
+            let resource: Resource = toks
+                .next()
+                .ok_or("OBS missing resource")?
+                .parse()
+                .map_err(|_| "bad OBS resource".to_string())?;
+            let task = detoken(toks.next().ok_or("OBS missing task")?);
+            let skill = detoken(toks.next().ok_or("OBS missing skill")?);
+            let censored = match toks.next() {
+                Some("discomfort") => false,
+                Some("exhausted") => true,
+                other => return Err(format!("bad OBS outcome {other:?}")),
+            };
+            let level: f64 = toks
+                .next()
+                .and_then(|t| t.parse().ok())
+                .ok_or("bad OBS level")?;
+            if !level.is_finite() {
+                return Err("non-finite OBS level".to_string());
+            }
+            if toks.next().is_some() {
+                return Err(format!("trailing tokens on OBS line {line:?}"));
+            }
+            observations.push(Observation {
+                resource,
+                task,
+                skill,
+                level,
+                censored,
+            });
+        }
+        if !closed {
+            return Err("model delta missing END".to_string());
+        }
+        if observations.len() != n {
+            return Err(format!(
+                "model delta promised {n} observations, parsed {}",
+                observations.len()
+            ));
+        }
+        Ok(ModelDelta {
+            epoch,
+            observations,
+        })
+    }
+
     #[test]
     fn deltas_advance_epochs_in_order() {
         let mut m = ComfortModel::new();
@@ -520,6 +606,94 @@ mod tests {
             "COMFORTMODEL 0 2\nCOHORT cpu Word Typical {line}\nCOHORT cpu Word Typical {line}\nEND\n"
         );
         assert!(ComfortModel::decode(&dup).is_err());
+    }
+
+    /// The delta inputs of `decode_rejects_garbage` above and of
+    /// `walenc`'s test of the same name.
+    const REJECTED_DELTAS: [&str; 12] = [
+        "",
+        "NOPE 1 0\nEND\n",
+        "MODELDELTA 1\nEND\n",
+        "MODELDELTA 1 2\nOBS cpu Word Typical discomfort 1\nEND\n",
+        "MODELDELTA 1 1\nOBS cpu Word Typical maybe 1\nEND\n",
+        "MODELDELTA 1 1\nOBS gpu Word Typical discomfort 1\nEND\n",
+        "MODELDELTA 1 1\nOBS cpu Word Typical discomfort 1 extra\nEND\n",
+        "MODELDELTA 1 1\nOBS cpu Word Typical discomfort nan\nEND\n",
+        "MODELDELTA 1 1\nOBS cpu Word Typical discomfort 1\n",
+        "not a delta",
+        "MODELDELTA 1 2\nEND\n",
+        "MODELDELTA 1 0\n",
+    ];
+
+    /// Lines a damaged delta could hold: every field of an `OBS` line
+    /// missing, malformed or surplus, a second header, blanks.
+    const STRAY: [&str; 14] = [
+        "",
+        "END",
+        "OBS",
+        "OBS cpu",
+        "OBS cpu Word",
+        "OBS cpu Word Typical",
+        "OBS cpu Word Typical discomfort",
+        "OBS MEM - - exhausted 0.5",
+        "OBS gpu Word Typical discomfort 1",
+        "OBS cpu Word Typical discomfort inf",
+        "OBS cpu Word Typical discomfort 1 extra",
+        "OBSERVE cpu Word Typical discomfort 1",
+        "MODELDELTA 2 0",
+        "MODELDELTA 18446744073709551616 1",
+    ];
+
+    /// Compared through `Debug` so that a NaN a bit flip might spell
+    /// still equals itself.
+    fn assert_decodes_like_the_reference(text: &str, context: &str) {
+        let new = format!("{:?}", ModelDelta::decode(text));
+        let old = format!("{:?}", reference_decode(text));
+        assert_eq!(new, old, "{context}: {text:?}");
+    }
+
+    #[test]
+    fn decode_equals_the_reference_on_every_rejected_input() {
+        for text in REJECTED_DELTAS.iter().chain(&STRAY) {
+            assert_decodes_like_the_reference(text, "fixed input");
+        }
+    }
+
+    /// Generated deltas, then up to four stacked mutations of the kind
+    /// the wire-fuzz suite makes: the lean decoder and the reference
+    /// agree on the `Ok` value or on the `Err` string every time.
+    #[test]
+    fn decode_equals_the_reference_on_generated_and_damaged_deltas() {
+        use uucs_stats::Pcg64;
+        for seed in 0..600u64 {
+            let mut rng = Pcg64::new(seed);
+            let names = ["", "-", "Word", "My Task", "caf\u{e9}", "x"];
+            let resources = [Resource::Cpu, Resource::Memory, Resource::Disk, Resource::Network];
+            let mut observations = Vec::new();
+            for _ in 0..rng.below(6) {
+                let (resource, task, skill) = (
+                    *rng.choose(&resources),
+                    *rng.choose::<&str>(&names),
+                    *rng.choose::<&str>(&names),
+                );
+                let level = if rng.bernoulli(0.3) {
+                    rng.below(11) as f64
+                } else {
+                    rng.uniform(-1.0, 1e6)
+                };
+                observations.push(obs(resource, task, skill, level, rng.bernoulli(0.5)));
+            }
+            let delta = ModelDelta {
+                epoch: rng.below(1 << 50),
+                observations,
+            };
+            let mut text = delta.encode();
+            assert_decodes_like_the_reference(&text, &format!("seed {seed}, undamaged"));
+            for round in 0..4 {
+                text = uucs_harness::textfuzz::mutate_lines(&mut rng, &text, &STRAY);
+                assert_decodes_like_the_reference(&text, &format!("seed {seed}, round {round}"));
+            }
+        }
     }
 
     #[test]

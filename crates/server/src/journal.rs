@@ -9,6 +9,11 @@
 //! its flavor name, its snapshot codec, and how to apply one
 //! [`WalEntry`]. The open skeleton, compaction and the per-family shard
 //! loops are written once against the trait.
+//!
+//! Opening is one pass: the WAL shows the store its checkpoint and then
+//! every record past it while it validates them ([`uucs_wal::Visitor`]),
+//! each entry decoded straight from the segment buffer — nothing is
+//! read, checksummed or copied a second time.
 
 use crate::storage::StoreIo;
 use crate::store::invalid;
@@ -16,7 +21,7 @@ use std::io;
 use std::path::Path;
 use uucs_protocol::WalEntry;
 use uucs_telemetry::{metrics, Counter, Histogram};
-use uucs_wal::{Lsn, Recovery, Wal, WalConfig, WalObserver};
+use uucs_wal::{Lsn, Recovery, Snapshot, Visitor, Wal, WalConfig, WalObserver};
 
 /// The telemetry bridge for one store's WAL: every observer hook lands
 /// in the global registry under `server.wal.<flavor>.*`, so `STATS`
@@ -165,21 +170,11 @@ pub(crate) trait Journaled: Default {
     /// rebuilds the store from it: snapshot first, then every record
     /// past it. A defect in the log is `InvalidData` naming the record.
     fn open(io: StoreIo, dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(io, dir, config)?;
-        WalTelemetry::install(&mut wal, Self::FLAVOR);
         // Still in plain mode: replaying through the store's own
         // mutators journals nothing.
         let mut store = Self::default();
-        if let Some(snap) = recovery.snapshot.take() {
-            store.restore(std::str::from_utf8(&snap.state).map_err(invalid)?)?;
-        }
-        for item in wal.replay() {
-            let (lsn, payload) = item?;
-            WalEntry::decode(&payload)
-                .map_err(invalid)
-                .and_then(|entry| store.replay(entry))
-                .map_err(|e| invalid(format!("record {lsn}: {e}")))?;
-        }
+        let (mut wal, recovery) = Wal::open_visiting(io, dir, config, &mut Rebuild(&mut store))?;
+        WalTelemetry::install(&mut wal, Self::FLAVOR);
         store.journal().wal = Some(wal);
         Ok((store, recovery))
     }
@@ -193,6 +188,23 @@ pub(crate) trait Journaled: Default {
         let state = self.snapshot();
         self.journal().checkpoint(state.as_bytes())?;
         Ok(true)
+    }
+}
+
+/// Rebuilds a store from what its WAL shows while opening.
+struct Rebuild<'a, S>(&'a mut S);
+
+impl<S: Journaled> Visitor for Rebuild<'_, S> {
+    fn snapshot(&mut self, snapshot: Snapshot) -> io::Result<()> {
+        self.0
+            .restore(std::str::from_utf8(&snapshot.state).map_err(invalid)?)
+    }
+
+    fn record(&mut self, lsn: Lsn, payload: &[u8]) -> io::Result<()> {
+        WalEntry::decode(payload)
+            .map_err(invalid)
+            .and_then(|entry| self.0.replay(entry))
+            .map_err(|e| invalid(format!("record {lsn}: {e}")))
     }
 }
 

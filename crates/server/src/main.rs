@@ -40,9 +40,9 @@
 //!   Acks still wait for the fsync — same durability, amortized cost.
 //! * `--cache-pages N` puts an ARC page cache (N pages per store
 //!   flavor, `uucs-pagecache`) under every journal: write-through (no
-//!   durability change), read-cached (recovery replays, reshard
-//!   migrations and compaction scans hit memory when warm). 0 (the
-//!   default) is a strict passthrough.
+//!   durability change), read-cached (reshard migrations and compaction
+//!   scans hit memory when warm; a restart reads each segment once, so
+//!   its replay never does). 0 (the default) is a strict passthrough.
 //! * `--io-threads N` starts the disk-scheduler thread pool: group
 //!   commit fans its per-shard fsyncs out to it, and segment rotation
 //!   defers its fsync to the next commit pass instead of stalling the

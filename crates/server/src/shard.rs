@@ -24,6 +24,19 @@
 //! written); the highest generation wins, so recovery always sees
 //! exactly one logical state — the property the reshard recovery test
 //! pins down.
+//!
+//! # Opening on every core
+//!
+//! The journals of a data directory — four families × `n` shards — are
+//! independent: each rebuilds its own store from its own directory.
+//! [`StoreSet::open_with`] therefore settles every family's *layout*
+//! serially (the only step that looks at more than one directory) and
+//! then opens all `(family, shard)` journals through one
+//! [`ordered_map`] call: stores, recovery reports and — when several
+//! journals are refused — the error come back in (family, shard) order,
+//! whatever the host's core count. Threads are spawned only for
+//! journals that have something to replay, so a fresh data directory
+//! opens inline on the calling thread.
 
 use crate::journal::Journaled;
 use crate::models::ModelStore;
@@ -34,6 +47,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use uucs_modelsvc::{CohortKey, ComfortModel, QuantileSketch};
+use uucs_stats::parallel::{available_workers, ordered_map};
 use uucs_wal::{Lsn, Recovery, WalConfig};
 
 /// Stable shard routing: FNV-1a over the key, reduced modulo the shard
@@ -219,8 +233,8 @@ fn write_ready(layout_dir: &Path, generation: u64) -> io::Result<()> {
 
 /// What a journaled store must add to live under [`Sharded`] with a
 /// per-shard WAL: how to repartition recovered state when the shard
-/// count changes.
-trait ShardFamily: Journaled {
+/// count changes. `Send` because shards are opened on worker threads.
+trait ShardFamily: Journaled + Send {
     /// The merged logical state of the whole family, hash-partitionable.
     type State;
     /// Merges recovered source shards into the family's logical state.
@@ -230,91 +244,145 @@ trait ShardFamily: Journaled {
     fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()>;
 }
 
-/// Opens a family of `n` WAL shards under `dir` over the family's
-/// shared I/O backend (every shard of a flavor shares one page cache; a
-/// passthrough backend costs nothing), migrating from a different
-/// committed shard count (or the legacy flat layout) when needed. See
-/// the module docs for the crash-safety protocol.
-fn open_sharded<F: ShardFamily>(
-    dir: &Path,
+/// One journal queued for [`open_all`]. The open leaves its store in a
+/// slot of its own family's type, so one queue holds all four families.
+struct QueuedOpen<'a> {
+    /// Whether the journal has anything to replay — what makes opening
+    /// it worth a thread.
+    has_state: bool,
+    open: Box<dyn FnOnce() + Send + 'a>,
+}
+
+/// Opens every queued journal, on at most `workers` threads and never
+/// on more than there are journals with something to replay: the
+/// calling thread is one of the workers, so a fresh data directory (or
+/// a single populated journal) spawns nothing.
+fn open_all(workers: usize, queue: Vec<QueuedOpen<'_>>) {
+    let busy = queue.iter().filter(|q| q.has_state).count();
+    ordered_map(workers.min(busy), queue, |q| (q.open)());
+}
+
+/// The journals of one family on their way to being opened: their
+/// directories in shard order, the I/O backend they share (every shard
+/// of a flavor shares one page cache; a passthrough backend costs
+/// nothing), and the slot each opened store lands in.
+struct Journals<F> {
+    io: StoreIo,
     cfg: WalConfig,
-    n: usize,
-    io: &StoreIo,
-) -> io::Result<(Sharded<F>, Vec<Recovery>)> {
-    if n == 0 {
-        return Err(invalid("shard count must be at least 1"));
-    }
-    std::fs::create_dir_all(dir)?;
-    let current = scan_layouts(dir)?
-        .into_iter()
-        .max_by_key(|l| (l.generation, l.shards));
+    dirs: Vec<PathBuf>,
+    opened: Vec<Option<io::Result<(F, Recovery)>>>,
+}
 
-    // Fast path: one shard, nothing ever sharded — the legacy flat WAL,
-    // byte-compatible with pre-sharding data directories.
-    if n == 1 && current.is_none() {
-        let (store, rec) = F::open(io.clone(), dir, cfg)?;
-        return Ok((Sharded::new(vec![store]), vec![rec]));
+impl<F: ShardFamily> Journals<F> {
+    fn new(io: &StoreIo, cfg: WalConfig, dirs: Vec<PathBuf>) -> Self {
+        Journals {
+            io: io.clone(),
+            cfg,
+            opened: dirs.iter().map(|_| None).collect(),
+            dirs,
+        }
     }
 
-    let target = dir.join(format!("by-{n}"));
-    if current.as_ref().map(|c| c.shards) != Some(n) {
-        // Migrate: replay the source, repartition by hash, rebuild.
-        let state = match &current {
-            Some(cur) => {
-                let mut sources = Vec::with_capacity(cur.shards);
-                for i in 0..cur.shards {
-                    let (s, _) = F::open(io.clone(), &cur.path.join(shard_dirname(i)), cfg)?;
-                    sources.push(s);
+    /// The journals of the family under `dir` once it is in a committed
+    /// `n`-shard layout — migrating from a different committed shard
+    /// count (or the legacy flat layout) when needed; see the module
+    /// docs for the crash-safety protocol. A migration opens its source
+    /// shards on up to `workers` threads.
+    fn settle(dir: &Path, cfg: WalConfig, n: usize, io: &StoreIo, workers: usize) -> io::Result<Self> {
+        if n == 0 {
+            return Err(invalid("shard count must be at least 1"));
+        }
+        std::fs::create_dir_all(dir)?;
+        let current = scan_layouts(dir)?
+            .into_iter()
+            .max_by_key(|l| (l.generation, l.shards));
+
+        // Fast path: one shard, nothing ever sharded — the legacy flat
+        // WAL, byte-compatible with pre-sharding data directories.
+        if n == 1 && current.is_none() {
+            return Ok(Journals::new(io, cfg, vec![dir.to_path_buf()]));
+        }
+
+        let shard_dirs =
+            |layout: &Path, count: usize| (0..count).map(|i| layout.join(shard_dirname(i))).collect();
+        let target = dir.join(format!("by-{n}"));
+        if current.as_ref().map(|c| c.shards) != Some(n) {
+            // Migrate: replay the source, repartition by hash, rebuild.
+            let source = match &current {
+                Some(cur) => Some(shard_dirs(&cur.path, cur.shards)),
+                None if has_flat_files(dir)? => Some(vec![dir.to_path_buf()]),
+                None => None,
+            };
+            let state = match source {
+                Some(dirs) => {
+                    let mut source = Journals::<F>::new(io, cfg, dirs);
+                    open_all(workers, source.queue());
+                    Some(F::extract(source.stores()?.0)?)
                 }
-                Some(F::extract(sources)?)
+                None => None,
+            };
+            if target.exists() {
+                // A previous migration to this count died before READY.
+                std::fs::remove_dir_all(&target)?;
             }
-            None if has_flat_files(dir)? => {
-                let (s, _) = F::open(io.clone(), dir, cfg)?;
-                Some(F::extract(vec![s])?)
+            for i in 0..n {
+                let (mut s, _) = F::open(io.clone(), &target.join(shard_dirname(i)), cfg)?;
+                // A fresh layout stays bare (a header-only segment per
+                // shard): checkpointing nothing would leave every
+                // journal of a new data directory with state to fold.
+                if let Some(state) = &state {
+                    s.load_part(state, i, n)?;
+                    s.compact()?;
+                }
             }
-            None => None,
-        };
-        if target.exists() {
-            // A previous migration to this count died before READY.
-            std::fs::remove_dir_all(&target)?;
-        }
-        for i in 0..n {
-            let (mut s, _) = F::open(io.clone(), &target.join(shard_dirname(i)), cfg)?;
-            if let Some(state) = &state {
-                s.load_part(state, i, n)?;
+            // Commit point. Until this marker lands, recovery still sees
+            // the source layout; after it, the higher generation wins
+            // even if the source removal below never runs.
+            let generation = current.as_ref().map(|c| c.generation).unwrap_or(0) + 1;
+            write_ready(&target, generation)?;
+            if let Some(cur) = &current {
+                std::fs::remove_dir_all(&cur.path)?;
             }
-            s.compact()?;
         }
-        // Commit point. Until this marker lands, recovery still sees the
-        // source layout; after it, the higher generation wins even if
-        // the source removal below never runs.
-        let generation = current.as_ref().map(|c| c.generation).unwrap_or(0) + 1;
-        write_ready(&target, generation)?;
-        if let Some(cur) = &current {
-            std::fs::remove_dir_all(&cur.path)?;
+
+        // Clear stale siblings: superseded layouts and interrupted
+        // builds. (A legacy flat WAL that was migrated away stays on
+        // disk inertly — any committed layout takes precedence over
+        // flat files.)
+        for entry in std::fs::read_dir(dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let Some(name) = name.to_str() else { continue };
+            if name.starts_with("by-") && entry.path() != target && entry.path().is_dir() {
+                std::fs::remove_dir_all(entry.path())?;
+            }
         }
+        Ok(Journals::new(io, cfg, shard_dirs(&target, n)))
     }
 
-    // Clear stale siblings: superseded layouts and interrupted builds.
-    // (A legacy flat WAL that was migrated away stays on disk inertly —
-    // any committed layout takes precedence over flat files.)
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with("by-") && entry.path() != target && entry.path().is_dir() {
-            std::fs::remove_dir_all(entry.path())?;
-        }
+    /// One queued open per journal, in shard order.
+    fn queue(&mut self) -> Vec<QueuedOpen<'_>> {
+        let (io, cfg) = (&self.io, self.cfg);
+        self.dirs
+            .iter()
+            .zip(&mut self.opened)
+            .map(|(dir, slot)| QueuedOpen {
+                has_state: uucs_wal::has_state(io, dir),
+                open: Box::new(move || *slot = Some(F::open(io.clone(), dir, cfg))),
+            })
+            .collect()
     }
 
-    let mut stores = Vec::with_capacity(n);
-    let mut recoveries = Vec::with_capacity(n);
-    for i in 0..n {
-        let (s, r) = F::open(io.clone(), &target.join(shard_dirname(i)), cfg)?;
-        stores.push(s);
-        recoveries.push(r);
+    /// The opened stores and their recovery reports in shard order, or
+    /// the error of the lowest shard that was refused.
+    fn stores(self) -> io::Result<(Vec<F>, Vec<Recovery>)> {
+        let opened: io::Result<Vec<(F, Recovery)>> = self
+            .opened
+            .into_iter()
+            .map(|slot| slot.expect("open_all runs every queued open"))
+            .collect();
+        Ok(opened?.into_iter().unzip())
     }
-    Ok((Sharded::new(stores), recoveries))
 }
 
 impl ShardFamily for TestcaseStore {
@@ -508,49 +576,78 @@ impl StoreSet {
     }
 
     /// [`StoreSet::open`] under an explicit [`StorageProfile`]: each
-    /// family's shards share one flavor-labelled page cache, so warm
-    /// recovery replays, reshard migrations, and compaction scans are
+    /// family's shards share one flavor-labelled page cache, so reshard
+    /// migrations and compaction scans that re-read a segment are
     /// served from memory. The default profile is a passthrough —
     /// byte- and syscall-identical to [`StoreSet::open`] before it.
+    ///
+    /// The journals are opened on every core (see the module docs);
+    /// what comes back does not depend on how many there are.
     pub fn open_with(
         dir: &Path,
         cfg: WalConfig,
         shards: usize,
         profile: &StorageProfile,
     ) -> io::Result<(Self, Vec<Recovery>)> {
-        let (testcases, mut recs) = open_sharded::<TestcaseStore>(
+        Self::open_on(available_workers(), dir, cfg, shards, profile)
+    }
+
+    /// [`StoreSet::open_with`] on at most `workers` threads.
+    fn open_on(
+        workers: usize,
+        dir: &Path,
+        cfg: WalConfig,
+        shards: usize,
+        profile: &StorageProfile,
+    ) -> io::Result<(Self, Vec<Recovery>)> {
+        let mut testcases = Journals::<TestcaseStore>::settle(
             &dir.join("testcases"),
             cfg,
             shards,
             &profile.store_io("testcases"),
+            workers,
         )?;
-        let (results, r) = open_sharded::<ResultStore>(
+        let mut results = Journals::<ResultStore>::settle(
             &dir.join("results"),
             cfg,
             shards,
             &profile.store_io("results"),
+            workers,
         )?;
-        recs.extend(r);
-        let (registry, r) = open_sharded::<RegistryStore>(
+        let mut registry = Journals::<RegistryStore>::settle(
             &dir.join("registry"),
             cfg,
             shards,
             &profile.store_io("registry"),
+            workers,
         )?;
-        recs.extend(r);
-        let (models, r) = open_sharded::<ModelStore>(
+        let mut models = Journals::<ModelStore>::settle(
             &dir.join("models"),
             cfg,
             shards,
             &profile.store_io("model"),
+            workers,
         )?;
+
+        let mut queue = testcases.queue();
+        queue.extend(results.queue());
+        queue.extend(registry.queue());
+        queue.extend(models.queue());
+        open_all(workers, queue);
+
+        let (testcases, mut recs) = testcases.stores()?;
+        let (results, r) = results.stores()?;
+        recs.extend(r);
+        let (registry, r) = registry.stores()?;
+        recs.extend(r);
+        let (models, r) = models.stores()?;
         recs.extend(r);
         Ok((
             StoreSet {
-                testcases,
-                results,
-                registry,
-                models,
+                testcases: Sharded::new(testcases),
+                results: Sharded::new(results),
+                registry: Sharded::new(registry),
+                models: Sharded::new(models),
             },
             recs,
         ))
@@ -591,6 +688,21 @@ mod tests {
             segment_bytes: 1024,
             sync: SyncPolicy::Always,
         }
+    }
+
+    /// One family, settled and opened the way [`StoreSet::open_on`]
+    /// does all four.
+    fn open_sharded<F: ShardFamily>(
+        dir: &Path,
+        cfg: WalConfig,
+        n: usize,
+        io: &StoreIo,
+    ) -> io::Result<(Sharded<F>, Vec<Recovery>)> {
+        let workers = available_workers();
+        let mut journals = Journals::<F>::settle(dir, cfg, n, io, workers)?;
+        open_all(workers, journals.queue());
+        let (stores, recoveries) = journals.stores()?;
+        Ok((Sharded::new(stores), recoveries))
     }
 
     fn tc(id: &str) -> Testcase {
@@ -772,6 +884,216 @@ mod tests {
             assert_eq!(epoch, baseline.0, "epoch sum changed at {n} shards");
             assert_eq!(merged.encode(), baseline.1, "sketch changed at {n} shards");
         }
+    }
+
+    fn copy_tree(from: &Path, to: &Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            let dest = to.join(entry.file_name());
+            if entry.file_type().unwrap().is_dir() {
+                copy_tree(&entry.path(), &dest);
+            } else {
+                std::fs::copy(entry.path(), dest).unwrap();
+            }
+        }
+    }
+
+    fn shard_dir(data: &Path, family: &str, shard: usize) -> PathBuf {
+        data.join(family).join("by-8").join(shard_dirname(shard))
+    }
+
+    /// A journal's segment files, oldest first (names sort by first LSN).
+    fn segments(journal: &Path) -> Vec<PathBuf> {
+        let mut segments: Vec<PathBuf> = std::fs::read_dir(journal)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "wal"))
+            .collect();
+        segments.sort();
+        segments
+    }
+
+    /// An 8-shard data directory with every flavor populated from
+    /// `seed`, one results shard holding a snapshot plus a tail past
+    /// it, and a torn append at the end of one registry shard.
+    fn populated(seed: u64) -> TempDir {
+        use uucs_modelsvc::Observation;
+        let dir = TempDir::new("uucs-shard-workers");
+        let mut rng = uucs_stats::Pcg64::new(seed);
+        let (stores, _) = StoreSet::open(dir.path(), cfg(), 8).unwrap();
+        let clients: Vec<String> = (1..=24).map(|i| format!("client-{i:04}")).collect();
+        for i in 0..40 {
+            let id = format!("case-{i:02}");
+            let shard = stores.testcases.shard_for(&id);
+            stores.testcases.write_recovered(shard).add(tc(&id)).unwrap();
+        }
+        for client in &clients {
+            let shard = stores.registry.shard_for(client);
+            let snapshot = MachineSnapshot::study_machine(format!("host-of-{client}"));
+            stores
+                .registry
+                .write_recovered(shard)
+                .register_with_id(client.clone(), snapshot, &format!("tok-{client}"))
+                .unwrap();
+        }
+        let folded = stores.results.shard_for(&clients[0]);
+        for round in 1..=6u64 {
+            for client in &clients {
+                if client != &clients[0] && rng.bernoulli(0.3) {
+                    continue; // horizons differ from client to client
+                }
+                let batch: Vec<_> = (0..=rng.below(2))
+                    .map(|k| rec(client, &format!("u{round}-{k}")))
+                    .collect();
+                let shard = stores.results.shard_for(client);
+                let mut results = stores.results.write_recovered(shard);
+                results.append_batch(client, round, batch).unwrap();
+                drop(results);
+                let mshard = stores.models.shard_for(client);
+                let observation = Observation {
+                    resource: Resource::Cpu,
+                    task: "IE".into(),
+                    skill: "Typical".into(),
+                    level: rng.uniform(0.0, 10.0),
+                    censored: rng.bernoulli(0.2),
+                };
+                let mut models = stores.models.write_recovered(mshard);
+                models.observe_batch(vec![observation]).unwrap();
+            }
+            if round == 3 {
+                assert!(stores.results.write_recovered(folded).compact().unwrap());
+            }
+        }
+        drop(stores);
+        // The residue of an append the crash interrupted: fewer bytes
+        // than a frame header at the end of the newest segment.
+        let torn = shard_dir(dir.path(), "registry", shard_of(&clients[1], 8));
+        let mut last = std::fs::OpenOptions::new()
+            .append(true)
+            .open(segments(&torn).last().unwrap())
+            .unwrap();
+        std::io::Write::write_all(&mut last, &[0x2a, 0, 0]).unwrap();
+        dir
+    }
+
+    /// Everything a restart hands the server, as text: each shard's
+    /// state through its own snapshot encoding, the upload horizons,
+    /// and the recovery reports in the order they are printed.
+    fn opened_state(workers: usize, data: &Path) -> String {
+        use std::fmt::Write;
+        let (stores, recoveries) =
+            StoreSet::open_on(workers, data, cfg(), 8, &StorageProfile::default()).unwrap();
+        let mut out = String::new();
+        for i in 0..8 {
+            writeln!(out, "== shard {i} ==").unwrap();
+            out.push_str(&stores.testcases.read(i).snapshot());
+            out.push_str(&stores.results.read(i).snapshot());
+            writeln!(out, "{:?}", stores.results.read(i).applied_horizons()).unwrap();
+            out.push_str(&stores.registry.read(i).snapshot());
+            out.push_str(&stores.models.read(i).snapshot());
+        }
+        for r in &recoveries {
+            writeln!(out, "{r:?}").unwrap();
+        }
+        out
+    }
+
+    /// What a restart recovers does not depend on how many threads
+    /// opened the journals: identical copies of a populated data
+    /// directory opened on 1, 2, 3 and 8 workers give the same state
+    /// per shard, the same horizons and the same recovery reports in
+    /// the same order.
+    #[test]
+    fn recovered_state_is_independent_of_the_worker_count() {
+        const SEED: u64 = 0x19;
+        let data = populated(SEED);
+        let mut states = Vec::new();
+        for workers in [1, 2, 3, 8] {
+            let copy = TempDir::new("uucs-shard-workers-copy");
+            copy_tree(data.path(), copy.path());
+            states.push((workers, opened_state(workers, copy.path())));
+        }
+        let (_, serial) = &states[0];
+        // The fixture is what it claims to be, or equality proves little.
+        assert_eq!(serial.matches("torn_tail: Some").count(), 1, "seed {SEED:#x}");
+        assert!(serial.contains("SEQ client-0001 6"), "seed {SEED:#x}: {serial}");
+        let folded = shard_dir(data.path(), "results", shard_of("client-0001", 8));
+        let files: Vec<_> = std::fs::read_dir(folded).unwrap().collect();
+        assert!(
+            files.iter().any(|f| f.as_ref().unwrap().path().extension().unwrap() == "snap"),
+            "seed {SEED:#x}: no snapshot in the compacted shard"
+        );
+        for (workers, state) in &states[1..] {
+            assert_eq!(state, serial, "seed {SEED:#x}: {workers} workers against 1");
+        }
+    }
+
+    /// When several journals are refused, the restart reports the one
+    /// lowest in (family, shard) order — the one a serial open would
+    /// have stopped at — whichever worker met its defect first.
+    #[test]
+    fn the_lowest_refused_journal_is_the_one_reported() {
+        const SEED: u64 = 0x1a;
+        let data = populated(SEED);
+        let flip = |journal: &Path, offset: usize| {
+            let segment = segments(journal).remove(0);
+            let mut bytes = std::fs::read(&segment).unwrap();
+            bytes[offset] ^= 0x40;
+            std::fs::write(&segment, bytes).unwrap();
+        };
+        // Family order is testcases, results, registry, models: the
+        // higher shard of the earlier family is the lower journal.
+        let lower = shard_dir(data.path(), "testcases", 6);
+        let higher = shard_dir(data.path(), "results", 2);
+        flip(&lower, 40);
+        flip(&higher, 41);
+        fn alone<F: ShardFamily>(journal: &Path) -> String {
+            match F::open(plain_io(), journal, cfg()) {
+                Ok(_) => panic!("seed {SEED:#x}: {journal:?} opened despite the flipped bit"),
+                Err(e) => e.to_string(),
+            }
+        }
+        let (want, other) = (alone::<TestcaseStore>(&lower), alone::<ResultStore>(&higher));
+        assert_ne!(want, other, "seed {SEED:#x}: the two refusals must be tellable apart");
+        for workers in [1, 2, 3, 8] {
+            let opened = StoreSet::open_on(workers, data.path(), cfg(), 8, &StorageProfile::default());
+            let err = opened.err().expect("two corrupt journals cannot open");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), want, "seed {SEED:#x}: {workers} workers");
+        }
+    }
+
+    /// A fresh data directory has nothing to replay, so opening it
+    /// spawns nothing: the idle server pays no thread for a feature it
+    /// is not using.
+    #[test]
+    fn journals_without_state_are_opened_on_the_calling_thread() {
+        let dir = TempDir::new("uucs-shard-inline");
+        let caller = std::thread::current().id();
+        let ran_on = std::sync::Mutex::new(Vec::new());
+        let queue = |has_state: &[bool]| -> Vec<QueuedOpen<'_>> {
+            has_state
+                .iter()
+                .map(|&has_state| QueuedOpen {
+                    has_state,
+                    open: Box::new(|| ran_on.lock().unwrap().push(std::thread::current().id())),
+                })
+                .collect()
+        };
+        open_all(8, queue(&[false; 32]));
+        open_all(8, queue(&[false, true, false, false]));
+        assert_eq!(ran_on.lock().unwrap().len(), 36);
+        assert!(ran_on.lock().unwrap().iter().all(|&id| id == caller));
+        // And that is what a real fresh directory queues.
+        let mut journals =
+            Journals::<ResultStore>::settle(dir.path(), cfg(), 8, &plain_io(), 8).unwrap();
+        assert!(journals.queue().iter().all(|q| !q.has_state));
+        open_all(8, journals.queue());
+        journals.stores().unwrap();
+        let mut reopened =
+            Journals::<ResultStore>::settle(dir.path(), cfg(), 8, &plain_io(), 8).unwrap();
+        assert!(reopened.queue().iter().all(|q| !q.has_state), "a bare header is no state");
     }
 
     #[test]

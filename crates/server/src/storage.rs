@@ -2,14 +2,15 @@
 //! shared disk-scheduler thread pool under every WAL-backed store.
 //!
 //! The seed engine opened each journal directly over [`uucs_wal::StdIo`]
-//! — every recovery replay, reshard migration, backfill, and compaction
-//! re-read its segment files from the filesystem, and segment-rotation
-//! fsyncs rode the verb-handler threads. A [`StorageProfile`] instead
-//! hands each store family a [`StoreIo`]: the `uucs-pagecache` ARC
-//! cache wrapped around `StdIo`, write-through (durability is
-//! byte-for-byte the plain backend's) and read-cached (warm replays hit
-//! memory). Hits, misses, evictions and write-backs surface per flavor
-//! as `server.cache.<flavor>.*` counters.
+//! — every reshard migration, backfill, and compaction re-read its
+//! segment files from the filesystem, and segment-rotation fsyncs rode
+//! the verb-handler threads. A [`StorageProfile`] instead hands each
+//! store family a [`StoreIo`]: the `uucs-pagecache` ARC cache wrapped
+//! around `StdIo`, write-through (durability is byte-for-byte the plain
+//! backend's) and read-cached (a second read of a segment hits memory;
+//! a restart's one-pass replay reads each segment once and never does).
+//! Hits, misses, evictions and write-backs surface per flavor as
+//! `server.cache.<flavor>.*` counters.
 //!
 //! The profile also owns the optional [`DiskScheduler`]: a bounded
 //! request queue drained by dedicated I/O threads. The group committer

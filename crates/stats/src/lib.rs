@@ -5,6 +5,10 @@
 //! * a deterministic, splittable PCG-family random number generator
 //!   ([`rng::Pcg64`]) so that the entire study regenerates bit-identically
 //!   from one seed,
+//! * an order-preserving parallel map ([`parallel::ordered_map`]) so
+//!   that the same holds whatever the number of cores: the studies'
+//!   runs and the server's journal shards are spread over every core
+//!   and merged in a fixed order,
 //! * the random variates the paper's testcase generators and user models
 //!   need (exponential, Pareto, lognormal, normal, Poisson),
 //! * empirical CDFs with right-censoring support ([`ecdf::Ecdf`]) — the
@@ -28,6 +32,7 @@ pub mod ecdf;
 pub mod fit;
 pub mod ks;
 pub mod mannwhitney;
+pub mod parallel;
 pub mod rng;
 pub mod special;
 pub mod summary;

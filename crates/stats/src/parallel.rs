@@ -1,11 +1,13 @@
 //! Order-preserving parallel map over independent work items.
 //!
-//! The studies' runs are pure functions of their seeds: each builds its
-//! own simulated machine and shares nothing. This helper hands such
-//! items to every core and returns the results in item order, so a
-//! study's output does not depend on how many threads produced it —
-//! which is why the worker count is taken from the host and is not an
-//! option anywhere.
+//! The studies' runs are pure functions of their seeds, and the
+//! server's journal shards are pure functions of their directories:
+//! each item builds its own state and shares nothing. This helper
+//! hands such items to every core and returns the results in item
+//! order, so an output does not depend on how many threads produced it
+//! — which is why the worker count is taken from the host and is not
+//! an option anywhere. It lives beside the splittable RNG for the same
+//! reason that exists: results must not depend on scheduling.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,7 +15,7 @@ use std::sync::Mutex;
 use std::thread;
 
 /// One worker per available CPU.
-pub(crate) fn available_workers() -> usize {
+pub fn available_workers() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -26,7 +28,7 @@ pub(crate) fn available_workers() -> usize {
 /// same code. A panic in `f` becomes the call's panic once the other
 /// workers have drained the remaining items; no partial result is
 /// returned.
-pub(crate) fn ordered_map<T, R, F>(
+pub fn ordered_map<T, R, F>(
     workers: usize,
     items: impl IntoIterator<Item = T>,
     f: F,

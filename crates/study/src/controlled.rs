@@ -6,13 +6,12 @@
 //! back, and the analysis reading the server's result store — the full
 //! Figure 1 / Figure 2 pipeline.
 
-use crate::parallel;
 use std::sync::Arc;
 use uucs_client::{LocalTransport, Script, UucsClient};
 use uucs_comfort::{calibration, Fidelity, UserPopulation, UserProfile};
 use uucs_protocol::{MachineSnapshot, RunRecord};
 use uucs_server::{TestcaseStore, UucsServer};
-use uucs_stats::Pcg64;
+use uucs_stats::{parallel, Pcg64};
 use uucs_telemetry::metrics;
 use uucs_testcase::Testcase;
 use uucs_workloads::Task;

@@ -36,7 +36,6 @@ pub mod figures;
 pub mod fleet;
 pub mod frog;
 pub mod internet;
-mod parallel;
 pub mod perception_study;
 pub mod report;
 pub mod skill;

@@ -12,14 +12,13 @@
 //! sensitivity, and — under page-granular eviction — the memory column
 //! ordering.
 
-use crate::parallel;
 use uucs_comfort::metrics::CellMetrics;
 use uucs_comfort::perception::{execute_perception_run_configured, PerceptionProfile};
 use uucs_comfort::{Fidelity, RunSetup, RunStyle, UserPopulation, UserProfile};
 use uucs_protocol::RunRecord;
 use uucs_sim::mem::EvictionPolicy;
 use uucs_sim::MachineConfig;
-use uucs_stats::Pcg64;
+use uucs_stats::{parallel, Pcg64};
 use uucs_testcase::{ExerciseSpec, Resource, Testcase};
 use uucs_workloads::Task;
 

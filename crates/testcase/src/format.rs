@@ -21,6 +21,19 @@ use crate::resource::Resource;
 use crate::testcase::Testcase;
 use std::fmt;
 
+/// `line.trim()` for the line-oriented text formats of the system (this
+/// one, run records, model deltas): a line that begins and ends in a
+/// printable ASCII byte has nothing to trim, which is every line the
+/// emitters write, so journal replay skips the Unicode whitespace scan
+/// from both ends. Any other line takes [`str::trim`] itself.
+pub fn trim_line(line: &str) -> &str {
+    match line.as_bytes() {
+        [first, .., last] if first.is_ascii_graphic() && last.is_ascii_graphic() => line,
+        [only] if only.is_ascii_graphic() => line,
+        _ => line.trim(),
+    }
+}
+
 /// Errors produced while parsing the testcase text format.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParseError {
@@ -249,6 +262,22 @@ fn parse_after_keyword(toks: &mut Tokens<'_>, _kw_line: usize) -> Result<Testcas
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trim_line_is_str_trim() {
+        let edges = [
+            "", " ", "\t", "\r", "\u{b}", "\u{c}", "\u{a0}", "\u{2003}", "\u{3000}", "\u{feff}",
+            "x", "#", "~", "\u{7f}", "\u{e9}", "\u{85}",
+        ];
+        for head in edges {
+            for tail in edges {
+                for body in ["", "a", "a b", " a\u{a0}b ", "RESULT"] {
+                    let line = format!("{head}{body}{tail}");
+                    assert_eq!(trim_line(&line), line.trim(), "{line:?}");
+                }
+            }
+        }
+    }
     use crate::exercise::ExerciseSpec;
 
     fn sample_tc() -> Testcase {

@@ -74,14 +74,23 @@ impl std::error::Error for ParseResourceError {}
 impl FromStr for Resource {
     type Err = ParseResourceError;
 
+    /// Case-insensitive, and allocation-free for every name it knows:
+    /// this runs once per `LEVELS` line and `OBS` line of a journal
+    /// replay.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "cpu" => Ok(Resource::Cpu),
-            "memory" | "mem" => Ok(Resource::Memory),
-            "disk" => Ok(Resource::Disk),
-            "network" | "net" => Ok(Resource::Network),
-            other => Err(ParseResourceError(other.to_string())),
-        }
+        const NAMES: [(&str, Resource); 6] = [
+            ("cpu", Resource::Cpu),
+            ("memory", Resource::Memory),
+            ("mem", Resource::Memory),
+            ("disk", Resource::Disk),
+            ("network", Resource::Network),
+            ("net", Resource::Network),
+        ];
+        NAMES
+            .iter()
+            .find(|(name, _)| s.eq_ignore_ascii_case(name))
+            .map(|&(_, resource)| resource)
+            .ok_or_else(|| ParseResourceError(s.to_ascii_lowercase()))
     }
 }
 
@@ -106,6 +115,38 @@ mod tests {
     fn unknown_name_errors() {
         let e = "gpu".parse::<Resource>().unwrap_err();
         assert!(e.to_string().contains("gpu"));
+    }
+
+    /// The allocating parser this one replaced, kept as the reference:
+    /// same names, same aliases, same case folding, same error text.
+    fn reference_from_str(s: &str) -> Result<Resource, ParseResourceError> {
+        match s.to_ascii_lowercase().as_str() {
+            "cpu" => Ok(Resource::Cpu),
+            "memory" | "mem" => Ok(Resource::Memory),
+            "disk" => Ok(Resource::Disk),
+            "network" | "net" => Ok(Resource::Network),
+            other => Err(ParseResourceError(other.to_string())),
+        }
+    }
+
+    #[test]
+    fn parsing_matches_the_lowercasing_reference() {
+        let words = [
+            "cpu", "memory", "mem", "disk", "network", "net", "gpu", "", " cpu", "cpu ", "cp",
+            "cpus", "memo", "d\u{131}sk", "\u{212a}", "DISK\n", "ne\u{74}", "NETWORK",
+        ];
+        for word in words {
+            // Every casing of every word: the fold is ASCII-only, so
+            // `\u{131}` (dotless i) and `\u{212a}` (Kelvin) stay foreign.
+            for mask in 0u32..(1 << word.chars().count().min(7)) {
+                let cased: String = word
+                    .chars()
+                    .enumerate()
+                    .map(|(i, c)| if mask >> i & 1 == 1 { c.to_ascii_uppercase() } else { c })
+                    .collect();
+                assert_eq!(cased.parse::<Resource>(), reference_from_str(&cased), "{cased:?}");
+            }
+        }
     }
 
     #[test]

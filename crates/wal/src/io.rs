@@ -66,12 +66,19 @@ pub trait Io {
 
 /// The real-filesystem backend.
 ///
-/// Append handles are cached per path (and evicted on truncate, rename
-/// and remove) so that a `SyncPolicy::Always` workload costs one
-/// `write` + one `fsync` per record, not an `open` as well.
+/// Append handles are cached per path (and evicted on create,
+/// truncate, rename and remove) so that a `SyncPolicy::Always` workload
+/// costs one `write` + one `fsync` per record, not an `open` as well.
+///
+/// Clones share the table, and a server gives every shard of a store
+/// flavor a clone — so the table's lock is held only to look a handle
+/// up or to insert one, never across a `write` or an `fsync`: one
+/// shard's fsync must not queue the appends and fsyncs of its siblings
+/// behind it. Ordering *within* a file is the caller's job (the WAL
+/// writes a segment from one thread at a time, under its store's lock).
 #[derive(Debug, Default, Clone)]
 pub struct StdIo {
-    handles: Arc<Mutex<HashMap<PathBuf, File>>>,
+    handles: Arc<Mutex<HashMap<PathBuf, Arc<File>>>>,
 }
 
 impl StdIo {
@@ -80,12 +87,28 @@ impl StdIo {
         StdIo::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<PathBuf, File>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<PathBuf, Arc<File>>> {
         self.handles.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn evict(&self, path: &Path) {
         self.lock().remove(path);
+    }
+
+    fn cached(&self, path: &Path) -> Option<Arc<File>> {
+        self.lock().get(path).cloned()
+    }
+
+    /// The cached append handle for `path`, opened (creating the file)
+    /// on first use. The open runs outside the lock; if two threads
+    /// race it, both handles append to the same file and the first one
+    /// inserted is the one kept.
+    fn append_handle(&self, path: &Path) -> io::Result<Arc<File>> {
+        if let Some(file) = self.cached(path) {
+            return Ok(file);
+        }
+        let file = Arc::new(OpenOptions::new().create(true).append(true).open(path)?);
+        Ok(self.lock().entry(path.to_path_buf()).or_insert(file).clone())
     }
 }
 
@@ -116,22 +139,14 @@ impl Io for StdIo {
     }
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        let mut handles = self.lock();
-        let file = match handles.entry(path.to_path_buf()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(OpenOptions::new().create(true).append(true).open(path)?)
-            }
-        };
-        file.write_all(data)
+        (&*self.append_handle(path)?).write_all(data)
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
-        let mut handles = self.lock();
-        if let Some(file) = handles.get_mut(path) {
-            return file.sync_all();
+        match self.cached(path) {
+            Some(file) => file.sync_all(),
+            None => File::open(path)?.sync_all(),
         }
-        File::open(path)?.sync_all()
     }
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
@@ -193,7 +208,7 @@ struct MemFile {
     synced_len: usize,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct MemState {
     files: BTreeMap<PathBuf, MemFile>,
     dirs: BTreeSet<PathBuf>,
@@ -227,6 +242,15 @@ impl MemIo {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, MemState> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An independent copy of this filesystem as it is now — the same
+    /// files with the same synced prefixes — so that two recovery
+    /// procedures can each be given "the same disk" and compared.
+    pub fn fork(&self) -> MemIo {
+        MemIo {
+            inner: Arc::new(Mutex::new(self.lock().clone())),
+        }
     }
 
     /// Arms (or disarms) the fault plan.
@@ -491,6 +515,58 @@ mod tests {
         assert_eq!(io.read_at(&q, 2, 4).unwrap(), b"2345");
         assert_eq!(io.read_at(&q, 8, 100).unwrap(), b"89");
         assert_eq!(io.read_at(&q, 50, 4).unwrap(), b"");
+    }
+
+    /// One file's slow write must not hold up another file of the same
+    /// `StdIo`: a server's shards share the handle table through
+    /// clones, so a lock held across `write_all` or `sync_all` would
+    /// run a whole store flavor's appends and fsyncs one at a time.
+    ///
+    /// The slow file is a FIFO whose reader takes one byte and stops:
+    /// the appender is then provably parked inside `write_all` (its
+    /// payload is larger than any pipe buffer) for as long as the test
+    /// likes. The timeout only turns a deadlock into a failure.
+    #[cfg(unix)]
+    #[test]
+    fn a_write_parked_on_one_file_does_not_block_another() {
+        use std::io::Read;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let tmp = uucs_harness::TempDir::new("uucs-wal-stdio-fifo");
+        let fifo = tmp.path().join("slow.wal");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(matches!(&made, Ok(s) if s.success()), "mkfifo {fifo:?}: {made:?}");
+
+        let io = StdIo::new();
+        let parked = {
+            let (io, fifo) = (io.clone(), fifo.clone());
+            // Linux caps a pipe buffer at 1 MiB; the write cannot finish.
+            std::thread::spawn(move || io.append(&fifo, &vec![0x5a; 4 << 20]))
+        };
+        // Opening the read side lets the appender's open return; the
+        // first byte arriving proves it is inside `write_all`.
+        let mut reader = File::open(&fifo).unwrap();
+        reader.read_exact(&mut [0u8; 1]).unwrap();
+
+        let (done, finished) = mpsc::channel();
+        let other = {
+            let (io, path) = (io.clone(), tmp.path().join("fast.wal"));
+            std::thread::spawn(move || {
+                let r = io.append(&path, b"record").and_then(|()| io.sync(&path));
+                done.send(r).ok();
+            })
+        };
+        let unblocked = finished.recv_timeout(Duration::from_secs(30));
+        // Closing the read side fails the parked write (EPIPE), so both
+        // threads end whether or not the assertion below holds.
+        drop(reader);
+        assert!(parked.join().unwrap().is_err(), "the FIFO write cannot complete");
+        other.join().unwrap();
+        unblocked
+            .expect("append + sync on another path waited for the parked write")
+            .unwrap();
+        assert_eq!(io.read(&tmp.path().join("fast.wal")).unwrap(), b"record");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! * [`Wal`] — the writer: `append(&[u8]) -> Lsn`, a configurable
 //!   [`SyncPolicy`] (`Always` / `Never`), segment
-//!   rotation at a size threshold, `snapshot()` / `compact()`, and an
-//!   iterator-based `replay()`.
+//!   rotation at a size threshold, `snapshot()` / `compact()`, an
+//!   iterator-based `replay()`, and a one-pass `open_visiting()` that
+//!   shows a [`Visitor`] every record as recovery validates it.
 //! * [`WalReader`] — read-only validation + replay of a directory
 //!   another process owns (no truncation, no writes).
 //! * [`Io`] — the injectable storage backend: [`StdIo`] for real
@@ -38,7 +39,8 @@ pub type Lsn = u64;
 
 pub use crate::io::{FaultPlan, Io, MemIo, StdIo};
 pub use crate::wal::{
-    Recovery, Replay, Snapshot, SyncPolicy, TornTail, Wal, WalConfig, WalObserver, WalReader,
+    has_state, Recovery, Replay, Snapshot, SyncPolicy, TornTail, Visitor, Wal, WalConfig,
+    WalObserver, WalReader,
 };
 
 #[cfg(test)]
@@ -493,6 +495,20 @@ mod tests {
         let (wal, rec) = Wal::open(io, "/w", WalConfig::default()).unwrap();
         assert_eq!(rec.snapshot.as_ref().unwrap().upto, 2);
         assert_eq!(collect(wal.replay()), vec![(2, Vec::new())]);
+    }
+
+    #[test]
+    fn has_state_tells_a_populated_journal_from_a_fresh_one() {
+        let io = MemIo::new();
+        assert!(!has_state(&io, Path::new("/w")), "no directory, no state");
+        let (mut wal, _) = Wal::open(io.clone(), "/w", WalConfig::default()).unwrap();
+        assert!(!has_state(&io, Path::new("/w")), "a bare segment header is not state");
+        wal.append(b"").unwrap();
+        assert!(has_state(&io, Path::new("/w")), "even an empty record is a frame to replay");
+        wal.snapshot(b"").unwrap();
+        wal.compact().unwrap();
+        assert_eq!(collect(wal.replay()), vec![]);
+        assert!(has_state(&io, Path::new("/w")), "a checkpoint is state to fold");
     }
 
     #[test]

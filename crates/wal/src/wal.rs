@@ -21,6 +21,12 @@
 //!   torn frame in a non-final segment, a gap in the LSN chain — is
 //!   reported as `InvalidData` and recovery refuses to proceed, because
 //!   committed data is missing rather than merely unflushed.
+//!
+//! Recovery is one pass over the directory: each segment is read and
+//! checksummed once, and [`Wal::open_visiting`] shows a [`Visitor`] the
+//! checkpoint and every record past it as they are validated, so a
+//! store rebuilds itself from the very buffers recovery checks. Only
+//! when the whole pass has succeeded is anything on disk changed.
 
 use crate::frame::{encode_frame, FrameError, FrameScanner, FRAME_HEADER};
 use crate::io::Io;
@@ -165,6 +171,7 @@ pub struct TornTail {
 pub struct Recovery {
     /// The newest valid checkpoint, if any. Ownership of the state
     /// bytes passes to the caller, which folds them before replaying.
+    /// `None` from [`Wal::open_visiting`]: its visitor was handed it.
     pub snapshot: Option<Snapshot>,
     /// The torn tail that was truncated away, if any.
     pub torn_tail: Option<TornTail>,
@@ -176,8 +183,69 @@ pub struct Recovery {
     pub next_lsn: Lsn,
 }
 
+/// What a one-pass open shows its caller: the newest valid checkpoint,
+/// then every record past it in LSN order — each exactly once, each
+/// already checksum- and chain-checked, each *borrowed* from the buffer
+/// of the segment being validated (one segment of a journal is in
+/// memory at a time). That is all a store needs to rebuild itself, so
+/// recovery reads and checks every byte once instead of validating the
+/// directory and then re-reading it through [`Wal::replay`].
+///
+/// An error from either method ends the open with that error. So does a
+/// defect the scan finds *later* in the log: a visitor may have been
+/// shown a prefix of a log that is then refused (mid-log corruption in
+/// a later segment, a chain gap), and whatever it built from that
+/// prefix must be dropped with the error. Nothing on disk has been
+/// touched at that point — the open heals the directory (stale `.tmp`
+/// files, headerless tails, the torn tail) only after the whole pass
+/// has succeeded.
+pub trait Visitor {
+    /// The newest valid checkpoint; called at most once, before any
+    /// record. Ownership passes so the state can be dropped as soon as
+    /// it is folded.
+    fn snapshot(&mut self, snapshot: Snapshot) -> io::Result<()>;
+
+    /// One record past the checkpoint. `payload` is only valid for the
+    /// duration of the call.
+    fn record(&mut self, lsn: Lsn, payload: &[u8]) -> io::Result<()>;
+}
+
+/// The visitor behind [`Wal::open`] and [`WalReader::open`]: keeps the
+/// checkpoint for the caller and lets the records go by — they stay on
+/// disk for [`Wal::replay`].
+#[derive(Default)]
+struct KeepSnapshot(Option<Snapshot>);
+
+impl Visitor for KeepSnapshot {
+    fn snapshot(&mut self, snapshot: Snapshot) -> io::Result<()> {
+        self.0 = Some(snapshot);
+        Ok(())
+    }
+
+    fn record(&mut self, _lsn: Lsn, _payload: &[u8]) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// True when opening `dir` would have anything to fold or replay: a
+/// checkpoint file, or a segment with bytes past its header. A listing
+/// and a stat per file — nothing is read — so a caller can tell a
+/// populated journal from a fresh one before deciding how to open many
+/// of them. A directory that cannot be listed holds nothing.
+pub fn has_state<I: Io>(io: &I, dir: &Path) -> bool {
+    io.list(dir).is_ok_and(|names| {
+        names.iter().any(|name| {
+            parse_snapshot_name(name).is_some()
+                || (parse_segment_name(name).is_some()
+                    && io
+                        .len(&dir.join(name))
+                        .is_ok_and(|len| len > SEGMENT_HEADER as u64))
+        })
+    })
+}
+
 // ---------------------------------------------------------------------------
-// Directory scan (shared by Wal::open and WalReader::open)
+// Directory scan (shared by Wal::open_visiting and WalReader::open)
 // ---------------------------------------------------------------------------
 
 #[derive(Debug)]
@@ -192,7 +260,9 @@ struct SegMeta {
 
 #[derive(Debug)]
 struct Scan {
-    snapshot: Option<Snapshot>,
+    /// Records below this are covered by the checkpoint the visitor was
+    /// handed (0 without one).
+    snapshot_upto: Lsn,
     segments: Vec<SegMeta>,
     torn: Option<TornTail>,
     tmp_files: Vec<String>,
@@ -204,7 +274,11 @@ struct Scan {
     replay_records: u64,
 }
 
-fn scan_dir<I: Io>(io: &I, dir: &Path) -> io::Result<Scan> {
+/// Validates a WAL directory in one pass — every segment read once,
+/// every frame checksummed once — showing `visitor` the checkpoint and
+/// then each record past it as it is validated. Touches nothing on
+/// disk.
+fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<Scan> {
     let names = io.list(dir)?;
     let mut seg_names: Vec<(Lsn, String)> = Vec::new();
     let mut snap_names: Vec<(Lsn, String)> = Vec::new();
@@ -224,17 +298,14 @@ fn scan_dir<I: Io>(io: &I, dir: &Path) -> io::Result<Scan> {
     // Newest snapshot that validates wins; older ones are compaction
     // leftovers, invalid ones are skipped (the chain check below
     // catches the case where skipping one loses committed records).
-    let mut snapshot = None;
+    let mut base = 0;
     for (upto, name) in snap_names.iter().rev() {
-        match io.read(&dir.join(name)).and_then(|d| decode_snapshot(&d, *upto)) {
-            Ok(state) => {
-                snapshot = Some(Snapshot { upto: *upto, state });
-                break;
-            }
-            Err(_) => continue,
+        if let Ok(state) = io.read(&dir.join(name)).and_then(|d| decode_snapshot(&d, *upto)) {
+            base = *upto;
+            visitor.snapshot(Snapshot { upto: *upto, state })?;
+            break;
         }
     }
-    let base = snapshot.as_ref().map(|s| s.upto).unwrap_or(0);
 
     // Crash residue is only tolerated at the very end of the log: a
     // headerless segment is removable iff every later segment is also
@@ -298,7 +369,15 @@ fn scan_dir<I: Io>(io: &I, dir: &Path) -> io::Result<Scan> {
         let mut bad = None;
         for item in scanner.by_ref() {
             match item {
-                Ok(_) => count += 1,
+                Ok((_, payload)) => {
+                    // The first segment may straddle or predate the
+                    // checkpoint; what it folded is not shown again.
+                    let lsn = first + count;
+                    if lsn >= base {
+                        visitor.record(lsn, payload)?;
+                    }
+                    count += 1;
+                }
                 Err(e) => {
                     bad = Some(e);
                     break;
@@ -346,7 +425,7 @@ fn scan_dir<I: Io>(io: &I, dir: &Path) -> io::Result<Scan> {
         .unwrap_or(0)
         .max(base);
     Ok(Scan {
-        snapshot,
+        snapshot_upto: base,
         segments,
         torn,
         tmp_files,
@@ -497,14 +576,39 @@ impl<I: Io> Wal<I> {
     /// frame, validates every surviving frame's checksum and the LSN
     /// chain, and hands the caller the newest checkpoint plus the
     /// replay position. Mid-log corruption is an `InvalidData` error.
+    ///
+    /// The records themselves stay on disk for [`Wal::replay`]; a
+    /// caller that wants them all anyway opens with
+    /// [`Wal::open_visiting`] and reads the directory once.
     pub fn open(io: I, dir: impl Into<PathBuf>, config: WalConfig) -> io::Result<(Wal<I>, Recovery)> {
+        let mut keep = KeepSnapshot::default();
+        let (wal, mut recovery) = Wal::open_visiting(io, dir, config, &mut keep)?;
+        recovery.snapshot = keep.0;
+        Ok((wal, recovery))
+    }
+
+    /// [`Wal::open`] in one pass: `visitor` is handed the newest
+    /// checkpoint and then every record past it, borrowed from the
+    /// segment buffer the scan has just validated — the same
+    /// `(lsn, payload)` sequence [`Wal::replay`] would yield from the
+    /// opened log, without reading or checksumming anything twice and
+    /// without copying a payload. See [`Visitor`] for what it may see
+    /// before a refusal; the directory is healed (and, when empty,
+    /// given its first segment) only after the pass, so a refused open
+    /// leaves the disk as it found it.
+    pub fn open_visiting(
+        io: I,
+        dir: impl Into<PathBuf>,
+        config: WalConfig,
+        visitor: &mut dyn Visitor,
+    ) -> io::Result<(Wal<I>, Recovery)> {
         let dir = dir.into();
         let config = WalConfig {
             segment_bytes: config.segment_bytes.max(SEGMENT_HEADER as u64 + 64),
             ..config
         };
         io.create_dir_all(&dir)?;
-        let mut scan = scan_dir(&io, &dir)?;
+        let mut scan = scan_dir(&io, &dir, visitor)?;
         for tmp in &scan.tmp_files {
             io.remove(&dir.join(tmp))?;
         }
@@ -533,20 +637,19 @@ impl<I: Io> Wal<I> {
             }
         };
         let recovery = Recovery {
-            snapshot: scan.snapshot.take(),
+            snapshot: None,
             torn_tail: scan.torn.take(),
             segments: segments.len(),
             records: scan.replay_records,
             next_lsn: scan.next_lsn,
         };
-        let snapshot_upto = recovery.snapshot.as_ref().map(|s| s.upto).unwrap_or(0);
         Ok((
             Wal {
                 io,
                 dir,
                 config,
                 next_lsn: scan.next_lsn,
-                snapshot_upto,
+                snapshot_upto: scan.snapshot_upto,
                 segments,
                 active_len,
                 broken: false,
@@ -818,7 +921,8 @@ impl<I: Io> WalReader<I> {
     /// mid-log corruption is an error, exactly as in [`Wal::open`].
     pub fn open(io: I, dir: impl Into<PathBuf>) -> io::Result<WalReader<I>> {
         let dir = dir.into();
-        let scan = scan_dir(&io, &dir)?;
+        let mut keep = KeepSnapshot::default();
+        let scan = scan_dir(&io, &dir, &mut keep)?;
         let segments = scan
             .segments
             .iter()
@@ -830,8 +934,8 @@ impl<I: Io> WalReader<I> {
         Ok(WalReader {
             io,
             dir,
-            snapshot_upto: scan.snapshot.as_ref().map(|s| s.upto).unwrap_or(0),
-            snapshot: scan.snapshot,
+            snapshot_upto: scan.snapshot_upto,
+            snapshot: keep.0,
             segments,
             torn: scan.torn,
             next_lsn: scan.next_lsn,

@@ -6,7 +6,7 @@
 
 use std::path::Path;
 use uucs_harness::prelude::*;
-use uucs_wal::{FaultPlan, MemIo, SyncPolicy, Wal, WalConfig};
+use uucs_wal::{FaultPlan, Io, Lsn, MemIo, Snapshot, SyncPolicy, Visitor, Wal, WalConfig};
 
 /// Deterministic payload for the `i`th append: varied length (so some
 /// runs rotate segments, some don't) and content derived from the index
@@ -58,6 +58,146 @@ fn check_recovery(
         "replayed {replayed} of only {attempted} attempts"
     );
     Ok(replayed)
+}
+
+/// Everything a one-pass open shows its visitor, kept.
+#[derive(Default)]
+struct Seen {
+    snapshot: Option<Snapshot>,
+    records: Vec<(Lsn, Vec<u8>)>,
+}
+
+impl Visitor for Seen {
+    fn snapshot(&mut self, snapshot: Snapshot) -> std::io::Result<()> {
+        assert!(self.snapshot.is_none() && self.records.is_empty(), "snapshot comes first, once");
+        self.snapshot = Some(snapshot);
+        Ok(())
+    }
+
+    fn record(&mut self, lsn: Lsn, payload: &[u8]) -> std::io::Result<()> {
+        self.records.push((lsn, payload.to_vec()));
+        Ok(())
+    }
+}
+
+/// Every file under `dir` with its bytes, in name order.
+fn image(io: &MemIo, dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut names = io.list(dir).unwrap_or_default();
+    names.sort();
+    names
+        .into_iter()
+        .map(|name| {
+            let bytes = io.contents(&dir.join(&name)).expect("listed file exists");
+            (name, bytes)
+        })
+        .collect()
+}
+
+proptest! {
+    // Cheap cases, many outcomes (clean, torn, folded, refused): run
+    // enough of them to meet each kind often.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The one-pass open is the two-pass one: whatever a fault, a crash
+    /// and then a flipped bit or a chopped file leave behind — a clean
+    /// log, a torn tail, a snapshot with or without the segments it
+    /// folded, or damage recovery must refuse — `Wal::open_visiting`
+    /// shows its visitor exactly the snapshot `Wal::open` returns and
+    /// exactly the records `Wal::replay` then yields, reports the same
+    /// `Recovery`, leaves the same bytes on disk (volatile and durable),
+    /// and refuses with the same error.
+    #[test]
+    fn one_pass_open_equals_open_then_replay(
+        n in 1u64..40,
+        fail_at in 0u64..160,
+        short_raw in 0usize..24,
+        frac_pct in 0u32..101,
+        spice in 0u64..1000,
+        snap_at in 0u64..80,
+        damage in 0u64..4,
+        place in 0u64..1_000_000,
+    ) {
+        let io = MemIo::new();
+        let dir = Path::new("/wal");
+        let sync = if spice % 2 == 0 { SyncPolicy::Always } else { SyncPolicy::Never };
+        let config = WalConfig { segment_bytes: 256, sync };
+        let (mut wal, _) = Wal::open(io.clone(), dir, config).unwrap();
+        io.set_fault(Some(FaultPlan {
+            fail_at,
+            short_write: (short_raw < 16).then_some(short_raw),
+        }));
+        // Appends with a checkpoint part-way (compacted or not), until
+        // the fault fires.
+        for i in 0..n {
+            if i == snap_at / 2 {
+                let state = format!("state-of-{i}-{spice}");
+                if wal.snapshot(state.as_bytes()).is_err() {
+                    break;
+                }
+                if snap_at % 2 == 1 && wal.compact().is_err() {
+                    break;
+                }
+            }
+            if wal.append(&payload(i, spice)).is_err() {
+                break;
+            }
+        }
+        drop(wal);
+        io.crash(frac_pct as f64 / 100.0);
+        // Then, half the time, damage no crash can cause.
+        let files = image(&io, dir);
+        if damage >= 2 && !files.is_empty() {
+            let (name, bytes) = &files[place as usize % files.len()];
+            let offset = place as usize / files.len() % bytes.len().max(1);
+            let path = dir.join(name);
+            if damage == 2 {
+                io.corrupt(&path, offset);
+            } else {
+                io.truncate(&path, offset as u64).unwrap();
+                io.sync(&path).unwrap();
+            }
+        }
+
+        let (two_pass, one_pass) = (io.fork(), io.fork());
+        let reference = Wal::open(two_pass.clone(), dir, config).map(|(wal, recovery)| {
+            let records: Vec<(Lsn, Vec<u8>)> = wal
+                .replay()
+                .map(|item| item.expect("an opened log replays"))
+                .collect();
+            (recovery, records)
+        });
+        let mut seen = Seen::default();
+        let visited = Wal::open_visiting(one_pass.clone(), dir, config, &mut seen);
+        match (reference, visited) {
+            (Ok((want, records)), Ok((_, got))) => {
+                prop_assert_eq!(&seen.snapshot, &want.snapshot);
+                prop_assert_eq!(&seen.records, &records);
+                prop_assert!(got.snapshot.is_none(), "the visitor was handed the snapshot");
+                prop_assert_eq!(&got.torn_tail, &want.torn_tail);
+                prop_assert_eq!(
+                    (got.segments, got.records, got.next_lsn),
+                    (want.segments, want.records, want.next_lsn)
+                );
+            }
+            (Err(want), Err(got)) => {
+                prop_assert_eq!(got.kind(), want.kind());
+                prop_assert_eq!(got.to_string(), want.to_string());
+                // A refusal touches nothing.
+                prop_assert_eq!(image(&one_pass, dir), image(&io, dir));
+            }
+            (want, got) => prop_assert!(
+                false,
+                "two passes: {:?}, one pass: {:?}",
+                want.map(|(r, _)| r),
+                got.map(|(_, r)| r)
+            ),
+        }
+        // Same bytes on disk, and the same bytes durable.
+        prop_assert_eq!(image(&one_pass, dir), image(&two_pass, dir));
+        one_pass.crash(0.0);
+        two_pass.crash(0.0);
+        prop_assert_eq!(image(&one_pass, dir), image(&two_pass, dir));
+    }
 }
 
 proptest! {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The tier-1 gate, hermetically: offline warning-free build, lint and
-# unsafe gates, every test suite once, fleet and benchmark smokes, and a
+# unsafe gates, every test suite once, fleet and benchmark smokes (which
+# must leave the benchmark's lock file as committed), and a
 # quick-mode smoke pass over every bench target (which also regenerates
 # the paper artifacts and the bench summary).
 set -euo pipefail
@@ -82,17 +83,23 @@ echo "== test (every other crate) =="
 cargo test -q --workspace --exclude uucs --exclude uucs-wal --exclude uucs-pagecache \
     --exclude uucs-wire --exclude uucs-modelsvc --exclude uucs-cluster
 
-# On one CPU the study's parallel phase spawns nothing and runs inline;
-# pin the worker-count test to one core so that path runs on any host.
+# On one CPU the study's parallel phase and the server's shard open
+# spawn nothing and run inline; pin the worker-count tests to one core
+# so that path runs on any host.
 if command -v taskset >/dev/null 2>&1; then
     echo "== study worker-count independence on one CPU (taskset -c 0) =="
     taskset -c 0 cargo test -q -p uucs-study --lib records_are_independent_of_the_worker_count
+    echo "== shard-open worker-count independence on one CPU (taskset -c 0) =="
+    taskset -c 0 cargo test -q -p uucs-server --lib recovered_state_is_independent_of_the_worker_count
 fi
 
 # controlled-study checks every repetition's rendered output against a
 # pinned CRC: it is the byte-identity gate for the parallel study's
-# phase ordering.
-for workload in ack-latency controlled-study; do
+# phase ordering. restart-recovery re-REGISTERs every identity and
+# counts every shard's records after each SIGKILL: "correct" there
+# means every acked (client, seq) came back exactly once from the
+# parallel one-pass open.
+for workload in ack-latency controlled-study restart-recovery; do
     echo "== benchmark smoke ($workload, 2 s, outputs checked) =="
     smoke=$(benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
     echo "$smoke"
@@ -104,6 +111,15 @@ for workload in ack-latency controlled-study; do
             ;;
     esac
 done
+
+# The benchmark is its own workspace with a committed lock file, and the
+# driver runs it from a clean checkout: a crate added to the graph (or a
+# hand edit) would make cargo rewrite that file on the first build.
+if ! git diff --quiet -- benchmark/Cargo.lock BENCHMARK.json; then
+    echo "ci: building the benchmark changed benchmark/Cargo.lock or BENCHMARK.json:" >&2
+    git diff --stat -- benchmark/Cargo.lock BENCHMARK.json >&2
+    exit 1
+fi
 
 echo "== fleet smoke (200 multiplexed clients vs a live sharded server) =="
 cargo run -q --release -p uucs-study -- fleet --quick
