@@ -5,14 +5,14 @@
 //! through the full engine):
 //!
 //! * `unreplicated` — the plain engine, no replication sink installed.
-//! * `repl_local` — `--repl-ack=local`: the leader appends to its
-//!   replication log and fans out to the follower, but acks as soon as
-//!   its own store accepted the batch.
+//! * `repl_local` — `--repl-ack=local`: the leader pushes onto its
+//!   in-memory backlog and fans out to the follower, but acks as soon
+//!   as its own store accepted the batch.
 //! * `repl_quorum` — `--repl-ack=quorum`: every ack additionally waits
 //!   for the follower to apply and commit the entry over TCP.
 //!
-//! The spread between the first two is the shipping overhead (log
-//! append + channel fan-out); between the last two, the round trip a
+//! The spread between the first two is the shipping overhead (backlog
+//! push + channel fan-out); between the last two, the round trip a
 //! quorum ack buys its durability with.
 
 use std::hint::black_box;

@@ -16,7 +16,9 @@
 //! itself.
 //!
 //! Stores are WAL-backed under `--data` exactly like `uucs-server
-//! --wal`; replication logs and follower progress live next to them.
+//! --wal` and are the node's only journals; a follower's progress file
+//! lives next to them, and what a leader keeps for reconnecting
+//! followers is a bounded in-memory backlog.
 //! A two-node quickstart is in the README ("Running a cluster").
 
 use std::path::PathBuf;
@@ -178,12 +180,7 @@ fn main() {
         std::thread::sleep(Duration::from_secs(30));
         let role = cluster.role();
         if role == Role::Leader {
-            // Fold the journals and the replication logs; a follower
-            // further behind than this checkpoint gets a snapshot.
-            if let Err(e) = server
-                .compact()
-                .and_then(|_| cluster.hub().checkpoint_logs())
-            {
+            if let Err(e) = server.compact() {
                 eprintln!("checkpoint failed: {e}");
                 continue;
             }

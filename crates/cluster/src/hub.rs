@@ -1,27 +1,29 @@
-//! The leader half of WAL shipping: per-shard replication logs, the
-//! `REPL` listener, follower fan-out, backfill, and the quorum-ack
-//! wait.
+//! The leader half of WAL shipping: per-shard backlogs, the `REPL`
+//! listener, follower fan-out, backfill, and the quorum-ack wait.
 //!
 //! Every committed mutation routes to a replication shard by the same
-//! stable hash the stores use ([`uucs_server::shard_of`]), appends to
-//! that shard's replication log (a normal `uucs-wal` log at
-//! `SyncPolicy::Never` — it is a retransmission buffer, not the source
-//! of truth; losing it merely forces a snapshot backfill), and fans out
-//! to every connected follower. The append and the fan-out happen under
-//! the shard's log lock, so followers observe each shard's sequence
+//! stable hash the stores use ([`uucs_server::shard_of`]), is pushed
+//! onto that shard's [`Backlog`] (a bounded in-memory retransmission
+//! buffer — the node's one journal is its store's; an entry evicted
+//! here merely forces a snapshot backfill), and fans out to every
+//! connected follower. The push and the fan-out happen under the
+//! shard's backlog lock, so followers observe each shard's sequence
 //! numbers in order with no gaps.
 //!
-//! A follower that reconnects resumes from its acked watermark: the
-//! leader replays the log tail from that sequence. A watermark that
-//! predates the log's newest checkpoint — or one earned under a
-//! different cluster epoch — cannot be tailed; the leader instead
+//! Sequences live as long as the hub: every leader start and every
+//! promotion claims a fresh epoch, so a watermark is only meaningful
+//! to the process that issued it. A follower that reconnects within
+//! that lifetime resumes from its acked watermark: the leader resends
+//! the backlog tail from that sequence. A watermark the backlog has
+//! evicted past — or one earned under a different cluster epoch, which
+//! includes every first contact — cannot be tailed; the leader instead
 //! streams a full store snapshot ([`UucsServer::export_entries`]) and
 //! jumps the follower's watermark past it (*snapshot-then-tail*).
 
 use crate::gossip::GossipState;
+use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -31,8 +33,6 @@ use uucs_protocol::repl::{read_repl_msg, write_repl_msg, ReplMsg};
 use uucs_protocol::WalEntry;
 use uucs_server::{shard_of, ReplicationSink, UucsServer};
 use uucs_telemetry::{metrics, Counter, Gauge};
-use uucs_pagecache::CachedIo;
-use uucs_wal::{StdIo, SyncPolicy, Wal, WalConfig};
 
 /// When the leader acknowledges a client-visible mutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,14 +67,6 @@ pub struct HubConfig {
     pub ack: AckMode,
     /// How long a quorum ack may be waited for before degrading.
     pub ack_timeout: Duration,
-    /// Replication-log segment size (small values force rotation in
-    /// tests; see the backfill edge-case suite).
-    pub segment_bytes: u64,
-    /// ARC page-cache capacity (in 4 KiB pages, per shard log) for the
-    /// shipping logs. Follower catch-up and snapshot-then-tail backfill
-    /// re-read recent segments over and over; a warm cache serves those
-    /// from memory. 0 disables (strict passthrough).
-    pub cache_pages: usize,
 }
 
 impl Default for HubConfig {
@@ -82,9 +74,50 @@ impl Default for HubConfig {
         HubConfig {
             ack: AckMode::Local,
             ack_timeout: Duration::from_secs(2),
-            segment_bytes: 1 << 20,
-            cache_pages: 256,
         }
+    }
+}
+
+/// Encoded bytes one shard's [`Backlog`] may hold — ≈ 180 two-record
+/// uploads. Measured (DESIGN.md §5g) to cover a follower *restart*
+/// under saturating load (16–68 missed per shard) with margin, not an
+/// outage: whoever missed more catches up by snapshot instead.
+const BACKLOG_BYTES: usize = 64 << 10;
+
+/// One shard's retransmission buffer: the encoded entries of sequences
+/// `floor..next()`, oldest evicted first.
+#[derive(Default)]
+struct Backlog {
+    entries: VecDeque<Vec<u8>>,
+    floor: u64,
+    bytes: usize,
+}
+
+impl Backlog {
+    fn next(&self) -> u64 {
+        self.floor + self.entries.len() as u64
+    }
+
+    /// Holds `bytes` under the next sequence, then evicts from the
+    /// front until the budget is met again — an entry larger than the
+    /// whole budget goes straight through (`floor == next()`).
+    fn push(&mut self, bytes: Vec<u8>) -> u64 {
+        let seq = self.next();
+        self.bytes += bytes.len();
+        self.entries.push_back(bytes);
+        while self.bytes > BACKLOG_BYTES {
+            let evicted = self.entries.pop_front().expect("bytes > 0 means an entry is held");
+            self.bytes -= evicted.len();
+            self.floor += 1;
+        }
+        seq
+    }
+
+    /// The entries `wanted..next()`, or `None` when `wanted` lies
+    /// outside `floor..=next()` and only a snapshot can serve it.
+    fn tail(&self, wanted: u64) -> Option<impl Iterator<Item = (u64, &Vec<u8>)>> {
+        let skip = usize::try_from(wanted.checked_sub(self.floor)?).ok()?;
+        (skip <= self.entries.len()).then(|| (wanted..).zip(self.entries.iter().skip(skip)))
     }
 }
 
@@ -107,6 +140,8 @@ struct HubMetrics {
     follower_connected: Gauge,
     quorum_timeouts: Counter,
     shipped: Counter,
+    /// `[tail, snapshot]`, mirroring [`ReplHub::backfills`].
+    backfills: [Counter; 2],
 }
 
 /// The replication hub. One per node; dormant (every
@@ -116,12 +151,12 @@ pub struct ReplHub {
     node: String,
     shards: usize,
     config: HubConfig,
-    logs: Vec<Mutex<Wal<CachedIo<StdIo>>>>,
-    /// Mirror of each log's `next_lsn`, readable without the log lock.
+    backlogs: Vec<Mutex<Backlog>>,
+    /// Each backlog's `next()`, mirrored for the lag gauge so neither
+    /// `replicate` nor a follower `Commit` takes every shard's lock.
     next_seq: Vec<AtomicU64>,
-    /// Sequences below this are folded into the log's checkpoint and no
-    /// longer tailable.
-    snapshot_upto: Vec<AtomicU64>,
+    /// Catch-ups this hub served, `[by tail, by snapshot]`.
+    backfills: [AtomicU64; 2],
     followers: Mutex<Vec<Arc<FollowerSlot>>>,
     /// Signals quorum waiters whenever any follower ack advances (or a
     /// follower disconnects, so waiters can re-check liveness).
@@ -137,54 +172,26 @@ pub struct ReplHub {
     shutdown: AtomicBool,
 }
 
+fn shut_down() -> io::Error {
+    io::Error::other("leader shut down before a follower acknowledged")
+}
+
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ReplHub {
-    /// Opens (or recovers) the per-shard replication logs under `dir`
-    /// and returns a dormant hub.
-    pub fn open(
-        node: impl Into<String>,
-        dir: impl Into<PathBuf>,
-        shards: usize,
-        config: HubConfig,
-    ) -> io::Result<Arc<ReplHub>> {
+    /// A dormant hub with `shards` empty backlogs.
+    pub fn new(node: impl Into<String>, shards: usize, config: HubConfig) -> Arc<ReplHub> {
         let node = node.into();
-        let dir = dir.into();
-        let mut logs = Vec::with_capacity(shards);
-        let mut next_seq = Vec::with_capacity(shards);
-        let mut snapshot_upto = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let shard_dir = dir.join(format!("shard-{i:03}"));
-            std::fs::create_dir_all(&shard_dir)?;
-            let io = if config.cache_pages > 0 {
-                CachedIo::new(StdIo::new(), config.cache_pages, 4096)
-            } else {
-                CachedIo::passthrough(StdIo::new())
-            };
-            let (wal, recovery) = Wal::open(
-                io,
-                shard_dir,
-                WalConfig {
-                    segment_bytes: config.segment_bytes,
-                    sync: SyncPolicy::Never,
-                },
-            )?;
-            next_seq.push(AtomicU64::new(recovery.next_lsn));
-            snapshot_upto.push(AtomicU64::new(
-                recovery.snapshot.as_ref().map_or(0, |s| s.upto),
-            ));
-            logs.push(Mutex::new(wal));
-        }
-        Ok(Arc::new(ReplHub {
+        Arc::new(ReplHub {
             gossip: Mutex::new(GossipState::new(node.clone())),
             node,
             shards,
             config,
-            logs,
-            next_seq,
-            snapshot_upto,
+            backlogs: (0..shards).map(|_| Mutex::default()).collect(),
+            next_seq: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            backfills: Default::default(),
             followers: Mutex::new(Vec::new()),
             ack_signal: Condvar::new(),
             ack_lock: Mutex::new(()),
@@ -196,9 +203,11 @@ impl ReplHub {
                 follower_connected: metrics::gauge("server.repl.follower_connected"),
                 quorum_timeouts: metrics::counter("server.repl.quorum_timeouts"),
                 shipped: metrics::counter("server.repl.shipped"),
+                backfills: ["tail", "snapshot"]
+                    .map(|path| metrics::counter(&format!("server.repl.backfill.{path}"))),
             },
             shutdown: AtomicBool::new(false),
-        }))
+        })
     }
 
     /// The node name this hub replicates for.
@@ -240,19 +249,11 @@ impl ReplHub {
         &self.gossip
     }
 
-    /// Checkpoints and compacts every replication log. Sequences below
-    /// the checkpoint stop being tailable: a follower behind it gets a
-    /// snapshot-then-tail backfill on its next connect. The checkpoint
-    /// state is empty on purpose — backfill always exports the *live*
-    /// store, so the log never has to carry a second copy of it.
-    pub fn checkpoint_logs(&self) -> io::Result<()> {
-        for i in 0..self.shards {
-            let mut wal = lock(&self.logs[i]);
-            let upto = wal.snapshot(b"")?;
-            wal.compact()?;
-            self.snapshot_upto[i].store(upto, Ordering::SeqCst);
-        }
-        Ok(())
+    /// How many follower catch-ups this hub has served `(by backlog
+    /// tail, by snapshot)`; mirrored to `server.repl.backfill.*`.
+    pub fn backfills(&self) -> (u64, u64) {
+        let [tail, snapshot] = &self.backfills;
+        (tail.load(Ordering::SeqCst), snapshot.load(Ordering::SeqCst))
     }
 
     /// Names of the currently connected followers.
@@ -275,14 +276,10 @@ impl ReplHub {
     }
 
     fn update_lag(&self) {
-        let mut lag = 0i64;
-        for i in 0..self.shards {
-            let head = self.next_seq[i].load(Ordering::SeqCst);
-            if let Some(acked) = self.min_acked(i) {
-                lag = lag.max(head.saturating_sub(acked) as i64);
-            }
-        }
-        self.metrics.lag_batches.set(lag);
+        let lag = (0..self.shards)
+            .filter_map(|i| Some(self.next_seq[i].load(Ordering::SeqCst).saturating_sub(self.min_acked(i)?)))
+            .max();
+        self.metrics.lag_batches.set(lag.unwrap_or(0) as i64);
     }
 
     fn fan_out(&self, msg: &ReplMsg) {
@@ -298,25 +295,29 @@ impl ReplHub {
 
     /// Blocks until any live follower acked past `seq` on `shard`, the
     /// configured timeout passes (degrade + count), or no follower is
-    /// left to wait for.
-    fn wait_quorum(&self, shard: usize, seq: u64) {
+    /// left to wait for. A wait that [`ReplHub::shutdown`] cut short is
+    /// an error, not a degrade: this leader is going away, so an ack now
+    /// would promise a copy no follower will ever be sent.
+    fn wait_quorum(&self, shard: usize, seq: u64) -> io::Result<()> {
         let deadline = Instant::now() + self.config.ack_timeout;
         let mut guard = lock(&self.ack_lock);
         loop {
-            let satisfied = lock(&self.followers)
+            // The furthest live follower on this shard; `None` = nobody.
+            let best = lock(&self.followers)
                 .iter()
                 .filter(|s| s.alive.load(Ordering::SeqCst))
-                .any(|s| s.acked[shard].load(Ordering::SeqCst) > seq);
-            if satisfied {
-                return;
+                .map(|s| s.acked[shard].load(Ordering::SeqCst))
+                .max();
+            if best.is_some_and(|acked| acked > seq) {
+                return Ok(());
             }
-            let connected = lock(&self.followers)
-                .iter()
-                .any(|s| s.alive.load(Ordering::SeqCst));
             let now = Instant::now();
-            if !connected || now >= deadline {
+            if best.is_none() || now >= deadline {
+                if self.shutdown.load(Ordering::SeqCst) {
+                    return Err(shut_down());
+                }
                 self.metrics.quorum_timeouts.inc();
-                return;
+                return Ok(());
             }
             let (g, _) = self
                 .ack_signal
@@ -382,13 +383,8 @@ impl ReplHub {
     fn serve_follower(self: &Arc<Self>, stream: TcpStream) -> io::Result<()> {
         stream.set_nodelay(true).ok();
         let mut reader = BufReader::new(stream.try_clone()?);
-        let hello = match read_repl_msg(&mut reader)? {
-            Some(ReplMsg::Hello {
-                node,
-                epoch,
-                watermarks,
-            }) => (node, epoch, watermarks),
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "expected HELLO")),
+        let Some(ReplMsg::Hello { node, epoch, watermarks }) = read_repl_msg(&mut reader)? else {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "expected HELLO"));
         };
         let mut writer = BufWriter::new(stream.try_clone()?);
         if !self.leading() {
@@ -405,7 +401,7 @@ impl ReplHub {
         )?;
         // Per-shard resume points; missing shards start from 0.
         let mut wanted = vec![0u64; self.shards];
-        for (shard, seq) in &hello.2 {
+        for (shard, seq) in &watermarks {
             if *shard < self.shards {
                 wanted[*shard] = *seq;
             }
@@ -416,7 +412,7 @@ impl ReplHub {
         // the stream with no gap (overlaps dedup at the follower).
         let (tx, rx) = sync_channel(4096);
         let slot = Arc::new(FollowerSlot {
-            node: hello.0.clone(),
+            node,
             tx,
             acked: (0..self.shards).map(|_| AtomicU64::new(0)).collect(),
             alive: AtomicBool::new(true),
@@ -428,27 +424,33 @@ impl ReplHub {
             followers.push(Arc::clone(&slot));
             self.metrics.follower_connected.set(followers.len() as i64);
         }
-        let joined: Vec<u64> = (0..self.shards)
-            .map(|i| lock(&self.logs[i]).next_lsn())
-            .collect();
-        let snapshot_mode = hello.1 != self.epoch()
-            || (0..self.shards)
-                .any(|i| wanted[i] < self.snapshot_upto[i].load(Ordering::SeqCst));
+        // The join point is read and the wanted tail copied under one
+        // hold of each backlog lock: whatever is evicted after that is
+        // at or past `joined`, hence already in this follower's channel.
+        let mut joined = Vec::with_capacity(self.shards);
+        let mut tail = (epoch == self.epoch()).then(Vec::new);
+        for (shard, backlog) in self.backlogs.iter().enumerate() {
+            let backlog = lock(backlog);
+            joined.push(backlog.next());
+            let Some(msgs) = &mut tail else { continue };
+            match backlog.tail(wanted[shard]) {
+                Some(entries) => msgs.extend(entries.map(|(seq, bytes)| ReplMsg::Entry {
+                    shard,
+                    seq,
+                    bytes: bytes.clone(),
+                })),
+                None => tail = None,
+            };
+        }
+        let path = usize::from(tail.is_none());
+        self.backfills[path].fetch_add(1, Ordering::SeqCst);
+        self.metrics.backfills[path].inc();
         let writer_hub = Arc::clone(self);
         let writer_slot = Arc::clone(&slot);
-        let wanted_w = wanted.clone();
-        let joined_w = joined.clone();
         let writer_handle = std::thread::Builder::new()
             .name("repl-writer".into())
             .spawn(move || {
-                let r = writer_hub.stream_to_follower(
-                    &mut writer,
-                    &writer_slot,
-                    rx,
-                    snapshot_mode,
-                    &wanted_w,
-                    &joined_w,
-                );
+                let r = writer_hub.stream_to_follower(&mut writer, &writer_slot, rx, tail, &joined);
                 if r.is_err() {
                     writer_slot.alive.store(false, Ordering::SeqCst);
                 }
@@ -474,16 +476,22 @@ impl ReplHub {
         read_result
     }
 
+    /// Brings the follower up to its join point — by resending `tail`
+    /// when the backlog still held all it wanted, else by a store
+    /// snapshot and a jump to `joined` — then drains its channel.
     fn stream_to_follower(
         &self,
         writer: &mut BufWriter<TcpStream>,
         slot: &FollowerSlot,
         rx: Receiver<ReplMsg>,
-        snapshot_mode: bool,
-        wanted: &[u64],
+        tail: Option<Vec<ReplMsg>>,
         joined: &[u64],
     ) -> io::Result<()> {
-        if snapshot_mode {
+        if let Some(tail) = tail {
+            for msg in &tail {
+                write_repl_msg(writer, msg)?;
+            }
+        } else {
             let server = lock(&self.server)
                 .clone()
                 .ok_or_else(|| io::Error::other("hub has no server"))?;
@@ -501,16 +509,6 @@ impl ReplHub {
             }
             for (shard, &upto) in joined.iter().enumerate() {
                 write_repl_msg(writer, &ReplMsg::SnapDone { shard, upto })?;
-            }
-        } else {
-            for shard in 0..self.shards {
-                let wal = lock(&self.logs[shard]);
-                for rec in wal.replay() {
-                    let (seq, bytes) = rec?;
-                    if seq >= wanted[shard] && seq < joined[shard] {
-                        write_repl_msg(writer, &ReplMsg::Entry { shard, seq, bytes })?;
-                    }
-                }
             }
         }
         writer.flush()?;
@@ -578,7 +576,10 @@ impl ReplHub {
 impl ReplicationSink for ReplHub {
     fn replicate(&self, entry: &WalEntry) -> io::Result<()> {
         if !self.leading() {
-            return Ok(());
+            // Dormant — unless this was a quorum leader that has been
+            // shut down under a handler still running: that one refuses.
+            let down = self.config.ack == AckMode::Quorum && self.shutdown.load(Ordering::SeqCst);
+            return if down { Err(shut_down()) } else { Ok(()) };
         }
         let Some(key) = route_key(entry) else {
             return Ok(());
@@ -587,16 +588,16 @@ impl ReplicationSink for ReplHub {
         let bytes = entry.encode();
         let seq;
         {
-            let mut wal = lock(&self.logs[shard]);
-            seq = wal.append(&bytes)?;
-            self.next_seq[shard].store(wal.next_lsn(), Ordering::SeqCst);
-            // Fan out under the log lock: per-shard sequence order on
-            // every follower channel matches append order, gap-free.
+            let mut backlog = lock(&self.backlogs[shard]);
+            seq = backlog.push(bytes.clone());
+            self.next_seq[shard].store(seq + 1, Ordering::SeqCst);
+            // Fan out under the backlog lock: per-shard sequence order
+            // on every follower channel matches push order, gap-free.
             self.fan_out(&ReplMsg::Entry { shard, seq, bytes });
         }
         self.update_lag();
         if self.config.ack == AckMode::Quorum {
-            self.wait_quorum(shard, seq);
+            self.wait_quorum(shard, seq)?;
         }
         Ok(())
     }
@@ -612,5 +613,114 @@ pub fn route_key(entry: &WalEntry) -> Option<&str> {
         WalEntry::Client { id, .. } => Some(id),
         WalEntry::Testcase(tc) => Some(tc.id.as_str()),
         WalEntry::Model(_) => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An entry that names its own sequence, padded to `len` bytes.
+    fn entry(seq: u64, len: usize) -> Vec<u8> {
+        let mut bytes = seq.to_le_bytes().to_vec();
+        bytes.resize(len.max(8), 0xAB);
+        bytes
+    }
+
+    fn seq_of(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(bytes[..8].try_into().unwrap())
+    }
+
+    #[test]
+    fn eviction_keeps_the_range_contiguous_and_the_byte_count_exact() {
+        let mut backlog = Backlog::default();
+        for seq in 0..500u64 {
+            // Sizes vary so one push evicts zero, one or several entries.
+            let len = 100 + (seq as usize * 7919) % 3000;
+            assert_eq!(backlog.push(entry(seq, len)), seq);
+            assert_eq!(backlog.next(), seq + 1);
+            assert!(backlog.bytes <= BACKLOG_BYTES);
+            assert_eq!(backlog.bytes, backlog.entries.iter().map(Vec::len).sum::<usize>());
+            for (held, bytes) in (backlog.floor..).zip(&backlog.entries) {
+                assert_eq!(seq_of(bytes), held, "entry {held} sits at its own sequence");
+            }
+        }
+        assert!(backlog.floor > 0, "500 entries of up to 3 KiB overflow the budget");
+        assert!(!backlog.entries.is_empty());
+    }
+
+    #[test]
+    fn an_entry_over_the_budget_is_not_held() {
+        let mut backlog = Backlog::default();
+        backlog.push(entry(0, 100));
+        assert_eq!(backlog.push(entry(1, BACKLOG_BYTES + 1)), 1);
+        assert_eq!((backlog.floor, backlog.next(), backlog.bytes), (2, 2, 0));
+        // The sequence space carries on above it.
+        assert_eq!(backlog.push(entry(2, 100)), 2);
+        assert_eq!((backlog.floor, backlog.next()), (2, 3));
+    }
+
+    #[test]
+    fn the_tail_from_any_held_point_is_exactly_wanted_to_next() {
+        let mut backlog = Backlog::default();
+        for seq in 0..200u64 {
+            backlog.push(entry(seq, 1000));
+        }
+        let (floor, next) = (backlog.floor, backlog.next());
+        assert!(0 < floor && floor < next);
+        for wanted in floor..=next {
+            let tail: Vec<u64> = backlog
+                .tail(wanted)
+                .expect("held")
+                .map(|(seq, bytes)| {
+                    assert_eq!(seq_of(bytes), seq);
+                    seq
+                })
+                .collect();
+            assert_eq!(tail, (wanted..next).collect::<Vec<_>>());
+        }
+        assert!(backlog.tail(floor - 1).is_none(), "evicted");
+        assert!(backlog.tail(next + 1).is_none(), "never issued");
+        assert!(backlog.tail(u64::MAX).is_none());
+    }
+
+    /// A quorum wait released by `shutdown` (the in-process stand-in for
+    /// a crash) must not turn into an ack: the follower never held the
+    /// entry and will never be sent it.
+    #[test]
+    fn a_quorum_wait_cut_short_by_shutdown_is_an_error_not_an_ack() {
+        let config = HubConfig {
+            ack: AckMode::Quorum,
+            ack_timeout: Duration::from_secs(60),
+        };
+        let hub = ReplHub::new("a", 1, config);
+        hub.lead(1);
+        let (addr, accept) = hub.listen("127.0.0.1:0").unwrap();
+        // A follower that joins by (empty) tail and never acknowledges.
+        let mut follower = TcpStream::connect(addr).unwrap();
+        let hello = ReplMsg::Hello {
+            node: "b".into(),
+            epoch: 1,
+            watermarks: vec![],
+        };
+        write_repl_msg(&mut follower, &hello).unwrap();
+        while hub.follower_nodes().is_empty() {
+            std::thread::yield_now();
+        }
+        let entry = WalEntry::Client {
+            id: "client-0001".into(),
+            token: "tok".into(),
+            snapshot: uucs_protocol::MachineSnapshot::study_machine("m"),
+        };
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| hub.replicate(&entry));
+            while hub.next_seq[0].load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            hub.shutdown(addr);
+            assert!(waiter.join().unwrap().is_err(), "released by shutdown");
+        });
+        assert!(hub.replicate(&entry).is_err(), "and refuses from then on");
+        accept.join().unwrap();
     }
 }

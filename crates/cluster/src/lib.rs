@@ -5,10 +5,11 @@
 //! deliberately small design — one leader, N followers, and three
 //! mechanisms:
 //!
-//! * **WAL shipping** ([`hub`]): the leader appends every committed
-//!   mutation to per-shard replication logs and streams the entries to
-//!   connected followers over the `REPL` channel
-//!   ([`uucs_protocol::repl`]), CRC-framed like on-disk WAL records.
+//! * **WAL shipping** ([`hub`]): the leader numbers every committed
+//!   mutation per replication shard, keeps a bounded in-memory backlog
+//!   of them, and streams the entries to connected followers over the
+//!   `REPL` channel ([`uucs_protocol::repl`]), CRC-framed like on-disk
+//!   WAL records.
 //!   Followers acknowledge with per-shard watermarks; `--repl-ack=quorum`
 //!   makes the leader wait for a follower ack before acking the client.
 //! * **Model gossip** ([`gossip`]): every node periodically broadcasts

@@ -41,8 +41,8 @@ pub struct ClusterConfig {
     pub node: String,
     /// The shared takeover directory (all nodes must see it).
     pub cluster_dir: PathBuf,
-    /// This node's own data directory (replication logs and follower
-    /// progress live under it).
+    /// This node's own data directory (follower progress lives under
+    /// it).
     pub data_dir: PathBuf,
     /// `REPL` addresses of every peer that might lead.
     pub peers: Vec<String>,
@@ -54,8 +54,6 @@ pub struct ClusterConfig {
     pub gossip_interval: Duration,
     /// Consecutive leaderless peer sweeps before racing for takeover.
     pub promote_after: u32,
-    /// Replication-log segment size (tests shrink it to force rotation).
-    pub segment_bytes: u64,
 }
 
 impl ClusterConfig {
@@ -75,7 +73,6 @@ impl ClusterConfig {
             ack_timeout: Duration::from_secs(2),
             gossip_interval: Duration::from_millis(200),
             promote_after: 3,
-            segment_bytes: 1 << 20,
         }
     }
 }
@@ -136,8 +133,8 @@ pub struct ClusterNode {
 }
 
 impl ClusterNode {
-    /// Opens the replication hub (recovering its logs), binds the
-    /// `REPL` listener on `repl_listen`, and starts in `role`:
+    /// Creates the replication hub, binds the `REPL` listener on
+    /// `repl_listen`, and starts in `role`:
     ///
     /// * [`Role::Leader`] claims the next epoch in `cluster_dir`
     ///   (creating `takeover-000001` on a fresh cluster) and starts
@@ -152,17 +149,17 @@ impl ClusterNode {
         repl_listen: &str,
         role: Role,
     ) -> io::Result<Arc<ClusterNode>> {
-        let hub = ReplHub::open(
+        // `repl-progress.txt` is written best-effort; its directory
+        // must exist or a follower silently never persists a watermark.
+        std::fs::create_dir_all(&config.data_dir)?;
+        let hub = ReplHub::new(
             config.node.clone(),
-            config.data_dir.join("repl"),
             server.shard_count(),
             HubConfig {
                 ack: config.ack,
                 ack_timeout: config.ack_timeout,
-                segment_bytes: config.segment_bytes,
-                ..HubConfig::default()
             },
-        )?;
+        );
         hub.set_server(Arc::clone(&server));
         server.set_replication(hub.clone());
         let (repl_addr, accept_thread) = hub.listen(repl_listen)?;

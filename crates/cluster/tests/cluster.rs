@@ -1,7 +1,10 @@
 //! Integration tests of the replicated tier over real sockets: WAL
-//! shipping leader → follower, backfill edge cases (mid-rotation joins,
-//! watermarks behind a compaction), and deterministic promotion.
+//! shipping leader → follower, backfill edge cases (cold joins,
+//! watermarks behind the backlog, joins racing live uploads), and
+//! deterministic promotion.
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uucs_cluster::node::{claim_epoch, current_epoch};
@@ -39,19 +42,26 @@ fn fresh_server() -> Arc<UucsServer> {
     Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 9))
 }
 
-fn config(
-    name: &str,
-    cluster_dir: &std::path::Path,
-    data_dir: &std::path::Path,
-    peers: Vec<String>,
-    segment_bytes: u64,
-) -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(name, cluster_dir, data_dir.join(name));
+fn config(name: &str, dir: &TempDir, peers: Vec<String>) -> ClusterConfig {
+    let mut cfg = ClusterConfig::new(name, dir.path().join("epochs"), dir.path().join(name));
     cfg.peers = peers;
     cfg.gossip_interval = Duration::from_millis(40);
     cfg.promote_after = 2;
-    cfg.segment_bytes = segment_bytes;
     cfg
+}
+
+/// Starts node `a` leading around `server`.
+fn lead(dir: &TempDir, server: &Arc<UucsServer>) -> Arc<ClusterNode> {
+    ClusterNode::start(config("a", dir, vec![]), Arc::clone(server), "127.0.0.1:0", Role::Leader)
+        .unwrap()
+}
+
+/// Starts node `b` following `leader` around `server`. Its data
+/// directory — and so its progress file — is the same on every call.
+fn follow(dir: &TempDir, leader: &ClusterNode, server: &Arc<UucsServer>) -> Arc<ClusterNode> {
+    let peers = vec![leader.repl_addr().to_string()];
+    ClusterNode::start(config("b", dir, peers), Arc::clone(server), "127.0.0.1:0", Role::Follower)
+        .unwrap()
 }
 
 fn register(server: &UucsServer, host: &str) -> String {
@@ -66,12 +76,20 @@ fn register(server: &UucsServer, host: &str) -> String {
 }
 
 fn upload(server: &UucsServer, client: &str, seq: u64, tag: &str) {
+    upload_batch(server, client, seq, &[tag.to_string()]);
+}
+
+/// One batch carrying one record per tag.
+fn upload_batch(server: &UucsServer, client: &str, seq: u64, tags: &[String]) {
     let (reply, _) = server.handle_deferred(&ClientMsg::Upload {
         client: client.into(),
         seq,
-        records: vec![rec(client, tag)],
+        records: tags.iter().map(|tag| rec(client, tag)).collect(),
     });
-    assert!(matches!(reply, ServerMsg::Ack(1)), "upload answered {reply:?}");
+    assert!(
+        matches!(reply, ServerMsg::Ack(n) if n == tags.len()),
+        "upload answered {reply:?}"
+    );
 }
 
 /// Each testcase tag must appear exactly once — the store-level
@@ -79,9 +97,13 @@ fn upload(server: &UucsServer, client: &str, seq: u64, tag: &str) {
 fn assert_exactly_once(server: &UucsServer, tags: &[String]) {
     let records = server.results();
     assert_eq!(records.len(), tags.len(), "record count");
+    let mut copies: HashMap<&str, usize> = HashMap::new();
+    for r in &records {
+        *copies.entry(r.testcase.as_str()).or_default() += 1;
+    }
     for tag in tags {
-        let copies = records.iter().filter(|r| &r.testcase == tag).count();
-        assert_eq!(copies, 1, "tag {tag} appears {copies} times");
+        let n = copies.get(tag.as_str()).copied().unwrap_or(0);
+        assert_eq!(n, 1, "tag {tag} appears {n} times");
     }
 }
 
@@ -93,28 +115,10 @@ fn assert_exactly_once(server: &UucsServer, tags: &[String]) {
 fn follower_applies_the_leaders_stream() {
     let dir = TempDir::new("cluster-stream");
     let leader_srv = fresh_server();
-    let leader = ClusterNode::start(
-        config("a", &dir.path().join("epochs"), dir.path(), vec![], 1 << 20),
-        Arc::clone(&leader_srv),
-        "127.0.0.1:0",
-        Role::Leader,
-    )
-    .unwrap();
+    let leader = lead(&dir, &leader_srv);
 
     let follower_srv = fresh_server();
-    let follower = ClusterNode::start(
-        config(
-            "b",
-            &dir.path().join("epochs"),
-            dir.path(),
-            vec![leader.repl_addr().to_string()],
-            1 << 20,
-        ),
-        Arc::clone(&follower_srv),
-        "127.0.0.1:0",
-        Role::Follower,
-    )
-    .unwrap();
+    let follower = follow(&dir, &leader, &follower_srv);
 
     let id = register(&leader_srv, "m1");
     let mut tags = Vec::new();
@@ -147,22 +151,15 @@ fn follower_applies_the_leaders_stream() {
     leader.shutdown();
 }
 
-/// Backfill edge case (satellite): a follower that first connects
-/// after the leader's replication logs have rotated through several
-/// segments tails the whole multi-segment log, then rides the live
-/// stream without a seam.
+/// Backfill edge case: a follower that first connects mid-history is
+/// a cold joiner — its `HELLO` carries epoch 0, which no leader ever
+/// leads under — so everything so far arrives by store snapshot, never
+/// by backlog tail, and the live stream carries on without a seam.
 #[test]
-fn follower_joining_mid_segment_rotation_tails_the_whole_log() {
-    let dir = TempDir::new("cluster-rotate");
+fn cold_join_is_served_by_snapshot_then_tail() {
+    let dir = TempDir::new("cluster-cold");
     let leader_srv = fresh_server();
-    // 256-byte segments: every couple of entries forces a rotation.
-    let leader = ClusterNode::start(
-        config("a", &dir.path().join("epochs"), dir.path(), vec![], 256),
-        Arc::clone(&leader_srv),
-        "127.0.0.1:0",
-        Role::Leader,
-    )
-    .unwrap();
+    let leader = lead(&dir, &leader_srv);
 
     let id = register(&leader_srv, "m1");
     let mut tags = Vec::new();
@@ -172,24 +169,13 @@ fn follower_joining_mid_segment_rotation_tails_the_whole_log() {
         tags.push(tag);
     }
 
-    // Join mid-history: everything so far must arrive by log tail.
     let follower_srv = fresh_server();
-    let follower = ClusterNode::start(
-        config(
-            "b",
-            &dir.path().join("epochs"),
-            dir.path(),
-            vec![leader.repl_addr().to_string()],
-            256,
-        ),
-        Arc::clone(&follower_srv),
-        "127.0.0.1:0",
-        Role::Follower,
-    )
-    .unwrap();
+    let follower = follow(&dir, &leader, &follower_srv);
     wait_until("backfill of 30 batches", Duration::from_secs(10), || {
         follower_srv.result_count() == 30
     });
+    // All 30 entries were still in the backlog; the epoch decided.
+    assert_eq!(leader.hub().backfills(), (0, 1), "(tail, snapshot)");
 
     // ... and the live stream continues past the backfill seam.
     for seq in 31..=40u64 {
@@ -201,95 +187,161 @@ fn follower_joining_mid_segment_rotation_tails_the_whole_log() {
         follower_srv.result_count() == 40
     });
     assert_exactly_once(&follower_srv, &tags);
+    assert_eq!(follower_srv.applied_seq(&id), 40);
 
     follower.shutdown();
     leader.shutdown();
 }
 
-/// Backfill edge case (satellite): a follower whose persisted watermark
-/// predates a leader-side checkpoint+compaction cannot be served by log
-/// tail — the leader streams a full store snapshot, the follower dedups
-/// it against what it already holds, and the watermark jumps past the
-/// compacted range. No record is lost or duplicated.
+/// Backfill edge case: a follower that was away while the leader
+/// shipped more than the backlog holds returns *in the same epoch*
+/// with a watermark the backlog has evicted past. It cannot be served
+/// by tail — the leader streams a full store snapshot, the follower
+/// dedups it against the few hundred records it already holds, and the
+/// watermark jumps past the evicted range. No record is lost or
+/// duplicated, and the upload horizon survives.
 #[test]
-fn watermark_behind_a_compaction_gets_snapshot_then_tail() {
-    let dir = TempDir::new("cluster-compact");
+fn watermark_behind_the_backlog_gets_snapshot_then_tail() {
+    let dir = TempDir::new("cluster-evicted");
     let leader_srv = fresh_server();
-    let leader = ClusterNode::start(
-        config("a", &dir.path().join("epochs"), dir.path(), vec![], 512),
-        Arc::clone(&leader_srv),
-        "127.0.0.1:0",
-        Role::Leader,
-    )
-    .unwrap();
+    let leader = lead(&dir, &leader_srv);
 
     let id = register(&leader_srv, "m1");
     let mut tags = Vec::new();
+    // Thirty records per batch: about 4 KiB of backlog each.
+    let batch = |tags: &mut Vec<String>, seq: u64, phase: &str| {
+        let batch: Vec<String> = (0..30).map(|i| format!("{phase}-{seq}-{i}")).collect();
+        upload_batch(&leader_srv, &id, seq, &batch);
+        tags.extend(batch);
+    };
 
-    // Phase 1: follower online, syncs the first 10 batches.
+    // Phase 1: follower online (cold join: snapshot #1), syncs 300
+    // records.
     let follower_srv = fresh_server();
-    let follower = ClusterNode::start(
-        config(
-            "b",
-            &dir.path().join("epochs"),
-            dir.path(),
-            vec![leader.repl_addr().to_string()],
-            512,
-        ),
-        Arc::clone(&follower_srv),
-        "127.0.0.1:0",
-        Role::Follower,
-    )
-    .unwrap();
+    let follower = follow(&dir, &leader, &follower_srv);
     for seq in 1..=10u64 {
-        let tag = format!("early-{seq}");
-        upload(&leader_srv, &id, seq, &tag);
-        tags.push(tag);
+        batch(&mut tags, seq, "early");
     }
     wait_until("initial sync", Duration::from_secs(10), || {
-        follower_srv.result_count() == 10
+        follower_srv.result_count() == 300
     });
+    assert_eq!(leader.hub().backfills(), (0, 1), "(tail, snapshot)");
 
-    // Phase 2: follower partitioned (shut down); the leader keeps
-    // committing, then checkpoints and compacts its replication logs,
-    // dropping the tail the follower would have wanted.
+    // Phase 2: follower partitioned (shut down); the leader ships well
+    // over the per-shard budget (64 KiB) — one client is one shard —
+    // evicting the tail the follower would have wanted.
     follower.shutdown();
     drop(follower);
-    for seq in 11..=20u64 {
-        let tag = format!("mid-{seq}");
-        upload(&leader_srv, &id, seq, &tag);
-        tags.push(tag);
-    }
-    leader.hub().checkpoint_logs().unwrap();
-    for seq in 21..=25u64 {
-        let tag = format!("late-{seq}");
-        upload(&leader_srv, &id, seq, &tag);
-        tags.push(tag);
+    for seq in 11..=40u64 {
+        batch(&mut tags, seq, "dark");
     }
 
     // Phase 3: the follower returns with its old engine state and its
-    // persisted watermark (same data_dir). The watermark predates the
-    // checkpoint, so the leader must go snapshot-then-tail; the dedup
-    // in `apply_snapshot_entry` keeps the 10 already-held records
-    // single copies.
-    let follower = ClusterNode::start(
-        config(
-            "b",
-            &dir.path().join("epochs"),
-            dir.path(),
-            vec![leader.repl_addr().to_string()],
-            512,
-        ),
-        Arc::clone(&follower_srv),
-        "127.0.0.1:0",
-        Role::Follower,
-    )
-    .unwrap();
+    // persisted watermark (same data_dir, same epoch). The dedup in
+    // `apply_snapshot_entry` keeps the 300 already-held records single
+    // copies.
+    let follower = follow(&dir, &leader, &follower_srv);
     wait_until("snapshot-then-tail catch-up", Duration::from_secs(10), || {
-        follower_srv.result_count() == 25
+        follower_srv.result_count() == 1200
     });
-    assert_eq!(follower_srv.applied_seq(&id), 25);
+    assert_eq!(
+        leader.hub().backfills(),
+        (0, 2),
+        "the return was served by snapshot, once, and never by tail"
+    );
+    assert_eq!(follower_srv.applied_seq(&id), 40);
     assert_exactly_once(&follower_srv, &tags);
+
+    // The jumped watermark is live: the stream resumes above it.
+    batch(&mut tags, 41, "late");
+    wait_until("live stream after the snapshot", Duration::from_secs(10), || {
+        follower_srv.result_count() == 1230
+    });
+    assert_exactly_once(&follower_srv, &tags);
+
+    follower.shutdown();
+    leader.shutdown();
+}
+
+/// Joins racing live traffic — the no-gap argument under load. One
+/// thread uploads while a follower joins cold (snapshot), leaves, and
+/// rejoins in the same epoch within the backlog's reach (tail). By the
+/// rejoin the backlog is long full, so every upload landing between
+/// "slot registered" and "tail copied" also evicts an entry; whichever
+/// side of the join point each falls on, the follower must end with it
+/// exactly once.
+#[test]
+fn joins_racing_live_uploads_end_with_every_tag_exactly_once() {
+    let dir = TempDir::new("cluster-race-join");
+    let leader_srv = fresh_server();
+    let leader = lead(&dir, &leader_srv);
+    let id = register(&leader_srv, "m1");
+
+    // The uploader runs free up to `limit`, which the main thread moves.
+    let uploaded = AtomicU64::new(0);
+    let limit = AtomicU64::new(u64::MAX);
+    let stop = AtomicBool::new(false);
+    let follower_srv = fresh_server();
+    // Lets the uploader get `n` more batches acked, waits for them, and
+    // leaves it parked there.
+    let upload_more = |n: u64| {
+        let target = uploaded.load(Ordering::SeqCst) + n;
+        limit.store(target, Ordering::SeqCst);
+        wait_until("uploads to advance", Duration::from_secs(10), || {
+            uploaded.load(Ordering::SeqCst) >= target
+        });
+    };
+    let connected = |what: &str| {
+        wait_until(what, Duration::from_secs(10), || {
+            !leader.hub().follower_nodes().is_empty()
+        });
+    };
+
+    let follower = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::SeqCst) {
+                let seq = uploaded.load(Ordering::SeqCst) + 1;
+                if seq <= limit.load(Ordering::SeqCst) {
+                    upload(&leader_srv, &id, seq, &format!("tc-{seq}"));
+                    uploaded.store(seq, Ordering::SeqCst);
+                }
+                std::thread::yield_now();
+            }
+        });
+        // A cold join under free-running uploads: snapshot, then the
+        // channel. Run on until the backlog has wrapped many times.
+        upload_more(50);
+        limit.store(u64::MAX, Ordering::SeqCst);
+        let follower = follow(&dir, &leader, &follower_srv);
+        connected("the cold join");
+        upload_more(1000);
+        wait_until("the follower to draw level", Duration::from_secs(30), || {
+            follower_srv.result_count() as u64 == uploaded.load(Ordering::SeqCst)
+        });
+        // Away for 50 entries, then rejoin while 100 more are landing:
+        // about 150 entries (~30 KiB) past the watermark, inside the
+        // 64 KiB the backlog keeps.
+        follower.shutdown();
+        drop(follower);
+        upload_more(50);
+        limit.fetch_add(100, Ordering::SeqCst);
+        let follower = follow(&dir, &leader, &follower_srv);
+        connected("the rejoin");
+        upload_more(50);
+        stop.store(true, Ordering::SeqCst);
+        follower
+    });
+
+    let total = uploaded.load(Ordering::SeqCst);
+    let tags: Vec<String> = (1..=total).map(|seq| format!("tc-{seq}")).collect();
+    assert_exactly_once(&leader_srv, &tags);
+    wait_until("the follower to hold every upload", Duration::from_secs(30), || {
+        follower_srv.result_count() as u64 == total
+    });
+    assert_exactly_once(&follower_srv, &tags);
+    assert_eq!(follower_srv.applied_seq(&id), total);
+    let (tail, snapshot) = leader.hub().backfills();
+    assert!(tail >= 1 && snapshot >= 1, "(tail {tail}, snapshot {snapshot})");
 
     follower.shutdown();
     leader.shutdown();
@@ -303,28 +355,10 @@ fn leader_loss_promotes_the_follower() {
     let dir = TempDir::new("cluster-promote");
     let epochs = dir.path().join("epochs");
     let leader_srv = fresh_server();
-    let leader = ClusterNode::start(
-        config("a", &epochs, dir.path(), vec![], 1 << 20),
-        Arc::clone(&leader_srv),
-        "127.0.0.1:0",
-        Role::Leader,
-    )
-    .unwrap();
+    let leader = lead(&dir, &leader_srv);
 
     let follower_srv = fresh_server();
-    let follower = ClusterNode::start(
-        config(
-            "b",
-            &epochs,
-            dir.path(),
-            vec![leader.repl_addr().to_string()],
-            1 << 20,
-        ),
-        Arc::clone(&follower_srv),
-        "127.0.0.1:0",
-        Role::Follower,
-    )
-    .unwrap();
+    let follower = follow(&dir, &leader, &follower_srv);
 
     let id = register(&leader_srv, "m1");
     let mut tags = Vec::new();

@@ -32,7 +32,7 @@
 //! watermark), which doubles as the resume point in a later `HELLO`.
 
 use std::io::{self, Read, Write};
-use uucs_wal::frame::{encode_frame, FrameError, FrameScanner, FRAME_HEADER, MAX_FRAME};
+use uucs_wal::frame::{encode_frame, read_frame, MAX_FRAME};
 
 /// One message on the replication channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +68,7 @@ pub enum ReplMsg {
     Entry {
         /// The leader shard this entry's key routes to.
         shard: usize,
-        /// The entry's sequence in that shard's replication log.
+        /// The entry's sequence in that shard's replication stream.
         seq: u64,
         /// The [`crate::WalEntry`]-encoded payload.
         bytes: Vec<u8>,
@@ -285,57 +285,12 @@ pub fn write_repl_msg<W: Write>(w: &mut W, msg: &ReplMsg) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one CRC-framed message.
-///
-/// * Clean EOF before any byte → `Ok(None)` (the peer hung up between
-///   frames).
-/// * EOF mid-frame → [`std::io::ErrorKind::UnexpectedEof`]: a torn
-///   frame, the retryable signature of an interrupted send.
-/// * CRC mismatch or an implausible length → `InvalidData`: the frame
-///   arrived whole but damaged; nothing after it can be trusted.
+/// Reads one CRC-framed message; EOF and damage are classified as by
+/// [`read_frame`] (clean EOF between frames is `Ok(None)`).
 pub fn read_repl_msg<R: Read>(r: &mut R) -> io::Result<Option<ReplMsg>> {
-    let mut header = [0u8; FRAME_HEADER];
-    let mut got = 0;
-    while got < header.len() {
-        match r.read(&mut header[got..])? {
-            0 if got == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "torn repl frame: incomplete header",
-                ))
-            }
-            n => got += n,
-        }
-    }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    if len > MAX_FRAME {
-        return Err(bad(format!("implausible repl frame length {len}")));
-    }
-    let mut buf = Vec::with_capacity(FRAME_HEADER + len as usize);
-    buf.extend_from_slice(&header);
-    buf.resize(FRAME_HEADER + len as usize, 0);
-    r.read_exact(&mut buf[FRAME_HEADER..]).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "torn repl frame: payload cut short",
-            )
-        } else {
-            e
-        }
-    })?;
-    match FrameScanner::new(&buf).next() {
-        Some(Ok((_, payload))) => ReplMsg::decode(payload).map(Some),
-        Some(Err(FrameError::Corrupt { detail, .. })) => {
-            Err(bad(format!("corrupt repl frame: {detail}")))
-        }
-        Some(Err(FrameError::Torn { reason, .. })) => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("torn repl frame: {reason}"),
-        )),
-        None => Err(bad("empty repl frame buffer")),
-    }
+    read_frame(r, MAX_FRAME, "repl")?
+        .map(|payload| ReplMsg::decode(&payload))
+        .transpose()
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use crate::commit::{CommitTicket, GroupCommitter, StoreFlavor};
 use crate::models::{observations_of, ModelStore};
 use crate::shard::{Sharded, StoreSet};
 use crate::store::{BatchStatus, RegistryStore, ResultStore, StoreError, TestcaseStore};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
@@ -403,7 +403,7 @@ impl UucsServer {
             guard.add(tc.clone())?;
             let lsn = guard.wal_next_lsn();
             drop(guard);
-            self.replicate(&WalEntry::Testcase(tc))
+            self.replicate(|| WalEntry::Testcase(tc))
                 .map_err(StoreError::Io)?;
             if let Some(ticket) = self.ticket(StoreFlavor::Testcases, shard, lsn) {
                 last[shard] = Some(ticket);
@@ -579,9 +579,20 @@ impl UucsServer {
         if results.applied_seq(client) >= *seq {
             return Ok(());
         }
+        // Equal records have equal `client` and `testcase` fields, so
+        // only the held records of the incoming ones' clients can match,
+        // and only within one testcase: index those in one pass over the
+        // shard, not one pass per record.
+        let clients: HashSet<&str> = records.iter().map(|r| r.client.as_str()).collect();
+        let mut held: HashMap<&str, Vec<&uucs_protocol::RunRecord>> = HashMap::new();
+        for have in results.all() {
+            if clients.contains(have.client.as_str()) {
+                held.entry(have.testcase.as_str()).or_default().push(have);
+            }
+        }
         let fresh: Vec<_> = records
             .iter()
-            .filter(|r| !results.all().iter().any(|have| have == *r))
+            .filter(|r| !held.get(r.testcase.as_str()).is_some_and(|same| same.contains(r)))
             .cloned()
             .collect();
         results
@@ -595,7 +606,7 @@ impl UucsServer {
 
     /// Folds the current store state into a stream of self-contained
     /// WAL entries — the backfill snapshot a leader sends a follower
-    /// whose watermark predates the retained replication log. One
+    /// the replication backlog cannot serve by tail. One
     /// `Client` entry per registration (token included, so the promoted
     /// follower honors re-registrations), then one synthetic `Batch`
     /// per client at its current applied sequence carrying all its
@@ -728,12 +739,13 @@ impl UucsServer {
         (reply, ticket)
     }
 
-    /// Mirrors one committed mutation to the replication sink, if any.
-    /// Counted on failure; under quorum ack the error propagates so the
-    /// client is *not* acked for an entry no follower holds.
-    fn replicate(&self, entry: &WalEntry) -> std::io::Result<()> {
+    /// Mirrors one committed mutation to the replication sink, if any
+    /// — `entry` is only built (records cloned) when there is one.
+    /// Under quorum ack the error propagates so the client is *not*
+    /// acked for an entry no follower holds.
+    fn replicate(&self, entry: impl FnOnce() -> WalEntry) -> std::io::Result<()> {
         match self.replication.get() {
-            Some(sink) => sink.replicate(entry),
+            Some(sink) => sink.replicate(&entry()),
             None => Ok(()),
         }
     }
@@ -1043,7 +1055,7 @@ impl UucsServer {
                 // registrations cannot set their lengths out of order.
                 self.shard_gauges.registry[shard].set(reg.len() as i64);
                 drop(reg);
-                if let Err(e) = self.replicate(&WalEntry::Client {
+                if let Err(e) = self.replicate(|| WalEntry::Client {
                     id: id.clone(),
                     token: token.to_string(),
                     snapshot: snapshot.clone(),
@@ -1118,7 +1130,7 @@ impl UucsServer {
                 // applied — a replayed retransmit was already shipped
                 // the first time around.
                 if matches!(status, BatchStatus::Applied(_)) {
-                    if let Err(e) = self.replicate(&WalEntry::Batch {
+                    if let Err(e) = self.replicate(|| WalEntry::Batch {
                         client: client.to_string(),
                         seq,
                         records: records.to_vec(),
@@ -1312,6 +1324,42 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(s.result_count(), 2);
+    }
+
+    /// A snapshot batch meets a follower that already holds part of it:
+    /// held records are skipped by equality — a shared testcase id alone
+    /// is not a match — the rest append, and the horizon jumps.
+    #[test]
+    fn snapshot_batch_adds_only_the_records_not_already_held() {
+        use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord, WalEntry};
+        let s = UucsServer::new(library(1), 9);
+        let id = register(&s);
+        let rec = |testcase: &str, offset_secs: f64| RunRecord {
+            client: id.clone(),
+            user: "u".into(),
+            testcase: testcase.into(),
+            task: "Word".into(),
+            skill: "Typical".into(),
+            outcome: RunOutcome::Discomfort,
+            offset_secs,
+            last_levels: vec![],
+            monitor: MonitorSummary::default(),
+        };
+        let held = vec![rec("tc-000", 1.0), rec("tc-000", 2.0)];
+        let batch = |seq, records| WalEntry::Batch {
+            client: id.clone(),
+            seq,
+            records,
+        };
+        s.apply_entry(&batch(2, held.clone())).unwrap();
+        let mut all = held;
+        all.extend([rec("tc-000", 3.0), rec("tc-001", 1.0)]);
+        s.apply_snapshot_entry(&batch(5, all.clone())).unwrap();
+        assert_eq!(s.results(), all);
+        assert_eq!(s.applied_seq(&id), 5);
+        // At or below the horizon nothing is even compared.
+        s.apply_snapshot_entry(&batch(5, all.clone())).unwrap();
+        assert_eq!(s.result_count(), 4);
     }
 
     #[test]

@@ -105,26 +105,9 @@ impl ResultDatabase {
     /// analysis phase can point at the data directory of a *live*
     /// server — nothing is truncated, renamed, or deleted.
     pub fn import_wal(dir: &Path) -> std::io::Result<Self> {
-        // One-shot scans read every byte exactly once, so the cache
-        // layer runs in strict passthrough: whole-segment buffered
-        // reads, zero extra copies — never slower than a bare scan.
-        Self::import_wal_cached(dir, 0)
-    }
-
-    /// [`ResultDatabase::import_wal`] with an ARC page cache of
-    /// `cache_pages` 4 KiB pages in front of the journal — for analysis
-    /// loops that re-scan a live server's directory periodically, where
-    /// the unchanged older segments then come from memory. `0` is the
-    /// strict-passthrough one-shot path.
-    pub fn import_wal_cached(dir: &Path, cache_pages: usize) -> std::io::Result<Self> {
         let invalid =
             |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-        let io = if cache_pages > 0 {
-            uucs_pagecache::CachedIo::new(uucs_wal::StdIo::new(), cache_pages, 4096)
-        } else {
-            uucs_pagecache::CachedIo::passthrough(uucs_wal::StdIo::new())
-        };
-        let mut reader = uucs_wal::WalReader::open(io, dir)?;
+        let mut reader = uucs_wal::WalReader::open(uucs_wal::StdIo::new(), dir)?;
         let mut records = Vec::new();
         if let Some(snap) = reader.take_snapshot() {
             let text = std::str::from_utf8(&snap.state)

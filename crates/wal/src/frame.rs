@@ -16,6 +16,8 @@
 //!   or its declared length is implausible. A crash cannot produce
 //!   this; bit rot or foreign writes can. Recovery reports it.
 
+use std::io::{self, Read};
+
 /// Bytes of frame header (`len` + `crc`).
 pub const FRAME_HEADER: usize = 8;
 
@@ -141,6 +143,59 @@ impl<'a> Iterator for FrameScanner<'a> {
         }
         self.offset = start + total;
         Some(Ok((start, payload)))
+    }
+}
+
+/// Reads one whole frame from a blocking stream and returns its
+/// payload. `cap` bounds the declared payload length and `what` names
+/// the channel in error texts (`"repl"`, `"wire"`).
+///
+/// * Clean EOF before any byte → `Ok(None)` (the peer hung up between
+///   frames).
+/// * EOF mid-frame → [`io::ErrorKind::UnexpectedEof`]: a torn frame,
+///   the retryable signature of an interrupted send.
+/// * CRC mismatch or a length over `cap` → `InvalidData`: the frame
+///   arrived whole but damaged; nothing after it can be trusted.
+pub fn read_frame<R: Read>(r: &mut R, cap: u32, what: &str) -> io::Result<Option<Vec<u8>>> {
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let torn = |part: &str| {
+        io::Error::new(io::ErrorKind::UnexpectedEof, format!("torn {what} frame: {part}"))
+    };
+    let mut header = [0u8; FRAME_HEADER];
+    let mut got = 0;
+    while got < header.len() {
+        match r.read(&mut header[got..])? {
+            0 if got == 0 => return Ok(None),
+            0 => return Err(torn("incomplete header")),
+            n => got += n,
+        }
+    }
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+    if len > cap {
+        return Err(bad(format!("implausible {what} frame length {len}")));
+    }
+    let mut buf = Vec::with_capacity(FRAME_HEADER + len as usize);
+    buf.extend_from_slice(&header);
+    buf.resize(FRAME_HEADER + len as usize, 0);
+    r.read_exact(&mut buf[FRAME_HEADER..]).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            torn("payload cut short")
+        } else {
+            e
+        }
+    })?;
+    match FrameScanner::new(&buf).next() {
+        Some(Ok(_)) => {
+            buf.drain(..FRAME_HEADER);
+            Ok(Some(buf))
+        }
+        Some(Err(FrameError::Corrupt { detail, .. })) => {
+            Err(bad(format!("corrupt {what} frame: {detail}")))
+        }
+        // A torn result is impossible: the buffer is sized to the frame.
+        Some(Err(FrameError::Torn { .. })) | None => Err(bad(format!(
+            "{what} frame scanner disagreed about completeness"
+        ))),
     }
 }
 

@@ -20,7 +20,7 @@
 use crate::codec::{self, DecodedClient};
 use std::io::{self, Read, Write};
 use uucs_protocol::{ClientMsg, ServerMsg};
-use uucs_wal::frame::{encode_frame, FrameError, FrameScanner, FRAME_HEADER};
+use uucs_wal::frame::{encode_frame, read_frame, FrameError, FrameScanner, FRAME_HEADER};
 
 /// Upper bound on a wire frame payload. Deliberately *below* the WAL's
 /// 64 MiB `MAX_FRAME` and the server's per-connection input buffer cap
@@ -127,56 +127,11 @@ pub fn try_read_client_frame(buf: &[u8]) -> io::Result<FrameRead> {
     }
 }
 
-/// Reads one whole frame's payload from a blocking stream. `Ok(None)`
-/// on clean EOF before any byte.
-fn read_frame_payload<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; FRAME_HEADER];
-    let mut got = 0;
-    while got < header.len() {
-        match r.read(&mut header[got..])? {
-            0 if got == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "torn wire frame: incomplete header",
-                ))
-            }
-            n => got += n,
-        }
-    }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    if len > MAX_WIRE_FRAME {
-        return Err(bad(format!("implausible wire frame length {len}")));
-    }
-    let mut buf = Vec::with_capacity(FRAME_HEADER + len as usize);
-    buf.extend_from_slice(&header);
-    buf.resize(FRAME_HEADER + len as usize, 0);
-    r.read_exact(&mut buf[FRAME_HEADER..]).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "torn wire frame: payload cut short",
-            )
-        } else {
-            e
-        }
-    })?;
-    match FrameScanner::new(&buf).next() {
-        Some(Ok((_, payload))) => Ok(Some(payload.to_vec())),
-        Some(Err(FrameError::Corrupt { detail, .. })) => {
-            Err(bad(format!("corrupt wire frame: {detail}")))
-        }
-        Some(Err(FrameError::Torn { .. })) | None => {
-            Err(bad("wire frame scanner disagreed about completeness"))
-        }
-    }
-}
-
 /// Reads one server reply from a blocking stream. EOF where a reply
 /// was due is `UnexpectedEof` (a connection failure, retryable), like
 /// the text reader's contract.
 pub fn read_server_frame<R: Read>(r: &mut R) -> io::Result<(u32, ServerMsg)> {
-    let Some(payload) = read_frame_payload(r)? else {
+    let Some(payload) = read_frame(r, MAX_WIRE_FRAME, "wire")? else {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed awaiting server frame",

@@ -98,8 +98,10 @@ fi
 # phase ordering. restart-recovery re-REGISTERs every identity and
 # counts every shard's records after each SIGKILL: "correct" there
 # means every acked (client, seq) came back exactly once from the
-# parallel one-pass open.
-for workload in ack-latency controlled-study restart-recovery; do
+# parallel one-pass open. quorum-ack is the only workload whose output
+# check runs through the replication tier: every acked upload must be
+# on the quorum follower too.
+for workload in ack-latency quorum-ack controlled-study restart-recovery; do
     echo "== benchmark smoke ($workload, 2 s, outputs checked) =="
     smoke=$(benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
     echo "$smoke"

@@ -61,6 +61,9 @@ fn node_config(
 }
 
 /// Retries `exchange` until it answers (rides out the failover window).
+/// A quorum leader torn down under a waiting handler refuses the upload
+/// (`replication failed`) rather than acking a copy no follower holds;
+/// like a dropped connection that is a failed attempt, not an answer.
 fn must_exchange(
     t: &mut ResilientTransport,
     msg: &ClientMsg,
@@ -68,16 +71,16 @@ fn must_exchange(
 ) -> ServerMsg {
     let stop = Instant::now() + deadline;
     loop {
-        match t.exchange(msg) {
+        let failure = match t.exchange(msg) {
+            Ok(ServerMsg::Error(e)) if e.starts_with("replication failed") => e,
             Ok(reply) => return reply,
-            Err(e) => {
-                assert!(
-                    Instant::now() < stop,
-                    "exchange never succeeded before the deadline: {e}"
-                );
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
+            Err(e) => e.to_string(),
+        };
+        assert!(
+            Instant::now() < stop,
+            "exchange never succeeded before the deadline: {failure}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -390,7 +393,7 @@ fn version_skew_clients_survive_failover_with_renegotiation() {
 /// committing — replication lag is visible but the leader stays
 /// available (quorum degrades to local with a counted timeout). When
 /// the follower returns it catches up purely from the leader's
-/// replication-log tail, converging to byte-equal record sets.
+/// backlog tail, converging to byte-equal record sets.
 #[test]
 fn partitioned_follower_catches_up_from_the_wal_tail() {
     let dir = TempDir::new("cluster-e2e-partition");
@@ -446,11 +449,18 @@ fn partitioned_follower_catches_up_from_the_wal_tail() {
     // follower's stale store still answers (read-only availability),
     // it just lags.
     assert_eq!(follower_srv.result_count(), 5);
-    assert!(leader.hub().min_acked(0).is_none(), "no follower connected");
+    // The leader learns of the hang-up from its reader thread, not from
+    // the uploads: fifteen in-memory pushes can finish before it does
+    // (they used to pay a log write each, which hid the race).
+    wait_until("the leader to notice the partition", Duration::from_secs(10), || {
+        leader.hub().min_acked(0).is_none()
+    });
 
-    // Heal: same node name, same data dir (progress file intact). The
-    // watermarks are mid-log and nothing was compacted, so catch-up is
-    // a pure WAL tail replay — no snapshot.
+    // Heal: same node name, same data dir (progress file intact), same
+    // epoch. Fifteen small batches are far inside the backlog, so
+    // catch-up is a pure tail resend — no second snapshot (the first
+    // was the cold join).
+    assert_eq!(leader.hub().backfills(), (0, 1), "(tail, snapshot)");
     let follower = ClusterNode::start(
         node_config("b", &dir, vec![leader.repl_addr().to_string()], AckMode::Local),
         Arc::clone(&follower_srv),
@@ -462,6 +472,7 @@ fn partitioned_follower_catches_up_from_the_wal_tail() {
         follower_srv.result_count() == 20
     });
     assert_eq!(follower_srv.applied_seq(&id), 20);
+    assert_eq!(leader.hub().backfills(), (1, 1), "(tail, snapshot)");
 
     // Byte-equal convergence: same records, same per-client horizon.
     let mut l: Vec<String> = leader_srv.results().iter().map(|r| r.testcase.clone()).collect();
