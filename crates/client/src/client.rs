@@ -568,7 +568,7 @@ mod tests {
         assert_eq!(report.uploaded, 1);
         assert!(c.pending().is_empty());
         assert_eq!(srv.result_count(), 1);
-        assert_eq!(srv.results()[0].task, "IE");
+        assert_eq!(srv.results().unwrap()[0].task, "IE");
     }
 
     #[test]
@@ -629,7 +629,7 @@ mod tests {
         assert_eq!(runs, 2);
         assert_eq!(split.result_count(), 0, "execute_runs must not sync");
         c.hot_sync(&mut t).unwrap();
-        assert_eq!(split.results(), whole.results());
+        assert_eq!(split.results().unwrap(), whole.results().unwrap());
 
         // A sync that downloads copies the shared set before growing it.
         let bigger = server(12);
@@ -901,7 +901,7 @@ mod tests {
 
         let report = c.hot_sync(&mut t).unwrap();
         assert_eq!(report.uploaded, 1);
-        assert!(srv.results().iter().all(|r| r.client == id));
+        assert!(srv.results().unwrap().iter().all(|r| r.client == id));
         std::fs::remove_dir_all(&dir).ok();
     }
 

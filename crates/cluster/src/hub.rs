@@ -495,7 +495,7 @@ impl ReplHub {
             let server = lock(&self.server)
                 .clone()
                 .ok_or_else(|| io::Error::other("hub has no server"))?;
-            for entry in server.export_entries() {
+            for entry in server.export_entries()? {
                 let shard = route_key(&entry)
                     .map(|k| shard_of(k, self.shards))
                     .unwrap_or(0);

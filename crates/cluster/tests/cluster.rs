@@ -95,7 +95,7 @@ fn upload_batch(server: &UucsServer, client: &str, seq: u64, tags: &[String]) {
 /// Each testcase tag must appear exactly once — the store-level
 /// spelling of "no acknowledged upload lost, none duplicated".
 fn assert_exactly_once(server: &UucsServer, tags: &[String]) {
-    let records = server.results();
+    let records = server.results().unwrap();
     assert_eq!(records.len(), tags.len(), "record count");
     let mut copies: HashMap<&str, usize> = HashMap::new();
     for r in &records {

@@ -142,6 +142,41 @@ impl RunRecord {
         writeln!(out, "END").unwrap();
     }
 
+    /// Whether the five string fields can be spliced into line-oriented
+    /// record text and read back equal. A line break would let a field
+    /// forge lines (or whole records) of its own, [`RunRecord::parse`]
+    /// trims each line, and `-` is the spelling of an empty field — so
+    /// a control character, whitespace at either end and a literal `-`
+    /// are refused, naming the field.
+    pub fn check_text(&self) -> Result<(), String> {
+        for (what, s) in [
+            ("client", &self.client),
+            ("user", &self.user),
+            ("testcase", &self.testcase),
+            ("task", &self.task),
+            ("skill", &self.skill),
+        ] {
+            if s.chars().any(char::is_control) {
+                return Err(format!("{what} {s:?} contains a control character"));
+            }
+            if s.starts_with(char::is_whitespace) || s.ends_with(char::is_whitespace) {
+                return Err(format!("{what} {s:?} has leading or trailing whitespace"));
+            }
+            if s == "-" {
+                return Err(format!("{what} \"-\" would read back empty"));
+            }
+        }
+        Ok(())
+    }
+
+    /// [`RunRecord::emit_into`] for text that will be stored: a record
+    /// [`RunRecord::check_text`] refuses writes nothing.
+    pub fn emit_checked_into(&self, out: &mut String) -> Result<(), String> {
+        self.check_text()?;
+        self.emit_into(out);
+        Ok(())
+    }
+
     /// Parses one record from lines, consuming them. Returns `None` at end
     /// of input (no RESULT header found).
     ///
@@ -269,6 +304,47 @@ impl RunRecord {
         }
     }
 
+    /// Parses the one record of a block [`Blocks`] yielded; an error
+    /// carries the 1-based line *within the block*.
+    pub fn parse_block(block: &str) -> Result<RunRecord, String> {
+        let line_no = std::cell::Cell::new(0usize);
+        let mut lines = block.lines().inspect(|_| line_no.set(line_no.get() + 1));
+        match Self::parse(&mut lines) {
+            Ok(Some(rec)) => Ok(rec),
+            Ok(None) => Err("no RESULT in block".to_string()),
+            Err(e) => Err(format!("line {}: {e}", line_no.get())),
+        }
+    }
+
+    /// The `client` field [`RunRecord::parse_block`] would give the
+    /// block's record, read off its `CLIENT` line without decoding the
+    /// rest — so a reader after one client's records can skip the
+    /// others' blocks.
+    pub fn block_client(block: &str) -> &str {
+        let mut client = "";
+        for line in block.lines() {
+            if let ("CLIENT", rest) = split_key(trim_line(line)) {
+                client = if rest == "-" { "" } else { rest };
+            }
+        }
+        client
+    }
+
+    /// Counts the `RESULT`…`END` blocks of a text body without parsing
+    /// a field or allocating: `Ok(n)` exactly when
+    /// [`RunRecord::parse_many`] would yield `n` records or stop at a
+    /// field-level defect, and its own error string (`line L: expected
+    /// RESULT, found …`, `line L: unexpected end of input inside
+    /// RESULT`) when the body is torn.
+    pub fn count_blocks(body: &str) -> Result<usize, String> {
+        let mut n = 0;
+        for block in Blocks::new(body) {
+            block?;
+            n += 1;
+        }
+        Ok(n)
+    }
+
     /// Serializes many records into one text body.
     pub fn emit_many(records: &[RunRecord]) -> String {
         let mut out = String::new();
@@ -276,6 +352,67 @@ impl RunRecord {
             r.emit_into(&mut out);
         }
         out
+    }
+}
+
+/// The `RESULT`…`END` blocks of a text body, delimited exactly the way
+/// [`RunRecord::parse`] delimits records — lines trimmed, blanks and
+/// `#` comments skipped, anything else between blocks an error — but
+/// with no field parsed and nothing allocated. Each item is one block,
+/// `RESULT` line through `END` line; an `Err` (with `parse_many`'s
+/// string and body-relative line number) ends the iteration.
+pub struct Blocks<'a> {
+    rest: &'a str,
+    line: usize,
+}
+
+impl<'a> Blocks<'a> {
+    /// The blocks of `body`.
+    pub fn new(body: &'a str) -> Self {
+        Blocks { rest: body, line: 0 }
+    }
+
+    /// Takes the next line off the front, without its terminator.
+    fn take_line(&mut self) -> Option<&'a str> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let (line, rest) = match self.rest.find('\n') {
+            Some(at) => (&self.rest[..at], &self.rest[at + 1..]),
+            None => (self.rest, ""),
+        };
+        self.rest = rest;
+        self.line += 1;
+        Some(line)
+    }
+
+    fn fail(&mut self, msg: String) -> Option<Result<&'a str, String>> {
+        self.rest = "";
+        Some(Err(format!("line {}: {msg}", self.line)))
+    }
+}
+
+impl<'a> Iterator for Blocks<'a> {
+    type Item = Result<&'a str, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let block = loop {
+            let before = self.rest;
+            let line = trim_line(self.take_line()?);
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            if line == "RESULT" {
+                break before;
+            }
+            return self.fail(format!("expected RESULT, found {line:?}"));
+        };
+        while let Some(line) = self.take_line() {
+            if trim_line(line) == "END" {
+                return Some(Ok(&block[..block.len() - self.rest.len()]));
+            }
+        }
+        self.fail("unexpected end of input inside RESULT".to_string())
     }
 }
 
@@ -646,6 +783,104 @@ mod tests {
                 assert_parses_like_the_reference(&text, &format!("seed {seed}, round {round}"));
             }
         }
+    }
+
+    /// Whether `parse_many` stopped at something inside a block — a
+    /// field — rather than at the block structure.
+    fn field_level(err: &str) -> bool {
+        ["bad ", "unknown ", "LEVELS missing", "record missing"]
+            .iter()
+            .any(|kind| err.contains(kind))
+    }
+
+    /// [`Blocks`] splits text exactly where the parser delimits
+    /// records: the count is the parser's whenever the parser gets
+    /// through, each block parses to the parser's record, a defect
+    /// inside a block is `parse_block`'s to report — with the parser's
+    /// message — and a torn structure is refused in the parser's words.
+    fn assert_blocks_like_the_parser(text: &str, context: &str) {
+        let blocks: Result<Vec<&str>, String> = Blocks::new(text).collect();
+        assert_eq!(RunRecord::count_blocks(text), blocks.as_ref().map(Vec::len).map_err(String::clone));
+        match (blocks, RunRecord::parse_many(text)) {
+            (Ok(blocks), Ok(records)) => {
+                let parsed: Vec<_> = blocks.iter().map(|b| RunRecord::parse_block(b).unwrap()).collect();
+                assert_eq!(format!("{parsed:?}"), format!("{records:?}"), "{context}: {text:?}");
+            }
+            (Ok(blocks), Err(theirs)) => {
+                assert!(field_level(&theirs), "{context}: accepted despite {theirs}: {text:?}");
+                let msg = theirs.split_once(": ").unwrap().1;
+                let mine = blocks.iter().find_map(|b| RunRecord::parse_block(b).err()).expect(context);
+                assert_eq!(mine.split_once(": ").unwrap().1, msg, "{context}: {text:?}");
+            }
+            (Err(mine), Ok(_)) => panic!("{context}: refused ({mine}) what parses: {text:?}"),
+            (Err(mine), Err(theirs)) => {
+                assert!(mine == theirs || field_level(&theirs), "{context}: {mine} vs {theirs}: {text:?}")
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_are_delimited_like_the_parser_delimits_records() {
+        for text in REJECTED.iter().chain(&STRAY) {
+            assert_blocks_like_the_parser(text, "fixed input");
+            assert_blocks_like_the_parser(&format!("{}{text}\n", sample().emit()), "after a record");
+            assert_blocks_like_the_parser(&format!("{}{text}", sample().emit()), "unterminated");
+        }
+        for seed in 0..600u64 {
+            let mut rng = uucs_stats::Pcg64::new(seed);
+            let records: Vec<RunRecord> = (0..=rng.below(3)).map(|_| generated(&mut rng)).collect();
+            let mut text = RunRecord::emit_many(&records);
+            assert_blocks_like_the_parser(&text, &format!("seed {seed}, undamaged"));
+            for round in 0..4 {
+                text = uucs_harness::textfuzz::mutate_lines(&mut rng, &text, &STRAY);
+                assert_blocks_like_the_parser(&text, &format!("seed {seed}, round {round}"));
+            }
+        }
+        // A block is the RESULT line through the END line, whatever sits
+        // between blocks; the client is read off it undecoded.
+        let (a, b) = (sample().emit(), RunRecord { client: String::new(), ..sample() }.emit());
+        let text = format!("# head\n\n{a}\n# between\n{b}");
+        let blocks: Vec<&str> = Blocks::new(&text).map(Result::unwrap).collect();
+        assert_eq!(blocks, vec![a.as_str(), b.as_str()]);
+        assert_eq!((RunRecord::block_client(&a), RunRecord::block_client(&b)), ("c-123", ""));
+    }
+
+    /// Whatever the checked renderer accepts reads back equal, and what
+    /// it refuses it refuses whole, naming the field. (Numbers are
+    /// finite here: a NaN renders and parses, but equals nothing.)
+    #[test]
+    fn what_the_checked_renderer_accepts_reads_back_equal() {
+        let names = [
+            "", "-", "c-123", "two words", "caf\u{e9}", "\u{feff}x", "x\u{200b}", " lead", "trail ",
+            "a\nb", "a\r", "a\tb", "a\u{0}b", "a\u{85}b", "\u{a0}x", "x\u{2028}", "x\nEND\nRESULT",
+        ];
+        let (mut accepted, mut refused) = (0, 0);
+        for seed in 0..2000u64 {
+            let mut rng = uucs_stats::Pcg64::new(seed);
+            let mut rec = generated(&mut rng);
+            for field in [&mut rec.client, &mut rec.user, &mut rec.testcase, &mut rec.task, &mut rec.skill] {
+                if rng.bernoulli(0.3) {
+                    *field = rng.choose(&names).to_string();
+                }
+            }
+            let mut text = sample().emit();
+            let before = text.clone();
+            match rec.emit_checked_into(&mut text) {
+                Ok(()) => {
+                    accepted += 1;
+                    let back = RunRecord::parse_many(&text).unwrap();
+                    assert_eq!(back, vec![sample(), rec.clone()], "seed {seed}");
+                    assert_eq!(RunRecord::count_blocks(&text), Ok(2), "seed {seed}");
+                }
+                Err(why) => {
+                    refused += 1;
+                    assert_eq!(text, before, "seed {seed}: refused ({why}) but wrote");
+                    let named = ["client", "user", "testcase", "task", "skill"];
+                    assert!(named.iter().any(|f| why.starts_with(f)), "seed {seed}: {why}");
+                }
+            }
+        }
+        assert!(accepted > 200 && refused > 200, "{accepted} accepted, {refused} refused");
     }
 
     #[test]

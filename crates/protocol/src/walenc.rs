@@ -35,6 +35,116 @@ pub const TAG_CLIENT: u8 = b'C';
 /// Tag byte for a comfort-model delta.
 pub const TAG_MODEL: u8 = b'M';
 
+/// The name of an entry kind in error text, by tag byte.
+pub fn entry_kind(tag: u8) -> Option<&'static str> {
+    match tag {
+        TAG_RESULT => Some("result"),
+        TAG_TESTCASE => Some("testcase"),
+        TAG_BATCH => Some("batch"),
+        TAG_CLIENT => Some("client"),
+        TAG_MODEL => Some("model"),
+        _ => None,
+    }
+}
+
+/// Splits a payload into its tag byte and text — the two checks every
+/// entry kind shares.
+pub fn split_payload(payload: &[u8]) -> Result<(u8, &str), String> {
+    let (&tag, body) = payload
+        .split_first()
+        .ok_or_else(|| "empty wal payload".to_string())?;
+    let text =
+        std::str::from_utf8(body).map_err(|e| format!("wal payload is not utf-8: {e}"))?;
+    Ok((tag, text))
+}
+
+/// Splits a batch entry's text into the `BATCH <client> <seq> <n>`
+/// fields and the record blocks after the header line.
+fn split_batch(text: &str) -> Result<(&str, u64, usize, &str), String> {
+    let (header, body) = text
+        .split_once('\n')
+        .ok_or_else(|| "batch payload missing header line".to_string())?;
+    let mut toks = header.split_whitespace();
+    if toks.next() != Some("BATCH") {
+        return Err(format!("bad batch header {header:?}"));
+    }
+    let client = toks
+        .next()
+        .ok_or_else(|| "batch header missing client".to_string())?;
+    let seq: u64 = toks
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| "batch header missing seq".to_string())?;
+    let n: usize = toks
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| "batch header missing count".to_string())?;
+    Ok((client, seq, n, body))
+}
+
+fn count_mismatch(promised: usize, found: usize) -> String {
+    format!("batch promised {promised} records, parsed {found}")
+}
+
+/// A result-store entry checked as far as replay needs and no further:
+/// the header line parsed, the record blocks counted
+/// ([`RunRecord::count_blocks`]) but left as the text they are. What a
+/// field holds is the business of whoever reads the record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BorrowedBlocks<'a> {
+    /// `(client, seq)` of a [`WalEntry::Batch`]; `None` for a legacy
+    /// [`WalEntry::Result`].
+    pub batch: Option<(&'a str, u64)>,
+    /// The `RESULT`…`END` blocks, verbatim.
+    pub body: &'a str,
+    /// How many blocks `body` holds.
+    pub count: usize,
+}
+
+impl<'a> BorrowedBlocks<'a> {
+    /// The text of a [`TAG_BATCH`] payload: `BATCH <client> <seq> <n>`
+    /// and exactly `n` blocks. The header grammar and every error
+    /// string are [`WalEntry::decode`]'s.
+    pub fn batch(text: &'a str) -> Result<Self, String> {
+        let (client, seq, n, body) = split_batch(text)?;
+        let count = RunRecord::count_blocks(body)?;
+        if count != n {
+            return Err(count_mismatch(n, count));
+        }
+        Ok(BorrowedBlocks {
+            batch: Some((client, seq)),
+            body,
+            count,
+        })
+    }
+
+    /// The text of a [`TAG_RESULT`] payload: exactly one block.
+    pub fn result(text: &'a str) -> Result<Self, String> {
+        if RunRecord::count_blocks(text)? != 1 {
+            return Err("result payload must hold exactly one record".to_string());
+        }
+        Ok(BorrowedBlocks {
+            batch: None,
+            body: text,
+            count: 1,
+        })
+    }
+
+    /// The payload [`WalEntry::encode`] produces for the same entry,
+    /// built from text that is already rendered.
+    pub fn encode(&self) -> Vec<u8> {
+        let header = match self.batch {
+            Some((client, seq)) => format!("BATCH {client} {seq} {}\n", self.count),
+            None => String::new(),
+        };
+        let mut out = Vec::with_capacity(1 + header.len() + self.body.len());
+        out.push(if self.batch.is_some() { TAG_BATCH } else { TAG_RESULT });
+        out.extend_from_slice(header.as_bytes());
+        out.extend_from_slice(self.body.as_bytes());
+        out
+    }
+}
+
 /// One logical mutation of the server's stores, as journaled in the WAL.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEntry {
@@ -70,11 +180,12 @@ impl WalEntry {
     /// Encodes the entry into a WAL payload: tag byte + text format.
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            WalEntry::Result(rec) => {
-                let mut out = vec![TAG_RESULT];
-                out.extend_from_slice(rec.emit().as_bytes());
-                out
+            WalEntry::Result(rec) => BorrowedBlocks {
+                batch: None,
+                body: &rec.emit(),
+                count: 1,
             }
+            .encode(),
             WalEntry::Testcase(tc) => {
                 let mut out = vec![TAG_TESTCASE];
                 out.extend_from_slice(tcformat::emit(tc).as_bytes());
@@ -84,14 +195,12 @@ impl WalEntry {
                 client,
                 seq,
                 records,
-            } => {
-                let mut out = vec![TAG_BATCH];
-                out.extend_from_slice(
-                    format!("BATCH {client} {seq} {}\n", records.len()).as_bytes(),
-                );
-                out.extend_from_slice(RunRecord::emit_many(records).as_bytes());
-                out
+            } => BorrowedBlocks {
+                batch: Some((client, *seq)),
+                body: &RunRecord::emit_many(records),
+                count: records.len(),
             }
+            .encode(),
             WalEntry::Client {
                 id,
                 token,
@@ -116,11 +225,7 @@ impl WalEntry {
 
     /// Decodes a WAL payload produced by [`WalEntry::encode`].
     pub fn decode(payload: &[u8]) -> Result<WalEntry, String> {
-        let (&tag, body) = payload
-            .split_first()
-            .ok_or_else(|| "empty wal payload".to_string())?;
-        let text = std::str::from_utf8(body)
-            .map_err(|e| format!("wal payload is not utf-8: {e}"))?;
+        let (tag, text) = split_payload(payload)?;
         match tag {
             TAG_RESULT => {
                 let mut records = RunRecord::parse_many(text)?;
@@ -133,34 +238,13 @@ impl WalEntry {
                 .map(WalEntry::Testcase)
                 .map_err(|e| format!("bad testcase payload: {e}")),
             TAG_BATCH => {
-                let (header, body) = text
-                    .split_once('\n')
-                    .ok_or_else(|| "batch payload missing header line".to_string())?;
-                let mut toks = header.split_whitespace();
-                if toks.next() != Some("BATCH") {
-                    return Err(format!("bad batch header {header:?}"));
-                }
-                let client = toks
-                    .next()
-                    .ok_or_else(|| "batch header missing client".to_string())?
-                    .to_string();
-                let seq: u64 = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| "batch header missing seq".to_string())?;
-                let n: usize = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| "batch header missing count".to_string())?;
+                let (client, seq, n, body) = split_batch(text)?;
                 let records = RunRecord::parse_many(body)?;
                 if records.len() != n {
-                    return Err(format!(
-                        "batch promised {n} records, parsed {}",
-                        records.len()
-                    ));
+                    return Err(count_mismatch(n, records.len()));
                 }
                 Ok(WalEntry::Batch {
-                    client,
+                    client: client.to_string(),
                     seq,
                     records,
                 })
@@ -271,6 +355,33 @@ mod tests {
             let bytes = entry.encode();
             assert_eq!(WalEntry::decode(&bytes).unwrap(), entry);
         }
+    }
+
+    /// The result-store payloads spelled out, so the shared encoder
+    /// cannot drift from what journals on disk already hold; and the
+    /// borrowed view of each is the decoded entry minus the decoding.
+    #[test]
+    fn result_payloads_are_pinned_and_borrow_as_they_decode() {
+        let text = record().emit();
+        let single = WalEntry::Result(record()).encode();
+        assert_eq!(single, format!("R{text}").into_bytes());
+        let batch = WalEntry::Batch {
+            client: "client-0007".into(),
+            seq: 42,
+            records: vec![record(), record()],
+        }
+        .encode();
+        assert_eq!(batch, format!("BBATCH client-0007 42 2\n{text}{text}").into_bytes());
+
+        let (tag, body) = split_payload(&batch).unwrap();
+        let borrowed = BorrowedBlocks::batch(body).unwrap();
+        assert_eq!((tag, borrowed.batch, borrowed.count), (TAG_BATCH, Some(("client-0007", 42)), 2));
+        assert_eq!(borrowed.body, format!("{text}{text}"));
+        assert_eq!(borrowed.encode(), batch);
+        let (tag, body) = split_payload(&single).unwrap();
+        let borrowed = BorrowedBlocks::result(body).unwrap();
+        assert_eq!((tag, borrowed.batch, borrowed.body), (TAG_RESULT, None, text.as_str()));
+        assert_eq!(borrowed.encode(), single);
     }
 
     #[test]

@@ -478,10 +478,17 @@ fn proto_err(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Whether `s` can be spliced into a whitespace-separated header line
+/// and read back as itself: non-empty, no whitespace (a line break
+/// included).
+pub fn is_token(s: &str) -> bool {
+    !s.is_empty() && !s.chars().any(char::is_whitespace)
+}
+
 /// Fields spliced into a header line must be single non-empty tokens —
 /// embedded whitespace would shift every later token and tear the frame.
 fn check_token(what: &str, s: &str) -> std::io::Result<()> {
-    if s.is_empty() || s.chars().any(|c| c.is_whitespace()) {
+    if !is_token(s) {
         return Err(proto_err(format!("{what} must be one non-empty token")));
     }
     Ok(())

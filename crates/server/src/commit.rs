@@ -518,7 +518,7 @@ mod tests {
         let t0 = Instant::now();
         for seq in 1..=3 {
             let mut g = stores.results.write_recovered(shard);
-            g.append_batch("c1", seq, vec![rec("c1")]).unwrap();
+            g.append_batch("c1", seq, &[rec("c1")]).unwrap();
             let upto = g.wal_next_lsn().unwrap();
             drop(g);
             committer
@@ -546,7 +546,7 @@ mod tests {
         let append = |seqs: std::ops::RangeInclusive<u64>| {
             let mut g = stores.results.write_recovered(shard);
             for seq in seqs {
-                g.append_batch("c1", seq, vec![rec("c1")]).unwrap();
+                g.append_batch("c1", seq, &[rec("c1")]).unwrap();
             }
             let upto = g.wal_next_lsn().unwrap();
             drop(g);
@@ -574,7 +574,7 @@ mod tests {
         let shard = stores.results.shard_for("c1");
         let ticket = {
             let mut g = stores.results.write_recovered(shard);
-            g.append_batch("c1", 1, vec![rec("c1")]).unwrap();
+            g.append_batch("c1", 1, &[rec("c1")]).unwrap();
             let upto = g.wal_next_lsn().unwrap();
             committer.submit(StoreFlavor::Results, shard, upto)
         };
@@ -594,7 +594,7 @@ mod tests {
             let client = format!("c{i}");
             let shard = stores.results.shard_for(&client);
             let mut g = stores.results.write_recovered(shard);
-            g.append_batch(&client, 1, vec![rec(&client)]).unwrap();
+            g.append_batch(&client, 1, &[rec(&client)]).unwrap();
             let upto = g.wal_next_lsn().unwrap();
             drop(g);
             tickets.push(committer.submit(StoreFlavor::Results, shard, upto));
@@ -614,7 +614,7 @@ mod tests {
             GroupCommitter::start(stores.clone(), Duration::from_micros(500));
         let shard = stores.results.shard_for("c9");
         let mut g = stores.results.write_recovered(shard);
-        g.append_batch("c9", 1, vec![rec("c9")]).unwrap();
+        g.append_batch("c9", 1, &[rec("c9")]).unwrap();
         let upto = g.wal_next_lsn().unwrap();
         drop(g);
         let ticket = committer.submit(StoreFlavor::Results, shard, upto);

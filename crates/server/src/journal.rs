@@ -12,13 +12,14 @@
 //!
 //! Opening is one pass: the WAL shows the store its checkpoint and then
 //! every record past it while it validates them ([`uucs_wal::Visitor`]),
-//! each entry decoded straight from the segment buffer — nothing is
+//! each entry replayed straight from the segment buffer — nothing is
 //! read, checksummed or copied a second time.
 
 use crate::storage::StoreIo;
 use crate::store::invalid;
 use std::io;
 use std::path::Path;
+use uucs_protocol::walenc::entry_kind;
 use uucs_protocol::WalEntry;
 use uucs_telemetry::{metrics, Counter, Histogram};
 use uucs_wal::{Lsn, Recovery, Snapshot, Visitor, Wal, WalConfig, WalObserver};
@@ -95,11 +96,11 @@ impl Journal {
 
     /// Journals one mutation; the caller applies it in memory only
     /// after this returns `Ok`, so an acknowledged mutation is never
-    /// ahead of its journal. The entry is built lazily — plain mode
-    /// never pays for the clone it usually takes.
-    pub(crate) fn append(&mut self, entry: impl FnOnce() -> WalEntry) -> io::Result<()> {
+    /// ahead of its journal. The payload is built lazily — plain mode
+    /// never pays for the encoding.
+    pub(crate) fn append(&mut self, payload: impl FnOnce() -> Vec<u8>) -> io::Result<()> {
         if let Some(wal) = &mut self.wal {
-            wal.append(&entry().encode())?;
+            wal.append(&payload())?;
         }
         Ok(())
     }
@@ -159,9 +160,11 @@ pub(crate) trait Journaled: Default {
     /// [`snapshot`]: Journaled::snapshot
     fn restore(&mut self, snapshot: &str) -> io::Result<()>;
 
-    /// Applies one replayed entry in memory; an entry of another
-    /// store's kind is refused with [`foreign`].
-    fn replay(&mut self, entry: WalEntry) -> io::Result<()>;
+    /// Applies one replayed, CRC-checked payload in memory; an entry
+    /// of another store's kind is refused with [`foreign`]. Most stores
+    /// start from [`decoded`]; the result store reads the batch header
+    /// and keeps the record text as it is.
+    fn replay(&mut self, payload: &[u8]) -> io::Result<()>;
 
     /// Encodes the whole state as the compaction snapshot.
     fn snapshot(&self) -> String;
@@ -201,22 +204,23 @@ impl<S: Journaled> Visitor for Rebuild<'_, S> {
     }
 
     fn record(&mut self, lsn: Lsn, payload: &[u8]) -> io::Result<()> {
-        WalEntry::decode(payload)
-            .map_err(invalid)
-            .and_then(|entry| self.0.replay(entry))
+        self.0
+            .replay(payload)
             .map_err(|e| invalid(format!("record {lsn}: {e}")))
     }
 }
 
+/// The whole entry of a replayed payload.
+pub(crate) fn decoded(payload: &[u8]) -> io::Result<WalEntry> {
+    WalEntry::decode(payload).map_err(invalid)
+}
+
 /// The error for an entry that belongs in another store's journal —
-/// two stores pointed at one directory, or a mislabelled data dir.
-pub(crate) fn foreign<S: Journaled>(entry: &WalEntry) -> io::Error {
-    let kind = match entry {
-        WalEntry::Result(_) => "result",
-        WalEntry::Testcase(_) => "testcase",
-        WalEntry::Batch { .. } => "batch",
-        WalEntry::Client { .. } => "client",
-        WalEntry::Model(_) => "model",
-    };
-    invalid(format!("foreign {kind} entry in a {} journal", S::FLAVOR))
+/// two stores pointed at one directory, or a mislabelled data dir —
+/// named by the payload's tag byte.
+pub(crate) fn foreign<S: Journaled>(tag: u8) -> io::Error {
+    match entry_kind(tag) {
+        Some(kind) => invalid(format!("foreign {kind} entry in a {} journal", S::FLAVOR)),
+        None => invalid(format!("unknown wal entry tag {tag:#04x}")),
+    }
 }

@@ -15,7 +15,7 @@
 //! the model actually advanced, so a fleet of clients polling `MODEL`
 //! between uploads costs one `HashMap` hit each.
 
-use crate::journal::{foreign, Journal, Journaled};
+use crate::journal::{decoded, foreign, Journal, Journaled};
 use crate::storage::plain_io;
 use crate::store::invalid;
 use std::collections::HashMap;
@@ -114,14 +114,14 @@ impl Journaled for ModelStore {
         Ok(())
     }
 
-    fn replay(&mut self, entry: WalEntry) -> io::Result<()> {
-        match entry {
+    fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
+        match decoded(payload)? {
             WalEntry::Model(delta) => {
                 self.model.apply(&delta).map_err(invalid)?;
                 model_metrics().epoch.set(self.model.epoch() as i64);
                 Ok(())
             }
-            other => Err(foreign::<Self>(&other)),
+            _ => Err(foreign::<Self>(payload[0])),
         }
     }
 
@@ -163,7 +163,7 @@ impl ModelStore {
         let timer = m.update_ns.start_timer();
         let count = observations.len() as u64;
         let delta = self.model.next_delta(observations);
-        self.journal.append(|| WalEntry::Model(delta.clone()))?;
+        self.journal.append(|| WalEntry::Model(delta.clone()).encode())?;
         self.model
             .apply(&delta)
             .map_err(|e| invalid(format!("model delta rejected: {e}")))?;

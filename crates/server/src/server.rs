@@ -439,13 +439,17 @@ impl UucsServer {
             .sum()
     }
 
-    /// Snapshot of all uploaded results (cloned), shard order.
-    pub fn results(&self) -> Vec<uucs_protocol::RunRecord> {
-        let mut out = Vec::new();
+    /// Every uploaded result, decoded now, in shard order. The stores
+    /// hold record text; a block that does not decode is this call's
+    /// error, naming the record and the line.
+    pub fn results(&self) -> std::io::Result<Vec<uucs_protocol::RunRecord>> {
+        let mut out = Vec::with_capacity(self.result_count());
         for g in self.stores.results.read_all() {
-            out.extend(g.all().iter().cloned());
+            for rec in g.records() {
+                out.push(rec?);
+            }
         }
-        out
+        Ok(out)
     }
 
     /// Number of registered clients.
@@ -476,14 +480,11 @@ impl UucsServer {
             tcs.extend(g.all().iter().cloned());
         }
         std::fs::write(dir.join("testcases.txt"), tcformat::emit_many(&tcs))?;
-        let mut recs = Vec::new();
+        let mut out = std::fs::File::create(dir.join("results.txt"))?;
         for g in self.stores.results.read_all() {
-            recs.extend(g.all().iter().cloned());
+            g.write_to(&mut out)?;
         }
-        std::fs::write(
-            dir.join("results.txt"),
-            uucs_protocol::RunRecord::emit_many(&recs),
-        )
+        Ok(())
     }
 
     /// Applies one replicated WAL entry into this node's own stores —
@@ -537,7 +538,7 @@ impl UucsServer {
                 let shard = self.stores.results.shard_for(client);
                 let mut results = self.stores.results.write_recovered(shard);
                 results
-                    .append_batch(client, *seq, records.clone())
+                    .append_batch(client, *seq, records)
                     .map_err(|e| crate::store::invalid(e.to_string()))?;
                 let len = results.len();
                 drop(results);
@@ -549,7 +550,7 @@ impl UucsServer {
                 self.stores
                     .results
                     .write_recovered(shard)
-                    .append(vec![rec.clone()])
+                    .append(std::slice::from_ref(rec))
                     .map_err(|e| crate::store::invalid(e.to_string()))?;
                 Ok(())
             }
@@ -580,23 +581,23 @@ impl UucsServer {
             return Ok(());
         }
         // Equal records have equal `client` and `testcase` fields, so
-        // only the held records of the incoming ones' clients can match,
-        // and only within one testcase: index those in one pass over the
-        // shard, not one pass per record.
+        // only the held records of the incoming ones' clients can match
+        // — the only blocks decoded — and only within one testcase:
+        // index those in one pass over the shard, not one pass per
+        // record.
         let clients: HashSet<&str> = records.iter().map(|r| r.client.as_str()).collect();
-        let mut held: HashMap<&str, Vec<&uucs_protocol::RunRecord>> = HashMap::new();
-        for have in results.all() {
-            if clients.contains(have.client.as_str()) {
-                held.entry(have.testcase.as_str()).or_default().push(have);
-            }
+        let mut held: HashMap<String, Vec<uucs_protocol::RunRecord>> = HashMap::new();
+        for have in results.records_of(&clients) {
+            let have = have?;
+            held.entry(have.testcase.clone()).or_default().push(have);
         }
         let fresh: Vec<_> = records
             .iter()
-            .filter(|r| !held.get(r.testcase.as_str()).is_some_and(|same| same.contains(r)))
+            .filter(|r| !held.get(&r.testcase).is_some_and(|same| same.contains(r)))
             .cloned()
             .collect();
         results
-            .append_batch(client, *seq, fresh)
+            .append_batch(client, *seq, &fresh)
             .map_err(|e| crate::store::invalid(e.to_string()))?;
         let len = results.len();
         drop(results);
@@ -612,7 +613,7 @@ impl UucsServer {
     /// per client at its current applied sequence carrying all its
     /// records — applying it installs both the records and the upload
     /// dedup horizon in one step — then every `Testcase`.
-    pub fn export_entries(&self) -> Vec<WalEntry> {
+    pub fn export_entries(&self) -> std::io::Result<Vec<WalEntry>> {
         let mut out = Vec::new();
         let mut clients = Vec::new();
         for i in 0..self.stores.registry.count() {
@@ -627,16 +628,28 @@ impl UucsServer {
                 clients.push(id.clone());
             }
         }
+        // Each shard is decoded once, its records grouped by the client
+        // they name (upload order kept within a group) — not filtered
+        // once per client.
+        let shards = self.stores.results.read_all();
+        let mut by_shard = Vec::with_capacity(shards.len());
+        for results in &shards {
+            let mut of: HashMap<String, Vec<uucs_protocol::RunRecord>> = HashMap::new();
+            for rec in results.records() {
+                let rec = rec?;
+                match of.get_mut(&rec.client) {
+                    Some(group) => group.push(rec),
+                    None => {
+                        of.insert(rec.client.clone(), vec![rec]);
+                    }
+                }
+            }
+            by_shard.push(of);
+        }
         for id in clients {
             let shard = self.stores.results.shard_for(&id);
-            let results = self.stores.results.read(shard);
-            let seq = results.applied_seq(&id);
-            let records: Vec<_> = results
-                .all()
-                .iter()
-                .filter(|r| r.client == id)
-                .cloned()
-                .collect();
+            let seq = shards[shard].applied_seq(&id);
+            let records = by_shard[shard].remove(&id).unwrap_or_default();
             if seq > 0 || !records.is_empty() {
                 out.push(WalEntry::Batch {
                     client: id,
@@ -650,7 +663,7 @@ impl UucsServer {
                 out.push(WalEntry::Testcase(tc.clone()));
             }
         }
-        out
+        Ok(out)
     }
 
     /// This node's own comfort-model contribution for gossip: the fold
@@ -1098,7 +1111,7 @@ impl UucsServer {
         // re-acknowledged without storing a second copy — its ticket
         // carries the *current* watermark, so the re-ack is never less
         // durable than the original.
-        match results.append_batch(client, seq, records.to_vec()) {
+        match results.append_batch(client, seq, records) {
             Ok(status) => {
                 let lsn = results.wal_next_lsn();
                 // Published under the shard lock, so racing uploads
@@ -1355,11 +1368,94 @@ mod tests {
         let mut all = held;
         all.extend([rec("tc-000", 3.0), rec("tc-001", 1.0)]);
         s.apply_snapshot_entry(&batch(5, all.clone())).unwrap();
-        assert_eq!(s.results(), all);
+        assert_eq!(s.results().unwrap(), all);
         assert_eq!(s.applied_seq(&id), 5);
         // At or below the horizon nothing is even compared.
         s.apply_snapshot_entry(&batch(5, all.clone())).unwrap();
         assert_eq!(s.result_count(), 4);
+    }
+
+    /// The backfill snapshot of three uploading clients over two
+    /// shards, written out in full: registrations in registry-shard
+    /// order, then one batch per client in that same order — its
+    /// records in upload order at its horizon, a client that never
+    /// uploaded left out, one whose only batch was empty kept for its
+    /// horizon — then the library.
+    #[test]
+    fn exported_entries_group_each_clients_records_in_upload_order() {
+        use crate::shard::shard_of;
+        use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord, WalEntry};
+        let s = UucsServer::with_store_set(StoreSet::plain(2), 9);
+        for i in 0..2 {
+            s.add_testcase(Testcase::blank(format!("case-{i}"), 1.0, 60.0))
+                .unwrap();
+        }
+        let machine = |host: &str| MachineSnapshot::study_machine(host);
+        let ids: Vec<String> = ["a", "b", "c", "idle", "empty"]
+            .iter()
+            .map(|host| {
+                let token = format!("tok-{host}");
+                match s.handle(&ClientMsg::Register { snapshot: machine(host), token }) {
+                    ServerMsg::Id { id, .. } => id,
+                    other => panic!("{other:?}"),
+                }
+            })
+            .collect();
+        let rec = |client: &str, offset_secs: f64| RunRecord {
+            client: client.into(),
+            user: "u".into(),
+            testcase: "case-0".into(),
+            task: "Word".into(),
+            skill: "Typical".into(),
+            outcome: RunOutcome::Exhausted,
+            offset_secs,
+            last_levels: vec![],
+            monitor: MonitorSummary::default(),
+        };
+        // Interleaved, so a shard holds its clients' blocks mixed.
+        let uploads: [(usize, u64, Vec<f64>); 7] = [
+            (0, 1, vec![1.0, 2.0]),
+            (1, 1, vec![3.0]),
+            (2, 4, vec![4.0]),
+            (0, 2, vec![5.0]),
+            (4, 3, vec![]),
+            (2, 5, vec![6.0, 7.0]),
+            (1, 2, vec![8.0]),
+        ];
+        for (who, seq, offsets) in &uploads {
+            let records: Vec<_> = offsets.iter().map(|&o| rec(&ids[*who], o)).collect();
+            let n = records.len();
+            let upload = ClientMsg::Upload { client: ids[*who].clone(), seq: *seq, records };
+            assert_eq!(s.handle(&upload), ServerMsg::Ack(n));
+        }
+
+        let by_shard = |wanted: &[usize]| -> Vec<usize> {
+            let mut order: Vec<usize> = wanted.to_vec();
+            order.sort_by_key(|&i| shard_of(&ids[i], 2));
+            order
+        };
+        let mut want = Vec::new();
+        for i in by_shard(&[0, 1, 2, 3, 4]) {
+            let host = ["a", "b", "c", "idle", "empty"][i];
+            want.push(WalEntry::Client {
+                id: ids[i].clone(),
+                token: format!("tok-{host}"),
+                snapshot: machine(host),
+            });
+        }
+        let held: [(u64, &[f64]); 5] =
+            [(2, &[1.0, 2.0, 5.0]), (2, &[3.0, 8.0]), (5, &[4.0, 6.0, 7.0]), (0, &[]), (3, &[])];
+        for i in by_shard(&[0, 1, 2, 4]) {
+            want.push(WalEntry::Batch {
+                client: ids[i].clone(),
+                seq: held[i].0,
+                records: held[i].1.iter().map(|&o| rec(&ids[i], o)).collect(),
+            });
+        }
+        let mut cases = ["case-0", "case-1"];
+        cases.sort_by_key(|id| shard_of(id, 2));
+        want.extend(cases.iter().map(|id| WalEntry::Testcase(Testcase::blank(*id, 1.0, 60.0))));
+        assert_eq!(s.export_entries().unwrap(), want);
     }
 
     #[test]

@@ -412,10 +412,11 @@ impl ShardFamily for ResultStore {
         let mut records = Vec::new();
         let mut horizons: BTreeMap<String, u64> = BTreeMap::new();
         for s in stores {
-            let (recs, applied) = s.into_parts();
-            records.extend(recs);
-            for (client, seq) in applied {
-                let h = horizons.entry(client).or_insert(0);
+            for rec in s.records() {
+                records.push(rec?);
+            }
+            for (client, &seq) in s.applied_horizons() {
+                let h = horizons.entry(client.clone()).or_insert(0);
                 *h = (*h).max(seq);
             }
         }
@@ -428,7 +429,7 @@ impl ShardFamily for ResultStore {
         // idempotency watermark without touching the record stream.
         for (client, seq) in horizons {
             if shard_of(client, n) == shard {
-                self.append_batch(client, *seq, Vec::new()).map_err(invalid)?;
+                self.append_batch(client, *seq, &[]).map_err(invalid)?;
             }
         }
         let mine: Vec<_> = records
@@ -437,7 +438,7 @@ impl ShardFamily for ResultStore {
             .cloned()
             .collect();
         if !mine.is_empty() {
-            self.append(mine).map_err(invalid)?;
+            self.append(&mine).map_err(invalid)?;
         }
         Ok(())
     }
@@ -796,8 +797,8 @@ mod tests {
         let dir = TempDir::new("uucs-shard-flatmig");
         {
             let (mut store, _) = ResultStore::open_wal(dir.path(), cfg()).unwrap();
-            store.append_batch("c1", 3, vec![rec("c1", "u1")]).unwrap();
-            store.append_batch("c2", 7, vec![rec("c2", "u2")]).unwrap();
+            store.append_batch("c1", 3, &[rec("c1", "u1")]).unwrap();
+            store.append_batch("c2", 7, &[rec("c2", "u2")]).unwrap();
         }
         let (res, _) = open_sharded::<ResultStore>(dir.path(), cfg(), 4, &plain_io()).unwrap();
         let total: usize = (0..4).map(|i| res.read(i).len()).sum();
@@ -948,7 +949,7 @@ mod tests {
                     .collect();
                 let shard = stores.results.shard_for(client);
                 let mut results = stores.results.write_recovered(shard);
-                results.append_batch(client, round, batch).unwrap();
+                results.append_batch(client, round, &batch).unwrap();
                 drop(results);
                 let mshard = stores.models.shard_for(client);
                 let observation = Observation {

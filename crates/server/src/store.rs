@@ -19,12 +19,15 @@
 //! nothing and point at the damaged line (`line 41: bad outcome ...`),
 //! because a checkpoint file has no append-in-flight excuse.
 
-use crate::journal::{foreign, Journal, Journaled};
+use crate::journal::{decoded, foreign, Journal, Journaled};
 use crate::storage::plain_io;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::io;
 use std::path::Path;
+use uucs_protocol::record::Blocks;
+use uucs_protocol::walenc::{split_payload, BorrowedBlocks, TAG_BATCH, TAG_RESULT};
+use uucs_protocol::wire::is_token;
 use uucs_protocol::{MachineSnapshot, RunRecord, WalEntry};
 use uucs_testcase::{format as tcformat, Testcase};
 use uucs_wal::{Lsn, Recovery, WalConfig};
@@ -37,6 +40,10 @@ pub enum StoreError {
     /// The write-ahead log could not journal the mutation; nothing was
     /// applied, so the caller must not acknowledge it.
     Io(io::Error),
+    /// The mutation holds text that cannot be written into a
+    /// line-oriented journal and read back equal; nothing was journaled
+    /// or applied.
+    Invalid(String),
 }
 
 impl fmt::Display for StoreError {
@@ -44,6 +51,7 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Duplicate(id) => write!(f, "duplicate testcase id {id}"),
             StoreError::Io(e) => write!(f, "journal write failed: {e}"),
+            StoreError::Invalid(why) => f.write_str(why),
         }
     }
 }
@@ -81,10 +89,10 @@ impl Journaled for TestcaseStore {
         Ok(())
     }
 
-    fn replay(&mut self, entry: WalEntry) -> io::Result<()> {
-        match entry {
+    fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
+        match decoded(payload)? {
             WalEntry::Testcase(tc) => self.add(tc).map_err(invalid),
-            other => Err(foreign::<Self>(&other)),
+            _ => Err(foreign::<Self>(payload[0])),
         }
     }
 
@@ -125,7 +133,7 @@ impl TestcaseStore {
         if self.get(tc.id.as_str()).is_some() {
             return Err(StoreError::Duplicate(tc.id.as_str().to_string()));
         }
-        self.journal.append(|| WalEntry::Testcase(tc.clone()))?;
+        self.journal.append(|| WalEntry::Testcase(tc.clone()).encode())?;
         self.testcases.push(tc);
         Ok(())
     }
@@ -200,16 +208,27 @@ impl BatchStatus {
 
 /// The server's result store.
 ///
-/// Beyond the records themselves it tracks, per client, the highest
-/// *batch sequence number* applied ([`ResultStore::append_batch`]), which
-/// is what makes `UPLOAD` idempotent: a batch retransmitted because its
+/// The records are held as what the journal holds: the canonical
+/// `RESULT`…`END` blocks in upload order, as one text, plus their count.
+/// Serving never looks inside a record — an upload needs the client's
+/// registration and its horizon — so a restart checks each journaled
+/// batch's header and block structure and keeps the text; a record is
+/// decoded when somebody reads it ([`ResultStore::records`]), and a
+/// field-level defect is that reader's to report.
+///
+/// Beyond the records it tracks, per client, the highest *batch
+/// sequence number* applied ([`ResultStore::append_batch`]), which is
+/// what makes `UPLOAD` idempotent: a batch retransmitted because its
 /// `ACK` was lost is recognized and re-acknowledged without storing a
 /// second copy. In durable mode the sequence horizon rides in the same
 /// WAL entry as the records (one atomic [`WalEntry::Batch`]) and in the
 /// compaction snapshot, so dedup survives crashes and checkpoints alike.
 #[derive(Debug, Default)]
 pub struct ResultStore {
-    records: Vec<RunRecord>,
+    /// The record blocks, every one newline-terminated.
+    log: String,
+    /// How many blocks `log` holds.
+    count: usize,
     /// Per-client highest applied batch sequence number.
     applied: BTreeMap<String, u64>,
     journal: Journal,
@@ -239,24 +258,26 @@ impl Journaled for ResultStore {
             self.applied.insert(client.to_string(), seq);
             offset += line.len() + 1;
         }
-        self.records =
-            RunRecord::parse_many(&snapshot[offset.min(snapshot.len())..]).map_err(invalid)?;
+        let body = &snapshot[offset.min(snapshot.len())..];
+        let count = RunRecord::count_blocks(body).map_err(invalid)?;
+        self.push_blocks(body, count);
         Ok(())
     }
 
-    fn replay(&mut self, entry: WalEntry) -> io::Result<()> {
-        match entry {
-            WalEntry::Result(rec) => self.records.push(rec),
-            WalEntry::Batch {
-                client,
-                seq,
-                records,
-            } => {
-                self.records.extend(records);
-                let horizon = self.applied.entry(client).or_insert(0);
-                *horizon = (*horizon).max(seq);
-            }
-            other => return Err(foreign::<Self>(&other)),
+    /// Header-only: the tag, UTF-8, the `BATCH` line and the block
+    /// structure are checked — with [`WalEntry::decode`]'s strings —
+    /// and the blocks join the log undecoded.
+    fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
+        let (tag, text) = split_payload(payload).map_err(invalid)?;
+        let blocks = match tag {
+            TAG_BATCH => BorrowedBlocks::batch(text),
+            TAG_RESULT => BorrowedBlocks::result(text),
+            other => return Err(foreign::<Self>(other)),
+        }
+        .map_err(invalid)?;
+        self.push_blocks(blocks.body, blocks.count);
+        if let Some((client, seq)) = blocks.batch {
+            self.raise_horizon(client, seq);
         }
         Ok(())
     }
@@ -265,13 +286,33 @@ impl Journaled for ResultStore {
     /// followed by the record blocks.
     fn snapshot(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.log.len() + 32 * self.applied.len());
         for (client, seq) in &self.applied {
             writeln!(out, "SEQ {client} {seq}").unwrap();
         }
-        out.push_str(&RunRecord::emit_many(&self.records));
+        out.push_str(&self.log);
         out
     }
+}
+
+/// Renders records as they are journaled and held. This is the one
+/// place record text is made on the server, so it is where a field that
+/// would not read back equal ([`RunRecord::check_text`]) is refused.
+fn render(records: &[RunRecord]) -> Result<String, StoreError> {
+    // A rendered record runs to a couple of hundred bytes.
+    let mut body = String::with_capacity(256 * records.len());
+    for (i, rec) in records.iter().enumerate() {
+        rec.emit_checked_into(&mut body)
+            .map_err(|why| StoreError::Invalid(format!("record {i}: {why}")))?;
+    }
+    Ok(body)
+}
+
+/// Decodes the `n`th block of a log for a reader.
+fn decode_block((n, block): (usize, Result<&str, String>)) -> io::Result<RunRecord> {
+    block
+        .and_then(RunRecord::parse_block)
+        .map_err(|e| invalid(format!("record {n}: {e}")))
 }
 
 impl ResultStore {
@@ -287,18 +328,44 @@ impl ResultStore {
         Self::open(plain_io(), dir, config)
     }
 
+    /// Raises `client`'s applied horizon to at least `seq`.
+    fn raise_horizon(&mut self, client: &str, seq: u64) {
+        match self.applied.get_mut(client) {
+            Some(horizon) => *horizon = (*horizon).max(seq),
+            None => {
+                self.applied.insert(client.to_string(), seq);
+            }
+        }
+    }
+
+    /// Appends `count` structurally checked blocks to the log.
+    fn push_blocks(&mut self, body: &str, count: usize) {
+        self.log.push_str(body);
+        if !body.is_empty() && !body.ends_with('\n') {
+            self.log.push('\n');
+        }
+        self.count += count;
+    }
+
     /// Appends uploaded records, returning how many were accepted. In
     /// durable mode every record is journaled first — under
     /// `SyncPolicy::Always` an `Ok(n)` means all `n` survive a crash.
     /// On a journal error nothing is applied in memory and the upload
     /// must not be acknowledged.
-    pub fn append(&mut self, records: Vec<RunRecord>) -> Result<usize, StoreError> {
-        for rec in &records {
-            self.journal.append(|| WalEntry::Result(rec.clone()))?;
+    pub fn append(&mut self, records: &[RunRecord]) -> Result<usize, StoreError> {
+        let body = render(records)?;
+        if self.journal.is_durable() {
+            for block in Blocks::new(&body) {
+                let entry = BorrowedBlocks {
+                    batch: None,
+                    body: block.expect("rendered records are whole blocks"),
+                    count: 1,
+                };
+                self.journal.append(|| entry.encode())?;
+            }
         }
-        let n = records.len();
-        self.records.extend(records);
-        Ok(n)
+        self.push_blocks(&body, records.len());
+        Ok(records.len())
     }
 
     /// Appends an upload batch idempotently. `seq` is the client's batch
@@ -307,31 +374,40 @@ impl ResultStore {
     /// [`BatchStatus::Replayed`] tells the caller to re-acknowledge.
     /// `seq == 0` is the legacy non-idempotent path (always applied).
     ///
-    /// In durable mode a new batch is journaled as a single atomic
-    /// [`WalEntry::Batch`] carrying both records and horizon, *before*
-    /// being applied: an acknowledged batch can neither be lost nor
-    /// double-applied across a crash.
+    /// The records are rendered once: the same text is the body of the
+    /// journal entry and what the store holds. In durable mode a new
+    /// batch is journaled as a single atomic [`WalEntry::Batch`]
+    /// carrying both records and horizon, *before* being applied: an
+    /// acknowledged batch can neither be lost nor double-applied across
+    /// a crash.
     pub fn append_batch(
         &mut self,
         client: &str,
         seq: u64,
-        records: Vec<RunRecord>,
+        records: &[RunRecord],
     ) -> Result<BatchStatus, StoreError> {
         if seq == 0 {
             return self.append(records).map(BatchStatus::Applied);
         }
-        if self.applied.get(client).copied().unwrap_or(0) >= seq {
+        if self.applied_seq(client) >= seq {
             return Ok(BatchStatus::Replayed(records.len()));
         }
-        self.journal.append(|| WalEntry::Batch {
-            client: client.to_string(),
-            seq,
-            records: records.clone(),
-        })?;
-        self.applied.insert(client.to_string(), seq);
-        let n = records.len();
-        self.records.extend(records);
-        Ok(BatchStatus::Applied(n))
+        // The `BATCH <client> <seq> <n>` line is read back by whitespace.
+        if !is_token(client) {
+            return Err(StoreError::Invalid(format!(
+                "client id {client:?} is not one token"
+            )));
+        }
+        let body = render(records)?;
+        let entry = BorrowedBlocks {
+            batch: Some((client, seq)),
+            body: &body,
+            count: records.len(),
+        };
+        self.journal.append(|| entry.encode())?;
+        self.raise_horizon(client, seq);
+        self.push_blocks(&body, records.len());
+        Ok(BatchStatus::Applied(records.len()))
     }
 
     /// The highest batch sequence number applied for `client` (0 if the
@@ -350,29 +426,50 @@ impl ResultStore {
         self.journal.next_lsn()
     }
 
-    /// Consumes the store, yielding records and horizons (migration).
-    pub fn into_parts(self) -> (Vec<RunRecord>, BTreeMap<String, u64>) {
-        (self.records, self.applied)
+    /// Every record in upload order, decoded as it is reached. A block
+    /// whose fields do not parse (only a writer bug gets one past the
+    /// CRC) yields `record N: line L: …` — `N` its 0-based ordinal in
+    /// this store, `L` the line within the block — and the iteration
+    /// goes on with the next block.
+    pub fn records(&self) -> impl Iterator<Item = io::Result<RunRecord>> + '_ {
+        Blocks::new(&self.log).enumerate().map(decode_block)
     }
 
-    /// All records in upload order.
-    pub fn all(&self) -> &[RunRecord] {
-        &self.records
+    /// [`ResultStore::records`], skipping undecoded every block whose
+    /// `CLIENT` line names nobody in `clients`.
+    pub fn records_of<'a>(
+        &'a self,
+        clients: &'a HashSet<&str>,
+    ) -> impl Iterator<Item = io::Result<RunRecord>> + 'a {
+        Blocks::new(&self.log)
+            .enumerate()
+            .filter(|(_, block)| {
+                block
+                    .as_ref()
+                    .map_or(true, |b| clients.contains(RunRecord::block_client(b)))
+            })
+            .map(decode_block)
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.count
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.count == 0
+    }
+
+    /// Writes every record block, undecoded, in upload order — what a
+    /// `results.txt` checkpoint holds.
+    pub fn write_to(&self, out: &mut impl io::Write) -> io::Result<()> {
+        out.write_all(self.log.as_bytes())
     }
 
     /// Saves all results to a text file.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, RunRecord::emit_many(&self.records))
+        self.write_to(&mut std::fs::File::create(path)?)
     }
 
     /// Loads results from a text file.
@@ -384,13 +481,12 @@ impl ResultStore {
     /// frame: a crash can interrupt a journal append, but nothing
     /// legitimately interrupts a whole-file text checkpoint.
     pub fn load(path: &Path) -> std::io::Result<Self> {
+        let named = |e: &dyn fmt::Display| invalid(format!("{}: {e}", path.display()));
         let text = std::fs::read_to_string(path)?;
-        let records = RunRecord::parse_many(&text)
-            .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
-        Ok(ResultStore {
-            records,
-            ..Self::default()
-        })
+        let records = RunRecord::parse_many(&text).map_err(|e| named(&e))?;
+        let mut store = Self::new();
+        store.append(&records).map_err(|e| named(&e))?;
+        Ok(store)
     }
 }
 
@@ -452,14 +548,14 @@ impl Journaled for RegistryStore {
         Ok(())
     }
 
-    fn replay(&mut self, entry: WalEntry) -> io::Result<()> {
-        match entry {
+    fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
+        match decoded(payload)? {
             WalEntry::Client {
                 id,
                 token,
                 snapshot,
             } => self.register_with_id(id, snapshot, &token).map_err(invalid),
-            other => Err(foreign::<Self>(&other)),
+            _ => Err(foreign::<Self>(payload[0])),
         }
     }
 
@@ -523,10 +619,21 @@ impl RegistryStore {
         snapshot: MachineSnapshot,
         token: &str,
     ) -> Result<(), StoreError> {
-        self.journal.append(|| WalEntry::Client {
-            id: id.clone(),
-            token: token.to_string(),
-            snapshot: snapshot.clone(),
+        // `CLIENT <id> <token>` is read back by whitespace: a token that
+        // is not one word would come back cut short, or as lines of its
+        // own inside the snapshot block.
+        if !token.is_empty() && !is_token(token) {
+            return Err(StoreError::Invalid(format!(
+                "registration token {token:?} is not one token"
+            )));
+        }
+        self.journal.append(|| {
+            WalEntry::Client {
+                id: id.clone(),
+                token: token.to_string(),
+                snapshot: snapshot.clone(),
+            }
+            .encode()
         })?;
         self.clients.push((id.clone(), snapshot));
         if !token.is_empty() {
@@ -653,12 +760,14 @@ mod tests {
         let dir = TempDir::new("uucs-rstore");
         let path = dir.join("results.txt");
         let mut store = ResultStore::new();
-        store.append(vec![rec("u1"), rec("u2")]).unwrap();
-        store.append(vec![rec("u3")]).unwrap();
+        store.append(&[rec("u1"), rec("u2")]).unwrap();
+        store.append(&[rec("u3")]).unwrap();
         assert_eq!(store.len(), 3);
         store.save(&path).unwrap();
         let loaded = ResultStore::load(&path).unwrap();
-        assert_eq!(loaded.all(), store.all());
+        assert_eq!(loaded.snapshot(), store.snapshot());
+        let read: io::Result<Vec<_>> = loaded.records().collect();
+        assert_eq!(read.unwrap(), vec![rec("u1"), rec("u2"), rec("u3")]);
     }
 
     #[test]
@@ -708,10 +817,10 @@ mod tests {
 
     impl Fill for ResultStore {
         fn fill(&mut self, round: u64) {
-            self.append_batch("c1", round + 1, vec![rec("u1"), rec("u2")])
+            self.append_batch("c1", round + 1, &[rec("u1"), rec("u2")])
                 .unwrap();
-            self.append_batch("c2", 5, vec![rec("u3")]).unwrap();
-            self.append(vec![rec(&format!("legacy-{round}"))]).unwrap();
+            self.append_batch("c2", 5, &[rec("u3")]).unwrap();
+            self.append(&[rec(&format!("legacy-{round}"))]).unwrap();
         }
 
         /// The dedup horizon came back with the records: a retransmit
@@ -719,10 +828,10 @@ mod tests {
         fn probe(&mut self) {
             assert_eq!((self.applied_seq("c1"), self.applied_seq("c2")), (2, 5));
             let held = self.len();
-            let retransmit = self.append_batch("c1", 2, vec![rec("u1"), rec("u2")]);
+            let retransmit = self.append_batch("c1", 2, &[rec("u1"), rec("u2")]);
             assert_eq!(retransmit.unwrap(), BatchStatus::Replayed(2));
             assert_eq!(self.len(), held);
-            let next = self.append_batch("c1", 3, vec![rec("u4")]);
+            let next = self.append_batch("c1", 3, &[rec("u4")]);
             assert_eq!(next.unwrap(), BatchStatus::Applied(1));
         }
     }
@@ -887,40 +996,318 @@ mod tests {
         let mut r = ResultStore::new();
         let batch = vec![rec("u1"), rec("u2")];
         assert_eq!(
-            r.append_batch("c1", 1, batch.clone()).unwrap(),
+            r.append_batch("c1", 1, &batch).unwrap(),
             BatchStatus::Applied(2)
         );
         // The retransmit (lost ACK) is recognized and re-acked, and the
         // store holds exactly one copy.
         assert_eq!(
-            r.append_batch("c1", 1, batch.clone()).unwrap(),
+            r.append_batch("c1", 1, &batch).unwrap(),
             BatchStatus::Replayed(2)
         );
         assert_eq!(r.len(), 2);
         assert_eq!(r.applied_seq("c1"), 1);
         // A later batch applies; an earlier replay is still discarded.
         assert_eq!(
-            r.append_batch("c1", 2, vec![rec("u3")]).unwrap(),
+            r.append_batch("c1", 2, &[rec("u3")]).unwrap(),
             BatchStatus::Applied(1)
         );
         assert_eq!(
-            r.append_batch("c1", 1, batch).unwrap(),
+            r.append_batch("c1", 1, &batch).unwrap(),
             BatchStatus::Replayed(2)
         );
         assert_eq!(r.len(), 3);
         // Horizons are per client.
         assert_eq!(
-            r.append_batch("c2", 1, vec![rec("u4")]).unwrap(),
+            r.append_batch("c2", 1, &[rec("u4")]).unwrap(),
             BatchStatus::Applied(1)
         );
         assert_eq!(r.applied_seq("c2"), 1);
         // seq 0 is the legacy always-apply path.
         assert_eq!(
-            r.append_batch("c1", 0, vec![rec("u5")]).unwrap(),
+            r.append_batch("c1", 0, &[rec("u5")]).unwrap(),
             BatchStatus::Applied(1)
         );
         assert_eq!(r.len(), 5);
         assert_eq!(r.applied_seq("c1"), 2, "legacy path leaves the horizon alone");
+    }
+
+    /// Replays one payload into an empty store the way `open` would.
+    fn replayed(payload: &[u8]) -> io::Result<ResultStore> {
+        let mut store = ResultStore::new();
+        store.replay(payload)?;
+        Ok(store)
+    }
+
+    fn read(store: &ResultStore) -> io::Result<Vec<RunRecord>> {
+        store.records().collect()
+    }
+
+    /// Lines damage can leave between good ones: blanks, comments,
+    /// stray markers, and keys with a missing or malformed operand.
+    const STRAY: [&str; 12] = [
+        "",
+        "# comment",
+        "HELLO",
+        "RESULT",
+        "END",
+        " END ",
+        "CLIENT",
+        "OUTCOME maybe",
+        "OFFSET abc",
+        "LEVELS gpu 1",
+        "MONITOR bogus 1",
+        "BATCH c1 2 1",
+    ];
+
+    fn generated(rng: &mut uucs_stats::Pcg64) -> RunRecord {
+        let name = |rng: &mut uucs_stats::Pcg64| {
+            let names = ["", "c-123", "Word", "two words", "caf\u{e9}", "x"];
+            rng.choose(&names).to_string()
+        };
+        RunRecord {
+            client: name(rng),
+            user: name(rng),
+            testcase: name(rng),
+            task: name(rng),
+            skill: name(rng),
+            outcome: if rng.bernoulli(0.5) {
+                RunOutcome::Discomfort
+            } else {
+                RunOutcome::Exhausted
+            },
+            offset_secs: rng.uniform(0.0, 120.0),
+            last_levels: if rng.bernoulli(0.5) {
+                vec![(Resource::Cpu, vec![rng.f64(), rng.below(9) as f64])]
+            } else {
+                vec![]
+            },
+            monitor: MonitorSummary {
+                faults: rng.below(1 << 20),
+                mean_latency_us: rng.bernoulli(0.5).then(|| rng.f64() * 1e6),
+                ..MonitorSummary::default()
+            },
+        }
+    }
+
+    /// Holds the header-only replay of one payload to
+    /// [`WalEntry::decode`] of the same bytes.
+    fn assert_replays_like_decode(payload: &[u8], context: &str) {
+        let reference = WalEntry::decode(payload);
+        let store = match replayed(payload) {
+            Ok(store) => store,
+            Err(mine) => {
+                // Refusing is decode's call too, in decode's words —
+                // unless decode tripped over a field first, which
+                // replay no longer looks at.
+                let theirs = reference.expect_err(context);
+                let field_level = ["bad ", "unknown ", "LEVELS missing", "record missing"]
+                    .iter()
+                    .any(|kind| theirs.contains(kind));
+                assert!(mine.to_string() == theirs || field_level, "{context}: {mine} vs {theirs}");
+                return;
+            }
+        };
+        match reference {
+            Ok(WalEntry::Batch {
+                client,
+                seq,
+                records,
+            }) => {
+                assert_eq!(store.applied_horizons(), &BTreeMap::from([(client, seq)]), "{context}");
+                assert_eq!(store.len(), records.len(), "{context}");
+                assert_eq!(read(&store).unwrap(), records, "{context}");
+            }
+            Ok(WalEntry::Result(rec)) => {
+                assert!(store.applied_horizons().is_empty(), "{context}");
+                assert_eq!(store.len(), 1, "{context}");
+                assert_eq!(read(&store).unwrap(), vec![rec], "{context}");
+            }
+            Ok(other) => panic!("{context}: replay accepted {other:?}"),
+            Err(theirs) => {
+                // Accepted with a defect inside a block: the reader
+                // reports what decode reported, against the record and
+                // the line within it instead of the line of the body.
+                let (line, msg) = theirs
+                    .strip_prefix("line ")
+                    .and_then(|rest| rest.split_once(": "))
+                    .unwrap_or_else(|| panic!("{context}: accepted despite {theirs:?}"));
+                let text = std::str::from_utf8(&payload[1..]).unwrap();
+                let body = match payload[0] {
+                    TAG_BATCH => text.split_once('\n').unwrap().1,
+                    _ => text,
+                };
+                let (k, block) = Blocks::new(body)
+                    .map(Result::unwrap)
+                    .enumerate()
+                    .find(|(_, block)| RunRecord::parse_block(block).is_err())
+                    .unwrap_or_else(|| panic!("{context}: no bad block despite {theirs:?}"));
+                let before = body[..block.as_ptr() as usize - body.as_ptr() as usize]
+                    .matches('\n')
+                    .count();
+                let within = line.parse::<usize>().unwrap() - before;
+                let mine = store.records().find_map(Result::err).expect(context);
+                assert_eq!(mine.to_string(), format!("record {k}: line {within}: {msg}"), "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn header_only_replay_equals_full_decode() {
+        for seed in 0..400u64 {
+            let mut rng = uucs_stats::Pcg64::new(seed);
+            let records: Vec<RunRecord> = (0..rng.below(4)).map(|_| generated(&mut rng)).collect();
+            let entry = if records.len() == 1 && rng.bernoulli(0.5) {
+                WalEntry::Result(records[0].clone())
+            } else {
+                WalEntry::Batch {
+                    client: format!("client-{:04}", rng.below(50)),
+                    seq: 1 + rng.below(9),
+                    records,
+                }
+            };
+            let mut payload = entry.encode();
+            assert_replays_like_decode(&payload, &format!("seed {seed}, undamaged"));
+            for round in 0..4 {
+                let text = std::str::from_utf8(&payload[1..]).unwrap();
+                let damaged = uucs_harness::textfuzz::mutate_lines(&mut rng, text, &STRAY);
+                payload.truncate(1);
+                payload.extend_from_slice(damaged.as_bytes());
+                assert_replays_like_decode(&payload, &format!("seed {seed}, round {round}"));
+            }
+        }
+        // The defects an open must still refuse, word for word.
+        let good = rec("u1").emit();
+        let refused: [(&str, Vec<u8>); 9] = [
+            ("empty payload", vec![]),
+            ("non-utf-8", vec![TAG_BATCH, 0xFF, 0xFE]),
+            ("no header line", b"B".to_vec()),
+            ("bad header", b"BNOPE x y\n".to_vec()),
+            ("bad seq", b"BBATCH c1 notanumber 1\nRESULT\nEND\n".to_vec()),
+            ("count mismatch", format!("BBATCH c1 9 2\n{good}").into_bytes()),
+            ("torn body", format!("BBATCH c1 9 1\n{}", &good[..good.len() - 4]).into_bytes()),
+            ("between blocks", format!("BBATCH c1 9 2\n{good}HELLO\n{good}").into_bytes()),
+            ("two results", format!("R{good}{good}").into_bytes()),
+        ];
+        for (what, payload) in refused {
+            let mine = replayed(&payload).expect_err(what).to_string();
+            assert_eq!(mine, WalEntry::decode(&payload).expect_err(what), "{what}");
+        }
+        let foreign = WalEntry::Testcase(tc("t")).encode();
+        assert!(WalEntry::decode(&foreign).is_ok());
+        let err = replayed(&foreign).unwrap_err().to_string();
+        assert_eq!(err, "foreign testcase entry in a results journal");
+        assert_eq!(replayed(b"Xjunk").unwrap_err().to_string(), "unknown wal entry tag 0x58");
+    }
+
+    /// Every file under a journal directory, by name.
+    fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap()))
+            .collect()
+    }
+
+    /// The store renders once and journals that text: the journal it
+    /// writes is, byte for byte, the one [`WalEntry::encode`] writes
+    /// for the same uploads, and either opens to the same store.
+    #[test]
+    fn the_rendered_journal_is_the_encoded_journal() {
+        let cfg = WalConfig::default();
+        let uploads = [
+            ("c1", 1, vec![rec("u1"), rec("u2")]),
+            ("c2", 5, vec![]),
+            ("c1", 0, vec![rec("legacy-a"), rec("legacy-b")]),
+            ("c1", 2, vec![rec("u3")]),
+        ];
+        let (ours, theirs) = (TempDir::new("uucs-render-ours"), TempDir::new("uucs-render-theirs"));
+        let snapshot = {
+            let (mut store, _) = ResultStore::open_wal(ours.path(), cfg).unwrap();
+            for (client, seq, records) in &uploads {
+                store.append_batch(client, *seq, records).unwrap();
+            }
+            store.snapshot()
+        };
+        {
+            let (mut wal, _) = uucs_wal::Wal::open(plain_io(), theirs.path(), cfg).unwrap();
+            for (client, seq, records) in &uploads {
+                let entries = match seq {
+                    0 => records.iter().cloned().map(WalEntry::Result).collect(),
+                    _ => vec![WalEntry::Batch {
+                        client: client.to_string(),
+                        seq: *seq,
+                        records: records.clone(),
+                    }],
+                };
+                for entry in entries {
+                    wal.append(&entry.encode()).unwrap();
+                }
+            }
+        }
+        assert_eq!(files(ours.path()), files(theirs.path()));
+
+        let all: Vec<RunRecord> = uploads.iter().flat_map(|(_, _, r)| r.clone()).collect();
+        let want = format!("SEQ c1 2\nSEQ c2 5\n{}", RunRecord::emit_many(&all));
+        assert_eq!(snapshot, want, "the snapshot is the encoder's text");
+        let (reopened, recovery) = ResultStore::open_wal(theirs.path(), cfg).unwrap();
+        assert_eq!(recovery.records, 5);
+        assert_eq!(reopened.len(), all.len());
+        assert_eq!((reopened.applied_seq("c1"), reopened.applied_seq("c2")), (2, 5));
+        assert_eq!(read(&reopened).unwrap(), all);
+        assert_eq!(reopened.snapshot(), want);
+    }
+
+    /// A field that does not parse is past every check an open makes
+    /// (the frame's CRC holds, the blocks are whole, the count is
+    /// right): the store opens and counts the record, and whoever
+    /// reads it is told which record and which line.
+    #[test]
+    fn a_field_level_defect_opens_and_is_reported_by_the_reader() {
+        let dir = TempDir::new("uucs-field-defect");
+        let cfg = WalConfig::default();
+        {
+            let (mut wal, _) = uucs_wal::Wal::open(plain_io(), dir.path(), cfg).unwrap();
+            let bad = rec("u2").emit().replace("OUTCOME exhausted", "OUTCOME maybee");
+            let body = format!("{}{bad}{}", rec("u1").emit(), rec("u3").emit());
+            wal.append(format!("BBATCH c1 1 3\n{body}").as_bytes()).unwrap();
+        }
+        let (store, _) = ResultStore::open_wal(dir.path(), cfg).unwrap();
+        assert_eq!((store.len(), store.applied_seq("c1")), (3, 1));
+        let line = 1 + rec("u2").emit().lines().position(|l| l.starts_with("OUTCOME")).unwrap();
+        let read: Vec<_> = store.records().map(|r| r.map_err(|e| e.to_string())).collect();
+        let want = format!("record 1: line {line}: bad outcome \"maybee\"");
+        assert_eq!(read, vec![Ok(rec("u1")), Err(want.clone()), Ok(rec("u3"))]);
+        let server = crate::UucsServer::with_stores(TestcaseStore::new(), store, 1);
+        assert_eq!(server.result_count(), 3);
+        assert_eq!(server.results().unwrap_err().to_string(), want);
+    }
+
+    /// Text that would not read back equal is refused before anything
+    /// is journaled or held, for both upload paths.
+    #[test]
+    fn unrenderable_records_are_refused_and_leave_no_trace() {
+        let dir = TempDir::new("uucs-unrenderable");
+        let cfg = WalConfig::default();
+        let hostile = RunRecord {
+            task: "Word\nBOGUS x".into(),
+            ..rec("u2")
+        };
+        {
+            let (mut store, _) = ResultStore::open_wal(dir.path(), cfg).unwrap();
+            store.append_batch("c1", 1, &[rec("u1")]).unwrap();
+            for seq in [0, 2] {
+                let err = store.append_batch("c1", seq, &[rec("u3"), hostile.clone()]).unwrap_err();
+                let want = "record 1: task \"Word\\nBOGUS x\" contains a control character";
+                assert_eq!(err.to_string(), want);
+            }
+            let err = store.append_batch("c 1", 1, &[rec("u1")]).unwrap_err();
+            assert_eq!(err.to_string(), "client id \"c 1\" is not one token");
+            assert_eq!((store.len(), store.applied_seq("c1")), (1, 1));
+        }
+        let (store, recovery) = ResultStore::open_wal(dir.path(), cfg).unwrap();
+        assert_eq!(recovery.records, 1, "a refused batch left a journal entry");
+        assert_eq!(read(&store).unwrap(), vec![rec("u1")]);
     }
 
     /// A registration retried with the same token (lost `ID` reply) must

@@ -645,6 +645,18 @@ impl PoolConn {
                         self.push_reply(Some(req_id), &reply);
                         progressed = true;
                     }
+                    // An intact frame whose content must not reach
+                    // the journal: same answer, same connection.
+                    Ok(FrameRead::Refused {
+                        consumed,
+                        req_id,
+                        reason,
+                    }) => {
+                        self.inbuf.drain(..consumed);
+                        let reply = ServerMsg::Error(format!("message refused: {reason}"));
+                        self.push_reply(Some(req_id), &reply);
+                        progressed = true;
+                    }
                     // Corrupt frame: the stream position is unknown.
                     Err(_) => return Err(()),
                 }

@@ -118,7 +118,7 @@ fn contended_appends_still_share_fsyncs() {
                 for seq in 1..=ROUNDS {
                     barrier.wait();
                     let mut g = stores.results.write_recovered(0);
-                    g.append_batch(&client, seq, vec![rec(&client)]).unwrap();
+                    g.append_batch(&client, seq, &[rec(&client)]).unwrap();
                     let upto = g.wal_next_lsn().unwrap();
                     drop(g);
                     committer

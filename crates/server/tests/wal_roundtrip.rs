@@ -7,11 +7,15 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::sync::Arc;
 use uucs_harness::TempDir;
-use uucs_protocol::wire::{read_server_msg, write_client_msg};
-use uucs_protocol::{ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg};
+use uucs_protocol::wire::{read_server_msg, write_client_msg, Endpoint};
+use uucs_protocol::{
+    ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg,
+    WIRE_VERSION_BINARY,
+};
 use uucs_server::{tcp, RegistryStore, ResultStore, TestcaseStore, UucsServer};
 use uucs_testcase::{ExerciseSpec, Resource, Testcase};
 use uucs_wal::{SyncPolicy, WalConfig};
+use uucs_wire::conn::{negotiate, BinaryConn, Negotiated};
 
 const CFG: WalConfig = WalConfig {
     segment_bytes: 1024,
@@ -141,7 +145,7 @@ fn acknowledged_uploads_survive_server_death() {
         let server = boot(&dir);
         assert_eq!(server.result_count(), 7);
         assert_eq!(server.client_count(), 2);
-        let all = server.results();
+        let all = server.results().unwrap();
         for (i, rec) in all.iter().enumerate() {
             assert_eq!(rec, &record(i), "record {i} mutated across recovery");
         }
@@ -219,7 +223,83 @@ fn retransmit_after_lost_ack_is_deduped_across_restart() {
         ));
         assert_eq!(server.result_count(), 3, "replay stored a duplicate");
         // The records are byte-for-byte the originals.
-        assert_eq!(server.results(), records);
+        assert_eq!(server.results().unwrap(), records);
         handle.shutdown();
     }
+}
+
+/// The binary wire carries length-prefixed strings, so a record field
+/// or a registration token can hold a line break — which, spliced into
+/// the line-oriented journal, once made the *next* open fail on every
+/// restart (`unknown record key "BOGUS"`), or forged whole records.
+/// Such a frame is answered `ERROR` on a connection that stays usable,
+/// nothing of it is journaled, and the server restarts to exactly what
+/// was acknowledged.
+#[test]
+fn text_injected_through_the_binary_wire_is_refused_and_the_restart_is_clean() {
+    let tmp = TempDir::new("uucs-wal-injection");
+    let dir = tmp.path().to_path_buf();
+    let with_task = |i: usize, task: &str| RunRecord {
+        task: task.into(),
+        ..record(i)
+    };
+    let refused = |reply: ServerMsg, how: &str| match reply {
+        ServerMsg::Error(e) => assert!(e.starts_with(how), "{e}"),
+        other => panic!("expected ERROR, got {other:?}"),
+    };
+    let snapshot = MachineSnapshot::study_machine("inject");
+
+    let client = {
+        let server = boot(&dir);
+        let handle = tcp::serve(server.clone(), "127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let agreed = negotiate(&mut writer, &mut reader, WIRE_VERSION_BINARY).unwrap();
+        assert_eq!(agreed, Negotiated::Version(WIRE_VERSION_BINARY));
+        let mut conn = BinaryConn::new(writer, reader);
+
+        let register = |token: &str| ClientMsg::Register {
+            snapshot: snapshot.clone(),
+            token: token.into(),
+        };
+        let client = match conn.exchange(&register("tok-good")).unwrap() {
+            ServerMsg::Id { id, .. } => id,
+            other => panic!("expected Id, got {other:?}"),
+        };
+        let upload = |seq, records| ClientMsg::Upload {
+            client: client.clone(),
+            seq,
+            records,
+        };
+        let good: Vec<RunRecord> = (0..3).map(record).collect();
+        assert_eq!(conn.exchange(&upload(1, good)).unwrap(), ServerMsg::Ack(3));
+
+        // At the frame, over TCP.
+        let forged = "x\nEND\nRESULT\nCLIENT victim\nOUTCOME exhausted";
+        for task in ["Word\nBOGUS x", forged, "Word\r", " Word", "-"] {
+            let reply = conn.exchange(&upload(2, vec![record(3), with_task(4, task)]));
+            refused(reply.unwrap(), "message refused: UPLOAD record 1: task ");
+        }
+        for token in ["tok\nHOST evil", "two tokens"] {
+            refused(conn.exchange(&register(token)).unwrap(), "message refused: REGISTER token ");
+        }
+        // And where the text is made, for a caller that is not a frame.
+        let reply = server.handle(&upload(2, vec![with_task(4, "Word\nBOGUS x")]));
+        refused(reply, "upload rejected: record 0: task ");
+        refused(server.handle(&register("tok\nHOST evil")), "registration rejected: ");
+
+        // The connection survived all of it, and so did batch 2's turn.
+        let more: Vec<RunRecord> = (3..5).map(record).collect();
+        assert_eq!(conn.exchange(&upload(2, more)).unwrap(), ServerMsg::Ack(2));
+        conn.bye();
+        handle.shutdown();
+        client
+    };
+
+    let server = boot(&dir);
+    assert_eq!(server.client_count(), 1, "a refused registration was journaled");
+    assert_eq!(server.applied_seq(&client), 2);
+    let want: Vec<RunRecord> = (0..5).map(record).collect();
+    assert_eq!(server.results().unwrap(), want);
 }

@@ -179,7 +179,9 @@ impl ControlledStudy {
                 .expect("local transport cannot fail");
         }
 
-        let records = server.results();
+        let records = server
+            .results()
+            .expect("records this server rendered itself decode");
         // Fleet telemetry: total runs driven and this study's throughput
         // (visible in a STATS snapshot alongside server/WAL timings).
         metrics::counter("study.runs").add(records.len() as u64);

@@ -105,7 +105,9 @@ impl InternetStudy {
         }
 
         InternetStudyData {
-            records: server.results(),
+            records: server
+                .results()
+                .expect("records this server rendered itself decode"),
             population,
             simulated_secs,
         }

@@ -27,6 +27,7 @@ use std::io;
 use uucs_modelsvc::{QuantileSketch, SketchDelta};
 use uucs_protocol::record::{MonitorSummary, RunOutcome, RunRecord};
 use uucs_protocol::snapshot::MachineSnapshot;
+use uucs_protocol::wire::is_token;
 use uucs_protocol::{ClientMsg, ServerMsg};
 use uucs_testcase::{format as tcformat, Resource};
 
@@ -477,6 +478,26 @@ pub enum DecodedClient {
     Msg(ClientMsg),
     /// An intact frame with an opcode this peer does not know.
     Unknown(u8),
+    /// A well-formed known message carrying a string the server would
+    /// have to splice into line-oriented journal text and could not
+    /// read back equal — a line break in a record field, a
+    /// registration token that is not one token. The server answers
+    /// `ERROR` with this reason and keeps the connection: the frame
+    /// boundary is clean, only the content is refused.
+    Refused(String),
+}
+
+/// Why the server must not journal `msg`, if it must not.
+fn refusal(msg: &ClientMsg) -> Option<String> {
+    match msg {
+        ClientMsg::Register { token, .. } => (!token.is_empty() && !is_token(token))
+            .then(|| format!("REGISTER token {token:?} is not one token")),
+        ClientMsg::Upload { records, .. } => records
+            .iter()
+            .enumerate()
+            .find_map(|(i, rec)| Some(format!("UPLOAD record {i}: {}", rec.check_text().err()?))),
+        _ => None,
+    }
 }
 
 /// Decodes a client frame payload produced by [`encode_client`].
@@ -548,7 +569,13 @@ pub fn decode_client(payload: &[u8]) -> io::Result<(u32, DecodedClient)> {
         }
     };
     r.done("client message")?;
-    Ok((req_id, DecodedClient::Msg(msg)))
+    Ok((
+        req_id,
+        match refusal(&msg) {
+            Some(why) => DecodedClient::Refused(why),
+            None => DecodedClient::Msg(msg),
+        },
+    ))
 }
 
 /// Decodes a server frame payload produced by [`encode_server`]. An

@@ -85,6 +85,17 @@ pub enum FrameRead {
         /// The unknown opcode, for the error message.
         opcode: u8,
     },
+    /// An intact, well-formed frame whose content the server must not
+    /// journal ([`DecodedClient::Refused`]): answer `ERROR` (echoing
+    /// `req_id`) and keep the connection.
+    Refused {
+        /// Bytes of buffer this frame occupied.
+        consumed: usize,
+        /// The request id to echo in the error reply.
+        req_id: u32,
+        /// Why, for the error message.
+        reason: String,
+    },
 }
 
 /// Attempts to parse one client frame from the front of `buf` without
@@ -123,6 +134,11 @@ pub fn try_read_client_frame(buf: &[u8]) -> io::Result<FrameRead> {
             consumed: total,
             req_id,
             opcode,
+        }),
+        (req_id, DecodedClient::Refused(reason)) => Ok(FrameRead::Refused {
+            consumed: total,
+            req_id,
+            reason,
         }),
     }
 }

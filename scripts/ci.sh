@@ -144,8 +144,10 @@ done
 
 echo "== bench summary =="
 # Collect the per-target JSON reports the harness wrote under
-# target/uucs-bench/ into one stable artifact at the repo root.
-summary=BENCH_SUMMARY.json
+# target/uucs-bench/ into one file beside them. Not at the repo root:
+# the committed BENCH_SUMMARY.json must not be overwritten by a
+# single-sample quick pass (ROADMAP item 1 retires that file).
+summary=target/uucs-bench/summary.json
 {
     printf '{\n'
     first=1

@@ -171,7 +171,7 @@ fn chaotic_session(
         "[{name}] per-class telemetry disagrees with the proxy's fault tally"
     );
 
-    (server.results(), store.load_archive().unwrap())
+    (server.results().unwrap(), store.load_archive().unwrap())
 }
 
 /// Every fault class, one at a time: the session converges and the
@@ -372,7 +372,7 @@ fn convergence_across_server_kill_and_wal_recovery() {
         // Exactly once, across the kill: all 5 records, no duplicates,
         // byte-for-byte what the client archived.
         assert_eq!(server.result_count(), 5);
-        assert_eq!(server.results(), store.load_archive().unwrap());
+        assert_eq!(server.results().unwrap(), store.load_archive().unwrap());
         transport.bye();
         proxy.shutdown();
         handle.shutdown();

@@ -229,7 +229,7 @@ fn kill_the_leader_loses_no_acknowledged_upload() {
     // Exactly-once: every acknowledged upload is present on the
     // promoted node once — none lost to the kill, none duplicated by
     // the retries that rode through it.
-    let records = follower_srv.results();
+    let records = follower_srv.results().unwrap();
     for tag in &acked {
         let copies = records.iter().filter(|r| &r.testcase == tag).count();
         assert_eq!(copies, 1, "acked upload {tag} found {copies} times");
@@ -371,7 +371,7 @@ fn version_skew_clients_survive_failover_with_renegotiation() {
     assert_eq!(legacy.negotiated_wire(), Some(1));
 
     // Exactly-once on the promoted node, both framings.
-    let records = follower_srv.results();
+    let records = follower_srv.results().unwrap();
     for who in ["legacy", "modern"] {
         for seq in 1..=BATCHES {
             let tag = format!("{who}-b{seq}");
@@ -475,8 +475,8 @@ fn partitioned_follower_catches_up_from_the_wal_tail() {
     assert_eq!(leader.hub().backfills(), (1, 1), "(tail, snapshot)");
 
     // Byte-equal convergence: same records, same per-client horizon.
-    let mut l: Vec<String> = leader_srv.results().iter().map(|r| r.testcase.clone()).collect();
-    let mut f: Vec<String> = follower_srv.results().iter().map(|r| r.testcase.clone()).collect();
+    let mut l: Vec<String> = leader_srv.results().unwrap().iter().map(|r| r.testcase.clone()).collect();
+    let mut f: Vec<String> = follower_srv.results().unwrap().iter().map(|r| r.testcase.clone()).collect();
     l.sort();
     f.sort();
     assert_eq!(l, f);

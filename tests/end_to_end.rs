@@ -48,7 +48,7 @@ fn full_pipeline_over_tcp() {
 
     // The server holds the uploaded results.
     assert_eq!(handle.server.result_count(), 3);
-    let results = handle.server.results();
+    let results = handle.server.results().unwrap();
     assert!(results.iter().all(|r| r.client == id));
     assert!(results.iter().any(|r| r.testcase == "quake-cpu-ramp"));
 

@@ -208,7 +208,7 @@ fn group_commit_kill_loses_no_acked_upload() {
             server.applied_seq(id)
         );
     }
-    let recovered = server.results();
+    let recovered = server.results().unwrap();
     for (id, top) in &acked {
         if *top > 0 {
             assert!(
@@ -318,7 +318,7 @@ fn cached_engine_kill_loses_no_acked_upload() {
             server.applied_seq(id)
         );
     }
-    let recovered = server.results();
+    let recovered = server.results().unwrap();
     for (id, top) in &acked {
         if *top > 0 {
             assert!(
@@ -374,7 +374,7 @@ proptest! {
                 }
             }
             server.compact().unwrap();
-            let mut results = server.results();
+            let mut results = server.results().unwrap();
             results.sort_by(|a, b| (&a.client, &a.testcase).cmp(&(&b.client, &b.testcase)));
             let horizons: Vec<(String, u64)> =
                 ids.iter().map(|id| (id.clone(), server.applied_seq(id))).collect();
@@ -386,7 +386,7 @@ proptest! {
         for (step, shards) in walk.iter().enumerate() {
             let (stores, _) = StoreSet::open(tmp.path(), wal_cfg(), *shards).unwrap();
             let server = UucsServer::with_store_set(stores, 9);
-            let mut results = server.results();
+            let mut results = server.results().unwrap();
             results.sort_by(|a, b| (&a.client, &a.testcase).cmp(&(&b.client, &b.testcase)));
             prop_assert!(
                 results == baseline.0,

@@ -38,7 +38,7 @@ SYNC\n";
         .execute_script(&script, &pop.users()[0], Fidelity::Full, &mut transport, 4)
         .unwrap();
     assert_eq!(runs, 8);
-    let results = server.results();
+    let results = server.results().unwrap();
     assert_eq!(results.len(), 8);
 
     let by_id = |id: &str| results.iter().find(|r| r.testcase == id).unwrap();

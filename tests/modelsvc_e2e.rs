@@ -60,7 +60,7 @@ fn upload_session(addr: std::net::SocketAddr, subject: usize, seed: u64) {
 fn offline_ecdf(server: &UucsServer, resource: Resource) -> Ecdf {
     let mut observed = Vec::new();
     let mut censored = 0usize;
-    for rec in server.results() {
+    for rec in server.results().unwrap() {
         let Some(level) = rec.level_at_feedback(resource) else {
             continue;
         };

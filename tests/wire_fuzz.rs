@@ -190,7 +190,9 @@ fn drain_binary_client(bytes: &[u8]) -> usize {
     let mut parsed = 0;
     for _ in 0..=bytes.len() {
         match try_read_client_frame(buf) {
-            Ok(FrameRead::Msg { consumed, .. }) | Ok(FrameRead::Unknown { consumed, .. }) => {
+            Ok(FrameRead::Msg { consumed, .. })
+            | Ok(FrameRead::Unknown { consumed, .. })
+            | Ok(FrameRead::Refused { consumed, .. }) => {
                 assert!(consumed > 0, "a parsed frame must consume bytes");
                 parsed += 1;
                 buf = &buf[consumed..];
@@ -284,6 +286,70 @@ proptest! {
             stream.extend_from_slice(&binary_server_bytes(w));
         }
         prop_assert_eq!(drain_binary_server(&stream), which.len());
+    }
+
+    /// A string the server could not splice into its line-oriented
+    /// journal and read back equal — in any record field, or as the
+    /// registration token — never reaches a handler: the frame is
+    /// consumed whole and reported `Refused`, and the frame behind it
+    /// parses as if nothing had happened. The same strings made
+    /// harmless parse as messages.
+    #[test]
+    fn binary_frames_carrying_journal_breaking_text_are_refused_whole(
+        which in any::<u64>(),
+        field in 0usize..6,
+        shape in 0usize..8,
+        word in "[a-zA-Z0-9 ]{0,12}",
+    ) {
+        let hostile = match shape {
+            0 => format!("{word}\nBOGUS x"),
+            1 => format!("{word}\nEND\nRESULT\nCLIENT victim"),
+            2 => format!("{word}\r"),
+            3 => format!("a{word}\u{0}b"),
+            4 => format!(" x{word}"),
+            5 => format!("x{word}\u{a0}"),
+            6 => format!("a{word}\u{85}b"),
+            _ => "-".to_string(),
+        };
+        let tame = format!("x{}y", word.replace(' ', "_"));
+        let msg = |text: &str| {
+            let mut rec = sample_record(which % 1000);
+            match field {
+                0 => rec.client = text.into(),
+                1 => rec.user = text.into(),
+                2 => rec.testcase = text.into(),
+                3 => rec.task = text.into(),
+                4 => rec.skill = text.into(),
+                _ => {
+                    return ClientMsg::Register {
+                        snapshot: MachineSnapshot::study_machine("fuzz"),
+                        token: text.into(),
+                    }
+                }
+            }
+            ClientMsg::Upload {
+                client: "client-0001".into(),
+                seq: which,
+                records: vec![sample_record(1), rec],
+            }
+        };
+        // A record field is refused in every shape; the token only
+        // where whitespace would tear the `CLIENT <id> <token>` line.
+        let breaks = field < 5 || hostile.chars().any(char::is_whitespace);
+        let frame = encode_client_frame(7, &msg(&hostile)).unwrap();
+        let mut stream = frame.clone();
+        stream.extend_from_slice(&binary_client_bytes(which));
+        match try_read_client_frame(&stream) {
+            Ok(FrameRead::Refused { consumed, req_id, .. }) => {
+                prop_assert!(breaks, "{hostile:?} refused");
+                prop_assert_eq!((consumed, req_id), (frame.len(), 7));
+            }
+            Ok(FrameRead::Msg { .. }) => prop_assert!(!breaks, "{hostile:?} parsed"),
+            other => prop_assert!(false, "{hostile:?}: {other:?}"),
+        }
+        prop_assert_eq!(drain_binary_client(&stream), 2);
+        let parsed = try_read_client_frame(&encode_client_frame(7, &msg(&tame)).unwrap());
+        prop_assert!(matches!(parsed, Ok(FrameRead::Msg { .. })), "{tame:?}: {parsed:?}");
     }
 
     /// Cross-version, text at the binary reader: a v1 line stream fed
