@@ -1,7 +1,7 @@
 //! Replicated-tier benchmarks: what WAL shipping costs the leader's
 //! upload path, as a function of the ack mode.
 //!
-//! Three points on the same workload (concurrent sequenced uploads
+//! Four points on the same workload (32 sequenced uploads per round
 //! through the full engine):
 //!
 //! * `unreplicated` — the plain engine, no replication sink installed.
@@ -10,10 +10,17 @@
 //!   as its own store accepted the batch.
 //! * `repl_quorum` — `--repl-ack=quorum`: every ack additionally waits
 //!   for the follower to apply and commit the entry over TCP.
+//! * `quorum_pipelined_depth32` — the same 32 quorum-acked uploads the
+//!   way one depth-32 connection makes them on `uucs-clusterd`'s own
+//!   engines (journals under group commit on both nodes): all handled
+//!   first, each ack then redeemed off its commit ticket — so the
+//!   leader's fsyncs, the follower's and the round trips batch.
 //!
 //! The spread between the first two is the shipping overhead (backlog
-//! push + channel fan-out); between the last two, the round trip a
-//! quorum ack buys its durability with.
+//! push + channel fan-out); between the second and third, the round
+//! trip a quorum ack buys its durability with; the last row is what
+//! depth buys back (it pays real fsyncs the in-memory rows do not, so
+//! read it against `repl_quorum` for scaling, not for absolute cost).
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -26,6 +33,7 @@ use uucs_protocol::{
     ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg,
 };
 use uucs_server::{StoreSet, UucsServer};
+use uucs_wal::{SyncPolicy, WalConfig};
 
 fn record(client: &str, i: usize) -> RunRecord {
     RunRecord {
@@ -45,6 +53,18 @@ fn plain_server() -> Arc<UucsServer> {
     Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 9).without_model_updates())
 }
 
+/// An engine as `uucs-clusterd` opens it: journals with no fsync of
+/// their own, a group committer owning durability.
+fn committed_server(dir: &std::path::Path) -> Arc<UucsServer> {
+    let journals = WalConfig {
+        sync: SyncPolicy::Never,
+        ..WalConfig::default()
+    };
+    let (stores, _) = StoreSet::open(&dir.join("wal"), journals, 4).expect("open journals");
+    let server = UucsServer::with_store_set(stores, 9).without_model_updates();
+    Arc::new(server.with_group_commit(Duration::from_millis(1)))
+}
+
 fn register(server: &UucsServer, host: &str) -> String {
     match server.handle(&ClientMsg::register(MachineSnapshot::study_machine(host))) {
         ServerMsg::Id { id, .. } => id,
@@ -62,7 +82,14 @@ struct Tier {
 }
 
 impl Tier {
+    /// A tier of in-memory engines.
     fn start(ack: AckMode) -> Tier {
+        Tier::start_with(ack, |_| plain_server())
+    }
+
+    /// A tier whose engines `engine` builds, each under its node's
+    /// data directory.
+    fn start_with(ack: AckMode, engine: impl Fn(&std::path::Path) -> Arc<UucsServer>) -> Tier {
         let tmp = TempDir::new("uucs-bench-cluster");
         let mk = |name: &str, peers: Vec<String>, ack: AckMode| {
             let mut cfg =
@@ -72,7 +99,7 @@ impl Tier {
             cfg.gossip_interval = Duration::from_millis(100);
             cfg
         };
-        let server = plain_server();
+        let server = engine(&tmp.path().join("bench-a"));
         let leader = ClusterNode::start(
             mk("bench-a", Vec::new(), ack),
             Arc::clone(&server),
@@ -80,7 +107,7 @@ impl Tier {
             Role::Leader,
         )
         .expect("leader");
-        let follower_srv = plain_server();
+        let follower_srv = engine(&tmp.path().join("bench-b"));
         let follower = ClusterNode::start(
             mk("bench-b", vec![leader.repl_addr().to_string()], AckMode::Local),
             follower_srv,
@@ -164,6 +191,37 @@ fn replication(c: &mut Criterion) {
             })
         });
     }
+
+    // One pipelined connection's worth: the window is handled before
+    // any ack is redeemed, as the TCP pool does for a depth-32 client.
+    let depth = 32u64;
+    group.throughput(Throughput::Elements(depth));
+    group.bench_function("quorum_pipelined_depth32", |b| {
+        let tier = Tier::start_with(AckMode::Quorum, committed_server);
+        let committer = tier.server.group_committer().expect("group commit is on");
+        let id = register(&tier.server, "bench-deep");
+        let mut next_seq = 1u64;
+        b.iter(|| {
+            let window: Vec<_> = (next_seq..next_seq + depth)
+                .map(|seq| {
+                    let msg = ClientMsg::Upload {
+                        client: id.clone(),
+                        seq,
+                        records: vec![record(&id, seq as usize)],
+                    };
+                    match tier.server.handle_deferred(&msg) {
+                        (ServerMsg::Ack(_), Some(ticket)) => ticket,
+                        other => panic!("upload not ticketed: {other:?}"),
+                    }
+                })
+                .collect();
+            next_seq += depth;
+            for ticket in window {
+                committer.wait(ticket).expect("quorum ack");
+            }
+            black_box(tier.server.result_count())
+        })
+    });
     group.finish();
 }
 

@@ -18,7 +18,10 @@
 //! Stores are WAL-backed under `--data` exactly like `uucs-server
 //! --wal` and are the node's only journals; a follower's progress file
 //! lives next to them, and what a leader keeps for reconnecting
-//! followers is a bounded in-memory backlog.
+//! followers is a bounded in-memory backlog. Durability is group
+//! commit on both roles: a leader's ack waits on its own batched fsync
+//! and — under `--repl-ack quorum` — on a follower's, side by side; a
+//! follower fsyncs and acknowledges a burst of entries at a time.
 //! A two-node quickstart is in the README ("Running a cluster").
 
 use std::path::PathBuf;
@@ -26,7 +29,11 @@ use std::sync::Arc;
 use std::time::Duration;
 use uucs_cluster::{AckMode, ClusterConfig, ClusterNode, Role};
 use uucs_server::{tcp, StoreSet, TestcaseStore, UucsServer};
-use uucs_wal::WalConfig;
+use uucs_wal::{SyncPolicy, WalConfig};
+
+/// Ceiling of the group committer's self-sizing gather window — what
+/// `uucs-server --commit-interval-us 1000` runs with.
+const COMMIT_INTERVAL: Duration = Duration::from_millis(1);
 
 fn main() {
     let mut node = String::new();
@@ -120,12 +127,19 @@ fn main() {
         "recovering journals under {:?} ({shards} shard(s)) ...",
         data.join("wal")
     );
-    let (stores, _recoveries) = StoreSet::open(&data.join("wal"), WalConfig::default(), shards)
-        .unwrap_or_else(|e| {
+    // The commit thread owns durability: no append pays its own fsync
+    // under the shard lock, every ack waits on the committer's watermark.
+    let journals = WalConfig {
+        sync: SyncPolicy::Never,
+        ..Default::default()
+    };
+    let (stores, _recoveries) =
+        StoreSet::open(&data.join("wal"), journals, shards).unwrap_or_else(|e| {
             eprintln!("journal is unrecoverable: {e}");
             std::process::exit(1);
         });
-    let server = Arc::new(UucsServer::with_store_set(stores, 0x5e17));
+    let server =
+        Arc::new(UucsServer::with_store_set(stores, 0x5e17).with_group_commit(COMMIT_INTERVAL));
 
     let role = if follow.is_empty() {
         Role::Leader

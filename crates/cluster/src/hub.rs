@@ -1,5 +1,5 @@
 //! The leader half of WAL shipping: per-shard backlogs, the `REPL`
-//! listener, follower fan-out, backfill, and the quorum-ack wait.
+//! listener, follower fan-out, backfill, and the quorum watermark.
 //!
 //! Every committed mutation routes to a replication shard by the same
 //! stable hash the stores use ([`uucs_server::shard_of`]), is pushed
@@ -9,6 +9,15 @@
 //! connected follower. The push and the fan-out happen under the
 //! shard's backlog lock, so followers observe each shard's sequence
 //! numbers in order with no gaps.
+//!
+//! Shipping never blocks. Under [`AckMode::Quorum`] it returns the
+//! entry's [`QuorumMark`] and the client's ack waits until a live
+//! follower's acked watermark has passed it — one piece of state
+//! (`FollowerSlot::acked` plus a signal) observed two ways:
+//! [`ReplicationSink::poll_quorum`] by a commit ticket parked beside
+//! the leader's own fsync (a follower `Commit` wakes the committer's
+//! subscribers), [`ReplicationSink::wait_quorum`] by a handler whose
+//! store syncs inline.
 //!
 //! Sequences live as long as the hub: every leader start and every
 //! promotion claims a fresh epoch, so a watermark is only meaningful
@@ -26,12 +35,13 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uucs_protocol::repl::{read_repl_msg, write_repl_msg, ReplMsg};
 use uucs_protocol::WalEntry;
-use uucs_server::{shard_of, ReplicationSink, UucsServer};
+use uucs_server::commit::QuorumMark;
+use uucs_server::{shard_of, GroupCommitter, ReplicationSink, UucsServer};
 use uucs_telemetry::{metrics, Counter, Gauge};
 
 /// When the leader acknowledges a client-visible mutation.
@@ -145,23 +155,33 @@ struct HubMetrics {
 }
 
 /// The replication hub. One per node; dormant (every
-/// [`ReplicationSink::replicate`] call is a no-op) until the node
-/// leads.
+/// [`ReplicationSink::ship`] call is a no-op) until the node leads.
 pub struct ReplHub {
     node: String,
     shards: usize,
     config: HubConfig,
     backlogs: Vec<Mutex<Backlog>>,
     /// Each backlog's `next()`, mirrored for the lag gauge so neither
-    /// `replicate` nor a follower `Commit` takes every shard's lock.
+    /// a ship nor a follower `Commit` takes a backlog lock for it.
     next_seq: Vec<AtomicU64>,
+    /// Each shard's lag behind `next_seq` at its most-behind follower;
+    /// the gauge is the max. Only the shard that moved is recomputed.
+    lag: Vec<AtomicU64>,
     /// Catch-ups this hub served, `[by tail, by snapshot]`.
     backfills: [AtomicU64; 2],
+    /// Quorum acks that degraded to local ones.
+    quorum_timeouts: AtomicU64,
+    /// Times a thread blocked in [`ReplicationSink::wait_quorum`].
+    blocking_waits: AtomicU64,
     followers: Mutex<Vec<Arc<FollowerSlot>>>,
     /// Signals quorum waiters whenever any follower ack advances (or a
     /// follower disconnects, so waiters can re-check liveness).
     ack_signal: Condvar,
     ack_lock: Mutex<()>,
+    /// The engine's group committer, if it runs one: its subscribers
+    /// hold the tickets that poll this hub, so they are woken with the
+    /// blocked waiters.
+    committer: OnceLock<Arc<GroupCommitter>>,
     leading: AtomicBool,
     epoch: AtomicU64,
     /// The engine backfill snapshots export from; also the source of
@@ -191,10 +211,14 @@ impl ReplHub {
             config,
             backlogs: (0..shards).map(|_| Mutex::default()).collect(),
             next_seq: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            lag: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             backfills: Default::default(),
+            quorum_timeouts: AtomicU64::new(0),
+            blocking_waits: AtomicU64::new(0),
             followers: Mutex::new(Vec::new()),
             ack_signal: Condvar::new(),
             ack_lock: Mutex::new(()),
+            committer: OnceLock::new(),
             leading: AtomicBool::new(false),
             epoch: AtomicU64::new(0),
             server: Mutex::new(None),
@@ -233,6 +257,9 @@ impl ReplHub {
     /// Wires the engine the hub exports backfill snapshots from and
     /// reads gossip contributions off. Must run before [`ReplHub::listen`].
     pub fn set_server(&self, server: Arc<UucsServer>) {
+        if let Some(committer) = server.group_committer() {
+            let _ = self.committer.set(committer);
+        }
         *lock(&self.server) = Some(server);
     }
 
@@ -256,6 +283,19 @@ impl ReplHub {
         (tail.load(Ordering::SeqCst), snapshot.load(Ordering::SeqCst))
     }
 
+    /// How many quorum acks degraded to local ones (no live follower, or
+    /// the ack timeout passed); mirrored to `server.repl.quorum_timeouts`.
+    pub fn quorum_timeouts(&self) -> u64 {
+        self.quorum_timeouts.load(Ordering::SeqCst)
+    }
+
+    /// How many times a thread blocked waiting for a follower's ack.
+    /// Stays 0 on a node whose engine runs a group committer and is
+    /// served by the TCP pool: there the wait rides the commit ticket.
+    pub fn blocking_quorum_waits(&self) -> u64 {
+        self.blocking_waits.load(Ordering::SeqCst)
+    }
+
     /// Names of the currently connected followers.
     pub fn follower_nodes(&self) -> Vec<String> {
         lock(&self.followers)
@@ -275,11 +315,34 @@ impl ReplHub {
             .min()
     }
 
-    fn update_lag(&self) {
-        let lag = (0..self.shards)
-            .filter_map(|i| Some(self.next_seq[i].load(Ordering::SeqCst).saturating_sub(self.min_acked(i)?)))
-            .max();
+    /// Recomputes `shard`'s lag and republishes the gauge (the max over
+    /// shards) — one pass over the followers, whichever shard moved.
+    fn update_lag(&self, shard: usize) {
+        let behind = self.min_acked(shard).map_or(0, |acked| {
+            self.next_seq[shard]
+                .load(Ordering::SeqCst)
+                .saturating_sub(acked)
+        });
+        self.lag[shard].store(behind, Ordering::SeqCst);
+        let lag = self.lag.iter().map(|l| l.load(Ordering::SeqCst)).max();
         self.metrics.lag_batches.set(lag.unwrap_or(0) as i64);
+    }
+
+    /// A follower joined or left: every shard's most-behind changed.
+    fn update_all_lags(&self) {
+        (0..self.shards).for_each(|shard| self.update_lag(shard));
+    }
+
+    /// Has every quorum waiter look again: the blocked ones through the
+    /// condvar (taking their lock first, so a waiter between its check
+    /// and its park cannot miss this), the parked tickets through the
+    /// committer's subscribers. Publish the change first.
+    fn signal(&self) {
+        drop(lock(&self.ack_lock));
+        self.ack_signal.notify_all();
+        if let Some(committer) = self.committer.get() {
+            committer.wake_subscribers();
+        }
     }
 
     fn fan_out(&self, msg: &ReplMsg) {
@@ -290,40 +353,6 @@ impl ReplHub {
                 // reconnect and catch up from its watermark.
                 slot.alive.store(false, Ordering::SeqCst);
             }
-        }
-    }
-
-    /// Blocks until any live follower acked past `seq` on `shard`, the
-    /// configured timeout passes (degrade + count), or no follower is
-    /// left to wait for. A wait that [`ReplHub::shutdown`] cut short is
-    /// an error, not a degrade: this leader is going away, so an ack now
-    /// would promise a copy no follower will ever be sent.
-    fn wait_quorum(&self, shard: usize, seq: u64) -> io::Result<()> {
-        let deadline = Instant::now() + self.config.ack_timeout;
-        let mut guard = lock(&self.ack_lock);
-        loop {
-            // The furthest live follower on this shard; `None` = nobody.
-            let best = lock(&self.followers)
-                .iter()
-                .filter(|s| s.alive.load(Ordering::SeqCst))
-                .map(|s| s.acked[shard].load(Ordering::SeqCst))
-                .max();
-            if best.is_some_and(|acked| acked > seq) {
-                return Ok(());
-            }
-            let now = Instant::now();
-            if best.is_none() || now >= deadline {
-                if self.shutdown.load(Ordering::SeqCst) {
-                    return Err(shut_down());
-                }
-                self.metrics.quorum_timeouts.inc();
-                return Ok(());
-            }
-            let (g, _) = self
-                .ack_signal
-                .wait_timeout(guard, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            guard = g;
         }
     }
 
@@ -374,7 +403,7 @@ impl ReplHub {
         }
         // Unblock the accept loop.
         let _ = TcpStream::connect(bound);
-        self.ack_signal.notify_all();
+        self.signal();
     }
 
     /// One follower connection, end to end: handshake, backfill, then
@@ -424,6 +453,7 @@ impl ReplHub {
             followers.push(Arc::clone(&slot));
             self.metrics.follower_connected.set(followers.len() as i64);
         }
+        self.update_all_lags();
         // The join point is read and the wanted tail copied under one
         // hold of each backlog lock: whatever is evicted after that is
         // at or past `joined`, hence already in this follower's channel.
@@ -471,7 +501,8 @@ impl ReplHub {
                     .count() as i64,
             );
         }
-        self.ack_signal.notify_all();
+        self.update_all_lags();
+        self.signal();
         drop(writer_handle);
         read_result
     }
@@ -533,8 +564,8 @@ impl ReplHub {
             match read_repl_msg(reader)? {
                 Some(ReplMsg::Commit { shard, upto }) if shard < self.shards => {
                     slot.acked[shard].fetch_max(upto, Ordering::SeqCst);
-                    self.ack_signal.notify_all();
-                    self.update_lag();
+                    self.signal();
+                    self.update_lag(shard);
                 }
                 Some(ReplMsg::Gossip { node, epoch, model }) => {
                     let entries: Vec<ReplMsg> = {
@@ -574,32 +605,76 @@ impl ReplHub {
 }
 
 impl ReplicationSink for ReplHub {
-    fn replicate(&self, entry: &WalEntry) -> io::Result<()> {
+    fn ship(&self, key: &str, payload: Vec<u8>) -> io::Result<Option<QuorumMark>> {
         if !self.leading() {
             // Dormant — unless this was a quorum leader that has been
             // shut down under a handler still running: that one refuses.
             let down = self.config.ack == AckMode::Quorum && self.shutdown.load(Ordering::SeqCst);
-            return if down { Err(shut_down()) } else { Ok(()) };
+            return if down { Err(shut_down()) } else { Ok(None) };
         }
-        let Some(key) = route_key(entry) else {
-            return Ok(());
-        };
         let shard = shard_of(key, self.shards);
-        let bytes = entry.encode();
         let seq;
         {
             let mut backlog = lock(&self.backlogs[shard]);
-            seq = backlog.push(bytes.clone());
+            seq = backlog.push(payload.clone());
             self.next_seq[shard].store(seq + 1, Ordering::SeqCst);
             // Fan out under the backlog lock: per-shard sequence order
             // on every follower channel matches push order, gap-free.
-            self.fan_out(&ReplMsg::Entry { shard, seq, bytes });
+            self.fan_out(&ReplMsg::Entry {
+                shard,
+                seq,
+                bytes: payload,
+            });
         }
-        self.update_lag();
-        if self.config.ack == AckMode::Quorum {
-            self.wait_quorum(shard, seq)?;
+        self.update_lag(shard);
+        Ok((self.config.ack == AckMode::Quorum).then(|| QuorumMark {
+            shard,
+            seq,
+            deadline: Instant::now() + self.config.ack_timeout,
+        }))
+    }
+
+    /// A mark is settled when any live follower acked past it, when its
+    /// deadline passed, or when no follower is left to wait for — the
+    /// last two degrade to a local ack and are counted. A wait that
+    /// [`ReplHub::shutdown`] cut short is an error, not a degrade: this
+    /// leader is going away, so an ack now would promise a copy no
+    /// follower will ever be sent.
+    fn poll_quorum(&self, mark: QuorumMark) -> Option<io::Result<()>> {
+        // The furthest live follower on this shard; `None` = nobody.
+        let best = lock(&self.followers)
+            .iter()
+            .filter(|s| s.alive.load(Ordering::SeqCst))
+            .map(|s| s.acked[mark.shard].load(Ordering::SeqCst))
+            .max();
+        if best.is_some_and(|acked| acked > mark.seq) {
+            return Some(Ok(()));
         }
-        Ok(())
+        if best.is_some() && Instant::now() < mark.deadline {
+            return None;
+        }
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Some(Err(shut_down()));
+        }
+        self.quorum_timeouts.fetch_add(1, Ordering::SeqCst);
+        self.metrics.quorum_timeouts.inc();
+        Some(Ok(()))
+    }
+
+    fn wait_quorum(&self, mark: QuorumMark) -> io::Result<()> {
+        self.blocking_waits.fetch_add(1, Ordering::SeqCst);
+        let mut guard = lock(&self.ack_lock);
+        loop {
+            if let Some(outcome) = self.poll_quorum(mark) {
+                return outcome;
+            }
+            let rest = mark.deadline.saturating_duration_since(Instant::now());
+            guard = self
+                .ack_signal
+                .wait_timeout(guard, rest)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
     }
 }
 
@@ -619,6 +694,39 @@ pub fn route_key(entry: &WalEntry) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::RwLockWriteGuard;
+    use uucs_harness::TempDir;
+    use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
+    use uucs_server::{CommitTicket, ResultStore, StoreFlavor, StoreSet};
+    use uucs_wal::{SyncPolicy, WalConfig};
+
+    /// A follower that is only a socket: it joins by `HELLO`, reads
+    /// nothing, and acknowledges exactly what the test tells it to.
+    struct FakeFollower(TcpStream);
+
+    impl FakeFollower {
+        fn join(hub: &ReplHub, addr: SocketAddr) -> FakeFollower {
+            let mut sock = TcpStream::connect(addr).unwrap();
+            let hello = ReplMsg::Hello {
+                node: "b".into(),
+                epoch: hub.epoch(),
+                watermarks: vec![],
+            };
+            write_repl_msg(&mut sock, &hello).unwrap();
+            while hub.follower_nodes().is_empty() {
+                std::thread::yield_now();
+            }
+            FakeFollower(sock)
+        }
+
+        /// Sends `COMMIT shard upto` and returns once the hub has it.
+        fn ack(&mut self, hub: &ReplHub, shard: usize, upto: u64) {
+            write_repl_msg(&mut self.0, &ReplMsg::Commit { shard, upto }).unwrap();
+            while hub.min_acked(shard) != Some(upto) {
+                std::thread::yield_now();
+            }
+        }
+    }
 
     /// An entry that names its own sequence, padded to `len` bytes.
     fn entry(seq: u64, len: usize) -> Vec<u8> {
@@ -697,30 +805,147 @@ mod tests {
         hub.lead(1);
         let (addr, accept) = hub.listen("127.0.0.1:0").unwrap();
         // A follower that joins by (empty) tail and never acknowledges.
-        let mut follower = TcpStream::connect(addr).unwrap();
-        let hello = ReplMsg::Hello {
-            node: "b".into(),
-            epoch: 1,
-            watermarks: vec![],
-        };
-        write_repl_msg(&mut follower, &hello).unwrap();
-        while hub.follower_nodes().is_empty() {
-            std::thread::yield_now();
-        }
-        let entry = WalEntry::Client {
-            id: "client-0001".into(),
-            token: "tok".into(),
-            snapshot: uucs_protocol::MachineSnapshot::study_machine("m"),
+        let _follower = FakeFollower::join(&hub, addr);
+        // What a handler whose store syncs inline does: ship, then wait.
+        let ship_and_wait = || {
+            let mark = hub.ship("client-0001", b"entry".to_vec())?;
+            hub.wait_quorum(mark.expect("a leading quorum hub marks what it ships"))
         };
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| hub.replicate(&entry));
-            while hub.next_seq[0].load(Ordering::SeqCst) == 0 {
+            let waiter = s.spawn(ship_and_wait);
+            while hub.blocking_quorum_waits() == 0 {
                 std::thread::yield_now();
             }
             hub.shutdown(addr);
             assert!(waiter.join().unwrap().is_err(), "released by shutdown");
         });
-        assert!(hub.replicate(&entry).is_err(), "and refuses from then on");
+        assert!(ship_and_wait().is_err(), "and refuses from then on");
+        assert_eq!(hub.quorum_timeouts(), 0, "a refusal is not a degrade");
+        accept.join().unwrap();
+    }
+
+    /// One upload the way the handler makes it on a group-commit
+    /// leader: append, ask for the fsync, ship, mark the ticket. The
+    /// shard is handed back still locked — until the caller lets go of
+    /// it the commit thread cannot fsync that journal.
+    fn shipped_upload<'a>(
+        stores: &'a StoreSet,
+        committer: &GroupCommitter,
+        hub: &ReplHub,
+        seq: u64,
+    ) -> (CommitTicket, RwLockWriteGuard<'a, ResultStore>) {
+        let record = RunRecord {
+            client: "client-0001".into(),
+            user: "u".into(),
+            testcase: format!("t{seq}"),
+            task: "IE".into(),
+            skill: "Typical".into(),
+            outcome: RunOutcome::Discomfort,
+            offset_secs: 1.0,
+            last_levels: vec![(uucs_testcase::Resource::Cpu, vec![2.0])],
+            monitor: MonitorSummary::default(),
+        };
+        let mut shard = stores.results.write_recovered(0);
+        let (_, payload) = shard
+            .append_batch_shipped("client-0001", seq, &[record], true)
+            .unwrap();
+        let ticket = committer.submit(StoreFlavor::Results, 0, shard.wal_next_lsn().unwrap());
+        let quorum = hub.ship("client-0001", payload.unwrap()).unwrap();
+        assert!(quorum.is_some(), "a leading quorum hub marks what it ships");
+        (CommitTicket { quorum, ..ticket }, shard)
+    }
+
+    /// The ack's two legs, each withheld in turn: a quorum ticket is
+    /// redeemable only once the leader's fsync covers it *and* a live
+    /// follower acknowledged it; the documented outcomes of a wait that
+    /// cannot be met — degrade and count, or refuse — come out of the
+    /// same poll.
+    #[test]
+    fn a_quorum_ticket_needs_the_local_fsync_and_the_follower_ack() {
+        let dir = TempDir::new("hub-quorum-ticket");
+        let journals = WalConfig {
+            sync: SyncPolicy::Never, // the committer is the only fsync
+            ..WalConfig::default()
+        };
+        let (stores, _) = StoreSet::open(dir.path(), journals, 1).unwrap();
+        let stores = Arc::new(stores);
+        let (committer, commit_thread) = GroupCommitter::start(stores.clone(), Duration::ZERO);
+        let config = HubConfig {
+            ack: AckMode::Quorum,
+            ack_timeout: Duration::from_secs(600),
+        };
+        let hub = ReplHub::new("a", 1, config);
+        hub.lead(1);
+        let (addr, accept) = hub.listen("127.0.0.1:0").unwrap();
+        committer.attach_sink(hub.clone());
+        let mut follower = FakeFollower::join(&hub, addr);
+        let journal_leg = |ticket: CommitTicket| CommitTicket {
+            quorum: None,
+            ..ticket
+        };
+        let seq_of = |ticket: CommitTicket| ticket.quorum.unwrap().seq;
+
+        // Only the follower's ack: the fsync cannot run while the shard
+        // is held.
+        let (ticket, held) = shipped_upload(&stores, &committer, &hub, 1);
+        follower.ack(&hub, 0, seq_of(ticket) + 1);
+        assert!(
+            committer.poll(ticket).is_none(),
+            "acked before the leader's fsync"
+        );
+        drop(held);
+        committer.wait(journal_leg(ticket)).unwrap();
+        assert_eq!(committer.poll(ticket), Some(Ok(())), "both legs done");
+
+        // Only the fsync: the follower has not acknowledged.
+        let (ticket, held) = shipped_upload(&stores, &committer, &hub, 2);
+        drop(held);
+        committer.wait(journal_leg(ticket)).unwrap();
+        assert!(
+            committer.poll(ticket).is_none(),
+            "acked before any follower held it"
+        );
+        follower.ack(&hub, 0, seq_of(ticket) + 1);
+        assert_eq!(committer.poll(ticket), Some(Ok(())));
+        assert_eq!(hub.quorum_timeouts(), 0);
+
+        // The deadline has passed: degrade to a local ack, counted once
+        // — and not before the journal leg is done.
+        let (mut ticket, held) = shipped_upload(&stores, &committer, &hub, 3);
+        ticket.quorum.as_mut().unwrap().deadline = Instant::now();
+        assert!(committer.poll(ticket).is_none());
+        drop(held);
+        committer.wait(journal_leg(ticket)).unwrap();
+        assert_eq!(committer.poll(ticket), Some(Ok(())));
+        assert_eq!(hub.quorum_timeouts(), 1);
+
+        // Nobody left to wait for: the same degrade.
+        drop(follower);
+        while !hub.follower_nodes().is_empty() {
+            std::thread::yield_now();
+        }
+        let (ticket, held) = shipped_upload(&stores, &committer, &hub, 4);
+        drop(held);
+        committer.wait(journal_leg(ticket)).unwrap();
+        assert_eq!(committer.poll(ticket), Some(Ok(())));
+        assert_eq!(hub.quorum_timeouts(), 2);
+
+        // The leader is shut down under a parked ticket: a refusal, on
+        // either way of redeeming it, and not another degrade.
+        let _silent = FakeFollower::join(&hub, addr);
+        let (ticket, held) = shipped_upload(&stores, &committer, &hub, 5);
+        drop(held);
+        committer.wait(journal_leg(ticket)).unwrap();
+        assert!(committer.poll(ticket).is_none());
+        hub.shutdown(addr);
+        for refusal in [committer.poll(ticket).unwrap(), committer.wait(ticket)] {
+            let why = refusal.unwrap_err();
+            assert!(why.starts_with("replication failed"), "{why}");
+        }
+        assert_eq!(hub.quorum_timeouts(), 2);
+
+        committer.stop();
+        commit_thread.join().unwrap();
         accept.join().unwrap();
     }
 }

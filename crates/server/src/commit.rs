@@ -32,10 +32,19 @@
 //! every current and future waiter on that shard gets the error — the
 //! handler answers with a protocol error instead of an ack, exactly as
 //! a failed synchronous append did before.
+//!
+//! On the leader of a quorum tier a ticket also carries a
+//! [`QuorumMark`]: where the mutation sits in the replication stream.
+//! Such a ticket is redeemable once *both* watermarks cover it — this
+//! node's fsync and a follower's ack — so the fsync and the round trip
+//! to the follower overlap, and no handler blocks on another machine.
+//! The follower's side of it lives with the [`ReplicationSink`]; the
+//! committer only asks it, after the local leg is done.
 
 use crate::netpoll::Waker;
+use crate::server::ReplicationSink;
 use crate::shard::{sync_shard, StoreSet};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uucs_pagecache::{DiskScheduler, OpKind};
@@ -70,9 +79,24 @@ impl StoreFlavor {
 /// but no reply waits on them.
 const FLAVORS: usize = 3;
 
+/// Where a shipped mutation sits in the replication stream, for an ack
+/// that must also wait for a follower: redeemable once a live follower
+/// acknowledged past `seq` on `shard` — or once `deadline` has passed,
+/// when the leader degrades to a local ack and counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuorumMark {
+    /// The replication shard the mutation's key routes to.
+    pub shard: usize,
+    /// Its sequence in that shard's stream.
+    pub seq: u64,
+    /// When waiting for a follower gives way to a local ack.
+    pub deadline: Instant,
+}
+
 /// A durability watermark: "my append is safe once `upto` LSNs of this
-/// shard's journal are on disk". Handlers capture it under the shard
-/// write lock (where the post-append `next_lsn` is exact) and redeem it
+/// shard's journal are on disk" — and, with a [`QuorumMark`], "and once
+/// a follower holds it too". Handlers capture it under the shard write
+/// lock (where the post-append `next_lsn` is exact) and redeem it
 /// lock-free via [`GroupCommitter::wait`] or [`GroupCommitter::poll`].
 #[derive(Debug, Clone, Copy)]
 pub struct CommitTicket {
@@ -82,6 +106,8 @@ pub struct CommitTicket {
     pub shard: usize,
     /// The journal's next-LSN right after the append.
     pub upto: Lsn,
+    /// The follower ack this ticket also waits for (quorum leader only).
+    pub quorum: Option<QuorumMark>,
 }
 
 /// Per-slot (flavor × shard) commit bookkeeping.
@@ -167,7 +193,16 @@ pub struct GroupCommitter {
     /// Pool workers to wake after each fsync pass, so a parked reply is
     /// serialized the moment its watermark is durable.
     wakers: Mutex<Vec<Weak<Waker>>>,
+    /// Who answers for a ticket's [`QuorumMark`]: the sink that issued it.
+    sink: OnceLock<Arc<dyn ReplicationSink>>,
 }
+
+/// The reply text for a ticket whose journal leg failed.
+fn journal_failure(why: impl std::fmt::Display) -> String {
+    format!("journal commit failed: {why}")
+}
+
+const STOPPED: &str = "server stopped before the commit completed";
 
 impl GroupCommitter {
     /// Starts the commit thread over `stores`. The returned handle must
@@ -214,6 +249,7 @@ impl GroupCommitter {
             },
             scheduler,
             wakers: Mutex::new(Vec::new()),
+            sink: OnceLock::new(),
         });
         let runner = committer.clone();
         let handle = std::thread::Builder::new()
@@ -251,49 +287,111 @@ impl GroupCommitter {
         let slot = self.slot(flavor, shard);
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.request(slot, upto, &self.wake);
-        CommitTicket { flavor, shard, upto }
+        CommitTicket {
+            flavor,
+            shard,
+            upto,
+            quorum: None,
+        }
     }
 
-    /// Blocks until the ticket's watermark is durable. `Err` means the
-    /// shard's journal could not be synced — the caller must not ack.
+    /// Names the sink that issues — and answers for — the quorum marks
+    /// of this committer's tickets. One-shot, like the server's own
+    /// [`crate::UucsServer::set_replication`], which calls it.
+    pub fn attach_sink(&self, sink: Arc<dyn ReplicationSink>) {
+        let _ = self.sink.set(sink);
+    }
+
+    /// The follower leg of a ticket whose journal leg is done: what the
+    /// sink says right now, or — `blocking` — once it has an answer.
+    fn quorum(&self, ticket: CommitTicket, blocking: bool) -> Option<Result<(), String>> {
+        let (Some(mark), Some(sink)) = (ticket.quorum, self.sink.get()) else {
+            return Some(Ok(()));
+        };
+        let outcome = if blocking {
+            Some(sink.wait_quorum(mark))
+        } else {
+            sink.poll_quorum(mark)
+        };
+        outcome.map(|r| r.map_err(|e| format!("replication failed: {e}")))
+    }
+
+    /// Blocks until the ticket's watermark is durable and, if it carries
+    /// a quorum mark, a follower acknowledged it (or its deadline let
+    /// the wait degrade). `Err` is the reply text for a journal that
+    /// could not be synced or a leader shut down under the wait — the
+    /// caller must not ack.
     pub fn wait(&self, ticket: CommitTicket) -> Result<(), String> {
         let slot = self.slot(ticket.flavor, ticket.shard);
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.request(slot, ticket.upto, &self.wake);
         loop {
             if let Some(e) = &st.failed[slot] {
-                return Err(e.clone());
+                return Err(journal_failure(e));
             }
             if st.synced[slot] >= ticket.upto {
-                return Ok(());
+                break;
             }
             if st.stop {
-                return Err("server stopped before the commit completed".into());
+                return Err(journal_failure(STOPPED));
             }
+            // Only while uncovered: a watermark somebody else already
+            // synced past needs no pass, so the commit thread sleeps on.
+            st.request(slot, ticket.upto, &self.wake);
             st = self
                 .done
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        drop(st);
+        self.quorum(ticket, true)
+            .expect("a blocking wait has an outcome")
+    }
+
+    /// [`GroupCommitter::wait`] for a caller with nothing else to do
+    /// meanwhile (a follower's apply loop settling a burst): rather
+    /// than wake the commit thread and sleep until it reports back —
+    /// two thread hand-offs around one fsync — the caller syncs the
+    /// ticket's journal itself and publishes the watermark as a pass
+    /// would. Racing the commit thread over one slot is harmless: each
+    /// sync takes the shard lock and the watermark only rises.
+    pub fn sync(&self, ticket: CommitTicket) -> Result<(), String> {
+        let slot = self.slot(ticket.flavor, ticket.shard);
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let since = st.synced[slot];
+        // Somebody has asked for this slot: a parked ticket this sync
+        // may cover, so its worker is woken as after a pass.
+        let awaited = st.pending[slot] > since;
+        let done = since >= ticket.upto || st.failed[slot].is_some();
+        drop(st);
+        if !done {
+            let t0 = Instant::now();
+            let outcome = Self::sync_store(&self.stores, ticket.flavor, ticket.shard);
+            self.finish_slot(slot, since, outcome, t0.elapsed().as_nanos() as u64);
+            if awaited {
+                self.wake_subscribers();
+            }
+        }
+        self.wait(ticket)
     }
 
     /// Nonblocking redemption for the worker-pool front end: `None`
-    /// while the fsync is still outstanding, `Some(result)` once the
-    /// watermark is durable (ack) or the shard failed (error reply).
+    /// while the fsync — or the follower's ack — is still outstanding,
+    /// `Some(result)` once both watermarks cover the ticket (ack) or a
+    /// leg failed (error reply). The follower leg is consulted only
+    /// after the journal leg, so a degraded quorum wait is counted once,
+    /// by the poll that redeems the ticket.
     pub fn poll(&self, ticket: CommitTicket) -> Option<Result<(), String>> {
         let slot = self.slot(ticket.flavor, ticket.shard);
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(e) = &st.failed[slot] {
-            return Some(Err(e.clone()));
+            return Some(Err(journal_failure(e)));
         }
-        if st.synced[slot] >= ticket.upto {
-            return Some(Ok(()));
+        if st.synced[slot] < ticket.upto {
+            st.request(slot, ticket.upto, &self.wake);
+            return st.stop.then(|| Err(journal_failure(STOPPED)));
         }
-        st.request(slot, ticket.upto, &self.wake);
-        if st.stop {
-            return Some(Err("server stopped before the commit completed".into()));
-        }
-        None
+        drop(st);
+        self.quorum(ticket, false)
     }
 
     /// Asks the commit thread to drain pending work and exit, and fails
@@ -360,9 +458,11 @@ impl GroupCommitter {
             .push(Arc::downgrade(waker));
     }
 
-    /// Wakes every subscribed pool worker (watermarks are already
-    /// published, so the tickets they re-poll see this pass).
-    fn wake_workers(&self) {
+    /// Wakes every subscribed pool worker so it re-polls its parked
+    /// tickets: after an fsync pass here, and by the replication sink
+    /// whenever a follower's acked watermark (or its liveness) moved.
+    /// Publish the watermark first.
+    pub fn wake_subscribers(&self) {
         self.wakers
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -447,7 +547,7 @@ impl GroupCommitter {
                     tally(self.finish_slot(slot, since, outcome, elapsed));
                 }
             }
-            self.wake_workers();
+            self.wake_subscribers();
             window = self.interval.mul_f64(gather_share(appends, synced));
             self.metrics.gather_us.set(window.as_micros() as i64);
         }
@@ -635,6 +735,34 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// `sync` is the caller's own fsync: with the commit thread gone
+    /// nobody else could have covered the ticket — and it was never
+    /// submitted, so nobody was asked to.
+    #[test]
+    fn sync_covers_a_ticket_on_the_calling_thread() {
+        let dir = TempDir::new("uucs-commit-sync");
+        let stores = durable_set(dir.path());
+        let (committer, handle) = GroupCommitter::start(stores.clone(), Duration::from_secs(30));
+        committer.stop();
+        handle.join().unwrap();
+        let shard = stores.results.shard_for("c1");
+        let mut g = stores.results.write_recovered(shard);
+        g.append_batch("c1", 1, &[rec("c1")]).unwrap();
+        let upto = g.wal_next_lsn().unwrap();
+        drop(g);
+        let ticket = CommitTicket {
+            flavor: StoreFlavor::Results,
+            shard,
+            upto,
+            quorum: None,
+        };
+        assert!(matches!(committer.poll(ticket), Some(Err(_))), "stopped, uncovered");
+        committer.sync(ticket).unwrap();
+        assert_eq!(committer.poll(ticket), Some(Ok(())));
+        // Covered already: nothing left to do, and still an answer.
+        committer.sync(ticket).unwrap();
+    }
+
     #[test]
     fn stop_fails_unreachable_waits() {
         let dir = TempDir::new("uucs-commit-stop");
@@ -647,6 +775,7 @@ mod tests {
             flavor: StoreFlavor::Results,
             shard: 0,
             upto: 1_000_000,
+            quorum: None,
         };
         assert!(committer.wait(ticket).is_err());
         assert!(matches!(committer.poll(ticket), Some(Err(_))));

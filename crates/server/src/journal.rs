@@ -99,8 +99,17 @@ impl Journal {
     /// ahead of its journal. The payload is built lazily — plain mode
     /// never pays for the encoding.
     pub(crate) fn append(&mut self, payload: impl FnOnce() -> Vec<u8>) -> io::Result<()> {
+        if self.is_durable() {
+            self.append_encoded(&payload())?;
+        }
+        Ok(())
+    }
+
+    /// [`Journal::append`] of a payload the caller has already encoded
+    /// (it has another use for the same bytes).
+    pub(crate) fn append_encoded(&mut self, payload: &[u8]) -> io::Result<()> {
         if let Some(wal) = &mut self.wal {
-            wal.append(&payload())?;
+            wal.append(payload)?;
         }
         Ok(())
     }

@@ -11,7 +11,7 @@
 //! before the client sees the ack — preserving the invariant that an
 //! `Ack` means "journaled on stable storage".
 
-use crate::commit::{CommitTicket, GroupCommitter, StoreFlavor};
+use crate::commit::{CommitTicket, GroupCommitter, QuorumMark, StoreFlavor};
 use crate::models::{observations_of, ModelStore};
 use crate::shard::{Sharded, StoreSet};
 use crate::store::{BatchStatus, RegistryStore, ResultStore, StoreError, TestcaseStore};
@@ -147,9 +147,16 @@ fn poisoned(what: &str) -> ServerMsg {
 
 /// Where a leader ships every committed mutation. Implemented by the
 /// cluster tier's replication hub; the server stays ignorant of wire
-/// details and ack policy — under `--repl-ack=quorum` the sink blocks
-/// until a follower acknowledged the entry, under `local` it returns as
-/// soon as the entry is queued.
+/// details and ack policy.
+///
+/// [`ReplicationSink::ship`] never blocks: it queues the entry for the
+/// followers and, when the ack must wait for one of them
+/// (`--repl-ack=quorum`), says where the entry sits in the stream — a
+/// [`QuorumMark`]. The ack then waits for that mark beside the local
+/// fsync, not after it: on the mutation's [`CommitTicket`] when a group
+/// committer runs (redeemed through [`GroupCommitter::poll`]/`wait`,
+/// which ask [`ReplicationSink::poll_quorum`]/`wait_quorum`), or inline
+/// in the handler when the store syncs inline too.
 ///
 /// The sink is invoked *after* the local store accepted the mutation
 /// but *before* the client's ack. Shipping ahead of the local fsync is
@@ -157,8 +164,21 @@ fn poisoned(what: &str) -> ServerMsg {
 /// client was never acked — the client retries with the same sequence
 /// number and the per-client horizon dedups it, so exactly-once holds.
 pub trait ReplicationSink: Send + Sync {
-    /// Ships one entry; an `Err` under quorum ack fails the client op.
-    fn replicate(&self, entry: &WalEntry) -> std::io::Result<()>;
+    /// Ships one entry — `payload` is its [`WalEntry`] encoding, the
+    /// bytes the journal holds for it; `key` routes it to a shard.
+    /// `Ok(None)` means the ack owes the followers nothing; an `Err`
+    /// fails the client op.
+    fn ship(&self, key: &str, payload: Vec<u8>) -> std::io::Result<Option<QuorumMark>>;
+
+    /// Whether the ack `mark` stands for may go out: `None` while no
+    /// live follower has acknowledged it and its deadline has not
+    /// passed, `Some(Ok)` once one has (or the wait degraded to a local
+    /// ack), `Some(Err)` when the leader was shut down first — an ack
+    /// then would promise a copy no follower will ever be sent.
+    fn poll_quorum(&self, mark: QuorumMark) -> Option<std::io::Result<()>>;
+
+    /// [`ReplicationSink::poll_quorum`], blocking until it has an answer.
+    fn wait_quorum(&self, mark: QuorumMark) -> std::io::Result<()>;
 }
 
 /// The UUCS server state. Thread-safe: the TCP front end shares one
@@ -271,7 +291,11 @@ impl UucsServer {
     /// leader side of the replication tier. One-shot: a second call is
     /// ignored (the first sink stays wired).
     pub fn set_replication(&self, sink: Arc<dyn ReplicationSink>) {
-        let _ = self.replication.set(sink);
+        if self.replication.set(sink.clone()).is_ok() {
+            if let Some(committer) = &self.committer {
+                committer.attach_sink(sink);
+            }
+        }
     }
 
     /// Switches the mutating verbs on (`false`, a leader) or off
@@ -403,10 +427,16 @@ impl UucsServer {
             guard.add(tc.clone())?;
             let lsn = guard.wal_next_lsn();
             drop(guard);
-            self.replicate(|| WalEntry::Testcase(tc))
+            let ticket = self.ticket(StoreFlavor::Testcases, shard, lsn);
+            let ticket = self
+                .ship(ticket, tc.id.as_str(), || {
+                    WalEntry::Testcase(tc.clone()).encode()
+                })
                 .map_err(StoreError::Io)?;
-            if let Some(ticket) = self.ticket(StoreFlavor::Testcases, shard, lsn) {
-                last[shard] = Some(ticket);
+            // A follower's acked watermark is cumulative too, so the
+            // last mark of a shard stands for the earlier ones.
+            if ticket.is_some() {
+                last[shard] = ticket;
             }
         }
         for ticket in last.into_iter().flatten() {
@@ -465,6 +495,13 @@ impl UucsServer {
         self.stores.registry.read(shard).get(client).cloned()
     }
 
+    /// Whether `client` is a registered id — the check every sync and
+    /// upload starts with, made on the registry's own entry.
+    fn is_registered(&self, client: &str) -> bool {
+        let shard = self.stores.registry.shard_for(client);
+        self.stores.registry.read(shard).get(client).is_some()
+    }
+
     /// The highest upload batch sequence number applied for a client.
     pub fn applied_seq(&self, client: &str) -> u64 {
         let shard = self.stores.results.shard_for(client);
@@ -496,7 +533,15 @@ impl UucsServer {
     /// converges through gossip of each node's own contribution, and
     /// folding replicated batches locally would double-count them after
     /// a promotion. `Model` entries are ignored for the same reason.
-    pub fn apply_entry(&self, entry: &WalEntry) -> std::io::Result<()> {
+    ///
+    /// Under group commit the entry is durable once the returned ticket
+    /// is redeemed — the follower acknowledges a burst of entries after
+    /// one [`GroupCommitter::sync`] per touched journal, so the ticket
+    /// is *not* submitted: a request would only wake the commit thread
+    /// to race the caller's own fsync. An entry already held gets the
+    /// journal's *current* watermark, so acknowledging it again is
+    /// never less durable than the first time.
+    pub fn apply_entry(&self, entry: &WalEntry) -> std::io::Result<Option<CommitTicket>> {
         match entry {
             WalEntry::Testcase(tc) => {
                 let shard = self.stores.testcases.shard_for(tc.id.as_str());
@@ -506,7 +551,9 @@ impl UucsServer {
                         .add(tc.clone())
                         .map_err(|e| crate::store::invalid(e.to_string()))?;
                 }
-                Ok(())
+                let lsn = guard.wal_next_lsn();
+                drop(guard);
+                Ok(self.watermark(StoreFlavor::Testcases, shard, lsn))
             }
             WalEntry::Client {
                 id,
@@ -516,11 +563,14 @@ impl UucsServer {
                 let _serial = self.reg_lock.lock().unwrap_or_else(PoisonError::into_inner);
                 let shard = self.stores.registry.shard_for(id);
                 let mut reg = self.stores.registry.write_recovered(shard);
-                if reg.get(id).is_none() {
+                let fresh = reg.get(id).is_none();
+                if fresh {
                     reg.register_with_id(id.clone(), snapshot.clone(), token)
                         .map_err(|e| crate::store::invalid(e.to_string()))?;
-                    let len = reg.len();
-                    drop(reg);
+                }
+                let (len, lsn) = (reg.len(), reg.wal_next_lsn());
+                drop(reg);
+                if fresh {
                     self.shard_gauges.registry[shard].set(len as i64);
                     // Keep the id counter ahead of every replicated id so
                     // a promoted follower never re-mints one.
@@ -528,7 +578,7 @@ impl UucsServer {
                         self.next_client.fetch_max(n, Ordering::SeqCst);
                     }
                 }
-                Ok(())
+                Ok(self.watermark(StoreFlavor::Registry, shard, lsn))
             }
             WalEntry::Batch {
                 client,
@@ -540,22 +590,31 @@ impl UucsServer {
                 results
                     .append_batch(client, *seq, records)
                     .map_err(|e| crate::store::invalid(e.to_string()))?;
-                let len = results.len();
-                drop(results);
-                self.shard_gauges.results[shard].set(len as i64);
-                Ok(())
+                Ok(self.applied_results(shard, results))
             }
             WalEntry::Result(rec) => {
                 let shard = self.stores.results.shard_for(rec.client.as_str());
-                self.stores
-                    .results
-                    .write_recovered(shard)
+                let mut results = self.stores.results.write_recovered(shard);
+                results
                     .append(std::slice::from_ref(rec))
                     .map_err(|e| crate::store::invalid(e.to_string()))?;
-                Ok(())
+                Ok(self.applied_results(shard, results))
             }
-            WalEntry::Model(_) => Ok(()),
+            WalEntry::Model(_) => Ok(None),
         }
+    }
+
+    /// Publishes a result shard's new length and releases it, returning
+    /// the ticket for what a replicated entry appended to it.
+    fn applied_results(
+        &self,
+        shard: usize,
+        results: std::sync::RwLockWriteGuard<'_, ResultStore>,
+    ) -> Option<CommitTicket> {
+        let (len, lsn) = (results.len(), results.wal_next_lsn());
+        drop(results);
+        self.shard_gauges.results[shard].set(len as i64);
+        self.watermark(StoreFlavor::Results, shard, lsn)
     }
 
     /// Applies one entry of a *snapshot* backfill stream. Snapshot
@@ -566,7 +625,7 @@ impl UucsServer {
     /// skipped by equality, the rest append, and the horizon jumps to
     /// the snapshot's sequence. All other entries apply as in
     /// [`UucsServer::apply_entry`].
-    pub fn apply_snapshot_entry(&self, entry: &WalEntry) -> std::io::Result<()> {
+    pub fn apply_snapshot_entry(&self, entry: &WalEntry) -> std::io::Result<Option<CommitTicket>> {
         let WalEntry::Batch {
             client,
             seq,
@@ -578,7 +637,7 @@ impl UucsServer {
         let shard = self.stores.results.shard_for(client);
         let mut results = self.stores.results.write_recovered(shard);
         if results.applied_seq(client) >= *seq {
-            return Ok(());
+            return Ok(self.applied_results(shard, results));
         }
         // Equal records have equal `client` and `testcase` fields, so
         // only the held records of the incoming ones' clients can match
@@ -599,10 +658,7 @@ impl UucsServer {
         results
             .append_batch(client, *seq, &fresh)
             .map_err(|e| crate::store::invalid(e.to_string()))?;
-        let len = results.len();
-        drop(results);
-        self.shard_gauges.results[shard].set(len as i64);
-        Ok(())
+        Ok(self.applied_results(shard, results))
     }
 
     /// Folds the current store state into a stream of self-contained
@@ -722,6 +778,23 @@ impl UucsServer {
         }
     }
 
+    /// [`UucsServer::ticket`] without the request: the watermark of a
+    /// replicated append, for the apply loop to settle itself.
+    fn watermark(
+        &self,
+        flavor: StoreFlavor,
+        shard: usize,
+        lsn: Option<u64>,
+    ) -> Option<CommitTicket> {
+        self.committer.as_ref()?;
+        Some(CommitTicket {
+            flavor,
+            shard,
+            upto: lsn?,
+            quorum: None,
+        })
+    }
+
     /// Handles one message up to (but not including) the durability
     /// wait: the reply is provisional until the returned ticket — if
     /// any — is redeemed against the committer. The worker-pool front
@@ -752,14 +825,29 @@ impl UucsServer {
         (reply, ticket)
     }
 
-    /// Mirrors one committed mutation to the replication sink, if any
-    /// — `entry` is only built (records cloned) when there is one.
-    /// Under quorum ack the error propagates so the client is *not*
-    /// acked for an entry no follower holds.
-    fn replicate(&self, entry: impl FnOnce() -> WalEntry) -> std::io::Result<()> {
-        match self.replication.get() {
-            Some(sink) => sink.replicate(&entry()),
-            None => Ok(()),
+    /// Ships one committed mutation to the replication sink, if any —
+    /// `payload` is only built when there is one — and ties the ack to
+    /// the follower's: the quorum mark rides `ticket` when the mutation
+    /// has one (the fsync it stands for is already under way), and is
+    /// waited for here otherwise, beside the store's inline fsync. An
+    /// error means the client must *not* be acked: no follower holds
+    /// the entry and none will be sent it.
+    fn ship(
+        &self,
+        ticket: Option<CommitTicket>,
+        key: &str,
+        payload: impl FnOnce() -> Vec<u8>,
+    ) -> std::io::Result<Option<CommitTicket>> {
+        let Some(sink) = self.replication.get() else {
+            return Ok(ticket);
+        };
+        match (sink.ship(key, payload())?, ticket) {
+            (None, ticket) => Ok(ticket),
+            (Some(mark), Some(ticket)) => Ok(Some(CommitTicket {
+                quorum: Some(mark),
+                ..ticket
+            })),
+            (Some(mark), None) => sink.wait_quorum(mark).map(|()| None),
         }
     }
 
@@ -786,7 +874,7 @@ impl UucsServer {
             }
             ClientMsg::Register { snapshot, token } => self.handle_register(snapshot, token),
             ClientMsg::Sync { client, have, want } => {
-                if self.snapshot_of(client).is_none() {
+                if !self.is_registered(client) {
                     return (
                         ServerMsg::Error(format!("unregistered client {client}")),
                         None,
@@ -1068,15 +1156,20 @@ impl UucsServer {
                 // registrations cannot set their lengths out of order.
                 self.shard_gauges.registry[shard].set(reg.len() as i64);
                 drop(reg);
-                if let Err(e) = self.replicate(|| WalEntry::Client {
-                    id: id.clone(),
-                    token: token.to_string(),
-                    snapshot: snapshot.clone(),
-                }) {
-                    return (ServerMsg::Error(format!("replication failed: {e}")), None);
-                }
-                let applied_seq = self.applied_seq(&id);
                 let ticket = self.ticket(StoreFlavor::Registry, shard, lsn);
+                let shipped = self.ship(ticket, &id, || {
+                    WalEntry::Client {
+                        id: id.clone(),
+                        token: token.to_string(),
+                        snapshot: snapshot.clone(),
+                    }
+                    .encode()
+                });
+                let ticket = match shipped {
+                    Ok(ticket) => ticket,
+                    Err(e) => return (ServerMsg::Error(format!("replication failed: {e}")), None),
+                };
+                let applied_seq = self.applied_seq(&id);
                 (ServerMsg::Id { id, applied_seq }, ticket)
             }
             Err(e) => (
@@ -1092,7 +1185,7 @@ impl UucsServer {
         seq: u64,
         records: &[uucs_protocol::RunRecord],
     ) -> (ServerMsg, Option<CommitTicket>) {
-        if self.snapshot_of(client).is_none() {
+        if !self.is_registered(client) {
             return (
                 ServerMsg::Error(format!("unregistered client {client}")),
                 None,
@@ -1111,8 +1204,9 @@ impl UucsServer {
         // re-acknowledged without storing a second copy — its ticket
         // carries the *current* watermark, so the re-ack is never less
         // durable than the original.
-        match results.append_batch(client, seq, records) {
-            Ok(status) => {
+        let shipping = self.replication.get().is_some();
+        match results.append_batch_shipped(client, seq, records, shipping) {
+            Ok((status, payload)) => {
                 let lsn = results.wal_next_lsn();
                 // Published under the shard lock, so racing uploads
                 // cannot set their lengths out of order.
@@ -1139,19 +1233,21 @@ impl UucsServer {
                         }
                     }
                 }
-                // Ship the batch before the ack, and only when it was
-                // applied — a replayed retransmit was already shipped
-                // the first time around.
-                if matches!(status, BatchStatus::Applied(_)) {
-                    if let Err(e) = self.replicate(|| WalEntry::Batch {
-                        client: client.to_string(),
-                        seq,
-                        records: records.to_vec(),
-                    }) {
-                        return (ServerMsg::Error(format!("replication failed: {e}")), None);
-                    }
+                // The fsync is asked for first, so it runs while the
+                // batch travels: the ack waits for the later of the two,
+                // not their sum. Only an *applied* batch has a payload
+                // to ship — a replayed retransmit went out the first
+                // time around — and what is shipped is the journal
+                // entry itself, encoded once.
+                let mut ticket = self.ticket(StoreFlavor::Results, shard, lsn);
+                if let Some(payload) = payload {
+                    ticket = match self.ship(ticket, client, || payload) {
+                        Ok(ticket) => ticket,
+                        Err(e) => {
+                            return (ServerMsg::Error(format!("replication failed: {e}")), None)
+                        }
+                    };
                 }
-                let ticket = self.ticket(StoreFlavor::Results, shard, lsn);
                 (ServerMsg::Ack(status.acked()), ticket)
             }
             Err(e) => (ServerMsg::Error(format!("upload rejected: {e}")), None),
@@ -1173,14 +1269,15 @@ impl Drop for UucsServer {
 impl Endpoint for UucsServer {
     /// Handles one message end to end, including the group-commit wait
     /// when the verb journaled something — an `Ack` through this path
-    /// is always durable. Both the TCP front end and the in-memory test
-    /// transport route through the same deferred core, so telemetry
-    /// covers every transport identically.
+    /// is always durable (and, on a quorum leader, on a follower too).
+    /// Both the TCP front end and the in-memory test transport route
+    /// through the same deferred core, so telemetry covers every
+    /// transport identically.
     fn handle(&self, msg: &ClientMsg) -> ServerMsg {
         let (reply, ticket) = self.handle_deferred(msg);
         if let (Some(ticket), Some(committer)) = (ticket, &self.committer) {
             if let Err(e) = committer.wait(ticket) {
-                return ServerMsg::Error(format!("journal commit failed: {e}"));
+                return ServerMsg::Error(e);
             }
         }
         reply

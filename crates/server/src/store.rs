@@ -354,8 +354,14 @@ impl ResultStore {
     /// must not be acknowledged.
     pub fn append(&mut self, records: &[RunRecord]) -> Result<usize, StoreError> {
         let body = render(records)?;
+        self.append_singly(&body, records.len())?;
+        Ok(records.len())
+    }
+
+    /// Journals each block of `body` as its own entry, then holds them.
+    fn append_singly(&mut self, body: &str, count: usize) -> io::Result<()> {
         if self.journal.is_durable() {
-            for block in Blocks::new(&body) {
+            for block in Blocks::new(body) {
                 let entry = BorrowedBlocks {
                     batch: None,
                     body: block.expect("rendered records are whole blocks"),
@@ -364,8 +370,8 @@ impl ResultStore {
                 self.journal.append(|| entry.encode())?;
             }
         }
-        self.push_blocks(&body, records.len());
-        Ok(records.len())
+        self.push_blocks(body, count);
+        Ok(())
     }
 
     /// Appends an upload batch idempotently. `seq` is the client's batch
@@ -386,14 +392,27 @@ impl ResultStore {
         seq: u64,
         records: &[RunRecord],
     ) -> Result<BatchStatus, StoreError> {
-        if seq == 0 {
-            return self.append(records).map(BatchStatus::Applied);
-        }
-        if self.applied_seq(client) >= seq {
-            return Ok(BatchStatus::Replayed(records.len()));
+        self.append_batch_shipped(client, seq, records, false)
+            .map(|(status, _)| status)
+    }
+
+    /// [`ResultStore::append_batch`] for a leader: with `ship`, an
+    /// applied batch also hands back its encoded [`WalEntry::Batch`] —
+    /// for a sequenced batch the very payload the journal took — so the
+    /// replication tier sends what was journaled without rendering the
+    /// records a second time. A replayed batch ships nothing.
+    pub fn append_batch_shipped(
+        &mut self,
+        client: &str,
+        seq: u64,
+        records: &[RunRecord],
+        ship: bool,
+    ) -> Result<(BatchStatus, Option<Vec<u8>>), StoreError> {
+        if seq != 0 && self.applied_seq(client) >= seq {
+            return Ok((BatchStatus::Replayed(records.len()), None));
         }
         // The `BATCH <client> <seq> <n>` line is read back by whitespace.
-        if !is_token(client) {
+        if seq != 0 && !is_token(client) {
             return Err(StoreError::Invalid(format!(
                 "client id {client:?} is not one token"
             )));
@@ -404,10 +423,20 @@ impl ResultStore {
             body: &body,
             count: records.len(),
         };
-        self.journal.append(|| entry.encode())?;
-        self.raise_horizon(client, seq);
-        self.push_blocks(&body, records.len());
-        Ok(BatchStatus::Applied(records.len()))
+        let payload = if seq == 0 {
+            // Journaled record by record; followers get it as one batch.
+            self.append_singly(&body, records.len())?;
+            ship.then(|| entry.encode())
+        } else {
+            let payload = (ship || self.journal.is_durable()).then(|| entry.encode());
+            if let Some(payload) = &payload {
+                self.journal.append_encoded(payload)?;
+            }
+            self.raise_horizon(client, seq);
+            self.push_blocks(&body, records.len());
+            payload.filter(|_| ship)
+        };
+        Ok((BatchStatus::Applied(records.len()), payload))
     }
 
     /// The highest batch sequence number applied for `client` (0 if the

@@ -18,7 +18,9 @@
 //! thread (a new socket in the worker's queue) and
 //! [`ServerHandle::shutdown`] write the same waker. No timeout sits on
 //! the request path: the only periodic wake-up is a coarse tick
-//! (≤ [`TICK`]) that enforces read deadlines.
+//! (≤ [`TICK`]) that enforces read deadlines and re-polls parked
+//! tickets (the deadline on a ticket's quorum mark passes without
+//! anybody to announce it).
 //!
 //! Hardened for the open internet the paper's clients lived on:
 //!
@@ -585,7 +587,7 @@ impl PoolConn {
                 // No committer can't really happen (tickets come from
                 // one), but degrade to an immediate reply, never a wedge.
                 None | Some(Some(Ok(()))) => None,
-                Some(Some(Err(e))) => Some(format!("journal commit failed: {e}")),
+                Some(Some(Err(e))) => Some(e),
                 Some(None) => break,
             };
             let done = self.pending.pop_front().expect("front exists");
@@ -786,12 +788,16 @@ fn worker_loop(
         }
 
         // Step what `poll` reported ready and, after a wake (the
-        // committer may have finished a pass), what has parked tickets.
-        if ready > 0 {
+        // committer may have finished a pass, a follower may have
+        // acknowledged) or on the tick (a ticket's quorum deadline may
+        // have passed with nobody left to wake us), what has parked
+        // tickets.
+        let ticked = last_scan.elapsed() >= tick;
+        if ready > 0 || ticked {
             let mut i = 0;
             while i < conns.len() {
                 let revents = fds[i + 1].revents();
-                let parked = woken && !conns[i].pending.is_empty();
+                let parked = (woken || ticked) && !conns[i].pending.is_empty();
                 if revents == 0 && !parked {
                     i += 1;
                     continue;
@@ -811,7 +817,7 @@ fn worker_loop(
         }
 
         // Read deadlines, once per tick rather than once per event.
-        if last_scan.elapsed() >= tick {
+        if ticked {
             last_scan = Instant::now();
             if let Some(t) = config.read_timeout {
                 let mut i = 0;

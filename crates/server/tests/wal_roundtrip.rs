@@ -12,9 +12,10 @@ use uucs_protocol::{
     ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg,
     WIRE_VERSION_BINARY,
 };
-use uucs_server::{tcp, RegistryStore, ResultStore, TestcaseStore, UucsServer};
+use uucs_server::commit::QuorumMark;
+use uucs_server::{tcp, RegistryStore, ReplicationSink, ResultStore, TestcaseStore, UucsServer};
 use uucs_testcase::{ExerciseSpec, Resource, Testcase};
-use uucs_wal::{SyncPolicy, WalConfig};
+use uucs_wal::{StdIo, SyncPolicy, WalConfig, WalReader};
 use uucs_wire::conn::{negotiate, BinaryConn, Negotiated};
 
 const CFG: WalConfig = WalConfig {
@@ -302,4 +303,89 @@ fn text_injected_through_the_binary_wire_is_refused_and_the_restart_is_clean() {
     assert_eq!(server.applied_seq(&client), 2);
     let want: Vec<RunRecord> = (0..5).map(record).collect();
     assert_eq!(server.results().unwrap(), want);
+}
+
+/// A sink that keeps what it is handed and asks for no quorum.
+#[derive(Default)]
+struct Shipped(std::sync::Mutex<Vec<(String, Vec<u8>)>>);
+
+impl ReplicationSink for Shipped {
+    fn ship(&self, key: &str, payload: Vec<u8>) -> std::io::Result<Option<QuorumMark>> {
+        self.0.lock().unwrap().push((key.to_string(), payload));
+        Ok(None)
+    }
+    fn poll_quorum(&self, _: QuorumMark) -> Option<std::io::Result<()>> {
+        Some(Ok(()))
+    }
+    fn wait_quorum(&self, _: QuorumMark) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The payloads a journal directory holds, in LSN order.
+fn journaled(dir: &Path) -> Vec<Vec<u8>> {
+    let reader = WalReader::open(StdIo::new(), dir).unwrap();
+    let payloads: Vec<Vec<u8>> = reader.records().map(|r| r.unwrap().1).collect();
+    payloads
+}
+
+/// What a leader ships is the journal entry itself — the payload the
+/// store encoded for its WAL, routed by the client id — and it is the
+/// encoding the `REPL` wire has always carried (`WalEntry::encode` of
+/// the mutation), so followers of either vintage read it. A replayed
+/// batch ships nothing: it went out the first time.
+#[test]
+fn what_a_leader_ships_is_the_journal_entry_byte_for_byte() {
+    use uucs_protocol::WalEntry;
+    let dir = TempDir::new("uucs-ship-bytes");
+    let server = boot(dir.path());
+    let sink = Arc::new(Shipped::default());
+    server.set_replication(sink.clone());
+    let snapshot = MachineSnapshot::study_machine("shipper");
+    let ServerMsg::Id { id, .. } = server.handle(&ClientMsg::Register {
+        snapshot: snapshot.clone(),
+        token: "tok".into(),
+    }) else {
+        panic!("registration refused");
+    };
+    let batches = [vec![record(0), record(1)], vec![record(2)]];
+    for (i, records) in batches.iter().enumerate() {
+        for _retransmit in 0..2 {
+            let reply = server.handle(&ClientMsg::Upload {
+                client: id.clone(),
+                seq: i as u64 + 1,
+                records: records.clone(),
+            });
+            assert_eq!(reply, ServerMsg::Ack(records.len()));
+        }
+    }
+    let shipped = sink.0.lock().unwrap().clone();
+    assert!(
+        shipped.iter().all(|(key, _)| *key == id),
+        "routed by the client id"
+    );
+    let shipped: Vec<Vec<u8>> = shipped.into_iter().map(|(_, payload)| payload).collect();
+    let mut journal = journaled(&dir.path().join("registry"));
+    journal.extend(journaled(&dir.path().join("results")));
+    assert_eq!(
+        shipped, journal,
+        "one registration, two batches, no replays"
+    );
+    let mut entries = vec![WalEntry::Client {
+        id: id.clone(),
+        token: "tok".into(),
+        snapshot,
+    }];
+    entries.extend(
+        batches
+            .iter()
+            .zip(1u64..)
+            .map(|(records, seq)| WalEntry::Batch {
+                client: id.clone(),
+                seq,
+                records: records.clone(),
+            }),
+    );
+    let encoded: Vec<Vec<u8>> = entries.iter().map(WalEntry::encode).collect();
+    assert_eq!(shipped, encoded, "the REPL wire's bytes are unchanged");
 }

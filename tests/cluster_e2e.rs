@@ -8,11 +8,15 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use uucs::client::{ClientTransport, ResilientTransport, RetryPolicy};
 use uucs::cluster::{AckMode, ClusterConfig, ClusterNode, Role};
+use uucs::protocol::wire::Endpoint;
 use uucs::protocol::{
     ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg,
 };
 use uucs::server::tcp::{self, ServeConfig};
 use uucs::server::{StoreSet, UucsServer};
+use uucs::wal::{SyncPolicy, WalConfig};
+use uucs::wire::conn::negotiate;
+use uucs::wire::frame::{read_server_frame, write_client_frame};
 use uucs_chaos::{ChaosPolicy, ChaosProxy};
 use uucs_harness::TempDir;
 
@@ -40,6 +44,18 @@ fn wait_until(what: &str, timeout: Duration, mut f: impl FnMut() -> bool) {
 
 fn fresh_server() -> Arc<UucsServer> {
     Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 9))
+}
+
+/// An engine the way `uucs-clusterd` builds its own: journals under
+/// `dir` with no fsync of their own, durability owned by the group
+/// committer — so acks ride commit tickets, quorum marks included.
+fn durable_server(dir: &std::path::Path) -> Arc<UucsServer> {
+    let journals = WalConfig {
+        sync: SyncPolicy::Never,
+        ..WalConfig::default()
+    };
+    let (stores, _) = StoreSet::open(&dir.join("wal"), journals, 4).unwrap();
+    Arc::new(UucsServer::with_store_set(stores, 9).with_group_commit(Duration::from_millis(1)))
 }
 
 fn node_config(
@@ -99,7 +115,10 @@ fn kill_the_leader_loses_no_acknowledged_upload() {
     const BATCHES: u64 = 12;
 
     let dir = TempDir::new("cluster-e2e-kill");
-    let leader_srv = fresh_server();
+    // Group commit, as `uucs-clusterd` runs: every ack of the fleet
+    // waits on a commit ticket carrying a quorum mark, and an entry is
+    // shipped before the leader's own fsync covers it.
+    let leader_srv = durable_server(&dir.path().join("a"));
     // Quorum acks: an `ACK` a client saw implies the follower applied
     // the batch, so killing the leader cannot erase it.
     let leader = ClusterNode::start(
@@ -136,6 +155,21 @@ fn kill_the_leader_loses_no_acknowledged_upload() {
     wait_until("follower to connect", Duration::from_secs(10), || {
         !leader.hub().follower_nodes().is_empty()
     });
+
+    // One more client, registered while the tier is whole; its only
+    // upload is made below, just before the kill.
+    let straggler_snapshot = MachineSnapshot::study_machine("straggler");
+    let ServerMsg::Id { id: straggler, .. } = leader_srv.handle(&ClientMsg::Register {
+        snapshot: straggler_snapshot.clone(),
+        token: "tok-straggler".into(),
+    }) else {
+        panic!("straggler registration refused");
+    };
+    let straggler_upload = ClientMsg::Upload {
+        client: straggler.clone(),
+        seq: 1,
+        records: vec![rec(&straggler, "straggler-b1")],
+    };
 
     // Client traffic reaches the leader through a chaos proxy (light
     // faults with a budget, so the network heals), and fails over to
@@ -215,6 +249,16 @@ fn kill_the_leader_loses_no_acknowledged_upload() {
     wait_until("fleet to reach mid-flight", Duration::from_secs(30), || {
         kill_gate.load(Ordering::SeqCst)
     });
+    // Ship-before-fsync, caught in the act: the straggler's batch is
+    // appended and shipped, its reply provisional on a ticket nobody
+    // will redeem — the leader dies first, so the client never sees an
+    // `ACK` for an entry the follower may or may not hold.
+    let (provisional, ticket) = leader_srv.handle_deferred(&straggler_upload);
+    assert_eq!(provisional, ServerMsg::Ack(1));
+    assert!(
+        ticket.is_some_and(|t| t.quorum.is_some()),
+        "the ack must be waiting on the commit ticket, quorum mark attached"
+    );
     leader_front.shutdown();
     leader.shutdown();
     leader_dead.store(true, Ordering::SeqCst);
@@ -244,6 +288,47 @@ fn kill_the_leader_loses_no_acknowledged_upload() {
         );
     }
     assert_eq!(acked.len(), CLIENTS * BATCHES as usize);
+    // No pool worker ever blocked on the follower: every quorum wait of
+    // the fleet rode its commit ticket (the one blocking wait is the
+    // straggler's in-process registration).
+    assert_eq!(leader.hub().blocking_quorum_waits(), 1);
+
+    // The never-acked upload is retried against the promoted node like
+    // any spooled batch — same identity, same sequence number — and is
+    // absorbed whether or not the shipped copy arrived before the kill:
+    // both nodes hold it once.
+    let mut t = ResilientTransport::multi(vec![follower_front.addr().to_string()])
+        .with_timeout(Duration::from_secs(1));
+    let again = must_exchange(
+        &mut t,
+        &ClientMsg::Register {
+            snapshot: straggler_snapshot,
+            token: "tok-straggler".into(),
+        },
+        Duration::from_secs(30),
+    );
+    assert!(
+        matches!(&again, ServerMsg::Id { id, .. } if *id == straggler),
+        "{again:?}"
+    );
+    let retried = must_exchange(&mut t, &straggler_upload, Duration::from_secs(30));
+    assert_eq!(retried, ServerMsg::Ack(1));
+    for (node, srv) in [
+        ("old leader", &leader_srv),
+        ("promoted follower", &follower_srv),
+    ] {
+        let copies = srv
+            .results()
+            .unwrap()
+            .iter()
+            .filter(|r| r.testcase == "straggler-b1")
+            .count();
+        assert_eq!(
+            copies, 1,
+            "{node} holds the straggler's batch {copies} times"
+        );
+        assert_eq!(srv.applied_seq(&straggler), 1);
+    }
 
     let stats = proxy.shutdown();
     assert!(stats.connections > 0, "the fleet never touched the proxy");
@@ -481,6 +566,101 @@ fn partitioned_follower_catches_up_from_the_wal_tail() {
     f.sort();
     assert_eq!(l, f);
 
+    follower.shutdown();
+    leader.shutdown();
+}
+
+/// Depth-32 pipelining under quorum acks: one binary connection writes
+/// 32 uploads back to back at a group-commit leader with a group-commit
+/// follower behind it. Every reply is an `ACK`, in request order; every
+/// batch is on both nodes exactly once by the time its `ACK` is read;
+/// and the worker serving the connection never sat in a quorum wait —
+/// all 33 acks (the registration's too) were redeemed off commit
+/// tickets, so both nodes are free to batch.
+#[test]
+fn pipelined_quorum_uploads_are_acked_in_order_off_commit_tickets() {
+    const DEPTH: u32 = 32;
+    let dir = TempDir::new("cluster-e2e-pipelined");
+    let leader_srv = durable_server(&dir.path().join("a"));
+    let leader = ClusterNode::start(
+        node_config("a", &dir, vec![], AckMode::Quorum),
+        Arc::clone(&leader_srv),
+        "127.0.0.1:0",
+        Role::Leader,
+    )
+    .unwrap();
+    let leader_front = tcp::serve(Arc::clone(&leader_srv), "127.0.0.1:0").unwrap();
+    let follower_srv = durable_server(&dir.path().join("b"));
+    let follower = ClusterNode::start(
+        node_config(
+            "b",
+            &dir,
+            vec![leader.repl_addr().to_string()],
+            AckMode::Local,
+        ),
+        Arc::clone(&follower_srv),
+        "127.0.0.1:0",
+        Role::Follower,
+    )
+    .unwrap();
+    wait_until("follower to connect", Duration::from_secs(10), || {
+        !leader.hub().follower_nodes().is_empty()
+    });
+
+    let mut writer = std::net::TcpStream::connect(leader_front.addr()).unwrap();
+    writer.set_nodelay(true).unwrap();
+    let mut reader = std::io::BufReader::new(writer.try_clone().unwrap());
+    negotiate(
+        &mut writer,
+        &mut reader,
+        uucs::protocol::WIRE_VERSION_BINARY,
+    )
+    .expect("negotiate");
+    let register = ClientMsg::Register {
+        snapshot: MachineSnapshot::study_machine("pipeline"),
+        token: "tok-pipeline".into(),
+    };
+    write_client_frame(&mut writer, 1, &register).unwrap();
+    let (_, reply) = read_server_frame(&mut reader).unwrap();
+    let ServerMsg::Id { id, .. } = reply else {
+        panic!("registration failed: {reply:?}");
+    };
+    let tag = |k: u32| format!("deep-{k}");
+    for k in 0..DEPTH {
+        let upload = ClientMsg::Upload {
+            client: id.clone(),
+            seq: u64::from(k) + 1,
+            records: vec![rec(&id, &tag(k))],
+        };
+        write_client_frame(&mut writer, 2 + k, &upload).expect("pipelined frame");
+    }
+    for k in 0..DEPTH {
+        let (req, reply) = read_server_frame(&mut reader).expect("pipelined reply");
+        assert_eq!(req, 2 + k, "replies must come back in request order");
+        assert_eq!(reply, ServerMsg::Ack(1));
+    }
+    assert_eq!(
+        leader.hub().blocking_quorum_waits(),
+        0,
+        "a worker blocked on the follower"
+    );
+    assert_eq!(
+        leader.hub().quorum_timeouts(),
+        0,
+        "an ack degraded to local"
+    );
+    // A quorum ack means the follower holds it already: no waiting here.
+    for (node, srv) in [("leader", &leader_srv), ("follower", &follower_srv)] {
+        let records = srv.results().unwrap();
+        assert_eq!(records.len(), DEPTH as usize, "{node}");
+        for k in 0..DEPTH {
+            let copies = records.iter().filter(|r| r.testcase == tag(k)).count();
+            assert_eq!(copies, 1, "{node} holds {} {copies} times", tag(k));
+        }
+        assert_eq!(srv.applied_seq(&id), u64::from(DEPTH), "{node}");
+    }
+    write_client_frame(&mut writer, 99, &ClientMsg::Bye).ok();
+    leader_front.shutdown();
     follower.shutdown();
     leader.shutdown();
 }
