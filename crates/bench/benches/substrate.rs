@@ -55,6 +55,40 @@ fn memory_touch(c: &mut Criterion) {
             black_box(mm.stats().evictions)
         })
     });
+    // Quake's per-frame touch: 24 samples of a fully resident 38 000-page
+    // region — 24 draws from the thread's generator and no bit tested.
+    group.throughput(Throughput::Elements(24));
+    group.bench_function("random_sample_24_of_38000_resident", |b| {
+        let mut mm = uucs_sim::mem::MemoryManager::new(131_072);
+        let r = mm.alloc(0, 38_000, false);
+        let mut rng = Pcg64::new(5);
+        mm.touch(r, 38_000, TouchPattern::Prefix, 0, &mut rng);
+        let mut t = 1;
+        b.iter(|| {
+            t += 1;
+            let outcome = mm.touch(r, 24, TouchPattern::RandomSample, t, &mut rng);
+            black_box(outcome.hits)
+        })
+    });
+    // The memory exerciser's ramp: a 131 072-page pool grows into a full
+    // memory that holds two older regions, so every claim past the free
+    // frames is paid by an eviction from the colder, then the other.
+    group.throughput(Throughput::Elements(131_072));
+    group.bench_function("prefix_claim_128k_under_pressure", |b| {
+        let mut rng = Pcg64::new(6);
+        b.iter(|| {
+            let mut mm = uucs_sim::mem::MemoryManager::new(131_072);
+            let os = mm.alloc(0, 25_000, false);
+            let fg = mm.alloc(1, 61_000, false);
+            let pool = mm.alloc(2, 131_072, false);
+            mm.touch(os, 25_000, TouchPattern::Prefix, 0, &mut rng);
+            mm.touch(fg, 61_000, TouchPattern::Prefix, 1, &mut rng);
+            for (step, pages) in (16_384..=131_072).step_by(16_384).enumerate() {
+                mm.touch(pool, pages, TouchPattern::Prefix, 2 + step as u64, &mut rng);
+            }
+            black_box(mm.stats().evictions)
+        })
+    });
     group.finish();
     // The miss path: a fresh exerciser pool's first prefix touch counts
     // and claims every page (the allocation-heavy case before PR 15).

@@ -27,7 +27,7 @@ use crate::calibration;
 use crate::user::UserProfile;
 use uucs_exercisers::playback::spawn_exercisers;
 use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
-use uucs_sim::{mean_latency_us, secs, Machine, SimTime, SEC};
+use uucs_sim::{mean_latency_us, secs, Machine, SimTime, ThreadId, SEC};
 use uucs_stats::Pcg64;
 use uucs_testcase::{Resource, Testcase};
 use uucs_workloads::{OsBackground, Task};
@@ -194,25 +194,24 @@ fn synthesize_monitor(tc: &Testcase, offset: f64) -> MonitorSummary {
     }
 }
 
-/// Full-fidelity monitor: plays the run on the simulated machine.
-fn simulate_monitor(setup: &RunSetup<'_>, offset: f64) -> MonitorSummary {
-    let mut m = Machine::study_machine(setup.seed);
+/// The study machine after the warm-up, with the OS background and
+/// `task` (the returned thread) running.
+fn warmed_machine(task: Task, seed: u64) -> (Machine, ThreadId) {
+    let mut m = Machine::study_machine(seed);
     m.spawn("os", Box::new(OsBackground::new()));
-    let fg = m.spawn(setup.task.name(), setup.task.model());
+    let fg = m.spawn(task.name(), task.model());
     m.run_until(WARMUP);
+    (m, fg)
+}
 
-    let start = m.now();
-    let set = spawn_exercisers(&mut m, setup.testcase);
-    let cpu0 = m.metrics().cpu_busy_us;
-    let disk0 = m.disk_stats().busy_us;
-    let faults0 = m.mem_stats().faults;
-    let lat0 = m.thread_stats(fg).latencies.len();
-
-    // Step second by second, tracking peak memory, up to the feedback
-    // point (or exhaustion).
-    let end = start + secs(offset);
+/// Plays `testcase` on `m` from now up to `offset` seconds in — the
+/// feedback point, or exhaustion — stepping second by second, and
+/// returns the peak resident memory in pages.
+fn play(m: &mut Machine, testcase: &Testcase, offset: f64) -> u32 {
+    let set = spawn_exercisers(m, testcase);
+    let end = m.now() + secs(offset);
     let mut peak_mem = m.mem_resident();
-    let mut t = start;
+    let mut t = m.now();
     while t < end {
         t = (t + SEC).min(end);
         m.run_until(t);
@@ -220,7 +219,19 @@ fn simulate_monitor(setup: &RunSetup<'_>, offset: f64) -> MonitorSummary {
     }
     // The user pressed the hot-key (or the functions exhausted): stop the
     // exercisers immediately and release their resources.
-    set.stop(&mut m);
+    set.stop(m);
+    peak_mem
+}
+
+/// Full-fidelity monitor: plays the run on the simulated machine.
+fn simulate_monitor(setup: &RunSetup<'_>, offset: f64) -> MonitorSummary {
+    let (mut m, fg) = warmed_machine(setup.task, setup.seed);
+    let start = m.now();
+    let cpu0 = m.metrics().cpu_busy_us;
+    let disk0 = m.disk_stats().busy_us;
+    let faults0 = m.mem_stats().faults;
+    let lat0 = m.thread_stats(fg).latencies.len();
+    let peak_mem = play(&mut m, setup.testcase, offset);
 
     let elapsed = (m.now() - start).max(1);
     let class = setup.task.latency_class();
@@ -412,6 +423,72 @@ mod tests {
         // Borrowing toward 100% of memory must evict and refault.
         assert!(rec.monitor.faults > 100, "faults {}", rec.monitor.faults);
         assert!(rec.monitor.peak_mem_fraction > 0.95);
+    }
+
+    /// One machine seed, the warm-up and all 120 s of each of the 32
+    /// (task, controlled testcase) pairs: the memory manager's totals, the
+    /// peak residency and the foreground's faults, as the simulator gave
+    /// them before it claimed and evicted a bitmap word at a time. The
+    /// study's record CRCs catch any divergence; this table says in which
+    /// run and in which counter.
+    #[test]
+    fn full_fidelity_memory_counters_are_pinned_per_testcase() {
+        // (testcase, zero fills, faults, evictions, peak resident pages,
+        // foreground faults)
+        const PINNED: [(&str, u64, u64, u64, u64, u64); 32] = [
+            ("word-cpu-ramp", 63000, 0, 0, 63000, 0),
+            ("word-blank-1", 63000, 0, 0, 63000, 0),
+            ("word-disk-ramp", 63000, 0, 0, 63000, 0),
+            ("word-memory-ramp", 192980, 3442, 65350, 131072, 1750),
+            ("word-cpu-step", 63000, 0, 0, 63000, 0),
+            ("word-disk-step", 63000, 0, 0, 63000, 0),
+            ("word-blank-2", 63000, 0, 0, 63000, 0),
+            ("word-memory-step", 194072, 7170, 70170, 131072, 1984),
+            ("powerpoint-cpu-ramp", 68000, 0, 0, 68000, 0),
+            ("powerpoint-blank-1", 68000, 0, 0, 68000, 0),
+            ("powerpoint-disk-ramp", 68000, 0, 0, 68000, 0),
+            ("powerpoint-memory-ramp", 197980, 3023, 69931, 131072, 1293),
+            ("powerpoint-cpu-step", 68000, 0, 0, 68000, 0),
+            ("powerpoint-disk-step", 68000, 0, 0, 68000, 0),
+            ("powerpoint-blank-2", 68000, 0, 0, 68000, 0),
+            ("powerpoint-memory-step", 199072, 6614, 74614, 131072, 1611),
+            ("ie-cpu-ramp", 72375, 0, 0, 72375, 0),
+            ("ie-blank-1", 72484, 0, 0, 72484, 0),
+            ("ie-disk-ramp", 72302, 0, 0, 72302, 0),
+            ("ie-memory-ramp", 135937, 7226, 12091, 131072, 2406),
+            ("ie-cpu-step", 72484, 0, 0, 72484, 0),
+            ("ie-disk-step", 72302, 0, 0, 72302, 0),
+            ("ie-blank-2", 72484, 0, 0, 72484, 0),
+            ("ie-memory-step", 202348, 48055, 119331, 131072, 2038),
+            ("quake-cpu-ramp", 86000, 0, 0, 86000, 0),
+            ("quake-blank-1", 86000, 0, 0, 86000, 0),
+            ("quake-disk-ramp", 86000, 0, 0, 86000, 0),
+            ("quake-memory-ramp", 206149, 4436, 79513, 131072, 825),
+            ("quake-cpu-step", 86000, 0, 0, 86000, 0),
+            ("quake-disk-step", 86000, 0, 0, 86000, 0),
+            ("quake-blank-2", 86000, 0, 0, 86000, 0),
+            ("quake-memory-step", 217072, 6458, 92458, 131072, 2354),
+        ];
+        let mut rows = PINNED.iter();
+        for task in Task::ALL {
+            for tc in calibration::controlled_testcases(task) {
+                let (mut m, fg) = warmed_machine(task, 2004);
+                let peak = play(&mut m, &tc, tc.duration());
+                let mem = m.mem_stats();
+                let &(name, zero_fills, faults, evictions, peak_resident, fg_faults) =
+                    rows.next().expect("32 pinned rows");
+                assert_eq!(tc.id.to_string(), name);
+                for (counter, was, is) in [
+                    ("zero fills", zero_fills, mem.zero_fills),
+                    ("faults", faults, mem.faults),
+                    ("evictions", evictions, mem.evictions),
+                    ("peak resident pages", peak_resident, peak as u64),
+                    ("foreground faults", fg_faults, m.thread_stats(fg).faults),
+                ] {
+                    assert_eq!(was, is, "{name}: {counter} {was} -> {is}");
+                }
+            }
+        }
     }
 
     #[test]

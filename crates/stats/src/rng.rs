@@ -109,6 +109,7 @@ impl Pcg64 {
 
     /// Uniform integer in `[0, bound)` using Lemire's multiply-shift
     /// rejection method (unbiased).
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
         let mut x = self.next_u64();

@@ -93,6 +93,13 @@ if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q -p uucs-server --lib recovered_state_is_independent_of_the_worker_count
 fi
 
+# The simulator claims, evicts and samples a bitmap word at a time; the
+# page-at-a-time reference must agree on outcome, full manager state and
+# the caller's generator after every step of 5000 random sequences, under
+# both eviction policies (the suites above ran the default 64).
+echo "== memory manager vs its buffered reference (5000 sequences, both eviction policies) =="
+UUCS_PROPTEST_CASES=5000 cargo test -q --release -p uucs-sim touch_equals
+
 # controlled-study checks every repetition's rendered output against a
 # pinned CRC: it is the byte-identity gate for the parallel study's
 # phase ordering. restart-recovery re-REGISTERs every identity and
