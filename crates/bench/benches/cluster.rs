@@ -96,7 +96,6 @@ impl Tier {
                 ClusterConfig::new(name, tmp.path().join("epochs"), tmp.path().join(name));
             cfg.peers = peers;
             cfg.ack = ack;
-            cfg.gossip_interval = Duration::from_millis(100);
             cfg
         };
         let server = engine(&tmp.path().join("bench-a"));

@@ -1,7 +1,7 @@
 //! The follower half of WAL shipping: connect to whoever leads, resume
-//! from persisted watermarks, apply the stream into the local engine,
-//! ack with per-shard commits, and gossip the node's own model
-//! contribution on a timer.
+//! from persisted watermarks, apply the stream into the local engine —
+//! which folds the batches it applies into its comfort model, as the
+//! leader's did on upload — and ack with per-shard commits.
 //!
 //! The follower also doubles as the cluster's failure detector: when a
 //! full sweep of the peer list finds no leader (`connect` refused or
@@ -9,7 +9,6 @@
 //! leader loss to the [`crate::node::ClusterNode`], which races for the
 //! takeover file.
 
-use crate::hub::ReplHub;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -124,15 +123,13 @@ pub struct FollowerConfig {
     pub leaders: Vec<String>,
     /// Where [`FollowerProgress`] persists.
     pub progress_path: PathBuf,
-    /// Socket read timeout; each expiry sends one gossip beat.
-    pub gossip_interval: Duration,
     /// Consecutive no-leader sweeps of the peer list before reporting
     /// leader loss (the promotion trigger).
     pub promote_after: u32,
 }
 
 /// The follower runtime: a background thread driving the connect /
-/// apply / ack / gossip loop.
+/// apply / ack loop.
 pub struct ReplFollower {
     stop: Arc<AtomicBool>,
     handle: Mutex<Option<JoinHandle<()>>>,
@@ -149,7 +146,6 @@ impl ReplFollower {
     pub fn start(
         config: FollowerConfig,
         server: Arc<UucsServer>,
-        hub: Arc<ReplHub>,
         on_leader_lost: impl Fn() -> bool + Send + 'static,
     ) -> ReplFollower {
         let stop = Arc::new(AtomicBool::new(false));
@@ -157,7 +153,7 @@ impl ReplFollower {
         let handle = std::thread::Builder::new()
             .name(format!("repl-follower-{}", config.node))
             .spawn(move || {
-                run_follower(&config, &server, &hub, &stop2, on_leader_lost);
+                run_follower(&config, &server, &stop2, on_leader_lost);
             })
             .expect("spawn follower thread");
         ReplFollower {
@@ -184,7 +180,6 @@ impl Drop for ReplFollower {
 fn run_follower(
     config: &FollowerConfig,
     server: &Arc<UucsServer>,
-    hub: &Arc<ReplHub>,
     stop: &AtomicBool,
     on_leader_lost: impl Fn() -> bool,
 ) {
@@ -195,7 +190,7 @@ fn run_follower(
             if stop.load(Ordering::SeqCst) {
                 return;
             }
-            if let Ok(true) = follow_once(config, server, hub, stop, addr) {
+            if let Ok(true) = follow_once(config, server, stop, addr) {
                 synced_any = true;
                 leaderless_sweeps = 0;
             }
@@ -219,10 +214,14 @@ fn run_follower(
     }
 }
 
+/// How long one read waits for the leader: it only bounds how soon an
+/// idle session sees `stop`.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
 /// The follower's receive side: bytes accumulate in a buffer that a
-/// read timeout leaves alone, and whole frames are taken off its front.
-/// The timeout is set once per session and is the gossip beat; a frame
-/// cut in two by it simply completes on a later read.
+/// read timeout ([`READ_TIMEOUT`]) leaves alone, and whole frames are
+/// taken off its front; a frame cut in two by the timeout simply
+/// completes on a later read.
 struct Inbox {
     sock: TcpStream,
     buf: Vec<u8>,
@@ -234,8 +233,8 @@ struct Inbox {
 enum Fill {
     /// More bytes (maybe not yet a whole frame).
     Data,
-    /// Nothing within the gossip interval.
-    Beat,
+    /// Nothing within [`READ_TIMEOUT`].
+    Idle,
     /// The leader closed the connection.
     Eof,
 }
@@ -291,7 +290,7 @@ impl Inbox {
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                Ok(Fill::Beat)
+                Ok(Fill::Idle)
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(Fill::Data),
             Err(e) => Err(e),
@@ -335,13 +334,12 @@ impl Burst {
 fn follow_once(
     config: &FollowerConfig,
     server: &Arc<UucsServer>,
-    hub: &Arc<ReplHub>,
     stop: &AtomicBool,
     addr: &str,
 ) -> io::Result<bool> {
     let mut sock = TcpStream::connect(addr)?;
     sock.set_nodelay(true).ok();
-    sock.set_read_timeout(Some(config.gossip_interval))?;
+    sock.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut inbox = Inbox::new(sock.try_clone()?);
     let mut progress = FollowerProgress::load(&config.progress_path);
     // Best-effort: an unwritable file only costs a bigger backfill
@@ -382,7 +380,7 @@ fn follow_once(
             return Ok(false);
         }
         match inbox.fill() {
-            Ok(Fill::Data | Fill::Beat) => {}
+            Ok(Fill::Data | Fill::Idle) => {}
             Ok(Fill::Eof) | Err(_) => return Ok(false),
         }
         match inbox.drain() {
@@ -401,12 +399,11 @@ fn follow_once(
     }
     let applied = metrics::counter("server.repl.applied");
     let committer = server.group_committer();
-    // The apply / ack / gossip loop, a burst at a time: everything
-    // already received is applied, made durable with one wait per
-    // touched journal, acknowledged with one `COMMIT` per touched shard
-    // in a single write, and only then recorded as progress. A read
-    // timeout is the gossip beat; a torn frame or reset ends the
-    // session (the leader died).
+    // The apply / ack loop, a burst at a time: everything already
+    // received is applied, made durable with one wait per touched
+    // journal, acknowledged with one `COMMIT` per touched shard in a
+    // single write, and only then recorded as progress. A torn frame or
+    // reset ends the session (the leader died).
     loop {
         let mut burst = Burst::default();
         // A message this follower cannot follow ends the session — after
@@ -447,9 +444,6 @@ fn follow_once(
                     *watermark = (*watermark).max(upto);
                     burst.touch(shard);
                 }
-                ReplMsg::Gossip { node, epoch, model } => {
-                    lock(hub.gossip()).absorb(&node, epoch, &model);
-                }
                 ReplMsg::Ping { .. } => {}
                 _ => {
                     lost = true;
@@ -481,20 +475,7 @@ fn follow_once(
             return Ok(true);
         }
         match inbox.fill() {
-            Ok(Fill::Data) => {}
-            Ok(Fill::Beat) => {
-                // Gossip beat: send our own latest contribution.
-                let own = server.model_contribution();
-                lock(hub.gossip()).record_own(&own);
-                let beat = ReplMsg::Gossip {
-                    node: config.node.clone(),
-                    epoch: own.epoch(),
-                    model: own.encode(),
-                };
-                if write_repl_msg(&mut sock, &beat).is_err() {
-                    return Ok(true);
-                }
-            }
+            Ok(Fill::Data | Fill::Idle) => {}
             // Clean EOF, torn frame or reset: the leader died.
             Ok(Fill::Eof) | Err(_) => return Ok(true),
         }
@@ -508,7 +489,6 @@ fn follow_once(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hub::HubConfig;
     use std::net::TcpListener;
     use std::sync::Barrier;
     use uucs_harness::TempDir;
@@ -638,7 +618,6 @@ mod tests {
             UucsServer::with_store_set(stores, 7).with_group_commit(Duration::from_millis(1)),
         );
         server.set_read_only(true);
-        let hub = ReplHub::new("b", 4, HubConfig::default());
         // Progress earned under this leader's epoch, in the old format:
         // the session starts without a reset, so the only progress
         // write is the burst's.
@@ -653,11 +632,9 @@ mod tests {
                 node: "b".into(),
                 leaders: vec![leader.local_addr().unwrap().to_string()],
                 progress_path: progress_path.clone(),
-                gossip_interval: Duration::from_secs(600),
                 promote_after: u32::MAX,
             },
             Arc::clone(&server),
-            hub,
             || false,
         );
         let (mut sock, _) = leader.accept().unwrap();
@@ -749,6 +726,8 @@ mod tests {
             ),
             (3, 2)
         );
+        // Each applied batch carried an observation: one model epoch each.
+        assert_eq!(server.model_epoch(), 5);
         drop(sock);
         follower.stop();
     }

@@ -17,7 +17,9 @@
 //! [`ReplicationSink::poll_quorum`] by a commit ticket parked beside
 //! the leader's own fsync (a follower `Commit` wakes the committer's
 //! subscribers), [`ReplicationSink::wait_quorum`] by a handler whose
-//! store syncs inline.
+//! store syncs inline. A replayed retry ships nothing, and its ack waits
+//! for a mark at the highest sequence shipped on its key's shard
+//! ([`ReplicationSink::mark_shipped`]), which covers the original.
 //!
 //! Sequences live as long as the hub: every leader start and every
 //! promotion claims a fresh epoch, so a watermark is only meaningful
@@ -29,7 +31,6 @@
 //! streams a full store snapshot ([`UucsServer::export_entries`]) and
 //! jumps the follower's watermark past it (*snapshot-then-tail*).
 
-use crate::gossip::GossipState;
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -184,10 +185,8 @@ pub struct ReplHub {
     committer: OnceLock<Arc<GroupCommitter>>,
     leading: AtomicBool,
     epoch: AtomicU64,
-    /// The engine backfill snapshots export from; also the source of
-    /// this node's own gossip contribution.
+    /// The engine backfill snapshots export from.
     server: Mutex<Option<Arc<UucsServer>>>,
-    gossip: Mutex<GossipState>,
     metrics: HubMetrics,
     shutdown: AtomicBool,
 }
@@ -203,10 +202,8 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 impl ReplHub {
     /// A dormant hub with `shards` empty backlogs.
     pub fn new(node: impl Into<String>, shards: usize, config: HubConfig) -> Arc<ReplHub> {
-        let node = node.into();
         Arc::new(ReplHub {
-            gossip: Mutex::new(GossipState::new(node.clone())),
-            node,
+            node: node.into(),
             shards,
             config,
             backlogs: (0..shards).map(|_| Mutex::default()).collect(),
@@ -254,8 +251,8 @@ impl ReplHub {
         self.leading.load(Ordering::SeqCst)
     }
 
-    /// Wires the engine the hub exports backfill snapshots from and
-    /// reads gossip contributions off. Must run before [`ReplHub::listen`].
+    /// Wires the engine the hub exports backfill snapshots from. Must
+    /// run before [`ReplHub::listen`].
     pub fn set_server(&self, server: Arc<UucsServer>) {
         if let Some(committer) = server.group_committer() {
             let _ = self.committer.set(committer);
@@ -268,12 +265,6 @@ impl ReplHub {
     pub fn lead(&self, epoch: u64) {
         self.epoch.store(epoch, Ordering::SeqCst);
         self.leading.store(true, Ordering::SeqCst);
-    }
-
-    /// This node's gossip view (shared with the follower runtime, which
-    /// absorbs relayed contributions into it).
-    pub fn gossip(&self) -> &Mutex<GossipState> {
-        &self.gossip
     }
 
     /// How many follower catch-ups this hub has served `(by backlog
@@ -407,7 +398,7 @@ impl ReplHub {
     }
 
     /// One follower connection, end to end: handshake, backfill, then
-    /// reader duty (acks + gossip) while a writer thread drains the
+    /// reader duty (acks) while a writer thread drains the
     /// fan-out channel.
     fn serve_follower(self: &Arc<Self>, stream: TcpStream) -> io::Result<()> {
         stream.set_nodelay(true).ok();
@@ -485,7 +476,7 @@ impl ReplHub {
                     writer_slot.alive.store(false, Ordering::SeqCst);
                 }
             })?;
-        // Reader duty: acks and gossip until the follower hangs up.
+        // Reader duty: acks until the follower hangs up.
         let read_result = self.read_from_follower(&mut reader, &slot);
         slot.alive.store(false, Ordering::SeqCst);
         // Wake the writer if it is parked on an empty channel; it sees
@@ -555,8 +546,11 @@ impl ReplHub {
         Ok(())
     }
 
+    /// Takes the follower's `COMMIT`s until it hangs up. A `PING` —
+    /// which is also what an older follower's model beat decodes to —
+    /// is ignored; anything else ends the session.
     fn read_from_follower(
-        self: &Arc<Self>,
+        &self,
         reader: &mut BufReader<TcpStream>,
         slot: &Arc<FollowerSlot>,
     ) -> io::Result<()> {
@@ -566,30 +560,6 @@ impl ReplHub {
                     slot.acked[shard].fetch_max(upto, Ordering::SeqCst);
                     self.signal();
                     self.update_lag(shard);
-                }
-                Some(ReplMsg::Gossip { node, epoch, model }) => {
-                    let entries: Vec<ReplMsg> = {
-                        let mut gossip = lock(&self.gossip);
-                        gossip.absorb(&node, epoch, &model);
-                        if let Some(server) = lock(&self.server).clone() {
-                            gossip.record_own(&server.model_contribution());
-                        }
-                        gossip
-                            .entries()
-                            .map(|(n, e, m)| ReplMsg::Gossip {
-                                node: n.to_string(),
-                                epoch: e,
-                                model: m.to_string(),
-                            })
-                            .collect()
-                    };
-                    // Relay the full view back so followers learn every
-                    // peer's contribution through the leader.
-                    for msg in entries {
-                        if slot.tx.try_send(msg).is_err() {
-                            break;
-                        }
-                    }
                 }
                 Some(ReplMsg::Ping { .. }) => {}
                 Some(other) => {
@@ -604,13 +574,33 @@ impl ReplHub {
     }
 }
 
+impl ReplHub {
+    /// What a dormant hub owes an ack: nothing — unless this was a
+    /// quorum leader that has been shut down under a handler still
+    /// running: that one refuses.
+    fn dormant(&self) -> io::Result<Option<QuorumMark>> {
+        let down = self.config.ack == AckMode::Quorum && self.shutdown.load(Ordering::SeqCst);
+        if down {
+            Err(shut_down())
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// The mark of sequence `seq` on `shard`, when acks wait for one.
+    fn quorum_mark(&self, shard: usize, seq: u64) -> Option<QuorumMark> {
+        (self.config.ack == AckMode::Quorum).then(|| QuorumMark {
+            shard,
+            seq,
+            deadline: Instant::now() + self.config.ack_timeout,
+        })
+    }
+}
+
 impl ReplicationSink for ReplHub {
     fn ship(&self, key: &str, payload: Vec<u8>) -> io::Result<Option<QuorumMark>> {
         if !self.leading() {
-            // Dormant — unless this was a quorum leader that has been
-            // shut down under a handler still running: that one refuses.
-            let down = self.config.ack == AckMode::Quorum && self.shutdown.load(Ordering::SeqCst);
-            return if down { Err(shut_down()) } else { Ok(None) };
+            return self.dormant();
         }
         let shard = shard_of(key, self.shards);
         let seq;
@@ -627,11 +617,22 @@ impl ReplicationSink for ReplHub {
             });
         }
         self.update_lag(shard);
-        Ok((self.config.ack == AckMode::Quorum).then(|| QuorumMark {
-            shard,
-            seq,
-            deadline: Instant::now() + self.config.ack_timeout,
-        }))
+        Ok(self.quorum_mark(shard, seq))
+    }
+
+    /// The original of a replay went out on `key`'s shard at or below
+    /// the highest sequence shipped there, so a follower past that one
+    /// holds it. A shard this hub has not shipped on yet has no sequence
+    /// to wait for and owes nothing: the original predates this leader's
+    /// reign, and its followers get it by snapshot, which no mark
+    /// covers.
+    fn mark_shipped(&self, key: &str) -> io::Result<Option<QuorumMark>> {
+        if !self.leading() {
+            return self.dormant();
+        }
+        let shard = shard_of(key, self.shards);
+        let shipped = self.next_seq[shard].load(Ordering::SeqCst).checked_sub(1);
+        Ok(shipped.and_then(|seq| self.quorum_mark(shard, seq)))
     }
 
     /// A mark is settled when any live follower acked past it, when its
@@ -679,8 +680,8 @@ impl ReplicationSink for ReplHub {
 }
 
 /// The replication routing key of an entry — the same key its store
-/// shard routes by. `Model` entries return `None`: model state travels
-/// by gossip, not by shipping.
+/// shard routes by. `Model` entries return `None`: every node derives
+/// its model from the records it holds, so model state is never shipped.
 pub fn route_key(entry: &WalEntry) -> Option<&str> {
     match entry {
         WalEntry::Batch { client, .. } => Some(client),
@@ -696,8 +697,11 @@ mod tests {
     use super::*;
     use std::sync::RwLockWriteGuard;
     use uucs_harness::TempDir;
-    use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
+    use uucs_protocol::{
+        ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg,
+    };
     use uucs_server::{CommitTicket, ResultStore, StoreFlavor, StoreSet};
+    use uucs_wal::frame::encode_frame;
     use uucs_wal::{SyncPolicy, WalConfig};
 
     /// A follower that is only a socket: it joins by `HELLO`, reads
@@ -723,8 +727,27 @@ mod tests {
         fn ack(&mut self, hub: &ReplHub, shard: usize, upto: u64) {
             write_repl_msg(&mut self.0, &ReplMsg::Commit { shard, upto }).unwrap();
             while hub.min_acked(shard) != Some(upto) {
+                assert!(
+                    !hub.follower_nodes().is_empty(),
+                    "the leader dropped the session"
+                );
                 std::thread::yield_now();
             }
+        }
+    }
+
+    /// One run record, named by `seq`.
+    fn record(seq: u64) -> RunRecord {
+        RunRecord {
+            client: "client-0001".into(),
+            user: "u".into(),
+            testcase: format!("t{seq}"),
+            task: "IE".into(),
+            skill: "Typical".into(),
+            outcome: RunOutcome::Discomfort,
+            offset_secs: 1.0,
+            last_levels: vec![(uucs_testcase::Resource::Cpu, vec![2.0])],
+            monitor: MonitorSummary::default(),
         }
     }
 
@@ -834,20 +857,9 @@ mod tests {
         hub: &ReplHub,
         seq: u64,
     ) -> (CommitTicket, RwLockWriteGuard<'a, ResultStore>) {
-        let record = RunRecord {
-            client: "client-0001".into(),
-            user: "u".into(),
-            testcase: format!("t{seq}"),
-            task: "IE".into(),
-            skill: "Typical".into(),
-            outcome: RunOutcome::Discomfort,
-            offset_secs: 1.0,
-            last_levels: vec![(uucs_testcase::Resource::Cpu, vec![2.0])],
-            monitor: MonitorSummary::default(),
-        };
         let mut shard = stores.results.write_recovered(0);
         let (_, payload) = shard
-            .append_batch_shipped("client-0001", seq, &[record], true)
+            .append_batch_shipped("client-0001", seq, &[record(seq)], true)
             .unwrap();
         let ticket = committer.submit(StoreFlavor::Results, 0, shard.wal_next_lsn().unwrap());
         let quorum = hub.ship("client-0001", payload.unwrap()).unwrap();
@@ -946,6 +958,112 @@ mod tests {
 
         committer.stop();
         commit_thread.join().unwrap();
+        accept.join().unwrap();
+    }
+
+    /// A retry whose first attempt was shipped but never acknowledged by
+    /// a follower is a *replay* on the leader — applied already, nothing
+    /// to ship — and its ack must still wait for a follower to hold the
+    /// original, or a leader kill would lose an upload the client was
+    /// told is safe. A re-registration is held to the same rule.
+    #[test]
+    fn a_replayed_retry_is_not_acked_before_a_follower_holds_the_original() {
+        let dir = TempDir::new("hub-replay");
+        let journals = WalConfig {
+            sync: SyncPolicy::Never,
+            ..WalConfig::default()
+        };
+        let (stores, _) = StoreSet::open(dir.path(), journals, 1).unwrap();
+        let server =
+            Arc::new(UucsServer::with_store_set(stores, 1).with_group_commit(Duration::ZERO));
+        let committer = server.group_committer().unwrap();
+        let config = HubConfig {
+            ack: AckMode::Quorum,
+            ack_timeout: Duration::from_secs(600),
+        };
+        let hub = ReplHub::new("a", 1, config);
+        hub.set_server(Arc::clone(&server));
+        server.set_replication(hub.clone());
+        hub.lead(1);
+        let (addr, accept) = hub.listen("127.0.0.1:0").unwrap();
+        let mut follower = FakeFollower::join(&hub, addr);
+        let journal_leg = |ticket: CommitTicket| CommitTicket {
+            quorum: None,
+            ..ticket
+        };
+
+        let register = ClientMsg::Register {
+            snapshot: MachineSnapshot::study_machine("m"),
+            token: "tok".into(),
+        };
+        let (reply, ticket) = server.handle_deferred(&register);
+        let ServerMsg::Id { id, .. } = reply else {
+            panic!("registration refused: {reply:?}");
+        };
+        follower.ack(&hub, 0, 1);
+        assert_eq!(committer.wait(ticket.unwrap()), Ok(()));
+
+        // The first attempt is shipped and its `COMMIT` withheld; the
+        // client never sees this ack (its connection dropped).
+        let upload = ClientMsg::Upload {
+            client: id.clone(),
+            seq: 1,
+            records: vec![record(1)],
+        };
+        let (first, original) = server.handle_deferred(&upload);
+        assert_eq!(first, ServerMsg::Ack(1));
+        let original = original
+            .and_then(|t| t.quorum)
+            .expect("shipped under quorum");
+
+        // The retry finds the batch applied, the re-registration finds
+        // the token: both are replays, and neither may ack yet.
+        let (retry, retried) = server.handle_deferred(&upload);
+        assert_eq!(retry, ServerMsg::Ack(1));
+        let (again, reregistered) = server.handle_deferred(&register);
+        assert!(
+            matches!(&again, ServerMsg::Id { id: same, .. } if *same == id),
+            "{again:?}"
+        );
+        let replays = [retried, reregistered].map(|t| t.expect("a replay's ack rides a ticket"));
+        for ticket in replays {
+            committer.wait(journal_leg(ticket)).unwrap();
+            assert!(
+                committer.poll(ticket).is_none(),
+                "a replay was acked before any follower held the original"
+            );
+        }
+
+        // The follower's `COMMIT` covers the original: both go out.
+        follower.ack(&hub, 0, original.seq + 1);
+        for ticket in replays {
+            assert_eq!(committer.poll(ticket), Some(Ok(())));
+        }
+        assert_eq!(hub.quorum_timeouts(), 0);
+        assert_eq!(server.result_count(), 1, "the retry stored nothing");
+        hub.shutdown(addr);
+        accept.join().unwrap();
+    }
+
+    /// An older follower still sends its comfort-model beat — a `GOSSIP`
+    /// frame with the model as its body — between its `COMMIT`s. The
+    /// leader keeps the session and keeps taking the `COMMIT`s behind it.
+    #[test]
+    fn an_older_followers_model_beat_keeps_its_session() {
+        let hub = ReplHub::new("a", 1, HubConfig::default());
+        hub.lead(1);
+        let (addr, accept) = hub.listen("127.0.0.1:0").unwrap();
+        let mut follower = FakeFollower::join(&hub, addr);
+        let beat = encode_frame(
+            b"GOSSIP b 2\nCOMFORTMODEL 2 1\nCOHORT cpu IE Typical q1;0;4;64;2;0;2;0:2\n",
+        );
+        for seq in 0..3u64 {
+            hub.ship("client-0001", entry(seq, 64)).unwrap();
+            follower.0.write_all(&beat).unwrap();
+            follower.ack(&hub, 0, seq + 1);
+        }
+        assert_eq!(hub.follower_nodes(), ["b"]);
+        hub.shutdown(addr);
         accept.join().unwrap();
     }
 }

@@ -9,10 +9,11 @@
 //! names the winner and its addresses; losers re-enter the follower
 //! loop and find the new leader on their next peer sweep.
 //!
-//! Promotion itself is three steps, all local: install the merged
-//! gossip model (the follower never minted model state of its own),
-//! flip the engine out of read-only, and start the replication hub
-//! leading under the claimed epoch.
+//! Promotion itself is two steps, both local: flip the engine out of
+//! read-only, and start the replication hub leading under the claimed
+//! epoch. Nothing is installed: the follower has folded every batch it
+//! applied into its own comfort model, so it already serves the model
+//! of the records it holds.
 
 use crate::follower::{FollowerConfig, ReplFollower};
 use crate::hub::{AckMode, HubConfig, ReplHub};
@@ -30,7 +31,8 @@ use uucs_server::UucsServer;
 pub enum Role {
     /// Accepts writes, ships WAL entries, welcomes followers.
     Leader,
-    /// Read-only engine, applies the leader's stream, gossips.
+    /// Read-only engine; applies the leader's stream, deriving its
+    /// comfort model from the batches it applies.
     Follower,
 }
 
@@ -50,8 +52,6 @@ pub struct ClusterConfig {
     pub ack: AckMode,
     /// Quorum-ack wait bound.
     pub ack_timeout: Duration,
-    /// Gossip beat (and follower read timeout).
-    pub gossip_interval: Duration,
     /// Consecutive leaderless peer sweeps before racing for takeover.
     pub promote_after: u32,
 }
@@ -71,7 +71,6 @@ impl ClusterConfig {
             peers: Vec::new(),
             ack: AckMode::Local,
             ack_timeout: Duration::from_secs(2),
-            gossip_interval: Duration::from_millis(200),
             promote_after: 3,
         }
     }
@@ -223,11 +222,9 @@ impl ClusterNode {
                 node: self.config.node.clone(),
                 leaders: self.config.peers.clone(),
                 progress_path: self.config.data_dir.join("repl-progress.txt"),
-                gossip_interval: self.config.gossip_interval,
                 promote_after: self.config.promote_after,
             },
             Arc::clone(&self.server),
-            Arc::clone(&self.hub),
             move || weak.upgrade().is_some_and(|node| node.try_promote()),
         );
         *lock(&self.follower) = Some(follower);
@@ -240,14 +237,6 @@ impl ClusterNode {
         let next = current_epoch(&self.config.cluster_dir) + 1;
         match claim_epoch(&self.config.cluster_dir, &self.config.node, next) {
             Ok(epoch) => {
-                // Serve the cluster-wide comfort model from day one of
-                // the new reign: the merged gossip view holds every
-                // contribution this node has seen, including the dead
-                // leader's last beat.
-                let merged = lock(self.hub.gossip()).merged();
-                if merged.epoch() > 0 {
-                    let _ = self.server.install_model(merged);
-                }
                 self.server.set_read_only(false);
                 self.hub.lead(epoch);
                 self.promoted.store(true, Ordering::SeqCst);

@@ -1,6 +1,7 @@
 //! Integration tests of the replicated tier over real sockets: WAL
 //! shipping leader → follower, backfill edge cases (cold joins,
-//! watermarks behind the backlog, joins racing live uploads), and
+//! watermarks behind the backlog, joins racing live uploads), the
+//! comfort model every node derives from the records it applies, and
 //! deterministic promotion.
 
 use std::collections::HashMap;
@@ -8,23 +9,79 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uucs_cluster::node::{claim_epoch, current_epoch};
-use uucs_cluster::{ClusterConfig, ClusterNode, Role};
+use uucs_cluster::{AckMode, ClusterConfig, ClusterNode, Role};
 use uucs_harness::TempDir;
+use uucs_modelsvc::ComfortModel;
+use uucs_protocol::wire::Endpoint;
 use uucs_protocol::{ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg};
+use uucs_server::models::observations_of;
 use uucs_server::{StoreSet, UucsServer};
+use uucs_testcase::Resource;
 
+/// A record whose task, outcome and discomfort level follow from its
+/// tag, so the records of a test spread over cohorts and sketch bins.
 fn rec(client: &str, tag: &str) -> RunRecord {
+    let h = tag
+        .bytes()
+        .fold(7u32, |h, b| h.wrapping_mul(31).wrapping_add(u32::from(b)));
     RunRecord {
         client: client.into(),
         user: String::new(),
         testcase: tag.into(),
-        task: "IE".into(),
+        task: if h % 2 == 0 { "IE" } else { "Word" }.into(),
         skill: "Typical".into(),
-        outcome: RunOutcome::Discomfort,
+        outcome: if h % 5 == 0 {
+            RunOutcome::Exhausted
+        } else {
+            RunOutcome::Discomfort
+        },
         offset_secs: 10.0,
-        last_levels: vec![(uucs_testcase::Resource::Cpu, vec![2.0])],
+        last_levels: vec![(Resource::Cpu, vec![f64::from(h % 40) / 10.0])],
         monitor: MonitorSummary::default(),
     }
+}
+
+/// The comfort model of exactly `records`, folded at once: what any
+/// node holding them must merge to, whatever batches and epochs brought
+/// them in.
+fn model_of(records: &[RunRecord]) -> ComfortModel {
+    let mut model = ComfortModel::new();
+    let delta = model.next_delta(observations_of(records));
+    model.apply(&delta).unwrap();
+    model
+}
+
+/// The merged sketches `server` serves, overall and per task.
+fn sketches(server: &UucsServer) -> Vec<String> {
+    [None, Some("IE"), Some("Word")]
+        .map(|task| server.model_sketch(Resource::Cpu, task).encode())
+        .to_vec()
+}
+
+/// Waits for `follower`'s model to count every observation `leader`
+/// holds, then demands the same sketches, byte for byte, on both — and
+/// those of the model of the leader's records: nothing was folded twice
+/// or missed. Epochs may differ (a snapshot batch is one epoch).
+fn assert_same_model(leader: &UucsServer, follower: &UucsServer) {
+    let counted = |s: &UucsServer| {
+        let all = s.model_sketch(Resource::Cpu, None);
+        all.observed() + all.censored()
+    };
+    wait_until(
+        "the follower's model to count every record",
+        Duration::from_secs(10),
+        || counted(follower) >= counted(leader),
+    );
+    let model = model_of(&leader.results().unwrap());
+    let want: Vec<String> = [None, Some("IE"), Some("Word")]
+        .map(|task| model.merged(Resource::Cpu, task).encode())
+        .to_vec();
+    assert_eq!(sketches(leader), want, "the leader's model is its records'");
+    assert_eq!(
+        sketches(follower),
+        want,
+        "the follower's model is the leader's"
+    );
 }
 
 /// Polls `f` until it holds or `timeout` passes (then panics naming
@@ -45,7 +102,6 @@ fn fresh_server() -> Arc<UucsServer> {
 fn config(name: &str, dir: &TempDir, peers: Vec<String>) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(name, dir.path().join("epochs"), dir.path().join(name));
     cfg.peers = peers;
-    cfg.gossip_interval = Duration::from_millis(40);
     cfg.promote_after = 2;
     cfg
 }
@@ -59,9 +115,23 @@ fn lead(dir: &TempDir, server: &Arc<UucsServer>) -> Arc<ClusterNode> {
 /// Starts node `b` following `leader` around `server`. Its data
 /// directory — and so its progress file — is the same on every call.
 fn follow(dir: &TempDir, leader: &ClusterNode, server: &Arc<UucsServer>) -> Arc<ClusterNode> {
+    follow_as("b", dir, leader, server)
+}
+
+fn follow_as(
+    name: &str,
+    dir: &TempDir,
+    leader: &ClusterNode,
+    server: &Arc<UucsServer>,
+) -> Arc<ClusterNode> {
     let peers = vec![leader.repl_addr().to_string()];
-    ClusterNode::start(config("b", dir, peers), Arc::clone(server), "127.0.0.1:0", Role::Follower)
-        .unwrap()
+    ClusterNode::start(
+        config(name, dir, peers),
+        Arc::clone(server),
+        "127.0.0.1:0",
+        Role::Follower,
+    )
+    .unwrap()
 }
 
 fn register(server: &UucsServer, host: &str) -> String {
@@ -188,6 +258,9 @@ fn cold_join_is_served_by_snapshot_then_tail() {
     });
     assert_exactly_once(&follower_srv, &tags);
     assert_eq!(follower_srv.applied_seq(&id), 40);
+    // The snapshot's one batch and the ten after it fold to the model of
+    // the forty the leader folded one by one.
+    assert_same_model(&leader_srv, &follower_srv);
 
     follower.shutdown();
     leader.shutdown();
@@ -258,6 +331,9 @@ fn watermark_behind_the_backlog_gets_snapshot_then_tail() {
         follower_srv.result_count() == 1230
     });
     assert_exactly_once(&follower_srv, &tags);
+    // The snapshot arrived on top of 300 records already folded: only
+    // the 900 it appended were folded with it.
+    assert_same_model(&leader_srv, &follower_srv);
 
     follower.shutdown();
     leader.shutdown();
@@ -396,6 +472,152 @@ fn leader_loss_promotes_the_follower() {
     tags.push("tc-9".into());
     assert_exactly_once(&follower_srv, &tags);
 
+    follower.shutdown();
+}
+
+/// A follower tailing the leader derives the comfort model from the
+/// batches it applies: it answers `MODEL` and `ADVICE` with the leader's
+/// epoch and byte-identical sketches. One built `without_model_updates`
+/// applies the same stream and stays at epoch 0.
+#[test]
+fn a_tailing_follower_serves_the_leaders_model() {
+    let dir = TempDir::new("cluster-model");
+    let leader_srv = fresh_server();
+    let leader = lead(&dir, &leader_srv);
+    let follower_srv = fresh_server();
+    let follower = follow(&dir, &leader, &follower_srv);
+    let frozen_srv =
+        Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 9).without_model_updates());
+    let frozen = follow_as("c", &dir, &leader, &frozen_srv);
+    wait_until("both followers to join", Duration::from_secs(10), || {
+        leader.hub().follower_nodes().len() == 2
+    });
+
+    let ids: Vec<String> = (0..3)
+        .map(|c| register(&leader_srv, &format!("m{c}")))
+        .collect();
+    for seq in 1..=8u64 {
+        for (c, id) in ids.iter().enumerate() {
+            let tags: Vec<String> = (0..=c).map(|i| format!("{id}-{seq}-{i}")).collect();
+            upload_batch(&leader_srv, id, seq, &tags);
+        }
+    }
+    assert_eq!(leader_srv.model_epoch(), 24, "one epoch per batch");
+    wait_until(
+        "the follower to fold every batch",
+        Duration::from_secs(10),
+        || follower_srv.model_epoch() == leader_srv.model_epoch(),
+    );
+    let queries = [
+        ClientMsg::Model {
+            resource: Resource::Cpu,
+            task: None,
+        },
+        ClientMsg::Model {
+            resource: Resource::Cpu,
+            task: Some("Word".into()),
+        },
+        ClientMsg::Advice {
+            resource: Resource::Cpu,
+            task: "IE".into(),
+            epsilon: 0.25,
+        },
+    ];
+    for query in &queries {
+        let (want, got) = (leader_srv.handle(query), follower_srv.handle(query));
+        assert!(
+            matches!(
+                want,
+                ServerMsg::Model { epoch: 24, .. } | ServerMsg::Advice { epoch: 24, .. }
+            ),
+            "{want:?}"
+        );
+        assert_eq!(got, want, "{query:?}");
+    }
+    assert_same_model(&leader_srv, &follower_srv);
+
+    wait_until(
+        "the frozen follower to apply every batch",
+        Duration::from_secs(10),
+        || frozen_srv.result_count() == leader_srv.result_count(),
+    );
+    assert_eq!(frozen_srv.model_epoch(), 0);
+    assert!(matches!(
+        frozen_srv.handle(&queries[0]),
+        ServerMsg::Model {
+            epoch: 0,
+            observed: 0,
+            censored: 0,
+            ..
+        }
+    ));
+
+    frozen.shutdown();
+    follower.shutdown();
+    leader.shutdown();
+}
+
+/// Kill the leader right after it acks a burst: the promoted node serves
+/// the model of every acked record. Under quorum acks each of them was
+/// applied — and so folded — by the follower before its ack went out, so
+/// nothing has to reach the follower between the last ack and the kill.
+#[test]
+fn a_promoted_follower_serves_the_model_of_every_acked_record() {
+    const CLIENTS: usize = 4;
+    const BATCHES: u64 = 6;
+    let dir = TempDir::new("cluster-promote-model");
+    let leader_srv = fresh_server();
+    let mut cfg = config("a", &dir, vec![]);
+    cfg.ack = AckMode::Quorum;
+    let leader =
+        ClusterNode::start(cfg, Arc::clone(&leader_srv), "127.0.0.1:0", Role::Leader).unwrap();
+    let follower_srv = fresh_server();
+    let follower = follow(&dir, &leader, &follower_srv);
+    wait_until("the follower to join", Duration::from_secs(10), || {
+        !leader.hub().follower_nodes().is_empty()
+    });
+
+    let ids: Vec<String> = (0..CLIENTS)
+        .map(|c| register(&leader_srv, &format!("m{c}")))
+        .collect();
+    // The burst: every client uploads at once, each batch acked only
+    // once the follower holds it.
+    let acked: Vec<RunRecord> = std::thread::scope(|s| {
+        let uploaders: Vec<_> = ids
+            .iter()
+            .map(|id| {
+                let leader_srv = &leader_srv;
+                s.spawn(move || {
+                    let mut acked = Vec::new();
+                    for seq in 1..=BATCHES {
+                        let tags = [format!("{id}-{seq}-a"), format!("{id}-{seq}-b")];
+                        upload_batch(leader_srv, id, seq, &tags);
+                        acked.extend(tags.iter().map(|tag| rec(id, tag)));
+                    }
+                    acked
+                })
+            })
+            .collect();
+        uploaders
+            .into_iter()
+            .flat_map(|u| u.join().unwrap())
+            .collect()
+    });
+    leader.shutdown();
+    wait_until("follower promotion", Duration::from_secs(10), || {
+        follower.was_promoted()
+    });
+
+    let model = model_of(&acked);
+    let want: Vec<String> = [None, Some("IE"), Some("Word")]
+        .map(|task| model.merged(Resource::Cpu, task).encode())
+        .to_vec();
+    assert_eq!(sketches(&follower_srv), want);
+    assert_eq!(
+        follower_srv.model_epoch(),
+        CLIENTS as u64 * BATCHES,
+        "one epoch per acked batch"
+    );
     follower.shutdown();
 }
 

@@ -1,6 +1,5 @@
 //! The `REPL` wire channel: leader → follower WAL shipping and
-//! follower → leader acks/gossip, framed exactly like on-disk WAL
-//! records.
+//! follower → leader acks, framed exactly like on-disk WAL records.
 //!
 //! Replication reuses the log's own framing (`[len: u32 LE][crc: u32
 //! LE][payload]`, CRC over length *and* payload — see
@@ -23,9 +22,14 @@
 //! SNAPENTRY <shard>\n<entry bytes>        one folded (snapshot) entry
 //! SNAPDONE <shard> <upto>                 snapshot complete; watermark jumps
 //! COMMIT <shard> <upto>                   follower ack: applied below `upto`
-//! GOSSIP <node> <epoch>\n<model text>     a node's own comfort-model state
 //! PING <epoch>                            keepalive / epoch beacon
 //! ```
+//!
+//! Nothing else crosses the channel: every node derives its comfort
+//! model from the records it applies. An older peer's model beat
+//! (`GOSSIP <node> <epoch>` and a model body) still decodes — as a
+//! `PING` carrying its epoch, which both ends ignore — so mixed-version
+//! pairs keep their sessions.
 //!
 //! Per-shard sequence numbers are the leader's replication-log LSNs;
 //! `COMMIT` carries the follower's next-expected sequence (an exclusive
@@ -97,15 +101,6 @@ pub enum ReplMsg {
         /// The follower's next expected sequence (exclusive watermark).
         upto: u64,
     },
-    /// A node's own comfort-model contribution, for gossip merging.
-    Gossip {
-        /// The contributing node's name.
-        node: String,
-        /// The contribution's epoch (monotone per node).
-        epoch: u64,
-        /// The `ComfortModel::encode` text.
-        model: String,
-    },
     /// Keepalive carrying the sender's cluster epoch.
     Ping {
         /// The sender's cluster epoch.
@@ -150,11 +145,6 @@ impl ReplMsg {
             }
             ReplMsg::SnapDone { shard, upto } => format!("SNAPDONE {shard} {upto}").into_bytes(),
             ReplMsg::Commit { shard, upto } => format!("COMMIT {shard} {upto}").into_bytes(),
-            ReplMsg::Gossip { node, epoch, model } => {
-                let mut out = format!("GOSSIP {node} {epoch}\n").into_bytes();
-                out.extend_from_slice(model.as_bytes());
-                out
-            }
             ReplMsg::Ping { epoch } => format!("PING {epoch}").into_bytes(),
         }
     }
@@ -254,17 +244,13 @@ impl ReplMsg {
                 end(toks)?;
                 Ok(ReplMsg::Commit { shard, upto })
             }
+            // An older peer's model beat: its node name and epoch head
+            // a model body nobody reads any more.
             "GOSSIP" => {
-                let node = toks
-                    .next()
-                    .ok_or_else(|| bad("GOSSIP: missing node"))?
-                    .to_string();
+                toks.next().ok_or_else(|| bad("GOSSIP: missing node"))?;
                 let epoch = int(toks.next(), "epoch")?;
                 end(toks)?;
-                let model = std::str::from_utf8(body)
-                    .map_err(|e| bad(format!("GOSSIP: model is not utf-8: {e}")))?
-                    .to_string();
-                Ok(ReplMsg::Gossip { node, epoch, model })
+                Ok(ReplMsg::Ping { epoch })
             }
             "PING" => {
                 let epoch = int(toks.next(), "epoch")?;
@@ -326,11 +312,6 @@ mod tests {
             },
             ReplMsg::SnapDone { shard: 1, upto: 41 },
             ReplMsg::Commit { shard: 0, upto: 12 },
-            ReplMsg::Gossip {
-                node: "n2".into(),
-                epoch: 3,
-                model: "MODEL 3 0\nEND\n".into(),
-            },
             ReplMsg::Ping { epoch: 9 },
         ]
     }
@@ -409,6 +390,18 @@ mod tests {
         }
     }
 
+    /// What an older follower sends on every beat — its node name, its
+    /// model epoch, its encoded model — is a `PING` at that epoch here,
+    /// and a frame too short to be one is still refused.
+    #[test]
+    fn a_legacy_gossip_frame_decodes_as_a_ping() {
+        let legacy =
+            b"GOSSIP n2 3\nCOMFORTMODEL 3 1\nCOHORT cpu Word Typical q1;0;1;4;1;0;0.5;0;1;0;0;\n";
+        assert_eq!(ReplMsg::decode(legacy).unwrap(), ReplMsg::Ping { epoch: 3 });
+        let err = ReplMsg::decode(b"GOSSIP n2").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
     #[test]
     fn unknown_verb_is_unsupported() {
         let err = ReplMsg::decode(b"WARP 9").unwrap_err();
@@ -426,7 +419,6 @@ mod tests {
             b"ENTRY 0 1 extra",
             b"SNAPDONE 0",
             b"COMMIT x 1",
-            b"GOSSIP n",
             b"PING",
         ] {
             let err = ReplMsg::decode(payload).unwrap_err();

@@ -1,7 +1,8 @@
 //! The server's comfort-model store (`uucs-modelsvc` integration).
 //!
 //! Holds the fleet-wide [`ComfortModel`] the `MODEL` and `ADVICE` verbs
-//! answer from, updated incrementally inside the `UPLOAD` path: every
+//! answer from, updated incrementally wherever the node appends records
+//! — an upload on a leader, a replicated batch on a follower: every
 //! *applied* (non-replayed) batch that yields at least one observation
 //! becomes one epoch. In durable mode the store journals each
 //! [`uucs_modelsvc::ModelDelta`] as a [`WalEntry::Model`] before
@@ -233,12 +234,6 @@ impl ModelStore {
     /// Consumes the store, yielding the model (shard migration).
     pub fn into_model(self) -> ComfortModel {
         self.model
-    }
-
-    /// The model this shard holds — gossip reads it to build the node's
-    /// own contribution without disturbing the store.
-    pub fn model(&self) -> &ComfortModel {
-        &self.model
     }
 
     /// Replaces the model wholesale and, in durable mode, checkpoints it

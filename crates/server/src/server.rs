@@ -15,12 +15,12 @@ use crate::commit::{CommitTicket, GroupCommitter, QuorumMark, StoreFlavor};
 use crate::models::{observations_of, ModelStore};
 use crate::shard::{Sharded, StoreSet};
 use crate::store::{BatchStatus, RegistryStore, ResultStore, StoreError, TestcaseStore};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use uucs_modelsvc::{ComfortModel, QuantileSketch};
+use uucs_modelsvc::QuantileSketch;
 use uucs_pagecache::DiskScheduler;
 use uucs_protocol::wire::Endpoint;
 use uucs_protocol::{ClientMsg, MachineSnapshot, ServerMsg, WalEntry, WIRE_VERSION_BINARY};
@@ -170,6 +170,13 @@ pub trait ReplicationSink: Send + Sync {
     /// fails the client op.
     fn ship(&self, key: &str, payload: Vec<u8>) -> std::io::Result<Option<QuorumMark>>;
 
+    /// What the ack of a *replay* owes the followers — a mutation on
+    /// `key` that was applied, and shipped, by an earlier attempt: a mark
+    /// at the highest sequence shipped on `key`'s shard so far, which
+    /// covers the original wherever in the stream it went. `Ok(None)`
+    /// and `Err` mean what they mean for [`ReplicationSink::ship`].
+    fn mark_shipped(&self, key: &str) -> std::io::Result<Option<QuorumMark>>;
+
     /// Whether the ack `mark` stands for may go out: `None` while no
     /// live follower has acknowledged it and its deadline has not
     /// passed, `Some(Ok)` once one has (or the wait degraded to a local
@@ -194,9 +201,9 @@ pub struct UucsServer {
     /// committer fans its per-shard fsyncs out here and segment
     /// rotations defer their fsync to the next commit pass.
     io_scheduler: Option<Arc<DiskScheduler>>,
-    /// When false, the `UPLOAD` path skips comfort-model updates (the
-    /// `MODEL`/`ADVICE` verbs then serve a frozen — typically empty —
-    /// model). Benchmarks use this to isolate the update cost.
+    /// When false, appended records are not folded into the comfort
+    /// model (the `MODEL`/`ADVICE` verbs then serve a frozen — typically
+    /// empty — model). Benchmarks use this to isolate the update cost.
     model_updates: bool,
     /// Seed for the per-client sampling permutations.
     sample_seed: u64,
@@ -259,7 +266,9 @@ impl UucsServer {
     }
 
     /// Creates a server over an explicit (typically sharded, see
-    /// [`StoreSet::open`]) store set.
+    /// [`StoreSet::open`]) store set. Records held beside a model at
+    /// epoch 0 are folded into it here, once (see
+    /// [`UucsServer::model_missing_records`]).
     pub fn with_store_set(stores: StoreSet, sample_seed: u64) -> Self {
         let stores = Arc::new(stores);
         let mut max_id = 0u64;
@@ -271,7 +280,7 @@ impl UucsServer {
             }
         }
         let shard_gauges = ShardGauges::new(&stores);
-        UucsServer {
+        let server = UucsServer {
             stores,
             committer: None,
             commit_thread: None,
@@ -284,7 +293,9 @@ impl UucsServer {
             replication: OnceLock::new(),
             read_only: AtomicBool::new(false),
             delta_history: Mutex::new(HashMap::new()),
-        }
+        };
+        server.model_missing_records();
+        server
     }
 
     /// Mirrors every committed mutation into `sink` from now on — the
@@ -312,17 +323,20 @@ impl UucsServer {
     /// Replaces the comfort-model store — the entry point for WAL-backed
     /// model durability, paired with the data stores' `open_wal`. Must
     /// run before [`UucsServer::with_group_commit`] (the committer
-    /// captures the store set).
+    /// captures the store set). A store at epoch 0 beside held records
+    /// is brought up to them, as at construction.
     pub fn with_model_store(mut self, models: ModelStore) -> Self {
         let set = Arc::get_mut(&mut self.stores)
             .expect("install the model store before starting group commit");
         set.models = Sharded::new(vec![models]);
+        self.model_missing_records();
         self
     }
 
-    /// Disables comfort-model updates on the `UPLOAD` path. The model
-    /// verbs keep answering from whatever model the server holds; used
-    /// by benchmarks to measure the upload path with aggregation off.
+    /// Disables comfort-model updates wherever records are appended —
+    /// uploads and, on a follower, replicated batches. The model verbs
+    /// keep answering from whatever model the server holds; used by
+    /// benchmarks to measure the upload path with aggregation off.
     pub fn without_model_updates(mut self) -> Self {
         self.model_updates = false;
         self
@@ -428,10 +442,11 @@ impl UucsServer {
             let lsn = guard.wal_next_lsn();
             drop(guard);
             let ticket = self.ticket(StoreFlavor::Testcases, shard, lsn);
+            // A duplicate id is refused above, so a testcase has no
+            // replay to acknowledge: every ack here is for a fresh ship.
             let ticket = self
-                .ship(ticket, tc.id.as_str(), || {
-                    WalEntry::Testcase(tc.clone()).encode()
-                })
+                .ship(tc.id.as_str(), || WalEntry::Testcase(tc.clone()).encode())
+                .and_then(|mark| self.owe_quorum(mark, ticket))
                 .map_err(StoreError::Io)?;
             // A follower's acked watermark is cumulative too, so the
             // last mark of a shard stands for the earlier ones.
@@ -529,10 +544,11 @@ impl UucsServer {
     /// entry (reconnect overlap, snapshot-then-tail seam) is absorbed
     /// without a second copy, so the stream only has to be at-least-once.
     ///
-    /// Comfort-model state is deliberately *not* minted here: the model
-    /// converges through gossip of each node's own contribution, and
-    /// folding replicated batches locally would double-count them after
-    /// a promotion. `Model` entries are ignored for the same reason.
+    /// Records this appends are folded into the comfort model exactly as
+    /// the leader folded them on upload — a replicated batch that was
+    /// already held appends nothing and folds nothing — so a follower's
+    /// model is the fold of the records it holds, like any node's.
+    /// `Model` entries are never shipped and are ignored.
     ///
     /// Under group commit the entry is durable once the returned ticket
     /// is redeemed — the follower acknowledges a burst of entries after
@@ -587,18 +603,25 @@ impl UucsServer {
             } => {
                 let shard = self.stores.results.shard_for(client);
                 let mut results = self.stores.results.write_recovered(shard);
-                results
+                let status = results
                     .append_batch(client, *seq, records)
                     .map_err(|e| crate::store::invalid(e.to_string()))?;
-                Ok(self.applied_results(shard, results))
+                let ticket = self.applied_results(shard, results);
+                if matches!(status, BatchStatus::Applied(_)) {
+                    self.observe(client, records);
+                }
+                Ok(ticket)
             }
             WalEntry::Result(rec) => {
                 let shard = self.stores.results.shard_for(rec.client.as_str());
                 let mut results = self.stores.results.write_recovered(shard);
+                let records = std::slice::from_ref(rec);
                 results
-                    .append(std::slice::from_ref(rec))
+                    .append(records)
                     .map_err(|e| crate::store::invalid(e.to_string()))?;
-                Ok(self.applied_results(shard, results))
+                let ticket = self.applied_results(shard, results);
+                self.observe(&rec.client, records);
+                Ok(ticket)
             }
             WalEntry::Model(_) => Ok(None),
         }
@@ -622,9 +645,10 @@ impl UucsServer {
     /// its current sequence horizon — so a follower holding partial
     /// state (it was tailing the old leader before the seam) must
     /// absorb them record-by-record: records it already applied are
-    /// skipped by equality, the rest append, and the horizon jumps to
-    /// the snapshot's sequence. All other entries apply as in
-    /// [`UucsServer::apply_entry`].
+    /// skipped by equality, the rest append — and only they are folded
+    /// into the comfort model, so no observation is counted twice — and
+    /// the horizon jumps to the snapshot's sequence. All other entries
+    /// apply as in [`UucsServer::apply_entry`].
     pub fn apply_snapshot_entry(&self, entry: &WalEntry) -> std::io::Result<Option<CommitTicket>> {
         let WalEntry::Batch {
             client,
@@ -658,7 +682,9 @@ impl UucsServer {
         results
             .append_batch(client, *seq, &fresh)
             .map_err(|e| crate::store::invalid(e.to_string()))?;
-        Ok(self.applied_results(shard, results))
+        let ticket = self.applied_results(shard, results);
+        self.observe(client, &fresh);
+        Ok(ticket)
     }
 
     /// Folds the current store state into a stream of self-contained
@@ -722,40 +748,59 @@ impl UucsServer {
         Ok(out)
     }
 
-    /// This node's own comfort-model contribution for gossip: the fold
-    /// of its model shards (epochs summed, cohorts merged per key).
-    /// Deterministic — `BTreeMap` ordering makes the encode canonical.
-    pub fn model_contribution(&self) -> ComfortModel {
-        let guards = self.stores.models.read_all();
-        let mut epoch = 0u64;
-        let mut cohorts: std::collections::BTreeMap<_, QuantileSketch> =
-            std::collections::BTreeMap::new();
-        for g in &guards {
-            let model = g.model();
-            epoch += model.epoch();
-            for (key, sketch) in model.cohorts() {
-                match cohorts.entry(key.clone()) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(sketch.clone());
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut o) => {
-                        o.get_mut()
-                            .merge(sketch)
-                            .expect("cohort sketches of one key share a config");
-                    }
+    /// Folds records this node has just appended for `client` into the
+    /// comfort model as one epoch (none when they carry no observation).
+    /// Every append path calls it — an upload, a replicated batch, the
+    /// fresh part of a snapshot batch — so a node's model is the fold of
+    /// the records it holds, whatever its role. A model journal failure
+    /// is counted, not returned: the records are the source of truth and
+    /// the model is derived from them, which is also why model appends
+    /// are never ticketed and no ack waits on them.
+    fn observe(&self, client: &str, records: &[uucs_protocol::RunRecord]) {
+        if !self.model_updates {
+            return;
+        }
+        let obs = observations_of(records);
+        if obs.is_empty() {
+            return;
+        }
+        match self
+            .stores
+            .models
+            .try_write(self.stores.models.shard_for(client))
+        {
+            Ok(mut models) => {
+                if models.observe_batch(obs).is_err() {
+                    ModelStore::count_update_error();
                 }
             }
+            Err(_) => ModelStore::count_update_error(),
         }
-        ComfortModel::from_parts(epoch, cohorts)
     }
 
-    /// Installs a merged cluster-wide comfort model (shard 0; the other
-    /// shards stay empty — [`UucsServer::model_epoch`] sums, so the
-    /// installed epoch is the one clients see). The promotion path:
-    /// a follower never minted local model state, so this replaces
-    /// nothing.
-    pub fn install_model(&self, model: ComfortModel) -> std::io::Result<()> {
-        self.stores.models.write_recovered(0).install_model(model)
+    /// Brings a model at epoch 0 up to the records held beside it, once:
+    /// one [`UucsServer::observe`] per client, shard by shard. A data
+    /// directory is in that state when a node that did not fold what it
+    /// appended wrote it — a follower of an older build — so without
+    /// this a promoted follower would serve a model missing everything
+    /// it held. A model with any epoch is left alone: it was folded as
+    /// the records arrived (and is journaled, so this never runs twice).
+    fn model_missing_records(&self) {
+        if !self.model_updates || self.model_epoch() > 0 || self.result_count() == 0 {
+            return;
+        }
+        for shard in 0..self.stores.results.count() {
+            let mut of: BTreeMap<String, Vec<uucs_protocol::RunRecord>> = BTreeMap::new();
+            for rec in self.stores.results.read(shard).records() {
+                match rec {
+                    Ok(rec) => of.entry(rec.client.clone()).or_default().push(rec),
+                    Err(_) => ModelStore::count_update_error(),
+                }
+            }
+            for (client, records) in of {
+                self.observe(&client, &records);
+            }
+        }
     }
 
     /// The client-specific random order of the library. Deterministic per
@@ -826,28 +871,48 @@ impl UucsServer {
     }
 
     /// Ships one committed mutation to the replication sink, if any —
-    /// `payload` is only built when there is one — and ties the ack to
-    /// the follower's: the quorum mark rides `ticket` when the mutation
-    /// has one (the fsync it stands for is already under way), and is
-    /// waited for here otherwise, beside the store's inline fsync. An
-    /// error means the client must *not* be acked: no follower holds
-    /// the entry and none will be sent it.
+    /// `payload` is only built when there is one — returning the mark
+    /// its ack must wait for ([`UucsServer::owe_quorum`]). An error
+    /// means the client must *not* be acked: no follower holds the
+    /// entry and none will be sent it.
     fn ship(
         &self,
-        ticket: Option<CommitTicket>,
         key: &str,
         payload: impl FnOnce() -> Vec<u8>,
+    ) -> std::io::Result<Option<QuorumMark>> {
+        match self.replication.get() {
+            Some(sink) => sink.ship(key, payload()),
+            None => Ok(None),
+        }
+    }
+
+    /// [`UucsServer::ship`] for a replay: nothing is sent — the original
+    /// went out the first time around — but the ack waits for a follower
+    /// to hold everything shipped on `key`'s shard so far, the original
+    /// included ([`ReplicationSink::mark_shipped`]).
+    fn mark_shipped(&self, key: &str) -> std::io::Result<Option<QuorumMark>> {
+        match self.replication.get() {
+            Some(sink) => sink.mark_shipped(key),
+            None => Ok(None),
+        }
+    }
+
+    /// Ties an ack to the follower's: the quorum mark rides `ticket`
+    /// when the mutation has one (the fsync it stands for is already
+    /// under way), and is waited for here otherwise, beside the store's
+    /// inline fsync — so never call this under a store lock.
+    fn owe_quorum(
+        &self,
+        mark: Option<QuorumMark>,
+        ticket: Option<CommitTicket>,
     ) -> std::io::Result<Option<CommitTicket>> {
-        let Some(sink) = self.replication.get() else {
-            return Ok(ticket);
-        };
-        match (sink.ship(key, payload())?, ticket) {
-            (None, ticket) => Ok(ticket),
-            (Some(mark), Some(ticket)) => Ok(Some(CommitTicket {
+        match (mark, ticket, self.replication.get()) {
+            (Some(mark), Some(ticket), _) => Ok(Some(CommitTicket {
                 quorum: Some(mark),
                 ..ticket
             })),
-            (Some(mark), None) => sink.wait_quorum(mark).map(|()| None),
+            (Some(mark), None, Some(sink)) => sink.wait_quorum(mark).map(|()| None),
+            (_, ticket, _) => Ok(ticket),
         }
     }
 
@@ -1130,15 +1195,25 @@ impl UucsServer {
             // have its new batches ACKed as replays without being
             // stored.
             for i in 0..self.stores.registry.count() {
-                let hit = self
-                    .stores
-                    .registry
-                    .read(i)
-                    .id_for_token(token)
-                    .map(str::to_string);
-                if let Some(id) = hit {
+                let hit = {
+                    let reg = self.stores.registry.read(i);
+                    reg.id_for_token(token)
+                        .map(|id| (id.to_string(), reg.wal_next_lsn()))
+                };
+                if let Some((id, lsn)) = hit {
+                    // A replay of the registration: its ack owes what the
+                    // original's did — the registry journal's fsync and a
+                    // follower holding what was shipped on the id. The
+                    // original shipped under `reg_lock`, which is held.
+                    let ticket = self.ticket(StoreFlavor::Registry, i, lsn);
                     let applied_seq = self.applied_seq(&id);
-                    return (ServerMsg::Id { id, applied_seq }, None);
+                    return match self
+                        .mark_shipped(&id)
+                        .and_then(|mark| self.owe_quorum(mark, ticket))
+                    {
+                        Ok(ticket) => (ServerMsg::Id { id, applied_seq }, ticket),
+                        Err(e) => (ServerMsg::Error(format!("replication failed: {e}")), None),
+                    };
                 }
             }
         }
@@ -1157,14 +1232,16 @@ impl UucsServer {
                 self.shard_gauges.registry[shard].set(reg.len() as i64);
                 drop(reg);
                 let ticket = self.ticket(StoreFlavor::Registry, shard, lsn);
-                let shipped = self.ship(ticket, &id, || {
-                    WalEntry::Client {
-                        id: id.clone(),
-                        token: token.to_string(),
-                        snapshot: snapshot.clone(),
-                    }
-                    .encode()
-                });
+                let shipped = self
+                    .ship(&id, || {
+                        WalEntry::Client {
+                            id: id.clone(),
+                            token: token.to_string(),
+                            snapshot: snapshot.clone(),
+                        }
+                        .encode()
+                    })
+                    .and_then(|mark| self.owe_quorum(mark, ticket));
                 let ticket = match shipped {
                     Ok(ticket) => ticket,
                     Err(e) => return (ServerMsg::Error(format!("replication failed: {e}")), None),
@@ -1211,44 +1288,28 @@ impl UucsServer {
                 // Published under the shard lock, so racing uploads
                 // cannot set their lengths out of order.
                 self.shard_gauges.results[shard].set(results.len() as i64);
-                drop(results);
-                // Fold the batch into the comfort model — only when it
-                // was *applied*: a replayed retransmit must not
-                // double-count its observations. A model journal failure
-                // still acks (the records are the source of truth; the
-                // model is derived state) but is counted for the
-                // operator. Model appends are not ticketed for the same
-                // reason.
-                if self.model_updates && matches!(status, BatchStatus::Applied(_)) {
-                    let obs = observations_of(records);
-                    if !obs.is_empty() {
-                        let mshard = self.stores.models.shard_for(client);
-                        match self.stores.models.try_write(mshard) {
-                            Ok(mut models) => {
-                                if models.observe_batch(obs).is_err() {
-                                    ModelStore::count_update_error();
-                                }
-                            }
-                            Err(_) => ModelStore::count_update_error(),
-                        }
-                    }
-                }
                 // The fsync is asked for first, so it runs while the
                 // batch travels: the ack waits for the later of the two,
                 // not their sum. Only an *applied* batch has a payload
-                // to ship — a replayed retransmit went out the first
-                // time around — and what is shipped is the journal
-                // entry itself, encoded once.
-                let mut ticket = self.ticket(StoreFlavor::Results, shard, lsn);
-                if let Some(payload) = payload {
-                    ticket = match self.ship(ticket, client, || payload) {
-                        Ok(ticket) => ticket,
-                        Err(e) => {
-                            return (ServerMsg::Error(format!("replication failed: {e}")), None)
-                        }
-                    };
+                // to ship — what is shipped is the journal entry itself,
+                // encoded once; a replay owes what is already shipped.
+                // Both happen under the shard lock, so a retry that
+                // finds the batch applied finds it shipped too.
+                let ticket = self.ticket(StoreFlavor::Results, shard, lsn);
+                let mark = match payload {
+                    Some(payload) => self.ship(client, || payload),
+                    None => self.mark_shipped(client),
+                };
+                drop(results);
+                // Only an *applied* batch is folded into the model: a
+                // replayed retransmit must not double-count.
+                if matches!(status, BatchStatus::Applied(_)) {
+                    self.observe(client, records);
                 }
-                (ServerMsg::Ack(status.acked()), ticket)
+                match mark.and_then(|mark| self.owe_quorum(mark, ticket)) {
+                    Ok(ticket) => (ServerMsg::Ack(status.acked()), ticket),
+                    Err(e) => (ServerMsg::Error(format!("replication failed: {e}")), None),
+                }
             }
             Err(e) => (ServerMsg::Error(format!("upload rejected: {e}")), None),
         }

@@ -13,7 +13,9 @@ use uucs_protocol::{
     WIRE_VERSION_BINARY,
 };
 use uucs_server::commit::QuorumMark;
-use uucs_server::{tcp, RegistryStore, ReplicationSink, ResultStore, TestcaseStore, UucsServer};
+use uucs_server::{
+    tcp, RegistryStore, ReplicationSink, ResultStore, StoreSet, TestcaseStore, UucsServer,
+};
 use uucs_testcase::{ExerciseSpec, Resource, Testcase};
 use uucs_wal::{StdIo, SyncPolicy, WalConfig, WalReader};
 use uucs_wire::conn::{negotiate, BinaryConn, Negotiated};
@@ -314,6 +316,9 @@ impl ReplicationSink for Shipped {
         self.0.lock().unwrap().push((key.to_string(), payload));
         Ok(None)
     }
+    fn mark_shipped(&self, _: &str) -> std::io::Result<Option<QuorumMark>> {
+        Ok(None)
+    }
     fn poll_quorum(&self, _: QuorumMark) -> Option<std::io::Result<()>> {
         Some(Ok(()))
     }
@@ -388,4 +393,70 @@ fn what_a_leader_ships_is_the_journal_entry_byte_for_byte() {
     );
     let encoded: Vec<Vec<u8>> = entries.iter().map(WalEntry::encode).collect();
     assert_eq!(shipped, encoded, "the REPL wire's bytes are unchanged");
+}
+
+/// The merged sketch the server serves, next to that of the model of
+/// exactly the records it holds.
+fn sketch_and_records_model(server: &UucsServer) -> (String, String) {
+    let mut model = uucs_modelsvc::ComfortModel::new();
+    let records = server.results().unwrap();
+    let delta = model.next_delta(uucs_server::models::observations_of(&records));
+    model.apply(&delta).unwrap();
+    (
+        server.model_sketch(Resource::Cpu, None).encode(),
+        model.merged(Resource::Cpu, None).encode(),
+    )
+}
+
+/// A data directory whose records were appended but never folded into
+/// the model — what a follower of an older build leaves, here made by a
+/// server with model updates off — opens with the model of every record
+/// it holds, one epoch per client. That model is journaled, so the next
+/// open finds epochs and folds nothing again.
+#[test]
+fn records_beside_an_empty_model_are_folded_once_at_open() {
+    let dir = TempDir::new("uucs-model-upgrade");
+    let open = || {
+        let (stores, _) = StoreSet::open(dir.path(), CFG, 2).unwrap();
+        UucsServer::with_store_set(stores, 11)
+    };
+    {
+        let server = open().without_model_updates();
+        for host in ["a", "b", "c"] {
+            let ServerMsg::Id { id, .. } =
+                server.handle(&ClientMsg::register(MachineSnapshot::study_machine(host)))
+            else {
+                panic!("registration refused");
+            };
+            for seq in 1..=3u64 {
+                let records = (0..4)
+                    .map(|i| RunRecord {
+                        client: id.clone(),
+                        ..record(seq as usize * 4 + i)
+                    })
+                    .collect();
+                let reply = server.handle(&ClientMsg::Upload {
+                    client: id.clone(),
+                    seq,
+                    records,
+                });
+                assert_eq!(reply, ServerMsg::Ack(4));
+            }
+        }
+        assert_eq!((server.result_count(), server.model_epoch()), (36, 0));
+    }
+    let (sketch, want) = {
+        let server = open();
+        assert_eq!(server.model_epoch(), 3, "one epoch per client");
+        let (sketch, want) = sketch_and_records_model(&server);
+        assert_eq!(sketch, want);
+        (sketch, want)
+    };
+    let server = open();
+    assert_eq!(
+        server.model_epoch(),
+        3,
+        "a model with epochs is not folded again"
+    );
+    assert_eq!(sketch_and_records_model(&server), (sketch, want));
 }

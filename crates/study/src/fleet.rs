@@ -634,7 +634,7 @@ pub fn run(config: &FleetConfig) -> io::Result<FleetReport> {
 }
 
 /// The two-node replicated-tier smoke: an in-process leader and
-/// follower (full [`ClusterNode`]s — WAL shipping, gossip, promotion —
+/// follower (full [`ClusterNode`]s — WAL shipping, promotion —
 /// each with its own TCP front end), a fleet spread across both
 /// addresses, and one induced failover: two fifths into the window the
 /// leader's front end is torn down with a zero drain deadline and its
@@ -656,7 +656,6 @@ pub fn run_cluster(config: &FleetConfig) -> io::Result<FleetReport> {
         let mut cfg = ClusterConfig::new(name, dir.join("epochs"), dir.join(name));
         cfg.peers = peers;
         cfg.ack = ack;
-        cfg.gossip_interval = Duration::from_millis(40);
         cfg.promote_after = 2;
         cfg
     };

@@ -73,7 +73,7 @@ cargo test -q -p uucs-wire
 echo "== model service crate (sketch properties, closed-loop governor) =="
 cargo test -q -p uucs-modelsvc
 
-echo "== cluster suite (WAL shipping, backfill edge cases, promotion race) =="
+echo "== cluster suite (WAL shipping, backfill edge cases, model derivation, promotion race) =="
 cargo test -q -p uucs-cluster
 
 echo "== root e2e suites (chaos, telemetry e2e, wire fuzz, wire e2e, modelsvc e2e, engine e2e, cluster e2e, determinism, proptests) =="
@@ -143,8 +143,9 @@ cargo run -q --release -p uucs-study -- fleet --quick --wire binary --pipeline 8
 # `engine` is the per-append vs group-commit fsync pair plus the single
 # worker-pool TCP round (the thread-per-connection row left with its
 # engine). Timings from this pass are not evidence of anything.
-echo "== bench smoke (UUCS_BENCH_QUICK=1, all twelve targets) =="
-for bench in paper_figures substrate exerciser_accuracy ablations wal chaos telemetry_overhead modelsvc engine cluster wire pagecache; do
+benches=(paper_figures substrate exerciser_accuracy ablations wal chaos telemetry_overhead modelsvc engine cluster wire pagecache)
+echo "== bench smoke (UUCS_BENCH_QUICK=1, all ${#benches[@]} targets) =="
+for bench in "${benches[@]}"; do
     echo "-- $bench --"
     UUCS_BENCH_QUICK=1 cargo bench -p uucs-bench --bench "$bench"
 done
@@ -158,7 +159,7 @@ summary=target/uucs-bench/summary.json
 {
     printf '{\n'
     first=1
-    for bench in paper_figures substrate exerciser_accuracy ablations wal chaos telemetry_overhead modelsvc engine cluster wire pagecache; do
+    for bench in "${benches[@]}"; do
         report="target/uucs-bench/$bench.json"
         [ -f "$report" ] || continue
         [ "$first" -eq 1 ] || printf ',\n'

@@ -25,7 +25,8 @@
 //!   typed encodings, request pipelining, and epoch-delta model sync.
 //! * [`server`] / [`client`] — the distributed measurement application.
 //! * [`cluster`] — the replicated server tier: WAL shipping to
-//!   followers, model gossip, and deterministic leader takeover.
+//!   followers (which derive the comfort model from what they apply)
+//!   and deterministic leader takeover.
 //! * [`study`] — the controlled-study and Internet-study drivers plus the
 //!   figure/table renderers for every result in the paper.
 //! * [`telemetry`] — std-only metrics (counters/gauges/histograms),

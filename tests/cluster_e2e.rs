@@ -71,7 +71,6 @@ fn node_config(
     );
     cfg.peers = peers;
     cfg.ack = ack;
-    cfg.gossip_interval = Duration::from_millis(40);
     cfg.promote_after = 2;
     cfg
 }
