@@ -372,6 +372,11 @@ impl<'a> Blocks<'a> {
         Blocks { rest: body, line: 0 }
     }
 
+    /// The text after the last block taken (all of it after an error).
+    pub fn rest(&self) -> &'a str {
+        self.rest
+    }
+
     /// Takes the next line off the front, without its terminator.
     fn take_line(&mut self) -> Option<&'a str> {
         if self.rest.is_empty() {

@@ -144,6 +144,17 @@ impl Journal {
         }
     }
 
+    /// Shows `visitor` one file of the journal as it stands — file 0 the
+    /// checkpoint, then each live segment's records — and `false` once
+    /// `file` is past the last (at once in plain mode). The one way a
+    /// store reads back what it journaled: see [`Wal::visit_file`].
+    pub(crate) fn visit_file(&self, file: usize, visitor: &mut dyn Visitor) -> io::Result<bool> {
+        match &self.wal {
+            Some(wal) => wal.visit_file(file, visitor),
+            None => Ok(false),
+        }
+    }
+
     /// Writes `state` as the snapshot superseding everything journaled
     /// so far and deletes the segments it covers.
     fn checkpoint(&mut self, state: &[u8]) -> io::Result<()> {
@@ -171,12 +182,13 @@ pub(crate) trait Journaled: Default {
 
     /// Applies one replayed, CRC-checked payload in memory; an entry
     /// of another store's kind is refused with [`foreign`]. Most stores
-    /// start from [`decoded`]; the result store reads the batch header
-    /// and keeps the record text as it is.
+    /// start from [`decoded`]; the result store checks the batch header
+    /// and counts the blocks.
     fn replay(&mut self, payload: &[u8]) -> io::Result<()>;
 
-    /// Encodes the whole state as the compaction snapshot.
-    fn snapshot(&self) -> String;
+    /// Encodes the whole state as the compaction snapshot — fallible,
+    /// because a store may read part of its state back from its journal.
+    fn snapshot(&self) -> io::Result<String>;
 
     /// Opens (creating if necessary) the WAL under `dir` over `io` and
     /// rebuilds the store from it: snapshot first, then every record
@@ -197,7 +209,7 @@ pub(crate) trait Journaled: Default {
         if !self.journal().is_durable() {
             return Ok(false);
         }
-        let state = self.snapshot();
+        let state = self.snapshot()?;
         self.journal().checkpoint(state.as_bytes())?;
         Ok(true)
     }

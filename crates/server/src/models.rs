@@ -126,8 +126,8 @@ impl Journaled for ModelStore {
         }
     }
 
-    fn snapshot(&self) -> String {
-        self.model.encode()
+    fn snapshot(&self) -> io::Result<String> {
+        Ok(self.model.encode())
     }
 }
 

@@ -665,13 +665,12 @@ impl UucsServer {
         }
         // Equal records have equal `client` and `testcase` fields, so
         // only the held records of the incoming ones' clients can match
-        // — the only blocks decoded — and only within one testcase:
-        // index those in one pass over the shard, not one pass per
-        // record.
+        // — the only blocks decoded, none read once the shard knows it
+        // holds none of theirs — and only within one testcase: index
+        // those in one pass over the shard, not one pass per record.
         let clients: HashSet<&str> = records.iter().map(|r| r.client.as_str()).collect();
         let mut held: HashMap<String, Vec<uucs_protocol::RunRecord>> = HashMap::new();
-        for have in results.records_of(&clients) {
-            let have = have?;
+        for have in results.held_of(&clients)? {
             held.entry(have.testcase.clone()).or_default().push(have);
         }
         let fresh: Vec<_> = records

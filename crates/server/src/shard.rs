@@ -42,7 +42,7 @@ use crate::journal::Journaled;
 use crate::models::ModelStore;
 use crate::storage::{StorageProfile, StoreIo};
 use crate::store::{invalid, RegistryStore, ResultStore, TestcaseStore};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -463,15 +463,14 @@ impl ShardFamily for RegistryStore {
 
     fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()> {
         let (clients, tokens) = state;
+        // Reversed, so an id's first token wins, as in the registry.
+        let token_of: HashMap<&str, &str> =
+            (tokens.iter().rev()).map(|(t, id)| (id.as_str(), t.as_str())).collect();
         for (id, snap) in clients {
             if shard_of(id, n) != shard {
                 continue;
             }
-            let token = tokens
-                .iter()
-                .find(|(_, tid)| tid == id)
-                .map(|(t, _)| t.as_str())
-                .unwrap_or("");
+            let token = token_of.get(id.as_str()).copied().unwrap_or("");
             self.register_with_id(id.clone(), snap.clone(), token)
                 .map_err(invalid)?;
         }
@@ -988,11 +987,11 @@ mod tests {
         let mut out = String::new();
         for i in 0..8 {
             writeln!(out, "== shard {i} ==").unwrap();
-            out.push_str(&stores.testcases.read(i).snapshot());
-            out.push_str(&stores.results.read(i).snapshot());
+            out.push_str(&stores.testcases.read(i).snapshot().unwrap());
+            out.push_str(&stores.results.read(i).snapshot().unwrap());
             writeln!(out, "{:?}", stores.results.read(i).applied_horizons()).unwrap();
-            out.push_str(&stores.registry.read(i).snapshot());
-            out.push_str(&stores.models.read(i).snapshot());
+            out.push_str(&stores.registry.read(i).snapshot().unwrap());
+            out.push_str(&stores.models.read(i).snapshot().unwrap());
         }
         for r in &recoveries {
             writeln!(out, "{r:?}").unwrap();

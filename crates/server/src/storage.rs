@@ -24,21 +24,82 @@
 //! every store opens in strict passthrough — the exact syscall shape of
 //! the seed engine.
 
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
 use uucs_pagecache::{
     CacheObserver, CachedIo, DiskScheduler, OpKind, SchedObserver, DEFAULT_PAGE_SIZE,
 };
 use uucs_telemetry::{metrics, Counter, Histogram};
-use uucs_wal::StdIo;
+use uucs_wal::{Io, StdIo};
+#[cfg(test)]
+use uucs_wal::MemIo;
 
 /// The I/O backend every WAL-backed store journals through: the ARC
-/// page cache over real files. [`plain_io`] (capacity 0) is a strict
-/// passthrough, so plain opens cost nothing extra.
-pub type StoreIo = CachedIo<StdIo>;
+/// page cache over a [`Disk`]. [`plain_io`] (capacity 0, real files) is
+/// a strict passthrough, so plain opens cost nothing extra.
+pub type StoreIo = CachedIo<Disk>;
+
+/// What a store's page cache sits on: real files — or, in this crate's
+/// tests, an in-memory disk whose faults the test plans.
+#[derive(Debug, Clone)]
+pub enum Disk {
+    /// The filesystem.
+    Files(StdIo),
+    /// `uucs_wal::MemIo`: volatile tails, planned faults, crashes.
+    #[cfg(test)]
+    Memory(MemIo),
+}
+
+macro_rules! on_disk {
+    ($self:ident, $io:ident => $call:expr) => {
+        match $self {
+            Disk::Files($io) => $call,
+            #[cfg(test)]
+            Disk::Memory($io) => $call,
+        }
+    };
+}
+
+impl Io for Disk {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        on_disk!(self, io => io.create_dir_all(dir))
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        on_disk!(self, io => io.list(dir))
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        on_disk!(self, io => io.read(path))
+    }
+    fn create(&self, path: &Path) -> io::Result<()> {
+        on_disk!(self, io => io.create(path))
+    }
+    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        on_disk!(self, io => io.append(path, data))
+    }
+    fn sync(&self, path: &Path) -> io::Result<()> {
+        on_disk!(self, io => io.sync(path))
+    }
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        on_disk!(self, io => io.truncate(path, len))
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        on_disk!(self, io => io.rename(from, to))
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        on_disk!(self, io => io.remove(path))
+    }
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        on_disk!(self, io => io.len(path))
+    }
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        on_disk!(self, io => io.read_at(path, offset, len))
+    }
+}
 
 /// An uncached [`StoreIo`] — the seed engine's exact I/O shape.
 pub fn plain_io() -> StoreIo {
-    CachedIo::passthrough(StdIo::new())
+    CachedIo::passthrough(Disk::Files(StdIo::new()))
 }
 
 /// Bridges one flavor's cache events into `server.cache.<flavor>.*`.
@@ -130,7 +191,7 @@ impl StorageProfile {
         if self.cache_pages == 0 {
             return plain_io();
         }
-        let io = CachedIo::new(StdIo::new(), self.cache_pages, self.page_size);
+        let io = CachedIo::new(Disk::Files(StdIo::new()), self.cache_pages, self.page_size);
         io.set_observer(Box::new(CacheTelemetry {
             hit: metrics::counter(&format!("server.cache.{flavor}.hit")),
             miss: metrics::counter(&format!("server.cache.{flavor}.miss")),

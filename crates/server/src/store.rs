@@ -12,7 +12,8 @@
 //!   [`ResultStore::open_wal`]): every mutation is journaled as a
 //!   [`WalEntry`] *before* it is applied in memory, and reopening the
 //!   same directory replays the journal — snapshot first, then the
-//!   records past it.
+//!   records past it. A durable result store keeps no record text: its
+//!   journal is its record log.
 //!
 //! Corruption policy: a WAL tolerates a torn final frame (crash
 //! residue) but reports mid-log damage; the *text* loaders tolerate
@@ -21,7 +22,8 @@
 
 use crate::journal::{decoded, foreign, Journal, Journaled};
 use crate::storage::plain_io;
-use std::collections::{BTreeMap, HashSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -30,7 +32,7 @@ use uucs_protocol::walenc::{split_payload, BorrowedBlocks, TAG_BATCH, TAG_RESULT
 use uucs_protocol::wire::is_token;
 use uucs_protocol::{MachineSnapshot, RunRecord, WalEntry};
 use uucs_testcase::{format as tcformat, Testcase};
-use uucs_wal::{Lsn, Recovery, WalConfig};
+use uucs_wal::{Lsn, Recovery, Snapshot, Visitor, WalConfig};
 
 /// Why a store rejected a mutation.
 #[derive(Debug)]
@@ -96,8 +98,8 @@ impl Journaled for TestcaseStore {
         }
     }
 
-    fn snapshot(&self) -> String {
-        tcformat::emit_many(&self.testcases)
+    fn snapshot(&self) -> io::Result<String> {
+        Ok(tcformat::emit_many(&self.testcases))
     }
 }
 
@@ -208,13 +210,17 @@ impl BatchStatus {
 
 /// The server's result store.
 ///
-/// The records are held as what the journal holds: the canonical
-/// `RESULT`…`END` blocks in upload order, as one text, plus their count.
-/// Serving never looks inside a record — an upload needs the client's
-/// registration and its horizon — so a restart checks each journaled
-/// batch's header and block structure and keeps the text; a record is
-/// decoded when somebody reads it ([`ResultStore::records`]), and a
-/// field-level defect is that reader's to report.
+/// A durable store holds no record text: its records are the canonical
+/// `RESULT`…`END` blocks its journal holds, in upload order, and in
+/// memory it keeps their count, each client's horizon and the journal.
+/// An open checks each journaled batch's header and block structure and
+/// counts; every reader ([`ResultStore::records`], `records_of`,
+/// `write_to`, the compaction snapshot) streams the checkpoint and then
+/// each live segment, one journal file in memory at a time, checks each
+/// payload the way the open did, and yields no more than
+/// [`ResultStore::len`] blocks. A plain store keeps the same blocks in
+/// one text behind the same reader. A record is decoded when somebody
+/// reads it, and a field-level defect is that reader's to report.
 ///
 /// Beyond the records it tracks, per client, the highest *batch
 /// sequence number* applied ([`ResultStore::append_batch`]), which is
@@ -225,12 +231,16 @@ impl BatchStatus {
 /// compaction snapshot, so dedup survives crashes and checkpoints alike.
 #[derive(Debug, Default)]
 pub struct ResultStore {
-    /// The record blocks, every one newline-terminated.
+    /// A plain store's record blocks, every one newline-terminated;
+    /// empty in durable mode, where the journal holds them.
     log: String,
-    /// How many blocks `log` holds.
+    /// How many blocks the store holds.
     count: usize,
     /// Per-client highest applied batch sequence number.
     applied: BTreeMap<String, u64>,
+    /// The `CLIENT` of every held record, from the first
+    /// [`ResultStore::held_of`] on — never built at open.
+    holders: Option<HashSet<String>>,
     journal: Journal,
 }
 
@@ -244,38 +254,19 @@ impl Journaled for ResultStore {
     /// Snapshots from before sequence tracking have no `SEQ` lines and
     /// restore an empty horizon map.
     fn restore(&mut self, snapshot: &str) -> io::Result<()> {
-        let mut offset = 0usize;
-        for line in snapshot.lines() {
-            let Some(rest) = line.strip_prefix("SEQ ") else {
-                break;
-            };
-            let (client, seq) = rest
-                .rsplit_once(' ')
-                .ok_or_else(|| invalid(format!("bad snapshot seq line {line:?}")))?;
-            let seq: u64 = seq
-                .parse()
-                .map_err(|_| invalid(format!("bad snapshot seq line {line:?}")))?;
+        let (horizons, body) = split_checkpoint(snapshot)?;
+        for (client, seq) in horizons {
             self.applied.insert(client.to_string(), seq);
-            offset += line.len() + 1;
         }
-        let body = &snapshot[offset.min(snapshot.len())..];
-        let count = RunRecord::count_blocks(body).map_err(invalid)?;
-        self.push_blocks(body, count);
+        self.count += RunRecord::count_blocks(body).map_err(invalid)?;
         Ok(())
     }
 
-    /// Header-only: the tag, UTF-8, the `BATCH` line and the block
-    /// structure are checked — with [`WalEntry::decode`]'s strings —
-    /// and the blocks join the log undecoded.
+    /// Header-only: the payload is [`checked`], its blocks counted and
+    /// its horizon raised.
     fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
-        let (tag, text) = split_payload(payload).map_err(invalid)?;
-        let blocks = match tag {
-            TAG_BATCH => BorrowedBlocks::batch(text),
-            TAG_RESULT => BorrowedBlocks::result(text),
-            other => return Err(foreign::<Self>(other)),
-        }
-        .map_err(invalid)?;
-        self.push_blocks(blocks.body, blocks.count);
+        let blocks = checked(payload)?;
+        self.count += blocks.count;
         if let Some((client, seq)) = blocks.batch {
             self.raise_horizon(client, seq);
         }
@@ -284,14 +275,16 @@ impl Journaled for ResultStore {
 
     /// `SEQ <client> <n>` header lines (the idempotency horizon)
     /// followed by the record blocks.
-    fn snapshot(&self) -> String {
+    fn snapshot(&self) -> io::Result<String> {
         use std::fmt::Write;
-        let mut out = String::with_capacity(self.log.len() + 32 * self.applied.len());
+        let mut out = String::new();
         for (client, seq) in &self.applied {
             writeln!(out, "SEQ {client} {seq}").unwrap();
         }
-        out.push_str(&self.log);
-        out
+        for chunk in self.chunks() {
+            out.push_str(&chunk?);
+        }
+        Ok(out)
     }
 }
 
@@ -308,11 +301,172 @@ fn render(records: &[RunRecord]) -> Result<String, StoreError> {
     Ok(body)
 }
 
-/// Decodes the `n`th block of a log for a reader.
-fn decode_block((n, block): (usize, Result<&str, String>)) -> io::Result<RunRecord> {
+/// A results-journal payload checked as far as an open checks it — tag,
+/// UTF-8, the `BATCH` line and the block structure, in
+/// [`WalEntry::decode`]'s words — and no further.
+fn checked(payload: &[u8]) -> io::Result<BorrowedBlocks<'_>> {
+    let (tag, text) = split_payload(payload).map_err(invalid)?;
+    match tag {
+        TAG_BATCH => BorrowedBlocks::batch(text),
+        TAG_RESULT => BorrowedBlocks::result(text),
+        other => return Err(foreign::<ResultStore>(other)),
+    }
+    .map_err(invalid)
+}
+
+/// Splits a results checkpoint into its `SEQ <client> <n>` lines and
+/// the record blocks after them.
+fn split_checkpoint(snapshot: &str) -> io::Result<(Vec<(&str, u64)>, &str)> {
+    let mut horizons = Vec::new();
+    let mut offset = 0usize;
+    for line in snapshot.lines() {
+        let Some(rest) = line.strip_prefix("SEQ ") else {
+            break;
+        };
+        let bad = || invalid(format!("bad snapshot seq line {line:?}"));
+        let (client, seq) = rest.rsplit_once(' ').ok_or_else(bad)?;
+        horizons.push((client, seq.parse().map_err(|_| bad())?));
+        offset += line.len() + 1;
+    }
+    Ok((horizons, &snapshot[offset.min(snapshot.len())..]))
+}
+
+/// Appends checked blocks to a text, newline-terminated.
+fn push_blocks(text: &mut String, body: &str) {
+    text.push_str(body);
+    if !body.is_empty() && !body.ends_with('\n') {
+        text.push('\n');
+    }
+}
+
+/// Decodes the `n`th block of a store for a reader.
+fn decode_block(n: usize, block: Result<&str, String>) -> io::Result<RunRecord> {
     block
         .and_then(RunRecord::parse_block)
         .map_err(|e| invalid(format!("record {n}: {e}")))
+}
+
+/// Gathers the record text of one journal file for a reader: every
+/// payload [`checked`], and no more than `left` blocks in all.
+struct Gather {
+    text: String,
+    left: usize,
+}
+
+impl Gather {
+    fn take(&mut self, body: &str, count: usize) {
+        let body = if count <= self.left {
+            body
+        } else {
+            let mut blocks = Blocks::new(body);
+            blocks.by_ref().take(self.left).for_each(drop);
+            &body[..body.len() - blocks.rest().len()]
+        };
+        self.left -= count.min(self.left);
+        push_blocks(&mut self.text, body);
+    }
+}
+
+impl Visitor for Gather {
+    fn snapshot(&mut self, snapshot: Snapshot) -> io::Result<()> {
+        let text = std::str::from_utf8(&snapshot.state).map_err(invalid)?;
+        let (_, body) = split_checkpoint(text)?;
+        self.take(body, RunRecord::count_blocks(body).map_err(invalid)?);
+        Ok(())
+    }
+
+    fn record(&mut self, lsn: Lsn, payload: &[u8]) -> io::Result<()> {
+        let blocks = checked(payload).map_err(|e| invalid(format!("record {lsn}: {e}")))?;
+        self.take(blocks.body, blocks.count);
+        Ok(())
+    }
+}
+
+/// A store's record text, a journal file at a time: a plain store's
+/// log in one piece, a durable store's checkpoint body and then each
+/// segment's blocks, stopping at [`ResultStore::len`] blocks.
+struct Chunks<'a> {
+    store: &'a ResultStore,
+    /// The next journal file to read.
+    file: usize,
+    /// Blocks not yet handed out.
+    left: usize,
+    done: bool,
+}
+
+impl<'a> Iterator for Chunks<'a> {
+    type Item = io::Result<Cow<'a, str>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let store = self.store;
+        if !store.journal.is_durable() {
+            let first = !std::mem::replace(&mut self.done, true);
+            return first.then_some(Ok(Cow::Borrowed(store.log.as_str())));
+        }
+        while !self.done && self.left > 0 {
+            let mut gather = Gather {
+                text: String::new(),
+                left: self.left,
+            };
+            match store.journal.visit_file(self.file, &mut gather) {
+                Ok(true) => {
+                    self.file += 1;
+                    self.left = gather.left;
+                    if !gather.text.is_empty() {
+                        return Some(Ok(Cow::Owned(gather.text)));
+                    }
+                }
+                Ok(false) => {
+                    self.done = true;
+                    let found = store.count - self.left;
+                    let why = format!("the journal holds {found} of {} records", store.count);
+                    return Some(Err(invalid(why)));
+                }
+                Err(e) => {
+                    self.done = true;
+                    return Some(Err(e));
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The records of [`Chunks`], each decoded as it is reached — those
+/// of every client, or only the blocks whose `CLIENT` is in `of`.
+struct Records<'a> {
+    chunks: Chunks<'a>,
+    text: Cow<'a, str>,
+    /// Where in `text` the next block starts.
+    at: usize,
+    /// The store ordinal of the next block.
+    n: usize,
+    of: Option<&'a HashSet<&'a str>>,
+}
+
+impl Iterator for Records<'_> {
+    type Item = io::Result<RunRecord>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let mut blocks = Blocks::new(&self.text[self.at..]);
+            let Some(block) = blocks.next() else {
+                match self.chunks.next()? {
+                    Ok(text) => (self.text, self.at) = (text, 0),
+                    Err(e) => return Some(Err(e)),
+                }
+                continue;
+            };
+            self.at = self.text.len() - blocks.rest().len();
+            self.n += 1;
+            let skip = block.as_ref().is_ok_and(|b| {
+                self.of.is_some_and(|of| !of.contains(RunRecord::block_client(b)))
+            });
+            if !skip {
+                return Some(decode_block(self.n - 1, block));
+            }
+        }
+    }
 }
 
 impl ResultStore {
@@ -338,13 +492,20 @@ impl ResultStore {
         }
     }
 
-    /// Appends `count` structurally checked blocks to the log.
-    fn push_blocks(&mut self, body: &str, count: usize) {
-        self.log.push_str(body);
-        if !body.is_empty() && !body.ends_with('\n') {
-            self.log.push('\n');
+    /// Holds `records`, rendered as `body`: a plain store keeps the
+    /// text, a durable one has just journaled it.
+    fn hold(&mut self, records: &[RunRecord], body: &str) {
+        if !self.journal.is_durable() {
+            push_blocks(&mut self.log, body);
         }
-        self.count += count;
+        self.count += records.len();
+        if let Some(holders) = &mut self.holders {
+            for rec in records {
+                if !holders.contains(&rec.client) {
+                    holders.insert(rec.client.clone());
+                }
+            }
+        }
     }
 
     /// Appends uploaded records, returning how many were accepted. In
@@ -354,12 +515,12 @@ impl ResultStore {
     /// must not be acknowledged.
     pub fn append(&mut self, records: &[RunRecord]) -> Result<usize, StoreError> {
         let body = render(records)?;
-        self.append_singly(&body, records.len())?;
+        self.append_singly(records, &body)?;
         Ok(records.len())
     }
 
     /// Journals each block of `body` as its own entry, then holds them.
-    fn append_singly(&mut self, body: &str, count: usize) -> io::Result<()> {
+    fn append_singly(&mut self, records: &[RunRecord], body: &str) -> io::Result<()> {
         if self.journal.is_durable() {
             for block in Blocks::new(body) {
                 let entry = BorrowedBlocks {
@@ -370,7 +531,7 @@ impl ResultStore {
                 self.journal.append(|| entry.encode())?;
             }
         }
-        self.push_blocks(body, count);
+        self.hold(records, body);
         Ok(())
     }
 
@@ -380,12 +541,12 @@ impl ResultStore {
     /// [`BatchStatus::Replayed`] tells the caller to re-acknowledge.
     /// `seq == 0` is the legacy non-idempotent path (always applied).
     ///
-    /// The records are rendered once: the same text is the body of the
-    /// journal entry and what the store holds. In durable mode a new
-    /// batch is journaled as a single atomic [`WalEntry::Batch`]
-    /// carrying both records and horizon, *before* being applied: an
-    /// acknowledged batch can neither be lost nor double-applied across
-    /// a crash.
+    /// The records are rendered once, into the body of the journal
+    /// entry (or, in plain mode, the text the store holds). In durable
+    /// mode a new batch is journaled as a single atomic
+    /// [`WalEntry::Batch`] carrying both records and horizon, *before*
+    /// being applied: an acknowledged batch can neither be lost nor
+    /// double-applied across a crash.
     pub fn append_batch(
         &mut self,
         client: &str,
@@ -425,7 +586,7 @@ impl ResultStore {
         };
         let payload = if seq == 0 {
             // Journaled record by record; followers get it as one batch.
-            self.append_singly(&body, records.len())?;
+            self.append_singly(records, &body)?;
             ship.then(|| entry.encode())
         } else {
             let payload = (ship || self.journal.is_durable()).then(|| entry.encode());
@@ -433,7 +594,7 @@ impl ResultStore {
                 self.journal.append_encoded(payload)?;
             }
             self.raise_horizon(client, seq);
-            self.push_blocks(&body, records.len());
+            self.hold(records, &body);
             payload.filter(|_| ship)
         };
         Ok((BatchStatus::Applied(records.len()), payload))
@@ -455,13 +616,34 @@ impl ResultStore {
         self.journal.next_lsn()
     }
 
+    /// The record text, a journal file at a time.
+    fn chunks(&self) -> Chunks<'_> {
+        Chunks {
+            store: self,
+            file: 0,
+            left: self.count,
+            done: false,
+        }
+    }
+
+    fn read<'a>(&'a self, of: Option<&'a HashSet<&'a str>>) -> Records<'a> {
+        Records {
+            chunks: self.chunks(),
+            text: Cow::Borrowed(""),
+            at: 0,
+            n: 0,
+            of,
+        }
+    }
+
     /// Every record in upload order, decoded as it is reached. A block
     /// whose fields do not parse (only a writer bug gets one past the
     /// CRC) yields `record N: line L: …` — `N` its 0-based ordinal in
     /// this store, `L` the line within the block — and the iteration
-    /// goes on with the next block.
+    /// goes on with the next block. A journal that cannot be read back
+    /// yields its error and ends the iteration.
     pub fn records(&self) -> impl Iterator<Item = io::Result<RunRecord>> + '_ {
-        Blocks::new(&self.log).enumerate().map(decode_block)
+        self.read(None)
     }
 
     /// [`ResultStore::records`], skipping undecoded every block whose
@@ -470,14 +652,37 @@ impl ResultStore {
         &'a self,
         clients: &'a HashSet<&str>,
     ) -> impl Iterator<Item = io::Result<RunRecord>> + 'a {
-        Blocks::new(&self.log)
-            .enumerate()
-            .filter(|(_, block)| {
-                block
-                    .as_ref()
-                    .map_or(true, |b| clients.contains(RunRecord::block_client(b)))
-            })
-            .map(decode_block)
+        self.read(Some(clients))
+    }
+
+    /// The held records of any of `clients`, decoded — what a follower
+    /// compares a snapshot batch with. The first call reads the whole
+    /// store, and from then on the store knows (and keeps current on
+    /// append) the `CLIENT` of every record it holds, so a call none of
+    /// whose `clients` is among them reads nothing.
+    pub fn held_of(&mut self, clients: &HashSet<&str>) -> io::Result<Vec<RunRecord>> {
+        if let Some(holders) = &self.holders {
+            if !clients.iter().any(|c| holders.contains(*c)) {
+                return Ok(Vec::new());
+            }
+        }
+        let (mut holders, mut held, mut n) = (HashSet::new(), Vec::new(), 0);
+        for chunk in self.chunks() {
+            let chunk = chunk?;
+            for block in Blocks::new(&chunk) {
+                let block = block.map_err(|e| invalid(format!("record {n}: {e}")))?;
+                let client = RunRecord::block_client(block);
+                if clients.contains(client) {
+                    held.push(decode_block(n, Ok(block))?);
+                }
+                if !holders.contains(client) {
+                    holders.insert(client.to_string());
+                }
+                n += 1;
+            }
+        }
+        self.holders = Some(holders);
+        Ok(held)
     }
 
     /// Number of records.
@@ -493,7 +698,10 @@ impl ResultStore {
     /// Writes every record block, undecoded, in upload order — what a
     /// `results.txt` checkpoint holds.
     pub fn write_to(&self, out: &mut impl io::Write) -> io::Result<()> {
-        out.write_all(self.log.as_bytes())
+        for chunk in self.chunks() {
+            out.write_all(chunk?.as_bytes())?;
+        }
+        Ok(())
     }
 
     /// Saves all results to a text file.
@@ -526,15 +734,20 @@ type RegistryState = (Vec<(String, MachineSnapshot)>, Vec<(String, String)>);
 /// The server's client registry: `(GUID, machine snapshot)` pairs in
 /// registration order, optionally journaled through a WAL so a restarted
 /// server still recognizes the clients it handed ids to — without it,
-/// every server restart would orphan every client in the field.
+/// every server restart would orphan every client in the field. Ids and
+/// tokens are indexed, so a lookup costs the same at any fleet size.
 #[derive(Debug, Default)]
 pub struct RegistryStore {
     clients: Vec<(String, MachineSnapshot)>,
-    /// `(token, id)` for every registration that carried an idempotency
+    /// Each id's row in `clients` (its first, should one repeat).
+    rows: HashMap<String, usize>,
+    /// `token → id` for every registration that carried an idempotency
     /// token: a re-registration presenting a known token gets the same
     /// id back instead of a new row. Rebuilt from the journal and the
     /// snapshot on recovery, so the guarantee survives a server restart.
-    tokens: Vec<(String, String)>,
+    ids: HashMap<String, String>,
+    /// `id → token`, the same registrations the other way round.
+    tokens: HashMap<String, String>,
     journal: Journal,
 }
 
@@ -546,33 +759,31 @@ impl Journaled for RegistryStore {
     }
 
     fn restore(&mut self, snapshot: &str) -> io::Result<()> {
-        // (id, pending block text) for the entry being accumulated.
-        let mut current: Option<(String, String)> = None;
+        // (id, token, pending block text) for the entry being accumulated.
+        let mut current: Option<(String, String, String)> = None;
         for line in snapshot.lines() {
             if let Some(rest) = line.strip_prefix("CLIENT ") {
-                if let Some((id, block)) = current.take() {
+                if let Some((id, token, block)) = current.take() {
                     let snap = MachineSnapshot::parse(&block).map_err(invalid)?;
-                    self.clients.push((id, snap));
+                    self.insert(id, snap, &token);
                 }
                 let mut toks = rest.split_whitespace();
                 let id = toks.next().unwrap_or("").to_string();
                 if id.is_empty() {
                     return Err(invalid("registry snapshot: CLIENT line missing id"));
                 }
-                if let Some(token) = toks.next() {
-                    self.tokens.push((token.to_string(), id.clone()));
-                }
-                current = Some((id, String::new()));
-            } else if let Some((_, block)) = &mut current {
+                let token = toks.next().unwrap_or("").to_string();
+                current = Some((id, token, String::new()));
+            } else if let Some((_, _, block)) = &mut current {
                 block.push_str(line);
                 block.push('\n');
             } else {
                 return Err(invalid(format!("registry snapshot: stray line {line:?}")));
             }
         }
-        if let Some((id, block)) = current.take() {
+        if let Some((id, token, block)) = current.take() {
             let snap = MachineSnapshot::parse(&block).map_err(invalid)?;
-            self.clients.push((id, snap));
+            self.insert(id, snap, &token);
         }
         Ok(())
     }
@@ -588,16 +799,16 @@ impl Journaled for RegistryStore {
         }
     }
 
-    fn snapshot(&self) -> String {
+    fn snapshot(&self) -> io::Result<String> {
         let mut out = String::new();
         for (id, snap) in &self.clients {
-            match self.tokens.iter().find(|(_, tid)| tid == id) {
-                Some((token, _)) => out.push_str(&format!("CLIENT {id} {token}\n")),
+            match self.token_of(id) {
+                Some(token) => out.push_str(&format!("CLIENT {id} {token}\n")),
                 None => out.push_str(&format!("CLIENT {id}\n")),
             }
             out.push_str(&snap.emit());
         }
-        out
+        Ok(out)
     }
 }
 
@@ -627,10 +838,8 @@ impl RegistryStore {
         snapshot: MachineSnapshot,
         token: &str,
     ) -> Result<String, StoreError> {
-        if !token.is_empty() {
-            if let Some((_, id)) = self.tokens.iter().find(|(t, _)| t == token) {
-                return Ok(id.clone());
-            }
+        if let Some(id) = self.id_for_token(token) {
+            return Ok(id.to_string());
         }
         let id = format!("client-{:04}", self.clients.len() + 1);
         self.register_with_id(id.clone(), snapshot, token)?;
@@ -664,32 +873,31 @@ impl RegistryStore {
             }
             .encode()
         })?;
-        self.clients.push((id.clone(), snapshot));
-        if !token.is_empty() {
-            self.tokens.push((token.to_string(), id));
-        }
+        self.insert(id, snapshot, token);
         Ok(())
+    }
+
+    /// Adds a row and indexes it; the first row or token of a kind wins
+    /// a lookup, as a scan from the front would.
+    fn insert(&mut self, id: String, snapshot: MachineSnapshot, token: &str) {
+        self.rows.entry(id.clone()).or_insert(self.clients.len());
+        if !token.is_empty() {
+            self.ids.entry(token.to_string()).or_insert_with(|| id.clone());
+            self.tokens.entry(id.clone()).or_insert_with(|| token.to_string());
+        }
+        self.clients.push((id, snapshot));
     }
 
     /// The id a registration token resolved to, if it registered before.
     pub fn id_for_token(&self, token: &str) -> Option<&str> {
-        if token.is_empty() {
-            return None;
-        }
-        self.tokens
-            .iter()
-            .find(|(t, _)| t == token)
-            .map(|(_, id)| id.as_str())
+        self.ids.get(token).map(String::as_str)
     }
 
     /// The registration token a client id presented, if any — the
     /// replication tier ships it alongside the snapshot so a promoted
     /// follower still honors token-matched re-registrations.
     pub fn token_of(&self, id: &str) -> Option<&str> {
-        self.tokens
-            .iter()
-            .find(|(_, tid)| tid == id)
-            .map(|(t, _)| t.as_str())
+        self.tokens.get(id).map(String::as_str)
     }
 
     /// See [`TestcaseStore::wal_next_lsn`].
@@ -697,17 +905,18 @@ impl RegistryStore {
         self.journal.next_lsn()
     }
 
-    /// Consumes the registry, yielding rows and token pairs (migration).
-    pub fn into_parts(self) -> RegistryState {
-        (self.clients, self.tokens)
+    /// Consumes the registry, yielding rows and `(token, id)` pairs in
+    /// registration order (migration).
+    pub fn into_parts(mut self) -> RegistryState {
+        let tokens = (self.clients.iter())
+            .filter_map(|(id, _)| Some((self.tokens.remove(id)?, id.clone())))
+            .collect();
+        (self.clients, tokens)
     }
 
     /// The registered snapshot for an id.
     pub fn get(&self, id: &str) -> Option<&MachineSnapshot> {
-        self.clients
-            .iter()
-            .find(|(cid, _)| cid == id)
-            .map(|(_, s)| s)
+        self.rows.get(id).map(|&row| &self.clients[row].1)
     }
 
     /// All registrations in order.
@@ -730,10 +939,11 @@ impl RegistryStore {
 mod tests {
     use super::*;
     use crate::models::ModelStore;
+    use crate::storage::{Disk, StoreIo};
     use uucs_harness::TempDir;
     use uucs_protocol::{MonitorSummary, RunOutcome};
     use uucs_testcase::{ExerciseSpec, Resource};
-    use uucs_wal::SyncPolicy;
+    use uucs_wal::{Io, SyncPolicy};
 
     fn tc(id: &str) -> Testcase {
         Testcase::single(
@@ -794,7 +1004,7 @@ mod tests {
         assert_eq!(store.len(), 3);
         store.save(&path).unwrap();
         let loaded = ResultStore::load(&path).unwrap();
-        assert_eq!(loaded.snapshot(), store.snapshot());
+        assert_eq!(loaded.snapshot().unwrap(), store.snapshot().unwrap());
         let read: io::Result<Vec<_>> = loaded.records().collect();
         assert_eq!(read.unwrap(), vec![rec("u1"), rec("u2"), rec("u3")]);
     }
@@ -939,12 +1149,12 @@ mod tests {
                     assert!(store.compact().unwrap());
                 }
                 store.fill(1);
-                store.snapshot()
+                store.snapshot().unwrap()
             },
             open: |dir| {
                 let (mut store, recovery) = S::open(plain_io(), dir, TABLE_CFG)?;
                 assert!(recovery.snapshot.is_none(), "open folds the snapshot");
-                let state = store.snapshot();
+                let state = store.snapshot()?;
                 store.probe();
                 Ok(state)
             },
@@ -1061,11 +1271,21 @@ mod tests {
         assert_eq!(r.applied_seq("c1"), 2, "legacy path leaves the horizon alone");
     }
 
-    /// Replays one payload into an empty store the way `open` would.
+    /// An in-memory disk for a store's journal.
+    fn memory() -> StoreIo {
+        uucs_pagecache::CachedIo::passthrough(Disk::Memory(uucs_wal::MemIo::new()))
+    }
+
+    /// Opens a store on a journal of one payload, reporting a refusal
+    /// without the open's `record 0: ` prefix.
     fn replayed(payload: &[u8]) -> io::Result<ResultStore> {
-        let mut store = ResultStore::new();
-        store.replay(payload)?;
-        Ok(store)
+        let (io, dir) = (memory(), Path::new("/results"));
+        let cfg = WalConfig::default();
+        uucs_wal::Wal::open(io.clone(), dir, cfg)?.0.append(payload)?;
+        ResultStore::open(io, dir, cfg).map(|(store, _)| store).map_err(|e| {
+            let msg = e.to_string();
+            invalid(msg.strip_prefix("record 0: ").unwrap_or(&msg))
+        })
     }
 
     fn read(store: &ResultStore) -> io::Result<Vec<RunRecord>> {
@@ -1256,7 +1476,7 @@ mod tests {
             for (client, seq, records) in &uploads {
                 store.append_batch(client, *seq, records).unwrap();
             }
-            store.snapshot()
+            store.snapshot().unwrap()
         };
         {
             let (mut wal, _) = uucs_wal::Wal::open(plain_io(), theirs.path(), cfg).unwrap();
@@ -1284,7 +1504,7 @@ mod tests {
         assert_eq!(reopened.len(), all.len());
         assert_eq!((reopened.applied_seq("c1"), reopened.applied_seq("c2")), (2, 5));
         assert_eq!(read(&reopened).unwrap(), all);
-        assert_eq!(reopened.snapshot(), want);
+        assert_eq!(reopened.snapshot().unwrap(), want);
     }
 
     /// A field that does not parse is past every check an open makes
@@ -1339,6 +1559,29 @@ mod tests {
         assert_eq!(read(&store).unwrap(), vec![rec("u1")]);
     }
 
+    /// A follower's snapshot dedup learns on its first pass whose records
+    /// a shard holds, keeps that current on append, and reads nothing
+    /// for a batch of anyone else: with the journal damaged afterwards,
+    /// only a lookup that must read it fails.
+    #[test]
+    fn held_of_reads_a_shard_once_to_learn_its_clients() {
+        let mem = uucs_wal::MemIo::new();
+        let io = uucs_pagecache::CachedIo::passthrough(Disk::Memory(mem.clone()));
+        let dir = Path::new("/results");
+        let (mut store, _) = ResultStore::open(io, dir, WalConfig::default()).unwrap();
+        let of = |client: &str| RunRecord {
+            client: client.into(),
+            ..rec("u1")
+        };
+        store.append_batch("a", 1, &[of("a")]).unwrap();
+        assert_eq!(store.held_of(&HashSet::from(["b"])).unwrap(), vec![]);
+        store.append_batch("b", 1, &[of("b")]).unwrap();
+        assert_eq!(store.held_of(&HashSet::from(["b"])).unwrap(), vec![of("b")]);
+        mem.corrupt(&dir.join("0000000000000000.wal"), 20);
+        assert_eq!(store.held_of(&HashSet::from(["c"])).unwrap(), vec![]);
+        assert!(store.held_of(&HashSet::from(["a", "c"])).is_err());
+    }
+
     /// A registration retried with the same token (lost `ID` reply) must
     /// resolve to the same id — in memory, across a WAL recovery, and
     /// across a compaction that folds the token into the snapshot.
@@ -1364,5 +1607,299 @@ mod tests {
         let d = g.register(MachineSnapshot::study_machine("h"), "").unwrap();
         assert_ne!(c, d);
         assert_eq!(g.len(), 4);
+    }
+
+    /// The indexed registry emits what the scanning one did: rows in
+    /// registration order, each `CLIENT <id> <token>` line carrying the
+    /// first token the id presented — and so does its reopen, before and
+    /// after a compaction.
+    #[test]
+    fn registry_snapshot_bytes_and_order_are_pinned() {
+        let dir = TempDir::new("uucs-registry-pin");
+        let cfg = WalConfig::default();
+        let snap = MachineSnapshot::study_machine;
+        let written = {
+            let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
+            assert_eq!(g.register(snap("a"), "tok-a").unwrap(), "client-0001");
+            g.register(snap("b"), "").unwrap();
+            g.register_with_id("client-0009".into(), snap("c"), "tok-c").unwrap();
+            assert_eq!(g.register(snap("again"), "tok-a").unwrap(), "client-0001");
+            assert_eq!(g.register(snap("d"), "tok-d").unwrap(), "client-0004");
+            g.snapshot().unwrap()
+        };
+        let want = format!(
+            "CLIENT client-0001 tok-a\n{}CLIENT client-0002\n{}\
+             CLIENT client-0009 tok-c\n{}CLIENT client-0004 tok-d\n{}",
+            snap("a").emit(),
+            snap("b").emit(),
+            snap("c").emit(),
+            snap("d").emit()
+        );
+        assert_eq!(written, want);
+        let order = ["client-0001", "client-0002", "client-0009", "client-0004"];
+        for compact in [false, true] {
+            let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
+            let ids: Vec<&str> = g.all().iter().map(|(id, _)| id.as_str()).collect();
+            assert_eq!(ids, order, "compacted: {compact}");
+            assert_eq!(g.snapshot().unwrap(), want, "compacted: {compact}");
+            assert_eq!(g.get("client-0009").unwrap().hostname, "c");
+            assert_eq!((g.id_for_token("tok-c"), g.token_of("client-0002")), (Some("client-0009"), None));
+            if !compact {
+                g.compact().unwrap();
+            }
+        }
+        let (g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
+        let tokens = g.into_parts().1;
+        let pairs: Vec<(&str, &str)> = tokens.iter().map(|(t, id)| (t.as_str(), id.as_str())).collect();
+        assert_eq!(pairs, [("tok-a", "client-0001"), ("tok-c", "client-0009"), ("tok-d", "client-0004")]);
+    }
+
+    /// A mutation the property applies to both stores; kept so a
+    /// durable one that failed can be reconciled after its reopen.
+    #[derive(Debug, Clone)]
+    enum Upload {
+        Batch(String, u64, Vec<RunRecord>),
+        Append(Vec<RunRecord>),
+    }
+
+    impl Upload {
+        fn apply(&self, store: &mut ResultStore) -> Result<usize, StoreError> {
+            match self {
+                Upload::Batch(client, seq, records) => {
+                    store.append_batch(client, *seq, records).map(BatchStatus::acked)
+                }
+                Upload::Append(records) => store.append(records),
+            }
+        }
+
+        /// Applies to `plain` what of this upload a durable store that
+        /// failed it and then reopened as `durable` turned out to hold;
+        /// `true` when that was anything.
+        fn reconcile(&self, plain: &mut ResultStore, durable: &ResultStore) -> Result<bool, String> {
+            let held = durable.len().checked_sub(plain.len()).ok_or("records lost")?;
+            match self {
+                Upload::Batch(client, seq, _) if *seq > 0 => {
+                    let kept = durable.applied_seq(client) != plain.applied_seq(client);
+                    if kept {
+                        self.apply(plain).map_err(|e| e.to_string())?;
+                    }
+                    Ok(kept)
+                }
+                Upload::Batch(_, _, records) | Upload::Append(records) => {
+                    let part = records.get(..held).ok_or("more records than uploaded")?;
+                    plain.append(part).map_err(|e| e.to_string())?;
+                    Ok(held > 0)
+                }
+            }
+        }
+    }
+
+    /// What every reader of a store yields, `Err` naming the failing one.
+    fn reading(store: &ResultStore, of: &HashSet<&str>) -> Result<String, String> {
+        let all: io::Result<Vec<_>> = store.records().collect();
+        let some: io::Result<Vec<_>> = store.records_of(of).collect();
+        let mut text = Vec::new();
+        store.write_to(&mut text).map_err(|e| format!("write_to: {e}"))?;
+        Ok(format!(
+            "len {}\nhorizons {:?}\nrecords {:?}\nrecords_of {:?}\nwrite_to {}\nsnapshot {}",
+            store.len(),
+            store.applied_horizons(),
+            all.map_err(|e| format!("records: {e}"))?,
+            some.map_err(|e| format!("records_of: {e}"))?,
+            String::from_utf8_lossy(&text),
+            store.snapshot().map_err(|e| format!("snapshot: {e}"))?,
+        ))
+    }
+
+    fn same(plain: &ResultStore, durable: &ResultStore, after: &str) -> Result<(), String> {
+        let of = HashSet::from(["client-0002"]);
+        let (want, got) = (reading(plain, &of)?, reading(durable, &of)?);
+        if want != got {
+            return Err(format!("after {after}:\nplain   {want}\ndurable {got}"));
+        }
+        Ok(())
+    }
+
+    /// The plain store a reshard through `k` shards and back to one
+    /// leaves: horizons first, then every record regrouped by its
+    /// `k`-shard, upload order kept within a shard.
+    fn resharded(plain: &ResultStore, k: usize) -> ResultStore {
+        let mut records: Vec<RunRecord> = plain.records().map(Result::unwrap).collect();
+        records.sort_by_key(|r| crate::shard::shard_of(&r.client, k));
+        let mut out = ResultStore::new();
+        for (client, seq) in plain.applied_horizons() {
+            out.append_batch(client, *seq, &[]).unwrap();
+        }
+        if !records.is_empty() {
+            out.append(&records).unwrap();
+        }
+        out
+    }
+
+    /// The paths a [`reader_contract`] case can take that the property
+    /// as a whole must have reached.
+    const CONTRACT_PATHS: [&str; 6] = [
+        "a compaction",
+        "a retransmit",
+        "a torn tail under a live store",
+        "a reshard",
+        "a failed upload the reopen kept",
+        "a failed upload the reopen lost",
+    ];
+
+    /// One case of the reader contract: a random run of uploads,
+    /// retransmits, compactions, reopens, reshards, torn tails and one
+    /// planned fault against a plain store and a durable one on an
+    /// in-memory disk. Every reader of the two must agree after every
+    /// step — including a live store whose journal holds a failed
+    /// append's bytes past `len()` — and after each reopen once the
+    /// failed upload is reconciled with what the journal kept.
+    fn reader_contract(seed: u64) -> Result<[bool; CONTRACT_PATHS.len()], String> {
+        let mut seen = [false; CONTRACT_PATHS.len()];
+        let mut rng = uucs_stats::Pcg64::new(seed);
+        let dir = Path::new("/results");
+        let cfg = WalConfig {
+            segment_bytes: 200 + rng.below(3000),
+            sync: SyncPolicy::Always,
+        };
+        let mut mem = uucs_wal::MemIo::new();
+        let io = |mem: &uucs_wal::MemIo| uucs_pagecache::CachedIo::passthrough(Disk::Memory(mem.clone()));
+        let open = |mem: &uucs_wal::MemIo| -> Result<ResultStore, String> {
+            // A fault planned for the open itself fires, then the disk reboots.
+            match ResultStore::open(io(mem), dir, cfg) {
+                Ok((store, _)) => Ok(store),
+                Err(_) if mem.is_dead() => {
+                    mem.crash(1.0);
+                    ResultStore::open(io(mem), dir, cfg).map(|(s, _)| s).map_err(|e| e.to_string())
+                }
+                Err(e) => Err(e.to_string()),
+            }
+        };
+        let (mut plain, mut durable) = (ResultStore::new(), open(&mem)?);
+        let clients = ["client-0001", "client-0002", "client-0003"];
+        for step in 0..24 {
+            let at = format!("step {step}");
+            let mut failed = None;
+            match rng.below(13) {
+                0..=6 => {
+                    let client = *rng.choose(&clients);
+                    let horizon = plain.applied_seq(client);
+                    let seq = match rng.below(6) {
+                        0 => 0,
+                        1 => horizon.saturating_sub(rng.below(2)),
+                        2 => horizon + 2,
+                        _ => horizon + 1,
+                    };
+                    let records = (0..rng.below(4))
+                        .map(|_| RunRecord {
+                            client: if rng.bernoulli(0.7) { client.to_string() } else { generated(&mut rng).client },
+                            ..generated(&mut rng)
+                        })
+                        .collect();
+                    let upload = if rng.below(5) == 0 {
+                        Upload::Append(records)
+                    } else {
+                        Upload::Batch(client.to_string(), seq, records)
+                    };
+                    match upload.apply(&mut durable) {
+                        Ok(n) => {
+                            seen[1] |= matches!(upload, Upload::Batch(_, seq, _) if seq > 0 && seq <= horizon);
+                            let want = upload.apply(&mut plain).map_err(|e| e.to_string())?;
+                            if n != want {
+                                return Err(format!("{at}: {upload:?} acked {n}, plain {want}"));
+                            }
+                        }
+                        Err(StoreError::Io(_)) if mem.is_dead() => failed = Some(Some(upload)),
+                        Err(e) => return Err(format!("{at}: {upload:?}: {e}")),
+                    }
+                }
+                7 => match durable.compact() {
+                    Ok(compacted) => seen[0] |= compacted,
+                    Err(_) if mem.is_dead() => failed = Some(None),
+                    Err(e) => return Err(format!("{at}: compact: {e}")),
+                },
+                8 => durable = open(&mem)?,
+                9 => {
+                    // A torn append under the live store, then the reopen that heals it.
+                    let active = mem.list(dir).map_err(|e| e.to_string())?.into_iter().filter(|n| n.ends_with(".wal")).max();
+                    let frame = uucs_wal::frame::encode_frame(b"BBATCH client-0001 99 0\n");
+                    let torn = &frame[..1 + rng.below(frame.len() as u64 - 1) as usize];
+                    if mem.append(&dir.join(active.ok_or("no segment")?), torn).is_err() {
+                        failed = Some(None);
+                    } else {
+                        same(&plain, &durable, &format!("{at} (torn tail, live)"))?;
+                        seen[2] = true;
+                        durable = open(&mem)?;
+                    }
+                }
+                10 if !mem.is_dead() => mem.set_fault(Some(uucs_wal::FaultPlan {
+                    fail_at: mem.mutating_ops() + rng.below(6),
+                    short_write: rng.bernoulli(0.5).then(|| rng.below(24) as usize),
+                })),
+                11 if rng.bernoulli(0.3) => {
+                    // Through `StoreSet::open` at `k` shards and back to one,
+                    // on real files, then back onto a fresh in-memory disk.
+                    let k = 2 + rng.below(3) as usize;
+                    let tmp = TempDir::new("uucs-reader-contract");
+                    let flat = tmp.join("results");
+                    std::fs::create_dir_all(&flat).unwrap();
+                    for name in mem.list(dir).map_err(|e| e.to_string())? {
+                        std::fs::write(flat.join(&name), mem.contents(&dir.join(&name)).unwrap()).unwrap();
+                    }
+                    drop(durable);
+                    let unsynced = WalConfig { sync: SyncPolicy::Never, ..cfg };
+                    for shards in [k, 1] {
+                        crate::StoreSet::open(tmp.path(), unsynced, shards).map_err(|e| e.to_string())?;
+                    }
+                    mem = uucs_wal::MemIo::new();
+                    let one = flat.join("by-1").join("shard-000");
+                    for entry in std::fs::read_dir(&one).unwrap() {
+                        let entry = entry.unwrap();
+                        let to = dir.join(entry.file_name());
+                        mem.append(&to, &std::fs::read(entry.path()).unwrap()).unwrap();
+                        mem.sync(&to).unwrap();
+                    }
+                    durable = open(&mem)?;
+                    plain = resharded(&plain, k);
+                    seen[3] = true;
+                }
+                _ => {}
+            }
+            if let Some(upload) = failed {
+                // The planned fault fired: the live store is what it was
+                // before, whatever the failed operation left on disk.
+                mem.crash(rng.f64());
+                same(&plain, &durable, &format!("{at} (fault, live)"))?;
+                durable = open(&mem)?;
+                if let Some(upload) = upload {
+                    let kept = upload.reconcile(&mut plain, &durable).map_err(|e| format!("{at}: {e}"))?;
+                    seen[if kept { 4 } else { 5 }] = true;
+                }
+            }
+            same(&plain, &durable, &at)?;
+        }
+        Ok(seen)
+    }
+
+    /// [`reader_contract`] over `UUCS_PROPTEST_CASES` seeds, which
+    /// between them must have taken every one of [`CONTRACT_PATHS`].
+    #[test]
+    fn durable_and_plain_result_stores_read_alike() {
+        let mut seen = [false; CONTRACT_PATHS.len()];
+        uucs_harness::prop::run_property(
+            &uucs_harness::prop::Config::default(),
+            "durable_and_plain_result_stores_read_alike",
+            (uucs_harness::prop::any::<u64>(),),
+            |&(seed,)| {
+                let taken = reader_contract(seed)
+                    .map_err(|e| uucs_harness::prop::CaseError::Fail(format!("seed {seed}: {e}")))?;
+                seen.iter_mut().zip(taken).for_each(|(s, t)| *s |= t);
+                Ok(())
+            },
+        );
+        let never: Vec<_> = (CONTRACT_PATHS.iter().zip(seen))
+            .filter_map(|(path, seen)| (!seen).then_some(path))
+            .collect();
+        assert!(never.is_empty(), "no case reached: {never:?}");
     }
 }

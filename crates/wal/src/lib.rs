@@ -12,8 +12,9 @@
 //! * [`Wal`] — the writer: `append(&[u8]) -> Lsn`, a configurable
 //!   [`SyncPolicy`] (`Always` / `Never`), segment
 //!   rotation at a size threshold, `snapshot()` / `compact()`, an
-//!   iterator-based `replay()`, and a one-pass `open_visiting()` that
-//!   shows a [`Visitor`] every record as recovery validates it.
+//!   iterator-based `replay()`, a one-pass `open_visiting()` that
+//!   shows a [`Visitor`] every record as recovery validates it, and
+//!   `visit_file()`, which shows one the open log a file at a time.
 //! * [`WalReader`] — read-only validation + replay of a directory
 //!   another process owns (no truncation, no writes).
 //! * [`Io`] — the injectable storage backend: [`StdIo`] for real
@@ -230,6 +231,69 @@ mod tests {
         assert_eq!(snap.upto, 2);
         assert_eq!(snap.state, b"s2");
         assert_eq!(rec.records, 0);
+    }
+
+    /// What a walk of an open log's files showed.
+    #[derive(Default)]
+    struct Seen {
+        snapshot: Option<Snapshot>,
+        records: Vec<(Lsn, Vec<u8>)>,
+    }
+
+    impl Visitor for Seen {
+        fn snapshot(&mut self, snapshot: Snapshot) -> std::io::Result<()> {
+            self.snapshot = Some(snapshot);
+            Ok(())
+        }
+
+        fn record(&mut self, lsn: Lsn, payload: &[u8]) -> std::io::Result<()> {
+            self.records.push((lsn, payload.to_vec()));
+            Ok(())
+        }
+    }
+
+    fn walk<I: Io>(wal: &Wal<I>) -> Seen {
+        let mut seen = Seen::default();
+        let mut file = 0;
+        while wal.visit_file(file, &mut seen).unwrap() {
+            file += 1;
+        }
+        seen
+    }
+
+    /// Walking an open log file by file shows the checkpoint and the
+    /// records a reopen would, and nothing a failed append left behind.
+    #[test]
+    fn visiting_an_open_log_shows_what_a_reopen_would() {
+        let io = MemIo::new();
+        let config = cfg(80, SyncPolicy::Always);
+        let (mut wal, _) = Wal::open(io.clone(), "/w", config).unwrap();
+        assert!(walk(&wal).snapshot.is_none() && walk(&wal).records.is_empty());
+        for i in 0..6u8 {
+            wal.append(&[i; 20]).unwrap();
+        }
+        wal.snapshot(b"six").unwrap();
+        wal.compact().unwrap();
+        for i in 6..11u8 {
+            wal.append(&[i; 20]).unwrap();
+        }
+        assert!(wal.segment_count() > 1);
+        let seen = walk(&wal);
+        assert_eq!(seen.snapshot.as_ref().map(|s| (s.upto, &s.state[..])), Some((6, &b"six"[..])));
+        assert_eq!(seen.records, collect(wal.replay()));
+        assert_eq!(seen.records.len(), 5);
+
+        io.set_fault(Some(FaultPlan {
+            fail_at: io.mutating_ops(),
+            short_write: Some(7),
+        }));
+        assert!(wal.append(b"never-acked").is_err());
+        io.crash(1.0);
+        assert_eq!(walk(&wal).records, seen.records, "the torn frame is past next_lsn");
+        drop(wal);
+        let (reopened, recovery) = Wal::open(io, "/w", config).unwrap();
+        assert_eq!(recovery.snapshot, seen.snapshot);
+        assert_eq!(walk(&reopened).records, seen.records);
     }
 
     #[test]

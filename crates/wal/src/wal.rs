@@ -263,6 +263,8 @@ struct Scan {
     /// Records below this are covered by the checkpoint the visitor was
     /// handed (0 without one).
     snapshot_upto: Lsn,
+    /// Whether the visitor was handed a checkpoint.
+    checkpoint: bool,
     segments: Vec<SegMeta>,
     torn: Option<TornTail>,
     tmp_files: Vec<String>,
@@ -299,9 +301,10 @@ fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<
     // leftovers, invalid ones are skipped (the chain check below
     // catches the case where skipping one loses committed records).
     let mut base = 0;
+    let mut checkpoint = false;
     for (upto, name) in snap_names.iter().rev() {
         if let Ok(state) = io.read(&dir.join(name)).and_then(|d| decode_snapshot(&d, *upto)) {
-            base = *upto;
+            (base, checkpoint) = (*upto, true);
             visitor.snapshot(Snapshot { upto: *upto, state })?;
             break;
         }
@@ -426,6 +429,7 @@ fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<
         .max(base);
     Ok(Scan {
         snapshot_upto: base,
+        checkpoint,
         segments,
         torn,
         tmp_files,
@@ -557,6 +561,9 @@ pub struct Wal<I: Io> {
     config: WalConfig,
     next_lsn: Lsn,
     snapshot_upto: Lsn,
+    /// Whether a checkpoint file covers the records below
+    /// `snapshot_upto`.
+    checkpoint: bool,
     /// `(first_lsn, file name)` of every live segment; the last is active.
     segments: Vec<(Lsn, String)>,
     active_len: u64,
@@ -650,6 +657,7 @@ impl<I: Io> Wal<I> {
                 config,
                 next_lsn: scan.next_lsn,
                 snapshot_upto: scan.snapshot_upto,
+                checkpoint: scan.checkpoint,
                 segments,
                 active_len,
                 broken: false,
@@ -740,8 +748,6 @@ impl<I: Io> Wal<I> {
             obs.on_append(frame.len(), ObserverSlot::elapsed_ns(t0));
         }
         self.active_len += frame.len() as u64;
-        let lsn = self.next_lsn;
-        self.next_lsn += 1;
         match self.config.sync {
             SyncPolicy::Always => {
                 let t0 = self.observer.t0();
@@ -753,7 +759,10 @@ impl<I: Io> Wal<I> {
             }
             SyncPolicy::Never => {}
         }
-        Ok(lsn)
+        // Only an append that returns `Ok` takes its LSN: a frame whose
+        // fsync failed stays past `next_lsn`, unseen by `visit_file`.
+        self.next_lsn += 1;
+        Ok(self.next_lsn - 1)
     }
 
     /// Forces everything appended so far to stable storage, including
@@ -842,7 +851,7 @@ impl<I: Io> Wal<I> {
         self.guard(sync)?;
         let rename = self.io.rename(&tmp_path, &self.dir.join(&final_name));
         self.guard(rename)?;
-        self.snapshot_upto = upto;
+        (self.snapshot_upto, self.checkpoint) = (upto, true);
         // Rotate unless the active segment is already empty and aligned.
         let (active_first, _) = *self.segments.last().expect("always one segment");
         if !(active_first == upto && self.active_len == SEGMENT_HEADER as u64) {
@@ -880,6 +889,66 @@ impl<I: Io> Wal<I> {
             obs.on_compact(removed, ObserverSlot::elapsed_ns(t0));
         }
         Ok(removed)
+    }
+
+    /// Shows `visitor` one file of the log as it stands now, read and
+    /// checked afresh: file 0 is the checkpoint ([`Visitor::snapshot`];
+    /// nothing without one), file `k` the `k`-th live segment's records
+    /// past the checkpoint and below [`Wal::next_lsn`], each borrowed
+    /// from that segment's buffer. Walking `0, 1, …` until this returns
+    /// `false` shows what a reopen would, with one file in memory at a
+    /// time. Bytes past `next_lsn` — what a failed append left behind —
+    /// are never looked at; a bad frame before it is `InvalidData`.
+    pub fn visit_file(&self, file: usize, visitor: &mut dyn Visitor) -> io::Result<bool> {
+        let Some(k) = file.checked_sub(1) else {
+            if self.checkpoint {
+                let name = snapshot_name(self.snapshot_upto);
+                let state = decode_snapshot(&self.io.read(&self.dir.join(&name))?, self.snapshot_upto)
+                    .map_err(|e| corrupt(format!("{name}: {e}")))?;
+                visitor.snapshot(Snapshot {
+                    upto: self.snapshot_upto,
+                    state,
+                })?;
+            }
+            return Ok(true);
+        };
+        let Some((first, name)) = self.segments.get(k) else {
+            return Ok(false);
+        };
+        let data = self.io.read(&self.dir.join(name))?;
+        if data.len() < SEGMENT_HEADER {
+            return Err(corrupt(format!("segment {name}: missing header")));
+        }
+        check_segment_header(&data, *first).map_err(|e| corrupt(format!("segment {name}: {e}")))?;
+        let mut lsn = *first;
+        for item in FrameScanner::new(&data[SEGMENT_HEADER..]) {
+            if lsn >= self.next_lsn {
+                break;
+            }
+            let (_, payload) = item.map_err(|e| {
+                corrupt(match e {
+                    FrameError::Torn { offset, reason } => format!(
+                        "segment {name}: torn frame at offset {} ({reason})",
+                        SEGMENT_HEADER + offset
+                    ),
+                    FrameError::Corrupt { offset, detail } => format!(
+                        "segment {name}: corrupt frame at offset {}: {detail}",
+                        SEGMENT_HEADER + offset
+                    ),
+                })
+            })?;
+            if lsn >= self.snapshot_upto {
+                visitor.record(lsn, payload)?;
+            }
+            lsn += 1;
+        }
+        let end = self.segments.get(k + 1).map_or(self.next_lsn, |(next, _)| *next);
+        if lsn < end {
+            return Err(corrupt(format!(
+                "segment {name}: ends at record {lsn}, the log holds records to {end}"
+            )));
+        }
+        Ok(true)
     }
 
     /// Iterates the records past the newest checkpoint, in LSN order.

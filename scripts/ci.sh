@@ -100,6 +100,13 @@ fi
 echo "== memory manager vs its buffered reference (5000 sequences, both eviction policies) =="
 UUCS_PROPTEST_CASES=5000 cargo test -q --release -p uucs-sim touch_equals
 
+# A durable result store holds no record text: its readers stream the
+# journal. A plain store and a durable one must read alike through 2000
+# random runs of uploads, retransmits, compactions, reopens, reshards,
+# torn tails and planned faults.
+echo "== durable result store reads like a plain one (2000 cases) =="
+UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib durable_and_plain_result_stores_read_alike
+
 # controlled-study checks every repetition's rendered output against a
 # pinned CRC: it is the byte-identity gate for the parallel study's
 # phase ordering. restart-recovery re-REGISTERs every identity and
