@@ -4,13 +4,14 @@
 //! comfort model every node derives from the records it applies, and
 //! deterministic promotion.
 
-use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use uucs_cluster::node::{claim_epoch, current_epoch};
 use uucs_cluster::{AckMode, ClusterConfig, ClusterNode, Role};
-use uucs_harness::TempDir;
+use uucs_harness::invariants::{exactly_once, same_on_every_node, Ledger, Violation, Within};
+use uucs_harness::{eventually, TempDir};
 use uucs_modelsvc::ComfortModel;
 use uucs_protocol::wire::Endpoint;
 use uucs_protocol::{ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg};
@@ -41,16 +42,6 @@ fn rec(client: &str, tag: &str) -> RunRecord {
     }
 }
 
-/// The comfort model of exactly `records`, folded at once: what any
-/// node holding them must merge to, whatever batches and epochs brought
-/// them in.
-fn model_of(records: &[RunRecord]) -> ComfortModel {
-    let mut model = ComfortModel::new();
-    let delta = model.next_delta(observations_of(records));
-    model.apply(&delta).unwrap();
-    model
-}
-
 /// The merged sketches `server` serves, overall and per task.
 fn sketches(server: &UucsServer) -> Vec<String> {
     [None, Some("IE"), Some("Word")]
@@ -58,41 +49,34 @@ fn sketches(server: &UucsServer) -> Vec<String> {
         .to_vec()
 }
 
+/// [`sketches`] of the comfort model of exactly `records`, folded at
+/// once: what any node holding them must serve, whatever batches and
+/// epochs brought them in.
+fn sketches_of(records: &[RunRecord]) -> Vec<String> {
+    let mut model = ComfortModel::new();
+    let delta = model.next_delta(observations_of(records));
+    model.apply(&delta).unwrap();
+    [None, Some("IE"), Some("Word")]
+        .map(|task| model.merged(Resource::Cpu, task).encode())
+        .to_vec()
+}
+
 /// Waits for `follower`'s model to count every observation `leader`
-/// holds, then demands the same sketches, byte for byte, on both — and
-/// those of the model of the leader's records: nothing was folded twice
-/// or missed. Epochs may differ (a snapshot batch is one epoch).
-fn assert_same_model(leader: &UucsServer, follower: &UucsServer) {
+/// holds; then both must serve the sketches of the model of the
+/// leader's records, byte for byte: nothing was folded twice or missed.
+/// Epochs may differ (a snapshot batch is one epoch).
+fn models_agree(leader: &UucsServer, follower: &UucsServer) -> Result<(), Violation> {
     let counted = |s: &UucsServer| {
         let all = s.model_sketch(Resource::Cpu, None);
         all.observed() + all.censored()
     };
-    wait_until(
+    eventually(
         "the follower's model to count every record",
         Duration::from_secs(10),
         || counted(follower) >= counted(leader),
     );
-    let model = model_of(&leader.results().unwrap());
-    let want: Vec<String> = [None, Some("IE"), Some("Word")]
-        .map(|task| model.merged(Resource::Cpu, task).encode())
-        .to_vec();
-    assert_eq!(sketches(leader), want, "the leader's model is its records'");
-    assert_eq!(
-        sketches(follower),
-        want,
-        "the follower's model is the leader's"
-    );
-}
-
-/// Polls `f` until it holds or `timeout` passes (then panics naming
-/// `what`). The replication stream is asynchronous by design, so every
-/// convergence assertion goes through here.
-fn wait_until(what: &str, timeout: Duration, mut f: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !f() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let want = sketches_of(&leader.results().unwrap());
+    same_on_every_node(&want, [("leader", sketches(leader)), ("follower", sketches(follower))])
 }
 
 fn fresh_server() -> Arc<UucsServer> {
@@ -112,26 +96,17 @@ fn lead(dir: &TempDir, server: &Arc<UucsServer>) -> Arc<ClusterNode> {
         .unwrap()
 }
 
-/// Starts node `b` following `leader` around `server`. Its data
+/// Starts node `name` following `leader` around `server`. Its data
 /// directory — and so its progress file — is the same on every call.
-fn follow(dir: &TempDir, leader: &ClusterNode, server: &Arc<UucsServer>) -> Arc<ClusterNode> {
-    follow_as("b", dir, leader, server)
-}
-
-fn follow_as(
+fn follow(
     name: &str,
     dir: &TempDir,
     leader: &ClusterNode,
     server: &Arc<UucsServer>,
 ) -> Arc<ClusterNode> {
     let peers = vec![leader.repl_addr().to_string()];
-    ClusterNode::start(
-        config(name, dir, peers),
-        Arc::clone(server),
-        "127.0.0.1:0",
-        Role::Follower,
-    )
-    .unwrap()
+    let cfg = config(name, dir, peers);
+    ClusterNode::start(cfg, Arc::clone(server), "127.0.0.1:0", Role::Follower).unwrap()
 }
 
 fn register(server: &UucsServer, host: &str) -> String {
@@ -149,6 +124,13 @@ fn upload(server: &UucsServer, client: &str, seq: u64, tag: &str) {
     upload_batch(server, client, seq, &[tag.to_string()]);
 }
 
+/// Uploads one batch per seq in `seqs`, tagged `<prefix>-<seq>`, and
+/// returns the tags.
+fn upload_each(srv: &UucsServer, id: &str, seqs: RangeInclusive<u64>, prefix: &str) -> Vec<String> {
+    let tag = |seq| format!("{prefix}-{seq}");
+    seqs.inspect(|&seq| upload(srv, id, seq, &tag(seq))).map(tag).collect()
+}
+
 /// One batch carrying one record per tag.
 fn upload_batch(server: &UucsServer, client: &str, seq: u64, tags: &[String]) {
     let (reply, _) = server.handle_deferred(&ClientMsg::Upload {
@@ -162,19 +144,16 @@ fn upload_batch(server: &UucsServer, client: &str, seq: u64, tags: &[String]) {
     );
 }
 
-/// Each testcase tag must appear exactly once — the store-level
-/// spelling of "no acknowledged upload lost, none duplicated".
-fn assert_exactly_once(server: &UucsServer, tags: &[String]) {
-    let records = server.results().unwrap();
-    assert_eq!(records.len(), tags.len(), "record count");
-    let mut copies: HashMap<&str, usize> = HashMap::new();
-    for r in &records {
-        *copies.entry(r.testcase.as_str()).or_default() += 1;
-    }
-    for tag in tags {
-        let n = copies.get(tag.as_str()).copied().unwrap_or(0);
-        assert_eq!(n, 1, "tag {tag} appears {n} times");
-    }
+/// The testcase tag of every record `server` holds.
+fn tags_held(server: &UucsServer) -> Vec<String> {
+    server.results().unwrap().into_iter().map(|r| r.testcase).collect()
+}
+
+/// Waits for `server` to hold as many records as there are `tags`, then
+/// checks that it holds each of them exactly once and nothing else.
+fn catches_up(what: &str, server: &UucsServer, tags: &[String]) -> Result<(), Violation> {
+    eventually(what, Duration::from_secs(30), || server.result_count() >= tags.len());
+    exactly_once(tags, &tags_held(server), []).within(what)
 }
 
 /// The base case: a follower connected from the start applies the
@@ -182,28 +161,20 @@ fn assert_exactly_once(server: &UucsServer, tags: &[String]) {
 /// writes of its own with a `not leader` error the client-side
 /// failover recognises.
 #[test]
-fn follower_applies_the_leaders_stream() {
+fn follower_applies_the_leaders_stream() -> Result<(), Violation> {
     let dir = TempDir::new("cluster-stream");
     let leader_srv = fresh_server();
     let leader = lead(&dir, &leader_srv);
 
     let follower_srv = fresh_server();
-    let follower = follow(&dir, &leader, &follower_srv);
+    let follower = follow("b", &dir, &leader, &follower_srv);
 
     let id = register(&leader_srv, "m1");
-    let mut tags = Vec::new();
-    for seq in 1..=10u64 {
-        let tag = format!("tc-{seq}");
-        upload(&leader_srv, &id, seq, &tag);
-        tags.push(tag);
-    }
+    let tags = upload_each(&leader_srv, &id, 1..=10, "tc");
 
-    wait_until("follower to apply 10 batches", Duration::from_secs(10), || {
-        follower_srv.result_count() == 10
-    });
+    catches_up("the follower to apply 10 batches", &follower_srv, &tags)?;
     assert_eq!(follower_srv.client_count(), 1);
     assert_eq!(follower_srv.applied_seq(&id), 10, "seq horizon replicated");
-    assert_exactly_once(&follower_srv, &tags);
 
     // The follower's engine is read-only: writes bounce with the
     // `not leader` marker clients pivot on.
@@ -219,6 +190,7 @@ fn follower_applies_the_leaders_stream() {
 
     follower.shutdown();
     leader.shutdown();
+    Ok(())
 }
 
 /// Backfill edge case: a follower that first connects mid-history is
@@ -226,44 +198,31 @@ fn follower_applies_the_leaders_stream() {
 /// leads under — so everything so far arrives by store snapshot, never
 /// by backlog tail, and the live stream carries on without a seam.
 #[test]
-fn cold_join_is_served_by_snapshot_then_tail() {
+fn cold_join_is_served_by_snapshot_then_tail() -> Result<(), Violation> {
     let dir = TempDir::new("cluster-cold");
     let leader_srv = fresh_server();
     let leader = lead(&dir, &leader_srv);
 
     let id = register(&leader_srv, "m1");
-    let mut tags = Vec::new();
-    for seq in 1..=30u64 {
-        let tag = format!("pre-{seq}");
-        upload(&leader_srv, &id, seq, &tag);
-        tags.push(tag);
-    }
+    let mut tags = upload_each(&leader_srv, &id, 1..=30, "pre");
 
     let follower_srv = fresh_server();
-    let follower = follow(&dir, &leader, &follower_srv);
-    wait_until("backfill of 30 batches", Duration::from_secs(10), || {
-        follower_srv.result_count() == 30
-    });
+    let follower = follow("b", &dir, &leader, &follower_srv);
+    catches_up("backfill of 30 batches", &follower_srv, &tags)?;
     // All 30 entries were still in the backlog; the epoch decided.
     assert_eq!(leader.hub().backfills(), (0, 1), "(tail, snapshot)");
 
     // ... and the live stream continues past the backfill seam.
-    for seq in 31..=40u64 {
-        let tag = format!("post-{seq}");
-        upload(&leader_srv, &id, seq, &tag);
-        tags.push(tag);
-    }
-    wait_until("live stream after backfill", Duration::from_secs(10), || {
-        follower_srv.result_count() == 40
-    });
-    assert_exactly_once(&follower_srv, &tags);
+    tags.extend(upload_each(&leader_srv, &id, 31..=40, "post"));
+    catches_up("live stream after backfill", &follower_srv, &tags)?;
     assert_eq!(follower_srv.applied_seq(&id), 40);
     // The snapshot's one batch and the ten after it fold to the model of
     // the forty the leader folded one by one.
-    assert_same_model(&leader_srv, &follower_srv);
+    models_agree(&leader_srv, &follower_srv)?;
 
     follower.shutdown();
     leader.shutdown();
+    Ok(())
 }
 
 /// Backfill edge case: a follower that was away while the leader
@@ -274,7 +233,7 @@ fn cold_join_is_served_by_snapshot_then_tail() {
 /// watermark jumps past the evicted range. No record is lost or
 /// duplicated, and the upload horizon survives.
 #[test]
-fn watermark_behind_the_backlog_gets_snapshot_then_tail() {
+fn watermark_behind_the_backlog_gets_snapshot_then_tail() -> Result<(), Violation> {
     let dir = TempDir::new("cluster-evicted");
     let leader_srv = fresh_server();
     let leader = lead(&dir, &leader_srv);
@@ -291,13 +250,11 @@ fn watermark_behind_the_backlog_gets_snapshot_then_tail() {
     // Phase 1: follower online (cold join: snapshot #1), syncs 300
     // records.
     let follower_srv = fresh_server();
-    let follower = follow(&dir, &leader, &follower_srv);
+    let follower = follow("b", &dir, &leader, &follower_srv);
     for seq in 1..=10u64 {
         batch(&mut tags, seq, "early");
     }
-    wait_until("initial sync", Duration::from_secs(10), || {
-        follower_srv.result_count() == 300
-    });
+    catches_up("initial sync", &follower_srv, &tags)?;
     assert_eq!(leader.hub().backfills(), (0, 1), "(tail, snapshot)");
 
     // Phase 2: follower partitioned (shut down); the leader ships well
@@ -313,30 +270,25 @@ fn watermark_behind_the_backlog_gets_snapshot_then_tail() {
     // persisted watermark (same data_dir, same epoch). The dedup in
     // `apply_snapshot_entry` keeps the 300 already-held records single
     // copies.
-    let follower = follow(&dir, &leader, &follower_srv);
-    wait_until("snapshot-then-tail catch-up", Duration::from_secs(10), || {
-        follower_srv.result_count() == 1200
-    });
+    let follower = follow("b", &dir, &leader, &follower_srv);
+    catches_up("snapshot-then-tail catch-up", &follower_srv, &tags)?;
     assert_eq!(
         leader.hub().backfills(),
         (0, 2),
         "the return was served by snapshot, once, and never by tail"
     );
     assert_eq!(follower_srv.applied_seq(&id), 40);
-    assert_exactly_once(&follower_srv, &tags);
 
     // The jumped watermark is live: the stream resumes above it.
     batch(&mut tags, 41, "late");
-    wait_until("live stream after the snapshot", Duration::from_secs(10), || {
-        follower_srv.result_count() == 1230
-    });
-    assert_exactly_once(&follower_srv, &tags);
+    catches_up("live stream after the snapshot", &follower_srv, &tags)?;
     // The snapshot arrived on top of 300 records already folded: only
     // the 900 it appended were folded with it.
-    assert_same_model(&leader_srv, &follower_srv);
+    models_agree(&leader_srv, &follower_srv)?;
 
     follower.shutdown();
     leader.shutdown();
+    Ok(())
 }
 
 /// Joins racing live traffic — the no-gap argument under load. One
@@ -347,7 +299,7 @@ fn watermark_behind_the_backlog_gets_snapshot_then_tail() {
 /// side of the join point each falls on, the follower must end with it
 /// exactly once.
 #[test]
-fn joins_racing_live_uploads_end_with_every_tag_exactly_once() {
+fn joins_racing_live_uploads_end_with_every_tag_exactly_once() -> Result<(), Violation> {
     let dir = TempDir::new("cluster-race-join");
     let leader_srv = fresh_server();
     let leader = lead(&dir, &leader_srv);
@@ -363,12 +315,12 @@ fn joins_racing_live_uploads_end_with_every_tag_exactly_once() {
     let upload_more = |n: u64| {
         let target = uploaded.load(Ordering::SeqCst) + n;
         limit.store(target, Ordering::SeqCst);
-        wait_until("uploads to advance", Duration::from_secs(10), || {
+        eventually("uploads to advance", Duration::from_secs(10), || {
             uploaded.load(Ordering::SeqCst) >= target
         });
     };
     let connected = |what: &str| {
-        wait_until(what, Duration::from_secs(10), || {
+        eventually(what, Duration::from_secs(10), || {
             !leader.hub().follower_nodes().is_empty()
         });
     };
@@ -388,11 +340,11 @@ fn joins_racing_live_uploads_end_with_every_tag_exactly_once() {
         // channel. Run on until the backlog has wrapped many times.
         upload_more(50);
         limit.store(u64::MAX, Ordering::SeqCst);
-        let follower = follow(&dir, &leader, &follower_srv);
+        let follower = follow("b", &dir, &leader, &follower_srv);
         connected("the cold join");
         upload_more(1000);
-        wait_until("the follower to draw level", Duration::from_secs(30), || {
-            follower_srv.result_count() as u64 == uploaded.load(Ordering::SeqCst)
+        eventually("the follower to draw level", Duration::from_secs(30), || {
+            follower_srv.result_count() as u64 >= uploaded.load(Ordering::SeqCst)
         });
         // Away for 50 entries, then rejoin while 100 more are landing:
         // about 150 entries (~30 KiB) past the watermark, inside the
@@ -401,7 +353,7 @@ fn joins_racing_live_uploads_end_with_every_tag_exactly_once() {
         drop(follower);
         upload_more(50);
         limit.fetch_add(100, Ordering::SeqCst);
-        let follower = follow(&dir, &leader, &follower_srv);
+        let follower = follow("b", &dir, &leader, &follower_srv);
         connected("the rejoin");
         upload_more(50);
         stop.store(true, Ordering::SeqCst);
@@ -410,50 +362,41 @@ fn joins_racing_live_uploads_end_with_every_tag_exactly_once() {
 
     let total = uploaded.load(Ordering::SeqCst);
     let tags: Vec<String> = (1..=total).map(|seq| format!("tc-{seq}")).collect();
-    assert_exactly_once(&leader_srv, &tags);
-    wait_until("the follower to hold every upload", Duration::from_secs(30), || {
-        follower_srv.result_count() as u64 == total
-    });
-    assert_exactly_once(&follower_srv, &tags);
+    exactly_once(&tags, &tags_held(&leader_srv), [])?;
+    catches_up("the follower to hold every upload", &follower_srv, &tags)?;
     assert_eq!(follower_srv.applied_seq(&id), total);
     let (tail, snapshot) = leader.hub().backfills();
     assert!(tail >= 1 && snapshot >= 1, "(tail {tail}, snapshot {snapshot})");
 
     follower.shutdown();
     leader.shutdown();
+    Ok(())
 }
 
 /// Leader death promotes the follower: it notices the silence, wins the
 /// takeover file, flips read-write, and starts serving — with every
 /// record the old leader acknowledged still present exactly once.
 #[test]
-fn leader_loss_promotes_the_follower() {
+fn leader_loss_promotes_the_follower() -> Result<(), Violation> {
     let dir = TempDir::new("cluster-promote");
     let epochs = dir.path().join("epochs");
     let leader_srv = fresh_server();
     let leader = lead(&dir, &leader_srv);
 
     let follower_srv = fresh_server();
-    let follower = follow(&dir, &leader, &follower_srv);
+    let follower = follow("b", &dir, &leader, &follower_srv);
 
     let id = register(&leader_srv, "m1");
-    let mut tags = Vec::new();
-    for seq in 1..=8u64 {
-        let tag = format!("tc-{seq}");
-        upload(&leader_srv, &id, seq, &tag);
-        tags.push(tag);
-    }
-    wait_until("replication before the kill", Duration::from_secs(10), || {
-        follower_srv.result_count() == 8
-    });
+    let mut tags = upload_each(&leader_srv, &id, 1..=8, "tc");
+    catches_up("replication before the kill", &follower_srv, &tags)?;
 
     leader.shutdown();
-    wait_until("follower promotion", Duration::from_secs(10), || {
+    eventually("follower promotion", Duration::from_secs(10), || {
         follower.was_promoted()
     });
     assert_eq!(follower.role(), Role::Leader);
     assert_eq!(current_epoch(&epochs), 2, "promotion claimed epoch 2");
-    assert_exactly_once(&follower_srv, &tags);
+    exactly_once(&tags, &tags_held(&follower_srv), [])?;
 
     // The promoted node serves writes: the client re-registers with its
     // token (same GUID, fast-forwarded seq) and keeps uploading.
@@ -470,9 +413,10 @@ fn leader_loss_promotes_the_follower() {
     }
     upload(&follower_srv, &id, 9, "tc-9");
     tags.push("tc-9".into());
-    assert_exactly_once(&follower_srv, &tags);
+    exactly_once(&tags, &tags_held(&follower_srv), [])?;
 
     follower.shutdown();
+    Ok(())
 }
 
 /// A follower tailing the leader derives the comfort model from the
@@ -480,16 +424,16 @@ fn leader_loss_promotes_the_follower() {
 /// epoch and byte-identical sketches. One built `without_model_updates`
 /// applies the same stream and stays at epoch 0.
 #[test]
-fn a_tailing_follower_serves_the_leaders_model() {
+fn a_tailing_follower_serves_the_leaders_model() -> Result<(), Violation> {
     let dir = TempDir::new("cluster-model");
     let leader_srv = fresh_server();
     let leader = lead(&dir, &leader_srv);
     let follower_srv = fresh_server();
-    let follower = follow(&dir, &leader, &follower_srv);
+    let follower = follow("b", &dir, &leader, &follower_srv);
     let frozen_srv =
         Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 9).without_model_updates());
-    let frozen = follow_as("c", &dir, &leader, &frozen_srv);
-    wait_until("both followers to join", Duration::from_secs(10), || {
+    let frozen = follow("c", &dir, &leader, &frozen_srv);
+    eventually("both followers to join", Duration::from_secs(10), || {
         leader.hub().follower_nodes().len() == 2
     });
 
@@ -503,10 +447,10 @@ fn a_tailing_follower_serves_the_leaders_model() {
         }
     }
     assert_eq!(leader_srv.model_epoch(), 24, "one epoch per batch");
-    wait_until(
+    eventually(
         "the follower to fold every batch",
         Duration::from_secs(10),
-        || follower_srv.model_epoch() == leader_srv.model_epoch(),
+        || follower_srv.model_epoch() >= leader_srv.model_epoch(),
     );
     let queries = [
         ClientMsg::Model {
@@ -534,12 +478,12 @@ fn a_tailing_follower_serves_the_leaders_model() {
         );
         assert_eq!(got, want, "{query:?}");
     }
-    assert_same_model(&leader_srv, &follower_srv);
+    models_agree(&leader_srv, &follower_srv)?;
 
-    wait_until(
+    eventually(
         "the frozen follower to apply every batch",
         Duration::from_secs(10),
-        || frozen_srv.result_count() == leader_srv.result_count(),
+        || frozen_srv.result_count() >= leader_srv.result_count(),
     );
     assert_eq!(frozen_srv.model_epoch(), 0);
     assert!(matches!(
@@ -555,6 +499,7 @@ fn a_tailing_follower_serves_the_leaders_model() {
     frozen.shutdown();
     follower.shutdown();
     leader.shutdown();
+    Ok(())
 }
 
 /// Kill the leader right after it acks a burst: the promoted node serves
@@ -562,63 +507,68 @@ fn a_tailing_follower_serves_the_leaders_model() {
 /// applied — and so folded — by the follower before its ack went out, so
 /// nothing has to reach the follower between the last ack and the kill.
 #[test]
-fn a_promoted_follower_serves_the_model_of_every_acked_record() {
+fn a_promoted_follower_serves_the_model_of_every_acked_record() -> Result<(), Violation> {
     const CLIENTS: usize = 4;
     const BATCHES: u64 = 6;
     let dir = TempDir::new("cluster-promote-model");
     let leader_srv = fresh_server();
     let mut cfg = config("a", &dir, vec![]);
     cfg.ack = AckMode::Quorum;
+    // Long enough that no ack degrades to local under a loaded host.
+    cfg.ack_timeout = Duration::from_secs(60);
     let leader =
         ClusterNode::start(cfg, Arc::clone(&leader_srv), "127.0.0.1:0", Role::Leader).unwrap();
     let follower_srv = fresh_server();
-    let follower = follow(&dir, &leader, &follower_srv);
-    wait_until("the follower to join", Duration::from_secs(10), || {
+    let follower = follow("b", &dir, &leader, &follower_srv);
+    eventually("the follower to join", Duration::from_secs(10), || {
         !leader.hub().follower_nodes().is_empty()
     });
 
     let ids: Vec<String> = (0..CLIENTS)
         .map(|c| register(&leader_srv, &format!("m{c}")))
         .collect();
-    // The burst: every client uploads at once, each batch acked only
-    // once the follower holds it.
-    let acked: Vec<RunRecord> = std::thread::scope(|s| {
+    // The burst: every client uploads at once, and each ack is checked
+    // against the follower the moment it is read — it must hold the batch.
+    let ledger = Mutex::new(Ledger::default());
+    std::thread::scope(|s| {
         let uploaders: Vec<_> = ids
             .iter()
             .map(|id| {
-                let leader_srv = &leader_srv;
+                let (leader_srv, follower_srv, ledger) = (&leader_srv, &follower_srv, &ledger);
                 s.spawn(move || {
-                    let mut acked = Vec::new();
                     for seq in 1..=BATCHES {
                         let tags = [format!("{id}-{seq}-a"), format!("{id}-{seq}-b")];
+                        let keys = tags.clone().map(|tag| (id.clone(), tag));
+                        keys.iter().for_each(|key| ledger.lock().unwrap().attempt(key.clone()));
                         upload_batch(leader_srv, id, seq, &tags);
-                        acked.extend(tags.iter().map(|tag| rec(id, tag)));
+                        let mut ledger = ledger.lock().unwrap();
+                        keys.into_iter().for_each(|key| ledger.ack(key));
+                        let held = follower_srv.results().unwrap().into_iter();
+                        let held: Vec<_> = held.map(|r| (r.client, r.testcase)).collect();
+                        ledger.check(&held).within(format_args!("ack of {id} seq {seq}"))?;
                     }
-                    acked
+                    Ok(())
                 })
             })
             .collect();
-        uploaders
-            .into_iter()
-            .flat_map(|u| u.join().unwrap())
-            .collect()
-    });
+        uploaders.into_iter().try_for_each(|u| u.join().unwrap())
+    })?;
     leader.shutdown();
-    wait_until("follower promotion", Duration::from_secs(10), || {
+    eventually("follower promotion", Duration::from_secs(10), || {
         follower.was_promoted()
     });
 
-    let model = model_of(&acked);
-    let want: Vec<String> = [None, Some("IE"), Some("Word")]
-        .map(|task| model.merged(Resource::Cpu, task).encode())
-        .to_vec();
-    assert_eq!(sketches(&follower_srv), want);
+    let ledger = ledger.into_inner().unwrap();
+    let acked: Vec<RunRecord> = ledger.acked().iter().map(|(id, tag)| rec(id, tag)).collect();
+    let want = sketches_of(&acked);
+    same_on_every_node(&want, [("promoted follower", sketches(&follower_srv))])?;
     assert_eq!(
         follower_srv.model_epoch(),
         CLIENTS as u64 * BATCHES,
         "one epoch per acked batch"
     );
     follower.shutdown();
+    Ok(())
 }
 
 /// The takeover file is atomic: any number of concurrent claimants for

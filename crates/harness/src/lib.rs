@@ -19,16 +19,22 @@
 //!   (unique per instance, cleaned up on drop).
 //! * [`textfuzz`] — seeded damage to line-oriented text, for tests that
 //!   hold a rewritten parser equal to its reference implementation.
+//! * [`invariants`] — the correctness contracts (exactly-once, horizons,
+//!   committed prefix, rising epochs, same state on every node), each
+//!   stated once for every suite to check against, plus [`eventually`],
+//!   the one bounded wait for asynchronous convergence.
 //!
 //! Both runtimes draw their randomness and statistics conventions from
 //! `uucs-stats`, so every harness run is deterministic and offline.
 
 pub mod bench;
+pub mod invariants;
 pub mod prop;
 pub mod tempdir;
 pub mod textfuzz;
 
 pub use bench::{BenchResult, Bencher, BenchmarkGroup, Criterion, Throughput};
+pub use invariants::eventually;
 pub use std::hint::black_box;
 pub use tempdir::TempDir;
 

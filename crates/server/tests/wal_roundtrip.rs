@@ -6,6 +6,7 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
 use std::sync::Arc;
+use uucs_harness::invariants::{exactly_once, Violation, Within};
 use uucs_harness::TempDir;
 use uucs_protocol::wire::{read_server_msg, write_client_msg, Endpoint};
 use uucs_protocol::{
@@ -160,10 +161,15 @@ fn acknowledged_uploads_survive_server_death() {
 /// horizon rides in the WAL, so the recovered server re-acks the replay
 /// and stores nothing twice.
 #[test]
-fn retransmit_after_lost_ack_is_deduped_across_restart() {
+fn retransmit_after_lost_ack_is_deduped_across_restart() -> Result<(), Violation> {
     let tmp = TempDir::new("uucs-wal-retransmit");
     let dir = tmp.path().to_path_buf();
     let records: Vec<RunRecord> = (0..3).map(record).collect();
+    // Each record's user is unique: the batch's three records, held once.
+    let held_once = |server: &UucsServer| {
+        let held = server.results().unwrap().into_iter().map(|r| r.user);
+        exactly_once(records.iter().map(|r| r.user.clone()), held, [])
+    };
 
     // Generation 1: the batch is applied and journaled, but pretend the
     // Ack never reached the client (we simply ignore it), and the server
@@ -205,7 +211,7 @@ fn retransmit_after_lost_ack_is_deduped_across_restart() {
     // second copy.
     {
         let server = boot(&dir);
-        assert_eq!(server.result_count(), 3);
+        held_once(&server).within("recovered")?;
         assert_eq!(server.applied_seq(&client), 1);
         let handle = tcp::serve(server.clone(), "127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(handle.addr()).unwrap();
@@ -224,11 +230,12 @@ fn retransmit_after_lost_ack_is_deduped_across_restart() {
             read_server_msg(&mut reader).unwrap(),
             ServerMsg::Ack(3)
         ));
-        assert_eq!(server.result_count(), 3, "replay stored a duplicate");
+        held_once(&server).within("after the retransmit")?;
         // The records are byte-for-byte the originals.
         assert_eq!(server.results().unwrap(), records);
         handle.shutdown();
     }
+    Ok(())
 }
 
 /// The binary wire carries length-prefixed strings, so a record field

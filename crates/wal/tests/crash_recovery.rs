@@ -4,7 +4,9 @@
 //! [`Wal::open`] refuses to recover — and under [`SyncPolicy::Always`]
 //! every acknowledged append must survive.
 
+use std::ops::Range;
 use std::path::Path;
+use uucs_harness::invariants::committed_prefix;
 use uucs_harness::prelude::*;
 use uucs_wal::{FaultPlan, Io, Lsn, MemIo, Snapshot, SyncPolicy, Visitor, Wal, WalConfig};
 
@@ -29,35 +31,31 @@ fn drive(wal: &mut Wal<MemIo>, n: u64, spice: u64) -> u64 {
     n
 }
 
-/// Recovers the directory and checks that the replayed records are an
-/// exact LSN-ordered prefix of the attempted append sequence. Returns
-/// the number of replayed records.
-fn check_recovery(
+/// Records as replay yields them: each one's LSN and payload.
+type Records = Vec<(Lsn, Vec<u8>)>;
+
+/// The appends numbered `lsns`, as replay yields them.
+fn appended(lsns: Range<u64>, spice: u64) -> Records {
+    lsns.map(|i| (i, payload(i, spice))).collect()
+}
+
+/// Recovers the directory: it must open, replay without error, and
+/// count what it replays. Returns the log and what it replayed.
+fn recover(
     io: &MemIo,
     dir: &Path,
     config: WalConfig,
-    spice: u64,
-    attempted: u64,
-) -> Result<u64, uucs_harness::prop::CaseError> {
+) -> Result<(Wal<MemIo>, Records), uucs_harness::prop::CaseError> {
     let opened = Wal::open(io.clone(), dir, config);
     prop_assert!(opened.is_ok(), "recovery errored: {:?}", opened.err());
     let (wal, recovery) = opened.unwrap();
     prop_assert_eq!(recovery.snapshot, None);
-    let mut replayed = 0u64;
-    for item in wal.replay() {
-        prop_assert!(item.is_ok(), "replay errored: {:?}", item.err());
-        let (lsn, bytes) = item.unwrap();
-        prop_assert_eq!(lsn, replayed);
-        prop_assert_eq!(bytes, payload(lsn, spice));
-        replayed += 1;
-    }
-    prop_assert_eq!(recovery.records, replayed);
-    prop_assert_eq!(recovery.next_lsn, replayed);
-    prop_assert!(
-        replayed <= attempted,
-        "replayed {replayed} of only {attempted} attempts"
-    );
-    Ok(replayed)
+    let survived: std::io::Result<Records> = wal.replay().collect();
+    prop_assert!(survived.is_ok(), "replay errored: {:?}", survived.err());
+    let survived = survived.unwrap();
+    prop_assert_eq!(recovery.records, survived.len() as u64);
+    prop_assert_eq!(recovery.next_lsn, survived.len() as u64);
+    Ok((wal, survived))
 }
 
 /// Everything a one-pass open shows its visitor, kept.
@@ -225,15 +223,9 @@ proptest! {
         let acked = drive(&mut wal, n, spice);
         io.crash(frac_pct as f64 / 100.0);
 
-        let replayed = check_recovery(&io, dir, config, spice, n)?;
-        prop_assert!(
-            replayed >= acked,
-            "lost acknowledged records: acked {acked}, replayed {replayed}"
-        );
-        prop_assert!(
-            replayed <= acked + 1,
-            "more than the in-flight record appeared: acked {acked}, replayed {replayed}"
-        );
+        let (_, survived) = recover(&io, dir, config)?;
+        let in_flight = appended(acked..n.min(acked + 1), spice);
+        committed_prefix(&appended(0..acked, spice), &survived, &in_flight)?;
     }
 
     /// Under `SyncPolicy::Never` (the group-commit configuration: the
@@ -260,11 +252,8 @@ proptest! {
         let acked = drive(&mut wal, n, spice);
         io.crash(frac_pct as f64 / 100.0);
 
-        let replayed = check_recovery(&io, dir, config, spice, n)?;
-        prop_assert!(
-            replayed <= acked + 1,
-            "more than the in-flight record appeared: acked {acked}, replayed {replayed}"
-        );
+        let (_, survived) = recover(&io, dir, config)?;
+        committed_prefix(&[], &survived, &appended(0..n.min(acked + 1), spice))?;
     }
 
     /// A torn final frame is truncated, never reported as an error, and
@@ -331,12 +320,10 @@ proptest! {
             let n = round % 12 + 1;
             let fail_offset = (round / 12) % 40;
             let frac_pct = (round / 480) % 101;
-            let opened = Wal::open(io.clone(), dir, config);
-            prop_assert!(opened.is_ok(), "recovery errored: {:?}", opened.err());
-            let (mut wal, recovery) = opened.unwrap();
-            let base = recovery.next_lsn;
-            prop_assert!(base >= durable, "round lost records: {base} < {durable}");
-            prop_assert!(base <= written, "round invented records: {base} > {written}");
+            let (mut wal, survived) = recover(&io, dir, config)?;
+            let in_flight = appended(durable..written, spice);
+            committed_prefix(&appended(0..durable, spice), &survived, &in_flight)?;
+            let base = survived.len() as u64;
             io.set_fault(Some(FaultPlan {
                 fail_at: io.mutating_ops() + fail_offset,
                 short_write: None,
@@ -352,14 +339,8 @@ proptest! {
             written = (base + acked + u64::from(acked < n)).max(written);
             io.crash(frac_pct as f64 / 100.0);
         }
-        let (wal, recovery) = Wal::open(io.clone(), dir, config).unwrap();
-        prop_assert!(recovery.next_lsn >= durable);
-        prop_assert!(recovery.next_lsn <= written);
-        for (i, item) in wal.replay().enumerate() {
-            prop_assert!(item.is_ok(), "replay errored: {:?}", item.err());
-            let (lsn, bytes) = item.unwrap();
-            prop_assert_eq!(lsn, i as u64);
-            prop_assert_eq!(bytes, payload(lsn, spice));
-        }
+        let (_, survived) = recover(&io, dir, config)?;
+        let in_flight = appended(durable..written, spice);
+        committed_prefix(&appended(0..durable, spice), &survived, &in_flight)?;
     }
 }

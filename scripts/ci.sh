@@ -43,6 +43,19 @@ if [ "$(grep -c "unsafe {" crates/server/src/netpoll.rs)" -ne 1 ]; then
     exit 1
 fi
 
+echo "== one invariant checker (no suite restates a correctness contract) =="
+# The contracts (exactly-once, horizons, committed prefix, rising epochs,
+# same state on every node) and the one bounded wait live in
+# crates/harness/src/invariants.rs; a suite that defines its own copy has
+# grown a second, possibly weaker, implementation.
+copies=$(grep -rnE "fn (assert_exactly_once|assert_same_model|wait_until)\b" \
+    tests crates/*/tests --include=*.rs || true)
+if [ -n "$copies" ]; then
+    echo "$copies"
+    echo "ci: hand-rolled contract check in a suite; use uucs_harness::invariants" >&2
+    exit 1
+fi
+
 echo "== flag census (parser arms == usage header, per binary) =="
 # A flag added to or removed from a parser must move in that file's
 # usage block too: the `"--flag" =>` arms and the ```text fence of the

@@ -17,7 +17,8 @@ use uucs::server::{tcp, RegistryStore, ResultStore, TestcaseStore, UucsServer};
 use uucs::telemetry::{flight, metrics};
 use uucs::workloads::Task;
 use uucs_chaos::{ChaosPolicy, ChaosProxy, FaultKind};
-use uucs_harness::TempDir;
+use uucs_harness::invariants::{epochs_rise, exactly_once, Violation};
+use uucs_harness::{eventually, TempDir};
 use uucs_wal::{SyncPolicy, WalConfig};
 
 const WAL_CFG: WalConfig = WalConfig {
@@ -85,45 +86,26 @@ const CONVERGE_WITHIN: Duration = Duration::from_secs(120);
 
 /// Registers, retrying until the deadline.
 fn register_within(client: &mut UucsClient, transport: &mut ResilientTransport) {
-    let start = std::time::Instant::now();
-    while start.elapsed() < CONVERGE_WITHIN {
-        if client.register(transport).is_ok() {
-            return;
-        }
-    }
-    panic!("registration never succeeded within {CONVERGE_WITHIN:?}");
+    eventually("registration", CONVERGE_WITHIN, || client.register(transport).is_ok());
 }
 
 /// Hot-syncs until the client holds testcases, retrying until the
 /// deadline.
 fn sync_library_within(client: &mut UucsClient, transport: &mut ResilientTransport) {
-    let start = std::time::Instant::now();
-    let mut last_err = None;
-    while start.elapsed() < CONVERGE_WITHIN {
-        match client.hot_sync(transport) {
-            Ok(_) if !client.testcases().is_empty() => return,
-            Ok(_) => {}
-            Err(e) => last_err = Some(e),
-        }
-    }
-    panic!("no testcases downloaded within {CONVERGE_WITHIN:?} (last error: {last_err:?})");
+    eventually("a testcase download", CONVERGE_WITHIN, || {
+        client.hot_sync(transport).is_ok() && !client.testcases().is_empty()
+    });
 }
 
 /// Syncs until everything unsynced is acknowledged. Returns the number
 /// of rounds it took.
 fn sync_until_drained(client: &mut UucsClient, transport: &mut ResilientTransport) -> usize {
-    let start = std::time::Instant::now();
-    let mut round = 0;
-    while start.elapsed() < CONVERGE_WITHIN {
-        round += 1;
-        if client.hot_sync(transport).is_ok() && client.unsynced() == 0 {
-            return round;
-        }
-    }
-    panic!(
-        "did not converge within {CONVERGE_WITHIN:?} ({round} rounds); {} records still unsynced",
-        client.unsynced()
-    );
+    let mut rounds = 0;
+    eventually("every record to be acknowledged", CONVERGE_WITHIN, || {
+        rounds += 1;
+        client.hot_sync(transport).is_ok() && client.unsynced() == 0
+    });
+    rounds
 }
 
 /// One full client session against `server_addr` through a chaos proxy
@@ -237,17 +219,19 @@ fn exactly_once_under_mixed_faults() {
 /// Byte corruption: the text protocol carries no checksum (faithful to
 /// the paper), so a mangled-but-parseable payload can change content —
 /// but it can never change *count*: the batch sequence number still
-/// dedupes, so each batch lands exactly once or not at all.
+/// dedupes, so each batch lands exactly once or not at all. Content being
+/// fair game, a record's only identity here is its place in the stream.
 #[test]
-fn corruption_never_duplicates_or_loses_batches() {
+fn corruption_never_duplicates_or_loses_batches() -> Result<(), Violation> {
     let server = plain_server();
     let handle = tcp::serve(server.clone(), "127.0.0.1:0").unwrap();
     let policy = ChaosPolicy::only(FaultKind::Corrupt, 0.4, 0xc0).with_budget(6);
     let (on_server, archived) =
         chaotic_session("corrupt", &server, handle.addr(), policy, 4, 11);
-    assert_eq!(on_server.len(), 4, "a batch duplicated or vanished");
     assert_eq!(archived.len(), 4);
+    exactly_once(0..archived.len(), 0..on_server.len(), [])?;
     handle.shutdown();
+    Ok(())
 }
 
 /// A budgeted single-class run: the per-class telemetry counter lands
@@ -423,7 +407,7 @@ fn dead_server_session_spools_offline() {
 /// the server is fully black-holed the governor degrades to its cached
 /// model snapshot instead of hanging or erroring.
 #[test]
-fn governor_survives_chaos_and_degrades_to_cached_model() {
+fn governor_survives_chaos_and_degrades_to_cached_model() -> Result<(), Violation> {
     use uucs::client::{BorrowingGovernor, RefreshOutcome};
     use uucs::testcase::Resource;
 
@@ -470,7 +454,7 @@ fn governor_survives_chaos_and_degrades_to_cached_model() {
     let mut transport = snappy_transport(proxy.addr(), 0x907);
 
     let mut governor = BorrowingGovernor::new(Resource::Cpu, "Word", 0.1, 0.0);
-    let mut newest = 0u64;
+    let mut adopted = Vec::new();
     for round in 0..10 {
         // The model advances mid-session; a chaos-delayed duplicate of
         // an older reply must never roll the governor back.
@@ -479,11 +463,10 @@ fn governor_survives_chaos_and_degrades_to_cached_model() {
             assert!(server.model_epoch() > first_epoch);
         }
         let _ = governor.refresh(&mut transport); // must never panic
-        if let Some(epoch) = governor.epoch() {
-            assert!(epoch >= newest, "epoch regressed: {epoch} < {newest}");
-            newest = epoch;
-        }
+        adopted.extend(governor.epoch());
     }
+    epochs_rise(&adopted)?;
+    let newest = adopted.last().copied().unwrap_or(0);
     assert!(
         newest > first_epoch,
         "refreshes after the mid-session training must adopt the newer epoch"
@@ -510,4 +493,5 @@ fn governor_survives_chaos_and_degrades_to_cached_model() {
     assert_eq!(governor.epoch(), Some(newest), "offline keeps the adopted epoch");
     blackhole.shutdown();
     handle.shutdown();
+    Ok(())
 }

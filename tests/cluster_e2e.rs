@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use uucs::client::{ClientTransport, ResilientTransport, RetryPolicy};
 use uucs::cluster::{AckMode, ClusterConfig, ClusterNode, Role};
 use uucs::protocol::wire::Endpoint;
@@ -18,7 +18,8 @@ use uucs::wal::{SyncPolicy, WalConfig};
 use uucs::wire::conn::negotiate;
 use uucs::wire::frame::{read_server_frame, write_client_frame};
 use uucs_chaos::{ChaosPolicy, ChaosProxy};
-use uucs_harness::TempDir;
+use uucs_harness::invariants::{exactly_once, same_on_every_node, Ledger, Violation, Within};
+use uucs_harness::{eventually, TempDir};
 
 fn rec(client: &str, tag: &str) -> RunRecord {
     RunRecord {
@@ -34,12 +35,11 @@ fn rec(client: &str, tag: &str) -> RunRecord {
     }
 }
 
-fn wait_until(what: &str, timeout: Duration, mut f: impl FnMut() -> bool) {
-    let deadline = Instant::now() + timeout;
-    while !f() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+/// The testcase tag of every record `server` holds, sorted.
+fn tags_held(server: &UucsServer) -> Vec<String> {
+    let mut tags: Vec<String> = server.results().unwrap().into_iter().map(|r| r.testcase).collect();
+    tags.sort();
+    tags
 }
 
 fn fresh_server() -> Arc<UucsServer> {
@@ -58,45 +58,108 @@ fn durable_server(dir: &std::path::Path) -> Arc<UucsServer> {
     Arc::new(UucsServer::with_store_set(stores, 9).with_group_commit(Duration::from_millis(1)))
 }
 
-fn node_config(
-    name: &str,
+/// Starts node `name` around `server` in `role`, acking under `ack`.
+fn start(
     dir: &TempDir,
-    peers: Vec<String>,
+    name: &str,
+    server: &Arc<UucsServer>,
+    role: Role,
     ack: AckMode,
-) -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(
-        name,
-        dir.path().join("epochs"),
-        dir.path().join(name),
-    );
+    peers: Vec<String>,
+) -> Arc<ClusterNode> {
+    let mut cfg = ClusterConfig::new(name, dir.path().join("epochs"), dir.path().join(name));
     cfg.peers = peers;
     cfg.ack = ack;
+    // Long enough that no quorum ack degrades to local on a loaded host:
+    // every ack a quorum test reads is checked against the follower.
+    cfg.ack_timeout = Duration::from_secs(60);
     cfg.promote_after = 2;
-    cfg
+    ClusterNode::start(cfg, Arc::clone(server), "127.0.0.1:0", role).unwrap()
+}
+
+/// Starts node `a` leading around `server`.
+fn lead(dir: &TempDir, server: &Arc<UucsServer>, ack: AckMode) -> Arc<ClusterNode> {
+    start(dir, "a", server, Role::Leader, ack, vec![])
+}
+
+/// Starts node `b` following `leader` around `server`, and waits for it
+/// to connect — a quorum wait with no follower yet burns its timeout.
+/// Its data directory, and so its progress file, is the same on every
+/// call.
+fn follow(dir: &TempDir, leader: &ClusterNode, server: &Arc<UucsServer>) -> Arc<ClusterNode> {
+    let peers = vec![leader.repl_addr().to_string()];
+    let follower = start(dir, "b", server, Role::Follower, AckMode::Local, peers);
+    eventually("the follower to connect", Duration::from_secs(10), || {
+        !leader.hub().follower_nodes().is_empty()
+    });
+    follower
+}
+
+/// A client front end whose shutdown is abrupt: no draining of
+/// in-flight connections, like a SIGKILL mid-group-commit.
+fn killable_front(server: &Arc<UucsServer>) -> tcp::ServerHandle {
+    let cfg = ServeConfig {
+        drain_deadline: Duration::ZERO,
+        ..ServeConfig::default()
+    };
+    tcp::serve_with(Arc::clone(server), "127.0.0.1:0", cfg).unwrap()
+}
+
+/// A client that fails over along `addrs`, retrying fast.
+fn client(addrs: &[String], seed: u64) -> ResilientTransport {
+    ResilientTransport::multi(addrs.to_vec())
+        .with_timeout(Duration::from_secs(1))
+        .with_policy(RetryPolicy {
+            max_attempts: 8,
+            base: Duration::from_millis(2),
+            cap: Duration::from_millis(50),
+            seed,
+        })
 }
 
 /// Retries `exchange` until it answers (rides out the failover window).
 /// A quorum leader torn down under a waiting handler refuses the upload
 /// (`replication failed`) rather than acking a copy no follower holds;
 /// like a dropped connection that is a failed attempt, not an answer.
-fn must_exchange(
-    t: &mut ResilientTransport,
-    msg: &ClientMsg,
-    deadline: Duration,
-) -> ServerMsg {
-    let stop = Instant::now() + deadline;
-    loop {
-        let failure = match t.exchange(msg) {
-            Ok(ServerMsg::Error(e)) if e.starts_with("replication failed") => e,
-            Ok(reply) => return reply,
-            Err(e) => e.to_string(),
+fn must_exchange(t: &mut ResilientTransport, msg: &ClientMsg) -> ServerMsg {
+    let mut reply = None;
+    eventually("an exchange to succeed", Duration::from_secs(30), || {
+        reply = match t.exchange(msg) {
+            Ok(ServerMsg::Error(e)) if e.starts_with("replication failed") => None,
+            answered => answered.ok(),
         };
-        assert!(
-            Instant::now() < stop,
-            "exchange never succeeded before the deadline: {failure}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
+        reply.is_some()
+    });
+    reply.unwrap()
+}
+
+/// Registers machine `name` (token `tok-<name>`) and returns its id.
+fn register(t: &mut ResilientTransport, name: &str) -> String {
+    let msg = ClientMsg::Register {
+        snapshot: MachineSnapshot::study_machine(name),
+        token: format!("tok-{name}"),
+    };
+    match must_exchange(t, &msg) {
+        ServerMsg::Id { id, .. } => id,
+        other => panic!("register answered {other:?}"),
     }
+}
+
+/// Uploads `tag` as batch `seq` of `id` until a node acks it, and checks
+/// the ack the moment it is read: `follower` holds every acked tag once.
+fn upload_checked(
+    t: &mut ResilientTransport,
+    (id, seq, tag): (&str, u64, &str),
+    ledger: &Mutex<Ledger<String>>,
+    follower: &UucsServer,
+) -> Result<(), Violation> {
+    ledger.lock().unwrap().attempt(tag.to_string());
+    let records = vec![rec(id, tag)];
+    let reply = must_exchange(t, &ClientMsg::Upload { client: id.into(), seq, records });
+    assert_eq!(reply, ServerMsg::Ack(1), "upload {tag}");
+    let mut ledger = ledger.lock().unwrap();
+    ledger.ack(tag.to_string());
+    ledger.check(&tags_held(follower)).within(format_args!("ack of {tag}"))
 }
 
 /// The headline robustness proof. A leader (quorum acks) and a follower
@@ -109,57 +172,27 @@ fn must_exchange(
 /// upload any client ever saw acknowledged must be present on the
 /// promoted node exactly once, and the fleet must finish against it.
 #[test]
-fn kill_the_leader_loses_no_acknowledged_upload() {
+fn kill_the_leader_loses_no_acknowledged_upload() -> Result<(), Violation> {
     const CLIENTS: usize = 6;
     const BATCHES: u64 = 12;
 
     let dir = TempDir::new("cluster-e2e-kill");
     // Group commit, as `uucs-clusterd` runs: every ack of the fleet
     // waits on a commit ticket carrying a quorum mark, and an entry is
-    // shipped before the leader's own fsync covers it.
+    // shipped before the leader's own fsync covers it. Quorum acks: an
+    // `ACK` a client saw implies the follower applied the batch, so
+    // killing the leader cannot erase it.
     let leader_srv = durable_server(&dir.path().join("a"));
-    // Quorum acks: an `ACK` a client saw implies the follower applied
-    // the batch, so killing the leader cannot erase it.
-    let leader = ClusterNode::start(
-        node_config("a", &dir, vec![], AckMode::Quorum),
-        Arc::clone(&leader_srv),
-        "127.0.0.1:0",
-        Role::Leader,
-    )
-    .unwrap();
-    let leader_front = tcp::serve_with(
-        Arc::clone(&leader_srv),
-        "127.0.0.1:0",
-        ServeConfig {
-            // The kill must be abrupt: no draining of in-flight
-            // connections, like a SIGKILL mid-group-commit.
-            drain_deadline: Duration::ZERO,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-
+    let leader = lead(&dir, &leader_srv, AckMode::Quorum);
+    let leader_front = killable_front(&leader_srv);
     let follower_srv = fresh_server();
-    let follower = ClusterNode::start(
-        node_config("b", &dir, vec![leader.repl_addr().to_string()], AckMode::Local),
-        Arc::clone(&follower_srv),
-        "127.0.0.1:0",
-        Role::Follower,
-    )
-    .unwrap();
+    let follower = follow(&dir, &leader, &follower_srv);
     let follower_front = tcp::serve(Arc::clone(&follower_srv), "127.0.0.1:0").unwrap();
-
-    // Don't start the fleet until replication is live, or every early
-    // quorum wait burns its full timeout.
-    wait_until("follower to connect", Duration::from_secs(10), || {
-        !leader.hub().follower_nodes().is_empty()
-    });
 
     // One more client, registered while the tier is whole; its only
     // upload is made below, just before the kill.
-    let straggler_snapshot = MachineSnapshot::study_machine("straggler");
     let ServerMsg::Id { id: straggler, .. } = leader_srv.handle(&ClientMsg::Register {
-        snapshot: straggler_snapshot.clone(),
+        snapshot: MachineSnapshot::study_machine("straggler"),
         token: "tok-straggler".into(),
     }) else {
         panic!("straggler registration refused");
@@ -180,90 +213,60 @@ fn kill_the_leader_loses_no_acknowledged_upload() {
     .unwrap();
     let addrs = vec![proxy.addr().to_string(), follower_front.addr().to_string()];
 
-    let acked: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let kill_gate = Arc::new(AtomicBool::new(false));
-    let leader_dead = Arc::new(AtomicBool::new(false));
-    let workers: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            let addrs = addrs.clone();
-            let acked = Arc::clone(&acked);
-            let kill_gate = Arc::clone(&kill_gate);
-            let leader_dead = Arc::clone(&leader_dead);
-            std::thread::spawn(move || {
-                let mut t = ResilientTransport::multi(addrs)
-                    .with_timeout(Duration::from_secs(1))
-                    .with_policy(RetryPolicy {
-                        max_attempts: 8,
-                        base: Duration::from_millis(2),
-                        cap: Duration::from_millis(50),
-                        seed: c as u64,
-                    });
-                let id = match must_exchange(
-                    &mut t,
-                    &ClientMsg::Register {
-                        snapshot: MachineSnapshot::study_machine(format!("m{c}")),
-                        token: format!("tok-{c}"),
-                    },
-                    Duration::from_secs(30),
-                ) {
-                    ServerMsg::Id { id, .. } => id,
-                    other => panic!("register answered {other:?}"),
-                };
-                for seq in 1..=BATCHES {
-                    let tag = format!("c{c}-b{seq}");
-                    let reply = must_exchange(
-                        &mut t,
-                        &ClientMsg::Upload {
-                            client: id.clone(),
-                            seq,
-                            records: vec![rec(&id, &tag)],
-                        },
-                        Duration::from_secs(30),
-                    );
-                    match reply {
-                        ServerMsg::Ack(1) => acked.lock().unwrap().push(tag),
-                        other => panic!("upload answered {other:?}"),
-                    }
-                    if seq == BATCHES / 3 {
-                        // A third of the way in, signal the killer and
-                        // hold until the leader is actually down — so
-                        // every worker's remaining batches cross the
-                        // failover boundary.
-                        kill_gate.store(true, Ordering::SeqCst);
-                        let gate = Instant::now() + Duration::from_secs(30);
-                        while !leader_dead.load(Ordering::SeqCst) {
-                            assert!(Instant::now() < gate, "killer never fired");
-                            std::thread::sleep(Duration::from_millis(5));
+    // Every upload's tag, moved to acked as its `ACK` is read.
+    let ledger = Mutex::new(Ledger::default());
+    let kill_gate = AtomicBool::new(false);
+    let leader_dead = AtomicBool::new(false);
+    let ids = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (addrs, ledger, follower_srv) = (&addrs, &ledger, &follower_srv);
+                let (kill_gate, leader_dead) = (&kill_gate, &leader_dead);
+                s.spawn(move || {
+                    let mut t = client(addrs, c as u64);
+                    let id = register(&mut t, &format!("m{c}"));
+                    for seq in 1..=BATCHES {
+                        let tag = format!("c{c}-b{seq}");
+                        upload_checked(&mut t, (&id, seq, &tag), ledger, follower_srv)?;
+                        if seq == BATCHES / 3 {
+                            // A third of the way in, signal the killer and
+                            // hold until the leader is actually down — so
+                            // every worker's remaining batches cross the
+                            // failover boundary.
+                            kill_gate.store(true, Ordering::SeqCst);
+                            eventually("the killer to fire", Duration::from_secs(30), || {
+                                leader_dead.load(Ordering::SeqCst)
+                            });
                         }
                     }
-                }
-                id
+                    Ok(id)
+                })
             })
-        })
-        .collect();
+            .collect();
 
-    // Kill the leader once the fleet is mid-flight: front end torn down
-    // with zero drain (in-flight connections die mid-exchange), then
-    // the replication tier severed.
-    wait_until("fleet to reach mid-flight", Duration::from_secs(30), || {
-        kill_gate.load(Ordering::SeqCst)
-    });
-    // Ship-before-fsync, caught in the act: the straggler's batch is
-    // appended and shipped, its reply provisional on a ticket nobody
-    // will redeem — the leader dies first, so the client never sees an
-    // `ACK` for an entry the follower may or may not hold.
-    let (provisional, ticket) = leader_srv.handle_deferred(&straggler_upload);
-    assert_eq!(provisional, ServerMsg::Ack(1));
-    assert!(
-        ticket.is_some_and(|t| t.quorum.is_some()),
-        "the ack must be waiting on the commit ticket, quorum mark attached"
-    );
-    leader_front.shutdown();
-    leader.shutdown();
-    leader_dead.store(true, Ordering::SeqCst);
-
-    let ids: Vec<String> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-    let acked = acked.lock().unwrap().clone();
+        // Kill the leader once the fleet is mid-flight: front end torn
+        // down with zero drain (in-flight connections die mid-exchange),
+        // then the replication tier severed.
+        eventually("fleet to reach mid-flight", Duration::from_secs(30), || {
+            kill_gate.load(Ordering::SeqCst)
+        });
+        // Ship-before-fsync, caught in the act: the straggler's batch is
+        // appended and shipped, its reply provisional on a ticket nobody
+        // will redeem — the leader dies first, so the client never sees
+        // an `ACK` for an entry the follower may or may not hold.
+        ledger.lock().unwrap().attempt("straggler-b1".to_string());
+        let (provisional, ticket) = leader_srv.handle_deferred(&straggler_upload);
+        assert_eq!(provisional, ServerMsg::Ack(1));
+        assert!(
+            ticket.is_some_and(|t| t.quorum.is_some()),
+            "the ack must be waiting on the commit ticket, quorum mark attached"
+        );
+        leader_front.shutdown();
+        leader.shutdown();
+        leader_dead.store(true, Ordering::SeqCst);
+        workers.into_iter().map(|w| w.join().unwrap()).collect::<Result<Vec<_>, _>>()
+    })?;
+    let mut ledger = ledger.into_inner().unwrap();
 
     // The follower must have promoted itself to finish the fleet.
     assert!(follower.was_promoted(), "follower never promoted");
@@ -272,11 +275,7 @@ fn kill_the_leader_loses_no_acknowledged_upload() {
     // Exactly-once: every acknowledged upload is present on the
     // promoted node once — none lost to the kill, none duplicated by
     // the retries that rode through it.
-    let records = follower_srv.results().unwrap();
-    for tag in &acked {
-        let copies = records.iter().filter(|r| &r.testcase == tag).count();
-        assert_eq!(copies, 1, "acked upload {tag} found {copies} times");
-    }
+    ledger.check(&tags_held(&follower_srv)).within("promoted follower")?;
     // Every client identity survived the failover too, and the whole
     // fleet finished: all batches acked, all on the promoted node.
     for id in &ids {
@@ -286,7 +285,7 @@ fn kill_the_leader_loses_no_acknowledged_upload() {
             "client {id} lost part of its seq horizon"
         );
     }
-    assert_eq!(acked.len(), CLIENTS * BATCHES as usize);
+    assert_eq!(ledger.acked().len(), CLIENTS * BATCHES as usize);
     // No pool worker ever blocked on the follower: every quorum wait of
     // the fleet rode its commit ticket (the one blocking wait is the
     // straggler's in-process registration).
@@ -298,34 +297,15 @@ fn kill_the_leader_loses_no_acknowledged_upload() {
     // both nodes hold it once.
     let mut t = ResilientTransport::multi(vec![follower_front.addr().to_string()])
         .with_timeout(Duration::from_secs(1));
-    let again = must_exchange(
-        &mut t,
-        &ClientMsg::Register {
-            snapshot: straggler_snapshot,
-            token: "tok-straggler".into(),
-        },
-        Duration::from_secs(30),
-    );
-    assert!(
-        matches!(&again, ServerMsg::Id { id, .. } if *id == straggler),
-        "{again:?}"
-    );
-    let retried = must_exchange(&mut t, &straggler_upload, Duration::from_secs(30));
-    assert_eq!(retried, ServerMsg::Ack(1));
-    for (node, srv) in [
-        ("old leader", &leader_srv),
-        ("promoted follower", &follower_srv),
-    ] {
-        let copies = srv
-            .results()
-            .unwrap()
-            .iter()
-            .filter(|r| r.testcase == "straggler-b1")
-            .count();
-        assert_eq!(
-            copies, 1,
-            "{node} holds the straggler's batch {copies} times"
-        );
+    assert_eq!(register(&mut t, "straggler"), straggler);
+    assert_eq!(must_exchange(&mut t, &straggler_upload), ServerMsg::Ack(1));
+    ledger.ack("straggler-b1".to_string());
+    ledger.check(&tags_held(&follower_srv)).within("promoted follower")?;
+    // The old leader holds no more than what was acked, the straggler's
+    // batch once.
+    let straggler_b1 = ["straggler-b1".to_string()];
+    exactly_once(&straggler_b1, &tags_held(&leader_srv), ledger.acked()).within("old leader")?;
+    for srv in [&leader_srv, &follower_srv] {
         assert_eq!(srv.applied_seq(&straggler), 1);
     }
 
@@ -333,6 +313,7 @@ fn kill_the_leader_loses_no_acknowledged_upload() {
     assert!(stats.connections > 0, "the fleet never touched the proxy");
     follower_front.shutdown();
     follower.shutdown();
+    Ok(())
 }
 
 /// Version skew across a failover: one legacy text client and one
@@ -341,71 +322,21 @@ fn kill_the_leader_loses_no_acknowledged_upload() {
 /// follower speaking v2 again — while the text client is served
 /// byte-for-byte v1 throughout. Exactly-once still holds for both.
 #[test]
-fn version_skew_clients_survive_failover_with_renegotiation() {
+fn version_skew_clients_survive_failover_with_renegotiation() -> Result<(), Violation> {
     use uucs::client::WireMode;
     const BATCHES: u64 = 6;
 
     let dir = TempDir::new("cluster-e2e-skew");
     let leader_srv = fresh_server();
-    let leader = ClusterNode::start(
-        node_config("a", &dir, vec![], AckMode::Quorum),
-        Arc::clone(&leader_srv),
-        "127.0.0.1:0",
-        Role::Leader,
-    )
-    .unwrap();
-    let leader_front = tcp::serve_with(
-        Arc::clone(&leader_srv),
-        "127.0.0.1:0",
-        ServeConfig {
-            drain_deadline: Duration::ZERO,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    let leader = lead(&dir, &leader_srv, AckMode::Quorum);
+    let leader_front = killable_front(&leader_srv);
     let follower_srv = fresh_server();
-    let follower = ClusterNode::start(
-        node_config("b", &dir, vec![leader.repl_addr().to_string()], AckMode::Local),
-        Arc::clone(&follower_srv),
-        "127.0.0.1:0",
-        Role::Follower,
-    )
-    .unwrap();
+    let follower = follow(&dir, &leader, &follower_srv);
     let follower_front = tcp::serve(Arc::clone(&follower_srv), "127.0.0.1:0").unwrap();
-    wait_until("follower to connect", Duration::from_secs(10), || {
-        !leader.hub().follower_nodes().is_empty()
-    });
 
-    let addrs = vec![
-        leader_front.addr().to_string(),
-        follower_front.addr().to_string(),
-    ];
-    let transport = |wire: WireMode, seed: u64| {
-        ResilientTransport::multi(addrs.clone())
-            .with_wire_mode(wire)
-            .with_timeout(Duration::from_secs(1))
-            .with_policy(RetryPolicy {
-                max_attempts: 8,
-                base: Duration::from_millis(2),
-                cap: Duration::from_millis(50),
-                seed,
-            })
-    };
-    let mut legacy = transport(WireMode::Text, 1);
-    let mut modern = transport(WireMode::Auto, 2);
-    let register = |t: &mut ResilientTransport, name: &str| -> String {
-        match must_exchange(
-            t,
-            &ClientMsg::Register {
-                snapshot: MachineSnapshot::study_machine(name),
-                token: format!("tok-{name}"),
-            },
-            Duration::from_secs(30),
-        ) {
-            ServerMsg::Id { id, .. } => id,
-            other => panic!("register answered {other:?}"),
-        }
-    };
+    let addrs = [leader_front.addr().to_string(), follower_front.addr().to_string()];
+    let mut legacy = client(&addrs, 1).with_wire_mode(WireMode::Text);
+    let mut modern = client(&addrs, 2).with_wire_mode(WireMode::Auto);
     let legacy_id = register(&mut legacy, "legacy");
     let modern_id = register(&mut modern, "modern");
     assert_eq!(
@@ -419,33 +350,19 @@ fn version_skew_clients_survive_failover_with_renegotiation() {
         "auto mode must land on wire v2 against a v2 leader"
     );
 
-    let upload = |t: &mut ResilientTransport, id: &str, seq: u64, tag: String| {
-        match must_exchange(
-            t,
-            &ClientMsg::Upload {
-                client: id.to_string(),
-                seq,
-                records: vec![rec(id, &tag)],
-            },
-            Duration::from_secs(30),
-        ) {
-            ServerMsg::Ack(1) => {}
-            other => panic!("upload answered {other:?}"),
-        }
+    let ledger = Mutex::new(Ledger::default());
+    let mut both = |seq: u64| -> Result<(), Violation> {
+        let tag = format!("legacy-b{seq}");
+        upload_checked(&mut legacy, (&legacy_id, seq, &tag), &ledger, &follower_srv)?;
+        let tag = format!("modern-b{seq}");
+        upload_checked(&mut modern, (&modern_id, seq, &tag), &ledger, &follower_srv)
     };
-    for seq in 1..=BATCHES / 2 {
-        upload(&mut legacy, &legacy_id, seq, format!("legacy-b{seq}"));
-        upload(&mut modern, &modern_id, seq, format!("modern-b{seq}"));
-    }
-
+    (1..=BATCHES / 2).try_for_each(&mut both)?;
     // The kill: abrupt, mid-session for both framings.
     leader_front.shutdown();
     leader.shutdown();
+    (BATCHES / 2 + 1..=BATCHES).try_for_each(&mut both)?;
 
-    for seq in BATCHES / 2 + 1..=BATCHES {
-        upload(&mut legacy, &legacy_id, seq, format!("legacy-b{seq}"));
-        upload(&mut modern, &modern_id, seq, format!("modern-b{seq}"));
-    }
     assert!(follower.was_promoted(), "follower never promoted");
     assert_eq!(
         modern.negotiated_wire(),
@@ -453,16 +370,8 @@ fn version_skew_clients_survive_failover_with_renegotiation() {
         "the fresh connection to the promoted follower must renegotiate v2"
     );
     assert_eq!(legacy.negotiated_wire(), Some(1));
-
-    // Exactly-once on the promoted node, both framings.
-    let records = follower_srv.results().unwrap();
-    for who in ["legacy", "modern"] {
-        for seq in 1..=BATCHES {
-            let tag = format!("{who}-b{seq}");
-            let copies = records.iter().filter(|r| r.testcase == tag).count();
-            assert_eq!(copies, 1, "upload {tag} found {copies} times");
-        }
-    }
+    // Exactly-once on the promoted node, both framings: the last ack's
+    // check saw every batch of both clients there.
     assert_eq!(follower_srv.applied_seq(&legacy_id), BATCHES);
     assert_eq!(follower_srv.applied_seq(&modern_id), BATCHES);
 
@@ -470,6 +379,7 @@ fn version_skew_clients_survive_failover_with_renegotiation() {
     modern.bye();
     follower_front.shutdown();
     follower.shutdown();
+    Ok(())
 }
 
 /// Bounded staleness and automatic catch-up. A follower in sync with
@@ -479,48 +389,31 @@ fn version_skew_clients_survive_failover_with_renegotiation() {
 /// the follower returns it catches up purely from the leader's
 /// backlog tail, converging to byte-equal record sets.
 #[test]
-fn partitioned_follower_catches_up_from_the_wal_tail() {
+fn partitioned_follower_catches_up_from_the_wal_tail() -> Result<(), Violation> {
     let dir = TempDir::new("cluster-e2e-partition");
     let leader_srv = fresh_server();
-    let leader = ClusterNode::start(
-        node_config("a", &dir, vec![], AckMode::Local),
-        Arc::clone(&leader_srv),
-        "127.0.0.1:0",
-        Role::Leader,
-    )
-    .unwrap();
-
+    let leader = lead(&dir, &leader_srv, AckMode::Local);
     let follower_srv = fresh_server();
-    let follower = ClusterNode::start(
-        node_config("b", &dir, vec![leader.repl_addr().to_string()], AckMode::Local),
-        Arc::clone(&follower_srv),
-        "127.0.0.1:0",
-        Role::Follower,
-    )
-    .unwrap();
+    let peers = || vec![leader.repl_addr().to_string()];
+    let follower = start(&dir, "b", &follower_srv, Role::Follower, AckMode::Local, peers());
 
-    let (reply, _) = leader_srv.handle_deferred(&ClientMsg::Register {
+    let ServerMsg::Id { id, .. } = leader_srv.handle(&ClientMsg::Register {
         snapshot: MachineSnapshot::study_machine("m1"),
         token: "tok-1".into(),
-    });
-    let id = match reply {
-        ServerMsg::Id { id, .. } => id,
-        other => panic!("register answered {other:?}"),
+    }) else {
+        panic!("registration refused");
     };
     let upload = |seq: u64, tag: &str| {
-        let (reply, _) = leader_srv.handle_deferred(&ClientMsg::Upload {
-            client: id.clone(),
-            seq,
-            records: vec![rec(&id, tag)],
-        });
-        assert!(matches!(reply, ServerMsg::Ack(1)));
+        let records = vec![rec(&id, tag)];
+        let reply = leader_srv.handle(&ClientMsg::Upload { client: id.clone(), seq, records });
+        assert_eq!(reply, ServerMsg::Ack(1));
     };
 
     for seq in 1..=5u64 {
         upload(seq, &format!("pre-{seq}"));
     }
-    wait_until("initial sync", Duration::from_secs(10), || {
-        follower_srv.result_count() == 5
+    eventually("initial sync", Duration::from_secs(10), || {
+        follower_srv.result_count() >= 5
     });
 
     // Partition: the follower drops off; the leader keeps committing.
@@ -536,7 +429,7 @@ fn partitioned_follower_catches_up_from_the_wal_tail() {
     // The leader learns of the hang-up from its reader thread, not from
     // the uploads: fifteen in-memory pushes can finish before it does
     // (they used to pay a log write each, which hid the race).
-    wait_until("the leader to notice the partition", Duration::from_secs(10), || {
+    eventually("the leader to notice the partition", Duration::from_secs(10), || {
         leader.hub().min_acked(0).is_none()
     });
 
@@ -545,28 +438,19 @@ fn partitioned_follower_catches_up_from_the_wal_tail() {
     // catch-up is a pure tail resend — no second snapshot (the first
     // was the cold join).
     assert_eq!(leader.hub().backfills(), (0, 1), "(tail, snapshot)");
-    let follower = ClusterNode::start(
-        node_config("b", &dir, vec![leader.repl_addr().to_string()], AckMode::Local),
-        Arc::clone(&follower_srv),
-        "127.0.0.1:0",
-        Role::Follower,
-    )
-    .unwrap();
-    wait_until("catch-up after the partition", Duration::from_secs(10), || {
-        follower_srv.result_count() == 20
+    let follower = start(&dir, "b", &follower_srv, Role::Follower, AckMode::Local, peers());
+    eventually("catch-up after the partition", Duration::from_secs(10), || {
+        follower_srv.result_count() >= 20
     });
     assert_eq!(follower_srv.applied_seq(&id), 20);
     assert_eq!(leader.hub().backfills(), (1, 1), "(tail, snapshot)");
 
     // Byte-equal convergence: same records, same per-client horizon.
-    let mut l: Vec<String> = leader_srv.results().unwrap().iter().map(|r| r.testcase.clone()).collect();
-    let mut f: Vec<String> = follower_srv.results().unwrap().iter().map(|r| r.testcase.clone()).collect();
-    l.sort();
-    f.sort();
-    assert_eq!(l, f);
+    same_on_every_node(&tags_held(&leader_srv), [("follower", tags_held(&follower_srv))])?;
 
     follower.shutdown();
     leader.shutdown();
+    Ok(())
 }
 
 /// Depth-32 pipelining under quorum acks: one binary connection writes
@@ -577,34 +461,14 @@ fn partitioned_follower_catches_up_from_the_wal_tail() {
 /// all 33 acks (the registration's too) were redeemed off commit
 /// tickets, so both nodes are free to batch.
 #[test]
-fn pipelined_quorum_uploads_are_acked_in_order_off_commit_tickets() {
+fn pipelined_quorum_uploads_are_acked_in_order_off_commit_tickets() -> Result<(), Violation> {
     const DEPTH: u32 = 32;
     let dir = TempDir::new("cluster-e2e-pipelined");
     let leader_srv = durable_server(&dir.path().join("a"));
-    let leader = ClusterNode::start(
-        node_config("a", &dir, vec![], AckMode::Quorum),
-        Arc::clone(&leader_srv),
-        "127.0.0.1:0",
-        Role::Leader,
-    )
-    .unwrap();
+    let leader = lead(&dir, &leader_srv, AckMode::Quorum);
     let leader_front = tcp::serve(Arc::clone(&leader_srv), "127.0.0.1:0").unwrap();
     let follower_srv = durable_server(&dir.path().join("b"));
-    let follower = ClusterNode::start(
-        node_config(
-            "b",
-            &dir,
-            vec![leader.repl_addr().to_string()],
-            AckMode::Local,
-        ),
-        Arc::clone(&follower_srv),
-        "127.0.0.1:0",
-        Role::Follower,
-    )
-    .unwrap();
-    wait_until("follower to connect", Duration::from_secs(10), || {
-        !leader.hub().follower_nodes().is_empty()
-    });
+    let follower = follow(&dir, &leader, &follower_srv);
 
     let mut writer = std::net::TcpStream::connect(leader_front.addr()).unwrap();
     writer.set_nodelay(true).unwrap();
@@ -625,7 +489,9 @@ fn pipelined_quorum_uploads_are_acked_in_order_off_commit_tickets() {
         panic!("registration failed: {reply:?}");
     };
     let tag = |k: u32| format!("deep-{k}");
+    let mut ledger = Ledger::default();
     for k in 0..DEPTH {
+        ledger.attempt(tag(k));
         let upload = ClientMsg::Upload {
             client: id.clone(),
             seq: u64::from(k) + 1,
@@ -637,6 +503,9 @@ fn pipelined_quorum_uploads_are_acked_in_order_off_commit_tickets() {
         let (req, reply) = read_server_frame(&mut reader).expect("pipelined reply");
         assert_eq!(req, 2 + k, "replies must come back in request order");
         assert_eq!(reply, ServerMsg::Ack(1));
+        // A quorum ack means the follower holds it already: no waiting.
+        ledger.ack(tag(k));
+        ledger.check(&tags_held(&follower_srv)).within(format_args!("ack of {}", tag(k)))?;
     }
     assert_eq!(
         leader.hub().blocking_quorum_waits(),
@@ -648,18 +517,13 @@ fn pipelined_quorum_uploads_are_acked_in_order_off_commit_tickets() {
         0,
         "an ack degraded to local"
     );
-    // A quorum ack means the follower holds it already: no waiting here.
     for (node, srv) in [("leader", &leader_srv), ("follower", &follower_srv)] {
-        let records = srv.results().unwrap();
-        assert_eq!(records.len(), DEPTH as usize, "{node}");
-        for k in 0..DEPTH {
-            let copies = records.iter().filter(|r| r.testcase == tag(k)).count();
-            assert_eq!(copies, 1, "{node} holds {} {copies} times", tag(k));
-        }
+        ledger.check(&tags_held(srv)).within(node)?;
         assert_eq!(srv.applied_seq(&id), u64::from(DEPTH), "{node}");
     }
     write_client_frame(&mut writer, 99, &ClientMsg::Bye).ok();
     leader_front.shutdown();
     follower.shutdown();
     leader.shutdown();
+    Ok(())
 }

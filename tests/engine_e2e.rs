@@ -2,18 +2,20 @@
 //! worker-pool connection ceiling, durability of group-commit acks
 //! across a kill, and shard-layout migration equivalence.
 
+use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use uucs::protocol::wire::{read_server_msg, write_client_msg, Endpoint};
 use uucs::protocol::{
     ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg,
 };
 use uucs::server::tcp::{self, ServeConfig};
-use uucs::server::{StoreSet, UucsServer};
+use uucs::server::{StorageProfile, StoreSet, UucsServer};
+use uucs_harness::invariants::{horizons_cover, Ledger, Violation, Within};
 use uucs_harness::prelude::*;
-use uucs_harness::TempDir;
+use uucs_harness::{eventually, TempDir};
 use uucs_wal::{SyncPolicy, WalConfig};
 
 fn wal_cfg() -> WalConfig {
@@ -121,104 +123,11 @@ fn over_a_thousand_simultaneous_connections() {
 
 /// Kill during group commit: clients hammer sequenced uploads while the
 /// server is torn down mid-storm. Every upload that was *acked* must
-/// survive into the next generation — even when that generation opens
-/// the journal with a different shard count.
+/// survive into the next generation exactly once — even when that
+/// generation opens the journal with a different shard count.
 #[test]
-fn group_commit_kill_loses_no_acked_upload() {
-    let tmp = TempDir::new("uucs-engine-kill");
-    const CLIENTS: usize = 6;
-
-    // Generation 1: sharded stores, group commit, worker-pool TCP.
-    let acked: Vec<(String, u64)> = {
-        let (stores, _) = StoreSet::open(tmp.path(), wal_cfg(), 3).unwrap();
-        let server = Arc::new(
-            UucsServer::with_store_set(stores, 9)
-                .without_model_updates()
-                .with_group_commit(Duration::from_micros(200)),
-        );
-        let handle = tcp::serve(server, "127.0.0.1:0").unwrap();
-        let addr = handle.addr();
-
-        let uploaders: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                std::thread::spawn(move || {
-                    let stream = TcpStream::connect(addr).unwrap();
-                    stream
-                        .set_read_timeout(Some(Duration::from_secs(5)))
-                        .unwrap();
-                    let mut writer = stream.try_clone().unwrap();
-                    let mut reader = BufReader::new(stream);
-                    write_client_msg(
-                        &mut writer,
-                        &ClientMsg::register(MachineSnapshot::study_machine(format!("kill-{c}"))),
-                    )
-                    .unwrap();
-                    let id = match read_server_msg(&mut reader) {
-                        Ok(ServerMsg::Id { id, .. }) => id,
-                        _ => return (String::new(), 0),
-                    };
-                    // Upload until the server dies under us; remember
-                    // the highest seq that was actually acked.
-                    let mut top = 0u64;
-                    for seq in 1..10_000u64 {
-                        let sent = write_client_msg(
-                            &mut writer,
-                            &ClientMsg::Upload {
-                                client: id.clone(),
-                                seq,
-                                records: vec![rec(&id, &format!("k{seq}"))],
-                            },
-                        );
-                        if sent.is_err() {
-                            break;
-                        }
-                        match read_server_msg(&mut reader) {
-                            Ok(ServerMsg::Ack(_)) => top = seq,
-                            _ => break,
-                        }
-                    }
-                    (id, top)
-                })
-            })
-            .collect();
-
-        // Let the storm build, then kill the server mid-flight.
-        std::thread::sleep(Duration::from_millis(150));
-        handle.shutdown();
-        uploaders
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .filter(|(id, _)| !id.is_empty())
-            .collect()
-    };
-    assert!(
-        acked.iter().any(|(_, top)| *top > 0),
-        "the storm never got an upload acked; test proves nothing"
-    );
-
-    // Generation 2: reopen with a DIFFERENT shard count. Every acked
-    // upload must be inside the recovered dedup horizon, and its record
-    // must actually be present.
-    let (stores, _) = StoreSet::open(tmp.path(), wal_cfg(), 5).unwrap();
-    let server = UucsServer::with_store_set(stores, 9);
-    for (id, top) in &acked {
-        assert!(
-            server.applied_seq(id) >= *top,
-            "client {id}: acked seq {top} lost in recovery (horizon {})",
-            server.applied_seq(id)
-        );
-    }
-    let recovered = server.results().unwrap();
-    for (id, top) in &acked {
-        if *top > 0 {
-            assert!(
-                recovered
-                    .iter()
-                    .any(|r| &r.client == id && r.testcase == format!("k{top}")),
-                "client {id}: record of acked seq {top} missing"
-            );
-        }
-    }
+fn group_commit_kill_loses_no_acked_upload() -> Result<(), Violation> {
+    kill_storm("kill", StorageProfile::default())
 }
 
 /// The same kill storm with the full storage engine under the stores:
@@ -227,108 +136,107 @@ fn group_commit_kill_loses_no_acked_upload() {
 /// that was acked — the cache is write-through, so an ack still means
 /// "on stable storage", never "in a dirty page".
 #[test]
-fn cached_engine_kill_loses_no_acked_upload() {
-    use uucs::server::StorageProfile;
+fn cached_engine_kill_loses_no_acked_upload() -> Result<(), Violation> {
+    kill_storm(
+        "cached-kill",
+        StorageProfile {
+            cache_pages: 128,
+            io_threads: 2,
+            ..StorageProfile::default()
+        },
+    )
+}
 
-    let tmp = TempDir::new("uucs-engine-cached-kill");
+/// One kill storm under `profile`: six clients upload sequenced batches
+/// over TCP to a group-commit server with three shards, every fourth
+/// batch sent twice. Once `KILL_AFTER` uploads are acked the server is
+/// torn down mid-flight; the journal is reopened with five shards, and
+/// what it holds is checked against what the clients were told.
+fn kill_storm(name: &str, profile: StorageProfile) -> Result<(), Violation> {
     const CLIENTS: usize = 6;
-    let profile = StorageProfile {
-        cache_pages: 128,
-        io_threads: 2,
-        ..StorageProfile::default()
-    };
+    const KILL_AFTER: usize = 200;
+    let tmp = TempDir::new(&format!("uucs-engine-{name}"));
+    let tag = |seq: u64| format!("{name}-{seq}");
+    // (client, seq) of every upload sent, moved to acked as its ACK is read.
+    let ledger = Mutex::new(Ledger::<(String, u64)>::default());
 
-    // Generation 1: cached sharded stores, scheduler-fanned group
-    // commit, rotation off the append path.
-    let acked: Vec<(String, u64)> = {
+    // Generation 1: sharded stores, group commit (fanned out through the
+    // disk scheduler when the profile has one), worker-pool TCP.
+    {
         let (stores, _) = StoreSet::open_with(tmp.path(), wal_cfg(), 3, &profile).unwrap();
-        let server = Arc::new(
-            UucsServer::with_store_set(stores, 9)
-                .without_model_updates()
-                .with_io_scheduler(profile.scheduler().expect("io_threads > 0"))
-                .with_group_commit(Duration::from_micros(200)),
-        );
+        let mut server = UucsServer::with_store_set(stores, 9).without_model_updates();
+        if let Some(scheduler) = profile.scheduler() {
+            server = server.with_io_scheduler(scheduler);
+        }
+        let server = Arc::new(server.with_group_commit(Duration::from_micros(200)));
         let handle = tcp::serve(server, "127.0.0.1:0").unwrap();
         let addr = handle.addr();
 
-        let uploaders: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                std::thread::spawn(move || {
+        std::thread::scope(|s| {
+            for c in 0..CLIENTS {
+                let (ledger, tag) = (&ledger, &tag);
+                s.spawn(move || {
                     let stream = TcpStream::connect(addr).unwrap();
                     stream
                         .set_read_timeout(Some(Duration::from_secs(5)))
                         .unwrap();
                     let mut writer = stream.try_clone().unwrap();
                     let mut reader = BufReader::new(stream);
-                    write_client_msg(
-                        &mut writer,
-                        &ClientMsg::register(MachineSnapshot::study_machine(format!(
-                            "cached-kill-{c}"
-                        ))),
-                    )
-                    .unwrap();
-                    let id = match read_server_msg(&mut reader) {
-                        Ok(ServerMsg::Id { id, .. }) => id,
-                        _ => return (String::new(), 0),
+                    let host = MachineSnapshot::study_machine(format!("{name}-{c}"));
+                    write_client_msg(&mut writer, &ClientMsg::register(host)).unwrap();
+                    let Ok(ServerMsg::Id { id, .. }) = read_server_msg(&mut reader) else {
+                        return;
                     };
-                    let mut top = 0u64;
+                    let mut exchange = |msg: &ClientMsg| {
+                        write_client_msg(&mut writer, msg).is_ok()
+                            && matches!(read_server_msg(&mut reader), Ok(ServerMsg::Ack(_)))
+                    };
+                    // Upload until the server dies under us.
                     for seq in 1..10_000u64 {
-                        let sent = write_client_msg(
-                            &mut writer,
-                            &ClientMsg::Upload {
-                                client: id.clone(),
-                                seq,
-                                records: vec![rec(&id, &format!("ck{seq}"))],
-                            },
-                        );
-                        if sent.is_err() {
-                            break;
+                        let upload = ClientMsg::Upload {
+                            client: id.clone(),
+                            seq,
+                            records: vec![rec(&id, &tag(seq))],
+                        };
+                        ledger.lock().unwrap().attempt((id.clone(), seq));
+                        if !exchange(&upload) {
+                            return;
                         }
-                        match read_server_msg(&mut reader) {
-                            Ok(ServerMsg::Ack(_)) => top = seq,
-                            _ => break,
+                        ledger.lock().unwrap().ack((id.clone(), seq));
+                        // A client whose ack was lost sends the batch
+                        // again: acked again, never stored twice.
+                        if seq % 4 == 0 && !exchange(&upload) {
+                            return;
                         }
                     }
-                    (id, top)
-                })
-            })
-            .collect();
+                });
+            }
+            eventually(
+                "the storm to get its uploads acked",
+                Duration::from_secs(60),
+                || ledger.lock().unwrap().acked().len() >= KILL_AFTER,
+            );
+            handle.shutdown();
+        });
+    }
 
-        std::thread::sleep(Duration::from_millis(150));
-        handle.shutdown();
-        uploaders
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .filter(|(id, _)| !id.is_empty())
-            .collect()
-    };
-    assert!(
-        acked.iter().any(|(_, top)| *top > 0),
-        "the storm never got an upload acked; test proves nothing"
-    );
-
-    // Generation 2: different shard count, cache warm-started from
-    // scratch. Every acked upload must be recovered.
+    // Generation 2: reopen with a DIFFERENT shard count. Every acked
+    // upload is inside the recovered dedup horizon and held once;
+    // nothing else is held but the one upload per client in flight at
+    // the kill.
     let (stores, _) = StoreSet::open_with(tmp.path(), wal_cfg(), 5, &profile).unwrap();
     let server = UucsServer::with_store_set(stores, 9);
-    for (id, top) in &acked {
-        assert!(
-            server.applied_seq(id) >= *top,
-            "client {id}: acked seq {top} lost in recovery (horizon {})",
-            server.applied_seq(id)
-        );
-    }
-    let recovered = server.results().unwrap();
-    for (id, top) in &acked {
-        if *top > 0 {
-            assert!(
-                recovered
-                    .iter()
-                    .any(|r| &r.client == id && r.testcase == format!("ck{top}")),
-                "client {id}: record of acked seq {top} missing"
-            );
-        }
-    }
+    let ledger = ledger.into_inner().unwrap();
+    // Each client's acks come in seq order: its last is its top.
+    let tops: HashMap<&str, u64> =
+        ledger.acked().iter().map(|(id, seq)| (id.as_str(), *seq)).collect();
+    horizons_cover(tops, |id| server.applied_seq(id)).within(name)?;
+    // A record's seq is its tag's suffix; one that does not parse is 0,
+    // which was never sent.
+    let seq_of = |tag: &str| tag.rsplit('-').next().and_then(|s| s.parse().ok());
+    let held = server.results().unwrap().into_iter();
+    let held: Vec<_> = held.map(|r| (r.client, seq_of(&r.testcase).unwrap_or(0))).collect();
+    ledger.check(&held).within(name)
 }
 
 proptest! {

@@ -18,7 +18,7 @@ use uucs::sim::workload::FnWorkload;
 use uucs::sim::{Action, Machine, MS, SEC};
 use uucs::telemetry::{clock, flight, metrics, trace};
 use uucs::workloads::Task;
-use uucs_harness::TempDir;
+use uucs_harness::{eventually, TempDir};
 use uucs_wal::{SyncPolicy, WalConfig};
 
 static GUARD: Mutex<()> = Mutex::new(());
@@ -186,12 +186,9 @@ fn connection_cap_rejects_politely_and_gauge_drains_to_zero() {
     // Release everything; the live gauge must drain to zero.
     drop(extra);
     drop(held);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while (handle.live_connections() > 0 || metrics::gauge("server.connections.live").get() > 0)
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    eventually("the connections to drain", Duration::from_secs(10), || {
+        handle.live_connections() == 0 && metrics::gauge("server.connections.live").get() <= 0
+    });
     assert_eq!(handle.live_connections(), 0, "tracker should drain");
     assert_eq!(
         metrics::gauge("server.connections.live").get(),
@@ -238,12 +235,9 @@ fn stats_reset_keeps_gauges_and_live_connections_never_go_negative() {
 
     // Close after the reset: the gauge drains to zero, not to -2.
     held.clear();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while (handle.live_connections() > 0 || live.get() > 0)
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    eventually("the connections to drain", Duration::from_secs(10), || {
+        handle.live_connections() == 0 && live.get() <= 0
+    });
     assert_eq!(handle.live_connections(), 0, "tracker should drain");
     assert_eq!(live.get(), 0);
     handle.shutdown();
@@ -368,13 +362,10 @@ fn wire_gauges_and_version_counters_track_negotiation() {
     binary.bye();
     assert_eq!(metrics::gauge("client.wire.negotiated").get(), 0);
     drop(text);
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while (metrics::gauge("server.wire.text_conns").get() > 0
-        || metrics::gauge("server.wire.binary_conns").get() > 0)
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    eventually("the wire gauges to drain", Duration::from_secs(10), || {
+        metrics::gauge("server.wire.text_conns").get() <= 0
+            && metrics::gauge("server.wire.binary_conns").get() <= 0
+    });
     assert_eq!(metrics::gauge("server.wire.text_conns").get(), 0);
     assert_eq!(metrics::gauge("server.wire.binary_conns").get(), 0);
     handle.shutdown();
