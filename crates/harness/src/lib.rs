@@ -1,15 +1,11 @@
-//! # uucs-harness — the workspace's in-tree measurement runtime
+//! # uucs-harness — the workspace's in-tree test runtime
 //!
 //! UUCS deploys like the volunteer-computing systems it studies: onto
 //! arbitrary hosts, with no guarantee of network access at build time.
-//! This crate makes the workspace hermetic by replacing the two registry
-//! test/bench frameworks with std-only equivalents:
+//! This crate makes the workspace hermetic by replacing the registry
+//! property-test framework with a std-only equivalent, and holds the
+//! helpers every suite shares:
 //!
-//! * [`bench`] — a Criterion-compatible micro-benchmark runtime:
-//!   warmup + iteration calibration, median/MAD over samples, throughput
-//!   reporting, JSON emission to `target/uucs-bench/*.json`, and a
-//!   `UUCS_BENCH_QUICK=1` smoke mode. Entry points:
-//!   [`bench_group!`]/[`bench_main!`] and [`Criterion`].
 //! * [`prop`] — a proptest-compatible property-testing runtime: seeded
 //!   [`Pcg64`](uucs_stats::Pcg64)-driven generators for ints, floats,
 //!   vectors, ranges and regex-lite strings, a configurable case count,
@@ -24,18 +20,16 @@
 //!   stated once for every suite to check against, plus [`eventually`],
 //!   the one bounded wait for asynchronous convergence.
 //!
-//! Both runtimes draw their randomness and statistics conventions from
-//! `uucs-stats`, so every harness run is deterministic and offline.
+//! The property runtime draws its randomness from `uucs-stats`, so every
+//! run is deterministic and offline. The system is timed in one place,
+//! the `benchmark/` workspace.
 
-pub mod bench;
 pub mod invariants;
 pub mod prop;
 pub mod tempdir;
 pub mod textfuzz;
 
-pub use bench::{BenchResult, Bencher, BenchmarkGroup, Criterion, Throughput};
 pub use invariants::eventually;
-pub use std::hint::black_box;
 pub use tempdir::TempDir;
 
 /// Collection strategies, addressed as `prop::collection::vec` from the

@@ -3,9 +3,9 @@
 //!
 //! ```text
 //! uucs-study [--seed N] [--users N] [--full-fidelity] <selector>...
-//!   selectors: fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16
-//!              fig17 fig17rank fig18 frog compare internet dynamics
-//!              perception closedloop verify --all
+//!   selectors: fig3 fig4 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
+//!              fig16 fig17 fig17rank fig18 frog compare internet
+//!              dynamics perception closedloop verify --all
 //!   other:     export <dir>   (write every figure's CSV series)
 //!
 //! uucs-study fleet [--quick] [--cluster] [--clients N]
@@ -39,7 +39,7 @@ use uucs_comfort::Fidelity;
 use uucs_study::controlled::{ControlledStudy, StudyConfig};
 use uucs_study::internet::{InternetStudy, InternetStudyConfig};
 use uucs_study::{figures, frog, report, skill};
-use uucs_testcase::Resource;
+use uucs_testcase::{ExerciseSpec, Resource};
 use uucs_workloads::Task;
 
 fn run_fleet(args: &[String]) -> ! {
@@ -208,7 +208,38 @@ fn main() {
     let all = selectors.iter().any(|s| s == "all");
     let wants = |s: &str| all || selectors.iter().any(|x| x == s);
 
-    // fig8, internet, and verify do not need the study data.
+    // fig3, fig4, fig8, internet, and verify do not need the study data.
+    if wants("fig3") {
+        let specs = [
+            ("step(2.0,120,40)", ExerciseSpec::Step { level: 2.0, duration: 120.0, start: 40.0 }),
+            ("ramp(2.0,120)", ExerciseSpec::Ramp { level: 2.0, duration: 120.0 }),
+            ("sin", ExerciseSpec::Sin { amplitude: 1.0, offset: 1.0, period: 30.0, duration: 120.0 }),
+            ("saw", ExerciseSpec::Saw { level: 2.0, period: 30.0, duration: 120.0 }),
+            ("expexp (M/M/1)", ExerciseSpec::ExpExp { arrival_rate: 0.4, mean_job: 1.0, duration: 120.0, seed: 1 }),
+            ("exppar (M/G/1)", ExerciseSpec::ExpPar { arrival_rate: 0.25, x_min: 0.5, alpha: 1.5, duration: 120.0, seed: 2 }),
+        ];
+        println!("\n===== Figure 3: exercise function catalog =====");
+        for (name, spec) in &specs {
+            let f = spec.sample(Resource::Cpu, 1.0);
+            println!("{name:<18} n={} mean={:.2} peak={:.2}", f.values.len(), f.mean(), f.peak());
+        }
+        println!();
+    }
+    if wants("fig4") {
+        let step = ExerciseSpec::Step { level: 2.0, duration: 120.0, start: 40.0 }
+            .sample(Resource::Cpu, 1.0);
+        let ramp = ExerciseSpec::Ramp { level: 2.0, duration: 120.0 }.sample(Resource::Cpu, 1.0);
+        println!("\n===== Figure 4: step(2.0,120,40) and ramp(2.0,120) =====");
+        println!("t(s)  step  ramp");
+        for t in (0..=120).step_by(20) {
+            println!(
+                "{t:>4} {:>5.2} {:>5.2}",
+                step.value_at(t as f64).unwrap_or(0.0),
+                ramp.value_at(t as f64).unwrap_or(0.0)
+            );
+        }
+        println!();
+    }
     if wants("fig8") {
         println!("Figure 8: Testcase descriptions for the 4 tasks");
         for task in Task::ALL {

@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
 # The tier-1 gate, hermetically: offline warning-free build, lint and
-# unsafe gates, every test suite once, fleet and benchmark smokes (which
-# must leave the benchmark's lock file as committed), and a
-# quick-mode smoke pass over every bench target (which also regenerates
-# the paper artifacts and the bench summary).
+# unsafe gates, every test suite once, and fleet and benchmark smokes
+# (which must leave the benchmark's lock file as committed).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,6 +51,22 @@ copies=$(grep -rnE "fn (assert_exactly_once|assert_same_model|wait_until)\b" \
 if [ -n "$copies" ]; then
     echo "$copies"
     echo "ci: hand-rolled contract check in a suite; use uucs_harness::invariants" >&2
+    exit 1
+fi
+
+echo "== one measurement harness (benchmark/ is the only place the system is timed) =="
+# A second timing harness measures the same paths as benchmark/ with
+# none of its samples, pairs or gates: a bench target directory, a
+# [[bench]] table, the old runtime's knobs or its single-sample summary
+# must not come back. The root's planning notes (every *.md beside
+# Cargo.toml but the three docs) may name them as history.
+second_harness='^\[\[bench\]\]|UUCS_BENCH[_]|BENCH[_]SUMMARY'
+second=$( (find crates -path '*/benches' -type d
+    git grep -nE "$second_harness" -- . ':!benchmark' ':(top,glob,exclude)*.md'
+    git grep -nE "$second_harness" -- README.md DESIGN.md EXPERIMENTS.md) || true)
+if [ -n "$second" ]; then
+    echo "$second"
+    echo "ci: a second timing harness is back; time it in benchmark/ instead" >&2
     exit 1
 fi
 
@@ -158,37 +172,5 @@ cargo run -q --release -p uucs-study -- fleet --cluster --quick
 
 echo "== binary fleet smoke (wire v2, pipelined depth 8) =="
 cargo run -q --release -p uucs-study -- fleet --quick --wire binary --pipeline 8
-
-# One iteration per row, to prove every target still builds and runs;
-# `engine` is the per-append vs group-commit fsync pair plus the single
-# worker-pool TCP round (the thread-per-connection row left with its
-# engine). Timings from this pass are not evidence of anything.
-benches=(paper_figures substrate exerciser_accuracy ablations wal chaos telemetry_overhead modelsvc engine cluster wire pagecache)
-echo "== bench smoke (UUCS_BENCH_QUICK=1, all ${#benches[@]} targets) =="
-for bench in "${benches[@]}"; do
-    echo "-- $bench --"
-    UUCS_BENCH_QUICK=1 cargo bench -p uucs-bench --bench "$bench"
-done
-
-echo "== bench summary =="
-# Collect the per-target JSON reports the harness wrote under
-# target/uucs-bench/ into one file beside them. Not at the repo root:
-# the committed BENCH_SUMMARY.json must not be overwritten by a
-# single-sample quick pass (ROADMAP item 1 retires that file).
-summary=target/uucs-bench/summary.json
-{
-    printf '{\n'
-    first=1
-    for bench in "${benches[@]}"; do
-        report="target/uucs-bench/$bench.json"
-        [ -f "$report" ] || continue
-        [ "$first" -eq 1 ] || printf ',\n'
-        first=0
-        printf '  "%s": ' "$bench"
-        cat "$report"
-    done
-    printf '\n}\n'
-} >"$summary"
-echo "ci: wrote $summary"
 
 echo "ci: all gates passed"

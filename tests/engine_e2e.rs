@@ -1,6 +1,7 @@
 //! End-to-end tests of the sharded group-commit server engine: the
-//! worker-pool connection ceiling, durability of group-commit acks
-//! across a kill, and shard-layout migration equivalence.
+//! worker-pool connection ceiling, every connection acked with the
+//! whole fleet in flight, durability of group-commit acks across a
+//! kill, and shard-layout migration equivalence.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -117,6 +118,70 @@ fn over_a_thousand_simultaneous_connections() {
         .unwrap();
         assert!(matches!(read_server_msg(reader).unwrap(), ServerMsg::Ack(1)));
     }
+    drop(fleet);
+    handle.shutdown();
+}
+
+/// The whole fleet in flight at once: every connection writes an upload
+/// before any ack is read, so one fsync pass parks tickets for many
+/// connections on each worker. Every connection still gets its own ack,
+/// round after round, while neighbours on the same workers say `BYE`
+/// and close between rounds.
+#[test]
+fn every_connection_is_acked_with_the_whole_fleet_in_flight() {
+    const CONNS: usize = 48;
+    const ROUNDS: u64 = 4;
+    let tmp = TempDir::new("uucs-engine-fleet-in-flight");
+    let (stores, _) = StoreSet::open(tmp.path(), wal_cfg(), 4).unwrap();
+    let server = UucsServer::with_store_set(stores, 9).without_model_updates();
+    let server = Arc::new(server.with_group_commit(Duration::from_micros(200)));
+    let handle = tcp::serve(server, "127.0.0.1:0").unwrap();
+    let mut fleet: Vec<(TcpStream, BufReader<TcpStream>, String)> = (0..CONNS)
+        .map(|i| {
+            let stream = TcpStream::connect(handle.addr()).unwrap();
+            // Fails only a lost ack, which would otherwise hang.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let host = MachineSnapshot::study_machine(format!("fleet-{i:02}"));
+            write_client_msg(&mut writer, &ClientMsg::register(host)).unwrap();
+            let ServerMsg::Id { id, .. } = read_server_msg(&mut reader).unwrap() else {
+                panic!("registration refused");
+            };
+            (writer, reader, id)
+        })
+        .collect();
+
+    let mut acked = 0;
+    for seq in 1..=ROUNDS {
+        for (writer, _, id) in fleet.iter_mut() {
+            let upload = ClientMsg::Upload {
+                client: id.clone(),
+                seq,
+                records: vec![rec(id, &format!("round-{seq}"))],
+            };
+            write_client_msg(writer, &upload).unwrap();
+        }
+        for (_, reader, id) in fleet.iter_mut() {
+            match read_server_msg(reader) {
+                Ok(ServerMsg::Ack(1)) => acked += 1,
+                other => panic!("{id} upload {seq}: expected its ack, got {other:?}"),
+            }
+        }
+        // Every eighth connection leaves before the next round.
+        let mut k = 0;
+        fleet.retain_mut(|(writer, _, _)| {
+            k += 1;
+            let stays = k % 8 != 0;
+            if !stays {
+                write_client_msg(writer, &ClientMsg::Bye).unwrap();
+            }
+            stays
+        });
+    }
+    assert_eq!(handle.server.result_count(), acked);
     drop(fleet);
     handle.shutdown();
 }
