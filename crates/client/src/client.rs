@@ -3,13 +3,14 @@
 
 use crate::script::{Command, Script};
 use crate::transport::ClientTransport;
+use std::collections::HashSet;
 use std::io;
 use std::sync::{Arc, OnceLock};
 use uucs_comfort::{execute_run, Fidelity, RunSetup, RunStyle, UserProfile};
 use uucs_protocol::{ClientMsg, MachineSnapshot, RunRecord, ServerMsg};
 use uucs_stats::Pcg64;
 use uucs_telemetry::{metrics, Counter, Gauge};
-use uucs_testcase::Testcase;
+use uucs_testcase::{Testcase, TestcaseId};
 use uucs_workloads::Task;
 
 /// Pre-registered session telemetry (`client.register.*`,
@@ -297,9 +298,18 @@ impl UucsClient {
             want,
         })? {
             ServerMsg::Testcases(tcs) => {
-                let n = tcs.len();
+                // The server samples by position in its library, so a
+                // library that grew between two syncs can offer again a
+                // testcase this client already holds: keep one copy.
+                let mut held: HashSet<TestcaseId> =
+                    self.testcases.iter().map(|t| t.id.clone()).collect();
+                let fresh: Vec<Testcase> = tcs
+                    .into_iter()
+                    .filter(|t| held.insert(t.id.clone()))
+                    .collect();
+                let n = fresh.len();
                 if n > 0 {
-                    Arc::make_mut(&mut self.testcases).extend(tcs);
+                    Arc::make_mut(&mut self.testcases).extend(fresh);
                 }
                 n
             }
@@ -543,6 +553,48 @@ mod tests {
         let n = ids.len();
         ids.dedup();
         assert_eq!(ids.len(), n);
+    }
+
+    /// A library that grows between two syncs reshuffles the server's
+    /// order for this client, so the second reply re-offers testcases
+    /// the client already holds. The client keeps one copy of each.
+    #[test]
+    fn sync_across_a_library_addition_keeps_one_copy_of_each_testcase() {
+        let srv = server(10);
+        let mut t = LocalTransport::new(srv.clone());
+        let mut c = UucsClient::new(MachineSnapshot::study_machine("h"), 5);
+        let id = c.register(&mut t).unwrap();
+        c.next_batch = 4;
+        assert_eq!(c.hot_sync(&mut t).unwrap().downloaded, 4);
+        let held: Vec<String> = c.testcases().iter().map(|t| t.id.to_string()).collect();
+        let late: Vec<_> = (0..5)
+            .map(|i| uucs_testcase::Testcase::blank(format!("late-{i}"), 1.0, 60.0))
+            .collect();
+        srv.add_testcases(&late).unwrap();
+        // The scenario: the next reply does re-send held testcases.
+        let ServerMsg::Testcases(offered) = t
+            .exchange(&ClientMsg::Sync {
+                client: id,
+                have: 4,
+                want: 11,
+            })
+            .unwrap()
+        else {
+            panic!("expected testcases");
+        };
+        let again = offered
+            .iter()
+            .filter(|t| held.contains(&t.id.to_string()))
+            .count();
+        assert!(again > 0, "the reshuffle re-offered nothing held");
+        c.next_batch = 11;
+        let report = c.hot_sync(&mut t).unwrap();
+        assert_eq!(report.downloaded, offered.len() - again);
+        let mut ids: Vec<&str> = c.testcases().iter().map(|t| t.id.as_str()).collect();
+        assert_eq!(ids.len(), 4 + offered.len() - again);
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), c.testcases().len(), "a testcase is held twice");
     }
 
     #[test]

@@ -88,7 +88,8 @@ impl ClientTransport for TcpTransport {
 
 /// In-process transport: calls the server's handler directly. The same
 /// [`Endpoint`] backs the TCP listener, so tests exercise identical
-/// server logic without sockets.
+/// server logic without sockets, and each reply reaches the caller as a
+/// socket's reader would have decoded it ([`ServerMsg::received`]).
 pub struct LocalTransport {
     endpoint: Arc<dyn Endpoint>,
 }
@@ -102,7 +103,7 @@ impl LocalTransport {
 
 impl ClientTransport for LocalTransport {
     fn exchange(&mut self, msg: &ClientMsg) -> io::Result<ServerMsg> {
-        Ok(self.endpoint.handle(msg))
+        self.endpoint.handle(msg).received()
     }
 }
 
@@ -131,5 +132,35 @@ mod tests {
             })
             .unwrap();
         assert_eq!(reply, ServerMsg::Ack(5));
+    }
+
+    /// Testcase text reaches the caller decoded, as off a socket; a
+    /// reply its count does not match is the exchange's error.
+    #[test]
+    fn local_transport_decodes_testcase_text() {
+        struct Text(usize);
+        impl Endpoint for Text {
+            fn handle(&self, _: &ClientMsg) -> ServerMsg {
+                let tc = uucs_testcase::Testcase::blank("b", 1.0, 3.0);
+                ServerMsg::TestcaseText {
+                    count: self.0,
+                    body: uucs_testcase::format::emit(&tc),
+                }
+            }
+        }
+        let sync = ClientMsg::Sync {
+            client: "c".into(),
+            have: 0,
+            want: 1,
+        };
+        let reply = LocalTransport::new(Arc::new(Text(1)))
+            .exchange(&sync)
+            .unwrap();
+        let tc = uucs_testcase::Testcase::blank("b", 1.0, 3.0);
+        assert_eq!(reply, ServerMsg::Testcases(vec![tc]));
+        let err = LocalTransport::new(Arc::new(Text(2)))
+            .exchange(&sync)
+            .unwrap_err();
+        assert_eq!(err.to_string(), "TESTCASES count mismatch");
     }
 }

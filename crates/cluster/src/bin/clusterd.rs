@@ -151,7 +151,7 @@ fn main() {
     if role == Role::Leader && server.testcase_count() == 0 {
         let testcases = if let Some(path) = &library {
             match TestcaseStore::load(path) {
-                Ok(store) => store.all().to_vec(),
+                Ok(store) => store.testcases(),
                 Err(e) => {
                     eprintln!("cannot load library {path:?}: {e}");
                     std::process::exit(1);
@@ -160,11 +160,9 @@ fn main() {
         } else {
             let seed = gen_seed.unwrap_or(42);
             eprintln!("generating internet-sweep library (seed {seed}) ...");
-            uucs_testcase::generate::Library::internet_sweep(seed)
-                .testcases()
-                .to_vec()
+            uucs_testcase::generate::Library::internet_sweep(seed).into_testcases()
         };
-        if let Err(e) = server.add_testcases(testcases) {
+        if let Err(e) = server.add_testcases(&testcases) {
             eprintln!("cannot seed library: {e}");
             std::process::exit(1);
         }

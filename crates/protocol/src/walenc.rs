@@ -145,6 +145,16 @@ impl<'a> BorrowedBlocks<'a> {
     }
 }
 
+/// The [`WalEntry::Testcase`] payload of a testcase already rendered as
+/// `block` ([`tcformat::emit`] output): what a store holding testcases
+/// as text journals and ships without rendering them again.
+pub fn testcase_payload(block: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + block.len());
+    out.push(TAG_TESTCASE);
+    out.extend_from_slice(block.as_bytes());
+    out
+}
+
 /// One logical mutation of the server's stores, as journaled in the WAL.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEntry {
@@ -186,11 +196,7 @@ impl WalEntry {
                 count: 1,
             }
             .encode(),
-            WalEntry::Testcase(tc) => {
-                let mut out = vec![TAG_TESTCASE];
-                out.extend_from_slice(tcformat::emit(tc).as_bytes());
-                out
-            }
+            WalEntry::Testcase(tc) => testcase_payload(&tcformat::emit(tc)),
             WalEntry::Batch {
                 client,
                 seq,

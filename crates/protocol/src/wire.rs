@@ -249,6 +249,17 @@ pub enum ServerMsg {
     },
     /// New testcases for the client.
     Testcases(Vec<Testcase>),
+    /// [`ServerMsg::Testcases`] as text a server already holds: `count`
+    /// testcase blocks of [`uucs_testcase::format::emit`] output,
+    /// concatenated. Encode-only: both framings write it byte for byte
+    /// as they write `Testcases` of the same testcases, and a reader
+    /// yields `Testcases` — see [`ServerMsg::received`].
+    TestcaseText {
+        /// How many blocks `body` holds.
+        count: usize,
+        /// The blocks.
+        body: String,
+    },
     /// Acknowledgment of `n` uploaded records.
     Ack(usize),
     /// The merged comfort model for a [`ClientMsg::Model`] query.
@@ -316,6 +327,31 @@ impl ServerMsg {
             applied_seq: 0,
         }
     }
+
+    /// The message as a peer reads it off either framing: a
+    /// [`ServerMsg::TestcaseText`] becomes the [`ServerMsg::Testcases`]
+    /// it encodes, under the readers' own checks ([`parse_testcases`]);
+    /// every other message is itself. An in-process transport hands its
+    /// caller this, so it sees what a socket would deliver.
+    pub fn received(self) -> std::io::Result<ServerMsg> {
+        match self {
+            ServerMsg::TestcaseText { count, body } => {
+                parse_testcases(count, &body).map(ServerMsg::Testcases)
+            }
+            other => Ok(other),
+        }
+    }
+}
+
+/// The testcases of a `TESTCASES <n>` body: every block parsed, and
+/// exactly `n` of them. Both framings' readers check a reply with this.
+pub fn parse_testcases(n: usize, body: &str) -> std::io::Result<Vec<Testcase>> {
+    let tcs =
+        tcformat::parse_many(body).map_err(|e| proto_err(format!("bad testcase block: {e}")))?;
+    if tcs.len() != n {
+        return Err(proto_err("TESTCASES count mismatch"));
+    }
+    Ok(tcs)
 }
 
 /// Writes a client message to a stream.
@@ -400,6 +436,10 @@ pub fn write_server_msg(w: &mut impl Write, msg: &ServerMsg) -> std::io::Result<
         ServerMsg::Testcases(tcs) => {
             writeln!(w, "TESTCASES {}", tcs.len())?;
             w.write_all(tcformat::emit_many(tcs).as_bytes())?;
+        }
+        ServerMsg::TestcaseText { count, body } => {
+            writeln!(w, "TESTCASES {count}")?;
+            w.write_all(body.as_bytes())?;
         }
         ServerMsg::Ack(n) => writeln!(w, "ACK {n}")?,
         ServerMsg::Model {
@@ -740,12 +780,7 @@ pub fn read_server_msg(r: &mut impl BufRead) -> std::io::Result<ServerMsg> {
                 .parse()
                 .map_err(|_| proto_err("bad TESTCASES count"))?;
             let body = read_blocks(r, n)?;
-            let tcs = tcformat::parse_many(&body)
-                .map_err(|e| proto_err(format!("bad testcase block: {e}")))?;
-            if tcs.len() != n {
-                return Err(proto_err("TESTCASES count mismatch"));
-            }
-            Ok(ServerMsg::Testcases(tcs))
+            parse_testcases(n, &body).map(ServerMsg::Testcases)
         }
         "ACK" => {
             let n: usize = rest.trim().parse().map_err(|_| proto_err("bad ACK"))?;
@@ -1247,6 +1282,52 @@ mod tests {
         );
         roundtrip_server(ServerMsg::Testcases(vec![tc.clone(), tc]));
         roundtrip_server(ServerMsg::Testcases(vec![]));
+    }
+
+    /// Testcase text is written as the testcases it holds would be, and
+    /// read back as them; an in-process receiver gets the same message,
+    /// and refuses what the readers refuse.
+    #[test]
+    fn testcase_text_is_written_and_read_as_testcases() {
+        let tcs = vec![
+            uucs_testcase::Testcase::single(
+                "x",
+                0.5,
+                Resource::Disk,
+                ExerciseSpec::Ramp {
+                    level: 5.0,
+                    duration: 40.0,
+                },
+            ),
+            uucs_testcase::Testcase::blank("b", 1.0, 9.0),
+        ];
+        for n in 0..=tcs.len() {
+            let structs = ServerMsg::Testcases(tcs[..n].to_vec());
+            let text = ServerMsg::TestcaseText {
+                count: n,
+                body: tcformat::emit_many(&tcs[..n]),
+            };
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            write_server_msg(&mut want, &structs).unwrap();
+            write_server_msg(&mut got, &text).unwrap();
+            assert_eq!(got, want);
+            assert_eq!(read_server_msg(&mut Cursor::new(got)).unwrap(), structs);
+            assert_eq!(text.received().unwrap(), structs);
+        }
+        let short = ServerMsg::TestcaseText {
+            count: 3,
+            body: tcformat::emit_many(&tcs),
+        };
+        let refused = short.received().unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(refused.to_string(), "TESTCASES count mismatch");
+        let garbled = ServerMsg::TestcaseText {
+            count: 1,
+            body: "TESTCASE t\nRATE x\nEND\n".into(),
+        };
+        let refused = garbled.received().unwrap_err().to_string();
+        assert!(refused.starts_with("bad testcase block"), "{refused}");
+        assert_eq!(ServerMsg::Ack(3).received().unwrap(), ServerMsg::Ack(3));
     }
 
     #[test]

@@ -181,9 +181,10 @@ pub(crate) trait Journaled: Default {
     fn restore(&mut self, snapshot: &str) -> io::Result<()>;
 
     /// Applies one replayed, CRC-checked payload in memory; an entry
-    /// of another store's kind is refused with [`foreign`]. Most stores
-    /// start from [`decoded`]; the result store checks the batch header
-    /// and counts the blocks.
+    /// of another store's kind is refused with [`foreign`]. The
+    /// registry and model stores start from [`decoded`]; the result
+    /// store checks the batch header and counts the blocks, and the
+    /// testcase store keeps the text it parsed.
     fn replay(&mut self, payload: &[u8]) -> io::Result<()>;
 
     /// Encodes the whole state as the compaction snapshot — fallible,

@@ -180,7 +180,7 @@ fn main() {
     let seed_library = || -> Vec<uucs_testcase::Testcase> {
         if let Some(path) = &library {
             match TestcaseStore::load(path) {
-                Ok(store) => store.all().to_vec(),
+                Ok(store) => store.testcases(),
                 Err(e) => {
                     eprintln!("cannot load library {path:?}: {e}");
                     std::process::exit(1);
@@ -189,9 +189,7 @@ fn main() {
         } else {
             let seed = gen_seed.unwrap_or(42);
             eprintln!("generating internet-sweep library (seed {seed}) ...");
-            uucs_testcase::generate::Library::internet_sweep(seed)
-                .testcases()
-                .to_vec()
+            uucs_testcase::generate::Library::internet_sweep(seed).into_testcases()
         }
     };
 
@@ -231,7 +229,7 @@ fn main() {
         }
         let server = Arc::new(server);
         if server.testcase_count() == 0 {
-            if let Err(e) = server.add_testcases(seed_library()) {
+            if let Err(e) = server.add_testcases(&seed_library()) {
                 eprintln!("cannot seed library: {e}");
                 std::process::exit(1);
             }

@@ -27,7 +27,6 @@ use uucs_protocol::{ClientMsg, MachineSnapshot, ServerMsg, WalEntry, WIRE_VERSIO
 use uucs_stats::Pcg64;
 use uucs_wal::crc::crc32;
 use uucs_telemetry::{metrics, Counter, Gauge, Histogram};
-use uucs_testcase::format as tcformat;
 
 /// Pre-registered telemetry handles for one wire verb: request count,
 /// error count, handling-latency histogram. Registered once at first
@@ -421,7 +420,7 @@ impl UucsServer {
     /// WAL-backed store the addition is durable once this returns `Ok`
     /// (under group commit, this waits for the covering fsync).
     pub fn add_testcase(&self, tc: uucs_testcase::Testcase) -> Result<(), StoreError> {
-        self.add_testcases([tc])
+        self.add_testcases([&tc])
     }
 
     /// Adds many testcases — start-up seeding — with one durability
@@ -429,25 +428,29 @@ impl UucsServer {
     /// is appended first, then the highest ticket of each shard is
     /// redeemed. Stops at the first duplicate id or failed append; all
     /// additions are durable once this returns `Ok`.
-    pub fn add_testcases(
+    pub fn add_testcases<'a>(
         &self,
-        testcases: impl IntoIterator<Item = uucs_testcase::Testcase>,
+        testcases: impl IntoIterator<Item = &'a uucs_testcase::Testcase>,
     ) -> Result<(), StoreError> {
         // Tickets of one shard only grow, so the last one covers the rest.
         let mut last: Vec<Option<CommitTicket>> = vec![None; self.stores.testcases.count()];
+        let shipping = self.replication.get().is_some();
         for tc in testcases {
             let shard = self.stores.testcases.shard_for(tc.id.as_str());
             let mut guard = self.stores.testcases.write_recovered(shard);
-            guard.add(tc.clone())?;
+            let payload = guard.add_shipped(tc, shipping)?;
             let lsn = guard.wal_next_lsn();
             drop(guard);
             let ticket = self.ticket(StoreFlavor::Testcases, shard, lsn);
             // A duplicate id is refused above, so a testcase has no
-            // replay to acknowledge: every ack here is for a fresh ship.
-            let ticket = self
-                .ship(tc.id.as_str(), || WalEntry::Testcase(tc.clone()).encode())
-                .and_then(|mark| self.owe_quorum(mark, ticket))
-                .map_err(StoreError::Io)?;
+            // replay to acknowledge: every ack here is for a fresh ship,
+            // of the payload the journal took.
+            let ticket = match payload {
+                Some(payload) => self.ship(tc.id.as_str(), || payload),
+                None => Ok(None),
+            }
+            .and_then(|mark| self.owe_quorum(mark, ticket))
+            .map_err(StoreError::Io)?;
             // A follower's acked watermark is cumulative too, so the
             // last mark of a shard stands for the earlier ones.
             if ticket.is_some() {
@@ -527,11 +530,11 @@ impl UucsServer {
     /// `results.txt`) — the paper's whole-file text checkpoints.
     pub fn save(&self, dir: &std::path::Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let mut tcs = Vec::new();
+        let mut tcs = String::new();
         for g in self.stores.testcases.read_all() {
-            tcs.extend(g.all().iter().cloned());
+            tcs.push_str(g.text());
         }
-        std::fs::write(dir.join("testcases.txt"), tcformat::emit_many(&tcs))?;
+        std::fs::write(dir.join("testcases.txt"), tcs)?;
         let mut out = std::fs::File::create(dir.join("results.txt"))?;
         for g in self.stores.results.read_all() {
             g.write_to(&mut out)?;
@@ -562,9 +565,9 @@ impl UucsServer {
             WalEntry::Testcase(tc) => {
                 let shard = self.stores.testcases.shard_for(tc.id.as_str());
                 let mut guard = self.stores.testcases.write_recovered(shard);
-                if guard.get(tc.id.as_str()).is_none() {
+                if !guard.contains(tc.id.as_str()) {
                     guard
-                        .add(tc.clone())
+                        .add(tc)
                         .map_err(|e| crate::store::invalid(e.to_string()))?;
                 }
                 let lsn = guard.wal_next_lsn();
@@ -740,9 +743,7 @@ impl UucsServer {
             }
         }
         for g in self.stores.testcases.read_all() {
-            for tc in g.all() {
-                out.push(WalEntry::Testcase(tc.clone()));
-            }
+            out.extend(g.testcases().into_iter().map(WalEntry::Testcase));
         }
         Ok(out)
     }
@@ -950,18 +951,21 @@ impl UucsServer {
                 let guards = self.stores.testcases.read_all();
                 let total: usize = guards.iter().map(|g| g.len()).sum();
                 let order = self.client_order(client, total);
-                let mut slice = Vec::new();
+                // The reply is the held blocks spliced together: nothing
+                // is rendered or decoded to answer a SYNC.
+                let (mut count, mut body) = (0, String::new());
                 for &global in order.iter().skip(*have).take(*want) {
                     let mut idx = global;
                     for g in &guards {
                         if idx < g.len() {
-                            slice.push(g.all()[idx].clone());
+                            body.push_str(g.block(idx));
+                            count += 1;
                             break;
                         }
                         idx -= g.len();
                     }
                 }
-                (ServerMsg::Testcases(slice), None)
+                (ServerMsg::TestcaseText { count, body }, None)
             }
             ClientMsg::Upload {
                 client,
@@ -1393,11 +1397,15 @@ mod tests {
         let mut seen = Vec::new();
         for have in [0usize, 7, 14] {
             let want = 7.min(20 - have);
-            match s.handle(&ClientMsg::Sync {
-                client: id.clone(),
-                have,
-                want,
-            }) {
+            match s
+                .handle(&ClientMsg::Sync {
+                    client: id.clone(),
+                    have,
+                    want,
+                })
+                .received()
+                .unwrap()
+            {
                 ServerMsg::Testcases(tcs) => {
                     assert!(tcs.len() <= want);
                     for tc in tcs {
@@ -1421,11 +1429,15 @@ mod tests {
         let s = UucsServer::new(library(30), 3);
         let a = register(&s);
         let b = register(&s);
-        let get = |id: &str| match s.handle(&ClientMsg::Sync {
-            client: id.to_string(),
-            have: 0,
-            want: 10,
-        }) {
+        let get = |id: &str| match s
+            .handle(&ClientMsg::Sync {
+                client: id.to_string(),
+                have: 0,
+                want: 10,
+            })
+            .received()
+            .unwrap()
+        {
             ServerMsg::Testcases(tcs) => tcs.iter().map(|t| t.id.to_string()).collect::<Vec<_>>(),
             other => panic!("{other:?}"),
         };
@@ -1438,11 +1450,15 @@ mod tests {
     fn sync_past_the_end_returns_empty() {
         let s = UucsServer::new(library(3), 4);
         let id = register(&s);
-        match s.handle(&ClientMsg::Sync {
-            client: id,
-            have: 3,
-            want: 10,
-        }) {
+        match s
+            .handle(&ClientMsg::Sync {
+                client: id,
+                have: 3,
+                want: 10,
+            })
+            .received()
+            .unwrap()
+        {
             ServerMsg::Testcases(tcs) => assert!(tcs.is_empty()),
             other => panic!("{other:?}"),
         }
@@ -1864,11 +1880,15 @@ mod tests {
         // Sync: the growing sample covers the whole sharded library.
         let mut seen = Vec::new();
         for have in [0usize, 4] {
-            match s.handle(&ClientMsg::Sync {
-                client: a.clone(),
-                have,
-                want: 4,
-            }) {
+            match s
+                .handle(&ClientMsg::Sync {
+                    client: a.clone(),
+                    have,
+                    want: 4,
+                })
+                .received()
+                .unwrap()
+            {
                 ServerMsg::Testcases(tcs) => {
                     for tc in tcs {
                         assert!(!seen.contains(&tc.id.to_string()));

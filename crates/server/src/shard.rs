@@ -234,7 +234,7 @@ fn write_ready(layout_dir: &Path, generation: u64) -> io::Result<()> {
 /// What a journaled store must add to live under [`Sharded`] with a
 /// per-shard WAL: how to repartition recovered state when the shard
 /// count changes. `Send` because shards are opened on worker threads.
-trait ShardFamily: Journaled + Send {
+pub(crate) trait ShardFamily: Journaled + Send {
     /// The merged logical state of the whole family, hash-partitionable.
     type State;
     /// Merges recovered source shards into the family's logical state.
@@ -385,20 +385,24 @@ impl<F: ShardFamily> Journals<F> {
     }
 }
 
+/// Testcases move as the text blocks they are held as: a reshard renders
+/// and decodes nothing.
 impl ShardFamily for TestcaseStore {
-    type State = Vec<uucs_testcase::Testcase>;
+    /// Every source shard's blocks, in shard order, in one plain store.
+    type State = TestcaseStore;
 
     fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
-        Ok(stores
-            .into_iter()
-            .flat_map(TestcaseStore::into_testcases)
-            .collect())
+        let mut all = TestcaseStore::new();
+        for (id, block) in stores.iter().flat_map(TestcaseStore::entries) {
+            all.put(id, block, false).map_err(invalid)?;
+        }
+        Ok(all)
     }
 
     fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()> {
-        for tc in state {
-            if shard_of(tc.id.as_str(), n) == shard {
-                self.add(tc.clone()).map_err(invalid)?;
+        for (id, block) in state.entries() {
+            if shard_of(id, n) == shard {
+                self.put(id, block, false).map_err(invalid)?;
             }
         }
         Ok(())
@@ -752,7 +756,7 @@ mod tests {
         let dir = TempDir::new("uucs-shard-flat");
         {
             let (tcs, _) = open_sharded::<TestcaseStore>(dir.path(), cfg(), 1, &plain_io()).unwrap();
-            tcs.write_recovered(0).add(tc("a")).unwrap();
+            tcs.write_recovered(0).add(&tc("a")).unwrap();
         }
         // The flat files live directly in the dir — same as pre-sharding.
         assert!(has_flat_files(dir.path()).unwrap());
@@ -769,7 +773,7 @@ mod tests {
             let (tcs, _) = open_sharded::<TestcaseStore>(dir.path(), cfg(), 2, &plain_io()).unwrap();
             for id in &ids {
                 let shard = tcs.shard_for(id);
-                tcs.write_recovered(shard).add(tc(id)).unwrap();
+                tcs.write_recovered(shard).add(&tc(id)).unwrap();
             }
         }
         for n in [5usize, 3, 1, 4] {
@@ -778,7 +782,7 @@ mod tests {
             let mut seen: Vec<String> = Vec::new();
             for i in 0..n {
                 let g = tcs.read(i);
-                for t in g.all() {
+                for t in g.testcases() {
                     // Every testcase sits on the shard its id hashes to.
                     assert_eq!(shard_of(t.id.as_str(), n), i);
                     seen.push(t.id.as_str().to_string());
@@ -926,7 +930,11 @@ mod tests {
         for i in 0..40 {
             let id = format!("case-{i:02}");
             let shard = stores.testcases.shard_for(&id);
-            stores.testcases.write_recovered(shard).add(tc(&id)).unwrap();
+            stores
+                .testcases
+                .write_recovered(shard)
+                .add(&tc(&id))
+                .unwrap();
         }
         for client in &clients {
             let shard = stores.registry.shard_for(client);

@@ -15,6 +15,10 @@
 //!   records past it. A durable result store keeps no record text: its
 //!   journal is its record log.
 //!
+//! In both modes the testcase store holds each testcase as the text its
+//! journal entry carries, so serving, checkpointing and resharding the
+//! library copy text and render nothing.
+//!
 //! Corruption policy: a WAL tolerates a torn final frame (crash
 //! residue) but reports mid-log damage; the *text* loaders tolerate
 //! nothing and point at the damaged line (`line 41: bad outcome ...`),
@@ -28,7 +32,9 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 use uucs_protocol::record::Blocks;
-use uucs_protocol::walenc::{split_payload, BorrowedBlocks, TAG_BATCH, TAG_RESULT};
+use uucs_protocol::walenc::{
+    split_payload, testcase_payload, BorrowedBlocks, TAG_BATCH, TAG_RESULT, TAG_TESTCASE,
+};
 use uucs_protocol::wire::is_token;
 use uucs_protocol::{MachineSnapshot, RunRecord, WalEntry};
 use uucs_testcase::{format as tcformat, Testcase};
@@ -71,9 +77,22 @@ pub(crate) fn invalid(msg: impl fmt::Display) -> io::Error {
 }
 
 /// The server's testcase library.
+///
+/// The store holds each testcase as its text block — the
+/// [`tcformat::emit`] output its journal entry carries after the tag —
+/// with no decoded copy beside it. A testcase is rendered once, by
+/// [`TestcaseStore::add`]; replay and restore keep the text they check,
+/// and snapshots, reshards, replication and `SYNC` replies reuse it.
+/// Readers that want structs ([`TestcaseStore::get`],
+/// [`TestcaseStore::testcases`]) decode on demand.
 #[derive(Debug, Default)]
 pub struct TestcaseStore {
-    testcases: Vec<Testcase>,
+    /// Every block in insertion order, concatenated.
+    text: String,
+    /// Each testcase's id and where its block ends in `text`.
+    blocks: Vec<(String, usize)>,
+    /// The ordinal of each id.
+    index: HashMap<String, usize>,
     journal: Journal,
 }
 
@@ -84,22 +103,30 @@ impl Journaled for TestcaseStore {
         &mut self.journal
     }
 
+    /// Keeps each block of the checkpoint once it parses as exactly one
+    /// testcase.
     fn restore(&mut self, snapshot: &str) -> io::Result<()> {
-        for tc in tcformat::parse_many(snapshot).map_err(invalid)? {
-            self.add(tc).map_err(invalid)?;
+        for block in tcformat::blocks(snapshot) {
+            let tc = tcformat::parse(block).map_err(invalid)?;
+            self.put(tc.id.as_str(), block, false).map_err(invalid)?;
         }
         Ok(())
     }
 
+    /// Keeps the payload's text once it parses as exactly one testcase.
     fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
-        match decoded(payload)? {
-            WalEntry::Testcase(tc) => self.add(tc).map_err(invalid),
-            _ => Err(foreign::<Self>(payload[0])),
+        let (tag, block) = split_payload(payload).map_err(invalid)?;
+        if tag != TAG_TESTCASE {
+            return Err(foreign::<Self>(tag));
         }
+        let tc =
+            tcformat::parse(block).map_err(|e| invalid(format!("bad testcase payload: {e}")))?;
+        self.put(tc.id.as_str(), block, false).map_err(invalid)?;
+        Ok(())
     }
 
     fn snapshot(&self) -> io::Result<String> {
-        Ok(tcformat::emit_many(&self.testcases))
+        Ok(self.text.clone())
     }
 }
 
@@ -113,7 +140,7 @@ impl TestcaseStore {
     /// ids.
     pub fn from_testcases(testcases: Vec<Testcase>) -> Result<Self, StoreError> {
         let mut s = Self::new();
-        for tc in testcases {
+        for tc in &testcases {
             s.add(tc)?;
         }
         Ok(s)
@@ -131,13 +158,44 @@ impl TestcaseStore {
     /// Adds a testcase ("new testcases can be added to the server at any
     /// time"). Rejects a duplicate id; in durable mode the addition is
     /// journaled before it is applied, so an `Ok` survives a crash.
-    pub fn add(&mut self, tc: Testcase) -> Result<(), StoreError> {
-        if self.get(tc.id.as_str()).is_some() {
-            return Err(StoreError::Duplicate(tc.id.as_str().to_string()));
+    pub fn add(&mut self, tc: &Testcase) -> Result<(), StoreError> {
+        self.add_shipped(tc, false).map(drop)
+    }
+
+    /// [`TestcaseStore::add`] for a leader: with `ship`, it also hands
+    /// back the encoded [`WalEntry::Testcase`] — the very payload the
+    /// journal took — so the replication tier sends what was journaled
+    /// without rendering the testcase a second time.
+    pub fn add_shipped(
+        &mut self,
+        tc: &Testcase,
+        ship: bool,
+    ) -> Result<Option<Vec<u8>>, StoreError> {
+        // The one place the server renders a testcase.
+        self.put(tc.id.as_str(), &tcformat::emit(tc), ship)
+    }
+
+    /// Journals (in durable mode) and holds `block`, which parses as
+    /// exactly the testcase `id`: rendered by `add`, or text that
+    /// replay, restore and a reshard already hold. With `ship`, hands
+    /// back the payload. Rejects a duplicate id.
+    pub(crate) fn put(
+        &mut self,
+        id: &str,
+        block: &str,
+        ship: bool,
+    ) -> Result<Option<Vec<u8>>, StoreError> {
+        if self.contains(id) {
+            return Err(StoreError::Duplicate(id.to_string()));
         }
-        self.journal.append(|| WalEntry::Testcase(tc.clone()).encode())?;
-        self.testcases.push(tc);
-        Ok(())
+        let payload = (ship || self.journal.is_durable()).then(|| testcase_payload(block));
+        if let Some(payload) = &payload {
+            self.journal.append_encoded(payload)?;
+        }
+        self.text.push_str(block);
+        self.index.insert(id.to_string(), self.blocks.len());
+        self.blocks.push((id.to_string(), self.text.len()));
+        Ok(payload.filter(|_| ship))
     }
 
     /// The LSN the next journal append would get, or `None` in plain
@@ -148,34 +206,54 @@ impl TestcaseStore {
         self.journal.next_lsn()
     }
 
-    /// All testcases in insertion order.
-    pub fn all(&self) -> &[Testcase] {
-        &self.testcases
-    }
-
     /// Number of testcases.
     pub fn len(&self) -> usize {
-        self.testcases.len()
+        self.blocks.len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.testcases.is_empty()
+        self.blocks.is_empty()
     }
 
-    /// Finds by id.
-    pub fn get(&self, id: &str) -> Option<&Testcase> {
-        self.testcases.iter().find(|t| t.id.as_str() == id)
+    /// Whether a testcase with this id is held.
+    pub fn contains(&self, id: &str) -> bool {
+        self.index.contains_key(id)
     }
 
-    /// Consumes the store, yielding its testcases (shard migration).
-    pub fn into_testcases(self) -> Vec<Testcase> {
-        self.testcases
+    /// The text block of the `i`th testcase in insertion order.
+    pub fn block(&self, i: usize) -> &str {
+        let start = match i {
+            0 => 0,
+            _ => self.blocks[i - 1].1,
+        };
+        &self.text[start..self.blocks[i].1]
+    }
+
+    /// Every testcase's id and text block, in insertion order.
+    pub fn entries(&self) -> impl Iterator<Item = (&str, &str)> {
+        (0..self.len()).map(|i| (self.blocks[i].0.as_str(), self.block(i)))
+    }
+
+    /// Every block in insertion order, concatenated: the library in the
+    /// text format, as [`TestcaseStore::save`] writes it.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Finds by id, decoded now.
+    pub fn get(&self, id: &str) -> Option<Testcase> {
+        self.index.get(id).map(|&i| decode(self.block(i)))
+    }
+
+    /// All testcases in insertion order, decoded now.
+    pub fn testcases(&self) -> Vec<Testcase> {
+        (0..self.len()).map(|i| decode(self.block(i))).collect()
     }
 
     /// Saves the library to a text file.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, tcformat::emit_many(&self.testcases))
+        std::fs::write(path, &self.text)
     }
 
     /// Loads a library from a text file. Any defect is an
@@ -186,6 +264,11 @@ impl TestcaseStore {
             .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
         Self::from_testcases(testcases).map_err(|e| invalid(format!("{}: {e}", path.display())))
     }
+}
+
+/// Decodes a held testcase block.
+fn decode(block: &str) -> Testcase {
+    tcformat::parse(block).expect("a held block parses: it was rendered or parsed on entry")
 }
 
 /// What [`ResultStore::append_batch`] did with an upload batch.
@@ -978,7 +1061,8 @@ mod tests {
         let store = TestcaseStore::from_testcases(vec![tc("a"), tc("b")]).unwrap();
         store.save(&path).unwrap();
         let loaded = TestcaseStore::load(&path).unwrap();
-        assert_eq!(loaded.all(), store.all());
+        assert_eq!(loaded.testcases(), store.testcases());
+        assert_eq!(loaded.text(), store.text());
         assert!(loaded.get("a").is_some());
         assert!(loaded.get("zzz").is_none());
     }
@@ -986,8 +1070,8 @@ mod tests {
     #[test]
     fn duplicate_testcase_rejected() {
         let mut s = TestcaseStore::new();
-        s.add(tc("x")).unwrap();
-        let err = s.add(tc("x")).unwrap_err();
+        s.add(&tc("x")).unwrap();
+        let err = s.add(&tc("x")).unwrap_err();
         assert!(matches!(&err, StoreError::Duplicate(id) if id == "x"));
         assert!(err.to_string().contains("duplicate testcase id x"));
         assert_eq!(s.len(), 1, "the duplicate was not applied");
@@ -1043,13 +1127,13 @@ mod tests {
 
     impl Fill for TestcaseStore {
         fn fill(&mut self, round: u64) {
-            self.add(tc(&format!("t{round}-a"))).unwrap();
-            self.add(tc(&format!("t{round}-b"))).unwrap();
+            self.add(&tc(&format!("t{round}-a"))).unwrap();
+            self.add(&tc(&format!("t{round}-b"))).unwrap();
         }
 
         fn probe(&mut self) {
             assert!(self.get("t0-a").is_some() && self.get("t1-b").is_some());
-            let dup = self.add(tc("t1-a"));
+            let dup = self.add(&tc("t1-a"));
             assert!(matches!(dup, Err(StoreError::Duplicate(_))));
         }
     }
@@ -1219,9 +1303,9 @@ mod tests {
         let cfg = WalConfig::default();
         {
             let (mut tcs, _) = TestcaseStore::open_wal(dir.path(), cfg).unwrap();
-            tcs.add(tc("only")).unwrap();
+            tcs.add(&tc("only")).unwrap();
             assert!(matches!(
-                tcs.add(tc("only")),
+                tcs.add(&tc("only")),
                 Err(StoreError::Duplicate(_))
             ));
         }
@@ -1898,6 +1982,259 @@ mod tests {
             },
         );
         let never: Vec<_> = (CONTRACT_PATHS.iter().zip(seen))
+            .filter_map(|(path, seen)| (!seen).then_some(path))
+            .collect();
+        assert!(never.is_empty(), "no case reached: {never:?}");
+    }
+
+    /// The testcase store as it was before it held text: decoded
+    /// testcases in insertion order, each id once. What the text store
+    /// must read like.
+    #[derive(Debug, Default)]
+    struct StructStore(Vec<Testcase>);
+
+    impl StructStore {
+        fn add(&mut self, tc: &Testcase) -> Result<(), String> {
+            if self.0.iter().any(|t| t.id == tc.id) {
+                return Err(format!("duplicate testcase id {}", tc.id));
+            }
+            self.0.push(tc.clone());
+            Ok(())
+        }
+    }
+
+    /// Every reader of a text store, next to what the same reader of the
+    /// struct store it should equal gives.
+    fn tc_readings(text: &TestcaseStore, structs: &StructStore) -> [String; 2] {
+        let probe = ["tc-0", "tc-3", "tc-7", "nowhere"];
+        let text_blocks: Vec<&str> = (0..text.len()).map(|i| text.block(i)).collect();
+        let text_entries: Vec<(&str, &str)> = text.entries().collect();
+        let text_reading = format!(
+            "len {}\ntestcases {:?}\nget {:?}\ncontains {:?}\nblocks {:?}\nentries {:?}\ntext {}\nsnapshot {}",
+            text.len(),
+            text.testcases(),
+            probe.map(|id| text.get(id)),
+            probe.map(|id| text.contains(id)),
+            text_blocks,
+            text_entries,
+            text.text(),
+            text.snapshot().unwrap(),
+        );
+        let emitted: Vec<String> = structs.0.iter().map(tcformat::emit).collect();
+        let ids: Vec<&str> = structs.0.iter().map(|t| t.id.as_str()).collect();
+        let struct_entries: Vec<(&str, &str)> = ids
+            .iter()
+            .copied()
+            .zip(emitted.iter().map(String::as_str))
+            .collect();
+        let find = |id: &str| structs.0.iter().find(|t| t.id.as_str() == id);
+        let struct_reading = format!(
+            "len {}\ntestcases {:?}\nget {:?}\ncontains {:?}\nblocks {:?}\nentries {:?}\ntext {}\nsnapshot {}",
+            structs.0.len(),
+            structs.0,
+            probe.map(|id| find(id).cloned()),
+            probe.map(|id| find(id).is_some()),
+            emitted,
+            struct_entries,
+            tcformat::emit_many(&structs.0),
+            tcformat::emit_many(&structs.0),
+        );
+        [text_reading, struct_reading]
+    }
+
+    fn tc_same(text: &TestcaseStore, structs: &StructStore, after: &str) -> Result<(), String> {
+        let [got, want] = tc_readings(text, structs);
+        if got != want {
+            return Err(format!("after {after}:\ntext    {got}\nstructs {want}"));
+        }
+        Ok(())
+    }
+
+    /// A testcase under one of a dozen ids, so that additions collide:
+    /// one to three functions of any length (none included), values in
+    /// range, on the quarter-unit grid, or any finite `f64` the resource
+    /// clamps, at a rate that need not be whole.
+    fn random_testcase(rng: &mut uucs_stats::Pcg64) -> Testcase {
+        let id = format!("tc-{}", rng.below(12));
+        let rate = *rng.choose(&[0.25, 0.5, 1.0, 2.0, 1.0 / 3.0]);
+        let mut resources = [Resource::Cpu, Resource::Memory, Resource::Disk];
+        rng.shuffle(&mut resources);
+        let n = 1 + rng.below(3) as usize;
+        let functions = resources[..n]
+            .iter()
+            .map(|&r| {
+                let values = (0..rng.below(20))
+                    .map(|_| match rng.below(3) {
+                        0 => rng.f64() * r.max_contention(),
+                        1 => rng.below(16) as f64 / 4.0,
+                        _ => Some(f64::from_bits(rng.next_u64()))
+                            .filter(|v| v.is_finite())
+                            .unwrap_or(0.5),
+                    })
+                    .collect();
+                uucs_testcase::ExerciseFunction::from_values(r, rate, values)
+            })
+            .collect();
+        Testcase::new(id, rate, functions)
+    }
+
+    /// The paths a [`testcase_contract`] case can take that the property
+    /// as a whole must have reached.
+    const TC_PATHS: [&str; 6] = [
+        "a compaction",
+        "a duplicate",
+        "a torn tail under a live store",
+        "a reshard",
+        "a failed addition the reopen kept",
+        "a failed addition the reopen lost",
+    ];
+
+    /// One case of the testcase-store contract: a random run of
+    /// additions (colliding ids among them), compactions, reopens, torn
+    /// tails, reshards and planned faults against a durable text store
+    /// on an in-memory disk and the struct store. Every reader of the
+    /// two must agree after every step, and after each reopen once a
+    /// failed addition is reconciled with what the journal kept.
+    fn testcase_contract(seed: u64) -> Result<[bool; TC_PATHS.len()], String> {
+        use crate::shard::{shard_of, ShardFamily};
+        let mut seen = [false; TC_PATHS.len()];
+        let mut rng = uucs_stats::Pcg64::new(seed);
+        let dir = Path::new("/testcases");
+        let cfg = WalConfig {
+            segment_bytes: 200 + rng.below(3000),
+            sync: SyncPolicy::Always,
+        };
+        let mut mem = uucs_wal::MemIo::new();
+        let open = |mem: &uucs_wal::MemIo| -> Result<TestcaseStore, String> {
+            let io = || uucs_pagecache::CachedIo::passthrough(Disk::Memory(mem.clone()));
+            // A fault planned for the open itself fires, then the disk reboots.
+            match TestcaseStore::open(io(), dir, cfg) {
+                Ok((store, _)) => Ok(store),
+                Err(_) if mem.is_dead() => {
+                    mem.crash(1.0);
+                    TestcaseStore::open(io(), dir, cfg)
+                        .map(|(s, _)| s)
+                        .map_err(|e| e.to_string())
+                }
+                Err(e) => Err(e.to_string()),
+            }
+        };
+        let (mut structs, mut text) = (StructStore::default(), open(&mem)?);
+        for step in 0..24 {
+            let at = format!("step {step}");
+            let mut failed = None;
+            match rng.below(11) {
+                0..=5 => {
+                    let tc = random_testcase(&mut rng);
+                    match (text.add(&tc), structs.add(&tc)) {
+                        (Ok(()), Ok(())) => {}
+                        (Err(StoreError::Duplicate(id)), Err(_)) if id == tc.id.as_str() => {
+                            seen[1] = true
+                        }
+                        (Err(StoreError::Io(_)), Ok(())) if mem.is_dead() => {
+                            structs.0.pop();
+                            failed = Some(Some(tc));
+                        }
+                        (got, want) => {
+                            return Err(format!("{at}: add {}: {got:?}, structs {want:?}", tc.id))
+                        }
+                    }
+                }
+                6 => match text.compact() {
+                    Ok(compacted) => seen[0] |= compacted,
+                    Err(_) if mem.is_dead() => failed = Some(None),
+                    Err(e) => return Err(format!("{at}: compact: {e}")),
+                },
+                7 => text = open(&mem)?,
+                8 => {
+                    // A torn append under the live store, then the reopen that heals it.
+                    let active = mem
+                        .list(dir)
+                        .map_err(|e| e.to_string())?
+                        .into_iter()
+                        .filter(|n| n.ends_with(".wal"))
+                        .max();
+                    let payload = testcase_payload(&tcformat::emit(&random_testcase(&mut rng)));
+                    let frame = uucs_wal::frame::encode_frame(&payload);
+                    let torn = &frame[..1 + rng.below(frame.len() as u64 - 1) as usize];
+                    if mem
+                        .append(&dir.join(active.ok_or("no segment")?), torn)
+                        .is_err()
+                    {
+                        failed = Some(None);
+                    } else {
+                        tc_same(&text, &structs, &format!("{at} (torn tail, live)"))?;
+                        seen[2] = true;
+                        text = open(&mem)?;
+                    }
+                }
+                9 if !mem.is_dead() => mem.set_fault(Some(uucs_wal::FaultPlan {
+                    fail_at: mem.mutating_ops() + rng.below(6),
+                    short_write: rng.bernoulli(0.5).then(|| rng.below(24) as usize),
+                })),
+                10 if !mem.is_dead() => {
+                    // Out to `k` shards and back to one, as a reshard moves
+                    // blocks, onto a fresh in-memory disk.
+                    let k = 2 + rng.below(7) as usize;
+                    let state = TestcaseStore::extract(vec![text]).map_err(|e| e.to_string())?;
+                    let mut parts = Vec::new();
+                    for i in 0..k {
+                        let mut part = TestcaseStore::new();
+                        part.load_part(&state, i, k).map_err(|e| e.to_string())?;
+                        parts.push(part);
+                    }
+                    let merged = TestcaseStore::extract(parts).map_err(|e| e.to_string())?;
+                    mem = uucs_wal::MemIo::new();
+                    text = open(&mem)?;
+                    text.load_part(&merged, 0, 1).map_err(|e| e.to_string())?;
+                    structs.0.sort_by_key(|t| shard_of(t.id.as_str(), k));
+                    seen[3] = true;
+                }
+                _ => {}
+            }
+            if let Some(addition) = failed {
+                // The planned fault fired: the live store is what it was
+                // before, whatever the failed operation left on disk. The
+                // power loss keeps none, all or part of the unsynced tail.
+                let flushed = match rng.below(3) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.f64(),
+                };
+                mem.crash(flushed);
+                tc_same(&text, &structs, &format!("{at} (fault, live)"))?;
+                text = open(&mem)?;
+                if let Some(tc) = addition {
+                    let kept = text.contains(tc.id.as_str());
+                    if kept {
+                        structs.add(&tc)?;
+                    }
+                    seen[if kept { 4 } else { 5 }] = true;
+                }
+            }
+            tc_same(&text, &structs, &at)?;
+        }
+        Ok(seen)
+    }
+
+    /// [`testcase_contract`] over `UUCS_PROPTEST_CASES` seeds, which
+    /// between them must have taken every one of [`TC_PATHS`].
+    #[test]
+    fn text_testcase_store_reads_like_the_struct_store() {
+        let mut seen = [false; TC_PATHS.len()];
+        uucs_harness::prop::run_property(
+            &uucs_harness::prop::Config::default(),
+            "text_testcase_store_reads_like_the_struct_store",
+            (uucs_harness::prop::any::<u64>(),),
+            |&(seed,)| {
+                let taken = testcase_contract(seed).map_err(|e| {
+                    uucs_harness::prop::CaseError::Fail(format!("seed {seed}: {e}"))
+                })?;
+                seen.iter_mut().zip(taken).for_each(|(s, t)| *s |= t);
+                Ok(())
+            },
+        );
+        let never: Vec<_> = (TC_PATHS.iter().zip(seen))
             .filter_map(|(path, seen)| (!seen).then_some(path))
             .collect();
         assert!(never.is_empty(), "no case reached: {never:?}");

@@ -54,7 +54,7 @@ fn boot(dir: &Path) -> Arc<UucsServer> {
     if testcases.is_empty() {
         for i in 0..3 {
             testcases
-                .add(Testcase::single(
+                .add(&Testcase::single(
                     format!("t{i}"),
                     1.0,
                     Resource::Cpu,
@@ -467,3 +467,152 @@ fn records_beside_an_empty_model_are_folded_once_at_open() {
     );
     assert_eq!(sketch_and_records_model(&server), (sketch, want));
 }
+
+/// A slice of the Internet study's library holding every kind of
+/// exercise function its generator makes.
+fn varied_library() -> Vec<Testcase> {
+    let sweep = uucs_testcase::generate::Library::internet_sweep(42);
+    sweep.testcases().iter().step_by(45).cloned().collect()
+}
+
+/// Syncs a fresh client through the whole of `server`'s library and
+/// checks every reply: it is the held text, and in both framings it is
+/// byte for byte the encoding of the same testcases built from
+/// `library`'s structs.
+fn assert_syncs_encode_like_structs(server: &UucsServer, library: &[Testcase], what: &str) {
+    let by_id: std::collections::HashMap<&str, &Testcase> =
+        library.iter().map(|t| (t.id.as_str(), t)).collect();
+    let snapshot = MachineSnapshot::study_machine("parity");
+    let ServerMsg::Id { id, .. } = server.handle(&ClientMsg::register(snapshot)) else {
+        panic!("{what}: registration refused");
+    };
+    let mut have = 0;
+    for want in [8, 13, library.len()] {
+        let reply = server.handle(&ClientMsg::Sync {
+            client: id.clone(),
+            have,
+            want,
+        });
+        assert!(
+            matches!(reply, ServerMsg::TestcaseText { .. }),
+            "{what}: {reply:?}"
+        );
+        let Ok(ServerMsg::Testcases(got)) = reply.clone().received() else {
+            panic!("{what}: reply does not decode");
+        };
+        let structs =
+            ServerMsg::Testcases(got.iter().map(|t| by_id[t.id.as_str()].clone()).collect());
+        let (mut text, mut want_text) = (Vec::new(), Vec::new());
+        uucs_protocol::wire::write_server_msg(&mut text, &reply).unwrap();
+        uucs_protocol::wire::write_server_msg(&mut want_text, &structs).unwrap();
+        assert!(
+            text == want_text,
+            "{what}: text framing differs at have={have}"
+        );
+        let binary = uucs_wire::codec::encode_server(9, &reply).unwrap();
+        let want_binary = uucs_wire::codec::encode_server(9, &structs).unwrap();
+        assert!(
+            binary == want_binary,
+            "{what}: binary framing differs at have={have}"
+        );
+        have += got.len();
+    }
+    assert_eq!(
+        have,
+        library.len(),
+        "{what}: the library was not served whole"
+    );
+}
+
+/// `SYNC` splices the blocks a store holds, and those are the struct
+/// encoder's bytes however the store came by them: rendered by `add`,
+/// kept from a replayed journal or a checkpoint, moved by a reshard, or
+/// applied by a follower from what the leader shipped. What the leader
+/// ships and journals is `WalEntry::encode` of each testcase.
+#[test]
+fn sync_replies_are_the_struct_encoding_however_the_library_was_loaded() {
+    use uucs_protocol::WalEntry;
+    let tmp = TempDir::new("uucs-sync-text");
+    let dir = tmp.path().to_path_buf();
+    let library = varied_library();
+    let open =
+        |shards| UucsServer::with_store_set(StoreSet::open(&dir, CFG, shards).unwrap().0, 21);
+    let sink = Arc::new(Shipped::default());
+    {
+        let leader = open(8);
+        leader.set_replication(sink.clone());
+        leader.add_testcases(&library).unwrap();
+        assert_syncs_encode_like_structs(&leader, &library, "built by add");
+    }
+    let encoded: Vec<Vec<u8>> = library
+        .iter()
+        .map(|tc| WalEntry::Testcase(tc.clone()).encode())
+        .collect();
+    // The parity client's registration was shipped too.
+    let shipped: Vec<Vec<u8>> = (sink.0.lock().unwrap().iter())
+        .filter(|(_, payload)| payload[0] == uucs_protocol::walenc::TAG_TESTCASE)
+        .map(|(_, payload)| payload.clone())
+        .collect();
+    assert!(
+        shipped == encoded,
+        "the leader ships each testcase's journal entry"
+    );
+    let mut held: Vec<Vec<u8>> = (0..8)
+        .flat_map(|i| journaled(&dir.join(format!("testcases/by-8/shard-{i:03}"))))
+        .collect();
+    let mut want = encoded.clone();
+    held.sort();
+    want.sort();
+    assert!(held == want, "the journals hold each testcase's entry once");
+
+    assert_syncs_encode_like_structs(&open(8), &library, "reopened from the journal");
+    assert!(open(8).compact().unwrap());
+    assert_syncs_encode_like_structs(&open(8), &library, "restored from a checkpoint");
+    assert_syncs_encode_like_structs(&open(4), &library, "resharded 8 to 4");
+
+    let follower = UucsServer::with_store_set(StoreSet::plain(2), 21);
+    for payload in &shipped {
+        follower
+            .apply_entry(&WalEntry::decode(payload).unwrap())
+            .unwrap();
+    }
+    assert_syncs_encode_like_structs(&follower, &library, "on a follower");
+}
+
+/// CRC-32 of every file under `dir`, in name order, names included.
+fn files_crc(dir: &Path) -> u32 {
+    let mut names: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    names.sort();
+    let mut bytes = Vec::new();
+    for name in names {
+        bytes.extend_from_slice(name.to_string_lossy().as_bytes());
+        bytes.extend_from_slice(&std::fs::read(dir.join(&name)).unwrap());
+    }
+    uucs_wal::crc::crc32(&bytes)
+}
+
+/// The testcase journal and its checkpoint hold the bytes the store
+/// wrote while it kept testcases as structs: the pinned CRC-32s were
+/// taken from that build, for the same library and segment size.
+#[test]
+fn testcase_journal_and_checkpoint_bytes_are_pinned() {
+    let tmp = TempDir::new("uucs-tc-bytes");
+    let (mut store, _) = TestcaseStore::open_wal(tmp.path(), CFG).unwrap();
+    for tc in varied_library() {
+        store.add(&tc).unwrap();
+    }
+    assert_eq!(files_crc(tmp.path()), JOURNAL_CRC, "journal bytes moved");
+    let server = UucsServer::new(store, 1);
+    assert!(server.compact().unwrap());
+    assert_eq!(
+        files_crc(tmp.path()),
+        CHECKPOINT_CRC,
+        "checkpoint bytes moved"
+    );
+}
+
+const JOURNAL_CRC: u32 = 0x856e_b80e;
+const CHECKPOINT_CRC: u32 = 0x1f52_c178;

@@ -90,19 +90,28 @@ pub fn emit(tc: &Testcase) -> String {
     out
 }
 
-/// Serializes one testcase, appending to `out`.
+/// Serializes one testcase, appending to `out`: every value is written
+/// straight into `out`, with no string made per value or per line.
 pub fn emit_into(tc: &Testcase, out: &mut String) {
     use fmt::Write;
-    writeln!(out, "TESTCASE {}", tc.id).unwrap();
-    writeln!(out, "RATE {}", fmt_f64(tc.sample_rate_hz)).unwrap();
+    writeln!(out, "TESTCASE {}", tc.id).expect("writing to a String cannot fail");
+    out.push_str("RATE ");
+    push_f64(out, tc.sample_rate_hz);
+    out.push('\n');
     for f in &tc.functions {
-        writeln!(out, "FUNCTION {} {}", f.resource, f.values.len()).unwrap();
+        writeln!(out, "FUNCTION {} {}", f.resource, f.values.len())
+            .expect("writing to a String cannot fail");
         for chunk in f.values.chunks(8) {
-            let line: Vec<String> = chunk.iter().map(|v| fmt_f64(*v)).collect();
-            writeln!(out, "{}", line.join(" ")).unwrap();
+            for (i, v) in chunk.iter().enumerate() {
+                if i > 0 {
+                    out.push(' ');
+                }
+                push_f64(out, *v);
+            }
+            out.push('\n');
         }
     }
-    writeln!(out, "END").unwrap();
+    out.push_str("END\n");
 }
 
 /// Serializes many testcases into one file body.
@@ -114,39 +123,69 @@ pub fn emit_many(tcs: &[Testcase]) -> String {
     out
 }
 
-/// Formats an f64 so that parsing it back yields the identical value.
-fn fmt_f64(v: f64) -> String {
+/// Appends an f64 so that parsing it back yields the identical value.
+fn push_f64(out: &mut String, v: f64) {
+    use fmt::Write;
+    let start = out.len();
     // The shortest roundtrip representation Rust produces for {} is exact.
-    let s = format!("{v}");
-    debug_assert_eq!(s.parse::<f64>().unwrap().to_bits(), v.to_bits());
-    s
+    write!(out, "{v}").expect("writing to a String cannot fail");
+    debug_assert_eq!(out[start..].parse::<f64>().unwrap().to_bits(), v.to_bits());
+}
+
+/// Splits concatenated testcases after each line that reads `END` —
+/// the pieces [`emit_many`] joined, each one [`emit`] output. Text after
+/// the last such line is the last piece, so a caller that [`parse`]s
+/// every piece refuses a torn or foreign tail rather than dropping it.
+pub fn blocks(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = text;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let mut end = 0;
+        for line in rest.split_inclusive('\n') {
+            end += line.len();
+            if line.trim() == "END" {
+                break;
+            }
+        }
+        let (block, tail) = rest.split_at(end);
+        rest = tail;
+        Some(block)
+    })
 }
 
 /// Tokenizer: yields (line_number, token) over the input, skipping
-/// comments (from `#` to end of line) and blank lines.
+/// comments (from `#` to end of line) and blank lines, a line at a time.
 struct Tokens<'a> {
-    inner: std::vec::IntoIter<(usize, &'a str)>,
+    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    /// The 1-based number of the line `words` splits.
+    line: usize,
+    words: std::str::SplitWhitespace<'a>,
 }
 
 impl<'a> Tokens<'a> {
     fn new(input: &'a str) -> Self {
-        let mut toks = Vec::new();
-        for (i, raw) in input.lines().enumerate() {
-            let line = match raw.find('#') {
-                Some(pos) => &raw[..pos],
-                None => raw,
-            };
-            for tok in line.split_whitespace() {
-                toks.push((i + 1, tok));
-            }
-        }
         Tokens {
-            inner: toks.into_iter(),
+            lines: input.lines().enumerate(),
+            line: 0,
+            words: "".split_whitespace(),
         }
     }
 
     fn next(&mut self) -> Option<(usize, &'a str)> {
-        self.inner.next()
+        loop {
+            if let Some(tok) = self.words.next() {
+                return Some((self.line, tok));
+            }
+            let (i, raw) = self.lines.next()?;
+            let line = match raw.find('#') {
+                Some(pos) => &raw[..pos],
+                None => raw,
+            };
+            self.line = i + 1;
+            self.words = line.split_whitespace();
+        }
     }
 
     fn expect_keyword(&mut self, kw: &'static str) -> Result<usize, ParseError> {
@@ -188,10 +227,19 @@ impl<'a> Tokens<'a> {
     }
 }
 
-/// Parses exactly one testcase from the input.
+/// Parses exactly one testcase from the input: anything after its
+/// `END` but comments and blank lines is an error.
 pub fn parse(input: &str) -> Result<Testcase, ParseError> {
     let mut toks = Tokens::new(input);
-    parse_one(&mut toks)
+    let tc = parse_one(&mut toks)?;
+    match toks.next() {
+        None => Ok(tc),
+        Some((line, t)) => Err(ParseError::Expected {
+            what: "end of input",
+            line,
+            found: t.to_string(),
+        }),
+    }
 }
 
 /// Parses every testcase in the input (possibly zero).
@@ -330,6 +378,32 @@ mod tests {
         let text = emit_many(&tcs);
         let parsed = parse_many(&text).unwrap();
         assert_eq!(parsed, tcs);
+    }
+
+    #[test]
+    fn parse_refuses_a_second_testcase() {
+        let two = emit_many(&[sample_tc(), Testcase::blank("blank-x", 1.0, 3.0)]);
+        assert!(matches!(
+            parse(&two),
+            Err(ParseError::Expected { what: "end of input", found, .. }) if found == "TESTCASE"
+        ));
+        let commented = format!("{}# trailing note\n\n", emit(&sample_tc()));
+        assert_eq!(parse(&commented).unwrap(), sample_tc());
+    }
+
+    #[test]
+    fn blocks_are_the_emitted_testcases() {
+        let tcs = vec![sample_tc(), Testcase::blank("blank-x", 1.0, 3.0)];
+        let text = emit_many(&tcs);
+        let pieces: Vec<&str> = blocks(&text).collect();
+        let want: Vec<String> = tcs.iter().map(emit).collect();
+        assert_eq!(pieces, want);
+        assert_eq!(blocks("").count(), 0);
+        // A torn tail is a piece of its own, and does not parse.
+        let torn = format!("{}TESTCASE t\nRATE 1\n", emit(&sample_tc()));
+        let pieces: Vec<&str> = blocks(&torn).collect();
+        assert_eq!(pieces.len(), 2);
+        assert_eq!(parse(pieces[1]), Err(ParseError::UnexpectedEof));
     }
 
     #[test]

@@ -35,6 +35,11 @@ impl Library {
         &self.testcases
     }
 
+    /// The testcases, in insertion order, without copying them.
+    pub fn into_testcases(self) -> Vec<Testcase> {
+        self.testcases
+    }
+
     /// Number of testcases.
     pub fn len(&self) -> usize {
         self.testcases.len()

@@ -27,7 +27,7 @@ use std::io;
 use uucs_modelsvc::{QuantileSketch, SketchDelta};
 use uucs_protocol::record::{MonitorSummary, RunOutcome, RunRecord};
 use uucs_protocol::snapshot::MachineSnapshot;
-use uucs_protocol::wire::is_token;
+use uucs_protocol::wire::{is_token, parse_testcases};
 use uucs_protocol::{ClientMsg, ServerMsg};
 use uucs_testcase::{format as tcformat, Resource};
 
@@ -134,6 +134,17 @@ impl Out {
             }
         }
     }
+}
+
+/// A `TESTCASES` reply: the count, then the blocks as one blob.
+fn testcases(req_id: u32, count: usize, body: &str) -> io::Result<Out> {
+    let mut out = Out::new(req_id, server_op::TESTCASES);
+    let n: u32 = count
+        .try_into()
+        .map_err(|_| bad("TESTCASES batch exceeds u32"))?;
+    out.u32(n);
+    out.blob("TESTCASES body", body.as_bytes())?;
+    Ok(out)
 }
 
 fn check_epsilon(epsilon: f64) -> io::Result<()> {
@@ -280,16 +291,8 @@ pub fn encode_server(req_id: u32, msg: &ServerMsg) -> io::Result<Vec<u8>> {
             out.u64(*applied_seq);
             out
         }
-        ServerMsg::Testcases(tcs) => {
-            let mut out = Out::new(req_id, server_op::TESTCASES);
-            let n: u32 = tcs
-                .len()
-                .try_into()
-                .map_err(|_| bad("TESTCASES batch exceeds u32"))?;
-            out.u32(n);
-            out.blob("TESTCASES body", tcformat::emit_many(tcs).as_bytes())?;
-            out
-        }
+        ServerMsg::Testcases(tcs) => testcases(req_id, tcs.len(), &tcformat::emit_many(tcs))?,
+        ServerMsg::TestcaseText { count, body } => testcases(req_id, *count, body)?,
         ServerMsg::Ack(n) => {
             let mut out = Out::new(req_id, server_op::ACK);
             out.u64(*n as u64);
@@ -601,12 +604,7 @@ pub fn decode_server(payload: &[u8]) -> io::Result<(u32, ServerMsg)> {
             let body = r.blob("TESTCASES body")?;
             let text = std::str::from_utf8(body)
                 .map_err(|_| bad("TESTCASES body is not utf-8"))?;
-            let tcs = tcformat::parse_many(text)
-                .map_err(|e| bad(format!("bad testcase block: {e}")))?;
-            if tcs.len() != n {
-                return Err(bad("TESTCASES count mismatch"));
-            }
-            ServerMsg::Testcases(tcs)
+            ServerMsg::Testcases(parse_testcases(n, text)?)
         }
         server_op::ACK => ServerMsg::Ack(r.u64("ACK count")? as usize),
         server_op::MODEL => {
@@ -805,6 +803,45 @@ mod tests {
             assert_eq!(rid, req_id);
             assert_eq!(decoded, msg);
         }
+    }
+
+    /// Testcase text is framed byte for byte as the testcases it holds,
+    /// decodes as them, and a count its body does not fill is refused
+    /// here as it is by an in-process receiver.
+    #[test]
+    fn testcase_text_encodes_as_testcases() {
+        let tcs = vec![
+            Testcase::single(
+                "x",
+                0.5,
+                Resource::Disk,
+                ExerciseSpec::Ramp {
+                    level: 5.0,
+                    duration: 40.0,
+                },
+            ),
+            Testcase::blank("b", 1.0, 9.0),
+        ];
+        for n in 0..=tcs.len() {
+            let structs = ServerMsg::Testcases(tcs[..n].to_vec());
+            let text = ServerMsg::TestcaseText {
+                count: n,
+                body: tcformat::emit_many(&tcs[..n]),
+            };
+            let payload = encode_server(5, &text).unwrap();
+            assert_eq!(payload, encode_server(5, &structs).unwrap());
+            assert_eq!(decode_server(&payload).unwrap(), (5, structs));
+        }
+        let short = ServerMsg::TestcaseText {
+            count: 3,
+            body: tcformat::emit_many(&tcs),
+        };
+        let refused = decode_server(&encode_server(5, &short).unwrap()).unwrap_err();
+        let received = short.received().unwrap_err();
+        assert_eq!(
+            (refused.kind(), refused.to_string()),
+            (received.kind(), received.to_string())
+        );
     }
 
     #[test]

@@ -134,6 +134,13 @@ UUCS_PROPTEST_CASES=5000 cargo test -q --release -p uucs-sim touch_equals
 echo "== durable result store reads like a plain one (2000 cases) =="
 UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib durable_and_plain_result_stores_read_alike
 
+# A testcase store holds each testcase as its text block. Through 2000
+# random runs of additions, duplicates, compactions, reopens, reshards,
+# torn tails and planned faults, every reader of it must read like the
+# struct store it replaced.
+echo "== text testcase store reads like the struct store (2000 cases) =="
+UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib text_testcase_store_reads_like_the_struct_store
+
 # controlled-study checks every repetition's rendered output against a
 # pinned CRC: it is the byte-identity gate for the parallel study's
 # phase ordering. restart-recovery re-REGISTERs every identity and
@@ -141,8 +148,10 @@ UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib durable_an
 # means every acked (client, seq) came back exactly once from the
 # parallel one-pass open. quorum-ack is the only workload whose output
 # check runs through the replication tier: every acked upload must be
-# on the quorum follower too.
-for workload in ack-latency quorum-ack controlled-study restart-recovery; do
+# on the quorum follower too. hot-sync is the only one that drives SYNC
+# over the real client transport, and its check wants every reply to
+# hold a full batch of testcases.
+for workload in ack-latency quorum-ack controlled-study restart-recovery hot-sync; do
     echo "== benchmark smoke ($workload, 2 s, outputs checked) =="
     smoke=$(benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
     echo "$smoke"

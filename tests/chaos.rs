@@ -62,7 +62,7 @@ fn wal_server(dir: &Path) -> Arc<UucsServer> {
     let (registry, _) = RegistryStore::open_wal(&dir.join("registry"), WAL_CFG).unwrap();
     if testcases.is_empty() {
         for tc in calibration::controlled_testcases(Task::Word) {
-            testcases.add(tc).unwrap();
+            testcases.add(&tc).unwrap();
         }
     }
     Arc::new(UucsServer::with_all_stores(testcases, results, registry, 7))

@@ -30,7 +30,7 @@ fn wal_server(dir: &std::path::Path) -> Arc<UucsServer> {
     let (models, _) = ModelStore::open_wal(&dir.join("models"), WAL_CFG).unwrap();
     if testcases.is_empty() {
         for tc in calibration::controlled_testcases(Task::Word) {
-            testcases.add(tc).unwrap();
+            testcases.add(&tc).unwrap();
         }
     }
     Arc::new(

@@ -4,6 +4,52 @@ use uucs_harness::prelude::*;
 use uucs::stats::{Ecdf, Pcg64};
 use uucs::testcase::{format as tcformat, ExerciseFunction, Resource, Testcase};
 
+/// The testcase emitter as it was before `tcformat::emit_into` wrote
+/// values straight into its output: one `String` per value, a
+/// `Vec<String>` per line and a join. Kept as the reference the
+/// allocation-free emitter must match byte for byte, because those
+/// bytes are journals, checkpoints and `SYNC` replies.
+fn reference_emit(tc: &Testcase) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    writeln!(out, "TESTCASE {}", tc.id).unwrap();
+    writeln!(out, "RATE {}", fmt_f64(tc.sample_rate_hz)).unwrap();
+    for f in &tc.functions {
+        writeln!(out, "FUNCTION {} {}", f.resource, f.values.len()).unwrap();
+        for chunk in f.values.chunks(8) {
+            let line: Vec<String> = chunk.iter().map(|v| fmt_f64(*v)).collect();
+            writeln!(out, "{}", line.join(" ")).unwrap();
+        }
+    }
+    writeln!(out, "END").unwrap();
+    out
+}
+
+fn fmt_f64(v: f64) -> String {
+    format!("{v}")
+}
+
+/// `emit`, and `emit_many` over all of them, against the reference.
+fn assert_emits_like_the_reference(tcs: &[Testcase], what: &str) {
+    for tc in tcs {
+        assert_eq!(tcformat::emit(tc), reference_emit(tc), "{what}: {}", tc.id);
+    }
+    let all: String = tcs.iter().map(reference_emit).collect();
+    assert_eq!(tcformat::emit_many(tcs), all, "{what}");
+}
+
+/// The Internet study's library and the controlled study's, byte for
+/// byte as the reference emitter writes them.
+#[test]
+fn emitted_libraries_match_the_reference_emitter() {
+    let sweep = uucs::testcase::generate::Library::internet_sweep(42);
+    assert_emits_like_the_reference(sweep.testcases(), "internet_sweep(42)");
+    for task in uucs::workloads::Task::ALL {
+        let controlled = uucs::comfort::calibration::controlled_testcases(task);
+        assert_emits_like_the_reference(&controlled, task.name());
+    }
+}
+
 /// Strategy: a valid contention value vector for a resource.
 fn values_for(resource: Resource) -> impl Strategy<Value = Vec<f64>> {
     let max = resource.max_contention();
@@ -31,6 +77,29 @@ proptest! {
         );
         let parsed = tcformat::parse(&tcformat::emit(&tc)).unwrap();
         prop_assert_eq!(parsed, tc);
+    }
+
+    /// The allocation-free emitter writes what the reference does, for
+    /// any finite values (subnormal, huge and negative ones included,
+    /// clamped to the resource's range as a testcase holds them) at any
+    /// quarter-hertz rate.
+    #[test]
+    fn emit_matches_the_reference_emitter(
+        cpu in values_for(Resource::Cpu),
+        bits in prop::collection::vec(any::<u64>(), 0..40),
+        rate in 1u32..40,
+    ) {
+        let rate = rate as f64 / 4.0;
+        let raw: Vec<f64> = bits.into_iter().map(f64::from_bits).filter(|v| v.is_finite()).collect();
+        let tc = Testcase::new(
+            "prop-tc",
+            rate,
+            vec![
+                ExerciseFunction::from_values(Resource::Cpu, rate, cpu),
+                ExerciseFunction::from_values(Resource::Disk, rate, raw),
+            ],
+        );
+        prop_assert_eq!(tcformat::emit(&tc), reference_emit(&tc));
     }
 
     /// ECDF invariants: eval is monotone, bounded by f_d, and quantile
