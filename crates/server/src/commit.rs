@@ -75,8 +75,10 @@ impl StoreFlavor {
 /// The number of ticketed families. Model-WAL appends are deliberately
 /// not ticketed: the model is derived state, and a failed model journal
 /// write never blocked an upload ack before (the records are the source
-/// of truth) — so the committer syncs model shards opportunistically
-/// but no reply waits on them.
+/// of truth) — so the committer never syncs a model shard and no reply
+/// waits on one. A model journal reaches disk when a segment rotates
+/// (its rotation sync stays inline, see
+/// [`StoreSet::set_deferred_rotation_sync`]) and at compaction.
 const FLAVORS: usize = 3;
 
 /// Where a shipped mutation sits in the replication stream, for an ack

@@ -38,15 +38,12 @@
 //!   batching earned on the previous pass, so a lone upload is synced
 //!   at once and a saturated server gathers for nearly N microseconds.
 //!   Acks still wait for the fsync — same durability, amortized cost.
-//! * `--cache-pages N` puts an ARC page cache (N pages per store
-//!   flavor, `uucs-pagecache`) under every journal: write-through (no
-//!   durability change), read-cached (reshard migrations and compaction
-//!   scans hit memory when warm; a restart reads each segment once, so
-//!   its replay never does). 0 (the default) is a strict passthrough.
 //! * `--io-threads N` starts the disk-scheduler thread pool: group
 //!   commit fans its per-shard fsyncs out to it, and segment rotation
 //!   defers its fsync to the next commit pass instead of stalling the
 //!   append path. Needs `--commit-interval-us`.
+//! * `--cache-pages N` is accepted and ignored (it prints a note): the
+//!   journals are read straight from their files, with no page cache.
 //! * `--max-conns N`, `--workers N` tune the TCP front end (a worker
 //!   pool blocked in `poll(2)` over nonblocking sockets).
 //!
@@ -117,10 +114,11 @@ fn main() {
             }
             "--cache-pages" => {
                 i += 1;
-                storage.cache_pages = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("bad --cache-pages (want a page count, 0 disables)");
+                if args.get(i).and_then(|s| s.parse::<usize>().ok()).is_none() {
+                    eprintln!("bad --cache-pages (want a page count)");
                     std::process::exit(2);
-                });
+                }
+                eprintln!("--cache-pages is ignored: the journals have no page cache");
             }
             "--io-threads" => {
                 i += 1;
@@ -163,10 +161,6 @@ fn main() {
         eprintln!("--io-threads needs --commit-interval-us (the committer drives the scheduler)");
         std::process::exit(2);
     }
-    if storage.cache_pages > 0 && !wal {
-        eprintln!("--cache-pages needs --wal (the cache sits under the journals)");
-        std::process::exit(2);
-    }
 
     // Surface the engine configuration in STATS so fleet drivers can
     // confirm what they are actually talking to.
@@ -174,7 +168,6 @@ fn main() {
     metrics::gauge("server.config.max_connections").set(serve_config.max_connections as i64);
     metrics::gauge("server.config.workers").set(serve_config.workers as i64);
     metrics::gauge("server.config.commit_interval_us").set(commit_interval_us as i64);
-    metrics::gauge("server.config.cache_pages").set(storage.cache_pages as i64);
     metrics::gauge("server.config.io_threads").set(storage.io_threads as i64);
 
     let seed_library = || -> Vec<uucs_testcase::Testcase> {

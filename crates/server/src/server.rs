@@ -1944,4 +1944,79 @@ mod tests {
             other => panic!("{other:?}"),
         }
     }
+
+    /// Group commit with the disk scheduler — the server's wiring under
+    /// `--io-threads` — defers segment-rotation fsyncs to the
+    /// committer, which only syncs the ticketed families. A model
+    /// journal, never ticketed, must keep syncing as it rotates: a power
+    /// loss at any point of its unsynced tail then reopens with every
+    /// closed segment, instead of losing them all or leaving a torn
+    /// frame in a non-final segment that fails the whole open.
+    #[test]
+    fn rotating_model_journal_survives_power_loss_under_the_io_scheduler() {
+        use crate::storage::{Disk, StorageProfile};
+        use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
+        use uucs_wal::{Io, MemIo, SyncPolicy, WalConfig};
+        const UPLOADS: u64 = 400;
+        let cfg = WalConfig {
+            segment_bytes: 4096,
+            sync: SyncPolicy::Never,
+        };
+        let dir = std::path::Path::new("/data");
+        let open = |mem: &MemIo| StoreSet::open_on(1, &Disk::Memory(mem.clone()), dir, cfg, 1);
+        let mem = MemIo::new();
+        let profile = StorageProfile {
+            io_threads: 1,
+            ..StorageProfile::default()
+        };
+        let server = UucsServer::with_store_set(open(&mem).unwrap().0, 7)
+            .with_io_scheduler(profile.scheduler().unwrap())
+            .with_group_commit(Duration::from_micros(200));
+        let id = register(&server);
+        for seq in 1..=UPLOADS {
+            let rec = RunRecord {
+                client: id.clone(),
+                user: "u".into(),
+                testcase: "tc-000".into(),
+                task: "Word".into(),
+                skill: "Typical".into(),
+                outcome: RunOutcome::Discomfort,
+                offset_secs: 10.0,
+                last_levels: vec![(Resource::Cpu, vec![1.0 + seq as f64 / 1000.0])],
+                monitor: MonitorSummary::default(),
+            };
+            let reply = server.handle(&ClientMsg::Upload {
+                client: id.clone(),
+                seq,
+                records: vec![rec],
+            });
+            assert!(matches!(reply, ServerMsg::Ack(1)), "{reply:?}");
+        }
+        assert_eq!(server.model_epoch(), UPLOADS);
+        // The disk as a power loss would find it, with the server live.
+        let image = mem.fork();
+        drop(server);
+        let segments = Disk::Memory(image.clone())
+            .list(&dir.join("models"))
+            .unwrap();
+        assert!(
+            segments.len() > 4,
+            "the model journal never rotated: {segments:?}"
+        );
+
+        let mut last = 0;
+        for flush in [0.0, 0.25, 0.5, 0.75, 0.9, 1.0] {
+            let disk = image.fork();
+            disk.crash(flush);
+            let (stores, _) = open(&disk).unwrap_or_else(|e| panic!("flush {flush}: {e}"));
+            let epoch = stores.models.read(0).epoch();
+            assert!(
+                epoch > 0,
+                "flush {flush}: the closed model segments were lost"
+            );
+            assert!(epoch >= last, "flush {flush}: epoch {epoch} below {last}");
+            last = epoch;
+        }
+        assert_eq!(last, UPLOADS, "a full flush keeps every epoch");
+    }
 }

@@ -40,7 +40,7 @@
 
 use crate::journal::Journaled;
 use crate::models::ModelStore;
-use crate::storage::{StorageProfile, StoreIo};
+use crate::storage::{plain_io, StorageProfile, StoreIo};
 use crate::store::{invalid, RegistryStore, ResultStore, TestcaseStore};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -263,9 +263,8 @@ fn open_all(workers: usize, queue: Vec<QueuedOpen<'_>>) {
 }
 
 /// The journals of one family on their way to being opened: their
-/// directories in shard order, the I/O backend they share (every shard
-/// of a flavor shares one page cache; a passthrough backend costs
-/// nothing), and the slot each opened store lands in.
+/// directories in shard order, the I/O backend they share, and the slot
+/// each opened store lands in.
 struct Journals<F> {
     io: StoreIo,
     cfg: WalConfig,
@@ -576,14 +575,13 @@ impl StoreSet {
     /// (testcases, then results, registry, models) for torn-tail
     /// reporting.
     pub fn open(dir: &Path, cfg: WalConfig, shards: usize) -> io::Result<(Self, Vec<Recovery>)> {
-        Self::open_with(dir, cfg, shards, &StorageProfile::default())
+        Self::open_on(available_workers(), &plain_io(), dir, cfg, shards)
     }
 
-    /// [`StoreSet::open`] under an explicit [`StorageProfile`]: each
-    /// family's shards share one flavor-labelled page cache, so reshard
-    /// migrations and compaction scans that re-read a segment are
-    /// served from memory. The default profile is a passthrough —
-    /// byte- and syscall-identical to [`StoreSet::open`] before it.
+    /// [`StoreSet::open`], taking a [`StorageProfile`]. Nothing in a
+    /// profile changes how the journals open — its scheduler is
+    /// installed on the server ([`crate::UucsServer::with_io_scheduler`])
+    /// and its `cache_pages` is ignored — so this is [`StoreSet::open`].
     ///
     /// The journals are opened on every core (see the module docs);
     /// what comes back does not depend on how many there are.
@@ -591,47 +589,27 @@ impl StoreSet {
         dir: &Path,
         cfg: WalConfig,
         shards: usize,
-        profile: &StorageProfile,
+        _profile: &StorageProfile,
     ) -> io::Result<(Self, Vec<Recovery>)> {
-        Self::open_on(available_workers(), dir, cfg, shards, profile)
+        Self::open(dir, cfg, shards)
     }
 
-    /// [`StoreSet::open_with`] on at most `workers` threads.
-    fn open_on(
+    /// [`StoreSet::open`] through `io`, on at most `workers` threads.
+    pub(crate) fn open_on(
         workers: usize,
+        io: &StoreIo,
         dir: &Path,
         cfg: WalConfig,
         shards: usize,
-        profile: &StorageProfile,
     ) -> io::Result<(Self, Vec<Recovery>)> {
-        let mut testcases = Journals::<TestcaseStore>::settle(
-            &dir.join("testcases"),
-            cfg,
-            shards,
-            &profile.store_io("testcases"),
-            workers,
-        )?;
-        let mut results = Journals::<ResultStore>::settle(
-            &dir.join("results"),
-            cfg,
-            shards,
-            &profile.store_io("results"),
-            workers,
-        )?;
-        let mut registry = Journals::<RegistryStore>::settle(
-            &dir.join("registry"),
-            cfg,
-            shards,
-            &profile.store_io("registry"),
-            workers,
-        )?;
-        let mut models = Journals::<ModelStore>::settle(
-            &dir.join("models"),
-            cfg,
-            shards,
-            &profile.store_io("model"),
-            workers,
-        )?;
+        let mut testcases =
+            Journals::<TestcaseStore>::settle(&dir.join("testcases"), cfg, shards, io, workers)?;
+        let mut results =
+            Journals::<ResultStore>::settle(&dir.join("results"), cfg, shards, io, workers)?;
+        let mut registry =
+            Journals::<RegistryStore>::settle(&dir.join("registry"), cfg, shards, io, workers)?;
+        let mut models =
+            Journals::<ModelStore>::settle(&dir.join("models"), cfg, shards, io, workers)?;
 
         let mut queue = testcases.queue();
         queue.extend(results.queue());
@@ -657,15 +635,18 @@ impl StoreSet {
         ))
     }
 
-    /// Flips deferred rotation sync on every shard of every family —
-    /// used once group commit owns durability, so segment rotation
-    /// stops fsyncing on the append path (the committer's next pass
-    /// drains the deferred syncs before anything is acknowledged).
+    /// Flips deferred rotation sync on every shard of the three
+    /// ticketed families — used once group commit owns durability, so
+    /// segment rotation stops fsyncing on the append path (the
+    /// committer's next pass drains the deferred syncs before anything
+    /// is acknowledged). The model journals keep syncing on rotation:
+    /// their appends are never ticketed, so no committer pass would ever
+    /// drain a deferred model segment, and a crash could leave an
+    /// unsynced segment before a synced one — a journal no open accepts.
     pub fn set_deferred_rotation_sync(&self, defer: bool) {
         defer_rotation_sync(&self.testcases, defer);
         defer_rotation_sync(&self.results, defer);
         defer_rotation_sync(&self.registry, defer);
-        defer_rotation_sync(&self.models, defer);
     }
 
     /// Folds every family's journals into checkpoints and drops the
@@ -681,7 +662,6 @@ impl StoreSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::plain_io;
     use uucs_harness::TempDir;
     use uucs_protocol::{MachineSnapshot, MonitorSummary, RunOutcome, RunRecord};
     use uucs_testcase::{ExerciseSpec, Resource, Testcase};
@@ -990,8 +970,7 @@ mod tests {
     /// and the recovery reports in the order they are printed.
     fn opened_state(workers: usize, data: &Path) -> String {
         use std::fmt::Write;
-        let (stores, recoveries) =
-            StoreSet::open_on(workers, data, cfg(), 8, &StorageProfile::default()).unwrap();
+        let (stores, recoveries) = StoreSet::open_on(workers, &plain_io(), data, cfg(), 8).unwrap();
         let mut out = String::new();
         for i in 0..8 {
             writeln!(out, "== shard {i} ==").unwrap();
@@ -1065,7 +1044,7 @@ mod tests {
         let (want, other) = (alone::<TestcaseStore>(&lower), alone::<ResultStore>(&higher));
         assert_ne!(want, other, "seed {SEED:#x}: the two refusals must be tellable apart");
         for workers in [1, 2, 3, 8] {
-            let opened = StoreSet::open_on(workers, data.path(), cfg(), 8, &StorageProfile::default());
+            let opened = StoreSet::open_on(workers, &plain_io(), data.path(), cfg(), 8);
             let err = opened.err().expect("two corrupt journals cannot open");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert_eq!(err.to_string(), want, "seed {SEED:#x}: {workers} workers");

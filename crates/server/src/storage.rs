@@ -1,47 +1,38 @@
-//! Storage-engine composition: per-flavor ARC page caches and the
-//! shared disk-scheduler thread pool under every WAL-backed store.
+//! Storage-engine composition: the I/O backend every WAL-backed store
+//! journals through, and the shared disk-scheduler thread pool.
 //!
-//! The seed engine opened each journal directly over [`uucs_wal::StdIo`]
-//! — every reshard migration, backfill, and compaction re-read its
-//! segment files from the filesystem, and segment-rotation fsyncs rode
-//! the verb-handler threads. A [`StorageProfile`] instead hands each
-//! store family a [`StoreIo`]: the `uucs-pagecache` ARC cache wrapped
-//! around `StdIo`, write-through (durability is byte-for-byte the plain
-//! backend's) and read-cached (a second read of a segment hits memory;
-//! a restart's one-pass replay reads each segment once and never does).
-//! Hits, misses, evictions and write-backs surface per flavor as
-//! `server.cache.<flavor>.*` counters.
+//! Every journal reads and writes its segment files directly
+//! ([`StoreIo`] is a [`Disk`]): appends go to the file, and a restart's
+//! one-pass replay reads each segment once and keeps nothing it read
+//! beyond what the store itself holds. There is no page cache under the
+//! journals — a write-through cache absorbs no write, and a replay that
+//! reads each segment once never hits one.
 //!
-//! The profile also owns the optional [`DiskScheduler`]: a bounded
+//! A [`StorageProfile`] owns the optional [`DiskScheduler`]: a bounded
 //! request queue drained by dedicated I/O threads. The group committer
 //! submits its per-shard fsyncs there (parallel across shards), and
-//! with the scheduler on, the stores defer segment-rotation fsyncs to
-//! the next committer pass — rotation no longer stalls the append path
-//! (`server.wal.<flavor>.rotation_stall.ns` shows the residual).
-//! Queue depth and dequeue stalls surface as `server.disk.*`.
+//! with the scheduler on, the ticketed stores defer segment-rotation
+//! fsyncs to the next committer pass — rotation no longer stalls the
+//! append path (`server.wal.<flavor>.rotation_stall.ns` shows the
+//! residual). Queue depth and dequeue stalls surface as `server.disk.*`.
 //!
-//! With `cache_pages == 0` and `io_threads == 0` (the default profile)
-//! every store opens in strict passthrough — the exact syscall shape of
-//! the seed engine.
+//! With `io_threads == 0` (the default profile) no scheduler runs:
+//! fsyncs stay on the committer thread and rotations sync inline.
 
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use uucs_pagecache::{
-    CacheObserver, CachedIo, DiskScheduler, OpKind, SchedObserver, DEFAULT_PAGE_SIZE,
-};
+use uucs_pagecache::{DiskScheduler, OpKind, SchedObserver};
 use uucs_telemetry::{metrics, Counter, Histogram};
 use uucs_wal::{Io, StdIo};
 #[cfg(test)]
 use uucs_wal::MemIo;
 
-/// The I/O backend every WAL-backed store journals through: the ARC
-/// page cache over a [`Disk`]. [`plain_io`] (capacity 0, real files) is
-/// a strict passthrough, so plain opens cost nothing extra.
-pub type StoreIo = CachedIo<Disk>;
+/// The I/O backend every WAL-backed store journals through.
+pub type StoreIo = Disk;
 
-/// What a store's page cache sits on: real files — or, in this crate's
-/// tests, an in-memory disk whose faults the test plans.
+/// What a store journals to: real files — or, in this crate's tests,
+/// an in-memory disk whose faults the test plans.
 #[derive(Debug, Clone)]
 pub enum Disk {
     /// The filesystem.
@@ -97,32 +88,9 @@ impl Io for Disk {
     }
 }
 
-/// An uncached [`StoreIo`] — the seed engine's exact I/O shape.
+/// The journals' [`StoreIo`]: real files.
 pub fn plain_io() -> StoreIo {
-    CachedIo::passthrough(Disk::Files(StdIo::new()))
-}
-
-/// Bridges one flavor's cache events into `server.cache.<flavor>.*`.
-struct CacheTelemetry {
-    hit: Counter,
-    miss: Counter,
-    evict: Counter,
-    writeback: Counter,
-}
-
-impl CacheObserver for CacheTelemetry {
-    fn on_hit(&mut self) {
-        self.hit.inc();
-    }
-    fn on_miss(&mut self) {
-        self.miss.inc();
-    }
-    fn on_evict(&mut self) {
-        self.evict.inc();
-    }
-    fn on_writeback(&mut self) {
-        self.writeback.inc();
-    }
+    Disk::Files(StdIo::new())
 }
 
 /// Bridges scheduler events into `server.disk.*`: queue depth at
@@ -147,58 +115,26 @@ impl SchedObserver for DiskTelemetry {
     }
 }
 
-/// How the server's storage engine is provisioned: cache capacity per
-/// store flavor and the I/O thread pool. The [`Default`] profile (no
-/// cache, no scheduler) reproduces the seed engine exactly.
-#[derive(Debug, Clone)]
+/// How the server's storage engine is provisioned: the I/O thread
+/// pool. The [`Default`] profile runs no scheduler.
+#[derive(Debug, Clone, Default)]
 pub struct StorageProfile {
-    /// ARC cache capacity in pages, **per store flavor** (the four
-    /// flavors each get their own cache, shared by that family's
-    /// shards). `0` disables caching entirely.
+    /// Ignored: the journals have no page cache. Still accepted (as is
+    /// `uucs-server --cache-pages`) because the benchmark's engine
+    /// configuration sets it.
     pub cache_pages: usize,
-    /// Cache page size in bytes.
-    pub page_size: usize,
     /// Dedicated disk-scheduler threads. `0` disables the scheduler:
-    /// fsyncs run on the committer thread and rotations sync inline,
-    /// as in the seed engine.
+    /// fsyncs run on the committer thread and rotations sync inline.
     pub io_threads: usize,
 }
 
-impl Default for StorageProfile {
-    fn default() -> Self {
-        StorageProfile {
-            cache_pages: 0,
-            page_size: DEFAULT_PAGE_SIZE,
-            io_threads: 0,
-        }
-    }
-}
-
 impl StorageProfile {
-    /// A profile with `cache_pages` of cache per flavor and the default
-    /// page size.
+    /// The default profile with the ignored `cache_pages` set.
     pub fn with_cache_pages(cache_pages: usize) -> Self {
         StorageProfile {
             cache_pages,
             ..Self::default()
         }
-    }
-
-    /// Builds one flavor's [`StoreIo`], with its cache counters
-    /// registered under `server.cache.<flavor>.*`. Capacity 0 is a
-    /// strict passthrough (no observer, no overhead).
-    pub fn store_io(&self, flavor: &str) -> StoreIo {
-        if self.cache_pages == 0 {
-            return plain_io();
-        }
-        let io = CachedIo::new(Disk::Files(StdIo::new()), self.cache_pages, self.page_size);
-        io.set_observer(Box::new(CacheTelemetry {
-            hit: metrics::counter(&format!("server.cache.{flavor}.hit")),
-            miss: metrics::counter(&format!("server.cache.{flavor}.miss")),
-            evict: metrics::counter(&format!("server.cache.{flavor}.evict")),
-            writeback: metrics::counter(&format!("server.cache.{flavor}.writeback")),
-        }));
-        io
     }
 
     /// Builds the disk scheduler when `io_threads > 0`, with its queue

@@ -1357,7 +1357,7 @@ mod tests {
 
     /// An in-memory disk for a store's journal.
     fn memory() -> StoreIo {
-        uucs_pagecache::CachedIo::passthrough(Disk::Memory(uucs_wal::MemIo::new()))
+        Disk::Memory(uucs_wal::MemIo::new())
     }
 
     /// Opens a store on a journal of one payload, reporting a refusal
@@ -1650,7 +1650,7 @@ mod tests {
     #[test]
     fn held_of_reads_a_shard_once_to_learn_its_clients() {
         let mem = uucs_wal::MemIo::new();
-        let io = uucs_pagecache::CachedIo::passthrough(Disk::Memory(mem.clone()));
+        let io = Disk::Memory(mem.clone());
         let dir = Path::new("/results");
         let (mut store, _) = ResultStore::open(io, dir, WalConfig::default()).unwrap();
         let of = |client: &str| RunRecord {
@@ -1847,7 +1847,7 @@ mod tests {
             sync: SyncPolicy::Always,
         };
         let mut mem = uucs_wal::MemIo::new();
-        let io = |mem: &uucs_wal::MemIo| uucs_pagecache::CachedIo::passthrough(Disk::Memory(mem.clone()));
+        let io = |mem: &uucs_wal::MemIo| Disk::Memory(mem.clone());
         let open = |mem: &uucs_wal::MemIo| -> Result<ResultStore, String> {
             // A fault planned for the open itself fires, then the disk reboots.
             match ResultStore::open(io(mem), dir, cfg) {
@@ -2106,7 +2106,7 @@ mod tests {
         };
         let mut mem = uucs_wal::MemIo::new();
         let open = |mem: &uucs_wal::MemIo| -> Result<TestcaseStore, String> {
-            let io = || uucs_pagecache::CachedIo::passthrough(Disk::Memory(mem.clone()));
+            let io = || Disk::Memory(mem.clone());
             // A fault planned for the open itself fires, then the disk reboots.
             match TestcaseStore::open(io(), dir, cfg) {
                 Ok((store, _)) => Ok(store),

@@ -150,8 +150,11 @@ UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib text_testc
 # check runs through the replication tier: every acked upload must be
 # on the quorum follower too. hot-sync is the only one that drives SYNC
 # over the real client transport, and its check wants every reply to
-# hold a full batch of testcases.
-for workload in ack-latency quorum-ack controlled-study restart-recovery hot-sync; do
+# hold a full batch of testcases. pipelined-ingest is the only one that
+# sends pipelined binary uploads through the disk scheduler and deferred
+# rotation sync (it and restart-recovery are the servers started with
+# --io-threads).
+for workload in ack-latency pipelined-ingest quorum-ack controlled-study restart-recovery hot-sync; do
     echo "== benchmark smoke ($workload, 2 s, outputs checked) =="
     smoke=$(benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
     echo "$smoke"
@@ -163,6 +166,29 @@ for workload in ack-latency quorum-ack controlled-study restart-recovery hot-syn
             ;;
     esac
 done
+
+# The committed ledger: each root BENCH_<pr>.json is a `benchmark/run.sh
+# --runs K` result file, and speed claims cite two of them through
+# `run.sh --compare`. Every one must parse and compare cleanly with
+# itself (which, for the newest, is the gate's point); nothing is run.
+echo "== bench ledger (every BENCH_<pr>.json parses; --compare with itself exits 0) =="
+ledger=$(find . -maxdepth 1 -name 'BENCH_*.json' | sort -V)
+if [ -z "$ledger" ]; then
+    echo "ci: no BENCH_<pr>.json at the repository root" >&2
+    exit 1
+fi
+for entry in $ledger; do
+    if ! verdicts=$(benchmark/run.sh --compare "$entry" "$entry"); then
+        echo "$verdicts"
+        echo "ci: $entry does not parse or does not compare cleanly with itself" >&2
+        exit 1
+    fi
+    if ! grep -qE ' (ok|unresolved)$' <<<"$verdicts"; then
+        echo "ci: $entry holds no end-to-end metric" >&2
+        exit 1
+    fi
+done
+echo "newest: $(tail -n 1 <<<"$ledger")"
 
 # The benchmark is its own workspace with a committed lock file, and the
 # driver runs it from a clean checkout: a crate added to the graph (or a

@@ -195,21 +195,107 @@ fn group_commit_kill_loses_no_acked_upload() -> Result<(), Violation> {
     kill_storm("kill", StorageProfile::default())
 }
 
-/// The same kill storm with the full storage engine under the stores:
-/// per-flavor ARC page caches, the disk-scheduler thread pool, and
-/// deferred rotation syncs. A kill mid-write-back must lose nothing
-/// that was acked — the cache is write-through, so an ack still means
-/// "on stable storage", never "in a dirty page".
+/// The same kill storm with the disk scheduler under the committer:
+/// per-shard fsyncs fan out to its threads and segment rotation defers
+/// its fsync to the next commit pass. A kill between a rotation and
+/// that pass must lose nothing that was acked — an ack still means
+/// every segment up to it is on stable storage.
 #[test]
-fn cached_engine_kill_loses_no_acked_upload() -> Result<(), Violation> {
+fn scheduled_engine_kill_loses_no_acked_upload() -> Result<(), Violation> {
     kill_storm(
-        "cached-kill",
+        "scheduled-kill",
         StorageProfile {
-            cache_pages: 128,
             io_threads: 2,
             ..StorageProfile::default()
         },
     )
+}
+
+/// `StorageProfile::with_cache_pages` (and `uucs-server --cache-pages`)
+/// is accepted and ignored: the journals have no page cache. A store
+/// set opened with it registers no `server.cache.` metric and recovers
+/// exactly what the default profile recovers from the same directory —
+/// counts, records, horizons, model epoch, and the bytes of every
+/// client's `SYNC` reply on both framings.
+#[test]
+fn ignored_cache_pages_recover_what_the_default_profile_does() {
+    use uucs::testcase::{ExerciseSpec, Resource, Testcase};
+    const SHARDS: usize = 4;
+    let tmp = TempDir::new("uucs-engine-cache-pages");
+    let cfg = WalConfig {
+        segment_bytes: 4096,
+        sync: SyncPolicy::Always,
+    };
+    let library: Vec<Testcase> = (0..30)
+        .map(|i| {
+            let spec = ExerciseSpec::Ramp {
+                level: 1.0 + i as f64 / 8.0,
+                duration: 60.0,
+            };
+            Testcase::single(format!("tc-{i:03}"), 1.0, Resource::Cpu, spec)
+        })
+        .collect();
+    let ids: Vec<String> = {
+        let (stores, _) = StoreSet::open(tmp.path(), cfg, SHARDS).unwrap();
+        let server = UucsServer::with_store_set(stores, 9);
+        server.add_testcases(&library).unwrap();
+        (0..3)
+            .map(|c| {
+                let host = MachineSnapshot::study_machine(format!("pages-{c}"));
+                let ServerMsg::Id { id, .. } = server.handle(&ClientMsg::register(host)) else {
+                    panic!("registration refused");
+                };
+                for seq in 1..=6 {
+                    let records = vec![rec(&id, &format!("tc-{:03}", seq * 4 + c))];
+                    let reply = server.handle(&ClientMsg::Upload {
+                        client: id.clone(),
+                        seq,
+                        records,
+                    });
+                    assert!(matches!(reply, ServerMsg::Ack(1)), "{reply:?}");
+                }
+                id
+            })
+            .collect()
+    };
+
+    let recovered = |profile: &StorageProfile| {
+        let (stores, _) = StoreSet::open_with(tmp.path(), cfg, SHARDS, profile).unwrap();
+        let server = UucsServer::with_store_set(stores, 9);
+        let mut syncs = Vec::new();
+        for id in &ids {
+            let reply = server.handle(&ClientMsg::Sync {
+                client: id.clone(),
+                have: 0,
+                want: 8,
+            });
+            assert!(matches!(reply, ServerMsg::TestcaseText { .. }), "{reply:?}");
+            let mut text = Vec::new();
+            uucs::protocol::wire::write_server_msg(&mut text, &reply).unwrap();
+            syncs.push(text);
+            syncs.push(uucs::wire::codec::encode_server(9, &reply).unwrap());
+        }
+        let ServerMsg::Stats(stats) = server.handle(&ClientMsg::Stats { reset: false }) else {
+            panic!("expected a STATS reply");
+        };
+        assert!(!stats.contains("\"server.cache."), "{stats}");
+        let horizons: Vec<u64> = ids.iter().map(|id| server.applied_seq(id)).collect();
+        (
+            (
+                server.testcase_count(),
+                server.client_count(),
+                server.model_epoch(),
+            ),
+            server.results().unwrap(),
+            horizons,
+            syncs,
+        )
+    };
+    let plain = recovered(&StorageProfile::default());
+    assert_eq!(plain.0, (library.len(), ids.len(), 18));
+    assert_eq!(plain.1.len(), 18);
+    assert!(recovered(&StorageProfile::with_cache_pages(1024)) == plain);
+    assert!(recovered(&StorageProfile::default()) == plain);
 }
 
 /// One kill storm under `profile`: six clients upload sequenced batches
