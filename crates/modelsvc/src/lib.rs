@@ -30,5 +30,5 @@
 mod model;
 mod sketch;
 
-pub use model::{CohortKey, ComfortModel, ModelDelta, Observation, SKILL_UNRATED};
+pub use model::{advice_from, CohortKey, ComfortModel, ModelDelta, Observation, SKILL_UNRATED};
 pub use sketch::{MergeError, QuantileSketch, SketchDelta, DEFAULT_BINS, MAX_BINS};

@@ -13,6 +13,7 @@
 //! same recovery contract as the record stores.
 
 use crate::sketch::QuantileSketch;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 use uucs_testcase::format::trim_line;
@@ -206,6 +207,25 @@ impl ModelDelta {
     }
 }
 
+/// The advice rule, stated once for [`ComfortModel::advice`] and the
+/// server: the `epsilon` borrowing level
+/// ([`QuantileSketch::advice_level`]) of a task's merged cohorts
+/// (`contextual`) when they hold an observation, else of the resource
+/// aggregate, which is only merged then — mirroring
+/// `comfort::ThrottleAdvisor`.
+pub fn advice_from<S: Borrow<QuantileSketch>>(
+    contextual: S,
+    aggregate: impl FnOnce() -> S,
+    epsilon: f64,
+) -> Option<f64> {
+    let basis = if contextual.borrow().observed() > 0 {
+        contextual
+    } else {
+        aggregate()
+    };
+    basis.borrow().advice_level(epsilon)
+}
+
 /// The server-side comfort model: cohort sketches plus the epoch
 /// counter. See the module docs for the delta/snapshot contract.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -306,18 +326,15 @@ impl ComfortModel {
     }
 
     /// The recommended borrowing level for a target discomfort
-    /// probability `epsilon`: the epsilon-quantile of the task's merged
-    /// cohort CDF, falling back to the resource aggregate when the task
-    /// cohort is empty (mirroring `comfort::ThrottleAdvisor`), and to
-    /// the maximum explored level when censoring saturates the
-    /// quantile. `None` when no level was ever observed for the
+    /// probability `epsilon` ([`advice_from`] over this model's merged
+    /// sketches). `None` when no level was ever observed for the
     /// resource.
     pub fn advice(&self, resource: Resource, task: &str, epsilon: f64) -> Option<f64> {
-        let contextual = self.merged(resource, Some(task));
-        if contextual.observed() > 0 {
-            return contextual.advice_level(epsilon);
-        }
-        self.merged(resource, None).advice_level(epsilon)
+        advice_from(
+            self.merged(resource, Some(task)),
+            || self.merged(resource, None),
+            epsilon,
+        )
     }
 
     /// Serializes the full model — the compaction-snapshot format:

@@ -1,28 +1,27 @@
 //! The server's comfort-model store (`uucs-modelsvc` integration).
 //!
-//! Holds the fleet-wide [`ComfortModel`] the `MODEL` and `ADVICE` verbs
-//! answer from, updated incrementally wherever the node appends records
-//! — an upload on a leader, a replicated batch on a follower: every
-//! *applied* (non-replayed) batch that yields at least one observation
-//! becomes one epoch. In durable mode the store journals each
+//! Holds one shard of the fleet-wide [`ComfortModel`] the `MODEL`,
+//! `ADVICE` and `MODELDELTA` verbs answer from, updated incrementally
+//! wherever the node appends records — an upload on a leader, a
+//! replicated batch on a follower: every *applied* (non-replayed) batch
+//! that yields at least one observation becomes one epoch of the
+//! uploader's shard. In durable mode the store journals each
 //! [`uucs_modelsvc::ModelDelta`] as a [`WalEntry::Model`] before
 //! applying it, and
 //! compaction snapshots the full [`ComfortModel::encode`] text — so a
 //! recovered server serves the exact epoch and byte-identical sketches
 //! it served before the crash.
 //!
-//! Queries are cached per `(resource, task)` key and tagged with the
-//! epoch they were merged at: the merge over cohorts reruns only when
-//! the model actually advanced, so a fleet of clients polling `MODEL`
-//! between uploads costs one `HashMap` hit each.
+//! A store answers no query itself: the server merges every shard's
+//! [`ModelStore::merged_sketch`] under one set of read guards, whatever
+//! the shard count, and keeps the result per `(resource, task)` key
+//! until the epoch sum moves (`UucsServer`'s model read path).
 
 use crate::journal::{decoded, foreign, Journal, Journaled};
 use crate::storage::plain_io;
 use crate::store::invalid;
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use std::sync::Mutex;
 use std::sync::OnceLock;
 use uucs_modelsvc::{ComfortModel, Observation, QuantileSketch};
 use uucs_protocol::{RunOutcome, RunRecord, WalEntry};
@@ -79,25 +78,12 @@ pub fn observations_of(records: &[RunRecord]) -> Vec<Observation> {
     out
 }
 
-/// A cached `MODEL` reply body: the merged sketch (encoded and decoded
-/// forms) plus the epoch it was computed at.
-struct CachedMerge {
-    epoch: u64,
-    observed: u64,
-    censored: u64,
-    encoded: String,
-}
-
-/// The server's comfort-model state: the cohort model, its optional WAL,
-/// and the per-epoch query cache.
+/// One shard of the server's comfort model: the cohort model and its
+/// optional WAL.
 #[derive(Default)]
 pub struct ModelStore {
     model: ComfortModel,
     journal: Journal,
-    /// Merged-query cache keyed by `(resource name, task)`. Interior
-    /// mutability because queries come in through read locks; entries
-    /// are invalidated by epoch tag, not eviction.
-    cache: Mutex<HashMap<(&'static str, Option<String>), CachedMerge>>,
 }
 
 /// Journal = epoch deltas, snapshot = the full [`ComfortModel::encode`]
@@ -181,48 +167,7 @@ impl ModelStore {
         model_metrics().update_errors.inc();
     }
 
-    /// The merged model for a `MODEL` query: `(epoch, observed, censored,
-    /// encoded sketch)`. Served from the per-epoch cache when the model
-    /// has not advanced since the same query last ran.
-    pub fn merged(
-        &self,
-        resource: uucs_testcase::Resource,
-        task: Option<&str>,
-    ) -> (u64, u64, u64, String) {
-        let epoch = self.model.epoch();
-        let key = (resource.name(), task.map(str::to_string));
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = cache.get(&key) {
-            if hit.epoch == epoch {
-                return (epoch, hit.observed, hit.censored, hit.encoded.clone());
-            }
-        }
-        let sketch = self.model.merged(resource, task);
-        let entry = CachedMerge {
-            epoch,
-            observed: sketch.observed(),
-            censored: sketch.censored(),
-            encoded: sketch.encode(),
-        };
-        let reply = (epoch, entry.observed, entry.censored, entry.encoded.clone());
-        cache.insert(key, entry);
-        reply
-    }
-
-    /// The recommended borrowing level for an `ADVICE` query, or `None`
-    /// when the resource has no observations at all.
-    pub fn advice(
-        &self,
-        resource: uucs_testcase::Resource,
-        task: &str,
-        epsilon: f64,
-    ) -> Option<(u64, f64)> {
-        self.model
-            .advice(resource, task, epsilon)
-            .map(|level| (self.model.epoch(), level))
-    }
-
-    /// Direct access to the merged sketch (tests, offline analysis).
+    /// This shard's merged sketch for a resource (optionally one task).
     pub fn merged_sketch(
         &self,
         resource: uucs_testcase::Resource,
@@ -236,14 +181,12 @@ impl ModelStore {
         self.model
     }
 
-    /// Replaces the model wholesale and, in durable mode, checkpoints it
-    /// immediately — the shard-migration path, where the new state does
-    /// not arrive as deltas. The snapshot supersedes any journal tail,
-    /// so a reopened store serves exactly the installed model.
-    pub fn install_model(&mut self, model: ComfortModel) -> io::Result<()> {
+    /// Replaces the model wholesale — the shard-migration path, where
+    /// the new state does not arrive as deltas. The migration then
+    /// checkpoints the store, so the snapshot supersedes any journal
+    /// tail.
+    pub fn install_model(&mut self, model: ComfortModel) {
         self.model = model;
-        self.cache.lock().unwrap_or_else(|e| e.into_inner()).clear();
         model_metrics().epoch.set(self.model.epoch() as i64);
-        self.compact().map(|_| ())
     }
 }

@@ -14,10 +14,10 @@
 use crate::commit::{CommitTicket, GroupCommitter, QuorumMark, StoreFlavor};
 use crate::models::{observations_of, ModelStore};
 use crate::shard::{Sharded, StoreSet};
-use crate::store::{BatchStatus, RegistryStore, ResultStore, StoreError, TestcaseStore};
+use crate::store::{BatchStatus, ResultStore, StoreError, TestcaseStore};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use uucs_modelsvc::QuantileSketch;
@@ -92,22 +92,90 @@ fn delta_metrics() -> &'static DeltaMetrics {
 
 /// How many past merged-sketch snapshots the server retains per
 /// `(resource, task)` query key for answering `MODELDELTA`. A client
-/// more than this many *distinct served epochs* behind simply gets the
+/// more than this many *distinct read epochs* behind simply gets the
 /// full sketch — correctness never depends on retention.
 const DELTA_HISTORY: usize = 8;
 
-/// One retained merged-sketch snapshot: the epoch it was served at, the
-/// CRC32 of its encoded text (what clients echo as `basecrc`), and the
-/// encoded text itself (decoded lazily — only a delta request pays).
-struct DeltaSnap {
+/// One merged sketch of the whole model, as the model read path
+/// ([`ModelRead::view`]) produced it: every model reply is built from
+/// one of these.
+struct ModelView {
+    /// The epoch sum it was merged at.
     epoch: u64,
-    crc: u32,
-    encoded: String,
+    sketch: Arc<QuantileSketch>,
+    /// The encoded sketch and the CRC32 of that text (what clients echo
+    /// as `basecrc`), made on first use: `ADVICE` needs neither.
+    encoded: OnceLock<(String, u32)>,
 }
 
-/// The `MODELDELTA` base-history map: newest-first retained snapshots
-/// per (resource name, task filter) query key.
-type DeltaHistory = HashMap<(&'static str, Option<String>), VecDeque<DeltaSnap>>;
+impl ModelView {
+    fn encoded(&self) -> &(String, u32) {
+        self.encoded.get_or_init(|| {
+            let text = self.sketch.encode();
+            let crc = crc32(text.as_bytes());
+            (text, crc)
+        })
+    }
+
+    /// The full-sketch reply: `MODEL`, and `MODELDELTA`'s fallback.
+    fn reply(&self) -> ServerMsg {
+        ServerMsg::Model {
+            epoch: self.epoch,
+            observed: self.sketch.observed(),
+            censored: self.sketch.censored(),
+            sketch: self.encoded().0.clone(),
+        }
+    }
+}
+
+/// The model views read so far per (resource name, task filter) query
+/// key, newest first and at strictly falling epochs. The newest is the
+/// one reply cache, valid while its epoch is the current epoch sum; the
+/// rest are the bases `MODELDELTA` can diff against.
+type DeltaHistory = HashMap<(&'static str, Option<String>), VecDeque<Arc<ModelView>>>;
+
+/// One instant of the whole comfort model: every model shard's read
+/// guard, taken once, and their epoch sum. Writers take one shard at a
+/// time, and the history lock is only ever taken after the guards or
+/// without them, so holding them all cannot deadlock; while they are
+/// held no shard moves, so every view read through them is at `epoch`.
+struct ModelRead<'a> {
+    guards: Vec<RwLockReadGuard<'a, ModelStore>>,
+    /// The client-visible epoch: the sum over shards (each shard mints
+    /// its own epochs; the sum is still monotone).
+    epoch: u64,
+    history: &'a Mutex<DeltaHistory>,
+}
+
+impl ModelRead<'_> {
+    /// The merged sketch for a `(resource, task)` key: the key's newest
+    /// view when it is at this epoch, else the merge of every shard's
+    /// sketch, which becomes the key's newest view. The epoch only
+    /// rises, so a view at the current epoch is the current model.
+    fn view(&self, resource: uucs_testcase::Resource, task: Option<&str>) -> Arc<ModelView> {
+        let mut history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
+        let views = history
+            .entry((resource.name(), task.map(str::to_string)))
+            .or_default();
+        if let Some(newest) = views.front().filter(|v| v.epoch == self.epoch) {
+            return newest.clone();
+        }
+        let mut sketch = QuantileSketch::for_resource(resource);
+        for g in &self.guards {
+            sketch
+                .merge(&g.merged_sketch(resource, task))
+                .expect("shard sketches of one resource share a config");
+        }
+        let view = Arc::new(ModelView {
+            epoch: self.epoch,
+            sketch: Arc::new(sketch),
+            encoded: OnceLock::new(),
+        });
+        views.push_front(view.clone());
+        views.truncate(DELTA_HISTORY);
+        view
+    }
+}
 
 /// Per-shard occupancy gauges, pre-registered so the hot paths pay one
 /// atomic store. `server.shard.results.<i>.records` and
@@ -224,44 +292,22 @@ pub struct UucsServer {
     /// `ADVICE`, `STATS`) keep serving — degraded advice is acceptable,
     /// divergent writes are not. Flipped off at promotion.
     read_only: AtomicBool,
-    /// Recent merged-sketch snapshots per `(resource name, task)` query
-    /// key, newest first — the bases `MODELDELTA` can diff against. A
-    /// snapshot is recorded whenever a model query serves a new epoch,
-    /// so any epoch a client *could* hold came through here. Empty on a
-    /// freshly promoted follower, which makes every skewed delta
-    /// request fall back to the full sketch — the safe answer.
+    /// Recent model views per `(resource name, task)` query key, newest
+    /// first: the reply cache and the bases `MODELDELTA` can diff
+    /// against. A view is recorded whenever a model read meets a new
+    /// epoch, so any epoch a client *could* hold came through here.
+    /// Empty on a freshly promoted follower, which makes every skewed
+    /// delta request fall back to the full sketch — the safe answer.
     delta_history: Mutex<DeltaHistory>,
 }
 
 impl UucsServer {
-    /// Creates a server around a testcase library, with a fresh
-    /// non-durable result store.
+    /// Creates a single-shard, non-durable server around a testcase
+    /// library.
     pub fn new(testcases: TestcaseStore, sample_seed: u64) -> Self {
-        Self::with_stores(testcases, ResultStore::new(), sample_seed)
-    }
-
-    /// Creates a server around explicit testcase/result stores with a
-    /// fresh in-memory registry — the entry point for WAL-backed
-    /// durability of the data stores, where every accepted mutation is
-    /// journaled before it is acknowledged.
-    pub fn with_stores(testcases: TestcaseStore, results: ResultStore, sample_seed: u64) -> Self {
-        Self::with_all_stores(testcases, results, RegistryStore::new(), sample_seed)
-    }
-
-    /// Creates a server around all three stores, including a (typically
-    /// WAL-recovered) client registry, so a restarted server still
-    /// recognizes every id it handed out and every client's upload
-    /// dedup horizon. Single-shard: the legacy layout.
-    pub fn with_all_stores(
-        testcases: TestcaseStore,
-        results: ResultStore,
-        registry: RegistryStore,
-        sample_seed: u64,
-    ) -> Self {
-        Self::with_store_set(
-            StoreSet::from_single(testcases, results, registry, ModelStore::new()),
-            sample_seed,
-        )
+        let mut stores = StoreSet::plain(1);
+        stores.testcases = Sharded::new(vec![testcases]);
+        Self::with_store_set(stores, sample_seed)
     }
 
     /// Creates a server over an explicit (typically sharded, see
@@ -319,23 +365,11 @@ impl UucsServer {
         self.read_only.load(Ordering::SeqCst)
     }
 
-    /// Replaces the comfort-model store — the entry point for WAL-backed
-    /// model durability, paired with the data stores' `open_wal`. Must
-    /// run before [`UucsServer::with_group_commit`] (the committer
-    /// captures the store set). A store at epoch 0 beside held records
-    /// is brought up to them, as at construction.
-    pub fn with_model_store(mut self, models: ModelStore) -> Self {
-        let set = Arc::get_mut(&mut self.stores)
-            .expect("install the model store before starting group commit");
-        set.models = Sharded::new(vec![models]);
-        self.model_missing_records();
-        self
-    }
-
     /// Disables comfort-model updates wherever records are appended —
     /// uploads and, on a follower, replicated batches. The model verbs
-    /// keep answering from whatever model the server holds; used by
-    /// benchmarks to measure the upload path with aggregation off.
+    /// keep answering from whatever model the server holds; the fleet
+    /// driver's storage-engine runs and tests use it to take
+    /// aggregation off the upload path.
     pub fn without_model_updates(mut self) -> Self {
         self.model_updates = false;
         self
@@ -393,26 +427,37 @@ impl UucsServer {
     /// shard mints its own epochs; only the sum — still monotone — is
     /// client-visible).
     pub fn model_epoch(&self) -> u64 {
-        (0..self.stores.models.count())
-            .map(|i| self.stores.models.read(i).epoch())
-            .sum()
+        self.model_read().epoch
     }
 
     /// The merged comfort-model sketch for a resource (optionally one
-    /// task) — offline analysis and test cross-checks. Merges across
-    /// shards; sketch merges are exact, so sharding is invisible here.
+    /// task) — offline analysis and test cross-checks. The sketch the
+    /// model verbs serve: sketch merges are exact, so sharding is
+    /// invisible here.
     pub fn model_sketch(
         &self,
         resource: uucs_testcase::Resource,
         task: Option<&str>,
     ) -> QuantileSketch {
+        self.model_read()
+            .view(resource, task)
+            .sketch
+            .as_ref()
+            .clone()
+    }
+
+    /// The one model read path: every model shard's read guard, taken
+    /// once (see [`ModelRead`]). Every model verb, [`UucsServer::model_epoch`]
+    /// and [`UucsServer::model_sketch`] read through it, whatever the
+    /// shard count.
+    fn model_read(&self) -> ModelRead<'_> {
         let guards = self.stores.models.read_all();
-        let mut out = QuantileSketch::for_resource(resource);
-        for g in &guards {
-            out.merge(&g.merged_sketch(resource, task))
-                .expect("shard sketches of one resource share a config");
+        let epoch = guards.iter().map(|g| g.epoch()).sum();
+        ModelRead {
+            guards,
+            epoch,
+            history: &self.delta_history,
         }
-        out
     }
 
     /// Adds a testcase to the library at runtime ("new testcases ... can
@@ -755,7 +800,11 @@ impl UucsServer {
     /// the records it holds, whatever its role. A model journal failure
     /// is counted, not returned: the records are the source of truth and
     /// the model is derived from them, which is also why model appends
-    /// are never ticketed and no ack waits on them.
+    /// are never ticketed. Under group commit no ack waits on them. An
+    /// upload calls this before it returns its `Ack`, though, so when
+    /// the journals sync inline (`uucs-server --wal` without
+    /// `--commit-interval-us` runs every journal at `SyncPolicy::Always`)
+    /// the model delta is fsynced before the client hears back.
     fn observe(&self, client: &str, records: &[uucs_protocol::RunRecord]) {
         if !self.model_updates {
             return;
@@ -973,32 +1022,8 @@ impl UucsServer {
                 records,
             } => self.handle_upload(client, *seq, records),
             ClientMsg::Model { resource, task } => {
-                let (epoch, observed, censored, sketch) = if self.stores.models.count() == 1 {
-                    self.stores.models.read(0).merged(*resource, task.as_deref())
-                } else {
-                    let guards = self.stores.models.read_all();
-                    let epoch: u64 = guards.iter().map(|g| g.epoch()).sum();
-                    let mut merged = QuantileSketch::for_resource(*resource);
-                    for g in &guards {
-                        merged
-                            .merge(&g.merged_sketch(*resource, task.as_deref()))
-                            .expect("shard sketches of one resource share a config");
-                    }
-                    (epoch, merged.observed(), merged.censored(), merged.encode())
-                };
-                // Remember what this epoch looked like: a client holding
-                // this reply may come back with `MODELDELTA <epoch>
-                // <crc>` and the diff base has to be byte-identical.
-                self.record_delta_base(*resource, task, epoch, &sketch);
-                (
-                    ServerMsg::Model {
-                        epoch,
-                        observed,
-                        censored,
-                        sketch,
-                    },
-                    None,
-                )
+                let view = self.model_read().view(*resource, task.as_deref());
+                (view.reply(), None)
             }
             ClientMsg::ModelDelta {
                 resource,
@@ -1011,41 +1036,20 @@ impl UucsServer {
                 task,
                 epsilon,
             } => {
-                let reply = if self.stores.models.count() == 1 {
-                    match self.stores.models.read(0).advice(*resource, task, *epsilon) {
-                        Some((epoch, level)) => ServerMsg::Advice { epoch, level },
-                        None => ServerMsg::Error(format!(
-                            "no comfort model for {resource} yet (no observations uploaded)"
-                        )),
-                    }
-                } else {
-                    // Same preference as the single-store path: the
-                    // task-contextual sketch when it has observations,
-                    // else the resource aggregate — each merged across
-                    // every shard first.
-                    let guards = self.stores.models.read_all();
-                    let epoch: u64 = guards.iter().map(|g| g.epoch()).sum();
-                    let mut contextual = QuantileSketch::for_resource(*resource);
-                    let mut aggregate = QuantileSketch::for_resource(*resource);
-                    for g in &guards {
-                        contextual
-                            .merge(&g.merged_sketch(*resource, Some(task)))
-                            .expect("shard sketches of one resource share a config");
-                        aggregate
-                            .merge(&g.merged_sketch(*resource, None))
-                            .expect("shard sketches of one resource share a config");
-                    }
-                    let pick = if contextual.observed() > 0 {
-                        &contextual
-                    } else {
-                        &aggregate
-                    };
-                    match pick.advice_level(*epsilon) {
-                        Some(level) => ServerMsg::Advice { epoch, level },
-                        None => ServerMsg::Error(format!(
-                            "no comfort model for {resource} yet (no observations uploaded)"
-                        )),
-                    }
+                let read = self.model_read();
+                let level = uucs_modelsvc::advice_from(
+                    read.view(*resource, Some(task)).sketch.clone(),
+                    || read.view(*resource, None).sketch.clone(),
+                    *epsilon,
+                );
+                let reply = match level {
+                    Some(level) => ServerMsg::Advice {
+                        epoch: read.epoch,
+                        level,
+                    },
+                    None => ServerMsg::Error(format!(
+                        "no comfort model for {resource} yet (no observations uploaded)"
+                    )),
                 };
                 (reply, None)
             }
@@ -1063,33 +1067,6 @@ impl UucsServer {
         }
     }
 
-    /// Retains the sketch a model query just served, so a later
-    /// `MODELDELTA <epoch> <crc>` can diff against the byte-identical
-    /// base. Newest first, capped at [`DELTA_HISTORY`]; same-epoch
-    /// re-queries are absorbed by the front check.
-    fn record_delta_base(
-        &self,
-        resource: uucs_testcase::Resource,
-        task: &Option<String>,
-        epoch: u64,
-        encoded: &str,
-    ) {
-        let mut hist = self
-            .delta_history
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let q = hist.entry((resource.name(), task.clone())).or_default();
-        if q.front().map(|s| s.epoch) == Some(epoch) {
-            return;
-        }
-        q.push_front(DeltaSnap {
-            epoch,
-            crc: crc32(encoded.as_bytes()),
-            encoded: encoded.to_string(),
-        });
-        q.truncate(DELTA_HISTORY);
-    }
-
     /// Answers a `MODELDELTA` query: the delta from the client's cached
     /// epoch when the server can prove (by CRC over the encoded base)
     /// that it still holds that exact base, else the full sketch. The
@@ -1103,76 +1080,61 @@ impl UucsServer {
         since: u64,
         basecrc: u32,
     ) -> ServerMsg {
-        // One guard acquisition, so the epoch and the merged sketch
-        // describe the same instant.
-        let guards = self.stores.models.read_all();
-        let epoch: u64 = guards.iter().map(|g| g.epoch()).sum();
-        let mut merged = QuantileSketch::for_resource(resource);
-        for g in &guards {
-            merged
-                .merge(&g.merged_sketch(resource, task.as_deref()))
-                .expect("shard sketches of one resource share a config");
-        }
-        drop(guards);
-        let encoded = merged.encode();
-        self.record_delta_base(resource, task, epoch, &encoded);
-        if let Some(delta) = self.delta_against(resource, task, since, basecrc, epoch, &merged, &encoded)
-        {
+        let view = self.model_read().view(resource, task.as_deref());
+        if let Some(delta) = self.delta_against(resource, task, since, basecrc, &view) {
             delta_metrics().served.inc();
             return ServerMsg::ModelDelta {
-                epoch,
+                epoch: view.epoch,
                 since,
                 delta,
             };
         }
         delta_metrics().fallback.inc();
-        ServerMsg::Model {
-            epoch,
-            observed: merged.observed(),
-            censored: merged.censored(),
-            sketch: encoded,
-        }
+        view.reply()
     }
 
-    /// The encoded delta from the client's base to `merged`, or `None`
+    /// The encoded delta from the client's base to `view`, or `None`
     /// when only a full sync is safe: unknown/skewed base, CRC
     /// mismatch, non-ancestor sketch, or a delta that would not
     /// actually be smaller than the full sketch.
-    #[allow(clippy::too_many_arguments)]
     fn delta_against(
         &self,
         resource: uucs_testcase::Resource,
         task: &Option<String>,
         since: u64,
         basecrc: u32,
-        epoch: u64,
-        merged: &QuantileSketch,
-        encoded: &str,
+        view: &ModelView,
     ) -> Option<String> {
-        if since == epoch {
+        let (encoded, crc) = view.encoded();
+        if since == view.epoch {
             // Client is current; confirm byte identity, then a noop
             // delta tells it so without resending anything.
-            if crc32(encoded.as_bytes()) != basecrc {
+            if *crc != basecrc {
                 return None;
             }
-            return merged.delta_since(merged).ok().map(|d| d.encode());
+            return view
+                .sketch
+                .delta_since(&view.sketch)
+                .ok()
+                .map(|d| d.encode());
         }
-        if since > epoch {
+        if since > view.epoch {
             // The client negotiated with a differently-numbered leader
             // (failover skew); its base means nothing here.
             return None;
         }
-        let hist = self
+        let base = self
             .delta_history
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let snap = hist
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&(resource.name(), task.clone()))?
             .iter()
-            .find(|s| s.epoch == since && s.crc == basecrc)?;
-        let base = QuantileSketch::decode(&snap.encoded).ok()?;
-        drop(hist);
-        let text = merged.delta_since(&base).ok()?.encode();
+            .find(|v| v.epoch == since)?
+            .clone();
+        if base.encoded().1 != basecrc {
+            return None;
+        }
+        let text = view.sketch.delta_since(&base.sketch).ok()?.encode();
         // A delta carrying nearly every bin is a full sync in disguise;
         // send the real thing so the client also refreshes its base.
         if text.len() >= encoded.len() {
@@ -1942,6 +1904,154 @@ mod tests {
         }) {
             ServerMsg::Advice { .. } => {}
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Every model reply is read through one cross-shard view, so it
+    /// does not depend on how many shards hold the model. One upload
+    /// stream (censored runs included, and a task nobody ran, so
+    /// `ADVICE` falls back to the resource aggregate) gives
+    /// byte-identical `MODEL`, `ADVICE` and `MODELDELTA` replies —
+    /// fresh, current and one epoch behind — at 1, 3 and 8 shards, and
+    /// again once a durable 8-shard directory is resharded to 3 and to 1,
+    /// where a base a client cached before the reshard still diffs.
+    #[test]
+    fn model_replies_do_not_depend_on_the_shard_count() {
+        use crate::shard::tests::copy_tree;
+        use uucs_harness::invariants::same_on_every_node;
+        use uucs_harness::TempDir;
+        use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
+        use uucs_wal::{SyncPolicy, WalConfig};
+        const CLIENTS: usize = 12;
+        const ROUNDS: u64 = 6;
+        let rec = |client: &str, i: u64| RunRecord {
+            client: client.into(),
+            user: format!("u{i}"),
+            testcase: "tc-000".into(),
+            task: ["Word", "Quake", "IE"][i as usize % 3].into(),
+            skill: if i.is_multiple_of(2) { "Typical" } else { "" }.into(),
+            outcome: if i.is_multiple_of(4) {
+                RunOutcome::Exhausted
+            } else {
+                RunOutcome::Discomfort
+            },
+            offset_secs: 10.0,
+            last_levels: vec![
+                (Resource::Cpu, vec![(i * 37 % 97) as f64 / 10.0]),
+                (Resource::Disk, vec![(i % 13) as f64 / 3.0]),
+            ],
+            monitor: MonitorSummary::default(),
+        };
+        let upload = |s: &UucsServer, client: &str, seq: u64| {
+            let records = vec![rec(client, seq * 31 + 1), rec(client, seq * 31 + 2)];
+            let reply = s.handle(&ClientMsg::Upload {
+                client: client.into(),
+                seq,
+                records,
+            });
+            assert_eq!(reply, ServerMsg::Ack(2));
+        };
+        let feed = |s: &UucsServer| {
+            let ids: Vec<String> = (0..CLIENTS).map(|_| register(s)).collect();
+            for seq in 1..=ROUNDS {
+                for id in &ids {
+                    upload(s, id, seq);
+                }
+            }
+        };
+        let word = |task: &str| ClientMsg::Model {
+            resource: Resource::Cpu,
+            task: Some(task.into()),
+        };
+        // The base a client holds: the `MODEL cpu Word` reply's epoch
+        // and the CRC of its sketch.
+        let cached = |s: &UucsServer| match s.handle(&word("Word")) {
+            ServerMsg::Model { epoch, sketch, .. } => (epoch, crc32(sketch.as_bytes())),
+            other => panic!("{other:?}"),
+        };
+        let transcript = |s: &UucsServer, (since, basecrc): (u64, u32)| {
+            let delta = |since, basecrc| ClientMsg::ModelDelta {
+                resource: Resource::Cpu,
+                task: Some("Word".into()),
+                since,
+                basecrc,
+            };
+            let advice = |resource, task: &str| ClientMsg::Advice {
+                resource,
+                task: task.into(),
+                epsilon: 0.05,
+            };
+            let mut asked = vec![ClientMsg::Model {
+                resource: Resource::Cpu,
+                task: None,
+            }];
+            asked.extend(["Word", "Quake", "Nothing"].map(word));
+            asked.extend([
+                advice(Resource::Cpu, "Word"),
+                advice(Resource::Cpu, "Nothing"),
+                advice(Resource::Disk, "IE"),
+                advice(Resource::Memory, "Word"),
+                delta(0, 0),
+                delta(since, basecrc),
+            ]);
+            let mut replies: Vec<ServerMsg> = asked.iter().map(|m| s.handle(m)).collect();
+            assert!(
+                matches!(replies[5], ServerMsg::Advice { .. }),
+                "an unobserved task falls back to the aggregate: {:?}",
+                replies[5]
+            );
+            assert!(
+                matches!(replies[9], ServerMsg::ModelDelta { .. }),
+                "{:?}",
+                replies[9]
+            );
+            upload(s, "client-0001", ROUNDS + 1);
+            for m in [
+                delta(since, basecrc),
+                word("Word"),
+                advice(Resource::Cpu, "Word"),
+            ] {
+                replies.push(s.handle(&m));
+            }
+            assert!(
+                matches!(replies[10], ServerMsg::ModelDelta { epoch, .. } if epoch == since + 1),
+                "one epoch behind is a delta: {:?}",
+                replies[10]
+            );
+            replies
+        };
+        let mut held = Vec::new();
+        for shards in [1, 3, 8] {
+            let s = UucsServer::with_store_set(StoreSet::plain(shards), 13);
+            feed(&s);
+            let base = cached(&s);
+            held.push((format!("{shards} shards"), transcript(&s, base)));
+        }
+        let cfg = WalConfig {
+            segment_bytes: 4096,
+            sync: SyncPolicy::Never,
+        };
+        let open = |dir: &std::path::Path, shards| {
+            UucsServer::with_store_set(StoreSet::open(dir, cfg, shards).unwrap().0, 13)
+        };
+        let written = TempDir::new("uucs-model-shards");
+        let base = {
+            let s = open(written.path(), 8);
+            feed(&s);
+            cached(&s)
+        };
+        for shards in [8, 3, 1] {
+            let copy = TempDir::new("uucs-model-shards-copy");
+            copy_tree(written.path(), copy.path());
+            let s = open(copy.path(), shards);
+            held.push((
+                format!("durable 8 reopened at {shards}"),
+                transcript(&s, base),
+            ));
+        }
+        let (_, want) = held.remove(0);
+        if let Err(v) = same_on_every_node(&want, held) {
+            panic!("{v}");
         }
     }
 

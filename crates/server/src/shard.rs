@@ -2,7 +2,7 @@
 //!
 //! A [`Sharded<T>`] holds `n` independent copies of a store behind `n`
 //! independent locks, keyed by a stable FNV-1a hash of the routing key
-//! (client id, testcase id, cohort). Unrelated clients therefore never
+//! (client id, testcase id). Unrelated clients therefore never
 //! contend on a lock or an fsync — the single-store server serialized
 //! every upload behind one `RwLock<ResultStore>` and one WAL file.
 //!
@@ -481,13 +481,8 @@ impl ShardFamily for RegistryStore {
     }
 }
 
-/// The routing key of a model cohort.
-pub(crate) fn cohort_key_token(key: &CohortKey) -> String {
-    format!("{}|{}|{}", key.resource, key.task, key.skill)
-}
-
 impl ShardFamily for ModelStore {
-    type State = (u64, BTreeMap<CohortKey, QuantileSketch>);
+    type State = ComfortModel;
 
     fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
         // The global epoch is the *sum* of shard epochs (each shard
@@ -509,20 +504,17 @@ impl ShardFamily for ModelStore {
                 }
             }
         }
-        Ok((epoch, cohorts))
+        Ok(ComfortModel::from_parts(epoch, cohorts))
     }
 
-    fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()> {
-        let (epoch, cohorts) = state;
-        let mine: BTreeMap<CohortKey, QuantileSketch> = cohorts
-            .iter()
-            .filter(|(k, _)| shard_of(&cohort_key_token(k), n) == shard)
-            .map(|(k, s)| (k.clone(), s.clone()))
-            .collect();
-        // The epoch sum rides on shard 0; splitting it has no meaning,
-        // and only the sum is client-visible.
-        let e = if shard == 0 { *epoch } else { 0 };
-        self.install_model(ComfortModel::from_parts(e, mine))
+    fn load_part(&mut self, state: &Self::State, shard: usize, _n: usize) -> io::Result<()> {
+        // Every model read merges all shards and sums their epochs, so
+        // where a cohort sits is invisible: the whole model goes to
+        // shard 0 and later uploads fold into their client's shard.
+        if shard == 0 {
+            self.install_model(state.clone());
+        }
+        Ok(())
     }
 }
 
@@ -535,28 +527,12 @@ pub struct StoreSet {
     pub results: Sharded<ResultStore>,
     /// The client registry, sharded by client id.
     pub registry: Sharded<RegistryStore>,
-    /// The comfort model, sharded by uploading client id (queries merge
-    /// every shard's sketches — sketch merges are exact).
+    /// The comfort model, sharded by uploading client id (every read
+    /// merges all shards' sketches — sketch merges are exact).
     pub models: Sharded<ModelStore>,
 }
 
 impl StoreSet {
-    /// Wraps single (unsharded) stores — the layout every legacy
-    /// constructor produces, behaviorally identical to the old server.
-    pub fn from_single(
-        testcases: TestcaseStore,
-        results: ResultStore,
-        registry: RegistryStore,
-        models: ModelStore,
-    ) -> Self {
-        StoreSet {
-            testcases: Sharded::new(vec![testcases]),
-            results: Sharded::new(vec![results]),
-            registry: Sharded::new(vec![registry]),
-            models: Sharded::new(vec![models]),
-        }
-    }
-
     /// `n` empty in-memory shards per family (tests, benches).
     pub fn plain(shards: usize) -> Self {
         assert!(shards > 0);
@@ -660,7 +636,7 @@ impl StoreSet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use uucs_harness::TempDir;
     use uucs_protocol::{MachineSnapshot, MonitorSummary, RunOutcome, RunRecord};
@@ -870,7 +846,7 @@ mod tests {
         }
     }
 
-    fn copy_tree(from: &Path, to: &Path) {
+    pub(crate) fn copy_tree(from: &Path, to: &Path) {
         std::fs::create_dir_all(to).unwrap();
         for entry in std::fs::read_dir(from).unwrap() {
             let entry = entry.unwrap();

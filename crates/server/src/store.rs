@@ -1611,7 +1611,9 @@ mod tests {
         let read: Vec<_> = store.records().map(|r| r.map_err(|e| e.to_string())).collect();
         let want = format!("record 1: line {line}: bad outcome \"maybee\"");
         assert_eq!(read, vec![Ok(rec("u1")), Err(want.clone()), Ok(rec("u3"))]);
-        let server = crate::UucsServer::with_stores(TestcaseStore::new(), store, 1);
+        let mut stores = crate::StoreSet::plain(1);
+        stores.results = crate::Sharded::new(vec![store]);
+        let server = crate::UucsServer::with_store_set(stores, 1);
         assert_eq!(server.result_count(), 3);
         assert_eq!(server.results().unwrap_err().to_string(), want);
     }

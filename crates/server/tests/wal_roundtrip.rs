@@ -14,9 +14,7 @@ use uucs_protocol::{
     WIRE_VERSION_BINARY,
 };
 use uucs_server::commit::QuorumMark;
-use uucs_server::{
-    tcp, RegistryStore, ReplicationSink, ResultStore, StoreSet, TestcaseStore, UucsServer,
-};
+use uucs_server::{tcp, ReplicationSink, StoreSet, TestcaseStore, UucsServer};
 use uucs_testcase::{ExerciseSpec, Resource, Testcase};
 use uucs_wal::{StdIo, SyncPolicy, WalConfig, WalReader};
 use uucs_wire::conn::{negotiate, BinaryConn, Negotiated};
@@ -44,17 +42,16 @@ fn record(i: usize) -> RunRecord {
     }
 }
 
-/// Opens both stores from the WAL directories and builds a server,
+/// Opens the stores from the WAL directories and builds a server,
 /// seeding the library on first boot only — what `uucs-server --wal`
 /// does on startup.
 fn boot(dir: &Path) -> Arc<UucsServer> {
-    let (mut testcases, _) = TestcaseStore::open_wal(&dir.join("testcases"), CFG).unwrap();
-    let (results, _) = ResultStore::open_wal(&dir.join("results"), CFG).unwrap();
-    let (registry, _) = RegistryStore::open_wal(&dir.join("registry"), CFG).unwrap();
-    if testcases.is_empty() {
-        for i in 0..3 {
-            testcases
-                .add(&Testcase::single(
+    let (stores, _) = StoreSet::open(dir, CFG, 1).unwrap();
+    let server = UucsServer::with_store_set(stores, 11);
+    if server.testcase_count() == 0 {
+        let library: Vec<Testcase> = (0..3)
+            .map(|i| {
+                Testcase::single(
                     format!("t{i}"),
                     1.0,
                     Resource::Cpu,
@@ -62,11 +59,12 @@ fn boot(dir: &Path) -> Arc<UucsServer> {
                         level: 1.0,
                         duration: 30.0,
                     },
-                ))
-                .unwrap();
-        }
+                )
+            })
+            .collect();
+        server.add_testcases(&library).unwrap();
     }
-    Arc::new(UucsServer::with_all_stores(testcases, results, registry, 11))
+    Arc::new(server)
 }
 
 /// Registers over TCP and uploads `records` as batch `seq`, returning

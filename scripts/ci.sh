@@ -54,6 +54,22 @@ if [ -n "$copies" ]; then
     exit 1
 fi
 
+echo "== one model read path (no shard-count fork, one advice rule) =="
+# Every MODEL, ADVICE and MODELDELTA reply is read through the server's
+# one cross-shard view (ModelRead in crates/server/src/server.rs), and
+# "the task's sketch when it holds an observation, else the resource
+# aggregate" is uucs_modelsvc::advice_from. A handler that forks on the
+# model's shard count, or a sketch choice made outside uucs-modelsvc,
+# brings back a second read path.
+forks=$( (grep -rnE "models\.count\(\)|\.advice_level\(" crates/server/src --include=*.rs
+    grep -rnE "observed\(\) *(>|!=) *0" crates src --include=*.rs \
+        | grep -v "^crates/modelsvc/") || true)
+if [ -n "$forks" ]; then
+    echo "$forks"
+    echo "ci: a second model read path; read through ModelRead and uucs_modelsvc::advice_from" >&2
+    exit 1
+fi
+
 echo "== one measurement harness (benchmark/ is the only place the system is timed) =="
 # A second timing harness measures the same paths as benchmark/ with
 # none of its samples, pairs or gates: a bench target directory, a

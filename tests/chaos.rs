@@ -13,7 +13,7 @@ use std::time::Duration;
 use uucs::client::{ClientStore, ClientTransport, ResilientTransport, RetryPolicy, UucsClient};
 use uucs::comfort::{calibration, Fidelity, UserPopulation, UserProfile};
 use uucs::protocol::{ClientMsg, MachineSnapshot};
-use uucs::server::{tcp, RegistryStore, ResultStore, TestcaseStore, UucsServer};
+use uucs::server::{tcp, StoreSet, TestcaseStore, UucsServer};
 use uucs::telemetry::{flight, metrics};
 use uucs::workloads::Task;
 use uucs_chaos::{ChaosPolicy, ChaosProxy, FaultKind};
@@ -57,15 +57,14 @@ fn plain_server() -> Arc<UucsServer> {
 /// Boots a WAL-backed server from `dir`, seeding the library on first
 /// boot only (the kill/recover tests reuse this across generations).
 fn wal_server(dir: &Path) -> Arc<UucsServer> {
-    let (mut testcases, _) = TestcaseStore::open_wal(&dir.join("testcases"), WAL_CFG).unwrap();
-    let (results, _) = ResultStore::open_wal(&dir.join("results"), WAL_CFG).unwrap();
-    let (registry, _) = RegistryStore::open_wal(&dir.join("registry"), WAL_CFG).unwrap();
-    if testcases.is_empty() {
-        for tc in calibration::controlled_testcases(Task::Word) {
-            testcases.add(&tc).unwrap();
-        }
+    let (stores, _) = StoreSet::open(dir, WAL_CFG, 1).unwrap();
+    let server = UucsServer::with_store_set(stores, 7);
+    if server.testcase_count() == 0 {
+        server
+            .add_testcases(&calibration::controlled_testcases(Task::Word))
+            .unwrap();
     }
-    Arc::new(UucsServer::with_all_stores(testcases, results, registry, 7))
+    Arc::new(server)
 }
 
 /// Executes `n` runs on the client (each spooled to the store).

@@ -9,7 +9,7 @@ use uucs::client::{ClientTransport, TcpTransport, UucsClient};
 use uucs::comfort::{calibration, Fidelity, UserPopulation};
 use uucs::modelsvc::QuantileSketch;
 use uucs::protocol::{ClientMsg, MachineSnapshot, RunOutcome, ServerMsg};
-use uucs::server::{tcp, ModelStore, RegistryStore, ResultStore, TestcaseStore, UucsServer};
+use uucs::server::{tcp, StoreSet, TestcaseStore, UucsServer};
 use uucs::stats::Ecdf;
 use uucs::testcase::Resource;
 use uucs::workloads::Task;
@@ -24,18 +24,14 @@ const WAL_CFG: WalConfig = WalConfig {
 /// Boots a fully WAL-backed server (all four stores) from `dir`,
 /// seeding the testcase library on first boot only.
 fn wal_server(dir: &std::path::Path) -> Arc<UucsServer> {
-    let (mut testcases, _) = TestcaseStore::open_wal(&dir.join("testcases"), WAL_CFG).unwrap();
-    let (results, _) = ResultStore::open_wal(&dir.join("results"), WAL_CFG).unwrap();
-    let (registry, _) = RegistryStore::open_wal(&dir.join("registry"), WAL_CFG).unwrap();
-    let (models, _) = ModelStore::open_wal(&dir.join("models"), WAL_CFG).unwrap();
-    if testcases.is_empty() {
-        for tc in calibration::controlled_testcases(Task::Word) {
-            testcases.add(&tc).unwrap();
-        }
+    let (stores, _) = StoreSet::open(dir, WAL_CFG, 1).unwrap();
+    let server = UucsServer::with_store_set(stores, 7);
+    if server.testcase_count() == 0 {
+        server
+            .add_testcases(&calibration::controlled_testcases(Task::Word))
+            .unwrap();
     }
-    Arc::new(
-        UucsServer::with_all_stores(testcases, results, registry, 7).with_model_store(models),
-    )
+    Arc::new(server)
 }
 
 /// Runs one uploader: register, run every Word testcase, hot-sync.

@@ -13,7 +13,7 @@ use std::time::Duration;
 use uucs::client::{ClientTransport, LocalTransport, TcpTransport, UucsClient};
 use uucs::comfort::{calibration, Fidelity, UserPopulation};
 use uucs::protocol::{ClientMsg, MachineSnapshot, ServerMsg};
-use uucs::server::{tcp, RegistryStore, ResultStore, TestcaseStore, UucsServer};
+use uucs::server::{tcp, StoreSet, TestcaseStore, UucsServer};
 use uucs::sim::workload::FnWorkload;
 use uucs::sim::{Action, Machine, MS, SEC};
 use uucs::telemetry::{clock, flight, metrics, trace};
@@ -37,18 +37,14 @@ const WAL_CFG: WalConfig = WalConfig {
 /// A WAL-backed server (so `server.wal.*` metrics move) seeded with the
 /// controlled library.
 fn wal_server(dir: &std::path::Path) -> Arc<UucsServer> {
-    let (mut testcases, _) = TestcaseStore::open_wal(&dir.join("testcases"), WAL_CFG).unwrap();
-    let (results, _) = ResultStore::open_wal(&dir.join("results"), WAL_CFG).unwrap();
-    let (registry, _) = RegistryStore::open_wal(&dir.join("registry"), WAL_CFG).unwrap();
-    let (models, _) = uucs::server::ModelStore::open_wal(&dir.join("models"), WAL_CFG).unwrap();
-    if testcases.is_empty() {
-        for tc in calibration::controlled_testcases(Task::Word) {
-            testcases.add(&tc).unwrap();
-        }
+    let (stores, _) = StoreSet::open(dir, WAL_CFG, 1).unwrap();
+    let server = UucsServer::with_store_set(stores, 7);
+    if server.testcase_count() == 0 {
+        server
+            .add_testcases(&calibration::controlled_testcases(Task::Word))
+            .unwrap();
     }
-    Arc::new(
-        UucsServer::with_all_stores(testcases, results, registry, 7).with_model_store(models),
-    )
+    Arc::new(server)
 }
 
 /// Registers, runs a few testcases, and hot-syncs the results up.
