@@ -20,7 +20,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use uucs_protocol::repl::{write_repl_msg, ReplMsg};
-use uucs_protocol::WalEntry;
 use uucs_server::{CommitTicket, UucsServer};
 use uucs_telemetry::metrics;
 use uucs_wal::frame::{encode_frame_into, FrameError, FrameScanner};
@@ -423,17 +422,13 @@ fn follow_once(
                     if seq < expected {
                         continue; // Backfill overlap: already applied.
                     }
-                    let entry = WalEntry::decode(&bytes)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                    burst.owe(server.apply_entry(&entry)?);
+                    burst.owe(server.apply_entry(&bytes)?);
                     applied.inc();
                     progress.watermarks[shard] = seq + 1;
                     burst.touch(shard);
                 }
                 ReplMsg::SnapEntry { bytes, .. } => {
-                    let entry = WalEntry::decode(&bytes)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                    burst.owe(server.apply_snapshot_entry(&entry)?);
+                    burst.owe(server.apply_snapshot_entry(&bytes)?);
                     applied.inc();
                 }
                 ReplMsg::SnapDone { shard, upto } => {
@@ -493,7 +488,7 @@ mod tests {
     use std::sync::Barrier;
     use uucs_harness::TempDir;
     use uucs_protocol::repl::read_repl_msg;
-    use uucs_protocol::{MachineSnapshot, MonitorSummary, RunOutcome, RunRecord};
+    use uucs_protocol::{MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, WalEntry};
     use uucs_server::StoreSet;
     use uucs_wal::{SyncPolicy, WalConfig};
 

@@ -28,7 +28,7 @@
 //! the backlog tail from that sequence. A watermark the backlog has
 //! evicted past — or one earned under a different cluster epoch, which
 //! includes every first contact — cannot be tailed; the leader instead
-//! streams a full store snapshot ([`UucsServer::export_entries`]) and
+//! streams a full store snapshot ([`UucsServer::export`]) and
 //! jumps the follower's watermark past it (*snapshot-then-tail*).
 
 use std::collections::VecDeque;
@@ -40,7 +40,6 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uucs_protocol::repl::{read_repl_msg, write_repl_msg, ReplMsg};
-use uucs_protocol::WalEntry;
 use uucs_server::commit::QuorumMark;
 use uucs_server::{shard_of, GroupCommitter, ReplicationSink, UucsServer};
 use uucs_telemetry::{metrics, Counter, Gauge};
@@ -517,17 +516,9 @@ impl ReplHub {
             let server = lock(&self.server)
                 .clone()
                 .ok_or_else(|| io::Error::other("hub has no server"))?;
-            for entry in server.export_entries()? {
-                let shard = route_key(&entry)
-                    .map(|k| shard_of(k, self.shards))
-                    .unwrap_or(0);
-                write_repl_msg(
-                    writer,
-                    &ReplMsg::SnapEntry {
-                        shard,
-                        bytes: entry.encode(),
-                    },
-                )?;
+            for (key, bytes) in server.export()? {
+                let shard = shard_of(&key, self.shards);
+                write_repl_msg(writer, &ReplMsg::SnapEntry { shard, bytes })?;
             }
             for (shard, &upto) in joined.iter().enumerate() {
                 write_repl_msg(writer, &ReplMsg::SnapDone { shard, upto })?;
@@ -676,19 +667,6 @@ impl ReplicationSink for ReplHub {
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
-    }
-}
-
-/// The replication routing key of an entry — the same key its store
-/// shard routes by. `Model` entries return `None`: every node derives
-/// its model from the records it holds, so model state is never shipped.
-pub fn route_key(entry: &WalEntry) -> Option<&str> {
-    match entry {
-        WalEntry::Batch { client, .. } => Some(client),
-        WalEntry::Result(rec) => Some(rec.client.as_str()),
-        WalEntry::Client { id, .. } => Some(id),
-        WalEntry::Testcase(tc) => Some(tc.id.as_str()),
-        WalEntry::Model(_) => None,
     }
 }
 

@@ -267,9 +267,9 @@ fn watermark_behind_the_backlog_gets_snapshot_then_tail() -> Result<(), Violatio
     }
 
     // Phase 3: the follower returns with its old engine state and its
-    // persisted watermark (same data_dir, same epoch). The dedup in
-    // `apply_snapshot_entry` keeps the 300 already-held records single
-    // copies.
+    // persisted watermark (same data_dir, same epoch). The snapshot
+    // batch's dedup (`ResultStore::admit_snapshot`, by block text) keeps
+    // the 300 already-held records single copies.
     let follower = follow("b", &dir, &leader, &follower_srv);
     catches_up("snapshot-then-tail catch-up", &follower_srv, &tags)?;
     assert_eq!(

@@ -12,7 +12,7 @@
 //! reconstructs the exact same epoch and byte-identical sketches — the
 //! same recovery contract as the record stores.
 
-use crate::sketch::QuantileSketch;
+use crate::sketch::{MergeError, QuantileSketch};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -255,17 +255,23 @@ impl ComfortModel {
         self.cohorts.iter()
     }
 
-    /// Reassembles a model from an epoch counter and cohort sketches —
-    /// the inverse of [`ComfortModel::into_parts`]. Used by the server's
-    /// shard-migration path, which repartitions cohorts by hash without
-    /// replaying the original observations (the sketches are the state).
-    pub fn from_parts(epoch: u64, cohorts: BTreeMap<CohortKey, QuantileSketch>) -> Self {
-        ComfortModel { epoch, cohorts }
-    }
-
-    /// Decomposes the model into its epoch and cohort sketches.
-    pub fn into_parts(self) -> (u64, BTreeMap<CohortKey, QuantileSketch>) {
-        (self.epoch, self.cohorts)
+    /// Merges `other` into this model without replaying observations
+    /// (the sketches are the state): cohort sketches merge exactly and
+    /// the epochs add, so models merged from parts read the same however
+    /// the cohorts were spread over them. On an error nothing changed.
+    pub fn merge(&mut self, other: &ComfortModel) -> Result<(), MergeError> {
+        let mut cohorts = self.cohorts.clone();
+        for (key, sketch) in &other.cohorts {
+            match cohorts.get_mut(key) {
+                Some(held) => held.merge(sketch)?,
+                None => {
+                    cohorts.insert(key.clone(), sketch.clone());
+                }
+            }
+        }
+        self.cohorts = cohorts;
+        self.epoch += other.epoch;
+        Ok(())
     }
 
     /// Stamps a batch of observations as the *next* epoch's delta. The

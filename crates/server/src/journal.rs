@@ -6,9 +6,12 @@
 //! snapshot first, then the records past it — on reopen. [`Journal`]
 //! owns that stream (the only code in the crate that touches a
 //! [`Wal`]), and [`Journaled`] is what a store supplies to ride on it:
-//! its flavor name, its snapshot codec, and how to apply one
-//! [`WalEntry`]. The open skeleton, compaction and the per-family shard
-//! loops are written once against the trait.
+//! its flavor name, its snapshot codec, how to apply one [`WalEntry`],
+//! and the pair that moves its state as the text it holds —
+//! [`Journaled::export`] and [`Journaled::admit`], which a reshard, a
+//! snapshot backfill and a follower's apply all go through. The open
+//! skeleton, compaction and the per-family shard loops are written once
+//! against the trait.
 //!
 //! Opening is one pass: the WAL shows the store its checkpoint and then
 //! every record past it while it validates them ([`uucs_wal::Visitor`]),
@@ -190,6 +193,21 @@ pub(crate) trait Journaled: Default {
     /// Encodes the whole state as the compaction snapshot — fallible,
     /// because a store may read part of its state back from its journal.
     fn snapshot(&self) -> io::Result<String>;
+
+    /// Hands `emit` the whole state as `(routing key, payload)` pairs,
+    /// each payload in a format the store's journal holds and spliced
+    /// from the text the store holds.
+    fn export(&self, emit: &mut dyn FnMut(&str, Vec<u8>) -> io::Result<()>) -> io::Result<()>;
+
+    /// Checks `payload` as [`Journaled::replay`] does, journals it (a
+    /// plain store keeps its text) and applies it; `false` when the
+    /// store already held what it carries and nothing changed.
+    fn admit(&mut self, payload: &[u8]) -> io::Result<bool>;
+
+    /// The shard of `n` an exported `key` is admitted into.
+    fn route(key: &str, n: usize) -> usize {
+        crate::shard::shard_of(key, n)
+    }
 
     /// Opens (creating if necessary) the WAL under `dir` over `io` and
     /// rebuilds the store from it: snapshot first, then every record

@@ -115,6 +115,32 @@ impl Journaled for ModelStore {
     fn snapshot(&self) -> io::Result<String> {
         Ok(self.model.encode())
     }
+
+    /// The whole model as one payload, its snapshot text.
+    fn export(&self, emit: &mut dyn FnMut(&str, Vec<u8>) -> io::Result<()>) -> io::Result<()> {
+        emit("", self.model.encode().into_bytes())
+    }
+
+    /// Merges an exported model into this one: epochs add (each shard
+    /// mints its own, and every read sums them) and cohort sketches
+    /// merge exactly, so the merged model reads the same however the
+    /// cohorts were spread. A whole model is no journal entry, so the
+    /// store is checkpointed instead.
+    fn admit(&mut self, payload: &[u8]) -> io::Result<bool> {
+        let text = std::str::from_utf8(payload).map_err(invalid)?;
+        let model = ComfortModel::decode(text).map_err(invalid)?;
+        self.model.merge(&model).map_err(invalid)?;
+        model_metrics().epoch.set(self.model.epoch() as i64);
+        self.compact()?;
+        Ok(true)
+    }
+
+    /// Wherever its cohorts sat, a merged model reads the same, so the
+    /// whole of it goes to shard 0 and later uploads fold into their
+    /// client's shard.
+    fn route(_key: &str, _n: usize) -> usize {
+        0
+    }
 }
 
 impl ModelStore {
@@ -174,19 +200,5 @@ impl ModelStore {
         task: Option<&str>,
     ) -> QuantileSketch {
         self.model.merged(resource, task)
-    }
-
-    /// Consumes the store, yielding the model (shard migration).
-    pub fn into_model(self) -> ComfortModel {
-        self.model
-    }
-
-    /// Replaces the model wholesale — the shard-migration path, where
-    /// the new state does not arrive as deltas. The migration then
-    /// checkpoints the store, so the snapshot supersedes any journal
-    /// tail.
-    pub fn install_model(&mut self, model: ComfortModel) {
-        self.model = model;
-        model_metrics().epoch.set(self.model.epoch() as i64);
     }
 }

@@ -12,18 +12,22 @@
 //! `Ack` means "journaled on stable storage".
 
 use crate::commit::{CommitTicket, GroupCommitter, QuorumMark, StoreFlavor};
+use crate::journal::Journaled;
 use crate::models::{observations_of, ModelStore};
 use crate::shard::{Sharded, StoreSet};
-use crate::store::{BatchStatus, ResultStore, StoreError, TestcaseStore};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use crate::store::{client_payload, invalid, BatchStatus, ResultStore, StoreError, TestcaseStore};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use uucs_modelsvc::QuantileSketch;
 use uucs_pagecache::DiskScheduler;
+use uucs_protocol::walenc::{
+    split_payload, BorrowedBlocks, TAG_BATCH, TAG_CLIENT, TAG_MODEL, TAG_RESULT, TAG_TESTCASE,
+};
 use uucs_protocol::wire::Endpoint;
-use uucs_protocol::{ClientMsg, MachineSnapshot, ServerMsg, WalEntry, WIRE_VERSION_BINARY};
+use uucs_protocol::{ClientMsg, MachineSnapshot, RunRecord, ServerMsg, WIRE_VERSION_BINARY};
 use uucs_stats::Pcg64;
 use uucs_wal::crc::crc32;
 use uucs_telemetry::{metrics, Counter, Gauge, Histogram};
@@ -231,8 +235,9 @@ fn poisoned(what: &str) -> ServerMsg {
 /// client was never acked — the client retries with the same sequence
 /// number and the per-client horizon dedups it, so exactly-once holds.
 pub trait ReplicationSink: Send + Sync {
-    /// Ships one entry — `payload` is its [`WalEntry`] encoding, the
-    /// bytes the journal holds for it; `key` routes it to a shard.
+    /// Ships one entry — `payload` is its
+    /// [`uucs_protocol::WalEntry`] encoding, the bytes the journal
+    /// holds for it; `key` routes it to a shard.
     /// `Ok(None)` means the ack owes the followers nothing; an `Err`
     /// fails the client op.
     fn ship(&self, key: &str, payload: Vec<u8>) -> std::io::Result<Option<QuorumMark>>;
@@ -507,7 +512,7 @@ impl UucsServer {
                 .as_ref()
                 .expect("ticket implies committer")
                 .wait(ticket)
-                .map_err(|e| StoreError::Io(crate::store::invalid(e)))?;
+                .map_err(|e| StoreError::Io(invalid(e)))?;
         }
         Ok(())
     }
@@ -535,7 +540,7 @@ impl UucsServer {
     /// Every uploaded result, decoded now, in shard order. The stores
     /// hold record text; a block that does not decode is this call's
     /// error, naming the record and the line.
-    pub fn results(&self) -> std::io::Result<Vec<uucs_protocol::RunRecord>> {
+    pub fn results(&self) -> std::io::Result<Vec<RunRecord>> {
         let mut out = Vec::with_capacity(self.result_count());
         for g in self.stores.results.read_all() {
             for rec in g.records() {
@@ -587,16 +592,20 @@ impl UucsServer {
         Ok(())
     }
 
-    /// Applies one replicated WAL entry into this node's own stores —
-    /// the follower half of WAL shipping. Idempotent: a re-delivered
-    /// entry (reconnect overlap, snapshot-then-tail seam) is absorbed
-    /// without a second copy, so the stream only has to be at-least-once.
+    /// Applies one replicated journal payload into this node's own
+    /// stores — the follower half of WAL shipping — through the
+    /// [`Journaled::admit`] of the store it belongs to, which journals
+    /// it as it came. Idempotent: a re-delivered entry (reconnect
+    /// overlap, snapshot-then-tail seam) is absorbed without a second
+    /// copy, so the stream only has to be at-least-once.
     ///
     /// Records this appends are folded into the comfort model exactly as
     /// the leader folded them on upload — a replicated batch that was
     /// already held appends nothing and folds nothing — so a follower's
-    /// model is the fold of the records it holds, like any node's.
-    /// `Model` entries are never shipped and are ignored.
+    /// model is the fold of the records it holds, like any node's. That
+    /// fold is why a batch's records are decoded here, once, before
+    /// anything is journaled: a payload that does not decode is refused
+    /// whole. `Model` entries are never shipped and are ignored.
     ///
     /// Under group commit the entry is durable once the returned ticket
     /// is redeemed — the follower acknowledges a burst of entries after
@@ -605,33 +614,26 @@ impl UucsServer {
     /// to race the caller's own fsync. An entry already held gets the
     /// journal's *current* watermark, so acknowledging it again is
     /// never less durable than the first time.
-    pub fn apply_entry(&self, entry: &WalEntry) -> std::io::Result<Option<CommitTicket>> {
-        match entry {
-            WalEntry::Testcase(tc) => {
-                let shard = self.stores.testcases.shard_for(tc.id.as_str());
+    pub fn apply_entry(&self, payload: &[u8]) -> std::io::Result<Option<CommitTicket>> {
+        let (tag, text) = split_payload(payload).map_err(invalid)?;
+        match tag {
+            TAG_TESTCASE => {
+                let shard = self
+                    .stores
+                    .testcases
+                    .shard_for(header_key(text, "TESTCASE")?);
                 let mut guard = self.stores.testcases.write_recovered(shard);
-                if !guard.contains(tc.id.as_str()) {
-                    guard
-                        .add(tc)
-                        .map_err(|e| crate::store::invalid(e.to_string()))?;
-                }
+                guard.admit(payload)?;
                 let lsn = guard.wal_next_lsn();
                 drop(guard);
                 Ok(self.watermark(StoreFlavor::Testcases, shard, lsn))
             }
-            WalEntry::Client {
-                id,
-                token,
-                snapshot,
-            } => {
+            TAG_CLIENT => {
+                let id = header_key(text, "CLIENT")?;
                 let _serial = self.reg_lock.lock().unwrap_or_else(PoisonError::into_inner);
                 let shard = self.stores.registry.shard_for(id);
                 let mut reg = self.stores.registry.write_recovered(shard);
-                let fresh = reg.get(id).is_none();
-                if fresh {
-                    reg.register_with_id(id.clone(), snapshot.clone(), token)
-                        .map_err(|e| crate::store::invalid(e.to_string()))?;
-                }
+                let fresh = reg.admit(payload)?;
                 let (len, lsn) = (reg.len(), reg.wal_next_lsn());
                 drop(reg);
                 if fresh {
@@ -644,34 +646,19 @@ impl UucsServer {
                 }
                 Ok(self.watermark(StoreFlavor::Registry, shard, lsn))
             }
-            WalEntry::Batch {
-                client,
-                seq,
-                records,
-            } => {
-                let shard = self.stores.results.shard_for(client);
+            TAG_BATCH | TAG_RESULT => {
+                let (client, records) = shipped_records(tag, text)?;
+                let shard = self.stores.results.shard_for(&client);
                 let mut results = self.stores.results.write_recovered(shard);
-                let status = results
-                    .append_batch(client, *seq, records)
-                    .map_err(|e| crate::store::invalid(e.to_string()))?;
+                let fresh = results.admit(payload)?;
                 let ticket = self.applied_results(shard, results);
-                if matches!(status, BatchStatus::Applied(_)) {
-                    self.observe(client, records);
+                if fresh {
+                    self.observe(&client, &records);
                 }
                 Ok(ticket)
             }
-            WalEntry::Result(rec) => {
-                let shard = self.stores.results.shard_for(rec.client.as_str());
-                let mut results = self.stores.results.write_recovered(shard);
-                let records = std::slice::from_ref(rec);
-                results
-                    .append(records)
-                    .map_err(|e| crate::store::invalid(e.to_string()))?;
-                let ticket = self.applied_results(shard, results);
-                self.observe(&rec.client, records);
-                Ok(ticket)
-            }
-            WalEntry::Model(_) => Ok(None),
+            TAG_MODEL => Ok(None),
+            other => Err(invalid(format!("unknown wal entry tag {other:#04x}"))),
         }
     }
 
@@ -688,107 +675,85 @@ impl UucsServer {
         self.watermark(StoreFlavor::Results, shard, lsn)
     }
 
-    /// Applies one entry of a *snapshot* backfill stream. Snapshot
-    /// `Batch` entries are synthetic — the client's full record set at
-    /// its current sequence horizon — so a follower holding partial
-    /// state (it was tailing the old leader before the seam) must
-    /// absorb them record-by-record: records it already applied are
-    /// skipped by equality, the rest append — and only they are folded
-    /// into the comfort model, so no observation is counted twice — and
-    /// the horizon jumps to the snapshot's sequence. All other entries
-    /// apply as in [`UucsServer::apply_entry`].
-    pub fn apply_snapshot_entry(&self, entry: &WalEntry) -> std::io::Result<Option<CommitTicket>> {
-        let WalEntry::Batch {
-            client,
-            seq,
-            records,
-        } = entry
-        else {
-            return self.apply_entry(entry);
-        };
-        let shard = self.stores.results.shard_for(client);
+    /// Applies one payload of a *snapshot* backfill stream. A snapshot
+    /// batch is one client's whole record set at its horizon, so a
+    /// follower holding part of it (it was tailing the old leader
+    /// before the seam) admits it through
+    /// [`ResultStore::admit_snapshot`]: blocks it holds are skipped by
+    /// their text, the rest append — and only they are folded into the
+    /// comfort model, so no observation is counted twice — and the
+    /// horizon jumps to the snapshot's. Every other payload applies as
+    /// in [`UucsServer::apply_entry`].
+    pub fn apply_snapshot_entry(&self, payload: &[u8]) -> std::io::Result<Option<CommitTicket>> {
+        let (tag, text) = split_payload(payload).map_err(invalid)?;
+        if tag != TAG_BATCH {
+            return self.apply_entry(payload);
+        }
+        let (client, records) = shipped_records(tag, text)?;
+        let shard = self.stores.results.shard_for(&client);
         let mut results = self.stores.results.write_recovered(shard);
-        if results.applied_seq(client) >= *seq {
-            return Ok(self.applied_results(shard, results));
-        }
-        // Equal records have equal `client` and `testcase` fields, so
-        // only the held records of the incoming ones' clients can match
-        // — the only blocks decoded, none read once the shard knows it
-        // holds none of theirs — and only within one testcase: index
-        // those in one pass over the shard, not one pass per record.
-        let clients: HashSet<&str> = records.iter().map(|r| r.client.as_str()).collect();
-        let mut held: HashMap<String, Vec<uucs_protocol::RunRecord>> = HashMap::new();
-        for have in results.held_of(&clients)? {
-            held.entry(have.testcase.clone()).or_default().push(have);
-        }
-        let fresh: Vec<_> = records
-            .iter()
-            .filter(|r| !held.get(&r.testcase).is_some_and(|same| same.contains(r)))
-            .cloned()
-            .collect();
-        results
-            .append_batch(client, *seq, &fresh)
-            .map_err(|e| crate::store::invalid(e.to_string()))?;
+        let fresh = results.admit_snapshot(payload)?;
         let ticket = self.applied_results(shard, results);
-        self.observe(client, &fresh);
+        let fresh: Vec<_> = fresh.into_iter().map(|i| records[i].clone()).collect();
+        self.observe(&client, &fresh);
         Ok(ticket)
     }
 
-    /// Folds the current store state into a stream of self-contained
-    /// WAL entries — the backfill snapshot a leader sends a follower
-    /// the replication backlog cannot serve by tail. One
-    /// `Client` entry per registration (token included, so the promoted
-    /// follower honors re-registrations), then one synthetic `Batch`
-    /// per client at its current applied sequence carrying all its
-    /// records — applying it installs both the records and the upload
-    /// dedup horizon in one step — then every `Testcase`.
-    pub fn export_entries(&self) -> std::io::Result<Vec<WalEntry>> {
+    /// The backfill snapshot a leader sends a follower the replication
+    /// backlog cannot serve by tail, as `(routing key, payload)` pairs
+    /// spliced from what the stores hold: the registry's export — every
+    /// registration, token included, so a promoted follower honors
+    /// re-registrations — then one snapshot batch per registered client
+    /// holding its horizon and all its records in upload order (applying
+    /// it installs both in one step), in registry order, then the
+    /// testcase library's export.
+    pub fn export(&self) -> std::io::Result<Vec<(String, Vec<u8>)>> {
         let mut out = Vec::new();
-        let mut clients = Vec::new();
-        for i in 0..self.stores.registry.count() {
-            let reg = self.stores.registry.read(i);
-            for (id, snapshot) in reg.all() {
-                let token = reg.token_of(id).unwrap_or("").to_string();
-                out.push(WalEntry::Client {
-                    id: id.clone(),
-                    token,
-                    snapshot: snapshot.clone(),
-                });
-                clients.push(id.clone());
-            }
+        for reg in self.stores.registry.read_all() {
+            reg.export(&mut |id, payload| {
+                out.push((id.to_string(), payload));
+                Ok(())
+            })?;
         }
-        // Each shard is decoded once, its records grouped by the client
-        // they name (upload order kept within a group) — not filtered
-        // once per client.
-        let shards = self.stores.results.read_all();
-        let mut by_shard = Vec::with_capacity(shards.len());
-        for results in &shards {
-            let mut of: HashMap<String, Vec<uucs_protocol::RunRecord>> = HashMap::new();
-            for rec in results.records() {
-                let rec = rec?;
-                match of.get_mut(&rec.client) {
-                    Some(group) => group.push(rec),
-                    None => {
-                        of.insert(rec.client.clone(), vec![rec]);
-                    }
+        let registered = out.len();
+        // The results export is journal-shaped — each client's horizon,
+        // then every block as an entry of its own — so a shard's blocks
+        // are gathered per client, and each registered client gets them
+        // as one batch at its horizon.
+        let mut shards = Vec::new();
+        for results in self.stores.results.read_all() {
+            let mut of: HashMap<String, (String, usize)> = HashMap::new();
+            results.export(&mut |client, payload| {
+                let (tag, text) = split_payload(&payload).map_err(invalid)?;
+                if tag == TAG_RESULT {
+                    let (body, count) = of.entry(client.to_string()).or_default();
+                    body.push_str(text);
+                    *count += 1;
                 }
-            }
-            by_shard.push(of);
+                Ok(())
+            })?;
+            shards.push((results, of));
         }
-        for id in clients {
-            let shard = self.stores.results.shard_for(&id);
-            let seq = shards[shard].applied_seq(&id);
-            let records = by_shard[shard].remove(&id).unwrap_or_default();
-            if seq > 0 || !records.is_empty() {
-                out.push(WalEntry::Batch {
-                    client: id,
-                    seq: seq.max(1),
-                    records,
-                });
+        for i in 0..registered {
+            let id = out[i].0.clone();
+            let (results, of) = &mut shards[self.stores.results.shard_for(&id)];
+            let seq = results.applied_seq(&id);
+            let (body, count) = of.remove(&id).unwrap_or_default();
+            if seq > 0 || count > 0 {
+                let batch = BorrowedBlocks {
+                    batch: Some((&id, seq)),
+                    body: &body,
+                    count,
+                };
+                let payload = batch.encode();
+                out.push((id, payload));
             }
         }
-        for g in self.stores.testcases.read_all() {
-            out.extend(g.testcases().into_iter().map(WalEntry::Testcase));
+        for tcs in self.stores.testcases.read_all() {
+            tcs.export(&mut |id, payload| {
+                out.push((id.to_string(), payload));
+                Ok(())
+            })?;
         }
         Ok(out)
     }
@@ -805,7 +770,7 @@ impl UucsServer {
     /// the journals sync inline (`uucs-server --wal` without
     /// `--commit-interval-us` runs every journal at `SyncPolicy::Always`)
     /// the model delta is fsynced before the client hears back.
-    fn observe(&self, client: &str, records: &[uucs_protocol::RunRecord]) {
+    fn observe(&self, client: &str, records: &[RunRecord]) {
         if !self.model_updates {
             return;
         }
@@ -839,7 +804,7 @@ impl UucsServer {
             return;
         }
         for shard in 0..self.stores.results.count() {
-            let mut of: BTreeMap<String, Vec<uucs_protocol::RunRecord>> = BTreeMap::new();
+            let mut of: BTreeMap<String, Vec<RunRecord>> = BTreeMap::new();
             for rec in self.stores.results.read(shard).records() {
                 match rec {
                     Ok(rec) => of.entry(rec.client.clone()).or_default().push(rec),
@@ -1198,14 +1163,7 @@ impl UucsServer {
                 drop(reg);
                 let ticket = self.ticket(StoreFlavor::Registry, shard, lsn);
                 let shipped = self
-                    .ship(&id, || {
-                        WalEntry::Client {
-                            id: id.clone(),
-                            token: token.to_string(),
-                            snapshot: snapshot.clone(),
-                        }
-                        .encode()
-                    })
+                    .ship(&id, || client_payload(&id, token, snapshot))
                     .and_then(|mark| self.owe_quorum(mark, ticket));
                 let ticket = match shipped {
                     Ok(ticket) => ticket,
@@ -1225,7 +1183,7 @@ impl UucsServer {
         &self,
         client: &str,
         seq: u64,
-        records: &[uucs_protocol::RunRecord],
+        records: &[RunRecord],
     ) -> (ServerMsg, Option<CommitTicket>) {
         if !self.is_registered(client) {
             return (
@@ -1308,6 +1266,34 @@ impl Endpoint for UucsServer {
         }
         reply
     }
+}
+
+/// The id a shipped testcase or registration names on its first line
+/// (`TESTCASE <id>`, `CLIENT <id> …`), read to route the payload; the
+/// store that admits it checks the rest.
+fn header_key<'a>(text: &'a str, keyword: &str) -> std::io::Result<&'a str> {
+    let mut words = text.lines().next().unwrap_or("").split_whitespace();
+    match (words.next(), words.next()) {
+        (Some(word), Some(key)) if word == keyword => Ok(key),
+        _ => Err(invalid(format!("{keyword} payload names no id"))),
+    }
+}
+
+/// The client a shipped results payload is for — a batch's, or a
+/// single record's own — and its records, decoded.
+fn shipped_records(tag: u8, text: &str) -> std::io::Result<(String, Vec<RunRecord>)> {
+    let blocks = match tag {
+        TAG_BATCH => BorrowedBlocks::batch(text),
+        _ => BorrowedBlocks::result(text),
+    }
+    .map_err(invalid)?;
+    let records = RunRecord::parse_many(blocks.body).map_err(invalid)?;
+    let client = match (blocks.batch, records.first()) {
+        (Some((client, _)), _) => client,
+        (None, Some(rec)) => rec.client.as_str(),
+        (None, None) => return Err(invalid("result payload holds no record")),
+    };
+    Ok((client.to_string(), records))
 }
 
 #[cfg(test)]
@@ -1499,14 +1485,16 @@ mod tests {
             seq,
             records,
         };
-        s.apply_entry(&batch(2, held.clone())).unwrap();
+        s.apply_entry(&batch(2, held.clone()).encode()).unwrap();
         let mut all = held;
         all.extend([rec("tc-000", 3.0), rec("tc-001", 1.0)]);
-        s.apply_snapshot_entry(&batch(5, all.clone())).unwrap();
+        s.apply_snapshot_entry(&batch(5, all.clone()).encode())
+            .unwrap();
         assert_eq!(s.results().unwrap(), all);
         assert_eq!(s.applied_seq(&id), 5);
         // At or below the horizon nothing is even compared.
-        s.apply_snapshot_entry(&batch(5, all.clone())).unwrap();
+        s.apply_snapshot_entry(&batch(5, all.clone()).encode())
+            .unwrap();
         assert_eq!(s.result_count(), 4);
     }
 
@@ -1590,7 +1578,76 @@ mod tests {
         let mut cases = ["case-0", "case-1"];
         cases.sort_by_key(|id| shard_of(id, 2));
         want.extend(cases.iter().map(|id| WalEntry::Testcase(Testcase::blank(*id, 1.0, 60.0))));
-        assert_eq!(s.export_entries().unwrap(), want);
+        let (keys, payloads): (Vec<String>, Vec<Vec<u8>>) = s.export().unwrap().into_iter().unzip();
+        assert_eq!(
+            payloads,
+            want.iter().map(WalEntry::encode).collect::<Vec<_>>()
+        );
+        let routed: Vec<String> = (want.iter())
+            .map(|entry| match entry {
+                WalEntry::Client { id, .. } | WalEntry::Batch { client: id, .. } => id.clone(),
+                WalEntry::Testcase(tc) => tc.id.to_string(),
+                other => panic!("{other:?} is not exported"),
+            })
+            .collect();
+        assert_eq!(keys, routed, "each payload is keyed as its store routes it");
+    }
+
+    /// A client that uploaded only with `seq 0` has no horizon, and a
+    /// follower filled by a snapshot backfill must not invent one: the
+    /// two nodes report the same horizon, and the client's next upload,
+    /// at `seq 1`, is stored on both — not acked as a replay by a
+    /// follower that would drop it once promoted.
+    #[test]
+    fn a_backfilled_legacy_client_keeps_the_leaders_horizon() {
+        use uucs_protocol::{MonitorSummary, RunOutcome, WalEntry};
+        let leader = UucsServer::with_store_set(StoreSet::plain(2), 9);
+        let id = register(&leader);
+        let rec = |offset_secs: f64| RunRecord {
+            client: id.clone(),
+            user: "u".into(),
+            testcase: "tc-000".into(),
+            task: "Word".into(),
+            skill: "Typical".into(),
+            outcome: RunOutcome::Discomfort,
+            offset_secs,
+            last_levels: vec![],
+            monitor: MonitorSummary::default(),
+        };
+        let legacy = ClientMsg::Upload {
+            client: id.clone(),
+            seq: 0,
+            records: vec![rec(1.0)],
+        };
+        assert_eq!(leader.handle(&legacy), ServerMsg::Ack(1));
+
+        let follower = UucsServer::with_store_set(StoreSet::plain(3), 9);
+        for (_, payload) in leader.export().unwrap() {
+            follower.apply_snapshot_entry(&payload).unwrap();
+        }
+        assert_eq!((leader.applied_seq(&id), follower.applied_seq(&id)), (0, 0));
+
+        let next = vec![rec(2.0)];
+        let upload = ClientMsg::Upload {
+            client: id.clone(),
+            seq: 1,
+            records: next.clone(),
+        };
+        assert_eq!(leader.handle(&upload), ServerMsg::Ack(1));
+        let shipped = WalEntry::Batch {
+            client: id.clone(),
+            seq: 1,
+            records: next,
+        };
+        follower.apply_entry(&shipped.encode()).unwrap();
+        assert_eq!(leader.results().unwrap(), vec![rec(1.0), rec(2.0)]);
+        assert_eq!(follower.results().unwrap(), leader.results().unwrap());
+        assert_eq!((leader.applied_seq(&id), follower.applied_seq(&id)), (1, 1));
+        // A second snapshot of the same state appends nothing.
+        for (_, payload) in leader.export().unwrap() {
+            follower.apply_snapshot_entry(&payload).unwrap();
+        }
+        assert_eq!(follower.result_count(), 2);
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //! WAL directly in `dir` — byte-compatible with pre-sharding data dirs.
 //!
 //! Changing the shard count **migrates**: the current layout (or the
-//! flat legacy WAL) is replayed, its logical state is repartitioned by
-//! hash into fresh per-shard stores, each is checkpointed, and only
-//! then is the new `READY` written (generation = source + 1) and the
-//! source layout removed. A crash at any point leaves either the old
-//! committed layout (marker not yet written) or the new one (marker
-//! written); the highest generation wins, so recovery always sees
-//! exactly one logical state — the property the reshard recovery test
-//! pins down.
+//! flat legacy WAL) is replayed, each source shard exports its state as
+//! keyed journal payloads ([`Journaled::export`]), each payload is
+//! admitted into the fresh shard its key routes to
+//! ([`Journaled::admit`]), each is checkpointed, and only then is the
+//! new `READY` written (generation = source + 1) and the source layout
+//! removed. A crash at any point leaves either the old committed layout
+//! (marker not yet written) or the new one (marker written); the highest
+//! generation wins, so recovery always sees exactly one logical state —
+//! the property the reshard recovery test pins down.
 //!
 //! # Opening on every core
 //!
@@ -42,11 +43,9 @@ use crate::journal::Journaled;
 use crate::models::ModelStore;
 use crate::storage::{plain_io, StorageProfile, StoreIo};
 use crate::store::{invalid, RegistryStore, ResultStore, TestcaseStore};
-use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use uucs_modelsvc::{CohortKey, ComfortModel, QuantileSketch};
 use uucs_stats::parallel::{available_workers, ordered_map};
 use uucs_wal::{Lsn, Recovery, WalConfig};
 
@@ -231,19 +230,6 @@ fn write_ready(layout_dir: &Path, generation: u64) -> io::Result<()> {
     f.sync_all()
 }
 
-/// What a journaled store must add to live under [`Sharded`] with a
-/// per-shard WAL: how to repartition recovered state when the shard
-/// count changes. `Send` because shards are opened on worker threads.
-pub(crate) trait ShardFamily: Journaled + Send {
-    /// The merged logical state of the whole family, hash-partitionable.
-    type State;
-    /// Merges recovered source shards into the family's logical state.
-    fn extract(stores: Vec<Self>) -> io::Result<Self::State>;
-    /// Loads shard `shard`-of-`n`'s partition of `state` into a fresh
-    /// (just-opened, empty) store.
-    fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()>;
-}
-
 /// One journal queued for [`open_all`]. The open leaves its store in a
 /// slot of its own family's type, so one queue holds all four families.
 struct QueuedOpen<'a> {
@@ -272,7 +258,7 @@ struct Journals<F> {
     opened: Vec<Option<io::Result<(F, Recovery)>>>,
 }
 
-impl<F: ShardFamily> Journals<F> {
+impl<F: Journaled + Send> Journals<F> {
     fn new(io: &StoreIo, cfg: WalConfig, dirs: Vec<PathBuf>) -> Self {
         Journals {
             io: io.clone(),
@@ -312,26 +298,28 @@ impl<F: ShardFamily> Journals<F> {
                 None if has_flat_files(dir)? => Some(vec![dir.to_path_buf()]),
                 None => None,
             };
-            let state = match source {
-                Some(dirs) => {
-                    let mut source = Journals::<F>::new(io, cfg, dirs);
-                    open_all(workers, source.queue());
-                    Some(F::extract(source.stores()?.0)?)
-                }
-                None => None,
-            };
             if target.exists() {
                 // A previous migration to this count died before READY.
                 std::fs::remove_dir_all(&target)?;
             }
-            for i in 0..n {
-                let (mut s, _) = F::open(io.clone(), &target.join(shard_dirname(i)), cfg)?;
-                // A fresh layout stays bare (a header-only segment per
-                // shard): checkpointing nothing would leave every
-                // journal of a new data directory with state to fold.
-                if let Some(state) = &state {
-                    s.load_part(state, i, n)?;
-                    s.compact()?;
+            let mut parts = (0..n)
+                .map(|i| Ok(F::open(io.clone(), &target.join(shard_dirname(i)), cfg)?.0))
+                .collect::<io::Result<Vec<F>>>()?;
+            // A fresh layout stays bare (a header-only segment per
+            // shard): checkpointing nothing would leave every journal
+            // of a new data directory with state to fold.
+            if let Some(dirs) = source {
+                let mut source = Journals::<F>::new(io, cfg, dirs);
+                open_all(workers, source.queue());
+                // Each source shard's state moves as the payloads it
+                // exports, in shard order, to the shard its key routes to.
+                for store in source.stores()?.0 {
+                    store.export(&mut |key, payload| {
+                        parts[F::route(key, n)].admit(&payload).map(drop)
+                    })?;
+                }
+                for part in &mut parts {
+                    part.compact()?;
                 }
             }
             // Commit point. Until this marker lands, recovery still sees
@@ -381,140 +369,6 @@ impl<F: ShardFamily> Journals<F> {
             .map(|slot| slot.expect("open_all runs every queued open"))
             .collect();
         Ok(opened?.into_iter().unzip())
-    }
-}
-
-/// Testcases move as the text blocks they are held as: a reshard renders
-/// and decodes nothing.
-impl ShardFamily for TestcaseStore {
-    /// Every source shard's blocks, in shard order, in one plain store.
-    type State = TestcaseStore;
-
-    fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
-        let mut all = TestcaseStore::new();
-        for (id, block) in stores.iter().flat_map(TestcaseStore::entries) {
-            all.put(id, block, false).map_err(invalid)?;
-        }
-        Ok(all)
-    }
-
-    fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()> {
-        for (id, block) in state.entries() {
-            if shard_of(id, n) == shard {
-                self.put(id, block, false).map_err(invalid)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl ShardFamily for ResultStore {
-    type State = (Vec<uucs_protocol::RunRecord>, BTreeMap<String, u64>);
-
-    fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
-        let mut records = Vec::new();
-        let mut horizons: BTreeMap<String, u64> = BTreeMap::new();
-        for s in stores {
-            for rec in s.records() {
-                records.push(rec?);
-            }
-            for (client, &seq) in s.applied_horizons() {
-                let h = horizons.entry(client.clone()).or_insert(0);
-                *h = (*h).max(seq);
-            }
-        }
-        Ok((records, horizons))
-    }
-
-    fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()> {
-        let (records, horizons) = state;
-        // Horizons first: an empty batch at the horizon seq journals the
-        // idempotency watermark without touching the record stream.
-        for (client, seq) in horizons {
-            if shard_of(client, n) == shard {
-                self.append_batch(client, *seq, &[]).map_err(invalid)?;
-            }
-        }
-        let mine: Vec<_> = records
-            .iter()
-            .filter(|r| shard_of(&r.client, n) == shard)
-            .cloned()
-            .collect();
-        if !mine.is_empty() {
-            self.append(&mine).map_err(invalid)?;
-        }
-        Ok(())
-    }
-}
-
-impl ShardFamily for RegistryStore {
-    type State = (
-        Vec<(String, uucs_protocol::MachineSnapshot)>,
-        Vec<(String, String)>,
-    );
-
-    fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
-        let mut clients = Vec::new();
-        let mut tokens = Vec::new();
-        for s in stores {
-            let (c, t) = s.into_parts();
-            clients.extend(c);
-            tokens.extend(t);
-        }
-        Ok((clients, tokens))
-    }
-
-    fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()> {
-        let (clients, tokens) = state;
-        // Reversed, so an id's first token wins, as in the registry.
-        let token_of: HashMap<&str, &str> =
-            (tokens.iter().rev()).map(|(t, id)| (id.as_str(), t.as_str())).collect();
-        for (id, snap) in clients {
-            if shard_of(id, n) != shard {
-                continue;
-            }
-            let token = token_of.get(id.as_str()).copied().unwrap_or("");
-            self.register_with_id(id.clone(), snap.clone(), token)
-                .map_err(invalid)?;
-        }
-        Ok(())
-    }
-}
-
-impl ShardFamily for ModelStore {
-    type State = ComfortModel;
-
-    fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
-        // The global epoch is the *sum* of shard epochs (each shard
-        // mints its own); cohort sketches merge exactly, so the merged
-        // model is identical no matter how the cohorts were spread.
-        let mut epoch = 0u64;
-        let mut cohorts: BTreeMap<CohortKey, QuantileSketch> = BTreeMap::new();
-        for s in stores {
-            let (e, cs) = s.into_model().into_parts();
-            epoch += e;
-            for (key, sketch) in cs {
-                match cohorts.entry(key) {
-                    std::collections::btree_map::Entry::Occupied(mut o) => {
-                        o.get_mut().merge(&sketch).map_err(invalid)?;
-                    }
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(sketch);
-                    }
-                }
-            }
-        }
-        Ok(ComfortModel::from_parts(epoch, cohorts))
-    }
-
-    fn load_part(&mut self, state: &Self::State, shard: usize, _n: usize) -> io::Result<()> {
-        // Every model read merges all shards and sums their epochs, so
-        // where a cohort sits is invisible: the whole model goes to
-        // shard 0 and later uploads fold into their client's shard.
-        if shard == 0 {
-            self.install_model(state.clone());
-        }
-        Ok(())
     }
 }
 
@@ -639,6 +493,7 @@ impl StoreSet {
 pub(crate) mod tests {
     use super::*;
     use uucs_harness::TempDir;
+    use uucs_modelsvc::QuantileSketch;
     use uucs_protocol::{MachineSnapshot, MonitorSummary, RunOutcome, RunRecord};
     use uucs_testcase::{ExerciseSpec, Resource, Testcase};
     use uucs_wal::SyncPolicy;
@@ -652,7 +507,7 @@ pub(crate) mod tests {
 
     /// One family, settled and opened the way [`StoreSet::open_on`]
     /// does all four.
-    fn open_sharded<F: ShardFamily>(
+    fn open_sharded<F: Journaled + Send>(
         dir: &Path,
         cfg: WalConfig,
         n: usize,
@@ -846,6 +701,109 @@ pub(crate) mod tests {
         }
     }
 
+    /// What a reshard to `n` shards checkpoints as shard `t`, from the
+    /// results checkpoint texts of the source shards in shard order: the
+    /// `SEQ` lines of the clients routed to `t`, then their blocks in
+    /// source order.
+    fn resharded_text(sources: &[String], n: usize, t: usize) -> String {
+        use uucs_protocol::record::Blocks;
+        let mut horizons = std::collections::BTreeMap::new();
+        let mut blocks = String::new();
+        for text in sources {
+            let at: usize = (text.lines().take_while(|l| l.starts_with("SEQ ")))
+                .map(|l| l.len() + 1)
+                .sum();
+            for line in text[..at].lines() {
+                let (client, seq) = line["SEQ ".len()..].rsplit_once(' ').unwrap();
+                if shard_of(client, n) == t {
+                    let seq: u64 = seq.parse().unwrap();
+                    let held = horizons.entry(client.to_string()).or_insert(seq);
+                    *held = seq.max(*held);
+                }
+            }
+            for block in Blocks::new(&text[at..]) {
+                let block = block.unwrap();
+                if shard_of(RunRecord::block_client(block), n) == t {
+                    blocks.push_str(block);
+                }
+            }
+        }
+        let seqs: String = horizons
+            .iter()
+            .map(|(c, s)| format!("SEQ {c} {s}\n"))
+            .collect();
+        seqs + &blocks
+    }
+
+    /// A results reshard moves the blocks the source shards hold and
+    /// changes nothing else: 8 shards to 3 to 1, over interleaved
+    /// uploads, a client with only a horizon, a client that only ever
+    /// uploaded at `seq 0`, and source shards folded part-way, each
+    /// target's checkpoint is its clients' `SEQ` lines and then their
+    /// blocks in source order, with nothing journaled past it.
+    #[test]
+    fn a_results_reshard_checkpoints_the_source_blocks_in_source_order() {
+        let dir = TempDir::new("uucs-shard-results-text");
+        let clients: Vec<String> = (1..=12).map(|i| format!("client-{i:04}")).collect();
+        let mut uploaded = 0;
+        let mut checkpoints = {
+            let (res, _) = open_sharded::<ResultStore>(dir.path(), cfg(), 8, &plain_io()).unwrap();
+            for round in 1..=4u64 {
+                for (i, client) in clients.iter().enumerate() {
+                    let mut shard = res.write_recovered(res.shard_for(client));
+                    let batch: Vec<_> = (0..i % 3)
+                        .map(|k| rec(client, &format!("u{round}-{k}")))
+                        .collect();
+                    let status = match i % 4 {
+                        0 => shard.append_batch(client, round, &[]),
+                        1 => shard.append_batch(client, 0, &[rec(client, &format!("u{round}"))]),
+                        _ => shard.append_batch(client, round, &batch),
+                    };
+                    uploaded += status.unwrap().acked();
+                }
+                if round == 2 {
+                    for i in (0..8).step_by(3) {
+                        res.write_recovered(i).compact().unwrap();
+                    }
+                }
+            }
+            (0..8)
+                .map(|i| res.read(i).snapshot().unwrap())
+                .collect::<Vec<_>>()
+        };
+        assert!(
+            checkpoints.concat().contains("SEQ client-0001 4"),
+            "a horizon-only client"
+        );
+        for n in [3usize, 1] {
+            let (res, _) = open_sharded::<ResultStore>(dir.path(), cfg(), n, &plain_io()).unwrap();
+            let mut written = Vec::new();
+            for t in 0..n {
+                let journal = dir.join(format!("by-{n}")).join(shard_dirname(t));
+                let reader = uucs_wal::WalReader::open(uucs_wal::StdIo::new(), journal).unwrap();
+                let text = String::from_utf8(reader.snapshot().unwrap().state.clone()).unwrap();
+                assert_eq!(text, resharded_text(&checkpoints, n, t), "shard {t} of {n}");
+                assert_eq!(
+                    reader.records().count(),
+                    0,
+                    "shard {t} of {n}: a journal tail"
+                );
+                assert_eq!(
+                    res.read(t).snapshot().unwrap(),
+                    text,
+                    "shard {t} of {n} reads back"
+                );
+                written.push(text);
+            }
+            checkpoints = written;
+        }
+        // Every block made it through, the legacy client's without a horizon.
+        let (res, _) = open_sharded::<ResultStore>(dir.path(), cfg(), 1, &plain_io()).unwrap();
+        assert_eq!(res.read(0).len(), uploaded);
+        assert!(checkpoints[0].contains("CLIENT client-0002\n"));
+        assert!(!checkpoints[0].contains("SEQ client-0002 "));
+    }
+
     pub(crate) fn copy_tree(from: &Path, to: &Path) {
         std::fs::create_dir_all(to).unwrap();
         for entry in std::fs::read_dir(from).unwrap() {
@@ -1011,7 +969,7 @@ pub(crate) mod tests {
         let higher = shard_dir(data.path(), "results", 2);
         flip(&lower, 40);
         flip(&higher, 41);
-        fn alone<F: ShardFamily>(journal: &Path) -> String {
+        fn alone<F: Journaled>(journal: &Path) -> String {
             match F::open(plain_io(), journal, cfg()) {
                 Ok(_) => panic!("seed {SEED:#x}: {journal:?} opened despite the flipped bit"),
                 Err(e) => e.to_string(),

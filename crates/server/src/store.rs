@@ -33,7 +33,8 @@ use std::io;
 use std::path::Path;
 use uucs_protocol::record::Blocks;
 use uucs_protocol::walenc::{
-    split_payload, testcase_payload, BorrowedBlocks, TAG_BATCH, TAG_RESULT, TAG_TESTCASE,
+    split_payload, testcase_payload, BorrowedBlocks, TAG_BATCH, TAG_CLIENT, TAG_RESULT,
+    TAG_TESTCASE,
 };
 use uucs_protocol::wire::is_token;
 use uucs_protocol::{MachineSnapshot, RunRecord, WalEntry};
@@ -115,12 +116,7 @@ impl Journaled for TestcaseStore {
 
     /// Keeps the payload's text once it parses as exactly one testcase.
     fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
-        let (tag, block) = split_payload(payload).map_err(invalid)?;
-        if tag != TAG_TESTCASE {
-            return Err(foreign::<Self>(tag));
-        }
-        let tc =
-            tcformat::parse(block).map_err(|e| invalid(format!("bad testcase payload: {e}")))?;
+        let (tc, block) = checked_testcase(payload)?;
         self.put(tc.id.as_str(), block, false).map_err(invalid)?;
         Ok(())
     }
@@ -128,6 +124,35 @@ impl Journaled for TestcaseStore {
     fn snapshot(&self) -> io::Result<String> {
         Ok(self.text.clone())
     }
+
+    /// One `T` payload per testcase, keyed by its id, in insertion order.
+    fn export(&self, emit: &mut dyn FnMut(&str, Vec<u8>) -> io::Result<()>) -> io::Result<()> {
+        for (id, block) in self.entries() {
+            emit(id, testcase_payload(block))?;
+        }
+        Ok(())
+    }
+
+    /// A testcase whose id is held already is left as it is.
+    fn admit(&mut self, payload: &[u8]) -> io::Result<bool> {
+        let (tc, block) = checked_testcase(payload)?;
+        if self.contains(tc.id.as_str()) {
+            return Ok(false);
+        }
+        self.put(tc.id.as_str(), block, false).map_err(invalid)?;
+        Ok(true)
+    }
+}
+
+/// A testcase payload checked as replay checks it — its tag, and text
+/// that parses as exactly one testcase — as that testcase and its text.
+fn checked_testcase(payload: &[u8]) -> io::Result<(Testcase, &str)> {
+    let (tag, block) = split_payload(payload).map_err(invalid)?;
+    if tag != TAG_TESTCASE {
+        return Err(foreign::<TestcaseStore>(tag));
+    }
+    let tc = tcformat::parse(block).map_err(|e| invalid(format!("bad testcase payload: {e}")))?;
+    Ok((tc, block))
 }
 
 impl TestcaseStore {
@@ -177,14 +202,9 @@ impl TestcaseStore {
 
     /// Journals (in durable mode) and holds `block`, which parses as
     /// exactly the testcase `id`: rendered by `add`, or text that
-    /// replay, restore and a reshard already hold. With `ship`, hands
+    /// replay, restore and admit already checked. With `ship`, hands
     /// back the payload. Rejects a duplicate id.
-    pub(crate) fn put(
-        &mut self,
-        id: &str,
-        block: &str,
-        ship: bool,
-    ) -> Result<Option<Vec<u8>>, StoreError> {
+    fn put(&mut self, id: &str, block: &str, ship: bool) -> Result<Option<Vec<u8>>, StoreError> {
         if self.contains(id) {
             return Err(StoreError::Duplicate(id.to_string()));
         }
@@ -368,6 +388,54 @@ impl Journaled for ResultStore {
             out.push_str(&chunk?);
         }
         Ok(out)
+    }
+
+    /// Every horizon as an empty `B` payload, then every held block, in
+    /// upload order, as an `R` payload — each keyed by the client it
+    /// names. A store admitting them in that order holds what a replay
+    /// of the same entries would give it.
+    fn export(&self, emit: &mut dyn FnMut(&str, Vec<u8>) -> io::Result<()>) -> io::Result<()> {
+        for (client, &seq) in &self.applied {
+            let horizon = BorrowedBlocks {
+                batch: Some((client, seq)),
+                body: "",
+                count: 0,
+            };
+            emit(client, horizon.encode())?;
+        }
+        for chunk in self.chunks() {
+            let chunk = chunk?;
+            for block in Blocks::new(&chunk) {
+                let block = block.map_err(invalid)?;
+                let single = BorrowedBlocks {
+                    batch: None,
+                    body: block,
+                    count: 1,
+                };
+                emit(RunRecord::block_client(block), single.encode())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A sequenced batch at or below its client's horizon is held
+    /// already. A `seq 0` batch raises no horizon and is journaled a
+    /// record per entry, as the upload it came from was.
+    fn admit(&mut self, payload: &[u8]) -> io::Result<bool> {
+        let blocks = checked(payload)?;
+        match blocks.batch {
+            Some((client, seq)) if seq != 0 => {
+                if self.applied_seq(client) >= seq {
+                    return Ok(false);
+                }
+                self.journal.append_encoded(payload)?;
+                self.raise_horizon(client, seq);
+            }
+            Some(_) => self.journal_singly(blocks.body)?,
+            None => self.journal.append_encoded(payload)?,
+        }
+        self.hold(blocks.body, blocks.count);
+        Ok(true)
     }
 }
 
@@ -575,17 +643,18 @@ impl ResultStore {
         }
     }
 
-    /// Holds `records`, rendered as `body`: a plain store keeps the
-    /// text, a durable one has just journaled it.
-    fn hold(&mut self, records: &[RunRecord], body: &str) {
+    /// Holds the `count` blocks of `body`: a plain store keeps the text,
+    /// a durable one has just journaled it.
+    fn hold(&mut self, body: &str, count: usize) {
         if !self.journal.is_durable() {
             push_blocks(&mut self.log, body);
         }
-        self.count += records.len();
+        self.count += count;
         if let Some(holders) = &mut self.holders {
-            for rec in records {
-                if !holders.contains(&rec.client) {
-                    holders.insert(rec.client.clone());
+            for block in Blocks::new(body).flatten() {
+                let client = RunRecord::block_client(block);
+                if !holders.contains(client) {
+                    holders.insert(client.to_string());
                 }
             }
         }
@@ -598,23 +667,23 @@ impl ResultStore {
     /// must not be acknowledged.
     pub fn append(&mut self, records: &[RunRecord]) -> Result<usize, StoreError> {
         let body = render(records)?;
-        self.append_singly(records, &body)?;
+        self.journal_singly(&body)?;
+        self.hold(&body, records.len());
         Ok(records.len())
     }
 
-    /// Journals each block of `body` as its own entry, then holds them.
-    fn append_singly(&mut self, records: &[RunRecord], body: &str) -> io::Result<()> {
+    /// Journals each block of checked `body` as its own entry.
+    fn journal_singly(&mut self, body: &str) -> io::Result<()> {
         if self.journal.is_durable() {
             for block in Blocks::new(body) {
                 let entry = BorrowedBlocks {
                     batch: None,
-                    body: block.expect("rendered records are whole blocks"),
+                    body: block.map_err(invalid)?,
                     count: 1,
                 };
                 self.journal.append(|| entry.encode())?;
             }
         }
-        self.hold(records, body);
         Ok(())
     }
 
@@ -669,7 +738,7 @@ impl ResultStore {
         };
         let payload = if seq == 0 {
             // Journaled record by record; followers get it as one batch.
-            self.append_singly(records, &body)?;
+            self.journal_singly(&body)?;
             ship.then(|| entry.encode())
         } else {
             let payload = (ship || self.journal.is_durable()).then(|| entry.encode());
@@ -677,9 +746,9 @@ impl ResultStore {
                 self.journal.append_encoded(payload)?;
             }
             self.raise_horizon(client, seq);
-            self.hold(records, &body);
             payload.filter(|_| ship)
         };
+        self.hold(&body, records.len());
         Ok((BatchStatus::Applied(records.len()), payload))
     }
 
@@ -689,7 +758,7 @@ impl ResultStore {
         self.applied.get(client).copied().unwrap_or(0)
     }
 
-    /// The per-client applied-sequence horizons (shard migration).
+    /// The per-client applied-sequence horizons.
     pub fn applied_horizons(&self) -> &BTreeMap<String, u64> {
         &self.applied
     }
@@ -738,25 +807,27 @@ impl ResultStore {
         self.read(Some(clients))
     }
 
-    /// The held records of any of `clients`, decoded — what a follower
-    /// compares a snapshot batch with. The first call reads the whole
-    /// store, and from then on the store knows (and keeps current on
-    /// append) the `CLIENT` of every record it holds, so a call none of
-    /// whose `clients` is among them reads nothing.
-    pub fn held_of(&mut self, clients: &HashSet<&str>) -> io::Result<Vec<RunRecord>> {
+    /// The held blocks of any of `clients`, as text with trailing
+    /// whitespace cut — what a snapshot batch's blocks are compared
+    /// with; records render canonically, so equal text is an equal
+    /// record. The first call reads the whole store, and from then on
+    /// the store knows (and keeps current on append) the `CLIENT` of
+    /// every record it holds, so a call none of whose `clients` is among
+    /// them reads nothing.
+    fn held_of(&mut self, clients: &HashSet<&str>) -> io::Result<HashSet<String>> {
         if let Some(holders) = &self.holders {
             if !clients.iter().any(|c| holders.contains(*c)) {
-                return Ok(Vec::new());
+                return Ok(HashSet::new());
             }
         }
-        let (mut holders, mut held, mut n) = (HashSet::new(), Vec::new(), 0);
+        let (mut holders, mut held, mut n) = (HashSet::new(), HashSet::new(), 0);
         for chunk in self.chunks() {
             let chunk = chunk?;
             for block in Blocks::new(&chunk) {
                 let block = block.map_err(|e| invalid(format!("record {n}: {e}")))?;
                 let client = RunRecord::block_client(block);
                 if clients.contains(client) {
-                    held.push(decode_block(n, Ok(block))?);
+                    held.insert(block.trim_end().to_string());
                 }
                 if !holders.contains(client) {
                     holders.insert(client.to_string());
@@ -766,6 +837,42 @@ impl ResultStore {
         }
         self.holders = Some(holders);
         Ok(held)
+    }
+
+    /// Admits a snapshot batch — one client's whole record set at its
+    /// horizon — into a store that may hold part of it already: at or
+    /// below a sequenced batch's horizon nothing is even compared, and
+    /// otherwise every block whose text the store holds is skipped and
+    /// the rest are [`Journaled::admit`]ted as one batch at the
+    /// snapshot's sequence (a `seq 0` one raises no horizon). Returns
+    /// the ordinals, within the batch, of the blocks it appended.
+    pub(crate) fn admit_snapshot(&mut self, payload: &[u8]) -> io::Result<Vec<usize>> {
+        let snapshot = checked(payload)?;
+        let Some((client, seq)) = snapshot.batch else {
+            return Err(invalid("a snapshot entry of the results must be a batch"));
+        };
+        if seq != 0 && self.applied_seq(client) >= seq {
+            return Ok(Vec::new());
+        }
+        let blocks: Vec<&str> = Blocks::new(snapshot.body)
+            .collect::<Result<_, _>>()
+            .map_err(invalid)?;
+        let clients = blocks.iter().map(|b| RunRecord::block_client(b)).collect();
+        let held = self.held_of(&clients)?;
+        let fresh: Vec<usize> = (0..blocks.len())
+            .filter(|&i| !held.contains(blocks[i].trim_end()))
+            .collect();
+        let mut body = String::new();
+        for &i in &fresh {
+            push_blocks(&mut body, blocks[i]);
+        }
+        let batch = BorrowedBlocks {
+            batch: Some((client, seq)),
+            body: &body,
+            count: fresh.len(),
+        };
+        self.admit(&batch.encode())?;
+        Ok(fresh)
     }
 
     /// Number of records.
@@ -809,10 +916,6 @@ impl ResultStore {
         Ok(store)
     }
 }
-
-/// What a registry snapshot parses into: the `(id, snapshot)` rows and
-/// the `(token, id)` idempotency pairs.
-type RegistryState = (Vec<(String, MachineSnapshot)>, Vec<(String, String)>);
 
 /// The server's client registry: `(GUID, machine snapshot)` pairs in
 /// registration order, optionally journaled through a WAL so a restarted
@@ -882,17 +985,64 @@ impl Journaled for RegistryStore {
         }
     }
 
+    /// Each row's `C` payload text, in registration order.
     fn snapshot(&self) -> io::Result<String> {
         let mut out = String::new();
         for (id, snap) in &self.clients {
-            match self.token_of(id) {
-                Some(token) => out.push_str(&format!("CLIENT {id} {token}\n")),
-                None => out.push_str(&format!("CLIENT {id}\n")),
-            }
-            out.push_str(&snap.emit());
+            push_client(&mut out, id, self.token_of(id).unwrap_or(""), snap);
         }
         Ok(out)
     }
+
+    /// One `C` payload per row, keyed by its id, carrying the id's
+    /// first token — rendered now: the registry holds structs.
+    fn export(&self, emit: &mut dyn FnMut(&str, Vec<u8>) -> io::Result<()>) -> io::Result<()> {
+        for (id, snap) in &self.clients {
+            emit(
+                id,
+                client_payload(id, self.token_of(id).unwrap_or(""), snap),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// A registration of an id that is held already is left as it is.
+    fn admit(&mut self, payload: &[u8]) -> io::Result<bool> {
+        let WalEntry::Client {
+            id,
+            token,
+            snapshot,
+        } = decoded(payload)?
+        else {
+            return Err(foreign::<Self>(payload[0]));
+        };
+        if self.get(&id).is_some() {
+            return Ok(false);
+        }
+        self.journal.append_encoded(payload)?;
+        self.insert(id, snapshot, &token);
+        Ok(true)
+    }
+}
+
+/// Appends one registration as its journal text: the `CLIENT <id>`
+/// line, with the token when there is one, and the snapshot block.
+fn push_client(out: &mut String, id: &str, token: &str, snapshot: &MachineSnapshot) {
+    out.push_str("CLIENT ");
+    out.push_str(id);
+    if !token.is_empty() {
+        out.push(' ');
+        out.push_str(token);
+    }
+    out.push('\n');
+    out.push_str(&snapshot.emit());
+}
+
+/// The `C` payload of one registration.
+pub(crate) fn client_payload(id: &str, token: &str, snapshot: &MachineSnapshot) -> Vec<u8> {
+    let mut text = String::from(char::from(TAG_CLIENT));
+    push_client(&mut text, id, token, snapshot);
+    text.into_bytes()
 }
 
 impl RegistryStore {
@@ -948,14 +1098,8 @@ impl RegistryStore {
                 "registration token {token:?} is not one token"
             )));
         }
-        self.journal.append(|| {
-            WalEntry::Client {
-                id: id.clone(),
-                token: token.to_string(),
-                snapshot: snapshot.clone(),
-            }
-            .encode()
-        })?;
+        self.journal
+            .append(|| client_payload(&id, token, &snapshot))?;
         self.insert(id, snapshot, token);
         Ok(())
     }
@@ -986,15 +1130,6 @@ impl RegistryStore {
     /// See [`TestcaseStore::wal_next_lsn`].
     pub fn wal_next_lsn(&self) -> Option<Lsn> {
         self.journal.next_lsn()
-    }
-
-    /// Consumes the registry, yielding rows and `(token, id)` pairs in
-    /// registration order (migration).
-    pub fn into_parts(mut self) -> RegistryState {
-        let tokens = (self.clients.iter())
-            .filter_map(|(id, _)| Some((self.tokens.remove(id)?, id.clone())))
-            .collect();
-        (self.clients, tokens)
     }
 
     /// The registered snapshot for an id.
@@ -1659,12 +1794,19 @@ mod tests {
             client: client.into(),
             ..rec("u1")
         };
+        let text = |client: &str| HashSet::from([of(client).emit().trim_end().to_string()]);
         store.append_batch("a", 1, &[of("a")]).unwrap();
-        assert_eq!(store.held_of(&HashSet::from(["b"])).unwrap(), vec![]);
+        assert_eq!(
+            store.held_of(&HashSet::from(["b"])).unwrap(),
+            HashSet::new()
+        );
         store.append_batch("b", 1, &[of("b")]).unwrap();
-        assert_eq!(store.held_of(&HashSet::from(["b"])).unwrap(), vec![of("b")]);
+        assert_eq!(store.held_of(&HashSet::from(["b"])).unwrap(), text("b"));
         mem.corrupt(&dir.join("0000000000000000.wal"), 20);
-        assert_eq!(store.held_of(&HashSet::from(["c"])).unwrap(), vec![]);
+        assert_eq!(
+            store.held_of(&HashSet::from(["c"])).unwrap(),
+            HashSet::new()
+        );
         assert!(store.held_of(&HashSet::from(["a", "c"])).is_err());
     }
 
@@ -1735,8 +1877,9 @@ mod tests {
             }
         }
         let (g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
-        let tokens = g.into_parts().1;
-        let pairs: Vec<(&str, &str)> = tokens.iter().map(|(t, id)| (t.as_str(), id.as_str())).collect();
+        let pairs: Vec<(&str, &str)> = (g.all().iter())
+            .filter_map(|(id, _)| Some((g.token_of(id)?, id.as_str())))
+            .collect();
         assert_eq!(pairs, [("tok-a", "client-0001"), ("tok-c", "client-0009"), ("tok-d", "client-0004")]);
     }
 
@@ -2098,7 +2241,7 @@ mod tests {
     /// two must agree after every step, and after each reopen once a
     /// failed addition is reconciled with what the journal kept.
     fn testcase_contract(seed: u64) -> Result<[bool; TC_PATHS.len()], String> {
-        use crate::shard::{shard_of, ShardFamily};
+        use crate::shard::shard_of;
         let mut seen = [false; TC_PATHS.len()];
         let mut rng = uucs_stats::Pcg64::new(seed);
         let dir = Path::new("/testcases");
@@ -2178,17 +2321,18 @@ mod tests {
                     // Out to `k` shards and back to one, as a reshard moves
                     // blocks, onto a fresh in-memory disk.
                     let k = 2 + rng.below(7) as usize;
-                    let state = TestcaseStore::extract(vec![text]).map_err(|e| e.to_string())?;
-                    let mut parts = Vec::new();
-                    for i in 0..k {
-                        let mut part = TestcaseStore::new();
-                        part.load_part(&state, i, k).map_err(|e| e.to_string())?;
-                        parts.push(part);
-                    }
-                    let merged = TestcaseStore::extract(parts).map_err(|e| e.to_string())?;
+                    let mut parts: Vec<TestcaseStore> =
+                        (0..k).map(|_| TestcaseStore::new()).collect();
+                    text.export(&mut |id, payload| {
+                        parts[shard_of(id, k)].admit(&payload).map(drop)
+                    })
+                    .map_err(|e| e.to_string())?;
                     mem = uucs_wal::MemIo::new();
                     text = open(&mem)?;
-                    text.load_part(&merged, 0, 1).map_err(|e| e.to_string())?;
+                    for part in &parts {
+                        part.export(&mut |_, payload| text.admit(&payload).map(drop))
+                            .map_err(|e| e.to_string())?;
+                    }
                     structs.0.sort_by_key(|t| shard_of(t.id.as_str(), k));
                     seen[3] = true;
                 }

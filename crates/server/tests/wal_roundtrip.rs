@@ -400,6 +400,78 @@ fn what_a_leader_ships_is_the_journal_entry_byte_for_byte() {
     assert_eq!(shipped, encoded, "the REPL wire's bytes are unchanged");
 }
 
+/// A follower fed by tail journals what the leader shipped as it came:
+/// its registry, results and testcase journals hold the shipped
+/// payloads byte for byte, in shipping order, and a payload delivered
+/// twice is journaled once.
+#[test]
+fn a_tailing_follower_journals_the_payloads_the_leader_shipped() {
+    let dir = TempDir::new("uucs-follower-bytes");
+    let open = |name: &str, shards| {
+        let (stores, _) = StoreSet::open(&dir.path().join(name), CFG, shards).unwrap();
+        UucsServer::with_store_set(stores, 11)
+    };
+    let leader = open("leader", 4);
+    let sink = Arc::new(Shipped::default());
+    leader.set_replication(sink.clone());
+    leader.add_testcases(&varied_library()[..6]).unwrap();
+    let mut ids = Vec::new();
+    for host in ["a", "b"] {
+        let ServerMsg::Id { id, .. } = leader.handle(&ClientMsg::Register {
+            snapshot: MachineSnapshot::study_machine(host),
+            token: format!("tok-{host}"),
+        }) else {
+            panic!("registration refused");
+        };
+        ids.push(id);
+    }
+    for seq in 1..=3u64 {
+        for id in &ids {
+            let records = (0..seq as usize)
+                .map(|i| RunRecord {
+                    client: id.clone(),
+                    ..record(i)
+                })
+                .collect();
+            let upload = ClientMsg::Upload {
+                client: id.clone(),
+                seq,
+                records,
+            };
+            assert_eq!(leader.handle(&upload), ServerMsg::Ack(seq as usize));
+        }
+    }
+    let shipped: Vec<Vec<u8>> = sink
+        .0
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|(_, p)| p.clone())
+        .collect();
+
+    // One shard: the follower's journals are flat, in arrival order.
+    let follower = open("follower", 1);
+    for payload in shipped.iter().chain(&shipped) {
+        follower.apply_entry(payload).unwrap();
+    }
+    assert_eq!(
+        (follower.result_count(), follower.testcase_count()),
+        (12, 6)
+    );
+    for id in &ids {
+        assert_eq!(follower.applied_seq(id), 3);
+    }
+    for (family, tag) in [("registry", b'C'), ("results", b'B'), ("testcases", b'T')] {
+        let want: Vec<&Vec<u8>> = shipped.iter().filter(|p| p[0] == tag).collect();
+        let held = journaled(&dir.path().join("follower").join(family));
+        assert!(!want.is_empty(), "{family}: nothing was shipped");
+        assert!(
+            held.iter().eq(want),
+            "{family}: the journal is not what was shipped"
+        );
+    }
+}
+
 /// The merged sketch the server serves, next to that of the model of
 /// exactly the records it holds.
 fn sketch_and_records_model(server: &UucsServer) -> (String, String) {
@@ -570,9 +642,7 @@ fn sync_replies_are_the_struct_encoding_however_the_library_was_loaded() {
 
     let follower = UucsServer::with_store_set(StoreSet::plain(2), 21);
     for payload in &shipped {
-        follower
-            .apply_entry(&WalEntry::decode(payload).unwrap())
-            .unwrap();
+        follower.apply_entry(payload).unwrap();
     }
     assert_syncs_encode_like_structs(&follower, &library, "on a follower");
 }

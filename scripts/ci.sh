@@ -70,6 +70,22 @@ if [ -n "$forks" ]; then
     exit 1
 fi
 
+echo "== state moves as text (one export/admit pair per store) =="
+# A reshard, a snapshot backfill and a follower's apply all move a
+# store's state as the journal payloads it holds: Journaled::export and
+# Journaled::admit (crates/server/src/journal.rs). A per-family
+# decode-and-rebuild migration, or non-test replication code that
+# decodes a WalEntry or builds one to ship, renders that text again.
+rebuilt=$( (grep -rnE "ShardFamily|fn extract\(|fn load_part\(" crates/server/src --include=*.rs
+    find crates/cluster/src -name '*.rs' | sort | while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /WalEntry/ { print f ":" FNR ": " $0 }' "$f"
+    done) || true)
+if [ -n "$rebuilt" ]; then
+    echo "$rebuilt"
+    echo "ci: state is decoded and rendered again on a move; export and admit journal payloads instead" >&2
+    exit 1
+fi
+
 echo "== one measurement harness (benchmark/ is the only place the system is timed) =="
 # A second timing harness measures the same paths as benchmark/ with
 # none of its samples, pairs or gates: a bench target directory, a
