@@ -155,6 +155,23 @@ pub fn testcase_payload(block: &str) -> Vec<u8> {
     out
 }
 
+/// The text of a [`TAG_CLIENT`] payload as [`WalEntry::decode`] reads
+/// it: the id and token ("" = none) of its `CLIENT <id> [token]` line,
+/// and the snapshot block after that line, unchecked.
+pub fn client_header(text: &str) -> Result<(&str, &str, &str), String> {
+    let (header, body) = text
+        .split_once('\n')
+        .ok_or_else(|| "client payload missing header line".to_string())?;
+    let rest = header
+        .strip_prefix("CLIENT ")
+        .ok_or_else(|| format!("bad client header {header:?}"))?;
+    let mut toks = rest.split_whitespace();
+    let id = toks
+        .next()
+        .ok_or_else(|| "client header missing id".to_string())?;
+    Ok((id, toks.next().unwrap_or(""), body))
+}
+
 /// One logical mutation of the server's stores, as journaled in the WAL.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEntry {
@@ -256,23 +273,12 @@ impl WalEntry {
                 })
             }
             TAG_CLIENT => {
-                let (header, body) = text
-                    .split_once('\n')
-                    .ok_or_else(|| "client payload missing header line".to_string())?;
-                let rest = header
-                    .strip_prefix("CLIENT ")
-                    .ok_or_else(|| format!("bad client header {header:?}"))?;
-                let mut toks = rest.split_whitespace();
-                let id = toks.next().unwrap_or("").to_string();
-                if id.is_empty() {
-                    return Err("client header missing id".to_string());
-                }
-                let token = toks.next().unwrap_or("").to_string();
+                let (id, token, body) = client_header(text)?;
                 let snapshot =
                     MachineSnapshot::parse(body).map_err(|e| format!("bad client snapshot: {e}"))?;
                 Ok(WalEntry::Client {
-                    id,
-                    token,
+                    id: id.to_string(),
+                    token: token.to_string(),
                     snapshot,
                 })
             }

@@ -6,8 +6,8 @@
 //! snapshot first, then the records past it — on reopen. [`Journal`]
 //! owns that stream (the only code in the crate that touches a
 //! [`Wal`]), and [`Journaled`] is what a store supplies to ride on it:
-//! its flavor name, its snapshot codec, how to apply one [`WalEntry`],
-//! and the pair that moves its state as the text it holds —
+//! its flavor name, its snapshot codec, how to replay one journal
+//! payload, and the pair that moves its state as the text it holds —
 //! [`Journaled::export`] and [`Journaled::admit`], which a reshard, a
 //! snapshot backfill and a follower's apply all go through. The open
 //! skeleton, compaction and the per-family shard loops are written once
@@ -23,7 +23,6 @@ use crate::store::invalid;
 use std::io;
 use std::path::Path;
 use uucs_protocol::walenc::entry_kind;
-use uucs_protocol::WalEntry;
 use uucs_telemetry::{metrics, Counter, Histogram};
 use uucs_wal::{Lsn, Recovery, Snapshot, Visitor, Wal, WalConfig, WalObserver};
 
@@ -184,10 +183,10 @@ pub(crate) trait Journaled: Default {
     fn restore(&mut self, snapshot: &str) -> io::Result<()>;
 
     /// Applies one replayed, CRC-checked payload in memory; an entry
-    /// of another store's kind is refused with [`foreign`]. The
-    /// registry and model stores start from [`decoded`]; the result
-    /// store checks the batch header and counts the blocks, and the
-    /// testcase store keeps the text it parsed.
+    /// of another store's kind is refused with [`foreign`]. The keyed
+    /// stores keep the block they checked, the result store checks the
+    /// batch header and counts the blocks, and the model store decodes
+    /// the delta it applies.
     fn replay(&mut self, payload: &[u8]) -> io::Result<()>;
 
     /// Encodes the whole state as the compaction snapshot — fallible,
@@ -248,11 +247,6 @@ impl<S: Journaled> Visitor for Rebuild<'_, S> {
             .replay(payload)
             .map_err(|e| invalid(format!("record {lsn}: {e}")))
     }
-}
-
-/// The whole entry of a replayed payload.
-pub(crate) fn decoded(payload: &[u8]) -> io::Result<WalEntry> {
-    WalEntry::decode(payload).map_err(invalid)
 }
 
 /// The error for an entry that belongs in another store's journal —

@@ -17,7 +17,7 @@
 //! the shard count, and keeps the result per `(resource, task)` key
 //! until the epoch sum moves (`UucsServer`'s model read path).
 
-use crate::journal::{decoded, foreign, Journal, Journaled};
+use crate::journal::{foreign, Journal, Journaled};
 use crate::storage::plain_io;
 use crate::store::invalid;
 use std::io;
@@ -102,7 +102,7 @@ impl Journaled for ModelStore {
     }
 
     fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
-        match decoded(payload)? {
+        match WalEntry::decode(payload).map_err(invalid)? {
             WalEntry::Model(delta) => {
                 self.model.apply(&delta).map_err(invalid)?;
                 model_metrics().epoch.set(self.model.epoch() as i64);

@@ -15,7 +15,7 @@ use crate::commit::{CommitTicket, GroupCommitter, QuorumMark, StoreFlavor};
 use crate::journal::Journaled;
 use crate::models::{observations_of, ModelStore};
 use crate::shard::{Sharded, StoreSet};
-use crate::store::{client_payload, invalid, BatchStatus, ResultStore, StoreError, TestcaseStore};
+use crate::store::{invalid, BatchStatus, RegistryStore, ResultStore, StoreError, TestcaseStore};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLockReadGuard};
@@ -321,14 +321,10 @@ impl UucsServer {
     /// [`UucsServer::model_missing_records`]).
     pub fn with_store_set(stores: StoreSet, sample_seed: u64) -> Self {
         let stores = Arc::new(stores);
-        let mut max_id = 0u64;
-        for i in 0..stores.registry.count() {
-            for (id, _) in stores.registry.read(i).all() {
-                if let Some(n) = id.strip_prefix("client-").and_then(|s| s.parse::<u64>().ok()) {
-                    max_id = max_id.max(n);
-                }
-            }
-        }
+        let max_id = (stores.registry.read_all().iter())
+            .filter_map(|reg| reg.entries().filter_map(|(id, _)| minted(id)).max())
+            .max()
+            .unwrap_or(0);
         let shard_gauges = ShardGauges::new(&stores);
         let server = UucsServer {
             stores,
@@ -560,14 +556,14 @@ impl UucsServer {
     /// The registered snapshot for a client id.
     pub fn snapshot_of(&self, client: &str) -> Option<MachineSnapshot> {
         let shard = self.stores.registry.shard_for(client);
-        self.stores.registry.read(shard).get(client).cloned()
+        self.stores.registry.read(shard).get(client)
     }
 
     /// Whether `client` is a registered id — the check every sync and
     /// upload starts with, made on the registry's own entry.
     fn is_registered(&self, client: &str) -> bool {
         let shard = self.stores.registry.shard_for(client);
-        self.stores.registry.read(shard).get(client).is_some()
+        self.stores.registry.read(shard).contains(client)
     }
 
     /// The highest upload batch sequence number applied for a client.
@@ -618,10 +614,7 @@ impl UucsServer {
         let (tag, text) = split_payload(payload).map_err(invalid)?;
         match tag {
             TAG_TESTCASE => {
-                let shard = self
-                    .stores
-                    .testcases
-                    .shard_for(header_key(text, "TESTCASE")?);
+                let shard = self.stores.testcases.shard_for(TestcaseStore::key_of(payload)?);
                 let mut guard = self.stores.testcases.write_recovered(shard);
                 guard.admit(payload)?;
                 let lsn = guard.wal_next_lsn();
@@ -629,7 +622,7 @@ impl UucsServer {
                 Ok(self.watermark(StoreFlavor::Testcases, shard, lsn))
             }
             TAG_CLIENT => {
-                let id = header_key(text, "CLIENT")?;
+                let id = RegistryStore::key_of(payload)?;
                 let _serial = self.reg_lock.lock().unwrap_or_else(PoisonError::into_inner);
                 let shard = self.stores.registry.shard_for(id);
                 let mut reg = self.stores.registry.write_recovered(shard);
@@ -640,7 +633,7 @@ impl UucsServer {
                     self.shard_gauges.registry[shard].set(len as i64);
                     // Keep the id counter ahead of every replicated id so
                     // a promoted follower never re-mints one.
-                    if let Some(n) = id.strip_prefix("client-").and_then(|s| s.parse().ok()) {
+                    if let Some(n) = minted(id) {
                         self.next_client.fetch_max(n, Ordering::SeqCst);
                     }
                 }
@@ -1154,17 +1147,21 @@ impl UucsServer {
             Ok(guard) => guard,
             Err(_) => return (poisoned("registry"), None),
         };
-        match reg.register_with_id(id.clone(), snapshot.clone(), token) {
-            Ok(()) => {
+        let shipping = self.replication.get().is_some();
+        match reg.register_with_id(&id, snapshot, token, shipping) {
+            Ok(payload) => {
                 let lsn = reg.wal_next_lsn();
                 // Published under the shard lock, so racing
                 // registrations cannot set their lengths out of order.
                 self.shard_gauges.registry[shard].set(reg.len() as i64);
                 drop(reg);
                 let ticket = self.ticket(StoreFlavor::Registry, shard, lsn);
-                let shipped = self
-                    .ship(&id, || client_payload(&id, token, snapshot))
-                    .and_then(|mark| self.owe_quorum(mark, ticket));
+                // What is shipped is the payload the journal took.
+                let shipped = match payload {
+                    Some(payload) => self.ship(&id, || payload),
+                    None => Ok(None),
+                }
+                .and_then(|mark| self.owe_quorum(mark, ticket));
                 let ticket = match shipped {
                     Ok(ticket) => ticket,
                     Err(e) => return (ServerMsg::Error(format!("replication failed: {e}")), None),
@@ -1268,15 +1265,9 @@ impl Endpoint for UucsServer {
     }
 }
 
-/// The id a shipped testcase or registration names on its first line
-/// (`TESTCASE <id>`, `CLIENT <id> …`), read to route the payload; the
-/// store that admits it checks the rest.
-fn header_key<'a>(text: &'a str, keyword: &str) -> std::io::Result<&'a str> {
-    let mut words = text.lines().next().unwrap_or("").split_whitespace();
-    match (words.next(), words.next()) {
-        (Some(word), Some(key)) if word == keyword => Ok(key),
-        _ => Err(invalid(format!("{keyword} payload names no id"))),
-    }
+/// The `n` of an id minted as `client-<n>`.
+fn minted(id: &str) -> Option<u64> {
+    id.strip_prefix("client-")?.parse().ok()
 }
 
 /// The client a shipped results payload is for — a batch's, or a
@@ -1732,6 +1723,52 @@ mod tests {
             ServerMsg::Ack(1)
         ));
         assert_eq!(s.result_count(), 4);
+    }
+
+    /// A registration retried with the same token (lost `ID` reply)
+    /// resolves to the same id, whichever shard holds it, and adds no
+    /// client — in memory and after a restart, which also mints no id it
+    /// handed out before.
+    #[test]
+    fn registration_token_is_idempotent() {
+        use uucs_harness::TempDir;
+        let dir = TempDir::new("uucs-register-token");
+        let cfg = uucs_wal::WalConfig::default();
+        let open = || UucsServer::with_store_set(StoreSet::open(dir.path(), cfg, 4).unwrap().0, 3);
+        let register = |s: &UucsServer, token: &str| match s.handle(&ClientMsg::Register {
+            snapshot: MachineSnapshot::study_machine("h"),
+            token: token.into(),
+        }) {
+            ServerMsg::Id { id, .. } => id,
+            other => panic!("expected Id, got {other:?}"),
+        };
+        let held = {
+            let s = open();
+            let a = register(&s, "tok-a");
+            assert_eq!(
+                register(&s, "tok-a"),
+                a,
+                "same token must return the same id"
+            );
+            assert_eq!(s.client_count(), 1, "retry must not add a second client");
+            // Distinct tokens are distinct identities even from an identical
+            // snapshot (the controlled study registers 33 identical machines).
+            let b = register(&s, "tok-b");
+            assert_ne!(a, b);
+            // Legacy tokenless registrations never dedup.
+            let (c, d) = (register(&s, ""), register(&s, ""));
+            assert_ne!(c, d);
+            assert_eq!(s.client_count(), 4);
+            [a, b, c, d]
+        };
+        let s = open();
+        assert_eq!(
+            [register(&s, "tok-a"), register(&s, "tok-b")],
+            [held[0].clone(), held[1].clone()]
+        );
+        let fresh = register(&s, "");
+        assert!(!held.contains(&fresh), "{fresh} was already handed out");
+        assert_eq!(s.client_count(), 5);
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //!
 //! The journals of a data directory — four families × `n` shards — are
 //! independent: each rebuilds its own store from its own directory.
-//! [`StoreSet::open_with`] therefore settles every family's *layout*
-//! serially (the only step that looks at more than one directory) and
-//! then opens all `(family, shard)` journals through one
+//! [`StoreSet::open`] (through `open_on`) therefore settles every
+//! family's *layout* serially (the only step that looks at more than one
+//! directory) and then opens all `(family, shard)` journals through one
 //! [`ordered_map`] call: stores, recovery reports and — when several
 //! journals are refused — the error come back in (family, shard) order,
 //! whatever the host's core count. Threads are spawned only for
@@ -634,9 +634,10 @@ pub(crate) mod tests {
             let shard = reg.shard_for("client-0001");
             reg.write_recovered(shard)
                 .register_with_id(
-                    "client-0001".into(),
-                    MachineSnapshot::study_machine("h1"),
+                    "client-0001",
+                    &MachineSnapshot::study_machine("h1"),
                     "tok",
+                    false,
                 )
                 .unwrap();
         }
@@ -856,7 +857,7 @@ pub(crate) mod tests {
             stores
                 .registry
                 .write_recovered(shard)
-                .register_with_id(client.clone(), snapshot, &format!("tok-{client}"))
+                .register_with_id(client, &snapshot, &format!("tok-{client}"), false)
                 .unwrap();
         }
         let folded = stores.results.shard_for(&clients[0]);

@@ -5,26 +5,25 @@
 //!
 //! Each store runs in one of two modes:
 //!
-//! * **Plain** ([`TestcaseStore::new`], [`ResultStore::new`], and the
+//! * **Plain** ([`BlockLog::new`], [`ResultStore::new`], and the
 //!   `load`/`save` text files): the paper's original design. Durability
 //!   is whatever the last whole-file checkpoint captured.
-//! * **Durable** ([`TestcaseStore::open_wal`],
-//!   [`ResultStore::open_wal`]): every mutation is journaled as a
-//!   [`WalEntry`] *before* it is applied in memory, and reopening the
-//!   same directory replays the journal — snapshot first, then the
-//!   records past it. A durable result store keeps no record text: its
-//!   journal is its record log.
+//! * **Durable** (`open_wal`): every mutation is journaled *before* it
+//!   is applied in memory, and reopening the same directory replays the
+//!   journal — snapshot first, then the records past it.
 //!
-//! In both modes the testcase store holds each testcase as the text its
-//! journal entry carries, so serving, checkpointing and resharding the
-//! library copy text and render nothing.
+//! Every store holds the text its journal carries. The testcase library
+//! and the client registry are each a [`BlockLog`]: checked blocks keyed
+//! by id, which serving, checkpointing and resharding copy and never
+//! render. A durable result store keeps no record text: its journal is
+//! its record log.
 //!
 //! Corruption policy: a WAL tolerates a torn final frame (crash
 //! residue) but reports mid-log damage; the *text* loaders tolerate
 //! nothing and point at the damaged line (`line 41: bad outcome ...`),
 //! because a checkpoint file has no append-in-flight excuse.
 
-use crate::journal::{decoded, foreign, Journal, Journaled};
+use crate::journal::{foreign, Journal, Journaled};
 use crate::storage::plain_io;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -33,11 +32,12 @@ use std::io;
 use std::path::Path;
 use uucs_protocol::record::Blocks;
 use uucs_protocol::walenc::{
-    split_payload, testcase_payload, BorrowedBlocks, TAG_BATCH, TAG_CLIENT, TAG_RESULT,
-    TAG_TESTCASE,
+    client_header, split_payload, BorrowedBlocks, TAG_BATCH, TAG_CLIENT, TAG_RESULT, TAG_TESTCASE,
 };
 use uucs_protocol::wire::is_token;
-use uucs_protocol::{MachineSnapshot, RunRecord, WalEntry};
+use uucs_protocol::{MachineSnapshot, RunRecord};
+#[cfg(doc)]
+use uucs_protocol::WalEntry;
 use uucs_testcase::{format as tcformat, Testcase};
 use uucs_wal::{Lsn, Recovery, Snapshot, Visitor, WalConfig};
 
@@ -77,145 +77,166 @@ pub(crate) fn invalid(msg: impl fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// The server's testcase library.
-///
-/// The store holds each testcase as its text block — the
-/// [`tcformat::emit`] output its journal entry carries after the tag —
-/// with no decoded copy beside it. A testcase is rendered once, by
-/// [`TestcaseStore::add`]; replay and restore keep the text they check,
-/// and snapshots, reshards, replication and `SYNC` replies reuse it.
-/// Readers that want structs ([`TestcaseStore::get`],
-/// [`TestcaseStore::testcases`]) decode on demand.
-#[derive(Debug, Default)]
-pub struct TestcaseStore {
-    /// Every block in insertion order, concatenated.
-    text: String,
-    /// Each testcase's id and where its block ends in `text`.
-    blocks: Vec<(String, usize)>,
-    /// The ordinal of each id.
-    index: HashMap<String, usize>,
-    journal: Journal,
+/// What a keyed text store's blocks are: the [`Testcases`] library and
+/// the [`Clients`] registry are each a [`BlockLog`] over one of these.
+pub trait BlockPolicy: Default + fmt::Debug {
+    /// The store's name in `server.wal.<flavor>.*` and in error text.
+    const FLAVOR: &'static str;
+    /// The tag of the journal payloads that carry a block.
+    const TAG: u8;
+    /// Whether replay holds a block under a key that is held already,
+    /// beside the first (whose lookups win), rather than refusing it.
+    const REPEATS: bool;
+
+    /// A checkpoint's blocks, in order.
+    fn split(checkpoint: &str) -> impl Iterator<Item = &str>;
+
+    /// The key a block names on its first line, read to route it.
+    fn key(block: &str) -> Result<&str, String>;
+
+    /// Checks a block as a full decode of its payload would, in
+    /// [`WalEntry::decode`]'s words: its key, and the part of it held —
+    /// through its `END` line.
+    fn check(block: &str) -> Result<(String, &str), String>;
+
+    /// Notes a block the store has just taken.
+    fn held(&mut self, _key: &str, _block: &str) {}
 }
 
-impl Journaled for TestcaseStore {
-    const FLAVOR: &'static str = "testcases";
+/// A keyed text store: every block its journal carries, checked and
+/// held as text in one `String` in arrival order, each block's key, and
+/// the ordinal of each key's first block. A block is rendered once, by
+/// the store's own mutator; replay, restore and admit keep the text they
+/// check, and snapshots, reshards, replication and `SYNC` replies reuse
+/// it. A checked block is held through its `END` line, newline-terminated,
+/// so the held text is a checkpoint that splits back into the same blocks.
+/// Readers that want structs decode a block on demand.
+#[derive(Debug, Default)]
+pub struct BlockLog<P> {
+    /// Every block in arrival order, concatenated.
+    text: String,
+    /// Each block's key and where the block ends in `text`.
+    blocks: Vec<(String, usize)>,
+    /// The ordinal of each key's first block.
+    index: HashMap<String, usize>,
+    journal: Journal,
+    policy: P,
+}
+
+impl<P: BlockPolicy> Journaled for BlockLog<P> {
+    const FLAVOR: &'static str = P::FLAVOR;
 
     fn journal(&mut self) -> &mut Journal {
         &mut self.journal
     }
 
-    /// Keeps each block of the checkpoint once it parses as exactly one
-    /// testcase.
     fn restore(&mut self, snapshot: &str) -> io::Result<()> {
-        for block in tcformat::blocks(snapshot) {
-            let tc = tcformat::parse(block).map_err(invalid)?;
-            self.put(tc.id.as_str(), block, false).map_err(invalid)?;
-        }
-        Ok(())
+        P::split(snapshot).try_for_each(|block| self.keep(block))
     }
 
-    /// Keeps the payload's text once it parses as exactly one testcase.
     fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
-        let (tc, block) = checked_testcase(payload)?;
-        self.put(tc.id.as_str(), block, false).map_err(invalid)?;
-        Ok(())
+        self.keep(Self::block_of(payload)?)
     }
 
     fn snapshot(&self) -> io::Result<String> {
         Ok(self.text.clone())
     }
 
-    /// One `T` payload per testcase, keyed by its id, in insertion order.
+    /// One payload per block, keyed, in arrival order.
     fn export(&self, emit: &mut dyn FnMut(&str, Vec<u8>) -> io::Result<()>) -> io::Result<()> {
-        for (id, block) in self.entries() {
-            emit(id, testcase_payload(block))?;
+        for (key, block) in self.entries() {
+            emit(key, payload(P::TAG, block))?;
         }
         Ok(())
     }
 
-    /// A testcase whose id is held already is left as it is.
+    /// A block whose key is held already is left as it is; any other is
+    /// journaled as received and held.
     fn admit(&mut self, payload: &[u8]) -> io::Result<bool> {
-        let (tc, block) = checked_testcase(payload)?;
-        if self.contains(tc.id.as_str()) {
+        let (key, block) = P::check(Self::block_of(payload)?).map_err(invalid)?;
+        if self.contains(&key) {
             return Ok(false);
         }
-        self.put(tc.id.as_str(), block, false).map_err(invalid)?;
+        self.journal.append_encoded(payload)?;
+        self.hold(key, block);
         Ok(true)
     }
 }
 
-/// A testcase payload checked as replay checks it — its tag, and text
-/// that parses as exactly one testcase — as that testcase and its text.
-fn checked_testcase(payload: &[u8]) -> io::Result<(Testcase, &str)> {
-    let (tag, block) = split_payload(payload).map_err(invalid)?;
-    if tag != TAG_TESTCASE {
-        return Err(foreign::<TestcaseStore>(tag));
-    }
-    let tc = tcformat::parse(block).map_err(|e| invalid(format!("bad testcase payload: {e}")))?;
-    Ok((tc, block))
+/// A journal payload: the tag byte, then the block.
+fn payload(tag: u8, block: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + block.len());
+    out.push(tag);
+    out.extend_from_slice(block.as_bytes());
+    out
 }
 
-impl TestcaseStore {
+impl<P: BlockPolicy> BlockLog<P> {
     /// An empty, non-durable store.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Builds a non-durable store from testcases, rejecting duplicate
-    /// ids.
-    pub fn from_testcases(testcases: Vec<Testcase>) -> Result<Self, StoreError> {
-        let mut s = Self::new();
-        for tc in &testcases {
-            s.add(tc)?;
-        }
-        Ok(s)
-    }
-
     /// Opens (creating if necessary) a WAL-backed store: replays the
-    /// journal under `dir` and journals every subsequent [`add`]
-    /// before applying it.
-    ///
-    /// [`add`]: TestcaseStore::add
+    /// journal under `dir` and journals every later addition before
+    /// holding it.
     pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
         Self::open(plain_io(), dir, config)
     }
 
-    /// Adds a testcase ("new testcases can be added to the server at any
-    /// time"). Rejects a duplicate id; in durable mode the addition is
-    /// journaled before it is applied, so an `Ok` survives a crash.
-    pub fn add(&mut self, tc: &Testcase) -> Result<(), StoreError> {
-        self.add_shipped(tc, false).map(drop)
-    }
-
-    /// [`TestcaseStore::add`] for a leader: with `ship`, it also hands
-    /// back the encoded [`WalEntry::Testcase`] — the very payload the
-    /// journal took — so the replication tier sends what was journaled
-    /// without rendering the testcase a second time.
-    pub fn add_shipped(
-        &mut self,
-        tc: &Testcase,
-        ship: bool,
-    ) -> Result<Option<Vec<u8>>, StoreError> {
-        // The one place the server renders a testcase.
-        self.put(tc.id.as_str(), &tcformat::emit(tc), ship)
-    }
-
-    /// Journals (in durable mode) and holds `block`, which parses as
-    /// exactly the testcase `id`: rendered by `add`, or text that
-    /// replay, restore and admit already checked. With `ship`, hands
-    /// back the payload. Rejects a duplicate id.
-    fn put(&mut self, id: &str, block: &str, ship: bool) -> Result<Option<Vec<u8>>, StoreError> {
-        if self.contains(id) {
-            return Err(StoreError::Duplicate(id.to_string()));
+    /// The block of one of this store's payloads; a payload of another
+    /// store's kind is refused with [`foreign`].
+    fn block_of(payload: &[u8]) -> io::Result<&str> {
+        let (tag, block) = split_payload(payload).map_err(invalid)?;
+        if tag != P::TAG {
+            return Err(foreign::<Self>(tag));
         }
-        let payload = (ship || self.journal.is_durable()).then(|| testcase_payload(block));
+        Ok(block)
+    }
+
+    /// The key one of this store's payloads names, read to route it to
+    /// the shard whose [`Journaled::admit`] checks the rest.
+    pub(crate) fn key_of(payload: &[u8]) -> io::Result<&str> {
+        P::key(Self::block_of(payload)?).map_err(invalid)
+    }
+
+    /// Holds a replayed or restored block once it checks.
+    fn keep(&mut self, block: &str) -> io::Result<()> {
+        let (key, block) = P::check(block).map_err(invalid)?;
+        if !P::REPEATS && self.contains(&key) {
+            return Err(invalid(StoreError::Duplicate(key)));
+        }
+        self.hold(key, block);
+        Ok(())
+    }
+
+    /// Journals (in durable mode) and holds `block`, rendered by the
+    /// store as the key `key`; with `ship`, hands back the payload the
+    /// journal took. Rejects a held key unless the policy repeats keys.
+    fn put(&mut self, key: &str, block: &str, ship: bool) -> Result<Option<Vec<u8>>, StoreError> {
+        if !P::REPEATS && self.contains(key) {
+            return Err(StoreError::Duplicate(key.to_string()));
+        }
+        let payload = (ship || self.journal.is_durable()).then(|| payload(P::TAG, block));
         if let Some(payload) = &payload {
             self.journal.append_encoded(payload)?;
         }
-        self.text.push_str(block);
-        self.index.insert(id.to_string(), self.blocks.len());
-        self.blocks.push((id.to_string(), self.text.len()));
+        self.hold(key.to_string(), block);
         Ok(payload.filter(|_| ship))
+    }
+
+    /// Holds a block under `key`, and shows it to the policy.
+    fn hold(&mut self, key: String, block: &str) {
+        let start = self.text.len();
+        self.text.push_str(block);
+        if !block.ends_with('\n') {
+            self.text.push('\n');
+        }
+        self.policy.held(&key, &self.text[start..]);
+        if !self.index.contains_key(&key) {
+            self.index.insert(key.clone(), self.blocks.len());
+        }
+        self.blocks.push((key, self.text.len()));
     }
 
     /// The LSN the next journal append would get, or `None` in plain
@@ -226,7 +247,7 @@ impl TestcaseStore {
         self.journal.next_lsn()
     }
 
-    /// Number of testcases.
+    /// Number of blocks.
     pub fn len(&self) -> usize {
         self.blocks.len()
     }
@@ -236,12 +257,12 @@ impl TestcaseStore {
         self.blocks.is_empty()
     }
 
-    /// Whether a testcase with this id is held.
-    pub fn contains(&self, id: &str) -> bool {
-        self.index.contains_key(id)
+    /// Whether a block under this key is held.
+    pub fn contains(&self, key: &str) -> bool {
+        self.index.contains_key(key)
     }
 
-    /// The text block of the `i`th testcase in insertion order.
+    /// The `i`th block in arrival order.
     pub fn block(&self, i: usize) -> &str {
         let start = match i {
             0 => 0,
@@ -250,25 +271,107 @@ impl TestcaseStore {
         &self.text[start..self.blocks[i].1]
     }
 
-    /// Every testcase's id and text block, in insertion order.
+    /// The first block held under `key`.
+    fn find(&self, key: &str) -> Option<&str> {
+        self.index.get(key).map(|&i| self.block(i))
+    }
+
+    /// Every block's key and text, in arrival order.
     pub fn entries(&self) -> impl Iterator<Item = (&str, &str)> {
         (0..self.len()).map(|i| (self.blocks[i].0.as_str(), self.block(i)))
     }
 
-    /// Every block in insertion order, concatenated: the library in the
-    /// text format, as [`TestcaseStore::save`] writes it.
+    /// Every block in arrival order, concatenated — for the testcase
+    /// library, the text format [`TestcaseStore::save`] writes.
     pub fn text(&self) -> &str {
         &self.text
+    }
+}
+
+/// The testcase library's blocks: [`tcformat`] testcases, keyed by id,
+/// each id once.
+#[derive(Debug, Default)]
+pub struct Testcases;
+
+impl BlockPolicy for Testcases {
+    const FLAVOR: &'static str = "testcases";
+    const TAG: u8 = TAG_TESTCASE;
+    const REPEATS: bool = false;
+
+    fn split(checkpoint: &str) -> impl Iterator<Item = &str> {
+        tcformat::blocks(checkpoint)
+    }
+
+    /// The id of a `TESTCASE <id>` first line.
+    fn key(block: &str) -> Result<&str, String> {
+        let mut words = block.lines().next().unwrap_or("").split_whitespace();
+        match (words.next(), words.next()) {
+            (Some("TESTCASE"), Some(id)) => Ok(id),
+            _ => Err("TESTCASE payload names no id".to_string()),
+        }
+    }
+
+    /// Text that parses as exactly one testcase.
+    fn check(block: &str) -> Result<(String, &str), String> {
+        let tc = tcformat::parse(block).map_err(|e| format!("bad testcase payload: {e}"))?;
+        // `parse` allows only blank and comment lines after `END`.
+        let held = match block.ends_with("END\n") {
+            true => block,
+            false => through_end(block),
+        };
+        Ok((tc.id.as_str().to_string(), held))
+    }
+}
+
+/// `text` through its first `END` line, where both block formats end.
+fn through_end(text: &str) -> &str {
+    tcformat::blocks(text).next().unwrap_or(text)
+}
+
+/// The server's testcase library: each testcase held as its text block,
+/// the [`tcformat::emit`] output its journal entry carries after the
+/// tag, rendered once by [`TestcaseStore::add`].
+pub type TestcaseStore = BlockLog<Testcases>;
+
+impl TestcaseStore {
+    /// Builds a non-durable store from testcases, rejecting duplicate
+    /// ids.
+    pub fn from_testcases(testcases: Vec<Testcase>) -> Result<Self, StoreError> {
+        let mut s = Self::new();
+        for tc in &testcases {
+            s.add(tc)?;
+        }
+        Ok(s)
+    }
+
+    /// Adds a testcase ("new testcases can be added to the server at any
+    /// time"). Rejects a duplicate id; in durable mode the addition is
+    /// journaled before it is applied, so an `Ok` survives a crash.
+    pub fn add(&mut self, tc: &Testcase) -> Result<(), StoreError> {
+        self.add_shipped(tc, false).map(drop)
+    }
+
+    /// [`TestcaseStore::add`] for a leader: with `ship`, it also hands
+    /// back the encoded testcase payload — the very payload the journal
+    /// took — so the replication tier sends what was journaled without
+    /// rendering the testcase a second time.
+    pub fn add_shipped(
+        &mut self,
+        tc: &Testcase,
+        ship: bool,
+    ) -> Result<Option<Vec<u8>>, StoreError> {
+        // The one place the server renders a testcase.
+        self.put(tc.id.as_str(), &tcformat::emit(tc), ship)
     }
 
     /// Finds by id, decoded now.
     pub fn get(&self, id: &str) -> Option<Testcase> {
-        self.index.get(id).map(|&i| decode(self.block(i)))
+        self.find(id).map(decode)
     }
 
     /// All testcases in insertion order, decoded now.
     pub fn testcases(&self) -> Vec<Testcase> {
-        (0..self.len()).map(|i| decode(self.block(i))).collect()
+        self.entries().map(|(_, block)| decode(block)).collect()
     }
 
     /// Saves the library to a text file.
@@ -917,239 +1020,116 @@ impl ResultStore {
     }
 }
 
-/// The server's client registry: `(GUID, machine snapshot)` pairs in
-/// registration order, optionally journaled through a WAL so a restarted
+/// The registry's blocks: a `CLIENT <id> [token]` line and a
+/// [`MachineSnapshot`] block, keyed by id. A repeated id is held beside
+/// the first, whose lookups win, as a scan from the front would find.
+/// Indexes `token → id` and `id → token` for every block that carries a
+/// token, the first of each kind winning, so a re-registration
+/// presenting a known token gets the same id back, across restarts too.
+#[derive(Debug, Default)]
+pub struct Clients {
+    ids: HashMap<String, String>,
+    tokens: HashMap<String, String>,
+}
+
+impl BlockPolicy for Clients {
+    const FLAVOR: &'static str = "registry";
+    const TAG: u8 = TAG_CLIENT;
+    const REPEATS: bool = true;
+
+    /// A block starts at each `CLIENT ` line.
+    fn split(checkpoint: &str) -> impl Iterator<Item = &str> {
+        let mut rest = checkpoint;
+        std::iter::from_fn(move || {
+            let end = rest.find("\nCLIENT ").map_or(rest.len(), |at| at + 1);
+            let (block, tail) = rest.split_at(end);
+            rest = tail;
+            (!block.is_empty()).then_some(block)
+        })
+    }
+
+    fn key(block: &str) -> Result<&str, String> {
+        client_header(block).map(|(id, _, _)| id)
+    }
+
+    /// The header, and a snapshot block that parses.
+    fn check(block: &str) -> Result<(String, &str), String> {
+        let (id, _, body) = client_header(block)?;
+        MachineSnapshot::parse(body).map_err(|e| format!("bad client snapshot: {e}"))?;
+        Ok((id.to_string(), through_end(block)))
+    }
+
+    fn held(&mut self, id: &str, block: &str) {
+        let (_, token, _) = client_header(block).expect("a held block's header was checked");
+        if !token.is_empty() {
+            self.ids
+                .entry(token.to_string())
+                .or_insert_with(|| id.to_string());
+            self.tokens
+                .entry(id.to_string())
+                .or_insert_with(|| token.to_string());
+        }
+    }
+}
+
+/// The server's client registry: each registration held as the text of
+/// its `C` journal payload, in registration order, so a restarted
 /// server still recognizes the clients it handed ids to — without it,
 /// every server restart would orphan every client in the field. Ids and
 /// tokens are indexed, so a lookup costs the same at any fleet size.
-#[derive(Debug, Default)]
-pub struct RegistryStore {
-    clients: Vec<(String, MachineSnapshot)>,
-    /// Each id's row in `clients` (its first, should one repeat).
-    rows: HashMap<String, usize>,
-    /// `token → id` for every registration that carried an idempotency
-    /// token: a re-registration presenting a known token gets the same
-    /// id back instead of a new row. Rebuilt from the journal and the
-    /// snapshot on recovery, so the guarantee survives a server restart.
-    ids: HashMap<String, String>,
-    /// `id → token`, the same registrations the other way round.
-    tokens: HashMap<String, String>,
-    journal: Journal,
-}
-
-impl Journaled for RegistryStore {
-    const FLAVOR: &'static str = "registry";
-
-    fn journal(&mut self) -> &mut Journal {
-        &mut self.journal
-    }
-
-    fn restore(&mut self, snapshot: &str) -> io::Result<()> {
-        // (id, token, pending block text) for the entry being accumulated.
-        let mut current: Option<(String, String, String)> = None;
-        for line in snapshot.lines() {
-            if let Some(rest) = line.strip_prefix("CLIENT ") {
-                if let Some((id, token, block)) = current.take() {
-                    let snap = MachineSnapshot::parse(&block).map_err(invalid)?;
-                    self.insert(id, snap, &token);
-                }
-                let mut toks = rest.split_whitespace();
-                let id = toks.next().unwrap_or("").to_string();
-                if id.is_empty() {
-                    return Err(invalid("registry snapshot: CLIENT line missing id"));
-                }
-                let token = toks.next().unwrap_or("").to_string();
-                current = Some((id, token, String::new()));
-            } else if let Some((_, _, block)) = &mut current {
-                block.push_str(line);
-                block.push('\n');
-            } else {
-                return Err(invalid(format!("registry snapshot: stray line {line:?}")));
-            }
-        }
-        if let Some((id, token, block)) = current.take() {
-            let snap = MachineSnapshot::parse(&block).map_err(invalid)?;
-            self.insert(id, snap, &token);
-        }
-        Ok(())
-    }
-
-    fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
-        match decoded(payload)? {
-            WalEntry::Client {
-                id,
-                token,
-                snapshot,
-            } => self.register_with_id(id, snapshot, &token).map_err(invalid),
-            _ => Err(foreign::<Self>(payload[0])),
-        }
-    }
-
-    /// Each row's `C` payload text, in registration order.
-    fn snapshot(&self) -> io::Result<String> {
-        let mut out = String::new();
-        for (id, snap) in &self.clients {
-            push_client(&mut out, id, self.token_of(id).unwrap_or(""), snap);
-        }
-        Ok(out)
-    }
-
-    /// One `C` payload per row, keyed by its id, carrying the id's
-    /// first token — rendered now: the registry holds structs.
-    fn export(&self, emit: &mut dyn FnMut(&str, Vec<u8>) -> io::Result<()>) -> io::Result<()> {
-        for (id, snap) in &self.clients {
-            emit(
-                id,
-                client_payload(id, self.token_of(id).unwrap_or(""), snap),
-            )?;
-        }
-        Ok(())
-    }
-
-    /// A registration of an id that is held already is left as it is.
-    fn admit(&mut self, payload: &[u8]) -> io::Result<bool> {
-        let WalEntry::Client {
-            id,
-            token,
-            snapshot,
-        } = decoded(payload)?
-        else {
-            return Err(foreign::<Self>(payload[0]));
-        };
-        if self.get(&id).is_some() {
-            return Ok(false);
-        }
-        self.journal.append_encoded(payload)?;
-        self.insert(id, snapshot, &token);
-        Ok(true)
-    }
-}
-
-/// Appends one registration as its journal text: the `CLIENT <id>`
-/// line, with the token when there is one, and the snapshot block.
-fn push_client(out: &mut String, id: &str, token: &str, snapshot: &MachineSnapshot) {
-    out.push_str("CLIENT ");
-    out.push_str(id);
-    if !token.is_empty() {
-        out.push(' ');
-        out.push_str(token);
-    }
-    out.push('\n');
-    out.push_str(&snapshot.emit());
-}
-
-/// The `C` payload of one registration.
-pub(crate) fn client_payload(id: &str, token: &str, snapshot: &MachineSnapshot) -> Vec<u8> {
-    let mut text = String::from(char::from(TAG_CLIENT));
-    push_client(&mut text, id, token, snapshot);
-    text.into_bytes()
-}
+pub type RegistryStore = BlockLog<Clients>;
 
 impl RegistryStore {
-    /// An empty, non-durable registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Opens (creating if necessary) a WAL-backed registry: replays the
-    /// journal under `dir` and journals every subsequent registration
-    /// before applying it.
-    pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        Self::open(plain_io(), dir, config)
-    }
-
-    /// Registers a machine, assigning the next GUID. In durable mode the
-    /// registration is journaled before it is applied, so an id handed
-    /// out survives a server restart.
-    ///
-    /// A non-empty `token` makes the call idempotent: if this token has
-    /// registered before, the *original* id comes back and nothing is
-    /// journaled. A client whose `ID` reply was lost in transit can
-    /// therefore retry the registration without becoming two clients.
-    pub fn register(
-        &mut self,
-        snapshot: MachineSnapshot,
-        token: &str,
-    ) -> Result<String, StoreError> {
-        if let Some(id) = self.id_for_token(token) {
-            return Ok(id.to_string());
-        }
-        let id = format!("client-{:04}", self.clients.len() + 1);
-        self.register_with_id(id.clone(), snapshot, token)?;
-        Ok(id)
-    }
-
-    /// Registers a machine under a caller-chosen id — the sharded
-    /// registry's entry point, where ids come from a global counter
-    /// rather than this shard's row count. Journals before applying;
-    /// token dedup is the *caller's* job (it requires a cross-shard
-    /// scan).
+    /// Registers a machine under a caller-chosen id: renders the
+    /// registration once, journals it (in durable mode) and holds it,
+    /// and with `ship` hands back the payload the journal took. Ids come
+    /// from the server's global counter, and token dedup is the
+    /// *caller's* job (it requires a cross-shard scan).
     pub fn register_with_id(
         &mut self,
-        id: String,
-        snapshot: MachineSnapshot,
+        id: &str,
+        snapshot: &MachineSnapshot,
         token: &str,
-    ) -> Result<(), StoreError> {
-        // `CLIENT <id> <token>` is read back by whitespace: a token that
-        // is not one word would come back cut short, or as lines of its
-        // own inside the snapshot block.
+        ship: bool,
+    ) -> Result<Option<Vec<u8>>, StoreError> {
+        // `CLIENT <id> <token>` is read back by whitespace: an id or
+        // token that is not one word would come back cut short, or as
+        // lines of its own inside the snapshot block.
+        if !is_token(id) {
+            return Err(StoreError::Invalid(format!(
+                "client id {id:?} is not one token"
+            )));
+        }
         if !token.is_empty() && !is_token(token) {
             return Err(StoreError::Invalid(format!(
                 "registration token {token:?} is not one token"
             )));
         }
-        self.journal
-            .append(|| client_payload(&id, token, &snapshot))?;
-        self.insert(id, snapshot, token);
-        Ok(())
-    }
-
-    /// Adds a row and indexes it; the first row or token of a kind wins
-    /// a lookup, as a scan from the front would.
-    fn insert(&mut self, id: String, snapshot: MachineSnapshot, token: &str) {
-        self.rows.entry(id.clone()).or_insert(self.clients.len());
+        let mut block = format!("CLIENT {id}");
         if !token.is_empty() {
-            self.ids.entry(token.to_string()).or_insert_with(|| id.clone());
-            self.tokens.entry(id.clone()).or_insert_with(|| token.to_string());
+            block.push(' ');
+            block.push_str(token);
         }
-        self.clients.push((id, snapshot));
+        block.push('\n');
+        block.push_str(&snapshot.emit());
+        self.put(id, &block, ship)
     }
 
     /// The id a registration token resolved to, if it registered before.
     pub fn id_for_token(&self, token: &str) -> Option<&str> {
-        self.ids.get(token).map(String::as_str)
+        self.policy.ids.get(token).map(String::as_str)
     }
 
-    /// The registration token a client id presented, if any — the
-    /// replication tier ships it alongside the snapshot so a promoted
-    /// follower still honors token-matched re-registrations.
+    /// The registration token a client id presented, if any.
     pub fn token_of(&self, id: &str) -> Option<&str> {
-        self.tokens.get(id).map(String::as_str)
+        self.policy.tokens.get(id).map(String::as_str)
     }
 
-    /// See [`TestcaseStore::wal_next_lsn`].
-    pub fn wal_next_lsn(&self) -> Option<Lsn> {
-        self.journal.next_lsn()
-    }
-
-    /// The registered snapshot for an id.
-    pub fn get(&self, id: &str) -> Option<&MachineSnapshot> {
-        self.rows.get(id).map(|&row| &self.clients[row].1)
-    }
-
-    /// All registrations in order.
-    pub fn all(&self) -> &[(String, MachineSnapshot)] {
-        &self.clients
-    }
-
-    /// Number of registered clients.
-    pub fn len(&self) -> usize {
-        self.clients.len()
-    }
-
-    /// True if no client ever registered.
-    pub fn is_empty(&self) -> bool {
-        self.clients.is_empty()
+    /// The registered snapshot for an id, decoded now.
+    pub fn get(&self, id: &str) -> Option<MachineSnapshot> {
+        let (_, _, body) =
+            client_header(self.find(id)?).expect("a held block's header was checked");
+        Some(MachineSnapshot::parse(body).expect("a held snapshot parses: it was checked on entry"))
     }
 }
 
@@ -1159,7 +1139,8 @@ mod tests {
     use crate::models::ModelStore;
     use crate::storage::{Disk, StoreIo};
     use uucs_harness::TempDir;
-    use uucs_protocol::{MonitorSummary, RunOutcome};
+    use uucs_protocol::walenc::testcase_payload;
+    use uucs_protocol::{MonitorSummary, RunOutcome, WalEntry};
     use uucs_testcase::{ExerciseSpec, Resource};
     use uucs_wal::{Io, SyncPolicy};
 
@@ -1211,6 +1192,21 @@ mod tests {
         assert!(err.to_string().contains("duplicate testcase id x"));
         assert_eq!(s.len(), 1, "the duplicate was not applied");
         assert!(TestcaseStore::from_testcases(vec![tc("y"), tc("y")]).is_err());
+    }
+
+    /// A checked testcase is held through its `END` line and
+    /// newline-terminated, whatever its payload carried past that, so the
+    /// held text still splits back into the testcases held.
+    #[test]
+    fn held_testcases_end_at_their_end_line() {
+        let (a, b) = (tcformat::emit(&tc("a")), tcformat::emit(&tc("b")));
+        let mut store = TestcaseStore::new();
+        assert!(store.admit(&testcase_payload(&format!("{a}\n# trailing\n"))).unwrap());
+        assert!(store.admit(&testcase_payload(b.trim_end())).unwrap());
+        assert_eq!(store.text(), format!("{a}{b}"));
+        let mut restored = TestcaseStore::new();
+        restored.restore(store.text()).unwrap();
+        assert_eq!(restored.testcases(), [tc("a"), tc("b")]);
     }
 
     #[test]
@@ -1296,26 +1292,36 @@ mod tests {
 
     impl Fill for RegistryStore {
         fn fill(&mut self, round: u64) {
-            self.register(MachineSnapshot::study_machine("h"), &format!("tok-{round}"))
+            let (host, legacy) = (
+                MachineSnapshot::study_machine("h"),
+                MachineSnapshot::study_machine(format!("legacy-{round}")),
+            );
+            self.register_with_id(
+                &format!("client-{round}a"),
+                &host,
+                &format!("tok-{round}"),
+                false,
+            )
+            .unwrap();
+            self.register_with_id(&format!("client-{round}b"), &legacy, "", false)
                 .unwrap();
-            let legacy = MachineSnapshot::study_machine(format!("legacy-{round}"));
-            self.register(legacy, "").unwrap();
         }
 
-        /// Token dedup survived, and new ids keep advancing past
-        /// recovered ones: no collision with an id handed out before.
+        /// Both indexes survived: every id in registration order, its
+        /// snapshot, and the token dedup the server consults.
         fn probe(&mut self) {
-            let held: Vec<String> = self.all().iter().map(|(id, _)| id.clone()).collect();
-            assert_eq!(self.get(&held[3]).unwrap().hostname, "legacy-1");
-            let again = self
-                .register(MachineSnapshot::study_machine("h"), "tok-0")
-                .unwrap();
-            assert_eq!(again, held[0], "token dedup lost in recovery");
-            assert_eq!(self.len(), held.len());
-            let fresh = self
-                .register(MachineSnapshot::study_machine("new"), "")
-                .unwrap();
-            assert!(!held.contains(&fresh), "{fresh} was already handed out");
+            let held: Vec<&str> = self.entries().map(|(id, _)| id).collect();
+            assert_eq!(held, ["client-0a", "client-0b", "client-1a", "client-1b"]);
+            assert_eq!(self.get("client-1b").unwrap().hostname, "legacy-1");
+            assert_eq!(
+                self.id_for_token("tok-0"),
+                Some("client-0a"),
+                "token dedup lost in recovery"
+            );
+            assert_eq!(
+                (self.token_of("client-1a"), self.token_of("client-1b")),
+                (Some("tok-1"), None)
+            );
         }
     }
 
@@ -1497,11 +1503,11 @@ mod tests {
 
     /// Opens a store on a journal of one payload, reporting a refusal
     /// without the open's `record 0: ` prefix.
-    fn replayed(payload: &[u8]) -> io::Result<ResultStore> {
-        let (io, dir) = (memory(), Path::new("/results"));
+    fn replayed<S: Journaled>(payload: &[u8]) -> io::Result<S> {
+        let (io, dir) = (memory(), Path::new("/journal"));
         let cfg = WalConfig::default();
         uucs_wal::Wal::open(io.clone(), dir, cfg)?.0.append(payload)?;
-        ResultStore::open(io, dir, cfg).map(|(store, _)| store).map_err(|e| {
+        S::open(io, dir, cfg).map(|(store, _)| store).map_err(|e| {
             let msg = e.to_string();
             invalid(msg.strip_prefix("record 0: ").unwrap_or(&msg))
         })
@@ -1562,7 +1568,7 @@ mod tests {
     /// [`WalEntry::decode`] of the same bytes.
     fn assert_replays_like_decode(payload: &[u8], context: &str) {
         let reference = WalEntry::decode(payload);
-        let store = match replayed(payload) {
+        let store = match replayed::<ResultStore>(payload) {
             Ok(store) => store,
             Err(mine) => {
                 // Refusing is decode's call too, in decode's words —
@@ -1658,14 +1664,19 @@ mod tests {
             ("two results", format!("R{good}{good}").into_bytes()),
         ];
         for (what, payload) in refused {
-            let mine = replayed(&payload).expect_err(what).to_string();
+            let mine = replayed::<ResultStore>(&payload)
+                .expect_err(what)
+                .to_string();
             assert_eq!(mine, WalEntry::decode(&payload).expect_err(what), "{what}");
         }
         let foreign = WalEntry::Testcase(tc("t")).encode();
         assert!(WalEntry::decode(&foreign).is_ok());
-        let err = replayed(&foreign).unwrap_err().to_string();
+        let err = replayed::<ResultStore>(&foreign).unwrap_err().to_string();
         assert_eq!(err, "foreign testcase entry in a results journal");
-        assert_eq!(replayed(b"Xjunk").unwrap_err().to_string(), "unknown wal entry tag 0x58");
+        assert_eq!(
+            replayed::<ResultStore>(b"Xjunk").unwrap_err().to_string(),
+            "unknown wal entry tag 0x58"
+        );
     }
 
     /// Every file under a journal directory, by name.
@@ -1810,33 +1821,6 @@ mod tests {
         assert!(store.held_of(&HashSet::from(["a", "c"])).is_err());
     }
 
-    /// A registration retried with the same token (lost `ID` reply) must
-    /// resolve to the same id — in memory, across a WAL recovery, and
-    /// across a compaction that folds the token into the snapshot.
-    #[test]
-    fn registration_token_is_idempotent() {
-        let mut g = RegistryStore::new();
-        let a = g
-            .register(MachineSnapshot::study_machine("h"), "tok-a")
-            .unwrap();
-        let again = g
-            .register(MachineSnapshot::study_machine("h"), "tok-a")
-            .unwrap();
-        assert_eq!(a, again, "same token must return the same id");
-        assert_eq!(g.len(), 1, "retry must not add a second client");
-        // Distinct tokens are distinct identities even from an identical
-        // snapshot (the controlled study registers 33 identical machines).
-        let b = g
-            .register(MachineSnapshot::study_machine("h"), "tok-b")
-            .unwrap();
-        assert_ne!(a, b);
-        // Legacy tokenless registrations never dedup.
-        let c = g.register(MachineSnapshot::study_machine("h"), "").unwrap();
-        let d = g.register(MachineSnapshot::study_machine("h"), "").unwrap();
-        assert_ne!(c, d);
-        assert_eq!(g.len(), 4);
-    }
-
     /// The indexed registry emits what the scanning one did: rows in
     /// registration order, each `CLIENT <id> <token>` line carrying the
     /// first token the id presented — and so does its reopen, before and
@@ -1848,11 +1832,16 @@ mod tests {
         let snap = MachineSnapshot::study_machine;
         let written = {
             let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
-            assert_eq!(g.register(snap("a"), "tok-a").unwrap(), "client-0001");
-            g.register(snap("b"), "").unwrap();
-            g.register_with_id("client-0009".into(), snap("c"), "tok-c").unwrap();
-            assert_eq!(g.register(snap("again"), "tok-a").unwrap(), "client-0001");
-            assert_eq!(g.register(snap("d"), "tok-d").unwrap(), "client-0004");
+            g.register_with_id("client-0001", &snap("a"), "tok-a", false)
+                .unwrap();
+            g.register_with_id("client-0002", &snap("b"), "", false)
+                .unwrap();
+            g.register_with_id("client-0009", &snap("c"), "tok-c", false)
+                .unwrap();
+            // A known token resolves to its id, and nothing is registered.
+            assert_eq!(g.id_for_token("tok-a"), Some("client-0001"));
+            g.register_with_id("client-0004", &snap("d"), "tok-d", false)
+                .unwrap();
             g.snapshot().unwrap()
         };
         let want = format!(
@@ -1867,7 +1856,7 @@ mod tests {
         let order = ["client-0001", "client-0002", "client-0009", "client-0004"];
         for compact in [false, true] {
             let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
-            let ids: Vec<&str> = g.all().iter().map(|(id, _)| id.as_str()).collect();
+            let ids: Vec<&str> = g.entries().map(|(id, _)| id).collect();
             assert_eq!(ids, order, "compacted: {compact}");
             assert_eq!(g.snapshot().unwrap(), want, "compacted: {compact}");
             assert_eq!(g.get("client-0009").unwrap().hostname, "c");
@@ -1877,10 +1866,216 @@ mod tests {
             }
         }
         let (g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
-        let pairs: Vec<(&str, &str)> = (g.all().iter())
-            .filter_map(|(id, _)| Some((g.token_of(id)?, id.as_str())))
+        let pairs: Vec<(&str, &str)> = (g.entries())
+            .filter_map(|(id, _)| Some((g.token_of(id)?, id)))
             .collect();
         assert_eq!(pairs, [("tok-a", "client-0001"), ("tok-c", "client-0009"), ("tok-d", "client-0004")]);
+    }
+
+    /// A registration as any writer could journal it: ids and tokens
+    /// that collide, and snapshots of any host, count and app list.
+    fn generated_client(rng: &mut uucs_stats::Pcg64) -> WalEntry {
+        let word = |rng: &mut uucs_stats::Pcg64| {
+            rng.choose(&["h", "optiplex-9", "caf\u{e9}", "Windows XP", "x"])
+                .to_string()
+        };
+        WalEntry::Client {
+            id: format!("client-{:04}", rng.below(50)),
+            token: match rng.below(3) {
+                0 => String::new(),
+                _ => format!("tok-{}", rng.below(9)),
+            },
+            snapshot: MachineSnapshot {
+                hostname: word(rng),
+                cpu_mhz: rng.below(4000) as u32,
+                mem_mb: rng.below(1 << 16) as u32,
+                disk_gb: rng.below(500) as u32,
+                os: word(rng),
+                apps: (0..rng.below(3)).map(|_| word(rng)).collect(),
+            },
+        }
+    }
+
+    /// Lines damage can leave in a registration: markers, keys with a
+    /// missing or malformed operand, and a second header.
+    const CLIENT_STRAY: [&str; 11] = [
+        "",
+        "# comment",
+        "SNAPSHOT",
+        "END",
+        "CLIENT",
+        "CLIENT client-0002 tok-1",
+        "HOST",
+        "CPU fast",
+        "MEM -1",
+        "BOGUS x",
+        "APPS",
+    ];
+
+    /// Holds the registry's check of one payload to [`WalEntry::decode`]
+    /// of the same bytes: it accepts exactly what decode accepts, holds
+    /// what decode read — also once its checkpoint is restored — and
+    /// refuses in decode's words.
+    fn assert_registers_like_decode(payload: &[u8], context: &str) {
+        match (
+            WalEntry::decode(payload),
+            replayed::<RegistryStore>(payload),
+        ) {
+            (
+                Ok(WalEntry::Client {
+                    id,
+                    token,
+                    snapshot,
+                }),
+                Ok(store),
+            ) => {
+                let mut restored = RegistryStore::new();
+                restored.restore(&store.snapshot().unwrap()).expect(context);
+                for g in [&store, &restored] {
+                    assert_eq!(g.len(), 1, "{context}");
+                    assert_eq!(g.get(&id).as_ref(), Some(&snapshot), "{context}");
+                    let token = (!token.is_empty()).then_some(token.as_str());
+                    assert_eq!(g.token_of(&id), token, "{context}");
+                    assert_eq!(
+                        token.and_then(|t| g.id_for_token(t)),
+                        token.map(|_| id.as_str()),
+                        "{context}"
+                    );
+                }
+                assert_eq!(
+                    restored.snapshot().unwrap(),
+                    store.snapshot().unwrap(),
+                    "{context}"
+                );
+            }
+            (Err(theirs), Err(mine)) => assert_eq!(mine.to_string(), theirs, "{context}"),
+            (theirs, mine) => panic!("{context}: decode {theirs:?}, registry {mine:?}"),
+        }
+    }
+
+    #[test]
+    fn registry_header_only_check_equals_full_decode() {
+        for seed in 0..400u64 {
+            let mut rng = uucs_stats::Pcg64::new(seed);
+            let mut payload = generated_client(&mut rng).encode();
+            assert_registers_like_decode(&payload, &format!("seed {seed}, undamaged"));
+            for round in 0..4 {
+                let text = std::str::from_utf8(&payload[1..]).unwrap();
+                let damaged = uucs_harness::textfuzz::mutate_lines(&mut rng, text, &CLIENT_STRAY);
+                payload.truncate(1);
+                payload.extend_from_slice(damaged.as_bytes());
+                assert_registers_like_decode(&payload, &format!("seed {seed}, round {round}"));
+            }
+        }
+        let good = MachineSnapshot::study_machine("h").emit();
+        let damaged: [(&str, Vec<u8>); 9] = [
+            ("empty payload", vec![]),
+            ("non-utf-8", vec![TAG_CLIENT, 0xFF, 0xFE]),
+            ("truncated header", b"CCLIENT client-0001".to_vec()),
+            ("bad header", format!("CCLIENTS c1\n{good}").into_bytes()),
+            ("missing id", format!("CCLIENT \n{good}").into_bytes()),
+            (
+                "bad snapshot key",
+                format!("CCLIENT c1\n{}", good.replace("OS ", "OZ ")).into_bytes(),
+            ),
+            (
+                "bad integer",
+                format!("CCLIENT c1\n{}", good.replace("CPU ", "CPU x")).into_bytes(),
+            ),
+            (
+                "no END",
+                format!("CCLIENT c1 tok\n{}", good.replace("END\n", "")).into_bytes(),
+            ),
+            (
+                "trailing lines",
+                format!("CCLIENT c1 tok\n{good}CLIENT c2\n# after END").into_bytes(),
+            ),
+        ];
+        for (what, payload) in &damaged {
+            assert_registers_like_decode(payload, what);
+        }
+        let refused = damaged
+            .iter()
+            .filter(|(_, p)| WalEntry::decode(p).is_err())
+            .count();
+        assert_eq!(
+            refused, 8,
+            "every damaged payload but the trailing lines is refused"
+        );
+        let err = replayed::<RegistryStore>(&WalEntry::Testcase(tc("t")).encode()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "foreign testcase entry in a registry journal"
+        );
+        let err = replayed::<RegistryStore>(b"Xjunk").unwrap_err().to_string();
+        assert_eq!(err, "unknown wal entry tag 0x58");
+    }
+
+    /// Where the held text differs from what re-rendering each
+    /// registration gave: a repeated id keeps the token its own
+    /// registration carried (the first still wins every lookup), and a
+    /// block is held through its `END` line, newline-terminated,
+    /// whatever its payload carried past that — so a checkpoint of it
+    /// reopens to the same registry. No server path writes either.
+    #[test]
+    fn held_registrations_keep_their_own_text() {
+        let dir = TempDir::new("uucs-registry-held");
+        let cfg = WalConfig::default();
+        let snap = MachineSnapshot::study_machine;
+        let (a, b) = (snap("a").emit(), snap("b").emit());
+        let blocks = [
+            ("c-1", format!("CLIENT c-1\n{a}")),
+            ("c-1", format!("CLIENT c-1 tok\n{b}")),
+            ("c-1", format!("CLIENT c-1 tok-x\n{b}")),
+            ("c-2", format!("CLIENT c-2 tok-2\n{a}")),
+        ];
+        let check = |g: &RegistryStore, when: &str| {
+            assert_eq!(
+                g.snapshot().unwrap(),
+                blocks.iter().map(|(_, b)| b.as_str()).collect::<String>(),
+                "{when}"
+            );
+            assert_eq!(
+                (g.len(), g.get("c-1").unwrap().hostname.as_str()),
+                (4, "a"),
+                "{when}"
+            );
+            let tokens = ["tok", "tok-x"].map(|t| g.id_for_token(t));
+            assert_eq!((g.token_of("c-1"), tokens), (Some("tok"), [Some("c-1"); 2]), "{when}");
+            assert!(!g.contains("c-3"), "{when}");
+            let want: Vec<(String, Vec<u8>)> = blocks
+                .iter()
+                .map(|(id, b)| (id.to_string(), format!("C{b}").into_bytes()))
+                .collect();
+            assert_eq!(exported(g), want, "{when}");
+        };
+        {
+            let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
+            g.register_with_id("c-1", &snap("a"), "", false).unwrap();
+            g.register_with_id("c-1", &snap("b"), "tok", false).unwrap();
+            g.register_with_id("c-1", &snap("b"), "tok-x", false).unwrap();
+            let trailing = format!(
+                "CCLIENT c-2 tok-2\n{}\n# after END\nCLIENT c-3\n",
+                a.trim_end()
+            );
+            assert!(g.admit(trailing.as_bytes()).unwrap());
+            assert!(!g
+                .admit(format!("CCLIENT c-1 other\n{b}").as_bytes())
+                .unwrap());
+            let err = g
+                .register_with_id("c 3", &snap("c"), "", false)
+                .unwrap_err();
+            assert_eq!(err.to_string(), "client id \"c 3\" is not one token");
+            check(&g, "live");
+        }
+        let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
+        check(&g, "replayed");
+        g.compact().unwrap();
+        drop(g);
+        check(
+            &RegistryStore::open_wal(dir.path(), cfg).unwrap().0,
+            "restored",
+        );
     }
 
     /// A mutation the property applies to both stores; kept so a
@@ -2381,6 +2576,385 @@ mod tests {
             },
         );
         let never: Vec<_> = (TC_PATHS.iter().zip(seen))
+            .filter_map(|(path, seen)| (!seen).then_some(path))
+            .collect();
+        assert!(never.is_empty(), "no case reached: {never:?}");
+    }
+
+    /// The registry as it was before it held text: `(id, snapshot)`
+    /// rows in registration order, the first row of an id and the first
+    /// token of a kind winning every lookup, and each row rendered again
+    /// on snapshot and export, with its id's first token. What the text
+    /// registry must read like.
+    #[derive(Debug, Default)]
+    struct StructRegistry {
+        clients: Vec<(String, MachineSnapshot)>,
+        /// `token → id`.
+        ids: HashMap<String, String>,
+        /// `id → token`.
+        tokens: HashMap<String, String>,
+    }
+
+    impl StructRegistry {
+        fn insert(&mut self, id: &str, snapshot: MachineSnapshot, token: &str) {
+            if !token.is_empty() {
+                self.ids
+                    .entry(token.to_string())
+                    .or_insert_with(|| id.to_string());
+                self.tokens
+                    .entry(id.to_string())
+                    .or_insert_with(|| token.to_string());
+            }
+            self.clients.push((id.to_string(), snapshot));
+        }
+
+        fn get(&self, id: &str) -> Option<&MachineSnapshot> {
+            self.clients
+                .iter()
+                .find(|(held, _)| held == id)
+                .map(|(_, snapshot)| snapshot)
+        }
+
+        fn admit(&mut self, payload: &[u8]) -> bool {
+            let Ok(WalEntry::Client {
+                id,
+                token,
+                snapshot,
+            }) = WalEntry::decode(payload)
+            else {
+                panic!("not a registration: {payload:?}");
+            };
+            let fresh = self.get(&id).is_none();
+            if fresh {
+                self.insert(&id, snapshot, &token);
+            }
+            fresh
+        }
+
+        fn export(&self) -> Vec<(String, Vec<u8>)> {
+            (self.clients.iter())
+                .map(|(id, snapshot)| {
+                    let token = self.tokens.get(id).cloned().unwrap_or_default();
+                    let entry = WalEntry::Client {
+                        id: id.clone(),
+                        token,
+                        snapshot: snapshot.clone(),
+                    };
+                    (id.clone(), entry.encode())
+                })
+                .collect()
+        }
+    }
+
+    /// Every reader of a text registry, next to what the same reader of
+    /// the struct registry it should equal gives.
+    fn reg_readings(text: &RegistryStore, structs: &StructRegistry) -> [String; 2] {
+        let ids: Vec<String> = (0..14).map(|n| format!("client-{n:04}")).collect();
+        let tokens: Vec<String> = (0..7).map(|n| format!("tok-{n}")).collect();
+        let shown = |export: Vec<(String, Vec<u8>)>| -> Vec<(String, String)> {
+            export
+                .into_iter()
+                .map(|(id, p)| (id, String::from_utf8(p).unwrap()))
+                .collect()
+        };
+        let text_reading = format!(
+            "len {}\ncontains {:?}\nget {:?}\nid_for_token {:?}\ntoken_of {:?}\nexport {:?}\nsnapshot {}",
+            text.len(),
+            ids.iter().map(|id| text.contains(id)).collect::<Vec<_>>(),
+            ids.iter().map(|id| text.get(id)).collect::<Vec<_>>(),
+            tokens.iter().map(|t| text.id_for_token(t)).collect::<Vec<_>>(),
+            ids.iter().map(|id| text.token_of(id)).collect::<Vec<_>>(),
+            shown(exported(text)),
+            text.snapshot().unwrap(),
+        );
+        let rendered = shown(structs.export());
+        let struct_reading = format!(
+            "len {}\ncontains {:?}\nget {:?}\nid_for_token {:?}\ntoken_of {:?}\nexport {:?}\nsnapshot {}",
+            structs.clients.len(),
+            ids.iter().map(|id| structs.get(id).is_some()).collect::<Vec<_>>(),
+            ids.iter().map(|id| structs.get(id).cloned()).collect::<Vec<_>>(),
+            tokens.iter().map(|t| structs.ids.get(t).map(String::as_str)).collect::<Vec<_>>(),
+            ids.iter().map(|id| structs.tokens.get(id).map(String::as_str)).collect::<Vec<_>>(),
+            rendered,
+            rendered.iter().map(|(_, p)| &p[1..]).collect::<String>(),
+        );
+        [text_reading, struct_reading]
+    }
+
+    /// A registry's export, collected.
+    fn exported(g: &RegistryStore) -> Vec<(String, Vec<u8>)> {
+        let mut out = Vec::new();
+        g.export(&mut |id, payload| {
+            out.push((id.to_string(), payload));
+            Ok(())
+        })
+        .unwrap();
+        out
+    }
+
+    /// What a reshard of exported `parts` into `n` fresh stores exports.
+    fn moved<S: Default>(
+        parts: Vec<Vec<(String, Vec<u8>)>>,
+        n: usize,
+        admit: impl Fn(&mut S, &[u8]) -> bool,
+        export: impl Fn(&S) -> Vec<(String, Vec<u8>)>,
+    ) -> Vec<Vec<(String, Vec<u8>)>> {
+        let mut to: Vec<S> = (0..n).map(|_| S::default()).collect();
+        for (key, payload) in parts.concat() {
+            admit(&mut to[crate::shard::shard_of(&key, n)], &payload);
+        }
+        to.iter().map(export).collect()
+    }
+
+    fn reg_same(text: &RegistryStore, structs: &StructRegistry, after: &str) -> Result<(), String> {
+        let [got, want] = reg_readings(text, structs);
+        if got != want {
+            return Err(format!("after {after}:\ntext    {got}\nstructs {want}"));
+        }
+        Ok(())
+    }
+
+    /// The paths a [`registry_contract`] case can take that the property
+    /// as a whole must have reached.
+    const REG_PATHS: [&str; 9] = [
+        "a compaction",
+        "a token retry",
+        "a repeated id",
+        "an admit of a known id",
+        "a torn tail under a live store",
+        "a reshard",
+        "a fault",
+        "a failed registration the reopen kept",
+        "a failed registration the reopen lost",
+    ];
+
+    /// One case of the registry contract: a random run of registrations
+    /// (with and without tokens, tokens repeating, now and then an id
+    /// registered again), admits of known and unknown ids, compactions,
+    /// reopens, torn tails, reshards 1 → 3 → 2 → 1 and planned faults
+    /// against a durable text registry on an in-memory disk and the
+    /// struct registry. Every reader of the two must agree after every
+    /// step, and after each reopen once a failed mutation is reconciled
+    /// with what the journal kept. Tokens dedup as the server does it:
+    /// a known token's id comes back and nothing is registered.
+    fn registry_contract(seed: u64) -> Result<[bool; REG_PATHS.len()], String> {
+        let mut seen = [false; REG_PATHS.len()];
+        let mut rng = uucs_stats::Pcg64::new(seed);
+        let dir = Path::new("/registry");
+        let cfg = WalConfig {
+            segment_bytes: 200 + rng.below(3000),
+            sync: SyncPolicy::Always,
+        };
+        let mut mem = uucs_wal::MemIo::new();
+        let open = |mem: &uucs_wal::MemIo| -> Result<RegistryStore, String> {
+            let io = || Disk::Memory(mem.clone());
+            // A fault planned for the open itself fires, then the disk reboots.
+            match RegistryStore::open(io(), dir, cfg) {
+                Ok((store, _)) => Ok(store),
+                Err(_) if mem.is_dead() => {
+                    mem.crash(1.0);
+                    RegistryStore::open(io(), dir, cfg)
+                        .map(|(s, _)| s)
+                        .map_err(|e| e.to_string())
+                }
+                Err(e) => Err(e.to_string()),
+            }
+        };
+        let snapshot = |rng: &mut uucs_stats::Pcg64| {
+            MachineSnapshot::study_machine(format!("h{}", rng.below(5)))
+        };
+        let (mut structs, mut text) = (StructRegistry::default(), open(&mem)?);
+        let mut minted = 0;
+        for step in 0..24 {
+            let at = format!("step {step}");
+            let mut failed = None;
+            match rng.below(12) {
+                0..=4 => {
+                    let token = match rng.below(3) {
+                        0 => String::new(),
+                        _ => format!("tok-{}", rng.below(7)),
+                    };
+                    // Now and then an id again, under the token it first
+                    // carried — the one repeat whose text the re-rendering
+                    // struct registry reproduces.
+                    let registered = match (structs.ids.get(&token), structs.clients.first()) {
+                        (Some(id), _) => {
+                            let resolved = text.id_for_token(&token);
+                            if resolved != Some(id.as_str()) {
+                                return Err(format!(
+                                    "{at}: {token} resolves to {resolved:?}, structs {id}"
+                                ));
+                            }
+                            seen[1] = true;
+                            None
+                        }
+                        (None, Some((id, _))) if rng.below(8) == 0 => {
+                            seen[2] = true;
+                            Some((
+                                id.clone(),
+                                structs.tokens.get(id).cloned().unwrap_or_default(),
+                            ))
+                        }
+                        (None, _) => {
+                            minted += 1;
+                            Some((format!("client-{minted:04}"), token))
+                        }
+                    };
+                    if let Some((id, token)) = registered {
+                        let snap = snapshot(&mut rng);
+                        match text.register_with_id(&id, &snap, &token, false) {
+                            Ok(None) => structs.insert(&id, snap, &token),
+                            Err(StoreError::Io(_)) if mem.is_dead() => {
+                                failed = Some(Some((id, token, snap)))
+                            }
+                            got => return Err(format!("{at}: register {id}: {got:?}")),
+                        }
+                    }
+                }
+                5 => {
+                    // A shipped registration, of a held id or a new one.
+                    let id = match structs
+                        .clients
+                        .get(rng.below(structs.clients.len() as u64 + 2) as usize)
+                    {
+                        Some((id, _)) => id.clone(),
+                        None => {
+                            minted += 1;
+                            format!("client-{minted:04}")
+                        }
+                    };
+                    let token = match rng.below(2) {
+                        0 => String::new(),
+                        _ => format!("tok-{}", rng.below(7)),
+                    };
+                    let snap = snapshot(&mut rng);
+                    let payload = WalEntry::Client {
+                        id: id.clone(),
+                        token: token.clone(),
+                        snapshot: snap.clone(),
+                    }
+                    .encode();
+                    match text.admit(&payload) {
+                        Ok(fresh) => {
+                            seen[3] |= !fresh;
+                            if fresh != structs.admit(&payload) {
+                                return Err(format!("{at}: admit {id} gave {fresh}"));
+                            }
+                        }
+                        Err(_) if mem.is_dead() => failed = Some(Some((id, token, snap))),
+                        Err(e) => return Err(format!("{at}: admit {id}: {e}")),
+                    }
+                }
+                6 => match text.compact() {
+                    Ok(compacted) => seen[0] |= compacted,
+                    Err(_) if mem.is_dead() => failed = Some(None),
+                    Err(e) => return Err(format!("{at}: compact: {e}")),
+                },
+                7 => text = open(&mem)?,
+                8 => {
+                    // A torn append under the live store, then the reopen that heals it.
+                    let active = (mem.list(dir).map_err(|e| e.to_string())?.into_iter())
+                        .filter(|n| n.ends_with(".wal"))
+                        .max();
+                    let entry = WalEntry::Client {
+                        id: "client-9999".into(),
+                        token: String::new(),
+                        snapshot: snapshot(&mut rng),
+                    };
+                    let frame = uucs_wal::frame::encode_frame(&entry.encode());
+                    let torn = &frame[..1 + rng.below(frame.len() as u64 - 1) as usize];
+                    if mem
+                        .append(&dir.join(active.ok_or("no segment")?), torn)
+                        .is_err()
+                    {
+                        failed = Some(None);
+                    } else {
+                        reg_same(&text, &structs, &format!("{at} (torn tail, live)"))?;
+                        seen[4] = true;
+                        text = open(&mem)?;
+                    }
+                }
+                9 if !mem.is_dead() => mem.set_fault(Some(uucs_wal::FaultPlan {
+                    fail_at: mem.mutating_ops() + rng.below(6),
+                    short_write: rng.bernoulli(0.5).then(|| rng.below(24) as usize),
+                })),
+                10 if !mem.is_dead() => {
+                    // Out to three shards, on to two and back to one, as a
+                    // reshard moves blocks, onto a fresh in-memory disk.
+                    let (mut text_parts, mut struct_parts) =
+                        (vec![exported(&text)], vec![structs.export()]);
+                    for n in [3, 2] {
+                        text_parts = moved(
+                            text_parts,
+                            n,
+                            |g: &mut RegistryStore, p| g.admit(p).unwrap(),
+                            exported,
+                        );
+                        struct_parts = moved(
+                            struct_parts,
+                            n,
+                            StructRegistry::admit,
+                            StructRegistry::export,
+                        );
+                    }
+                    mem = uucs_wal::MemIo::new();
+                    text = open(&mem)?;
+                    structs = StructRegistry::default();
+                    for (_, payload) in text_parts.concat() {
+                        text.admit(&payload).unwrap();
+                    }
+                    for (_, payload) in struct_parts.concat() {
+                        structs.admit(&payload);
+                    }
+                    seen[5] = true;
+                }
+                _ => {}
+            }
+            if let Some(mutation) = failed {
+                // The planned fault fired: the live store is what it was
+                // before, whatever the failed operation left on disk. The
+                // power loss keeps none, all or part of the unsynced tail.
+                seen[6] = true;
+                let flushed = match rng.below(3) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.f64(),
+                };
+                mem.crash(flushed);
+                reg_same(&text, &structs, &format!("{at} (fault, live)"))?;
+                text = open(&mem)?;
+                if let Some((id, token, snap)) = mutation {
+                    // A failed registration or admit would have added one block.
+                    let kept = text.len() > structs.clients.len();
+                    if kept {
+                        structs.insert(&id, snap, &token);
+                    }
+                    seen[if kept { 7 } else { 8 }] = true;
+                }
+            }
+            reg_same(&text, &structs, &at)?;
+        }
+        Ok(seen)
+    }
+
+    /// [`registry_contract`] over `UUCS_PROPTEST_CASES` seeds, which
+    /// between them must have taken every one of [`REG_PATHS`].
+    #[test]
+    fn text_registry_reads_like_the_struct_registry() {
+        let mut seen = [false; REG_PATHS.len()];
+        uucs_harness::prop::run_property(
+            &uucs_harness::prop::Config::default(),
+            "text_registry_reads_like_the_struct_registry",
+            (uucs_harness::prop::any::<u64>(),),
+            |&(seed,)| {
+                let taken = registry_contract(seed).map_err(|e| {
+                    uucs_harness::prop::CaseError::Fail(format!("seed {seed}: {e}"))
+                })?;
+                seen.iter_mut().zip(taken).for_each(|(s, t)| *s |= t);
+                Ok(())
+            },
+        );
+        let never: Vec<_> = (REG_PATHS.iter().zip(seen))
             .filter_map(|(path, seen)| (!seen).then_some(path))
             .collect();
         assert!(never.is_empty(), "no case reached: {never:?}");

@@ -74,9 +74,14 @@ echo "== state moves as text (one export/admit pair per store) =="
 # A reshard, a snapshot backfill and a follower's apply all move a
 # store's state as the journal payloads it holds: Journaled::export and
 # Journaled::admit (crates/server/src/journal.rs). A per-family
-# decode-and-rebuild migration, or non-test replication code that
-# decodes a WalEntry or builds one to ship, renders that text again.
-rebuilt=$( (grep -rnE "ShardFamily|fn extract\(|fn load_part\(" crates/server/src --include=*.rs
+# decode-and-rebuild migration, non-test replication code that decodes a
+# WalEntry or builds one to ship, a keyed store (store.rs) that decodes
+# whole entries, a registration rendered outside its store, or a second
+# reader of a payload's key renders or reads that text again.
+rebuilt=$( (grep -rnE "ShardFamily|fn extract\(|fn load_part\(|fn header_key\b" crates/server/src --include=*.rs
+    grep -rn "client_payload(" crates src --include=*.rs | grep -v "^crates/server/src/store.rs:"
+    awk -v f=crates/server/src/store.rs '/^#\[cfg\(test\)\]/ { exit }
+        /WalEntry::|decoded\(/ && !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' crates/server/src/store.rs
     find crates/cluster/src -name '*.rs' | sort | while read -r f; do
         awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /WalEntry/ { print f ":" FNR ": " $0 }' "$f"
     done) || true)
@@ -172,6 +177,13 @@ UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib durable_an
 # struct store it replaced.
 echo "== text testcase store reads like the struct store (2000 cases) =="
 UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib text_testcase_store_reads_like_the_struct_store
+
+# The registry holds each registration as its text block too. Through
+# 2000 random runs of registrations (tokens repeating), admits of known
+# and unknown ids, compactions, reopens, reshards 1 -> 3 -> 2, torn tails
+# and planned faults, it must read like the struct registry it replaced.
+echo "== text registry reads like the struct registry (2000 cases) =="
+UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib text_registry_reads_like_the_struct_registry
 
 # controlled-study checks every repetition's rendered output against a
 # pinned CRC: it is the byte-identity gate for the parallel study's
