@@ -14,9 +14,10 @@
 
 use crate::sketch::{MergeError, QuantileSketch};
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
-use uucs_testcase::format::trim_line;
+use uucs_testcase::format::{trim_line, words};
 use uucs_testcase::Resource;
 
 /// The cohort skill class used when a record carries none (legacy
@@ -34,11 +35,11 @@ fn token(s: &str) -> String {
         .collect()
 }
 
-fn detoken(s: &str) -> String {
+fn detoken(s: &str) -> &str {
     if s == "-" {
-        String::new()
+        ""
     } else {
-        s.to_string()
+        s
     }
 }
 
@@ -52,6 +53,51 @@ pub struct CohortKey {
     pub task: String,
     /// Self-rated skill class in the task's dimension (empty = unrated).
     pub skill: String,
+}
+
+/// A cohort key's fields, from a [`CohortKey`] or borrowed from text:
+/// the form a cohort is looked up by, so finding one builds no key.
+trait CohortFields {
+    fn fields(&self) -> (Resource, &str, &str);
+}
+
+impl CohortFields for CohortKey {
+    fn fields(&self) -> (Resource, &str, &str) {
+        (self.resource, &self.task, &self.skill)
+    }
+}
+
+impl CohortFields for (Resource, &str, &str) {
+    fn fields(&self) -> (Resource, &str, &str) {
+        *self
+    }
+}
+
+/// Ordered as the derived `Ord` of [`CohortKey`] orders its fields.
+impl<'a> Borrow<dyn CohortFields + 'a> for CohortKey {
+    fn borrow(&self) -> &(dyn CohortFields + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn CohortFields + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.fields() == other.fields()
+    }
+}
+
+impl Eq for dyn CohortFields + '_ {}
+
+impl PartialOrd for dyn CohortFields + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn CohortFields + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.fields().cmp(&other.fields())
+    }
 }
 
 /// One sample destined for a cohort sketch.
@@ -71,15 +117,63 @@ pub struct Observation {
 }
 
 impl Observation {
-    fn cohort(&self) -> CohortKey {
-        CohortKey {
+    fn borrowed(&self) -> Obs<'_> {
+        Obs {
             resource: self.resource,
-            task: self.task.clone(),
-            skill: if self.skill.is_empty() {
-                SKILL_UNRATED.to_string()
-            } else {
-                self.skill.clone()
-            },
+            task: &self.task,
+            skill: &self.skill,
+            level: self.level,
+            censored: self.censored,
+        }
+    }
+}
+
+/// An [`Observation`] borrowed from the text or the struct it is read
+/// from.
+#[derive(Clone, Copy)]
+struct Obs<'a> {
+    resource: Resource,
+    task: &'a str,
+    skill: &'a str,
+    level: f64,
+    censored: bool,
+}
+
+impl Obs<'_> {
+    fn owned(self) -> Observation {
+        Observation {
+            resource: self.resource,
+            task: self.task.to_string(),
+            skill: self.skill.to_string(),
+            level: self.level,
+            censored: self.censored,
+        }
+    }
+
+    /// Adds the sample to its cohort's sketch, keying a cohort only the
+    /// first time it is seen.
+    fn observe(self, cohorts: &mut BTreeMap<CohortKey, QuantileSketch>) {
+        let skill = if self.skill.is_empty() {
+            SKILL_UNRATED
+        } else {
+            self.skill
+        };
+        let insert = |sketch: &mut QuantileSketch| match self.censored {
+            true => sketch.insert_censored(),
+            false => sketch.insert(self.level),
+        };
+        match cohorts.get_mut(&(self.resource, self.task, skill) as &dyn CohortFields) {
+            Some(sketch) => insert(sketch),
+            None => {
+                let mut sketch = QuantileSketch::for_resource(self.resource);
+                insert(&mut sketch);
+                let key = CohortKey {
+                    resource: self.resource,
+                    task: self.task.to_string(),
+                    skill: skill.to_string(),
+                };
+                cohorts.insert(key, sketch);
+            }
         }
     }
 }
@@ -127,14 +221,38 @@ impl ModelDelta {
         out
     }
 
-    /// Parses [`ModelDelta::encode`] output. One call per model entry of
-    /// a journal replay, so lines are trimmed only when they need it and
-    /// the observations are sized from the header — bounded by what the
+    /// Parses [`ModelDelta::encode`] output: [`DeltaText`] collecting
+    /// the observations, sized from the header — bounded by what the
     /// text could hold, since the count is input.
     pub fn decode(text: &str) -> Result<ModelDelta, String> {
+        let delta = DeltaText::header(text)?;
+        let epoch = delta.epoch;
+        let mut observations = Vec::with_capacity(delta.count.min(text.len() / MIN_OBS_LINE));
+        delta.each(|o| observations.push(o.owned()))?;
+        Ok(ModelDelta {
+            epoch,
+            observations,
+        })
+    }
+}
+
+/// The text of a [`ModelDelta`], walked once: the grammar
+/// [`ModelDelta::decode`] and [`ComfortModel::fold`] share, with every
+/// error string decode has always given. Lines are split by
+/// [`words`], and every field is borrowed from the text.
+struct DeltaText<'a> {
+    epoch: u64,
+    /// The observation count the header promises.
+    count: usize,
+    lines: std::str::Lines<'a>,
+}
+
+impl<'a> DeltaText<'a> {
+    /// Reads the `MODELDELTA <epoch> <n>` header line.
+    fn header(text: &'a str) -> Result<Self, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty model delta")?;
-        let mut toks = header.split_whitespace();
+        let mut toks = words(header);
         if toks.next() != Some("MODELDELTA") {
             return Err(format!("bad model delta header {header:?}"));
         }
@@ -142,24 +260,34 @@ impl ModelDelta {
             .next()
             .and_then(|t| t.parse().ok())
             .ok_or("model delta missing epoch")?;
-        let n: usize = toks
+        let count: usize = toks
             .next()
             .and_then(|t| t.parse().ok())
             .ok_or("model delta missing count")?;
-        let mut observations = Vec::with_capacity(n.min(text.len() / MIN_OBS_LINE));
+        Ok(DeltaText {
+            epoch,
+            count,
+            lines,
+        })
+    }
+
+    /// Hands `each` every `OBS` line's observation in order, through the
+    /// `END` line, then holds the number read to the header's promise.
+    fn each(self, mut each: impl FnMut(Obs<'a>)) -> Result<(), String> {
+        let mut read = 0;
         let mut closed = false;
-        for line in lines {
-            let line = trim_line(line);
-            if line.is_empty() {
-                continue;
-            }
-            if line == "END" {
-                closed = true;
-                break;
-            }
-            let mut toks = line.split_whitespace();
-            if toks.next() != Some("OBS") {
-                return Err(format!("bad model delta line {line:?}"));
+        for line in self.lines {
+            let mut toks = words(line);
+            match toks.next() {
+                None => continue,
+                Some("OBS") => {}
+                Some(first) => {
+                    if first == "END" && toks.next().is_none() {
+                        closed = true;
+                        break;
+                    }
+                    return Err(format!("bad model delta line {:?}", trim_line(line)));
+                }
             }
             let resource: Resource = toks
                 .next()
@@ -181,29 +309,27 @@ impl ModelDelta {
                 return Err("non-finite OBS level".to_string());
             }
             if toks.next().is_some() {
-                return Err(format!("trailing tokens on OBS line {line:?}"));
+                return Err(format!("trailing tokens on OBS line {:?}", trim_line(line)));
             }
-            observations.push(Observation {
+            each(Obs {
                 resource,
                 task,
                 skill,
                 level,
                 censored,
             });
+            read += 1;
         }
         if !closed {
             return Err("model delta missing END".to_string());
         }
-        if observations.len() != n {
+        if read != self.count {
             return Err(format!(
-                "model delta promised {n} observations, parsed {}",
-                observations.len()
+                "model delta promised {} observations, parsed {read}",
+                self.count
             ));
         }
-        Ok(ModelDelta {
-            epoch,
-            observations,
-        })
+        Ok(())
     }
 }
 
@@ -288,24 +414,42 @@ impl ComfortModel {
     /// corrupt journal, not a retransmit (upload dedup happens before a
     /// delta is ever minted).
     pub fn apply(&mut self, delta: &ModelDelta) -> Result<(), String> {
-        if delta.epoch != self.epoch + 1 {
-            return Err(format!(
-                "model delta epoch {} does not follow current epoch {}",
-                delta.epoch, self.epoch
-            ));
-        }
+        self.check_follows(delta.epoch)?;
         for o in &delta.observations {
-            let sketch = self
-                .cohorts
-                .entry(o.cohort())
-                .or_insert_with(|| QuantileSketch::for_resource(o.resource));
-            if o.censored {
-                sketch.insert_censored();
-            } else {
-                sketch.insert(o.level);
-            }
+            o.borrowed().observe(&mut self.cohorts);
         }
         self.epoch = delta.epoch;
+        Ok(())
+    }
+
+    /// [`ModelDelta::decode`] then [`ComfortModel::apply`] of a delta's
+    /// text, in one pass and with nothing decoded: each observation goes
+    /// from the text into its cohort's sketch. Errors are decode's, then
+    /// apply's, word for word. An error can leave part of the delta
+    /// folded in, so a caller that meets one drops the model — a replay
+    /// refuses the journal.
+    pub fn fold(&mut self, text: &str) -> Result<(), String> {
+        let delta = DeltaText::header(text)?;
+        let epoch = delta.epoch;
+        let follows = self.check_follows(epoch);
+        let cohorts = &mut self.cohorts;
+        delta.each(|o| {
+            if follows.is_ok() {
+                o.observe(cohorts)
+            }
+        })?;
+        follows?;
+        self.epoch = epoch;
+        Ok(())
+    }
+
+    fn check_follows(&self, epoch: u64) -> Result<(), String> {
+        if epoch != self.epoch + 1 {
+            return Err(format!(
+                "model delta epoch {epoch} does not follow current epoch {}",
+                self.epoch
+            ));
+        }
         Ok(())
     }
 
@@ -406,8 +550,8 @@ impl ComfortModel {
                 .ok_or("COHORT missing resource")?
                 .parse()
                 .map_err(|_| "bad COHORT resource".to_string())?;
-            let task = detoken(toks.next().ok_or("COHORT missing task")?);
-            let skill = detoken(toks.next().ok_or("COHORT missing skill")?);
+            let task = detoken(toks.next().ok_or("COHORT missing task")?).to_string();
+            let skill = detoken(toks.next().ok_or("COHORT missing skill")?).to_string();
             let sketch = QuantileSketch::decode(toks.next().ok_or("COHORT missing sketch")?)?;
             if toks.next().is_some() {
                 return Err(format!("trailing tokens on COHORT line {line:?}"));
@@ -486,8 +630,8 @@ mod tests {
                 .ok_or("OBS missing resource")?
                 .parse()
                 .map_err(|_| "bad OBS resource".to_string())?;
-            let task = detoken(toks.next().ok_or("OBS missing task")?);
-            let skill = detoken(toks.next().ok_or("OBS missing skill")?);
+            let task = detoken(toks.next().ok_or("OBS missing task")?).to_string();
+            let skill = detoken(toks.next().ok_or("OBS missing skill")?).to_string();
             let censored = match toks.next() {
                 Some("discomfort") => false,
                 Some("exhausted") => true,
@@ -716,6 +860,61 @@ mod tests {
                 text = uucs_harness::textfuzz::mutate_lines(&mut rng, &text, &STRAY);
                 assert_decodes_like_the_reference(&text, &format!("seed {seed}, round {round}"));
             }
+        }
+    }
+
+    /// `fold` of a delta's text is `decode` then `apply`: the same
+    /// model (and snapshot bytes) when both succeed, the same error
+    /// string when either refuses.
+    fn assert_folds_like_decode_and_apply(base: &ComfortModel, text: &str, context: &str) {
+        let mut folded = base.clone();
+        let mine = folded.fold(text);
+        let mut applied = base.clone();
+        let theirs = ModelDelta::decode(text).and_then(|d| applied.apply(&d));
+        assert_eq!(mine, theirs, "{context}: {text:?}");
+        if theirs.is_ok() {
+            assert_eq!(folded, applied, "{context}");
+            assert_eq!(folded.encode(), applied.encode(), "{context}");
+        }
+    }
+
+    #[test]
+    fn fold_equals_decode_and_apply_on_generated_and_damaged_deltas() {
+        use uucs_stats::Pcg64;
+        let names = ["", "-", "Word", "My Task", "caf\u{e9}", "unrated"];
+        let resources = [Resource::Cpu, Resource::Memory, Resource::Disk, Resource::Network];
+        let mut base = ComfortModel::new();
+        for seed in 0..600u64 {
+            let mut rng = Pcg64::new(seed);
+            let mut observations = Vec::new();
+            for _ in 0..rng.below(5) {
+                let level = rng.below(11) as f64 * 0.5;
+                observations.push(obs(
+                    *rng.choose(&resources),
+                    rng.choose::<&str>(&names),
+                    rng.choose::<&str>(&names),
+                    level,
+                    rng.bernoulli(0.3),
+                ));
+            }
+            let mut delta = base.next_delta(observations);
+            if rng.bernoulli(0.2) {
+                delta.epoch = rng.below(base.epoch() + 3);
+            }
+            let mut text = delta.encode();
+            assert_folds_like_decode_and_apply(&base, &text, &format!("seed {seed}, undamaged"));
+            for round in 0..3 {
+                text = uucs_harness::textfuzz::mutate_lines(&mut rng, &text, &STRAY);
+                assert_folds_like_decode_and_apply(&base, &text, &format!("seed {seed}, round {round}"));
+            }
+            // Grow the base so later seeds fold into cohorts it holds.
+            if delta.epoch == base.epoch() + 1 {
+                base.apply(&delta).unwrap();
+            }
+        }
+        assert!(base.epoch() > 400 && base.cohort_count() > 20, "{}", base.epoch());
+        for text in REJECTED_DELTAS.iter().chain(&STRAY) {
+            assert_folds_like_decode_and_apply(&base, text, "fixed input");
         }
     }
 

@@ -7,7 +7,7 @@
 //! feedback point. We store those plus the monitoring summary.
 
 use std::fmt;
-use uucs_testcase::format::trim_line;
+use uucs_testcase::format::{trim_line, words};
 use uucs_testcase::Resource;
 
 /// How many trailing contention values a client stores per exercise
@@ -245,7 +245,7 @@ impl RunRecord {
                         .map_err(|_| format!("bad offset {rest:?}"))?;
                 }
                 "LEVELS" => {
-                    let mut toks = rest.split_whitespace();
+                    let mut toks = words(rest);
                     let rname = toks.next().ok_or("LEVELS missing resource")?;
                     let resource: Resource = rname
                         .parse()
@@ -259,7 +259,7 @@ impl RunRecord {
                 "MONITOR" => {
                     // Key/value pairs; a trailing key without a value
                     // is ignored, as it always was.
-                    let mut toks = rest.split_whitespace();
+                    let mut toks = words(rest);
                     while let (Some(k), Some(v)) = (toks.next(), toks.next()) {
                         match k {
                             "cpu" => rec.monitor.cpu_util = pf(v)?,
@@ -361,39 +361,59 @@ impl RunRecord {
 /// with no field parsed and nothing allocated. Each item is one block,
 /// `RESULT` line through `END` line; an `Err` (with `parse_many`'s
 /// string and body-relative line number) ends the iteration.
+///
+/// Inside a block no line is split or trimmed: the scan jumps from one
+/// `D` byte to the next until one ends a line that trims to `END`, and a
+/// line number is counted only for an error.
 pub struct Blocks<'a> {
-    rest: &'a str,
-    line: usize,
+    /// The whole body.
+    text: &'a str,
+    /// Where the next block's search starts: a line start.
+    at: usize,
 }
 
 impl<'a> Blocks<'a> {
     /// The blocks of `body`.
     pub fn new(body: &'a str) -> Self {
-        Blocks { rest: body, line: 0 }
+        Blocks { text: body, at: 0 }
     }
 
     /// The text after the last block taken (all of it after an error).
     pub fn rest(&self) -> &'a str {
-        self.rest
+        &self.text[self.at..]
     }
 
-    /// Takes the next line off the front, without its terminator.
-    fn take_line(&mut self) -> Option<&'a str> {
-        if self.rest.is_empty() {
-            return None;
+    /// Past the end of the first line at or after `from` (a line start)
+    /// that trims to `END` — past its newline, if it has one.
+    fn end_line(&self, from: usize) -> Option<usize> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        let mut search = from;
+        loop {
+            let d = search + text[search..].find('D')?;
+            search = d + 1;
+            if d < from + 2 || &bytes[d - 2..d] != b"EN" {
+                continue;
+            }
+            let e = d - 2;
+            let start = text[from..e].rfind('\n').map_or(from, |i| from + i + 1);
+            let end = text[d + 1..].find('\n').map_or(text.len(), |i| d + 1 + i);
+            if text[start..e].trim().is_empty() && text[d + 1..end].trim().is_empty() {
+                return Some((end + 1).min(text.len()));
+            }
+            // Any later `END` on this line follows this one's letters.
+            search = end;
         }
-        let (line, rest) = match self.rest.find('\n') {
-            Some(at) => (&self.rest[..at], &self.rest[at + 1..]),
-            None => (self.rest, ""),
-        };
-        self.rest = rest;
-        self.line += 1;
-        Some(line)
     }
 
-    fn fail(&mut self, msg: String) -> Option<Result<&'a str, String>> {
-        self.rest = "";
-        Some(Err(format!("line {}: {msg}", self.line)))
+    /// Ends the iteration with an error on the 1-based line `line`.
+    fn fail(&mut self, line: usize, msg: String) -> Option<Result<&'a str, String>> {
+        self.at = self.text.len();
+        Some(Err(format!("line {line}: {msg}")))
+    }
+
+    /// The number of `\n` bytes before `at`.
+    fn newlines_before(&self, at: usize) -> usize {
+        self.text.as_bytes()[..at].iter().filter(|&&b| b == b'\n').count()
     }
 }
 
@@ -401,23 +421,35 @@ impl<'a> Iterator for Blocks<'a> {
     type Item = Result<&'a str, String>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let block = loop {
-            let before = self.rest;
-            let line = trim_line(self.take_line()?);
+        let len = self.text.len();
+        let start = loop {
+            if self.at == len {
+                return None;
+            }
+            let from = self.at;
+            let end = self.text[from..].find('\n').map_or(len, |i| from + i);
+            self.at = (end + 1).min(len);
+            let line = trim_line(&self.text[from..end]);
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
             if line == "RESULT" {
-                break before;
+                break from;
             }
-            return self.fail(format!("expected RESULT, found {line:?}"));
+            let number = self.newlines_before(from) + 1;
+            return self.fail(number, format!("expected RESULT, found {line:?}"));
         };
-        while let Some(line) = self.take_line() {
-            if trim_line(line) == "END" {
-                return Some(Ok(&block[..block.len() - self.rest.len()]));
+        match self.end_line(self.at) {
+            Some(after) => {
+                self.at = after;
+                Some(Ok(&self.text[start..after]))
+            }
+            None => {
+                // Every line was taken, the last one maybe unterminated.
+                let lines = self.newlines_before(len) + usize::from(!self.text.ends_with('\n'));
+                self.fail(lines, "unexpected end of input inside RESULT".to_string())
             }
         }
-        self.fail("unexpected end of input inside RESULT".to_string())
     }
 }
 
@@ -451,8 +483,74 @@ fn de_nonempty(s: &str) -> String {
     }
 }
 
+
+/// The block scanner as it was before it stopped splitting and trimming
+/// every line, kept as the reference the one-pass scanner is held equal
+/// to.
 #[cfg(test)]
-mod tests {
+pub(crate) mod reference {
+    use uucs_testcase::format::trim_line;
+
+    pub(crate) struct Blocks<'a> {
+        rest: &'a str,
+        line: usize,
+    }
+
+    impl<'a> Blocks<'a> {
+        pub(crate) fn new(body: &'a str) -> Self {
+            Blocks { rest: body, line: 0 }
+        }
+
+        pub(crate) fn rest(&self) -> &'a str {
+            self.rest
+        }
+
+        fn take_line(&mut self) -> Option<&'a str> {
+            if self.rest.is_empty() {
+                return None;
+            }
+            let (line, rest) = match self.rest.find('\n') {
+                Some(at) => (&self.rest[..at], &self.rest[at + 1..]),
+                None => (self.rest, ""),
+            };
+            self.rest = rest;
+            self.line += 1;
+            Some(line)
+        }
+
+        fn fail(&mut self, msg: String) -> Option<Result<&'a str, String>> {
+            self.rest = "";
+            Some(Err(format!("line {}: {msg}", self.line)))
+        }
+    }
+
+    impl<'a> Iterator for Blocks<'a> {
+        type Item = Result<&'a str, String>;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            let block = loop {
+                let before = self.rest;
+                let line = trim_line(self.take_line()?);
+                if line.is_empty() || line.starts_with('#') {
+                    continue;
+                }
+                if line == "RESULT" {
+                    break before;
+                }
+                return self.fail(format!("expected RESULT, found {line:?}"));
+            };
+            while let Some(line) = self.take_line() {
+                if trim_line(line) == "END" {
+                    return Some(Ok(&block[..block.len() - self.rest.len()]));
+                }
+            }
+            self.fail("unexpected end of input inside RESULT".to_string())
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
 
     fn sample() -> RunRecord {
@@ -683,7 +781,7 @@ mod tests {
 
     /// Lines a damaged store could hold between good ones: every key
     /// with a missing, malformed or surplus operand, comments, blanks.
-    const STRAY: [&str; 28] = [
+    pub(crate) const STRAY: [&str; 28] = [
         "",
         "# comment",
         " # indented comment",
@@ -714,7 +812,7 @@ mod tests {
         "MONITOR latency - cpu nan",
     ];
 
-    fn generated(rng: &mut uucs_stats::Pcg64) -> RunRecord {
+    pub(crate) fn generated(rng: &mut uucs_stats::Pcg64) -> RunRecord {
         let name = |rng: &mut uucs_stats::Pcg64| {
             let names = ["", "-", "c-123", "Word", "two words", "caf\u{e9}", "x"];
             rng.choose(&names).to_string()

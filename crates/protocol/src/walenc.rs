@@ -22,7 +22,8 @@
 use crate::record::RunRecord;
 use crate::snapshot::MachineSnapshot;
 use uucs_modelsvc::ModelDelta;
-use uucs_testcase::{format as tcformat, Testcase};
+use uucs_testcase::format::{self as tcformat, words};
+use uucs_testcase::Testcase;
 
 /// Tag byte for a result entry.
 pub const TAG_RESULT: u8 = b'R';
@@ -64,7 +65,7 @@ fn split_batch(text: &str) -> Result<(&str, u64, usize, &str), String> {
     let (header, body) = text
         .split_once('\n')
         .ok_or_else(|| "batch payload missing header line".to_string())?;
-    let mut toks = header.split_whitespace();
+    let mut toks = words(header);
     if toks.next() != Some("BATCH") {
         return Err(format!("bad batch header {header:?}"));
     }
@@ -86,10 +87,11 @@ fn count_mismatch(promised: usize, found: usize) -> String {
     format!("batch promised {promised} records, parsed {found}")
 }
 
-/// A result-store entry checked as far as replay needs and no further:
-/// the header line parsed, the record blocks counted
-/// ([`RunRecord::count_blocks`]) but left as the text they are. What a
-/// field holds is the business of whoever reads the record.
+/// A result-store entry checked as far as replay needs and no further,
+/// in one pass over its bytes: the header line split by [`words`], the
+/// record blocks counted ([`RunRecord::count_blocks`]) but left as the
+/// text they are. What a field holds is the business of whoever reads
+/// the record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BorrowedBlocks<'a> {
     /// `(client, seq)` of a [`WalEntry::Batch`]; `None` for a legacy
@@ -291,7 +293,7 @@ impl WalEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{MonitorSummary, RunOutcome};
+    use crate::record::{Blocks, MonitorSummary, RunOutcome};
     use uucs_testcase::{ExerciseFunction, Resource};
 
     fn record() -> RunRecord {
@@ -394,6 +396,133 @@ mod tests {
         let borrowed = BorrowedBlocks::result(body).unwrap();
         assert_eq!((tag, borrowed.batch, borrowed.body), (TAG_RESULT, None, text.as_str()));
         assert_eq!(borrowed.encode(), single);
+    }
+
+    /// `split_batch` as it was before its header was split by `words`,
+    /// kept as the reference.
+    fn reference_split_batch(text: &str) -> Result<(&str, u64, usize, &str), String> {
+        let (header, body) = text
+            .split_once('\n')
+            .ok_or_else(|| "batch payload missing header line".to_string())?;
+        let mut toks = header.split_whitespace();
+        if toks.next() != Some("BATCH") {
+            return Err(format!("bad batch header {header:?}"));
+        }
+        let client = toks
+            .next()
+            .ok_or_else(|| "batch header missing client".to_string())?;
+        let seq: u64 = toks
+            .next()
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| "batch header missing seq".to_string())?;
+        let n: usize = toks
+            .next()
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| "batch header missing count".to_string())?;
+        Ok((client, seq, n, body))
+    }
+
+    fn reference_count(body: &str) -> Result<usize, String> {
+        let mut n = 0;
+        for block in crate::record::reference::Blocks::new(body) {
+            block?;
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    /// Both result-payload checks as they were: the reference header
+    /// split, then the reference block scanner.
+    fn reference_checks(text: &str) -> (Result<BorrowedBlocks<'_>, String>, Result<usize, String>) {
+        let batch = reference_split_batch(text).and_then(|(client, seq, n, body)| {
+            let count = reference_count(body)?;
+            if count != n {
+                return Err(count_mismatch(n, count));
+            }
+            Ok(BorrowedBlocks {
+                batch: Some((client, seq)),
+                body,
+                count,
+            })
+        });
+        (batch, reference_count(text))
+    }
+
+    /// The one-pass checks give the reference's verdicts — the borrowed
+    /// view or the error string — and the block scanner the reference's
+    /// blocks, errors and remainders, on the batch text and its body.
+    fn assert_checks_like_the_reference(text: &str, context: &str) {
+        let (batch, count) = reference_checks(text);
+        assert_eq!(BorrowedBlocks::batch(text), batch, "{context}: {text:?}");
+        assert_eq!(RunRecord::count_blocks(text), count, "{context}: {text:?}");
+        let single = match count {
+            Ok(1) => Ok(1),
+            Ok(_) => Err("result payload must hold exactly one record".to_string()),
+            Err(e) => Err(e),
+        };
+        assert_eq!(BorrowedBlocks::result(text).map(|b| b.count), single, "{context}");
+        let body = text.split_once('\n').map_or(text, |(_, body)| body);
+        for scanned in [text, body] {
+            let mut mine = Blocks::new(scanned);
+            let mut theirs = crate::record::reference::Blocks::new(scanned);
+            loop {
+                let (a, b) = (mine.next(), theirs.next());
+                assert_eq!(a, b, "{context}: {scanned:?}");
+                assert_eq!(mine.rest(), theirs.rest(), "{context}: {scanned:?}");
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Lines damage can leave in a batch: the record format's strays,
+    /// header lines, and `END` near-misses.
+    const BATCH_STRAY: [&str; 12] = [
+        "BATCH c1 2 1",
+        "BATCH",
+        "BATCH c1 x 1",
+        "BATCH c1 2",
+        "END END",
+        " END\u{b}",
+        "\u{a0}END\u{3000}",
+        "xEND",
+        "ENDx",
+        "# END",
+        "EN D",
+        "D",
+    ];
+
+    #[test]
+    fn one_pass_batch_check_equals_the_reference() {
+        use crate::record::tests::{generated, STRAY};
+        use uucs_harness::prop::{any, run_property, Config};
+        let stray: Vec<&str> = STRAY.iter().chain(&BATCH_STRAY).copied().collect();
+        for text in &stray {
+            assert_checks_like_the_reference(text, "fixed input");
+            assert_checks_like_the_reference(&format!("BATCH c 1 1\nRESULT\n{text}\nEND\n"), "inside");
+        }
+        run_property(
+            &Config::default(),
+            "one_pass_batch_check_equals_the_reference",
+            (any::<u64>(),),
+            |&(seed,)| {
+                let mut rng = uucs_stats::Pcg64::new(seed);
+                let records: Vec<RunRecord> = (0..rng.below(4)).map(|_| generated(&mut rng)).collect();
+                let entry = WalEntry::Batch {
+                    client: format!("client-{:04}", rng.below(50)),
+                    seq: rng.below(9),
+                    records,
+                };
+                let mut text = String::from_utf8(entry.encode()[1..].to_vec()).unwrap();
+                assert_checks_like_the_reference(&text, &format!("seed {seed}, undamaged"));
+                for round in 0..4 {
+                    text = uucs_harness::textfuzz::mutate_lines(&mut rng, &text, &stray);
+                    assert_checks_like_the_reference(&text, &format!("seed {seed}, round {round}"));
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

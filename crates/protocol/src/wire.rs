@@ -1330,6 +1330,33 @@ mod tests {
         assert_eq!(ServerMsg::Ack(3).received().unwrap(), ServerMsg::Ack(3));
     }
 
+    /// Testcase text that names more values than it holds, or a rate no
+    /// testcase can have, is a bad reply and nothing worse: the reader
+    /// refuses it and the client lives on.
+    #[test]
+    fn untrusted_testcase_replies_are_refused_not_fatal() {
+        for function in [
+            "FUNCTION cpu 1000000000000\n0",
+            "FUNCTION cpu 18446744073709551615\n0",
+            "RATE_ 0",
+            "RATE_ -1",
+            "RATE_ nan",
+            "FUNCTION cpu 1\n0\nFUNCTION cpu 1\n0",
+        ] {
+            let body = match function.strip_prefix("RATE_ ") {
+                Some(rate) => format!("TESTCASE t\nRATE {rate}\nFUNCTION cpu 1\n0\nEND\n"),
+                None => format!("TESTCASE t\nRATE 1\n{function}\nEND\n"),
+            };
+            let reply = ServerMsg::TestcaseText { count: 1, body };
+            let mut bytes = Vec::new();
+            write_server_msg(&mut bytes, &reply).unwrap();
+            let refused = read_server_msg(&mut Cursor::new(bytes)).unwrap_err();
+            assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
+            assert!(refused.to_string().starts_with("bad testcase block: "), "{refused}");
+            assert_eq!(reply.received().unwrap_err().to_string(), refused.to_string());
+        }
+    }
+
     #[test]
     fn clean_eof_is_none() {
         let mut cur = Cursor::new(Vec::<u8>::new());

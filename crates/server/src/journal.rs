@@ -182,12 +182,15 @@ pub(crate) trait Journaled: Default {
     /// [`snapshot`]: Journaled::snapshot
     fn restore(&mut self, snapshot: &str) -> io::Result<()>;
 
-    /// Applies one replayed, CRC-checked payload in memory; an entry
-    /// of another store's kind is refused with [`foreign`]. The keyed
-    /// stores keep the block they checked, the result store checks the
-    /// batch header and counts the blocks, and the model store decodes
-    /// the delta it applies.
+    /// Applies one replayed, CRC-checked payload in memory in one pass
+    /// over its text; an entry of another store's kind is refused with
+    /// [`foreign`]. The keyed stores keep the block they checked, the
+    /// result store checks the batch header and counts the blocks, and
+    /// the model store folds the delta's text into its sketches.
     fn replay(&mut self, payload: &[u8]) -> io::Result<()>;
+
+    /// Called once an open has replayed the whole journal.
+    fn opened(&mut self) {}
 
     /// Encodes the whole state as the compaction snapshot — fallible,
     /// because a store may read part of its state back from its journal.
@@ -211,13 +214,17 @@ pub(crate) trait Journaled: Default {
     /// Opens (creating if necessary) the WAL under `dir` over `io` and
     /// rebuilds the store from it: snapshot first, then every record
     /// past it. A defect in the log is `InvalidData` naming the record.
+    /// Each shard's open time lands in `server.wal.<flavor>.open.ns`.
     fn open(io: StoreIo, dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
+        let timer = metrics::histogram(&format!("server.wal.{}.open.ns", Self::FLAVOR)).start_timer();
         // Still in plain mode: replaying through the store's own
         // mutators journals nothing.
         let mut store = Self::default();
         let (mut wal, recovery) = Wal::open_visiting(io, dir, config, &mut Rebuild(&mut store))?;
+        store.opened();
         WalTelemetry::install(&mut wal, Self::FLAVOR);
         store.journal().wal = Some(wal);
+        drop(timer);
         Ok((store, recovery))
     }
 

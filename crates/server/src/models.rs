@@ -7,10 +7,10 @@
 //! that yields at least one observation becomes one epoch of the
 //! uploader's shard. In durable mode the store journals each
 //! [`uucs_modelsvc::ModelDelta`] as a [`WalEntry::Model`] before
-//! applying it, and
-//! compaction snapshots the full [`ComfortModel::encode`] text — so a
-//! recovered server serves the exact epoch and byte-identical sketches
-//! it served before the crash.
+//! applying it, replay folds each delta's text straight into the cohort
+//! sketches ([`ComfortModel::fold`]), and compaction snapshots the full
+//! [`ComfortModel::encode`] text — so a recovered server serves the
+//! exact epoch and byte-identical sketches it served before the crash.
 //!
 //! A store answers no query itself: the server merges every shard's
 //! [`ModelStore::merged_sketch`] under one set of read guards, whatever
@@ -24,6 +24,7 @@ use std::io;
 use std::path::Path;
 use std::sync::OnceLock;
 use uucs_modelsvc::{ComfortModel, Observation, QuantileSketch};
+use uucs_protocol::walenc::{split_payload, TAG_MODEL};
 use uucs_protocol::{RunOutcome, RunRecord, WalEntry};
 use uucs_telemetry::{metrics, Counter, Gauge, Histogram};
 use uucs_wal::{Recovery, WalConfig};
@@ -97,19 +98,21 @@ impl Journaled for ModelStore {
 
     fn restore(&mut self, snapshot: &str) -> io::Result<()> {
         self.model = ComfortModel::decode(snapshot).map_err(invalid)?;
-        model_metrics().epoch.set(self.model.epoch() as i64);
         Ok(())
     }
 
+    /// Folds a delta's text straight into the cohort sketches
+    /// ([`ComfortModel::fold`]). A payload of another kind is refused
+    /// in the words a full decode gives it.
     fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
-        match WalEntry::decode(payload).map_err(invalid)? {
-            WalEntry::Model(delta) => {
-                self.model.apply(&delta).map_err(invalid)?;
-                model_metrics().epoch.set(self.model.epoch() as i64);
-                Ok(())
-            }
-            _ => Err(foreign::<Self>(payload[0])),
+        match split_payload(payload).map_err(invalid)? {
+            (TAG_MODEL, text) => self.model.fold(text).map_err(invalid),
+            (tag, _) => Err(WalEntry::decode(payload).map_or_else(invalid, |_| foreign::<Self>(tag))),
         }
+    }
+
+    fn opened(&mut self) {
+        model_metrics().epoch.set(self.model.epoch() as i64);
     }
 
     fn snapshot(&self) -> io::Result<String> {

@@ -304,22 +304,23 @@ impl BlockPolicy for Testcases {
 
     /// The id of a `TESTCASE <id>` first line.
     fn key(block: &str) -> Result<&str, String> {
-        let mut words = block.lines().next().unwrap_or("").split_whitespace();
+        let mut words = tcformat::words(block.lines().next().unwrap_or(""));
         match (words.next(), words.next()) {
             (Some("TESTCASE"), Some(id)) => Ok(id),
             _ => Err("TESTCASE payload names no id".to_string()),
         }
     }
 
-    /// Text that parses as exactly one testcase.
+    /// Text that parses as exactly one testcase, checked without
+    /// building it ([`tcformat::check`]).
     fn check(block: &str) -> Result<(String, &str), String> {
-        let tc = tcformat::parse(block).map_err(|e| format!("bad testcase payload: {e}"))?;
+        let id = tcformat::check(block).map_err(|e| format!("bad testcase payload: {e}"))?;
         // `parse` allows only blank and comment lines after `END`.
         let held = match block.ends_with("END\n") {
             true => block,
             false => through_end(block),
         };
-        Ok((tc.id.as_str().to_string(), held))
+        Ok((id.to_string(), held))
     }
 }
 
@@ -1139,7 +1140,7 @@ mod tests {
     use crate::models::ModelStore;
     use crate::storage::{Disk, StoreIo};
     use uucs_harness::TempDir;
-    use uucs_protocol::walenc::testcase_payload;
+    use uucs_protocol::walenc::{testcase_payload, TAG_MODEL};
     use uucs_protocol::{MonitorSummary, RunOutcome, WalEntry};
     use uucs_testcase::{ExerciseSpec, Resource};
     use uucs_wal::{Io, SyncPolicy};
@@ -1504,12 +1505,24 @@ mod tests {
     /// Opens a store on a journal of one payload, reporting a refusal
     /// without the open's `record 0: ` prefix.
     fn replayed<S: Journaled>(payload: &[u8]) -> io::Result<S> {
+        replayed_after::<S>(&[], payload)
+    }
+
+    /// Opens a store on a journal of `before` and then `payload`,
+    /// reporting a refusal of `payload` without its `record N: ` prefix.
+    fn replayed_after<S: Journaled>(before: &[Vec<u8>], payload: &[u8]) -> io::Result<S> {
         let (io, dir) = (memory(), Path::new("/journal"));
         let cfg = WalConfig::default();
-        uucs_wal::Wal::open(io.clone(), dir, cfg)?.0.append(payload)?;
+        let mut wal = uucs_wal::Wal::open(io.clone(), dir, cfg)?.0;
+        for entry in before {
+            wal.append(entry)?;
+        }
+        wal.append(payload)?;
+        drop(wal);
+        let prefix = format!("record {}: ", before.len());
         S::open(io, dir, cfg).map(|(store, _)| store).map_err(|e| {
             let msg = e.to_string();
-            invalid(msg.strip_prefix("record 0: ").unwrap_or(&msg))
+            invalid(msg.strip_prefix(&prefix).unwrap_or(&msg))
         })
     }
 
@@ -1677,6 +1690,204 @@ mod tests {
             replayed::<ResultStore>(b"Xjunk").unwrap_err().to_string(),
             "unknown wal entry tag 0x58"
         );
+    }
+
+    /// Lines damage can leave in a model delta: every field of an `OBS`
+    /// line missing, malformed or surplus, a second header, `END`
+    /// near-misses.
+    const MODEL_STRAY: [&str; 12] = [
+        "",
+        "END",
+        " END\u{b}",
+        "END END",
+        "OBS cpu",
+        "OBS cpu Word Typical discomfort",
+        "OBS cpu - - exhausted 0",
+        "OBS gpu Word Typical discomfort 1",
+        "OBS cpu Word Typical maybe 1",
+        "OBS cpu Word Typical discomfort nan",
+        "OBS cpu Word Typical discomfort 1 extra",
+        "MODELDELTA 2 1",
+    ];
+
+    fn generated_observations(rng: &mut uucs_stats::Pcg64) -> Vec<uucs_modelsvc::Observation> {
+        let names = ["", "Word", "two words", "caf\u{e9}", "unrated", "Typical"];
+        let resources = [Resource::Cpu, Resource::Memory, Resource::Disk];
+        (0..rng.below(4))
+            .map(|_| uucs_modelsvc::Observation {
+                resource: *rng.choose(&resources),
+                task: rng.choose(&names).to_string(),
+                skill: rng.choose(&names).to_string(),
+                level: rng.below(21) as f64 * 0.25,
+                censored: rng.bernoulli(0.3),
+            })
+            .collect()
+    }
+
+    /// Holds the open of a model journal — `before` then `payload` — to
+    /// [`WalEntry::decode`] and [`ComfortModel::apply`] of the same
+    /// entries: the same epoch and snapshot bytes, or the same error.
+    ///
+    /// [`ComfortModel::apply`]: uucs_modelsvc::ComfortModel::apply
+    fn assert_model_replays_like_decode(before: &[Vec<u8>], payload: &[u8], context: &str) {
+        let mut model = uucs_modelsvc::ComfortModel::new();
+        for entry in before {
+            let Ok(WalEntry::Model(delta)) = WalEntry::decode(entry) else {
+                panic!("{context}: a bad base entry");
+            };
+            model.apply(&delta).unwrap();
+        }
+        let reference = match WalEntry::decode(payload) {
+            Ok(WalEntry::Model(delta)) => model.apply(&delta).map(|()| model),
+            Ok(_) => {
+                let kind = uucs_protocol::walenc::entry_kind(payload[0]).unwrap();
+                Err(format!("foreign {kind} entry in a model journal"))
+            }
+            Err(e) => Err(e),
+        };
+        match (replayed_after::<ModelStore>(before, payload), reference) {
+            (Ok(store), Ok(model)) => {
+                assert_eq!(store.epoch(), model.epoch(), "{context}");
+                assert_eq!(store.snapshot().unwrap(), model.encode(), "{context}");
+            }
+            (Err(mine), Err(theirs)) => assert_eq!(mine.to_string(), theirs, "{context}"),
+            (mine, theirs) => panic!(
+                "{context}: replay {:?}, decode {:?}",
+                mine.map(|s| s.epoch()),
+                theirs.map(|m| m.epoch())
+            ),
+        }
+    }
+
+    /// The model replay folds each delta's text into the sketches; a
+    /// journal of generated deltas, the last one damaged, opens to what
+    /// decoding and applying every entry gives — `UUCS_PROPTEST_CASES`
+    /// seeds.
+    #[test]
+    fn model_fold_replays_like_decode_and_apply() {
+        use uucs_harness::prop::{any, run_property, Config};
+        run_property(
+            &Config::default(),
+            "model_fold_replays_like_decode_and_apply",
+            (any::<u64>(),),
+            |&(seed,)| {
+                let mut rng = uucs_stats::Pcg64::new(seed);
+                let mut model = uucs_modelsvc::ComfortModel::new();
+                let mut before = Vec::new();
+                for _ in 0..rng.below(4) {
+                    let delta = model.next_delta(generated_observations(&mut rng));
+                    model.apply(&delta).unwrap();
+                    before.push(WalEntry::Model(delta).encode());
+                }
+                let mut delta = model.next_delta(generated_observations(&mut rng));
+                if rng.bernoulli(0.1) {
+                    delta.epoch = rng.below(delta.epoch + 2);
+                }
+                let mut payload = WalEntry::Model(delta).encode();
+                assert_model_replays_like_decode(&before, &payload, &format!("seed {seed}, undamaged"));
+                for round in 0..3 {
+                    let text = std::str::from_utf8(&payload[1..]).unwrap();
+                    let damaged = uucs_harness::textfuzz::mutate_lines(&mut rng, text, &MODEL_STRAY);
+                    payload.truncate(1);
+                    payload.extend_from_slice(damaged.as_bytes());
+                    assert_model_replays_like_decode(&before, &payload, &format!("seed {seed}, round {round}"));
+                }
+                Ok(())
+            },
+        );
+        for payload in [
+            b"".to_vec(),
+            vec![TAG_MODEL, 0xFF],
+            b"Mnot a delta".to_vec(),
+            b"MMODELDELTA 1 2\nEND\n".to_vec(),
+            b"MMODELDELTA 2 0\nEND\n".to_vec(),
+            b"Xjunk".to_vec(),
+            b"Tnot a testcase".to_vec(),
+            WalEntry::Testcase(tc("t")).encode(),
+        ] {
+            assert_model_replays_like_decode(&[], &payload, &format!("{payload:?}"));
+        }
+    }
+
+    /// Lines damage can leave in a testcase, the untrusted counts and
+    /// rates among them, and values at the edges of `f64`'s grammar.
+    const TESTCASE_STRAY: [&str; 15] = [
+        "",
+        "# comment",
+        "END",
+        "TESTCASE t2",
+        "RATE 0",
+        "RATE -1",
+        "RATE nan",
+        "FUNCTION cpu 1000000000000",
+        "FUNCTION cpu 18446744073709551615",
+        "FUNCTION disk 2",
+        "FUNCTION gpu 1",
+        "1e",
+        ". 1.",
+        "+inf -.5e-3 NaN",
+        "0x1 1e+ infinit",
+    ];
+
+    /// Holds the testcase store's replay check of one payload to
+    /// [`tcformat::parse`]: what it holds decodes to what parse gives,
+    /// and what it refuses parse refuses, in the same words.
+    fn assert_testcase_replays_like_parse(payload: &[u8], context: &str) {
+        let text = std::str::from_utf8(&payload[1..]).unwrap();
+        match (replayed::<TestcaseStore>(payload), tcformat::parse(text)) {
+            (Ok(store), Ok(tc)) => {
+                assert_eq!(store.len(), 1, "{context}");
+                assert_eq!(store.get(tc.id.as_str()), Some(tc), "{context}");
+            }
+            (Err(mine), Err(theirs)) => {
+                assert_eq!(mine.to_string(), format!("bad testcase payload: {theirs}"), "{context}")
+            }
+            (mine, theirs) => panic!("{context}: replay {:?}, parse {theirs:?}", mine.map(|s| s.len())),
+        }
+    }
+
+    /// The testcase store's check walks the text parse walks, holding
+    /// values to `f64`'s grammar without converting them — over
+    /// `UUCS_PROPTEST_CASES` seeds of generated, damaged testcases.
+    #[test]
+    fn testcase_check_replays_like_parse() {
+        use uucs_harness::prop::{any, run_property, Config};
+        run_property(
+            &Config::default(),
+            "testcase_check_replays_like_parse",
+            (any::<u64>(),),
+            |&(seed,)| {
+                let mut rng = uucs_stats::Pcg64::new(seed);
+                let mut functions = Vec::new();
+                for resource in [Resource::Cpu, Resource::Memory, Resource::Disk] {
+                    if rng.bernoulli(0.5) {
+                        let values = (0..rng.below(12)).map(|_| rng.uniform(0.0, 1.0)).collect();
+                        functions.push(uucs_testcase::ExerciseFunction::from_values(resource, 2.0, values));
+                    }
+                }
+                let tc = Testcase::new(format!("tc-{seed}"), 2.0, functions);
+                let mut payload = WalEntry::Testcase(tc).encode();
+                assert_testcase_replays_like_parse(&payload, &format!("seed {seed}, undamaged"));
+                for round in 0..4 {
+                    let text = std::str::from_utf8(&payload[1..]).unwrap();
+                    let damaged = uucs_harness::textfuzz::mutate_lines(&mut rng, text, &TESTCASE_STRAY);
+                    payload.truncate(1);
+                    payload.extend_from_slice(damaged.as_bytes());
+                    assert_testcase_replays_like_parse(&payload, &format!("seed {seed}, round {round}"));
+                }
+                Ok(())
+            },
+        );
+        for text in [
+            "TESTCASE t\nRATE 0\nEND\n",
+            "TESTCASE t\nRATE nan\nFUNCTION cpu 1\n0\nEND\n",
+            "TESTCASE t\nRATE 1\nFUNCTION cpu 1000000000000\n0\nEND\n",
+            "TESTCASE t\nRATE 1\nFUNCTION cpu 1\n0\nFUNCTION cpu 1\n1\nEND\n",
+        ] {
+            let payload = testcase_payload(text);
+            assert_testcase_replays_like_parse(&payload, text);
+            assert!(replayed::<TestcaseStore>(&payload).is_err(), "{text}");
+        }
     }
 
     /// Every file under a journal directory, by name.

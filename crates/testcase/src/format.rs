@@ -34,6 +34,105 @@ pub fn trim_line(line: &str) -> &str {
     }
 }
 
+/// Whether an ASCII byte is white space to [`char::is_whitespace`]: tab,
+/// line feed, vertical tab, form feed, carriage return and space.
+#[inline]
+fn is_ascii_space(b: u8) -> bool {
+    const SPACES: u64 = 1 << b'\t' | 1 << b'\n' | 1 << 0x0B | 1 << 0x0C | 1 << b'\r' | 1 << b' ';
+    b <= b' ' && SPACES & 1 << b != 0
+}
+
+/// `line.split_whitespace()` for the line-oriented text formats of the
+/// system: ASCII — every line the emitters write — is walked a byte at
+/// a time, and from the first word holding a byte that is not ASCII the
+/// rest of the line is split by [`str::split_whitespace`] itself, so
+/// vertical tab and Unicode spaces part words exactly as it says.
+#[inline]
+pub fn words(line: &str) -> Words<'_> {
+    Words(Split::Ascii(line))
+}
+
+/// The words of a line: see [`words`].
+#[derive(Debug, Clone)]
+pub struct Words<'a>(Split<'a>);
+
+#[derive(Debug, Clone)]
+enum Split<'a> {
+    /// The rest of the line, walked a byte at a time.
+    Ascii(&'a str),
+    /// The rest of a line that holds a byte that is not ASCII.
+    Unicode(std::str::SplitWhitespace<'a>),
+}
+
+impl<'a> Iterator for Words<'a> {
+    type Item = &'a str;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = match &mut self.0 {
+            Split::Ascii(rest) => *rest,
+            Split::Unicode(words) => return words.next(),
+        };
+        let bytes = rest.as_bytes();
+        let mut at = 0;
+        while at < bytes.len() && is_ascii_space(bytes[at]) {
+            at += 1;
+        }
+        let start = at;
+        while at < bytes.len() && bytes[at].is_ascii() && !is_ascii_space(bytes[at]) {
+            at += 1;
+        }
+        if at < bytes.len() && !bytes[at].is_ascii() {
+            // `start` follows white space (or starts the line), so the
+            // split of what is left goes on where this one stopped.
+            let mut split = rest[start..].split_whitespace();
+            let word = split.next();
+            self.0 = Split::Unicode(split);
+            return word;
+        }
+        self.0 = Split::Ascii(&rest[at..]);
+        (at > start).then(|| &rest[start..at])
+    }
+}
+
+/// Whether `token` is something [`f64`]'s `FromStr` accepts, decided
+/// from its bytes without converting it: an optional sign, then `inf`,
+/// `infinity` or `nan` in any case, or digits with at most one `.` and
+/// at least one digit, then an optional `e`/`E`, optional sign and at
+/// least one digit.
+fn is_f64(token: &str) -> bool {
+    fn unsigned(b: &[u8]) -> &[u8] {
+        match b {
+            [b'+' | b'-', rest @ ..] => rest,
+            _ => b,
+        }
+    }
+    let b = unsigned(token.as_bytes());
+    if [&b"inf"[..], b"infinity", b"nan"].iter().any(|w| b.eq_ignore_ascii_case(w)) {
+        return true;
+    }
+    let digits = |b: &[u8]| b.iter().take_while(|c| c.is_ascii_digit()).count();
+    let int = digits(b);
+    let (frac, at) = match b.get(int) {
+        Some(b'.') => {
+            let frac = digits(&b[int + 1..]);
+            (frac, int + 1 + frac)
+        }
+        _ => (0, int),
+    };
+    if int + frac == 0 {
+        return false;
+    }
+    match b.get(at) {
+        None => true,
+        Some(b'e' | b'E') => {
+            let exp = unsigned(&b[at + 1..]);
+            !exp.is_empty() && digits(exp) == exp.len()
+        }
+        Some(_) => false,
+    }
+}
+
 /// Errors produced while parsing the testcase text format.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParseError {
@@ -60,6 +159,20 @@ pub enum ParseError {
         /// The offending token.
         token: String,
     },
+    /// A sample rate that is not a positive finite number.
+    BadRate {
+        /// 1-based line number of the `RATE` line.
+        line: usize,
+        /// The offending token.
+        token: String,
+    },
+    /// A second `FUNCTION` for a resource the testcase exercises already.
+    DuplicateFunction {
+        /// 1-based line number of the second `FUNCTION` line.
+        line: usize,
+        /// The resource named twice.
+        resource: Resource,
+    },
     /// The input ended in the middle of a testcase.
     UnexpectedEof,
 }
@@ -75,6 +188,12 @@ impl fmt::Display for ParseError {
             }
             ParseError::BadResource { line, token } => {
                 write!(f, "line {line}: unknown resource {token:?}")
+            }
+            ParseError::BadRate { line, token } => {
+                write!(f, "line {line}: sample rate {token:?} is not a positive finite number")
+            }
+            ParseError::DuplicateFunction { line, resource } => {
+                write!(f, "line {line}: second FUNCTION for {resource}")
             }
             ParseError::UnexpectedEof => write!(f, "unexpected end of input"),
         }
@@ -161,7 +280,10 @@ struct Tokens<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
     /// The 1-based number of the line `words` splits.
     line: usize,
-    words: std::str::SplitWhitespace<'a>,
+    words: Words<'a>,
+    /// The length of the whole input: no `FUNCTION` in it holds more
+    /// values than half of that.
+    len: usize,
 }
 
 impl<'a> Tokens<'a> {
@@ -169,7 +291,8 @@ impl<'a> Tokens<'a> {
         Tokens {
             lines: input.lines().enumerate(),
             line: 0,
-            words: "".split_whitespace(),
+            words: words(""),
+            len: input.len(),
         }
     }
 
@@ -184,7 +307,7 @@ impl<'a> Tokens<'a> {
                 None => raw,
             };
             self.line = i + 1;
-            self.words = line.split_whitespace();
+            self.words = words(line);
         }
     }
 
@@ -200,99 +323,95 @@ impl<'a> Tokens<'a> {
         }
     }
 
-    fn expect_f64(&mut self) -> Result<(usize, f64), ParseError> {
-        match self.next() {
-            Some((line, t)) => t
-                .parse::<f64>()
-                .map(|v| (line, v))
-                .map_err(|_| ParseError::BadNumber {
-                    line,
-                    token: t.to_string(),
-                }),
-            None => Err(ParseError::UnexpectedEof),
-        }
-    }
-
-    fn expect_usize(&mut self) -> Result<(usize, usize), ParseError> {
-        match self.next() {
-            Some((line, t)) => t
-                .parse::<usize>()
-                .map(|v| (line, v))
-                .map_err(|_| ParseError::BadNumber {
-                    line,
-                    token: t.to_string(),
-                }),
-            None => Err(ParseError::UnexpectedEof),
+    /// The next token, parsed as a `T`.
+    fn expect<T: std::str::FromStr>(&mut self) -> Result<(usize, &'a str, T), ParseError> {
+        let (line, t) = self.next().ok_or(ParseError::UnexpectedEof)?;
+        match t.parse() {
+            Ok(v) => Ok((line, t, v)),
+            Err(_) => Err(ParseError::BadNumber {
+                line,
+                token: t.to_string(),
+            }),
         }
     }
 }
 
-/// Parses exactly one testcase from the input: anything after its
-/// `END` but comments and blank lines is an error.
-pub fn parse(input: &str) -> Result<Testcase, ParseError> {
-    let mut toks = Tokens::new(input);
-    let tc = parse_one(&mut toks)?;
-    match toks.next() {
-        None => Ok(tc),
-        Some((line, t)) => Err(ParseError::Expected {
-            what: "end of input",
-            line,
-            found: t.to_string(),
-        }),
+/// How a walk over testcase text takes a `FUNCTION`'s values: [`parse`]
+/// converts them (`Vec<f64>`), [`check`] only holds them to `f64`'s
+/// grammar ([`is_f64`]) and keeps nothing (`()`).
+trait Values: Sized {
+    fn take(toks: &mut Tokens<'_>, count: usize) -> Result<Self, ParseError>;
+}
+
+impl Values for Vec<f64> {
+    fn take(toks: &mut Tokens<'_>, count: usize) -> Result<Self, ParseError> {
+        // The count is input: size the values by what the text can hold.
+        let mut values = Vec::with_capacity(count.min(toks.len / 2));
+        for _ in 0..count {
+            values.push(toks.expect::<f64>()?.2);
+        }
+        Ok(values)
     }
 }
 
-/// Parses every testcase in the input (possibly zero).
-pub fn parse_many(input: &str) -> Result<Vec<Testcase>, ParseError> {
-    let mut toks = Tokens::new(input);
-    let mut out = Vec::new();
-    loop {
-        // Peek: clone the iterator state by checking with a fresh parse
-        // attempt only when a TESTCASE token remains.
-        match toks.next() {
-            None => return Ok(out),
-            Some((line, "TESTCASE")) => {
-                out.push(parse_after_keyword(&mut toks, line)?);
-            }
-            Some((line, other)) => {
-                return Err(ParseError::Expected {
-                    what: "TESTCASE",
-                    line,
-                    found: other.to_string(),
-                })
+impl Values for () {
+    fn take(toks: &mut Tokens<'_>, count: usize) -> Result<Self, ParseError> {
+        for _ in 0..count {
+            match toks.next() {
+                Some((_, t)) if is_f64(t) => {}
+                Some((line, t)) => {
+                    return Err(ParseError::BadNumber {
+                        line,
+                        token: t.to_string(),
+                    })
+                }
+                None => return Err(ParseError::UnexpectedEof),
             }
         }
+        Ok(())
     }
 }
 
-fn parse_one(toks: &mut Tokens<'_>) -> Result<Testcase, ParseError> {
-    let line = toks.expect_keyword("TESTCASE")?;
-    parse_after_keyword(toks, line)
-}
-
-fn parse_after_keyword(toks: &mut Tokens<'_>, _kw_line: usize) -> Result<Testcase, ParseError> {
+/// One testcase after its `TESTCASE` keyword — the grammar [`parse`] and
+/// [`check`] share. Hands each function to `function` with its values
+/// taken as `V`, and returns the id and the rate. A rate that is not a
+/// positive finite number, or a resource named twice, is refused where
+/// building the testcase would first meet it: the rate at the end of a
+/// function or at `END`, the repeat at `END`.
+fn walk<'a, V: Values>(
+    toks: &mut Tokens<'a>,
+    mut function: impl FnMut(Resource, f64, V),
+) -> Result<(&'a str, f64), ParseError> {
     let (_, id) = toks.next().ok_or(ParseError::UnexpectedEof)?;
     toks.expect_keyword("RATE")?;
-    let (_, rate) = toks.expect_f64()?;
-    let mut functions = Vec::new();
+    let (rate_line, rate_token, rate) = toks.expect::<f64>()?;
+    let check_rate = || match rate > 0.0 && rate.is_finite() {
+        true => Ok(()),
+        false => Err(ParseError::BadRate {
+            line: rate_line,
+            token: rate_token.to_string(),
+        }),
+    };
+    let mut named = 0u8;
+    let mut repeat = None;
     loop {
         match toks.next() {
             Some((_, "END")) => break,
             Some((line, "FUNCTION")) => {
                 let (rline, rtok) = toks.next().ok_or(ParseError::UnexpectedEof)?;
-                let resource: Resource =
-                    rtok.parse().map_err(|_| ParseError::BadResource {
-                        line: rline,
-                        token: rtok.to_string(),
-                    })?;
-                let (_, count) = toks.expect_usize()?;
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let (_, v) = toks.expect_f64()?;
-                    values.push(v);
+                let resource: Resource = rtok.parse().map_err(|_| ParseError::BadResource {
+                    line: rline,
+                    token: rtok.to_string(),
+                })?;
+                let (_, _, count) = toks.expect::<usize>()?;
+                let values = V::take(toks, count)?;
+                check_rate()?;
+                let bit = 1u8 << resource as u8;
+                if named & bit != 0 && repeat.is_none() {
+                    repeat = Some(ParseError::DuplicateFunction { line, resource });
                 }
-                let _ = line;
-                functions.push(ExerciseFunction::from_values(resource, rate, values));
+                named |= bit;
+                function(resource, rate, values);
             }
             Some((line, other)) => {
                 return Err(ParseError::Expected {
@@ -304,6 +423,71 @@ fn parse_after_keyword(toks: &mut Tokens<'_>, _kw_line: usize) -> Result<Testcas
             None => return Err(ParseError::UnexpectedEof),
         }
     }
+    check_rate()?;
+    match repeat {
+        Some(e) => Err(e),
+        None => Ok((id, rate)),
+    }
+}
+
+/// Refuses anything after a testcase's `END` but comments and blank
+/// lines.
+fn expect_end(toks: &mut Tokens<'_>) -> Result<(), ParseError> {
+    match toks.next() {
+        None => Ok(()),
+        Some((line, t)) => Err(ParseError::Expected {
+            what: "end of input",
+            line,
+            found: t.to_string(),
+        }),
+    }
+}
+
+/// Parses exactly one testcase from the input: anything after its
+/// `END` but comments and blank lines is an error.
+pub fn parse(input: &str) -> Result<Testcase, ParseError> {
+    let mut toks = Tokens::new(input);
+    toks.expect_keyword("TESTCASE")?;
+    let tc = parse_after_keyword(&mut toks)?;
+    expect_end(&mut toks)?;
+    Ok(tc)
+}
+
+/// [`parse`]'s verdict on the input without building the testcase: the
+/// id of the one testcase it holds, or the error `parse` gives. Values
+/// are held to `f64`'s grammar and not converted.
+pub fn check(input: &str) -> Result<&str, ParseError> {
+    let mut toks = Tokens::new(input);
+    toks.expect_keyword("TESTCASE")?;
+    let (id, _) = walk::<()>(&mut toks, |_, _, ()| {})?;
+    expect_end(&mut toks)?;
+    Ok(id)
+}
+
+/// Parses every testcase in the input (possibly zero).
+pub fn parse_many(input: &str) -> Result<Vec<Testcase>, ParseError> {
+    let mut toks = Tokens::new(input);
+    let mut out = Vec::new();
+    loop {
+        match toks.next() {
+            None => return Ok(out),
+            Some((_, "TESTCASE")) => out.push(parse_after_keyword(&mut toks)?),
+            Some((line, other)) => {
+                return Err(ParseError::Expected {
+                    what: "TESTCASE",
+                    line,
+                    found: other.to_string(),
+                })
+            }
+        }
+    }
+}
+
+fn parse_after_keyword(toks: &mut Tokens<'_>) -> Result<Testcase, ParseError> {
+    let mut functions = Vec::new();
+    let (id, rate) = walk(toks, |resource, rate, values| {
+        functions.push(ExerciseFunction::from_values(resource, rate, values))
+    })?;
     Ok(Testcase::new(id, rate, functions))
 }
 
@@ -325,6 +509,124 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn words_are_split_whitespace() {
+        let spaces = [
+            " ", "\t", "\r", "\n", "\u{b}", "\u{c}", "\u{85}", "\u{a0}", "\u{2003}", "\u{3000}",
+            "\u{feff}", "\u{200b}", "\u{1c}",
+        ];
+        let words_of = ["", "a", "END", "caf\u{e9}", "1.5"];
+        for a in spaces {
+            for b in spaces {
+                for w in words_of {
+                    for line in [
+                        format!("{a}{w}{b}"),
+                        format!("{w}{a}{w}{b}{w}"),
+                        format!("{a}{b}OBS{a}cpu{b}{w}"),
+                    ] {
+                        let want: Vec<&str> = line.split_whitespace().collect();
+                        assert_eq!(words(&line).collect::<Vec<_>>(), want, "{line:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn is_f64_is_the_grammar_f64_parses() {
+        let alphabet = b"09.eE+-inafINFx ";
+        let mut token = Vec::new();
+        // Every token of up to four bytes over the alphabet.
+        fn each(alphabet: &[u8], token: &mut Vec<u8>, left: usize) {
+            let s = std::str::from_utf8(token).unwrap();
+            assert_eq!(is_f64(s), s.parse::<f64>().is_ok(), "{s:?}");
+            if left > 0 {
+                for &c in alphabet {
+                    token.push(c);
+                    each(alphabet, token, left - 1);
+                    token.pop();
+                }
+            }
+        }
+        each(alphabet, &mut token, 4);
+        for s in [
+            "infinity", "-Infinity", "+INFINITY", "infinit", "infinityy", "nan", "-NaN", "nan1",
+            "1e308", "1e999", "-0.0e-0", ".5e+10", "5.e5", "1.5e", "1__0", "٣",
+            "0000000000000000000000000000001.00000000000000000000000000001e-0000000000000000001",
+        ] {
+            assert_eq!(is_f64(s), s.parse::<f64>().is_ok(), "{s:?}");
+        }
+    }
+
+    /// `check` gives `parse`'s verdict: the id it would build, or its
+    /// error.
+    fn assert_checks_like_parse(text: &str) {
+        let want = parse(text).map(|tc| tc.id.as_str().to_string());
+        assert_eq!(check(text).map(str::to_string), want, "{text:?}");
+    }
+
+    #[test]
+    fn check_is_parse_without_the_values() {
+        let good = emit(&sample_tc());
+        assert_checks_like_parse(&good);
+        for n in 0..good.len() {
+            if good.is_char_boundary(n) {
+                assert_checks_like_parse(&good[..n]);
+            }
+        }
+        for (from, to) in [
+            ("0.5", "0.5x"),
+            ("RATE 2", "RATE nan"),
+            ("RATE 2", "RATE 0"),
+            ("RATE 2", "RATE -1"),
+            ("RATE 2", "RATE inf"),
+            ("FUNCTION disk", "FUNCTION cpu"),
+            ("FUNCTION disk 20", "FUNCTION disk 1000000000000"),
+            ("FUNCTION disk 20", "FUNCTION disk 18446744073709551615"),
+            ("END", "END\nTESTCASE"),
+            (" ", "\u{b}"),
+            (" ", "\u{a0}"),
+            ("\n", "\r\n"),
+        ] {
+            assert_checks_like_parse(&good.replacen(from, to, 1));
+        }
+    }
+
+    /// Text that names more values than it holds, or a rate or resource
+    /// no testcase can have, is refused — never an allocation it cannot
+    /// make or an assertion that stops the process.
+    #[test]
+    fn untrusted_counts_and_rates_are_refused() {
+        for count in ["1000000000000", "18446744073709551615"] {
+            let text = format!("TESTCASE t\nRATE 1\nFUNCTION cpu {count}\n0 1\nEND\n");
+            assert_eq!(parse(&text), Err(ParseError::BadNumber { line: 5, token: "END".into() }));
+            assert_eq!(parse_many(&text).unwrap_err(), parse(&text).unwrap_err());
+            let torn = format!("TESTCASE t\nRATE 1\nFUNCTION cpu {count}\n0 1\n");
+            assert_eq!(parse(&torn), Err(ParseError::UnexpectedEof));
+        }
+        for rate in ["0", "-1", "nan", "inf", "-0"] {
+            for body in ["FUNCTION cpu 2\n0 1\n", ""] {
+                let text = format!("TESTCASE t\nRATE {rate}\n{body}END\n");
+                let err = ParseError::BadRate { line: 2, token: rate.into() };
+                assert_eq!(parse(&text), Err(err.clone()), "{text:?}");
+                assert_eq!(check(&text), Err(err), "{text:?}");
+            }
+        }
+        assert_eq!(
+            parse("TESTCASE t\nRATE 0\nFROB\n").unwrap_err().to_string(),
+            "line 3: expected FUNCTION or END, found \"FROB\""
+        );
+        let twice = "TESTCASE t\nRATE 1\nFUNCTION cpu 1\n0\nFUNCTION disk 1\n0\nFUNCTION cpu 1\n0\nEND\n";
+        let err = ParseError::DuplicateFunction { line: 7, resource: Resource::Cpu };
+        assert_eq!(err.to_string(), "line 7: second FUNCTION for cpu");
+        assert_eq!(parse(twice), Err(err.clone()));
+        assert_eq!(check(twice), Err(err));
+        assert_eq!(
+            ParseError::BadRate { line: 2, token: "0".into() }.to_string(),
+            "line 2: sample rate \"0\" is not a positive finite number"
+        );
     }
     use crate::exercise::ExerciseSpec;
 

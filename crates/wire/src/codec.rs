@@ -844,6 +844,22 @@ mod tests {
         );
     }
 
+    /// A binary `TESTCASES` reply whose text names more values than it
+    /// holds, or a rate no testcase can have, is refused as the text
+    /// framing refuses it.
+    #[test]
+    fn untrusted_testcase_replies_are_refused_not_fatal() {
+        for (rate, count) in [("1", "1000000000000"), ("1", "18446744073709551615"), ("0", "1"), ("nan", "1")] {
+            let reply = ServerMsg::TestcaseText {
+                count: 1,
+                body: format!("TESTCASE t\nRATE {rate}\nFUNCTION cpu {count}\n0\nEND\n"),
+            };
+            let refused = decode_server(&encode_server(5, &reply).unwrap()).unwrap_err();
+            assert!(refused.to_string().starts_with("bad testcase block: "), "{refused}");
+            assert_eq!(refused.to_string(), reply.received().unwrap_err().to_string());
+        }
+    }
+
     #[test]
     fn hello_has_no_binary_encoding() {
         assert!(encode_client(1, &ClientMsg::Hello { version: 2 }).is_err());

@@ -185,6 +185,17 @@ UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib text_testc
 echo "== text registry reads like the struct registry (2000 cases) =="
 UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib text_registry_reads_like_the_struct_registry
 
+# An open checks every journal entry in one borrowed pass over its text.
+# Each pass must give its reference's verdict, word for word, on 2000
+# seeds of generated text and textfuzz damage: the model replay fold
+# that of WalEntry::decode + ComfortModel::apply, the results batch
+# check that of the line-at-a-time block scanner it replaced, and the
+# testcase store's check that of tcformat::parse.
+echo "== one-pass replay checks equal their references (2000 cases each) =="
+UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib model_fold_replays_like_decode_and_apply
+UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-protocol --lib one_pass_batch_check_equals_the_reference
+UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib testcase_check_replays_like_parse
+
 # controlled-study checks every repetition's rendered output against a
 # pinned CRC: it is the byte-identity gate for the parallel study's
 # phase ordering. restart-recovery re-REGISTERs every identity and

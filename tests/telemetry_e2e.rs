@@ -497,3 +497,33 @@ fn deterministic_mode_traces_are_byte_identical_across_same_seed_runs() {
     );
     assert_eq!(first, second, "same seed must replay the same trace bytes");
 }
+
+/// A durable open times every shard's journal under its family's
+/// `server.wal.<flavor>.open.ns`, so `STATS` after a restart shows which
+/// family the open time went to.
+#[test]
+fn a_durable_open_times_every_shard_of_every_family() {
+    let _guard = serialize();
+    let dir = TempDir::new("uucs-telemetry-open");
+    let open = || UucsServer::with_store_set(StoreSet::open(dir.path(), WAL_CFG, 4).unwrap().0, 7);
+    let server = open();
+    server
+        .add_testcases(&calibration::controlled_testcases(Task::Word))
+        .unwrap();
+    let mut transport = LocalTransport::new(Arc::new(server));
+    drive_session(&mut transport, 43);
+    drop(transport);
+    metrics::reset();
+    let mut transport = LocalTransport::new(Arc::new(open()));
+    let ServerMsg::Stats(json) = transport
+        .exchange(&ClientMsg::Stats { reset: false })
+        .expect("local stats")
+    else {
+        panic!("expected STATS reply");
+    };
+    for flavor in ["testcases", "results", "registry", "model"] {
+        let name = format!("server.wal.{flavor}.open.ns");
+        assert!(json.contains(&format!("\"{name}\"")), "STATS JSON missing {name}: {json}");
+        assert_eq!(metrics::histogram(&name).count(), 4, "{name}: one per shard");
+    }
+}
