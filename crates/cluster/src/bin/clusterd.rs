@@ -5,7 +5,7 @@
 //!               [--addr 127.0.0.1:4004] [--repl-listen 127.0.0.1:4104]
 //!               [--follow HOST:PORT[,HOST:PORT...]]
 //!               [--repl-ack local|quorum] [--data DIR] [--shards N]
-//!               [--library FILE] [--generate-library N-seed]
+//!               [--library FILE] [--generate-library SEED]
 //! ```
 //!
 //! Without `--follow` the node boots as the leader: it claims the next
@@ -15,8 +15,8 @@
 //! candidate go silent — races for the takeover file and promotes
 //! itself.
 //!
-//! Stores are WAL-backed under `--data` exactly like `uucs-server
-//! --wal` and are the node's only journals; a follower's progress file
+//! Stores are WAL-backed under `--data` exactly like `uucs-server`'s
+//! and are the node's only journals; a follower's progress file
 //! lives next to them, and what a leader keeps for reconnecting
 //! followers is a bounded in-memory backlog. Durability is group
 //! commit on both roles: a leader's ack waits on its own batched fsync
@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use uucs_cluster::{AckMode, ClusterConfig, ClusterNode, Role};
-use uucs_server::{tcp, StoreSet, TestcaseStore, UucsServer};
+use uucs_server::{tcp, LibrarySource, StoreSet, UucsServer};
 use uucs_wal::{SyncPolicy, WalConfig};
 
 /// Ceiling of the group committer's self-sizing gather window — what
@@ -45,7 +45,7 @@ fn main() {
     let mut data = PathBuf::from("uucs-cluster-data");
     let mut shards: usize = 4;
     let mut library: Option<PathBuf> = None;
-    let mut gen_seed: Option<u64> = None;
+    let mut gen_seed: Option<String> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -105,7 +105,10 @@ fn main() {
             }
             "--generate-library" => {
                 i += 1;
-                gen_seed = args.get(i).and_then(|s| s.parse().ok()).or(Some(42));
+                gen_seed = args.get(i).cloned().or_else(|| {
+                    eprintln!("--generate-library needs a value");
+                    std::process::exit(2);
+                });
             }
             other => {
                 eprintln!("unknown flag {other}");
@@ -122,6 +125,10 @@ fn main() {
         eprintln!("--cluster-dir DIR is required (the shared takeover directory)");
         std::process::exit(2);
     };
+    let source = LibrarySource::from_flags(library, gen_seed.as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     eprintln!(
         "recovering journals under {:?} ({shards} shard(s)) ...",
@@ -149,19 +156,11 @@ fn main() {
     // Only a leader seeds the library; a follower receives it over the
     // replication stream.
     if role == Role::Leader && server.testcase_count() == 0 {
-        let testcases = if let Some(path) = &library {
-            match TestcaseStore::load(path) {
-                Ok(store) => store.testcases(),
-                Err(e) => {
-                    eprintln!("cannot load library {path:?}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            let seed = gen_seed.unwrap_or(42);
-            eprintln!("generating internet-sweep library (seed {seed}) ...");
-            uucs_testcase::generate::Library::internet_sweep(seed).into_testcases()
-        };
+        eprintln!("seeding the {source} ...");
+        let testcases = source.testcases().unwrap_or_else(|e| {
+            eprintln!("cannot load {source}: {e}");
+            std::process::exit(1);
+        });
         if let Err(e) = server.add_testcases(&testcases) {
             eprintln!("cannot seed library: {e}");
             std::process::exit(1);

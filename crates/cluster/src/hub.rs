@@ -839,7 +839,7 @@ mod tests {
         let (_, payload) = shard
             .append_batch_shipped("client-0001", seq, &[record(seq)], true)
             .unwrap();
-        let ticket = committer.submit(StoreFlavor::Results, 0, shard.wal_next_lsn().unwrap());
+        let ticket = committer.submit(StoreFlavor::Results, 0, shard.wal_next_lsn());
         let quorum = hub.ship("client-0001", payload.unwrap()).unwrap();
         assert!(quorum.is_some(), "a leading quorum hub marks what it ships");
         (CommitTicket { quorum, ..ticket }, shard)

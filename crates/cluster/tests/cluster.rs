@@ -80,7 +80,7 @@ fn models_agree(leader: &UucsServer, follower: &UucsServer) -> Result<(), Violat
 }
 
 fn fresh_server() -> Arc<UucsServer> {
-    Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 9))
+    Arc::new(UucsServer::with_store_set(StoreSet::in_memory(4), 9))
 }
 
 fn config(name: &str, dir: &TempDir, peers: Vec<String>) -> ClusterConfig {
@@ -431,7 +431,7 @@ fn a_tailing_follower_serves_the_leaders_model() -> Result<(), Violation> {
     let follower_srv = fresh_server();
     let follower = follow("b", &dir, &leader, &follower_srv);
     let frozen_srv =
-        Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 9).without_model_updates());
+        Arc::new(UucsServer::with_store_set(StoreSet::in_memory(4), 9).without_model_updates());
     let frozen = follow("c", &dir, &leader, &frozen_srv);
     eventually("both followers to join", Duration::from_secs(10), || {
         leader.hub().follower_nodes().len() == 2

@@ -621,7 +621,7 @@ mod tests {
         for seq in 1..=3 {
             let mut g = stores.results.write_recovered(shard);
             g.append_batch("c1", seq, &[rec("c1")]).unwrap();
-            let upto = g.wal_next_lsn().unwrap();
+            let upto = g.wal_next_lsn();
             drop(g);
             committer
                 .wait(committer.submit(StoreFlavor::Results, shard, upto))
@@ -650,7 +650,7 @@ mod tests {
             for seq in seqs {
                 g.append_batch("c1", seq, &[rec("c1")]).unwrap();
             }
-            let upto = g.wal_next_lsn().unwrap();
+            let upto = g.wal_next_lsn();
             drop(g);
             committer.submit(StoreFlavor::Results, shard, upto)
         };
@@ -677,7 +677,7 @@ mod tests {
         let ticket = {
             let mut g = stores.results.write_recovered(shard);
             g.append_batch("c1", 1, &[rec("c1")]).unwrap();
-            let upto = g.wal_next_lsn().unwrap();
+            let upto = g.wal_next_lsn();
             committer.submit(StoreFlavor::Results, shard, upto)
         };
         committer.wait(ticket).unwrap();
@@ -697,7 +697,7 @@ mod tests {
             let shard = stores.results.shard_for(&client);
             let mut g = stores.results.write_recovered(shard);
             g.append_batch(&client, 1, &[rec(&client)]).unwrap();
-            let upto = g.wal_next_lsn().unwrap();
+            let upto = g.wal_next_lsn();
             drop(g);
             tickets.push(committer.submit(StoreFlavor::Results, shard, upto));
         }
@@ -717,7 +717,7 @@ mod tests {
         let shard = stores.results.shard_for("c9");
         let mut g = stores.results.write_recovered(shard);
         g.append_batch("c9", 1, &[rec("c9")]).unwrap();
-        let upto = g.wal_next_lsn().unwrap();
+        let upto = g.wal_next_lsn();
         drop(g);
         let ticket = committer.submit(StoreFlavor::Results, shard, upto);
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -750,7 +750,7 @@ mod tests {
         let shard = stores.results.shard_for("c1");
         let mut g = stores.results.write_recovered(shard);
         g.append_batch("c1", 1, &[rec("c1")]).unwrap();
-        let upto = g.wal_next_lsn().unwrap();
+        let upto = g.wal_next_lsn();
         drop(g);
         let ticket = CommitTicket {
             flavor: StoreFlavor::Results,

@@ -1,30 +1,32 @@
 //! The one journal core under all four stores.
 //!
-//! Every durable store is the same machine: an in-memory state plus an
-//! optional `uucs-wal` stream that is appended *before* the state
-//! changes, folded into a snapshot by compaction, and replayed —
-//! snapshot first, then the records past it — on reopen. [`Journal`]
-//! owns that stream (the only code in the crate that touches a
-//! [`Wal`]), and [`Journaled`] is what a store supplies to ride on it:
-//! its flavor name, its snapshot codec, how to replay one journal
-//! payload, and the pair that moves its state as the text it holds —
-//! [`Journaled::export`] and [`Journaled::admit`], which a reshard, a
-//! snapshot backfill and a follower's apply all go through. The open
-//! skeleton, compaction and the per-family shard loops are written once
-//! against the trait.
+//! Every store is the same machine: an in-memory state plus a
+//! `uucs-wal` stream that is appended *before* the state changes,
+//! folded into a snapshot by compaction, and replayed — snapshot first,
+//! then the records past it — on reopen. The stream runs over files
+//! (`uucs-server`) or over an in-memory disk ([`Journaled::in_memory`],
+//! an in-process server's); only a [`crate::ModelStore::new`] has none.
+//! [`Journal`] owns that stream (the only code in the crate that
+//! touches a [`Wal`]), and [`Journaled`] is what a store supplies to
+//! ride on it: its flavor name, its snapshot codec, how to replay one
+//! journal payload, and the pair that moves its state as the text it
+//! holds — [`Journaled::export`] and [`Journaled::admit`], which a
+//! reshard, a snapshot backfill and a follower's apply all go through.
+//! The open skeleton, compaction and the per-family shard loops are
+//! written once against the trait.
 //!
 //! Opening is one pass: the WAL shows the store its checkpoint and then
 //! every record past it while it validates them ([`uucs_wal::Visitor`]),
 //! each entry replayed straight from the segment buffer — nothing is
 //! read, checksummed or copied a second time.
 
-use crate::storage::StoreIo;
+use crate::storage::{Disk, StoreIo, MEMORY_WAL};
 use crate::store::invalid;
 use std::io;
 use std::path::Path;
 use uucs_protocol::walenc::entry_kind;
 use uucs_telemetry::{metrics, Counter, Histogram};
-use uucs_wal::{Lsn, Recovery, Snapshot, Visitor, Wal, WalConfig, WalObserver};
+use uucs_wal::{Lsn, MemIo, Recovery, Snapshot, Visitor, Wal, WalConfig, WalObserver};
 
 /// The telemetry bridge for one store's WAL: every observer hook lands
 /// in the global registry under `server.wal.<flavor>.*`, so `STATS`
@@ -82,27 +84,22 @@ impl WalObserver for WalTelemetry {
     }
 }
 
-/// A store's write-ahead log, or nothing at all in plain mode — where
-/// every operation below is a no-op, so a store's mutators read the
-/// same either way.
+/// A store's write-ahead log — attached by [`Journaled::open`], and
+/// absent only from a [`crate::ModelStore::new`], where every operation
+/// below is a no-op.
 #[derive(Debug, Default)]
 pub(crate) struct Journal {
     wal: Option<Wal<StoreIo>>,
 }
 
 impl Journal {
-    /// True when mutations are journaled through a WAL.
-    pub(crate) fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// Journals one mutation; the caller applies it in memory only
     /// after this returns `Ok`, so an acknowledged mutation is never
-    /// ahead of its journal. The payload is built lazily — plain mode
-    /// never pays for the encoding.
+    /// ahead of its journal. The payload is built lazily — a store with
+    /// no journal never pays for the encoding.
     pub(crate) fn append(&mut self, payload: impl FnOnce() -> Vec<u8>) -> io::Result<()> {
-        if self.is_durable() {
-            self.append_encoded(&payload())?;
+        if let Some(wal) = &mut self.wal {
+            wal.append(&payload())?;
         }
         Ok(())
     }
@@ -116,16 +113,16 @@ impl Journal {
         Ok(())
     }
 
-    /// The LSN the next append would get, or `None` in plain mode.
-    /// Captured under the store's write lock right after an append, it
-    /// is the durability watermark a group-commit waiter needs: once a
-    /// sync covers it, the append is on stable storage.
-    pub(crate) fn next_lsn(&self) -> Option<Lsn> {
-        self.wal.as_ref().map(|wal| wal.next_lsn())
+    /// The LSN the next append would get (0 with no journal). Captured
+    /// under the store's write lock right after an append, it is the
+    /// durability watermark a group-commit waiter needs: once a sync
+    /// covers it, the append is on stable storage.
+    pub(crate) fn next_lsn(&self) -> Lsn {
+        self.wal.as_ref().map_or(0, |wal| wal.next_lsn())
     }
 
     /// Forces everything journaled so far to stable storage, returning
-    /// the covered watermark (the next LSN). `Ok(0)` in plain mode.
+    /// the covered watermark (the next LSN). `Ok(0)` with no journal.
     pub(crate) fn sync(&mut self) -> io::Result<Lsn> {
         match &mut self.wal {
             Some(wal) => {
@@ -148,7 +145,7 @@ impl Journal {
 
     /// Shows `visitor` one file of the journal as it stands — file 0 the
     /// checkpoint, then each live segment's records — and `false` once
-    /// `file` is past the last (at once in plain mode). The one way a
+    /// `file` is past the last (at once with no journal). The one way a
     /// store reads back what it journaled: see [`Wal::visit_file`].
     pub(crate) fn visit_file(&self, file: usize, visitor: &mut dyn Visitor) -> io::Result<bool> {
         match &self.wal {
@@ -158,21 +155,26 @@ impl Journal {
     }
 
     /// Writes `state` as the snapshot superseding everything journaled
-    /// so far and deletes the segments it covers.
-    fn checkpoint(&mut self, state: &[u8]) -> io::Result<()> {
-        if let Some(wal) = &mut self.wal {
-            wal.snapshot(state)?;
-            wal.compact()?;
-        }
-        Ok(())
+    /// so far and deletes the segments it covers; `false` (doing
+    /// nothing) with no journal.
+    fn checkpoint(&mut self, state: &[u8]) -> io::Result<bool> {
+        let Some(wal) = &mut self.wal else {
+            return Ok(false);
+        };
+        wal.snapshot(state)?;
+        wal.compact()?;
+        Ok(true)
     }
 }
 
 /// What a store supplies to be journaled; everything provided below is
 /// then written once for all of them.
-pub(crate) trait Journaled: Default {
+pub(crate) trait Journaled: Sized {
     /// The store's name in `server.wal.<flavor>.*` and in error text.
     const FLAVOR: &'static str;
+
+    /// The empty state an open rebuilds, before its journal is attached.
+    fn empty() -> Self;
 
     /// The store's journal.
     fn journal(&mut self) -> &mut Journal;
@@ -201,9 +203,9 @@ pub(crate) trait Journaled: Default {
     /// from the text the store holds.
     fn export(&self, emit: &mut dyn FnMut(&str, Vec<u8>) -> io::Result<()>) -> io::Result<()>;
 
-    /// Checks `payload` as [`Journaled::replay`] does, journals it (a
-    /// plain store keeps its text) and applies it; `false` when the
-    /// store already held what it carries and nothing changed.
+    /// Checks `payload` as [`Journaled::replay`] does, journals it and
+    /// applies it; `false` when the store already held what it carries
+    /// and nothing changed.
     fn admit(&mut self, payload: &[u8]) -> io::Result<bool>;
 
     /// The shard of `n` an exported `key` is admitted into.
@@ -217,9 +219,9 @@ pub(crate) trait Journaled: Default {
     /// Each shard's open time lands in `server.wal.<flavor>.open.ns`.
     fn open(io: StoreIo, dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
         let timer = metrics::histogram(&format!("server.wal.{}.open.ns", Self::FLAVOR)).start_timer();
-        // Still in plain mode: replaying through the store's own
+        // No journal attached yet: replaying through the store's own
         // mutators journals nothing.
-        let mut store = Self::default();
+        let mut store = Self::empty();
         let (mut wal, recovery) = Wal::open_visiting(io, dir, config, &mut Rebuild(&mut store))?;
         store.opened();
         WalTelemetry::install(&mut wal, Self::FLAVOR);
@@ -228,15 +230,20 @@ pub(crate) trait Journaled: Default {
         Ok((store, recovery))
     }
 
+    /// An empty store journaling over an in-memory disk of its own, so
+    /// no two stores share its lock. Nothing can fail on a fresh one.
+    fn in_memory() -> Self {
+        let io = Disk::Memory(MemIo::new());
+        Self::open(io, Path::new(Self::FLAVOR), MEMORY_WAL)
+            .expect("a fresh in-memory journal opens")
+            .0
+    }
+
     /// Folds the journal into a checkpoint and deletes the segments it
-    /// covers. Returns `false` (doing nothing) in plain mode.
+    /// covers. Returns `false` (writing nothing) with no journal.
     fn compact(&mut self) -> io::Result<bool> {
-        if !self.journal().is_durable() {
-            return Ok(false);
-        }
         let state = self.snapshot()?;
-        self.journal().checkpoint(state.as_bytes())?;
-        Ok(true)
+        self.journal().checkpoint(state.as_bytes())
     }
 }
 

@@ -1,7 +1,7 @@
 //! The UUCS server (paper §2, Figure 1).
 //!
-//! Holds the testcase store and the result store (text files on disk, as
-//! in the paper), registers clients (assigning globally unique
+//! Holds the testcase store and the result store (text on disk, as in
+//! the paper), registers clients (assigning globally unique
 //! identifiers against a hardware/software snapshot), and answers hot
 //! syncs: "New testcases, which can be added to the server at any time,
 //! are downloaded by the client, while new results are uploaded back to
@@ -13,13 +13,12 @@
 //! sample without duplicates, and the collection of clients covers the
 //! library uniformly.
 //!
-//! Both stores optionally journal through a write-ahead log
-//! (`uucs-wal`, see [`store::TestcaseStore::open_wal`] and
-//! [`store::ResultStore::open_wal`]): every accepted upload or testcase
-//! addition is framed, checksummed and (policy permitting) fsynced
-//! before the client sees an `Ack`, and restarting the server replays
-//! the journal — so a crash between the paper's periodic whole-file
-//! checkpoints no longer loses acknowledged results.
+//! Every store journals through a write-ahead log (`uucs-wal`, see
+//! [`StoreSet::open`]): every accepted upload, registration or testcase
+//! addition is framed, checksummed and fsynced before the client sees
+//! an `Ack`, and restarting the server replays the journal, so a crash
+//! loses no acknowledged result. An in-process server journals the same
+//! way to an in-memory disk ([`StoreSet::in_memory`]).
 //!
 //! The [`models`] module closes the borrowing loop (`uucs-modelsvc`):
 //! every applied upload batch is folded into cohort-keyed discomfort
@@ -36,6 +35,7 @@ compile_error!("uucs-server's TCP front end blocks in poll(2); it needs a unix t
 
 pub mod commit;
 mod journal;
+pub mod library;
 pub mod models;
 mod netpoll;
 pub mod server;
@@ -45,6 +45,7 @@ pub mod store;
 pub mod tcp;
 
 pub use commit::{CommitTicket, GroupCommitter, StoreFlavor};
+pub use library::LibrarySource;
 pub use models::ModelStore;
 pub use server::{ReplicationSink, UucsServer};
 pub use shard::{shard_of, Sharded, StoreSet};

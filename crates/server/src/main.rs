@@ -1,29 +1,28 @@
 //! The `uucs-server` daemon: serves a testcase library over TCP and
-//! appends uploaded results to a text store, exactly the Figure 1 server.
+//! journals every uploaded result, exactly the Figure 1 server.
 //!
 //! ```text
 //! uucs-server [--addr 127.0.0.1:4004] [--library FILE] [--data DIR]
-//!             [--generate-library N-seed] [--wal]
+//!             [--generate-library SEED] [--wal]
 //!             [--shards N] [--commit-interval-us N]
 //!             [--cache-pages N] [--io-threads N]
 //!             [--max-conns N] [--workers N]
 //! ```
 //!
 //! With `--library`, serves the testcases in the given text file; with
-//! `--generate-library`, builds the Internet-sweep library from a seed.
+//! `--generate-library`, builds the Internet-sweep library from a seed
+//! (42 without either). A fresh data directory is seeded with it once.
 //!
-//! Without `--wal`, state is saved to `--data` (default
-//! `uucs-server-data/`) on periodic whole-file checkpoints (every 30 s)
-//! — the paper's design, which can lose up to 30 s of acknowledged
-//! uploads on a crash. With `--wal`, the stores journal through a
-//! write-ahead log under `--data` (`wal/testcases/`, `wal/results/`,
-//! `wal/registry/`, `wal/models/`): every acknowledged mutation —
+//! The stores journal through a write-ahead log under `--data` (default
+//! `uucs-server-data/`): `wal/testcases/`, `wal/results/`,
+//! `wal/registry/`, `wal/models/`. Every acknowledged mutation —
 //! including client registrations and per-client upload dedup horizons —
-//! is recovered on restart, and the 30 s tick compacts the journal
-//! instead of rewriting the world. An ack always means the journal
-//! entry is on stable storage: each append is fsynced before its reply,
-//! or — under `--commit-interval-us` — the reply waits for the group
-//! committer's batched fsync.
+//! is recovered on restart, and every 30 s the journal is compacted into
+//! a checkpoint: the paper's text files, written by the journal. An ack
+//! always means the journal entry is on stable storage: each append is
+//! fsynced before its reply, or — under `--commit-interval-us` — the
+//! reply waits for the group committer's batched fsync. `--wal` is
+//! accepted and changes nothing: the server always journals.
 //!
 //! Engine knobs:
 //!
@@ -51,19 +50,36 @@
 //! gauges.
 
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 use uucs_server::tcp::ServeConfig;
-use uucs_server::{tcp, StorageProfile, StoreSet, TestcaseStore, UucsServer};
+use uucs_server::{tcp, LibrarySource, StorageProfile, StoreSet, UucsServer};
 use uucs_telemetry::metrics;
 use uucs_wal::{SyncPolicy, WalConfig};
+
+/// The value of the flag at `args[i - 1]`, or exit 2 naming the flag.
+fn value(args: &[String], i: usize) -> &str {
+    args.get(i).map(String::as_str).unwrap_or_else(|| {
+        eprintln!("{} needs a value", args[i - 1]);
+        std::process::exit(2);
+    })
+}
+
+/// The flag's value parsed and accepted by `ok`, or exit 2 saying what
+/// the flag wants.
+fn parsed<T: FromStr>(args: &[String], i: usize, want: &str, ok: fn(&T) -> bool) -> T {
+    args.get(i).and_then(|s| s.parse().ok()).filter(ok).unwrap_or_else(|| {
+        eprintln!("bad {} (want {want})", args[i - 1]);
+        std::process::exit(2);
+    })
+}
 
 fn main() {
     let mut addr = "127.0.0.1:4004".to_string();
     let mut library: Option<PathBuf> = None;
     let mut data = PathBuf::from("uucs-server-data");
-    let mut gen_seed: Option<u64> = None;
-    let mut wal = false;
+    let mut gen_seed: Option<String> = None;
     let mut shards: usize = 1;
     let mut commit_interval_us: u64 = 0;
     let mut storage = StorageProfile::default();
@@ -74,77 +90,48 @@ fn main() {
         match args[i].as_str() {
             "--addr" => {
                 i += 1;
-                addr = args.get(i).cloned().unwrap_or(addr);
+                addr = value(&args, i).to_string();
             }
             "--library" => {
                 i += 1;
-                library = args.get(i).map(PathBuf::from);
+                library = Some(PathBuf::from(value(&args, i)));
             }
             "--data" => {
                 i += 1;
-                data = args.get(i).map(PathBuf::from).unwrap_or(data);
+                data = PathBuf::from(value(&args, i));
             }
             "--generate-library" => {
                 i += 1;
-                gen_seed = args.get(i).and_then(|s| s.parse().ok()).or(Some(42));
+                gen_seed = Some(value(&args, i).to_string());
             }
-            "--wal" => {
-                wal = true;
-            }
+            // Accepted for the command lines that still pass it: every
+            // server journals.
+            "--wal" => {}
             "--shards" => {
                 i += 1;
-                shards = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("bad --shards (want an integer >= 1)");
-                        std::process::exit(2);
-                    });
+                shards = parsed(&args, i, "an integer >= 1", |&n| n >= 1);
             }
             "--commit-interval-us" => {
                 i += 1;
-                commit_interval_us = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!(
-                        "bad --commit-interval-us (want the maximum gather window in \
-                         microseconds, 0 disables)"
-                    );
-                    std::process::exit(2);
-                });
+                let want = "the maximum gather window in microseconds, 0 disables";
+                commit_interval_us = parsed(&args, i, want, |_| true);
             }
             "--cache-pages" => {
                 i += 1;
-                if args.get(i).and_then(|s| s.parse::<usize>().ok()).is_none() {
-                    eprintln!("bad --cache-pages (want a page count)");
-                    std::process::exit(2);
-                }
+                parsed::<usize>(&args, i, "a page count", |_| true);
                 eprintln!("--cache-pages is ignored: the journals have no page cache");
             }
             "--io-threads" => {
                 i += 1;
-                storage.io_threads = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("bad --io-threads (want a thread count, 0 disables)");
-                    std::process::exit(2);
-                });
+                storage.io_threads = parsed(&args, i, "a thread count, 0 disables", |_| true);
             }
             "--max-conns" => {
                 i += 1;
-                serve_config.max_connections = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("bad --max-conns (want an integer >= 1)");
-                        std::process::exit(2);
-                    });
+                serve_config.max_connections = parsed(&args, i, "an integer >= 1", |&n| n >= 1);
             }
             "--workers" => {
                 i += 1;
-                serve_config.workers =
-                    args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("bad --workers (want an integer, 0 = auto)");
-                        std::process::exit(2);
-                    });
+                serve_config.workers = parsed(&args, i, "an integer, 0 = auto", |_| true);
             }
             other => {
                 eprintln!("unknown flag {other}");
@@ -153,14 +140,14 @@ fn main() {
         }
         i += 1;
     }
-    if commit_interval_us > 0 && !wal {
-        eprintln!("--commit-interval-us needs --wal (group commit batches journal fsyncs)");
-        std::process::exit(2);
-    }
     if storage.io_threads > 0 && commit_interval_us == 0 {
         eprintln!("--io-threads needs --commit-interval-us (the committer drives the scheduler)");
         std::process::exit(2);
     }
+    let source = LibrarySource::from_flags(library, gen_seed.as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     // Surface the engine configuration in STATS so fleet drivers can
     // confirm what they are actually talking to.
@@ -170,78 +157,58 @@ fn main() {
     metrics::gauge("server.config.commit_interval_us").set(commit_interval_us as i64);
     metrics::gauge("server.config.io_threads").set(storage.io_threads as i64);
 
-    let seed_library = || -> Vec<uucs_testcase::Testcase> {
-        if let Some(path) = &library {
-            match TestcaseStore::load(path) {
-                Ok(store) => store.testcases(),
-                Err(e) => {
-                    eprintln!("cannot load library {path:?}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            let seed = gen_seed.unwrap_or(42);
-            eprintln!("generating internet-sweep library (seed {seed}) ...");
-            uucs_testcase::generate::Library::internet_sweep(seed).into_testcases()
-        }
-    };
-
-    let server = if wal {
-        // Under group commit the per-append policy is Never: the commit
-        // thread owns durability (one batched fsync per shard, acks wait
-        // on the watermark). Without it every append pays its own fsync.
-        let sync = if commit_interval_us > 0 {
-            SyncPolicy::Never
-        } else {
-            SyncPolicy::Always
-        };
-        let config = WalConfig {
-            sync,
-            ..WalConfig::default()
-        };
-        eprintln!("recovering journals under {:?} ({shards} shard(s)) ...", data.join("wal"));
-        let (stores, recoveries) = StoreSet::open_with(&data.join("wal"), config, shards, &storage)
-            .unwrap_or_else(|e| {
-                eprintln!("journal is unrecoverable: {e}");
-                std::process::exit(1);
-            });
-        for r in &recoveries {
-            if let Some(t) = &r.torn_tail {
-                eprintln!(
-                    "  truncated a torn append in {} ({} bytes, {})",
-                    t.segment, t.lost_bytes, t.reason
-                );
-            }
-        }
-        let mut server = UucsServer::with_store_set(stores, 0x5e17);
-        if let Some(sched) = storage.scheduler() {
-            server = server.with_io_scheduler(sched);
-        }
-        if commit_interval_us > 0 {
-            server = server.with_group_commit(Duration::from_micros(commit_interval_us));
-        }
-        let server = Arc::new(server);
-        if server.testcase_count() == 0 {
-            if let Err(e) = server.add_testcases(&seed_library()) {
-                eprintln!("cannot seed library: {e}");
-                std::process::exit(1);
-            }
-        }
-        eprintln!(
-            "recovered {} testcases, {} results, {} clients, model epoch {} (sync policy {sync})",
-            server.testcase_count(),
-            server.result_count(),
-            server.client_count(),
-            server.model_epoch()
-        );
-        server
+    // Under group commit the per-append policy is Never: the commit
+    // thread owns durability (one batched fsync per shard, acks wait on
+    // the watermark). Without it every append pays its own fsync.
+    let sync = if commit_interval_us > 0 {
+        SyncPolicy::Never
     } else {
-        let store = TestcaseStore::from_testcases(seed_library()).unwrap_or_else(|e| {
-            eprintln!("library has duplicate ids: {e}");
+        SyncPolicy::Always
+    };
+    let config = WalConfig {
+        sync,
+        ..WalConfig::default()
+    };
+    eprintln!("recovering journals under {:?} ({shards} shard(s)) ...", data.join("wal"));
+    let (stores, recoveries) = StoreSet::open_with(&data.join("wal"), config, shards, &storage)
+        .unwrap_or_else(|e| {
+            eprintln!("journal is unrecoverable: {e}");
             std::process::exit(1);
         });
-        Arc::new(UucsServer::new(store, 0x5e17))
-    };
+    for r in &recoveries {
+        if let Some(t) = &r.torn_tail {
+            eprintln!(
+                "  truncated a torn append in {} ({} bytes, {})",
+                t.segment, t.lost_bytes, t.reason
+            );
+        }
+    }
+    let mut server = UucsServer::with_store_set(stores, 0x5e17);
+    if let Some(sched) = storage.scheduler() {
+        server = server.with_io_scheduler(sched);
+    }
+    if commit_interval_us > 0 {
+        server = server.with_group_commit(Duration::from_micros(commit_interval_us));
+    }
+    let server = Arc::new(server);
+    if server.testcase_count() == 0 {
+        eprintln!("seeding the {source} ...");
+        let testcases = source.testcases().unwrap_or_else(|e| {
+            eprintln!("cannot load {source}: {e}");
+            std::process::exit(1);
+        });
+        if let Err(e) = server.add_testcases(&testcases) {
+            eprintln!("cannot seed library: {e}");
+            std::process::exit(1);
+        }
+    }
+    eprintln!(
+        "recovered {} testcases, {} results, {} clients, model epoch {} (sync policy {sync})",
+        server.testcase_count(),
+        server.result_count(),
+        server.client_count(),
+        server.model_epoch()
+    );
 
     eprintln!("serving {} testcases on {addr}", server.testcase_count());
     let handle = tcp::serve_with(server.clone(), &addr, serve_config).unwrap_or_else(|e| {
@@ -250,18 +217,13 @@ fn main() {
     });
     eprintln!("listening on {} (data dir {data:?})", handle.addr());
 
+    // The journal already holds everything acknowledged; the tick just
+    // folds it into a checkpoint and frees segments.
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(30));
-        let tick = if wal {
-            // The journal already holds everything acknowledged; the
-            // tick just folds it into a checkpoint and frees segments.
-            server.compact().map(|_| "compacted journal")
-        } else {
-            server.save(&data).map(|_| "checkpointed text stores")
-        };
-        match tick {
-            Ok(what) => eprintln!(
-                "{what}: {} clients, {} results",
+        std::thread::sleep(Duration::from_secs(30));
+        match server.compact() {
+            Ok(()) => eprintln!(
+                "compacted journal: {} clients, {} results",
                 server.client_count(),
                 server.result_count()
             ),

@@ -5,7 +5,7 @@
 //! wherever the node appends records — an upload on a leader, a
 //! replicated batch on a follower: every *applied* (non-replayed) batch
 //! that yields at least one observation becomes one epoch of the
-//! uploader's shard. In durable mode the store journals each
+//! uploader's shard. A journaled store journals each
 //! [`uucs_modelsvc::ModelDelta`] as a [`WalEntry::Model`] before
 //! applying it, replay folds each delta's text straight into the cohort
 //! sketches ([`ComfortModel::fold`]), and compaction snapshots the full
@@ -80,7 +80,7 @@ pub fn observations_of(records: &[RunRecord]) -> Vec<Observation> {
 }
 
 /// One shard of the server's comfort model: the cohort model and its
-/// optional WAL.
+/// WAL — which only [`ModelStore::new`] leaves out.
 #[derive(Default)]
 pub struct ModelStore {
     model: ComfortModel,
@@ -91,6 +91,10 @@ pub struct ModelStore {
 /// text.
 impl Journaled for ModelStore {
     const FLAVOR: &'static str = "model";
+
+    fn empty() -> Self {
+        Self::default()
+    }
 
     fn journal(&mut self) -> &mut Journal {
         &mut self.journal
@@ -147,7 +151,11 @@ impl Journaled for ModelStore {
 }
 
 impl ModelStore {
-    /// An empty, non-durable model store at epoch 0.
+    /// An empty model store at epoch 0 with no journal: its updates
+    /// are lost with it. The one unjournaled constructor among the
+    /// server's stores — a server's model shards journal, on disk or in
+    /// memory like the rest of its [`crate::StoreSet`]; this one serves
+    /// a model held outside a server.
     pub fn new() -> Self {
         Self::default()
     }
@@ -169,8 +177,8 @@ impl ModelStore {
     /// contributed no observations (no epoch is minted for nothing —
     /// clients use epoch advances as a "new data" signal).
     ///
-    /// In durable mode the delta is journaled *before* it is applied,
-    /// so recovery replays the identical epoch sequence.
+    /// A journaled store journals the delta *before* applying it, so
+    /// recovery replays the identical epoch sequence.
     pub fn observe_batch(&mut self, observations: Vec<Observation>) -> io::Result<u64> {
         if observations.is_empty() {
             return Ok(self.model.epoch());

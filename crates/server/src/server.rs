@@ -307,10 +307,10 @@ pub struct UucsServer {
 }
 
 impl UucsServer {
-    /// Creates a single-shard, non-durable server around a testcase
-    /// library.
+    /// Creates a single-shard server around a testcase library, its
+    /// other stores journaling in memory ([`StoreSet::in_memory`]).
     pub fn new(testcases: TestcaseStore, sample_seed: u64) -> Self {
-        let mut stores = StoreSet::plain(1);
+        let mut stores = StoreSet::in_memory(1);
         stores.testcases = Sharded::new(vec![testcases]);
         Self::with_store_set(stores, sample_seed)
     }
@@ -514,8 +514,8 @@ impl UucsServer {
     }
 
     /// Folds every store's journal into a checkpoint and drops the
-    /// covered segments. A no-op (returning `false`) for plain stores.
-    pub fn compact(&self) -> std::io::Result<bool> {
+    /// covered segments.
+    pub fn compact(&self) -> std::io::Result<()> {
         self.stores.compact()
     }
 
@@ -570,22 +570,6 @@ impl UucsServer {
     pub fn applied_seq(&self, client: &str) -> u64 {
         let shard = self.stores.results.shard_for(client);
         self.stores.results.read(shard).applied_seq(client)
-    }
-
-    /// Saves the merged stores under a directory (`testcases.txt`,
-    /// `results.txt`) — the paper's whole-file text checkpoints.
-    pub fn save(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let mut tcs = String::new();
-        for g in self.stores.testcases.read_all() {
-            tcs.push_str(g.text());
-        }
-        std::fs::write(dir.join("testcases.txt"), tcs)?;
-        let mut out = std::fs::File::create(dir.join("results.txt"))?;
-        for g in self.stores.results.read_all() {
-            g.write_to(&mut out)?;
-        }
-        Ok(())
     }
 
     /// Applies one replicated journal payload into this node's own
@@ -760,7 +744,7 @@ impl UucsServer {
     /// the model is derived from them, which is also why model appends
     /// are never ticketed. Under group commit no ack waits on them. An
     /// upload calls this before it returns its `Ack`, though, so when
-    /// the journals sync inline (`uucs-server --wal` without
+    /// the journals sync inline (`uucs-server` without
     /// `--commit-interval-us` runs every journal at `SyncPolicy::Always`)
     /// the model delta is fsynced before the client hears back.
     fn observe(&self, client: &str, records: &[RunRecord]) {
@@ -822,12 +806,9 @@ impl UucsServer {
     }
 
     /// Registers a durability request with the committer, when one is
-    /// running and the store is WAL-backed.
-    fn ticket(&self, flavor: StoreFlavor, shard: usize, lsn: Option<u64>) -> Option<CommitTicket> {
-        match (&self.committer, lsn) {
-            (Some(c), Some(upto)) => Some(c.submit(flavor, shard, upto)),
-            _ => None,
-        }
+    /// running.
+    fn ticket(&self, flavor: StoreFlavor, shard: usize, lsn: u64) -> Option<CommitTicket> {
+        (self.committer.as_ref()).map(|c| c.submit(flavor, shard, lsn))
     }
 
     /// [`UucsServer::ticket`] without the request: the watermark of a
@@ -836,13 +817,13 @@ impl UucsServer {
         &self,
         flavor: StoreFlavor,
         shard: usize,
-        lsn: Option<u64>,
+        lsn: u64,
     ) -> Option<CommitTicket> {
         self.committer.as_ref()?;
         Some(CommitTicket {
             flavor,
             shard,
-            upto: lsn?,
+            upto: lsn,
             quorum: None,
         })
     }
@@ -1499,7 +1480,7 @@ mod tests {
     fn exported_entries_group_each_clients_records_in_upload_order() {
         use crate::shard::shard_of;
         use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord, WalEntry};
-        let s = UucsServer::with_store_set(StoreSet::plain(2), 9);
+        let s = UucsServer::with_store_set(StoreSet::in_memory(2), 9);
         for i in 0..2 {
             s.add_testcase(Testcase::blank(format!("case-{i}"), 1.0, 60.0))
                 .unwrap();
@@ -1592,7 +1573,7 @@ mod tests {
     #[test]
     fn a_backfilled_legacy_client_keeps_the_leaders_horizon() {
         use uucs_protocol::{MonitorSummary, RunOutcome, WalEntry};
-        let leader = UucsServer::with_store_set(StoreSet::plain(2), 9);
+        let leader = UucsServer::with_store_set(StoreSet::in_memory(2), 9);
         let id = register(&leader);
         let rec = |offset_secs: f64| RunRecord {
             client: id.clone(),
@@ -1612,7 +1593,7 @@ mod tests {
         };
         assert_eq!(leader.handle(&legacy), ServerMsg::Ack(1));
 
-        let follower = UucsServer::with_store_set(StoreSet::plain(3), 9);
+        let follower = UucsServer::with_store_set(StoreSet::in_memory(3), 9);
         for (_, payload) in leader.export().unwrap() {
             follower.apply_snapshot_entry(&payload).unwrap();
         }
@@ -1803,7 +1784,7 @@ mod tests {
     #[test]
     fn per_shard_poisoning_is_isolated() {
         use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
-        let s = std::sync::Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 12));
+        let s = std::sync::Arc::new(UucsServer::with_store_set(StoreSet::in_memory(4), 12));
         for i in 0..4 {
             s.add_testcase(Testcase::blank(format!("tc-{i}"), 1.0, 60.0))
                 .unwrap();
@@ -1926,7 +1907,7 @@ mod tests {
     #[test]
     fn sharded_server_serves_all_verbs() {
         use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
-        let s = UucsServer::with_store_set(StoreSet::plain(4), 13);
+        let s = UucsServer::with_store_set(StoreSet::in_memory(4), 13);
         for i in 0..8 {
             s.add_testcase(Testcase::blank(format!("case-{i}"), 1.0, 60.0))
                 .unwrap();
@@ -2116,7 +2097,7 @@ mod tests {
         };
         let mut held = Vec::new();
         for shards in [1, 3, 8] {
-            let s = UucsServer::with_store_set(StoreSet::plain(shards), 13);
+            let s = UucsServer::with_store_set(StoreSet::in_memory(shards), 13);
             feed(&s);
             let base = cached(&s);
             held.push((format!("{shards} shards"), transcript(&s, base)));

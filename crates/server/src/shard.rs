@@ -149,14 +149,12 @@ pub(crate) fn sync_shard<T: Journaled>(family: &Sharded<T>, shard: usize) -> io:
     family.write_recovered(shard).journal().sync()
 }
 
-/// Folds every shard's journal into a checkpoint; `false` when the
-/// family is plain.
-fn compact_family<T: Journaled>(family: &Sharded<T>) -> io::Result<bool> {
-    let mut any = false;
+/// Folds every shard's journal into a checkpoint.
+fn compact_family<T: Journaled>(family: &Sharded<T>) -> io::Result<()> {
     for i in 0..family.count() {
-        any |= family.write_recovered(i).compact()?;
+        family.write_recovered(i).compact()?;
     }
-    Ok(any)
+    Ok(())
 }
 
 fn defer_rotation_sync<T: Journaled>(family: &Sharded<T>, defer: bool) {
@@ -387,14 +385,18 @@ pub struct StoreSet {
 }
 
 impl StoreSet {
-    /// `n` empty in-memory shards per family (tests, benches).
-    pub fn plain(shards: usize) -> Self {
-        assert!(shards > 0);
+    /// `n` empty shards per family, each journaling to an in-memory disk
+    /// of its own — an in-process server's stores. No layout is
+    /// settled: nothing outlives the process.
+    pub fn in_memory(shards: usize) -> Self {
+        fn family<F: Journaled>(shards: usize) -> Sharded<F> {
+            Sharded::new((0..shards).map(|_| F::in_memory()).collect())
+        }
         StoreSet {
-            testcases: Sharded::new((0..shards).map(|_| TestcaseStore::new()).collect()),
-            results: Sharded::new((0..shards).map(|_| ResultStore::new()).collect()),
-            registry: Sharded::new((0..shards).map(|_| RegistryStore::new()).collect()),
-            models: Sharded::new((0..shards).map(|_| ModelStore::new()).collect()),
+            testcases: family(shards),
+            results: family(shards),
+            registry: family(shards),
+            models: family(shards),
         }
     }
 
@@ -480,12 +482,12 @@ impl StoreSet {
     }
 
     /// Folds every family's journals into checkpoints and drops the
-    /// covered segments; `false` when every store is plain.
-    pub(crate) fn compact(&self) -> io::Result<bool> {
-        Ok(compact_family(&self.testcases)?
-            | compact_family(&self.results)?
-            | compact_family(&self.registry)?
-            | compact_family(&self.models)?)
+    /// covered segments.
+    pub(crate) fn compact(&self) -> io::Result<()> {
+        compact_family(&self.testcases)?;
+        compact_family(&self.results)?;
+        compact_family(&self.registry)?;
+        compact_family(&self.models)
     }
 }
 

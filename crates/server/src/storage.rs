@@ -18,35 +18,43 @@
 //!
 //! With `io_threads == 0` (the default profile) no scheduler runs:
 //! fsyncs stay on the committer thread and rotations sync inline.
+//!
+//! An in-process server (the studies, the fleet, tests) journals the
+//! same way over [`Disk::Memory`]: a volatile in-memory disk per shard
+//! ([`MEMORY_WAL`]), so every server runs the one journaled apply path.
 
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 use uucs_pagecache::{DiskScheduler, OpKind, SchedObserver};
 use uucs_telemetry::{metrics, Counter, Histogram};
-use uucs_wal::{Io, StdIo};
-#[cfg(test)]
-use uucs_wal::MemIo;
+use uucs_wal::{Io, MemIo, StdIo, SyncPolicy, WalConfig};
 
 /// The I/O backend every WAL-backed store journals through.
 pub type StoreIo = Disk;
 
-/// What a store journals to: real files — or, in this crate's tests,
-/// an in-memory disk whose faults the test plans.
+/// What a store journals to: real files, or an in-memory disk — an
+/// in-process server's, or one whose faults a test plans.
 #[derive(Debug, Clone)]
 pub enum Disk {
     /// The filesystem.
     Files(StdIo),
     /// `uucs_wal::MemIo`: volatile tails, planned faults, crashes.
-    #[cfg(test)]
     Memory(MemIo),
 }
+
+/// How an in-memory journal is written: each append synced, as
+/// `uucs-server` syncs by default, in small segments — a reader holds
+/// one segment at a time, so small ones keep its copy small.
+pub(crate) const MEMORY_WAL: WalConfig = WalConfig {
+    segment_bytes: 64 << 10,
+    sync: SyncPolicy::Always,
+};
 
 macro_rules! on_disk {
     ($self:ident, $io:ident => $call:expr) => {
         match $self {
             Disk::Files($io) => $call,
-            #[cfg(test)]
             Disk::Memory($io) => $call,
         }
     };

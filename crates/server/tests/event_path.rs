@@ -119,7 +119,7 @@ fn contended_appends_still_share_fsyncs() {
                     barrier.wait();
                     let mut g = stores.results.write_recovered(0);
                     g.append_batch(&client, seq, &[rec(&client)]).unwrap();
-                    let upto = g.wal_next_lsn().unwrap();
+                    let upto = g.wal_next_lsn();
                     drop(g);
                     committer
                         .wait(committer.submit(StoreFlavor::Results, 0, upto))

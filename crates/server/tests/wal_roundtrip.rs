@@ -1,6 +1,6 @@
 //! Server-level crash-recovery round trip: results uploaded over TCP
 //! and acknowledged must survive an abrupt server death (no checkpoint,
-//! no save — only the write-ahead log), across multiple generations.
+//! only the write-ahead log), across multiple generations.
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -43,7 +43,7 @@ fn record(i: usize) -> RunRecord {
 }
 
 /// Opens the stores from the WAL directories and builds a server,
-/// seeding the library on first boot only — what `uucs-server --wal`
+/// seeding the library on first boot only — what `uucs-server`
 /// does on startup.
 fn boot(dir: &Path) -> Arc<UucsServer> {
     let (stores, _) = StoreSet::open(dir, CFG, 1).unwrap();
@@ -119,7 +119,7 @@ fn acknowledged_uploads_survive_server_death() {
             4
         );
         // The "kill": shut the socket down and drop all in-memory state.
-        // Nothing calls save(); durability rests on the journal alone.
+        // No checkpoint is taken; durability rests on the journal alone.
         handle.shutdown();
     }
 
@@ -137,7 +137,7 @@ fn acknowledged_uploads_survive_server_death() {
             upload_over_tcp(handle.addr(), 1, (4..7).map(record).collect()),
             3
         );
-        assert!(server.compact().unwrap(), "wal-backed stores must compact");
+        server.compact().unwrap();
         handle.shutdown();
     }
 
@@ -636,11 +636,11 @@ fn sync_replies_are_the_struct_encoding_however_the_library_was_loaded() {
     assert!(held == want, "the journals hold each testcase's entry once");
 
     assert_syncs_encode_like_structs(&open(8), &library, "reopened from the journal");
-    assert!(open(8).compact().unwrap());
+    open(8).compact().unwrap();
     assert_syncs_encode_like_structs(&open(8), &library, "restored from a checkpoint");
     assert_syncs_encode_like_structs(&open(4), &library, "resharded 8 to 4");
 
-    let follower = UucsServer::with_store_set(StoreSet::plain(2), 21);
+    let follower = UucsServer::with_store_set(StoreSet::in_memory(2), 21);
     for payload in &shipped {
         follower.apply_entry(payload).unwrap();
     }
@@ -674,7 +674,7 @@ fn testcase_journal_and_checkpoint_bytes_are_pinned() {
     }
     assert_eq!(files_crc(tmp.path()), JOURNAL_CRC, "journal bytes moved");
     let server = UucsServer::new(store, 1);
-    assert!(server.compact().unwrap());
+    server.compact().unwrap();
     assert_eq!(
         files_crc(tmp.path()),
         CHECKPOINT_CRC,

@@ -7,8 +7,7 @@
 //! can slice the data the way the paper's figures do.
 
 use std::collections::HashMap;
-use std::path::Path;
-use uucs_protocol::{RunOutcome, RunRecord, WalEntry};
+use uucs_protocol::{RunOutcome, RunRecord};
 use uucs_workloads::Task;
 
 /// The kind of testcase a record came from, judged by id convention.
@@ -85,65 +84,6 @@ impl ResultDatabase {
             db.insert(r);
         }
         db
-    }
-
-    /// Imports a result text file (the server's `results.txt`). Parse
-    /// errors carry the file's line number.
-    pub fn import(path: &Path) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        let records = RunRecord::parse_many(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        Ok(Self::from_records(records))
-    }
-
-    /// Imports a server's result *journal* (the `--wal` mode result
-    /// directory) without going through a text export: folds the newest
-    /// checkpoint, replays the records past it, and tolerates the torn
-    /// final frame a crashed server leaves behind.
-    ///
-    /// The scan is strictly read-only ([`uucs_wal::WalReader`]), so the
-    /// analysis phase can point at the data directory of a *live*
-    /// server — nothing is truncated, renamed, or deleted.
-    pub fn import_wal(dir: &Path) -> std::io::Result<Self> {
-        let invalid =
-            |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-        let mut reader = uucs_wal::WalReader::open(uucs_wal::StdIo::new(), dir)?;
-        let mut records = Vec::new();
-        if let Some(snap) = reader.take_snapshot() {
-            let text = std::str::from_utf8(&snap.state)
-                .map_err(|e| invalid(format!("snapshot is not utf-8: {e}")))?;
-            // The result store's checkpoints lead with `SEQ <client> <n>`
-            // dedup-horizon lines; the analysis phase only wants the
-            // records below them.
-            let mut body = text;
-            while let Some(rest) = body.strip_prefix("SEQ ") {
-                body = rest.split_once('\n').map_or("", |(_, tail)| tail);
-            }
-            records = RunRecord::parse_many(body).map_err(invalid)?;
-        }
-        for item in reader.records() {
-            let (lsn, payload) = item?;
-            match WalEntry::decode(&payload).map_err(invalid)? {
-                WalEntry::Result(rec) => records.push(rec),
-                WalEntry::Batch { records: batch, .. } => records.extend(batch),
-                WalEntry::Testcase(_) => {
-                    return Err(invalid(format!(
-                        "record {lsn}: testcase entry in a result journal"
-                    )))
-                }
-                WalEntry::Client { .. } => {
-                    return Err(invalid(format!(
-                        "record {lsn}: registry entry in a result journal"
-                    )))
-                }
-                WalEntry::Model(_) => {
-                    return Err(invalid(format!(
-                        "record {lsn}: model entry in a result journal"
-                    )))
-                }
-            }
-        }
-        Ok(Self::from_records(records))
     }
 
     /// Inserts one record, maintaining the indexes.
@@ -370,75 +310,6 @@ mod tests {
         for (id, want) in table {
             assert_eq!(RunKind::of(id), *want, "id {id:?}");
         }
-    }
-
-    #[test]
-    fn import_roundtrip() {
-        let db = db();
-        let dir = uucs_harness::TempDir::new("uucs-db");
-        let path = dir.join("results.txt");
-        std::fs::write(&path, RunRecord::emit_many(db.all())).unwrap();
-        let imported = ResultDatabase::import(&path).unwrap();
-        assert_eq!(imported.all(), db.all());
-    }
-
-    #[test]
-    fn import_wal_folds_snapshot_and_tail() {
-        use uucs_protocol::WalEntry;
-        use uucs_wal::{StdIo, SyncPolicy, Wal, WalConfig};
-
-        let db = db();
-        let records = &db.all()[..10];
-        let dir = uucs_harness::TempDir::new("uucs-db-wal");
-        let config = WalConfig {
-            segment_bytes: 512,
-            sync: SyncPolicy::Always,
-        };
-        // Journal records the way the server's result store does: the
-        // first half folded into a checkpoint, the rest left as tail.
-        {
-            let (mut wal, _) = Wal::open(StdIo::new(), dir.path(), config).unwrap();
-            for rec in &records[..5] {
-                wal.append(&WalEntry::Result(rec.clone()).encode()).unwrap();
-            }
-            wal.snapshot(RunRecord::emit_many(&records[..5]).as_bytes())
-                .unwrap();
-            wal.compact().unwrap();
-            for rec in &records[5..8] {
-                wal.append(&WalEntry::Result(rec.clone()).encode()).unwrap();
-            }
-            // Idempotent uploads journal whole batches; the importer
-            // folds those too.
-            wal.append(
-                &WalEntry::Batch {
-                    client: "client-0001".into(),
-                    seq: 1,
-                    records: records[8..].to_vec(),
-                }
-                .encode(),
-            )
-            .unwrap();
-        }
-        let imported = ResultDatabase::import_wal(dir.path()).unwrap();
-        assert_eq!(imported.all(), records);
-
-        // A testcase entry in a result journal is a structural error.
-        let dir2 = uucs_harness::TempDir::new("uucs-db-wal-bad");
-        {
-            let (mut wal, _) = Wal::open(StdIo::new(), dir2.path(), config).unwrap();
-            let tc = uucs_testcase::Testcase::single(
-                "t0",
-                1.0,
-                uucs_testcase::Resource::Cpu,
-                uucs_testcase::ExerciseSpec::Ramp {
-                    level: 1.0,
-                    duration: 30.0,
-                },
-            );
-            wal.append(&WalEntry::Testcase(tc).encode()).unwrap();
-        }
-        let err = ResultDatabase::import_wal(dir2.path()).unwrap_err();
-        assert!(err.to_string().contains("testcase entry"), "{err}");
     }
 
     #[test]

@@ -661,7 +661,7 @@ pub fn run_cluster(config: &FleetConfig) -> io::Result<FleetReport> {
     };
 
     let leader_srv = Arc::new(
-        UucsServer::with_store_set(StoreSet::plain(config.shards), 0x5e17)
+        UucsServer::with_store_set(StoreSet::in_memory(config.shards), 0x5e17)
             .without_model_updates(),
     );
     let leader = ClusterNode::start(
@@ -681,7 +681,7 @@ pub fn run_cluster(config: &FleetConfig) -> io::Result<FleetReport> {
     )?;
 
     let follower_srv = Arc::new(
-        UucsServer::with_store_set(StoreSet::plain(config.shards), 0x5e17)
+        UucsServer::with_store_set(StoreSet::in_memory(config.shards), 0x5e17)
             .without_model_updates(),
     );
     let follower = ClusterNode::start(
@@ -806,7 +806,7 @@ mod tests {
     #[test]
     fn server_death_mid_run_yields_a_partial_report() {
         let server = Arc::new(
-            UucsServer::with_store_set(StoreSet::plain(2), 7).without_model_updates(),
+            UucsServer::with_store_set(StoreSet::in_memory(2), 7).without_model_updates(),
         );
         let front = tcp::serve_with(
             server,

@@ -91,6 +91,21 @@ if [ -n "$rebuilt" ]; then
     exit 1
 fi
 
+echo "== one store mode (every server store journals; no second reader of a journal) =="
+# Every results, testcase and registry store journals, to files or to an
+# in-memory disk (crates/server/src/storage.rs): a store that asks
+# whether it is durable, a whole-file save, or a result store holding
+# its records in a text field of its own is the unjournaled mode coming
+# back. The results journal is read through ResultStore's own reader; an
+# `import_wal` is a second one.
+second_mode=$( (grep -rnE "\bis_durable\b|fn save\(|log: String" crates/server/src --include=*.rs
+    grep -rn "import_wal" crates --include=*.rs) || true)
+if [ -n "$second_mode" ]; then
+    echo "$second_mode"
+    echo "ci: an unjournaled store mode or a second journal reader is back; journal through StoreSet" >&2
+    exit 1
+fi
+
 echo "== one measurement harness (benchmark/ is the only place the system is timed) =="
 # A second timing harness measures the same paths as benchmark/ with
 # none of its samples, pairs or gates: a bench target directory, a
@@ -164,12 +179,13 @@ fi
 echo "== memory manager vs its buffered reference (5000 sequences, both eviction policies) =="
 UUCS_PROPTEST_CASES=5000 cargo test -q --release -p uucs-sim touch_equals
 
-# A durable result store holds no record text: its readers stream the
-# journal. A plain store and a durable one must read alike through 2000
-# random runs of uploads, retransmits, compactions, reopens, reshards,
-# torn tails and planned faults.
-echo "== durable result store reads like a plain one (2000 cases) =="
-UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib durable_and_plain_result_stores_read_alike
+# The result store holds no record text: its readers stream the
+# journal. Through 2000 random runs of uploads, retransmits, compactions,
+# reopens, reshards, torn tails and planned faults, every reader must
+# read like the test's own reference: the records in upload order and
+# each client's horizon.
+echo "== result store reads like its reference (2000 cases) =="
+UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib result_store_reads_like_its_reference
 
 # A testcase store holds each testcase as its text block. Through 2000
 # random runs of additions, duplicates, compactions, reopens, reshards,

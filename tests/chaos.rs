@@ -46,7 +46,7 @@ fn snappy_transport(addr: std::net::SocketAddr, seed: u64) -> ResilientTransport
         .with_policy(snappy_policy(seed))
 }
 
-fn plain_server() -> Arc<UucsServer> {
+fn in_memory_server() -> Arc<UucsServer> {
     let library: Vec<_> = calibration::controlled_testcases(Task::Word);
     Arc::new(UucsServer::new(
         TestcaseStore::from_testcases(library).expect("unique ids"),
@@ -171,7 +171,7 @@ fn exactly_once_under_each_fault_class() {
     .into_iter()
     .enumerate()
     {
-        let server = plain_server();
+        let server = in_memory_server();
         let handle = tcp::serve(server.clone(), "127.0.0.1:0").unwrap();
         let policy = ChaosPolicy::only(kind, 0.4, 100 + i as u64).with_budget(6);
         let (on_server, archived) =
@@ -193,7 +193,7 @@ fn exactly_once_under_each_fault_class() {
 /// The whole menu at once, at a higher rate.
 #[test]
 fn exactly_once_under_mixed_faults() {
-    let server = plain_server();
+    let server = in_memory_server();
     let handle = tcp::serve(server.clone(), "127.0.0.1:0").unwrap();
     let policy = ChaosPolicy {
         rate: 0.5,
@@ -222,7 +222,7 @@ fn exactly_once_under_mixed_faults() {
 /// fair game, a record's only identity here is its place in the stream.
 #[test]
 fn corruption_never_duplicates_or_loses_batches() -> Result<(), Violation> {
-    let server = plain_server();
+    let server = in_memory_server();
     let handle = tcp::serve(server.clone(), "127.0.0.1:0").unwrap();
     let policy = ChaosPolicy::only(FaultKind::Corrupt, 0.4, 0xc0).with_budget(6);
     let (on_server, archived) =
@@ -239,7 +239,7 @@ fn corruption_never_duplicates_or_loses_batches() -> Result<(), Violation> {
 /// `chaos.fault` event per injection, in order, under this run's label.
 #[test]
 fn telemetry_counts_faults_per_class_and_flight_dump_replays_them() {
-    let server = plain_server();
+    let server = in_memory_server();
     let handle = tcp::serve(server, "127.0.0.1:0").unwrap();
     let policy = ChaosPolicy::only(FaultKind::Drop, 1.0, 77)
         .with_budget(3)
@@ -410,7 +410,7 @@ fn governor_survives_chaos_and_degrades_to_cached_model() -> Result<(), Violatio
     use uucs::client::{BorrowingGovernor, RefreshOutcome};
     use uucs::testcase::Resource;
 
-    let server = plain_server();
+    let server = in_memory_server();
     let handle = tcp::serve(server.clone(), "127.0.0.1:0").unwrap();
 
     // Trains the model over a healthy link: each subject runs every

@@ -43,7 +43,7 @@ fn tags_held(server: &UucsServer) -> Vec<String> {
 }
 
 fn fresh_server() -> Arc<UucsServer> {
-    Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 9))
+    Arc::new(UucsServer::with_store_set(StoreSet::in_memory(4), 9))
 }
 
 /// An engine the way `uucs-clusterd` builds its own: journals under

@@ -48,7 +48,7 @@ fn rec(client: &str, tag: &str) -> RunRecord {
 #[test]
 fn over_a_thousand_simultaneous_connections() {
     const CONNS: usize = 1100;
-    let server = Arc::new(UucsServer::with_store_set(StoreSet::plain(4), 9));
+    let server = Arc::new(UucsServer::with_store_set(StoreSet::in_memory(4), 9));
     let handle = tcp::serve_with(
         server,
         "127.0.0.1:0",

@@ -33,7 +33,7 @@ use uucs::wire::frame::{read_server_frame, write_client_frame};
 use uucs::wire::crc32;
 
 fn serve() -> tcp::ServerHandle {
-    let server = Arc::new(UucsServer::with_store_set(StoreSet::plain(2), 7));
+    let server = Arc::new(UucsServer::with_store_set(StoreSet::in_memory(2), 7));
     tcp::serve(server, "127.0.0.1:0").expect("bind")
 }
 
@@ -291,7 +291,7 @@ fn cross_framing_abuse_drops_the_connection_not_the_server() {
 /// the server never saw falls back to the full model.
 #[test]
 fn model_delta_reconstructs_the_full_sketch() {
-    let server = UucsServer::with_store_set(StoreSet::plain(2), 7);
+    let server = UucsServer::with_store_set(StoreSet::in_memory(2), 7);
     let ServerMsg::Id { id, .. } = server.handle(&register_msg("delta")) else {
         panic!("registration failed");
     };
