@@ -15,6 +15,8 @@
 //!   (unique per instance, cleaned up on drop).
 //! * [`textfuzz`] — seeded damage to line-oriented text, for tests that
 //!   hold a rewritten parser equal to its reference implementation.
+//! * [`cli`] — the daemons' command-line contract: a flag given last
+//!   with no value exits 2 and creates nothing.
 //! * [`invariants`] — the correctness contracts (exactly-once, horizons,
 //!   committed prefix, rising epochs, same state on every node), each
 //!   stated once for every suite to check against, plus [`eventually`],
@@ -24,6 +26,7 @@
 //! run is deterministic and offline. The system is timed in one place,
 //! the `benchmark/` workspace.
 
+pub mod cli;
 pub mod invariants;
 pub mod prop;
 pub mod tempdir;

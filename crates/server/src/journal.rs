@@ -154,6 +154,14 @@ impl Journal {
         }
     }
 
+    /// The bytes journaled past the last checkpoint — what a reopen
+    /// would replay on top of it — and the size of that checkpoint's
+    /// state: [`Wal::tail_bytes`] and [`Wal::checkpoint_bytes`], `(0, 0)`
+    /// with no journal.
+    pub(crate) fn tail(&self) -> (u64, u64) {
+        self.wal.as_ref().map_or((0, 0), |wal| (wal.tail_bytes(), wal.checkpoint_bytes()))
+    }
+
     /// Writes `state` as the snapshot superseding everything journaled
     /// so far and deletes the segments it covers; `false` (doing
     /// nothing) with no journal.
@@ -216,7 +224,10 @@ pub(crate) trait Journaled: Sized {
     /// Opens (creating if necessary) the WAL under `dir` over `io` and
     /// rebuilds the store from it: snapshot first, then every record
     /// past it. A defect in the log is `InvalidData` naming the record.
-    /// Each shard's open time lands in `server.wal.<flavor>.open.ns`.
+    /// Each shard's open time lands in `server.wal.<flavor>.open.ns`, and
+    /// the records it replayed past its checkpoint in the
+    /// `server.wal.<flavor>.replayed_records` gauge (a level: the
+    /// flavor's latest shard open).
     fn open(io: StoreIo, dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
         let timer = metrics::histogram(&format!("server.wal.{}.open.ns", Self::FLAVOR)).start_timer();
         // No journal attached yet: replaying through the store's own
@@ -227,6 +238,8 @@ pub(crate) trait Journaled: Sized {
         WalTelemetry::install(&mut wal, Self::FLAVOR);
         store.journal().wal = Some(wal);
         drop(timer);
+        metrics::gauge(&format!("server.wal.{}.replayed_records", Self::FLAVOR))
+            .set(recovery.records as i64);
         Ok((store, recovery))
     }
 

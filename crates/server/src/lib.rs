@@ -33,6 +33,7 @@
 #[cfg(not(unix))]
 compile_error!("uucs-server's TCP front end blocks in poll(2); it needs a unix target");
 
+pub mod cli;
 pub mod commit;
 mod journal;
 pub mod library;

@@ -50,30 +50,13 @@
 //! gauges.
 
 use std::path::PathBuf;
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
+use uucs_server::cli::{parsed, value};
 use uucs_server::tcp::ServeConfig;
 use uucs_server::{tcp, LibrarySource, StorageProfile, StoreSet, UucsServer};
 use uucs_telemetry::metrics;
 use uucs_wal::{SyncPolicy, WalConfig};
-
-/// The value of the flag at `args[i - 1]`, or exit 2 naming the flag.
-fn value(args: &[String], i: usize) -> &str {
-    args.get(i).map(String::as_str).unwrap_or_else(|| {
-        eprintln!("{} needs a value", args[i - 1]);
-        std::process::exit(2);
-    })
-}
-
-/// The flag's value parsed and accepted by `ok`, or exit 2 saying what
-/// the flag wants.
-fn parsed<T: FromStr>(args: &[String], i: usize, want: &str, ok: fn(&T) -> bool) -> T {
-    args.get(i).and_then(|s| s.parse().ok()).filter(ok).unwrap_or_else(|| {
-        eprintln!("bad {} (want {want})", args[i - 1]);
-        std::process::exit(2);
-    })
-}
 
 fn main() {
     let mut addr = "127.0.0.1:4004".to_string();
@@ -202,8 +185,12 @@ fn main() {
             std::process::exit(1);
         }
     }
+    // The model family comes last in `recoveries`: what its shards
+    // replayed past their checkpoints, which bounds the open's model work.
+    let model_deltas: u64 = recoveries[recoveries.len() - shards..].iter().map(|r| r.records).sum();
     eprintln!(
-        "recovered {} testcases, {} results, {} clients, model epoch {} (sync policy {sync})",
+        "recovered {} testcases, {} results, {} clients, model epoch {} \
+         ({model_deltas} deltas replayed) (sync policy {sync})",
         server.testcase_count(),
         server.result_count(),
         server.client_count(),

@@ -265,6 +265,8 @@ struct Scan {
     snapshot_upto: Lsn,
     /// Whether the visitor was handed a checkpoint.
     checkpoint: bool,
+    /// The size of that checkpoint's state (0 without one).
+    checkpoint_bytes: u64,
     segments: Vec<SegMeta>,
     torn: Option<TornTail>,
     tmp_files: Vec<String>,
@@ -274,6 +276,8 @@ struct Scan {
     headerless_tails: Vec<String>,
     next_lsn: Lsn,
     replay_records: u64,
+    /// Frame bytes of the records past the checkpoint.
+    tail_bytes: u64,
 }
 
 /// Validates a WAL directory in one pass — every segment read once,
@@ -301,10 +305,10 @@ fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<
     // leftovers, invalid ones are skipped (the chain check below
     // catches the case where skipping one loses committed records).
     let mut base = 0;
-    let mut checkpoint = false;
+    let (mut checkpoint, mut checkpoint_bytes) = (false, 0);
     for (upto, name) in snap_names.iter().rev() {
         if let Ok(state) = io.read(&dir.join(name)).and_then(|d| decode_snapshot(&d, *upto)) {
-            (base, checkpoint) = (*upto, true);
+            (base, checkpoint, checkpoint_bytes) = (*upto, true, state.len() as u64);
             visitor.snapshot(Snapshot { upto: *upto, state })?;
             break;
         }
@@ -326,6 +330,7 @@ fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<
     let mut torn = None;
     let mut headerless_tails = Vec::new();
     let mut replay_records = 0u64;
+    let mut tail_bytes = 0u64;
     for (i, (first, name)) in seg_names.iter().enumerate() {
         let is_last = only_residue_after(i);
         let data = io.read(&dir.join(name))?;
@@ -378,6 +383,7 @@ fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<
                     let lsn = first + count;
                     if lsn >= base {
                         visitor.record(lsn, payload)?;
+                        tail_bytes += (FRAME_HEADER + payload.len()) as u64;
                     }
                     count += 1;
                 }
@@ -430,12 +436,14 @@ fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<
     Ok(Scan {
         snapshot_upto: base,
         checkpoint,
+        checkpoint_bytes,
         segments,
         torn,
         tmp_files,
         headerless_tails,
         next_lsn,
         replay_records,
+        tail_bytes,
     })
 }
 
@@ -564,6 +572,10 @@ pub struct Wal<I: Io> {
     /// Whether a checkpoint file covers the records below
     /// `snapshot_upto`.
     checkpoint: bool,
+    /// The size of the newest checkpoint's state (0 without one).
+    checkpoint_bytes: u64,
+    /// Frame bytes of the records from `snapshot_upto` to `next_lsn`.
+    tail_bytes: u64,
     /// `(first_lsn, file name)` of every live segment; the last is active.
     segments: Vec<(Lsn, String)>,
     active_len: u64,
@@ -658,6 +670,8 @@ impl<I: Io> Wal<I> {
                 next_lsn: scan.next_lsn,
                 snapshot_upto: scan.snapshot_upto,
                 checkpoint: scan.checkpoint,
+                checkpoint_bytes: scan.checkpoint_bytes,
+                tail_bytes: scan.tail_bytes,
                 segments,
                 active_len,
                 broken: false,
@@ -701,6 +715,20 @@ impl<I: Io> Wal<I> {
     /// Live segment count (including the active one).
     pub fn segment_count(&self) -> usize {
         self.segments.len()
+    }
+
+    /// The frame bytes of the records past the newest checkpoint in the
+    /// live segments — what a reopen would read and replay on top of
+    /// it. Counted by the open's scan and kept up by every append, so it
+    /// costs no I/O; a checkpoint sets it back to 0.
+    pub fn tail_bytes(&self) -> u64 {
+        self.tail_bytes
+    }
+
+    /// The size of the newest checkpoint's state, as handed to
+    /// [`Wal::snapshot`] (0 without one).
+    pub fn checkpoint_bytes(&self) -> u64 {
+        self.checkpoint_bytes
     }
 
     /// The WAL directory.
@@ -762,6 +790,7 @@ impl<I: Io> Wal<I> {
         // Only an append that returns `Ok` takes its LSN: a frame whose
         // fsync failed stays past `next_lsn`, unseen by `visit_file`.
         self.next_lsn += 1;
+        self.tail_bytes += frame.len() as u64;
         Ok(self.next_lsn - 1)
     }
 
@@ -852,6 +881,7 @@ impl<I: Io> Wal<I> {
         let rename = self.io.rename(&tmp_path, &self.dir.join(&final_name));
         self.guard(rename)?;
         (self.snapshot_upto, self.checkpoint) = (upto, true);
+        (self.checkpoint_bytes, self.tail_bytes) = (state.len() as u64, 0);
         // Rotate unless the active segment is already empty and aligned.
         let (active_first, _) = *self.segments.last().expect("always one segment");
         if !(active_first == upto && self.active_len == SEGMENT_HEADER as u64) {

@@ -201,6 +201,16 @@ UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib text_testc
 echo "== text registry reads like the struct registry (2000 cases) =="
 UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib text_registry_reads_like_the_struct_registry
 
+# A model shard checkpoints itself once its journal tail outgrows its
+# last checkpoint. Through 2000 random runs of batches, reopens, reshards
+# 8 -> 3 -> 1 and faults planned inside each step of a checkpoint (the
+# .tmp write, the rename, the rotation, the segment removal), eight
+# bounded shards must read like a reference that never checkpoints —
+# epochs, snapshot text, merged sketches — and no reopen may replay more
+# than the bound and the one delta a crash cut short.
+echo "== bounded model store reads like one that never checkpoints (2000 cases) =="
+UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib a_bounded_model_reads_like_one_that_never_checkpoints
+
 # An open checks every journal entry in one borrowed pass over its text.
 # Each pass must give its reference's verdict, word for word, on 2000
 # seeds of generated text and textfuzz damage: the model replay fold

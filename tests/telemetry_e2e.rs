@@ -527,3 +527,65 @@ fn a_durable_open_times_every_shard_of_every_family() {
         assert_eq!(metrics::histogram(&name).count(), 4, "{name}: one per shard");
     }
 }
+
+/// A model shard checkpoints once its journal tail outgrows its last
+/// checkpoint, so a restart after uploads that crossed that bound several
+/// times replays at most the bound's worth of deltas — and
+/// `server.wal.model.replayed_records` says how many it did.
+#[test]
+fn a_restart_replays_at_most_the_bound_of_model_deltas() {
+    use uucs::protocol::{MonitorSummary, RunOutcome, RunRecord, WalEntry};
+    use uucs::server::models::{checkpoint_bound, observations_of};
+    use uucs::server::ModelStore;
+    use uucs::testcase::Resource;
+
+    let _guard = serialize();
+    let dir = TempDir::new("uucs-telemetry-bounded-replay");
+    // The journals are what the test reads, not their durability.
+    let cfg = WalConfig { segment_bytes: 16 << 10, sync: SyncPolicy::Never };
+    let open = || Arc::new(UucsServer::with_store_set(StoreSet::open(dir.path(), cfg, 1).unwrap().0, 7));
+    let mut transport = LocalTransport::new(open());
+    let snapshot = MachineSnapshot::study_machine("bounded");
+    let ServerMsg::Id { id, .. } = transport
+        .exchange(&ClientMsg::Register { snapshot, token: String::new() })
+        .expect("register")
+    else {
+        panic!("expected ID");
+    };
+    // Every delta holds the same observations at a rising epoch, so the
+    // first is the smallest frame the journal holds.
+    let records: Vec<RunRecord> = (0..16)
+        .map(|i| RunRecord {
+            client: id.clone(),
+            user: format!("u{i}"),
+            testcase: "t".into(),
+            task: "Word".into(),
+            skill: "Typical".into(),
+            outcome: RunOutcome::Discomfort,
+            offset_secs: 1.0,
+            last_levels: vec![(Resource::Cpu, vec![f64::from(i) * 0.25])],
+            monitor: MonitorSummary::default(),
+        })
+        .collect();
+    let probe = uucs::modelsvc::ComfortModel::new();
+    let frame = WalEntry::Model(probe.next_delta(observations_of(&records))).encode().len() as u64 + 8;
+    let uploads = 4 * checkpoint_bound(0) / frame;
+    for seq in 1..=uploads {
+        let upload = ClientMsg::Upload { client: id.clone(), seq, records: records.clone() };
+        assert_eq!(transport.exchange(&upload).expect("upload"), ServerMsg::Ack(records.len()));
+    }
+    drop(transport);
+
+    let server = open();
+    assert_eq!(server.model_epoch(), uploads, "every delta is kept");
+    let replayed = metrics::gauge("server.wal.model.replayed_records").get() as u64;
+    drop(server);
+    let (store, _) = ModelStore::open_wal(&dir.path().join("models"), cfg).unwrap();
+    let (tail, checkpoint) = store.journal_tail();
+    assert!(checkpoint > 0, "the model journal checkpointed itself");
+    assert!(tail < checkpoint_bound(checkpoint), "{tail} bytes past a {checkpoint}-byte checkpoint");
+    assert!(
+        replayed * frame <= checkpoint_bound(checkpoint),
+        "{replayed} of {uploads} deltas replayed onto a {checkpoint}-byte checkpoint"
+    );
+}
