@@ -33,10 +33,6 @@ use uucs_server::cli::{parsed, value};
 use uucs_server::{tcp, LibrarySource, StoreSet, UucsServer};
 use uucs_wal::{SyncPolicy, WalConfig};
 
-/// Ceiling of the group committer's self-sizing gather window — what
-/// `uucs-server --commit-interval-us 1000` runs with.
-const COMMIT_INTERVAL: Duration = Duration::from_millis(1);
-
 fn main() {
     let mut node = String::new();
     let mut cluster_dir: Option<PathBuf> = None;
@@ -120,8 +116,9 @@ fn main() {
         "recovering journals under {:?} ({shards} shard(s)) ...",
         data.join("wal")
     );
-    // The commit thread owns durability: no append pays its own fsync
-    // under the shard lock, every ack waits on the committer's watermark.
+    // The server's commit thread owns durability (gathering for at most
+    // `commit::DEFAULT_INTERVAL`): no append pays its own fsync under the
+    // shard lock, every ack waits on the committer's watermark.
     let journals = WalConfig {
         sync: SyncPolicy::Never,
         ..Default::default()
@@ -131,8 +128,7 @@ fn main() {
             eprintln!("journal is unrecoverable: {e}");
             std::process::exit(1);
         });
-    let server =
-        Arc::new(UucsServer::with_store_set(stores, 0x5e17).with_group_commit(COMMIT_INTERVAL));
+    let server = Arc::new(UucsServer::with_store_set(stores, 0x5e17));
 
     let role = if follow.is_empty() {
         Role::Leader

@@ -397,7 +397,7 @@ fn follow_once(
         save(&progress);
     }
     let applied = metrics::counter("server.repl.applied");
-    let committer = server.group_committer();
+    let committer = server.committer();
     // The apply / ack loop, a burst at a time: everything already
     // received is applied, made durable with one wait per touched
     // journal, acknowledged with one `COMMIT` per touched shard in a
@@ -447,10 +447,8 @@ fn follow_once(
             }
         }
         // `COMMIT` never precedes the fsync of what it covers.
-        if let Some(committer) = &committer {
-            for ticket in burst.tickets {
-                committer.sync(ticket).map_err(io::Error::other)?;
-            }
+        for ticket in burst.tickets {
+            committer.sync(ticket).map_err(io::Error::other)?;
         }
         if !burst.touched.is_empty() {
             let mut commits = Vec::new();

@@ -178,9 +178,9 @@ pub struct ReplHub {
     /// follower disconnects, so waiters can re-check liveness).
     ack_signal: Condvar,
     ack_lock: Mutex<()>,
-    /// The engine's group committer, if it runs one: its subscribers
-    /// hold the tickets that poll this hub, so they are woken with the
-    /// blocked waiters.
+    /// The engine's group committer, once [`ReplHub::set_server`] ran:
+    /// its subscribers hold the tickets that poll this hub, so they are
+    /// woken with the blocked waiters.
     committer: OnceLock<Arc<GroupCommitter>>,
     leading: AtomicBool,
     epoch: AtomicU64,
@@ -253,9 +253,7 @@ impl ReplHub {
     /// Wires the engine the hub exports backfill snapshots from. Must
     /// run before [`ReplHub::listen`].
     pub fn set_server(&self, server: Arc<UucsServer>) {
-        if let Some(committer) = server.group_committer() {
-            let _ = self.committer.set(committer);
-        }
+        let _ = self.committer.set(server.committer().clone());
         *lock(&self.server) = Some(server);
     }
 
@@ -280,8 +278,8 @@ impl ReplHub {
     }
 
     /// How many times a thread blocked waiting for a follower's ack.
-    /// Stays 0 on a node whose engine runs a group committer and is
-    /// served by the TCP pool: there the wait rides the commit ticket.
+    /// Stays 0 on a node served by the TCP pool: there the wait rides
+    /// the commit ticket.
     pub fn blocking_quorum_waits(&self) -> u64 {
         self.blocking_waits.load(Ordering::SeqCst)
     }
@@ -954,7 +952,7 @@ mod tests {
         let (stores, _) = StoreSet::open(dir.path(), journals, 1).unwrap();
         let server =
             Arc::new(UucsServer::with_store_set(stores, 1).with_group_commit(Duration::ZERO));
-        let committer = server.group_committer().unwrap();
+        let committer = server.committer().clone();
         let config = HubConfig {
             ack: AckMode::Quorum,
             ack_timeout: Duration::from_secs(600),

@@ -110,7 +110,7 @@ fn follow(
 }
 
 fn register(server: &UucsServer, host: &str) -> String {
-    let (reply, _) = server.handle_deferred(&ClientMsg::Register {
+    let reply = server.handle(&ClientMsg::Register {
         snapshot: MachineSnapshot::study_machine(host),
         token: format!("tok-{host}"),
     });
@@ -133,7 +133,7 @@ fn upload_each(srv: &UucsServer, id: &str, seqs: RangeInclusive<u64>, prefix: &s
 
 /// One batch carrying one record per tag.
 fn upload_batch(server: &UucsServer, client: &str, seq: u64, tags: &[String]) {
-    let (reply, _) = server.handle_deferred(&ClientMsg::Upload {
+    let reply = server.handle(&ClientMsg::Upload {
         client: client.into(),
         seq,
         records: tags.iter().map(|tag| rec(client, tag)).collect(),
@@ -178,7 +178,7 @@ fn follower_applies_the_leaders_stream() -> Result<(), Violation> {
 
     // The follower's engine is read-only: writes bounce with the
     // `not leader` marker clients pivot on.
-    let (reply, _) = follower_srv.handle_deferred(&ClientMsg::Upload {
+    let reply = follower_srv.handle(&ClientMsg::Upload {
         client: id.clone(),
         seq: 99,
         records: vec![rec(&id, "nope")],
@@ -400,7 +400,7 @@ fn leader_loss_promotes_the_follower() -> Result<(), Violation> {
 
     // The promoted node serves writes: the client re-registers with its
     // token (same GUID, fast-forwarded seq) and keeps uploading.
-    let (reply, _) = follower_srv.handle_deferred(&ClientMsg::Register {
+    let reply = follower_srv.handle(&ClientMsg::Register {
         snapshot: MachineSnapshot::study_machine("m1"),
         token: "tok-m1".into(),
     });

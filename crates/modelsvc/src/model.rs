@@ -13,7 +13,7 @@
 //! same recovery contract as the record stores.
 
 use crate::sketch::{MergeError, QuantileSketch};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,13 +26,25 @@ pub const SKILL_UNRATED: &str = "unrated";
 
 /// Replaces whitespace so task/skill names stay single wire tokens, and
 /// maps the empty string to the `-` placeholder the record format uses.
-fn token(s: &str) -> String {
+fn token(s: &str) -> Cow<'_, str> {
     if s.is_empty() {
-        return "-".to_string();
+        return Cow::Borrowed("-");
     }
-    s.chars()
-        .map(|c| if c.is_whitespace() { '_' } else { c })
-        .collect()
+    key_form(s)
+}
+
+/// A task or skill name as a cohort key holds it: whitespace written as
+/// `_`, the form [`token`] journals and a replay reads back, so a live
+/// model and its replay file a sample under the same key.
+fn key_form(s: &str) -> Cow<'_, str> {
+    if !s.contains(char::is_whitespace) {
+        return Cow::Borrowed(s);
+    }
+    Cow::Owned(
+        s.chars()
+            .map(|c| if c.is_whitespace() { '_' } else { c })
+            .collect(),
+    )
 }
 
 fn detoken(s: &str) -> &str {
@@ -150,26 +162,28 @@ impl Obs<'_> {
         }
     }
 
-    /// Adds the sample to its cohort's sketch, keying a cohort only the
-    /// first time it is seen.
+    /// Adds the sample to its cohort's sketch, keying a cohort (by
+    /// [`key_form`]) only the first time it is seen.
     fn observe(self, cohorts: &mut BTreeMap<CohortKey, QuantileSketch>) {
+        let task = key_form(self.task);
         let skill = if self.skill.is_empty() {
-            SKILL_UNRATED
+            Cow::Borrowed(SKILL_UNRATED)
         } else {
-            self.skill
+            key_form(self.skill)
         };
+        let (task, skill) = (task.as_ref(), skill.as_ref());
         let insert = |sketch: &mut QuantileSketch| match self.censored {
             true => sketch.insert_censored(),
             false => sketch.insert(self.level),
         };
-        match cohorts.get_mut(&(self.resource, self.task, skill) as &dyn CohortFields) {
+        match cohorts.get_mut(&(self.resource, task, skill) as &dyn CohortFields) {
             Some(sketch) => insert(sketch),
             None => {
                 let mut sketch = QuantileSketch::for_resource(self.resource);
                 insert(&mut sketch);
                 let key = CohortKey {
                     resource: self.resource,
-                    task: self.task.to_string(),
+                    task: task.to_string(),
                     skill: skill.to_string(),
                 };
                 cohorts.insert(key, sketch);
@@ -454,17 +468,19 @@ impl ComfortModel {
     }
 
     /// The merged sketch for a query: all cohorts of `resource`,
-    /// narrowed to one task when given, merged across skill classes.
-    /// An empty sketch (in the resource's configuration) when nothing
-    /// matches — "no data yet" is an answerable question.
+    /// narrowed to one task (named as its cohorts are keyed, see
+    /// [`key_form`]) when given, merged across skill classes. An empty
+    /// sketch (in the resource's configuration) when nothing matches —
+    /// "no data yet" is an answerable question.
     pub fn merged(&self, resource: Resource, task: Option<&str>) -> QuantileSketch {
+        let task = task.map(key_form);
         let mut out = QuantileSketch::for_resource(resource);
         for (key, sketch) in &self.cohorts {
             if key.resource != resource {
                 continue;
             }
-            if let Some(t) = task {
-                if key.task != t {
+            if let Some(t) = &task {
+                if key.task != *t {
                     continue;
                 }
             }
@@ -705,6 +721,38 @@ mod tests {
         let all_cpu = m.merged(Resource::Cpu, None);
         assert_eq!(all_cpu.total(), 4);
         assert_eq!(m.merged(Resource::Memory, None).total(), 0);
+    }
+
+    /// A task or skill with inner whitespace is journaled as one token
+    /// (`_` for each space); the live model keys its cohort the same
+    /// way, so the model a replay rebuilds reads like the live one —
+    /// whichever spelling a query uses.
+    #[test]
+    fn a_spaced_task_reads_the_same_live_and_decoded() {
+        let mut m = ComfortModel::new();
+        let d = m.next_delta(vec![
+            obs(Resource::Cpu, "two words", "very\tgood", 3.0, false),
+            obs(Resource::Cpu, "two_words", "very_good", 4.0, false),
+            obs(Resource::Cpu, "two words", "", 5.0, true),
+            obs(Resource::Disk, "Word", "Typical", 2.0, false),
+        ]);
+        m.apply(&d).unwrap();
+        let decoded = ComfortModel::decode(&m.encode()).unwrap();
+        let mut folded = ComfortModel::new();
+        folded.fold(&d.encode()).unwrap();
+        for other in [&decoded, &folded] {
+            assert_eq!(other.epoch(), m.epoch());
+            assert_eq!(other.encode(), m.encode());
+            for task in [None, Some("two words"), Some("two_words"), Some("Word")] {
+                for resource in [Resource::Cpu, Resource::Disk] {
+                    let (got, want) = (other.merged(resource, task), m.merged(resource, task));
+                    assert_eq!(got, want, "{task:?}");
+                }
+            }
+        }
+        assert_eq!(m.cohort_count(), 3, "one cohort per spelling's token form");
+        let spaced = m.merged(Resource::Cpu, Some("two words"));
+        assert_eq!((spaced.observed(), spaced.censored()), (2, 1));
     }
 
     #[test]

@@ -2,26 +2,26 @@
 //! appends, fsyncs once per shard, and wakes every waiter — blocked
 //! handlers through a condvar, pool workers through their wakers.
 //!
-//! The old engine ran each store WAL at `SyncPolicy::Always` — every
-//! upload paid a full fsync while holding the store's write lock, so
-//! durability cost scaled linearly with request count and serialized
-//! the fleet behind the disk. Under group commit the stores run at
+//! Every server runs one committer from construction, and it is the
+//! one way an ack becomes durable. The stores run at
 //! `SyncPolicy::Never`; a handler appends under the shard lock, records
 //! the WAL's next-LSN as its durability watermark (a [`CommitTicket`]),
 //! releases the lock, and then waits — without any lock held — until
-//! the committer's next fsync pass covers that watermark. A pass
-//! syncs each dirty shard exactly once no matter how many appends
-//! landed since the last pass, so the per-request durability cost is
-//! `fsync / batch size`, with the identical guarantee: **no request is
-//! acknowledged before its journal entries are on stable storage**.
+//! the committer's next fsync pass covers that watermark. A pass syncs
+//! each dirty shard exactly once no matter how many appends landed
+//! since the last pass, so the per-request durability cost is
+//! `fsync / batch size`: **no request is acknowledged before its
+//! journal entries are on stable storage**, and no append pays an fsync
+//! under its shard lock.
 //!
 //! The gather window before a pass sizes itself. The configured
-//! interval is its ceiling; the window actually waited is
-//! `interval × (1 − k/n)`, where the previous pass fsynced `k` slots
-//! covering `n` appends — the share of fsyncs that batching saved last
-//! time (`gather_share`). A lone or depth-1 client has `n = k`, so its
-//! append is synced at once; saturated pipelined ingest has `n ≫ k`, so
-//! the window stays near the interval and amortization is kept.
+//! interval ([`DEFAULT_INTERVAL`] unless set) is its ceiling; the window
+//! actually waited is `interval × (1 − k/n)`, where the previous pass
+//! fsynced `k` slots covering `n` appends — the share of fsyncs that
+//! batching saved last time (`gather_share`). A lone or depth-1 client
+//! has `n = k`, so its append is synced at once; saturated pipelined
+//! ingest has `n ≫ k`, so the window stays near the interval and
+//! amortization is kept. An interval of zero never gathers.
 //!
 //! `uucs-wal` itself stays dependency- and policy-free: the committer
 //! drives the existing [`uucs_wal::Wal::sync`] (segment rotation and
@@ -30,8 +30,7 @@
 //!
 //! Failure semantics: if an fsync fails, the slot is marked failed and
 //! every current and future waiter on that shard gets the error — the
-//! handler answers with a protocol error instead of an ack, exactly as
-//! a failed synchronous append did before.
+//! handler answers with a protocol error instead of an ack.
 //!
 //! On the leader of a quorum tier a ticket also carries a
 //! [`QuorumMark`]: where the mutation sits in the replication stream.
@@ -44,12 +43,17 @@
 use crate::netpoll::Waker;
 use crate::server::ReplicationSink;
 use crate::shard::{sync_shard, StoreSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uucs_pagecache::{DiskScheduler, OpKind};
 use uucs_telemetry::{metrics, Counter, Gauge, Histogram};
 use uucs_wal::Lsn;
+
+/// The gather-window ceiling a committer starts with: what
+/// `uucs-server`, `uucs-clusterd` and `uucs-study fleet` run by default.
+pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Which store family a ticket's append landed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,11 +78,12 @@ impl StoreFlavor {
 
 /// The number of ticketed families. Model-WAL appends are deliberately
 /// not ticketed: the model is derived state, and a failed model journal
-/// write never blocked an upload ack before (the records are the source
-/// of truth) — so the committer never syncs a model shard and no reply
+/// write never blocks an upload ack (the records are the source of
+/// truth) — so the committer never syncs a model shard and no reply
 /// waits on one. A model journal reaches disk when a segment rotates
 /// (its rotation sync stays inline, see
-/// [`StoreSet::set_deferred_rotation_sync`]) and at compaction.
+/// [`StoreSet::set_deferred_rotation_sync`]), when the shard
+/// checkpoints itself, and at compaction.
 const FLAVORS: usize = 3;
 
 /// Where a shipped mutation sits in the replication stream, for an ack
@@ -110,6 +115,17 @@ pub struct CommitTicket {
     pub upto: Lsn,
     /// The follower ack this ticket also waits for (quorum leader only).
     pub quorum: Option<QuorumMark>,
+}
+
+impl CommitTicket {
+    /// This ticket, redeemable only once a follower also holds what
+    /// `mark` stands for, when the mutation owes the followers one.
+    pub fn owing(self, mark: Option<QuorumMark>) -> Self {
+        CommitTicket {
+            quorum: mark,
+            ..self
+        }
+    }
 }
 
 /// Per-slot (flavor × shard) commit bookkeeping.
@@ -181,17 +197,17 @@ pub struct GroupCommitter {
     wake: Condvar,
     /// Wakes waiters when watermarks advance or a slot fails.
     done: Condvar,
-    /// Ceiling of the gather window before an fsync pass (see the
-    /// module docs for how the window sizes itself under it). Zero =
-    /// sync as soon as anything is pending.
-    interval: Duration,
+    /// Ceiling of the gather window before an fsync pass, in ns (see
+    /// the module docs for how the window sizes itself under it). Zero
+    /// = sync as soon as anything is pending.
+    interval_ns: AtomicU64,
     counts: [usize; FLAVORS],
     metrics: CommitMetrics,
-    /// When present, slot fsyncs are submitted to the disk scheduler's
+    /// Once set, slot fsyncs are submitted to the disk scheduler's
     /// thread pool instead of running serially on the commit thread —
     /// one pass over `k` dirty shards pays `max(fsync)` wall time, not
     /// `sum(fsync)`.
-    scheduler: Option<Arc<DiskScheduler>>,
+    scheduler: OnceLock<Arc<DiskScheduler>>,
     /// Pool workers to wake after each fsync pass, so a parked reply is
     /// serialized the moment its watermark is durable.
     wakers: Mutex<Vec<Weak<Waker>>>,
@@ -207,22 +223,10 @@ fn journal_failure(why: impl std::fmt::Display) -> String {
 const STOPPED: &str = "server stopped before the commit completed";
 
 impl GroupCommitter {
-    /// Starts the commit thread over `stores`. The returned handle must
-    /// be joined after [`GroupCommitter::stop`] (the server's `Drop`
-    /// does both).
+    /// Starts the commit thread over `stores`, gathering for at most
+    /// `interval` before a pass. The returned handle must be joined
+    /// after [`GroupCommitter::stop`] (the server's `Drop` does both).
     pub fn start(stores: Arc<StoreSet>, interval: Duration) -> (Arc<Self>, JoinHandle<()>) {
-        Self::start_with(stores, interval, None)
-    }
-
-    /// [`GroupCommitter::start`], optionally over a [`DiskScheduler`]:
-    /// with one, every fsync pass fans its per-shard syncs out to the
-    /// scheduler's I/O threads and redeems the completion tickets, so
-    /// independent shards sync in parallel.
-    pub fn start_with(
-        stores: Arc<StoreSet>,
-        interval: Duration,
-        scheduler: Option<Arc<DiskScheduler>>,
-    ) -> (Arc<Self>, JoinHandle<()>) {
         let counts = [
             stores.testcases.count(),
             stores.results.count(),
@@ -240,7 +244,7 @@ impl GroupCommitter {
             }),
             wake: Condvar::new(),
             done: Condvar::new(),
-            interval,
+            interval_ns: AtomicU64::new(interval.as_nanos() as u64),
             counts,
             metrics: CommitMetrics {
                 commits: metrics::counter("server.commit.count"),
@@ -249,7 +253,7 @@ impl GroupCommitter {
                 gather_us: metrics::gauge("server.commit.gather_us"),
                 gather_ns: metrics::histogram("server.commit.gather.ns"),
             },
-            scheduler,
+            scheduler: OnceLock::new(),
             wakers: Mutex::new(Vec::new()),
             sink: OnceLock::new(),
         });
@@ -259,6 +263,24 @@ impl GroupCommitter {
             .spawn(move || runner.run())
             .expect("spawn group-commit thread");
         (committer, handle)
+    }
+
+    /// Sets the gather-window ceiling from the next pass on.
+    pub fn set_interval(&self, interval: Duration) {
+        self.interval_ns
+            .store(interval.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// The gather-window ceiling.
+    pub(crate) fn interval(&self) -> Duration {
+        Duration::from_nanos(self.interval_ns.load(Ordering::Relaxed))
+    }
+
+    /// Has every later pass fan its per-shard syncs out to `scheduler`'s
+    /// I/O threads, so independent shards sync in parallel. One-shot:
+    /// the first scheduler stays.
+    pub fn set_scheduler(&self, scheduler: Arc<DiskScheduler>) {
+        let _ = self.scheduler.set(scheduler);
     }
 
     fn slot(&self, flavor: StoreFlavor, shard: usize) -> usize {
@@ -518,7 +540,7 @@ impl GroupCommitter {
                     synced += 1;
                 }
             };
-            if let Some(sched) = &self.scheduler {
+            if let Some(sched) = self.scheduler.get() {
                 // Fan the dirty shards out to the I/O pool; each sync
                 // serializes on its own shard lock, so independent
                 // shards fsync in parallel and the pass costs the
@@ -550,7 +572,7 @@ impl GroupCommitter {
                 }
             }
             self.wake_subscribers();
-            window = self.interval.mul_f64(gather_share(appends, synced));
+            window = self.interval().mul_f64(gather_share(appends, synced));
             self.metrics.gather_us.set(window.as_micros() as i64);
         }
     }

@@ -19,10 +19,13 @@
 //! including client registrations and per-client upload dedup horizons —
 //! is recovered on restart, and every 30 s the journal is compacted into
 //! a checkpoint: the paper's text files, written by the journal. An ack
-//! always means the journal entry is on stable storage: each append is
-//! fsynced before its reply, or — under `--commit-interval-us` — the
-//! reply waits for the group committer's batched fsync. `--wal` is
-//! accepted and changes nothing: the server always journals.
+//! always means the journal entry is on stable storage: appends do not
+//! fsync, and every reply waits for the group committer's batched fsync.
+//! The model journals are not ticketed: their deltas reach disk when a
+//! segment rotates, when a model shard checkpoints itself and at
+//! compaction, so after a power loss (not a kill) the model can trail
+//! the recovered records. `--wal` is accepted and changes nothing: the
+//! server always journals.
 //!
 //! Engine knobs:
 //!
@@ -30,17 +33,16 @@
 //!   hash-routed shards, each behind its own lock and WAL segment
 //!   stream. Restarting with a different N migrates the layout;
 //!   state is preserved exactly.
-//! * `--commit-interval-us N` turns on group commit: appends stop
-//!   fsyncing individually and a dedicated commit thread batches all
-//!   pending appends into one fsync per shard. N is the *maximum*
-//!   gather window: the committer waits only for the share of it that
+//! * `--commit-interval-us N` (default 1000) is the *maximum* gather
+//!   window of the commit thread, which batches all pending appends
+//!   into one fsync per shard: it waits only for the share of N that
 //!   batching earned on the previous pass, so a lone upload is synced
 //!   at once and a saturated server gathers for nearly N microseconds.
-//!   Acks still wait for the fsync — same durability, amortized cost.
-//! * `--io-threads N` starts the disk-scheduler thread pool: group
-//!   commit fans its per-shard fsyncs out to it, and segment rotation
+//!   0 never gathers. Acks always wait for the fsync.
+//! * `--io-threads N` starts the disk-scheduler thread pool: the commit
+//!   thread fans its per-shard fsyncs out to it, and segment rotation
 //!   defers its fsync to the next commit pass instead of stalling the
-//!   append path. Needs `--commit-interval-us`.
+//!   append path.
 //! * `--cache-pages N` is accepted and ignored (it prints a note): the
 //!   journals are read straight from their files, with no page cache.
 //! * `--max-conns N`, `--workers N` tune the TCP front end (a worker
@@ -53,6 +55,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use uucs_server::cli::{parsed, value};
+use uucs_server::commit::DEFAULT_INTERVAL;
 use uucs_server::tcp::ServeConfig;
 use uucs_server::{tcp, LibrarySource, StorageProfile, StoreSet, UucsServer};
 use uucs_telemetry::metrics;
@@ -64,7 +67,7 @@ fn main() {
     let mut data = PathBuf::from("uucs-server-data");
     let mut gen_seed: Option<String> = None;
     let mut shards: usize = 1;
-    let mut commit_interval_us: u64 = 0;
+    let mut commit_interval_us = DEFAULT_INTERVAL.as_micros() as u64;
     let mut storage = StorageProfile::default();
     let mut serve_config = ServeConfig::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -96,7 +99,7 @@ fn main() {
             }
             "--commit-interval-us" => {
                 i += 1;
-                let want = "the maximum gather window in microseconds, 0 disables";
+                let want = "the maximum gather window in microseconds, 0 = none";
                 commit_interval_us = parsed(&args, i, want, |_| true);
             }
             "--cache-pages" => {
@@ -123,10 +126,6 @@ fn main() {
         }
         i += 1;
     }
-    if storage.io_threads > 0 && commit_interval_us == 0 {
-        eprintln!("--io-threads needs --commit-interval-us (the committer drives the scheduler)");
-        std::process::exit(2);
-    }
     let source = LibrarySource::from_flags(library, gen_seed.as_deref()).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
@@ -140,16 +139,10 @@ fn main() {
     metrics::gauge("server.config.commit_interval_us").set(commit_interval_us as i64);
     metrics::gauge("server.config.io_threads").set(storage.io_threads as i64);
 
-    // Under group commit the per-append policy is Never: the commit
-    // thread owns durability (one batched fsync per shard, acks wait on
-    // the watermark). Without it every append pays its own fsync.
-    let sync = if commit_interval_us > 0 {
-        SyncPolicy::Never
-    } else {
-        SyncPolicy::Always
-    };
+    // The commit thread owns durability (one batched fsync per shard,
+    // acks wait on the watermark), so no append pays its own fsync.
     let config = WalConfig {
-        sync,
+        sync: SyncPolicy::Never,
         ..WalConfig::default()
     };
     eprintln!("recovering journals under {:?} ({shards} shard(s)) ...", data.join("wal"));
@@ -166,12 +159,10 @@ fn main() {
             );
         }
     }
-    let mut server = UucsServer::with_store_set(stores, 0x5e17);
+    let mut server = UucsServer::with_store_set(stores, 0x5e17)
+        .with_group_commit(Duration::from_micros(commit_interval_us));
     if let Some(sched) = storage.scheduler() {
         server = server.with_io_scheduler(sched);
-    }
-    if commit_interval_us > 0 {
-        server = server.with_group_commit(Duration::from_micros(commit_interval_us));
     }
     let server = Arc::new(server);
     if server.testcase_count() == 0 {
@@ -190,7 +181,7 @@ fn main() {
     let model_deltas: u64 = recoveries[recoveries.len() - shards..].iter().map(|r| r.records).sum();
     eprintln!(
         "recovered {} testcases, {} results, {} clients, model epoch {} \
-         ({model_deltas} deltas replayed) (sync policy {sync})",
+         ({model_deltas} deltas replayed)",
         server.testcase_count(),
         server.result_count(),
         server.client_count(),

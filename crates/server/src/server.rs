@@ -2,16 +2,16 @@
 //!
 //! Requests route to a shard by a stable hash of their key (client id,
 //! testcase id — see [`crate::shard`]), so unrelated clients never
-//! contend on a lock. With group commit enabled
-//! ([`UucsServer::with_group_commit`]) the durable verbs split into two
-//! halves: [`UucsServer::handle_deferred`] appends under the shard lock
-//! and returns a [`CommitTicket`] alongside the provisional reply, and
-//! the caller redeems the ticket (blocking [`GroupCommitter::wait`] in
-//! `Endpoint::handle`, nonblocking `poll` in the worker-pool front end)
-//! before the client sees the ack — preserving the invariant that an
-//! `Ack` means "journaled on stable storage".
+//! contend on a lock. Every server runs a group committer, so the
+//! durable verbs split into two halves: [`UucsServer::handle_deferred`]
+//! appends under the shard lock and returns a [`CommitTicket`]
+//! alongside the provisional reply, and the caller redeems the ticket
+//! (blocking [`GroupCommitter::wait`] in `Endpoint::handle`,
+//! nonblocking `poll` in the worker-pool front end) before the client
+//! sees the ack — preserving the invariant that an `Ack` means
+//! "journaled on stable storage".
 
-use crate::commit::{CommitTicket, GroupCommitter, QuorumMark, StoreFlavor};
+use crate::commit::{CommitTicket, GroupCommitter, QuorumMark, StoreFlavor, DEFAULT_INTERVAL};
 use crate::journal::Journaled;
 use crate::models::{observations_of, ModelStore};
 use crate::shard::{Sharded, StoreSet};
@@ -100,6 +100,12 @@ fn delta_metrics() -> &'static DeltaMetrics {
 /// full sketch — correctness never depends on retention.
 const DELTA_HISTORY: usize = 8;
 
+/// How many `(resource, task)` query keys the delta history holds. Any
+/// `MODEL`, `MODELDELTA` or `ADVICE` can name a new task, so a key past
+/// this clears the whole history: the bases it held only cost their
+/// clients one full sketch each.
+const DELTA_HISTORY_KEYS: usize = 256;
+
 /// One merged sketch of the whole model, as the model read path
 /// ([`ModelRead::view`]) produced it: every model reply is built from
 /// one of these.
@@ -158,9 +164,11 @@ impl ModelRead<'_> {
     /// rises, so a view at the current epoch is the current model.
     fn view(&self, resource: uucs_testcase::Resource, task: Option<&str>) -> Arc<ModelView> {
         let mut history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
-        let views = history
-            .entry((resource.name(), task.map(str::to_string)))
-            .or_default();
+        let key = (resource.name(), task.map(str::to_string));
+        if history.len() >= DELTA_HISTORY_KEYS && !history.contains_key(&key) {
+            history.clear();
+        }
+        let views = history.entry(key).or_default();
         if let Some(newest) = views.front().filter(|v| v.epoch == self.epoch) {
             return newest.clone();
         }
@@ -224,10 +232,9 @@ fn poisoned(what: &str) -> ServerMsg {
 /// followers and, when the ack must wait for one of them
 /// (`--repl-ack=quorum`), says where the entry sits in the stream — a
 /// [`QuorumMark`]. The ack then waits for that mark beside the local
-/// fsync, not after it: on the mutation's [`CommitTicket`] when a group
-/// committer runs (redeemed through [`GroupCommitter::poll`]/`wait`,
-/// which ask [`ReplicationSink::poll_quorum`]/`wait_quorum`), or inline
-/// in the handler when the store syncs inline too.
+/// fsync, not after it: on the mutation's [`CommitTicket`] (redeemed
+/// through [`GroupCommitter::poll`]/`wait`, which ask
+/// [`ReplicationSink::poll_quorum`]/`wait_quorum`).
 ///
 /// The sink is invoked *after* the local store accepted the mutation
 /// but *before* the client's ack. Shipping ahead of the local fsync is
@@ -265,14 +272,10 @@ pub trait ReplicationSink: Send + Sync {
 /// key routes to.
 pub struct UucsServer {
     stores: Arc<StoreSet>,
-    /// Group-commit coordinator (None = the stores fsync per their own
-    /// `SyncPolicy`, as before).
-    committer: Option<Arc<GroupCommitter>>,
+    /// The group committer every durable verb's ack waits on, running
+    /// from construction to `Drop`.
+    committer: Arc<GroupCommitter>,
     commit_thread: Option<JoinHandle<()>>,
-    /// Dedicated disk-I/O thread pool: when present, the group
-    /// committer fans its per-shard fsyncs out here and segment
-    /// rotations defer their fsync to the next commit pass.
-    io_scheduler: Option<Arc<DiskScheduler>>,
     /// When false, appended records are not folded into the comfort
     /// model (the `MODEL`/`ADVICE` verbs then serve a frozen — typically
     /// empty — model). Benchmarks use this to isolate the update cost.
@@ -316,11 +319,14 @@ impl UucsServer {
     }
 
     /// Creates a server over an explicit (typically sharded, see
-    /// [`StoreSet::open`]) store set. Records held beside a model at
-    /// epoch 0 are folded into it here, once (see
+    /// [`StoreSet::open`]) store set and starts its group committer at
+    /// [`DEFAULT_INTERVAL`]: the committer is what makes an ack durable,
+    /// so the journals should run at `SyncPolicy::Never`. Records held
+    /// beside a model at epoch 0 are folded into it here, once (see
     /// [`UucsServer::model_missing_records`]).
     pub fn with_store_set(stores: StoreSet, sample_seed: u64) -> Self {
         let stores = Arc::new(stores);
+        let (committer, commit_thread) = GroupCommitter::start(stores.clone(), DEFAULT_INTERVAL);
         let max_id = (stores.registry.read_all().iter())
             .filter_map(|reg| reg.entries().filter_map(|(id, _)| minted(id)).max())
             .max()
@@ -328,9 +334,8 @@ impl UucsServer {
         let shard_gauges = ShardGauges::new(&stores);
         let server = UucsServer {
             stores,
-            committer: None,
-            commit_thread: None,
-            io_scheduler: None,
+            committer,
+            commit_thread: Some(commit_thread),
             model_updates: true,
             sample_seed,
             next_client: AtomicU64::new(max_id),
@@ -349,9 +354,7 @@ impl UucsServer {
     /// ignored (the first sink stays wired).
     pub fn set_replication(&self, sink: Arc<dyn ReplicationSink>) {
         if self.replication.set(sink.clone()).is_ok() {
-            if let Some(committer) = &self.committer {
-                committer.attach_sink(sink);
-            }
+            self.committer.attach_sink(sink);
         }
     }
 
@@ -376,47 +379,34 @@ impl UucsServer {
         self
     }
 
-    /// Starts the group-commit thread: store WALs should then run at
-    /// `SyncPolicy::Never`, and every durable verb's ack waits for the
-    /// committer's batched fsync instead of paying its own. `interval`
-    /// is the ceiling of the self-sizing gather window before a pass
-    /// (see [`crate::commit`]).
-    pub fn with_group_commit(mut self, interval: Duration) -> Self {
-        if self.io_scheduler.is_some() {
-            // The committer's regular sync passes drain deferred
-            // rotation syncs, so rotation can leave the append path.
-            self.stores.set_deferred_rotation_sync(true);
-        }
-        let (committer, handle) = GroupCommitter::start_with(
-            self.stores.clone(),
-            interval,
-            self.io_scheduler.clone(),
-        );
-        self.committer = Some(committer);
-        self.commit_thread = Some(handle);
+    /// Sets the ceiling of the committer's self-sizing gather window
+    /// before a pass (see [`crate::commit`]); zero never gathers.
+    pub fn with_group_commit(self, interval: Duration) -> Self {
+        self.committer.set_interval(interval);
         self
     }
 
     /// Installs the disk-scheduler thread pool (see
-    /// [`crate::storage::StorageProfile::scheduler`]). Must run before
-    /// [`UucsServer::with_group_commit`]: the committer captures it,
-    /// fans per-shard fsyncs out to its threads, and store WALs defer
-    /// segment-rotation fsyncs to the committer's passes.
-    pub fn with_io_scheduler(mut self, scheduler: Arc<DiskScheduler>) -> Self {
-        self.io_scheduler = Some(scheduler);
+    /// [`crate::storage::StorageProfile::scheduler`]): the committer
+    /// fans its per-shard fsyncs out to its threads, and the ticketed
+    /// journals defer segment-rotation fsyncs to the committer's passes.
+    pub fn with_io_scheduler(self, scheduler: Arc<DiskScheduler>) -> Self {
+        self.committer.set_scheduler(scheduler);
+        self.stores.set_deferred_rotation_sync(true);
         self
     }
 
-    /// The installed disk scheduler, if any.
-    pub fn io_scheduler(&self) -> Option<Arc<DiskScheduler>> {
-        self.io_scheduler.clone()
+    /// The group committer: the worker-pool front end subscribes its
+    /// wakers to it and redeems deferred acks through its nonblocking
+    /// `poll`.
+    pub fn committer(&self) -> &Arc<GroupCommitter> {
+        &self.committer
     }
 
-    /// The group-commit coordinator, when enabled — the worker-pool
-    /// front end subscribes its wakers to it and redeems deferred acks
-    /// through its nonblocking `poll`.
+    /// [`UucsServer::committer`] in the shape `benchmark/src/layers.rs`
+    /// builds against: always `Some`.
     pub fn group_committer(&self) -> Option<Arc<GroupCommitter>> {
-        self.committer.clone()
+        Some(self.committer.clone())
     }
 
     /// The store shard count (all families open with the same count).
@@ -491,22 +481,17 @@ impl UucsServer {
             // A duplicate id is refused above, so a testcase has no
             // replay to acknowledge: every ack here is for a fresh ship,
             // of the payload the journal took.
-            let ticket = match payload {
+            let mark = match payload {
                 Some(payload) => self.ship(tc.id.as_str(), || payload),
                 None => Ok(None),
             }
-            .and_then(|mark| self.owe_quorum(mark, ticket))
             .map_err(StoreError::Io)?;
             // A follower's acked watermark is cumulative too, so the
             // last mark of a shard stands for the earlier ones.
-            if ticket.is_some() {
-                last[shard] = ticket;
-            }
+            last[shard] = Some(ticket.owing(mark));
         }
         for ticket in last.into_iter().flatten() {
             self.committer
-                .as_ref()
-                .expect("ticket implies committer")
                 .wait(ticket)
                 .map_err(|e| StoreError::Io(invalid(e)))?;
         }
@@ -587,10 +572,10 @@ impl UucsServer {
     /// anything is journaled: a payload that does not decode is refused
     /// whole. `Model` entries are never shipped and are ignored.
     ///
-    /// Under group commit the entry is durable once the returned ticket
-    /// is redeemed — the follower acknowledges a burst of entries after
-    /// one [`GroupCommitter::sync`] per touched journal, so the ticket
-    /// is *not* submitted: a request would only wake the commit thread
+    /// The entry is durable once the returned ticket is redeemed — the
+    /// follower acknowledges a burst of entries after one
+    /// [`GroupCommitter::sync`] per touched journal, so the ticket is
+    /// *not* submitted: a request would only wake the commit thread
     /// to race the caller's own fsync. An entry already held gets the
     /// journal's *current* watermark, so acknowledging it again is
     /// never less durable than the first time.
@@ -603,7 +588,7 @@ impl UucsServer {
                 guard.admit(payload)?;
                 let lsn = guard.wal_next_lsn();
                 drop(guard);
-                Ok(self.watermark(StoreFlavor::Testcases, shard, lsn))
+                Ok(Some(watermark(StoreFlavor::Testcases, shard, lsn)))
             }
             TAG_CLIENT => {
                 let id = RegistryStore::key_of(payload)?;
@@ -621,7 +606,7 @@ impl UucsServer {
                         self.next_client.fetch_max(n, Ordering::SeqCst);
                     }
                 }
-                Ok(self.watermark(StoreFlavor::Registry, shard, lsn))
+                Ok(Some(watermark(StoreFlavor::Registry, shard, lsn)))
             }
             TAG_BATCH | TAG_RESULT => {
                 let (client, records) = shipped_records(tag, text)?;
@@ -632,7 +617,7 @@ impl UucsServer {
                 if fresh {
                     self.observe(&client, &records);
                 }
-                Ok(ticket)
+                Ok(Some(ticket))
             }
             TAG_MODEL => Ok(None),
             other => Err(invalid(format!("unknown wal entry tag {other:#04x}"))),
@@ -645,11 +630,11 @@ impl UucsServer {
         &self,
         shard: usize,
         results: std::sync::RwLockWriteGuard<'_, ResultStore>,
-    ) -> Option<CommitTicket> {
+    ) -> CommitTicket {
         let (len, lsn) = (results.len(), results.wal_next_lsn());
         drop(results);
         self.shard_gauges.results[shard].set(len as i64);
-        self.watermark(StoreFlavor::Results, shard, lsn)
+        watermark(StoreFlavor::Results, shard, lsn)
     }
 
     /// Applies one payload of a *snapshot* backfill stream. A snapshot
@@ -673,7 +658,7 @@ impl UucsServer {
         let ticket = self.applied_results(shard, results);
         let fresh: Vec<_> = fresh.into_iter().map(|i| records[i].clone()).collect();
         self.observe(&client, &fresh);
-        Ok(ticket)
+        Ok(Some(ticket))
     }
 
     /// The backfill snapshot a leader sends a follower the replication
@@ -742,11 +727,9 @@ impl UucsServer {
     /// the records it holds, whatever its role. A model journal failure
     /// is counted, not returned: the records are the source of truth and
     /// the model is derived from them, which is also why model appends
-    /// are never ticketed. Under group commit no ack waits on them. An
-    /// upload calls this before it returns its `Ack`, though, so when
-    /// the journals sync inline (`uucs-server` without
-    /// `--commit-interval-us` runs every journal at `SyncPolicy::Always`)
-    /// the model delta is fsynced before the client hears back.
+    /// are never ticketed and no ack waits on them. A model delta
+    /// reaches disk when its journal rotates, checkpoints or compacts,
+    /// so after a power loss the model can trail the recovered records.
     fn observe(&self, client: &str, records: &[RunRecord]) {
         if !self.model_updates {
             return;
@@ -805,34 +788,16 @@ impl UucsServer {
         idx
     }
 
-    /// Registers a durability request with the committer, when one is
-    /// running.
-    fn ticket(&self, flavor: StoreFlavor, shard: usize, lsn: u64) -> Option<CommitTicket> {
-        (self.committer.as_ref()).map(|c| c.submit(flavor, shard, lsn))
-    }
-
-    /// [`UucsServer::ticket`] without the request: the watermark of a
-    /// replicated append, for the apply loop to settle itself.
-    fn watermark(
-        &self,
-        flavor: StoreFlavor,
-        shard: usize,
-        lsn: u64,
-    ) -> Option<CommitTicket> {
-        self.committer.as_ref()?;
-        Some(CommitTicket {
-            flavor,
-            shard,
-            upto: lsn,
-            quorum: None,
-        })
+    /// Registers a durability request with the committer.
+    fn ticket(&self, flavor: StoreFlavor, shard: usize, lsn: u64) -> CommitTicket {
+        self.committer.submit(flavor, shard, lsn)
     }
 
     /// Handles one message up to (but not including) the durability
-    /// wait: the reply is provisional until the returned ticket — if
-    /// any — is redeemed against the committer. The worker-pool front
-    /// end uses this to keep a worker serving other connections while
-    /// an fsync is in flight; [`Endpoint::handle`] wraps it with a
+    /// wait: the reply is provisional until the returned ticket — every
+    /// verb that journaled something returns one — is redeemed against
+    /// the committer. The worker-pool front end uses this to keep a
+    /// worker serving other connections while an fsync is in flight; [`Endpoint::handle`] wraps it with a
     /// blocking wait. Verb telemetry is recorded here (the appended
     /// latency excludes the commit wait, which `server.commit.ns`
     /// covers separately).
@@ -860,7 +825,7 @@ impl UucsServer {
 
     /// Ships one committed mutation to the replication sink, if any —
     /// `payload` is only built when there is one — returning the mark
-    /// its ack must wait for ([`UucsServer::owe_quorum`]). An error
+    /// its ack must wait for ([`CommitTicket::owing`]). An error
     /// means the client must *not* be acked: no follower holds the
     /// entry and none will be sent it.
     fn ship(
@@ -882,25 +847,6 @@ impl UucsServer {
         match self.replication.get() {
             Some(sink) => sink.mark_shipped(key),
             None => Ok(None),
-        }
-    }
-
-    /// Ties an ack to the follower's: the quorum mark rides `ticket`
-    /// when the mutation has one (the fsync it stands for is already
-    /// under way), and is waited for here otherwise, beside the store's
-    /// inline fsync — so never call this under a store lock.
-    fn owe_quorum(
-        &self,
-        mark: Option<QuorumMark>,
-        ticket: Option<CommitTicket>,
-    ) -> std::io::Result<Option<CommitTicket>> {
-        match (mark, ticket, self.replication.get()) {
-            (Some(mark), Some(ticket), _) => Ok(Some(CommitTicket {
-                quorum: Some(mark),
-                ..ticket
-            })),
-            (Some(mark), None, Some(sink)) => sink.wait_quorum(mark).map(|()| None),
-            (_, ticket, _) => Ok(ticket),
         }
     }
 
@@ -1111,11 +1057,8 @@ impl UucsServer {
                     // original shipped under `reg_lock`, which is held.
                     let ticket = self.ticket(StoreFlavor::Registry, i, lsn);
                     let applied_seq = self.applied_seq(&id);
-                    return match self
-                        .mark_shipped(&id)
-                        .and_then(|mark| self.owe_quorum(mark, ticket))
-                    {
-                        Ok(ticket) => (ServerMsg::Id { id, applied_seq }, ticket),
+                    return match self.mark_shipped(&id) {
+                        Ok(mark) => (ServerMsg::Id { id, applied_seq }, Some(ticket.owing(mark))),
                         Err(e) => (ServerMsg::Error(format!("replication failed: {e}")), None),
                     };
                 }
@@ -1141,14 +1084,13 @@ impl UucsServer {
                 let shipped = match payload {
                     Some(payload) => self.ship(&id, || payload),
                     None => Ok(None),
-                }
-                .and_then(|mark| self.owe_quorum(mark, ticket));
-                let ticket = match shipped {
-                    Ok(ticket) => ticket,
+                };
+                let mark = match shipped {
+                    Ok(mark) => mark,
                     Err(e) => return (ServerMsg::Error(format!("replication failed: {e}")), None),
                 };
                 let applied_seq = self.applied_seq(&id);
-                (ServerMsg::Id { id, applied_seq }, ticket)
+                (ServerMsg::Id { id, applied_seq }, Some(ticket.owing(mark)))
             }
             Err(e) => (
                 ServerMsg::Error(format!("registration rejected: {e}")),
@@ -1174,9 +1116,9 @@ impl UucsServer {
             Ok(guard) => guard,
             Err(_) => return (poisoned("result"), None),
         };
-        // Ack only what the store accepted: with a WAL-backed store an
-        // Ack means the records are journaled (and, under group commit,
-        // fsynced by the time the ticket is redeemed), so a crash after
+        // Ack only what the store accepted: an Ack means the records are
+        // journaled and fsynced by the time the ticket is redeemed, so a
+        // crash after
         // this reply loses nothing the client was told is safe. A
         // replayed batch (retransmit after a lost Ack) is
         // re-acknowledged without storing a second copy — its ticket
@@ -1207,8 +1149,8 @@ impl UucsServer {
                 if matches!(status, BatchStatus::Applied(_)) {
                     self.observe(client, records);
                 }
-                match mark.and_then(|mark| self.owe_quorum(mark, ticket)) {
-                    Ok(ticket) => (ServerMsg::Ack(status.acked()), ticket),
+                match mark {
+                    Ok(mark) => (ServerMsg::Ack(status.acked()), Some(ticket.owing(mark))),
                     Err(e) => (ServerMsg::Error(format!("replication failed: {e}")), None),
                 }
             }
@@ -1219,9 +1161,7 @@ impl UucsServer {
 
 impl Drop for UucsServer {
     fn drop(&mut self) {
-        if let Some(committer) = &self.committer {
-            committer.stop();
-        }
+        self.committer.stop();
         if let Some(handle) = self.commit_thread.take() {
             let _ = handle.join();
         }
@@ -1237,12 +1177,21 @@ impl Endpoint for UucsServer {
     /// transport identically.
     fn handle(&self, msg: &ClientMsg) -> ServerMsg {
         let (reply, ticket) = self.handle_deferred(msg);
-        if let (Some(ticket), Some(committer)) = (ticket, &self.committer) {
-            if let Err(e) = committer.wait(ticket) {
-                return ServerMsg::Error(e);
-            }
+        match ticket.map(|ticket| self.committer.wait(ticket)) {
+            Some(Err(e)) => ServerMsg::Error(e),
+            _ => reply,
         }
-        reply
+    }
+}
+
+/// The ticket of a replicated append, not submitted: the apply loop
+/// settles it itself ([`GroupCommitter::sync`]).
+fn watermark(flavor: StoreFlavor, shard: usize, lsn: u64) -> CommitTicket {
+    CommitTicket {
+        flavor,
+        shard,
+        upto: lsn,
+        quorum: None,
     }
 }
 
@@ -1984,8 +1933,9 @@ mod tests {
 
     /// Every model reply is read through one cross-shard view, so it
     /// does not depend on how many shards hold the model. One upload
-    /// stream (censored runs included, and a task nobody ran, so
-    /// `ADVICE` falls back to the resource aggregate) gives
+    /// stream (censored runs included, a task with a space in it, and a
+    /// task nobody ran, so `ADVICE` falls back to the resource
+    /// aggregate) gives
     /// byte-identical `MODEL`, `ADVICE` and `MODELDELTA` replies —
     /// fresh, current and one epoch behind — at 1, 3 and 8 shards, and
     /// again once a durable 8-shard directory is resharded to 3 and to 1,
@@ -2033,6 +1983,20 @@ mod tests {
                     upload(s, id, seq);
                 }
             }
+            // One client whose task has a space in it.
+            let spaced = register(s);
+            let records = (1..=3)
+                .map(|i| RunRecord {
+                    task: "two words".into(),
+                    ..rec(&spaced, i)
+                })
+                .collect();
+            let reply = s.handle(&ClientMsg::Upload {
+                client: spaced,
+                seq: 1,
+                records,
+            });
+            assert_eq!(reply, ServerMsg::Ack(3));
         };
         let word = |task: &str| ClientMsg::Model {
             resource: Resource::Cpu,
@@ -2092,6 +2056,20 @@ mod tests {
                 matches!(replies[10], ServerMsg::ModelDelta { epoch, .. } if epoch == since + 1),
                 "one epoch behind is a delta: {:?}",
                 replies[10]
+            );
+            // A task journaled as `two_words` reads alike live and
+            // replayed, under either spelling.
+            for m in [
+                word("two_words"),
+                word("two words"),
+                advice(Resource::Cpu, "two_words"),
+            ] {
+                replies.push(s.handle(&m));
+            }
+            assert!(
+                matches!(&replies[13], ServerMsg::Model { observed, .. } if *observed > 0),
+                "{:?}",
+                replies[13]
             );
             replies
         };
@@ -2203,5 +2181,231 @@ mod tests {
             last = epoch;
         }
         assert_eq!(last, UPLOADS, "a full flush keeps every epoch");
+    }
+
+    /// Every server — `UucsServer::new`, an in-memory store set and a
+    /// file-backed one whose journals never sync an append — hands
+    /// `REGISTER` and `UPLOAD` a commit ticket, and the ticket is not
+    /// redeemable until a committer pass covers it: while the committer
+    /// is held up on an earlier shard, neither ack can go out.
+    #[test]
+    fn every_server_acks_through_its_committer() {
+        use uucs_harness::TempDir;
+        use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
+        use uucs_wal::{SyncPolicy, WalConfig};
+        let dir = TempDir::new("uucs-one-path");
+        let cfg = WalConfig {
+            sync: SyncPolicy::Never,
+            ..WalConfig::default()
+        };
+        let servers = [
+            ("new", UucsServer::new(library(4), 5)),
+            (
+                "in_memory",
+                UucsServer::with_store_set(StoreSet::in_memory(2), 5),
+            ),
+            (
+                "files",
+                UucsServer::with_store_set(StoreSet::open(dir.path(), cfg, 2).unwrap().0, 5),
+            ),
+        ];
+        for (what, s) in &servers {
+            let committer = s.committer();
+            // A testcase append on shard 0, its sync asked for with the
+            // shard lock still held here: a pass syncs the testcase slot
+            // first and stays stuck on that lock until it is dropped.
+            let mut blocker = s.stores.testcases.write_recovered(0);
+            let tc = Testcase::single(
+                "tc-blocker",
+                1.0,
+                Resource::Cpu,
+                ExerciseSpec::Ramp {
+                    level: 1.0,
+                    duration: 10.0,
+                },
+            );
+            blocker.add_shipped(&tc, false).unwrap();
+            committer.submit(StoreFlavor::Testcases, 0, blocker.wal_next_lsn());
+
+            let register = ClientMsg::register(MachineSnapshot::study_machine("h"));
+            let (reply, registered) = s.handle_deferred(&register);
+            let ServerMsg::Id { id, .. } = reply else {
+                panic!("{what}: {reply:?}");
+            };
+            let record = RunRecord {
+                client: id.clone(),
+                user: "u".into(),
+                testcase: "tc-000".into(),
+                task: "Word".into(),
+                skill: "Typical".into(),
+                outcome: RunOutcome::Discomfort,
+                offset_secs: 10.0,
+                last_levels: vec![(Resource::Cpu, vec![2.0])],
+                monitor: MonitorSummary::default(),
+            };
+            let upload = ClientMsg::Upload {
+                client: id,
+                seq: 1,
+                records: vec![record],
+            };
+            let (reply, uploaded) = s.handle_deferred(&upload);
+            assert_eq!(reply, ServerMsg::Ack(1), "{what}");
+            let tickets = [registered, uploaded]
+                .map(|t| t.unwrap_or_else(|| panic!("{what}: a durable verb without a ticket")));
+            for t in tickets {
+                assert_eq!(committer.poll(t), None, "{what}: {t:?} redeemable unsynced");
+            }
+            drop(blocker);
+            for t in tickets {
+                assert_eq!(committer.wait(t), Ok(()), "{what}");
+                assert_eq!(committer.poll(t), Some(Ok(())), "{what}");
+            }
+            // The blocking path redeems the same way: a replay's ack.
+            assert_eq!(s.handle(&upload), ServerMsg::Ack(1), "{what}");
+        }
+    }
+
+    /// `with_group_commit` and `with_io_scheduler` reconfigure the one
+    /// running committer, in either order: no second commit thread.
+    #[test]
+    fn group_commit_settings_reach_the_running_committer() {
+        use crate::storage::StorageProfile;
+        let profile = StorageProfile {
+            io_threads: 1,
+            ..StorageProfile::default()
+        };
+        for scheduler_first in [false, true] {
+            let s = UucsServer::with_store_set(StoreSet::in_memory(2), 5);
+            assert_eq!(s.committer().interval(), DEFAULT_INTERVAL);
+            let committer = Arc::clone(s.committer());
+            let s = if scheduler_first {
+                s.with_io_scheduler(profile.scheduler().unwrap())
+                    .with_group_commit(Duration::ZERO)
+            } else {
+                s.with_group_commit(Duration::ZERO)
+                    .with_io_scheduler(profile.scheduler().unwrap())
+            };
+            assert!(Arc::ptr_eq(s.committer(), &committer));
+            assert_eq!(committer.interval(), Duration::ZERO);
+            assert!(matches!(
+                s.handle(&ClientMsg::register(MachineSnapshot::study_machine("h"))),
+                ServerMsg::Id { .. }
+            ));
+        }
+    }
+
+    /// Made-up task names cannot grow the delta history without bound:
+    /// 10 000 model queries, each naming a new task, leave it at or
+    /// under its key cap.
+    #[test]
+    fn made_up_tasks_leave_the_delta_history_at_its_cap() {
+        let s = UucsServer::new(library(4), 5);
+        for i in 0..10_000 {
+            let task = format!("made-up-{i}");
+            let msg = match i % 3 {
+                0 => ClientMsg::Model {
+                    resource: Resource::Cpu,
+                    task: Some(task),
+                },
+                1 => ClientMsg::ModelDelta {
+                    resource: Resource::Disk,
+                    task: Some(task),
+                    since: 0,
+                    basecrc: 0,
+                },
+                _ => ClientMsg::Advice {
+                    resource: Resource::Memory,
+                    task,
+                    epsilon: 0.05,
+                },
+            };
+            s.handle(&msg);
+            let keys = s.delta_history.lock().unwrap().len();
+            assert!(keys <= DELTA_HISTORY_KEYS, "{keys} keys after {i} queries");
+        }
+    }
+
+    /// Hot-sync's traffic, replayed in-process: clients upload batches
+    /// over the real tasks, skills and resources and refresh as the
+    /// governor does (`ADVICE`, then `MODELDELTA` against the last full
+    /// sketch they hold, or `MODEL` on first contact). Every reply's
+    /// text-wire bytes are pinned, so bounding the delta history or
+    /// re-keying cohorts moves none of them.
+    #[test]
+    fn hot_sync_model_replies_are_pinned() {
+        use uucs_protocol::wire::write_server_msg;
+        use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
+        const TASKS: [&str; 4] = ["Word", "PowerPoint", "IE", "Quake"];
+        const SKILLS: [&str; 3] = ["Beginner", "Typical", "Power"];
+        let s = UucsServer::with_store_set(StoreSet::in_memory(8), 0x5e17);
+        let mut rng = Pcg64::new(2004);
+        let ids: Vec<String> = (0..6).map(|_| register(&s)).collect();
+        // Per client: the base it holds per resource.
+        let mut held: Vec<HashMap<Resource, (u64, u32)>> = vec![HashMap::new(); ids.len()];
+        let mut bytes = Vec::new();
+        for round in 1..=40u64 {
+            for (i, id) in ids.iter().enumerate() {
+                let records = (0..8)
+                    .map(|_| {
+                        let resource = *rng.choose(&Resource::STUDIED);
+                        let top = rng.uniform(0.05, 1.0) * resource.max_contention();
+                        RunRecord {
+                            client: id.clone(),
+                            user: String::new(),
+                            testcase: "tc-000".into(),
+                            task: rng.choose(&TASKS).to_string(),
+                            skill: rng.choose(&SKILLS).to_string(),
+                            outcome: if rng.bernoulli(0.7) {
+                                RunOutcome::Discomfort
+                            } else {
+                                RunOutcome::Exhausted
+                            },
+                            offset_secs: 10.0,
+                            last_levels: vec![(resource, vec![(top * 100.0).round() / 100.0])],
+                            monitor: MonitorSummary::default(),
+                        }
+                    })
+                    .collect();
+                let upload = ClientMsg::Upload {
+                    client: id.clone(),
+                    seq: round,
+                    records,
+                };
+                assert_eq!(s.handle(&upload), ServerMsg::Ack(8));
+                let (task, bases) = (TASKS[i % TASKS.len()], &mut held[i]);
+                let resource = Resource::STUDIED[(round as usize + i) % 3];
+                let advice = ClientMsg::Advice {
+                    resource,
+                    task: task.to_string(),
+                    epsilon: 0.05,
+                };
+                let refresh = match bases.get(&resource) {
+                    Some(&(since, basecrc)) => ClientMsg::ModelDelta {
+                        resource,
+                        task: Some(task.to_string()),
+                        since,
+                        basecrc,
+                    },
+                    None => ClientMsg::Model {
+                        resource,
+                        task: Some(task.to_string()),
+                    },
+                };
+                for ask in [advice, refresh] {
+                    let reply = s.handle(&ask);
+                    if let ServerMsg::Model { epoch, sketch, .. } = &reply {
+                        bases.insert(resource, (*epoch, crc32(sketch.as_bytes())));
+                    }
+                    write_server_msg(&mut bytes, &reply).unwrap();
+                }
+            }
+        }
+        let text = String::from_utf8(bytes).unwrap();
+        assert!(text.contains("MODELDELTA "), "no delta was served");
+        assert_eq!(
+            (text.len(), crc32(text.as_bytes())),
+            (47861, 110079168),
+            "hot-sync model replies moved"
+        );
     }
 }

@@ -468,10 +468,10 @@ impl StoreSet {
     }
 
     /// Flips deferred rotation sync on every shard of the three
-    /// ticketed families — used once group commit owns durability, so
-    /// segment rotation stops fsyncing on the append path (the
-    /// committer's next pass drains the deferred syncs before anything
-    /// is acknowledged). The model journals keep syncing on rotation:
+    /// ticketed families — used once the committer has a disk
+    /// scheduler ([`crate::UucsServer::with_io_scheduler`]), so segment
+    /// rotation stops fsyncing on the append path (the committer's next
+    /// pass drains the deferred syncs before anything is acknowledged). The model journals keep syncing on rotation:
     /// their appends are never ticketed, so no committer pass would ever
     /// drain a deferred model segment, and a crash could leave an
     /// unsynced segment before a synced one — a journal no open accepts.

@@ -43,12 +43,13 @@ pub enum Disk {
     Memory(MemIo),
 }
 
-/// How an in-memory journal is written: each append synced, as
-/// `uucs-server` syncs by default, in small segments — a reader holds
-/// one segment at a time, so small ones keep its copy small.
+/// How an in-memory journal is written: no append syncs — the server's
+/// group committer does, as on every server — in small segments: a
+/// reader holds one segment at a time, so small ones keep its copy
+/// small.
 pub(crate) const MEMORY_WAL: WalConfig = WalConfig {
     segment_bytes: 64 << 10,
-    sync: SyncPolicy::Always,
+    sync: SyncPolicy::Never,
 };
 
 macro_rules! on_disk {

@@ -266,14 +266,11 @@ pub fn serve_with(
     } else {
         config.workers
     };
-    let committer = server.group_committer();
     let mut wakers = Vec::with_capacity(nworkers);
     let mut receivers = Vec::with_capacity(nworkers);
     for _ in 0..nworkers {
         let (waker, receiver) = netpoll::wake_pair()?;
-        if let Some(c) = &committer {
-            c.subscribe(&waker);
-        }
+        server.committer().subscribe(&waker);
         wakers.push(waker);
         receivers.push(receiver);
     }
@@ -468,12 +465,7 @@ impl PoolConn {
     /// read what `revents` says is there, parse and handle, redeem
     /// parked replies, and — last, so nothing produced here waits for
     /// an unrelated event — flush.
-    fn step(
-        &mut self,
-        revents: i16,
-        server: &UucsServer,
-        committer: Option<&GroupCommitter>,
-    ) -> Step {
+    fn step(&mut self, revents: i16, server: &UucsServer) -> Step {
         let mut progressed = false;
 
         // 1. Drain readable bytes. An error or hang-up condition is
@@ -520,7 +512,7 @@ impl PoolConn {
                 Ok(parsed) => progressed |= parsed,
                 Err(()) => return Step::Close,
             }
-            let redeemed = self.redeem(committer);
+            let redeemed = self.redeem(server.committer());
             progressed |= redeemed;
             if !(redeemed && self.may_parse() && !self.inbuf.is_empty()) {
                 break;
@@ -580,18 +572,14 @@ impl PoolConn {
     /// Redeems parked replies whose fsync landed — oldest first, so a
     /// pipelined client's acks still arrive in request order even when
     /// many are parked at once. Returns whether any reply was released.
-    fn redeem(&mut self, committer: Option<&GroupCommitter>) -> bool {
+    fn redeem(&mut self, committer: &GroupCommitter) -> bool {
         let mut redeemed = false;
         while let Some(ticket) = self.pending.front().map(|p| p.ticket) {
-            let failure = match committer.map(|c| c.poll(ticket)) {
-                // No committer can't really happen (tickets come from
-                // one), but degrade to an immediate reply, never a wedge.
-                None | Some(Some(Ok(()))) => None,
-                Some(Some(Err(e))) => Some(e),
-                Some(None) => break,
+            let Some(outcome) = committer.poll(ticket) else {
+                break;
             };
             let done = self.pending.pop_front().expect("front exists");
-            let reply = failure.map_or(done.reply, ServerMsg::Error);
+            let reply = outcome.err().map_or(done.reply, ServerMsg::Error);
             self.push_reply(done.req_id, &reply);
             redeemed = true;
         }
@@ -732,7 +720,6 @@ fn worker_loop(
     live_gauge: Gauge,
     config: ServeConfig,
 ) {
-    let committer = server.group_committer();
     let stats = pool_metrics();
     let tick = config.read_timeout.map_or(TICK, |t| t.min(TICK));
     let mut conns: Vec<PoolConn> = Vec::new();
@@ -803,7 +790,7 @@ fn worker_loop(
                     continue;
                 }
                 stats.ready.inc();
-                match conns[i].step(revents, &server, committer.as_deref()) {
+                match conns[i].step(revents, &server) {
                     Step::Keep => {
                         fds[i + 1].set_events(conns[i].interest());
                         i += 1;

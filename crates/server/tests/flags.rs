@@ -1,5 +1,6 @@
-//! `uucs-server` refuses a flag given last with no value: exit 2, and
-//! no data directory is created.
+//! `uucs-server`'s flags: one given last with no value is refused (exit
+//! 2, and no data directory is created), and `--io-threads` works on
+//! its own.
 
 use std::path::Path;
 
@@ -21,4 +22,76 @@ fn a_value_flag_given_last_exits_2_and_creates_nothing() {
             "--workers",
         ],
     );
+}
+
+/// The number `STATS` reports for a counter or gauge named `name`.
+fn stat(json: &str, name: &str) -> i64 {
+    let key = format!("\"{name}\":");
+    let at = json
+        .find(&key)
+        .unwrap_or_else(|| panic!("no {name} in {json}"))
+        + key.len();
+    let end = json[at..].find([',', '}']).map_or(json.len(), |n| at + n);
+    json[at..end]
+        .parse()
+        .unwrap_or_else(|_| panic!("{name} in {json}"))
+}
+
+/// `--io-threads` needs no `--commit-interval-us`: every server runs the
+/// committer that hands the disk scheduler its fsyncs. The server
+/// starts, acks a registration, and its `STATS` show the scheduler's
+/// threads, a commit pass and the fsyncs the scheduler ran.
+#[test]
+fn io_threads_alone_starts_and_serves() {
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+    use std::process::{Command, Stdio};
+    use uucs_protocol::wire::{read_server_msg, write_client_msg};
+    use uucs_protocol::{ClientMsg, MachineSnapshot, ServerMsg};
+    use uucs_testcase::{format as tcformat, ExerciseSpec, Resource, Testcase};
+
+    let tmp = uucs_harness::TempDir::new("uucs-io-threads-alone");
+    let ramp = ExerciseSpec::Ramp {
+        level: 1.0,
+        duration: 30.0,
+    };
+    let library = tmp.join("library.txt");
+    std::fs::write(
+        &library,
+        tcformat::emit_many(&[Testcase::single("t0", 1.0, Resource::Cpu, ramp)]),
+    )
+    .unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_uucs-server"))
+        .args(["--addr", "127.0.0.1:0", "--io-threads", "2", "--data"])
+        .args([tmp.join("data").as_path(), Path::new("--library"), &library])
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut lines = BufReader::new(child.stderr.take().unwrap()).lines();
+    let addr = loop {
+        let Some(Ok(line)) = lines.next() else {
+            panic!("uucs-server exited before listening: {:?}", child.wait());
+        };
+        if let Some(rest) = line.strip_prefix("listening on ") {
+            break rest.split_whitespace().next().unwrap().to_string();
+        }
+    };
+    std::thread::spawn(move || lines.for_each(drop));
+    let stream = TcpStream::connect(&addr).unwrap();
+    let (mut writer, mut reader) = (stream.try_clone().unwrap(), BufReader::new(stream));
+    let mut ask = |msg: ClientMsg| {
+        write_client_msg(&mut writer, &msg).unwrap();
+        read_server_msg(&mut reader).unwrap()
+    };
+    let reply = ask(ClientMsg::register(MachineSnapshot::study_machine("io")));
+    assert!(matches!(reply, ServerMsg::Id { .. }), "{reply:?}");
+    let ServerMsg::Stats(json) = ask(ClientMsg::Stats { reset: false }) else {
+        panic!("STATS refused");
+    };
+    child.kill().unwrap();
+    child.wait().unwrap();
+    assert_eq!(stat(&json, "server.config.io_threads"), 2);
+    assert_eq!(stat(&json, "server.config.commit_interval_us"), 1000);
+    assert!(stat(&json, "server.commit.count") > 0, "{json}");
+    assert!(stat(&json, "server.disk.ops") > 0, "{json}");
 }

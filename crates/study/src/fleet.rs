@@ -34,6 +34,7 @@ use uucs_protocol::wire::{read_server_msg, write_client_msg};
 use uucs_protocol::{ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg};
 use uucs_cluster::{AckMode, ClusterConfig, ClusterNode, Role};
 use uucs_server::tcp::{self, ServeConfig};
+use uucs_server::commit::DEFAULT_INTERVAL;
 use uucs_server::{StoreSet, UucsServer};
 use uucs_telemetry::metrics;
 use uucs_testcase::{ExerciseSpec, Resource, Testcase};
@@ -61,8 +62,8 @@ pub struct FleetConfig {
     pub failover: Vec<String>,
     /// Self-hosted server: store shards.
     pub shards: usize,
-    /// Self-hosted server: group-commit interval (zero = per-append
-    /// fsync, the pre-group-commit engine).
+    /// Self-hosted server: the group committer's gather-window ceiling
+    /// (zero = no gather window).
     pub commit_interval: Duration,
     /// Wire framing each client asks for at dial time. `Text` keeps the
     /// legacy line protocol; `Binary`/`Auto` run the text `HELLO`
@@ -84,7 +85,7 @@ impl Default for FleetConfig {
             addr: None,
             failover: Vec::new(),
             shards: 8,
-            commit_interval: Duration::from_millis(1),
+            commit_interval: DEFAULT_INTERVAL,
             wire: WireMode::Text,
             pipeline: 1,
         }
@@ -406,20 +407,14 @@ impl HostedServer {
             NONCE.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir)?;
-        let group_commit = !config.commit_interval.is_zero();
         let wal = WalConfig {
-            sync: if group_commit {
-                SyncPolicy::Never
-            } else {
-                SyncPolicy::Always
-            },
+            sync: SyncPolicy::Never,
             ..WalConfig::default()
         };
         let (stores, _) = StoreSet::open(&dir, wal, config.shards)?;
-        let mut server = UucsServer::with_store_set(stores, 0x5e17).without_model_updates();
-        if group_commit {
-            server = server.with_group_commit(config.commit_interval);
-        }
+        let server = UucsServer::with_store_set(stores, 0x5e17)
+            .without_model_updates()
+            .with_group_commit(config.commit_interval);
         let server = Arc::new(server);
         for i in 0..8 {
             server

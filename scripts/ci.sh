@@ -106,6 +106,22 @@ if [ -n "$second_mode" ]; then
     exit 1
 fi
 
+echo "== one durability path (every server acks through its group committer) =="
+# Every UucsServer runs a GroupCommitter from construction, and every
+# ack waits on its watermark; the daemons and the fleet journal at
+# SyncPolicy::Never under it. An optional committer, or a per-append
+# fsync in a binary's journal settings, is the inline mode coming back.
+# `group_committer()` keeps its `Option` shape (always `Some`) because
+# benchmark/src/layers.rs builds against it.
+inline=$( (grep -rn "Option<Arc<GroupCommitter>>" crates --include=*.rs \
+        | grep -vF "pub fn group_committer(&self) -> Option<Arc<GroupCommitter>> {"
+    grep -rn "SyncPolicy::Always" crates/server/src/main.rs crates/cluster/src/bin crates/study/src/fleet.rs) || true)
+if [ -n "$inline" ]; then
+    echo "$inline"
+    echo "ci: an inline-fsync durability mode is back; every ack redeems a commit ticket" >&2
+    exit 1
+fi
+
 echo "== one measurement harness (benchmark/ is the only place the system is timed) =="
 # A second timing harness measures the same paths as benchmark/ with
 # none of its samples, pairs or gates: a bench target directory, a
