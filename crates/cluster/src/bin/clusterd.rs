@@ -23,6 +23,14 @@
 //! commit on both roles: a leader's ack waits on its own batched fsync
 //! and — under `--repl-ack quorum` — on a follower's, side by side; a
 //! follower fsyncs and acknowledges a burst of entries at a time.
+//!
+//! A leader whose data directory holds no testcase seeds it from
+//! `--library` or `--generate-library` (42 without either) exactly as
+//! `uucs-server` does ([`LibrarySource::seed`]): one testcase at a
+//! time, journaled and dropped, and a file checked whole first, so one
+//! with a bad block or a repeated id exits 1 having seeded nothing. A
+//! follower receives the library over `REPL`.
+//!
 //! A two-node quickstart is in the README ("Running a cluster").
 
 use std::path::PathBuf;
@@ -139,12 +147,8 @@ fn main() {
     // replication stream.
     if role == Role::Leader && server.testcase_count() == 0 {
         eprintln!("seeding the {source} ...");
-        let testcases = source.testcases().unwrap_or_else(|e| {
-            eprintln!("cannot load {source}: {e}");
-            std::process::exit(1);
-        });
-        if let Err(e) = server.add_testcases(&testcases) {
-            eprintln!("cannot seed library: {e}");
+        if let Err(e) = source.seed(&server) {
+            eprintln!("cannot seed the {source}: {e}");
             std::process::exit(1);
         }
     }

@@ -364,6 +364,17 @@ impl<I: Io> Io for CachedIo<I> {
         self.stat_len(&mut state, path)
     }
 
+    /// [`CachedIo::read_at`]'s bytes — resident pages, the rest fetched
+    /// and installed a page at a time — copied into `buf`.
+    fn read_into(&self, path: &Path, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        if self.shared.state.is_none() {
+            return self.shared.inner.read_into(path, offset, buf);
+        }
+        let bytes = self.read_at(path, offset, buf.len())?;
+        buf[..bytes.len()].copy_from_slice(&bytes);
+        Ok(bytes.len())
+    }
+
     fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
         let Some(state_mutex) = &self.shared.state else {
             return self.shared.inner.read_at(path, offset, len);

@@ -17,9 +17,12 @@
 //! The gather window before a pass sizes itself. The configured
 //! interval ([`DEFAULT_INTERVAL`] unless set) is its ceiling; the window
 //! actually waited is `interval × (1 − k/n)`, where the previous pass
-//! fsynced `k` slots covering `n` appends — the share of fsyncs that
-//! batching saved last time (`gather_share`). A lone or depth-1 client
-//! has `n = k`, so its append is synced at once; saturated pipelined
+//! fsynced `k` slots answering `n` requests — the tickets submitted
+//! since the pass before — so `1 − k/n` is the share of fsyncs that
+//! batching saved last time (`gather_share`). Requests, not journal
+//! entries, are counted: one legacy `seq 0` upload journals an entry
+//! per record but waits on one fsync. A lone or depth-1 client has
+//! `n = k`, so its request is synced at once; saturated pipelined
 //! ingest has `n ≫ k`, so the window stays near the interval and
 //! amortization is kept. An interval of zero never gathers.
 //!
@@ -137,6 +140,10 @@ struct CommitState {
     /// Sticky fsync failure, per slot. Once a shard's journal cannot be
     /// synced, nothing on it is ack-able until restart.
     failed: Vec<Option<String>>,
+    /// Tickets submitted per slot since the last pass took its work:
+    /// the requests the next pass answers, however many journal entries
+    /// each covers.
+    submitted: Vec<u64>,
     /// The commit thread is parked waiting for work, so a new request
     /// must notify it. While it gathers or syncs, requests only raise
     /// `pending` — the window is not cut short by its own arrivals.
@@ -162,15 +169,15 @@ impl CommitState {
 }
 
 /// The share of the commit interval worth gathering for, given that the
-/// previous pass fsynced `slots` shards covering `appends` journal
-/// entries: the fraction of per-append fsyncs that batching saved. Zero
-/// when nothing was batched (`appends <= slots`), approaching — never
+/// previous pass fsynced `slots` shards answering `requests` tickets:
+/// the fraction of per-request fsyncs that batching saved. Zero when
+/// nothing was batched (`requests <= slots`), approaching — never
 /// reaching — one as batches deepen.
-pub(crate) fn gather_share(appends: u64, slots: u64) -> f64 {
-    if slots == 0 || appends <= slots {
+pub(crate) fn gather_share(requests: u64, slots: u64) -> f64 {
+    if slots == 0 || requests <= slots {
         0.0
     } else {
-        1.0 - slots as f64 / appends as f64
+        1.0 - slots as f64 / requests as f64
     }
 }
 
@@ -239,6 +246,7 @@ impl GroupCommitter {
                 pending: vec![0; slots],
                 synced: vec![0; slots],
                 failed: vec![None; slots],
+                submitted: vec![0; slots],
                 idle: false,
                 stop: false,
             }),
@@ -307,9 +315,12 @@ impl GroupCommitter {
     /// Registers a durability request and returns the redeemable ticket.
     /// (Also implicit in `wait`/`poll`; explicit submission lets the
     /// commit window start while the handler still serializes its reply.)
+    /// Each call counts as one request toward the next gather window;
+    /// the re-requests of `wait` and `poll` do not.
     pub fn submit(&self, flavor: StoreFlavor, shard: usize, upto: Lsn) -> CommitTicket {
         let slot = self.slot(flavor, shard);
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.submitted[slot] += 1;
         st.request(slot, upto, &self.wake);
         CommitTicket {
             flavor,
@@ -380,12 +391,16 @@ impl GroupCommitter {
     /// sync takes the shard lock and the watermark only rises.
     pub fn sync(&self, ticket: CommitTicket) -> Result<(), String> {
         let slot = self.slot(ticket.flavor, ticket.shard);
-        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let since = st.synced[slot];
         // Somebody has asked for this slot: a parked ticket this sync
         // may cover, so its worker is woken as after a pass.
         let awaited = st.pending[slot] > since;
         let done = since >= ticket.upto || st.failed[slot].is_some();
+        if !done {
+            // This sync answers the slot's submitted tickets, not a pass.
+            st.submitted[slot] = 0;
+        }
         drop(st);
         if !done {
             let t0 = Instant::now();
@@ -443,34 +458,21 @@ impl GroupCommitter {
     }
 
     /// Publishes one slot's sync outcome: watermark advance (+ metrics)
-    /// or sticky failure, then wakes the blocked waiters. Returns the
-    /// appends the fsync covered, `None` if it failed.
-    fn finish_slot(
-        &self,
-        slot: usize,
-        since: Lsn,
-        outcome: std::io::Result<Lsn>,
-        elapsed: u64,
-    ) -> Option<u64> {
+    /// or sticky failure, then wakes the blocked waiters.
+    fn finish_slot(&self, slot: usize, since: Lsn, outcome: std::io::Result<Lsn>, elapsed: u64) {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let covered = match outcome {
+        match outcome {
             Ok(watermark) => {
-                let batch = watermark.saturating_sub(since);
                 self.metrics.commits.inc();
-                self.metrics.batch.record(batch);
+                self.metrics.batch.record(watermark.saturating_sub(since));
                 self.metrics.ns.record(elapsed);
                 if st.synced[slot] < watermark {
                     st.synced[slot] = watermark;
                 }
-                Some(batch)
             }
-            Err(e) => {
-                st.failed[slot] = Some(format!("journal sync failed: {e}"));
-                None
-            }
-        };
+            Err(e) => st.failed[slot] = Some(format!("journal sync failed: {e}")),
+        }
         self.done.notify_all();
-        covered
     }
 
     /// Has `waker` written after every fsync pass from now on. Held
@@ -498,9 +500,10 @@ impl GroupCommitter {
         let mut window = Duration::ZERO;
         loop {
             // Park until something is dirty (or stop), gather for the
-            // window, then snapshot the dirty slots. Only `stop` notifies
-            // `wake` during the gather, so arrivals do not cut it short.
-            let work: Vec<(usize, Lsn)> = {
+            // window, then snapshot the dirty slots and the tickets each
+            // answers. Only `stop` notifies `wake` during the gather, so
+            // arrivals do not cut it short.
+            let work: Vec<(usize, Lsn, u64)> = {
                 let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
                 while !(0..st.pending.len()).any(|s| st.dirty(s)) {
                     if st.stop {
@@ -525,20 +528,35 @@ impl GroupCommitter {
                 self.metrics
                     .gather_ns
                     .record(gather_from.elapsed().as_nanos() as u64);
-                (0..st.pending.len())
-                    .filter(|&s| st.dirty(s))
-                    .map(|s| (s, st.synced[s]))
-                    .collect()
+                // A clean slot's tickets were answered by an earlier
+                // sync: they cost this pass nothing.
+                let mut work = Vec::new();
+                for s in 0..st.pending.len() {
+                    let tickets = std::mem::take(&mut st.submitted[s]);
+                    if st.dirty(s) {
+                        work.push((s, st.synced[s], tickets));
+                    }
+                }
+                work
             };
             // Sync each dirty slot without the state lock held (the
             // shard lock is what serializes against handlers).
-            let mut appends = 0u64;
+            let mut requests = 0u64;
             let mut synced = 0u64;
-            let mut tally = |covered: Option<u64>| {
-                if let Some(batch) = covered {
-                    appends += batch;
+            let dirty = work.len();
+            // Publishes the `i`-th slot's outcome. The window the next
+            // pass gathers for is set before the last slot's waiters
+            // wake, so a request this pass acks reads the gauge it left.
+            let mut finish = |i: usize, (slot, since, tickets), outcome: std::io::Result<Lsn>, ns| {
+                if outcome.is_ok() {
+                    requests += tickets;
                     synced += 1;
                 }
+                if i + 1 == dirty {
+                    window = self.interval().mul_f64(gather_share(requests, synced));
+                    self.metrics.gather_us.set(window.as_micros() as i64);
+                }
+                self.finish_slot(slot, since, outcome, ns);
             };
             if let Some(sched) = self.scheduler.get() {
                 // Fan the dirty shards out to the I/O pool; each sync
@@ -546,34 +564,27 @@ impl GroupCommitter {
                 // shards fsync in parallel and the pass costs the
                 // slowest shard, not the sum.
                 let t0 = Instant::now();
-                let tickets: Vec<_> = work
+                let fsyncs: Vec<_> = work
                     .iter()
-                    .map(|&(slot, since)| {
+                    .map(|&(slot, ..)| {
                         let (flavor, shard) = self.flavor_shard(slot);
                         let stores = self.stores.clone();
-                        let ticket = sched.submit(OpKind::Fsync, move || {
-                            Self::sync_store(&stores, flavor, shard)
-                        });
-                        (slot, since, ticket)
+                        sched.submit(OpKind::Fsync, move || Self::sync_store(&stores, flavor, shard))
                     })
                     .collect();
-                for (slot, since, ticket) in tickets {
-                    let outcome = ticket.wait();
-                    let elapsed = t0.elapsed().as_nanos() as u64;
-                    tally(self.finish_slot(slot, since, outcome, elapsed));
+                for (i, (job, fsync)) in work.into_iter().zip(fsyncs).enumerate() {
+                    let outcome = fsync.wait();
+                    finish(i, job, outcome, t0.elapsed().as_nanos() as u64);
                 }
             } else {
-                for (slot, since) in work {
+                for (i, job) in work.into_iter().enumerate() {
                     let t0 = Instant::now();
-                    let (flavor, shard) = self.flavor_shard(slot);
+                    let (flavor, shard) = self.flavor_shard(job.0);
                     let outcome = Self::sync_store(&self.stores, flavor, shard);
-                    let elapsed = t0.elapsed().as_nanos() as u64;
-                    tally(self.finish_slot(slot, since, outcome, elapsed));
+                    finish(i, job, outcome, t0.elapsed().as_nanos() as u64);
                 }
             }
             self.wake_subscribers();
-            window = self.interval().mul_f64(gather_share(appends, synced));
-            self.metrics.gather_us.set(window.as_micros() as i64);
         }
     }
 }
@@ -667,16 +678,24 @@ mod tests {
         let stores = durable_set(dir.path());
         let (committer, handle) = GroupCommitter::start(stores.clone(), Duration::from_secs(30));
         let shard = stores.results.shard_for("c1");
+        // Appends one upload per `seq` and then submits their tickets,
+        // back to back: one pass answers them all. Returns the last.
         let append = |seqs: std::ops::RangeInclusive<u64>| {
             let mut g = stores.results.write_recovered(shard);
-            for seq in seqs {
-                g.append_batch("c1", seq, &[rec("c1")]).unwrap();
-            }
-            let upto = g.wal_next_lsn();
+            let uptos: Vec<Lsn> = seqs
+                .map(|seq| {
+                    g.append_batch("c1", seq, &[rec("c1")]).unwrap();
+                    g.wal_next_lsn()
+                })
+                .collect();
             drop(g);
-            committer.submit(StoreFlavor::Results, shard, upto)
+            let mut last = None;
+            for upto in uptos {
+                last = Some(committer.submit(StoreFlavor::Results, shard, upto));
+            }
+            last.unwrap()
         };
-        // One pass over a batch of eight: the next window is most of 30 s.
+        // One pass over eight requests: the next window is most of 30 s.
         committer.wait(append(1..=8)).unwrap();
         let tail = append(9..=9);
         let t0 = Instant::now();

@@ -10,8 +10,13 @@
 //! ```
 //!
 //! With `--library`, serves the testcases in the given text file; with
-//! `--generate-library`, builds the Internet-sweep library from a seed
-//! (42 without either). A fresh data directory is seeded with it once.
+//! `--generate-library`, the Internet-sweep library from a seed (42
+//! without either). A data directory that holds no testcase is seeded
+//! with it once, streamed ([`LibrarySource::seed`]): each testcase is
+//! generated or parsed, journaled and dropped, so the library is never
+//! held twice. A file is checked whole before anything is journaled:
+//! one with a block that does not parse or an id given twice exits 1
+//! having seeded nothing, on this start and the next.
 //!
 //! The stores journal through a write-ahead log under `--data` (default
 //! `uucs-server-data/`): `wal/testcases/`, `wal/results/`,
@@ -167,12 +172,8 @@ fn main() {
     let server = Arc::new(server);
     if server.testcase_count() == 0 {
         eprintln!("seeding the {source} ...");
-        let testcases = source.testcases().unwrap_or_else(|e| {
-            eprintln!("cannot load {source}: {e}");
-            std::process::exit(1);
-        });
-        if let Err(e) = server.add_testcases(&testcases) {
-            eprintln!("cannot seed library: {e}");
+        if let Err(e) = source.seed(&server) {
+            eprintln!("cannot seed the {source}: {e}");
             std::process::exit(1);
         }
     }

@@ -461,23 +461,30 @@ impl UucsServer {
 
     /// Adds many testcases — start-up seeding — with one durability
     /// wait per touched shard instead of one per testcase: everything
-    /// is appended first, then the highest ticket of each shard is
-    /// redeemed. Stops at the first duplicate id or failed append; all
-    /// additions are durable once this returns `Ok`.
-    pub fn add_testcases<'a>(
+    /// is appended first, and only then is one ticket per shard, at its
+    /// last append, submitted and redeemed — so the committer is not
+    /// woken, and no fsync takes a shard lock, while the appends run.
+    /// Each testcase is dropped once journaled, so a stream of owned
+    /// testcases is never held whole. Stops at the first duplicate id
+    /// or failed append; all additions are durable once this returns
+    /// `Ok`.
+    pub fn add_testcases<T: std::borrow::Borrow<uucs_testcase::Testcase>>(
         &self,
-        testcases: impl IntoIterator<Item = &'a uucs_testcase::Testcase>,
+        testcases: impl IntoIterator<Item = T>,
     ) -> Result<(), StoreError> {
-        // Tickets of one shard only grow, so the last one covers the rest.
-        let mut last: Vec<Option<CommitTicket>> = vec![None; self.stores.testcases.count()];
+        // Each shard's last append and quorum mark: a follower's acked
+        // watermark is cumulative, like the journal's, so the last mark
+        // of a shard stands for the earlier ones.
+        let mut last: Vec<Option<(u64, Option<QuorumMark>)>> =
+            vec![None; self.stores.testcases.count()];
         let shipping = self.replication.get().is_some();
         for tc in testcases {
+            let tc = tc.borrow();
             let shard = self.stores.testcases.shard_for(tc.id.as_str());
             let mut guard = self.stores.testcases.write_recovered(shard);
             let payload = guard.add_shipped(tc, shipping)?;
             let lsn = guard.wal_next_lsn();
             drop(guard);
-            let ticket = self.ticket(StoreFlavor::Testcases, shard, lsn);
             // A duplicate id is refused above, so a testcase has no
             // replay to acknowledge: every ack here is for a fresh ship,
             // of the payload the journal took.
@@ -486,11 +493,15 @@ impl UucsServer {
                 None => Ok(None),
             }
             .map_err(StoreError::Io)?;
-            // A follower's acked watermark is cumulative too, so the
-            // last mark of a shard stands for the earlier ones.
-            last[shard] = Some(ticket.owing(mark));
+            last[shard] = Some((lsn, mark));
         }
-        for ticket in last.into_iter().flatten() {
+        let tickets: Vec<CommitTicket> = (last.into_iter().enumerate())
+            .filter_map(|(shard, last)| {
+                let (lsn, mark) = last?;
+                Some(self.ticket(StoreFlavor::Testcases, shard, lsn).owing(mark))
+            })
+            .collect();
+        for ticket in tickets {
             self.committer
                 .wait(ticket)
                 .map_err(|e| StoreError::Io(invalid(e)))?;

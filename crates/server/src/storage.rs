@@ -92,8 +92,8 @@ impl Io for Disk {
     fn len(&self, path: &Path) -> io::Result<u64> {
         on_disk!(self, io => io.len(path))
     }
-    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        on_disk!(self, io => io.read_at(path, offset, len))
+    fn read_into(&self, path: &Path, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        on_disk!(self, io => io.read_into(path, offset, buf))
     }
 }
 

@@ -2,19 +2,20 @@
 //! metrics registry — hence an integration test of its own (one
 //! process) whose tests serialize on [`SERIAL`]: an idle pool costs
 //! only tick wake-ups, group commit still amortizes under contention,
-//! and the shard occupancy gauge cannot be published out of order.
+//! the shard occupancy gauge cannot be published out of order, and the
+//! gather window is sized by requests, not journal entries.
 
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use uucs_harness::TempDir;
-use uucs_protocol::wire::{read_server_msg, write_client_msg};
+use uucs_protocol::wire::{read_server_msg, write_client_msg, Endpoint};
 use uucs_protocol::{ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg};
 use uucs_server::tcp::{self, ServeConfig, TICK};
 use uucs_server::{GroupCommitter, StoreFlavor, StoreSet, TestcaseStore, UucsServer};
 use uucs_telemetry::metrics;
-use uucs_testcase::Resource;
+use uucs_testcase::{ExerciseSpec, Resource, Testcase};
 use uucs_wal::{SyncPolicy, WalConfig};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -191,4 +192,89 @@ fn shard_gauge_matches_store_length_after_racing_uploads() {
         expected as i64,
         "gauge published out of order"
     );
+}
+
+/// A store set journaling to files under `dir`, with no append fsync:
+/// the committer's are the only ones.
+fn file_stores(dir: &std::path::Path, shards: usize) -> StoreSet {
+    let cfg = WalConfig {
+        sync: SyncPolicy::Never,
+        ..WalConfig::default()
+    };
+    StoreSet::open(dir, cfg, shards).unwrap().0
+}
+
+/// The gather window the committer's last pass left, in µs.
+fn gather_us() -> i64 {
+    metrics::gauge("server.commit.gather_us").get()
+}
+
+/// A legacy `seq 0` upload of eight records journals eight entries but
+/// is one request on one slot: the pass that acks it batched nothing,
+/// so it leaves no gather window — the next lone ack is not held for
+/// 7/8 of the 200 ms ceiling.
+#[test]
+fn a_legacy_upload_leaves_no_gather_window() {
+    let _serial = serialize();
+    let dir = TempDir::new("uucs-event-path-legacy");
+    let server = UucsServer::with_store_set(file_stores(dir.path(), 2), 9)
+        .with_group_commit(Duration::from_millis(200));
+    let register = ClientMsg::register(MachineSnapshot::study_machine("legacy"));
+    let ServerMsg::Id { id, .. } = server.handle(&register) else {
+        panic!("registration refused");
+    };
+    let upload = ClientMsg::Upload {
+        client: id.clone(),
+        seq: 0,
+        records: vec![rec(&id); 8],
+    };
+    assert_eq!(server.handle(&upload), ServerMsg::Ack(8));
+    assert_eq!(gather_us(), 0);
+}
+
+/// Requests that outnumber the slots they land on still earn a window.
+/// Two testcase tickets are submitted with their shard lock held, so a
+/// pass taking them stays on that lock; eight uploads of one client land
+/// behind it. Whichever pass answers the uploads — with the testcases
+/// or after them — answered more requests than it synced slots.
+#[test]
+fn a_burst_on_fewer_slots_still_gathers() {
+    let _serial = serialize();
+    let dir = TempDir::new("uucs-event-path-burst");
+    let stores = Arc::new(file_stores(dir.path(), 2));
+    let (committer, commit_thread) =
+        GroupCommitter::start(stores.clone(), Duration::from_millis(200));
+    let blocker = {
+        let mut g = stores.testcases.write_recovered(0);
+        for id in ["t0", "t1"] {
+            let ramp = ExerciseSpec::Ramp {
+                level: 1.0,
+                duration: 10.0,
+            };
+            g.add_shipped(&Testcase::single(id, 1.0, Resource::Cpu, ramp), false)
+                .unwrap();
+            committer.submit(StoreFlavor::Testcases, 0, g.wal_next_lsn());
+        }
+        g
+    };
+    let shard = stores.results.shard_for("c1");
+    let uptos: Vec<u64> = {
+        let mut g = stores.results.write_recovered(shard);
+        (1..=8)
+            .map(|seq| {
+                g.append_batch("c1", seq, &[rec("c1")]).unwrap();
+                g.wal_next_lsn()
+            })
+            .collect()
+    };
+    let tickets: Vec<_> = (uptos.into_iter())
+        .map(|upto| committer.submit(StoreFlavor::Results, shard, upto))
+        .collect();
+    drop(blocker);
+    for ticket in tickets {
+        committer.wait(ticket).unwrap();
+    }
+    assert!(gather_us() > 0, "eight requests on one slot earned no window");
+    committer.stop();
+    commit_thread.join().unwrap();
 }

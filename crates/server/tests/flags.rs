@@ -1,8 +1,13 @@
 //! `uucs-server`'s flags: one given last with no value is refused (exit
-//! 2, and no data directory is created), and `--io-threads` works on
-//! its own.
+//! 2, and no data directory is created), `--io-threads` works on its
+//! own, and a `--library` that cannot be seeded whole is refused on
+//! every start.
 
 use std::path::Path;
+use std::process::Command;
+use uucs_server::StoreSet;
+use uucs_testcase::{format as tcformat, ExerciseSpec, Resource, Testcase};
+use uucs_wal::{SyncPolicy, WalConfig};
 
 #[test]
 fn a_value_flag_given_last_exits_2_and_creates_nothing() {
@@ -22,6 +27,47 @@ fn a_value_flag_given_last_exits_2_and_creates_nothing() {
             "--workers",
         ],
     );
+}
+
+/// A library that cannot be seeded whole — an id given twice, or a
+/// last block cut short — is refused before its first testcase is
+/// journaled: the server exits 1 on two starts in a row (a partial seed
+/// would let the second start serve what came before the fault), and
+/// the journal holds no testcase.
+#[test]
+fn a_bad_library_is_refused_on_every_start_and_seeds_nothing() {
+    let tmp = uucs_harness::TempDir::new("uucs-server-bad-library");
+    let tc = |id: &str| {
+        let ramp = ExerciseSpec::Ramp {
+            level: 1.0,
+            duration: 5.0,
+        };
+        Testcase::single(id, 1.0, Resource::Cpu, ramp)
+    };
+    let good = tcformat::emit_many(&[tc("a"), tc("b")]);
+    let bad = [
+        ("dup", format!("{good}{}", tcformat::emit(&tc("a")))),
+        ("torn", format!("{good}TESTCASE c\nRATE 1\n")),
+    ];
+    for (name, text) in bad {
+        let (library, data) = (tmp.join(format!("{name}.txt")), tmp.join(name));
+        std::fs::write(&library, text).unwrap();
+        for start in 1..=2 {
+            let (code, stderr) = uucs_harness::cli::run_to_exit(
+                Command::new(env!("CARGO_BIN_EXE_uucs-server"))
+                    .args(["--addr", "127.0.0.1:0", "--data"])
+                    .args([data.as_path(), Path::new("--library"), &library]),
+            );
+            assert_eq!(code, Some(1), "{name}, start {start}: {stderr}");
+            assert!(stderr.contains("cannot seed"), "{name}, start {start}: {stderr}");
+        }
+        let config = WalConfig {
+            sync: SyncPolicy::Never,
+            ..WalConfig::default()
+        };
+        let (stores, _) = StoreSet::open(&data.join("wal"), config, 1).unwrap();
+        assert_eq!(stores.testcases.read(0).len(), 0, "{name}: testcases were journaled");
+    }
 }
 
 /// The number `STATS` reports for a counter or gauge named `name`.

@@ -35,11 +35,6 @@ impl Library {
         &self.testcases
     }
 
-    /// The testcases, in insertion order, without copying them.
-    pub fn into_testcases(self) -> Vec<Testcase> {
-        self.testcases
-    }
-
     /// Number of testcases.
     pub fn len(&self) -> usize {
         self.testcases.len()
@@ -67,13 +62,7 @@ impl Library {
 
     /// Adds a ramp testcase `ramp(level, duration)` for `resource`.
     pub fn add_ramp(&mut self, resource: Resource, level: f64, duration: f64) -> &Testcase {
-        let id = format!("{resource}-ramp-{level}-{duration}");
-        self.push(Testcase::single(
-            id,
-            DEFAULT_RATE_HZ,
-            resource,
-            ExerciseSpec::Ramp { level, duration },
-        ));
+        self.push(ramp(resource, level, duration));
         self.testcases.last().unwrap()
     }
 
@@ -85,124 +74,153 @@ impl Library {
         duration: f64,
         start: f64,
     ) -> &Testcase {
-        let id = format!("{resource}-step-{level}-{duration}-{start}");
-        self.push(Testcase::single(
-            id,
-            DEFAULT_RATE_HZ,
-            resource,
-            ExerciseSpec::Step {
-                level,
-                duration,
-                start,
-            },
-        ));
+        self.push(step(resource, level, duration, start));
         self.testcases.last().unwrap()
     }
 
     /// Adds a blank testcase of the given duration.
     pub fn add_blank(&mut self, duration: f64) -> &Testcase {
-        let id = format!("blank-{}-{duration}", self.testcases.len());
-        self.push(Testcase::blank(id, DEFAULT_RATE_HZ, duration));
+        self.push(blank(self.testcases.len(), duration));
         self.testcases.last().unwrap()
     }
 
-    /// Generates the Internet-study style library: a parameter sweep over
-    /// every exercise-function type of Figure 3, "predominantly from the
-    /// M/M/1 and M/G/1 models". With the default knobs this produces a
-    /// little over 2000 testcases, like the paper's server.
+    /// Generates the Internet-study style library: [`sweep`], collected.
+    /// Its ids are unique by construction (each names its kind and
+    /// position), so they are not checked one by one as [`Library::push`]
+    /// would.
     pub fn internet_sweep(seed: u64) -> Library {
-        let mut lib = Library::new();
-        let mut rng = Pcg64::new(seed);
-        let d = DEFAULT_DURATION;
-
-        // Deterministic structured sweeps: ramps and steps.
-        for &res in &Resource::STUDIED {
-            let max = res.max_contention();
-            for i in 1..=10 {
-                let level = max * i as f64 / 10.0;
-                lib.add_ramp(res, round3(level), d);
-                for &start in &[20.0, 40.0, 60.0] {
-                    lib.add_step(res, round3(level), d, start);
-                }
-            }
+        Library {
+            testcases: sweep(seed).collect(),
         }
-        // Periodic shapes.
-        for &res in &Resource::STUDIED {
-            let max = res.max_contention();
-            for i in 1..=5 {
-                let amp = max * i as f64 / 10.0;
-                for &period in &[15.0, 30.0, 60.0] {
-                    lib.push(Testcase::single(
-                        format!("{res}-sin-{}-{period}", round3(amp)),
-                        DEFAULT_RATE_HZ,
-                        res,
-                        ExerciseSpec::Sin {
-                            amplitude: amp,
-                            offset: amp,
-                            period,
-                            duration: d,
-                        },
-                    ));
-                    lib.push(Testcase::single(
-                        format!("{res}-saw-{}-{period}", round3(amp)),
-                        DEFAULT_RATE_HZ,
-                        res,
-                        ExerciseSpec::Saw {
-                            level: 2.0 * amp,
-                            period,
-                            duration: d,
-                        },
-                    ));
-                }
-            }
-        }
-        // The bulk: M/M/1 and M/G/1 playback, randomized parameters.
-        // CPU and disk only (queue occupancy is meaningless for the memory
-        // fraction semantics).
-        let mut counter = 0u64;
-        for &res in &[Resource::Cpu, Resource::Disk] {
-            for _ in 0..500 {
-                let rho = rng.uniform(0.1, 0.9);
-                let mean_job = rng.uniform(0.5, 4.0);
-                let arrival_rate = rho / mean_job;
-                counter += 1;
-                lib.push(Testcase::single(
-                    format!("{res}-expexp-{counter:04}"),
-                    DEFAULT_RATE_HZ,
-                    res,
-                    ExerciseSpec::ExpExp {
-                        arrival_rate,
-                        mean_job,
-                        duration: d,
-                        seed: rng.next_u64(),
-                    },
-                ));
-            }
-            for _ in 0..500 {
-                let arrival_rate = rng.uniform(0.05, 0.5);
-                let x_min = rng.uniform(0.2, 1.0);
-                let alpha = rng.uniform(1.1, 2.5);
-                counter += 1;
-                lib.push(Testcase::single(
-                    format!("{res}-exppar-{counter:04}"),
-                    DEFAULT_RATE_HZ,
-                    res,
-                    ExerciseSpec::ExpPar {
-                        arrival_rate,
-                        x_min,
-                        alpha,
-                        duration: d,
-                        seed: rng.next_u64(),
-                    },
-                ));
-            }
-        }
-        // Blanks for the noise floor.
-        for _ in 0..20 {
-            lib.add_blank(d);
-        }
-        lib
     }
+}
+
+/// The Internet-study sweep, one testcase at a time: a parameter sweep
+/// over every exercise-function type of Figure 3, "predominantly from
+/// the M/M/1 and M/G/1 models". With the default knobs this yields a
+/// little over 2000 testcases, like the paper's server. The order and
+/// the generator's draws are fixed by `seed`, so a consumer that keeps
+/// nothing (a server seeding its journal) sees exactly the testcases
+/// [`Library::internet_sweep`] holds.
+pub fn sweep(seed: u64) -> impl Iterator<Item = Testcase> {
+    let d = DEFAULT_DURATION;
+
+    // Deterministic structured sweeps: ramps and steps.
+    let structured = Resource::STUDIED.into_iter().flat_map(move |res| {
+        let max = res.max_contention();
+        (1..=10).flat_map(move |i| {
+            let level = round3(max * i as f64 / 10.0);
+            std::iter::once(ramp(res, level, d)).chain(
+                [20.0, 40.0, 60.0]
+                    .into_iter()
+                    .map(move |start| step(res, level, d, start)),
+            )
+        })
+    });
+    // Periodic shapes.
+    let periodic = Resource::STUDIED.into_iter().flat_map(move |res| {
+        let max = res.max_contention();
+        (1..=5).flat_map(move |i| {
+            let amp = max * i as f64 / 10.0;
+            [15.0, 30.0, 60.0].into_iter().flat_map(move |period| {
+                let id = |shape: &str| format!("{res}-{shape}-{}-{period}", round3(amp));
+                let sin = ExerciseSpec::Sin {
+                    amplitude: amp,
+                    offset: amp,
+                    period,
+                    duration: d,
+                };
+                let saw = ExerciseSpec::Saw {
+                    level: 2.0 * amp,
+                    period,
+                    duration: d,
+                };
+                [
+                    Testcase::single(id("sin"), DEFAULT_RATE_HZ, res, sin),
+                    Testcase::single(id("saw"), DEFAULT_RATE_HZ, res, saw),
+                ]
+            })
+        })
+    });
+    // The bulk: M/M/1 and M/G/1 playback, randomized parameters — per
+    // resource, 500 of each. CPU and disk only (queue occupancy is
+    // meaningless for the memory fraction semantics).
+    const PER_MODEL: u64 = 500;
+    let mut rng = Pcg64::new(seed);
+    let bulk = (0..4 * PER_MODEL).map(move |k| {
+        let res = if k < 2 * PER_MODEL {
+            Resource::Cpu
+        } else {
+            Resource::Disk
+        };
+        let counter = k + 1;
+        if k % (2 * PER_MODEL) < PER_MODEL {
+            let rho = rng.uniform(0.1, 0.9);
+            let mean_job = rng.uniform(0.5, 4.0);
+            Testcase::single(
+                format!("{res}-expexp-{counter:04}"),
+                DEFAULT_RATE_HZ,
+                res,
+                ExerciseSpec::ExpExp {
+                    arrival_rate: rho / mean_job,
+                    mean_job,
+                    duration: d,
+                    seed: rng.next_u64(),
+                },
+            )
+        } else {
+            let arrival_rate = rng.uniform(0.05, 0.5);
+            let x_min = rng.uniform(0.2, 1.0);
+            let alpha = rng.uniform(1.1, 2.5);
+            Testcase::single(
+                format!("{res}-exppar-{counter:04}"),
+                DEFAULT_RATE_HZ,
+                res,
+                ExerciseSpec::ExpPar {
+                    arrival_rate,
+                    x_min,
+                    alpha,
+                    duration: d,
+                    seed: rng.next_u64(),
+                },
+            )
+        }
+    });
+    // Blanks for the noise floor, each named by its position.
+    structured
+        .chain(periodic)
+        .chain(bulk)
+        .map(Some)
+        .chain(std::iter::repeat_n(None, 20))
+        .enumerate()
+        .map(move |(n, tc)| tc.unwrap_or_else(|| blank(n, d)))
+}
+
+fn ramp(resource: Resource, level: f64, duration: f64) -> Testcase {
+    Testcase::single(
+        format!("{resource}-ramp-{level}-{duration}"),
+        DEFAULT_RATE_HZ,
+        resource,
+        ExerciseSpec::Ramp { level, duration },
+    )
+}
+
+fn step(resource: Resource, level: f64, duration: f64, start: f64) -> Testcase {
+    Testcase::single(
+        format!("{resource}-step-{level}-{duration}-{start}"),
+        DEFAULT_RATE_HZ,
+        resource,
+        ExerciseSpec::Step {
+            level,
+            duration,
+            start,
+        },
+    )
+}
+
+/// The blank testcase at position `n` of a library.
+fn blank(n: usize, duration: f64) -> Testcase {
+    Testcase::blank(format!("blank-{n}-{duration}"), DEFAULT_RATE_HZ, duration)
 }
 
 fn round3(x: f64) -> f64 {
@@ -243,6 +261,21 @@ mod tests {
         let before = ids.len();
         ids.dedup();
         assert_eq!(ids.len(), before, "ids must be unique");
+    }
+
+    #[test]
+    fn the_stream_yields_the_library_in_order() {
+        for seed in 1..=5 {
+            let lib = Library::internet_sweep(seed);
+            assert!(sweep(seed).eq(lib.testcases().iter().cloned()), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn sweep_ids_do_not_depend_on_the_seed() {
+        // So the uniqueness checked above for one seed holds for all.
+        let ids = |seed| sweep(seed).map(|t| t.id).collect::<Vec<_>>();
+        assert_eq!(ids(1), ids(987_654_321));
     }
 
     #[test]

@@ -47,16 +47,20 @@ pub trait Io {
     fn remove(&self, path: &Path) -> io::Result<()>;
     /// The file's length in bytes.
     fn len(&self, path: &Path) -> io::Result<u64>;
+    /// Fills `buf` with the file's bytes from byte `offset` on and
+    /// returns how many it copied: fewer than `buf.len()` only when the
+    /// file ends first (none at or past its end). The caller owns the
+    /// buffer, so a scan can read a file of any size through one buffer.
+    fn read_into(&self, path: &Path, offset: u64, buf: &mut [u8]) -> io::Result<usize>;
     /// Reads up to `len` bytes starting at byte `offset`. Reading past
     /// the end of the file is not an error — the result is simply
-    /// shorter (possibly empty). The default implementation reads the
-    /// whole file and slices; backends with positional reads should
-    /// override it.
+    /// shorter (possibly empty).
     fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        let bytes = self.read(path)?;
-        let start = (offset as usize).min(bytes.len());
-        let end = start.saturating_add(len).min(bytes.len());
-        Ok(bytes[start..end].to_vec())
+        let len = len.min(self.len(path)?.saturating_sub(offset) as usize);
+        let mut buf = vec![0; len];
+        let got = self.read_into(path, offset, &mut buf)?;
+        buf.truncate(got);
+        Ok(buf)
     }
 }
 
@@ -169,18 +173,22 @@ impl Io for StdIo {
         Ok(std::fs::metadata(path)?.len())
     }
 
-    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut file = File::open(path)?;
-        let end = file.seek(SeekFrom::End(0))?;
-        if offset >= end {
-            return Ok(Vec::new());
+    /// A positional read through a handle of its own: the cached
+    /// handles are write-only (opened for appending), and opening them
+    /// read-write too would make an appender one of its file's readers.
+    fn read_into(&self, path: &Path, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        use std::os::unix::fs::FileExt;
+        let file = File::open(path)?;
+        let mut got = 0;
+        while got < buf.len() {
+            match file.read_at(&mut buf[got..], offset + got as u64) {
+                Ok(0) => break,
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
-        file.seek(SeekFrom::Start(offset))?;
-        let want = len.min((end - offset) as usize);
-        let mut buf = vec![0u8; want];
-        file.read_exact(&mut buf)?;
-        Ok(buf)
+        Ok(got)
     }
 }
 
@@ -434,6 +442,16 @@ impl Io for MemIo {
             .get(path)
             .map(|f| f.bytes.len() as u64)
             .ok_or_else(|| not_found(path))
+    }
+
+    fn read_into(&self, path: &Path, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        let state = self.lock();
+        Self::read_gate(&state)?;
+        let bytes = &state.files.get(path).ok_or_else(|| not_found(path))?.bytes;
+        let from = bytes.len().min(offset.try_into().unwrap_or(usize::MAX));
+        let n = buf.len().min(bytes.len() - from);
+        buf[..n].copy_from_slice(&bytes[from..from + n]);
+        Ok(n)
     }
 }
 

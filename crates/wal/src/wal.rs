@@ -23,9 +23,11 @@
 //!   committed data is missing rather than merely unflushed.
 //!
 //! Recovery is one pass over the directory: each segment is read and
-//! checksummed once, and [`Wal::open_visiting`] shows a [`Visitor`] the
+//! checksummed once, through one buffer of bounded size reused for
+//! every segment (a frame that straddles two reads is carried over to
+//! the next), and [`Wal::open_visiting`] shows a [`Visitor`] the
 //! checkpoint and every record past it as they are validated, so a
-//! store rebuilds itself from the very buffers recovery checks. Only
+//! store rebuilds itself from the very buffer recovery checks. Only
 //! when the whole pass has succeeded is anything on disk changed.
 
 use crate::frame::{encode_frame, FrameError, FrameScanner, FRAME_HEADER};
@@ -186,10 +188,11 @@ pub struct Recovery {
 /// What a one-pass open shows its caller: the newest valid checkpoint,
 /// then every record past it in LSN order — each exactly once, each
 /// already checksum- and chain-checked, each *borrowed* from the buffer
-/// of the segment being validated (one segment of a journal is in
-/// memory at a time). That is all a store needs to rebuild itself, so
-/// recovery reads and checks every byte once instead of validating the
-/// directory and then re-reading it through [`Wal::replay`].
+/// the scan reads segments through (64 KiB of a journal, or one larger
+/// frame, is in memory at a time). That is all a store needs to rebuild
+/// itself, so recovery reads and checks every byte once instead of
+/// validating the directory and then re-reading it through
+/// [`Wal::replay`].
 ///
 /// An error from either method ends the open with that error. So does a
 /// defect the scan finds *later* in the log: a visitor may have been
@@ -248,7 +251,7 @@ pub fn has_state<I: Io>(io: &I, dir: &Path) -> bool {
 // Directory scan (shared by Wal::open_visiting and WalReader::open)
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct SegMeta {
     name: String,
     first: Lsn,
@@ -258,7 +261,7 @@ struct SegMeta {
     file_len: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Scan {
     /// Records below this are covered by the checkpoint the visitor was
     /// handed (0 without one).
@@ -280,11 +283,22 @@ struct Scan {
     tail_bytes: u64,
 }
 
+/// Bytes of the buffer a recovery scan reads segments through: a
+/// journal's open holds this much of it (or one larger frame) at a time,
+/// however large its segments are.
+const SCAN_BUF: usize = 64 << 10;
+
 /// Validates a WAL directory in one pass — every segment read once,
-/// every frame checksummed once — showing `visitor` the checkpoint and
-/// then each record past it as it is validated. Touches nothing on
-/// disk.
-fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<Scan> {
+/// through one buffer of `buf_bytes`, every frame checksummed once —
+/// showing `visitor` the checkpoint and then each record past it as it
+/// is validated. A frame may straddle two reads; its bytes are carried
+/// over to the next. Touches nothing on disk.
+fn scan_dir<I: Io>(
+    io: &I,
+    dir: &Path,
+    visitor: &mut dyn Visitor,
+    buf_bytes: usize,
+) -> io::Result<Scan> {
     let names = io.list(dir)?;
     let mut seg_names: Vec<(Lsn, String)> = Vec::new();
     let mut snap_names: Vec<(Lsn, String)> = Vec::new();
@@ -307,6 +321,7 @@ fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<
     let mut base = 0;
     let (mut checkpoint, mut checkpoint_bytes) = (false, 0);
     for (upto, name) in snap_names.iter().rev() {
+        // Read whole: the visitor folds a checkpoint from its full text.
         if let Ok(state) = io.read(&dir.join(name)).and_then(|d| decode_snapshot(&d, *upto)) {
             (base, checkpoint, checkpoint_bytes) = (*upto, true, state.len() as u64);
             visitor.snapshot(Snapshot { upto: *upto, state })?;
@@ -331,10 +346,18 @@ fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<
     let mut headerless_tails = Vec::new();
     let mut replay_records = 0u64;
     let mut tail_bytes = 0u64;
+    // Every segment is read through this one buffer. It only grows to
+    // hold a single frame larger than itself.
+    let mut buf = vec![0u8; buf_bytes.max(SEGMENT_HEADER)];
     for (i, (first, name)) in seg_names.iter().enumerate() {
         let is_last = only_residue_after(i);
-        let data = io.read(&dir.join(name))?;
-        if data.len() < SEGMENT_HEADER {
+        let path = dir.join(name);
+        // `buf[..filled]` holds the file's bytes from offset `pos` on;
+        // `eof` once a read came back short.
+        let mut pos = 0u64;
+        let mut filled = io.read_into(&path, 0, &mut buf)?;
+        let mut eof = filled < buf.len();
+        if filled < SEGMENT_HEADER {
             if is_last {
                 // Crash between creating the segment and flushing its
                 // header: it never held a record.
@@ -345,7 +368,7 @@ fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<
                 "segment {name} is truncated mid-header but later segments exist"
             )));
         }
-        check_segment_header(&data, *first)
+        check_segment_header(&buf[..filled], *first)
             .map_err(|e| corrupt(format!("segment {name}: {e}")))?;
 
         // Chain check: this segment must start exactly where the
@@ -372,48 +395,71 @@ fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<
             }
         }
 
-        let mut scanner = FrameScanner::new(&data[SEGMENT_HEADER..]);
+        // `at` is where the next frame starts in `buf`.
+        let mut at = SEGMENT_HEADER;
         let mut count = 0u64;
-        let mut bad = None;
-        for item in scanner.by_ref() {
-            match item {
-                Ok((_, payload)) => {
-                    // The first segment may straddle or predate the
-                    // checkpoint; what it folded is not shown again.
-                    let lsn = first + count;
-                    if lsn >= base {
-                        visitor.record(lsn, payload)?;
-                        tail_bytes += (FRAME_HEADER + payload.len()) as u64;
+        let bad = loop {
+            let mut scanner = FrameScanner::new(&buf[at..filled]);
+            let mut stop = None;
+            for item in scanner.by_ref() {
+                match item {
+                    Ok((_, payload)) => {
+                        // The first segment may straddle or predate the
+                        // checkpoint; what it folded is not shown again.
+                        let lsn = first + count;
+                        if lsn >= base {
+                            visitor.record(lsn, payload)?;
+                            tail_bytes += (FRAME_HEADER + payload.len()) as u64;
+                        }
+                        count += 1;
                     }
-                    count += 1;
-                }
-                Err(e) => {
-                    bad = Some(e);
-                    break;
+                    Err(e) => {
+                        stop = Some(e);
+                        break;
+                    }
                 }
             }
-        }
-        let good_end = (SEGMENT_HEADER + scanner.offset()) as u64;
+            at += scanner.offset();
+            match stop {
+                // The buffer ends on a frame boundary or inside a frame
+                // (`Torn`): keep the unfinished frame's bytes, moved to
+                // the front, and read on behind them — into a buffer
+                // twice as large if that frame alone fills this one.
+                None | Some(FrameError::Torn { .. }) if !eof => {
+                    buf.copy_within(at..filled, 0);
+                    pos += at as u64;
+                    filled -= at;
+                    at = 0;
+                    if filled == buf.len() {
+                        buf.resize(2 * buf.len(), 0);
+                    }
+                    let got = io.read_into(&path, pos + filled as u64, &mut buf[filled..])?;
+                    eof = got < buf.len() - filled;
+                    filled += got;
+                }
+                stop => break stop,
+            }
+        };
+        let good_end = pos + at as u64;
+        let file_len = pos + filled as u64;
         match bad {
             None => {}
             Some(FrameError::Torn { reason, .. }) if is_last => {
                 torn = Some(TornTail {
                     segment: name.clone(),
                     kept_bytes: good_end,
-                    lost_bytes: data.len() as u64 - good_end,
+                    lost_bytes: file_len - good_end,
                     reason,
                 });
             }
-            Some(FrameError::Torn { offset, reason }) => {
+            Some(FrameError::Torn { reason, .. }) => {
                 return Err(corrupt(format!(
-                    "segment {name}: torn frame at offset {} ({reason}) in a non-final segment",
-                    SEGMENT_HEADER + offset
+                    "segment {name}: torn frame at offset {good_end} ({reason}) in a non-final segment"
                 )));
             }
-            Some(FrameError::Corrupt { offset, detail }) => {
+            Some(FrameError::Corrupt { detail, .. }) => {
                 return Err(corrupt(format!(
-                    "segment {name}: corrupt frame at offset {}: {detail}",
-                    SEGMENT_HEADER + offset
+                    "segment {name}: corrupt frame at offset {good_end}: {detail}"
                 )));
             }
         }
@@ -424,7 +470,7 @@ fn scan_dir<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<
             first: *first,
             count,
             good_end,
-            file_len: data.len() as u64,
+            file_len,
         });
     }
 
@@ -627,7 +673,7 @@ impl<I: Io> Wal<I> {
             ..config
         };
         io.create_dir_all(&dir)?;
-        let mut scan = scan_dir(&io, &dir, visitor)?;
+        let mut scan = scan_dir(&io, &dir, visitor, SCAN_BUF)?;
         for tmp in &scan.tmp_files {
             io.remove(&dir.join(tmp))?;
         }
@@ -1021,7 +1067,7 @@ impl<I: Io> WalReader<I> {
     pub fn open(io: I, dir: impl Into<PathBuf>) -> io::Result<WalReader<I>> {
         let dir = dir.into();
         let mut keep = KeepSnapshot::default();
-        let scan = scan_dir(&io, &dir, &mut keep)?;
+        let scan = scan_dir(&io, &dir, &mut keep, SCAN_BUF)?;
         let segments = scan
             .segments
             .iter()
@@ -1077,5 +1123,322 @@ impl<I: Io> WalReader<I> {
             self.segments.iter().cloned().collect(),
             self.snapshot_upto,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::io::MemIo;
+    use uucs_harness::prelude::*;
+
+    /// What a scan showed its visitor: the checkpoint, then each record.
+    #[derive(Debug, Default, PartialEq)]
+    struct Seen {
+        snapshot: Option<Snapshot>,
+        records: Vec<(Lsn, Vec<u8>)>,
+    }
+
+    impl Visitor for Seen {
+        fn snapshot(&mut self, snapshot: Snapshot) -> io::Result<()> {
+            self.snapshot = Some(snapshot);
+            Ok(())
+        }
+
+        fn record(&mut self, lsn: Lsn, payload: &[u8]) -> io::Result<()> {
+            self.records.push((lsn, payload.to_vec()));
+            Ok(())
+        }
+    }
+
+    /// The scan as it was before segments were read through a bounded
+    /// buffer: each segment read whole, then framed. The reference the
+    /// bounded scan must equal.
+    fn whole_segment_scan<I: Io>(io: &I, dir: &Path, visitor: &mut dyn Visitor) -> io::Result<Scan> {
+        let names = io.list(dir)?;
+        let mut seg_names: Vec<(Lsn, String)> = Vec::new();
+        let mut snap_names: Vec<(Lsn, String)> = Vec::new();
+        let mut tmp_files = Vec::new();
+        for name in names {
+            if let Some(first) = parse_segment_name(&name) {
+                seg_names.push((first, name));
+            } else if let Some(upto) = parse_snapshot_name(&name) {
+                snap_names.push((upto, name));
+            } else if name.ends_with(".tmp") {
+                tmp_files.push(name);
+            }
+        }
+        seg_names.sort();
+        snap_names.sort();
+
+        // Newest snapshot that validates wins; older ones are compaction
+        // leftovers, invalid ones are skipped (the chain check below
+        // catches the case where skipping one loses committed records).
+        let mut base = 0;
+        let (mut checkpoint, mut checkpoint_bytes) = (false, 0);
+        for (upto, name) in snap_names.iter().rev() {
+            if let Ok(state) = io.read(&dir.join(name)).and_then(|d| decode_snapshot(&d, *upto)) {
+                (base, checkpoint, checkpoint_bytes) = (*upto, true, state.len() as u64);
+                visitor.snapshot(Snapshot { upto: *upto, state })?;
+                break;
+            }
+        }
+
+        // Crash residue is only tolerated at the very end of the log: a
+        // headerless segment is removable iff every later segment is also
+        // headerless (deferred rotation sync can abandon a whole run of
+        // them), and a torn frame is healable iff nothing but headerless
+        // residue follows it.
+        let lens: Vec<u64> = seg_names
+            .iter()
+            .map(|(_, name)| io.len(&dir.join(name)))
+            .collect::<io::Result<_>>()?;
+        let only_residue_after =
+            |i: usize| lens[i + 1..].iter().all(|&l| l < SEGMENT_HEADER as u64);
+
+        let mut segments: Vec<SegMeta> = Vec::new();
+        let mut torn = None;
+        let mut headerless_tails = Vec::new();
+        let mut replay_records = 0u64;
+        let mut tail_bytes = 0u64;
+        for (i, (first, name)) in seg_names.iter().enumerate() {
+            let is_last = only_residue_after(i);
+            let data = io.read(&dir.join(name))?;
+            if data.len() < SEGMENT_HEADER {
+                if is_last {
+                    // Crash between creating the segment and flushing its
+                    // header: it never held a record.
+                    headerless_tails.push(name.clone());
+                    continue;
+                }
+                return Err(corrupt(format!(
+                    "segment {name} is truncated mid-header but later segments exist"
+                )));
+            }
+            check_segment_header(&data, *first)
+                .map_err(|e| corrupt(format!("segment {name}: {e}")))?;
+
+            // Chain check: this segment must start exactly where the
+            // previous one ended (or at/below the snapshot bound for the
+            // first).
+            let expected = segments
+                .last()
+                .map(|s: &SegMeta| s.first + s.count)
+                .unwrap_or(base);
+            match (*first).cmp(&expected) {
+                std::cmp::Ordering::Greater if segments.is_empty() => {
+                    return Err(corrupt(format!(
+                        "records {expected}..{first} are missing (no segment or snapshot covers them)"
+                    )));
+                }
+                std::cmp::Ordering::Less if segments.is_empty() => {
+                    // First segment may straddle or predate the snapshot.
+                }
+                std::cmp::Ordering::Equal => {}
+                _ => {
+                    return Err(corrupt(format!(
+                        "segment chain gap: {name} starts at {first}, expected {expected}"
+                    )));
+                }
+            }
+
+            let mut scanner = FrameScanner::new(&data[SEGMENT_HEADER..]);
+            let mut count = 0u64;
+            let mut bad = None;
+            for item in scanner.by_ref() {
+                match item {
+                    Ok((_, payload)) => {
+                        // The first segment may straddle or predate the
+                        // checkpoint; what it folded is not shown again.
+                        let lsn = first + count;
+                        if lsn >= base {
+                            visitor.record(lsn, payload)?;
+                            tail_bytes += (FRAME_HEADER + payload.len()) as u64;
+                        }
+                        count += 1;
+                    }
+                    Err(e) => {
+                        bad = Some(e);
+                        break;
+                    }
+                }
+            }
+            let good_end = (SEGMENT_HEADER + scanner.offset()) as u64;
+            match bad {
+                None => {}
+                Some(FrameError::Torn { reason, .. }) if is_last => {
+                    torn = Some(TornTail {
+                        segment: name.clone(),
+                        kept_bytes: good_end,
+                        lost_bytes: data.len() as u64 - good_end,
+                        reason,
+                    });
+                }
+                Some(FrameError::Torn { offset, reason }) => {
+                    return Err(corrupt(format!(
+                        "segment {name}: torn frame at offset {} ({reason}) in a non-final segment",
+                        SEGMENT_HEADER + offset
+                    )));
+                }
+                Some(FrameError::Corrupt { offset, detail }) => {
+                    return Err(corrupt(format!(
+                        "segment {name}: corrupt frame at offset {}: {detail}",
+                        SEGMENT_HEADER + offset
+                    )));
+                }
+            }
+            let seg_end = first + count;
+            replay_records += seg_end.saturating_sub(base.max(*first));
+            segments.push(SegMeta {
+                name: name.clone(),
+                first: *first,
+                count,
+                good_end,
+                file_len: data.len() as u64,
+            });
+        }
+
+        let next_lsn = segments
+            .last()
+            .map(|s| s.first + s.count)
+            .unwrap_or(0)
+            .max(base);
+        Ok(Scan {
+            snapshot_upto: base,
+            checkpoint,
+            checkpoint_bytes,
+            segments,
+            torn,
+            tmp_files,
+            headerless_tails,
+            next_lsn,
+            replay_records,
+            tail_bytes,
+        })
+    }
+
+    /// A scan's verdict: what it found, or the error's kind and text —
+    /// and, either way, everything its visitor was shown first.
+    type Verdict = (Result<Scan, (io::ErrorKind, String)>, Seen);
+
+    fn verdict(scan: impl FnOnce(&mut Seen) -> io::Result<Scan>) -> Verdict {
+        let mut seen = Seen::default();
+        let found = scan(&mut seen).map_err(|e| (e.kind(), e.to_string()));
+        (found, seen)
+    }
+
+    /// The bounded scan through a `buf_bytes` buffer, against the
+    /// whole-segment reference, on the same disk.
+    fn assert_scans_agree(io: &MemIo, dir: &Path, buf_bytes: usize, what: &str) {
+        let bounded = verdict(|seen| scan_dir(io, dir, seen, buf_bytes));
+        let whole = verdict(|seen| whole_segment_scan(io, dir, seen));
+        assert_eq!(bounded, whole, "{what}, {buf_bytes}-byte buffer");
+    }
+
+    /// Record `i`'s payload: 0 to ~300 bytes, so frames straddle small
+    /// buffers, outgrow the smallest and span segments of every size.
+    fn payload(i: u64, spice: u64) -> Vec<u8> {
+        let len = ((i * 37 + spice * 11) % 301) as usize;
+        (0..len).map(|j| (i as usize * 7 + j) as u8).collect()
+    }
+
+    /// A log of `n` records in segments of about `segment_bytes`, with a
+    /// checkpoint (and the segments it covers compacted away) after
+    /// record `snap_at` if that is below `n`.
+    fn written(n: u64, spice: u64, segment_bytes: u64, snap_at: u64) -> (MemIo, PathBuf) {
+        let io = MemIo::new();
+        let dir = PathBuf::from("/wal");
+        let config = WalConfig {
+            segment_bytes,
+            sync: SyncPolicy::Never,
+        };
+        let (mut wal, _) = Wal::open(io.clone(), &dir, config).unwrap();
+        for i in 0..n {
+            wal.append(&payload(i, spice)).unwrap();
+            if i == snap_at {
+                wal.snapshot(format!("state through {i}").as_bytes()).unwrap();
+                wal.compact().unwrap();
+            }
+        }
+        wal.sync().unwrap();
+        (io, dir)
+    }
+
+    /// The live segment files of `dir`, in LSN order.
+    fn segment_files(io: &MemIo, dir: &Path) -> Vec<PathBuf> {
+        let mut names: Vec<String> = io.list(dir).unwrap();
+        names.retain(|n| parse_segment_name(n).is_some());
+        names.sort();
+        names.into_iter().map(|n| dir.join(n)).collect()
+    }
+
+    /// Every truncation offset of the last segment — through its header,
+    /// every frame header and every payload — reads the same through
+    /// buffers smaller than a frame, the size of a few frames, and the
+    /// default, with and without a checkpoint before it.
+    #[test]
+    fn every_truncation_of_the_last_segment_scans_like_the_whole_segment() {
+        for snap_at in [u64::MAX, 4] {
+            let (io, dir) = written(12, 3, 700, snap_at);
+            let last = segment_files(&io, &dir).pop().unwrap();
+            let len = io.len(&last).unwrap();
+            for cut in 0..=len {
+                let disk = io.fork();
+                disk.truncate(&last, cut).unwrap();
+                for buf_bytes in [1, 9, 16, 100, 333, SCAN_BUF] {
+                    assert_scans_agree(&disk, &dir, buf_bytes, &format!("cut at {cut} of {len}"));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever the log holds — several segments, a checkpoint, a
+        /// flipped byte anywhere, a torn last segment, a headerless
+        /// tail — and whatever the buffer's size, the bounded scan shows
+        /// its visitor the same checkpoint and `(lsn, payload)` sequence
+        /// as the whole-segment reference, finds the same segments,
+        /// records, torn tail (kept and lost bytes) and next LSN, and
+        /// refuses with the same error.
+        #[test]
+        fn a_bounded_scan_equals_the_whole_segment_scan(
+            n in 0u64..60,
+            spice in 0u64..1000,
+            segment_bytes in 64u64..2048,
+            snap_at in 0u64..80,
+            damage in 0u64..4,
+            place in 0u64..1_000_000,
+            buf_bytes in 1usize..700,
+        ) {
+            let (io, dir) = written(n, spice, segment_bytes, snap_at);
+            let files = segment_files(&io, &dir);
+            let target = &files[place as usize % files.len()];
+            let len = io.len(target).unwrap();
+            match damage {
+                // A flipped byte in any segment.
+                1 if len > 0 => io.corrupt(target, (place / 7) as usize % len as usize),
+                // The last segment cut short.
+                2 => {
+                    let last = files.last().unwrap();
+                    let cut = (place / 7) % (io.len(last).unwrap() + 1);
+                    io.truncate(last, cut).unwrap();
+                }
+                // A headerless tail: a later segment whose header never
+                // reached the disk whole.
+                3 => {
+                    let next = parse_segment_name(
+                        files.last().unwrap().file_name().unwrap().to_str().unwrap(),
+                    )
+                    .unwrap()
+                        + 1_000;
+                    let tail = dir.join(segment_name(next));
+                    io.append(&tail, &segment_header(next)[..(place % 16) as usize]).unwrap();
+                }
+                _ => {}
+            }
+            assert_scans_agree(&io, &dir, buf_bytes, &format!("damage {damage} at {place}"));
+        }
     }
 }

@@ -122,6 +122,25 @@ if [ -n "$inline" ]; then
     exit 1
 fi
 
+echo "== bounded-memory startup (the library streams into the journal; a scan reads through one buffer) =="
+# A fresh server seeds its library one testcase at a time through
+# LibrarySource::seed (crates/server/src/library.rs), and a journal's
+# open reads every segment through one bounded buffer (scan_dir in
+# crates/wal/src/wal.rs). A LibrarySource method handing back the whole
+# library, a daemon collecting it, or a scan reading a segment whole
+# brings back a peak that grows with the library or the segment size.
+# The checkpoint is still read whole: its visitor folds the full text.
+whole=$( (awk '/^#\[cfg\(test\)\]/ { exit } /Vec<(uucs_testcase::)?Testcase>/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/server/src/library.rs
+    grep -n "into_testcases" crates/server/src/main.rs crates/cluster/src/bin/clusterd.rs
+    awk '/^fn scan_dir/ { on = 1 } on && /io\.read\(/ && !/decode_snapshot/ { print FILENAME ":" FNR ": " $0 }
+        on && /^}/ { exit }' crates/wal/src/wal.rs) || true)
+if [ -n "$whole" ]; then
+    echo "$whole"
+    echo "ci: a whole library or a whole segment is held at startup; stream it through LibrarySource::seed or scan_dir's buffer" >&2
+    exit 1
+fi
+
 echo "== one measurement harness (benchmark/ is the only place the system is timed) =="
 # A second timing harness measures the same paths as benchmark/ with
 # none of its samples, pairs or gates: a bench target directory, a

@@ -61,7 +61,7 @@ fn wal_server(dir: &Path) -> Arc<UucsServer> {
     let server = UucsServer::with_store_set(stores, 7);
     if server.testcase_count() == 0 {
         server
-            .add_testcases(&calibration::controlled_testcases(Task::Word))
+            .add_testcases(calibration::controlled_testcases(Task::Word))
             .unwrap();
     }
     Arc::new(server)

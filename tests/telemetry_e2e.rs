@@ -41,7 +41,7 @@ fn wal_server(dir: &std::path::Path) -> Arc<UucsServer> {
     let server = UucsServer::with_store_set(stores, 7);
     if server.testcase_count() == 0 {
         server
-            .add_testcases(&calibration::controlled_testcases(Task::Word))
+            .add_testcases(calibration::controlled_testcases(Task::Word))
             .unwrap();
     }
     Arc::new(server)
@@ -508,7 +508,7 @@ fn a_durable_open_times_every_shard_of_every_family() {
     let open = || UucsServer::with_store_set(StoreSet::open(dir.path(), WAL_CFG, 4).unwrap().0, 7);
     let server = open();
     server
-        .add_testcases(&calibration::controlled_testcases(Task::Word))
+        .add_testcases(calibration::controlled_testcases(Task::Word))
         .unwrap();
     let mut transport = LocalTransport::new(Arc::new(server));
     drive_session(&mut transport, 43);
