@@ -1,19 +1,23 @@
 //! The one journal core under all four stores.
 //!
 //! Every store is the same machine: an in-memory state plus a
-//! `uucs-wal` stream that is appended *before* the state changes,
-//! folded into a snapshot by compaction, and replayed — snapshot first,
-//! then the records past it — on reopen. The stream runs over files
-//! (`uucs-server`) or over an in-memory disk ([`Journaled::in_memory`],
-//! an in-process server's); only a [`crate::ModelStore::new`] has none.
-//! [`Journal`] owns that stream (the only code in the crate that
-//! touches a [`Wal`]), and [`Journaled`] is what a store supplies to
-//! ride on it: its flavor name, its snapshot codec, how to replay one
-//! journal payload, and the pair that moves its state as the text it
-//! holds — [`Journaled::export`] and [`Journaled::admit`], which a
-//! reshard, a snapshot backfill and a follower's apply all go through.
-//! The open skeleton, compaction and the per-family shard loops are
-//! written once against the trait.
+//! `uucs-wal` stream that is appended *before* the state changes and
+//! replayed on reopen — a checkpoint first, where the journal holds one,
+//! then the records past it. The stream runs over files (`uucs-server`)
+//! or over an in-memory disk ([`Journaled::in_memory`], an in-process
+//! server's); only a [`crate::ModelStore::new`] has none. [`Journal`]
+//! owns that stream (the only code in the crate that touches a [`Wal`]),
+//! and [`Journaled`] is what a store supplies to ride on it: its flavor
+//! name, how to restore a checkpoint and replay one journal payload, and
+//! the pair that moves its state as the text it holds —
+//! [`Journaled::export`] and [`Journaled::admit`], which a reshard, a
+//! snapshot backfill and a follower's apply all go through. The open
+//! skeleton and the per-family shard loops are written once against the
+//! trait.
+//!
+//! Only the model store writes checkpoints ([`Journal::checkpoint`]);
+//! the other stores *are* the text their journals hold, so each journal
+//! is its own checkpoint (one an older build wrote is still restored).
 //!
 //! Opening is one pass: the WAL shows the store its checkpoint and then
 //! every record past it while it validates them ([`uucs_wal::Visitor`]),
@@ -165,7 +169,7 @@ impl Journal {
     /// Writes `state` as the snapshot superseding everything journaled
     /// so far and deletes the segments it covers; `false` (doing
     /// nothing) with no journal.
-    fn checkpoint(&mut self, state: &[u8]) -> io::Result<bool> {
+    pub(crate) fn checkpoint(&mut self, state: &[u8]) -> io::Result<bool> {
         let Some(wal) = &mut self.wal else {
             return Ok(false);
         };
@@ -187,9 +191,8 @@ pub(crate) trait Journaled: Sized {
     /// The store's journal.
     fn journal(&mut self) -> &mut Journal;
 
-    /// Replaces the (empty) state with a decoded [`snapshot`].
-    ///
-    /// [`snapshot`]: Journaled::snapshot
+    /// Replaces the (empty) state with a decoded checkpoint: a model's
+    /// own, or one an older build wrote of any store.
     fn restore(&mut self, snapshot: &str) -> io::Result<()>;
 
     /// Applies one replayed, CRC-checked payload in memory in one pass
@@ -201,10 +204,6 @@ pub(crate) trait Journaled: Sized {
 
     /// Called once an open has replayed the whole journal.
     fn opened(&mut self) {}
-
-    /// Encodes the whole state as the compaction snapshot — fallible,
-    /// because a store may read part of its state back from its journal.
-    fn snapshot(&self) -> io::Result<String>;
 
     /// Hands `emit` the whole state as `(routing key, payload)` pairs,
     /// each payload in a format the store's journal holds and spliced
@@ -250,13 +249,6 @@ pub(crate) trait Journaled: Sized {
         Self::open(io, Path::new(Self::FLAVOR), MEMORY_WAL)
             .expect("a fresh in-memory journal opens")
             .0
-    }
-
-    /// Folds the journal into a checkpoint and deletes the segments it
-    /// covers. Returns `false` (writing nothing) with no journal.
-    fn compact(&mut self) -> io::Result<bool> {
-        let state = self.snapshot()?;
-        self.journal().checkpoint(state.as_bytes())
     }
 }
 

@@ -22,14 +22,15 @@
 //! `uucs-server-data/`): `wal/testcases/`, `wal/results/`,
 //! `wal/registry/`, `wal/models/`. Every acknowledged mutation —
 //! including client registrations and per-client upload dedup horizons —
-//! is recovered on restart, and every 30 s the journal is compacted into
-//! a checkpoint: the paper's text files, written by the journal. An ack
-//! always means the journal entry is on stable storage: appends do not
-//! fsync, and every reply waits for the group committer's batched fsync.
-//! The model journals are not ticketed: their deltas reach disk when a
-//! segment rotates, when a model shard checkpoints itself and at
-//! compaction, so after a power loss (not a kill) the model can trail
-//! the recovered records. `--wal` is accepted and changes nothing: the
+//! is recovered on restart. The journals are the paper's text files: a
+//! testcase, result or registry journal is its own checkpoint, and every
+//! 30 s each model shard with deltas past its last checkpoint is
+//! checkpointed. An ack always means the journal entry is on stable
+//! storage: appends do not fsync, and every reply waits for the group
+//! committer's batched fsync. The model journals are not ticketed: their
+//! deltas reach disk when a segment rotates, when a model shard
+//! checkpoints itself and at the 30 s tick, so after a power loss (not a
+//! kill) the model can trail the recovered records. `--wal` is accepted and changes nothing: the
 //! server always journals.
 //!
 //! Engine knobs:
@@ -197,14 +198,13 @@ fn main() {
     eprintln!("listening on {} (data dir {data:?})", handle.addr());
 
     // The journal already holds everything acknowledged; the tick just
-    // folds it into a checkpoint and frees segments.
+    // folds the model deltas into checkpoints and frees their segments.
     loop {
         std::thread::sleep(Duration::from_secs(30));
         match server.compact() {
-            Ok(()) => eprintln!(
-                "compacted journal: {} clients, {} results",
-                server.client_count(),
-                server.result_count()
+            Ok(written) => eprintln!(
+                "checkpointed {written} model shards at model epoch {}",
+                server.model_epoch()
             ),
             Err(e) => eprintln!("checkpoint failed: {e}"),
         }

@@ -15,15 +15,14 @@
 //! A model shard checkpoints itself: once the deltas journaled past its
 //! last checkpoint outgrow that checkpoint ([`CHECKPOINT_FLOOR_BYTES`],
 //! [`CHECKPOINT_TAIL_RATIO`]), [`ModelStore::observe_batch`] compacts
-//! it on the spot. Only the model store does so, because only its state
-//! stops growing: the sketches are O(cohorts) while its journal is
-//! O(uploads), so without a checkpoint a restart replays every delta
-//! ever minted to rebuild a few kilobytes. The other stores' state *is*
-//! their journal's content (records, testcases, registrations), so a
-//! checkpoint of them replays as much as the journal it replaces; they
-//! compact on the server's tick. Uploads, a follower's apply and a
-//! snapshot backfill all reach the model through `observe_batch`, so a
-//! leader and its followers checkpoint by the one rule.
+//! it on the spot, and the server's 30 s tick checkpoints each shard with
+//! deltas past its last checkpoint. Only the model store checkpoints,
+//! because only its state stops growing: the sketches are O(cohorts)
+//! while its journal is O(uploads), which a restart would otherwise
+//! replay whole. The other stores' state *is* their journal's content,
+//! so each journal is its own checkpoint. Uploads, a follower's apply
+//! and a snapshot backfill all reach the model through `observe_batch`,
+//! so a leader and its followers checkpoint by the one rule.
 //!
 //! A store answers no query itself: the server merges every shard's
 //! [`ModelStore::merged_sketch`] under one set of read guards, whatever
@@ -159,13 +158,9 @@ impl Journaled for ModelStore {
         model_metrics().epoch.set(self.model.epoch() as i64);
     }
 
-    fn snapshot(&self) -> io::Result<String> {
-        Ok(self.model.encode())
-    }
-
     /// The whole model as one payload, its snapshot text.
     fn export(&self, emit: &mut dyn FnMut(&str, Vec<u8>) -> io::Result<()>) -> io::Result<()> {
-        emit("", self.model.encode().into_bytes())
+        emit("", self.snapshot().into_bytes())
     }
 
     /// Merges an exported model into this one: epochs add (each shard
@@ -205,6 +200,19 @@ impl ModelStore {
     /// deltas) and journals every subsequent update before applying it.
     pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
         Self::open(plain_io(), dir, config)
+    }
+
+    /// The whole model as its checkpoint holds it: the
+    /// [`ComfortModel::encode`] text.
+    pub(crate) fn snapshot(&self) -> String {
+        self.model.encode()
+    }
+
+    /// Folds the journal into a checkpoint of [`ModelStore::snapshot`]
+    /// and deletes the segments it covers. Returns `false` (writing
+    /// nothing) with no journal.
+    pub(crate) fn compact(&mut self) -> io::Result<bool> {
+        self.journal.checkpoint(self.snapshot().as_bytes())
     }
 
     /// The bytes of deltas a reopen would replay, and the size of the

@@ -509,9 +509,11 @@ impl UucsServer {
         Ok(())
     }
 
-    /// Folds every store's journal into a checkpoint and drops the
-    /// covered segments.
-    pub fn compact(&self) -> std::io::Result<()> {
+    /// The periodic checkpoint: each model shard with deltas past its
+    /// last checkpoint is checkpointed, its covered segments dropped;
+    /// returns how many were. The testcase, result and registry journals
+    /// are left as they are — each is its own checkpoint.
+    pub fn compact(&self) -> std::io::Result<usize> {
         self.stores.compact()
     }
 

@@ -19,12 +19,13 @@
 //! flat legacy WAL) is replayed, each source shard exports its state as
 //! keyed journal payloads ([`Journaled::export`]), each payload is
 //! admitted into the fresh shard its key routes to
-//! ([`Journaled::admit`]), each is checkpointed, and only then is the
-//! new `READY` written (generation = source + 1) and the source layout
-//! removed. A crash at any point leaves either the old committed layout
-//! (marker not yet written) or the new one (marker written); the highest
-//! generation wins, so recovery always sees exactly one logical state —
-//! the property the reshard recovery test pins down.
+//! ([`Journaled::admit`]), each target journal is synced, and only then
+//! is the new `READY` written (generation = source + 1) and the source
+//! layout removed (a model target checkpoints on its own admit). A crash
+//! at any point leaves either the old committed layout (marker not yet
+//! written) or the new one (marker written); the highest generation
+//! wins, so recovery always sees exactly one logical state — the
+//! property the reshard recovery test pins down.
 //!
 //! # Opening on every core
 //!
@@ -149,12 +150,16 @@ pub(crate) fn sync_shard<T: Journaled>(family: &Sharded<T>, shard: usize) -> io:
     family.write_recovered(shard).journal().sync()
 }
 
-/// Folds every shard's journal into a checkpoint.
-fn compact_family<T: Journaled>(family: &Sharded<T>) -> io::Result<()> {
+/// See [`StoreSet::compact`].
+fn checkpoint_family(family: &Sharded<ModelStore>) -> io::Result<usize> {
+    let mut written = 0;
     for i in 0..family.count() {
-        family.write_recovered(i).compact()?;
+        let mut shard = family.write_recovered(i);
+        if shard.journal_tail().0 > 0 && shard.compact()? {
+            written += 1;
+        }
     }
-    Ok(())
+    Ok(written)
 }
 
 fn defer_rotation_sync<T: Journaled>(family: &Sharded<T>, defer: bool) {
@@ -303,9 +308,6 @@ impl<F: Journaled + Send> Journals<F> {
             let mut parts = (0..n)
                 .map(|i| Ok(F::open(io.clone(), &target.join(shard_dirname(i)), cfg)?.0))
                 .collect::<io::Result<Vec<F>>>()?;
-            // A fresh layout stays bare (a header-only segment per
-            // shard): checkpointing nothing would leave every journal
-            // of a new data directory with state to fold.
             if let Some(dirs) = source {
                 let mut source = Journals::<F>::new(io, cfg, dirs);
                 open_all(workers, source.queue());
@@ -317,7 +319,7 @@ impl<F: Journaled + Send> Journals<F> {
                     })?;
                 }
                 for part in &mut parts {
-                    part.compact()?;
+                    part.journal().sync()?;
                 }
             }
             // Commit point. Until this marker lands, recovery still sees
@@ -481,19 +483,19 @@ impl StoreSet {
         defer_rotation_sync(&self.registry, defer);
     }
 
-    /// Folds every family's journals into checkpoints and drops the
-    /// covered segments.
-    pub(crate) fn compact(&self) -> io::Result<()> {
-        compact_family(&self.testcases)?;
-        compact_family(&self.results)?;
-        compact_family(&self.registry)?;
-        compact_family(&self.models)
+    /// Checkpoints every model shard with deltas past its last
+    /// checkpoint and drops the segments each covers, returning how many
+    /// it wrote. A shard with none is left as it is, and the other
+    /// families are never checkpointed: their journals are their state.
+    pub(crate) fn compact(&self) -> io::Result<usize> {
+        checkpoint_family(&self.models)
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::store::tests::{results_checkpoint, write_old_checkpoint};
     use uucs_harness::TempDir;
     use uucs_modelsvc::QuantileSketch;
     use uucs_protocol::{MachineSnapshot, MonitorSummary, RunOutcome, RunRecord};
@@ -704,14 +706,15 @@ pub(crate) mod tests {
         }
     }
 
-    /// What a reshard to `n` shards checkpoints as shard `t`, from the
-    /// results checkpoint texts of the source shards in shard order: the
-    /// `SEQ` lines of the clients routed to `t`, then their blocks in
-    /// source order.
-    fn resharded_text(sources: &[String], n: usize, t: usize) -> String {
+    /// What a reshard to `n` shards journals as shard `t`, from the
+    /// results checkpoint texts of the source shards in shard order: for
+    /// each source, an empty batch per horizon of a client routed to `t`,
+    /// then each of their blocks as a record entry of its own, in source
+    /// order.
+    fn resharded_tail(sources: &[String], n: usize, t: usize) -> Vec<Vec<u8>> {
         use uucs_protocol::record::Blocks;
-        let mut horizons = std::collections::BTreeMap::new();
-        let mut blocks = String::new();
+        use uucs_protocol::walenc::BorrowedBlocks;
+        let mut tail = Vec::new();
         for text in sources {
             let at: usize = (text.lines().take_while(|l| l.starts_with("SEQ ")))
                 .map(|l| l.len() + 1)
@@ -719,16 +722,34 @@ pub(crate) mod tests {
             for line in text[..at].lines() {
                 let (client, seq) = line["SEQ ".len()..].rsplit_once(' ').unwrap();
                 if shard_of(client, n) == t {
-                    let seq: u64 = seq.parse().unwrap();
-                    let held = horizons.entry(client.to_string()).or_insert(seq);
-                    *held = seq.max(*held);
+                    let batch = Some((client, seq.parse().unwrap()));
+                    tail.push(BorrowedBlocks { batch, body: "", count: 0 }.encode());
                 }
             }
             for block in Blocks::new(&text[at..]) {
-                let block = block.unwrap();
-                if shard_of(RunRecord::block_client(block), n) == t {
-                    blocks.push_str(block);
+                let body = block.unwrap();
+                if shard_of(RunRecord::block_client(body), n) == t {
+                    tail.push(BorrowedBlocks { batch: None, body, count: 1 }.encode());
                 }
+            }
+        }
+        tail
+    }
+
+    /// The `SEQ` lines and then the blocks of `tail`, as a checkpoint
+    /// an older build wrote of the store holding it.
+    fn tail_text(tail: &[Vec<u8>]) -> String {
+        let mut horizons = std::collections::BTreeMap::new();
+        let mut blocks = String::new();
+        for payload in tail {
+            let text = std::str::from_utf8(&payload[1..]).unwrap();
+            match text.strip_prefix("BATCH ") {
+                Some(header) => {
+                    let mut words = header.split_whitespace();
+                    let client = words.next().unwrap();
+                    horizons.insert(client.to_string(), words.next().unwrap().to_string());
+                }
+                None => blocks.push_str(text),
             }
         }
         let seqs: String = horizons
@@ -741,70 +762,64 @@ pub(crate) mod tests {
     /// A results reshard moves the blocks the source shards hold and
     /// changes nothing else: 8 shards to 3 to 1, over interleaved
     /// uploads, a client with only a horizon, a client that only ever
-    /// uploaded at `seq 0`, and source shards folded part-way, each
-    /// target's checkpoint is its clients' `SEQ` lines and then their
-    /// blocks in source order, with nothing journaled past it.
+    /// uploaded at `seq 0`, and source shards an older build checkpointed
+    /// part-way, each target holds no checkpoint and a synced journal
+    /// tail: its clients' horizons and then their blocks, in source
+    /// order.
     #[test]
     fn a_results_reshard_checkpoints_the_source_blocks_in_source_order() {
         let dir = TempDir::new("uucs-shard-results-text");
         let clients: Vec<String> = (1..=12).map(|i| format!("client-{i:04}")).collect();
         let mut uploaded = 0;
-        let mut checkpoints = {
-            let (res, _) = open_sharded::<ResultStore>(dir.path(), cfg(), 8, &plain_io()).unwrap();
-            for round in 1..=4u64 {
-                for (i, client) in clients.iter().enumerate() {
-                    let mut shard = res.write_recovered(res.shard_for(client));
-                    let batch: Vec<_> = (0..i % 3)
-                        .map(|k| rec(client, &format!("u{round}-{k}")))
-                        .collect();
-                    let status = match i % 4 {
-                        0 => shard.append_batch(client, round, &[]),
-                        1 => shard.append_batch(client, 0, &[rec(client, &format!("u{round}"))]),
-                        _ => shard.append_batch(client, round, &batch),
-                    };
-                    uploaded += status.unwrap().acked();
-                }
-                if round == 2 {
-                    for i in (0..8).step_by(3) {
-                        res.write_recovered(i).compact().unwrap();
-                    }
-                }
+        let mut res = open_sharded::<ResultStore>(dir.path(), cfg(), 8, &plain_io()).unwrap().0;
+        for round in 1..=4u64 {
+            for (i, client) in clients.iter().enumerate() {
+                let mut shard = res.write_recovered(res.shard_for(client));
+                let batch: Vec<_> = (0..i % 3)
+                    .map(|k| rec(client, &format!("u{round}-{k}")))
+                    .collect();
+                let status = match i % 4 {
+                    0 => shard.append_batch(client, round, &[]),
+                    1 => shard.append_batch(client, 0, &[rec(client, &format!("u{round}"))]),
+                    _ => shard.append_batch(client, round, &batch),
+                };
+                uploaded += status.unwrap().acked();
             }
-            (0..8)
-                .map(|i| res.read(i).snapshot().unwrap())
-                .collect::<Vec<_>>()
-        };
-        assert!(
-            checkpoints.concat().contains("SEQ client-0001 4"),
-            "a horizon-only client"
-        );
+            if round == 2 {
+                let states: Vec<String> =
+                    (0..8).map(|i| results_checkpoint(&res.read(i)).unwrap()).collect();
+                drop(res);
+                for i in (0..8).step_by(3) {
+                    let journal = dir.join("by-8").join(shard_dirname(i));
+                    write_old_checkpoint(plain_io(), &journal, cfg(), &states[i]).unwrap();
+                }
+                res = open_sharded::<ResultStore>(dir.path(), cfg(), 8, &plain_io()).unwrap().0;
+            }
+        }
+        let mut sources: Vec<String> =
+            (0..8).map(|i| results_checkpoint(&res.read(i)).unwrap()).collect();
+        drop(res);
+        assert!(sources.concat().contains("SEQ client-0001 4"), "a horizon-only client");
         for n in [3usize, 1] {
             let (res, _) = open_sharded::<ResultStore>(dir.path(), cfg(), n, &plain_io()).unwrap();
             let mut written = Vec::new();
             for t in 0..n {
                 let journal = dir.join(format!("by-{n}")).join(shard_dirname(t));
                 let reader = uucs_wal::WalReader::open(uucs_wal::StdIo::new(), journal).unwrap();
-                let text = String::from_utf8(reader.snapshot().unwrap().state.clone()).unwrap();
-                assert_eq!(text, resharded_text(&checkpoints, n, t), "shard {t} of {n}");
-                assert_eq!(
-                    reader.records().count(),
-                    0,
-                    "shard {t} of {n}: a journal tail"
-                );
-                assert_eq!(
-                    res.read(t).snapshot().unwrap(),
-                    text,
-                    "shard {t} of {n} reads back"
-                );
+                assert!(reader.snapshot().is_none(), "shard {t} of {n}: a checkpoint");
+                let tail: Vec<Vec<u8>> = reader.records().map(|r| r.unwrap().1).collect();
+                assert!(tail == resharded_tail(&sources, n, t), "shard {t} of {n}");
+                let text = results_checkpoint(&res.read(t)).unwrap();
+                assert_eq!(text, tail_text(&tail), "shard {t} of {n} reads back");
                 written.push(text);
             }
-            checkpoints = written;
+            sources = written;
         }
         // Every block made it through, the legacy client's without a horizon.
         let (res, _) = open_sharded::<ResultStore>(dir.path(), cfg(), 1, &plain_io()).unwrap();
         assert_eq!(res.read(0).len(), uploaded);
-        assert!(checkpoints[0].contains("CLIENT client-0002\n"));
-        assert!(!checkpoints[0].contains("SEQ client-0002 "));
+        assert!(sources[0].contains("CLIENT client-0002\n"));
+        assert!(!sources[0].contains("SEQ client-0002 "));
     }
 
     pub(crate) fn copy_tree(from: &Path, to: &Path) {
@@ -836,13 +851,14 @@ pub(crate) mod tests {
     }
 
     /// An 8-shard data directory with every flavor populated from
-    /// `seed`, one results shard holding a snapshot plus a tail past
-    /// it, and a torn append at the end of one registry shard.
+    /// `seed`, one results shard holding a checkpoint an older build
+    /// wrote plus a tail past it, and a torn append at the end of one
+    /// registry shard.
     fn populated(seed: u64) -> TempDir {
         use uucs_modelsvc::Observation;
         let dir = TempDir::new("uucs-shard-workers");
         let mut rng = uucs_stats::Pcg64::new(seed);
-        let (stores, _) = StoreSet::open(dir.path(), cfg(), 8).unwrap();
+        let (mut stores, _) = StoreSet::open(dir.path(), cfg(), 8).unwrap();
         let clients: Vec<String> = (1..=24).map(|i| format!("client-{i:04}")).collect();
         for i in 0..40 {
             let id = format!("case-{i:02}");
@@ -887,7 +903,11 @@ pub(crate) mod tests {
                 models.observe_batch(vec![observation]).unwrap();
             }
             if round == 3 {
-                assert!(stores.results.write_recovered(folded).compact().unwrap());
+                let state = results_checkpoint(&stores.results.read(folded)).unwrap();
+                drop(stores);
+                let journal = shard_dir(dir.path(), "results", folded);
+                write_old_checkpoint(plain_io(), &journal, cfg(), &state).unwrap();
+                stores = StoreSet::open(dir.path(), cfg(), 8).unwrap().0;
             }
         }
         drop(stores);
@@ -903,19 +923,19 @@ pub(crate) mod tests {
     }
 
     /// Everything a restart hands the server, as text: each shard's
-    /// state through its own snapshot encoding, the upload horizons,
-    /// and the recovery reports in the order they are printed.
+    /// state as its checkpoint text, the upload horizons, and the
+    /// recovery reports in the order they are printed.
     fn opened_state(workers: usize, data: &Path) -> String {
         use std::fmt::Write;
         let (stores, recoveries) = StoreSet::open_on(workers, &plain_io(), data, cfg(), 8).unwrap();
         let mut out = String::new();
         for i in 0..8 {
             writeln!(out, "== shard {i} ==").unwrap();
-            out.push_str(&stores.testcases.read(i).snapshot().unwrap());
-            out.push_str(&stores.results.read(i).snapshot().unwrap());
+            out.push_str(stores.testcases.read(i).text());
+            out.push_str(&results_checkpoint(&stores.results.read(i)).unwrap());
             writeln!(out, "{:?}", stores.results.read(i).applied_horizons()).unwrap();
-            out.push_str(&stores.registry.read(i).snapshot().unwrap());
-            out.push_str(&stores.models.read(i).snapshot().unwrap());
+            out.push_str(stores.registry.read(i).text());
+            out.push_str(&stores.models.read(i).snapshot());
         }
         for r in &recoveries {
             writeln!(out, "{r:?}").unwrap();

@@ -1,18 +1,20 @@
 //! The server's stores, kept as the paper keeps them — "on permanent
 //! storage in text files" — in a write-ahead log (`uucs-wal`) whose
-//! entries and checkpoints are that text.
+//! entries are that text.
 //!
 //! Every store journals: each mutation is journaled *before* it is
-//! applied in memory, and reopening the journal replays it — snapshot
-//! first, then the records past it — so nothing acknowledged is lost.
-//! `open_wal` journals to files under a directory; `new` journals to an
-//! in-memory disk of the store's own, for an in-process server.
+//! applied in memory, and reopening the journal replays it, so nothing
+//! acknowledged is lost. None of these stores writes a checkpoint — the
+//! text its journal holds is the store, so the journal is its own
+//! checkpoint — but each restores one an older build wrote before it
+//! replays the records past it. `open_wal` journals to files under a
+//! directory; `new` journals to an in-memory disk of the store's own, for
+//! an in-process server.
 //!
 //! Every store holds the text its journal carries. The testcase library
 //! and the client registry are each a [`BlockLog`]: checked blocks keyed
-//! by id, which serving, checkpointing and resharding copy and never
-//! render. The result store keeps no record text: its journal is its
-//! record log.
+//! by id, which serving and resharding copy and never render. The result
+//! store keeps no record text: its journal is its record log.
 //!
 //! Corruption policy: a WAL tolerates a torn final frame (crash
 //! residue) but reports mid-log damage, naming the record.
@@ -81,7 +83,7 @@ pub trait BlockPolicy: Default + fmt::Debug {
     /// beside the first (whose lookups win), rather than refusing it.
     const REPEATS: bool;
 
-    /// A checkpoint's blocks, in order.
+    /// The blocks of a checkpoint an older build wrote, in order.
     fn split(checkpoint: &str) -> impl Iterator<Item = &str>;
 
     /// The key a block names on its first line, read to route it.
@@ -100,9 +102,10 @@ pub trait BlockPolicy: Default + fmt::Debug {
 /// held as text in one `String` in arrival order, each block's key, and
 /// the ordinal of each key's first block. A block is rendered once, by
 /// the store's own mutator; replay, restore and admit keep the text they
-/// check, and snapshots, reshards, replication and `SYNC` replies reuse
-/// it. A checked block is held through its `END` line, newline-terminated,
-/// so the held text is a checkpoint that splits back into the same blocks.
+/// check, and reshards, replication and `SYNC` replies reuse it. A
+/// checked block is held through its `END` line, newline-terminated, so
+/// the held text is what an older build checkpointed: it splits back
+/// into the same blocks.
 /// Readers that want structs decode a block on demand.
 #[derive(Debug)]
 pub struct BlockLog<P> {
@@ -139,10 +142,6 @@ impl<P: BlockPolicy> Journaled for BlockLog<P> {
 
     fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
         self.keep(Self::block_of(payload)?)
-    }
-
-    fn snapshot(&self) -> io::Result<String> {
-        Ok(self.text.clone())
     }
 
     /// One payload per block, keyed, in arrival order.
@@ -415,8 +414,8 @@ impl BatchStatus {
 /// `RESULT`…`END` blocks its journal holds, in upload order, and in
 /// memory it keeps their count, each client's horizon and the journal.
 /// An open checks each journaled batch's header and block structure and
-/// counts; every reader ([`ResultStore::records`], the compaction
-/// snapshot) streams the checkpoint and then
+/// counts; every reader ([`ResultStore::records`], a reshard's export)
+/// streams the checkpoint an older build may have left and then
 /// each live segment, one journal file in memory at a time, checks each
 /// payload the way the open did, and yields no more than
 /// [`ResultStore::len`] blocks. A record is decoded when somebody reads
@@ -427,8 +426,7 @@ impl BatchStatus {
 /// what makes `UPLOAD` idempotent: a batch retransmitted because its
 /// `ACK` was lost is recognized and re-acknowledged without storing a
 /// second copy. The sequence horizon rides in the same WAL entry as the
-/// records (one atomic [`WalEntry::Batch`]) and in the compaction
-/// snapshot, so dedup survives crashes and checkpoints alike.
+/// records (one atomic [`WalEntry::Batch`]), so dedup survives a crash.
 #[derive(Debug)]
 pub struct ResultStore {
     /// How many blocks the store holds.
@@ -457,8 +455,10 @@ impl Journaled for ResultStore {
         &mut self.journal
     }
 
-    /// Snapshots from before sequence tracking have no `SEQ` lines and
-    /// restore an empty horizon map.
+    /// A checkpoint an older build wrote: `SEQ <client> <n>` header
+    /// lines (the idempotency horizon) followed by the record blocks.
+    /// One from before sequence tracking has no `SEQ` lines and restores
+    /// an empty horizon map.
     fn restore(&mut self, snapshot: &str) -> io::Result<()> {
         let (horizons, body) = split_checkpoint(snapshot)?;
         for (client, seq) in horizons {
@@ -477,20 +477,6 @@ impl Journaled for ResultStore {
             self.raise_horizon(client, seq);
         }
         Ok(())
-    }
-
-    /// `SEQ <client> <n>` header lines (the idempotency horizon)
-    /// followed by the record blocks.
-    fn snapshot(&self) -> io::Result<String> {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (client, seq) in &self.applied {
-            writeln!(out, "SEQ {client} {seq}").unwrap();
-        }
-        for chunk in self.chunks() {
-            out.push_str(&chunk?);
-        }
-        Ok(out)
     }
 
     /// Every horizon as an empty `B` payload, then every held block, in
@@ -568,8 +554,8 @@ fn checked(payload: &[u8]) -> io::Result<BorrowedBlocks<'_>> {
     .map_err(invalid)
 }
 
-/// Splits a results checkpoint into its `SEQ <client> <n>` lines and
-/// the record blocks after them.
+/// Splits a results checkpoint an older build wrote into its
+/// `SEQ <client> <n>` lines and the record blocks after them.
 fn split_checkpoint(snapshot: &str) -> io::Result<(Vec<(&str, u64)>, &str)> {
     let mut horizons = Vec::new();
     let mut offset = 0usize;
@@ -1076,7 +1062,7 @@ impl RegistryStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::models::ModelStore;
     use crate::storage::{Disk, StoreIo};
@@ -1138,18 +1124,52 @@ mod tests {
         assert_eq!(restored.testcases(), [tc("a"), tc("b")]);
     }
 
+    /// The checkpoint text an older build wrote of a result store:
+    /// `SEQ <client> <n>` lines, then every held block.
+    pub(crate) fn results_checkpoint(store: &ResultStore) -> io::Result<String> {
+        let mut out: String = (store.applied.iter())
+            .map(|(client, seq)| format!("SEQ {client} {seq}\n"))
+            .collect();
+        for chunk in store.chunks() {
+            out.push_str(&chunk?);
+        }
+        Ok(out)
+    }
+
+    /// Writes `state` over the closed journal under `dir` as an older
+    /// build's compaction did: a checkpoint superseding everything
+    /// journaled ([`uucs_wal::Wal::snapshot`]), then the segments it
+    /// covers deleted.
+    pub(crate) fn write_old_checkpoint(
+        io: StoreIo,
+        dir: &Path,
+        cfg: WalConfig,
+        state: &str,
+    ) -> io::Result<()> {
+        let (mut wal, _) = uucs_wal::Wal::open(io, dir, cfg)?;
+        wal.snapshot(state.as_bytes())?;
+        wal.compact()?;
+        Ok(())
+    }
+
     /// What the journal-core table needs from a flavor beyond
-    /// [`Journaled`]: a couple of mutations, distinct per round, and a
-    /// probe of what a *recovered* store must still do with them.
+    /// [`Journaled`]: a couple of mutations, distinct per round, a probe
+    /// of what a *recovered* store must still do with them, and the
+    /// state as the checkpoint text an older build wrote of it.
     trait Fill: Journaled {
         fn fill(&mut self, round: u64);
         fn probe(&mut self);
+        fn state(&self) -> String;
     }
 
     impl Fill for TestcaseStore {
         fn fill(&mut self, round: u64) {
             self.add(&tc(&format!("t{round}-a"))).unwrap();
             self.add(&tc(&format!("t{round}-b"))).unwrap();
+        }
+
+        fn state(&self) -> String {
+            self.text().to_string()
         }
 
         fn probe(&mut self) {
@@ -1177,6 +1197,10 @@ mod tests {
             assert_eq!(self.len(), held);
             let next = self.append_batch("c1", 3, &[rec("u4")]);
             assert_eq!(next.unwrap(), BatchStatus::Applied(1));
+        }
+
+        fn state(&self) -> String {
+            results_checkpoint(self).unwrap()
         }
     }
 
@@ -1213,6 +1237,10 @@ mod tests {
                 (Some("tok-1"), None)
             );
         }
+
+        fn state(&self) -> String {
+            self.text().to_string()
+        }
     }
 
     impl Fill for ModelStore {
@@ -1230,6 +1258,10 @@ mod tests {
         fn probe(&mut self) {
             assert_eq!(self.epoch(), 2);
         }
+
+        fn state(&self) -> String {
+            self.snapshot()
+        }
     }
 
     const TABLE_CFG: WalConfig = WalConfig {
@@ -1238,14 +1270,14 @@ mod tests {
     };
 
     /// One flavor of the journal-core table, type-erased: the state is
-    /// compared through its own snapshot encoding.
+    /// compared as its checkpoint text ([`Fill::state`]).
     struct Row {
         flavor: &'static str,
         /// The kind of the first entry this flavor journals.
         first_entry: &'static str,
-        /// Writes a journal under the directory — fill, optionally
-        /// compact, fill again, drop without compacting — and returns
-        /// the state it held.
+        /// Writes a journal under the directory — fill, optionally close
+        /// it and checkpoint it as an older build did, fill again — and
+        /// returns the state it held.
         write: fn(&Path, bool) -> String,
         /// Opens the directory as this flavor and probes what came back.
         open: fn(&Path) -> io::Result<String>,
@@ -1255,20 +1287,23 @@ mod tests {
         Row {
             flavor: S::FLAVOR,
             first_entry,
-            write: |dir, compact| {
+            write: |dir, checkpoint| {
                 let (mut store, recovery) = S::open(plain_io(), dir, TABLE_CFG).unwrap();
                 assert_eq!(recovery.records, 0);
                 store.fill(0);
-                if compact {
-                    assert!(store.compact().unwrap());
+                if checkpoint {
+                    let state = store.state();
+                    drop(store);
+                    write_old_checkpoint(plain_io(), dir, TABLE_CFG, &state).unwrap();
+                    store = S::open(plain_io(), dir, TABLE_CFG).unwrap().0;
                 }
                 store.fill(1);
-                store.snapshot().unwrap()
+                store.state()
             },
             open: |dir| {
                 let (mut store, recovery) = S::open(plain_io(), dir, TABLE_CFG)?;
                 assert!(recovery.snapshot.is_none(), "open folds the snapshot");
-                let state = store.snapshot()?;
+                let state = store.state();
                 store.probe();
                 Ok(state)
             },
@@ -1284,14 +1319,16 @@ mod tests {
         ]
     }
 
+    /// Each flavor reopens to what it held, from its journal alone and
+    /// from a checkpoint an older build wrote plus the tail past it.
     #[test]
     fn every_flavor_reopens_equal_with_and_without_compaction() {
         for row in table() {
-            for compact in [false, true] {
+            for checkpoint in [false, true] {
                 let dir = TempDir::new("uucs-journal-reopen");
-                let written = (row.write)(dir.path(), compact);
+                let written = (row.write)(dir.path(), checkpoint);
                 let reopened = (row.open)(dir.path()).unwrap();
-                assert_eq!(reopened, written, "{} (compact: {compact})", row.flavor);
+                assert_eq!(reopened, written, "{} (checkpoint: {checkpoint})", row.flavor);
             }
         }
     }
@@ -1313,15 +1350,14 @@ mod tests {
         }
     }
 
-    /// A store built in memory journals what it takes, so it has
-    /// something to compact; only `ModelStore::new` has no journal.
+    /// A store built in memory journals what it takes; a model shard
+    /// there also checkpoints, and only `ModelStore::new` has no journal.
     #[test]
     fn in_memory_stores_journal_and_compact() {
         fn check<S: Fill>() {
             let mut store = S::in_memory();
             store.fill(0);
             assert!(store.journal().next_lsn() > 0, "{}", S::FLAVOR);
-            assert!(store.compact().unwrap(), "{}", S::FLAVOR);
             store.fill(1);
             store.probe();
         }
@@ -1329,6 +1365,12 @@ mod tests {
         check::<ResultStore>();
         check::<RegistryStore>();
         check::<ModelStore>();
+        let mut model = ModelStore::in_memory();
+        model.fill(0);
+        assert!(model.compact().unwrap(), "an in-memory model checkpoints");
+        assert_eq!(model.journal_tail().0, 0);
+        model.fill(1);
+        model.probe();
         let mut model = ModelStore::new();
         model.fill(0);
         assert!(!model.compact().unwrap(), "ModelStore::new has no journal");
@@ -1643,7 +1685,7 @@ mod tests {
         match (replayed_after::<ModelStore>(before, payload), reference) {
             (Ok(store), Ok(model)) => {
                 assert_eq!(store.epoch(), model.epoch(), "{context}");
-                assert_eq!(store.snapshot().unwrap(), model.encode(), "{context}");
+                assert_eq!(store.snapshot(), model.encode(), "{context}");
             }
             (Err(mine), Err(theirs)) => assert_eq!(mine.to_string(), theirs, "{context}"),
             (mine, theirs) => panic!(
@@ -1812,7 +1854,7 @@ mod tests {
             for (client, seq, records) in &uploads {
                 store.append_batch(client, *seq, records).unwrap();
             }
-            store.snapshot().unwrap()
+            results_checkpoint(&store).unwrap()
         };
         {
             let (mut wal, _) = uucs_wal::Wal::open(plain_io(), theirs.path(), cfg).unwrap();
@@ -1834,13 +1876,13 @@ mod tests {
 
         let all: Vec<RunRecord> = uploads.iter().flat_map(|(_, _, r)| r.clone()).collect();
         let want = format!("SEQ c1 2\nSEQ c2 5\n{}", RunRecord::emit_many(&all));
-        assert_eq!(snapshot, want, "the snapshot is the encoder's text");
+        assert_eq!(snapshot, want, "the checkpoint text is the encoder's text");
         let (reopened, recovery) = ResultStore::open_wal(theirs.path(), cfg).unwrap();
         assert_eq!(recovery.records, 5);
         assert_eq!(reopened.len(), all.len());
         assert_eq!((reopened.applied_seq("c1"), reopened.applied_seq("c2")), (2, 5));
         assert_eq!(read(&reopened).unwrap(), all);
-        assert_eq!(reopened.snapshot().unwrap(), want);
+        assert_eq!(results_checkpoint(&reopened).unwrap(), want);
     }
 
     /// A field that does not parse is past every check an open makes
@@ -1927,10 +1969,10 @@ mod tests {
         assert!(store.held_of(&HashSet::from(["a", "c"])).is_err());
     }
 
-    /// The indexed registry emits what the scanning one did: rows in
+    /// The indexed registry holds what the scanning one emitted: rows in
     /// registration order, each `CLIENT <id> <token>` line carrying the
-    /// first token the id presented — and so does its reopen, before and
-    /// after a compaction.
+    /// first token the id presented — and so does its reopen, from its
+    /// journal and from that text checkpointed by an older build.
     #[test]
     fn registry_snapshot_bytes_and_order_are_pinned() {
         let dir = TempDir::new("uucs-registry-pin");
@@ -1948,7 +1990,7 @@ mod tests {
             assert_eq!(g.id_for_token("tok-a"), Some("client-0001"));
             g.register_with_id("client-0004", &snap("d"), "tok-d", false)
                 .unwrap();
-            g.snapshot().unwrap()
+            g.text().to_string()
         };
         let want = format!(
             "CLIENT client-0001 tok-a\n{}CLIENT client-0002\n{}\
@@ -1960,15 +2002,19 @@ mod tests {
         );
         assert_eq!(written, want);
         let order = ["client-0001", "client-0002", "client-0009", "client-0004"];
-        for compact in [false, true] {
-            let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
+        for checkpointed in [false, true] {
+            let snaps = files(dir.path()).into_keys().filter(|f| f.ends_with(".snap")).count();
+            assert_eq!(snaps, usize::from(checkpointed));
+            let (g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
             let ids: Vec<&str> = g.entries().map(|(id, _)| id).collect();
-            assert_eq!(ids, order, "compacted: {compact}");
-            assert_eq!(g.snapshot().unwrap(), want, "compacted: {compact}");
+            assert_eq!(ids, order, "checkpointed: {checkpointed}");
+            assert_eq!(g.text(), want, "checkpointed: {checkpointed}");
             assert_eq!(g.get("client-0009").unwrap().hostname, "c");
             assert_eq!((g.id_for_token("tok-c"), g.token_of("client-0002")), (Some("client-0009"), None));
-            if !compact {
-                g.compact().unwrap();
+            if !checkpointed {
+                let text = g.text().to_string();
+                drop(g);
+                write_old_checkpoint(plain_io(), dir.path(), cfg, &text).unwrap();
             }
         }
         let (g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
@@ -2036,7 +2082,7 @@ mod tests {
                 Ok(store),
             ) => {
                 let mut restored = RegistryStore::new();
-                restored.restore(&store.snapshot().unwrap()).expect(context);
+                restored.restore(store.text()).expect(context);
                 for g in [&store, &restored] {
                     assert_eq!(g.len(), 1, "{context}");
                     assert_eq!(g.get(&id).as_ref(), Some(&snapshot), "{context}");
@@ -2048,11 +2094,7 @@ mod tests {
                         "{context}"
                     );
                 }
-                assert_eq!(
-                    restored.snapshot().unwrap(),
-                    store.snapshot().unwrap(),
-                    "{context}"
-                );
+                assert_eq!(restored.text(), store.text(), "{context}");
             }
             (Err(theirs), Err(mine)) => assert_eq!(mine.to_string(), theirs, "{context}"),
             (theirs, mine) => panic!("{context}: decode {theirs:?}, registry {mine:?}"),
@@ -2137,7 +2179,7 @@ mod tests {
         ];
         let check = |g: &RegistryStore, when: &str| {
             assert_eq!(
-                g.snapshot().unwrap(),
+                g.text(),
                 blocks.iter().map(|(_, b)| b.as_str()).collect::<String>(),
                 "{when}"
             );
@@ -2174,10 +2216,11 @@ mod tests {
             assert_eq!(err.to_string(), "client id \"c 3\" is not one token");
             check(&g, "live");
         }
-        let (mut g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
+        let (g, _) = RegistryStore::open_wal(dir.path(), cfg).unwrap();
         check(&g, "replayed");
-        g.compact().unwrap();
+        let text = g.text().to_string();
         drop(g);
+        write_old_checkpoint(plain_io(), dir.path(), cfg, &text).unwrap();
         check(
             &RegistryStore::open_wal(dir.path(), cfg).unwrap().0,
             "restored",
@@ -2282,7 +2325,7 @@ mod tests {
             store.len(),
             store.applied_horizons(),
             all.map_err(|e| format!("records: {e}"))?,
-            store.snapshot().map_err(|e| format!("snapshot: {e}"))?,
+            results_checkpoint(store).map_err(|e| format!("snapshot: {e}"))?,
         ))
     }
 
@@ -2297,7 +2340,7 @@ mod tests {
     /// The paths a [`reader_contract`] case can take that the property
     /// as a whole must have reached.
     const CONTRACT_PATHS: [&str; 6] = [
-        "a compaction",
+        "a checkpoint an older build wrote",
         "a retransmit",
         "a torn tail under a live store",
         "a reshard",
@@ -2306,7 +2349,8 @@ mod tests {
     ];
 
     /// One case of the reader contract: a random run of uploads,
-    /// retransmits, compactions, reopens, reshards, torn tails and one
+    /// retransmits, checkpoints as an older build wrote them, reopens,
+    /// reshards, torn tails and one
     /// planned fault against a store on an in-memory disk and the
     /// [`Reference`]. Every reader of the store must read like the
     /// reference after every step — including a live store whose journal
@@ -2372,11 +2416,19 @@ mod tests {
                         Err(e) => return Err(format!("{at}: {upload:?}: {e}")),
                     }
                 }
-                7 => match store.compact() {
-                    Ok(compacted) => seen[0] |= compacted,
-                    Err(_) if mem.is_dead() => failed = Some(None),
-                    Err(e) => return Err(format!("{at}: compact: {e}")),
-                },
+                7 => {
+                    // The store closed, an older build's checkpoint of it
+                    // written, and the reopen that reads it; a fault inside
+                    // the checkpoint is a power loss, then the same reopen.
+                    let state = results_checkpoint(&store).map_err(|e| format!("{at}: {e}"))?;
+                    drop(store);
+                    match write_old_checkpoint(io(&mem), dir, cfg, &state) {
+                        Ok(()) => seen[0] = true,
+                        Err(_) if mem.is_dead() => mem.crash(rng.f64()),
+                        Err(e) => return Err(format!("{at}: checkpoint: {e}")),
+                    }
+                    store = open(&mem)?;
+                }
                 8 => store = open(&mem)?,
                 9 => {
                     // A torn append under the live store, then the reopen that heals it.
@@ -2485,7 +2537,7 @@ mod tests {
         let text_blocks: Vec<&str> = (0..text.len()).map(|i| text.block(i)).collect();
         let text_entries: Vec<(&str, &str)> = text.entries().collect();
         let text_reading = format!(
-            "len {}\ntestcases {:?}\nget {:?}\ncontains {:?}\nblocks {:?}\nentries {:?}\ntext {}\nsnapshot {}",
+            "len {}\ntestcases {:?}\nget {:?}\ncontains {:?}\nblocks {:?}\nentries {:?}\ntext {}",
             text.len(),
             text.testcases(),
             probe.map(|id| text.get(id)),
@@ -2493,7 +2545,6 @@ mod tests {
             text_blocks,
             text_entries,
             text.text(),
-            text.snapshot().unwrap(),
         );
         let emitted: Vec<String> = structs.0.iter().map(tcformat::emit).collect();
         let ids: Vec<&str> = structs.0.iter().map(|t| t.id.as_str()).collect();
@@ -2504,14 +2555,13 @@ mod tests {
             .collect();
         let find = |id: &str| structs.0.iter().find(|t| t.id.as_str() == id);
         let struct_reading = format!(
-            "len {}\ntestcases {:?}\nget {:?}\ncontains {:?}\nblocks {:?}\nentries {:?}\ntext {}\nsnapshot {}",
+            "len {}\ntestcases {:?}\nget {:?}\ncontains {:?}\nblocks {:?}\nentries {:?}\ntext {}",
             structs.0.len(),
             structs.0,
             probe.map(|id| find(id).cloned()),
             probe.map(|id| find(id).is_some()),
             emitted,
             struct_entries,
-            tcformat::emit_many(&structs.0),
             tcformat::emit_many(&structs.0),
         );
         [text_reading, struct_reading]
@@ -2556,7 +2606,7 @@ mod tests {
     /// The paths a [`testcase_contract`] case can take that the property
     /// as a whole must have reached.
     const TC_PATHS: [&str; 6] = [
-        "a compaction",
+        "a checkpoint an older build wrote",
         "a duplicate",
         "a torn tail under a live store",
         "a reshard",
@@ -2565,7 +2615,8 @@ mod tests {
     ];
 
     /// One case of the testcase-store contract: a random run of
-    /// additions (colliding ids among them), compactions, reopens, torn
+    /// additions (colliding ids among them), checkpoints as an older
+    /// build wrote them, reopens, torn
     /// tails, reshards and planned faults against a durable text store
     /// on an in-memory disk and the struct store. Every reader of the
     /// two must agree after every step, and after each reopen once a
@@ -2615,11 +2666,19 @@ mod tests {
                         }
                     }
                 }
-                6 => match text.compact() {
-                    Ok(compacted) => seen[0] |= compacted,
-                    Err(_) if mem.is_dead() => failed = Some(None),
-                    Err(e) => return Err(format!("{at}: compact: {e}")),
-                },
+                6 => {
+                    // The store closed, an older build's checkpoint of it
+                    // written, and the reopen that reads it; a fault inside
+                    // the checkpoint is a power loss, then the same reopen.
+                    let state = text.text().to_string();
+                    drop(text);
+                    match write_old_checkpoint(Disk::Memory(mem.clone()), dir, cfg, &state) {
+                        Ok(()) => seen[0] = true,
+                        Err(_) if mem.is_dead() => mem.crash(rng.f64()),
+                        Err(e) => return Err(format!("{at}: checkpoint: {e}")),
+                    }
+                    text = open(&mem)?;
+                }
                 7 => text = open(&mem)?,
                 8 => {
                     // A torn append under the live store, then the reopen that heals it.
@@ -2800,7 +2859,7 @@ mod tests {
             tokens.iter().map(|t| text.id_for_token(t)).collect::<Vec<_>>(),
             ids.iter().map(|id| text.token_of(id)).collect::<Vec<_>>(),
             shown(exported(text)),
-            text.snapshot().unwrap(),
+            text.text(),
         );
         let rendered = shown(structs.export());
         let struct_reading = format!(
@@ -2852,7 +2911,7 @@ mod tests {
     /// The paths a [`registry_contract`] case can take that the property
     /// as a whole must have reached.
     const REG_PATHS: [&str; 9] = [
-        "a compaction",
+        "a checkpoint an older build wrote",
         "a token retry",
         "a repeated id",
         "an admit of a known id",
@@ -2865,7 +2924,8 @@ mod tests {
 
     /// One case of the registry contract: a random run of registrations
     /// (with and without tokens, tokens repeating, now and then an id
-    /// registered again), admits of known and unknown ids, compactions,
+    /// registered again), admits of known and unknown ids, checkpoints as
+    /// an older build wrote them,
     /// reopens, torn tails, reshards 1 → 3 → 2 → 1 and planned faults
     /// against a durable text registry on an in-memory disk and the
     /// struct registry. Every reader of the two must agree after every
@@ -2980,11 +3040,22 @@ mod tests {
                         Err(e) => return Err(format!("{at}: admit {id}: {e}")),
                     }
                 }
-                6 => match text.compact() {
-                    Ok(compacted) => seen[0] |= compacted,
-                    Err(_) if mem.is_dead() => failed = Some(None),
-                    Err(e) => return Err(format!("{at}: compact: {e}")),
-                },
+                6 => {
+                    // The store closed, an older build's checkpoint of it
+                    // written, and the reopen that reads it; a fault inside
+                    // the checkpoint is a power loss, then the same reopen.
+                    let state = text.text().to_string();
+                    drop(text);
+                    match write_old_checkpoint(Disk::Memory(mem.clone()), dir, cfg, &state) {
+                        Ok(()) => seen[0] = true,
+                        Err(_) if mem.is_dead() => {
+                            seen[6] = true;
+                            mem.crash(rng.f64());
+                        }
+                        Err(e) => return Err(format!("{at}: checkpoint: {e}")),
+                    }
+                    text = open(&mem)?;
+                }
                 7 => text = open(&mem)?,
                 8 => {
                     // A torn append under the live store, then the reopen that heals it.

@@ -125,8 +125,8 @@ fn acknowledged_uploads_survive_server_death() {
 
     // Generation 2: recovery sees the 4 acknowledged records *and* the
     // generation-1 registration; a new client's sync sees the recovered
-    // library; 3 more records arrive, and this generation also compacts
-    // mid-life.
+    // library; 3 more records arrive, and this generation's periodic
+    // checkpoint also runs mid-life.
     {
         let server = boot(&dir);
         assert_eq!(server.result_count(), 4, "acknowledged uploads were lost");
@@ -141,8 +141,8 @@ fn acknowledged_uploads_survive_server_death() {
         handle.shutdown();
     }
 
-    // Generation 3: the snapshot + tail replay reconstruct all 7, in
-    // upload order, byte-for-byte.
+    // Generation 3: the journal replay reconstructs all 7, in upload
+    // order, byte-for-byte.
     {
         let server = boot(&dir);
         assert_eq!(server.result_count(), 7);
@@ -636,7 +636,9 @@ fn sync_replies_are_the_struct_encoding_however_the_library_was_loaded() {
     assert!(held == want, "the journals hold each testcase's entry once");
 
     assert_syncs_encode_like_structs(&open(8), &library, "reopened from the journal");
-    open(8).compact().unwrap();
+    for i in 0..8 {
+        checkpoint_as_an_older_build(&dir.join(format!("testcases/by-8/shard-{i:03}")));
+    }
     assert_syncs_encode_like_structs(&open(8), &library, "restored from a checkpoint");
     assert_syncs_encode_like_structs(&open(4), &library, "resharded 8 to 4");
 
@@ -662,9 +664,24 @@ fn files_crc(dir: &Path) -> u32 {
     uucs_wal::crc::crc32(&bytes)
 }
 
-/// The testcase journal and its checkpoint hold the bytes the store
-/// wrote while it kept testcases as structs: the pinned CRC-32s were
-/// taken from that build, for the same library and segment size.
+/// Writes the checkpoint an older build's periodic compaction wrote
+/// over the closed testcase journal under `dir`: the store's text,
+/// superseding everything journaled, and the segments it covers
+/// deleted. Returns that text.
+fn checkpoint_as_an_older_build(dir: &Path) -> String {
+    let text = TestcaseStore::open_wal(dir, CFG).unwrap().0.text().to_string();
+    let (mut wal, _) = uucs_wal::Wal::open(StdIo::new(), dir, CFG).unwrap();
+    wal.snapshot(text.as_bytes()).unwrap();
+    wal.compact().unwrap();
+    text
+}
+
+/// The testcase journal holds the bytes the store wrote while it kept
+/// testcases as structs, and the server's periodic checkpoint leaves it
+/// so; the checkpoint an older build's compaction wrote over it holds
+/// the bytes that build wrote, and reopens to the same library. The
+/// pinned CRC-32s were taken from those builds, for the same library
+/// and segment size.
 #[test]
 fn testcase_journal_and_checkpoint_bytes_are_pinned() {
     let tmp = TempDir::new("uucs-tc-bytes");
@@ -675,12 +692,204 @@ fn testcase_journal_and_checkpoint_bytes_are_pinned() {
     assert_eq!(files_crc(tmp.path()), JOURNAL_CRC, "journal bytes moved");
     let server = UucsServer::new(store, 1);
     server.compact().unwrap();
+    assert_eq!(files_crc(tmp.path()), JOURNAL_CRC, "the tick rewrote the journal");
+    drop(server);
+    let text = checkpoint_as_an_older_build(tmp.path());
     assert_eq!(
         files_crc(tmp.path()),
         CHECKPOINT_CRC,
         "checkpoint bytes moved"
     );
+    let (store, _) = TestcaseStore::open_wal(tmp.path(), CFG).unwrap();
+    assert_eq!(store.text(), text);
+    assert_eq!(store.testcases(), varied_library());
 }
 
 const JOURNAL_CRC: u32 = 0x856e_b80e;
 const CHECKPOINT_CRC: u32 = 0x1f52_c178;
+
+/// Every file under `dir`, recursively, by path.
+fn tree(dir: &Path) -> std::collections::BTreeMap<std::path::PathBuf, Vec<u8>> {
+    let mut files = std::collections::BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(tree(&path));
+        } else {
+            files.insert(path.clone(), std::fs::read(&path).unwrap());
+        }
+    }
+    files
+}
+
+fn is_checkpoint(path: &Path) -> bool {
+    path.extension().is_some_and(|x| x == "snap")
+}
+
+const TICK_SHARDS: usize = 4;
+
+fn open_tick_server(dir: &Path) -> UucsServer {
+    UucsServer::with_store_set(StoreSet::open(dir, CFG, TICK_SHARDS).unwrap().0, 5)
+}
+
+/// Registers a client and uploads two batches of three records, each
+/// record's `user` unique; returns the users acked.
+fn register_and_upload(server: &UucsServer, host: &str) -> Vec<String> {
+    let register = ClientMsg::register(MachineSnapshot::study_machine(host));
+    let ServerMsg::Id { id: client, .. } = server.handle(&register) else {
+        panic!("{host}: no id");
+    };
+    let mut acked = Vec::new();
+    for seq in 1..=2u64 {
+        let records: Vec<RunRecord> = (0..3)
+            .map(|i| RunRecord {
+                client: client.clone(),
+                user: format!("{client}-{seq}-{i}"),
+                ..record(i)
+            })
+            .collect();
+        let upload = ClientMsg::Upload { client: client.clone(), seq, records: records.clone() };
+        match server.handle(&upload) {
+            ServerMsg::Ack(3) => acked.extend(records.into_iter().map(|r| r.user)),
+            other => panic!("{host}: {other:?}"),
+        }
+    }
+    acked
+}
+
+/// A server over `dir` with the varied library seeded and three clients
+/// registered, each with two acked batches; returns it and the users
+/// acked.
+fn loaded(dir: &Path) -> (UucsServer, Vec<String>) {
+    let server = open_tick_server(dir);
+    server.add_testcases(varied_library()).unwrap();
+    let acked = (0..3)
+        .flat_map(|c| register_and_upload(&server, &format!("tick-{c}")))
+        .collect();
+    (server, acked)
+}
+
+/// The periodic checkpoint writes model shards only: the testcase,
+/// result and registry journals are left byte for byte as they were,
+/// with no checkpoint among them, and a reopen recovers every acked
+/// upload from them.
+#[test]
+fn the_tick_leaves_the_text_journals_as_they_were() -> Result<(), Violation> {
+    let tmp = TempDir::new("uucs-tick-text");
+    let dir = tmp.path();
+    let (server, acked) = loaded(dir);
+    let families = ["testcases", "results", "registry"];
+    let before = families.map(|family| tree(&dir.join(family)));
+    assert!(server.compact().unwrap() > 0, "the model shards hold deltas");
+    for (family, before) in families.iter().zip(before) {
+        let after = tree(&dir.join(family));
+        assert!(!after.keys().any(|p| is_checkpoint(p)), "{family}: a checkpoint");
+        assert!(after == before, "{family}: the tick changed the journal");
+    }
+    assert!(tree(&dir.join("models")).keys().any(|p| is_checkpoint(p)));
+    drop(server);
+    let server = open_tick_server(dir);
+    let held = server.results().unwrap().into_iter().map(|r| r.user);
+    exactly_once(acked, held, []).within("reopened after the tick")
+}
+
+/// Every file under `dir` with its inode: a file written afresh and
+/// renamed into place has a new one, whatever it holds.
+fn inodes(dir: &Path) -> Vec<(std::path::PathBuf, u64)> {
+    use std::os::unix::fs::MetadataExt;
+    let inode = |path: &Path| std::fs::metadata(path).unwrap().ino();
+    tree(dir).into_keys().map(|path| (path.clone(), inode(&path))).collect()
+}
+
+/// A tick with nothing new to fold writes nothing: a second periodic
+/// checkpoint with no upload since the first adds no checkpoint and
+/// leaves every model file as it was — not even rewritten with the same
+/// bytes.
+#[test]
+fn an_idle_tick_leaves_the_model_journals_as_they_were() {
+    let tmp = TempDir::new("uucs-tick-idle");
+    let models = tmp.join("models");
+    let (server, _) = loaded(tmp.path());
+    assert!(server.compact().unwrap() > 0, "the model shards hold deltas");
+    let before = (tree(&models), inodes(&models));
+    assert_eq!(server.compact().unwrap(), 0, "an idle tick checkpointed");
+    assert!(tree(&models) == before.0, "an idle tick changed the model journals");
+    assert_eq!(inodes(&models), before.1, "an idle tick rewrote a model file");
+}
+
+/// Each shard's testcase and registry text, and its records and
+/// horizons, read straight from the journals under `dir`.
+fn shard_states(dir: &Path) -> Vec<String> {
+    use uucs_server::{RegistryStore, ResultStore};
+    let mut states = Vec::new();
+    for i in 0..TICK_SHARDS {
+        let shard = |family: &str| dir.join(family).join(format!("by-{TICK_SHARDS}/shard-{i:03}"));
+        let testcases = TestcaseStore::open_wal(&shard("testcases"), CFG).unwrap().0;
+        let registry = RegistryStore::open_wal(&shard("registry"), CFG).unwrap().0;
+        let results = ResultStore::open_wal(&shard("results"), CFG).unwrap().0;
+        let records: String = results.records().map(|r| r.unwrap().emit()).collect();
+        states.push(testcases.text().to_string());
+        states.push(registry.text().to_string());
+        states.push(format!("{:?}\n{records}", results.applied_horizons()));
+    }
+    states
+}
+
+/// Writes over every testcase, result and registry journal under `dir`
+/// the checkpoint an older build's periodic compaction wrote: results as
+/// `SEQ <client> <n>` lines and then their blocks, testcases and
+/// registrations as the text the stores hold.
+fn checkpoint_everything_as_an_older_build(dir: &Path) {
+    use uucs_server::{RegistryStore, ResultStore};
+    for i in 0..TICK_SHARDS {
+        let shard = |family: &str| dir.join(family).join(format!("by-{TICK_SHARDS}/shard-{i:03}"));
+        let results = ResultStore::open_wal(&shard("results"), CFG).unwrap().0;
+        let mut text: String = (results.applied_horizons().iter())
+            .map(|(client, seq)| format!("SEQ {client} {seq}\n"))
+            .collect();
+        text.extend(results.records().map(|r| r.unwrap().emit()));
+        drop(results);
+        let texts = [
+            ("results", text),
+            ("testcases", TestcaseStore::open_wal(&shard("testcases"), CFG).unwrap().0.text().to_string()),
+            ("registry", RegistryStore::open_wal(&shard("registry"), CFG).unwrap().0.text().to_string()),
+        ];
+        for (family, text) in texts {
+            let (mut wal, _) = uucs_wal::Wal::open(StdIo::new(), shard(family), CFG).unwrap();
+            wal.snapshot(text.as_bytes()).unwrap();
+            wal.compact().unwrap();
+        }
+    }
+}
+
+/// A data directory whose testcase, result and registry journals an
+/// older build checkpointed, with a tail written past each checkpoint,
+/// reopens to the records, horizons, testcases and registrations the
+/// same journals give unfolded, and every acked upload is held once.
+#[test]
+fn a_data_directory_an_older_build_checkpointed_reopens_to_the_same_state() -> Result<(), Violation> {
+    let (plain, folded) = (TempDir::new("uucs-old-plain"), TempDir::new("uucs-old-folded"));
+    let mut acked = loaded(plain.path()).1;
+    for (from, bytes) in tree(plain.path()) {
+        let to = folded.join(from.strip_prefix(plain.path()).unwrap());
+        std::fs::create_dir_all(to.parent().unwrap()).unwrap();
+        std::fs::write(to, bytes).unwrap();
+    }
+    checkpoint_everything_as_an_older_build(folded.path());
+    let snaps = tree(folded.path()).into_keys().filter(|p| is_checkpoint(p)).count();
+    assert!(snaps >= 3 * TICK_SHARDS, "{snaps} checkpoints");
+    let extra = Testcase::single("tail-case", 1.0, Resource::Cpu, ExerciseSpec::Ramp { level: 1.0, duration: 5.0 });
+    for dir in [plain.path(), folded.path()] {
+        let server = open_tick_server(dir);
+        server.add_testcases(std::slice::from_ref(&extra)).unwrap();
+        let tail = register_and_upload(&server, "tail-host");
+        if dir == plain.path() {
+            acked.extend(tail);
+        }
+    }
+    assert_eq!(shard_states(folded.path()), shard_states(plain.path()));
+    let server = open_tick_server(folded.path());
+    assert_eq!(server.client_count(), 4);
+    let held = server.results().unwrap().into_iter().map(|r| r.user);
+    exactly_once(acked, held, []).within("reopened over older checkpoints")
+}

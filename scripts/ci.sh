@@ -141,6 +141,24 @@ if [ -n "$whole" ]; then
     exit 1
 fi
 
+echo "== the text journals are their own checkpoint (the tick checkpoints model shards only) =="
+# A testcase, result or registry journal holds the store's text, so a
+# checkpoint of it replays as much as the tail it replaces, and writing
+# one builds that whole text in memory under the shard's lock. Only the
+# model store checkpoints (ModelStore::compact, crates/server/src/models.rs);
+# a store-side `fn snapshot(&self` encoder on a text store, or a
+# compaction of a text family in shard.rs, brings the periodic rewrite
+# back. Their old checkpoints are still read (`restore`, and the reader's
+# `Visitor::snapshot(&mut self, …)`).
+rewrite=$( (awk -v f=crates/server/src/store.rs '/^#\[cfg\(test\)\]/ { exit }
+        /fn snapshot\(&self/ && !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' crates/server/src/store.rs
+    grep -nE "compact_family\(&self\.(testcases|results|registry)\)" crates/server/src/shard.rs) || true)
+if [ -n "$rewrite" ]; then
+    echo "$rewrite"
+    echo "ci: a text store is checkpointed again; its journal is its checkpoint" >&2
+    exit 1
+fi
+
 echo "== one measurement harness (benchmark/ is the only place the system is timed) =="
 # A second timing harness measures the same paths as benchmark/ with
 # none of its samples, pairs or gates: a bench target directory, a
