@@ -16,10 +16,11 @@
 //! (`FollowerSlot::acked` plus a signal) observed two ways:
 //! [`ReplicationSink::poll_quorum`] by a commit ticket parked beside
 //! the leader's own fsync (a follower `Commit` wakes the committer's
-//! subscribers), [`ReplicationSink::wait_quorum`] by a handler whose
-//! store syncs inline. A replayed retry ships nothing, and its ack waits
-//! for a mark at the highest sequence shipped on its key's shard
-//! ([`ReplicationSink::mark_shipped`]), which covers the original.
+//! subscribers), [`ReplicationSink::wait_quorum`] by the blocking
+//! `GroupCommitter::wait` once the ticket's fsync is done (a caller
+//! such as `Endpoint::handle`). A replayed retry ships nothing, and its
+//! ack waits for a mark at the highest sequence shipped on its key's
+//! shard ([`ReplicationSink::mark_shipped`]), which covers the original.
 //!
 //! Sequences live as long as the hub: every leader start and every
 //! promotion claims a fresh epoch, so a watermark is only meaningful
@@ -805,7 +806,8 @@ mod tests {
         let (addr, accept) = hub.listen("127.0.0.1:0").unwrap();
         // A follower that joins by (empty) tail and never acknowledges.
         let _follower = FakeFollower::join(&hub, addr);
-        // What a handler whose store syncs inline does: ship, then wait.
+        // What a blocking `GroupCommitter::wait` does once its fsync is
+        // done (`Endpoint::handle`'s path): ship, then wait.
         let ship_and_wait = || {
             let mark = hub.ship("client-0001", b"entry".to_vec())?;
             hub.wait_quorum(mark.expect("a leading quorum hub marks what it ships"))

@@ -26,9 +26,20 @@
 //! ingest has `n ≫ k`, so the window stays near the interval and
 //! amortization is kept. An interval of zero never gathers.
 //!
+//! Each pass picks its own shape from what it took. A pass over one
+//! dirty slot fsyncs it on the commit thread: handing a lone fsync to
+//! another thread only adds two hand-offs to the wait. A pass over two
+//! or more submits each slot to the committer's own [`DiskScheduler`]
+//! pool (two threads, `server.disk.*`), so independent shards sync in
+//! parallel and the pass costs the slowest fsync, not the sum.
+//!
+//! The committer is also what drains deferred rotation syncs: when it
+//! starts, the three ticketed families stop fsyncing a closing segment
+//! on the append path (`StoreSet::set_deferred_rotation_sync`), and the
+//! next pass over the shard syncs it before anything past it is acked.
+//!
 //! `uucs-wal` itself stays dependency- and policy-free: the committer
-//! drives the existing [`uucs_wal::Wal::sync`] (segment rotation and
-//! snapshots already fsync under every policy), and batch shape is
+//! drives the existing [`uucs_wal::Wal::sync`], and batch shape is
 //! observable through the `server.commit.*` telemetry series.
 //!
 //! Failure semantics: if an fsync fails, the slot is marked failed and
@@ -46,6 +57,7 @@
 use crate::netpoll::Waker;
 use crate::server::ReplicationSink;
 use crate::shard::{sync_shard, StoreSet};
+use crate::storage::disk_scheduler;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
@@ -79,14 +91,14 @@ impl StoreFlavor {
     }
 }
 
-/// The number of ticketed families. Model-WAL appends are deliberately
-/// not ticketed: the model is derived state, and a failed model journal
-/// write never blocks an upload ack (the records are the source of
-/// truth) — so the committer never syncs a model shard and no reply
-/// waits on one. A model journal reaches disk when a segment rotates
-/// (its rotation sync stays inline, see
-/// [`StoreSet::set_deferred_rotation_sync`]), when the shard
-/// checkpoints itself, and at compaction.
+/// The number of ticketed families: testcases, results and registry.
+/// Model-WAL appends are deliberately not ticketed: the model is derived
+/// state, and a failed model journal write never blocks an upload ack
+/// (the records are the source of truth) — so the committer never syncs
+/// a model shard and no reply waits on one. A model journal reaches disk
+/// when a segment rotates (the model family is the one whose rotation
+/// sync stays inline: nothing would drain a deferred one), when the
+/// shard checkpoints itself, and at the 30 s tick.
 const FLAVORS: usize = 3;
 
 /// Where a shipped mutation sits in the replication stream, for an ack
@@ -210,11 +222,9 @@ pub struct GroupCommitter {
     interval_ns: AtomicU64,
     counts: [usize; FLAVORS],
     metrics: CommitMetrics,
-    /// Once set, slot fsyncs are submitted to the disk scheduler's
-    /// thread pool instead of running serially on the commit thread —
-    /// one pass over `k` dirty shards pays `max(fsync)` wall time, not
-    /// `sum(fsync)`.
-    scheduler: OnceLock<Arc<DiskScheduler>>,
+    /// The pool a pass over two or more dirty slots fans its fsyncs
+    /// out to, so it pays `max(fsync)` wall time, not `sum(fsync)`.
+    scheduler: DiskScheduler,
     /// Pool workers to wake after each fsync pass, so a parked reply is
     /// serialized the moment its watermark is durable.
     wakers: Mutex<Vec<Weak<Waker>>>,
@@ -230,10 +240,13 @@ fn journal_failure(why: impl std::fmt::Display) -> String {
 const STOPPED: &str = "server stopped before the commit completed";
 
 impl GroupCommitter {
-    /// Starts the commit thread over `stores`, gathering for at most
-    /// `interval` before a pass. The returned handle must be joined
-    /// after [`GroupCommitter::stop`] (the server's `Drop` does both).
+    /// Starts the commit thread and its two-thread fsync pool over
+    /// `stores`, gathering for at most `interval` before a pass, and
+    /// defers the ticketed families' rotation syncs to its passes. The
+    /// returned handle must be joined after [`GroupCommitter::stop`]
+    /// (the server's `Drop` does both).
     pub fn start(stores: Arc<StoreSet>, interval: Duration) -> (Arc<Self>, JoinHandle<()>) {
+        stores.set_deferred_rotation_sync();
         let counts = [
             stores.testcases.count(),
             stores.results.count(),
@@ -261,7 +274,7 @@ impl GroupCommitter {
                 gather_us: metrics::gauge("server.commit.gather_us"),
                 gather_ns: metrics::histogram("server.commit.gather.ns"),
             },
-            scheduler: OnceLock::new(),
+            scheduler: disk_scheduler(),
             wakers: Mutex::new(Vec::new()),
             sink: OnceLock::new(),
         });
@@ -282,13 +295,6 @@ impl GroupCommitter {
     /// The gather-window ceiling.
     pub(crate) fn interval(&self) -> Duration {
         Duration::from_nanos(self.interval_ns.load(Ordering::Relaxed))
-    }
-
-    /// Has every later pass fan its per-shard syncs out to `scheduler`'s
-    /// I/O threads, so independent shards sync in parallel. One-shot:
-    /// the first scheduler stays.
-    pub fn set_scheduler(&self, scheduler: Arc<DiskScheduler>) {
-        let _ = self.scheduler.set(scheduler);
     }
 
     fn slot(&self, flavor: StoreFlavor, shard: usize) -> usize {
@@ -558,29 +564,29 @@ impl GroupCommitter {
                 }
                 self.finish_slot(slot, since, outcome, ns);
             };
-            if let Some(sched) = self.scheduler.get() {
-                // Fan the dirty shards out to the I/O pool; each sync
+            let t0 = Instant::now();
+            if let [job] = work[..] {
+                // A lone slot is synced here: the pool would only add
+                // two thread hand-offs to the one fsync the pass waits on.
+                let (flavor, shard) = self.flavor_shard(job.0);
+                let outcome = Self::sync_store(&self.stores, flavor, shard);
+                finish(0, job, outcome, t0.elapsed().as_nanos() as u64);
+            } else {
+                // Fan the dirty shards out to the pool; each sync
                 // serializes on its own shard lock, so independent
                 // shards fsync in parallel and the pass costs the
                 // slowest shard, not the sum.
-                let t0 = Instant::now();
                 let fsyncs: Vec<_> = work
                     .iter()
                     .map(|&(slot, ..)| {
                         let (flavor, shard) = self.flavor_shard(slot);
                         let stores = self.stores.clone();
-                        sched.submit(OpKind::Fsync, move || Self::sync_store(&stores, flavor, shard))
+                        self.scheduler
+                            .submit(OpKind::Fsync, move || Self::sync_store(&stores, flavor, shard))
                     })
                     .collect();
                 for (i, (job, fsync)) in work.into_iter().zip(fsyncs).enumerate() {
                     let outcome = fsync.wait();
-                    finish(i, job, outcome, t0.elapsed().as_nanos() as u64);
-                }
-            } else {
-                for (i, job) in work.into_iter().enumerate() {
-                    let t0 = Instant::now();
-                    let (flavor, shard) = self.flavor_shard(job.0);
-                    let outcome = Self::sync_store(&self.stores, flavor, shard);
                     finish(i, job, outcome, t0.elapsed().as_nanos() as u64);
                 }
             }

@@ -4,11 +4,13 @@
 //! `uucs-wal` stream that is appended *before* the state changes and
 //! replayed on reopen — a checkpoint first, where the journal holds one,
 //! then the records past it. The stream runs over files (`uucs-server`)
-//! or over an in-memory disk ([`Journaled::in_memory`], an in-process
-//! server's); only a [`crate::ModelStore::new`] has none. [`Journal`]
-//! owns that stream (the only code in the crate that touches a [`Wal`]),
-//! and [`Journaled`] is what a store supplies to ride on it: its flavor
-//! name, how to restore a checkpoint and replay one journal payload, and
+//! or over an in-memory disk ([`Journaled::in_memory`]: an in-process
+//! server's, and every store built with `new`). [`Journal`] owns that
+//! stream (the only code in the crate that touches a [`Wal`]), and
+//! [`Journaled`] is what a store supplies to ride on it: its flavor
+//! name, the state an open rebuilds before the journal is attached
+//! ([`Journaled::State`]), how to restore a checkpoint and replay one
+//! journal payload into it, and
 //! the pair that moves its state as the text it holds —
 //! [`Journaled::export`] and [`Journaled::admit`], which a reshard, a
 //! snapshot backfill and a follower's apply all go through. The open
@@ -88,94 +90,63 @@ impl WalObserver for WalTelemetry {
     }
 }
 
-/// A store's write-ahead log — attached by [`Journaled::open`], and
-/// absent only from a [`crate::ModelStore::new`], where every operation
-/// below is a no-op.
-#[derive(Debug, Default)]
+/// A store's write-ahead log, attached by [`Journaled::open`].
+#[derive(Debug)]
 pub(crate) struct Journal {
-    wal: Option<Wal<StoreIo>>,
+    wal: Wal<StoreIo>,
 }
 
 impl Journal {
     /// Journals one mutation; the caller applies it in memory only
     /// after this returns `Ok`, so an acknowledged mutation is never
-    /// ahead of its journal. The payload is built lazily — a store with
-    /// no journal never pays for the encoding.
-    pub(crate) fn append(&mut self, payload: impl FnOnce() -> Vec<u8>) -> io::Result<()> {
-        if let Some(wal) = &mut self.wal {
-            wal.append(&payload())?;
-        }
-        Ok(())
+    /// ahead of its journal.
+    pub(crate) fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.wal.append(payload).map(drop)
     }
 
-    /// [`Journal::append`] of a payload the caller has already encoded
-    /// (it has another use for the same bytes).
-    pub(crate) fn append_encoded(&mut self, payload: &[u8]) -> io::Result<()> {
-        if let Some(wal) = &mut self.wal {
-            wal.append(payload)?;
-        }
-        Ok(())
-    }
-
-    /// The LSN the next append would get (0 with no journal). Captured
-    /// under the store's write lock right after an append, it is the
-    /// durability watermark a group-commit waiter needs: once a sync
-    /// covers it, the append is on stable storage.
+    /// The LSN the next append would get. Captured under the store's
+    /// write lock right after an append, it is the durability watermark
+    /// a group-commit waiter needs: once a sync covers it, the append is
+    /// on stable storage.
     pub(crate) fn next_lsn(&self) -> Lsn {
-        self.wal.as_ref().map_or(0, |wal| wal.next_lsn())
+        self.wal.next_lsn()
     }
 
     /// Forces everything journaled so far to stable storage, returning
-    /// the covered watermark (the next LSN). `Ok(0)` with no journal.
+    /// the covered watermark (the next LSN).
     pub(crate) fn sync(&mut self) -> io::Result<Lsn> {
-        match &mut self.wal {
-            Some(wal) => {
-                wal.sync()?;
-                Ok(wal.next_lsn())
-            }
-            None => Ok(0),
-        }
+        self.wal.sync()?;
+        Ok(self.wal.next_lsn())
     }
 
     /// Defers segment-rotation fsyncs to the next [`Journal::sync`]
     /// (the group committer's), keeping rotation off the append path.
     /// Only safe when something syncs regularly — acks must still wait
     /// on that sync.
-    pub(crate) fn set_deferred_rotation_sync(&mut self, defer: bool) {
-        if let Some(wal) = &mut self.wal {
-            wal.set_deferred_rotation_sync(defer);
-        }
+    pub(crate) fn set_deferred_rotation_sync(&mut self) {
+        self.wal.set_deferred_rotation_sync();
     }
 
     /// Shows `visitor` one file of the journal as it stands — file 0 the
     /// checkpoint, then each live segment's records — and `false` once
-    /// `file` is past the last (at once with no journal). The one way a
-    /// store reads back what it journaled: see [`Wal::visit_file`].
+    /// `file` is past the last. The one way a store reads back what it
+    /// journaled: see [`Wal::visit_file`].
     pub(crate) fn visit_file(&self, file: usize, visitor: &mut dyn Visitor) -> io::Result<bool> {
-        match &self.wal {
-            Some(wal) => wal.visit_file(file, visitor),
-            None => Ok(false),
-        }
+        self.wal.visit_file(file, visitor)
     }
 
     /// The bytes journaled past the last checkpoint — what a reopen
     /// would replay on top of it — and the size of that checkpoint's
-    /// state: [`Wal::tail_bytes`] and [`Wal::checkpoint_bytes`], `(0, 0)`
-    /// with no journal.
+    /// state: [`Wal::tail_bytes`] and [`Wal::checkpoint_bytes`].
     pub(crate) fn tail(&self) -> (u64, u64) {
-        self.wal.as_ref().map_or((0, 0), |wal| (wal.tail_bytes(), wal.checkpoint_bytes()))
+        (self.wal.tail_bytes(), self.wal.checkpoint_bytes())
     }
 
     /// Writes `state` as the snapshot superseding everything journaled
-    /// so far and deletes the segments it covers; `false` (doing
-    /// nothing) with no journal.
-    pub(crate) fn checkpoint(&mut self, state: &[u8]) -> io::Result<bool> {
-        let Some(wal) = &mut self.wal else {
-            return Ok(false);
-        };
-        wal.snapshot(state)?;
-        wal.compact()?;
-        Ok(true)
+    /// so far and deletes the segments it covers.
+    pub(crate) fn checkpoint(&mut self, state: &[u8]) -> io::Result<()> {
+        self.wal.snapshot(state)?;
+        self.wal.compact().map(drop)
     }
 }
 
@@ -185,25 +156,26 @@ pub(crate) trait Journaled: Sized {
     /// The store's name in `server.wal.<flavor>.*` and in error text.
     const FLAVOR: &'static str;
 
-    /// The empty state an open rebuilds, before its journal is attached.
-    fn empty() -> Self;
+    /// What an open rebuilds from the journal before attaching it: the
+    /// store without its journal, empty by default.
+    type State: Default;
+
+    /// The store over an opened journal and the state it replayed to.
+    fn attach(state: Self::State, journal: Journal) -> Self;
 
     /// The store's journal.
     fn journal(&mut self) -> &mut Journal;
 
     /// Replaces the (empty) state with a decoded checkpoint: a model's
     /// own, or one an older build wrote of any store.
-    fn restore(&mut self, snapshot: &str) -> io::Result<()>;
+    fn restore(state: &mut Self::State, snapshot: &str) -> io::Result<()>;
 
     /// Applies one replayed, CRC-checked payload in memory in one pass
     /// over its text; an entry of another store's kind is refused with
     /// [`foreign`]. The keyed stores keep the block they checked, the
     /// result store checks the batch header and counts the blocks, and
     /// the model store folds the delta's text into its sketches.
-    fn replay(&mut self, payload: &[u8]) -> io::Result<()>;
-
-    /// Called once an open has replayed the whole journal.
-    fn opened(&mut self) {}
+    fn replay(state: &mut Self::State, payload: &[u8]) -> io::Result<()>;
 
     /// Hands `emit` the whole state as `(routing key, payload)` pairs,
     /// each payload in a format the store's journal holds and spliced
@@ -229,13 +201,11 @@ pub(crate) trait Journaled: Sized {
     /// flavor's latest shard open).
     fn open(io: StoreIo, dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
         let timer = metrics::histogram(&format!("server.wal.{}.open.ns", Self::FLAVOR)).start_timer();
-        // No journal attached yet: replaying through the store's own
-        // mutators journals nothing.
-        let mut store = Self::empty();
-        let (mut wal, recovery) = Wal::open_visiting(io, dir, config, &mut Rebuild(&mut store))?;
-        store.opened();
+        let mut state = Self::State::default();
+        let (mut wal, recovery) =
+            Wal::open_visiting(io, dir, config, &mut Rebuild::<Self>(&mut state))?;
         WalTelemetry::install(&mut wal, Self::FLAVOR);
-        store.journal().wal = Some(wal);
+        let store = Self::attach(state, Journal { wal });
         drop(timer);
         metrics::gauge(&format!("server.wal.{}.replayed_records", Self::FLAVOR))
             .set(recovery.records as i64);
@@ -252,19 +222,16 @@ pub(crate) trait Journaled: Sized {
     }
 }
 
-/// Rebuilds a store from what its WAL shows while opening.
-struct Rebuild<'a, S>(&'a mut S);
+/// Rebuilds a store's state from what its WAL shows while opening.
+struct Rebuild<'a, S: Journaled>(&'a mut S::State);
 
 impl<S: Journaled> Visitor for Rebuild<'_, S> {
     fn snapshot(&mut self, snapshot: Snapshot) -> io::Result<()> {
-        self.0
-            .restore(std::str::from_utf8(&snapshot.state).map_err(invalid)?)
+        S::restore(self.0, std::str::from_utf8(&snapshot.state).map_err(invalid)?)
     }
 
     fn record(&mut self, lsn: Lsn, payload: &[u8]) -> io::Result<()> {
-        self.0
-            .replay(payload)
-            .map_err(|e| invalid(format!("record {lsn}: {e}")))
+        S::replay(self.0, payload).map_err(|e| invalid(format!("record {lsn}: {e}")))
     }
 }
 

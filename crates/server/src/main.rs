@@ -45,12 +45,14 @@
 //!   batching earned on the previous pass, so a lone upload is synced
 //!   at once and a saturated server gathers for nearly N microseconds.
 //!   0 never gathers. Acks always wait for the fsync.
-//! * `--io-threads N` starts the disk-scheduler thread pool: the commit
-//!   thread fans its per-shard fsyncs out to it, and segment rotation
-//!   defers its fsync to the next commit pass instead of stalling the
-//!   append path.
-//! * `--cache-pages N` is accepted and ignored (it prints a note): the
-//!   journals are read straight from their files, with no page cache.
+//! * `--io-threads N` and `--cache-pages N` are accepted and ignored
+//!   (each prints a note): every server runs the same storage engine.
+//!   Its committer owns a two-thread disk-scheduler pool: a pass over
+//!   one dirty shard fsyncs it on the commit thread, a pass over two or
+//!   more fans the fsyncs out to the pool, and the testcase, result and
+//!   registry journals defer segment-rotation fsyncs to the next pass
+//!   instead of stalling the append path. The journals are read
+//!   straight from their files, with no page cache.
 //! * `--max-conns N`, `--workers N` tune the TCP front end (a worker
 //!   pool blocked in `poll(2)` over nonblocking sockets).
 //!
@@ -63,7 +65,7 @@ use std::time::Duration;
 use uucs_server::cli::{parsed, value};
 use uucs_server::commit::DEFAULT_INTERVAL;
 use uucs_server::tcp::ServeConfig;
-use uucs_server::{tcp, LibrarySource, StorageProfile, StoreSet, UucsServer};
+use uucs_server::{storage, tcp, LibrarySource, StoreSet, UucsServer};
 use uucs_telemetry::metrics;
 use uucs_wal::{SyncPolicy, WalConfig};
 
@@ -74,7 +76,6 @@ fn main() {
     let mut gen_seed: Option<String> = None;
     let mut shards: usize = 1;
     let mut commit_interval_us = DEFAULT_INTERVAL.as_micros() as u64;
-    let mut storage = StorageProfile::default();
     let mut serve_config = ServeConfig::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -115,7 +116,8 @@ fn main() {
             }
             "--io-threads" => {
                 i += 1;
-                storage.io_threads = parsed(&args, i, "a thread count, 0 disables", |_| true);
+                parsed::<usize>(&args, i, "a thread count", |_| true);
+                eprintln!("--io-threads is ignored: every committer runs its own two-thread pool");
             }
             "--max-conns" => {
                 i += 1;
@@ -143,7 +145,7 @@ fn main() {
     metrics::gauge("server.config.max_connections").set(serve_config.max_connections as i64);
     metrics::gauge("server.config.workers").set(serve_config.workers as i64);
     metrics::gauge("server.config.commit_interval_us").set(commit_interval_us as i64);
-    metrics::gauge("server.config.io_threads").set(storage.io_threads as i64);
+    metrics::gauge("server.config.io_threads").set(storage::IO_THREADS as i64);
 
     // The commit thread owns durability (one batched fsync per shard,
     // acks wait on the watermark), so no append pays its own fsync.
@@ -152,7 +154,7 @@ fn main() {
         ..WalConfig::default()
     };
     eprintln!("recovering journals under {:?} ({shards} shard(s)) ...", data.join("wal"));
-    let (stores, recoveries) = StoreSet::open_with(&data.join("wal"), config, shards, &storage)
+    let (stores, recoveries) = StoreSet::open(&data.join("wal"), config, shards)
         .unwrap_or_else(|e| {
             eprintln!("journal is unrecoverable: {e}");
             std::process::exit(1);
@@ -165,12 +167,10 @@ fn main() {
             );
         }
     }
-    let mut server = UucsServer::with_store_set(stores, 0x5e17)
-        .with_group_commit(Duration::from_micros(commit_interval_us));
-    if let Some(sched) = storage.scheduler() {
-        server = server.with_io_scheduler(sched);
-    }
-    let server = Arc::new(server);
+    let server = Arc::new(
+        UucsServer::with_store_set(stores, 0x5e17)
+            .with_group_commit(Duration::from_micros(commit_interval_us)),
+    );
     if server.testcase_count() == 0 {
         eprintln!("seeding the {source} ...");
         if let Err(e) = source.seed(&server) {

@@ -119,8 +119,7 @@ pub fn observations_of(records: &[RunRecord]) -> Vec<Observation> {
 }
 
 /// One shard of the server's comfort model: the cohort model and its
-/// WAL — which only [`ModelStore::new`] leaves out.
-#[derive(Default)]
+/// WAL.
 pub struct ModelStore {
     model: ComfortModel,
     journal: Journal,
@@ -131,31 +130,30 @@ pub struct ModelStore {
 impl Journaled for ModelStore {
     const FLAVOR: &'static str = "model";
 
-    fn empty() -> Self {
-        Self::default()
+    type State = ComfortModel;
+
+    fn attach(model: ComfortModel, journal: Journal) -> Self {
+        model_metrics().epoch.set(model.epoch() as i64);
+        ModelStore { model, journal }
     }
 
     fn journal(&mut self) -> &mut Journal {
         &mut self.journal
     }
 
-    fn restore(&mut self, snapshot: &str) -> io::Result<()> {
-        self.model = ComfortModel::decode(snapshot).map_err(invalid)?;
+    fn restore(model: &mut ComfortModel, snapshot: &str) -> io::Result<()> {
+        *model = ComfortModel::decode(snapshot).map_err(invalid)?;
         Ok(())
     }
 
     /// Folds a delta's text straight into the cohort sketches
     /// ([`ComfortModel::fold`]). A payload of another kind is refused
     /// in the words a full decode gives it.
-    fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
+    fn replay(model: &mut ComfortModel, payload: &[u8]) -> io::Result<()> {
         match split_payload(payload).map_err(invalid)? {
-            (TAG_MODEL, text) => self.model.fold(text).map_err(invalid),
+            (TAG_MODEL, text) => model.fold(text).map_err(invalid),
             (tag, _) => Err(WalEntry::decode(payload).map_or_else(invalid, |_| foreign::<Self>(tag))),
         }
-    }
-
-    fn opened(&mut self) {
-        model_metrics().epoch.set(self.model.epoch() as i64);
     }
 
     /// The whole model as one payload, its snapshot text.
@@ -185,14 +183,19 @@ impl Journaled for ModelStore {
     }
 }
 
+/// [`ModelStore::new`]: journaled in memory.
+impl Default for ModelStore {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ModelStore {
-    /// An empty model store at epoch 0 with no journal: its updates
-    /// are lost with it. The one unjournaled constructor among the
-    /// server's stores — a server's model shards journal, on disk or in
-    /// memory like the rest of its [`crate::StoreSet`]; this one serves
-    /// a model held outside a server.
+    /// An empty model store at epoch 0 journaling to an in-memory disk
+    /// of its own, as every other store's `new` does: its updates are
+    /// lost with it.
     pub fn new() -> Self {
-        Self::default()
+        Self::in_memory()
     }
 
     /// Opens (creating if necessary) a WAL-backed model store: replays
@@ -209,9 +212,8 @@ impl ModelStore {
     }
 
     /// Folds the journal into a checkpoint of [`ModelStore::snapshot`]
-    /// and deletes the segments it covers. Returns `false` (writing
-    /// nothing) with no journal.
-    pub(crate) fn compact(&mut self) -> io::Result<bool> {
+    /// and deletes the segments it covers.
+    pub(crate) fn compact(&mut self) -> io::Result<()> {
         self.journal.checkpoint(self.snapshot().as_bytes())
     }
 
@@ -231,7 +233,7 @@ impl ModelStore {
     /// contributed no observations (no epoch is minted for nothing —
     /// clients use epoch advances as a "new data" signal).
     ///
-    /// A journaled store journals the delta *before* applying it, so
+    /// The store journals the delta *before* applying it, so
     /// recovery replays the identical epoch sequence, and checkpoints
     /// once its journal tail reaches [`checkpoint_bound`] of its last
     /// checkpoint. A failed checkpoint is an `Err` after the delta was
@@ -245,7 +247,7 @@ impl ModelStore {
         let timer = m.update_ns.start_timer();
         let count = observations.len() as u64;
         let delta = self.model.next_delta(observations);
-        self.journal.append(|| WalEntry::Model(delta.clone()).encode())?;
+        self.journal.append(&WalEntry::Model(delta.clone()).encode())?;
         self.model
             .apply(&delta)
             .map_err(|e| invalid(format!("model delta rejected: {e}")))?;
@@ -446,7 +448,8 @@ mod tests {
     }
 
     /// One case: a bounded model family of 8 shards on in-memory disks
-    /// against a never-checkpointing reference (shards with no journal),
+    /// against a reference that is never reopened (`ModelStore::new`
+    /// shards: their in-memory checkpoints change nothing they read),
     /// through random batches, reopens, reshards 8 -> 3 -> 1 and faults
     /// planned inside each step of a checkpoint or anywhere in a batch.
     /// After every step both read alike, and no shard holds (or a reopen
@@ -482,7 +485,7 @@ mod tests {
                     let dry = shard.mem.fork();
                     let mut copy = Shard::open(dry.clone(), cfg)?.store;
                     let start = dry.mutating_ops();
-                    copy.journal.append_encoded(&payload).map_err(|e| e.to_string())?;
+                    copy.journal.append(&payload).map_err(|e| e.to_string())?;
                     let append = dry.mutating_ops() - start;
                     copy.compact().map_err(|e| e.to_string())?;
                     let ops = dry.mutating_ops() - start - append;

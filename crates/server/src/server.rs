@@ -276,10 +276,6 @@ pub struct UucsServer {
     /// from construction to `Drop`.
     committer: Arc<GroupCommitter>,
     commit_thread: Option<JoinHandle<()>>,
-    /// When false, appended records are not folded into the comfort
-    /// model (the `MODEL`/`ADVICE` verbs then serve a frozen — typically
-    /// empty — model). Benchmarks use this to isolate the update cost.
-    model_updates: bool,
     /// Seed for the per-client sampling permutations.
     sample_seed: u64,
     /// Last assigned client-id number; ids are globally unique across
@@ -336,7 +332,6 @@ impl UucsServer {
             stores,
             committer,
             commit_thread: Some(commit_thread),
-            model_updates: true,
             sample_seed,
             next_client: AtomicU64::new(max_id),
             reg_lock: Mutex::new(()),
@@ -369,16 +364,6 @@ impl UucsServer {
         self.read_only.load(Ordering::SeqCst)
     }
 
-    /// Disables comfort-model updates wherever records are appended —
-    /// uploads and, on a follower, replicated batches. The model verbs
-    /// keep answering from whatever model the server holds; the fleet
-    /// driver's storage-engine runs and tests use it to take
-    /// aggregation off the upload path.
-    pub fn without_model_updates(mut self) -> Self {
-        self.model_updates = false;
-        self
-    }
-
     /// Sets the ceiling of the committer's self-sizing gather window
     /// before a pass (see [`crate::commit`]); zero never gathers.
     pub fn with_group_commit(self, interval: Duration) -> Self {
@@ -386,13 +371,11 @@ impl UucsServer {
         self
     }
 
-    /// Installs the disk-scheduler thread pool (see
-    /// [`crate::storage::StorageProfile::scheduler`]): the committer
-    /// fans its per-shard fsyncs out to its threads, and the ticketed
-    /// journals defer segment-rotation fsyncs to the committer's passes.
-    pub fn with_io_scheduler(self, scheduler: Arc<DiskScheduler>) -> Self {
-        self.committer.set_scheduler(scheduler);
-        self.stores.set_deferred_rotation_sync(true);
+    /// Does nothing: every committer owns its own fsync pool and drains
+    /// the deferred rotation syncs (see [`crate::commit`]). Kept only
+    /// because `benchmark/src/layers.rs` builds against it; deleted by
+    /// ROADMAP item 18.
+    pub fn with_io_scheduler(self, _scheduler: Arc<DiskScheduler>) -> Self {
         self
     }
 
@@ -744,9 +727,6 @@ impl UucsServer {
     /// reaches disk when its journal rotates, checkpoints or compacts,
     /// so after a power loss the model can trail the recovered records.
     fn observe(&self, client: &str, records: &[RunRecord]) {
-        if !self.model_updates {
-            return;
-        }
         let obs = observations_of(records);
         if obs.is_empty() {
             return;
@@ -773,7 +753,7 @@ impl UucsServer {
     /// it held. A model with any epoch is left alone: it was folded as
     /// the records arrived (and is journaled, so this never runs twice).
     fn model_missing_records(&self) {
-        if !self.model_updates || self.model_epoch() > 0 || self.result_count() == 0 {
+        if self.model_epoch() > 0 || self.result_count() == 0 {
             return;
         }
         for shard in 0..self.stores.results.count() {
@@ -2121,16 +2101,15 @@ mod tests {
         }
     }
 
-    /// Group commit with the disk scheduler — the server's wiring under
-    /// `--io-threads` — defers segment-rotation fsyncs to the
-    /// committer, which only syncs the ticketed families. A model
-    /// journal, never ticketed, must keep syncing as it rotates: a power
-    /// loss at any point of its unsynced tail then reopens with every
-    /// closed segment, instead of losing them all or leaving a torn
-    /// frame in a non-final segment that fails the whole open.
+    /// Every server's committer defers segment-rotation fsyncs to its
+    /// passes, and it only syncs the ticketed families. A model journal,
+    /// never ticketed, must keep syncing as it rotates: a power loss at
+    /// any point of its unsynced tail then reopens with every closed
+    /// segment, instead of losing them all or leaving a torn frame in a
+    /// non-final segment that fails the whole open.
     #[test]
     fn rotating_model_journal_survives_power_loss_under_the_io_scheduler() {
-        use crate::storage::{Disk, StorageProfile};
+        use crate::storage::Disk;
         use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
         use uucs_wal::{Io, MemIo, SyncPolicy, WalConfig};
         const UPLOADS: u64 = 400;
@@ -2141,12 +2120,7 @@ mod tests {
         let dir = std::path::Path::new("/data");
         let open = |mem: &MemIo| StoreSet::open_on(1, &Disk::Memory(mem.clone()), dir, cfg, 1);
         let mem = MemIo::new();
-        let profile = StorageProfile {
-            io_threads: 1,
-            ..StorageProfile::default()
-        };
         let server = UucsServer::with_store_set(open(&mem).unwrap().0, 7)
-            .with_io_scheduler(profile.scheduler().unwrap())
             .with_group_commit(Duration::from_micros(200));
         let id = register(&server);
         for seq in 1..=UPLOADS {
@@ -2278,33 +2252,20 @@ mod tests {
         }
     }
 
-    /// `with_group_commit` and `with_io_scheduler` reconfigure the one
-    /// running committer, in either order: no second commit thread.
+    /// `with_group_commit` reconfigures the one running committer: no
+    /// second commit thread.
     #[test]
     fn group_commit_settings_reach_the_running_committer() {
-        use crate::storage::StorageProfile;
-        let profile = StorageProfile {
-            io_threads: 1,
-            ..StorageProfile::default()
-        };
-        for scheduler_first in [false, true] {
-            let s = UucsServer::with_store_set(StoreSet::in_memory(2), 5);
-            assert_eq!(s.committer().interval(), DEFAULT_INTERVAL);
-            let committer = Arc::clone(s.committer());
-            let s = if scheduler_first {
-                s.with_io_scheduler(profile.scheduler().unwrap())
-                    .with_group_commit(Duration::ZERO)
-            } else {
-                s.with_group_commit(Duration::ZERO)
-                    .with_io_scheduler(profile.scheduler().unwrap())
-            };
-            assert!(Arc::ptr_eq(s.committer(), &committer));
-            assert_eq!(committer.interval(), Duration::ZERO);
-            assert!(matches!(
-                s.handle(&ClientMsg::register(MachineSnapshot::study_machine("h"))),
-                ServerMsg::Id { .. }
-            ));
-        }
+        let s = UucsServer::with_store_set(StoreSet::in_memory(2), 5);
+        assert_eq!(s.committer().interval(), DEFAULT_INTERVAL);
+        let committer = Arc::clone(s.committer());
+        let s = s.with_group_commit(Duration::ZERO);
+        assert!(Arc::ptr_eq(s.committer(), &committer));
+        assert_eq!(committer.interval(), Duration::ZERO);
+        assert!(matches!(
+            s.handle(&ClientMsg::register(MachineSnapshot::study_machine("h"))),
+            ServerMsg::Id { .. }
+        ));
     }
 
     /// Made-up task names cannot grow the delta history without bound:

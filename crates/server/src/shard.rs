@@ -155,20 +155,12 @@ fn checkpoint_family(family: &Sharded<ModelStore>) -> io::Result<usize> {
     let mut written = 0;
     for i in 0..family.count() {
         let mut shard = family.write_recovered(i);
-        if shard.journal_tail().0 > 0 && shard.compact()? {
+        if shard.journal_tail().0 > 0 {
+            shard.compact()?;
             written += 1;
         }
     }
     Ok(written)
-}
-
-fn defer_rotation_sync<T: Journaled>(family: &Sharded<T>, defer: bool) {
-    for i in 0..family.count() {
-        family
-            .write_recovered(i)
-            .journal()
-            .set_deferred_rotation_sync(defer);
-    }
 }
 
 fn shard_dirname(i: usize) -> String {
@@ -412,10 +404,9 @@ impl StoreSet {
         Self::open_on(available_workers(), &plain_io(), dir, cfg, shards)
     }
 
-    /// [`StoreSet::open`], taking a [`StorageProfile`]. Nothing in a
-    /// profile changes how the journals open — its scheduler is
-    /// installed on the server ([`crate::UucsServer::with_io_scheduler`])
-    /// and its `cache_pages` is ignored — so this is [`StoreSet::open`].
+    /// [`StoreSet::open`], taking a [`StorageProfile`], whose fields are
+    /// both ignored — so this is [`StoreSet::open`]. Kept only because
+    /// `benchmark/` builds against it.
     ///
     /// The journals are opened on every core (see the module docs);
     /// what comes back does not depend on how many there are.
@@ -469,18 +460,24 @@ impl StoreSet {
         ))
     }
 
-    /// Flips deferred rotation sync on every shard of the three
-    /// ticketed families — used once the committer has a disk
-    /// scheduler ([`crate::UucsServer::with_io_scheduler`]), so segment
-    /// rotation stops fsyncing on the append path (the committer's next
-    /// pass drains the deferred syncs before anything is acknowledged). The model journals keep syncing on rotation:
-    /// their appends are never ticketed, so no committer pass would ever
-    /// drain a deferred model segment, and a crash could leave an
-    /// unsynced segment before a synced one — a journal no open accepts.
-    pub fn set_deferred_rotation_sync(&self, defer: bool) {
-        defer_rotation_sync(&self.testcases, defer);
-        defer_rotation_sync(&self.results, defer);
-        defer_rotation_sync(&self.registry, defer);
+    /// Defers segment-rotation syncs on every shard of the three
+    /// ticketed families to the group committer, which calls this as it
+    /// starts: segment rotation stops fsyncing on the append path, and
+    /// the committer's next pass over the shard drains the deferred
+    /// syncs before anything is acknowledged. The model journals keep
+    /// syncing on rotation: their appends are never ticketed, so no pass
+    /// would ever drain a deferred model segment, and a crash could leave
+    /// an unsynced segment before a synced one — a journal no open
+    /// accepts.
+    pub(crate) fn set_deferred_rotation_sync(&self) {
+        fn defer<T: Journaled>(family: &Sharded<T>) {
+            for i in 0..family.count() {
+                family.write_recovered(i).journal().set_deferred_rotation_sync();
+            }
+        }
+        defer(&self.testcases);
+        defer(&self.results);
+        defer(&self.registry);
     }
 
     /// Checkpoints every model shard with deltas past its last

@@ -1,5 +1,6 @@
 //! Storage-engine composition: the I/O backend every WAL-backed store
-//! journals through, and the shared disk-scheduler thread pool.
+//! journals through, and the disk-scheduler pool every group committer
+//! owns.
 //!
 //! Every journal reads and writes its segment files directly
 //! ([`StoreIo`] is a [`Disk`]): appends go to the file, and a restart's
@@ -8,16 +9,14 @@
 //! journals — a write-through cache absorbs no write, and a replay that
 //! reads each segment once never hits one.
 //!
-//! A [`StorageProfile`] owns the optional [`DiskScheduler`]: a bounded
-//! request queue drained by dedicated I/O threads. The group committer
-//! submits its per-shard fsyncs there (parallel across shards), and
-//! with the scheduler on, the ticketed stores defer segment-rotation
-//! fsyncs to the next committer pass — rotation no longer stalls the
-//! append path (`server.wal.<flavor>.rotation_stall.ns` shows the
-//! residual). Queue depth and dequeue stalls surface as `server.disk.*`.
-//!
-//! With `io_threads == 0` (the default profile) no scheduler runs:
-//! fsyncs stay on the committer thread and rotations sync inline.
+//! Every server runs the same engine, with no setting: its group
+//! committer owns a [`DiskScheduler`] of [`IO_THREADS`] threads (a
+//! bounded request queue, instrumented as `server.disk.*`) that a pass
+//! over two or more dirty shards fans its fsyncs out to, and the
+//! ticketed stores defer segment-rotation fsyncs to the committer's next
+//! pass — rotation does not stall the append path
+//! (`server.wal.<flavor>.rotation_stall.ns` shows the residual). See
+//! [`crate::commit`].
 //!
 //! An in-process server (the studies, the fleet, tests) journals the
 //! same way over [`Disk::Memory`]: a volatile in-memory disk per shard
@@ -102,6 +101,23 @@ pub fn plain_io() -> StoreIo {
     Disk::Files(StdIo::new())
 }
 
+/// The threads of the pool every group committer fans a multi-shard
+/// pass out to.
+pub const IO_THREADS: usize = 2;
+
+/// A disk scheduler of [`IO_THREADS`] threads with its queue
+/// instrumented under `server.disk.*`.
+pub(crate) fn disk_scheduler() -> DiskScheduler {
+    let sched = DiskScheduler::new(IO_THREADS, 256);
+    sched.set_observer(Arc::new(DiskTelemetry {
+        queue_depth: metrics::histogram("server.disk.queue_depth"),
+        stall_ns: metrics::histogram("server.disk.stall_ns"),
+        service_ns: metrics::histogram("server.disk.service_ns"),
+        ops: metrics::counter("server.disk.ops"),
+    }));
+    sched
+}
+
 /// Bridges scheduler events into `server.disk.*`: queue depth at
 /// enqueue, how long requests sat queued, and service time per op.
 struct DiskTelemetry {
@@ -124,16 +140,15 @@ impl SchedObserver for DiskTelemetry {
     }
 }
 
-/// How the server's storage engine is provisioned: the I/O thread
-/// pool. The [`Default`] profile runs no scheduler.
+/// Kept only because `benchmark/src/layers.rs` builds against it, and
+/// deleted by ROADMAP item 18: nothing in a profile changes the engine.
+/// Both fields are ignored — every committer owns its [`IO_THREADS`]
+/// pool, and the journals have no page cache.
 #[derive(Debug, Clone, Default)]
 pub struct StorageProfile {
-    /// Ignored: the journals have no page cache. Still accepted (as is
-    /// `uucs-server --cache-pages`) because the benchmark's engine
-    /// configuration sets it.
+    /// Ignored (as is `uucs-server --cache-pages`).
     pub cache_pages: usize,
-    /// Dedicated disk-scheduler threads. `0` disables the scheduler:
-    /// fsyncs run on the committer thread and rotations sync inline.
+    /// Ignored (as is `uucs-server --io-threads`).
     pub io_threads: usize,
 }
 
@@ -146,19 +161,9 @@ impl StorageProfile {
         }
     }
 
-    /// Builds the disk scheduler when `io_threads > 0`, with its queue
-    /// instrumented under `server.disk.*`.
+    /// Always `None`: the committer builds its own pool. Kept only for
+    /// `benchmark/src/layers.rs`; deleted by ROADMAP item 18.
     pub fn scheduler(&self) -> Option<Arc<DiskScheduler>> {
-        if self.io_threads == 0 {
-            return None;
-        }
-        let sched = DiskScheduler::new(self.io_threads, 256);
-        sched.set_observer(Arc::new(DiskTelemetry {
-            queue_depth: metrics::histogram("server.disk.queue_depth"),
-            stall_ns: metrics::histogram("server.disk.stall_ns"),
-            service_ns: metrics::histogram("server.disk.service_ns"),
-            ops: metrics::counter("server.disk.ops"),
-        }));
-        Some(Arc::new(sched))
+        None
     }
 }

@@ -109,39 +109,40 @@ pub trait BlockPolicy: Default + fmt::Debug {
 /// Readers that want structs decode a block on demand.
 #[derive(Debug)]
 pub struct BlockLog<P> {
+    held: Held<P>,
+    journal: Journal,
+}
+
+/// What a [`BlockLog`] holds beside its journal.
+#[derive(Debug, Default)]
+pub(crate) struct Held<P> {
     /// Every block in arrival order, concatenated.
     text: String,
     /// Each block's key and where the block ends in `text`.
     blocks: Vec<(String, usize)>,
     /// The ordinal of each key's first block.
     index: HashMap<String, usize>,
-    journal: Journal,
     policy: P,
 }
 
 impl<P: BlockPolicy> Journaled for BlockLog<P> {
     const FLAVOR: &'static str = P::FLAVOR;
+    type State = Held<P>;
 
-    fn empty() -> Self {
-        BlockLog {
-            text: String::new(),
-            blocks: Vec::new(),
-            index: HashMap::new(),
-            journal: Journal::default(),
-            policy: P::default(),
-        }
+    fn attach(held: Held<P>, journal: Journal) -> Self {
+        BlockLog { held, journal }
     }
 
     fn journal(&mut self) -> &mut Journal {
         &mut self.journal
     }
 
-    fn restore(&mut self, snapshot: &str) -> io::Result<()> {
-        P::split(snapshot).try_for_each(|block| self.keep(block))
+    fn restore(held: &mut Held<P>, snapshot: &str) -> io::Result<()> {
+        P::split(snapshot).try_for_each(|block| held.keep(block))
     }
 
-    fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.keep(Self::block_of(payload)?)
+    fn replay(held: &mut Held<P>, payload: &[u8]) -> io::Result<()> {
+        held.keep(Self::block_of(payload)?)
     }
 
     /// One payload per block, keyed, in arrival order.
@@ -159,8 +160,8 @@ impl<P: BlockPolicy> Journaled for BlockLog<P> {
         if self.contains(&key) {
             return Ok(false);
         }
-        self.journal.append_encoded(payload)?;
-        self.hold(key, block);
+        self.journal.append(payload)?;
+        self.held.hold(key, block);
         Ok(true)
     }
 }
@@ -209,16 +210,6 @@ impl<P: BlockPolicy> BlockLog<P> {
         P::key(Self::block_of(payload)?).map_err(invalid)
     }
 
-    /// Holds a replayed or restored block once it checks.
-    fn keep(&mut self, block: &str) -> io::Result<()> {
-        let (key, block) = P::check(block).map_err(invalid)?;
-        if !P::REPEATS && self.contains(&key) {
-            return Err(invalid(StoreError::Duplicate(key)));
-        }
-        self.hold(key, block);
-        Ok(())
-    }
-
     /// Journals and holds `block`, rendered by the store as the key
     /// `key`; with `ship`, hands back the payload the journal took.
     /// Rejects a held key unless the policy repeats keys.
@@ -227,9 +218,75 @@ impl<P: BlockPolicy> BlockLog<P> {
             return Err(StoreError::Duplicate(key.to_string()));
         }
         let payload = payload(P::TAG, block);
-        self.journal.append_encoded(&payload)?;
-        self.hold(key.to_string(), block);
+        self.journal.append(&payload)?;
+        self.held.hold(key.to_string(), block);
         Ok(ship.then_some(payload))
+    }
+
+    /// The LSN the next journal append would get. Captured under the
+    /// store's write lock right after an append, it is the durability
+    /// watermark a group-commit waiter needs: once a sync covers it, the
+    /// append is on stable storage.
+    pub fn wal_next_lsn(&self) -> Lsn {
+        self.journal.next_lsn()
+    }
+
+    /// Number of blocks.
+    pub fn len(&self) -> usize {
+        self.held.blocks.len()
+    }
+
+    /// True if empty.
+    pub fn is_empty(&self) -> bool {
+        self.held.blocks.is_empty()
+    }
+
+    /// Whether a block under this key is held.
+    pub fn contains(&self, key: &str) -> bool {
+        self.held.contains(key)
+    }
+
+    /// The `i`th block in arrival order.
+    pub fn block(&self, i: usize) -> &str {
+        let Held { text, blocks, .. } = &self.held;
+        let start = match i {
+            0 => 0,
+            _ => blocks[i - 1].1,
+        };
+        &text[start..blocks[i].1]
+    }
+
+    /// The first block held under `key`.
+    fn find(&self, key: &str) -> Option<&str> {
+        self.held.index.get(key).map(|&i| self.block(i))
+    }
+
+    /// Every block's key and text, in arrival order.
+    pub fn entries(&self) -> impl Iterator<Item = (&str, &str)> {
+        (0..self.len()).map(|i| (self.held.blocks[i].0.as_str(), self.block(i)))
+    }
+
+    /// Every block in arrival order, concatenated — for the testcase
+    /// library, the text format of a `--library` file.
+    pub fn text(&self) -> &str {
+        &self.held.text
+    }
+}
+
+impl<P: BlockPolicy> Held<P> {
+    /// Whether a block under this key is held.
+    fn contains(&self, key: &str) -> bool {
+        self.index.contains_key(key)
+    }
+
+    /// Holds a replayed or restored block once it checks.
+    fn keep(&mut self, block: &str) -> io::Result<()> {
+        let (key, block) = P::check(block).map_err(invalid)?;
+        if !P::REPEATS && self.contains(&key) {
+            return Err(invalid(StoreError::Duplicate(key)));
+        }
+        self.hold(key, block);
+        Ok(())
     }
 
     /// Holds a block under `key`, and shows it to the policy.
@@ -244,54 +301,6 @@ impl<P: BlockPolicy> BlockLog<P> {
             self.index.insert(key.clone(), self.blocks.len());
         }
         self.blocks.push((key, self.text.len()));
-    }
-
-    /// The LSN the next journal append would get. Captured under the
-    /// store's write lock right after an append, it is the durability
-    /// watermark a group-commit waiter needs: once a sync covers it, the
-    /// append is on stable storage.
-    pub fn wal_next_lsn(&self) -> Lsn {
-        self.journal.next_lsn()
-    }
-
-    /// Number of blocks.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    /// Whether a block under this key is held.
-    pub fn contains(&self, key: &str) -> bool {
-        self.index.contains_key(key)
-    }
-
-    /// The `i`th block in arrival order.
-    pub fn block(&self, i: usize) -> &str {
-        let start = match i {
-            0 => 0,
-            _ => self.blocks[i - 1].1,
-        };
-        &self.text[start..self.blocks[i].1]
-    }
-
-    /// The first block held under `key`.
-    fn find(&self, key: &str) -> Option<&str> {
-        self.index.get(key).map(|&i| self.block(i))
-    }
-
-    /// Every block's key and text, in arrival order.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, &str)> {
-        (0..self.len()).map(|i| (self.blocks[i].0.as_str(), self.block(i)))
-    }
-
-    /// Every block in arrival order, concatenated — for the testcase
-    /// library, the text format of a `--library` file.
-    pub fn text(&self) -> &str {
-        &self.text
     }
 }
 
@@ -429,25 +438,42 @@ impl BatchStatus {
 /// records (one atomic [`WalEntry::Batch`]), so dedup survives a crash.
 #[derive(Debug)]
 pub struct ResultStore {
-    /// How many blocks the store holds.
-    count: usize,
-    /// Per-client highest applied batch sequence number.
-    applied: BTreeMap<String, u64>,
+    tally: Tally,
     /// The `CLIENT` of every held record, from the first
     /// [`ResultStore::held_of`] on — never built at open.
     holders: Option<HashSet<String>>,
     journal: Journal,
 }
 
+/// What a [`ResultStore`] keeps of its records beside its journal.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// How many blocks the store holds.
+    count: usize,
+    /// Per-client highest applied batch sequence number.
+    applied: BTreeMap<String, u64>,
+}
+
+impl Tally {
+    fn raise_horizon(&mut self, client: &str, seq: u64) {
+        match self.applied.get_mut(client) {
+            Some(horizon) => *horizon = (*horizon).max(seq),
+            None => {
+                self.applied.insert(client.to_string(), seq);
+            }
+        }
+    }
+}
+
 impl Journaled for ResultStore {
     const FLAVOR: &'static str = "results";
+    type State = Tally;
 
-    fn empty() -> Self {
+    fn attach(tally: Tally, journal: Journal) -> Self {
         ResultStore {
-            count: 0,
-            applied: BTreeMap::new(),
+            tally,
             holders: None,
-            journal: Journal::default(),
+            journal,
         }
     }
 
@@ -459,22 +485,22 @@ impl Journaled for ResultStore {
     /// lines (the idempotency horizon) followed by the record blocks.
     /// One from before sequence tracking has no `SEQ` lines and restores
     /// an empty horizon map.
-    fn restore(&mut self, snapshot: &str) -> io::Result<()> {
+    fn restore(tally: &mut Tally, snapshot: &str) -> io::Result<()> {
         let (horizons, body) = split_checkpoint(snapshot)?;
         for (client, seq) in horizons {
-            self.applied.insert(client.to_string(), seq);
+            tally.applied.insert(client.to_string(), seq);
         }
-        self.count += RunRecord::count_blocks(body).map_err(invalid)?;
+        tally.count += RunRecord::count_blocks(body).map_err(invalid)?;
         Ok(())
     }
 
     /// Header-only: the payload is [`checked`], its blocks counted and
     /// its horizon raised.
-    fn replay(&mut self, payload: &[u8]) -> io::Result<()> {
+    fn replay(tally: &mut Tally, payload: &[u8]) -> io::Result<()> {
         let blocks = checked(payload)?;
-        self.count += blocks.count;
+        tally.count += blocks.count;
         if let Some((client, seq)) = blocks.batch {
-            self.raise_horizon(client, seq);
+            tally.raise_horizon(client, seq);
         }
         Ok(())
     }
@@ -484,7 +510,7 @@ impl Journaled for ResultStore {
     /// names. A store admitting them in that order holds what a replay
     /// of the same entries would give it.
     fn export(&self, emit: &mut dyn FnMut(&str, Vec<u8>) -> io::Result<()>) -> io::Result<()> {
-        for (client, &seq) in &self.applied {
+        for (client, &seq) in &self.tally.applied {
             let horizon = BorrowedBlocks {
                 batch: Some((client, seq)),
                 body: "",
@@ -517,11 +543,11 @@ impl Journaled for ResultStore {
                 if self.applied_seq(client) >= seq {
                     return Ok(false);
                 }
-                self.journal.append_encoded(payload)?;
-                self.raise_horizon(client, seq);
+                self.journal.append(payload)?;
+                self.tally.raise_horizon(client, seq);
             }
             Some(_) => self.journal_singly(blocks.body)?,
-            None => self.journal.append_encoded(payload)?,
+            None => self.journal.append(payload)?,
         }
         self.hold(blocks.body, blocks.count);
         Ok(true)
@@ -654,8 +680,8 @@ impl Iterator for Chunks<'_> {
                 }
                 Ok(false) => {
                     self.done = true;
-                    let found = store.count - self.left;
-                    let why = format!("the journal holds {found} of {} records", store.count);
+                    let found = store.tally.count - self.left;
+                    let why = format!("the journal holds {found} of {} records", store.tally.count);
                     return Some(Err(invalid(why)));
                 }
                 Err(e) => {
@@ -719,18 +745,9 @@ impl ResultStore {
     }
 
     /// Raises `client`'s applied horizon to at least `seq`.
-    fn raise_horizon(&mut self, client: &str, seq: u64) {
-        match self.applied.get_mut(client) {
-            Some(horizon) => *horizon = (*horizon).max(seq),
-            None => {
-                self.applied.insert(client.to_string(), seq);
-            }
-        }
-    }
-
     /// Holds the `count` blocks of `body`, just journaled.
     fn hold(&mut self, body: &str, count: usize) {
-        self.count += count;
+        self.tally.count += count;
         if let Some(holders) = &mut self.holders {
             for block in Blocks::new(body).flatten() {
                 let client = RunRecord::block_client(block);
@@ -761,7 +778,7 @@ impl ResultStore {
                 body: block.map_err(invalid)?,
                 count: 1,
             };
-            self.journal.append_encoded(&entry.encode())?;
+            self.journal.append(&entry.encode())?;
         }
         Ok(())
     }
@@ -820,8 +837,8 @@ impl ResultStore {
             ship.then(|| entry.encode())
         } else {
             let payload = entry.encode();
-            self.journal.append_encoded(&payload)?;
-            self.raise_horizon(client, seq);
+            self.journal.append(&payload)?;
+            self.tally.raise_horizon(client, seq);
             ship.then_some(payload)
         };
         self.hold(&body, records.len());
@@ -831,12 +848,12 @@ impl ResultStore {
     /// The highest batch sequence number applied for `client` (0 if the
     /// client never uploaded with sequence numbers).
     pub fn applied_seq(&self, client: &str) -> u64 {
-        self.applied.get(client).copied().unwrap_or(0)
+        self.tally.applied.get(client).copied().unwrap_or(0)
     }
 
     /// The per-client applied-sequence horizons.
     pub fn applied_horizons(&self) -> &BTreeMap<String, u64> {
-        &self.applied
+        &self.tally.applied
     }
 
     /// See [`TestcaseStore::wal_next_lsn`].
@@ -849,7 +866,7 @@ impl ResultStore {
         Chunks {
             store: self,
             file: 0,
-            left: self.count,
+            left: self.tally.count,
             done: false,
         }
     }
@@ -939,12 +956,12 @@ impl ResultStore {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.count
+        self.tally.count
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.tally.count == 0
     }
 }
 
@@ -1045,12 +1062,12 @@ impl RegistryStore {
 
     /// The id a registration token resolved to, if it registered before.
     pub fn id_for_token(&self, token: &str) -> Option<&str> {
-        self.policy.ids.get(token).map(String::as_str)
+        self.held.policy.ids.get(token).map(String::as_str)
     }
 
     /// The registration token a client id presented, if any.
     pub fn token_of(&self, id: &str) -> Option<&str> {
-        self.policy.tokens.get(id).map(String::as_str)
+        self.held.policy.tokens.get(id).map(String::as_str)
     }
 
     /// The registered snapshot for an id, decoded now.
@@ -1120,14 +1137,14 @@ pub(crate) mod tests {
         assert!(store.admit(&testcase_payload(b.trim_end())).unwrap());
         assert_eq!(store.text(), format!("{a}{b}"));
         let mut restored = TestcaseStore::new();
-        restored.restore(store.text()).unwrap();
+        TestcaseStore::restore(&mut restored.held, store.text()).unwrap();
         assert_eq!(restored.testcases(), [tc("a"), tc("b")]);
     }
 
     /// The checkpoint text an older build wrote of a result store:
     /// `SEQ <client> <n>` lines, then every held block.
     pub(crate) fn results_checkpoint(store: &ResultStore) -> io::Result<String> {
-        let mut out: String = (store.applied.iter())
+        let mut out: String = (store.tally.applied.iter())
             .map(|(client, seq)| format!("SEQ {client} {seq}\n"))
             .collect();
         for chunk in store.chunks() {
@@ -1350,8 +1367,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// A store built in memory journals what it takes; a model shard
-    /// there also checkpoints, and only `ModelStore::new` has no journal.
+    /// A store built in memory journals what it takes, and a model shard
+    /// there also checkpoints — `ModelStore::new` included, which
+    /// journals in memory as every other store's `new` does.
     #[test]
     fn in_memory_stores_journal_and_compact() {
         fn check<S: Fill>() {
@@ -1365,15 +1383,14 @@ pub(crate) mod tests {
         check::<ResultStore>();
         check::<RegistryStore>();
         check::<ModelStore>();
-        let mut model = ModelStore::in_memory();
-        model.fill(0);
-        assert!(model.compact().unwrap(), "an in-memory model checkpoints");
-        assert_eq!(model.journal_tail().0, 0);
-        model.fill(1);
-        model.probe();
-        let mut model = ModelStore::new();
-        model.fill(0);
-        assert!(!model.compact().unwrap(), "ModelStore::new has no journal");
+        for mut model in [ModelStore::in_memory(), ModelStore::new()] {
+            model.fill(0);
+            assert!(model.journal_tail().0 > 0, "a model journals its deltas");
+            model.compact().unwrap();
+            assert_eq!(model.journal_tail().0, 0, "an in-memory model checkpoints");
+            model.fill(1);
+            model.probe();
+        }
     }
 
     #[test]
@@ -2082,7 +2099,7 @@ pub(crate) mod tests {
                 Ok(store),
             ) => {
                 let mut restored = RegistryStore::new();
-                restored.restore(store.text()).expect(context);
+                RegistryStore::restore(&mut restored.held, store.text()).expect(context);
                 for g in [&store, &restored] {
                     assert_eq!(g.len(), 1, "{context}");
                     assert_eq!(g.get(&id).as_ref(), Some(&snapshot), "{context}");

@@ -1,7 +1,7 @@
 //! `uucs-server`'s flags: one given last with no value is refused (exit
-//! 2, and no data directory is created), `--io-threads` works on its
-//! own, and a `--library` that cannot be seeded whole is refused on
-//! every start.
+//! 2, and no data directory is created), no flag chooses the storage
+//! engine (`--io-threads` is accepted and ignored), and a `--library`
+//! that cannot be seeded whole is refused on every start.
 
 use std::path::Path;
 use std::process::Command;
@@ -83,61 +83,60 @@ fn stat(json: &str, name: &str) -> i64 {
         .unwrap_or_else(|_| panic!("{name} in {json}"))
 }
 
-/// `--io-threads` needs no `--commit-interval-us`: every server runs the
-/// committer that hands the disk scheduler its fsyncs. The server
-/// starts, acks a registration, and its `STATS` show the scheduler's
-/// threads, a commit pass and the fsyncs the scheduler ran.
+/// Every `uucs-server` runs the same storage engine, with no flag: a
+/// flagless `--shards 4` server fans the seeding pass over its testcase
+/// shards out to its committer's pool (`server.disk.ops` moves) and
+/// reports the pool's two threads. `--io-threads 0` is accepted, noted
+/// as ignored on stderr, and changes nothing. The server starts, acks a
+/// registration, and its `STATS` show a commit pass.
 #[test]
-fn io_threads_alone_starts_and_serves() {
+fn every_server_fans_a_multi_shard_pass_out_to_its_pool() {
     use std::io::{BufRead, BufReader};
     use std::net::TcpStream;
     use std::process::{Command, Stdio};
     use uucs_protocol::wire::{read_server_msg, write_client_msg};
     use uucs_protocol::{ClientMsg, MachineSnapshot, ServerMsg};
-    use uucs_testcase::{format as tcformat, ExerciseSpec, Resource, Testcase};
 
-    let tmp = uucs_harness::TempDir::new("uucs-io-threads-alone");
-    let ramp = ExerciseSpec::Ramp {
-        level: 1.0,
-        duration: 30.0,
-    };
-    let library = tmp.join("library.txt");
-    std::fs::write(
-        &library,
-        tcformat::emit_many(&[Testcase::single("t0", 1.0, Resource::Cpu, ramp)]),
-    )
-    .unwrap();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_uucs-server"))
-        .args(["--addr", "127.0.0.1:0", "--io-threads", "2", "--data"])
-        .args([tmp.join("data").as_path(), Path::new("--library"), &library])
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut lines = BufReader::new(child.stderr.take().unwrap()).lines();
-    let addr = loop {
-        let Some(Ok(line)) = lines.next() else {
-            panic!("uucs-server exited before listening: {:?}", child.wait());
+    let tmp = uucs_harness::TempDir::new("uucs-server-engine");
+    for (name, extra) in [("flagless", &[][..]), ("io-threads-0", &["--io-threads", "0"][..])] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_uucs-server"))
+            .args(["--addr", "127.0.0.1:0", "--shards", "4", "--generate-library", "42"])
+            .args(extra)
+            .arg("--data")
+            .arg(tmp.join(name))
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut lines = BufReader::new(child.stderr.take().unwrap()).lines();
+        let mut before = Vec::new();
+        let addr = loop {
+            let Some(Ok(line)) = lines.next() else {
+                panic!("{name}: uucs-server exited before listening: {:?}", child.wait());
+            };
+            if let Some(rest) = line.strip_prefix("listening on ") {
+                break rest.split_whitespace().next().unwrap().to_string();
+            }
+            before.push(line);
         };
-        if let Some(rest) = line.strip_prefix("listening on ") {
-            break rest.split_whitespace().next().unwrap().to_string();
-        }
-    };
-    std::thread::spawn(move || lines.for_each(drop));
-    let stream = TcpStream::connect(&addr).unwrap();
-    let (mut writer, mut reader) = (stream.try_clone().unwrap(), BufReader::new(stream));
-    let mut ask = |msg: ClientMsg| {
-        write_client_msg(&mut writer, &msg).unwrap();
-        read_server_msg(&mut reader).unwrap()
-    };
-    let reply = ask(ClientMsg::register(MachineSnapshot::study_machine("io")));
-    assert!(matches!(reply, ServerMsg::Id { .. }), "{reply:?}");
-    let ServerMsg::Stats(json) = ask(ClientMsg::Stats { reset: false }) else {
-        panic!("STATS refused");
-    };
-    child.kill().unwrap();
-    child.wait().unwrap();
-    assert_eq!(stat(&json, "server.config.io_threads"), 2);
-    assert_eq!(stat(&json, "server.config.commit_interval_us"), 1000);
-    assert!(stat(&json, "server.commit.count") > 0, "{json}");
-    assert!(stat(&json, "server.disk.ops") > 0, "{json}");
+        std::thread::spawn(move || lines.for_each(drop));
+        let stream = TcpStream::connect(&addr).unwrap();
+        let (mut writer, mut reader) = (stream.try_clone().unwrap(), BufReader::new(stream));
+        let mut ask = |msg: ClientMsg| {
+            write_client_msg(&mut writer, &msg).unwrap();
+            read_server_msg(&mut reader).unwrap()
+        };
+        let reply = ask(ClientMsg::register(MachineSnapshot::study_machine("io")));
+        assert!(matches!(reply, ServerMsg::Id { .. }), "{name}: {reply:?}");
+        let ServerMsg::Stats(json) = ask(ClientMsg::Stats { reset: false }) else {
+            panic!("{name}: STATS refused");
+        };
+        child.kill().unwrap();
+        child.wait().unwrap();
+        let noted = before.iter().any(|l| l.starts_with("--io-threads is ignored"));
+        assert_eq!(noted, !extra.is_empty(), "{name}: {before:?}");
+        assert_eq!(stat(&json, "server.config.io_threads"), 2, "{name}");
+        assert_eq!(stat(&json, "server.config.commit_interval_us"), 1000, "{name}");
+        assert!(stat(&json, "server.commit.count") > 0, "{name}: {json}");
+        assert!(stat(&json, "server.disk.ops") > 0, "{name}: {json}");
+    }
 }

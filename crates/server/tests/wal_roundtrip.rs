@@ -486,10 +486,10 @@ fn sketch_and_records_model(server: &UucsServer) -> (String, String) {
 }
 
 /// A data directory whose records were appended but never folded into
-/// the model — what a follower of an older build leaves, here made by a
-/// server with model updates off — opens with the model of every record
-/// it holds, one epoch per client. That model is journaled, so the next
-/// open finds epochs and folds nothing again.
+/// the model — what a follower of an older build leaves, here made by
+/// deleting `models/` from a written directory — opens with the model of
+/// every record it holds, one epoch per client. That model is journaled,
+/// so the next open finds epochs and folds nothing again.
 #[test]
 fn records_beside_an_empty_model_are_folded_once_at_open() {
     let dir = TempDir::new("uucs-model-upgrade");
@@ -498,7 +498,7 @@ fn records_beside_an_empty_model_are_folded_once_at_open() {
         UucsServer::with_store_set(stores, 11)
     };
     {
-        let server = open().without_model_updates();
+        let server = open();
         for host in ["a", "b", "c"] {
             let ServerMsg::Id { id, .. } =
                 server.handle(&ClientMsg::register(MachineSnapshot::study_machine(host)))
@@ -520,8 +520,9 @@ fn records_beside_an_empty_model_are_folded_once_at_open() {
                 assert_eq!(reply, ServerMsg::Ack(4));
             }
         }
-        assert_eq!((server.result_count(), server.model_epoch()), (36, 0));
+        assert_eq!((server.result_count(), server.model_epoch()), (36, 9));
     }
+    std::fs::remove_dir_all(dir.path().join("models")).unwrap();
     let (sketch, want) = {
         let server = open();
         assert_eq!(server.model_epoch(), 3, "one epoch per client");

@@ -413,7 +413,6 @@ impl HostedServer {
         };
         let (stores, _) = StoreSet::open(&dir, wal, config.shards)?;
         let server = UucsServer::with_store_set(stores, 0x5e17)
-            .without_model_updates()
             .with_group_commit(config.commit_interval);
         let server = Arc::new(server);
         for i in 0..8 {
@@ -655,10 +654,7 @@ pub fn run_cluster(config: &FleetConfig) -> io::Result<FleetReport> {
         cfg
     };
 
-    let leader_srv = Arc::new(
-        UucsServer::with_store_set(StoreSet::in_memory(config.shards), 0x5e17)
-            .without_model_updates(),
-    );
+    let leader_srv = Arc::new(UucsServer::with_store_set(StoreSet::in_memory(config.shards), 0x5e17));
     let leader = ClusterNode::start(
         node_config("fleet-a", Vec::new(), AckMode::Quorum),
         Arc::clone(&leader_srv),
@@ -675,10 +671,7 @@ pub fn run_cluster(config: &FleetConfig) -> io::Result<FleetReport> {
         },
     )?;
 
-    let follower_srv = Arc::new(
-        UucsServer::with_store_set(StoreSet::in_memory(config.shards), 0x5e17)
-            .without_model_updates(),
-    );
+    let follower_srv = Arc::new(UucsServer::with_store_set(StoreSet::in_memory(config.shards), 0x5e17));
     let follower = ClusterNode::start(
         node_config(
             "fleet-b",
@@ -800,9 +793,7 @@ mod tests {
     /// flag and the outage window — instead of an error.
     #[test]
     fn server_death_mid_run_yields_a_partial_report() {
-        let server = Arc::new(
-            UucsServer::with_store_set(StoreSet::in_memory(2), 7).without_model_updates(),
-        );
+        let server = Arc::new(UucsServer::with_store_set(StoreSet::in_memory(2), 7));
         let front = tcp::serve_with(
             server,
             "127.0.0.1:0",

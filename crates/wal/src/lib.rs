@@ -450,7 +450,7 @@ mod tests {
     fn deferred_rotation_sync_is_drained_by_the_next_sync() {
         let io = MemIo::new();
         let (mut wal, _) = Wal::open(io.clone(), "/w", cfg(80, SyncPolicy::Never)).unwrap();
-        wal.set_deferred_rotation_sync(true);
+        wal.set_deferred_rotation_sync();
         // Cross several rotation boundaries without ever syncing.
         for i in 0..10u8 {
             wal.append(&[i; 20]).unwrap();
@@ -470,7 +470,7 @@ mod tests {
     fn deferred_rotation_crash_before_sync_keeps_a_clean_prefix() {
         let io = MemIo::new();
         let (mut wal, _) = Wal::open(io.clone(), "/w", cfg(80, SyncPolicy::Never)).unwrap();
-        wal.set_deferred_rotation_sync(true);
+        wal.set_deferred_rotation_sync();
         for i in 0..4u8 {
             wal.append(&[i; 20]).unwrap();
         }
@@ -512,7 +512,7 @@ mod tests {
         let tally = Arc::new(Mutex::new(Tally::default()));
         let io = MemIo::new();
         let (mut wal, _) = Wal::open(io, "/w", cfg(80, SyncPolicy::Never)).unwrap();
-        wal.set_deferred_rotation_sync(true);
+        wal.set_deferred_rotation_sync();
         wal.set_observer(Box::new(Recorder(tally.clone())));
         for i in 0..10u8 {
             wal.append(&[i; 20]).unwrap();

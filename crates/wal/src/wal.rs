@@ -735,11 +735,11 @@ impl<I: Io> Wal<I> {
     /// one, so a later segment is never durable ahead of an earlier one
     /// and the no-committed-gap recovery invariant holds. Meant for
     /// group-commit setups where a dedicated thread calls `sync` anyway;
-    /// off by default, and pointless (but harmless) under
-    /// [`SyncPolicy::Always`] since every append already synced the
-    /// closing segment.
-    pub fn set_deferred_rotation_sync(&mut self, defer: bool) {
-        self.defer_rotation_sync = defer;
+    /// off until called, for good once called, and pointless (but
+    /// harmless) under [`SyncPolicy::Always`] since every append already
+    /// synced the closing segment.
+    pub fn set_deferred_rotation_sync(&mut self) {
+        self.defer_rotation_sync = true;
     }
 
     /// Installs (or replaces) the observer notified of this log's I/O.

@@ -122,6 +122,26 @@ if [ -n "$inline" ]; then
     exit 1
 fi
 
+echo "== one storage engine (no switch picks the fsync shape, rotation deferral or the model fold) =="
+# Every UucsServer runs the same engine: its GroupCommitter owns a
+# two-thread disk-scheduler pool and picks each pass's shape itself (one
+# dirty slot syncs on the commit thread, two or more go to the pool),
+# turns deferred rotation sync on for the ticketed families as it
+# starts, and every server folds what it appends into the model. A
+# model-update switch, a late scheduler, a bool toggle for rotation
+# deferral, or a caller of the two shims benchmark/src/layers.rs still
+# builds against (`with_io_scheduler`, `StorageProfile::scheduler`) is a
+# second engine coming back.
+switch=$( (grep -rnE "without_model_updates|set_scheduler\(|\.scheduler\(\)" crates src tests examples --include=*.rs
+    grep -rn "with_io_scheduler(" crates src tests examples --include=*.rs \
+        | grep -vF "pub fn with_io_scheduler(self, _scheduler: Arc<DiskScheduler>) -> Self {"
+    grep -rnE "set_deferred_rotation_sync\(([^)]*bool|true|false|!?[a-z_]+\))" crates src tests examples --include=*.rs) || true)
+if [ -n "$switch" ]; then
+    echo "$switch"
+    echo "ci: a storage-engine switch is back; every server runs the committer's one engine" >&2
+    exit 1
+fi
+
 echo "== bounded-memory startup (the library streams into the journal; a scan reads through one buffer) =="
 # A fresh server seeds its library one testcase at a time through
 # LibrarySource::seed (crates/server/src/library.rs), and a journal's
@@ -285,9 +305,10 @@ UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib testcase_c
 # on the quorum follower too. hot-sync is the only one that drives SYNC
 # over the real client transport, and its check wants every reply to
 # hold a full batch of testcases. pipelined-ingest is the only one that
-# sends pipelined binary uploads through the disk scheduler and deferred
-# rotation sync (it and restart-recovery are the servers started with
-# --io-threads).
+# sends pipelined binary uploads, so it is the one whose commit passes
+# span several shards and fan out to the committer's pool (every server
+# runs that pool and deferred rotation sync; the --io-threads flag the
+# benchmark still passes is ignored).
 for workload in ack-latency pipelined-ingest quorum-ack controlled-study restart-recovery hot-sync; do
     echo "== benchmark smoke ($workload, 2 s, outputs checked) =="
     smoke=$(benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)

@@ -133,7 +133,7 @@ fn every_connection_is_acked_with_the_whole_fleet_in_flight() {
     const ROUNDS: u64 = 4;
     let tmp = TempDir::new("uucs-engine-fleet-in-flight");
     let (stores, _) = StoreSet::open(tmp.path(), wal_cfg(), 4).unwrap();
-    let server = UucsServer::with_store_set(stores, 9).without_model_updates();
+    let server = UucsServer::with_store_set(stores, 9);
     let server = Arc::new(server.with_group_commit(Duration::from_micros(200)));
     let handle = tcp::serve(server, "127.0.0.1:0").unwrap();
     let mut fleet: Vec<(TcpStream, BufReader<TcpStream>, String)> = (0..CONNS)
@@ -192,21 +192,22 @@ fn every_connection_is_acked_with_the_whole_fleet_in_flight() {
 /// generation opens the journal with a different shard count.
 #[test]
 fn group_commit_kill_loses_no_acked_upload() -> Result<(), Violation> {
-    kill_storm("kill", StorageProfile::default())
+    kill_storm("kill", wal_cfg())
 }
 
-/// The same kill storm with the disk scheduler under the committer:
-/// per-shard fsyncs fan out to its threads and segment rotation defers
-/// its fsync to the next commit pass. A kill between a rotation and
-/// that pass must lose nothing that was acked — an ack still means
-/// every segment up to it is on stable storage.
+/// The same kill storm over 4 KiB segments, so the results journals
+/// rotate every few uploads: the committer's passes fan multi-shard
+/// fsyncs out to its pool, and each rotation defers its fsync to the
+/// next pass over the shard. A kill between a rotation and that pass
+/// must lose nothing that was acked — an ack still means every segment
+/// up to it is on stable storage.
 #[test]
 fn scheduled_engine_kill_loses_no_acked_upload() -> Result<(), Violation> {
     kill_storm(
         "scheduled-kill",
-        StorageProfile {
-            io_threads: 2,
-            ..StorageProfile::default()
+        WalConfig {
+            segment_bytes: 4096,
+            ..wal_cfg()
         },
     )
 }
@@ -298,12 +299,13 @@ fn ignored_cache_pages_recover_what_the_default_profile_does() {
     assert!(recovered(&StorageProfile::default()) == plain);
 }
 
-/// One kill storm under `profile`: six clients upload sequenced batches
-/// over TCP to a group-commit server with three shards, every fourth
-/// batch sent twice. Once `KILL_AFTER` uploads are acked the server is
-/// torn down mid-flight; the journal is reopened with five shards, and
-/// what it holds is checked against what the clients were told.
-fn kill_storm(name: &str, profile: StorageProfile) -> Result<(), Violation> {
+/// One kill storm over journals configured as `cfg`: six clients upload
+/// sequenced batches over TCP to a group-commit server with three
+/// shards, every fourth batch sent twice. Once `KILL_AFTER` uploads are
+/// acked the server is torn down mid-flight; the journal is reopened
+/// with five shards, and what it holds is checked against what the
+/// clients were told.
+fn kill_storm(name: &str, cfg: WalConfig) -> Result<(), Violation> {
     const CLIENTS: usize = 6;
     const KILL_AFTER: usize = 200;
     let tmp = TempDir::new(&format!("uucs-engine-{name}"));
@@ -311,14 +313,10 @@ fn kill_storm(name: &str, profile: StorageProfile) -> Result<(), Violation> {
     // (client, seq) of every upload sent, moved to acked as its ACK is read.
     let ledger = Mutex::new(Ledger::<(String, u64)>::default());
 
-    // Generation 1: sharded stores, group commit (fanned out through the
-    // disk scheduler when the profile has one), worker-pool TCP.
+    // Generation 1: sharded stores, group commit, worker-pool TCP.
     {
-        let (stores, _) = StoreSet::open_with(tmp.path(), wal_cfg(), 3, &profile).unwrap();
-        let mut server = UucsServer::with_store_set(stores, 9).without_model_updates();
-        if let Some(scheduler) = profile.scheduler() {
-            server = server.with_io_scheduler(scheduler);
-        }
+        let (stores, _) = StoreSet::open(tmp.path(), cfg, 3).unwrap();
+        let server = UucsServer::with_store_set(stores, 9);
         let server = Arc::new(server.with_group_commit(Duration::from_micros(200)));
         let handle = tcp::serve(server, "127.0.0.1:0").unwrap();
         let addr = handle.addr();
@@ -375,7 +373,7 @@ fn kill_storm(name: &str, profile: StorageProfile) -> Result<(), Violation> {
     // upload is inside the recovered dedup horizon and held once;
     // nothing else is held but the one upload per client in flight at
     // the kill.
-    let (stores, _) = StoreSet::open_with(tmp.path(), wal_cfg(), 5, &profile).unwrap();
+    let (stores, _) = StoreSet::open(tmp.path(), cfg, 5).unwrap();
     let server = UucsServer::with_store_set(stores, 9);
     let ledger = ledger.into_inner().unwrap();
     // Each client's acks come in seq order: its last is its top.
@@ -410,7 +408,7 @@ proptest! {
         // Apply the workload at the first shard count.
         let baseline = {
             let (stores, _) = StoreSet::open(tmp.path(), wal_cfg(), first).unwrap();
-            let server = UucsServer::with_store_set(stores, 9).without_model_updates();
+            let server = UucsServer::with_store_set(stores, 9);
             let ids: Vec<String> = (0..clients)
                 .map(|c| {
                     match server.handle(&ClientMsg::register(
