@@ -153,6 +153,8 @@ fn main() {
         }
     }
 
+    eprintln!("{}", server.recovered_line());
+
     let mut config = ClusterConfig::new(node.clone(), cluster_dir, data.clone());
     config.peers = follow.clone();
     config.ack = ack;
@@ -173,15 +175,11 @@ fn main() {
     });
     eprintln!("serving clients on {} (data dir {data:?})", handle.addr());
 
+    // The node's status every 30 s; the committer keeps the model
+    // caches, so nothing else is periodic.
     loop {
         std::thread::sleep(Duration::from_secs(30));
         let role = cluster.role();
-        if role == Role::Leader {
-            if let Err(e) = server.compact() {
-                eprintln!("checkpoint failed: {e}");
-                continue;
-            }
-        }
         eprintln!(
             "{role:?}: {} clients, {} results, {} follower(s)",
             server.client_count(),

@@ -54,8 +54,7 @@ fn sketches(server: &UucsServer) -> Vec<String> {
 /// epochs brought them in.
 fn sketches_of(records: &[RunRecord]) -> Vec<String> {
     let mut model = ComfortModel::new();
-    let delta = model.next_delta(observations_of(records));
-    model.apply(&delta).unwrap();
+    model.observe(&observations_of(records));
     [None, Some("IE"), Some("Word")]
         .map(|task| model.merged(Resource::Cpu, task).encode())
         .to_vec()

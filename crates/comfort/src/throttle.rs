@@ -55,10 +55,14 @@ impl ThrottleAdvisor {
         self.by_context.insert((task, resource), ecdf);
     }
 
-    /// The borrowing level that discomforts at most `acceptable` of
-    /// users, aggregated over contexts. Returns `None` if no CDF is
-    /// installed; returns the highest *explored* level when even it
-    /// discomforts fewer than `acceptable` (borrow at least that much).
+    /// The paper's `c_p` borrowing level for `p = acceptable`,
+    /// aggregated over contexts: the ⌈p·N⌉-th lowest of the N observed
+    /// discomfort levels. At that level ⌈p·N⌉/N of users are already
+    /// discomforted, which is `acceptable` only when p·N is an integer
+    /// and more otherwise (2/33 = 6.1 % at N = 33, p = 0.05; ROADMAP item
+    /// 19). Returns `None` if no CDF is installed; returns the highest
+    /// *explored* level when no observation reaches rank ⌈p·N⌉ (borrow
+    /// at least that much).
     pub fn recommend(&self, resource: Resource, acceptable: f64) -> Option<f64> {
         let e = self.aggregate.get(&resource)?;
         Some(Self::level_from(e, acceptable))
@@ -75,7 +79,8 @@ impl ThrottleAdvisor {
 
     fn level_from(e: &Ecdf, acceptable: f64) -> f64 {
         match e.quantile(acceptable) {
-            // The level just below the one that tips past `acceptable`.
+            // The ⌈p·N⌉-th lowest observation: the tipping level itself,
+            // not the one below it (see `recommend`).
             Some(level) => level,
             // Even the deepest explored level discomforts < acceptable.
             None => e

@@ -15,10 +15,9 @@
 //!   associative merges, and a compact single-line text encoding reused
 //!   verbatim for WAL persistence and the wire.
 //! * [`ComfortModel`] — sketches keyed by cohort
-//!   `(resource, task, skill-class)` with an epoch counter; updates
-//!   arrive as [`ModelDelta`]s (one per accepted upload batch) that the
-//!   server journals before applying, and full-model snapshots make
-//!   WAL compaction and crash recovery byte-exact.
+//!   `(resource, task, skill-class)` with an epoch counter, folded from
+//!   the observations of uploaded records; its full-model text is what
+//!   the server caches beside its results journal.
 //!
 //! The server half lives in `uucs-server` (`ModelStore`, the `MODEL`
 //! and `ADVICE` verbs); the client half in `uucs-client`
@@ -30,5 +29,5 @@
 mod model;
 mod sketch;
 
-pub use model::{advice_from, CohortKey, ComfortModel, ModelDelta, Observation, SKILL_UNRATED};
+pub use model::{advice_from, CohortKey, ComfortModel, Observation, SKILL_UNRATED};
 pub use sketch::{MergeError, QuantileSketch, SketchDelta, DEFAULT_BINS, MAX_BINS};

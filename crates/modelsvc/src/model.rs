@@ -1,23 +1,22 @@
-//! Cohort-keyed comfort models with epoch-versioned updates.
+//! Cohort-keyed comfort models with an epoch counter.
 //!
 //! A [`ComfortModel`] holds one [`QuantileSketch`] per cohort
 //! `(resource, task, skill-class)` — the paper's observation that
 //! comfort varies by foreground context (§4.2) and self-rated skill
-//! (§4.4) made concrete as the aggregation key. The model advances in
-//! **epochs**: every accepted upload batch that contributes at least
-//! one observation becomes one [`ModelDelta`] with epoch `e+1`, applied
-//! strictly in order. Deltas are what the server journals
-//! (`WalEntry::Model`), the full [`ComfortModel::encode`] text is what
-//! compaction snapshots, and replaying snapshot-then-deltas
-//! reconstructs the exact same epoch and byte-identical sketches — the
-//! same recovery contract as the record stores.
+//! (§4.4) made concrete as the aggregation key. The model is an
+//! analysis of uploaded records, as the paper's CDFs are: the server
+//! folds each results-journal entry's observations in with
+//! [`ComfortModel::observe`], and the **epoch** counts the entries that
+//! carried one. Sketch merges are exact, so a model folded from the
+//! same records reads the same however they were grouped. The full
+//! [`ComfortModel::encode`] text is what the server caches, so a
+//! restart folds only the records past the cache.
 
 use crate::sketch::{MergeError, QuantileSketch};
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
-use uucs_testcase::format::{trim_line, words};
 use uucs_testcase::Resource;
 
 /// The cohort skill class used when a record carries none (legacy
@@ -34,8 +33,8 @@ fn token(s: &str) -> Cow<'_, str> {
 }
 
 /// A task or skill name as a cohort key holds it: whitespace written as
-/// `_`, the form [`token`] journals and a replay reads back, so a live
-/// model and its replay file a sample under the same key.
+/// `_`, the form [`token`] encodes, so a model and its decoded cache file
+/// a sample under the same key.
 fn key_form(s: &str) -> Cow<'_, str> {
     if !s.contains(char::is_whitespace) {
         return Cow::Borrowed(s);
@@ -129,47 +128,14 @@ pub struct Observation {
 }
 
 impl Observation {
-    fn borrowed(&self) -> Obs<'_> {
-        Obs {
-            resource: self.resource,
-            task: &self.task,
-            skill: &self.skill,
-            level: self.level,
-            censored: self.censored,
-        }
-    }
-}
-
-/// An [`Observation`] borrowed from the text or the struct it is read
-/// from.
-#[derive(Clone, Copy)]
-struct Obs<'a> {
-    resource: Resource,
-    task: &'a str,
-    skill: &'a str,
-    level: f64,
-    censored: bool,
-}
-
-impl Obs<'_> {
-    fn owned(self) -> Observation {
-        Observation {
-            resource: self.resource,
-            task: self.task.to_string(),
-            skill: self.skill.to_string(),
-            level: self.level,
-            censored: self.censored,
-        }
-    }
-
     /// Adds the sample to its cohort's sketch, keying a cohort (by
     /// [`key_form`]) only the first time it is seen.
-    fn observe(self, cohorts: &mut BTreeMap<CohortKey, QuantileSketch>) {
-        let task = key_form(self.task);
+    fn observe(&self, cohorts: &mut BTreeMap<CohortKey, QuantileSketch>) {
+        let task = key_form(&self.task);
         let skill = if self.skill.is_empty() {
             Cow::Borrowed(SKILL_UNRATED)
         } else {
-            key_form(self.skill)
+            key_form(&self.skill)
         };
         let (task, skill) = (task.as_ref(), skill.as_ref());
         let insert = |sketch: &mut QuantileSketch| match self.censored {
@@ -192,167 +158,15 @@ impl Obs<'_> {
     }
 }
 
-/// The shortest `OBS` line [`ModelDelta::encode`] can write, newline
-/// included: no text holds more observations than its length allows.
-const MIN_OBS_LINE: usize = "OBS cpu - - exhausted 0\n".len();
-
-/// One epoch's worth of model updates — what the server journals per
-/// accepted upload batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelDelta {
-    /// The epoch this delta advances the model *to* (`current + 1`).
-    pub epoch: u64,
-    /// The samples.
-    pub observations: Vec<Observation>,
-}
-
-impl ModelDelta {
-    /// Serializes the delta:
-    ///
-    /// ```text
-    /// MODELDELTA <epoch> <n>
-    /// OBS <resource> <task|-> <skill|-> <discomfort|exhausted> <level>
-    /// ...
-    /// END
-    /// ```
-    pub fn encode(&self) -> String {
-        use fmt::Write;
-        let mut out = String::new();
-        writeln!(out, "MODELDELTA {} {}", self.epoch, self.observations.len()).unwrap();
-        for o in &self.observations {
-            writeln!(
-                out,
-                "OBS {} {} {} {} {}",
-                o.resource,
-                token(&o.task),
-                token(&o.skill),
-                if o.censored { "exhausted" } else { "discomfort" },
-                if o.level.is_finite() { o.level } else { 0.0 },
-            )
-            .unwrap();
-        }
-        out.push_str("END\n");
-        out
-    }
-
-    /// Parses [`ModelDelta::encode`] output: [`DeltaText`] collecting
-    /// the observations, sized from the header — bounded by what the
-    /// text could hold, since the count is input.
-    pub fn decode(text: &str) -> Result<ModelDelta, String> {
-        let delta = DeltaText::header(text)?;
-        let epoch = delta.epoch;
-        let mut observations = Vec::with_capacity(delta.count.min(text.len() / MIN_OBS_LINE));
-        delta.each(|o| observations.push(o.owned()))?;
-        Ok(ModelDelta {
-            epoch,
-            observations,
-        })
-    }
-}
-
-/// The text of a [`ModelDelta`], walked once: the grammar
-/// [`ModelDelta::decode`] and [`ComfortModel::fold`] share, with every
-/// error string decode has always given. Lines are split by
-/// [`words`], and every field is borrowed from the text.
-struct DeltaText<'a> {
-    epoch: u64,
-    /// The observation count the header promises.
-    count: usize,
-    lines: std::str::Lines<'a>,
-}
-
-impl<'a> DeltaText<'a> {
-    /// Reads the `MODELDELTA <epoch> <n>` header line.
-    fn header(text: &'a str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty model delta")?;
-        let mut toks = words(header);
-        if toks.next() != Some("MODELDELTA") {
-            return Err(format!("bad model delta header {header:?}"));
-        }
-        let epoch: u64 = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or("model delta missing epoch")?;
-        let count: usize = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or("model delta missing count")?;
-        Ok(DeltaText {
-            epoch,
-            count,
-            lines,
-        })
-    }
-
-    /// Hands `each` every `OBS` line's observation in order, through the
-    /// `END` line, then holds the number read to the header's promise.
-    fn each(self, mut each: impl FnMut(Obs<'a>)) -> Result<(), String> {
-        let mut read = 0;
-        let mut closed = false;
-        for line in self.lines {
-            let mut toks = words(line);
-            match toks.next() {
-                None => continue,
-                Some("OBS") => {}
-                Some(first) => {
-                    if first == "END" && toks.next().is_none() {
-                        closed = true;
-                        break;
-                    }
-                    return Err(format!("bad model delta line {:?}", trim_line(line)));
-                }
-            }
-            let resource: Resource = toks
-                .next()
-                .ok_or("OBS missing resource")?
-                .parse()
-                .map_err(|_| "bad OBS resource".to_string())?;
-            let task = detoken(toks.next().ok_or("OBS missing task")?);
-            let skill = detoken(toks.next().ok_or("OBS missing skill")?);
-            let censored = match toks.next() {
-                Some("discomfort") => false,
-                Some("exhausted") => true,
-                other => return Err(format!("bad OBS outcome {other:?}")),
-            };
-            let level: f64 = toks
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or("bad OBS level")?;
-            if !level.is_finite() {
-                return Err("non-finite OBS level".to_string());
-            }
-            if toks.next().is_some() {
-                return Err(format!("trailing tokens on OBS line {:?}", trim_line(line)));
-            }
-            each(Obs {
-                resource,
-                task,
-                skill,
-                level,
-                censored,
-            });
-            read += 1;
-        }
-        if !closed {
-            return Err("model delta missing END".to_string());
-        }
-        if read != self.count {
-            return Err(format!(
-                "model delta promised {} observations, parsed {read}",
-                self.count
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// The advice rule, stated once for [`ComfortModel::advice`] and the
 /// server: the `epsilon` borrowing level
 /// ([`QuantileSketch::advice_level`]) of a task's merged cohorts
 /// (`contextual`) when they hold an observation, else of the resource
-/// aggregate, which is only merged then — mirroring
-/// `comfort::ThrottleAdvisor`.
+/// aggregate, which is only merged then. `comfort::ThrottleAdvisor`
+/// falls back from context to aggregate the same way, and both return
+/// the tipping level, which discomforts more than `epsilon` of users
+/// unless `epsilon` times the sample count is an integer (see
+/// [`QuantileSketch::advice_level`]; ROADMAP item 19).
 pub fn advice_from<S: Borrow<QuantileSketch>>(
     contextual: S,
     aggregate: impl FnOnce() -> S,
@@ -367,7 +181,7 @@ pub fn advice_from<S: Borrow<QuantileSketch>>(
 }
 
 /// The server-side comfort model: cohort sketches plus the epoch
-/// counter. See the module docs for the delta/snapshot contract.
+/// counter. See the module docs for how the server keeps it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComfortModel {
     epoch: u64,
@@ -380,7 +194,8 @@ impl ComfortModel {
         Self::default()
     }
 
-    /// The current epoch: the number of deltas applied since empty.
+    /// The current epoch: the number of observation-carrying entries
+    /// folded since empty (or the epoch [`ComfortModel::set_epoch`] set).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -414,57 +229,23 @@ impl ComfortModel {
         Ok(())
     }
 
-    /// Stamps a batch of observations as the *next* epoch's delta. The
-    /// caller journals the delta, then [`ComfortModel::apply`]s it.
-    pub fn next_delta(&self, observations: Vec<Observation>) -> ModelDelta {
-        ModelDelta {
-            epoch: self.epoch + 1,
-            observations,
+    /// Folds one results-journal entry's observations into their cohort
+    /// sketches as the next epoch. An entry with no observation mints
+    /// no epoch: clients read an epoch advance as "new data".
+    pub fn observe(&mut self, observations: &[Observation]) {
+        if observations.is_empty() {
+            return;
         }
+        for o in observations {
+            o.observe(&mut self.cohorts);
+        }
+        self.epoch += 1;
     }
 
-    /// Applies one delta. Deltas must arrive strictly in epoch order —
-    /// the WAL replays them in append order, so a gap or repeat means a
-    /// corrupt journal, not a retransmit (upload dedup happens before a
-    /// delta is ever minted).
-    pub fn apply(&mut self, delta: &ModelDelta) -> Result<(), String> {
-        self.check_follows(delta.epoch)?;
-        for o in &delta.observations {
-            o.borrowed().observe(&mut self.cohorts);
-        }
-        self.epoch = delta.epoch;
-        Ok(())
-    }
-
-    /// [`ModelDelta::decode`] then [`ComfortModel::apply`] of a delta's
-    /// text, in one pass and with nothing decoded: each observation goes
-    /// from the text into its cohort's sketch. Errors are decode's, then
-    /// apply's, word for word. An error can leave part of the delta
-    /// folded in, so a caller that meets one drops the model — a replay
-    /// refuses the journal.
-    pub fn fold(&mut self, text: &str) -> Result<(), String> {
-        let delta = DeltaText::header(text)?;
-        let epoch = delta.epoch;
-        let follows = self.check_follows(epoch);
-        let cohorts = &mut self.cohorts;
-        delta.each(|o| {
-            if follows.is_ok() {
-                o.observe(cohorts)
-            }
-        })?;
-        follows?;
+    /// Sets the epoch and keeps the sketches: how a reshard carries the
+    /// epoch a model had reached onto the shards its records moved to.
+    pub fn set_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
-        Ok(())
-    }
-
-    fn check_follows(&self, epoch: u64) -> Result<(), String> {
-        if epoch != self.epoch + 1 {
-            return Err(format!(
-                "model delta epoch {epoch} does not follow current epoch {}",
-                self.epoch
-            ));
-        }
-        Ok(())
     }
 
     /// The merged sketch for a query: all cohorts of `resource`,
@@ -503,7 +284,7 @@ impl ComfortModel {
         )
     }
 
-    /// Serializes the full model — the compaction-snapshot format:
+    /// Serializes the full model — the body of the server's model cache:
     ///
     /// ```text
     /// COMFORTMODEL <epoch> <ncohorts>
@@ -608,112 +389,53 @@ mod tests {
         }
     }
 
-    /// `ModelDelta::decode` as it was before it stopped allocating what
-    /// it only inspects, kept verbatim as the reference the new one is
-    /// held equal to — `Ok` values and `Err` strings.
-    fn reference_decode(text: &str) -> Result<ModelDelta, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty model delta")?;
-        let mut toks = header.split_whitespace();
-        if toks.next() != Some("MODELDELTA") {
-            return Err(format!("bad model delta header {header:?}"));
-        }
-        let epoch: u64 = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or("model delta missing epoch")?;
-        let n: usize = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or("model delta missing count")?;
-        let mut observations = Vec::new();
-        let mut closed = false;
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line == "END" {
-                closed = true;
-                break;
-            }
-            let mut toks = line.split_whitespace();
-            if toks.next() != Some("OBS") {
-                return Err(format!("bad model delta line {line:?}"));
-            }
-            let resource: Resource = toks
-                .next()
-                .ok_or("OBS missing resource")?
-                .parse()
-                .map_err(|_| "bad OBS resource".to_string())?;
-            let task = detoken(toks.next().ok_or("OBS missing task")?).to_string();
-            let skill = detoken(toks.next().ok_or("OBS missing skill")?).to_string();
-            let censored = match toks.next() {
-                Some("discomfort") => false,
-                Some("exhausted") => true,
-                other => return Err(format!("bad OBS outcome {other:?}")),
-            };
-            let level: f64 = toks
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or("bad OBS level")?;
-            if !level.is_finite() {
-                return Err("non-finite OBS level".to_string());
-            }
-            if toks.next().is_some() {
-                return Err(format!("trailing tokens on OBS line {line:?}"));
-            }
-            observations.push(Observation {
-                resource,
-                task,
-                skill,
-                level,
-                censored,
-            });
-        }
-        if !closed {
-            return Err("model delta missing END".to_string());
-        }
-        if observations.len() != n {
-            return Err(format!(
-                "model delta promised {n} observations, parsed {}",
-                observations.len()
-            ));
-        }
-        Ok(ModelDelta {
-            epoch,
-            observations,
-        })
-    }
-
     #[test]
-    fn deltas_advance_epochs_in_order() {
+    fn an_entry_with_observations_is_one_epoch() {
         let mut m = ComfortModel::new();
         assert_eq!(m.epoch(), 0);
-        let d1 = m.next_delta(vec![obs(Resource::Cpu, "Word", "Typical", 3.0, false)]);
-        m.apply(&d1).unwrap();
+        m.observe(&[obs(Resource::Cpu, "Word", "Typical", 3.0, false)]);
         assert_eq!(m.epoch(), 1);
-        // Replaying the same delta is a corruption, not a retransmit.
-        assert!(m.apply(&d1).is_err());
-        let d3 = ModelDelta {
-            epoch: 3,
-            observations: vec![],
-        };
-        assert!(m.apply(&d3).is_err(), "epoch gaps rejected");
-        assert_eq!(m.epoch(), 1);
+        m.observe(&[]);
+        assert_eq!(m.epoch(), 1, "an entry with no observation mints no epoch");
+        m.observe(&[
+            obs(Resource::Cpu, "Word", "Typical", 1.0, false),
+            obs(Resource::Disk, "Word", "Typical", 2.0, true),
+        ]);
+        assert_eq!(m.epoch(), 2);
+        assert_eq!(m.merged(Resource::Cpu, None).observed(), 2);
+    }
+
+    /// The sketches do not depend on how observations were grouped into
+    /// entries or in what order they came: only the epoch does.
+    #[test]
+    fn the_sketches_are_the_fold_of_the_observations_however_grouped() {
+        let all: Vec<Observation> = (0..40)
+            .map(|i| {
+                let task = ["Word", "Quake", "two words"][i % 3];
+                obs(Resource::STUDIED[i % 3], task, ["", "Power"][i % 2], (i % 11) as f64 * 0.5, i % 7 == 0)
+            })
+            .collect();
+        let mut whole = ComfortModel::new();
+        whole.observe(&all);
+        let mut singly = ComfortModel::new();
+        for o in all.iter().rev() {
+            singly.observe(std::slice::from_ref(o));
+        }
+        assert_eq!((whole.epoch(), singly.epoch()), (1, 40));
+        singly.set_epoch(1);
+        assert_eq!(singly.encode(), whole.encode());
     }
 
     #[test]
     fn cohorts_key_on_resource_task_and_skill() {
         let mut m = ComfortModel::new();
-        let d = m.next_delta(vec![
+        m.observe(&[
             obs(Resource::Cpu, "Word", "Typical", 3.0, false),
             obs(Resource::Cpu, "Word", "Power", 6.0, false),
             obs(Resource::Cpu, "Quake", "Typical", 1.0, false),
             obs(Resource::Disk, "Word", "Typical", 2.0, false),
             obs(Resource::Cpu, "Word", "", 4.0, true),
         ]);
-        m.apply(&d).unwrap();
         assert_eq!(m.cohort_count(), 5, "unrated skill is its own cohort");
         let word = m.merged(Resource::Cpu, Some("Word"));
         assert_eq!(word.observed(), 2);
@@ -723,31 +445,25 @@ mod tests {
         assert_eq!(m.merged(Resource::Memory, None).total(), 0);
     }
 
-    /// A task or skill with inner whitespace is journaled as one token
-    /// (`_` for each space); the live model keys its cohort the same
-    /// way, so the model a replay rebuilds reads like the live one —
-    /// whichever spelling a query uses.
+    /// A task or skill with inner whitespace is keyed as one token (`_`
+    /// for each space), so the model a cache decodes to reads like the
+    /// one that was encoded — whichever spelling a query uses.
     #[test]
     fn a_spaced_task_reads_the_same_live_and_decoded() {
         let mut m = ComfortModel::new();
-        let d = m.next_delta(vec![
+        m.observe(&[
             obs(Resource::Cpu, "two words", "very\tgood", 3.0, false),
             obs(Resource::Cpu, "two_words", "very_good", 4.0, false),
             obs(Resource::Cpu, "two words", "", 5.0, true),
             obs(Resource::Disk, "Word", "Typical", 2.0, false),
         ]);
-        m.apply(&d).unwrap();
         let decoded = ComfortModel::decode(&m.encode()).unwrap();
-        let mut folded = ComfortModel::new();
-        folded.fold(&d.encode()).unwrap();
-        for other in [&decoded, &folded] {
-            assert_eq!(other.epoch(), m.epoch());
-            assert_eq!(other.encode(), m.encode());
-            for task in [None, Some("two words"), Some("two_words"), Some("Word")] {
-                for resource in [Resource::Cpu, Resource::Disk] {
-                    let (got, want) = (other.merged(resource, task), m.merged(resource, task));
-                    assert_eq!(got, want, "{task:?}");
-                }
+        assert_eq!(decoded.epoch(), m.epoch());
+        assert_eq!(decoded.encode(), m.encode());
+        for task in [None, Some("two words"), Some("two_words"), Some("Word")] {
+            for resource in [Resource::Cpu, Resource::Disk] {
+                let (got, want) = (decoded.merged(resource, task), m.merged(resource, task));
+                assert_eq!(got, want, "{task:?}");
             }
         }
         assert_eq!(m.cohort_count(), 3, "one cohort per spelling's token form");
@@ -758,11 +474,10 @@ mod tests {
     #[test]
     fn advice_prefers_task_cohort_and_falls_back() {
         let mut m = ComfortModel::new();
-        let d = m.next_delta(vec![
+        m.observe(&[
             obs(Resource::Cpu, "Word", "Typical", 5.0, false),
             obs(Resource::Cpu, "Quake", "Typical", 1.0, false),
         ]);
-        m.apply(&d).unwrap();
         // The Quake cohort answers for Quake; an unknown task falls back
         // to the resource aggregate (whose rank-1 quantile is Quake's 1.0).
         let quake = m.advice(Resource::Cpu, "Quake", 0.05).unwrap();
@@ -773,39 +488,23 @@ mod tests {
     }
 
     #[test]
-    fn delta_and_model_roundtrip() {
+    fn model_roundtrip() {
         let mut m = ComfortModel::new();
         for i in 0..3u64 {
-            let d = m.next_delta(vec![
+            m.observe(&[
                 obs(Resource::Cpu, "Word", "Typical", 1.0 + i as f64, false),
                 obs(Resource::Memory, "", "", 0.5, i % 2 == 0),
             ]);
-            let text = d.encode();
-            assert_eq!(ModelDelta::decode(&text).unwrap(), d);
-            m.apply(&d).unwrap();
         }
         let text = m.encode();
         let back = ComfortModel::decode(&text).unwrap();
         assert_eq!(back, m);
-        assert_eq!(back.encode(), text, "snapshot encoding is canonical");
+        assert_eq!(back.encode(), text, "the encoding is canonical");
         assert_eq!(back.epoch(), 3);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        for bad in [
-            "",
-            "NOPE 1 0\nEND\n",
-            "MODELDELTA 1\nEND\n",
-            "MODELDELTA 1 2\nOBS cpu Word Typical discomfort 1\nEND\n", // count mismatch
-            "MODELDELTA 1 1\nOBS cpu Word Typical maybe 1\nEND\n",
-            "MODELDELTA 1 1\nOBS gpu Word Typical discomfort 1\nEND\n",
-            "MODELDELTA 1 1\nOBS cpu Word Typical discomfort 1 extra\nEND\n",
-            "MODELDELTA 1 1\nOBS cpu Word Typical discomfort nan\nEND\n",
-            "MODELDELTA 1 1\nOBS cpu Word Typical discomfort 1\n", // no END
-        ] {
-            assert!(ModelDelta::decode(bad).is_err(), "{bad:?} decoded");
-        }
         for bad in [
             "",
             "NOPE 0 0\nEND\n",
@@ -821,158 +520,5 @@ mod tests {
             "COMFORTMODEL 0 2\nCOHORT cpu Word Typical {line}\nCOHORT cpu Word Typical {line}\nEND\n"
         );
         assert!(ComfortModel::decode(&dup).is_err());
-    }
-
-    /// The delta inputs of `decode_rejects_garbage` above and of
-    /// `walenc`'s test of the same name.
-    const REJECTED_DELTAS: [&str; 12] = [
-        "",
-        "NOPE 1 0\nEND\n",
-        "MODELDELTA 1\nEND\n",
-        "MODELDELTA 1 2\nOBS cpu Word Typical discomfort 1\nEND\n",
-        "MODELDELTA 1 1\nOBS cpu Word Typical maybe 1\nEND\n",
-        "MODELDELTA 1 1\nOBS gpu Word Typical discomfort 1\nEND\n",
-        "MODELDELTA 1 1\nOBS cpu Word Typical discomfort 1 extra\nEND\n",
-        "MODELDELTA 1 1\nOBS cpu Word Typical discomfort nan\nEND\n",
-        "MODELDELTA 1 1\nOBS cpu Word Typical discomfort 1\n",
-        "not a delta",
-        "MODELDELTA 1 2\nEND\n",
-        "MODELDELTA 1 0\n",
-    ];
-
-    /// Lines a damaged delta could hold: every field of an `OBS` line
-    /// missing, malformed or surplus, a second header, blanks.
-    const STRAY: [&str; 14] = [
-        "",
-        "END",
-        "OBS",
-        "OBS cpu",
-        "OBS cpu Word",
-        "OBS cpu Word Typical",
-        "OBS cpu Word Typical discomfort",
-        "OBS MEM - - exhausted 0.5",
-        "OBS gpu Word Typical discomfort 1",
-        "OBS cpu Word Typical discomfort inf",
-        "OBS cpu Word Typical discomfort 1 extra",
-        "OBSERVE cpu Word Typical discomfort 1",
-        "MODELDELTA 2 0",
-        "MODELDELTA 18446744073709551616 1",
-    ];
-
-    /// Compared through `Debug` so that a NaN a bit flip might spell
-    /// still equals itself.
-    fn assert_decodes_like_the_reference(text: &str, context: &str) {
-        let new = format!("{:?}", ModelDelta::decode(text));
-        let old = format!("{:?}", reference_decode(text));
-        assert_eq!(new, old, "{context}: {text:?}");
-    }
-
-    #[test]
-    fn decode_equals_the_reference_on_every_rejected_input() {
-        for text in REJECTED_DELTAS.iter().chain(&STRAY) {
-            assert_decodes_like_the_reference(text, "fixed input");
-        }
-    }
-
-    /// Generated deltas, then up to four stacked mutations of the kind
-    /// the wire-fuzz suite makes: the lean decoder and the reference
-    /// agree on the `Ok` value or on the `Err` string every time.
-    #[test]
-    fn decode_equals_the_reference_on_generated_and_damaged_deltas() {
-        use uucs_stats::Pcg64;
-        for seed in 0..600u64 {
-            let mut rng = Pcg64::new(seed);
-            let names = ["", "-", "Word", "My Task", "caf\u{e9}", "x"];
-            let resources = [Resource::Cpu, Resource::Memory, Resource::Disk, Resource::Network];
-            let mut observations = Vec::new();
-            for _ in 0..rng.below(6) {
-                let (resource, task, skill) = (
-                    *rng.choose(&resources),
-                    *rng.choose::<&str>(&names),
-                    *rng.choose::<&str>(&names),
-                );
-                let level = if rng.bernoulli(0.3) {
-                    rng.below(11) as f64
-                } else {
-                    rng.uniform(-1.0, 1e6)
-                };
-                observations.push(obs(resource, task, skill, level, rng.bernoulli(0.5)));
-            }
-            let delta = ModelDelta {
-                epoch: rng.below(1 << 50),
-                observations,
-            };
-            let mut text = delta.encode();
-            assert_decodes_like_the_reference(&text, &format!("seed {seed}, undamaged"));
-            for round in 0..4 {
-                text = uucs_harness::textfuzz::mutate_lines(&mut rng, &text, &STRAY);
-                assert_decodes_like_the_reference(&text, &format!("seed {seed}, round {round}"));
-            }
-        }
-    }
-
-    /// `fold` of a delta's text is `decode` then `apply`: the same
-    /// model (and snapshot bytes) when both succeed, the same error
-    /// string when either refuses.
-    fn assert_folds_like_decode_and_apply(base: &ComfortModel, text: &str, context: &str) {
-        let mut folded = base.clone();
-        let mine = folded.fold(text);
-        let mut applied = base.clone();
-        let theirs = ModelDelta::decode(text).and_then(|d| applied.apply(&d));
-        assert_eq!(mine, theirs, "{context}: {text:?}");
-        if theirs.is_ok() {
-            assert_eq!(folded, applied, "{context}");
-            assert_eq!(folded.encode(), applied.encode(), "{context}");
-        }
-    }
-
-    #[test]
-    fn fold_equals_decode_and_apply_on_generated_and_damaged_deltas() {
-        use uucs_stats::Pcg64;
-        let names = ["", "-", "Word", "My Task", "caf\u{e9}", "unrated"];
-        let resources = [Resource::Cpu, Resource::Memory, Resource::Disk, Resource::Network];
-        let mut base = ComfortModel::new();
-        for seed in 0..600u64 {
-            let mut rng = Pcg64::new(seed);
-            let mut observations = Vec::new();
-            for _ in 0..rng.below(5) {
-                let level = rng.below(11) as f64 * 0.5;
-                observations.push(obs(
-                    *rng.choose(&resources),
-                    rng.choose::<&str>(&names),
-                    rng.choose::<&str>(&names),
-                    level,
-                    rng.bernoulli(0.3),
-                ));
-            }
-            let mut delta = base.next_delta(observations);
-            if rng.bernoulli(0.2) {
-                delta.epoch = rng.below(base.epoch() + 3);
-            }
-            let mut text = delta.encode();
-            assert_folds_like_decode_and_apply(&base, &text, &format!("seed {seed}, undamaged"));
-            for round in 0..3 {
-                text = uucs_harness::textfuzz::mutate_lines(&mut rng, &text, &STRAY);
-                assert_folds_like_decode_and_apply(&base, &text, &format!("seed {seed}, round {round}"));
-            }
-            // Grow the base so later seeds fold into cohorts it holds.
-            if delta.epoch == base.epoch() + 1 {
-                base.apply(&delta).unwrap();
-            }
-        }
-        assert!(base.epoch() > 400 && base.cohort_count() > 20, "{}", base.epoch());
-        for text in REJECTED_DELTAS.iter().chain(&STRAY) {
-            assert_folds_like_decode_and_apply(&base, text, "fixed input");
-        }
-    }
-
-    #[test]
-    fn whitespace_in_names_is_sanitized() {
-        let m = ComfortModel::new();
-        let d = m.next_delta(vec![obs(Resource::Cpu, "My Task", "Power User", 2.0, false)]);
-        let text = d.encode();
-        let back = ModelDelta::decode(&text).unwrap();
-        assert_eq!(back.observations[0].task, "My_Task");
-        assert_eq!(back.observations[0].skill, "Power_User");
     }
 }

@@ -255,12 +255,16 @@ impl QuantileSketch {
         None
     }
 
-    /// The borrowing level for a target discomfort probability:
-    /// the p-quantile, or — when censoring saturates the query — the
-    /// maximum explored level (mirroring
-    /// `comfort::ThrottleAdvisor`: if nobody objected anywhere we
-    /// looked, the best supportable answer is the highest level looked
-    /// at). `None` only when no level was ever observed.
+    /// The borrowing level for a target discomfort probability `p`: the
+    /// p-quantile — the bin holding the ⌈p·N⌉-th lowest of the N samples,
+    /// censored runs counted in N, so at that level ⌈p·N⌉/N ≥ p of users
+    /// are already discomforted (equal only when p·N is an integer;
+    /// ROADMAP item 19) — or, when censoring saturates the query, the
+    /// maximum explored level: if nobody objected anywhere we looked, the
+    /// best supportable answer is the highest level looked at.
+    /// `comfort::ThrottleAdvisor::recommend` applies the same rule, bias
+    /// included, to an exact ECDF. `None` only when no level was ever
+    /// observed.
     pub fn advice_level(&self, p: f64) -> Option<f64> {
         self.quantile(p).or(self.max_observed())
     }

@@ -14,14 +14,12 @@
 //!   the dedup horizon along with the data.
 //! * `b'C'` + `CLIENT <id>` line + snapshot block — a registration, so a
 //!   recovered server still knows its clients and their ids.
-//! * `b'M'` + [`ModelDelta`] text — one epoch's comfort-model update
-//!   (the observations minted from an accepted upload batch), journaled
-//!   by the model store before the delta is applied so replaying the
-//!   journal reproduces the exact epoch sequence.
+//!
+//! The comfort model is no journal entry: the server folds it from the
+//! result entries and caches it beside them.
 
 use crate::record::RunRecord;
 use crate::snapshot::MachineSnapshot;
-use uucs_modelsvc::ModelDelta;
 use uucs_testcase::format::{self as tcformat, words};
 use uucs_testcase::Testcase;
 
@@ -33,8 +31,6 @@ pub const TAG_TESTCASE: u8 = b'T';
 pub const TAG_BATCH: u8 = b'B';
 /// Tag byte for a client registration.
 pub const TAG_CLIENT: u8 = b'C';
-/// Tag byte for a comfort-model delta.
-pub const TAG_MODEL: u8 = b'M';
 
 /// The name of an entry kind in error text, by tag byte.
 pub fn entry_kind(tag: u8) -> Option<&'static str> {
@@ -43,7 +39,6 @@ pub fn entry_kind(tag: u8) -> Option<&'static str> {
         TAG_TESTCASE => Some("testcase"),
         TAG_BATCH => Some("batch"),
         TAG_CLIENT => Some("client"),
-        TAG_MODEL => Some("model"),
         _ => None,
     }
 }
@@ -201,8 +196,6 @@ pub enum WalEntry {
         /// The machine snapshot the client registered with.
         snapshot: MachineSnapshot,
     },
-    /// One epoch's comfort-model update accepted into the model store.
-    Model(ModelDelta),
 }
 
 impl WalEntry {
@@ -238,11 +231,6 @@ impl WalEntry {
                     out.extend_from_slice(format!("CLIENT {id} {token}\n").as_bytes());
                 }
                 out.extend_from_slice(snapshot.emit().as_bytes());
-                out
-            }
-            WalEntry::Model(delta) => {
-                let mut out = vec![TAG_MODEL];
-                out.extend_from_slice(delta.encode().as_bytes());
                 out
             }
         }
@@ -284,7 +272,6 @@ impl WalEntry {
                     snapshot,
                 })
             }
-            TAG_MODEL => ModelDelta::decode(text).map(WalEntry::Model),
             other => Err(format!("unknown wal entry tag {other:#04x}")),
         }
     }
@@ -307,19 +294,6 @@ mod tests {
             offset_secs: 12.25,
             last_levels: vec![(Resource::Cpu, vec![1.0, 2.0])],
             monitor: MonitorSummary::default(),
-        }
-    }
-
-    fn delta() -> ModelDelta {
-        ModelDelta {
-            epoch: 7,
-            observations: vec![uucs_modelsvc::Observation {
-                resource: Resource::Cpu,
-                task: "Word".into(),
-                skill: "Typical".into(),
-                level: 3.5,
-                censored: false,
-            }],
         }
     }
 
@@ -360,11 +334,6 @@ mod tests {
                 token: "tok-deadbeef".into(),
                 snapshot: MachineSnapshot::study_machine("optiplex-9"),
             },
-            WalEntry::Model(delta()),
-            WalEntry::Model(ModelDelta {
-                epoch: 8,
-                observations: vec![],
-            }),
         ] {
             let bytes = entry.encode();
             assert_eq!(WalEntry::decode(&bytes).unwrap(), entry);
@@ -541,7 +510,6 @@ mod tests {
             snapshot: MachineSnapshot::study_machine("h"),
         };
         assert_eq!(client.encode()[0], TAG_CLIENT);
-        assert_eq!(WalEntry::Model(delta()).encode()[0], TAG_MODEL);
     }
 
     #[test]
@@ -564,9 +532,7 @@ mod tests {
         assert!(WalEntry::decode(b"C").is_err());
         assert!(WalEntry::decode(b"CCLIENT \nSNAPSHOT\nEND\n").is_err());
         assert!(WalEntry::decode(b"CCLIENT c1\nSNAPSHOT\nHOST x\n").is_err());
-        // Model defects: not a delta, count mismatch, missing END.
-        assert!(WalEntry::decode(b"Mnot a delta").is_err());
-        assert!(WalEntry::decode(b"MMODELDELTA 1 2\nEND\n").is_err());
-        assert!(WalEntry::decode(b"MMODELDELTA 1 0\n").is_err());
+        // An older build's model delta is no entry any more.
+        assert!(WalEntry::decode(b"MMODELDELTA 1 0\nEND\n").is_err());
     }
 }

@@ -34,9 +34,15 @@
 //! parallel and the pass costs the slowest fsync, not the sum.
 //!
 //! The committer is also what drains deferred rotation syncs: when it
-//! starts, the three ticketed families stop fsyncing a closing segment
-//! on the append path (`StoreSet::set_deferred_rotation_sync`), and the
-//! next pass over the shard syncs it before anything past it is acked.
+//! starts, the three families stop fsyncing a closing segment on the
+//! append path (`StoreSet::set_deferred_rotation_sync`), and the next
+//! pass over the shard syncs it before anything past it is acked.
+//!
+//! And it is the one writer of the comfort model's caches
+//! ([`crate::models`]): a fold that makes a model shard's cache due
+//! hands the shard to [`GroupCommitter::cache_due`], and the commit
+//! thread submits the write to its pool after its next pass — at most
+//! one per shard in flight, and no ticket waits on one.
 //!
 //! `uucs-wal` itself stays dependency- and policy-free: the committer
 //! drives the existing [`uucs_wal::Wal::sync`], and batch shape is
@@ -54,6 +60,7 @@
 //! The follower's side of it lives with the [`ReplicationSink`]; the
 //! committer only asks it, after the local leg is done.
 
+use crate::models;
 use crate::netpoll::Waker;
 use crate::server::ReplicationSink;
 use crate::shard::{sync_shard, StoreSet};
@@ -92,13 +99,6 @@ impl StoreFlavor {
 }
 
 /// The number of ticketed families: testcases, results and registry.
-/// Model-WAL appends are deliberately not ticketed: the model is derived
-/// state, and a failed model journal write never blocks an upload ack
-/// (the records are the source of truth) — so the committer never syncs
-/// a model shard and no reply waits on one. A model journal reaches disk
-/// when a segment rotates (the model family is the one whose rotation
-/// sync stays inline: nothing would drain a deferred one), when the
-/// shard checkpoints itself, and at the 30 s tick.
 const FLAVORS: usize = 3;
 
 /// Where a shipped mutation sits in the replication stream, for an ack
@@ -156,6 +156,9 @@ struct CommitState {
     /// the requests the next pass answers, however many journal entries
     /// each covers.
     submitted: Vec<u64>,
+    /// Model shards whose cache is due a write the pool has not been
+    /// handed yet.
+    caches: Vec<bool>,
     /// The commit thread is parked waiting for work, so a new request
     /// must notify it. While it gathers or syncs, requests only raise
     /// `pending` — the window is not cut short by its own arrivals.
@@ -260,6 +263,7 @@ impl GroupCommitter {
                 synced: vec![0; slots],
                 failed: vec![None; slots],
                 submitted: vec![0; slots],
+                caches: vec![false; counts[1]],
                 idle: false,
                 stop: false,
             }),
@@ -333,6 +337,16 @@ impl GroupCommitter {
             shard,
             upto,
             quorum: None,
+        }
+    }
+
+    /// Has model shard `shard`'s cache written by the pool after the next
+    /// pass: the caller's fold made it due. Never blocks on the write.
+    pub(crate) fn cache_due(&self, shard: usize) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.caches[shard] = true;
+        if st.idle {
+            self.wake.notify_one();
         }
     }
 
@@ -505,13 +519,15 @@ impl GroupCommitter {
         // The window the next pass gathers for; sized from the last pass.
         let mut window = Duration::ZERO;
         loop {
-            // Park until something is dirty (or stop), gather for the
-            // window, then snapshot the dirty slots and the tickets each
-            // answers. Only `stop` notifies `wake` during the gather, so
-            // arrivals do not cut it short.
-            let work: Vec<(usize, Lsn, u64)> = {
+            // Park until something is dirty or a cache is due (or stop),
+            // gather for the window, then snapshot the dirty slots, the
+            // tickets each answers and the due caches. Only `stop`
+            // notifies `wake` during the gather, so arrivals do not cut
+            // it short.
+            let (work, caches): (Vec<(usize, Lsn, u64)>, Vec<usize>) = {
                 let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                while !(0..st.pending.len()).any(|s| st.dirty(s)) {
+                let dirty = |st: &CommitState| (0..st.pending.len()).any(|s| st.dirty(s));
+                while !dirty(&st) && !st.caches.contains(&true) {
                     if st.stop {
                         return;
                     }
@@ -519,21 +535,23 @@ impl GroupCommitter {
                     st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
                     st.idle = false;
                 }
-                let gather_from = Instant::now();
-                while !st.stop {
-                    let rest = window.saturating_sub(gather_from.elapsed());
-                    if rest.is_zero() {
-                        break;
+                if dirty(&st) {
+                    let gather_from = Instant::now();
+                    while !st.stop {
+                        let rest = window.saturating_sub(gather_from.elapsed());
+                        if rest.is_zero() {
+                            break;
+                        }
+                        st = self
+                            .wake
+                            .wait_timeout(st, rest)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0;
                     }
-                    st = self
-                        .wake
-                        .wait_timeout(st, rest)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
+                    self.metrics
+                        .gather_ns
+                        .record(gather_from.elapsed().as_nanos() as u64);
                 }
-                self.metrics
-                    .gather_ns
-                    .record(gather_from.elapsed().as_nanos() as u64);
                 // A clean slot's tickets were answered by an earlier
                 // sync: they cost this pass nothing.
                 let mut work = Vec::new();
@@ -543,7 +561,10 @@ impl GroupCommitter {
                         work.push((s, st.synced[s], tickets));
                     }
                 }
-                work
+                let caches = (st.caches.iter_mut().enumerate())
+                    .filter_map(|(shard, due)| std::mem::take(due).then_some(shard))
+                    .collect();
+                (work, caches)
             };
             // Sync each dirty slot without the state lock held (the
             // shard lock is what serializes against handlers).
@@ -565,7 +586,9 @@ impl GroupCommitter {
                 self.finish_slot(slot, since, outcome, ns);
             };
             let t0 = Instant::now();
-            if let [job] = work[..] {
+            if work.is_empty() {
+                // Only caches were due: nothing to sync.
+            } else if let [job] = work[..] {
                 // A lone slot is synced here: the pool would only add
                 // two thread hand-offs to the one fsync the pass waits on.
                 let (flavor, shard) = self.flavor_shard(job.0);
@@ -591,6 +614,14 @@ impl GroupCommitter {
                 }
             }
             self.wake_subscribers();
+            // After the pass, so a cache write never delays an ack's
+            // fsync; nothing waits on its outcome.
+            for shard in caches {
+                let stores = self.stores.clone();
+                self.scheduler.submit(OpKind::Write, move || {
+                    models::write_cache(&stores.models, shard).map(|()| 0)
+                });
+            }
         }
     }
 }
@@ -810,6 +841,53 @@ mod tests {
         assert_eq!(committer.poll(ticket), Some(Ok(())));
         // Covered already: nothing left to do, and still an answer.
         committer.sync(ticket).unwrap();
+    }
+
+    /// No ack waits on a model cache write: with the committer's pool held
+    /// busy, uploads that make — and keep — their shard's cache due are
+    /// all acked, and the write lands once the pool is free.
+    #[test]
+    fn uploads_ack_while_their_cache_write_is_held() {
+        use crate::server::UucsServer;
+        use uucs_protocol::wire::Endpoint;
+        use uucs_protocol::{ClientMsg, MachineSnapshot, ServerMsg, WalEntry};
+        let dir = TempDir::new("uucs-commit-held-cache");
+        let cfg = WalConfig { segment_bytes: 64 * 1024, sync: SyncPolicy::Never };
+        let server = UucsServer::with_store_set(StoreSet::open(dir.path(), cfg, 1).unwrap().0, 5);
+        let register = ClientMsg::register(MachineSnapshot::study_machine("h"));
+        let ServerMsg::Id { id, .. } = server.handle(&register) else {
+            panic!("registration refused");
+        };
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let held: Vec<_> = (0..crate::storage::IO_THREADS)
+            .map(|_| {
+                let gate = gate.clone();
+                server.committer().scheduler.submit(OpKind::Read, move || {
+                    let (open, opened) = &*gate;
+                    let mut open = open.lock().unwrap();
+                    while !*open {
+                        open = opened.wait(open).unwrap();
+                    }
+                    Ok(0)
+                })
+            })
+            .collect();
+        let cache = dir.path().join("model-000.cache");
+        let (mut seq, mut bytes) = (0, 0);
+        while bytes < 2 * models::cache_bound(0) {
+            seq += 1;
+            let records: Vec<RunRecord> = (0..20).map(|_| rec(&id)).collect();
+            bytes += WalEntry::Batch { client: id.clone(), seq, records: records.clone() }.encode().len() as u64;
+            let upload = ClientMsg::Upload { client: id.clone(), seq, records };
+            assert_eq!(server.handle(&upload), ServerMsg::Ack(20), "upload {seq}");
+        }
+        assert!(!cache.exists(), "a cache was written with the pool held");
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        for job in held {
+            job.wait().unwrap();
+        }
+        uucs_harness::eventually("the held cache write", Duration::from_secs(10), || cache.exists());
     }
 
     #[test]

@@ -1,25 +1,27 @@
-//! The one journal core under all four stores.
+//! The one journal core under all three stores.
 //!
 //! Every store is the same machine: an in-memory state plus a
 //! `uucs-wal` stream that is appended *before* the state changes and
-//! replayed on reopen — a checkpoint first, where the journal holds one,
-//! then the records past it. The stream runs over files (`uucs-server`)
+//! replayed on reopen — a checkpoint an older build wrote first, where
+//! the journal holds one, then the records past it. The stream runs over files (`uucs-server`)
 //! or over an in-memory disk ([`Journaled::in_memory`]: an in-process
 //! server's, and every store built with `new`). [`Journal`] owns that
 //! stream (the only code in the crate that touches a [`Wal`]), and
 //! [`Journaled`] is what a store supplies to ride on it: its flavor
 //! name, the state an open rebuilds before the journal is attached
-//! ([`Journaled::State`]), how to restore a checkpoint and replay one
-//! journal payload into it, and
+//! ([`Journaled::State`]), how to restore an older build's checkpoint
+//! and replay one journal payload into it, and
 //! the pair that moves its state as the text it holds —
 //! [`Journaled::export`] and [`Journaled::admit`], which a reshard, a
 //! snapshot backfill and a follower's apply all go through. The open
 //! skeleton and the per-family shard loops are written once against the
 //! trait.
 //!
-//! Only the model store writes checkpoints ([`Journal::checkpoint`]);
-//! the other stores *are* the text their journals hold, so each journal
-//! is its own checkpoint (one an older build wrote is still restored).
+//! No store writes a checkpoint: each *is* the text its journal holds,
+//! so each journal is its own checkpoint (one an older build wrote is
+//! still restored). The comfort model is no store of its own: the result
+//! store's open folds it from the entries past its cache
+//! ([`Journaled::open_cached`]).
 //!
 //! Opening is one pass: the WAL shows the store its checkpoint and then
 //! every record past it while it validates them ([`uucs_wal::Visitor`]),
@@ -30,6 +32,7 @@ use crate::storage::{Disk, StoreIo, MEMORY_WAL};
 use crate::store::invalid;
 use std::io;
 use std::path::Path;
+use crate::models::CacheFile;
 use uucs_protocol::walenc::entry_kind;
 use uucs_telemetry::{metrics, Counter, Histogram};
 use uucs_wal::{Lsn, MemIo, Recovery, Snapshot, Visitor, Wal, WalConfig, WalObserver};
@@ -135,19 +138,6 @@ impl Journal {
         self.wal.visit_file(file, visitor)
     }
 
-    /// The bytes journaled past the last checkpoint — what a reopen
-    /// would replay on top of it — and the size of that checkpoint's
-    /// state: [`Wal::tail_bytes`] and [`Wal::checkpoint_bytes`].
-    pub(crate) fn tail(&self) -> (u64, u64) {
-        (self.wal.tail_bytes(), self.wal.checkpoint_bytes())
-    }
-
-    /// Writes `state` as the snapshot superseding everything journaled
-    /// so far and deletes the segments it covers.
-    pub(crate) fn checkpoint(&mut self, state: &[u8]) -> io::Result<()> {
-        self.wal.snapshot(state)?;
-        self.wal.compact().map(drop)
-    }
 }
 
 /// What a store supplies to be journaled; everything provided below is
@@ -166,16 +156,16 @@ pub(crate) trait Journaled: Sized {
     /// The store's journal.
     fn journal(&mut self) -> &mut Journal;
 
-    /// Replaces the (empty) state with a decoded checkpoint: a model's
-    /// own, or one an older build wrote of any store.
-    fn restore(state: &mut Self::State, snapshot: &str) -> io::Result<()>;
+    /// Replaces the (empty) state with the decoded checkpoint an older
+    /// build wrote, covering the records below `upto`.
+    fn restore(state: &mut Self::State, upto: Lsn, snapshot: &str) -> io::Result<()>;
 
-    /// Applies one replayed, CRC-checked payload in memory in one pass
-    /// over its text; an entry of another store's kind is refused with
-    /// [`foreign`]. The keyed stores keep the block they checked, the
-    /// result store checks the batch header and counts the blocks, and
-    /// the model store folds the delta's text into its sketches.
-    fn replay(state: &mut Self::State, payload: &[u8]) -> io::Result<()>;
+    /// Applies one replayed, CRC-checked payload, the entry at `lsn`, in
+    /// memory in one pass over its text; an entry of another store's
+    /// kind is refused with [`foreign`]. The keyed stores keep the block
+    /// they checked, and the result store checks the batch header,
+    /// counts the blocks and folds the ones past its model cache.
+    fn replay(state: &mut Self::State, lsn: Lsn, payload: &[u8]) -> io::Result<()>;
 
     /// Hands `emit` the whole state as `(routing key, payload)` pairs,
     /// each payload in a format the store's journal holds and spliced
@@ -187,11 +177,6 @@ pub(crate) trait Journaled: Sized {
     /// and nothing changed.
     fn admit(&mut self, payload: &[u8]) -> io::Result<bool>;
 
-    /// The shard of `n` an exported `key` is admitted into.
-    fn route(key: &str, n: usize) -> usize {
-        crate::shard::shard_of(key, n)
-    }
-
     /// Opens (creating if necessary) the WAL under `dir` over `io` and
     /// rebuilds the store from it: snapshot first, then every record
     /// past it. A defect in the log is `InvalidData` naming the record.
@@ -200,8 +185,18 @@ pub(crate) trait Journaled: Sized {
     /// `server.wal.<flavor>.replayed_records` gauge (a level: the
     /// flavor's latest shard open).
     fn open(io: StoreIo, dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
+        Self::open_onto(io, dir, config, Self::State::default())
+    }
+
+    /// [`Journaled::open`] rebuilding onto `state` instead of an empty
+    /// one.
+    fn open_onto(
+        io: StoreIo,
+        dir: &Path,
+        config: WalConfig,
+        mut state: Self::State,
+    ) -> io::Result<(Self, Recovery)> {
         let timer = metrics::histogram(&format!("server.wal.{}.open.ns", Self::FLAVOR)).start_timer();
-        let mut state = Self::State::default();
         let (mut wal, recovery) =
             Wal::open_visiting(io, dir, config, &mut Rebuild::<Self>(&mut state))?;
         WalTelemetry::install(&mut wal, Self::FLAVOR);
@@ -210,6 +205,18 @@ pub(crate) trait Journaled: Sized {
         metrics::gauge(&format!("server.wal.{}.replayed_records", Self::FLAVOR))
             .set(recovery.records as i64);
         Ok((store, recovery))
+    }
+
+    /// [`Journaled::open`] for one shard of a layout whose model caches
+    /// `cache` names the file of. Only the result store has a model to
+    /// rebuild; every other store ignores it.
+    fn open_cached(
+        io: StoreIo,
+        dir: &Path,
+        config: WalConfig,
+        _cache: Option<CacheFile>,
+    ) -> io::Result<(Self, Recovery)> {
+        Self::open(io, dir, config)
     }
 
     /// An empty store journaling over an in-memory disk of its own, so
@@ -227,11 +234,12 @@ struct Rebuild<'a, S: Journaled>(&'a mut S::State);
 
 impl<S: Journaled> Visitor for Rebuild<'_, S> {
     fn snapshot(&mut self, snapshot: Snapshot) -> io::Result<()> {
-        S::restore(self.0, std::str::from_utf8(&snapshot.state).map_err(invalid)?)
+        let text = std::str::from_utf8(&snapshot.state).map_err(invalid)?;
+        S::restore(self.0, snapshot.upto, text)
     }
 
     fn record(&mut self, lsn: Lsn, payload: &[u8]) -> io::Result<()> {
-        S::replay(self.0, payload).map_err(|e| invalid(format!("record {lsn}: {e}")))
+        S::replay(self.0, lsn, payload).map_err(|e| invalid(format!("record {lsn}: {e}")))
     }
 }
 

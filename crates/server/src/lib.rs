@@ -21,9 +21,11 @@
 //! way to an in-memory disk ([`StoreSet::in_memory`]).
 //!
 //! The [`models`] module closes the borrowing loop (`uucs-modelsvc`):
-//! every applied upload batch is folded into cohort-keyed discomfort
-//! quantile sketches as one model epoch, journaled in its own WAL, and
-//! served back through the `MODEL` and `ADVICE` verbs.
+//! every results-journal entry an upload appends is folded into
+//! cohort-keyed discomfort quantile sketches as one model epoch, and
+//! served back through the `MODEL` and `ADVICE` verbs. The model is a
+//! cache of the results journal, not a journal of its own: a restart
+//! folds only the records past each shard's cache.
 
 #![deny(missing_docs)]
 // One `allow`, on `netpoll::poll_ready`: `std` has no readiness API, so

@@ -20,18 +20,18 @@
 //!
 //! The stores journal through a write-ahead log under `--data` (default
 //! `uucs-server-data/`): `wal/testcases/`, `wal/results/`,
-//! `wal/registry/`, `wal/models/`. Every acknowledged mutation —
-//! including client registrations and per-client upload dedup horizons —
-//! is recovered on restart. The journals are the paper's text files: a
-//! testcase, result or registry journal is its own checkpoint, and every
-//! 30 s each model shard with deltas past its last checkpoint is
-//! checkpointed. An ack always means the journal entry is on stable
+//! `wal/registry/`. Every acknowledged mutation — including client
+//! registrations and per-client upload dedup horizons — is recovered on
+//! restart. The journals are the paper's text files, each its own
+//! checkpoint. An ack always means the journal entry is on stable
 //! storage: appends do not fsync, and every reply waits for the group
-//! committer's batched fsync. The model journals are not ticketed: their
-//! deltas reach disk when a segment rotates, when a model shard
-//! checkpoints itself and at the 30 s tick, so after a power loss (not a
-//! kill) the model can trail the recovered records. `--wal` is accepted and changes nothing: the
-//! server always journals.
+//! committer's batched fsync. The comfort model is a cache of the
+//! results journal: one `wal/model-<i>.cache` file per shard, rewritten
+//! by the committer's pool once the results past it outgrow a bound, so
+//! a restart folds only the records past each cache (the `recovered …`
+//! line says how many). An older build's `wal/models/` journal is never
+//! read, and is deleted once every shard has a cache. `--wal` is
+//! accepted and changes nothing: the server always journals.
 //!
 //! Engine knobs:
 //!
@@ -178,17 +178,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    // The model family comes last in `recoveries`: what its shards
-    // replayed past their checkpoints, which bounds the open's model work.
-    let model_deltas: u64 = recoveries[recoveries.len() - shards..].iter().map(|r| r.records).sum();
-    eprintln!(
-        "recovered {} testcases, {} results, {} clients, model epoch {} \
-         ({model_deltas} deltas replayed)",
-        server.testcase_count(),
-        server.result_count(),
-        server.client_count(),
-        server.model_epoch()
-    );
+    eprintln!("{}", server.recovered_line());
 
     eprintln!("serving {} testcases on {addr}", server.testcase_count());
     let handle = tcp::serve_with(server.clone(), &addr, serve_config).unwrap_or_else(|e| {
@@ -197,16 +187,9 @@ fn main() {
     });
     eprintln!("listening on {} (data dir {data:?})", handle.addr());
 
-    // The journal already holds everything acknowledged; the tick just
-    // folds the model deltas into checkpoints and frees their segments.
+    // The journals hold everything acknowledged and the committer keeps
+    // the model caches: the main thread has nothing left to do.
     loop {
-        std::thread::sleep(Duration::from_secs(30));
-        match server.compact() {
-            Ok(written) => eprintln!(
-                "checkpointed {written} model shards at model epoch {}",
-                server.model_epoch()
-            ),
-            Err(e) => eprintln!("checkpoint failed: {e}"),
-        }
+        std::thread::park();
     }
 }

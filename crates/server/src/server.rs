@@ -13,10 +13,10 @@
 
 use crate::commit::{CommitTicket, GroupCommitter, QuorumMark, StoreFlavor, DEFAULT_INTERVAL};
 use crate::journal::Journaled;
-use crate::models::{observations_of, ModelStore};
+use crate::models::{fold_appended, ModelStore};
 use crate::shard::{Sharded, StoreSet};
-use crate::store::{invalid, BatchStatus, RegistryStore, ResultStore, StoreError, TestcaseStore};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use crate::store::{invalid, RegistryStore, ResultStore, StoreError, TestcaseStore};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLockReadGuard};
 use std::thread::JoinHandle;
@@ -24,7 +24,7 @@ use std::time::Duration;
 use uucs_modelsvc::QuantileSketch;
 use uucs_pagecache::DiskScheduler;
 use uucs_protocol::walenc::{
-    split_payload, BorrowedBlocks, TAG_BATCH, TAG_CLIENT, TAG_MODEL, TAG_RESULT, TAG_TESTCASE,
+    split_payload, BorrowedBlocks, TAG_BATCH, TAG_CLIENT, TAG_RESULT, TAG_TESTCASE,
 };
 use uucs_protocol::wire::Endpoint;
 use uucs_protocol::{ClientMsg, MachineSnapshot, RunRecord, ServerMsg, WIRE_VERSION_BINARY};
@@ -317,9 +317,9 @@ impl UucsServer {
     /// Creates a server over an explicit (typically sharded, see
     /// [`StoreSet::open`]) store set and starts its group committer at
     /// [`DEFAULT_INTERVAL`]: the committer is what makes an ack durable,
-    /// so the journals should run at `SyncPolicy::Never`. Records held
-    /// beside a model at epoch 0 are folded into it here, once (see
-    /// [`UucsServer::model_missing_records`]).
+    /// so the journals should run at `SyncPolicy::Never`. A model shard
+    /// whose open folded past the bound has its cache handed to the
+    /// committer's pool at once.
     pub fn with_store_set(stores: StoreSet, sample_seed: u64) -> Self {
         let stores = Arc::new(stores);
         let (committer, commit_thread) = GroupCommitter::start(stores.clone(), DEFAULT_INTERVAL);
@@ -340,7 +340,11 @@ impl UucsServer {
             read_only: AtomicBool::new(false),
             delta_history: Mutex::new(HashMap::new()),
         };
-        server.model_missing_records();
+        for shard in 0..server.shard_count() {
+            if server.stores.models.write_recovered(shard).due() {
+                server.committer.cache_due(shard);
+            }
+        }
         server
     }
 
@@ -402,6 +406,27 @@ impl UucsServer {
     /// client-visible).
     pub fn model_epoch(&self) -> u64 {
         self.model_read().epoch
+    }
+
+    /// The records the store set's open folded past the model caches,
+    /// over every shard.
+    pub fn model_folded_records(&self) -> u64 {
+        self.model_read().guards.iter().map(|g| g.folded_records()).sum()
+    }
+
+    /// The line both daemons log once their stores are open: what the
+    /// journals gave back, the model epoch, and the records the open
+    /// folded past the model caches.
+    pub fn recovered_line(&self) -> String {
+        format!(
+            "recovered {} testcases, {} results, {} clients, model epoch {} \
+             ({} records folded past the model cache)",
+            self.testcase_count(),
+            self.result_count(),
+            self.client_count(),
+            self.model_epoch(),
+            self.model_folded_records()
+        )
     }
 
     /// The merged comfort-model sketch for a resource (optionally one
@@ -492,14 +517,6 @@ impl UucsServer {
         Ok(())
     }
 
-    /// The periodic checkpoint: each model shard with deltas past its
-    /// last checkpoint is checkpointed, its covered segments dropped;
-    /// returns how many were. The testcase, result and registry journals
-    /// are left as they are — each is its own checkpoint.
-    pub fn compact(&self) -> std::io::Result<usize> {
-        self.stores.compact()
-    }
-
     /// Number of testcases in the library.
     pub fn testcase_count(&self) -> usize {
         (0..self.stores.testcases.count())
@@ -566,7 +583,7 @@ impl UucsServer {
     /// model is the fold of the records it holds, like any node's. That
     /// fold is why a batch's records are decoded here, once, before
     /// anything is journaled: a payload that does not decode is refused
-    /// whole. `Model` entries are never shipped and are ignored.
+    /// whole.
     ///
     /// The entry is durable once the returned ticket is redeemed — the
     /// follower acknowledges a burst of entries after one
@@ -608,14 +625,10 @@ impl UucsServer {
                 let (client, records) = shipped_records(tag, text)?;
                 let shard = self.stores.results.shard_for(&client);
                 let mut results = self.stores.results.write_recovered(shard);
-                let fresh = results.admit(payload)?;
-                let ticket = self.applied_results(shard, results);
-                if fresh {
-                    self.observe(&client, &records);
-                }
-                Ok(Some(ticket))
+                results.admit(payload)?;
+                self.fold(shard, &results, &records);
+                Ok(Some(self.applied_results(shard, results)))
             }
-            TAG_MODEL => Ok(None),
             other => Err(invalid(format!("unknown wal entry tag {other:#04x}"))),
         }
     }
@@ -651,10 +664,9 @@ impl UucsServer {
         let shard = self.stores.results.shard_for(&client);
         let mut results = self.stores.results.write_recovered(shard);
         let fresh = results.admit_snapshot(payload)?;
-        let ticket = self.applied_results(shard, results);
         let fresh: Vec<_> = fresh.into_iter().map(|i| records[i].clone()).collect();
-        self.observe(&client, &fresh);
-        Ok(Some(ticket))
+        self.fold(shard, &results, &fresh);
+        Ok(Some(self.applied_results(shard, results)))
     }
 
     /// The backfill snapshot a leader sends a follower the replication
@@ -716,57 +728,19 @@ impl UucsServer {
         Ok(out)
     }
 
-    /// Folds records this node has just appended for `client` into the
-    /// comfort model as one epoch (none when they carry no observation).
-    /// Every append path calls it — an upload, a replicated batch, the
-    /// fresh part of a snapshot batch — so a node's model is the fold of
-    /// the records it holds, whatever its role. A model journal failure
-    /// is counted, not returned: the records are the source of truth and
-    /// the model is derived from them, which is also why model appends
-    /// are never ticketed and no ack waits on them. A model delta
-    /// reaches disk when its journal rotates, checkpoints or compacts,
-    /// so after a power loss the model can trail the recovered records.
-    fn observe(&self, client: &str, records: &[RunRecord]) {
-        let obs = observations_of(records);
-        if obs.is_empty() {
-            return;
-        }
-        match self
-            .stores
-            .models
-            .try_write(self.stores.models.shard_for(client))
-        {
-            Ok(mut models) => {
-                if models.observe_batch(obs).is_err() {
-                    ModelStore::count_update_error();
-                }
-            }
-            Err(_) => ModelStore::count_update_error(),
-        }
-    }
-
-    /// Brings a model at epoch 0 up to the records held beside it, once:
-    /// one [`UucsServer::observe`] per client, shard by shard. A data
-    /// directory is in that state when a node that did not fold what it
-    /// appended wrote it — a follower of an older build — so without
-    /// this a promoted follower would serve a model missing everything
-    /// it held. A model with any epoch is left alone: it was folded as
-    /// the records arrived (and is journaled, so this never runs twice).
-    fn model_missing_records(&self) {
-        if self.model_epoch() > 0 || self.result_count() == 0 {
-            return;
-        }
-        for shard in 0..self.stores.results.count() {
-            let mut of: BTreeMap<String, Vec<RunRecord>> = BTreeMap::new();
-            for rec in self.stores.results.read(shard).records() {
-                match rec {
-                    Ok(rec) => of.entry(rec.client.clone()).or_default().push(rec),
-                    Err(_) => ModelStore::count_update_error(),
-                }
-            }
-            for (client, records) in of {
-                self.observe(&client, &records);
-            }
+    /// Folds what results shard `shard` just appended — `records`, the
+    /// mutation's records in the order it journaled them — into model
+    /// shard `shard`, while the caller still holds the results guard: so
+    /// entries fold in LSN order, and the model covers exactly the
+    /// entries below the LSN it names. Every append path calls it — an
+    /// upload, a replicated batch, the fresh part of a snapshot batch —
+    /// so a node's model is the fold of the records it holds, whatever
+    /// its role. The lock order is results → model, never the reverse. A
+    /// cache the fold made due is handed to the committer's pool: no
+    /// ack waits on it.
+    fn fold(&self, shard: usize, results: &ResultStore, records: &[RunRecord]) {
+        if fold_appended(&self.stores.models, shard, results, records) {
+            self.committer.cache_due(shard);
         }
     }
 
@@ -1122,8 +1096,11 @@ impl UucsServer {
             Ok((status, payload)) => {
                 let lsn = results.wal_next_lsn();
                 // Published under the shard lock, so racing uploads
-                // cannot set their lengths out of order.
+                // cannot set their lengths out of order — and folded
+                // under it, so they cannot fold out of LSN order. A
+                // replayed retransmit appended nothing and folds nothing.
                 self.shard_gauges.results[shard].set(results.len() as i64);
+                self.fold(shard, &results, records);
                 // The fsync is asked for first, so it runs while the
                 // batch travels: the ack waits for the later of the two,
                 // not their sum. Only an *applied* batch has a payload
@@ -1137,11 +1114,6 @@ impl UucsServer {
                     None => self.mark_shipped(client),
                 };
                 drop(results);
-                // Only an *applied* batch is folded into the model: a
-                // replayed retransmit must not double-count.
-                if matches!(status, BatchStatus::Applied(_)) {
-                    self.observe(client, records);
-                }
                 match mark {
                     Ok(mark) => (ServerMsg::Ack(status.acked()), Some(ticket.owing(mark))),
                     Err(e) => (ServerMsg::Error(format!("replication failed: {e}")), None),
@@ -2101,73 +2073,98 @@ mod tests {
         }
     }
 
-    /// Every server's committer defers segment-rotation fsyncs to its
-    /// passes, and it only syncs the ticketed families. A model journal,
-    /// never ticketed, must keep syncing as it rotates: a power loss at
-    /// any point of its unsynced tail then reopens with every closed
-    /// segment, instead of losing them all or leaving a torn frame in a
-    /// non-final segment that fails the whole open.
+    /// A `MemIo` fault at every mutating operation of an upload burst
+    /// that crosses a cache bound — an append, a commit fsync, a segment
+    /// rotation or a step of the cache write — and a power loss after
+    /// it: the reopened server holds every acked batch once, and its
+    /// model is the fold of the records it holds, one epoch per batch.
     #[test]
-    fn rotating_model_journal_survives_power_loss_under_the_io_scheduler() {
+    fn a_fault_anywhere_in_an_upload_burst_leaves_the_model_the_fold_of_its_records() {
+        use crate::models::observations_of;
         use crate::storage::Disk;
+        use uucs_harness::invariants::{exactly_once, same_on_every_node, Within};
+        use uucs_harness::TempDir;
+        use uucs_modelsvc::ComfortModel;
         use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
-        use uucs_wal::{Io, MemIo, SyncPolicy, WalConfig};
-        const UPLOADS: u64 = 400;
-        let cfg = WalConfig {
-            segment_bytes: 4096,
-            sync: SyncPolicy::Never,
+        use uucs_wal::{FaultPlan, MemIo, SyncPolicy, WalConfig};
+        let cfg = WalConfig { segment_bytes: 16 << 10, sync: SyncPolicy::Never };
+        let run = |client: &str, seq: u64, i: u64| RunRecord {
+            client: client.into(),
+            user: format!("{seq}-{i}"),
+            testcase: format!("t{}", "x".repeat(200)),
+            task: ["Word", "Quake"][(seq % 2) as usize].into(),
+            skill: "Typical".into(),
+            outcome: if i.is_multiple_of(5) { RunOutcome::Exhausted } else { RunOutcome::Discomfort },
+            offset_secs: 10.0,
+            last_levels: vec![(Resource::Cpu, vec![((seq * 7 + i) % 40) as f64 * 0.125])],
+            monitor: MonitorSummary::default(),
         };
-        let dir = std::path::Path::new("/data");
-        let open = |mem: &MemIo| StoreSet::open_on(1, &Disk::Memory(mem.clone()), dir, cfg, 1);
-        let mem = MemIo::new();
-        let server = UucsServer::with_store_set(open(&mem).unwrap().0, 7)
-            .with_group_commit(Duration::from_micros(200));
-        let id = register(&server);
-        for seq in 1..=UPLOADS {
-            let rec = RunRecord {
-                client: id.clone(),
-                user: "u".into(),
-                testcase: "tc-000".into(),
-                task: "Word".into(),
-                skill: "Typical".into(),
-                outcome: RunOutcome::Discomfort,
-                offset_secs: 10.0,
-                last_levels: vec![(Resource::Cpu, vec![1.0 + seq as f64 / 1000.0])],
-                monitor: MonitorSummary::default(),
-            };
-            let reply = server.handle(&ClientMsg::Upload {
-                client: id.clone(),
-                seq,
-                records: vec![rec],
-            });
-            assert!(matches!(reply, ServerMsg::Ack(1)), "{reply:?}");
+        let upload = |s: &UucsServer, client: &str, seq: u64| {
+            let records: Vec<RunRecord> = (0..20).map(|i| run(client, seq, i)).collect();
+            let keys: Vec<_> = records.iter().map(|r| (r.client.clone(), r.user.clone())).collect();
+            let msg = ClientMsg::Upload { client: client.into(), seq, records };
+            (s.handle(&msg) == ServerMsg::Ack(20), keys)
+        };
+        let tmp = TempDir::new("uucs-model-fault-burst");
+        let open = |mem: &MemIo| {
+            let stores = StoreSet::open_on(1, &Disk::Memory(mem.clone()), tmp.path(), cfg, 2)?.0;
+            Ok::<_, std::io::Error>(UucsServer::with_store_set(stores, 7).with_group_commit(Duration::ZERO))
+        };
+        // A client and most of a cache bound's worth of its uploads,
+        // then the burst that crosses it.
+        let base = MemIo::new();
+        let (id, acked) = {
+            let s = open(&base).unwrap();
+            let id = register(&s);
+            let mut acked = Vec::new();
+            for seq in 1..=30 {
+                let (ok, keys) = upload(&s, &id, seq);
+                assert!(ok);
+                acked.extend(keys);
+            }
+            (id, acked)
+        };
+        const BURST: std::ops::RangeInclusive<u64> = 31..=45;
+        let dry = base.fork();
+        let s = open(&dry).unwrap();
+        let start = dry.mutating_ops();
+        for seq in BURST {
+            assert!(upload(&s, &id, seq).0);
         }
-        assert_eq!(server.model_epoch(), UPLOADS);
-        // The disk as a power loss would find it, with the server live.
-        let image = mem.fork();
-        drop(server);
-        let segments = Disk::Memory(image.clone())
-            .list(&dir.join("models"))
-            .unwrap();
-        assert!(
-            segments.len() > 4,
-            "the model journal never rotated: {segments:?}"
-        );
-
-        let mut last = 0;
-        for flush in [0.0, 0.25, 0.5, 0.75, 0.9, 1.0] {
-            let disk = image.fork();
-            disk.crash(flush);
-            let (stores, _) = open(&disk).unwrap_or_else(|e| panic!("flush {flush}: {e}"));
-            let epoch = stores.models.read(0).epoch();
-            assert!(
-                epoch > 0,
-                "flush {flush}: the closed model segments were lost"
-            );
-            assert!(epoch >= last, "flush {flush}: epoch {epoch} below {last}");
-            last = epoch;
+        drop(s);
+        let ops = dry.mutating_ops() - start;
+        let cache = tmp.path().join(format!("model-{:03}.cache", crate::shard::shard_of(&id, 2)));
+        assert!(base.contents(&cache).is_none(), "a cache before the burst");
+        assert!(dry.contents(&cache).is_some(), "the burst wrote no cache");
+        for k in 0..ops {
+            let mem = base.fork();
+            let s = open(&mem).unwrap();
+            mem.set_fault(Some(FaultPlan {
+                fail_at: mem.mutating_ops() + k,
+                short_write: (k % 3 == 0).then_some(k as usize % 24),
+            }));
+            let (mut acks, mut in_flight) = (acked.clone(), Vec::new());
+            for seq in BURST {
+                let (ok, keys) = upload(&s, &id, seq);
+                if ok { acks.extend(keys) } else { in_flight.extend(keys) }
+            }
+            drop(s);
+            mem.crash([0.0, 0.5, 1.0][k as usize % 3]);
+            let s = open(&mem).unwrap_or_else(|e| panic!("fault at {k} of {ops}: {e}"));
+            let held = s.results().unwrap();
+            let keys = held.iter().map(|r| (r.client.clone(), r.user.clone()));
+            exactly_once(acks, keys, in_flight).within(format!("fault at {k} of {ops}")).unwrap();
+            let mut fold = ComfortModel::new();
+            let mut batches = std::collections::BTreeSet::new();
+            for rec in &held {
+                fold.observe(&observations_of(std::slice::from_ref(rec)));
+                batches.insert(rec.user.split('-').next().unwrap().to_string());
+            }
+            let read = |epoch, sketch: QuantileSketch| (epoch, sketch.encode());
+            let want = read(batches.len() as u64, fold.merged(Resource::Cpu, None));
+            let got = read(s.model_epoch(), s.model_sketch(Resource::Cpu, None));
+            same_on_every_node(&want, [(format!("fault at {k} of {ops}"), got)]).unwrap();
         }
-        assert_eq!(last, UPLOADS, "a full flush keeps every epoch");
     }
 
     /// Every server — `UucsServer::new`, an in-memory store set and a

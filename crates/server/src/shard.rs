@@ -21,15 +21,23 @@
 //! admitted into the fresh shard its key routes to
 //! ([`Journaled::admit`]), each target journal is synced, and only then
 //! is the new `READY` written (generation = source + 1) and the source
-//! layout removed (a model target checkpoints on its own admit). A crash
-//! at any point leaves either the old committed layout (marker not yet
-//! written) or the new one (marker written); the highest generation
-//! wins, so recovery always sees exactly one logical state — the
-//! property the reshard recovery test pins down.
+//! layout removed. A crash at any point leaves either the old committed
+//! layout (marker not yet written) or the new one (marker written); the
+//! highest generation wins, so recovery always sees exactly one logical
+//! state — the property the reshard recovery test pins down.
+//!
+//! # The comfort model
+//!
+//! Model shard `i` is a cache of results shard `i`
+//! ([`crate::models`]): the results open rebuilds it, from the cache
+//! file the layout's generation and shard count name in the data
+//! directory and the entries past it. A reshard's targets fold every
+//! record they were given, and carry the epoch sum the source shards
+//! had reached; their caches are written as the open ends.
 //!
 //! # Opening on every core
 //!
-//! The journals of a data directory — four families × `n` shards — are
+//! The journals of a data directory — three families × `n` shards — are
 //! independent: each rebuilds its own store from its own directory.
 //! [`StoreSet::open`] (through `open_on`) therefore settles every
 //! family's *layout* serially (the only step that looks at more than one
@@ -41,7 +49,7 @@
 //! opens inline on the calling thread.
 
 use crate::journal::Journaled;
-use crate::models::ModelStore;
+use crate::models::{self, CacheFile, ModelStore};
 use crate::storage::{plain_io, StorageProfile, StoreIo};
 use crate::store::{invalid, RegistryStore, ResultStore, TestcaseStore};
 use std::io;
@@ -140,27 +148,11 @@ impl<T> Sharded<T> {
     }
 }
 
-// The journal operations that span a family, written once for all
-// four. Each takes the shard's write lock and proceeds through
-// poisoning: maintenance must not stop because a handler panicked.
-
 /// Forces one shard's journal to stable storage, returning the covered
-/// watermark.
+/// watermark. Takes the shard's write lock and proceeds through
+/// poisoning: maintenance must not stop because a handler panicked.
 pub(crate) fn sync_shard<T: Journaled>(family: &Sharded<T>, shard: usize) -> io::Result<Lsn> {
     family.write_recovered(shard).journal().sync()
-}
-
-/// See [`StoreSet::compact`].
-fn checkpoint_family(family: &Sharded<ModelStore>) -> io::Result<usize> {
-    let mut written = 0;
-    for i in 0..family.count() {
-        let mut shard = family.write_recovered(i);
-        if shard.journal_tail().0 > 0 {
-            shard.compact()?;
-            written += 1;
-        }
-    }
-    Ok(written)
 }
 
 fn shard_dirname(i: usize) -> String {
@@ -217,16 +209,19 @@ fn has_flat_files(dir: &Path) -> io::Result<bool> {
     Ok(false)
 }
 
-/// Writes the commit marker: generation number, fsynced.
+/// Writes the commit marker: generation number, fsynced. The layout's
+/// directory is made here too, for journals on an in-memory disk: the
+/// markers are files, whatever the journals are on.
 fn write_ready(layout_dir: &Path, generation: u64) -> io::Result<()> {
     use std::io::Write;
+    std::fs::create_dir_all(layout_dir)?;
     let mut f = std::fs::File::create(layout_dir.join(READY_MARKER))?;
     f.write_all(generation.to_string().as_bytes())?;
     f.sync_all()
 }
 
 /// One journal queued for [`open_all`]. The open leaves its store in a
-/// slot of its own family's type, so one queue holds all four families.
+/// slot of its own family's type, so one queue holds all three families.
 struct QueuedOpen<'a> {
     /// Whether the journal has anything to replay — what makes opening
     /// it worth a thread.
@@ -244,22 +239,31 @@ fn open_all(workers: usize, queue: Vec<QueuedOpen<'_>>) {
 }
 
 /// The journals of one family on their way to being opened: their
-/// directories in shard order, the I/O backend they share, and the slot
-/// each opened store lands in.
+/// directories in shard order, the I/O backend they share, where their
+/// model caches are (the results family's), and the slot each opened
+/// store lands in.
 struct Journals<F> {
     io: StoreIo,
     cfg: WalConfig,
     dirs: Vec<PathBuf>,
+    /// The directory the model caches are kept in and the layout's
+    /// generation, for a family whose open rebuilds the model.
+    caches: Option<(PathBuf, u64)>,
     opened: Vec<Option<io::Result<(F, Recovery)>>>,
 }
 
+/// What [`Journals::settle`] found: the journals of the layout in force,
+/// and the stores of the layout it migrated them from, if it did.
+type Settled<F> = (Journals<F>, Vec<F>);
+
 impl<F: Journaled + Send> Journals<F> {
-    fn new(io: &StoreIo, cfg: WalConfig, dirs: Vec<PathBuf>) -> Self {
+    fn new(io: &StoreIo, cfg: WalConfig, dirs: Vec<PathBuf>, caches: Option<(PathBuf, u64)>) -> Self {
         Journals {
             io: io.clone(),
             cfg,
             opened: dirs.iter().map(|_| None).collect(),
             dirs,
+            caches,
         }
     }
 
@@ -267,8 +271,17 @@ impl<F: Journaled + Send> Journals<F> {
     /// `n`-shard layout — migrating from a different committed shard
     /// count (or the legacy flat layout) when needed; see the module
     /// docs for the crash-safety protocol. A migration opens its source
-    /// shards on up to `workers` threads.
-    fn settle(dir: &Path, cfg: WalConfig, n: usize, io: &StoreIo, workers: usize) -> io::Result<Self> {
+    /// shards on up to `workers` threads, and hands them back. With
+    /// `caches`, every shard opens with its model cache from there.
+    fn settle(
+        dir: &Path,
+        cfg: WalConfig,
+        n: usize,
+        io: &StoreIo,
+        workers: usize,
+        caches: Option<&Path>,
+    ) -> io::Result<Settled<F>> {
+        let cached = |generation| caches.map(|c| (c.to_path_buf(), generation));
         if n == 0 {
             return Err(invalid("shard count must be at least 1"));
         }
@@ -280,12 +293,14 @@ impl<F: Journaled + Send> Journals<F> {
         // Fast path: one shard, nothing ever sharded — the legacy flat
         // WAL, byte-compatible with pre-sharding data directories.
         if n == 1 && current.is_none() {
-            return Ok(Journals::new(io, cfg, vec![dir.to_path_buf()]));
+            return Ok((Journals::new(io, cfg, vec![dir.to_path_buf()], cached(0)), Vec::new()));
         }
 
         let shard_dirs =
             |layout: &Path, count: usize| (0..count).map(|i| layout.join(shard_dirname(i))).collect();
         let target = dir.join(format!("by-{n}"));
+        let mut sources = Vec::new();
+        let mut generation = current.as_ref().map_or(0, |c| c.generation);
         if current.as_ref().map(|c| c.shards) != Some(n) {
             // Migrate: replay the source, repartition by hash, rebuild.
             let source = match &current {
@@ -301,13 +316,14 @@ impl<F: Journaled + Send> Journals<F> {
                 .map(|i| Ok(F::open(io.clone(), &target.join(shard_dirname(i)), cfg)?.0))
                 .collect::<io::Result<Vec<F>>>()?;
             if let Some(dirs) = source {
-                let mut source = Journals::<F>::new(io, cfg, dirs);
+                let mut source = Journals::<F>::new(io, cfg, dirs, cached(generation));
                 open_all(workers, source.queue());
+                sources = source.stores()?.0;
                 // Each source shard's state moves as the payloads it
                 // exports, in shard order, to the shard its key routes to.
-                for store in source.stores()?.0 {
+                for store in &sources {
                     store.export(&mut |key, payload| {
-                        parts[F::route(key, n)].admit(&payload).map(drop)
+                        parts[shard_of(key, n)].admit(&payload).map(drop)
                     })?;
                 }
                 for part in &mut parts {
@@ -317,7 +333,7 @@ impl<F: Journaled + Send> Journals<F> {
             // Commit point. Until this marker lands, recovery still sees
             // the source layout; after it, the higher generation wins
             // even if the source removal below never runs.
-            let generation = current.as_ref().map(|c| c.generation).unwrap_or(0) + 1;
+            generation += 1;
             write_ready(&target, generation)?;
             if let Some(cur) = &current {
                 std::fs::remove_dir_all(&cur.path)?;
@@ -336,18 +352,20 @@ impl<F: Journaled + Send> Journals<F> {
                 std::fs::remove_dir_all(entry.path())?;
             }
         }
-        Ok(Journals::new(io, cfg, shard_dirs(&target, n)))
+        Ok((Journals::new(io, cfg, shard_dirs(&target, n), cached(generation)), sources))
     }
 
     /// One queued open per journal, in shard order.
     fn queue(&mut self) -> Vec<QueuedOpen<'_>> {
-        let (io, cfg) = (&self.io, self.cfg);
-        self.dirs
-            .iter()
-            .zip(&mut self.opened)
-            .map(|(dir, slot)| QueuedOpen {
-                has_state: uucs_wal::has_state(io, dir),
-                open: Box::new(move || *slot = Some(F::open(io.clone(), dir, cfg))),
+        let (io, cfg, n) = (&self.io, self.cfg, self.dirs.len());
+        let caches = self.caches.as_ref();
+        (self.dirs.iter().zip(&mut self.opened).enumerate())
+            .map(|(i, (dir, slot))| {
+                let cache = caches.map(|(at, generation)| CacheFile::new(io.clone(), at, *generation, i, n));
+                QueuedOpen {
+                    has_state: uucs_wal::has_state(io, dir),
+                    open: Box::new(move || *slot = Some(F::open_cached(io.clone(), dir, cfg, cache))),
+                }
             })
             .collect()
     }
@@ -364,8 +382,9 @@ impl<F: Journaled + Send> Journals<F> {
     }
 }
 
-/// The server's four store families, sharded. The committer thread and
-/// the request handlers share one instance behind an `Arc`.
+/// The server's three store families, sharded, and the comfort model
+/// folded from the results. The committer thread and the request
+/// handlers share one instance behind an `Arc`.
 pub struct StoreSet {
     /// The testcase library, sharded by testcase id.
     pub testcases: Sharded<TestcaseStore>,
@@ -373,15 +392,15 @@ pub struct StoreSet {
     pub results: Sharded<ResultStore>,
     /// The client registry, sharded by client id.
     pub registry: Sharded<RegistryStore>,
-    /// The comfort model, sharded by uploading client id (every read
-    /// merges all shards' sketches — sketch merges are exact).
+    /// The comfort model, shard `i` folded from results shard `i` (every
+    /// read merges all shards' sketches — sketch merges are exact).
     pub models: Sharded<ModelStore>,
 }
 
 impl StoreSet {
     /// `n` empty shards per family, each journaling to an in-memory disk
-    /// of its own — an in-process server's stores. No layout is
-    /// settled: nothing outlives the process.
+    /// of its own — an in-process server's stores — and a model nothing
+    /// caches. No layout is settled: nothing outlives the process.
     pub fn in_memory(shards: usize) -> Self {
         fn family<F: Journaled>(shards: usize) -> Sharded<F> {
             Sharded::new((0..shards).map(|_| F::in_memory()).collect())
@@ -390,16 +409,16 @@ impl StoreSet {
             testcases: family(shards),
             results: family(shards),
             registry: family(shards),
-            models: family(shards),
+            models: Sharded::new((0..shards).map(|_| ModelStore::new()).collect()),
         }
     }
 
-    /// Opens all four WAL-backed families under `dir`
-    /// (`dir/testcases`, `dir/results`, `dir/registry`, `dir/models`),
-    /// each sharded `shards` ways — migrating any previously committed
-    /// layout with a different count. Returns the per-shard recoveries
-    /// (testcases, then results, registry, models) for torn-tail
-    /// reporting.
+    /// Opens the three WAL-backed families under `dir` (`dir/testcases`,
+    /// `dir/results`, `dir/registry`), each sharded `shards` ways —
+    /// migrating any previously committed layout with a different count
+    /// — and the comfort model from its caches in `dir` and the results
+    /// past them. Returns the per-shard recoveries (testcases, then
+    /// results, registry) for torn-tail reporting.
     pub fn open(dir: &Path, cfg: WalConfig, shards: usize) -> io::Result<(Self, Vec<Recovery>)> {
         Self::open_on(available_workers(), &plain_io(), dir, cfg, shards)
     }
@@ -427,48 +446,54 @@ impl StoreSet {
         cfg: WalConfig,
         shards: usize,
     ) -> io::Result<(Self, Vec<Recovery>)> {
-        let mut testcases =
-            Journals::<TestcaseStore>::settle(&dir.join("testcases"), cfg, shards, io, workers)?;
-        let mut results =
-            Journals::<ResultStore>::settle(&dir.join("results"), cfg, shards, io, workers)?;
-        let mut registry =
-            Journals::<RegistryStore>::settle(&dir.join("registry"), cfg, shards, io, workers)?;
-        let mut models =
-            Journals::<ModelStore>::settle(&dir.join("models"), cfg, shards, io, workers)?;
+        let (mut testcases, _) =
+            Journals::<TestcaseStore>::settle(&dir.join("testcases"), cfg, shards, io, workers, None)?;
+        let (mut results, mut sources) =
+            Journals::<ResultStore>::settle(&dir.join("results"), cfg, shards, io, workers, Some(dir))?;
+        let (mut registry, _) =
+            Journals::<RegistryStore>::settle(&dir.join("registry"), cfg, shards, io, workers, None)?;
+        // What the clients of a resharded layout had read: its epoch sum.
+        let carried = (!sources.is_empty())
+            .then(|| sources.iter_mut().filter_map(|s| s.take_model()).map(|m| m.epoch()).sum());
+        let was = sources.len();
+        drop(sources);
 
         let mut queue = testcases.queue();
         queue.extend(results.queue());
         queue.extend(registry.queue());
-        queue.extend(models.queue());
         open_all(workers, queue);
 
         let (testcases, mut recs) = testcases.stores()?;
-        let (results, r) = results.stores()?;
+        let (mut results, r) = results.stores()?;
         recs.extend(r);
         let (registry, r) = registry.stores()?;
         recs.extend(r);
-        let (models, r) = models.stores()?;
-        recs.extend(r);
-        Ok((
-            StoreSet {
-                testcases: Sharded::new(testcases),
-                results: Sharded::new(results),
-                registry: Sharded::new(registry),
-                models: Sharded::new(models),
-            },
-            recs,
-        ))
+        let mut models: Vec<ModelStore> =
+            results.iter_mut().map(|r| r.take_model().expect("a results open folds")).collect();
+        models::report_folded(&models);
+        if let Some(epoch) = carried {
+            models::carry_epoch(&mut models, epoch);
+        }
+        let stores = StoreSet {
+            testcases: Sharded::new(testcases),
+            results: Sharded::new(results),
+            registry: Sharded::new(registry),
+            models: Sharded::new(models),
+        };
+        if carried.is_some() {
+            for i in 0..shards {
+                models::write_cache(&stores.models, i)?;
+            }
+            models::remove_caches(io, dir, shards, was)?;
+        }
+        Ok((stores, recs))
     }
 
-    /// Defers segment-rotation syncs on every shard of the three
-    /// ticketed families to the group committer, which calls this as it
-    /// starts: segment rotation stops fsyncing on the append path, and
-    /// the committer's next pass over the shard drains the deferred
-    /// syncs before anything is acknowledged. The model journals keep
-    /// syncing on rotation: their appends are never ticketed, so no pass
-    /// would ever drain a deferred model segment, and a crash could leave
-    /// an unsynced segment before a synced one — a journal no open
-    /// accepts.
+    /// Defers segment-rotation syncs on every journal to the group
+    /// committer, which calls this as it starts: segment rotation stops
+    /// fsyncing on the append path, and the committer's next pass over
+    /// the shard drains the deferred syncs before anything is
+    /// acknowledged.
     pub(crate) fn set_deferred_rotation_sync(&self) {
         fn defer<T: Journaled>(family: &Sharded<T>) {
             for i in 0..family.count() {
@@ -479,14 +504,6 @@ impl StoreSet {
         defer(&self.results);
         defer(&self.registry);
     }
-
-    /// Checkpoints every model shard with deltas past its last
-    /// checkpoint and drops the segments each covers, returning how many
-    /// it wrote. A shard with none is left as it is, and the other
-    /// families are never checkpointed: their journals are their state.
-    pub(crate) fn compact(&self) -> io::Result<usize> {
-        checkpoint_family(&self.models)
-    }
 }
 
 #[cfg(test)]
@@ -494,7 +511,6 @@ pub(crate) mod tests {
     use super::*;
     use crate::store::tests::{results_checkpoint, write_old_checkpoint};
     use uucs_harness::TempDir;
-    use uucs_modelsvc::QuantileSketch;
     use uucs_protocol::{MachineSnapshot, MonitorSummary, RunOutcome, RunRecord};
     use uucs_testcase::{ExerciseSpec, Resource, Testcase};
     use uucs_wal::SyncPolicy;
@@ -515,7 +531,7 @@ pub(crate) mod tests {
         io: &StoreIo,
     ) -> io::Result<(Sharded<F>, Vec<Recovery>)> {
         let workers = available_workers();
-        let mut journals = Journals::<F>::settle(dir, cfg, n, io, workers)?;
+        let (mut journals, _) = Journals::<F>::settle(dir, cfg, n, io, workers, None)?;
         open_all(workers, journals.queue());
         let (stores, recoveries) = journals.stores()?;
         Ok((Sharded::new(stores), recoveries))
@@ -655,51 +671,47 @@ pub(crate) mod tests {
         assert!(!partial.join("shard-000/junk").exists());
     }
 
+    /// A reshard moves every record, and the model its targets fold
+    /// from them reads the same — the sketches and the epoch sum the
+    /// clients read — at every shard count, with the caches written as
+    /// the open ends.
     #[test]
     fn model_reshard_preserves_merged_sketches_and_epoch_sum() {
-        use uucs_modelsvc::Observation;
+        use crate::server::UucsServer;
+        use uucs_protocol::wire::Endpoint;
+        use uucs_protocol::{ClientMsg, ServerMsg};
         let dir = TempDir::new("uucs-shard-model");
-        let obs = |task: &str, level: f64| Observation {
-            resource: Resource::Cpu,
-            task: task.into(),
-            skill: "Typical".into(),
-            level,
-            censored: false,
+        let read = |server: &UucsServer| {
+            let sketch = server.model_sketch(Resource::Cpu, None).encode();
+            (server.model_epoch(), sketch)
         };
+        let open = |n| UucsServer::with_store_set(StoreSet::open(dir.path(), cfg(), n).unwrap().0, 3);
         let baseline = {
-            let (models, _) = open_sharded::<ModelStore>(dir.path(), cfg(), 3, &plain_io()).unwrap();
-            models
-                .write_recovered(0)
-                .observe_batch(vec![obs("Word", 2.0), obs("Quake", 1.0)])
-                .unwrap();
-            models
-                .write_recovered(1)
-                .observe_batch(vec![obs("Word", 4.0)])
-                .unwrap();
-            models
-                .write_recovered(2)
-                .observe_batch(vec![obs("Quake", 1.5)])
-                .unwrap();
-            let mut merged = QuantileSketch::for_resource(Resource::Cpu);
-            for i in 0..3 {
-                merged
-                    .merge(&models.read(i).merged_sketch(Resource::Cpu, None))
-                    .unwrap();
+            let server = open(3);
+            for host in ["a", "b", "c", "d"] {
+                let register = ClientMsg::register(MachineSnapshot::study_machine(host));
+                let ServerMsg::Id { id, .. } = server.handle(&register) else {
+                    panic!("registration refused");
+                };
+                for seq in 1..=3 {
+                    let records = vec![rec(&id, "u1"), rec(&id, "u2")];
+                    let reply = server.handle(&ClientMsg::Upload { client: id.clone(), seq, records });
+                    assert_eq!(reply, ServerMsg::Ack(2));
+                }
+                let legacy = vec![rec(&id, "u3"), rec(&id, "u4")];
+                let reply = server.handle(&ClientMsg::Upload { client: id.clone(), seq: 0, records: legacy });
+                assert_eq!(reply, ServerMsg::Ack(2));
             }
-            let epoch: u64 = (0..3).map(|i| models.read(i).epoch()).sum();
-            (epoch, merged.encode())
+            read(&server)
         };
-        for n in [1usize, 4, 2] {
-            let (models, _) = open_sharded::<ModelStore>(dir.path(), cfg(), n, &plain_io()).unwrap();
-            let mut merged = QuantileSketch::for_resource(Resource::Cpu);
+        assert_eq!(baseline.0, 4 * (3 + 2), "an epoch per sequenced upload, per legacy record");
+        for n in [1usize, 4, 2, 2] {
+            let server = open(n);
+            assert_eq!(read(&server), baseline, "at {n} shards");
             for i in 0..n {
-                merged
-                    .merge(&models.read(i).merged_sketch(Resource::Cpu, None))
-                    .unwrap();
+                assert!(dir.join(format!("model-{i:03}.cache")).exists(), "{n} shards: no cache {i}");
             }
-            let epoch: u64 = (0..n).map(|i| models.read(i).epoch()).sum();
-            assert_eq!(epoch, baseline.0, "epoch sum changed at {n} shards");
-            assert_eq!(merged.encode(), baseline.1, "sketch changed at {n} shards");
+            assert!(!dir.join(format!("model-{n:03}.cache")).exists(), "{n} shards: a stale cache");
         }
     }
 
@@ -852,7 +864,6 @@ pub(crate) mod tests {
     /// wrote plus a tail past it, and a torn append at the end of one
     /// registry shard.
     fn populated(seed: u64) -> TempDir {
-        use uucs_modelsvc::Observation;
         let dir = TempDir::new("uucs-shard-workers");
         let mut rng = uucs_stats::Pcg64::new(seed);
         let (mut stores, _) = StoreSet::open(dir.path(), cfg(), 8).unwrap();
@@ -887,17 +898,6 @@ pub(crate) mod tests {
                 let shard = stores.results.shard_for(client);
                 let mut results = stores.results.write_recovered(shard);
                 results.append_batch(client, round, &batch).unwrap();
-                drop(results);
-                let mshard = stores.models.shard_for(client);
-                let observation = Observation {
-                    resource: Resource::Cpu,
-                    task: "IE".into(),
-                    skill: "Typical".into(),
-                    level: rng.uniform(0.0, 10.0),
-                    censored: rng.bernoulli(0.2),
-                };
-                let mut models = stores.models.write_recovered(mshard);
-                models.observe_batch(vec![observation]).unwrap();
             }
             if round == 3 {
                 let state = results_checkpoint(&stores.results.read(folded)).unwrap();
@@ -932,7 +932,8 @@ pub(crate) mod tests {
             out.push_str(&results_checkpoint(&stores.results.read(i)).unwrap());
             writeln!(out, "{:?}", stores.results.read(i).applied_horizons()).unwrap();
             out.push_str(stores.registry.read(i).text());
-            out.push_str(&stores.models.read(i).snapshot());
+            writeln!(out, "{}", stores.models.read(i).folded_records()).unwrap();
+            out.push_str(&stores.models.read(i).encoded());
         }
         for r in &recoveries {
             writeln!(out, "{r:?}").unwrap();
@@ -1027,13 +1028,13 @@ pub(crate) mod tests {
         assert_eq!(ran_on.lock().unwrap().len(), 36);
         assert!(ran_on.lock().unwrap().iter().all(|&id| id == caller));
         // And that is what a real fresh directory queues.
-        let mut journals =
-            Journals::<ResultStore>::settle(dir.path(), cfg(), 8, &plain_io(), 8).unwrap();
+        let (mut journals, _) =
+            Journals::<ResultStore>::settle(dir.path(), cfg(), 8, &plain_io(), 8, None).unwrap();
         assert!(journals.queue().iter().all(|q| !q.has_state));
         open_all(8, journals.queue());
         journals.stores().unwrap();
-        let mut reopened =
-            Journals::<ResultStore>::settle(dir.path(), cfg(), 8, &plain_io(), 8).unwrap();
+        let (mut reopened, _) =
+            Journals::<ResultStore>::settle(dir.path(), cfg(), 8, &plain_io(), 8, None).unwrap();
         assert!(reopened.queue().iter().all(|q| !q.has_state), "a bare header is no state");
     }
 

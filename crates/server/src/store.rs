@@ -20,7 +20,8 @@
 //! residue) but reports mid-log damage, naming the record.
 
 use crate::journal::{foreign, Journal, Journaled};
-use crate::storage::plain_io;
+use crate::models::{CacheFile, ModelStore};
+use crate::storage::{plain_io, StoreIo};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::io;
@@ -137,11 +138,11 @@ impl<P: BlockPolicy> Journaled for BlockLog<P> {
         &mut self.journal
     }
 
-    fn restore(held: &mut Held<P>, snapshot: &str) -> io::Result<()> {
+    fn restore(held: &mut Held<P>, _upto: Lsn, snapshot: &str) -> io::Result<()> {
         P::split(snapshot).try_for_each(|block| held.keep(block))
     }
 
-    fn replay(held: &mut Held<P>, payload: &[u8]) -> io::Result<()> {
+    fn replay(held: &mut Held<P>, _lsn: Lsn, payload: &[u8]) -> io::Result<()> {
         held.keep(Self::block_of(payload)?)
     }
 
@@ -436,13 +437,28 @@ impl BatchStatus {
 /// `ACK` was lost is recognized and re-acknowledged without storing a
 /// second copy. The sequence horizon rides in the same WAL entry as the
 /// records (one atomic [`WalEntry::Batch`]), so dedup survives a crash.
+///
+/// Each mutator notes the entries it journaled ([`ResultStore::appended`]),
+/// which is what the server folds into the comfort model.
 #[derive(Debug)]
 pub struct ResultStore {
     tally: Tally,
     /// The `CLIENT` of every held record, from the first
     /// [`ResultStore::held_of`] on — never built at open.
     holders: Option<HashSet<String>>,
+    /// The entries the last mutation journaled, in order.
+    appended: Vec<Appended>,
     journal: Journal,
+}
+
+/// One journal entry a mutation appended.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Appended {
+    /// Its payload's length.
+    pub(crate) bytes: u64,
+    /// How many of the mutation's blocks it holds, after those of the
+    /// entries before it.
+    pub(crate) blocks: usize,
 }
 
 /// What a [`ResultStore`] keeps of its records beside its journal.
@@ -452,6 +468,9 @@ pub(crate) struct Tally {
     count: usize,
     /// Per-client highest applied batch sequence number.
     applied: BTreeMap<String, u64>,
+    /// The comfort model an open of a store set's shard rebuilds from
+    /// its cache and the entries past it ([`Journaled::open_cached`]).
+    model: Option<ModelStore>,
 }
 
 impl Tally {
@@ -473,6 +492,7 @@ impl Journaled for ResultStore {
         ResultStore {
             tally,
             holders: None,
+            appended: Vec::new(),
             journal,
         }
     }
@@ -484,25 +504,63 @@ impl Journaled for ResultStore {
     /// A checkpoint an older build wrote: `SEQ <client> <n>` header
     /// lines (the idempotency horizon) followed by the record blocks.
     /// One from before sequence tracking has no `SEQ` lines and restores
-    /// an empty horizon map.
-    fn restore(tally: &mut Tally, snapshot: &str) -> io::Result<()> {
+    /// an empty horizon map. A model the open rebuilds folds each block
+    /// as an entry of its own, unless its cache covers the checkpoint —
+    /// and folds everything afresh if the cache predates it.
+    fn restore(tally: &mut Tally, upto: Lsn, snapshot: &str) -> io::Result<()> {
         let (horizons, body) = split_checkpoint(snapshot)?;
         for (client, seq) in horizons {
             tally.applied.insert(client.to_string(), seq);
         }
         tally.count += RunRecord::count_blocks(body).map_err(invalid)?;
+        if let Some(model) = tally.model.as_mut().filter(|m| m.covers < upto) {
+            model.clear();
+            for block in Blocks::new(body) {
+                let block = block.map_err(invalid)?;
+                model.fold_text(upto - 1, block.len() as u64, block);
+            }
+        }
         Ok(())
     }
 
     /// Header-only: the payload is [`checked`], its blocks counted and
-    /// its horizon raised.
-    fn replay(tally: &mut Tally, payload: &[u8]) -> io::Result<()> {
+    /// its horizon raised — and, past the model's cache, folded.
+    fn replay(tally: &mut Tally, lsn: Lsn, payload: &[u8]) -> io::Result<()> {
         let blocks = checked(payload)?;
         tally.count += blocks.count;
         if let Some((client, seq)) = blocks.batch {
             tally.raise_horizon(client, seq);
         }
+        if let Some(model) = tally.model.as_mut().filter(|m| lsn >= m.covers) {
+            model.fold_text(lsn, payload.len() as u64, blocks.body);
+        }
         Ok(())
+    }
+
+    /// Opens the shard and rebuilds its comfort model: the cache, then
+    /// the entries past it. A cache that names an LSN past the
+    /// journal's end holds entries a power loss took, so it is deleted
+    /// and the shard opened again, folding every entry.
+    fn open_cached(
+        io: StoreIo,
+        dir: &Path,
+        config: WalConfig,
+        cache: Option<CacheFile>,
+    ) -> io::Result<(Self, Recovery)> {
+        let Some(cache) = cache else {
+            return Self::open(io, dir, config);
+        };
+        let model = ModelStore::open(cache.clone())?;
+        let tally = Tally { model: Some(model), ..Tally::default() };
+        let (mut store, recovery) = Self::open_onto(io.clone(), dir, config, tally)?;
+        let end = store.journal.next_lsn();
+        let model = store.tally.model.as_mut().expect("opened folding");
+        if model.covers > end {
+            cache.remove()?;
+            return Self::open_cached(io, dir, config, Some(cache));
+        }
+        model.opened(end);
+        Ok((store, recovery))
     }
 
     /// Every horizon as an empty `B` payload, then every held block, in
@@ -537,17 +595,18 @@ impl Journaled for ResultStore {
     /// already. A `seq 0` batch raises no horizon and is journaled a
     /// record per entry, as the upload it came from was.
     fn admit(&mut self, payload: &[u8]) -> io::Result<bool> {
+        self.appended.clear();
         let blocks = checked(payload)?;
         match blocks.batch {
             Some((client, seq)) if seq != 0 => {
                 if self.applied_seq(client) >= seq {
                     return Ok(false);
                 }
-                self.journal.append(payload)?;
+                self.log(payload, blocks.count)?;
                 self.tally.raise_horizon(client, seq);
             }
             Some(_) => self.journal_singly(blocks.body)?,
-            None => self.journal.append(payload)?,
+            None => self.log(payload, blocks.count)?,
         }
         self.hold(blocks.body, blocks.count);
         Ok(true)
@@ -764,6 +823,7 @@ impl ResultStore {
     /// On a journal error nothing is applied in memory and the upload
     /// must not be acknowledged.
     pub fn append(&mut self, records: &[RunRecord]) -> Result<usize, StoreError> {
+        self.appended.clear();
         let body = render(records)?;
         self.journal_singly(&body)?;
         self.hold(&body, records.len());
@@ -778,9 +838,29 @@ impl ResultStore {
                 body: block.map_err(invalid)?,
                 count: 1,
             };
-            self.journal.append(&entry.encode())?;
+            self.log(&entry.encode(), 1)?;
         }
         Ok(())
+    }
+
+    /// Journals one entry holding `blocks` blocks and notes it.
+    fn log(&mut self, payload: &[u8], blocks: usize) -> io::Result<()> {
+        self.journal.append(payload)?;
+        let bytes = payload.len() as u64;
+        self.appended.push(Appended { bytes, blocks });
+        Ok(())
+    }
+
+    /// The entries the last mutation ([`ResultStore::append_batch`] and
+    /// the rest) journaled, in order: none for a replayed batch or a
+    /// payload the store already held.
+    pub(crate) fn appended(&self) -> &[Appended] {
+        &self.appended
+    }
+
+    /// The comfort model the open rebuilt, handed to its model shard.
+    pub(crate) fn take_model(&mut self) -> Option<ModelStore> {
+        self.tally.model.take()
     }
 
     /// Appends an upload batch idempotently. `seq` is the client's batch
@@ -816,6 +896,7 @@ impl ResultStore {
         records: &[RunRecord],
         ship: bool,
     ) -> Result<(BatchStatus, Option<Vec<u8>>), StoreError> {
+        self.appended.clear();
         if seq != 0 && self.applied_seq(client) >= seq {
             return Ok((BatchStatus::Replayed(records.len()), None));
         }
@@ -837,7 +918,7 @@ impl ResultStore {
             ship.then(|| entry.encode())
         } else {
             let payload = entry.encode();
-            self.journal.append(&payload)?;
+            self.log(&payload, records.len())?;
             self.tally.raise_horizon(client, seq);
             ship.then_some(payload)
         };
@@ -926,6 +1007,7 @@ impl ResultStore {
     /// snapshot's sequence (a `seq 0` one raises no horizon). Returns
     /// the ordinals, within the batch, of the blocks it appended.
     pub(crate) fn admit_snapshot(&mut self, payload: &[u8]) -> io::Result<Vec<usize>> {
+        self.appended.clear();
         let snapshot = checked(payload)?;
         let Some((client, seq)) = snapshot.batch else {
             return Err(invalid("a snapshot entry of the results must be a batch"));
@@ -1081,10 +1163,9 @@ impl RegistryStore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::models::ModelStore;
-    use crate::storage::{Disk, StoreIo};
+    use crate::storage::Disk;
     use uucs_harness::TempDir;
-    use uucs_protocol::walenc::{testcase_payload, TAG_MODEL};
+    use uucs_protocol::walenc::testcase_payload;
     use uucs_protocol::{MonitorSummary, RunOutcome, WalEntry};
     use uucs_testcase::{ExerciseSpec, Resource};
     use uucs_wal::{Io, SyncPolicy};
@@ -1137,7 +1218,7 @@ pub(crate) mod tests {
         assert!(store.admit(&testcase_payload(b.trim_end())).unwrap());
         assert_eq!(store.text(), format!("{a}{b}"));
         let mut restored = TestcaseStore::new();
-        TestcaseStore::restore(&mut restored.held, store.text()).unwrap();
+        TestcaseStore::restore(&mut restored.held, 0, store.text()).unwrap();
         assert_eq!(restored.testcases(), [tc("a"), tc("b")]);
     }
 
@@ -1260,27 +1341,6 @@ pub(crate) mod tests {
         }
     }
 
-    impl Fill for ModelStore {
-        fn fill(&mut self, round: u64) {
-            self.observe_batch(vec![uucs_modelsvc::Observation {
-                resource: Resource::Cpu,
-                task: "Word".into(),
-                skill: "Typical".into(),
-                level: 1.0 + round as f64,
-                censored: false,
-            }])
-            .unwrap();
-        }
-
-        fn probe(&mut self) {
-            assert_eq!(self.epoch(), 2);
-        }
-
-        fn state(&self) -> String {
-            self.snapshot()
-        }
-    }
-
     const TABLE_CFG: WalConfig = WalConfig {
         segment_bytes: 512,
         sync: SyncPolicy::Always,
@@ -1327,12 +1387,11 @@ pub(crate) mod tests {
         }
     }
 
-    fn table() -> [Row; 4] {
+    fn table() -> [Row; 3] {
         [
             row::<TestcaseStore>("testcase"),
             row::<ResultStore>("batch"),
             row::<RegistryStore>("client"),
-            row::<ModelStore>("model"),
         ]
     }
 
@@ -1367,11 +1426,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// A store built in memory journals what it takes, and a model shard
-    /// there also checkpoints — `ModelStore::new` included, which
-    /// journals in memory as every other store's `new` does.
+    /// A store built in memory journals what it takes.
     #[test]
-    fn in_memory_stores_journal_and_compact() {
+    fn in_memory_stores_journal() {
         fn check<S: Fill>() {
             let mut store = S::in_memory();
             store.fill(0);
@@ -1382,15 +1439,6 @@ pub(crate) mod tests {
         check::<TestcaseStore>();
         check::<ResultStore>();
         check::<RegistryStore>();
-        check::<ModelStore>();
-        for mut model in [ModelStore::in_memory(), ModelStore::new()] {
-            model.fill(0);
-            assert!(model.journal_tail().0 > 0, "a model journals its deltas");
-            model.compact().unwrap();
-            assert_eq!(model.journal_tail().0, 0, "an in-memory model checkpoints");
-            model.fill(1);
-            model.probe();
-        }
     }
 
     #[test]
@@ -1649,120 +1697,6 @@ pub(crate) mod tests {
     /// Lines damage can leave in a model delta: every field of an `OBS`
     /// line missing, malformed or surplus, a second header, `END`
     /// near-misses.
-    const MODEL_STRAY: [&str; 12] = [
-        "",
-        "END",
-        " END\u{b}",
-        "END END",
-        "OBS cpu",
-        "OBS cpu Word Typical discomfort",
-        "OBS cpu - - exhausted 0",
-        "OBS gpu Word Typical discomfort 1",
-        "OBS cpu Word Typical maybe 1",
-        "OBS cpu Word Typical discomfort nan",
-        "OBS cpu Word Typical discomfort 1 extra",
-        "MODELDELTA 2 1",
-    ];
-
-    fn generated_observations(rng: &mut uucs_stats::Pcg64) -> Vec<uucs_modelsvc::Observation> {
-        let names = ["", "Word", "two words", "caf\u{e9}", "unrated", "Typical"];
-        let resources = [Resource::Cpu, Resource::Memory, Resource::Disk];
-        (0..rng.below(4))
-            .map(|_| uucs_modelsvc::Observation {
-                resource: *rng.choose(&resources),
-                task: rng.choose(&names).to_string(),
-                skill: rng.choose(&names).to_string(),
-                level: rng.below(21) as f64 * 0.25,
-                censored: rng.bernoulli(0.3),
-            })
-            .collect()
-    }
-
-    /// Holds the open of a model journal — `before` then `payload` — to
-    /// [`WalEntry::decode`] and [`ComfortModel::apply`] of the same
-    /// entries: the same epoch and snapshot bytes, or the same error.
-    ///
-    /// [`ComfortModel::apply`]: uucs_modelsvc::ComfortModel::apply
-    fn assert_model_replays_like_decode(before: &[Vec<u8>], payload: &[u8], context: &str) {
-        let mut model = uucs_modelsvc::ComfortModel::new();
-        for entry in before {
-            let Ok(WalEntry::Model(delta)) = WalEntry::decode(entry) else {
-                panic!("{context}: a bad base entry");
-            };
-            model.apply(&delta).unwrap();
-        }
-        let reference = match WalEntry::decode(payload) {
-            Ok(WalEntry::Model(delta)) => model.apply(&delta).map(|()| model),
-            Ok(_) => {
-                let kind = uucs_protocol::walenc::entry_kind(payload[0]).unwrap();
-                Err(format!("foreign {kind} entry in a model journal"))
-            }
-            Err(e) => Err(e),
-        };
-        match (replayed_after::<ModelStore>(before, payload), reference) {
-            (Ok(store), Ok(model)) => {
-                assert_eq!(store.epoch(), model.epoch(), "{context}");
-                assert_eq!(store.snapshot(), model.encode(), "{context}");
-            }
-            (Err(mine), Err(theirs)) => assert_eq!(mine.to_string(), theirs, "{context}"),
-            (mine, theirs) => panic!(
-                "{context}: replay {:?}, decode {:?}",
-                mine.map(|s| s.epoch()),
-                theirs.map(|m| m.epoch())
-            ),
-        }
-    }
-
-    /// The model replay folds each delta's text into the sketches; a
-    /// journal of generated deltas, the last one damaged, opens to what
-    /// decoding and applying every entry gives — `UUCS_PROPTEST_CASES`
-    /// seeds.
-    #[test]
-    fn model_fold_replays_like_decode_and_apply() {
-        use uucs_harness::prop::{any, run_property, Config};
-        run_property(
-            &Config::default(),
-            "model_fold_replays_like_decode_and_apply",
-            (any::<u64>(),),
-            |&(seed,)| {
-                let mut rng = uucs_stats::Pcg64::new(seed);
-                let mut model = uucs_modelsvc::ComfortModel::new();
-                let mut before = Vec::new();
-                for _ in 0..rng.below(4) {
-                    let delta = model.next_delta(generated_observations(&mut rng));
-                    model.apply(&delta).unwrap();
-                    before.push(WalEntry::Model(delta).encode());
-                }
-                let mut delta = model.next_delta(generated_observations(&mut rng));
-                if rng.bernoulli(0.1) {
-                    delta.epoch = rng.below(delta.epoch + 2);
-                }
-                let mut payload = WalEntry::Model(delta).encode();
-                assert_model_replays_like_decode(&before, &payload, &format!("seed {seed}, undamaged"));
-                for round in 0..3 {
-                    let text = std::str::from_utf8(&payload[1..]).unwrap();
-                    let damaged = uucs_harness::textfuzz::mutate_lines(&mut rng, text, &MODEL_STRAY);
-                    payload.truncate(1);
-                    payload.extend_from_slice(damaged.as_bytes());
-                    assert_model_replays_like_decode(&before, &payload, &format!("seed {seed}, round {round}"));
-                }
-                Ok(())
-            },
-        );
-        for payload in [
-            b"".to_vec(),
-            vec![TAG_MODEL, 0xFF],
-            b"Mnot a delta".to_vec(),
-            b"MMODELDELTA 1 2\nEND\n".to_vec(),
-            b"MMODELDELTA 2 0\nEND\n".to_vec(),
-            b"Xjunk".to_vec(),
-            b"Tnot a testcase".to_vec(),
-            WalEntry::Testcase(tc("t")).encode(),
-        ] {
-            assert_model_replays_like_decode(&[], &payload, &format!("{payload:?}"));
-        }
-    }
-
     /// Lines damage can leave in a testcase, the untrusted counts and
     /// rates among them, and values at the edges of `f64`'s grammar.
     const TESTCASE_STRAY: [&str; 15] = [
@@ -2099,7 +2033,7 @@ pub(crate) mod tests {
                 Ok(store),
             ) => {
                 let mut restored = RegistryStore::new();
-                RegistryStore::restore(&mut restored.held, store.text()).expect(context);
+                RegistryStore::restore(&mut restored.held, 0, store.text()).expect(context);
                 for g in [&store, &restored] {
                     assert_eq!(g.len(), 1, "{context}");
                     assert_eq!(g.get(&id).as_ref(), Some(&snapshot), "{context}");

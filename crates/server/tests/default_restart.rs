@@ -2,7 +2,7 @@
 //! what it acknowledged: registrations and uploads acked before a
 //! SIGKILL are all there after a restart over the same `--data`, and
 //! the comfort model it serves is the same reply for reply, however
-//! often its journal checkpointed itself.
+//! often its cache was rewritten.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
@@ -15,8 +15,8 @@ use uucs_protocol::wire::{read_server_msg, write_client_msg};
 use uucs_protocol::{ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg};
 use uucs_modelsvc::{advice_from, ComfortModel};
 use uucs_protocol::WalEntry;
-use uucs_server::models::{checkpoint_bound, observations_of};
-use uucs_server::{StoreSet, UucsServer};
+use uucs_server::models::{cache_bound, observations_of};
+use uucs_server::{ResultStore, StoreSet, UucsServer};
 use uucs_testcase::{format as tcformat, ExerciseSpec, Resource, Testcase};
 use uucs_wal::{StdIo, Wal, WalConfig};
 
@@ -207,58 +207,61 @@ fn model_replies(model: &ComfortModel) -> Vec<(ClientMsg, ServerMsg)> {
     out
 }
 
-/// The model deltas the `recovered …` line says the open replayed.
-fn replayed_deltas(recovered: &str) -> u64 {
-    let at = recovered.find(" deltas replayed)").unwrap_or_else(|| panic!("{recovered}"));
+/// The records the `recovered …` line says the open folded.
+fn folded_records(recovered: &str) -> u64 {
+    let at = recovered.find(" records folded past the model cache)").unwrap_or_else(|| panic!("{recovered}"));
     let count = recovered[..at].rsplit('(').next().unwrap();
     count.parse().unwrap_or_else(|_| panic!("{recovered}"))
 }
 
-/// A model journal that checkpoints itself once its tail outgrows its
-/// last checkpoint serves the same `MODEL`, `ADVICE` and `MODELDELTA`
-/// replies as the model it journals, across SIGKILL restarts. The data
-/// directory starts as a build that checkpointed only on its 30 s tick
-/// left it — the model journal one long tail of deltas, no checkpoint —
-/// and the restart after uploads that crossed the bound several times
-/// replays at most the bound's worth of deltas.
+/// A model that is a cache of the results journal serves the same
+/// `MODEL`, `ADVICE` and `MODELDELTA` replies as the fold of the records
+/// it holds, across SIGKILL restarts. The data directory starts as the
+/// parent build left it: a results journal of sequenced uploads and no
+/// cache beside it — only a model journal, which is never read, and is
+/// deleted once every shard has a cache. Each life uploads past the
+/// bound, and each restart folds at most the bound's worth of records
+/// past the cache (plus the upload whose cache write a kill may cut
+/// short).
 #[test]
 fn model_replies_survive_kills_across_self_checkpoints() {
     let tmp = TempDir::new("uucs-model-restart");
     let (data, library) = (tmp.join("data"), library(tmp.path()));
     let mut model = ComfortModel::new();
-    let mut deltas = Vec::new();
-    let models = data.join("wal").join("models");
-    let mut journal = Wal::open(StdIo::new(), &models, WalConfig::default()).unwrap().0;
+    let wal = data.join("wal");
+    let mut results = ResultStore::open_wal(&wal.join("results"), WalConfig::default()).unwrap().0;
     for k in 0..1500 {
-        let delta = model.next_delta(observations_of(&runs("client-0001", "Word", k, 1)));
-        let payload = WalEntry::Model(delta.clone()).encode();
-        journal.append(&payload).unwrap();
-        model.apply(&delta).unwrap();
-        deltas.push(payload.len() as u64 + 8);
+        // A client the parent registered; this directory's registry is
+        // empty, so the id is never minted again.
+        let records = runs("client-0999", "Word", k, 1);
+        results.append_batch("client-0999", k + 1, &records).unwrap();
+        model.observe(&observations_of(&records));
     }
+    drop(results);
+    let models = wal.join("models");
+    let mut journal = Wal::open(StdIo::new(), &models, WalConfig::default()).unwrap().0;
+    journal.append(b"MMODELDELTA 1 1\nOBS cpu Word Typical discomfort 9\nEND\n").unwrap();
     drop(journal);
-    // The tail a checkpointing journal would not have kept.
-    assert!(deltas.iter().sum::<u64>() > checkpoint_bound(0));
 
     let (mut server, addr, recovered) = start(&data, &library);
-    assert!(recovered.contains("model epoch 1500 (1500 deltas replayed)"), "{recovered}");
+    assert!(recovered.contains("model epoch 1500 (1500 records folded past the model cache)"), "{recovered}");
     let mut s = session(&addr);
     for (ask, want) in model_replies(&model) {
-        assert_eq!(s.ask(ask.clone()), want, "{ask:?} on the unbounded journal");
+        assert_eq!(s.ask(ask.clone()), want, "{ask:?} on the parent's directory");
     }
     let (id, _) = s.register("tok-model");
     let (mut seq, per_upload) = (0, 20);
-    let mut uploaded = 0;
+    let mut entry = 0;
     for life in 0..3 {
+        let mut uploaded = 0;
         for _ in 0..120 {
             seq += 1;
             let task = if seq % 3 == 0 { "Quake" } else { "Word" };
             let records = runs(&id, task, seq, per_upload);
-            let delta = model.next_delta(observations_of(&records));
-            model.apply(&delta).unwrap();
-            let frame = WalEntry::Model(delta).encode().len() as u64 + 8;
-            deltas.push(frame);
-            uploaded += frame;
+            model.observe(&observations_of(&records));
+            let payload = WalEntry::Batch { client: id.clone(), seq, records: records.clone() }.encode();
+            entry = entry.max(payload.len() as u64);
+            uploaded += payload.len() as u64;
             let client = id.clone();
             assert_eq!(s.ask(ClientMsg::Upload { client, seq, records }), ServerMsg::Ack(per_upload as usize));
         }
@@ -268,24 +271,18 @@ fn model_replies_survive_kills_across_self_checkpoints() {
         }
         server.kill().unwrap();
         server.wait().unwrap();
+        let cache = std::fs::metadata(wal.join("model-000.cache")).expect("a model cache").len();
+        assert!(uploaded > cache_bound(cache), "life {life} stays under the bound");
+        assert!(!models.exists(), "life {life}: the model journal outlived the caches");
         let recovered;
         (server, recovered) = {
             let (child, addr, recovered) = start(&data, &library);
             s = session(&addr);
             (child, recovered)
         };
-        assert!(uploaded > (life + 1) * checkpoint_bound(0), "each life outgrows the floor");
-        let checkpoint = std::fs::read_dir(&models)
-            .unwrap()
-            .filter_map(|e| e.ok().filter(|e| e.file_name().to_string_lossy().ends_with(".snap")))
-            .map(|e| e.metadata().unwrap().len())
-            .max()
-            .expect("the model journal checkpointed itself");
-        let replayed = replayed_deltas(&recovered);
-        assert!(
-            replayed * deltas.iter().min().unwrap() <= checkpoint_bound(checkpoint),
-            "life {life}: {replayed} deltas replayed onto a {checkpoint}-byte checkpoint: {recovered}"
-        );
+        let folded = folded_records(&recovered);
+        let most = (cache_bound(cache) / entry + 2) * per_upload;
+        assert!(folded <= most, "life {life}: {folded} records folded past a {cache}-byte cache: {recovered}");
         assert!(recovered.contains(&format!("model epoch {} ", model.epoch())), "{recovered}");
         for (ask, want) in replies {
             assert_eq!(s.ask(ask.clone()), want, "{ask:?} after kill {life}");

@@ -125,8 +125,7 @@ fn acknowledged_uploads_survive_server_death() {
 
     // Generation 2: recovery sees the 4 acknowledged records *and* the
     // generation-1 registration; a new client's sync sees the recovered
-    // library; 3 more records arrive, and this generation's periodic
-    // checkpoint also runs mid-life.
+    // library; 3 more records arrive.
     {
         let server = boot(&dir);
         assert_eq!(server.result_count(), 4, "acknowledged uploads were lost");
@@ -137,7 +136,6 @@ fn acknowledged_uploads_survive_server_death() {
             upload_over_tcp(handle.addr(), 1, (4..7).map(record).collect()),
             3
         );
-        server.compact().unwrap();
         handle.shutdown();
     }
 
@@ -477,27 +475,25 @@ fn a_tailing_follower_journals_the_payloads_the_leader_shipped() {
 fn sketch_and_records_model(server: &UucsServer) -> (String, String) {
     let mut model = uucs_modelsvc::ComfortModel::new();
     let records = server.results().unwrap();
-    let delta = model.next_delta(uucs_server::models::observations_of(&records));
-    model.apply(&delta).unwrap();
+    model.observe(&uucs_server::models::observations_of(&records));
     (
         server.model_sketch(Resource::Cpu, None).encode(),
         model.merged(Resource::Cpu, None).encode(),
     )
 }
 
-/// A data directory whose records were appended but never folded into
-/// the model — what a follower of an older build leaves, here made by
-/// deleting `models/` from a written directory — opens with the model of
-/// every record it holds, one epoch per client. That model is journaled,
-/// so the next open finds epochs and folds nothing again.
+/// A data directory with no model cache beside its records — what a
+/// parent build leaves (its model journal is never read), or one whose
+/// caches were deleted — opens with the fold of every record it holds,
+/// at the epoch the live model had: one per sequenced upload.
 #[test]
-fn records_beside_an_empty_model_are_folded_once_at_open() {
+fn records_without_a_model_cache_are_refolded_at_open() {
     let dir = TempDir::new("uucs-model-upgrade");
     let open = || {
         let (stores, _) = StoreSet::open(dir.path(), CFG, 2).unwrap();
         UucsServer::with_store_set(stores, 11)
     };
-    {
+    let live = {
         let server = open();
         for host in ["a", "b", "c"] {
             let ServerMsg::Id { id, .. } =
@@ -521,22 +517,51 @@ fn records_beside_an_empty_model_are_folded_once_at_open() {
             }
         }
         assert_eq!((server.result_count(), server.model_epoch()), (36, 9));
-    }
-    std::fs::remove_dir_all(dir.path().join("models")).unwrap();
-    let (sketch, want) = {
-        let server = open();
-        assert_eq!(server.model_epoch(), 3, "one epoch per client");
-        let (sketch, want) = sketch_and_records_model(&server);
-        assert_eq!(sketch, want);
-        (sketch, want)
+        sketch_and_records_model(&server)
     };
-    let server = open();
-    assert_eq!(
-        server.model_epoch(),
-        3,
-        "a model with epochs is not folded again"
-    );
-    assert_eq!(sketch_and_records_model(&server), (sketch, want));
+    assert_eq!(live.0, live.1, "the live model is the fold of its records");
+    for shard in 0..2 {
+        let _ = std::fs::remove_file(dir.path().join(format!("model-{shard:03}.cache")));
+    }
+    for _ in 0..2 {
+        let server = open();
+        assert_eq!(server.model_epoch(), 9, "one epoch per sequenced upload");
+        assert_eq!(server.model_folded_records(), 36);
+        assert_eq!(sketch_and_records_model(&server), live);
+    }
+}
+
+/// A fresh data directory holds the three journal families and, once
+/// the results outgrow the bound, the model caches: no model journal.
+#[test]
+fn a_data_directory_holds_three_journals_and_the_model_caches() {
+    let tmp = TempDir::new("uucs-fresh-layout");
+    let server = UucsServer::with_store_set(StoreSet::open(tmp.path(), CFG, 2).unwrap().0, 5);
+    let ServerMsg::Id { id, .. } = server.handle(&ClientMsg::register(MachineSnapshot::study_machine("h")))
+    else {
+        panic!("registration refused");
+    };
+    let mut folded = 0;
+    for seq in 1..=400u64 {
+        let records: Vec<RunRecord> = (0..8).map(|i| RunRecord { client: id.clone(), ..record(i) }).collect();
+        folded += records.len();
+        let reply = server.handle(&ClientMsg::Upload { client: id.clone(), seq, records });
+        assert_eq!(reply, ServerMsg::Ack(8));
+    }
+    drop(server);
+    let mut names: Vec<String> = std::fs::read_dir(tmp.path())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let shard = uucs_server::shard_of(&id, 2);
+    let cache = format!("model-{shard:03}.cache");
+    let mut want = vec![cache, "registry".into(), "results".into(), "testcases".into()];
+    want.sort();
+    assert_eq!(names, want);
+    let server = UucsServer::with_store_set(StoreSet::open(tmp.path(), CFG, 2).unwrap().0, 5);
+    assert_eq!(server.model_epoch(), 400);
+    assert!((server.model_folded_records() as usize) < folded, "the open folded past the cache");
 }
 
 /// A slice of the Internet study's library holding every kind of
@@ -692,8 +717,7 @@ fn testcase_journal_and_checkpoint_bytes_are_pinned() {
     }
     assert_eq!(files_crc(tmp.path()), JOURNAL_CRC, "journal bytes moved");
     let server = UucsServer::new(store, 1);
-    server.compact().unwrap();
-    assert_eq!(files_crc(tmp.path()), JOURNAL_CRC, "the tick rewrote the journal");
+    assert_eq!(files_crc(tmp.path()), JOURNAL_CRC, "a server rewrote the journal");
     drop(server);
     let text = checkpoint_as_an_older_build(tmp.path());
     assert_eq!(
@@ -768,54 +792,6 @@ fn loaded(dir: &Path) -> (UucsServer, Vec<String>) {
         .flat_map(|c| register_and_upload(&server, &format!("tick-{c}")))
         .collect();
     (server, acked)
-}
-
-/// The periodic checkpoint writes model shards only: the testcase,
-/// result and registry journals are left byte for byte as they were,
-/// with no checkpoint among them, and a reopen recovers every acked
-/// upload from them.
-#[test]
-fn the_tick_leaves_the_text_journals_as_they_were() -> Result<(), Violation> {
-    let tmp = TempDir::new("uucs-tick-text");
-    let dir = tmp.path();
-    let (server, acked) = loaded(dir);
-    let families = ["testcases", "results", "registry"];
-    let before = families.map(|family| tree(&dir.join(family)));
-    assert!(server.compact().unwrap() > 0, "the model shards hold deltas");
-    for (family, before) in families.iter().zip(before) {
-        let after = tree(&dir.join(family));
-        assert!(!after.keys().any(|p| is_checkpoint(p)), "{family}: a checkpoint");
-        assert!(after == before, "{family}: the tick changed the journal");
-    }
-    assert!(tree(&dir.join("models")).keys().any(|p| is_checkpoint(p)));
-    drop(server);
-    let server = open_tick_server(dir);
-    let held = server.results().unwrap().into_iter().map(|r| r.user);
-    exactly_once(acked, held, []).within("reopened after the tick")
-}
-
-/// Every file under `dir` with its inode: a file written afresh and
-/// renamed into place has a new one, whatever it holds.
-fn inodes(dir: &Path) -> Vec<(std::path::PathBuf, u64)> {
-    use std::os::unix::fs::MetadataExt;
-    let inode = |path: &Path| std::fs::metadata(path).unwrap().ino();
-    tree(dir).into_keys().map(|path| (path.clone(), inode(&path))).collect()
-}
-
-/// A tick with nothing new to fold writes nothing: a second periodic
-/// checkpoint with no upload since the first adds no checkpoint and
-/// leaves every model file as it was — not even rewritten with the same
-/// bytes.
-#[test]
-fn an_idle_tick_leaves_the_model_journals_as_they_were() {
-    let tmp = TempDir::new("uucs-tick-idle");
-    let models = tmp.join("models");
-    let (server, _) = loaded(tmp.path());
-    assert!(server.compact().unwrap() > 0, "the model shards hold deltas");
-    let before = (tree(&models), inodes(&models));
-    assert_eq!(server.compact().unwrap(), 0, "an idle tick checkpointed");
-    assert!(tree(&models) == before.0, "an idle tick changed the model journals");
-    assert_eq!(inodes(&models), before.1, "an idle tick rewrote a model file");
 }
 
 /// Each shard's testcase and registry text, and its records and

@@ -122,37 +122,6 @@ mod tests {
         assert_eq!(t.removed, removed);
     }
 
-    /// The tail past the checkpoint is the frame bytes a reopen would
-    /// replay: kept by every append, reset by a checkpoint, and counted
-    /// again by the open's scan — also when the first segment straddles
-    /// the checkpoint because its compaction never ran.
-    #[test]
-    fn tail_bytes_count_the_frames_past_the_checkpoint() {
-        use crate::frame::FRAME_HEADER;
-        let io = MemIo::new();
-        let reopen = || Wal::open(io.clone(), "/w", cfg(96, SyncPolicy::Always)).unwrap().0;
-        let mut wal = reopen();
-        assert_eq!((wal.tail_bytes(), wal.checkpoint_bytes()), (0, 0));
-        let frames = |sizes: &[usize]| sizes.iter().map(|n| (FRAME_HEADER + n) as u64).sum::<u64>();
-        for n in [8, 30, 5, 60] {
-            wal.append(&vec![7; n]).unwrap();
-        }
-        assert_eq!(wal.tail_bytes(), frames(&[8, 30, 5, 60]));
-        assert_eq!(reopen().tail_bytes(), frames(&[8, 30, 5, 60]));
-
-        wal.snapshot(b"state").unwrap();
-        assert_eq!((wal.tail_bytes(), wal.checkpoint_bytes()), (0, 5));
-        wal.append(&[1; 12]).unwrap();
-        // No compaction: the reopen skips the records the checkpoint folded.
-        let mut wal = reopen();
-        assert_eq!((wal.tail_bytes(), wal.checkpoint_bytes()), (frames(&[12]), 5));
-        wal.append(&[2; 3]).unwrap();
-        assert_eq!(wal.tail_bytes(), frames(&[12, 3]));
-        wal.snapshot(b"longer state").unwrap();
-        wal.compact().unwrap();
-        assert_eq!((reopen().tail_bytes(), reopen().checkpoint_bytes()), (0, 12));
-    }
-
     #[test]
     fn append_assigns_sequential_lsns_and_replays_in_order() {
         let io = MemIo::new();

@@ -268,8 +268,6 @@ struct Scan {
     snapshot_upto: Lsn,
     /// Whether the visitor was handed a checkpoint.
     checkpoint: bool,
-    /// The size of that checkpoint's state (0 without one).
-    checkpoint_bytes: u64,
     segments: Vec<SegMeta>,
     torn: Option<TornTail>,
     tmp_files: Vec<String>,
@@ -279,8 +277,6 @@ struct Scan {
     headerless_tails: Vec<String>,
     next_lsn: Lsn,
     replay_records: u64,
-    /// Frame bytes of the records past the checkpoint.
-    tail_bytes: u64,
 }
 
 /// Bytes of the buffer a recovery scan reads segments through: a
@@ -319,11 +315,11 @@ fn scan_dir<I: Io>(
     // leftovers, invalid ones are skipped (the chain check below
     // catches the case where skipping one loses committed records).
     let mut base = 0;
-    let (mut checkpoint, mut checkpoint_bytes) = (false, 0);
+    let mut checkpoint = false;
     for (upto, name) in snap_names.iter().rev() {
         // Read whole: the visitor folds a checkpoint from its full text.
         if let Ok(state) = io.read(&dir.join(name)).and_then(|d| decode_snapshot(&d, *upto)) {
-            (base, checkpoint, checkpoint_bytes) = (*upto, true, state.len() as u64);
+            (base, checkpoint) = (*upto, true);
             visitor.snapshot(Snapshot { upto: *upto, state })?;
             break;
         }
@@ -345,7 +341,6 @@ fn scan_dir<I: Io>(
     let mut torn = None;
     let mut headerless_tails = Vec::new();
     let mut replay_records = 0u64;
-    let mut tail_bytes = 0u64;
     // Every segment is read through this one buffer. It only grows to
     // hold a single frame larger than itself.
     let mut buf = vec![0u8; buf_bytes.max(SEGMENT_HEADER)];
@@ -409,7 +404,6 @@ fn scan_dir<I: Io>(
                         let lsn = first + count;
                         if lsn >= base {
                             visitor.record(lsn, payload)?;
-                            tail_bytes += (FRAME_HEADER + payload.len()) as u64;
                         }
                         count += 1;
                     }
@@ -482,14 +476,12 @@ fn scan_dir<I: Io>(
     Ok(Scan {
         snapshot_upto: base,
         checkpoint,
-        checkpoint_bytes,
         segments,
         torn,
         tmp_files,
         headerless_tails,
         next_lsn,
         replay_records,
-        tail_bytes,
     })
 }
 
@@ -618,10 +610,6 @@ pub struct Wal<I: Io> {
     /// Whether a checkpoint file covers the records below
     /// `snapshot_upto`.
     checkpoint: bool,
-    /// The size of the newest checkpoint's state (0 without one).
-    checkpoint_bytes: u64,
-    /// Frame bytes of the records from `snapshot_upto` to `next_lsn`.
-    tail_bytes: u64,
     /// `(first_lsn, file name)` of every live segment; the last is active.
     segments: Vec<(Lsn, String)>,
     active_len: u64,
@@ -716,8 +704,6 @@ impl<I: Io> Wal<I> {
                 next_lsn: scan.next_lsn,
                 snapshot_upto: scan.snapshot_upto,
                 checkpoint: scan.checkpoint,
-                checkpoint_bytes: scan.checkpoint_bytes,
-                tail_bytes: scan.tail_bytes,
                 segments,
                 active_len,
                 broken: false,
@@ -761,20 +747,6 @@ impl<I: Io> Wal<I> {
     /// Live segment count (including the active one).
     pub fn segment_count(&self) -> usize {
         self.segments.len()
-    }
-
-    /// The frame bytes of the records past the newest checkpoint in the
-    /// live segments — what a reopen would read and replay on top of
-    /// it. Counted by the open's scan and kept up by every append, so it
-    /// costs no I/O; a checkpoint sets it back to 0.
-    pub fn tail_bytes(&self) -> u64 {
-        self.tail_bytes
-    }
-
-    /// The size of the newest checkpoint's state, as handed to
-    /// [`Wal::snapshot`] (0 without one).
-    pub fn checkpoint_bytes(&self) -> u64 {
-        self.checkpoint_bytes
     }
 
     /// The WAL directory.
@@ -836,7 +808,6 @@ impl<I: Io> Wal<I> {
         // Only an append that returns `Ok` takes its LSN: a frame whose
         // fsync failed stays past `next_lsn`, unseen by `visit_file`.
         self.next_lsn += 1;
-        self.tail_bytes += frame.len() as u64;
         Ok(self.next_lsn - 1)
     }
 
@@ -906,6 +877,13 @@ impl<I: Io> Wal<I> {
     /// Writes a checkpoint covering every record appended so far, then
     /// rotates so [`Wal::compact`] can delete the folded segments.
     ///
+    /// No server store writes one any more: its journals are their own
+    /// checkpoints, and the comfort model is cached beside the results
+    /// journal instead. This and [`Wal::compact`] stay because tests
+    /// (and `uucs-server`'s `wal_roundtrip`) build the checkpointed
+    /// directory an older build left, which every open still reads;
+    /// ROADMAP item 20 decides their fate.
+    ///
     /// The active segment is synced first (the checkpoint must never
     /// claim records the log could still lose), the checkpoint file is
     /// written and synced under a `.tmp` name, and the atomic rename
@@ -927,7 +905,6 @@ impl<I: Io> Wal<I> {
         let rename = self.io.rename(&tmp_path, &self.dir.join(&final_name));
         self.guard(rename)?;
         (self.snapshot_upto, self.checkpoint) = (upto, true);
-        (self.checkpoint_bytes, self.tail_bytes) = (state.len() as u64, 0);
         // Rotate unless the active segment is already empty and aligned.
         let (active_first, _) = *self.segments.last().expect("always one segment");
         if !(active_first == upto && self.active_len == SEGMENT_HEADER as u64) {
@@ -941,6 +918,7 @@ impl<I: Io> Wal<I> {
 
     /// Deletes segments wholly covered by the newest checkpoint, plus
     /// superseded checkpoint files. Returns how many files went away.
+    /// Kept for the same reason as [`Wal::snapshot`].
     pub fn compact(&mut self) -> io::Result<usize> {
         self.check_broken()?;
         let t0 = self.observer.t0();
@@ -1175,10 +1153,10 @@ mod tests {
         // leftovers, invalid ones are skipped (the chain check below
         // catches the case where skipping one loses committed records).
         let mut base = 0;
-        let (mut checkpoint, mut checkpoint_bytes) = (false, 0);
+        let mut checkpoint = false;
         for (upto, name) in snap_names.iter().rev() {
             if let Ok(state) = io.read(&dir.join(name)).and_then(|d| decode_snapshot(&d, *upto)) {
-                (base, checkpoint, checkpoint_bytes) = (*upto, true, state.len() as u64);
+                (base, checkpoint) = (*upto, true);
                 visitor.snapshot(Snapshot { upto: *upto, state })?;
                 break;
             }
@@ -1200,8 +1178,7 @@ mod tests {
         let mut torn = None;
         let mut headerless_tails = Vec::new();
         let mut replay_records = 0u64;
-        let mut tail_bytes = 0u64;
-        for (i, (first, name)) in seg_names.iter().enumerate() {
+            for (i, (first, name)) in seg_names.iter().enumerate() {
             let is_last = only_residue_after(i);
             let data = io.read(&dir.join(name))?;
             if data.len() < SEGMENT_HEADER {
@@ -1253,7 +1230,6 @@ mod tests {
                         let lsn = first + count;
                         if lsn >= base {
                             visitor.record(lsn, payload)?;
-                            tail_bytes += (FRAME_HEADER + payload.len()) as u64;
                         }
                         count += 1;
                     }
@@ -1306,14 +1282,12 @@ mod tests {
         Ok(Scan {
             snapshot_upto: base,
             checkpoint,
-            checkpoint_bytes,
             segments,
             torn,
             tmp_files,
             headerless_tails,
             next_lsn,
             replay_records,
-            tail_bytes,
         })
     }
 

@@ -161,21 +161,42 @@ if [ -n "$whole" ]; then
     exit 1
 fi
 
-echo "== the text journals are their own checkpoint (the tick checkpoints model shards only) =="
+echo "== the text journals are their own checkpoint (no store writes one) =="
 # A testcase, result or registry journal holds the store's text, so a
 # checkpoint of it replays as much as the tail it replaces, and writing
-# one builds that whole text in memory under the shard's lock. Only the
-# model store checkpoints (ModelStore::compact, crates/server/src/models.rs);
-# a store-side `fn snapshot(&self` encoder on a text store, or a
-# compaction of a text family in shard.rs, brings the periodic rewrite
-# back. Their old checkpoints are still read (`restore`, and the reader's
-# `Visitor::snapshot(&mut self, …)`).
+# one builds that whole text in memory under the shard's lock. No store
+# checkpoints: the comfort model is a cache of the results journal,
+# written beside it (crates/server/src/models.rs), not a checkpoint of a
+# journal of its own. A store-side `fn snapshot(&self` encoder on a text
+# store, or a compaction of a text family in shard.rs, brings the
+# periodic rewrite back. Their old checkpoints are still read (`restore`,
+# and the reader's `Visitor::snapshot(&mut self, …)`).
 rewrite=$( (awk -v f=crates/server/src/store.rs '/^#\[cfg\(test\)\]/ { exit }
         /fn snapshot\(&self/ && !/^[[:space:]]*\/\// { print f ":" FNR ": " $0 }' crates/server/src/store.rs
     grep -nE "compact_family\(&self\.(testcases|results|registry)\)" crates/server/src/shard.rs) || true)
 if [ -n "$rewrite" ]; then
     echo "$rewrite"
     echo "ci: a text store is checkpointed again; its journal is its checkpoint" >&2
+    exit 1
+fi
+
+echo "== the comfort model is a cache of the results journal (no model journal) =="
+# The results journal is the one truth: each model shard folds its
+# results shard under that shard's lock and is cached beside it, and the
+# cache is written only by the group committer's pool — never on a
+# request thread, so no ack waits on it. A model journal entry, its tag
+# or its delta text, a journaled model store, the counted-and-ignored
+# model update error, the checkpoint bound of a model journal, or a
+# cache write from the request path brings the fourth store back.
+model_wal=$( (grep -rnE "WalEntry::Model\b|\bTAG_MODEL\b|impl Journaled for ModelStore|count_update_error|checkpoint_bound" \
+        crates src tests examples --include=*.rs
+    grep -rnE "\bModelDelta\b" crates src tests examples --include=*.rs \
+        | grep -vE "(ServerMsg|ClientMsg)::ModelDelta\b" \
+        | grep -vE "^crates/protocol/src/wire\.rs:[0-9]+:    ModelDelta \{$"
+    grep -n "write_cache(" crates/server/src/server.rs crates/server/src/tcp.rs) || true)
+if [ -n "$model_wal" ]; then
+    echo "$model_wal"
+    echo "ci: the model journal is back, or a request thread writes the model cache; fold the results and let the committer cache it" >&2
     exit 1
 fi
 
@@ -274,24 +295,23 @@ UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib text_testc
 echo "== text registry reads like the struct registry (2000 cases) =="
 UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib text_registry_reads_like_the_struct_registry
 
-# A model shard checkpoints itself once its journal tail outgrows its
-# last checkpoint. Through 2000 random runs of batches, reopens, reshards
-# 8 -> 3 -> 1 and faults planned inside each step of a checkpoint (the
-# .tmp write, the rename, the rotation, the segment removal), eight
-# bounded shards must read like a reference that never checkpoints —
-# epochs, snapshot text, merged sketches — and no reopen may replay more
-# than the bound and the one delta a crash cut short.
-echo "== bounded model store reads like one that never checkpoints (2000 cases) =="
-UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib a_bounded_model_reads_like_one_that_never_checkpoints
+# The comfort model is a cache of the results journal. Through random
+# runs of uploads (legacy ones too) with the cache written at the bound,
+# power losses, a torn, deleted and stale cache, a cache past the
+# journal's end, a fault at every step of a cache write and reshards
+# 8 -> 3 -> 1, eight model shards must read like the fold of the records
+# the results hold — merged sketches, and the epoch one per held entry
+# until a reshard carries it — and no reopen over whole caches may fold
+# more than the bound and one entry.
+echo "== a cached model reads like the fold of its records (2000 cases) =="
+UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib a_cached_model_reads_like_the_fold_of_its_records
 
 # An open checks every journal entry in one borrowed pass over its text.
 # Each pass must give its reference's verdict, word for word, on 2000
-# seeds of generated text and textfuzz damage: the model replay fold
-# that of WalEntry::decode + ComfortModel::apply, the results batch
-# check that of the line-at-a-time block scanner it replaced, and the
-# testcase store's check that of tcformat::parse.
+# seeds of generated text and textfuzz damage: the results batch check
+# that of the line-at-a-time block scanner it replaced, and the testcase
+# store's check that of tcformat::parse.
 echo "== one-pass replay checks equal their references (2000 cases each) =="
-UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib model_fold_replays_like_decode_and_apply
 UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-protocol --lib one_pass_batch_check_equals_the_reference
 UUCS_PROPTEST_CASES=2000 cargo test -q --release -p uucs-server --lib testcase_check_replays_like_parse
 

@@ -430,7 +430,6 @@ proptest! {
                     prop_assert!(matches!(reply, ServerMsg::Ack(_)), "{reply:?}");
                 }
             }
-            server.compact().unwrap();
             let mut results = server.results().unwrap();
             results.sort_by(|a, b| (&a.client, &a.testcase).cmp(&(&b.client, &b.testcase)));
             let horizons: Vec<(String, u64)> =

@@ -244,7 +244,6 @@ fn stats_reset_keeps_gauges_and_live_connections_never_go_negative() {
 /// every other verb — all visible through the STATS payload.
 #[test]
 fn model_service_metrics_cover_verbs_epoch_and_update_latency() {
-    use uucs::server::ModelStore;
     use uucs::testcase::Resource;
 
     let _guard = serialize();
@@ -296,11 +295,12 @@ fn model_service_metrics_cover_verbs_epoch_and_update_latency() {
     ] {
         assert!(json.contains(key), "STATS JSON missing {key}: {json}");
     }
-    // A recovered boot from the same WAL re-arms the gauge without
-    // replaying the uploads.
-    metrics::reset();
-    let (recovered, _) = ModelStore::open_wal(&dir.path().join("models"), WAL_CFG).unwrap();
-    assert_eq!(recovered.epoch(), epoch);
+    // A recovered boot from the same journals re-arms the gauge from
+    // the model its open folded, before any upload.
+    drop((transport, server));
+    metrics::gauge("modelsvc.epoch").set(0);
+    let recovered = wal_server(dir.path());
+    assert_eq!(recovered.model_epoch(), epoch);
     assert_eq!(metrics::gauge("modelsvc.epoch").get(), epoch as i64);
 }
 
@@ -518,26 +518,28 @@ fn a_durable_open_times_every_shard_of_every_family() {
     else {
         panic!("expected STATS reply");
     };
-    for flavor in ["testcases", "results", "registry", "model"] {
+    for flavor in ["testcases", "results", "registry"] {
         let name = format!("server.wal.{flavor}.open.ns");
         assert!(json.contains(&format!("\"{name}\"")), "STATS JSON missing {name}: {json}");
         assert_eq!(metrics::histogram(&name).count(), 4, "{name}: one per shard");
     }
+    // The model has no journal: its open is the results open's fold.
+    assert!(!json.contains("server.wal.model."), "{json}");
+    assert!(json.contains("\"server.model.folded_records\""), "{json}");
 }
 
-/// A model shard checkpoints once its journal tail outgrows its last
-/// checkpoint, so a restart after uploads that crossed that bound several
-/// times replays at most the bound's worth of deltas — and
-/// `server.wal.model.replayed_records` says how many it did.
+/// A model shard's cache is rewritten once the results past it outgrow
+/// the bound, so a restart after uploads that crossed it several times
+/// folds at most the bound's worth of results — and
+/// `server.model.folded_records` says how many records it did.
 #[test]
-fn a_restart_replays_at_most_the_bound_of_model_deltas() {
+fn a_restart_folds_at_most_the_bound_past_the_model_cache() {
     use uucs::protocol::{MonitorSummary, RunOutcome, RunRecord, WalEntry};
-    use uucs::server::models::{checkpoint_bound, observations_of};
-    use uucs::server::ModelStore;
+    use uucs::server::models::cache_bound;
     use uucs::testcase::Resource;
 
     let _guard = serialize();
-    let dir = TempDir::new("uucs-telemetry-bounded-replay");
+    let dir = TempDir::new("uucs-telemetry-bounded-fold");
     // The journals are what the test reads, not their durability.
     let cfg = WalConfig { segment_bytes: 16 << 10, sync: SyncPolicy::Never };
     let open = || Arc::new(UucsServer::with_store_set(StoreSet::open(dir.path(), cfg, 1).unwrap().0, 7));
@@ -549,8 +551,6 @@ fn a_restart_replays_at_most_the_bound_of_model_deltas() {
     else {
         panic!("expected ID");
     };
-    // Every delta holds the same observations at a rising epoch, so the
-    // first is the smallest frame the journal holds.
     let records: Vec<RunRecord> = (0..16)
         .map(|i| RunRecord {
             client: id.clone(),
@@ -564,25 +564,27 @@ fn a_restart_replays_at_most_the_bound_of_model_deltas() {
             monitor: MonitorSummary::default(),
         })
         .collect();
-    let probe = uucs::modelsvc::ComfortModel::new();
-    let frame = WalEntry::Model(probe.next_delta(observations_of(&records))).encode().len() as u64 + 8;
-    let uploads = 4 * checkpoint_bound(0) / frame;
+    // One upload's results entry: the seq is the only part that grows.
+    let batch = |seq| WalEntry::Batch { client: id.clone(), seq, records: records.clone() };
+    let entry = batch(u64::MAX).encode().len() as u64;
+    let uploads = 4 * cache_bound(0) / batch(1).encode().len() as u64;
+    let written = metrics::counter("server.model.cache.writes").get();
     for seq in 1..=uploads {
         let upload = ClientMsg::Upload { client: id.clone(), seq, records: records.clone() };
         assert_eq!(transport.exchange(&upload).expect("upload"), ServerMsg::Ack(records.len()));
     }
     drop(transport);
+    let writes = metrics::counter("server.model.cache.writes").get() - written;
+    assert!(writes >= 3, "{writes} cache writes over {uploads} uploads");
 
     let server = open();
-    assert_eq!(server.model_epoch(), uploads, "every delta is kept");
-    let replayed = metrics::gauge("server.wal.model.replayed_records").get() as u64;
-    drop(server);
-    let (store, _) = ModelStore::open_wal(&dir.path().join("models"), cfg).unwrap();
-    let (tail, checkpoint) = store.journal_tail();
-    assert!(checkpoint > 0, "the model journal checkpointed itself");
-    assert!(tail < checkpoint_bound(checkpoint), "{tail} bytes past a {checkpoint}-byte checkpoint");
+    assert_eq!(server.model_epoch(), uploads, "every upload is an epoch");
+    let folded = metrics::gauge("server.model.folded_records").get() as u64;
+    assert_eq!(folded, server.model_folded_records());
+    let cache = std::fs::metadata(dir.path().join("model-000.cache")).expect("a cache").len();
+    let most = cache_bound(cache) / entry + 1;
     assert!(
-        replayed * frame <= checkpoint_bound(checkpoint),
-        "{replayed} of {uploads} deltas replayed onto a {checkpoint}-byte checkpoint"
+        folded <= most * records.len() as u64,
+        "{folded} records folded past a {cache}-byte cache, bound {most} uploads"
     );
 }
